@@ -11,6 +11,7 @@ package regcube
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -484,6 +485,83 @@ func BenchmarkShardedPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(units+1)/float64(b.N), "units/op")
+		})
+	}
+}
+
+// Alert-heavy unit close (DESIGN.md §6, "what a unit close costs"): 5 000
+// seeded cells of the 262 144-cell D3L3C4 m-layer with per-unit slopes
+// ~ N(0,1) against threshold 1, so every one of the 64 o-cells alerts and
+// about a third of the computed cells are retained as their supporters —
+// the streaming form of Fig 8-10 and the shape of the suite's cube_heavy
+// workload. Ingest runs outside the timer; one op is one unit's close:
+// harvest, sort, cubing, supporter index, alerts, shard merge.
+func BenchmarkCloseUnitAlertHeavy(b *testing.B) {
+	const cells, ticksPerUnit = 5000, 10
+	schema, err := gen.Spec{Dims: 3, Levels: 3, Fanout: 4, Tuples: cells}.StreamSchema()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	members := make([][]int32, cells)
+	for i, idx := range rng.Perm(64 * 64 * 64)[:cells] {
+		members[i] = []int32{int32(idx % 64), int32(idx / 64 % 64), int32(idx / 4096)}
+	}
+	cfg := stream.Config{Schema: schema, TicksPerUnit: ticksPerUnit, Threshold: exception.Global(1)}
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			// The node's split: one shard is the plain Engine.
+			var eng interface {
+				Ingest(members []int32, tick int64, value float64) ([]*stream.UnitResult, error)
+				Flush() (*stream.UnitResult, error)
+			}
+			if shards == 1 {
+				eng, err = stream.NewEngine(cfg)
+			} else {
+				var sharded *stream.ShardedEngine
+				sharded, err = stream.NewShardedEngine(cfg, shards)
+				if sharded != nil {
+					defer sharded.Close()
+				}
+				eng = sharded
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			// A four-unit cycle of slopes, the same for every shard count.
+			srng := rand.New(rand.NewSource(13))
+			var cycle [4][cells]float64
+			for u := range cycle {
+				for i := range cycle[u] {
+					cycle[u][i] = srng.NormFloat64()
+				}
+			}
+			var alerts, supporters int
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				slopes := &cycle[n%len(cycle)]
+				for t := 0; t < ticksPerUnit; t++ {
+					tick := int64(n*ticksPerUnit + t)
+					for i, m := range members {
+						if _, err := eng.Ingest(m, tick, 5+slopes[i]*float64(t)); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StartTimer()
+				ur, err := eng.Flush()
+				if err != nil {
+					b.Fatal(err)
+				}
+				alerts = len(ur.Alerts)
+				supporters = 0
+				for _, al := range ur.Alerts {
+					supporters += len(al.Drill)
+				}
+			}
+			b.ReportMetric(float64(alerts), "alerts/op")
+			b.ReportMetric(float64(supporters), "supporters/op")
 		})
 	}
 }

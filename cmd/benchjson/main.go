@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Fig8|Fig9|Sharded' -benchmem . |
+//	go test -run '^$' -bench 'Fig8|Fig9|Sharded|CloseUnit' -benchmem . |
 //	    go run ./cmd/benchjson -o BENCH_PR2.json -label baseline
 //
 // Each run is stored under its -label; re-running with the same label

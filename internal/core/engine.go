@@ -47,6 +47,10 @@ type Cell struct {
 	ISB regression.ISB
 }
 
+// CompareCells orders cells by key (cube.CompareKeys) — the canonical
+// order of every sorted cell list in the system.
+func CompareCells(a, b Cell) int { return cube.CompareKeys(a.Key, b.Key) }
+
 // Stats reports the cost measures the paper's evaluation uses.
 type Stats struct {
 	Algorithm        string
@@ -94,23 +98,72 @@ func (r *Result) ExceptionsAt(c cube.Cuboid) []Cell {
 }
 
 // sortedCells flattens a retained-cell map into canonical key order
-// (cube.CompareKeys) — the stable iteration surface snapshot readers and
-// serializers need, since map order changes run to run.
-func sortedCells(m map[cube.CellKey]regression.ISB) []Cell {
-	out := make([]Cell, 0, len(m))
+// (cube.CompareKeys) — the stable iteration surface snapshot readers,
+// serializers and the supporter index need, since map order changes run to
+// run. A unit retains tens of thousands of cells, and a comparison sort
+// moves every ~80-byte cell a dozen times; so when the linear codings of
+// the lattice's cuboids (cuboidCoder), laid end to end in cuboid order,
+// fit one uint64, cells are radix-sorted by that code instead.
+func sortedCells(s *cube.Schema, m map[cube.CellKey]regression.ISB) []Cell {
+	cells := make([]Cell, 0, len(m))
 	for k, isb := range m {
-		out = append(out, Cell{Key: k, ISB: isb})
+		cells = append(cells, Cell{Key: k, ISB: isb})
 	}
-	slices.SortFunc(out, func(a, b Cell) int { return cube.CompareKeys(a.Key, b.Key) })
-	return out
+	if sorted, ok := radixSortCells(s, cells); ok {
+		return sorted
+	}
+	slices.SortFunc(cells, CompareCells)
+	return cells
+}
+
+// radixSortCells returns cells in cube.CompareKeys order, or ok=false when
+// some cell lies outside the lattice or the lattice's cell space exceeds
+// the code range (the caller then sorts by comparison).
+func radixSortCells(s *cube.Schema, cells []Cell) (sorted []Cell, ok bool) {
+	type coding struct {
+		strides [cube.MaxDims]uint64
+		base    uint64 // the cuboid's first code: all cells of earlier cuboids sort before it
+	}
+	cuboids := slices.Clone(cube.NewLattice(s).Cuboids())
+	slices.SortFunc(cuboids, func(a, b cube.Cuboid) int {
+		return cube.CompareKeys(cube.CellKey{Cuboid: a}, cube.CellKey{Cuboid: b})
+	})
+	codings := make(map[cube.Cuboid]coding, len(cuboids))
+	next := uint64(0)
+	for _, c := range cuboids {
+		strides, _, total, fits := cuboidCoder(s, c)
+		if !fits || next+total < next || next+total > 1<<62 {
+			return nil, false
+		}
+		codings[c] = coding{strides: strides, base: next}
+		next += total
+	}
+	entries := make([]runEntry, len(cells), 2*len(cells))
+	for i := range cells {
+		cd, inLattice := codings[cells[i].Key.Cuboid]
+		if !inLattice {
+			return nil, false
+		}
+		code := cd.base
+		for d := range s.Dims {
+			code += uint64(cells[i].Key.Members[d]) * cd.strides[d]
+		}
+		entries[i] = runEntry{code: code, idx: int32(i)}
+	}
+	entries, _ = radixSortByCode(entries, entries[len(cells):cap(entries)], next-1)
+	sorted = make([]Cell, len(cells))
+	for j, e := range entries {
+		sorted[j] = cells[e.idx]
+	}
+	return sorted, true
 }
 
 // OCells returns every o-layer cell in canonical key order.
-func (r *Result) OCells() []Cell { return sortedCells(r.OLayer) }
+func (r *Result) OCells() []Cell { return sortedCells(r.Schema, r.OLayer) }
 
 // ExceptionCells returns every retained exception cell in canonical key
 // order.
-func (r *Result) ExceptionCells() []Cell { return sortedCells(r.Exceptions) }
+func (r *Result) ExceptionCells() []Cell { return sortedCells(r.Schema, r.Exceptions) }
 
 // validate checks batch shape and interval uniformity.
 func validate(s *cube.Schema, inputs []Input) error {
@@ -194,25 +247,14 @@ type runEntry struct {
 	idx  int32
 }
 
-// dimResolver is one dimension's precompiled (m-level → cuboid-level)
-// resolution: exactly one of table / divide / walk, already multiplied into
-// the cuboid's linear code by stride. The zero mode (everything unset)
-// is the ALL level, contributing nothing to the code.
-type dimResolver struct {
-	stride uint64
-	tab    []int32 // table mode: tab[member]
-	div    int64   // divide mode when > 0: member / div (1 = identity)
-	walk   bool    // fallback mode: per-leaf Ancestor walk
-}
-
 // runScratch is the reusable per-cuboid aggregation state of one MOCubing
 // call: allocated once, reused for every cuboid pass ("one local header
 // table at a time", without the churn).
 type runScratch struct {
 	entries []runEntry
-	spare   []runEntry // radix ping-pong buffer
-	plan    []dimResolver
-	cells   []Cell // aggregated cells of the current cuboid
+	spare   []runEntry      // radix ping-pong buffer
+	plan    []cube.Resolver // per-dimension m-level → cuboid-level resolution
+	cells   []Cell          // aggregated cells of the current cuboid
 }
 
 // cuboidCoder computes the linear coding of a cuboid's cells: the
@@ -436,37 +478,18 @@ func (sc *runScratch) aggregate(s *cube.Schema, idx *cube.AncestorIndex, leafCel
 			sc.entries = append(sc.entries, runEntry{code: code, idx: int32(i)})
 		}
 	} else {
-		// Compile the per-dimension resolution once per cuboid, then code
-		// every leaf with plain arithmetic — no calls in the inner loop.
+		// Compile the per-dimension resolution once per cuboid; coding a
+		// leaf is then one table read or divide per dimension.
 		sc.plan = sc.plan[:0]
 		mLayer := s.MLayer()
 		for d := 0; d < nd; d++ {
-			from, to := mLayer.Level(d), c.Level(d)
-			r := dimResolver{stride: strides[d]}
-			if to > 0 {
-				if div, ok := idx.DivisorFor(d, from, to); ok {
-					r.div = div
-				} else if tab := idx.TableFor(d, from, to); tab != nil {
-					r.tab = tab
-				} else {
-					r.walk = true
-				}
-			}
-			sc.plan = append(sc.plan, r)
+			sc.plan = append(sc.plan, idx.Resolver(d, mLayer.Level(d), c.Level(d)))
 		}
 		for i := range leafCells {
 			members := &leafCells[i].Key.Members
 			code := uint64(0)
 			for d := range sc.plan {
-				p := &sc.plan[d]
-				switch {
-				case p.tab != nil:
-					code += uint64(p.tab[members[d]]) * p.stride
-				case p.div > 0:
-					code += uint64(int64(members[d])/p.div) * p.stride
-				case p.walk:
-					code += uint64(idx.Ancestor(d, mLayer.Level(d), c.Level(d), members[d])) * p.stride
-				}
+				code += uint64(sc.plan[d].Resolve(members[d])) * strides[d]
 			}
 			sc.entries = append(sc.entries, runEntry{code: code, idx: int32(i)})
 		}
@@ -505,7 +528,7 @@ func (sc *runScratch) aggregateByKey(s *cube.Schema, leafCells []Cell, c cube.Cu
 		}
 		sc.cells = append(sc.cells, Cell{Key: key, ISB: leafCells[i].ISB})
 	}
-	slices.SortStableFunc(sc.cells, func(a, b Cell) int { return cube.CompareKeys(a.Key, b.Key) })
+	slices.SortStableFunc(sc.cells, CompareCells)
 	w := 0
 	for r := 1; r < len(sc.cells); r++ {
 		if cube.CompareKeys(sc.cells[r].Key, sc.cells[w].Key) == 0 {

@@ -137,19 +137,93 @@ func (ix *AncestorIndex) RollUp(k CellKey, to Cuboid) CellKey {
 	return out
 }
 
-// DivisorFor reports whether dimension d resolves (from→to) by integer
-// division, returning the divisor (the fanout fast path; 1 when to == from).
-// Tight loops hoist this out and divide inline instead of calling Ancestor
-// per element.
-func (ix *AncestorIndex) DivisorFor(d, from, to int) (int64, bool) {
+// Resolver is one dimension's (from-level → to-level) resolution compiled
+// out of the index: exactly one of table / divide / walk, so a loop over
+// many members of one cuboid pays plain arithmetic per member instead of
+// re-deciding the strategy. The zero Resolver is the ALL level (every
+// member resolves to 0).
+type Resolver struct {
+	tab  []int32   // table mode: tab[member]
+	div  int64     // divide mode when > 0: member / div (1 = identity)
+	walk *dimIndex // fallback mode: per-member Parent walk from → to
+	from int
+	to   int
+}
+
+// Resolver compiles dimension d's (from → to) resolution. Levels must
+// satisfy 0 ≤ to ≤ from ≤ Levels().
+func (ix *AncestorIndex) Resolver(d, from, to int) Resolver {
 	di := &ix.dims[d]
-	if to == from {
-		return 1, true
+	switch {
+	case to == 0:
+		return Resolver{}
+	case to == from:
+		return Resolver{div: 1}
+	case di.fanout > 0:
+		return Resolver{div: di.pows[from-to]}
+	case di.tables != nil:
+		return Resolver{tab: di.tables[from][to]}
+	default:
+		return Resolver{walk: di, from: from, to: to}
 	}
-	if di.fanout > 0 {
-		return di.pows[from-to], true
+}
+
+// Resolve lifts one member; it must be in range for the from-level.
+func (r *Resolver) Resolve(member int32) int32 {
+	switch {
+	case r.tab != nil:
+		return r.tab[member]
+	case r.div > 0:
+		return int32(int64(member) / r.div)
+	case r.walk != nil:
+		return Ancestor(r.walk.h, r.from, r.to, member)
 	}
-	return 0, false
+	return 0
+}
+
+// RollUpTo rolls cells of any cuboid up to one fixed coarser cuboid,
+// compiling each source cuboid's per-dimension Resolvers the first time a
+// cell of that cuboid is seen — the bulk form of RollUp for scans over a
+// whole retained-cell set (a lattice has few cuboids and many cells). Not
+// safe for concurrent use.
+type RollUpTo struct {
+	ix    *AncestorIndex
+	to    Cuboid
+	plans map[Cuboid]*[MaxDims]Resolver // nil entry: cuboid does not dominate `to`
+	last  Cuboid
+	plan  *[MaxDims]Resolver // plans[last]
+}
+
+// RollUpTo starts a bulk roll-up to cuboid `to`.
+func (ix *AncestorIndex) RollUpTo(to Cuboid) *RollUpTo {
+	return &RollUpTo{ix: ix, to: to, plans: make(map[Cuboid]*[MaxDims]Resolver)}
+}
+
+// Key lifts k to the target cuboid; ok is false when k's cuboid does not
+// dominate it (k cannot be a descendant of any target cell). Consecutive
+// keys of one cuboid — any CompareKeys-ordered scan — skip the plan lookup.
+func (r *RollUpTo) Key(k CellKey) (up CellKey, ok bool) {
+	if k.Cuboid != r.last {
+		plan, seen := r.plans[k.Cuboid]
+		if !seen {
+			if r.to.DominatedBy(k.Cuboid) {
+				plan = new([MaxDims]Resolver)
+				for d := 0; d < int(r.to.n); d++ {
+					plan[d] = r.ix.Resolver(d, int(k.Cuboid.levels[d]), int(r.to.levels[d]))
+				}
+			}
+			r.plans[k.Cuboid] = plan
+		}
+		r.last, r.plan = k.Cuboid, plan
+	}
+	if r.plan == nil {
+		return CellKey{}, false
+	}
+	up.Cuboid = r.to
+	for d := 0; d < int(r.to.n); d++ {
+		up.Members[d] = r.plan[d].Resolve(k.Members[d])
+	}
+	return up, true
 }
 
 // TableFor returns the dense member→ancestor table for dimension d's

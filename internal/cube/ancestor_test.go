@@ -196,5 +196,61 @@ func TestAncestorIndexRollUpMatchesRollUpKey(t *testing.T) {
 				t.Fatalf("RollUp(%v, %v) = %v, want %v", key, to, got, want)
 			}
 		}
+
+		// The bulk form: one target cuboid, keys of random cuboids (two in
+		// a row per cuboid, so both the plan lookup and its memo run). A key
+		// whose cuboid does not dominate the target has no ancestor there.
+		olevels := make([]int, nd)
+		for d := range dims {
+			olevels[d] = rng.Intn(dims[d].MLevel + 1)
+		}
+		to := MustCuboid(olevels...)
+		up := ix.RollUpTo(to)
+		for k := 0; k < 100; k++ {
+			levels := make([]int, nd)
+			for d := range dims {
+				levels[d] = rng.Intn(dims[d].MLevel + 1)
+			}
+			for rep := 0; rep < 2; rep++ {
+				key := CellKey{Cuboid: MustCuboid(levels...)}
+				for d := range dims {
+					key.Members[d] = int32(rng.Intn(dims[d].Hierarchy.Cardinality(levels[d])))
+				}
+				want, err := RollUpKey(s, key, to)
+				got, ok := up.Key(key)
+				if ok != (err == nil) || got != want {
+					t.Fatalf("RollUpTo(%v).Key(%v) = %v, %v; RollUpKey = %v, %v", to, key, got, ok, want, err)
+				}
+			}
+		}
+	}
+}
+
+// TestResolverModes: the compiled per-dimension Resolver agrees with
+// Ancestor in each of its modes — ALL, identity, fanout divide, dense
+// table, and the Parent walk of an oversized hierarchy.
+func TestResolverModes(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	fh, err := NewFanoutHierarchy("F", 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []Hierarchy{fh, randomNamedHierarchy(t, rng, 4), &wideHierarchy{top: maxDenseTableMembers + 1}} {
+		s, err := NewSchema(Dimension{Name: "D", Hierarchy: h, MLevel: h.Levels()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := NewAncestorIndex(s)
+		for from := 0; from <= h.Levels(); from++ {
+			for to := 0; to <= from; to++ {
+				r := ix.Resolver(0, from, to)
+				for i := 0; i < 50; i++ {
+					m := int32(rng.Intn(h.Cardinality(from)))
+					if got, want := r.Resolve(m), Ancestor(h, from, to, m); got != want {
+						t.Fatalf("%T: Resolver(%d→%d).Resolve(%d) = %d, want %d", h, from, to, m, got, want)
+					}
+				}
+			}
+		}
 	}
 }

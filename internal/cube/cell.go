@@ -2,7 +2,7 @@ package cube
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Cuboid identifies one group-by between the o- and m-layers: the level
@@ -71,20 +71,26 @@ func (c Cuboid) Equal(o Cuboid) bool { return c == o }
 
 // Describe renders the cuboid against a schema, e.g. "(A1, *, C2)".
 func (c Cuboid) Describe(s *Schema) string {
-	var b strings.Builder
-	b.WriteByte('(')
+	var buf [64]byte
+	return string(c.AppendDescribe(buf[:0], s))
+}
+
+// AppendDescribe appends Describe's rendering to dst — the allocation-free
+// form for callers that format many lines into one reused buffer.
+func (c Cuboid) AppendDescribe(dst []byte, s *Schema) []byte {
+	dst = append(dst, '(')
 	for i := 0; i < int(c.n); i++ {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
 		if c.levels[i] == 0 {
-			b.WriteByte('*')
+			dst = append(dst, '*')
 		} else {
-			fmt.Fprintf(&b, "%s%d", s.Dims[i].Name, c.levels[i])
+			dst = append(dst, s.Dims[i].Name...)
+			dst = strconv.AppendUint(dst, uint64(c.levels[i]), 10)
 		}
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }
 
 // CellKey identifies one cell: its cuboid plus the member chosen per
@@ -110,16 +116,34 @@ func (k CellKey) Member(d int) int32 { return k.Members[d] }
 
 // Describe renders the cell against a schema, e.g. "(west, *, core-1)".
 func (k CellKey) Describe(s *Schema) string {
-	var b strings.Builder
-	b.WriteByte('(')
+	// Heap-allocated on purpose: the buffer escapes through the hierarchy
+	// interface call, so a stack array would only add a copy.
+	return string(k.AppendDescribe(make([]byte, 0, 64), s))
+}
+
+// memberNameAppender is the optional Hierarchy extension AppendDescribe
+// uses to render a member without an intermediate string.
+type memberNameAppender interface {
+	AppendMemberName(dst []byte, level int, member int32) []byte
+}
+
+// AppendDescribe appends Describe's rendering to dst. It allocates nothing
+// when dst has room and every hierarchy either names members from stored
+// strings (NamedHierarchy) or implements AppendMemberName (FanoutHierarchy).
+func (k CellKey) AppendDescribe(dst []byte, s *Schema) []byte {
+	dst = append(dst, '(')
 	for i := 0; i < k.Cuboid.NumDims(); i++ {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(s.Dims[i].Hierarchy.MemberName(k.Cuboid.Level(i), k.Members[i]))
+		h := s.Dims[i].Hierarchy
+		if a, ok := h.(memberNameAppender); ok {
+			dst = a.AppendMemberName(dst, k.Cuboid.Level(i), k.Members[i])
+		} else {
+			dst = append(dst, h.MemberName(k.Cuboid.Level(i), k.Members[i])...)
+		}
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }
 
 // CompareKeys orders cell keys totally: by dimension count, then cuboid

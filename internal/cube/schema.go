@@ -14,6 +14,7 @@ package cube
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -95,12 +96,25 @@ func (h *FanoutHierarchy) Parent(level int, member int32) int32 {
 	return member / int32(h.Fanout)
 }
 
-// MemberName implements Hierarchy.
+// MemberName implements Hierarchy: "<name>.L<level>.<member>".
 func (h *FanoutHierarchy) MemberName(level int, member int32) string {
 	if level == 0 {
 		return "*"
 	}
-	return fmt.Sprintf("%s.L%d.%d", h.Name, level, member)
+	var buf [32]byte
+	return string(h.AppendMemberName(buf[:0], level, member))
+}
+
+// AppendMemberName appends MemberName's rendering to dst.
+func (h *FanoutHierarchy) AppendMemberName(dst []byte, level int, member int32) []byte {
+	if level == 0 {
+		return append(dst, '*')
+	}
+	dst = append(dst, h.Name...)
+	dst = append(dst, ".L"...)
+	dst = strconv.AppendInt(dst, int64(level), 10)
+	dst = append(dst, '.')
+	return strconv.AppendInt(dst, int64(member), 10)
 }
 
 // NamedHierarchy is an explicitly enumerated hierarchy for real-world

@@ -1,6 +1,8 @@
 package cube
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -287,6 +289,59 @@ func TestCellKeyDescribe(t *testing.T) {
 	got := k.Describe(s)
 	if !strings.Contains(got, "*") || !strings.Contains(got, "A.L1.1") {
 		t.Fatalf("Describe = %q", got)
+	}
+}
+
+// TestDescribeMatchesFmtRendering pins the append-style renderers to the
+// bytes the fmt-based ones produced (streamd's report lines and every
+// "name" field of the query API are made of them): "%s.L%d.%d" members,
+// "%s%d" cuboid levels, "*" for ALL, ", " between dimensions.
+func TestDescribeMatchesFmtRendering(t *testing.T) {
+	s := exampleSchema(t)
+	named := NewNamedHierarchy("region")
+	if err := named.AddLevel([]string{"west", "east-2"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := NewSchema(
+		Dimension{Name: "region", Hierarchy: named, MLevel: 1},
+		Dimension{Name: "W", Hierarchy: &wideHierarchy{top: 1 << 30}, MLevel: 2, OLevel: 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(61))
+	for _, s := range []*Schema{s, mixed} {
+		for _, c := range NewLattice(s).Cuboids() {
+			var wantCuboid, wantCell []string
+			key := CellKey{Cuboid: c}
+			for d, dim := range s.Dims {
+				l := c.Level(d)
+				key.Members[d] = int32(rng.Intn(dim.Hierarchy.Cardinality(l)))
+				switch h := dim.Hierarchy.(type) {
+				case *FanoutHierarchy:
+					wantCell = append(wantCell, fmt.Sprintf("%s.L%d.%d", h.Name, l, key.Members[d]))
+				default:
+					wantCell = append(wantCell, h.MemberName(l, key.Members[d]))
+				}
+				if l == 0 {
+					wantCell[d] = "*"
+					wantCuboid = append(wantCuboid, "*")
+				} else {
+					wantCuboid = append(wantCuboid, fmt.Sprintf("%s%d", dim.Name, l))
+				}
+			}
+			if got, want := c.Describe(s), "("+strings.Join(wantCuboid, ", ")+")"; got != want {
+				t.Fatalf("Cuboid.Describe = %q, want %q", got, want)
+			}
+			if got, want := key.Describe(s), "("+strings.Join(wantCell, ", ")+")"; got != want {
+				t.Fatalf("CellKey.Describe = %q, want %q", got, want)
+			}
+			// Appending continues whatever the buffer already holds.
+			buf := key.AppendDescribe(c.AppendDescribe([]byte("x "), s), s)
+			if got, want := string(buf), "x "+c.Describe(s)+key.Describe(s); got != want {
+				t.Fatalf("AppendDescribe = %q, want %q", got, want)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/alert"
+	"repro/internal/cube"
 	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -99,6 +100,10 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		}
 	}
 
+	// An alert-heavy unit reports tens of thousands of supporter lines over
+	// a few dozen cuboids: each cuboid is described once. Every line stays
+	// its own Write (DESIGN.md §6.6 has why they are not batched yet).
+	cuboidNames := make(map[cube.Cuboid]string)
 	report := func(urs []*stream.UnitResult) {
 		for _, ur := range urs {
 			if ur.Result == nil {
@@ -111,8 +116,12 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			for _, al := range ur.Alerts {
 				fmt.Fprintf(out, "  ALERT %s %s slope=%+.3f\n", al.Kind, al.Cell.Describe(schema), al.ISB.Slope)
 				for _, c := range al.Drill {
-					fmt.Fprintf(out, "    supporter %s %s slope=%+.3f\n",
-						c.Key.Describe(schema), c.Key.Cuboid.Describe(schema), c.ISB.Slope)
+					name, ok := cuboidNames[c.Key.Cuboid]
+					if !ok {
+						name = c.Key.Cuboid.Describe(schema)
+						cuboidNames[c.Key.Cuboid] = name
+					}
+					fmt.Fprintf(out, "    supporter %s %s slope=%+.3f\n", c.Key.Describe(schema), name, c.ISB.Slope)
 				}
 			}
 		}

@@ -51,11 +51,12 @@ func MakeCellKey(s *cube.Schema, levels []int, members []int32) (cube.CellKey, e
 type View struct {
 	res     *core.Result
 	lattice *cube.Lattice
+	anc     *cube.AncestorIndex // compiled roll-ups for the descendant scans
 }
 
 // NewView builds a navigation view over a result.
 func NewView(res *core.Result) *View {
-	return &View{res: res, lattice: cube.NewLattice(res.Schema)}
+	return &View{res: res, lattice: cube.NewLattice(res.Schema), anc: cube.NewAncestorIndex(res.Schema)}
 }
 
 // Result returns the underlying result.
@@ -120,18 +121,11 @@ func (v *View) TopObservations(k int) []core.Cell {
 // first, steepest first within a cuboid.
 func (v *View) Supporters(cell cube.CellKey) []core.Cell {
 	var out []core.Cell
+	up := v.anc.RollUpTo(cell.Cuboid)
 	for key, isb := range v.res.Exceptions {
-		if key == cell {
-			continue
+		if a, ok := up.Key(key); ok && a == cell && key != cell {
+			out = append(out, core.Cell{Key: key, ISB: isb})
 		}
-		if !cell.Cuboid.DominatedBy(key.Cuboid) {
-			continue
-		}
-		up, err := cube.RollUpKey(v.res.Schema, key, cell.Cuboid)
-		if err != nil || up != cell {
-			continue
-		}
-		out = append(out, core.Cell{Key: key, ISB: isb})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		di, dj := depth(out[i].Key.Cuboid), depth(out[j].Key.Cuboid)
@@ -160,16 +154,15 @@ func depth(c cube.Cuboid) int {
 // drill step.
 func (v *View) ExceptionChildren(cell cube.CellKey) []core.Cell {
 	var out []core.Cell
+	up := v.anc.RollUpTo(cell.Cuboid)
 	for _, childCuboid := range v.lattice.Children(cell.Cuboid) {
 		for key, isb := range v.res.Exceptions {
 			if key.Cuboid != childCuboid {
 				continue
 			}
-			up, err := cube.RollUpKey(v.res.Schema, key, cell.Cuboid)
-			if err != nil || up != cell {
-				continue
+			if a, ok := up.Key(key); ok && a == cell {
+				out = append(out, core.Cell{Key: key, ISB: isb})
 			}
-			out = append(out, core.Cell{Key: key, ISB: isb})
 		}
 	}
 	sortCells(out)

@@ -128,8 +128,8 @@ type Alert struct {
 	Kind AlertKind
 	Cell cube.CellKey
 	ISB  regression.ISB
-	// Drill lists retained exception cells that roll up to this o-cell,
-	// coarsest cuboids first.
+	// Drill lists the retained exception cells that roll up to this o-cell
+	// (the cell itself excluded), in cube.CompareKeys order.
 	Drill []core.Cell
 }
 
@@ -156,7 +156,10 @@ type historyEntry struct {
 // SafeEngine or confine it to one goroutine (share memory by
 // communicating).
 type Engine struct {
-	cfg  Config
+	cfg Config
+	// anc resolves roll-ups to the o-layer when a closed unit's supporter
+	// index is built.
+	anc  *cube.AncestorIndex
 	nd   int   // cached len(cfg.Schema.Dims), for the per-record path
 	unit int64 // index of the current (open) unit
 	// openStart/openEnd cache the open unit's tick bounds
@@ -247,6 +250,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:       cfg,
+		anc:       cube.NewAncestorIndex(cfg.Schema),
 		nd:        len(cfg.Schema.Dims),
 		openStart: cfg.StartTick,
 		openEnd:   cfg.StartTick + int64(cfg.TicksPerUnit),
@@ -546,17 +550,24 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 	return ur, nil
 }
 
+// raiseAlerts returns the unit's alerts in canonical order (compareAlerts).
+// The supporter index is built on the first alerting o-cell, so a unit
+// whose observation deck is quiet never scans its exception cells.
 func (e *Engine) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 	var alerts []Alert
+	var supporters map[cube.CellKey][]core.Cell
 	oThr := e.cfg.Threshold.Threshold(e.cfg.Schema.OLayer())
 	for key, isb := range res.OLayer {
 		if exception.IsException(isb, oThr) {
+			if supporters == nil {
+				supporters = core.SupportersByOCell(e.anc, res)
+			}
 			alerts = append(alerts, Alert{
 				Unit:  ur.Unit,
 				Kind:  SlopeException,
 				Cell:  key,
 				ISB:   isb,
-				Drill: e.drill(res, key),
+				Drill: supporters[key],
 			})
 		}
 		if e.cfg.Delta != nil {
@@ -566,26 +577,8 @@ func (e *Engine) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 			}
 		}
 	}
+	slices.SortFunc(alerts, compareAlerts)
 	return alerts
-}
-
-// drill collects retained exception cells that roll up to the o-cell — the
-// "exception supporters" an analyst drills into (§4.3).
-func (e *Engine) drill(res *core.Result, oCell cube.CellKey) []core.Cell {
-	var out []core.Cell
-	for key, isb := range res.Exceptions {
-		if key == oCell {
-			continue
-		}
-		up, err := cube.RollUpKey(e.cfg.Schema, key, oCell.Cuboid)
-		if err != nil {
-			continue // cuboid not dominating the o-layer cannot support it
-		}
-		if up == oCell {
-			out = append(out, core.Cell{Key: key, ISB: isb})
-		}
-	}
-	return out
 }
 
 // lastUnit returns the most recent completed unit recorded for an o-cell —

@@ -1,8 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -59,9 +60,8 @@ type shard struct {
 // disjoint and union to precisely the single-engine result: the merged
 // o-layer, exception sets, drill-downs, per-o-cell history, and delta cubes
 // are identical (bitwise, thanks to the canonical aggregation order) to
-// what one Engine would produce from the same stream. Alerts are returned
-// deterministically sorted (see SortAlerts); a single Engine's alert order
-// follows map iteration instead.
+// what one Engine would produce from the same stream, alert order (see
+// SortAlerts) included.
 //
 // Unit boundaries are the only synchronization points: a record crossing
 // the open unit's end makes the coordinator drain all shard buffers, close
@@ -409,9 +409,8 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 				Unit:      ur.Unit,
 				Interval:  ur.Interval,
 				UnitsDone: s.done + int64(u) + 1,
-				// mergeUnit already sorted the alerts canonically; the clone
-				// keeps readers isolated from whatever the Ingest caller does
-				// with the returned UnitResult's slices.
+				// The clone keeps readers isolated from whatever the Ingest
+				// caller does with the returned UnitResult's slices.
 				Alerts:  cloneAlerts(ur.Alerts),
 				Result:  ur.Result,
 				History: hist,
@@ -425,40 +424,65 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 	return out, nil
 }
 
-// mergeUnit combines one unit's per-shard results. Cell maps are disjoint
-// by the partition invariant, so merging is a union; alerts are sorted into
-// the canonical order.
+// mergeUnit combines one unit's per-shard results: the cube results union
+// (unionResults), and since each shard's alerts arrive in canonical order
+// with their drills complete (finished inside the shard goroutine), the
+// merged list is a k-way merge.
 func (s *ShardedEngine) mergeUnit(urs []*UnitResult) *UnitResult {
 	merged := &UnitResult{Unit: urs[0].Unit, Interval: urs[0].Interval}
-	nonEmpty := false
-	for _, ur := range urs {
-		if ur.Result != nil {
-			nonEmpty = true
-			break
-		}
+	results := make([]*core.Result, len(urs))
+	alerts := make([][]Alert, len(urs))
+	for i, ur := range urs {
+		results[i], alerts[i] = ur.Result, ur.Alerts
 	}
+	merged.Result = unionResults(s.cfg.Schema, results)
 	prevNonEmpty := s.prevNonEmpty
-	s.prevNonEmpty = nonEmpty
-	if !nonEmpty {
+	s.prevNonEmpty = merged.Result != nil
+	if merged.Result == nil {
 		return merged
 	}
+	merged.Alerts = mergeAlerts(alerts)
+	if s.cfg.DeltaDrill && s.cfg.Delta != nil && prevNonEmpty {
+		merged.Delta = mergeDeltas(s.cfg.Schema, urs)
+	}
+	return merged
+}
+
+// unionResults merges the cube results of one unit computed over disjoint
+// partitions (shards here, cluster nodes in MergeSnapshots); nil entries
+// are partitions that closed empty, and all-nil yields nil. Cell maps are
+// disjoint by the partition invariant, so merging is a union into maps
+// sized once from the part sizes; stats fold through mergeStats.
+func unionResults(schema *cube.Schema, parts []*core.Result) *core.Result {
+	var oCells, exceptions int
+	nonEmpty := false
+	for _, r := range parts {
+		if r != nil {
+			nonEmpty = true
+			oCells += len(r.OLayer)
+			exceptions += len(r.Exceptions)
+		}
+	}
+	if !nonEmpty {
+		return nil
+	}
 	res := &core.Result{
-		Schema:     s.cfg.Schema,
-		OLayer:     make(map[cube.CellKey]regression.ISB),
-		Exceptions: make(map[cube.CellKey]regression.ISB),
+		Schema:     schema,
+		OLayer:     make(map[cube.CellKey]regression.ISB, oCells),
+		Exceptions: make(map[cube.CellKey]regression.ISB, exceptions),
 	}
 	first := true
-	for _, ur := range urs {
-		if ur.Result == nil {
+	for _, r := range parts {
+		if r == nil {
 			continue
 		}
-		for k, v := range ur.Result.OLayer {
+		for k, v := range r.OLayer {
 			res.OLayer[k] = v
 		}
-		for k, v := range ur.Result.Exceptions {
+		for k, v := range r.Exceptions {
 			res.Exceptions[k] = v
 		}
-		for cb, cells := range ur.Result.PathCells {
+		for cb, cells := range r.PathCells {
 			if res.PathCells == nil {
 				res.PathCells = make(map[cube.Cuboid]map[cube.CellKey]regression.ISB)
 			}
@@ -471,16 +495,10 @@ func (s *ShardedEngine) mergeUnit(urs []*UnitResult) *UnitResult {
 				dst[k] = v
 			}
 		}
-		mergeStats(&res.Stats, &ur.Result.Stats, first)
+		mergeStats(&res.Stats, &r.Stats, first)
 		first = false
-		merged.Alerts = append(merged.Alerts, ur.Alerts...)
 	}
-	merged.Result = res
-	SortAlerts(merged.Alerts)
-	if s.cfg.DeltaDrill && s.cfg.Delta != nil && prevNonEmpty {
-		merged.Delta = mergeDeltas(s.cfg.Schema, urs)
-	}
-	return merged
+	return res
 }
 
 // mergeStats folds one shard's cube statistics into the merged result.
@@ -541,24 +559,42 @@ func mergeDeltas(schema *cube.Schema, urs []*UnitResult) *core.DeltaResult {
 	return out
 }
 
+// compareAlerts is the canonical alert order: unit, then cell
+// (cube.CompareKeys), then kind.
+func compareAlerts(a, b Alert) int {
+	return cmp.Or(cmp.Compare(a.Unit, b.Unit), cube.CompareKeys(a.Cell, b.Cell), cmp.Compare(a.Kind, b.Kind))
+}
+
 // SortAlerts orders alerts canonically — by unit, cell (cube.CompareKeys),
-// then kind — and each alert's drill-down by cell. ShardedEngine results
-// are always in this order; apply it to a single Engine's results before
-// comparing the two.
+// then kind — and each alert's drill-down by cell. Both engines, and every
+// published or merged snapshot, already return alerts in this order, so on
+// engine output it changes nothing; it is for alert lists a caller
+// assembled or reordered itself.
 func SortAlerts(alerts []Alert) {
 	for i := range alerts {
-		drill := alerts[i].Drill
-		sort.Slice(drill, func(a, b int) bool { return cube.CompareKeys(drill[a].Key, drill[b].Key) < 0 })
+		slices.SortFunc(alerts[i].Drill, core.CompareCells)
 	}
-	sort.Slice(alerts, func(a, b int) bool {
-		if alerts[a].Unit != alerts[b].Unit {
-			return alerts[a].Unit < alerts[b].Unit
+	slices.SortFunc(alerts, compareAlerts)
+}
+
+// mergeAlerts k-way-merges alert lists that are each in canonical order
+// and pairwise disjoint (shards and cluster nodes own disjoint o-cells),
+// consuming the lists.
+func mergeAlerts(lists [][]Alert) []Alert {
+	var out []Alert
+	for {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || compareAlerts(l[0], lists[best][0]) < 0) {
+				best = i
+			}
 		}
-		if c := cube.CompareKeys(alerts[a].Cell, alerts[b].Cell); c != 0 {
-			return c < 0
+		if best < 0 {
+			return out
 		}
-		return alerts[a].Kind < alerts[b].Kind
-	})
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
 }
 
 // AdvanceTo closes units in order until `unit` is the open unit, exactly

@@ -3,8 +3,10 @@ package stream
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/exception"
 )
@@ -106,9 +108,9 @@ func feed(t *testing.T, e ingester, recs []testRecord) []*UnitResult {
 }
 
 // requireSameResults asserts two unit-result sequences are identical:
-// bitwise-equal cell measures, byte-identical sorted alerts, matching
-// delta cubes. Alerts of `got` may arrive unsorted (single engines emit
-// map order); both sides are canonicalized with SortAlerts first.
+// bitwise-equal cell measures, byte-identical alerts in the order each
+// engine returned them (canonical by construction — no sorting here), and
+// matching delta cubes.
 func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -133,12 +135,16 @@ func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 				t.Fatalf("%s unit %d: path cells differ", label, w.Unit)
 			}
 		}
-		wa := append([]Alert(nil), w.Alerts...)
-		ga := append([]Alert(nil), g.Alerts...)
-		SortAlerts(wa)
-		SortAlerts(ga)
-		if !reflect.DeepEqual(wa, ga) {
-			t.Fatalf("%s unit %d: alerts differ:\n%+v\nvs\n%+v", label, w.Unit, ga, wa)
+		if !reflect.DeepEqual(w.Alerts, g.Alerts) {
+			t.Fatalf("%s unit %d: alerts differ:\n%+v\nvs\n%+v", label, w.Unit, g.Alerts, w.Alerts)
+		}
+		if !slices.IsSortedFunc(g.Alerts, compareAlerts) {
+			t.Fatalf("%s unit %d: alerts not in canonical order", label, w.Unit)
+		}
+		for _, a := range g.Alerts {
+			if !slices.IsSortedFunc(a.Drill, core.CompareCells) {
+				t.Fatalf("%s unit %d: drill of %v not in CompareKeys order", label, w.Unit, a.Cell)
+			}
 		}
 		if (w.Delta == nil) != (g.Delta == nil) {
 			t.Fatalf("%s unit %d: delta nil-ness differs (want nil=%v)", label, w.Unit, w.Delta == nil)

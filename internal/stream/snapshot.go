@@ -142,9 +142,9 @@ func (e *Engine) snapshotHistory() map[cube.CellKey][]HistoryPoint {
 }
 
 // cloneAlerts deep-copies an alert list (including each alert's Drill
-// slice) so publication can sort — and the engine's caller can re-sort or
-// truncate the returned UnitResult.Alerts — without either side observing
-// the other. (The Result maps are still shared; see Snapshot.Result.)
+// slice) so the engine's caller can re-sort or truncate the returned
+// UnitResult.Alerts without snapshot readers observing it. (The Result
+// maps are still shared; see Snapshot.Result.)
 func cloneAlerts(alerts []Alert) []Alert {
 	out := make([]Alert, len(alerts))
 	copy(out, alerts)
@@ -162,14 +162,12 @@ func cloneAlerts(alerts []Alert) []Alert {
 // closed. The atomic store orders all snapshot construction before any
 // reader's load, so a reader never sees a partially built snapshot.
 func (e *Engine) publishSnapshot(ur *UnitResult) {
-	alerts := cloneAlerts(ur.Alerts)
-	SortAlerts(alerts)
 	snap := &Snapshot{
 		Unit:      ur.Unit,
 		Interval:  ur.Interval,
 		UnitsDone: e.unitsDone,
 		Result:    ur.Result,
-		Alerts:    alerts,
+		Alerts:    cloneAlerts(ur.Alerts),
 		History:   e.snapshotHistory(),
 		Frames:    e.snapshotFrames(),
 	}

@@ -148,7 +148,7 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		stats := s.Result.Stats
 		doc.Stats = &stats
 	}
-	// Snapshot alerts are already canonical (SortAlerts at publication).
+	// Snapshot alerts are canonical as published.
 	doc.Alerts = make([]snapAlert, len(s.Alerts))
 	for i, a := range s.Alerts {
 		levels, members := cellCoords(a.Cell)
@@ -307,11 +307,11 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 }
 
 // MergeSnapshots combines per-node snapshots of the same closed unit into
-// the cluster-wide view, with exactly the union-and-sort semantics the
+// the cluster-wide view, with exactly the union-and-merge semantics the
 // sharded coordinator applies at its barriers (advanceTo): cell maps are
-// disjoint by the partition invariant so merging is a union, alerts
-// concatenate into canonical order, and per-node stats fold through
-// mergeStats. Every snapshot must describe the same unit; mismatched
+// disjoint by the partition invariant so merging is a union, the nodes'
+// alert lists (canonical as published) merge into one canonical list, and
+// per-node stats fold through mergeStats. Every snapshot must describe the same unit; mismatched
 // units mean the gather tier fetched without aligning watermarks first.
 func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 	if len(snaps) == 0 {
@@ -333,40 +333,10 @@ func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 		UnitsDone: first.UnitsDone,
 		History:   make(map[cube.CellKey][]HistoryPoint),
 	}
-	var res *core.Result
-	statsFirst := true
-	for _, s := range snaps {
-		if s.Result != nil {
-			if res == nil {
-				res = &core.Result{
-					Schema:     schema,
-					OLayer:     make(map[cube.CellKey]regression.ISB),
-					Exceptions: make(map[cube.CellKey]regression.ISB),
-				}
-			}
-			for k, v := range s.Result.OLayer {
-				res.OLayer[k] = v
-			}
-			for k, v := range s.Result.Exceptions {
-				res.Exceptions[k] = v
-			}
-			for cb, cells := range s.Result.PathCells {
-				if res.PathCells == nil {
-					res.PathCells = make(map[cube.Cuboid]map[cube.CellKey]regression.ISB)
-				}
-				dst := res.PathCells[cb]
-				if dst == nil {
-					dst = make(map[cube.CellKey]regression.ISB, len(cells))
-					res.PathCells[cb] = dst
-				}
-				for k, v := range cells {
-					dst[k] = v
-				}
-			}
-			mergeStats(&res.Stats, &s.Result.Stats, statsFirst)
-			statsFirst = false
-		}
-		out.Alerts = append(out.Alerts, s.Alerts...)
+	results := make([]*core.Result, len(snaps))
+	alerts := make([][]Alert, len(snaps))
+	for i, s := range snaps {
+		results[i], alerts[i] = s.Result, s.Alerts
 		for k, pts := range s.History {
 			out.History[k] = pts
 		}
@@ -379,7 +349,7 @@ func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 			}
 		}
 	}
-	out.Result = res
-	SortAlerts(out.Alerts)
+	out.Result = unionResults(schema, results)
+	out.Alerts = mergeAlerts(alerts)
 	return out, nil
 }

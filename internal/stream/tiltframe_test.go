@@ -233,6 +233,9 @@ func TestShardedTiltedMatchesSingle(t *testing.T) {
 			if !reflect.DeepEqual(got.History, want.History) {
 				t.Fatal("merged derived history differs from single engine")
 			}
+			if !reflect.DeepEqual(got.Alerts, want.Alerts) {
+				t.Fatalf("alerts differ:\n%+v\nvs\n%+v", got.Alerts, want.Alerts)
+			}
 			// Routed trend queries agree too.
 			cell := oCell(t, 1, 0)
 			a, err := seng.TrendQueryAt(cell, 1, 2)

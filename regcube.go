@@ -290,9 +290,11 @@ func NewShardedStreamEngine(cfg StreamConfig, shards int) (*ShardedStreamEngine,
 	return stream.NewShardedEngine(cfg, shards)
 }
 
-// SortStreamAlerts orders alerts (and their drill-downs) canonically —
-// sharded engines already return this order; apply it to a single engine's
-// alerts before comparing the two.
+// SortStreamAlerts orders alerts canonically — by unit, cell
+// (cube.CompareKeys order), then kind — and each alert's Drill by cell.
+// Every engine, sharded or not, already returns alerts in this order, so
+// on engine output it changes nothing; it is for alert lists the caller
+// assembled or reordered.
 func SortStreamAlerts(alerts []Alert) { stream.SortAlerts(alerts) }
 
 // StreamSnapshot is the immutable per-unit view an engine publishes when

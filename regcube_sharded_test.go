@@ -59,8 +59,6 @@ func TestShardedFacadeRoundTrip(t *testing.T) {
 	}
 	wantAlerts = append(wantAlerts, wf.Alerts...)
 	gotAlerts = append(gotAlerts, gf.Alerts...)
-	SortStreamAlerts(wantAlerts)
-	SortStreamAlerts(gotAlerts)
 	if len(wantAlerts) == 0 {
 		t.Fatal("expected alerts from rising slopes")
 	}
