@@ -107,6 +107,7 @@ func run(ctx context.Context, opt options, in io.Reader, out io.Writer) error {
 
 	// Coordinator: the scatter-gather query tier over the nodes' APIs.
 	var srv *http.Server
+	var gatherer *cluster.Gatherer
 	serveErr := make(chan error, 1)
 	if opt.listen != "" {
 		if opt.nodeAPI == "" {
@@ -116,7 +117,7 @@ func run(ctx context.Context, opt options, in io.Reader, out io.Writer) error {
 		if len(endpoints) != len(nodes) {
 			return fmt.Errorf("-node-api lists %d endpoints for %d nodes", len(endpoints), len(nodes))
 		}
-		gatherer, err := cluster.NewGatherer(cluster.GatherConfig{
+		gatherer, err = cluster.NewGatherer(cluster.GatherConfig{
 			Schema:    schema,
 			Endpoints: endpoints,
 			NodeID:    opt.nodeID,
@@ -124,8 +125,12 @@ func run(ctx context.Context, opt options, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// Deferred for the error returns; the orderly path below stops the
+		// mirror before the HTTP server (Close is idempotent).
+		defer gatherer.Close()
 		coord := serve.New(gatherer, schema)
 		coord.SetInfo(gatherer.Info)
+		coord.SetMetrics(gatherer.WriteMetrics)
 		fdef := serve.ForecastDefaults{Horizon: opt.fcastHorizon, ChangeScore: opt.changeScore}
 		if opt.fcastThresh != 0 {
 			th := opt.fcastThresh
@@ -166,6 +171,9 @@ func run(ctx context.Context, opt options, in io.Reader, out io.Writer) error {
 			return err
 		case <-ctx.Done():
 		}
+		// Stop the mirror first: its parked requests at the nodes end now,
+		// and no round starts under a server that is going away.
+		gatherer.Close()
 		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shCtx); err != nil {

@@ -240,11 +240,11 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 	// Coordinator: gather the nodes into one serve.Source.
 	gatherer, err := NewGatherer(GatherConfig{
 		Schema: schema, Endpoints: endpoints, NodeID: "coord",
-		AlignAttempts: 100, AlignBackoff: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer gatherer.Close()
 	coordSrv := serve.New(gatherer, schema)
 	coordSrv.SetInfo(gatherer.Info)
 	coordTS := httptest.NewServer(coordSrv)

@@ -3,10 +3,13 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cube"
@@ -24,42 +27,90 @@ type GatherConfig struct {
 	// router's partition order.
 	Endpoints []string
 	// HTTP is the client used for node calls; nil means a 5s-timeout
-	// default.
+	// default. Its timeout must exceed the park (parkMillis).
 	HTTP *http.Client
 	// NodeID names the coordinator in its own /v1/info document.
 	NodeID string
-	// AlignAttempts bounds how many watermark-alignment rounds one
-	// refresh makes before keeping the previous snapshot (default 10).
-	AlignAttempts int
-	// AlignBackoff is the delay between alignment rounds (default 20ms).
-	// Nodes advance within a barrier broadcast of each other, so the
-	// window is short.
-	AlignBackoff time.Duration
-	// Logf, when set, receives refresh diagnostics.
+	// Logf, when set, receives gather diagnostics.
 	Logf func(format string, args ...any)
 }
 
+// parkMillis is the ?wait= of a parking request: how long a node may hold
+// it before answering 304. It bounds how stale "nothing new" can be, and —
+// where a node server is closed without draining (httptest) — how long
+// that close waits for a parked follower.
+const parkMillis = 250
+
+// errUnaligned reports a round that ended with the nodes' newest
+// snapshots at different units; the previous view stays.
+var errUnaligned = errors.New("cluster: gather: nodes are at different units")
+
+// roundKind labels a round for the counters: prefetch rounds park and run
+// on the mirror's own goroutine, revalidate rounds run synchronously for a
+// reader that found the mirror stopped, or for Refresh.
+type roundKind int
+
+const (
+	prefetch roundKind = iota
+	revalidate
+)
+
+// nodeMirror is what the mirror knows of one node.
+type nodeMirror struct {
+	unit       atomic.Int64 // unit of the snapshot held for it, -1 before the first
+	fetchNanos atomic.Int64 // body read + decode of the last snapshot it sent
+}
+
 // Gatherer is the scatter-gather query tier: it implements serve.Source
-// by fetching every node's published snapshot at a common closed unit
-// and merging them into one cluster-wide snapshot. Wrap it in serve.New
-// to get a coordinator — the full query API over the merged view.
+// by mirroring every node's published snapshot and merging the mirrors,
+// whenever they describe one closed unit, into one cluster-wide snapshot.
+// Wrap it in serve.New to get a coordinator — the full query API over the
+// merged view.
 //
-// Alignment is watermark-based: a refresh first exchanges watermarks
-// (GET /v1/info) and only fetches snapshots once every node publishes
-// the same unit; a barrier race that still slips through is caught by
-// MergeSnapshots and retried. A refresh that cannot align keeps the
-// previous merged snapshot — the coordinator serves a consistent, maybe
-// slightly stale view, never a torn one.
+// The mirror is read-driven. One fetch primitive — the conditional GET
+// /v1/snapshot?after=U[&wait=ms] — is used in rounds: every node is asked
+// in parallel for something newer than the mirror holds of it, nodes found
+// behind the newest are asked again for exactly that unit with a park (so
+// they answer the instant they publish it), and the merged view advances
+// only when all nodes hold the same unit. While the mirror is live a
+// prefetch loop runs parking rounds back to back and Snapshot is an atomic
+// load; the loop goes on only while somebody read the view during the
+// previous round, so a cluster nobody queries costs its nodes nothing. A
+// read that finds the mirror stopped runs one non-parking round first —
+// it is answered from the newest unit every node had published when it
+// arrived — and restarts the loop.
+//
+// The view is consistent, maybe one round stale, never torn: a round that
+// cannot align keeps the previous merge.
 type Gatherer struct {
 	cfg GatherConfig
 
-	// mu serializes refreshes; snapshot reads are lock-free.
-	mu   sync.Mutex
-	cur  *stream.Snapshot
-	unit int64
+	// view is the merged snapshot every read is answered from.
+	view atomic.Pointer[stream.Snapshot]
+	// live is set while the prefetch loop runs. read is set by every
+	// Snapshot call and cleared by the loop once a round.
+	live, read atomic.Bool
+	// reviveMu serializes readers that find the mirror stopped: one runs
+	// the revalidation round, the others wait for it.
+	reviveMu sync.Mutex
+	// ctx ends with Close; loop counts the prefetch goroutine.
+	ctx    context.Context
+	cancel context.CancelFunc
+	loop   sync.WaitGroup
+
+	// mu guards parts — the newest snapshot held of each node — and the
+	// merge. It is never held across a request, so Refresh and a reader's
+	// revalidation never queue behind a parked prefetch round.
+	mu    sync.Mutex
+	parts []*stream.Snapshot
+	nodes []nodeMirror
+
+	rounds                                            [2]atomic.Int64 // by roundKind
+	merges, unaligned, fetchErrors, bytes, fetchNanos atomic.Int64
 }
 
-// NewGatherer validates the configuration and builds a gatherer.
+// NewGatherer validates the configuration and builds a gatherer. It
+// starts nothing: the mirror runs from the first Snapshot call on.
 func NewGatherer(cfg GatherConfig) (*Gatherer, error) {
 	if cfg.Schema == nil {
 		return nil, fmt.Errorf("%w: nil schema", ErrConfig)
@@ -70,135 +121,240 @@ func NewGatherer(cfg GatherConfig) (*Gatherer, error) {
 	if cfg.HTTP == nil {
 		cfg.HTTP = &http.Client{Timeout: 5 * time.Second}
 	}
-	if cfg.AlignAttempts <= 0 {
-		cfg.AlignAttempts = 10
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.AlignBackoff <= 0 {
-		cfg.AlignBackoff = 20 * time.Millisecond
+	g := &Gatherer{
+		cfg:   cfg,
+		parts: make([]*stream.Snapshot, len(cfg.Endpoints)),
+		nodes: make([]nodeMirror, len(cfg.Endpoints)),
 	}
-	return &Gatherer{cfg: cfg, unit: -1}, nil
+	for i := range g.nodes {
+		g.nodes[i].unit.Store(-1)
+	}
+	g.ctx, g.cancel = context.WithCancel(context.Background())
+	return g, nil
 }
 
-// Snapshot implements serve.Source: it refreshes the merged snapshot
-// from the nodes (best-effort — failures keep the last good merge) and
-// returns it. Nil until every node has published its first unit.
+// Close stops the mirror and returns once its goroutine has exited. The
+// last merged view stays readable; nothing refreshes it any more.
+func (g *Gatherer) Close() {
+	g.cancel()
+	g.loop.Wait()
+}
+
+// Snapshot implements serve.Source. With the mirror live it is an atomic
+// load; with the mirror stopped it first brings the view up to date
+// (best-effort — failures keep the last good merge). Nil until every node
+// has published its first unit.
 func (g *Gatherer) Snapshot() *stream.Snapshot {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.refreshLocked(context.Background()); err != nil && g.cfg.Logf != nil {
-		g.cfg.Logf("gather: refresh: %v", err)
+	g.read.Store(true)
+	if !g.live.Load() {
+		g.revive()
 	}
-	return g.cur
+	return g.view.Load()
 }
 
-// Refresh forces one refresh round and reports its outcome. The merged
-// snapshot is updated only on success.
+// revive runs the revalidation round of a read that found the mirror
+// stopped and, unless a node failed it, restarts the prefetch loop. A
+// failing node leaves the mirror stopped: the next read tries again, and
+// nothing hammers the node in between.
+func (g *Gatherer) revive() {
+	g.reviveMu.Lock()
+	defer g.reviveMu.Unlock()
+	if g.live.Load() || g.ctx.Err() != nil {
+		return
+	}
+	if err := g.round(g.ctx, revalidate); err != nil {
+		g.cfg.Logf("gather: %v", err)
+		if !errors.Is(err, errUnaligned) {
+			return
+		}
+	}
+	// Reads up to here were served by the round above; the loop's first
+	// round counts its own.
+	g.read.Store(false)
+	g.live.Store(true)
+	g.loop.Add(1)
+	go g.prefetchLoop()
+}
+
+// prefetchLoop runs parking rounds back to back for as long as each one
+// is read during. It is the mirror's only goroutine; Close waits for it.
+func (g *Gatherer) prefetchLoop() {
+	defer g.loop.Done()
+	for {
+		err := g.round(g.ctx, prefetch)
+		if err != nil && g.ctx.Err() == nil {
+			g.cfg.Logf("gather: %v", err)
+		}
+		if (err != nil && !errors.Is(err, errUnaligned)) || !g.read.Swap(false) {
+			// A reader that loads live before this store is still served
+			// the view this round left: at most one round old.
+			g.live.Store(false)
+			return
+		}
+	}
+}
+
+// Refresh runs one synchronous round now and reports its outcome: an
+// error when a node cannot be reached, has published nothing yet, or the
+// nodes cannot be aligned on one unit. It runs beside a live mirror
+// without waiting for it. The watermark exchange ahead of the round is
+// what rejects "no snapshot yet" by name; the round alone decides what is
+// fetched.
 func (g *Gatherer) Refresh(ctx context.Context) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.refreshLocked(ctx)
-}
-
-func (g *Gatherer) refreshLocked(ctx context.Context) error {
-	var lastErr error
-	for attempt := 0; attempt < g.cfg.AlignAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("cluster: gather: %w (last error: %v)", ctx.Err(), lastErr)
-			case <-time.After(g.cfg.AlignBackoff):
-			}
-		}
-		// Watermark exchange: find the unit every node has published.
-		target, err := g.watermark(ctx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if target < 0 {
-			// Some node has no snapshot yet; nothing to merge.
-			return fmt.Errorf("cluster: gather: no common published unit yet")
-		}
-		if target == g.unit && g.cur != nil {
-			return nil // already merged this unit
-		}
-		snaps, err := g.fetchSnapshots(ctx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		merged, err := stream.MergeSnapshots(g.cfg.Schema, snaps)
-		if err != nil {
-			// A node advanced between the exchange and the fetch; align
-			// again.
-			lastErr = err
-			continue
-		}
-		g.cur, g.unit = merged, merged.Unit
-		return nil
-	}
-	return fmt.Errorf("cluster: gather: could not align after %d attempts: %w",
-		g.cfg.AlignAttempts, lastErr)
-}
-
-// watermark exchanges /v1/info with every node and returns the lowest
-// published snapshot unit, or -1 when any node has none. An unreachable
-// node fails the exchange.
-func (g *Gatherer) watermark(ctx context.Context) (int64, error) {
-	low := int64(-1)
 	for i, ep := range g.cfg.Endpoints {
 		info, err := g.nodeInfo(ctx, ep)
 		if err != nil {
-			return 0, fmt.Errorf("node %d (%s): %w", i, ep, err)
+			return fmt.Errorf("cluster: gather: node %d (%s): %w", i, ep, err)
 		}
 		if info.SnapshotUnit < 0 {
-			return -1, nil
-		}
-		if low < 0 || info.SnapshotUnit < low {
-			low = info.SnapshotUnit
+			return fmt.Errorf("cluster: gather: no common published unit yet")
 		}
 	}
-	return low, nil
+	return g.round(ctx, revalidate)
 }
 
-// fetchSnapshots pulls and decodes every node's /v1/snapshot.
-func (g *Gatherer) fetchSnapshots(ctx context.Context) ([]*stream.Snapshot, error) {
-	snaps := make([]*stream.Snapshot, len(g.cfg.Endpoints))
-	for i, ep := range g.cfg.Endpoints {
-		data, err := g.get(ctx, ep+"/v1/snapshot")
-		if err != nil {
-			return nil, fmt.Errorf("node %d (%s): %w", i, ep, err)
-		}
-		if snaps[i], err = stream.DecodeSnapshot(g.cfg.Schema, data); err != nil {
-			return nil, fmt.Errorf("node %d (%s): %w", i, ep, err)
+// round is one pass of the mirror protocol: ask every node for something
+// newer than is held of it (parking, in a prefetch round, until there is),
+// re-ask the nodes then behind the newest for that very unit — parked, so
+// alignment waits on the laggard's publish, not on a timer — and merge.
+func (g *Gatherer) round(ctx context.Context, kind roundKind) error {
+	g.rounds[kind].Add(1)
+	all := make([]int, len(g.nodes))
+	for i := range all {
+		all[i] = i
+	}
+	if err := g.fetch(ctx, all, -1, kind == prefetch); err != nil {
+		return fmt.Errorf("cluster: gather: %w", err)
+	}
+	newest := int64(-1)
+	for i := range g.nodes {
+		newest = max(newest, g.nodes[i].unit.Load())
+	}
+	var laggards []int
+	for i := range g.nodes {
+		if g.nodes[i].unit.Load() < newest {
+			laggards = append(laggards, i)
 		}
 	}
-	return snaps, nil
+	if len(laggards) > 0 {
+		if err := g.fetch(ctx, laggards, newest-1, true); err != nil {
+			return fmt.Errorf("cluster: gather: %w", err)
+		}
+	}
+	return g.merge()
 }
 
-// nodeInfo fetches one node's /v1/info document.
-func (g *Gatherer) nodeInfo(ctx context.Context, endpoint string) (*query.InfoResponse, error) {
-	data, err := g.get(ctx, endpoint+"/v1/info")
+// fetch asks the given nodes in parallel for a snapshot newer than
+// max(what is held of each, floor) and keeps what they send. The first
+// failure cancels the others — a parked request must not outlive its
+// round — and is returned.
+func (g *Gatherer) fetch(ctx context.Context, nodes []int, floor int64, park bool) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make(chan error, len(nodes))
+	for _, i := range nodes {
+		go func() {
+			err := g.fetchOne(ctx, i, floor, park)
+			if err != nil {
+				cancel()
+				err = fmt.Errorf("node %d (%s): %w", i, g.cfg.Endpoints[i], err)
+			}
+			errs <- err
+		}()
+	}
+	var first error
+	for range nodes {
+		// The failure itself, not a sibling's cancellation it caused.
+		if err := <-errs; err != nil && (first == nil || errors.Is(first, context.Canceled)) {
+			first = err
+		}
+	}
+	if first != nil && !errors.Is(first, context.Canceled) {
+		g.fetchErrors.Add(1)
+	}
+	return first
+}
+
+// fetchOne is the fetch primitive against one node: a conditional GET
+// that leaves the mirror alone on 304 and replaces the node's part on 200.
+func (g *Gatherer) fetchOne(ctx context.Context, i int, floor int64, park bool) error {
+	node := &g.nodes[i]
+	url := g.cfg.Endpoints[i] + "/v1/snapshot?after=" + strconv.FormatInt(max(node.unit.Load(), floor), 10)
+	if park {
+		url += "&wait=" + strconv.Itoa(parkMillis)
+	}
+	resp, err := g.do(ctx, url)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var info query.InfoResponse
-	if err := json.Unmarshal(data, &info); err != nil {
-		return nil, fmt.Errorf("decoding info: %w", err)
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified {
+		return nil
 	}
-	return &info, nil
+	t0 := time.Now()
+	data, err := readOK(resp)
+	if err != nil {
+		return err
+	}
+	snap, err := stream.DecodeSnapshot(g.cfg.Schema, data)
+	if err != nil {
+		return err
+	}
+	took := time.Since(t0).Nanoseconds()
+	node.fetchNanos.Store(took)
+	g.fetchNanos.Add(took)
+	g.bytes.Add(int64(len(data)))
+	g.mu.Lock()
+	// A round running beside this one may have fetched the same unit, or a
+	// newer one, already.
+	if g.parts[i] == nil || snap.Unit > g.parts[i].Unit {
+		g.parts[i] = snap
+		node.unit.Store(snap.Unit)
+	}
+	g.mu.Unlock()
+	return nil
 }
 
-func (g *Gatherer) get(ctx context.Context, url string) ([]byte, error) {
+// merge advances the view when every node's part describes the same unit
+// and that unit is not the one already served.
+func (g *Gatherer) merge() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, p := range g.parts {
+		if p == nil || p.Unit != g.parts[0].Unit {
+			g.unaligned.Add(1)
+			return errUnaligned
+		}
+	}
+	if cur := g.view.Load(); cur != nil && cur.Unit == g.parts[0].Unit {
+		return nil
+	}
+	merged, err := stream.MergeSnapshots(g.cfg.Schema, g.parts)
+	if err != nil {
+		// Same unit, different UnitsDone or interval: nodes that do not
+		// belong to one stream. Never served.
+		g.unaligned.Add(1)
+		return fmt.Errorf("%w: %v", errUnaligned, err)
+	}
+	g.view.Store(merged)
+	g.merges.Add(1)
+	return nil
+}
+
+func (g *Gatherer) do(ctx context.Context, url string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := g.cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
+	return g.cfg.HTTP.Do(req)
+}
+
+// readOK reads a response body, turning any status but 200 into an error
+// that quotes the body's first line.
+func readOK(resp *http.Response) ([]byte, error) {
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
@@ -209,20 +365,50 @@ func (g *Gatherer) get(ctx context.Context, url string) ([]byte, error) {
 	return data, nil
 }
 
-// Nodes probes every node's /v1/info and reports per-node status, in
-// endpoint order. Unreachable nodes are reported, not fatal.
+// nodeInfo fetches one node's /v1/info document.
+func (g *Gatherer) nodeInfo(ctx context.Context, endpoint string) (*query.InfoResponse, error) {
+	resp, err := g.do(ctx, endpoint+"/v1/info")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := readOK(resp)
+	if err != nil {
+		return nil, err
+	}
+	var info query.InfoResponse
+	if err := json.Unmarshal(data, &info); err != nil {
+		return nil, fmt.Errorf("decoding info: %w", err)
+	}
+	return &info, nil
+}
+
+// Nodes probes every node's /v1/info in parallel — one unreachable node's
+// timeout does not delay the other rows — and reports per-node status in
+// endpoint order, with what the mirror holds of each. Unreachable nodes
+// are reported, not fatal.
 func (g *Gatherer) Nodes(ctx context.Context) []query.NodeStatus {
 	out := make([]query.NodeStatus, len(g.cfg.Endpoints))
+	var wg sync.WaitGroup
 	for i, ep := range g.cfg.Endpoints {
-		out[i] = query.NodeStatus{Endpoint: ep}
-		info, err := g.nodeInfo(ctx, ep)
-		if err != nil {
-			out[i].Error = err.Error()
-			continue
-		}
-		out[i].Reachable = true
-		out[i].Info = info
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = query.NodeStatus{
+				Endpoint:    ep,
+				MirrorUnit:  g.nodes[i].unit.Load(),
+				LastFetchMs: float64(g.nodes[i].fetchNanos.Load()) / 1e6,
+			}
+			info, err := g.nodeInfo(ctx, ep)
+			if err != nil {
+				out[i].Error = err.Error()
+				return
+			}
+			out[i].Reachable = true
+			out[i].Info = info
+		}()
 	}
+	wg.Wait()
 	return out
 }
 
@@ -240,6 +426,22 @@ func (g *Gatherer) Info() query.InfoResponse {
 		APIVersion:  query.APIVersion,
 		Nodes:       g.Nodes(ctx),
 	}
+}
+
+// WriteMetrics renders the gather counters in Prometheus text format, for
+// serve.Server.SetMetrics: rounds by kind, merges, rounds that could not
+// align, failed fetches, and the bytes and time (body read + decode) of
+// the snapshots fetched. One prefetch round and one merge per unit is the
+// steady state; revalidation rounds mark reads that found the mirror
+// stopped.
+func (g *Gatherer) WriteMetrics(w io.Writer) {
+	fmt.Fprintf(w, "regcube_gather_rounds_total{kind=\"prefetch\"} %d\n", g.rounds[prefetch].Load())
+	fmt.Fprintf(w, "regcube_gather_rounds_total{kind=\"revalidate\"} %d\n", g.rounds[revalidate].Load())
+	fmt.Fprintf(w, "regcube_gather_merges_total %d\n", g.merges.Load())
+	fmt.Fprintf(w, "regcube_gather_unaligned_total %d\n", g.unaligned.Load())
+	fmt.Fprintf(w, "regcube_gather_fetch_errors_total %d\n", g.fetchErrors.Load())
+	fmt.Fprintf(w, "regcube_gather_bytes_total %d\n", g.bytes.Load())
+	fmt.Fprintf(w, "regcube_gather_fetch_nanos_total %d\n", g.fetchNanos.Load())
 }
 
 // firstLine trims an error body for diagnostics.

@@ -99,8 +99,8 @@ func DeltaCubing(s *cube.Schema, cur, prev []Input, det exception.Delta) (*Delta
 	// every lattice cuboid, so the unchecked RollUp is safe).
 	idx := cube.NewAncestorIndex(s)
 	// Canonical m-cell order: per-cell sums are then bitwise reproducible.
-	curKeys := sortedCellKeys(curM)
-	prevKeys := sortedCellKeys(prevM)
+	curKeys := SortedCellKeys(curM)
+	prevKeys := SortedCellKeys(prevM)
 	for _, c := range lattice.Cuboids() {
 		st.CuboidsComputed++
 		curCells := make(map[cube.CellKey]regression.ISB, len(curKeys))

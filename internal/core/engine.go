@@ -213,10 +213,11 @@ func accumulate(scratch map[cube.CellKey]regression.ISB, key cube.CellKey, isb r
 	}
 }
 
-// sortedCellKeys returns a scratch table's keys in cube.CompareKeys order —
+// SortedCellKeys returns a cell table's keys in cube.CompareKeys order —
 // the canonical iteration order wherever retention order feeds later
-// aggregation, keeping float results bitwise reproducible.
-func sortedCellKeys[V any](m map[cube.CellKey]V) []cube.CellKey {
+// aggregation (keeping float results bitwise reproducible) or a wire
+// document (keeping equal state equal bytes).
+func SortedCellKeys[V any](m map[cube.CellKey]V) []cube.CellKey {
 	keys := make([]cube.CellKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -183,7 +183,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 		updatePeak(int64(len(scratch)))
 		// Canonical key order: the registry's append order feeds the visit
 		// order of deeper drills, which must be reproducible.
-		for _, key := range sortedCellKeys(scratch) {
+		for _, key := range SortedCellKeys(scratch) {
 			cell := scratch[key]
 			if exception.IsException(cell.isb, threshold) {
 				if _, dup := res.Exceptions[key]; !dup {

@@ -71,8 +71,8 @@ type Config struct {
 // Run is the node runtime: build the engine, restore the checkpoint,
 // replay the WAL tail, start the query server and the alert lifecycle,
 // consume the record stream until it ends or ctx is canceled, then shut
-// down in order — stop ingest, drain decoded batches, drain HTTP, flush
-// the final unit, fsync the WAL and cut the checkpoint, and finally drain
+// down in order — stop ingest, drain decoded batches, drain HTTP (parked
+// snapshot followers released first), flush the final unit, fsync the WAL and cut the checkpoint, and finally drain
 // the alert pipeline. Reports and banners go to out; in feeds the
 // analyzer unless Config.IngestListen is set.
 func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
@@ -340,6 +340,9 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			IdleTimeout:       2 * time.Minute,
 			MaxHeaderBytes:    1 << 16,
 		}
+		// Shutdown waits for active handlers: release a coordinator's
+		// parked /v1/snapshot?wait= instead of waiting out its park.
+		srv.RegisterOnShutdown(handler.Drain)
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "streamd: http: %v\n", err)
@@ -504,6 +507,12 @@ loop:
 			break loop
 		case m, ok := <-msgs:
 			if !ok {
+				// The reader also stops on the signal, and its close of
+				// msgs can win this select against ctx.Done: same event,
+				// same banner (it had flushed all it decoded first).
+				if ctx.Err() != nil {
+					fmt.Fprintln(out, "# signal: flushing final unit")
+				}
 				break loop
 			}
 			if err := ingest(m); err != nil {
@@ -521,7 +530,9 @@ loop:
 	default:
 	}
 	// Step 3: drain HTTP before the engine stops moving, so in-flight
-	// queries finish against a live snapshot surface.
+	// queries finish against a live snapshot surface. Shutdown first fires
+	// the server's drain signal, so a follower parked on /v1/snapshot is
+	// answered 304 now rather than holding the shutdown for its park.
 	srvShutdown()
 	// Step 4: flush the final partial unit.
 	ur, err := a.Flush()

@@ -137,6 +137,65 @@ func TestRunAlertsForcePublication(t *testing.T) {
 	}
 }
 
+// TestRunShutdownReleasesParkedFollower: a coordinator's parked
+// GET /v1/snapshot?wait= must not hold step 3 of the ordered shutdown for
+// its park — Shutdown fires the serving layer's drain signal, the request
+// answers 304 at once, and the node is down well inside the park.
+func TestRunShutdownReleasesParkedFollower(t *testing.T) {
+	out := &syncWriter{}
+	in, feed := io.Pipe()
+	ran := make(chan error, 1)
+	go func() {
+		ran <- Run(context.Background(), Config{
+			Engine: EngineConfig{Spec: "D2L2C4", TicksPerUnit: 4, Threshold: 0.5, Shards: 1},
+			Listen: "127.0.0.1:0",
+		}, in, out)
+	}()
+	if _, err := io.WriteString(feed, risingFeed(10)); err != nil { // closes units 0 and 1
+		t.Fatal(err)
+	}
+	var base string
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, rest, ok := strings.Cut(out.String(), "# serving http on "); ok && strings.Contains(out.String(), "[unit 1]") {
+			addr, _, _ := strings.Cut(rest, "\n")
+			base = "http://" + addr
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node never served unit 1:\n%s", out.String())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	parked := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(base + "/v1/snapshot?after=1&wait=450")
+		if err != nil {
+			t.Error(err)
+			parked <- 0
+			return
+		}
+		resp.Body.Close()
+		parked <- resp.StatusCode
+	}()
+	select {
+	case status := <-parked:
+		t.Fatalf("request answered %d with nothing newer published", status)
+	case <-time.After(50 * time.Millisecond):
+	}
+	t0 := time.Now()
+	feed.Close()
+	if err := <-ran; err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if took := time.Since(t0); took > 200*time.Millisecond {
+		t.Fatalf("shutdown with a parked follower took %v", took)
+	}
+	if status := <-parked; status != http.StatusNotModified {
+		t.Fatalf("parked request answered %d, want 304", status)
+	}
+}
+
 // TestSIGTERMZeroWALLoss is the graceful-shutdown durability harness: a
 // real streamd subprocess streams paced records into a WAL, receives
 // SIGTERM mid-stream, and must exit 0 with its checkpoint watermark equal

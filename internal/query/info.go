@@ -49,4 +49,10 @@ type NodeStatus struct {
 	Error string `json:"error,omitempty"`
 	// Info is the node's own /v1/info document, nil when unreachable.
 	Info *InfoResponse `json:"info,omitempty"`
+	// MirrorUnit is the unit of the node's snapshot the coordinator's
+	// mirror holds (-1 before the first); against Info.SnapshotUnit it
+	// is how far the mirror trails the node. LastFetchMs is what reading
+	// and decoding that snapshot took.
+	MirrorUnit  int64   `json:"mirrorUnit"`
+	LastFetchMs float64 `json:"lastFetchMs"`
 }

@@ -32,6 +32,9 @@
 //	GET  /v1/forecast           time-to-threshold forecast of an o-cell (?members=&k=&horizon=&threshold=)
 //	GET  /v1/changes            tilt-level trend-change scan (?k=&score=)
 //	POST /v1/query              batch of typed requests, one unit-consistent reply
+//	GET  /v1/info               typed identity document (node, or coordinator plus its nodes)
+//	GET  /v1/snapshot           the published snapshot in the binary wire codec (?after=&wait=:
+//	                            304 unless a unit newer than after is published, parking up to wait ms for one)
 //
 // The GET endpoints are a compatibility surface: their JSON bodies are
 // byte-identical to the pre-v2 handlers' (pinned by golden tests) and any
@@ -42,12 +45,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,6 +70,18 @@ import (
 type Source interface {
 	Snapshot() *stream.Snapshot
 }
+
+// subscriber is the optional Source extension GET /v1/snapshot?wait= parks
+// on: both engines and node.Analyzer have it; a Source without it (the
+// coordinator's gatherer) answers a wait at once.
+type subscriber interface {
+	Subscribe(buf int) *stream.Subscription
+}
+
+// maxPark caps how long GET /v1/snapshot?wait= holds a request. Shutdown
+// releases parked requests at once (Drain); the cap is what a server torn
+// down without it (httptest.Server.Close) waits for instead.
+const maxPark = 500 * time.Millisecond
 
 // maxQueryBodyBytes bounds a POST /v1/query body; larger requests are
 // rejected with 413 before any decoding work.
@@ -141,6 +159,13 @@ type Server struct {
 	busDropped func() int64
 	// fdef holds the node-configured fallbacks for the forecast GET shims.
 	fdef ForecastDefaults
+	// metrics, when set, appends the embedding process's own families to
+	// /metrics (the coordinator's gather counters).
+	metrics func(io.Writer)
+	// drain is closed by Drain: parked snapshot requests answer at once and
+	// later ones do not park.
+	drain     chan struct{}
+	drainOnce sync.Once
 }
 
 // ForecastDefaults are the node-configured fallbacks for the predictive
@@ -180,10 +205,21 @@ func (s *Server) SetForecastDefaults(d ForecastDefaults) { s.fdef = d }
 // must be safe for concurrent use (both engines' BusDropped is).
 func (s *Server) SetBusDropped(fn func() int64) { s.busDropped = fn }
 
+// SetMetrics attaches a writer of further Prometheus text families,
+// rendered at the end of /metrics. Call before serving; the function must
+// be safe for concurrent use.
+func (s *Server) SetMetrics(fn func(io.Writer)) { s.metrics = fn }
+
+// Drain makes every parked GET /v1/snapshot?wait= answer now and keeps
+// later ones from parking. Register it with http.Server.RegisterOnShutdown:
+// Shutdown waits for active handlers, and a follower's park would
+// otherwise hold it for up to maxPark. Idempotent.
+func (s *Server) Drain() { s.drainOnce.Do(func() { close(s.drain) }) }
+
 // New builds a query server over a snapshot source. Method-mismatched
 // requests get 405 with an Allow header from the route patterns.
 func New(src Source, schema *cube.Schema) *Server {
-	s := &Server{src: src, schema: schema, mux: http.NewServeMux(), start: time.Now()}
+	s := &Server{src: src, schema: schema, mux: http.NewServeMux(), start: time.Now(), drain: make(chan struct{})}
 	s.mux.HandleFunc("GET /healthz", s.instrument(epHealthz, s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument(epMetrics, s.handleMetrics))
 	s.mux.HandleFunc("GET /v1/summary", s.instrument(epSummary, s.handleSummary))
@@ -443,6 +479,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		fmt.Fprintf(w, "regcube_http_errors_total{endpoint=%q} %d\n", name, st.errors.Load())
 		fmt.Fprintf(w, "regcube_http_request_nanos_total{endpoint=%q} %d\n", name, st.nanos.Load())
 	}
+	if s.metrics != nil {
+		s.metrics(w)
+	}
 	return nil
 }
 
@@ -652,21 +691,72 @@ func (s *Server) handleAlertEvents(w http.ResponseWriter, r *http.Request) error
 // handleSnapshot ships the latest published snapshot whole, in the
 // canonical binary codec (stream.EncodeSnapshot) — the cluster gather
 // tier's bulk-transfer edge. Analysts never need it; the coordinator
-// fetches it from every node at a common unit and merges.
+// mirrors every node through it and merges.
+//
+// It is a conditional GET. ?after=U answers 304 unless the published unit
+// is newer than U; ?wait=ms (capped at maxPark) parks such a request until
+// a newer unit is published, so a follower learns of a unit the moment it
+// exists instead of polling for it. Without parameters it returns the
+// current snapshot, 503 before the first unit.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
+	after := int64(-1)
+	if raw := r.URL.Query().Get("after"); raw != "" {
+		var err error
+		if after, err = strconv.ParseInt(raw, 10, 64); err != nil {
+			return badRequest("parameter after: %v", err)
+		}
+	}
+	wait, err := intParam(r, "wait", 0, 0)
+	if err != nil {
+		return err
+	}
 	snap := s.src.Snapshot()
+	if src, ok := s.src.(subscriber); ok && wait > 0 && (snap == nil || snap.Unit <= after) {
+		snap = s.park(r.Context(), src, after, min(time.Duration(wait)*time.Millisecond, maxPark))
+	}
 	if snap == nil {
 		return errNoSnapshot
+	}
+	if snap.Unit <= after {
+		w.WriteHeader(http.StatusNotModified)
+		return nil
 	}
 	data, err := stream.EncodeSnapshot(snap)
 	if err != nil {
 		return &apiError{status: http.StatusInternalServerError, msg: err.Error()}
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(data); err != nil {
 		s.encodeErrors.Add(1)
 		return fmt.Errorf("%w: %v", errEncode, err)
 	}
 	return nil
+}
+
+// park waits on the source's snapshot bus until a unit newer than after is
+// published, the wait runs out, the server drains or the client goes, and
+// returns what is published then. It subscribes first and looks again
+// before every wait, so a publish between the caller's look and the
+// subscription is seen, not slept through. The subscription exists only
+// while a follower is parked: a node nobody follows runs none of this.
+func (s *Server) park(ctx context.Context, src subscriber, after int64, wait time.Duration) *stream.Snapshot {
+	sub := src.Subscribe(1).Coalesce()
+	defer sub.Close()
+	timeout := time.NewTimer(wait)
+	defer timeout.Stop()
+	for {
+		if snap := s.src.Snapshot(); snap != nil && snap.Unit > after {
+			return snap
+		}
+		select {
+		case <-sub.C():
+			continue
+		case <-timeout.C:
+		case <-s.drain:
+		case <-ctx.Done():
+		}
+		return s.src.Snapshot()
+	}
 }

@@ -29,6 +29,8 @@ const defaultSubscribeBuffer = 1
 type Subscription struct {
 	ch  chan *Snapshot
 	bus *snapBus
+	// coalesce marks a waiter for "something newer": see Coalesce.
+	coalesce bool
 }
 
 // C returns the subscription's delivery channel. Snapshots arrive in unit
@@ -36,6 +38,17 @@ type Subscription struct {
 // unit rate (latest-wins); each delivered value is a complete immutable
 // Snapshot, unit-consistent like every published snapshot.
 func (s *Subscription) C() <-chan *Snapshot { return s.ch }
+
+// Coalesce declares that the consumer only waits for something newer than
+// it has — a parked GET /v1/snapshot?wait= — so a snapshot replaced in its
+// channel before it was received is no loss and is not counted as dropped.
+// Call it right after Subscribe; it returns the subscription.
+func (s *Subscription) Coalesce() *Subscription {
+	s.bus.mu.Lock()
+	s.coalesce = true
+	s.bus.mu.Unlock()
+	return s
+}
 
 // Close unregisters the subscription from the bus. Snapshots already
 // buffered remain receivable; no further ones are delivered. Close is
@@ -91,7 +104,9 @@ func (b *snapBus) publish(snap *Snapshot) {
 				// just drained), in which case the retry's send succeeds.
 				select {
 				case <-sub.ch:
-					b.dropped.Add(1)
+					if !sub.coalesce {
+						b.dropped.Add(1)
+					}
 				default:
 				}
 				continue

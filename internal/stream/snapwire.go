@@ -1,18 +1,19 @@
 package stream
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/regression"
 	"repro/internal/tilt"
-	"repro/internal/timeseries"
 )
 
-// This file is the snapshot wire codec: the JSON document a node's
+// This file is the snapshot wire codec: the binary document a node's
 // GET /v1/snapshot ships and the cluster coordinator's gather tier
 // decodes and merges. It lives in this package (not internal/serve or
 // internal/cluster) because it is the third leg of the snapshot
@@ -20,101 +21,88 @@ import (
 // transfer — and both the server and the coordinator need it without
 // importing each other.
 //
-// Cells travel in coordinate form — per-dimension levels and members,
-// exactly like checkpoints — and every cell list is sorted canonically
-// (cube.CompareKeys), so encoding is deterministic: two nodes holding
-// equal state encode equal bytes.
+// A cell's regression is four numbers (the ISB, §3.2), so the document is
+// fixed-size records behind counts. All integers are little-endian, floats
+// travel as their IEEE-754 bits (−0, ±Inf and NaN payloads survive):
+//
+//	header   "RCSN" · version u8 · dims u8 · flags u8 · unit · interval Tb,Te · unitsDone
+//	result   oLayer cells · exceptions cells · [u32 × (key · cells)] · stats   (absent when empty)
+//	alerts   u32 × (unit · kind · key · ISB · drill cells)
+//	history  u32 × (key · u32 × point)
+//	frames   u32 × (key · base · u32 × (name · unitTicks · capacity · completed · u32 × point))   (tilted only)
+//
+//	cells = u32 × (key · ISB)     key = levels[dims]u8 · members[dims]i32
+//	ISB = Tb,Te i64 · Base,Slope f64     point = unit i64 · ISB
+//	stats = algorithm · 11 × i64 in core.Stats field order     strings = u32 length · bytes
+//
+// dims is the dimension count of the cells, 0 in a document without any
+// (a first unit that closed empty). Every list is in canonical order
+// (cube.CompareKeys; alerts as published), so encoding is deterministic:
+// two nodes holding equal state encode equal bytes. Every count is
+// checked against the bytes that remain before anything is allocated for
+// it.
 
-// snapCell is one retained cell: coordinates plus measure.
-type snapCell struct {
-	Levels  []int          `json:"levels"`
-	Members []int32        `json:"members"`
-	ISB     regression.ISB `json:"isb"`
+const (
+	snapMagic = "RCSN"
+	// snapshotWireVersion is the /v1/snapshot document version (1 was JSON).
+	snapshotWireVersion = 2
+
+	flagEmpty  = 1 << 0 // the unit closed with no data: no result section
+	flagTilted = 1 << 1 // Frames is non-nil: a frames section follows the history
+	flagPaths  = 1 << 2 // Result.PathCells is non-nil (popular-path cubing)
+
+	isbSize   = 32
+	pointSize = 8 + isbSize
+)
+
+// snapWriter appends the document's primitives to one buffer. A cell of
+// another dimension count than the first one written sticks in err.
+type snapWriter struct {
+	buf []byte
+	nd  int
+	err error
 }
 
-// snapAlert is one alert with its drill-down supporters.
-type snapAlert struct {
-	Unit  int64      `json:"unit"`
-	Kind  int        `json:"kind"`
-	Cell  snapCell   `json:"cell"`
-	Drill []snapCell `json:"drill,omitempty"`
+func (w *snapWriter) i64(v int64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v)) }
+
+// count writes a record count; 2³² records of any kind do not fit a
+// process, let alone a document.
+func (w *snapWriter) count(n int) { w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(n)) }
+
+func (w *snapWriter) str(s string) {
+	w.count(len(s))
+	w.buf = append(w.buf, s...)
 }
 
-// snapHistory is one o-cell's trailing flat history, oldest first.
-type snapHistory struct {
-	Levels  []int          `json:"levels"`
-	Members []int32        `json:"members"`
-	Points  []HistoryPoint `json:"points"`
-}
-
-// snapFrameLevel is one granularity of a tilted frame.
-type snapFrameLevel struct {
-	Name      string      `json:"name"`
-	UnitTicks int64       `json:"unitTicks"`
-	Capacity  int         `json:"capacity"`
-	Completed int64       `json:"completed"`
-	Slots     []tilt.Slot `json:"slots"`
-}
-
-// snapFrame is one o-cell's tilted frame view.
-type snapFrame struct {
-	Levels  []int            `json:"levels"`
-	Members []int32          `json:"members"`
-	Base    int64            `json:"base"`
-	Frame   []snapFrameLevel `json:"frame"`
-}
-
-// snapPath is one materialized popular-path cuboid with its cells.
-type snapPath struct {
-	Levels []int      `json:"levels"`
-	Cells  []snapCell `json:"cells"`
-}
-
-// snapshotDoc is the complete wire document.
-type snapshotDoc struct {
-	Version    int                 `json:"version"`
-	Unit       int64               `json:"unit"`
-	Interval   timeseries.Interval `json:"interval"`
-	UnitsDone  int64               `json:"unitsDone"`
-	Empty      bool                `json:"empty"`
-	OLayer     []snapCell          `json:"oLayer,omitempty"`
-	Exceptions []snapCell          `json:"exceptions,omitempty"`
-	PathCells  []snapPath          `json:"pathCells,omitempty"`
-	Stats      *core.Stats         `json:"stats,omitempty"`
-	Alerts     []snapAlert         `json:"alerts,omitempty"`
-	History    []snapHistory       `json:"history,omitempty"`
-	// Tilted distinguishes "no tilt configured" (false, Frames absent)
-	// from "tilt on, no cells yet" (true, Frames empty).
-	Tilted bool        `json:"tilted,omitempty"`
-	Frames []snapFrame `json:"frames,omitempty"`
-}
-
-// snapshotWireVersion is the /v1/snapshot document version.
-const snapshotWireVersion = 1
-
-func cellCoords(k cube.CellKey) ([]int, []int32) {
-	nd := k.Cuboid.NumDims()
-	levels := make([]int, nd)
-	members := make([]int32, nd)
-	for d := 0; d < nd; d++ {
-		levels[d] = k.Cuboid.Level(d)
-		members[d] = k.Members[d]
+func (w *snapWriter) key(k cube.CellKey) {
+	if w.nd == 0 {
+		w.nd = k.Cuboid.NumDims()
+		w.buf[len(snapMagic)+1] = byte(w.nd) // the header's dims
 	}
-	return levels, members
+	if k.Cuboid.NumDims() != w.nd && w.err == nil {
+		w.err = fmt.Errorf("%w: %d-dimensional cell in a %d-dimensional snapshot", ErrRecord, k.Cuboid.NumDims(), w.nd)
+	}
+	for d := 0; d < w.nd; d++ {
+		w.buf = append(w.buf, byte(k.Cuboid.Level(d)))
+	}
+	for d := 0; d < w.nd; d++ {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(k.Members[d]))
+	}
 }
 
-func encodeCellList(m map[cube.CellKey]regression.ISB) []snapCell {
-	keys := make([]cube.CellKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func (w *snapWriter) isb(v regression.ISB) {
+	w.i64(v.Tb)
+	w.i64(v.Te)
+	w.i64(int64(math.Float64bits(v.Base)))
+	w.i64(int64(math.Float64bits(v.Slope)))
+}
+
+func (w *snapWriter) cells(m map[cube.CellKey]regression.ISB) {
+	w.count(len(m))
+	for _, k := range core.SortedCellKeys(m) {
+		w.key(k)
+		w.isb(m[k])
 	}
-	slices.SortFunc(keys, cube.CompareKeys)
-	out := make([]snapCell, len(keys))
-	for i, k := range keys {
-		levels, members := cellCoords(k)
-		out[i] = snapCell{Levels: levels, Members: members, ISB: m[k]}
-	}
-	return out
 }
 
 // EncodeSnapshot serializes a published snapshot into the /v1/snapshot
@@ -124,184 +112,323 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("%w: nil snapshot", ErrRecord)
 	}
-	doc := snapshotDoc{
-		Version:   snapshotWireVersion,
-		Unit:      s.Unit,
-		Interval:  s.Interval,
-		UnitsDone: s.UnitsDone,
-		Empty:     s.Result == nil,
-	}
-	if s.Result != nil {
-		doc.OLayer = encodeCellList(s.Result.OLayer)
-		doc.Exceptions = encodeCellList(s.Result.Exceptions)
-		if s.Result.PathCells != nil {
-			doc.PathCells = make([]snapPath, 0, len(s.Result.PathCells))
-			for cb, cells := range s.Result.PathCells {
-				levels := make([]int, cb.NumDims())
-				for d := range levels {
-					levels[d] = cb.Level(d)
-				}
-				doc.PathCells = append(doc.PathCells, snapPath{Levels: levels, Cells: encodeCellList(cells)})
-			}
-			slices.SortFunc(doc.PathCells, func(a, b snapPath) int { return slices.Compare(a.Levels, b.Levels) })
+	var flags byte
+	size := 1 << 10
+	if res := s.Result; res == nil {
+		flags |= flagEmpty
+	} else {
+		size += (len(res.OLayer) + len(res.Exceptions)) * 2 * pointSize
+		if res.PathCells != nil {
+			flags |= flagPaths
 		}
-		stats := s.Result.Stats
-		doc.Stats = &stats
-	}
-	// Snapshot alerts are canonical as published.
-	doc.Alerts = make([]snapAlert, len(s.Alerts))
-	for i, a := range s.Alerts {
-		levels, members := cellCoords(a.Cell)
-		sa := snapAlert{Unit: a.Unit, Kind: int(a.Kind), Cell: snapCell{Levels: levels, Members: members, ISB: a.ISB}}
-		for _, d := range a.Drill {
-			dl, dm := cellCoords(d.Key)
-			sa.Drill = append(sa.Drill, snapCell{Levels: dl, Members: dm, ISB: d.ISB})
-		}
-		doc.Alerts[i] = sa
-	}
-	histKeys := make([]cube.CellKey, 0, len(s.History))
-	for k := range s.History {
-		histKeys = append(histKeys, k)
-	}
-	slices.SortFunc(histKeys, cube.CompareKeys)
-	doc.History = make([]snapHistory, len(histKeys))
-	for i, k := range histKeys {
-		levels, members := cellCoords(k)
-		doc.History[i] = snapHistory{Levels: levels, Members: members, Points: s.History[k]}
 	}
 	if s.Frames != nil {
-		doc.Tilted = true
-		frameKeys := make([]cube.CellKey, 0, len(s.Frames))
-		for k := range s.Frames {
-			frameKeys = append(frameKeys, k)
-		}
-		slices.SortFunc(frameKeys, cube.CompareKeys)
-		doc.Frames = make([]snapFrame, len(frameKeys))
-		for i, k := range frameKeys {
-			v := s.Frames[k]
-			levels, members := cellCoords(k)
-			sf := snapFrame{Levels: levels, Members: members, Base: v.Base}
-			for _, lv := range v.Levels {
-				sf.Frame = append(sf.Frame, snapFrameLevel{
-					Name: lv.Name, UnitTicks: lv.UnitTicks, Capacity: lv.Capacity,
-					Completed: lv.Completed, Slots: lv.Slots,
-				})
+		flags |= flagTilted
+	}
+	for _, pts := range s.History {
+		size += (1 + len(pts)) * pointSize
+	}
+	w := snapWriter{buf: append(make([]byte, 0, size), snapMagic...)}
+	w.buf = append(w.buf, snapshotWireVersion, 0, flags)
+	w.i64(s.Unit)
+	w.i64(s.Interval.Tb)
+	w.i64(s.Interval.Te)
+	w.i64(s.UnitsDone)
+
+	if res := s.Result; res != nil {
+		w.cells(res.OLayer)
+		w.cells(res.Exceptions)
+		if res.PathCells != nil {
+			cuboids := make([]cube.CellKey, 0, len(res.PathCells))
+			for cb := range res.PathCells {
+				cuboids = append(cuboids, cube.CellKey{Cuboid: cb})
 			}
-			doc.Frames[i] = sf
+			slices.SortFunc(cuboids, cube.CompareKeys)
+			w.count(len(cuboids))
+			for _, k := range cuboids {
+				w.key(k)
+				w.cells(res.PathCells[k.Cuboid])
+			}
+		}
+		st := &res.Stats
+		w.str(st.Algorithm)
+		for _, v := range [...]int64{int64(st.Tuples), int64(st.TreeNodes), int64(st.TreeLeaves), int64(st.CuboidsComputed),
+			st.CellsComputed, st.CellsRetained, st.PeakScratchCells, st.BytesRetained, st.PeakBytes,
+			int64(st.BuildTime), int64(st.CubeTime)} {
+			w.i64(v)
 		}
 	}
-	return json.Marshal(&doc)
-}
 
-// decodeKey validates coordinate-form cell coordinates against the schema
-// dimension count and assembles the CellKey.
-func decodeKey(schema *cube.Schema, levels []int, members []int32) (cube.CellKey, error) {
-	if len(levels) != len(schema.Dims) || len(members) != len(schema.Dims) {
-		return cube.CellKey{}, fmt.Errorf("%w: cell has %d levels and %d members for %d dimensions",
-			ErrRecord, len(levels), len(members), len(schema.Dims))
-	}
-	cb, err := cube.NewCuboid(levels...)
-	if err != nil {
-		return cube.CellKey{}, fmt.Errorf("%w: %v", ErrRecord, err)
-	}
-	return cube.NewCellKey(cb, members...), nil
-}
-
-func decodeCellList(schema *cube.Schema, cells []snapCell) (map[cube.CellKey]regression.ISB, error) {
-	out := make(map[cube.CellKey]regression.ISB, len(cells))
-	for _, c := range cells {
-		k, err := decodeKey(schema, c.Levels, c.Members)
-		if err != nil {
-			return nil, err
+	// Snapshot alerts are canonical as published.
+	w.count(len(s.Alerts))
+	for _, a := range s.Alerts {
+		w.i64(a.Unit)
+		w.i64(int64(a.Kind))
+		w.key(a.Cell)
+		w.isb(a.ISB)
+		w.count(len(a.Drill))
+		for _, d := range a.Drill {
+			w.key(d.Key)
+			w.isb(d.ISB)
 		}
-		out[k] = c.ISB
 	}
-	return out, nil
+
+	w.count(len(s.History))
+	for _, k := range core.SortedCellKeys(s.History) {
+		w.key(k)
+		w.count(len(s.History[k]))
+		for _, p := range s.History[k] {
+			w.i64(p.Unit)
+			w.isb(p.ISB)
+		}
+	}
+
+	if s.Frames != nil {
+		w.count(len(s.Frames))
+		for _, k := range core.SortedCellKeys(s.Frames) {
+			v := s.Frames[k]
+			w.key(k)
+			w.i64(v.Base)
+			w.count(len(v.Levels))
+			for _, lv := range v.Levels {
+				w.str(lv.Name)
+				w.i64(lv.UnitTicks)
+				w.i64(int64(lv.Capacity))
+				w.i64(lv.Completed)
+				w.count(len(lv.Slots))
+				for _, sl := range lv.Slots {
+					w.i64(sl.Unit)
+					w.isb(sl.ISB)
+				}
+			}
+		}
+	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.buf, nil
+}
+
+// snapReader consumes the document front to back. The first failure
+// sticks in err and every later read returns zero, so a section's loop —
+// bounded by a count already checked against the remaining bytes — runs
+// out harmlessly and the caller tests err once at the end.
+type snapReader struct {
+	data []byte
+	nd   int
+	// card[d][l] is the member count of dimension d at level l; a key
+	// outside it would index past a hierarchy when a query renders it.
+	card [cube.MaxDims][]int
+	err  error
+}
+
+func (r *snapReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: snapshot document: %s", ErrRecord, fmt.Sprintf(format, args...))
+	}
+}
+
+// take returns the next n > 0 bytes, or nil (and fails) when fewer remain.
+func (r *snapReader) take(n int) []byte {
+	if r.err != nil || n > len(r.data) {
+		r.fail("truncated")
+		return nil
+	}
+	b := r.data[:n]
+	r.data = r.data[n:]
+	return b
+}
+
+func (r *snapReader) i64() int64 {
+	b := r.take(8)
+	if b == nil {
+		return 0
+	}
+	return int64(binary.LittleEndian.Uint64(b))
+}
+
+// count reads a record count and checks that many records of at least
+// elem bytes each can still follow, so no allocation outruns the input.
+func (r *snapReader) count(elem int) int {
+	b := r.take(4)
+	if b == nil {
+		return 0
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if uint64(n)*uint64(elem) > uint64(len(r.data)) {
+		r.fail("count %d exceeds the %d bytes that remain", n, len(r.data))
+		return 0
+	}
+	return int(n)
+}
+
+func (r *snapReader) str() string {
+	if n := r.count(1); n > 0 {
+		return string(r.take(n))
+	}
+	return ""
+}
+
+func (r *snapReader) key() cube.CellKey {
+	if r.nd == 0 {
+		r.fail("cell in a document of no dimensions")
+		return cube.CellKey{}
+	}
+	b := r.take(5 * r.nd)
+	if b == nil {
+		return cube.CellKey{}
+	}
+	var levels [cube.MaxDims]int
+	var k cube.CellKey
+	for d := 0; d < r.nd; d++ {
+		levels[d] = int(b[d])
+		k.Members[d] = int32(binary.LittleEndian.Uint32(b[r.nd+4*d:]))
+		if levels[d] >= len(r.card[d]) || k.Members[d] < 0 || int(k.Members[d]) >= r.card[d][levels[d]] {
+			r.fail("no member %d at level %d of dimension %d", k.Members[d], levels[d], d)
+			return cube.CellKey{}
+		}
+	}
+	k.Cuboid, _ = cube.NewCuboid(levels[:r.nd]...) // 1..MaxDims levels of one byte each: cannot fail
+	return k
+}
+
+func (r *snapReader) isb() regression.ISB {
+	b := r.take(isbSize)
+	if b == nil {
+		return regression.ISB{}
+	}
+	return regression.ISB{
+		Tb:    int64(binary.LittleEndian.Uint64(b)),
+		Te:    int64(binary.LittleEndian.Uint64(b[8:])),
+		Base:  math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+		Slope: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
+	}
+}
+
+func (r *snapReader) cells() map[cube.CellKey]regression.ISB {
+	n := r.count(5*r.nd + isbSize)
+	out := make(map[cube.CellKey]regression.ISB, n)
+	for range n {
+		k := r.key()
+		out[k] = r.isb()
+	}
+	return out
 }
 
 // DecodeSnapshot parses a /v1/snapshot document back into a Snapshot. The
-// schema supplies the dimension count the coordinates are validated
-// against; the returned snapshot's Result carries that schema, exactly as
-// a local engine's would.
+// schema supplies the dimension count, levels and members the coordinates
+// are validated against; the returned snapshot's Result carries that
+// schema, exactly as a local engine's would. Anything but one whole
+// well-formed document — truncation, trailing bytes, a count the bytes
+// cannot back, a cell outside the schema — is ErrRecord.
 func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
-	var doc snapshotDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%w: snapshot document: %v", ErrRecord, err)
+	r := snapReader{data: data}
+	head := r.take(len(snapMagic) + 3)
+	if head == nil || string(head[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("%w: not a snapshot document", ErrRecord)
 	}
-	if doc.Version != snapshotWireVersion {
-		return nil, fmt.Errorf("%w: snapshot document version %d, want %d", ErrRecord, doc.Version, snapshotWireVersion)
+	version, flags := head[len(snapMagic)], head[len(snapMagic)+2]
+	r.nd = int(head[len(snapMagic)+1])
+	if version != snapshotWireVersion {
+		return nil, fmt.Errorf("%w: snapshot document version %d, want %d", ErrRecord, version, snapshotWireVersion)
 	}
-	s := &Snapshot{Unit: doc.Unit, Interval: doc.Interval, UnitsDone: doc.UnitsDone}
-	if !doc.Empty {
+	if r.nd != 0 && r.nd != len(schema.Dims) {
+		return nil, fmt.Errorf("%w: snapshot document has %d dimensions, schema has %d", ErrRecord, r.nd, len(schema.Dims))
+	}
+	if flags&^(flagEmpty|flagTilted|flagPaths) != 0 || flags&(flagEmpty|flagPaths) == flagEmpty|flagPaths {
+		return nil, fmt.Errorf("%w: snapshot document flags %#x", ErrRecord, flags)
+	}
+	for d := 0; d < r.nd; d++ {
+		h := schema.Dims[d].Hierarchy
+		r.card[d] = make([]int, h.Levels()+1)
+		for l := range r.card[d] {
+			r.card[d][l] = h.Cardinality(l)
+		}
+	}
+	cellSize := 5*r.nd + isbSize
+
+	s := &Snapshot{Unit: r.i64()}
+	s.Interval.Tb = r.i64()
+	s.Interval.Te = r.i64()
+	s.UnitsDone = r.i64()
+
+	if flags&flagEmpty == 0 {
 		res := &core.Result{Schema: schema}
-		var err error
-		if res.OLayer, err = decodeCellList(schema, doc.OLayer); err != nil {
-			return nil, err
-		}
-		if res.Exceptions, err = decodeCellList(schema, doc.Exceptions); err != nil {
-			return nil, err
-		}
-		for _, p := range doc.PathCells {
-			cb, err := cube.NewCuboid(p.Levels...)
-			if err != nil {
-				return nil, fmt.Errorf("%w: path cuboid: %v", ErrRecord, err)
+		res.OLayer = r.cells()
+		res.Exceptions = r.cells()
+		if flags&flagPaths != 0 {
+			n := r.count(5*r.nd + 4)
+			res.PathCells = make(map[cube.Cuboid]map[cube.CellKey]regression.ISB, n)
+			for range n {
+				cb := r.key().Cuboid
+				res.PathCells[cb] = r.cells()
 			}
-			cells, err := decodeCellList(schema, p.Cells)
-			if err != nil {
-				return nil, err
-			}
-			if res.PathCells == nil {
-				res.PathCells = make(map[cube.Cuboid]map[cube.CellKey]regression.ISB, len(doc.PathCells))
-			}
-			res.PathCells[cb] = cells
 		}
-		if doc.Stats != nil {
-			res.Stats = *doc.Stats
-		}
+		st := &res.Stats
+		st.Algorithm = r.str()
+		st.Tuples, st.TreeNodes, st.TreeLeaves, st.CuboidsComputed = int(r.i64()), int(r.i64()), int(r.i64()), int(r.i64())
+		st.CellsComputed, st.CellsRetained, st.PeakScratchCells = r.i64(), r.i64(), r.i64()
+		st.BytesRetained, st.PeakBytes = r.i64(), r.i64()
+		st.BuildTime, st.CubeTime = time.Duration(r.i64()), time.Duration(r.i64())
 		s.Result = res
 	}
-	if len(doc.Alerts) > 0 {
-		s.Alerts = make([]Alert, len(doc.Alerts))
-		for i, sa := range doc.Alerts {
-			k, err := decodeKey(schema, sa.Cell.Levels, sa.Cell.Members)
-			if err != nil {
-				return nil, err
+
+	s.Alerts = make([]Alert, r.count(16+cellSize+4))
+	for i := range s.Alerts {
+		a := &s.Alerts[i]
+		a.Unit = r.i64()
+		a.Kind = AlertKind(r.i64())
+		a.Cell = r.key()
+		a.ISB = r.isb()
+		if n := r.count(cellSize); n > 0 {
+			a.Drill = make([]core.Cell, n)
+			for j := range a.Drill {
+				a.Drill[j].Key = r.key()
+				a.Drill[j].ISB = r.isb()
 			}
-			a := Alert{Unit: sa.Unit, Kind: AlertKind(sa.Kind), Cell: k, ISB: sa.Cell.ISB}
-			for _, d := range sa.Drill {
-				dk, err := decodeKey(schema, d.Levels, d.Members)
-				if err != nil {
-					return nil, err
+		}
+	}
+
+	cells := r.count(5*r.nd + 4)
+	s.History = make(map[cube.CellKey][]HistoryPoint, cells)
+	for range cells {
+		k := r.key()
+		pts := make([]HistoryPoint, r.count(pointSize))
+		for j := range pts {
+			pts[j].Unit = r.i64()
+			pts[j].ISB = r.isb()
+		}
+		s.History[k] = pts
+	}
+
+	if flags&flagTilted != 0 {
+		const levelSize = 4 + 3*8 + 4
+		cells := r.count(5*r.nd + 8 + 4)
+		s.Frames = make(map[cube.CellKey]*FrameView, cells)
+		for range cells {
+			k := r.key()
+			v := &FrameView{Base: r.i64()}
+			v.Levels = make([]FrameLevelView, r.count(levelSize))
+			for j := range v.Levels {
+				lv := &v.Levels[j]
+				lv.Name = r.str()
+				lv.UnitTicks = r.i64()
+				lv.Capacity = int(r.i64())
+				lv.Completed = r.i64()
+				lv.Slots = make([]tilt.Slot, r.count(pointSize))
+				for x := range lv.Slots {
+					lv.Slots[x].Unit = r.i64()
+					lv.Slots[x].ISB = r.isb()
 				}
-				a.Drill = append(a.Drill, core.Cell{Key: dk, ISB: d.ISB})
-			}
-			s.Alerts[i] = a
-		}
-	}
-	s.History = make(map[cube.CellKey][]HistoryPoint, len(doc.History))
-	for _, h := range doc.History {
-		k, err := decodeKey(schema, h.Levels, h.Members)
-		if err != nil {
-			return nil, err
-		}
-		s.History[k] = h.Points
-	}
-	if doc.Tilted {
-		s.Frames = make(map[cube.CellKey]*FrameView, len(doc.Frames))
-		for _, f := range doc.Frames {
-			k, err := decodeKey(schema, f.Levels, f.Members)
-			if err != nil {
-				return nil, err
-			}
-			v := &FrameView{Base: f.Base}
-			for _, lv := range f.Frame {
-				v.Levels = append(v.Levels, FrameLevelView{
-					Name: lv.Name, UnitTicks: lv.UnitTicks, Capacity: lv.Capacity,
-					Completed: lv.Completed, Slots: lv.Slots,
-				})
 			}
 			s.Frames[k] = v
 		}
+	}
+	if len(r.data) != 0 {
+		r.fail("%d trailing bytes", len(r.data))
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return s, nil
 }
