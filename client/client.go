@@ -207,15 +207,6 @@ func New(opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// NewURL builds a client for a single base URL.
-//
-// Deprecated: use New with WithEndpoints, which also accepts multiple
-// endpoints for failover. NewURL remains as a shim for pre-cluster
-// callers.
-func NewURL(baseURL string, opts ...Option) (*Client, error) {
-	return New(append([]Option{WithEndpoints(baseURL)}, opts...)...)
-}
-
 // Endpoints returns the configured endpoint list, normalized.
 func (c *Client) Endpoints() []string {
 	return append([]string(nil), c.endpoints...)

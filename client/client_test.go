@@ -393,14 +393,11 @@ func TestClientRetriesUnavailable(t *testing.T) {
 	}
 }
 
-// TestClientNew pins endpoint validation for both constructors.
+// TestClientNew pins endpoint validation.
 func TestClientNew(t *testing.T) {
 	for _, bad := range []string{"", "127.0.0.1:8080", "ftp://x", "http://"} {
 		if _, err := client.New(client.WithEndpoints(bad)); err == nil {
 			t.Errorf("New(WithEndpoints(%q)) succeeded, want error", bad)
-		}
-		if _, err := client.NewURL(bad); err == nil {
-			t.Errorf("NewURL(%q) succeeded, want error", bad)
 		}
 	}
 	if _, err := client.New(); err == nil {
@@ -412,9 +409,6 @@ func TestClientNew(t *testing.T) {
 	}
 	if got := c.Endpoints(); len(got) != 2 || got[0] != "http://127.0.0.1:8080" {
 		t.Fatalf("Endpoints() = %v", got)
-	}
-	if _, err := client.NewURL("http://127.0.0.1:8080"); err != nil {
-		t.Errorf("NewURL: %v", err)
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"repro/internal/persist"
 )
 
-// runMerge implements `regcube merge`: flatten per-node (or per-shard)
-// checkpoint files into one single-engine checkpoint. The inputs must
-// have been cut at the same stream position — same open unit, closed-unit
-// count, and WAL watermark — which a router-driven cluster guarantees at
-// its barriers; anything else is refused rather than merged wrong.
+// runMerge implements `regcube merge`: flatten per-node checkpoint files
+// into one checkpoint. The inputs must have been cut at the same stream
+// position — same open unit and closed-unit count, which a router-driven
+// cluster guarantees at its barriers — over the same schema; anything
+// else is refused rather than merged wrong. Each node's WAL watermark
+// counts its own log, so the merged file carries none.
 //
 //	regcube merge -o merged.ckpt node0.ckpt node1.ckpt node2.ckpt node3.ckpt
 func runMerge(args []string, out io.Writer) error {

@@ -25,7 +25,7 @@ func runReplay(args []string, out io.Writer) error {
 	unit := fs.Int("unit", 15, "ticks per unit")
 	threshold := fs.Float64("threshold", 1, "slope exception threshold")
 	alg := fs.String("alg", "mo", "cubing algorithm: mo | popular-path")
-	shards := fs.Int("shards", 1, "engine shards; 1 = single-threaded engine")
+	shards := fs.Int("shards", 1, "engine shards; 1 = single-threaded")
 	tiltStr := fs.String("tilt", "", "tilted trend history chain (same syntax as streamd -tilt)")
 	from := fs.Int64("from", 0, "replay from this record sequence (skip earlier records)")
 	checkpoint := fs.String("checkpoint", "", "write the post-replay checkpoint to this file")

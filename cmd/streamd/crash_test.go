@@ -212,48 +212,29 @@ func referenceCheckpoint(t *testing.T, shards int, tiltStr string, unitTicks int
 		Threshold:    exception.Global(threshold),
 		TiltLevels:   tiltLevels,
 	}
+	seng, err := stream.NewShardedEngine(cfg, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seng.Close()
+	for _, r := range recs {
+		if _, err := seng.Ingest(r.Members, r.Tick, r.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := seng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := seng.SetWALSeq(int64(len(recs))); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := seng.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if shards > 1 {
-		seng, err := stream.NewShardedEngine(cfg, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer seng.Close()
-		for _, r := range recs {
-			if _, err := seng.Ingest(r.Members, r.Tick, r.Value); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := seng.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := seng.SetWALSeq(int64(len(recs))); err != nil {
-			t.Fatal(err)
-		}
-		scp, err := seng.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := persist.WriteShardedCheckpoint(&buf, scp); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		eng, err := stream.NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			if _, err := eng.Ingest(r.Members, r.Tick, r.Value); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := eng.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		eng.SetWALSeq(int64(len(recs)))
-		if err := persist.WriteCheckpoint(&buf, eng.Checkpoint()); err != nil {
-			t.Fatal(err)
-		}
+	if err := persist.WriteCheckpoint(&buf, cp); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }

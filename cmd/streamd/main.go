@@ -15,7 +15,8 @@
 // o-layer ancestors across N per-shard engines that ingest and cube in
 // parallel (see stream.ShardedEngine); the merged output is identical to
 // a single engine's, with alerts deterministically sorted. The default is
-// GOMAXPROCS; -shards 1 runs the plain single-threaded engine.
+// GOMAXPROCS; -shards 1 is the same analyzer with one partition, run
+// single-threaded on the ingest loop's goroutine.
 //
 // With -listen ADDR streamd also serves the HTTP/JSON query API
 // (internal/serve) from per-unit engine snapshots, so analysts can hit
@@ -59,14 +60,15 @@
 // same log feeds `regcube replay` for what-if reprocessing under a
 // different shard count, tilt chain, or threshold.
 //
-// Checkpoint files are versioned: a single engine writes version 1 (one
-// checkpoint), a sharded engine writes version 2 (one checkpoint per
-// shard), and -tilt engines write version 3 (either layout plus the
-// per-o-cell frames). Any version loads regardless of the current -shards
-// or -tilt value — v1 files repartition across the shards, v2 files merge
-// back into a single engine, pre-tilt files reseed frames from their flat
-// history, and v3 files load into flat engines through the derived
-// finest-level history — so both knobs can change freely between restarts.
+// Checkpoint files have one layout: the same stream position writes the
+// same bytes at any -shards value (envelope version 1, or 3 when -tilt
+// adds the per-o-cell frames), and a file resumes at any -shards or -tilt
+// value — cells repartition across the shards, pre-tilt files reseed
+// frames from their flat history, and tilted files load into flat engines
+// through the derived finest-level history — so both knobs can change
+// freely between restarts. The per-shard files older releases wrote for
+// sharded engines (version 2, or 3 with a "shards" array) still load: they
+// are merged into the one layout on read.
 //
 // Text record format (no header): tick,dim0,...,dimN,value
 //
@@ -127,8 +129,8 @@ func main() {
 	flag.Float64Var(&opt.threshold, "threshold", 1, "slope exception threshold")
 	flag.StringVar(&opt.alg, "alg", "mo", "cubing algorithm: mo | popular-path")
 	flag.StringVar(&opt.checkpoint, "checkpoint", "", "checkpoint file (loaded if present, saved after every unit; "+
-		"v1 single-engine and v2 per-shard formats both load at any -shards value)")
-	flag.IntVar(&opt.shards, "shards", runtime.GOMAXPROCS(0), "engine shards ingesting and cubing in parallel; 1 = single-threaded engine")
+		"one layout whatever -shards wrote it, resumable at any -shards; older per-shard files upgrade on read)")
+	flag.IntVar(&opt.shards, "shards", runtime.GOMAXPROCS(0), "engine shards ingesting and cubing in parallel; 1 = single-threaded, on the ingest loop's goroutine")
 	flag.StringVar(&opt.listen, "listen", "", "serve the HTTP/JSON query API on this address (e.g. :8080); empty disables")
 	flag.StringVar(&opt.ingestListen, "ingest-listen", "", "accept the record stream on this TCP address instead of stdin "+
 		"(same auto-negotiated text/binary formats; connections are consumed one at a time until a signal)")

@@ -140,39 +140,34 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
-// A checkpoint written at one shard count resumes at another, in both
-// directions across the v1/v2 envelope versions.
+// A checkpoint file does not depend on the shard count that wrote it, and
+// resumes at any other.
 func TestRunCheckpointAcrossShardCounts(t *testing.T) {
 	dir := t.TempDir()
-
-	// v1 (single) → sharded resume.
-	cpPath := filepath.Join(dir, "v1.json")
-	var out bytes.Buffer
-	if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, 1,
-		records("0,0,1", "1,0,2", "2,0,3", "3,0,4", "4,0,5", "5,0,6"), &out); err != nil {
-		t.Fatal(err)
+	six := func() io.Reader { return records("0,0,1", "1,0,2", "2,0,3", "3,0,4", "4,0,5", "5,0,6") }
+	files := make(map[int][]byte)
+	for _, shards := range []int{1, 4} {
+		cpPath := filepath.Join(dir, fmt.Sprintf("shards%d.json", shards))
+		var out bytes.Buffer
+		if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, shards, six(), &out); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(cpPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[shards] = raw
+		// Written at one count, resumed at the other.
+		out.Reset()
+		if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, 5-shards, records("8,0,1", "9,0,2"), &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "# resumed at unit 2") {
+			t.Fatalf("file written at %d shards failed to resume at %d: %q", shards, 5-shards, out.String())
+		}
 	}
-	out.Reset()
-	if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, 4, records("8,0,1", "9,0,2"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "# resumed at unit 2") {
-		t.Fatalf("v1→sharded resume failed: %q", out.String())
-	}
-
-	// v2 (sharded) → single resume.
-	cpPath = filepath.Join(dir, "v2.json")
-	out.Reset()
-	if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, 4,
-		records("0,0,1", "1,0,2", "2,0,3", "3,0,4", "4,0,5", "5,0,6"), &out); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, 1, records("8,0,1", "9,0,2"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "# resumed at unit 2") {
-		t.Fatalf("v2→single resume failed: %q", out.String())
+	if !bytes.Equal(files[1], files[4]) {
+		t.Fatalf("-shards 1 wrote\n%s\n-shards 4 wrote\n%s", files[1], files[4])
 	}
 }
 

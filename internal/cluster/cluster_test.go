@@ -604,6 +604,68 @@ func TestMergeCheckpointsRejectsSkew(t *testing.T) {
 	}
 }
 
+// TestMergeCheckpointsIgnoresNodeWatermarks: WAL-backed nodes stamp the
+// record count of their own logs, so partitions of unequal size carry
+// different watermarks at the same unit; they must merge, and the merged
+// file — which belongs to no log — carries watermark 0.
+func TestMergeCheckpointsIgnoresNodeWatermarks(t *testing.T) {
+	cfg := testConfig(t, testSchema(t))
+	var files []io.Reader
+	for node, records := range []int64{3, 1} {
+		eng, err := stream.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tick := int64(0); tick < records; tick++ {
+			if _, err := eng.Ingest([]int32{int32(node), 0}, tick, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.SetWALSeq(records)
+		var buf bytes.Buffer
+		if err := persist.WriteCheckpoint(&buf, eng.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, &buf)
+	}
+	cp, err := MergeCheckpoints(files)
+	if err != nil {
+		t.Fatalf("nodes at one unit with watermarks 3 and 1 refused to merge: %v", err)
+	}
+	if cp.WALSeq != 0 || len(cp.Cells) != 2 {
+		t.Fatalf("merged checkpoint: watermark %d, %d cells; want 0 and 2", cp.WALSeq, len(cp.Cells))
+	}
+}
+
+// TestMergeCheckpointsRejectsSchemaMismatch: files of different cubes at
+// the same unit must not merge under the first one's schema.
+func TestMergeCheckpointsRejectsSchemaMismatch(t *testing.T) {
+	var files []io.Reader
+	for _, fanout := range []int{2, 3} {
+		ha, _ := cube.NewFanoutHierarchy("A", fanout, 2)
+		hb, _ := cube.NewFanoutHierarchy("B", fanout, 2)
+		schema, err := cube.NewSchema(
+			cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
+			cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := stream.NewEngine(testConfig(t, schema))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := persist.WriteCheckpoint(&buf, eng.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, &buf)
+	}
+	if _, err := MergeCheckpoints(files); err == nil {
+		t.Fatal("fanout-2 and fanout-3 checkpoints merged")
+	}
+}
+
 // discardSink is a no-op dialer for throughput benchmarks: routing and
 // wire encoding run for real, writes vanish.
 type discardSink struct{}

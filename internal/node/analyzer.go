@@ -16,7 +16,6 @@ import (
 	"repro/internal/persist"
 	"repro/internal/stream"
 	"repro/internal/tilt"
-	"repro/internal/wire"
 )
 
 // EngineConfig is the analyzer-construction half of the runtime config:
@@ -36,32 +35,31 @@ type EngineConfig struct {
 	// Tilt is the tilted-history chain spec (streamd -tilt syntax); empty
 	// keeps the flat per-o-cell history.
 	Tilt string
-	// Shards > 1 hash-partitions the engine; 1 runs the single-threaded
-	// engine.
+	// Shards hash-partitions the engine across that many goroutines; 1
+	// runs it single-threaded on the caller's.
 	Shards int
 	// PublishSnapshots turns on per-unit snapshot publication (required
 	// by the query API and the alert lifecycle).
 	PublishSnapshots bool
 }
 
-// Analyzer wraps the single or sharded engine behind one surface, with
-// the checkpoint and WAL-watermark plumbing the two flavors expose
-// differently. Like the engines themselves, its methods are
-// coordinator-confined except Snapshot, Subscribe, and BusDropped.
+// Analyzer is the node's engine: a stream.ShardedEngine — the one engine
+// the runtime constructs, at every shard count; with -shards 1 it runs on
+// the caller's goroutine — plus the schema it was built for and the two
+// methods that put a persist envelope around its checkpoint. Its methods
+// are coordinator-confined except Snapshot, Subscribe, and BusDropped.
 type Analyzer struct {
+	*stream.ShardedEngine
 	// Schema is the parsed cube schema.
 	Schema *cube.Schema
 	// Dims is the schema's dimension count.
 	Dims int
-	// Shards is the effective shard count (1 = single engine).
+	// Shards is the shard count.
 	Shards int
-
-	single  *stream.Engine
-	sharded *stream.ShardedEngine
 }
 
 // Build parses the spec and constructs the engine. Callers must Close the
-// analyzer (a no-op for the single engine) when done.
+// analyzer when done.
 func (c EngineConfig) Build() (*Analyzer, error) {
 	spec, err := gen.ParseSpec(c.Spec + "T1") // reuse the D/L/C parser
 	if err != nil {
@@ -84,154 +82,36 @@ func (c EngineConfig) Build() (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad -tilt: %w", err)
 	}
-	cfg := stream.Config{
+	eng, err := stream.NewShardedEngine(stream.Config{
 		Schema:           schema,
 		TicksPerUnit:     c.TicksPerUnit,
 		Threshold:        exception.Global(c.Threshold),
 		Algorithm:        alg,
 		TiltLevels:       tiltLevels,
 		PublishSnapshots: c.PublishSnapshots,
+	}, c.Shards)
+	if err != nil {
+		return nil, err
 	}
-	a := &Analyzer{Schema: schema, Dims: spec.Dims, Shards: c.Shards}
-	if c.Shards > 1 {
-		if a.sharded, err = stream.NewShardedEngine(cfg, c.Shards); err != nil {
-			return nil, err
-		}
-	} else {
-		if a.single, err = stream.NewEngine(cfg); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
-}
-
-// Ingest consumes one record (WAL replay walks the row-oriented log with
-// it; live ingest uses IngestBatch).
-func (a *Analyzer) Ingest(members []int32, tick int64, value float64) ([]*stream.UnitResult, error) {
-	if a.sharded != nil {
-		return a.sharded.Ingest(members, tick, value)
-	}
-	return a.single.Ingest(members, tick, value)
-}
-
-// IngestBatch consumes one columnar record batch.
-func (a *Analyzer) IngestBatch(b *wire.Batch) ([]*stream.UnitResult, error) {
-	if a.sharded != nil {
-		return a.sharded.IngestBatch(b)
-	}
-	return a.single.IngestBatch(b)
-}
-
-// AdvanceTo applies a router unit-boundary barrier: close every unit
-// before the target even without records for them.
-func (a *Analyzer) AdvanceTo(unit int64) ([]*stream.UnitResult, error) {
-	if a.sharded != nil {
-		return a.sharded.AdvanceTo(unit)
-	}
-	return a.single.AdvanceTo(unit)
-}
-
-// Flush closes the open unit and returns its result.
-func (a *Analyzer) Flush() (*stream.UnitResult, error) {
-	if a.sharded != nil {
-		return a.sharded.Flush()
-	}
-	return a.single.Flush()
-}
-
-// Unit returns the index of the open unit.
-func (a *Analyzer) Unit() int64 {
-	if a.sharded != nil {
-		return a.sharded.Unit()
-	}
-	return a.single.Unit()
-}
-
-// UnitsDone returns how many units have closed.
-func (a *Analyzer) UnitsDone() int64 {
-	if a.sharded != nil {
-		return a.sharded.UnitsDone()
-	}
-	return a.single.UnitsDone()
-}
-
-// Snapshot returns the latest published unit view (safe from any
-// goroutine).
-func (a *Analyzer) Snapshot() *stream.Snapshot {
-	if a.sharded != nil {
-		return a.sharded.Snapshot()
-	}
-	return a.single.Snapshot()
-}
-
-// Subscribe registers a consumer on the engine's snapshot bus (safe from
-// any goroutine; see stream.Engine.Subscribe for delivery semantics).
-func (a *Analyzer) Subscribe(buf int) *stream.Subscription {
-	if a.sharded != nil {
-		return a.sharded.Subscribe(buf)
-	}
-	return a.single.Subscribe(buf)
-}
-
-// BusDropped returns the snapshot bus's shed counter (safe from any
-// goroutine).
-func (a *Analyzer) BusDropped() int64 {
-	if a.sharded != nil {
-		return a.sharded.BusDropped()
-	}
-	return a.single.BusDropped()
+	return &Analyzer{ShardedEngine: eng, Schema: schema, Dims: spec.Dims, Shards: c.Shards}, nil
 }
 
 // LoadCheckpoint restores engine state from a checkpoint stream; any
 // persisted version loads at any shard count.
 func (a *Analyzer) LoadCheckpoint(r io.Reader) error {
-	if a.sharded != nil {
-		scp, err := persist.ReadShardedCheckpoint(r)
-		if err != nil {
-			return err
-		}
-		return a.sharded.Restore(scp)
-	}
 	cp, err := persist.ReadCheckpoint(r)
 	if err != nil {
 		return err
 	}
-	return a.single.Restore(cp)
+	return a.Restore(cp)
 }
 
-// WriteCheckpoint exports engine state in the flavor's native version.
+// WriteCheckpoint exports engine state; the bytes depend on the stream
+// position alone, not on the shard count.
 func (a *Analyzer) WriteCheckpoint(w io.Writer) error {
-	if a.sharded != nil {
-		scp, err := a.sharded.Checkpoint()
-		if err != nil {
-			return err
-		}
-		return persist.WriteShardedCheckpoint(w, scp)
+	cp, err := a.Checkpoint()
+	if err != nil {
+		return err
 	}
-	return persist.WriteCheckpoint(w, a.single.Checkpoint())
-}
-
-// SetWALSeq stamps the WAL watermark on the engine.
-func (a *Analyzer) SetWALSeq(seq int64) error {
-	if a.sharded != nil {
-		return a.sharded.SetWALSeq(seq)
-	}
-	a.single.SetWALSeq(seq)
-	return nil
-}
-
-// WALSeq reads the engine's WAL watermark.
-func (a *Analyzer) WALSeq() (int64, error) {
-	if a.sharded != nil {
-		return a.sharded.WALSeq()
-	}
-	return a.single.WALSeq(), nil
-}
-
-// Close stops shard goroutines; a no-op for the single engine.
-// Idempotent.
-func (a *Analyzer) Close() {
-	if a.sharded != nil {
-		a.sharded.Close()
-	}
+	return persist.WriteCheckpoint(w, cp)
 }

@@ -375,10 +375,11 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 	freeBatches := make(chan *wire.Batch, 16)
 	readErr := make(chan error, 1)
 	getBatch := func() *wire.Batch {
-		b := &wire.Batch{}
+		var b *wire.Batch
 		select {
 		case b = <-freeBatches:
 		default:
+			b = &wire.Batch{}
 		}
 		b.Reset(a.Dims)
 		return b

@@ -22,19 +22,20 @@ var ErrFormat = errors.New("persist: invalid format")
 // formatVersion guards against silent cross-version decoding.
 const formatVersion = 1
 
-// Checkpoint envelope versions. Version 1 wraps one single-engine
-// checkpoint; version 2 wraps one checkpoint per shard of a
-// stream.ShardedEngine; version 3 is either layout carrying tilted
-// per-o-cell frames (stream.Checkpoint.Tilt) alongside the flat history.
-// Readers accept all three: a v1 file loads into a sharded engine as a
-// one-shard set (repartitioned on restore), a v2 file loads into a single
-// engine by merging its disjoint shards, and a v3 file loads into flat
-// engines through its derived history — stream.Engine.Restore reseeds
-// frames from pre-tilt files going the other way.
+// Checkpoint envelope versions. One layout is written: the canonical
+// stream.Checkpoint — the same bytes from a stream.Engine and from a
+// stream.ShardedEngine at any shard count — under version 1, or version 3
+// when it carries tilted per-o-cell frames (stream.Checkpoint.Tilt)
+// alongside the flat history. Older releases wrote sharded engines as one
+// checkpoint per shard (version 2, or version 3 with a "shards" array);
+// ReadCheckpoint upgrades those files by merging the shards. A version 3
+// file loads into flat engines through its derived history, and
+// stream.Engine.Restore reseeds frames from pre-tilt files going the
+// other way.
 const (
-	checkpointVersionSingle  = 1
-	checkpointVersionSharded = 2
-	checkpointVersionTilted  = 3
+	checkpointVersionFlat     = 1
+	checkpointVersionPerShard = 2 // read only
+	checkpointVersionTilted   = 3
 )
 
 // cellRec flattens one (cell, measure) pair.
@@ -132,123 +133,68 @@ func ReadResult(r io.Reader, schema *cube.Schema) (*core.Result, error) {
 	return res, nil
 }
 
-// checkpointDoc wraps a stream checkpoint with versioning. Exactly one of
-// Checkpoint (single-engine layout) and Shards (per-shard layout) is set.
+// checkpointDoc wraps a stream checkpoint with versioning. Shards is the
+// per-shard layout of older releases, never written.
 type checkpointDoc struct {
 	Version    int                  `json:"version"`
 	Checkpoint *stream.Checkpoint   `json:"checkpoint,omitempty"`
 	Shards     []*stream.Checkpoint `json:"shards,omitempty"`
 }
 
-func decodeCheckpointDoc(r io.Reader) (*checkpointDoc, error) {
-	var doc checkpointDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	// Every version carries exactly one layout; a file with both (or
-	// neither) is ambiguous, and readers must not silently pick one —
-	// choosing the stray single checkpoint over a shard set would drop
-	// state.
-	if (doc.Checkpoint == nil) == (len(doc.Shards) == 0) {
-		return nil, fmt.Errorf("%w: checkpoint needs exactly one of checkpoint/shards", ErrFormat)
-	}
-	switch doc.Version {
-	case checkpointVersionSingle:
-		if doc.Checkpoint == nil {
-			return nil, fmt.Errorf("%w: version 1 without a single checkpoint", ErrFormat)
-		}
-	case checkpointVersionSharded:
-		if err := doc.validShards(); err != nil {
-			return nil, err
-		}
-	case checkpointVersionTilted:
-		// v3 is v1- or v2-shaped with frames attached.
-		if doc.Checkpoint == nil {
-			if err := doc.validShards(); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, fmt.Errorf("%w: version %d, want %d, %d or %d", ErrFormat,
-			doc.Version, checkpointVersionSingle, checkpointVersionSharded, checkpointVersionTilted)
-	}
-	return &doc, nil
-}
-
-func (doc *checkpointDoc) validShards() error {
-	if len(doc.Shards) == 0 {
-		return fmt.Errorf("%w: sharded checkpoint with no shards", ErrFormat)
-	}
-	for i, cp := range doc.Shards {
-		if cp == nil {
-			return fmt.Errorf("%w: nil shard checkpoint %d", ErrFormat, i)
-		}
-	}
-	return nil
-}
-
-// WriteCheckpoint serializes a single-engine checkpoint: version 1, or
-// version 3 when the engine carries tilted frames.
+// WriteCheckpoint serializes an engine checkpoint: version 1, or version
+// 3 when the engine carries tilted frames.
 func WriteCheckpoint(w io.Writer, cp *stream.Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("%w: nil checkpoint", ErrFormat)
 	}
-	version := checkpointVersionSingle
+	version := checkpointVersionFlat
 	if len(cp.Tilt) > 0 {
 		version = checkpointVersionTilted
 	}
 	return json.NewEncoder(w).Encode(checkpointDoc{Version: version, Checkpoint: cp})
 }
 
-// ReadCheckpoint deserializes a checkpoint for a single engine. Sharded
-// files (v2, or v3 in the sharded layout) are accepted too: their disjoint
-// shards merge into one equivalent single-engine checkpoint, so
-// shard-count changes between runs — including back to 1 — never strand a
-// state file.
+// ReadCheckpoint deserializes a checkpoint of any version into the
+// canonical form, which restores into an engine of any shard count. It is
+// the one upgrade path for per-shard files: their disjoint shards merge
+// (stream.MergeCheckpoints, which also checks that the shards were cut at
+// one stream position) into the checkpoint a current writer would have
+// produced, so shard-count changes between runs never strand a state
+// file.
 func ReadCheckpoint(r io.Reader) (*stream.Checkpoint, error) {
-	doc, err := decodeCheckpointDoc(r)
-	if err != nil {
-		return nil, err
+	var doc checkpointDoc
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	if doc.Checkpoint != nil {
+	// Every version carries exactly one layout; a file with both (or
+	// neither) is ambiguous, and the reader must not silently pick one —
+	// choosing the stray single checkpoint over a shard set would drop
+	// state.
+	perShard := len(doc.Shards) > 0
+	if (doc.Checkpoint != nil) == perShard {
+		return nil, fmt.Errorf("%w: checkpoint needs exactly one of checkpoint/shards", ErrFormat)
+	}
+	switch doc.Version {
+	case checkpointVersionFlat:
+		if perShard {
+			return nil, fmt.Errorf("%w: version 1 without a single checkpoint", ErrFormat)
+		}
+	case checkpointVersionPerShard:
+		if !perShard {
+			return nil, fmt.Errorf("%w: version 2 without shards", ErrFormat)
+		}
+	case checkpointVersionTilted:
+		// v3 is v1- or v2-shaped with frames attached.
+	default:
+		return nil, fmt.Errorf("%w: version %d, want %d, %d or %d", ErrFormat,
+			doc.Version, checkpointVersionFlat, checkpointVersionPerShard, checkpointVersionTilted)
+	}
+	if !perShard {
 		return doc.Checkpoint, nil
 	}
-	cp, err := (&stream.ShardedCheckpoint{Shards: doc.Shards}).Merge()
+	cp, err := stream.MergeCheckpoints(doc.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	return cp, nil
-}
-
-// WriteShardedCheckpoint serializes a sharded-engine checkpoint: version
-// 2, or version 3 when any shard carries tilted frames.
-func WriteShardedCheckpoint(w io.Writer, scp *stream.ShardedCheckpoint) error {
-	if scp == nil || len(scp.Shards) == 0 {
-		return fmt.Errorf("%w: empty sharded checkpoint", ErrFormat)
-	}
-	version := checkpointVersionSharded
-	for i, cp := range scp.Shards {
-		if cp == nil {
-			return fmt.Errorf("%w: nil shard checkpoint %d", ErrFormat, i)
-		}
-		if len(cp.Tilt) > 0 {
-			version = checkpointVersionTilted
-		}
-	}
-	return json.NewEncoder(w).Encode(checkpointDoc{Version: version, Shards: scp.Shards})
-}
-
-// ReadShardedCheckpoint deserializes a checkpoint for a sharded engine.
-// Single-engine files (v1, or v3 in the single layout) are accepted as a
-// one-shard set; ShardedEngine.Restore repartitions either form across
-// its shards.
-func ReadShardedCheckpoint(r io.Reader) (*stream.ShardedCheckpoint, error) {
-	doc, err := decodeCheckpointDoc(r)
-	if err != nil {
-		return nil, err
-	}
-	if doc.Checkpoint != nil {
-		return &stream.ShardedCheckpoint{Shards: []*stream.Checkpoint{doc.Checkpoint}}, nil
-	}
-	return &stream.ShardedCheckpoint{Shards: doc.Shards}, nil
 }

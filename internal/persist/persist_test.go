@@ -2,6 +2,8 @@ package persist
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -204,111 +206,84 @@ func TestReadCheckpointErrors(t *testing.T) {
 	if _, err := ReadCheckpoint(strings.NewReader(`{"version":2,"shards":[null]}`)); err == nil {
 		t.Fatal("expected nil-shard error")
 	}
-	if _, err := ReadShardedCheckpoint(strings.NewReader(`{"version":9}`)); err == nil {
-		t.Fatal("expected version error")
-	}
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, nil); err == nil {
 		t.Fatal("expected nil-checkpoint write error")
 	}
-	if err := WriteShardedCheckpoint(&buf, nil); err == nil {
-		t.Fatal("expected nil-sharded-checkpoint write error")
-	}
-	if err := WriteShardedCheckpoint(&buf, &stream.ShardedCheckpoint{}); err == nil {
-		t.Fatal("expected empty-sharded-checkpoint write error")
-	}
 }
 
-// shardedEngine builds a 3-shard analyzer over the persist test schema.
-func shardedEngine(t *testing.T, schema *cube.Schema) *stream.ShardedEngine {
-	t.Helper()
-	e, err := stream.NewShardedEngine(stream.Config{
-		Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(0.5),
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	return e
-}
-
-// A v2 envelope round-trips through a sharded engine, and the same file
-// loads into a single engine via ReadCheckpoint's merge path.
+// The per-shard files older releases wrote for sharded engines (version
+// 2, and version 3 with a "shards" array; the fixtures were written by the
+// last release that had a per-shard writer, from 3 shards at tick 14 with
+// watermark 56) upgrade on read: ReadCheckpoint merges them into the very
+// bytes of their single-layout twins — which are also what an engine fed
+// the same records writes today — and the result restores at any shard
+// count.
 func TestShardedCheckpointCrossVersion(t *testing.T) {
-	single, schema := streamEngine(t)
-	sharded := shardedEngine(t, schema)
-	for tk := int64(0); tk < 6; tk++ {
-		for m := int32(0); m < 4; m++ {
-			if _, err := single.Ingest([]int32{m}, tk, float64(tk)*float64(m+1)); err != nil {
+	tiltCfg, schema := tiltedStreamConfig(t)
+	flatCfg := stream.Config{Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(0.5)}
+	for _, c := range []struct {
+		perShard, twin string
+		cfg            stream.Config
+	}{
+		{"v2_sharded.json", "v1_single.json", flatCfg},
+		{"v3_sharded_tilt.json", "v3_single_tilt.json", tiltCfg},
+	} {
+		legacy, err := os.ReadFile(filepath.Join("testdata", c.perShard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := os.ReadFile(filepath.Join("testdata", c.twin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := ReadCheckpoint(bytes.NewReader(legacy))
+		if err != nil {
+			t.Fatalf("%s: %v", c.perShard, err)
+		}
+		var upgraded bytes.Buffer
+		if err := WriteCheckpoint(&upgraded, cp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(upgraded.Bytes(), twin) {
+			t.Fatalf("%s upgrades to\n%s\nwant its twin %s\n%s", c.perShard, upgraded.Bytes(), c.twin, twin)
+		}
+
+		eng, err := stream.NewEngine(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedUnits(t, eng.Ingest, 0, 14)
+		eng.SetWALSeq(56)
+		var fresh bytes.Buffer
+		if err := WriteCheckpoint(&fresh, eng.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fresh.Bytes(), twin) {
+			t.Fatalf("an engine no longer writes the bytes of %s:\n%s", c.twin, fresh.Bytes())
+		}
+
+		for _, shards := range []int{1, 2, 5} {
+			dst, err := stream.NewShardedEngine(c.cfg, shards)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sharded.Ingest([]int32{m}, tk, float64(tk)*float64(m+1)); err != nil {
+			defer dst.Close()
+			if err := dst.Restore(cp); err != nil {
+				t.Fatalf("%s into %d shards: %v", c.perShard, shards, err)
+			}
+			back, err := dst.Checkpoint()
+			if err != nil {
 				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := WriteCheckpoint(&buf, back); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), twin) {
+				t.Fatalf("%s restored into %d shards checkpoints differently from %s", c.perShard, shards, c.twin)
 			}
 		}
-	}
-
-	// v2 file → sharded engine (round trip) and single engine (merge).
-	scp, err := sharded.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := WriteShardedCheckpoint(&v2, scp); err != nil {
-		t.Fatal(err)
-	}
-	gotSharded, err := ReadShardedCheckpoint(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := shardedEngine(t, schema)
-	if err := restored.Restore(gotSharded); err != nil {
-		t.Fatal(err)
-	}
-	gotSingle, err := ReadCheckpoint(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := stream.NewEngine(stream.Config{
-		Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(0.5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Restore(gotSingle); err != nil {
-		t.Fatal(err)
-	}
-	cells, err := restored.ActiveCells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cells != plain.ActiveCells() || restored.Unit() != plain.Unit() {
-		t.Fatalf("cross-version restore differs: %d/%d cells, units %d/%d",
-			cells, plain.ActiveCells(), restored.Unit(), plain.Unit())
-	}
-
-	// v1 file → sharded engine (one-shard set, repartitioned on restore).
-	var v1 bytes.Buffer
-	if err := WriteCheckpoint(&v1, single.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	upgraded, err := ReadShardedCheckpoint(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(upgraded.Shards) != 1 {
-		t.Fatalf("v1 file read as %d shards, want 1", len(upgraded.Shards))
-	}
-	fromV1 := shardedEngine(t, schema)
-	if err := fromV1.Restore(upgraded); err != nil {
-		t.Fatal(err)
-	}
-	cells, err = fromV1.ActiveCells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cells != single.ActiveCells() {
-		t.Fatalf("v1→sharded restore: %d cells, want %d", cells, single.ActiveCells())
 	}
 }
 

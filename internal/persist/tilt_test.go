@@ -3,6 +3,8 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -40,7 +42,7 @@ func feedUnits(t *testing.T, ing func([]int32, int64, float64) ([]*stream.UnitRe
 }
 
 // TestTiltedCheckpointWritesV3 asserts the envelope version switches to 3
-// exactly when frames are present, for both writer entry points.
+// exactly when frames are present, whichever engine cut the checkpoint.
 func TestTiltedCheckpointWritesV3(t *testing.T) {
 	cfg, _ := tiltedStreamConfig(t)
 	eng, err := stream.NewEngine(cfg)
@@ -48,21 +50,6 @@ func TestTiltedCheckpointWritesV3(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedUnits(t, eng.Ingest, 0, 10)
-
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, eng.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Version != 3 {
-		t.Fatalf("tilted single checkpoint version %d, want 3", doc.Version)
-	}
-
 	seng, err := stream.NewShardedEngine(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -73,125 +60,173 @@ func TestTiltedCheckpointWritesV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := WriteShardedCheckpoint(&buf, scp); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Version != 3 {
-		t.Fatalf("tilted sharded checkpoint version %d, want 3", doc.Version)
-	}
-}
-
-// TestV3CrossLoads loads a v3 single file into a sharded engine, a v3
-// sharded file into a single engine, and both into flat engines — the
-// full compatibility matrix row for version 3.
-func TestV3CrossLoads(t *testing.T) {
-	cfg, schema := tiltedStreamConfig(t)
-	single, err := stream.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedUnits(t, single.Ingest, 0, 14)
-	var singleFile bytes.Buffer
-	if err := WriteCheckpoint(&singleFile, single.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-
-	sharded, err := stream.NewShardedEngine(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	feedUnits(t, sharded.Ingest, 0, 14)
-	scp, err := sharded.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shardedFile bytes.Buffer
-	if err := WriteShardedCheckpoint(&shardedFile, scp); err != nil {
-		t.Fatal(err)
-	}
-
-	// v3 single → sharded engine.
-	intoSharded, err := stream.NewShardedEngine(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer intoSharded.Close()
-	rescp, err := ReadShardedCheckpoint(bytes.NewReader(singleFile.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := intoSharded.Restore(rescp); err != nil {
-		t.Fatal(err)
-	}
-
-	// v3 sharded → single engine (shards merge, frames concatenate).
-	intoSingle, err := stream.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpoint(bytes.NewReader(shardedFile.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := intoSingle.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-
-	// v3 → flat engine: the derived history loads; frames are ignored.
-	flat, err := stream.NewEngine(stream.Config{
-		Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(0.5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := ReadCheckpoint(bytes.NewReader(singleFile.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.Restore(cp2); err != nil {
-		t.Fatal(err)
-	}
-	ocell := cube.NewCellKey(cube.MustCuboid(1), 0)
-	if flat.HistoryLen(ocell) == 0 {
-		t.Fatal("flat engine restored no history from the v3 file")
+	for name, cp := range map[string]*stream.Checkpoint{"engine": eng.Checkpoint(), "sharded": scp} {
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, cp); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Version int `json:"version"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Version != 3 {
+			t.Fatalf("tilted %s checkpoint version %d, want 3", name, doc.Version)
+		}
 	}
 }
 
-// TestV2LoadsIntoTiltedEngine is the forward-compat half of the
-// acceptance criterion: a checkpoint written before this PR (v1/v2, no
-// frames) restores into a v3-capable, tilt-configured engine.
+type streamRec struct {
+	members []int32
+	tick    int64
+	value   float64
+}
+
+// seededStream is a deterministic random stream over a 9×9 m-layer (3×3
+// o-layer, so up to 9 shards own cells): per unit a random subset of cells
+// reports at a random subset of ticks; unit 2 is silent.
+func seededStream(seed int64, units, ticksPer int) (recs []streamRec) {
+	r := rand.New(rand.NewSource(seed))
+	for u := 0; u < units; u++ {
+		if u == 2 {
+			continue
+		}
+		var active [9][9]bool
+		for a := range active {
+			for b := range active[a] {
+				active[a][b] = r.Float64() < 0.5
+			}
+		}
+		for i := 0; i < ticksPer; i++ {
+			for a := range active {
+				for b := range active[a] {
+					if active[a][b] && r.Float64() < 0.7 {
+						recs = append(recs, streamRec{[]int32{int32(a), int32(b)}, int64(u*ticksPer + i), r.NormFloat64() * 5})
+					}
+				}
+			}
+		}
+	}
+	return recs
+}
+
+// TestCheckpointOneLayoutAcrossShardCounts is the one-layout property:
+// the same seeded stream cut mid-unit serializes to byte-identical files
+// from a plain engine and from sharded engines at 1, 4 and 7 shards, flat
+// and tilted; and each file loads into every shard count and continues to
+// the same final state, bit for bit, as the uninterrupted plain engine.
+func TestCheckpointOneLayoutAcrossShardCounts(t *testing.T) {
+	ha, _ := cube.NewFanoutHierarchy("A", 3, 2)
+	hb, _ := cube.NewFanoutHierarchy("B", 3, 2)
+	schema, err := cube.NewSchema(
+		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
+		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := stream.Config{Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(1)}
+	tilted := flat
+	tilted.TiltLevels = []tilt.Level{{Name: "q", Multiple: 1, Slots: 3}, {Name: "h", Multiple: 3, Slots: 2}}
+
+	recs := seededStream(17, 7, 4)
+	cut := len(recs) / 2
+	for recs[cut].tick%4 == 0 { // not on a unit's first tick: the cut is mid-unit
+		cut++
+	}
+	type ingester interface {
+		Ingest(members []int32, tick int64, value float64) ([]*stream.UnitResult, error)
+	}
+	feed := func(e ingester, from, to int) {
+		t.Helper()
+		for _, r := range recs[from:to] {
+			if _, err := e.Ingest(r.members, r.tick, r.value); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	file := func(cp *stream.Checkpoint, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, cp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	shardCounts := []int{1, 4, 7}
+
+	for name, cfg := range map[string]stream.Config{"flat": flat, "tilted": tilted} {
+		ref, err := stream.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(ref, 0, cut)
+		wantCut := file(ref.Checkpoint(), nil)
+		feed(ref, cut, len(recs))
+		if _, err := ref.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wantFinal := file(ref.Checkpoint(), nil)
+
+		for _, src := range shardCounts {
+			e, err := stream.NewShardedEngine(cfg, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			feed(e, 0, cut)
+			gotCut := file(e.Checkpoint())
+			if !bytes.Equal(gotCut, wantCut) {
+				t.Fatalf("%s: file cut at %d shards differs from the plain engine's\n got %s\nwant %s",
+					name, src, gotCut, wantCut)
+			}
+			for _, dst := range shardCounts {
+				cp, err := ReadCheckpoint(bytes.NewReader(gotCut))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := stream.NewShardedEngine(cfg, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				if err := d.Restore(cp); err != nil {
+					t.Fatalf("%s: %d-shard file into %d shards: %v", name, src, dst, err)
+				}
+				feed(d, cut, len(recs))
+				if _, err := d.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if got := file(d.Checkpoint()); !bytes.Equal(got, wantFinal) {
+					t.Fatalf("%s: %d-shard file resumed at %d shards ends in a different state", name, src, dst)
+				}
+			}
+		}
+	}
+}
+
+// TestV2LoadsIntoTiltedEngine is the forward-compat direction: a pre-tilt
+// per-shard file (the version 2 fixture: 3 flat shards at tick 14)
+// restores into a tilt-configured engine by reseeding its frames.
 func TestV2LoadsIntoTiltedEngine(t *testing.T) {
-	cfg, schema := tiltedStreamConfig(t)
-	flatSharded, err := stream.NewShardedEngine(stream.Config{
-		Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(0.5),
-	}, 3)
+	cfg, _ := tiltedStreamConfig(t)
+	v2File, err := os.ReadFile("testdata/v2_sharded.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer flatSharded.Close()
-	feedUnits(t, flatSharded.Ingest, 0, 14)
-	scp, err := flatSharded.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2File bytes.Buffer
-	if err := WriteShardedCheckpoint(&v2File, scp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(v2File.String(), `"version":2`) {
-		t.Fatalf("flat sharded file is not v2: %.80s", v2File.String())
+	if !strings.Contains(string(v2File), `"version":2`) {
+		t.Fatalf("fixture is not v2: %.80s", v2File)
 	}
 
 	tilted, err := stream.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := ReadCheckpoint(bytes.NewReader(v2File.Bytes()))
+	cp, err := ReadCheckpoint(bytes.NewReader(v2File))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +241,7 @@ func TestV2LoadsIntoTiltedEngine(t *testing.T) {
 	}
 }
 
-// TestV3EnvelopeValidation rejects malformed v3 documents.
+// TestV3EnvelopeValidation rejects malformed envelopes of every version.
 func TestV3EnvelopeValidation(t *testing.T) {
 	bad := []string{
 		`{"version":3}`,
@@ -223,9 +258,6 @@ func TestV3EnvelopeValidation(t *testing.T) {
 	for i, doc := range bad {
 		if _, err := ReadCheckpoint(strings.NewReader(doc)); err == nil {
 			t.Fatalf("case %d restored silently: %s", i, doc)
-		}
-		if _, err := ReadShardedCheckpoint(strings.NewReader(doc)); err == nil {
-			t.Fatalf("case %d (sharded reader) restored silently: %s", i, doc)
 		}
 	}
 }

@@ -64,16 +64,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Source supplies published engine snapshots. *stream.Engine and
-// *stream.ShardedEngine (with Config.PublishSnapshots set) both implement
-// it; Snapshot must be safe for concurrent use.
+// Source supplies published engine snapshots. The node passes its
+// node.Analyzer (a *stream.ShardedEngine with Config.PublishSnapshots set,
+// at any shard count); *stream.Engine and the coordinator's gatherer
+// implement it too. Snapshot must be safe for concurrent use.
 type Source interface {
 	Snapshot() *stream.Snapshot
 }
 
 // subscriber is the optional Source extension GET /v1/snapshot?wait= parks
-// on: both engines and node.Analyzer have it; a Source without it (the
-// coordinator's gatherer) answers a wait at once.
+// on: the engines have it (node.Analyzer through the one it embeds); a
+// Source without it (the coordinator's gatherer) answers a wait at once.
 type subscriber interface {
 	Subscribe(buf int) *stream.Subscription
 }

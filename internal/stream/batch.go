@@ -132,7 +132,9 @@ func (e *Engine) ingestRun(b *wire.Batch, lo, hi int) error {
 //
 // Validation is batch-level: a segment with an out-of-range member or a
 // tick before the open unit fails before any of the segment's records are
-// routed (records of earlier segments, and units they closed, stand).
+// routed (records of earlier segments, and units they closed, stand). The
+// sole shard of a one-shard engine ingests each segment in place instead,
+// with Engine.IngestBatch's record-level semantics.
 func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 	if err := s.ready(); err != nil {
 		return nil, err
@@ -161,7 +163,13 @@ func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 		for end < n && b.Ticks[end] >= openStart && b.Ticks[end] < s.openEnd {
 			end++
 		}
-		if err := s.routeSegment(b, start, end); err != nil {
+		var err error
+		if sh := s.sole(); sh != nil {
+			err = sh.ingestRun(b, start, end)
+		} else {
+			err = s.routeSegment(b, start, end)
+		}
+		if err != nil {
 			return closed, err
 		}
 		start = end
@@ -240,7 +248,7 @@ func (s *ShardedEngine) routeSegment(b *wire.Batch, lo, hi int) error {
 	}
 	for sid, p := range s.pending {
 		if p != nil && p.Len() >= ingestBatchSize {
-			s.shards[sid].in <- shardMsg{batch: p}
+			s.shards[sid].send(shardMsg{batch: p})
 			s.pending[sid] = nil
 		}
 	}

@@ -160,6 +160,50 @@ func (cp *Checkpoint) normalize() {
 	})
 }
 
+// MergeCheckpoints flattens the checkpoints of disjoint partitions of one
+// stream, cut at the same stream position — the shards of a ShardedEngine,
+// the shard set of a pre-canonical per-shard file, the nodes of a cluster —
+// into the one canonical Checkpoint: what a single Engine fed the whole
+// stream would export, byte for byte once serialized. Partitions hold
+// disjoint cells and history, so concatenation is lossless and normalize
+// makes the order independent of the partition count. Every part must
+// agree on the unit counters, the schema shape and the WAL watermark — a
+// whole-log position stamped identically on every shard, so disagreement
+// means the parts were cut at different points in the stream. (Parts that
+// follow separate logs — cluster nodes — are merged with the watermark
+// cleared; see cluster.MergeCheckpoints.)
+func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("%w: no checkpoints to merge", ErrConfig)
+	}
+	first := parts[0]
+	for i, cp := range parts {
+		if cp == nil {
+			return nil, fmt.Errorf("%w: nil checkpoint part %d", ErrConfig, i)
+		}
+		if cp.Unit != first.Unit || cp.UnitsDone != first.UnitsDone {
+			return nil, fmt.Errorf("%w: part %d at unit %d/%d, part 0 at %d/%d",
+				ErrConfig, i, cp.Unit, cp.UnitsDone, first.Unit, first.UnitsDone)
+		}
+		if cp.WALSeq != first.WALSeq {
+			return nil, fmt.Errorf("%w: part %d at WAL watermark %d, part 0 at %d",
+				ErrConfig, i, cp.WALSeq, first.WALSeq)
+		}
+		if !slices.Equal(cp.Schema, first.Schema) {
+			return nil, fmt.Errorf("%w: part %d schema shape %+v differs from part 0 %+v",
+				ErrConfig, i, cp.Schema, first.Schema)
+		}
+	}
+	out := &Checkpoint{Unit: first.Unit, UnitsDone: first.UnitsDone, WALSeq: first.WALSeq, Schema: first.Schema}
+	for _, cp := range parts {
+		out.Cells = append(out.Cells, cp.Cells...)
+		out.History = append(out.History, cp.History...)
+		out.Tilt = append(out.Tilt, cp.Tilt...)
+	}
+	out.normalize()
+	return out, nil
+}
+
 // cellKeyRec flattens a cell key into the checkpoint coordinate form.
 func cellKeyRec(key cube.CellKey) CellHistory {
 	ch := CellHistory{}

@@ -152,9 +152,12 @@ type historyEntry struct {
 	isb  regression.ISB
 }
 
-// Engine is the online analyzer. Not safe for concurrent use; wrap it in
-// SafeEngine or confine it to one goroutine (share memory by
-// communicating).
+// Engine is the online analyzer over one partition of the stream: the
+// worker behind every shard of a ShardedEngine (which is what the runtime
+// constructs, at every shard count), and — used directly, over the whole
+// stream — the reference the sharded == single property tests and the
+// benchmark oracle compare against. Not safe for concurrent use; confine
+// it to one goroutine (share memory by communicating).
 type Engine struct {
 	cfg Config
 	// anc resolves roll-ups to the o-layer when a closed unit's supporter

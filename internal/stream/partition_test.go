@@ -90,7 +90,7 @@ func TestPartitionerMatchesShardedEngine(t *testing.T) {
 	}
 	for a := int32(0); a < 4; a++ {
 		for c := int32(0); c < 4; c++ {
-			got, err := s.shardOf([]int32{a, c})
+			got, err := s.part.Route([]int32{a, c})
 			if err != nil {
 				t.Fatal(err)
 			}

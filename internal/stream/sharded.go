@@ -42,10 +42,20 @@ type shardMsg struct {
 	reset bool
 }
 
-// shard is the coordinator's handle on one shard goroutine.
+// shard is the coordinator's handle on one partition's Engine. With
+// several shards each engine is confined to its own goroutine behind in;
+// the sole shard of a one-shard engine has no goroutine (in and done are
+// nil) and send handles its messages on the caller's. Only this transport
+// differs between shard counts.
 type shard struct {
-	in   chan shardMsg
-	done chan struct{}
+	eng *Engine
+	// sticky is the first record error; it fails every later message
+	// until Restore replaces the state it poisoned.
+	sticky error
+	in     chan shardMsg
+	done   chan struct{}
+	// free returns drained sub-batches to the coordinator.
+	free chan *wire.Batch
 }
 
 // ShardedEngine partitions the online analyzer (§4.5) across N independent
@@ -75,6 +85,13 @@ type shard struct {
 // reported at the next unit boundary, query, or Flush rather than on the
 // Ingest call that enqueued the bad record; the first error sticks and
 // fails all subsequent calls.
+//
+// With one shard there is nothing to scatter: records skip routing and
+// reach the shard's Engine on the caller's goroutine, so the engine is
+// single-threaded, a record error comes back from the very Ingest or
+// IngestBatch call that carried the record (and sticks all the same), and
+// out-of-range members are rejected when their unit closes, as Engine
+// does, rather than by the router.
 type ShardedEngine struct {
 	cfg    Config
 	nDims  int
@@ -154,46 +171,90 @@ func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 	s.part = part
 	s.openEnd = s.unitStart(1)
 	s.free = make(chan *wire.Batch, 4*shards)
-	for i := range s.shards {
-		sh := &shard{in: make(chan shardMsg, 4), done: make(chan struct{})}
+	for i, eng := range engines {
+		sh := &shard{eng: eng, free: s.free}
 		s.shards[i] = sh
-		go sh.run(engines[i], s.free)
+		if shards > 1 {
+			sh.in, sh.done = make(chan shardMsg, 4), make(chan struct{})
+			go sh.run()
+		}
 	}
 	return s, nil
 }
 
-// run is the shard goroutine: drain columnar sub-batches into the engine,
-// answer control operations, keep the first ingest error sticky. Drained
-// batches go back to the coordinator through the free list (dropped when
-// it is full), closing the zero-allocation ingest loop.
-func (sh *shard) run(eng *Engine, free chan *wire.Batch) {
+// run is the shard goroutine.
+func (sh *shard) run() {
 	defer close(sh.done)
-	var sticky error
 	for msg := range sh.in {
-		if msg.fn == nil {
-			if sticky == nil {
-				// The coordinator barriers every boundary before dispatching
-				// the crossing record, so every record here is inside the
-				// open unit — ingestRun rejects anything else, keeping a
-				// shard from ever closing units on its own.
-				sticky = eng.ingestRun(msg.batch, 0, msg.batch.Len())
-			}
-			select {
-			case free <- msg.batch:
-			default:
-			}
-			continue
-		}
-		if msg.reset {
-			sticky = nil
-		}
-		if sticky != nil {
-			msg.reply <- shardReply{err: sticky}
-			continue
-		}
-		val, err := msg.fn(eng)
-		msg.reply <- shardReply{val: val, err: err}
+		sh.handle(msg)
 	}
+}
+
+// send delivers one message to the shard: over the channel to its
+// goroutine, or straight to handle when the shard has none.
+func (sh *shard) send(msg shardMsg) {
+	if sh.in == nil {
+		sh.handle(msg)
+		return
+	}
+	sh.in <- msg
+}
+
+// handle processes one message: drain a columnar sub-batch into the
+// engine, or answer a control operation (reply channels are buffered, so
+// answering never blocks). Drained batches go back to the coordinator
+// through the free list (dropped when it is full), closing the
+// zero-allocation ingest loop.
+func (sh *shard) handle(msg shardMsg) {
+	if msg.fn == nil {
+		sh.ingestRun(msg.batch, 0, msg.batch.Len())
+		select {
+		case sh.free <- msg.batch:
+		default:
+		}
+		return
+	}
+	if msg.reset {
+		sh.sticky = nil
+	}
+	if sh.sticky != nil {
+		msg.reply <- shardReply{err: sh.sticky}
+		return
+	}
+	val, err := msg.fn(sh.eng)
+	msg.reply <- shardReply{val: val, err: err}
+}
+
+// ingestRun feeds records [lo,hi) of b to the engine unless an earlier
+// record already failed, and returns the sticky error. The coordinator
+// barriers every boundary before dispatching the crossing record, so
+// every record here is inside the open unit — Engine.ingestRun rejects
+// anything else, keeping a shard from ever closing units on its own.
+func (sh *shard) ingestRun(b *wire.Batch, lo, hi int) error {
+	if sh.sticky == nil {
+		sh.sticky = sh.eng.ingestRun(b, lo, hi)
+	}
+	return sh.sticky
+}
+
+// ingest is ingestRun for one record.
+func (sh *shard) ingest(members []int32, tick int64, value float64) error {
+	if sh.sticky == nil {
+		// The coordinator already closed every unit before the record's,
+		// so Engine.Ingest closes none.
+		_, sh.sticky = sh.eng.Ingest(members, tick, value)
+	}
+	return sh.sticky
+}
+
+// sole returns the only shard of a one-shard engine — the one that runs
+// on the caller's goroutine, where ingest skips routing and buffering —
+// and nil when records must be scattered.
+func (s *ShardedEngine) sole() *shard {
+	if len(s.shards) == 1 {
+		return s.shards[0]
+	}
+	return nil
 }
 
 // Shards returns the shard count.
@@ -207,17 +268,6 @@ func (s *ShardedEngine) UnitsDone() int64 { return s.done }
 
 func (s *ShardedEngine) unitStart(u int64) int64 {
 	return s.cfg.StartTick + u*int64(s.cfg.TicksPerUnit)
-}
-
-// hashMembers maps an o-level member tuple to its shard; the function
-// itself lives in Partitioner, shared with the cluster router.
-func (s *ShardedEngine) hashMembers(members *[cube.MaxDims]int32) int {
-	return s.part.Hash(members)
-}
-
-// shardOf routes an m-layer member tuple by its o-layer ancestor.
-func (s *ShardedEngine) shardOf(members []int32) (int, error) {
-	return s.part.Route(members)
 }
 
 // getBatch draws a recycled sub-batch, or allocates while the free list
@@ -246,7 +296,7 @@ func (s *ShardedEngine) ready() error {
 func (s *ShardedEngine) flushPending() {
 	for i, batch := range s.pending {
 		if batch != nil && batch.Len() > 0 {
-			s.shards[i].in <- shardMsg{batch: batch}
+			s.shards[i].send(shardMsg{batch: batch})
 			s.pending[i] = nil
 		}
 	}
@@ -255,12 +305,18 @@ func (s *ShardedEngine) flushPending() {
 // broadcast drains buffers, runs fn on every shard concurrently, and
 // returns the replies in shard order. The first error becomes sticky.
 func (s *ShardedEngine) broadcast(fn func(*Engine) (any, error)) ([]any, error) {
+	return s.scatter(false, func(_ int, e *Engine) (any, error) { return fn(e) })
+}
+
+// scatter is broadcast with the shard index passed to fn; reset clears
+// each shard's sticky error first (see shardMsg).
+func (s *ShardedEngine) scatter(reset bool, fn func(int, *Engine) (any, error)) ([]any, error) {
 	s.flushPending()
 	replies := make([]chan shardReply, len(s.shards))
 	for i, sh := range s.shards {
 		ch := make(chan shardReply, 1)
 		replies[i] = ch
-		sh.in <- shardMsg{fn: fn, reply: ch}
+		sh.send(shardMsg{fn: func(e *Engine) (any, error) { return fn(i, e) }, reply: ch, reset: reset})
 	}
 	out := make([]any, len(s.shards))
 	var firstErr error
@@ -301,10 +357,13 @@ func (s *ShardedEngine) Ingest(members []int32, tick int64, value float64) ([]*U
 			return closed, err
 		}
 	}
-	// The single engine only range-checks members when the unit's H-tree is
-	// built; routing needs the check per record, so bad members fail here
-	// (after boundary handling, like any other record error).
-	sid, err := s.shardOf(members)
+	if sh := s.sole(); sh != nil {
+		return closed, sh.ingest(members, tick, value)
+	}
+	// An Engine only range-checks members when the unit's H-tree is built;
+	// routing needs the check per record, so bad members fail here (after
+	// boundary handling, like any other record error).
+	sid, err := s.part.Route(members)
 	if err != nil {
 		return closed, err
 	}
@@ -315,7 +374,7 @@ func (s *ShardedEngine) Ingest(members []int32, tick int64, value float64) ([]*U
 	}
 	p.Append(tick, members, value)
 	if p.Len() >= ingestBatchSize {
-		s.shards[sid].in <- shardMsg{batch: p}
+		s.shards[sid].send(shardMsg{batch: p})
 		s.pending[sid] = nil
 	}
 	return closed, nil
@@ -342,26 +401,19 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 	publish := s.cfg.PublishSnapshots
 	vals, err := s.broadcast(func(e *Engine) (any, error) {
 		var adv shardAdvance
-		if !publish {
-			urs, err := e.AdvanceTo(target)
-			if err != nil {
-				return nil, err
-			}
-			adv.urs = urs
-			return adv, nil
-		}
-		// Copied inside the shard goroutine, so the copies never race with
-		// the shard's own later units. Closing unit-by-unit keeps the
-		// per-unit history views exact; the common case is a single unit,
-		// where this is the one AdvanceTo call it always was.
 		for e.unit < target {
-			urs, err := e.AdvanceTo(e.unit + 1)
+			ur, err := e.closeUnit()
 			if err != nil {
 				return nil, err
 			}
-			adv.urs = append(adv.urs, urs...)
-			adv.hists = append(adv.hists, e.snapshotHistory())
-			adv.frames = append(adv.frames, e.snapshotFrames())
+			adv.urs = append(adv.urs, ur)
+			if publish {
+				// Copied inside the shard goroutine, unit by unit, so the
+				// copies are exact per unit and never race with the
+				// shard's own later units.
+				adv.hists = append(adv.hists, e.snapshotHistory())
+				adv.frames = append(adv.frames, e.snapshotFrames())
+			}
 		}
 		return adv, nil
 	})
@@ -450,21 +502,24 @@ func (s *ShardedEngine) mergeUnit(urs []*UnitResult) *UnitResult {
 
 // unionResults merges the cube results of one unit computed over disjoint
 // partitions (shards here, cluster nodes in MergeSnapshots); nil entries
-// are partitions that closed empty, and all-nil yields nil. Cell maps are
-// disjoint by the partition invariant, so merging is a union into maps
-// sized once from the part sizes; stats fold through mergeStats.
+// are partitions that closed empty, and all-nil yields nil. A sole
+// non-empty part is the union and is returned as is — the whole story at
+// one shard. Otherwise cell maps are disjoint by the partition invariant,
+// so merging is a union into maps sized once from the part sizes; stats
+// fold through mergeStats.
 func unionResults(schema *cube.Schema, parts []*core.Result) *core.Result {
-	var oCells, exceptions int
-	nonEmpty := false
+	var oCells, exceptions, nonEmpty int
+	var sole *core.Result
 	for _, r := range parts {
 		if r != nil {
-			nonEmpty = true
+			nonEmpty++
+			sole = r
 			oCells += len(r.OLayer)
 			exceptions += len(r.Exceptions)
 		}
 	}
-	if !nonEmpty {
-		return nil
+	if nonEmpty <= 1 {
+		return sole
 	}
 	res := &core.Result{
 		Schema:     schema,
@@ -579,8 +634,19 @@ func SortAlerts(alerts []Alert) {
 
 // mergeAlerts k-way-merges alert lists that are each in canonical order
 // and pairwise disjoint (shards and cluster nodes own disjoint o-cells),
-// consuming the lists.
+// consuming the lists. A sole non-empty list is returned as is.
 func mergeAlerts(lists [][]Alert) []Alert {
+	var sole []Alert
+	nonEmpty := 0
+	for _, l := range lists {
+		if len(l) > 0 {
+			nonEmpty++
+			sole = l
+		}
+	}
+	if nonEmpty <= 1 {
+		return sole
+	}
 	var out []Alert
 	for {
 		best := -1
@@ -644,128 +710,55 @@ func (s *ShardedEngine) ActiveCells() (int, error) {
 	return total, nil
 }
 
-// ask runs fn on one shard and returns its reply.
-func (s *ShardedEngine) ask(sid int, fn func(*Engine) (any, error)) (any, error) {
+// askShard runs fn on one shard — after the ready check — and returns
+// its typed reply.
+func askShard[T any](s *ShardedEngine, sid int, fn func(*Engine) (T, error)) (T, error) {
+	var zero T
+	if err := s.ready(); err != nil {
+		return zero, err
+	}
 	ch := make(chan shardReply, 1)
-	s.shards[sid].in <- shardMsg{fn: fn, reply: ch}
+	s.shards[sid].send(shardMsg{fn: func(e *Engine) (any, error) { return fn(e) }, reply: ch})
 	rep := <-ch
-	return rep.val, rep.err
+	if rep.err != nil {
+		return zero, rep.err
+	}
+	return rep.val.(T), nil
 }
 
 // TrendQuery aggregates the last k units of an o-cell's history
 // (Theorem 3.3) from the shard that owns the cell.
 func (s *ShardedEngine) TrendQuery(cell cube.CellKey, k int) (regression.ISB, error) {
-	if err := s.ready(); err != nil {
-		return regression.ISB{}, err
-	}
-	val, err := s.ask(s.hashMembers(&cell.Members), func(e *Engine) (any, error) {
+	return askShard(s, s.part.Hash(&cell.Members), func(e *Engine) (regression.ISB, error) {
 		return e.TrendQuery(cell, k)
 	})
-	if err != nil {
-		return regression.ISB{}, err
-	}
-	return val.(regression.ISB), nil
 }
 
 // TrendQueryAt aggregates the last k completed units of an o-cell at the
 // given tilt level (0 = finest), from the shard that owns the cell.
 func (s *ShardedEngine) TrendQueryAt(cell cube.CellKey, level, k int) (regression.ISB, error) {
-	if err := s.ready(); err != nil {
-		return regression.ISB{}, err
-	}
-	val, err := s.ask(s.hashMembers(&cell.Members), func(e *Engine) (any, error) {
+	return askShard(s, s.part.Hash(&cell.Members), func(e *Engine) (regression.ISB, error) {
 		return e.TrendQueryAt(cell, level, k)
 	})
-	if err != nil {
-		return regression.ISB{}, err
-	}
-	return val.(regression.ISB), nil
 }
 
 // HistoryLen returns how many units of history an o-cell currently has.
 func (s *ShardedEngine) HistoryLen(cell cube.CellKey) (int, error) {
-	if err := s.ready(); err != nil {
-		return 0, err
-	}
-	val, err := s.ask(s.hashMembers(&cell.Members), func(e *Engine) (any, error) {
+	return askShard(s, s.part.Hash(&cell.Members), func(e *Engine) (int, error) {
 		return e.HistoryLen(cell), nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return val.(int), nil
-}
-
-// ShardedCheckpoint is the serializable state of a ShardedEngine: one
-// Checkpoint per shard. All shards agree on the open unit (boundaries are
-// barriers), so the set restores into any shard count — including 1, via
-// Merge — by repartitioning cells and history.
-type ShardedCheckpoint struct {
-	Shards []*Checkpoint `json:"shards"`
-}
-
-// validateSharded checks cross-shard consistency and returns the common
-// unit counters.
-func (scp *ShardedCheckpoint) validate() (unit, done int64, err error) {
-	if scp == nil || len(scp.Shards) == 0 {
-		return 0, 0, fmt.Errorf("%w: empty sharded checkpoint", ErrConfig)
-	}
-	for i, cp := range scp.Shards {
-		if cp == nil {
-			return 0, 0, fmt.Errorf("%w: nil shard checkpoint %d", ErrConfig, i)
-		}
-		if cp.Unit != scp.Shards[0].Unit || cp.UnitsDone != scp.Shards[0].UnitsDone {
-			return 0, 0, fmt.Errorf("%w: shard %d at unit %d/%d, shard 0 at %d/%d",
-				ErrConfig, i, cp.Unit, cp.UnitsDone, scp.Shards[0].Unit, scp.Shards[0].UnitsDone)
-		}
-		// The WAL watermark is a whole-log position, stamped identically on
-		// every shard; disagreement means the shards were checkpointed at
-		// different points in the stream.
-		if cp.WALSeq != scp.Shards[0].WALSeq {
-			return 0, 0, fmt.Errorf("%w: shard %d at WAL watermark %d, shard 0 at %d",
-				ErrConfig, i, cp.WALSeq, scp.Shards[0].WALSeq)
-		}
-	}
-	return scp.Shards[0].Unit, scp.Shards[0].UnitsDone, nil
-}
-
-// Merge flattens a sharded checkpoint into a single-engine Checkpoint.
-// Shards hold disjoint cells and history, so concatenation is lossless;
-// the result loads into a plain Engine (or re-shards into any count).
-func (scp *ShardedCheckpoint) Merge() (*Checkpoint, error) {
-	unit, done, err := scp.validate()
-	if err != nil {
-		return nil, err
-	}
-	out := &Checkpoint{Unit: unit, UnitsDone: done, WALSeq: scp.Shards[0].WALSeq, Schema: scp.Shards[0].Schema}
-	for _, cp := range scp.Shards {
-		out.Cells = append(out.Cells, cp.Cells...)
-		out.History = append(out.History, cp.History...)
-		out.Tilt = append(out.Tilt, cp.Tilt...)
-	}
-	// Concatenation order depends on the shard count; re-canonicalize so a
-	// merged checkpoint is byte-comparable to a single engine's.
-	out.normalize()
-	return out, nil
 }
 
 // WALSeq returns the WAL watermark common to every shard (zero when no
 // WAL is in use).
 func (s *ShardedEngine) WALSeq() (int64, error) {
-	if err := s.ready(); err != nil {
-		return 0, err
-	}
-	v, err := s.ask(0, func(e *Engine) (any, error) { return e.WALSeq(), nil })
-	if err != nil {
-		return 0, err
-	}
-	return v.(int64), nil
+	return askShard(s, 0, func(e *Engine) (int64, error) { return e.WALSeq(), nil })
 }
 
 // SetWALSeq stamps the WAL watermark on every shard. The watermark is a
 // whole-log position — how many records the log owner has both appended
-// and ingested — so all shards carry the same value and checkpoint
-// validation can demand they agree.
+// and ingested — so all shards carry the same value and MergeCheckpoints
+// can demand they agree.
 func (s *ShardedEngine) SetWALSeq(seq int64) error {
 	if err := s.ready(); err != nil {
 		return err
@@ -777,8 +770,11 @@ func (s *ShardedEngine) SetWALSeq(seq int64) error {
 	return err
 }
 
-// Checkpoint drains ingest buffers and exports every shard's state.
-func (s *ShardedEngine) Checkpoint() (*ShardedCheckpoint, error) {
+// Checkpoint drains ingest buffers and exports the engine's state in the
+// one canonical form (MergeCheckpoints over the shards): byte for byte
+// what an Engine — or a ShardedEngine of any other shard count — at the
+// same stream position exports.
+func (s *ShardedEngine) Checkpoint() (*Checkpoint, error) {
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
@@ -786,77 +782,58 @@ func (s *ShardedEngine) Checkpoint() (*ShardedCheckpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	scp := &ShardedCheckpoint{Shards: make([]*Checkpoint, len(vals))}
+	parts := make([]*Checkpoint, len(vals))
 	for i, v := range vals {
-		scp.Shards[i] = v.(*Checkpoint)
+		parts[i] = v.(*Checkpoint)
 	}
-	return scp, nil
+	return MergeCheckpoints(parts)
 }
 
-// Restore loads a checkpoint taken at any shard count — including a plain
-// Engine's (wrap it in a one-shard ShardedCheckpoint) — by repartitioning
-// cells by o-ancestor and history by o-cell across this engine's shards.
-// Buffered records not yet past a boundary are discarded, mirroring
-// Engine.Restore replacing un-checkpointed accumulator state.
-func (s *ShardedEngine) Restore(scp *ShardedCheckpoint) error {
+// Restore loads a checkpoint taken by an Engine or at any shard count by
+// repartitioning cells by o-ancestor and history by o-cell across this
+// engine's shards. Buffered records not yet past a boundary are
+// discarded, mirroring Engine.Restore replacing un-checkpointed
+// accumulator state.
+func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 	if s.closed {
 		return fmt.Errorf("%w: engine closed", ErrConfig)
 	}
-	unit, done, err := scp.validate()
-	if err != nil {
-		return err
+	if cp == nil {
+		return fmt.Errorf("%w: nil checkpoint", ErrConfig)
 	}
 	parts := make([]*Checkpoint, len(s.shards))
 	for i := range parts {
-		parts[i] = &Checkpoint{Unit: unit, UnitsDone: done, WALSeq: scp.Shards[0].WALSeq, Schema: scp.Shards[0].Schema}
+		parts[i] = &Checkpoint{Unit: cp.Unit, UnitsDone: cp.UnitsDone, WALSeq: cp.WALSeq, Schema: cp.Schema}
 	}
-	for _, cp := range scp.Shards {
-		for _, cs := range cp.Cells {
-			if len(cs.Members) != s.nDims {
-				return fmt.Errorf("%w: checkpoint cell has %d members", ErrConfig, len(cs.Members))
-			}
-			sid, err := s.shardOf(cs.Members)
-			if err != nil {
-				return fmt.Errorf("%w: checkpoint %v", ErrConfig, err)
-			}
-			parts[sid].Cells = append(parts[sid].Cells, cs)
+	for _, cs := range cp.Cells {
+		if len(cs.Members) != s.nDims {
+			return fmt.Errorf("%w: checkpoint cell has %d members", ErrConfig, len(cs.Members))
 		}
-		for _, ch := range cp.History {
-			var members [cube.MaxDims]int32
-			copy(members[:], ch.Members)
-			sid := s.hashMembers(&members)
-			parts[sid].History = append(parts[sid].History, ch)
+		sid, err := s.part.Route(cs.Members)
+		if err != nil {
+			return fmt.Errorf("%w: checkpoint %v", ErrConfig, err)
 		}
-		for _, cf := range cp.Tilt {
-			var members [cube.MaxDims]int32
-			copy(members[:], cf.Members)
-			sid := s.hashMembers(&members)
-			parts[sid].Tilt = append(parts[sid].Tilt, cf)
-		}
+		parts[sid].Cells = append(parts[sid].Cells, cs)
 	}
-	for i := range s.pending {
-		s.pending[i] = nil
+	for _, ch := range cp.History {
+		var members [cube.MaxDims]int32
+		copy(members[:], ch.Members)
+		sid := s.part.Hash(&members)
+		parts[sid].History = append(parts[sid].History, ch)
 	}
-	replies := make([]chan shardReply, len(s.shards))
-	for i, sh := range s.shards {
-		part := parts[i]
-		ch := make(chan shardReply, 1)
-		replies[i] = ch
-		sh.in <- shardMsg{fn: func(e *Engine) (any, error) { return nil, e.Restore(part) }, reply: ch, reset: true}
+	for _, cf := range cp.Tilt {
+		var members [cube.MaxDims]int32
+		copy(members[:], cf.Members)
+		sid := s.part.Hash(&members)
+		parts[sid].Tilt = append(parts[sid].Tilt, cf)
 	}
-	var firstErr error
-	for _, ch := range replies {
-		if rep := <-ch; rep.err != nil && firstErr == nil {
-			firstErr = rep.err
-		}
+	clear(s.pending)
+	if _, err := s.scatter(true, func(i int, e *Engine) (any, error) { return nil, e.Restore(parts[i]) }); err != nil {
+		return err
 	}
-	if firstErr != nil {
-		s.err = firstErr
-		return firstErr
-	}
-	s.unit = unit
-	s.openEnd = s.unitStart(unit + 1)
-	s.done = done
+	s.unit = cp.Unit
+	s.openEnd = s.unitStart(cp.Unit + 1)
+	s.done = cp.UnitsDone
 	s.prevNonEmpty = false
 	s.err = nil
 	// Published snapshots describe units of the replaced state; readers
@@ -874,6 +851,9 @@ func (s *ShardedEngine) Close() {
 		return
 	}
 	s.closed = true
+	if s.sole() != nil {
+		return
+	}
 	for _, sh := range s.shards {
 		close(sh.in)
 	}

@@ -11,8 +11,8 @@ import (
 	"repro/internal/exception"
 )
 
-// ingester is the surface shared by Engine, SafeEngine, and ShardedEngine
-// that the equivalence tests drive.
+// ingester is the surface shared by Engine and ShardedEngine that the
+// equivalence tests drive.
 type ingester interface {
 	Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error)
 	Flush() (*UnitResult, error)
@@ -160,9 +160,9 @@ func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 	}
 }
 
-// The tentpole property: identical record streams through Engine,
-// SafeEngine, and ShardedEngine at 1, 4, and 7 shards produce identical
-// sorted alerts, cell sets, and delta cubes — for both cubing algorithms.
+// The tentpole property: identical record streams through Engine and
+// ShardedEngine at 1, 4, and 7 shards produce identical sorted alerts,
+// cell sets, and delta cubes — for both cubing algorithms.
 func TestShardedMatchesSingleEngine(t *testing.T) {
 	s := wideSchema(t)
 	for _, alg := range []Algorithm{MOCubing, PopularPath} {
@@ -181,12 +181,6 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := feed(t, single, recs)
-
-			safe, err := NewSafeEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResults(t, alg.String()+"/safe", want, feed(t, safe, recs))
 
 			for _, shards := range []int{1, 4, 7} {
 				sh, err := NewShardedEngine(cfg, shards)
@@ -224,9 +218,10 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-// Checkpoints round-trip across shard counts: state taken at one count
-// restores into any other (and into a plain Engine via Merge) and the
-// engines stay bitwise-identical afterwards.
+// Checkpoints round-trip across shard counts: state taken at one count is
+// the very checkpoint a plain Engine exports at that stream position, and
+// restores into any other count (and into a plain Engine, and back) with
+// the engines bitwise-identical afterwards.
 func TestShardedCheckpointRepartitions(t *testing.T) {
 	s := wideSchema(t)
 	cfg := Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1.0)}
@@ -250,12 +245,12 @@ func TestShardedCheckpointRepartitions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scp, err := src.Checkpoint()
+	cp, err := src.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scp.Shards) != 4 {
-		t.Fatalf("checkpoint shards = %d, want 4", len(scp.Shards))
+	if !reflect.DeepEqual(cp, ref.Checkpoint()) {
+		t.Fatal("4-shard checkpoint differs from the plain engine's")
 	}
 
 	finish := func(e ingester) []*UnitResult {
@@ -275,50 +270,25 @@ func TestShardedCheckpointRepartitions(t *testing.T) {
 	}
 	want := finish(ref)
 
-	// Restore into 7 shards, 1 shard, and (merged) a plain Engine.
-	for _, shards := range []int{7, 1} {
+	for _, shards := range []int{7, 4, 1} {
 		dst, err := NewShardedEngine(cfg, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dst.Restore(scp); err != nil {
+		if err := dst.Restore(cp); err != nil {
 			t.Fatal(err)
 		}
 		requireSameResults(t, "restored-sharded", want, finish(dst))
 		dst.Close()
 	}
-	merged, err := scp.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
 	plain, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.Restore(merged); err != nil {
+	if err := plain.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
 	requireSameResults(t, "restored-plain", want, finish(plain))
-
-	// And the reverse direction: a plain Engine's checkpoint wrapped as a
-	// one-shard set loads into a sharded engine.
-	wrapped := &ShardedCheckpoint{Shards: []*Checkpoint{ref.Checkpoint()}}
-	back, err := NewShardedEngine(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	if err := back.Restore(wrapped); err != nil {
-		t.Fatal(err)
-	}
-	cells, err := back.ActiveCells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCells := ref.ActiveCells()
-	if cells != refCells {
-		t.Fatalf("active cells after restore = %d, want %d", cells, refCells)
-	}
 }
 
 func TestShardedValidation(t *testing.T) {
@@ -357,7 +327,7 @@ func TestShardedValidation(t *testing.T) {
 	if _, err := e.Flush(); err == nil {
 		t.Fatal("expected closed-engine error")
 	}
-	if err := e.Restore(&ShardedCheckpoint{}); err == nil {
+	if err := e.Restore(&Checkpoint{}); err == nil {
 		t.Fatal("expected closed-engine error")
 	}
 }
@@ -400,21 +370,24 @@ func TestShardedStickyErrorAndRecovery(t *testing.T) {
 	}
 }
 
-// ShardedCheckpoint.Merge validates cross-shard consistency.
+// MergeCheckpoints validates cross-partition consistency.
 func TestShardedCheckpointValidate(t *testing.T) {
-	if _, err := (&ShardedCheckpoint{}).Merge(); err == nil {
+	if _, err := MergeCheckpoints(nil); err == nil {
 		t.Fatal("expected empty-checkpoint error")
 	}
-	var nilCp *ShardedCheckpoint
-	if _, err := nilCp.Merge(); err == nil {
-		t.Fatal("expected nil-checkpoint error")
+	if _, err := MergeCheckpoints([]*Checkpoint{nil}); err == nil {
+		t.Fatal("expected nil-part error")
 	}
-	if _, err := (&ShardedCheckpoint{Shards: []*Checkpoint{nil}}).Merge(); err == nil {
-		t.Fatal("expected nil-shard error")
-	}
-	bad := &ShardedCheckpoint{Shards: []*Checkpoint{{Unit: 1}, {Unit: 2}}}
-	if _, err := bad.Merge(); err == nil {
+	if _, err := MergeCheckpoints([]*Checkpoint{{Unit: 1}, {Unit: 2}}); err == nil {
 		t.Fatal("expected unit-mismatch error")
+	}
+	if _, err := MergeCheckpoints([]*Checkpoint{{UnitsDone: 1}, {UnitsDone: 2}}); err == nil {
+		t.Fatal("expected units-done-mismatch error")
+	}
+	a := []DimensionShape{{Name: "A", MLevel: 2, OLevel: 1, Card: 4}}
+	b := []DimensionShape{{Name: "A", MLevel: 2, OLevel: 1, Card: 8}}
+	if _, err := MergeCheckpoints([]*Checkpoint{{Schema: a}, {Schema: b}}); err == nil {
+		t.Fatal("expected schema-shape-mismatch error")
 	}
 	s := wideSchema(t)
 	e, err := NewShardedEngine(Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1)}, 2)
@@ -422,8 +395,11 @@ func TestShardedCheckpointValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.Restore(bad); err == nil {
-		t.Fatal("expected unit-mismatch error on restore")
+	if err := e.Restore(nil); err == nil {
+		t.Fatal("expected nil-checkpoint error on restore")
+	}
+	if err := e.Restore(&Checkpoint{Schema: a}); err == nil {
+		t.Fatal("expected schema-mismatch error on restore")
 	}
 }
 

@@ -191,43 +191,13 @@ func TestWALReplayShardCountWhatIf(t *testing.T) {
 
 	for _, shards := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			var ing ingester
-			var merged func() *Checkpoint
-			if shards == 1 {
-				eng, err := NewEngine(walTestConfig(t, ticksPer))
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.SetWALSeq(0)
-				ing = eng
-				merged = func() *Checkpoint {
-					eng.SetWALSeq(int64(len(recs)))
-					return eng.Checkpoint()
-				}
-			} else {
-				seng, err := NewShardedEngine(walTestConfig(t, ticksPer), shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer seng.Close()
-				ing = seng
-				merged = func() *Checkpoint {
-					if err := seng.SetWALSeq(int64(len(recs))); err != nil {
-						t.Fatal(err)
-					}
-					scp, err := seng.Checkpoint()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cp, err := scp.Merge()
-					if err != nil {
-						t.Fatal(err)
-					}
-					return cp
-				}
+			seng, err := NewShardedEngine(walTestConfig(t, ticksPer), shards)
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer seng.Close()
 			n, err := wal.Replay(dir, 0, func(seq int64, rec wal.Record) error {
-				_, err := ing.Ingest(rec.Members, rec.Tick, rec.Value)
+				_, err := seng.Ingest(rec.Members, rec.Tick, rec.Value)
 				return err
 			})
 			if err != nil {
@@ -236,10 +206,17 @@ func TestWALReplayShardCountWhatIf(t *testing.T) {
 			if n != int64(len(recs)) {
 				t.Fatalf("replayed %d records, want %d", n, len(recs))
 			}
-			if _, err := ing.Flush(); err != nil {
+			if _, err := seng.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if got := checkpointJSON(t, merged()); !bytes.Equal(got, want) {
+			if err := seng.SetWALSeq(n); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := seng.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := checkpointJSON(t, cp); !bytes.Equal(got, want) {
 				t.Fatalf("WAL replay at %d shards diverged from direct run\n got: %.200s\nwant: %.200s",
 					shards, got, want)
 			}
@@ -248,7 +225,7 @@ func TestWALReplayShardCountWhatIf(t *testing.T) {
 }
 
 // TestShardedWALSeqValidation: shards must agree on the watermark, and
-// merge/restore must carry it.
+// checkpoint/restore must carry it.
 func TestShardedWALSeqValidation(t *testing.T) {
 	cfg := walTestConfig(t, 8)
 	seng, err := NewShardedEngine(cfg, 3)
@@ -267,35 +244,27 @@ func TestShardedWALSeqValidation(t *testing.T) {
 	if got, err := seng.WALSeq(); err != nil || got != 42 {
 		t.Fatalf("WALSeq = %d, %v; want 42", got, err)
 	}
-	scp, err := seng.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cp := range scp.Shards {
-		if cp.WALSeq != 42 {
-			t.Fatalf("shard %d WALSeq = %d, want 42", i, cp.WALSeq)
-		}
-	}
-	cp, err := scp.Merge()
+	cp, err := seng.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp.WALSeq != 42 {
-		t.Fatalf("merged WALSeq = %d, want 42", cp.WALSeq)
+		t.Fatalf("checkpoint WALSeq = %d, want 42", cp.WALSeq)
 	}
-	// Disagreeing shards are rejected.
-	scp.Shards[1].WALSeq = 41
-	if _, err := scp.Merge(); !errors.Is(err, ErrConfig) {
-		t.Fatalf("Merge with disagreeing WALSeq: %v, want ErrConfig", err)
+	// Parts cut at different log positions are rejected.
+	part := func(seq int64) *Checkpoint {
+		return &Checkpoint{Unit: cp.Unit, UnitsDone: cp.UnitsDone, WALSeq: seq, Schema: cp.Schema}
 	}
-	scp.Shards[1].WALSeq = 42
+	if _, err := MergeCheckpoints([]*Checkpoint{part(42), part(41)}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("MergeCheckpoints with disagreeing WALSeq: %v, want ErrConfig", err)
+	}
 	// Restore round-trips the watermark across a shard-count change.
 	seng2, err := NewShardedEngine(cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seng2.Close()
-	if err := seng2.Restore(scp); err != nil {
+	if err := seng2.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := seng2.WALSeq(); err != nil || got != 42 {

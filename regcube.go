@@ -269,14 +269,6 @@ func DeltaCubing(s *Schema, cur, prev []Input, det DeltaDetector) (*DeltaResult,
 	return core.DeltaCubing(s, cur, prev, det)
 }
 
-// SafeStreamEngine is the mutex-guarded online analyzer.
-type SafeStreamEngine = stream.SafeEngine
-
-// NewSafeStreamEngine builds a concurrency-safe online analyzer.
-func NewSafeStreamEngine(cfg StreamConfig) (*SafeStreamEngine, error) {
-	return stream.NewSafeEngine(cfg)
-}
-
 // ShardedStreamEngine is the parallel online analyzer: m-layer cells
 // hash-partition by o-layer ancestor across per-shard engines that ingest
 // and cube concurrently, merging into results identical to a single
@@ -483,12 +475,10 @@ func GenerateDataset(cfg DatasetConfig) (*Dataset, error) { return gen.Generate(
 // IsException reports whether an ISB's slope magnitude passes a threshold.
 func IsException(isb ISB, threshold float64) bool { return exception.IsException(isb, threshold) }
 
-// StreamCheckpoint is the serializable state of a stream engine.
+// StreamCheckpoint is the serializable state of a stream engine, sharded
+// or not: engines at the same stream position export identical
+// checkpoints, and one restores into any shard count.
 type StreamCheckpoint = stream.Checkpoint
-
-// ShardedStreamCheckpoint is the serializable state of a sharded stream
-// engine: one checkpoint per shard, restorable at any shard count.
-type ShardedStreamCheckpoint = stream.ShardedCheckpoint
 
 // WriteResult serializes a cubing result's retained layers as JSON.
 func WriteResult(w io.Writer, res *Result) error { return persist.WriteResult(w, res) }
@@ -501,21 +491,10 @@ func WriteCheckpoint(w io.Writer, cp *StreamCheckpoint) error {
 	return persist.WriteCheckpoint(w, cp)
 }
 
-// ReadCheckpoint deserializes a stream-engine checkpoint; per-shard
-// (version 2) files are merged into an equivalent single-engine state.
+// ReadCheckpoint deserializes a stream-engine checkpoint of any version;
+// the per-shard files older releases wrote for sharded engines are merged
+// into the one canonical checkpoint.
 func ReadCheckpoint(r io.Reader) (*StreamCheckpoint, error) { return persist.ReadCheckpoint(r) }
-
-// WriteShardedCheckpoint serializes a sharded-engine checkpoint as JSON
-// (envelope version 2).
-func WriteShardedCheckpoint(w io.Writer, scp *ShardedStreamCheckpoint) error {
-	return persist.WriteShardedCheckpoint(w, scp)
-}
-
-// ReadShardedCheckpoint deserializes a checkpoint for a sharded engine;
-// single-engine (version 1) files load as a one-shard set.
-func ReadShardedCheckpoint(r io.Reader) (*ShardedStreamCheckpoint, error) {
-	return persist.ReadShardedCheckpoint(r)
-}
 
 // Durable ingest (DESIGN.md §10): a segmented, CRC32C-framed write-ahead
 // record log. streamd appends every record before ingest; recovery replays

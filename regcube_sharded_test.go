@@ -71,18 +71,25 @@ func TestShardedFacadeRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Versioned checkpoint envelope round-trips through the facade.
+	// One checkpoint layout through the facade: the sharded engine writes
+	// the bytes the single engine does, and the file restores into a
+	// sharded engine (any count) or a single engine.
 	scp, err := sharded.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteShardedCheckpoint(&buf, scp); err != nil {
+	var buf, want bytes.Buffer
+	if err := WriteCheckpoint(&buf, scp); err != nil {
 		t.Fatal(err)
 	}
-	// The same file serves a sharded engine (any count) or a single engine.
+	if err := WriteCheckpoint(&want, single.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
 	raw := buf.Bytes()
-	back, err := ReadShardedCheckpoint(bytes.NewReader(raw))
+	if !bytes.Equal(raw, want.Bytes()) {
+		t.Fatal("sharded checkpoint file differs from the single engine's")
+	}
+	cp, err := ReadCheckpoint(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +98,11 @@ func TestShardedFacadeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if err := restored.Restore(back); err != nil {
+	if err := restored.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Unit() != sharded.Unit() {
 		t.Fatalf("restored unit %d, want %d", restored.Unit(), sharded.Unit())
-	}
-	cp, err := ReadCheckpoint(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
 	}
 	plain, err := NewStreamEngine(cfg)
 	if err != nil {
@@ -109,6 +112,6 @@ func TestShardedFacadeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plain.Unit() != single.Unit() {
-		t.Fatalf("merged-restore unit %d, want %d", plain.Unit(), single.Unit())
+		t.Fatalf("restored unit %d, want %d", plain.Unit(), single.Unit())
 	}
 }

@@ -7,7 +7,9 @@
 # what-if over the captured log. The binary legs re-run the pipe with
 # `-format=binary` framed batches: checkpoints must be bitwise-equal to
 # the text-fed ones, mid-stream queries must serve, and a kill -9'd
-# binary-fed WAL must replay deterministically. The cluster leg runs the
+# binary-fed WAL must replay deterministically. The layout legs `cmp` the
+# checkpoints `-shards 1` and `-shards 4` write from one input, and resume
+# a checked-in legacy per-shard file at both counts. The cluster leg runs the
 # 4-process topology — four streamd ingest nodes behind regcube-router's
 # scatter tier and scatter-gather coordinator — queries the coordinator
 # mid-stream, and asserts the merged per-node checkpoints are
@@ -171,7 +173,7 @@ grep -qE '^# [0-9]+ records, [0-9]+ units$' "$workdir/out.log" \
 kill "$dpid" 2>/dev/null || true
 dpid=""
 
-echo "== resume the v3 checkpoint tilted, then flat"
+echo "== resume the tilted (v3) checkpoint tilted, then flat"
 "$workdir/streamd" -spec D2L2C4 -unit 15 -threshold 0.2 -shards 2 \
   -tilt calendar \
   -checkpoint "$workdir/state.json" < /dev/null > "$workdir/resume.log" 2>&1
@@ -274,6 +276,37 @@ echo "== binary ingest leg: text-fed and binary-fed checkpoints are bitwise-equa
 cmp "$workdir/eq-text.json" "$workdir/eq-bin.json" \
   || { echo "FAIL: binary-fed checkpoint differs from text-fed" >&2; exit 1; }
 echo "   OK checkpoints bitwise-equal ($(wc -c < "$workdir/eq-text.json") bytes)"
+
+echo "== one checkpoint layout: -shards 1 and -shards 4 write the same file"
+"$workdir/streamd" -spec D2L2C4 -unit 15 -threshold 0.2 -shards 1 \
+  -checkpoint "$workdir/eq-s1.json" < "$workdir/eq.txt" > "$workdir/eq-s1.log" 2>&1
+"$workdir/streamd" -spec D2L2C4 -unit 15 -threshold 0.2 -shards 4 \
+  -checkpoint "$workdir/eq-s4.json" < "$workdir/eq.txt" > "$workdir/eq-s4.log" 2>&1
+cmp "$workdir/eq-s1.json" "$workdir/eq-s4.json" \
+  || { echo "FAIL: -shards 1 and -shards 4 checkpoints differ" >&2; exit 1; }
+cmp "$workdir/eq-s1.log" "$workdir/eq-s4.log" \
+  || { echo "FAIL: -shards 1 and -shards 4 reports differ" >&2; exit 1; }
+echo "   OK checkpoints and reports bitwise-equal across shard counts"
+
+echo "== legacy per-shard checkpoint: upgrade on read, resume at 1 and 4 shards"
+# The fixture is a version-2 (one checkpoint per shard) file, written by
+# the last build that had a per-shard writer: -shards 4 over ticks 0-104
+# of eq.txt (seven whole units). Resumed over the remaining ticks it must
+# land, at either shard count, on the uninterrupted run's checkpoint.
+grep -q '"version":2,"shards"' scripts/testdata/legacy-v2-shards4.json \
+  || { echo "FAIL: the legacy fixture is not a per-shard v2 file" >&2; exit 1; }
+awk -F, '$1 >= 105' "$workdir/eq.txt" > "$workdir/eq-tail.txt"
+for shards in 1 4; do
+  cp scripts/testdata/legacy-v2-shards4.json "$workdir/legacy-s$shards.json"
+  "$workdir/streamd" -spec D2L2C4 -unit 15 -threshold 0.2 -shards "$shards" \
+    -checkpoint "$workdir/legacy-s$shards.json" \
+    < "$workdir/eq-tail.txt" > "$workdir/legacy-s$shards.log" 2>&1
+  grep -q '# resumed at unit 7 (7 units done)' "$workdir/legacy-s$shards.log" \
+    || { echo "FAIL: legacy file did not resume at $shards shards" >&2; cat "$workdir/legacy-s$shards.log" >&2; exit 1; }
+  cmp "$workdir/legacy-s$shards.json" "$workdir/eq-s1.json" \
+    || { echo "FAIL: legacy file resumed at $shards shards diverges from the uninterrupted run" >&2; exit 1; }
+done
+echo "   OK v2 per-shard file resumes at 1 and 4 shards onto the uninterrupted checkpoint"
 
 echo "== binary serve leg: framed pipe, mid-stream queries"
 ADDR=127.0.0.1:18082
