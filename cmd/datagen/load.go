@@ -22,7 +22,7 @@ type loadOp struct {
 // loadOps is the query mix the load generator cycles through — the typed
 // client calls an analyst dashboard would issue, all through the Go SDK
 // (repro/client) so the SDK itself is exercised under mixed ingest+query
-// load. /v1/frame answers on flat and tilted engines alike, and the
+// load. /v1/frame answers under every -tilt chain, and the
 // batch op drives POST /v1/query, so the mix works against any streamd.
 var loadOps = []loadOp{
 	{"health", func(ctx context.Context, c *client.Client) error {
@@ -50,8 +50,8 @@ var loadOps = []loadOp{
 		return err
 	}},
 	{"changes", func(ctx context.Context, c *client.Client) error {
-		// Degrades to an empty ranking on flat engines; still exercises
-		// the scan path.
+		// An empty ranking under the default one-level chain; still
+		// exercises the scan path.
 		_, err := c.Changes(ctx, client.ChangesRequest{K: 5})
 		return err
 	}},

@@ -46,11 +46,13 @@
 // exiting 0. (Bytes the CSV reader buffered but had not yet parsed are
 // abandoned, as with any streaming shutdown.)
 //
-// With -tilt the flat per-o-cell trend history is replaced by a tilt time
-// frame (§4.1): each closed unit promotes through a level chain (e.g.
+// Every o-cell's trend history is one tilt time frame (§4.1); -tilt names
+// its level chain. Each closed unit promotes through the chain (e.g.
 // quarter → hour → day → month), so /v1/trend?level= and /v1/frame reach
 // far into the past at coarser granularity while per-cell state stays
-// bounded by the chain's slot capacity.
+// bounded by the chain's slot capacity; the default, unit:1:64, keeps the
+// last 64 units and nothing coarser. A unit an o-cell sits out is a zero
+// regression at every level.
 //
 // With -wal-dir streamd appends every record to a segmented, CRC32C-framed
 // write-ahead log before ingesting it (see internal/wal). Checkpoints then
@@ -61,14 +63,14 @@
 // different shard count, tilt chain, or threshold.
 //
 // Checkpoint files have one layout: the same stream position writes the
-// same bytes at any -shards value (envelope version 1, or 3 when -tilt
-// adds the per-o-cell frames), and a file resumes at any -shards or -tilt
-// value — cells repartition across the shards, pre-tilt files reseed
-// frames from their flat history, and tilted files load into flat engines
-// through the derived finest-level history — so both knobs can change
-// freely between restarts. The per-shard files older releases wrote for
-// sharded engines (version 2, or 3 with a "shards" array) still load: they
-// are merged into the one layout on read.
+// same bytes at any -shards value (envelope version 4: the open unit's
+// cells plus every o-cell's tilt frame), and a file resumes at any -shards
+// or -tilt value — cells repartition across the shards, a frame kept under
+// the same -tilt chain restores exactly, and one kept under another chain
+// (or the flat history of a version 1/2 file) reseeds a fresh frame from
+// its finest retained level — so both knobs can change freely between
+// restarts. The files older releases wrote (versions 1 to 3, per-shard
+// ones included) still load: they are upgraded to the one layout on read.
 //
 // Text record format (no header): tick,dim0,...,dimN,value
 //
@@ -94,7 +96,6 @@ import (
 	"syscall"
 
 	"repro/internal/node"
-	"repro/internal/tilt"
 )
 
 // options collects the flag values so tests drive run directly.
@@ -135,8 +136,8 @@ func main() {
 	flag.StringVar(&opt.ingestListen, "ingest-listen", "", "accept the record stream on this TCP address instead of stdin "+
 		"(same auto-negotiated text/binary formats; connections are consumed one at a time until a signal)")
 	flag.StringVar(&opt.nodeID, "node-id", "", "operator-assigned node identity reported on /v1/info (cluster deployments)")
-	flag.StringVar(&opt.tilt, "tilt", "", "tilted multi-granularity trend history: 'calendar' (4 quarters/24 hours/31 days/12 months of units), "+
-		"'log<N>x<S>' (N doubling levels of S slots), or 'name:multiple:slots,...' finest first; empty keeps the flat per-o-cell history")
+	flag.StringVar(&opt.tilt, "tilt", "", "level chain of each o-cell's tilt time frame (its trend history): 'calendar' (4 quarters/24 hours/31 days/12 months of units), "+
+		"'log<N>x<S>' (N doubling levels of S slots), or 'name:multiple:slots,...' finest first; empty is 'unit:1:64', the last 64 units and nothing coarser")
 	flag.StringVar(&opt.walDir, "wal-dir", "", "write-ahead record log directory (created if absent); every record is logged before ingest, "+
 		"and on restart the log replays past the checkpoint's watermark to rebuild the open unit exactly")
 	flag.StringVar(&opt.walSync, "wal-sync", "batch", "WAL fsync policy: 'batch' (every append), 'interval[=dur]' (at most once per period, default 100ms), "+
@@ -193,10 +194,4 @@ func run(ctx context.Context, opt options, in io.Reader, out io.Writer) error {
 		ForecastHorizon:   opt.fcastHorizon,
 		ChangeScore:       opt.changeScore,
 	}, in, out)
-}
-
-// parseTiltLevels parses the -tilt flag syntax (kept here as a named
-// seam for the flag-parsing tests; the grammar lives in internal/tilt).
-func parseTiltLevels(s string) ([]tilt.Level, error) {
-	return tilt.ParseLevels(s)
 }

@@ -316,31 +316,10 @@ func TestRunSignalGracefulFlush(t *testing.T) {
 	}
 }
 
-func TestParseTiltLevels(t *testing.T) {
-	if levels, err := parseTiltLevels(""); err != nil || levels != nil {
-		t.Fatalf("empty -tilt = %v, %v", levels, err)
-	}
-	cal, err := parseTiltLevels("calendar")
-	if err != nil || len(cal) != 4 || cal[3].Name != "month" {
-		t.Fatalf("calendar = %+v, %v", cal, err)
-	}
-	logs, err := parseTiltLevels("log5x8")
-	if err != nil || len(logs) != 5 || logs[1].Multiple != 2 || logs[0].Slots != 8 {
-		t.Fatalf("log5x8 = %+v, %v", logs, err)
-	}
-	custom, err := parseTiltLevels("q:1:4,h:4:24")
-	if err != nil || len(custom) != 2 || custom[1].Name != "h" || custom[1].Multiple != 4 || custom[1].Slots != 24 {
-		t.Fatalf("custom = %+v, %v", custom, err)
-	}
-	for _, bad := range []string{"q:1", "q:x:4", "q:1:y", "log-1x4", "log0x4", "log3x0", "log3x4junk"} {
-		if _, err := parseTiltLevels(bad); err == nil {
-			t.Fatalf("%q parsed silently", bad)
-		}
-	}
-}
-
-// A -tilt run writes a v3 checkpoint that resumes into both tilted and
-// flat engines, and a pre-tilt checkpoint resumes into a -tilt run.
+// A checkpoint resumes under any -tilt value: the same chain restores its
+// frames exactly, another chain — multi-level (this used to fail on the
+// level mismatch) or the default — reseeds them, and a default-chain file
+// resumes into a -tilt run.
 func TestRunTiltCheckpointCompat(t *testing.T) {
 	dir := t.TempDir()
 	cpPath := filepath.Join(dir, "tilt.json")
@@ -349,7 +328,7 @@ func TestRunTiltCheckpointCompat(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), options{
 		spec: "D1L2C2", unit: 4, threshold: 99, alg: "mo",
-		checkpoint: cpPath, shards: 1, tilt: "log3x4",
+		checkpoint: cpPath, shards: 1, tilt: "calendar",
 	}, six(), &out); err != nil {
 		t.Fatal(err)
 	}
@@ -357,33 +336,30 @@ func TestRunTiltCheckpointCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"version":3`) {
-		t.Fatalf("tilted run wrote %.60s, want v3", raw)
+	if !strings.Contains(string(raw), `"version":4`) || strings.Contains(string(raw), `"history"`) {
+		t.Fatalf("tilted run wrote %.60s, want v4 without a history section", raw)
 	}
-	// v3 → tilted resume (sharded, different chain shape is rejected by
-	// the engine, so keep the chain).
-	out.Reset()
-	if err := run(context.Background(), options{
-		spec: "D1L2C2", unit: 4, threshold: 99, alg: "mo",
-		checkpoint: cpPath, shards: 2, tilt: "log3x4",
-	}, records("8,0,1", "9,0,2"), &out); err != nil {
-		t.Fatal(err)
+	// Each resume below saves its own checkpoint over the file; start every
+	// one from the calendar-chain original.
+	for _, c := range []struct {
+		name, tilt string
+		shards     int
+	}{{"same chain", "calendar", 2}, {"another chain", "log4x8", 2}, {"default chain", "", 1}} {
+		if err := os.WriteFile(cpPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		if err := run(context.Background(), options{
+			spec: "D1L2C2", unit: 4, threshold: 99, alg: "mo",
+			checkpoint: cpPath, shards: c.shards, tilt: c.tilt,
+		}, records("8,0,1", "9,0,2"), &out); err != nil {
+			t.Fatalf("calendar file → %s: %v", c.name, err)
+		}
+		if !strings.Contains(out.String(), "# resumed at unit 2 (2 units done)") {
+			t.Fatalf("calendar file → %s resume failed: %q", c.name, out.String())
+		}
 	}
-	if !strings.Contains(out.String(), "# resumed at unit 2") {
-		t.Fatalf("v3→tilted resume failed: %q", out.String())
-	}
-	// v3 → flat resume.
-	out.Reset()
-	if err := run(context.Background(), options{
-		spec: "D1L2C2", unit: 4, threshold: 99, alg: "mo",
-		checkpoint: cpPath, shards: 1,
-	}, records("12,0,1"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "# resumed at unit") {
-		t.Fatalf("v3→flat resume failed: %q", out.String())
-	}
-	// Pre-tilt (v1) file → -tilt run reseeds frames.
+	// Default-chain file → -tilt run reseeds frames.
 	flatPath := filepath.Join(dir, "flat.json")
 	out.Reset()
 	if err := runOpts("D1L2C2", 4, 99, "mo", flatPath, 1, six(), &out); err != nil {
@@ -397,6 +373,6 @@ func TestRunTiltCheckpointCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "# resumed at unit") {
-		t.Fatalf("v1→tilted resume failed: %q", out.String())
+		t.Fatalf("default→tilted resume failed: %q", out.String())
 	}
 }

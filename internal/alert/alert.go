@@ -391,9 +391,9 @@ func (m *Manager) observeForecast(snap *stream.Snapshot, emitted []Event) []Even
 	}
 	m.fcells = m.fcells[:0]
 	seen := make(map[cube.CellKey]bool)
-	for k, pts := range snap.History {
+	for k, v := range snap.Frames {
 		seen[k] = true
-		level, slope := m.forecastLevel(pts)
+		level, slope := m.forecastLevel(v.History())
 		m.fcells = append(m.fcells, candidate{key: k, slope: slope, level: level})
 	}
 	for k := range m.fstates {

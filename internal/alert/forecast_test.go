@@ -9,16 +9,27 @@ import (
 	"repro/internal/exception"
 	"repro/internal/regression"
 	"repro/internal/stream"
+	"repro/internal/tilt"
 )
 
-// fsnap fabricates a unit snapshot whose History holds exact per-unit
+// historyFrame wraps contiguous per-unit points as the one-level frame the
+// engine's default chain publishes.
+func historyFrame(pts []stream.HistoryPoint) *stream.FrameView {
+	slots := make([]tilt.Slot, len(pts))
+	for i, p := range pts {
+		slots[i] = tilt.Slot{Unit: int64(i), ISB: p.ISB}
+	}
+	return &stream.FrameView{Base: pts[0].Unit, Levels: []stream.FrameLevelView{{Name: "unit", Slots: slots}}}
+}
+
+// fsnap fabricates a unit snapshot whose frames hold exact per-unit
 // fits of a linear ramp z = slope·t at 2 ticks per unit, from unit 0
 // through `unit` — the shape the engine publishes for a steadily rising
-// cell. A zero-length slope map drops History entirely (vanished cell).
+// cell. A zero-length slope map drops the frames entirely (vanished cell).
 func fsnap(schema *cube.Schema, unit int64, slopes map[cube.CellKey]float64) *stream.Snapshot {
 	s := &stream.Snapshot{Unit: unit, UnitsDone: unit + 1}
 	if len(slopes) > 0 {
-		s.History = map[cube.CellKey][]stream.HistoryPoint{}
+		s.Frames = map[cube.CellKey]*stream.FrameView{}
 		for k, slope := range slopes {
 			pts := make([]stream.HistoryPoint, unit+1)
 			for u := int64(0); u <= unit; u++ {
@@ -27,7 +38,7 @@ func fsnap(schema *cube.Schema, unit int64, slopes map[cube.CellKey]float64) *st
 					ISB:  regression.ISB{Tb: 2 * u, Te: 2*u + 1, Base: 0, Slope: slope},
 				}
 			}
-			s.History[k] = pts
+			s.Frames[k] = historyFrame(pts)
 		}
 	}
 	return s
@@ -120,11 +131,10 @@ func TestForecastWindowLimitsModel(t *testing.T) {
 	// (after the 2-unit hold).
 	plateau := fsnap(schema, 48, map[cube.CellKey]float64{o: 10})
 	for u := int64(49); u <= 54; u++ {
-		pts := plateau.History[o]
-		pts = append(pts[:len(pts):len(pts)], stream.HistoryPoint{
+		pts := append(plateau.HistoryOf(o), stream.HistoryPoint{
 			Unit: u, ISB: regression.ISB{Tb: 2 * u, Te: 2*u + 1, Base: 970, Slope: 0},
 		})
-		snap := &stream.Snapshot{Unit: u, UnitsDone: u + 1, History: map[cube.CellKey][]stream.HistoryPoint{o: pts}}
+		snap := &stream.Snapshot{Unit: u, UnitsDone: u + 1, Frames: map[cube.CellKey]*stream.FrameView{o: historyFrame(pts)}}
 		plateau = snap
 		m.Observe(snap)
 	}

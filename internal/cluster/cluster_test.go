@@ -271,7 +271,7 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 		!reflect.DeepEqual(merged.Result.Exceptions, want.Result.Exceptions) ||
 		!reflect.DeepEqual(merged.Result.PathCells, want.Result.PathCells) ||
 		!reflect.DeepEqual(merged.Alerts, want.Alerts) ||
-		!reflect.DeepEqual(merged.History, want.History) {
+		!reflect.DeepEqual(merged.Frames, want.Frames) {
 		t.Fatal("merged cluster snapshot differs from single engine")
 	}
 

@@ -118,10 +118,11 @@ func (c *mirrorCluster) checkView(t testing.TB, v *stream.Snapshot) {
 	if v.UnitsDone != v.Unit+1 || v.Interval.Tb != v.Unit*4 || v.Interval.Te != v.Unit*4+3 {
 		t.Errorf("view of unit %d has %d units done, interval %+v", v.Unit, v.UnitsDone, v.Interval)
 	}
-	if len(v.History) != len(c.nodes) {
-		t.Errorf("view of unit %d has %d cell histories, want %d", v.Unit, len(v.History), len(c.nodes))
+	if len(v.Frames) != len(c.nodes) {
+		t.Errorf("view of unit %d has %d cell histories, want %d", v.Unit, len(v.Frames), len(c.nodes))
 	}
-	for cell, pts := range v.History {
+	for cell := range v.Frames {
+		pts := v.HistoryOf(cell)
 		if last := pts[len(pts)-1].Unit; last != v.Unit {
 			t.Errorf("view of unit %d: cell %v ends at unit %d", v.Unit, cell, last)
 		}

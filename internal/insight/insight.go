@@ -33,6 +33,7 @@ import (
 	"repro/internal/cube"
 	"repro/internal/regression"
 	"repro/internal/stream"
+	"repro/internal/tilt"
 )
 
 // ErrArgs marks invalid forecast parameters (horizon < 1).
@@ -205,11 +206,11 @@ func Divergence(a, b float64) float64 {
 // ScanChanges scores every framed o-cell of a snapshot and returns the
 // cells whose score is at least minScore, ranked score-descending with
 // canonical key order breaking ties — fully deterministic, because the
-// frames themselves are deterministic at any shard count. Flat-history
-// engines have no second granularity to compare, so they score no cells
-// (an empty scan, not an error). k > 0 truncates the ranking.
+// frames themselves are deterministic at any shard count. A one-level
+// chain (the default) has no second granularity to compare, so it scores
+// no cells (an empty scan, not an error). k > 0 truncates the ranking.
 func ScanChanges(snap *stream.Snapshot, minScore float64, k int) []CellChange {
-	if snap == nil || snap.Frames == nil {
+	if snap == nil {
 		return nil
 	}
 	keys := make([]cube.CellKey, 0, len(snap.Frames))
@@ -266,13 +267,6 @@ func scoreFrame(key cube.CellKey, v *stream.FrameView) (CellChange, bool) {
 // are always contiguous (promotion consumes a trailing window, eviction
 // trims the front), so the aggregation cannot see a gap.
 func levelSlope(lv stream.FrameLevelView) (float64, error) {
-	isbs := make([]regression.ISB, len(lv.Slots))
-	for i, s := range lv.Slots {
-		isbs[i] = s.ISB
-	}
-	isb, err := regression.AggregateTime(isbs...)
-	if err != nil {
-		return 0, err
-	}
-	return isb.Slope, nil
+	isb, err := tilt.AggregateLast(lv.Name, lv.Slots, len(lv.Slots))
+	return isb.Slope, err
 }

@@ -277,7 +277,7 @@ func TestInsightDeterministicAcrossShards(t *testing.T) {
 		if !reflect.DeepEqual(ScanChanges(snap, 0, 0), baseScan) {
 			t.Fatalf("ScanChanges differs between 1 and %d shards", shards)
 		}
-		for key := range base.History {
+		for key := range base.Frames {
 			want, errW := ForecastHistory(base.HistoryOf(key), 8, &threshold)
 			got, errG := ForecastHistory(snap.HistoryOf(key), 8, &threshold)
 			if (errW == nil) != (errG == nil) {
@@ -326,8 +326,9 @@ func TestScanChangesSurfacesTrendBreak(t *testing.T) {
 	}
 }
 
-// TestScanChangesFlat: flat-history engines have no second granularity —
-// an empty scan, not an error.
+// TestScanChangesFlat: a default engine's frames have one level, and one
+// level has no adjacent pair to compare — an empty scan, not an error,
+// through the same scoring loop as any other chain.
 func TestScanChangesFlat(t *testing.T) {
 	eng, err := stream.NewEngine(stream.Config{
 		Schema:           testSchema(t),
@@ -343,7 +344,11 @@ func TestScanChangesFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := ScanChanges(eng.Snapshot(), 0, 0); got != nil {
-		t.Fatalf("flat engine scan = %v, want nil", got)
+	snap := eng.Snapshot()
+	if len(snap.Frames) != 1 || snap.Tilted() {
+		t.Fatalf("default engine published %d frames, tilted=%v; want one one-level frame", len(snap.Frames), snap.Tilted())
+	}
+	if got := ScanChanges(snap, 0, 0); got != nil {
+		t.Fatalf("default engine scan = %v, want nil", got)
 	}
 }

@@ -32,8 +32,8 @@ type EngineConfig struct {
 	Threshold float64
 	// Alg selects the cubing algorithm: "mo" (default) or "popular-path".
 	Alg string
-	// Tilt is the tilted-history chain spec (streamd -tilt syntax); empty
-	// keeps the flat per-o-cell history.
+	// Tilt is the tilt-frame level chain spec (streamd -tilt syntax); empty
+	// is the one-level default, unit:1:64.
 	Tilt string
 	// Shards hash-partitions the engine across that many goroutines; 1
 	// runs it single-threaded on the caller's.

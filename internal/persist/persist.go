@@ -24,18 +24,18 @@ const formatVersion = 1
 
 // Checkpoint envelope versions. One layout is written: the canonical
 // stream.Checkpoint — the same bytes from a stream.Engine and from a
-// stream.ShardedEngine at any shard count — under version 1, or version 3
-// when it carries tilted per-o-cell frames (stream.Checkpoint.Tilt)
-// alongside the flat history. Older releases wrote sharded engines as one
-// checkpoint per shard (version 2, or version 3 with a "shards" array);
-// ReadCheckpoint upgrades those files by merging the shards. A version 3
-// file loads into flat engines through its derived history, and
-// stream.Engine.Restore reseeds frames from pre-tilt files going the
-// other way.
+// stream.ShardedEngine at any shard count — under version 4, whose trend
+// history is the per-o-cell tilt frames and nothing else. Older releases
+// wrote a flat per-unit history (version 1), one checkpoint per shard
+// (version 2), or frames next to a history derived from them, single or
+// per shard (version 3). ReadCheckpoint upgrades per-shard files by
+// merging the shards, and stream.Engine.Restore reseeds frames from a
+// file that has only the flat history.
 const (
-	checkpointVersionFlat     = 1
+	checkpointVersionFlat     = 1 // read only
 	checkpointVersionPerShard = 2 // read only
-	checkpointVersionTilted   = 3
+	checkpointVersionTilted   = 3 // read only
+	checkpointVersion         = 4
 )
 
 // cellRec flattens one (cell, measure) pair.
@@ -141,17 +141,12 @@ type checkpointDoc struct {
 	Shards     []*stream.Checkpoint `json:"shards,omitempty"`
 }
 
-// WriteCheckpoint serializes an engine checkpoint: version 1, or version
-// 3 when the engine carries tilted frames.
+// WriteCheckpoint serializes an engine checkpoint under version 4.
 func WriteCheckpoint(w io.Writer, cp *stream.Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("%w: nil checkpoint", ErrFormat)
 	}
-	version := checkpointVersionFlat
-	if len(cp.Tilt) > 0 {
-		version = checkpointVersionTilted
-	}
-	return json.NewEncoder(w).Encode(checkpointDoc{Version: version, Checkpoint: cp})
+	return json.NewEncoder(w).Encode(checkpointDoc{Version: checkpointVersion, Checkpoint: cp})
 }
 
 // ReadCheckpoint deserializes a checkpoint of any version into the
@@ -175,9 +170,9 @@ func ReadCheckpoint(r io.Reader) (*stream.Checkpoint, error) {
 		return nil, fmt.Errorf("%w: checkpoint needs exactly one of checkpoint/shards", ErrFormat)
 	}
 	switch doc.Version {
-	case checkpointVersionFlat:
+	case checkpointVersionFlat, checkpointVersion:
 		if perShard {
-			return nil, fmt.Errorf("%w: version 1 without a single checkpoint", ErrFormat)
+			return nil, fmt.Errorf("%w: version %d without a single checkpoint", ErrFormat, doc.Version)
 		}
 	case checkpointVersionPerShard:
 		if !perShard {
@@ -186,8 +181,8 @@ func ReadCheckpoint(r io.Reader) (*stream.Checkpoint, error) {
 	case checkpointVersionTilted:
 		// v3 is v1- or v2-shaped with frames attached.
 	default:
-		return nil, fmt.Errorf("%w: version %d, want %d, %d or %d", ErrFormat,
-			doc.Version, checkpointVersionFlat, checkpointVersionPerShard, checkpointVersionTilted)
+		return nil, fmt.Errorf("%w: version %d, want %d to %d", ErrFormat,
+			doc.Version, checkpointVersionFlat, checkpointVersion)
 	}
 	if !perShard {
 		return doc.Checkpoint, nil

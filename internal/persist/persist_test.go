@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -212,16 +213,45 @@ func TestReadCheckpointErrors(t *testing.T) {
 	}
 }
 
-// The per-shard files older releases wrote for sharded engines (version
-// 2, and version 3 with a "shards" array; the fixtures were written by the
-// last release that had a per-shard writer, from 3 shards at tick 14 with
-// watermark 56) upgrade on read: ReadCheckpoint merges them into the very
-// bytes of their single-layout twins — which are also what an engine fed
-// the same records writes today — and the result restores at any shard
-// count.
+// Files of every older version still resume. The fixtures were written by
+// the releases that had those writers, all from the same records (14 ticks,
+// cut mid-unit with 3 units closed, watermark 56): a flat-history single
+// file (version 1), its per-shard twin from 3 shards (version 2), and the
+// tilted pair (version 3, whose frames sit next to a derived history).
+// ReadCheckpoint merges a per-shard file into its single twin, and each
+// file restores at any shard count onto exactly the state of an engine
+// that ran the records itself — the same version-4 bytes at the cut and
+// after running on. Bound: a frame restores exactly under its own chain
+// (the version 3 pair) for any length of run; a version 1/2 history
+// reseeds the very frame the uninterrupted run built as long as the
+// writer had evicted nothing from it, i.e. the cell had fewer than that
+// release's 64 retained units (here 3).
 func TestShardedCheckpointCrossVersion(t *testing.T) {
 	tiltCfg, schema := tiltedStreamConfig(t)
 	flatCfg := stream.Config{Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(0.5)}
+	file := func(cp *stream.Checkpoint, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, cp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	read := func(name string) *stream.Checkpoint {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := ReadCheckpoint(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return cp
+	}
 	for _, c := range []struct {
 		perShard, twin string
 		cfg            stream.Config
@@ -229,59 +259,36 @@ func TestShardedCheckpointCrossVersion(t *testing.T) {
 		{"v2_sharded.json", "v1_single.json", flatCfg},
 		{"v3_sharded_tilt.json", "v3_single_tilt.json", tiltCfg},
 	} {
-		legacy, err := os.ReadFile(filepath.Join("testdata", c.perShard))
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(read(c.perShard), read(c.twin)) {
+			t.Fatalf("%s does not merge into its twin %s", c.perShard, c.twin)
 		}
-		twin, err := os.ReadFile(filepath.Join("testdata", c.twin))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, err := ReadCheckpoint(bytes.NewReader(legacy))
-		if err != nil {
-			t.Fatalf("%s: %v", c.perShard, err)
-		}
-		var upgraded bytes.Buffer
-		if err := WriteCheckpoint(&upgraded, cp); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(upgraded.Bytes(), twin) {
-			t.Fatalf("%s upgrades to\n%s\nwant its twin %s\n%s", c.perShard, upgraded.Bytes(), c.twin, twin)
-		}
-
 		eng, err := stream.NewEngine(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		feedUnits(t, eng.Ingest, 0, 14)
 		eng.SetWALSeq(56)
-		var fresh bytes.Buffer
-		if err := WriteCheckpoint(&fresh, eng.Checkpoint()); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(fresh.Bytes(), twin) {
-			t.Fatalf("an engine no longer writes the bytes of %s:\n%s", c.twin, fresh.Bytes())
-		}
+		wantCut := file(eng.Checkpoint(), nil)
+		feedUnits(t, eng.Ingest, 14, 41)
+		wantFinal := file(eng.Checkpoint(), nil)
 
-		for _, shards := range []int{1, 2, 5} {
-			dst, err := stream.NewShardedEngine(c.cfg, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dst.Close()
-			if err := dst.Restore(cp); err != nil {
-				t.Fatalf("%s into %d shards: %v", c.perShard, shards, err)
-			}
-			back, err := dst.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := WriteCheckpoint(&buf, back); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), twin) {
-				t.Fatalf("%s restored into %d shards checkpoints differently from %s", c.perShard, shards, c.twin)
+		for _, name := range []string{c.perShard, c.twin} {
+			for _, shards := range []int{1, 2, 5} {
+				dst, err := stream.NewShardedEngine(c.cfg, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer dst.Close()
+				if err := dst.Restore(read(name)); err != nil {
+					t.Fatalf("%s into %d shards: %v", name, shards, err)
+				}
+				if got := file(dst.Checkpoint()); !bytes.Equal(got, wantCut) {
+					t.Fatalf("%s restored into %d shards checkpoints as\n%s\nwant the uninterrupted run's\n%s", name, shards, got, wantCut)
+				}
+				feedUnits(t, dst.Ingest, 14, 41)
+				if got := file(dst.Checkpoint()); !bytes.Equal(got, wantFinal) {
+					t.Fatalf("%s resumed at %d shards ends in a different state than the uninterrupted run", name, shards)
+				}
 			}
 		}
 	}

@@ -41,38 +41,51 @@ func feedUnits(t *testing.T, ing func([]int32, int64, float64) ([]*stream.UnitRe
 	}
 }
 
-// TestTiltedCheckpointWritesV3 asserts the envelope version switches to 3
-// exactly when frames are present, whichever engine cut the checkpoint.
-func TestTiltedCheckpointWritesV3(t *testing.T) {
-	cfg, _ := tiltedStreamConfig(t)
-	eng, err := stream.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedUnits(t, eng.Ingest, 0, 10)
-	seng, err := stream.NewShardedEngine(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seng.Close()
-	feedUnits(t, seng.Ingest, 0, 10)
-	scp, err := seng.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, cp := range map[string]*stream.Checkpoint{"engine": eng.Checkpoint(), "sharded": scp} {
-		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, cp); err != nil {
+// TestCheckpointWritesV4 asserts the one envelope: version 4 whatever the
+// level chain and whichever engine cut the checkpoint, with the trend
+// history as frames only — no derived "history" section, each slot once.
+func TestCheckpointWritesV4(t *testing.T) {
+	tilted, _ := tiltedStreamConfig(t)
+	def := tilted
+	def.TiltLevels = nil
+	for name, cfg := range map[string]stream.Config{"default": def, "tilted": tilted} {
+		eng, err := stream.NewEngine(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var doc struct {
-			Version int `json:"version"`
-		}
-		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		feedUnits(t, eng.Ingest, 0, 10)
+		seng, err := stream.NewShardedEngine(cfg, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if doc.Version != 3 {
-			t.Fatalf("tilted %s checkpoint version %d, want 3", name, doc.Version)
+		defer seng.Close()
+		feedUnits(t, seng.Ingest, 0, 10)
+		scp, err := seng.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, cp := range map[string]*stream.Checkpoint{"engine": eng.Checkpoint(), "sharded": scp} {
+			var buf bytes.Buffer
+			if err := WriteCheckpoint(&buf, cp); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				Version    int                        `json:"version"`
+				Checkpoint map[string]json.RawMessage `json:"checkpoint"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			if doc.Version != 4 {
+				t.Fatalf("%s %s checkpoint version %d, want 4", name, kind, doc.Version)
+			}
+			if _, ok := doc.Checkpoint["history"]; ok || len(doc.Checkpoint["tilt"]) == 0 {
+				t.Fatalf("%s %s checkpoint must carry frames and no history: %s", name, kind, buf.Bytes())
+			}
+			// 2 closed units × 2 o-cells: each unit's regression appears once.
+			if n := strings.Count(buf.String(), `"Tb":0,"Te":3`); n != 2 {
+				t.Fatalf("%s %s checkpoint names unit 0's interval %d times, want once per o-cell", name, kind, n)
+			}
 		}
 	}
 }
@@ -248,7 +261,8 @@ func TestV3EnvelopeValidation(t *testing.T) {
 		`{"version":3,"checkpoint":{"unit":0},"shards":[{"unit":0}]}`,
 		`{"version":3,"shards":[]}`,
 		`{"version":3,"shards":[null]}`,
-		`{"version":4,"checkpoint":{"unit":0}}`,
+		`{"version":4,"shards":[{"unit":0}]}`,
+		`{"version":5,"checkpoint":{"unit":0}}`,
 		// Mixed layouts are ambiguous at every version: silently preferring
 		// the stray single checkpoint would drop the shard data.
 		`{"version":1,"checkpoint":{"unit":0},"shards":[{"unit":0}]}`,

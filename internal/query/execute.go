@@ -256,89 +256,52 @@ func (e *Executor) slice(r SliceRequest) *CellsResponse {
 }
 
 func (e *Executor) trend(r TrendRequest, key cube.CellKey) (Response, error) {
-	k := r.K
-	if k == 0 {
-		k = 1
-	}
+	k := max(r.K, 1)
 	snap := e.snap
-	resp := &TrendResponse{Unit: snap.Unit, K: k, Points: []HistoryPointJSON{}}
-	if r.Level == 0 {
-		have := snap.HistoryLen(key)
-		if k > have {
-			return nil, notFoundf("trend for %s: %d units requested, %d recorded",
-				key.Describe(e.schema), k, have)
-		}
-		isb, terr := snap.TrendQuery(key, k)
-		if terr != nil {
-			// The remaining failure is a history gap; surface the real cause.
-			return nil, notFoundf("trend for %s: %v", key.Describe(e.schema), terr)
-		}
-		resp.Cell = encodeCell(e.schema, core.Cell{Key: key, ISB: isb})
-		resp.History = have
-		tail := snap.HistoryOf(key)
-		tail = tail[len(tail)-k:]
-		for _, pt := range tail {
-			resp.Points = append(resp.Points, HistoryPointJSON{Unit: pt.Unit, ISB: encodeISB(pt.ISB)})
-		}
-		return resp, nil
-	}
-	// Coarser levels are answered from the published tilt frames.
-	if snap.Frames == nil {
-		return nil, invalidf("parameter level: %d, but the engine keeps flat history (no tilt levels)", r.Level)
-	}
+	name := key.Describe(e.schema)
 	v := snap.FrameOf(key)
-	if v == nil {
-		return nil, notFoundf("trend for %s: no history", key.Describe(e.schema))
-	}
-	if r.Level >= len(v.Levels) {
+	switch {
+	case v == nil && r.Level == 0:
+		return nil, notFoundf("trend for %s: %d units requested, 0 recorded", name, k)
+	case v == nil:
+		return nil, notFoundf("trend for %s: no history", name)
+	case r.Level >= len(v.Levels):
 		return nil, invalidf("parameter level: %d outside [0,%d)", r.Level, len(v.Levels))
 	}
 	lv := v.Levels[r.Level]
+	if k > len(lv.Slots) && r.Level == 0 {
+		return nil, notFoundf("trend for %s: %d units requested, %d recorded", name, k, len(lv.Slots))
+	}
 	if k > len(lv.Slots) {
-		return nil, notFoundf("trend for %s: %d %s units requested, %d retained",
-			key.Describe(e.schema), k, lv.Name, len(lv.Slots))
+		return nil, notFoundf("trend for %s: %d %s units requested, %d retained", name, k, lv.Name, len(lv.Slots))
 	}
 	isb, terr := v.Query(r.Level, k)
 	if terr != nil {
-		return nil, notFoundf("trend for %s: %v", key.Describe(e.schema), terr)
+		return nil, notFoundf("trend for %s: %v", name, terr)
 	}
+	resp := &TrendResponse{Unit: snap.Unit, K: k, History: len(lv.Slots), Points: []HistoryPointJSON{}}
 	resp.Cell = encodeCell(e.schema, core.Cell{Key: key, ISB: isb})
-	resp.Level = lv.Name
-	resp.History = len(lv.Slots)
+	// The finest level is the per-unit history and speaks engine units;
+	// coarser levels are named and number their slots from the frame's start.
+	base := v.Base
+	if r.Level > 0 {
+		resp.Level, base = lv.Name, 0
+	}
 	for _, sl := range lv.Slots[len(lv.Slots)-k:] {
-		resp.Points = append(resp.Points, HistoryPointJSON{Unit: sl.Unit, ISB: encodeISB(sl.ISB)})
+		resp.Points = append(resp.Points, HistoryPointJSON{Unit: base + sl.Unit, ISB: encodeISB(sl.ISB)})
 	}
 	return resp, nil
 }
 
 func (e *Executor) frame(key cube.CellKey) (Response, error) {
 	snap := e.snap
-	resp := &FrameResponse{Unit: snap.Unit, Levels: []FrameLevelJSON{}}
-	resp.Cell.Levels, resp.Cell.Members = encodeKey(key)
-	resp.Cell.Name = key.Describe(e.schema)
-	if snap.Frames == nil {
-		hist := snap.HistoryOf(key)
-		lv := FrameLevelJSON{
-			Name:      "unit",
-			UnitTicks: snap.Interval.Te - snap.Interval.Tb + 1,
-			Slots:     []HistoryPointJSON{},
-		}
-		for _, pt := range hist {
-			lv.Slots = append(lv.Slots, HistoryPointJSON{Unit: pt.Unit, ISB: encodeISB(pt.ISB)})
-		}
-		if n := len(hist); n > 0 {
-			lv.Completed = hist[n-1].Unit + 1
-		}
-		resp.SlotsInUse = len(hist)
-		resp.Levels = append(resp.Levels, lv)
-		return resp, nil
-	}
-	resp.Tilted = true
 	v := snap.FrameOf(key)
 	if v == nil {
 		return nil, notFoundf("frame for %s: no history", key.Describe(e.schema))
 	}
-	resp.Base = v.Base
+	resp := &FrameResponse{Unit: snap.Unit, Tilted: len(v.Levels) > 1, Base: v.Base, Levels: []FrameLevelJSON{}}
+	resp.Cell.Levels, resp.Cell.Members = encodeKey(key)
+	resp.Cell.Name = key.Describe(e.schema)
 	for i, lv := range v.Levels {
 		lj := FrameLevelJSON{
 			Level:     i,

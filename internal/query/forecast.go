@@ -126,8 +126,9 @@ type ChangeJSON struct {
 type ChangesResponse struct {
 	Unit     int64        `json:"unit"`
 	Interval IntervalJSON `json:"interval"`
-	// Tilted reports whether the engine keeps tilt frames; flat engines
-	// have no second granularity and score no cells.
+	// Tilted reports whether the level chain has more than one
+	// granularity; a one-level chain (the default) has no pair to compare
+	// and scores no cells.
 	Tilted bool `json:"tilted"`
 	// Count is the total number of cells at or above MinScore before K
 	// truncation.
@@ -155,8 +156,8 @@ func (e *Executor) forecast(r ForecastRequest, key cube.CellKey) (Response, erro
 	}
 	f, err := insight.ForecastHistory(pts[have-k:], r.Horizon, r.Threshold)
 	if err != nil {
-		// Validation already rejected bad arguments; what remains is a
-		// history gap in the window.
+		// Validation already rejected bad arguments and a frame's units are
+		// contiguous; what remains is a window the units cannot aggregate over.
 		return nil, notFoundf("forecast for %s: %v", key.Describe(e.schema), err)
 	}
 	resp := &ForecastResponse{
@@ -183,7 +184,7 @@ func (e *Executor) changes(r ChangesRequest) *ChangesResponse {
 	resp := &ChangesResponse{
 		Unit:     snap.Unit,
 		Interval: encodeInterval(snap.Interval),
-		Tilted:   snap.Frames != nil,
+		Tilted:   snap.Tilted(),
 		MinScore: r.MinScore,
 		Cells:    []ChangeJSON{},
 	}

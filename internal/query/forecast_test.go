@@ -100,9 +100,9 @@ func TestForecastExecute(t *testing.T) {
 	}
 }
 
-// TestChangesExecute: tilted fixtures score cells, flat ones answer a
-// structurally empty (not error) response — the load generator hits this
-// endpoint against any engine.
+// TestChangesExecute: tilted fixtures score cells, default (one-level)
+// ones answer a structurally empty (not error) response — the load
+// generator hits this endpoint against any engine.
 func TestChangesExecute(t *testing.T) {
 	flat := execTestExecutor(t, 3, nil)
 	resp, err := flat.Execute(ChangesRequest{})

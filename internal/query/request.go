@@ -205,9 +205,9 @@ type TrendRequest struct {
 	CellRef
 	// K is how many trailing units to aggregate; 0 means 1.
 	K int `json:"k,omitempty"`
-	// Level selects the tilt granularity: 0 (default) is the finest and
-	// answers on flat and tilted engines alike; coarser levels need an
-	// engine with tilt levels configured.
+	// Level selects the tilt granularity: 0 (default) is the finest, the
+	// per-unit history; coarser levels exist on engines configured with a
+	// multi-level chain.
 	Level int `json:"level,omitempty"`
 }
 
@@ -228,8 +228,8 @@ func (r TrendRequest) Validate(s *cube.Schema) error {
 	return err
 }
 
-// FrameRequest asks for the per-level slot listing of an o-cell's tilted
-// history (rendered as a single pseudo-level on flat engines).
+// FrameRequest asks for the per-level slot listing of an o-cell's tilt
+// frame.
 type FrameRequest struct {
 	CellRef
 }

@@ -88,15 +88,15 @@ type TrendResponse struct {
 func (*TrendResponse) isResponse() {}
 
 // FrameResponse answers a FrameRequest: the per-level slot listing of one
-// o-cell's tilted history (§4.1, Figure 4). Flat engines render their
-// history as a single pseudo-level, so consumers need no mode switch.
+// o-cell's tilt frame (§4.1, Figure 4). The default chain lists its one
+// "unit" level.
 type FrameResponse struct {
 	Unit int64       `json:"unit"`
 	Cell CellRefJSON `json:"cell"`
-	// Tilted reports whether the engine promotes history through a tilt
-	// level chain.
+	// Tilted reports whether the level chain has more than one
+	// granularity.
 	Tilted bool `json:"tilted"`
-	// Base is the engine unit the frame started at (tilted only).
+	// Base is the engine unit the frame started at.
 	Base       int64            `json:"base"`
 	SlotsInUse int              `json:"slotsInUse"`
 	Levels     []FrameLevelJSON `json:"levels"`

@@ -138,12 +138,12 @@ type FrameLevelJSON struct {
 	Name  string `json:"name"`
 	// UnitTicks is the raw-tick span of one slot at this level.
 	UnitTicks int64 `json:"unitTicks"`
-	// Capacity is the retention bound; 0 on flat engines (unbounded by
-	// the frame — the engine's HistoryUnits applies instead).
+	// Capacity is the level's retention bound in slots (64 for the default
+	// chain's one "unit" level).
 	Capacity  int   `json:"capacity"`
 	Completed int64 `json:"completed"`
-	// Slots list the retained units oldest first. On tilted engines Unit
-	// is the frame-local ordinal at this level (add base for engine units
-	// at the finest level); on flat engines it is the engine unit.
+	// Slots list the retained units oldest first. Unit is the frame-local
+	// ordinal at this level (add base for engine units at the finest
+	// level).
 	Slots []HistoryPointJSON `json:"slots"`
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -156,14 +157,21 @@ func TestTrendLevels(t *testing.T) {
 	}
 }
 
-// TestTrendLevelOnFlatEngine asserts coarse levels 400 when the engine
-// keeps flat history.
+// TestTrendLevelOnFlatEngine asserts a default engine answers ?level= by
+// the same rule as any other chain: its one level is level 0, anything
+// coarser is outside [0,1).
 func TestTrendLevelOnFlatEngine(t *testing.T) {
 	srv, _, _ := testServer(t, 2, 3)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/trend?members=0,0&k=1&level=1", nil))
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "flat history") {
-		t.Fatalf("flat-engine level trend: status %d body %s", rec.Code, rec.Body.String())
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "parameter level: 1 outside [0,1)") {
+		t.Fatalf("default-engine level trend: status %d body %s", rec.Code, rec.Body.String())
+	}
+	var explicit, implied trendResponse
+	get(t, srv, "/v1/trend?members=0,0&k=2&level=0", &explicit)
+	get(t, srv, "/v1/trend?members=0,0&k=2", &implied)
+	if !reflect.DeepEqual(explicit, implied) || len(explicit.Points) != 2 {
+		t.Fatalf("level=0 trend %+v differs from the default %+v", explicit, implied)
 	}
 }
 
@@ -211,23 +219,29 @@ func TestFrameEndpointTilted(t *testing.T) {
 	}
 }
 
-// TestFrameEndpointFlat asserts the endpoint answers on flat engines as a
-// single pseudo-level over the o-cell history.
+// TestFrameEndpointFlat asserts a default engine lists its real frame: the
+// one "unit" level of the default chain with its capacity and base, by the
+// same code path as a tilted engine (unknown cells 404 alike).
 func TestFrameEndpointFlat(t *testing.T) {
 	srv, _, _ := testServer(t, 2, 5)
 	var fr frameResponse
 	get(t, srv, "/v1/frame?members=0,0", &fr)
 	if fr.Tilted {
-		t.Fatalf("flat frame = %+v, want tilted=false", fr)
+		t.Fatalf("default frame = %+v, want tilted=false: one level is no tilt", fr)
 	}
-	if len(fr.Levels) != 1 || fr.Levels[0].Name != "unit" {
-		t.Fatalf("flat levels = %+v", fr.Levels)
+	if len(fr.Levels) != 1 || fr.Levels[0].Name != "unit" || fr.Levels[0].Capacity != 64 || fr.Base != 0 {
+		t.Fatalf("default levels = %+v (base %d), want one unit level of capacity 64 from unit 0", fr.Levels, fr.Base)
 	}
-	if got := len(fr.Levels[0].Slots); got != 5 || fr.SlotsInUse != 5 {
-		t.Fatalf("flat frame retains %d slots (inUse %d), want 5", got, fr.SlotsInUse)
+	if got := len(fr.Levels[0].Slots); got != 5 || fr.SlotsInUse != 5 || fr.Levels[0].Completed != 5 {
+		t.Fatalf("default frame retains %d slots (inUse %d, completed %d), want 5", got, fr.SlotsInUse, fr.Levels[0].Completed)
 	}
 	if fr.Levels[0].UnitTicks != 4 {
-		t.Fatalf("flat unitTicks = %d, want 4", fr.Levels[0].UnitTicks)
+		t.Fatalf("default unitTicks = %d, want 4", fr.Levels[0].UnitTicks)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/frame?levels=2,2&members=3,3", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("non-o-cell frame: status %d body %s", rec.Code, rec.Body.String())
 	}
 }
 

@@ -11,15 +11,19 @@ import (
 )
 
 // Checkpoint is the serializable state of an Engine: the open unit, every
-// active cell's accumulator statistics, and the per-o-cell regression
-// history. Together with the (static) Config it fully restores an engine
-// after a crash or restart — the paper's "stored on disks" half of the
+// active cell's accumulator statistics, and the per-o-cell tilt frames.
+// Together with the (static) Config it fully restores an engine after a
+// crash or restart — the paper's "stored on disks" half of the
 // critical-layer design.
 type Checkpoint struct {
-	Unit      int64         `json:"unit"`
-	UnitsDone int64         `json:"unitsDone"`
-	Cells     []CellState   `json:"cells"`
-	History   []CellHistory `json:"history"`
+	Unit      int64       `json:"unit"`
+	UnitsDone int64       `json:"unitsDone"`
+	Cells     []CellState `json:"cells"`
+	// History is the flat per-unit o-cell history of files older than
+	// envelope version 4: all a version 1/2 file has, a derived copy of the
+	// frames' finest level in a version 3 one. Engine.Checkpoint never
+	// fills it; Restore reseeds frames from it when the file has none.
+	History []CellHistory `json:"history,omitempty"`
 	// WALSeq is the write-ahead-log watermark: how many log records the
 	// checkpointed state reflects. Recovery replays log records
 	// [WALSeq, end) on top of the restored state — sequence-based, not
@@ -28,15 +32,13 @@ type Checkpoint struct {
 	// checkpoint is cut, and a unit-granular watermark would replay it
 	// twice. Zero (and omitted) when no WAL is in use.
 	WALSeq int64 `json:"walSeq,omitempty"`
-	// Tilt holds the per-o-cell tilt frames of a Config.TiltLevels engine
-	// (the persist layer's version-3 envelope). In tilt mode History is
-	// still written — derived from each frame's finest level — so the file
-	// cross-loads into flat engines and pre-tilt readers.
+	// Tilt holds every o-cell's tilt frame — the whole trend history, each
+	// slot once.
 	Tilt   []CellFrame      `json:"tilt,omitempty"`
 	Schema []DimensionShape `json:"schema"` // shape fingerprint for validation
 }
 
-// CellFrame checkpoints one o-cell's tilted multi-granularity history.
+// CellFrame checkpoints one o-cell's multi-granularity history.
 type CellFrame struct {
 	Levels  []int               `json:"levels"`
 	Members []int32             `json:"members"`
@@ -50,7 +52,7 @@ type CellState struct {
 	Acc     regression.AccumulatorState `json:"acc"`
 }
 
-// CellHistory checkpoints one o-cell's unit history.
+// CellHistory is one o-cell's unit history in a pre-version-4 file.
 type CellHistory struct {
 	Levels  []int             `json:"levels"`
 	Members []int32           `json:"members"`
@@ -86,7 +88,7 @@ func shapeOf(s *cube.Schema) []DimensionShape {
 }
 
 // Checkpoint exports the engine's full dynamic state in canonical form:
-// cells, history, and tilt frames are sorted by coordinate, so two engines
+// cells and tilt frames are sorted by coordinate, so two engines
 // in identical states serialize to byte-identical checkpoints. The replay-
 // equivalence tests lean on that — "recovered state equals uninterrupted
 // state" is checked bit for bit on the encoded checkpoint.
@@ -110,31 +112,14 @@ func (e *Engine) Checkpoint() *Checkpoint {
 			Acc:     acc.State(),
 		})
 	}
-	if e.tilted() {
-		for key, pts := range e.tiltHistory() {
-			ch := cellKeyRec(key)
-			for _, p := range pts {
-				ch.Entries = append(ch.Entries, HistoryEntryRec{Unit: p.Unit, ISB: p.ISB})
-			}
-			cp.History = append(cp.History, ch)
-		}
-		for key, cf := range e.frames {
-			rec := cellKeyRec(key)
-			cp.Tilt = append(cp.Tilt, CellFrame{
-				Levels:  rec.Levels,
-				Members: rec.Members,
-				Base:    cf.base,
-				Frame:   cf.frame.State(),
-			})
-		}
-		return cp
-	}
-	for key, entries := range e.history {
-		ch := cellKeyRec(key)
-		for _, h := range entries {
-			ch.Entries = append(ch.Entries, HistoryEntryRec{Unit: h.unit, ISB: h.isb})
-		}
-		cp.History = append(cp.History, ch)
+	for key, cf := range e.frames {
+		rec := cellKeyRec(key)
+		cp.Tilt = append(cp.Tilt, CellFrame{
+			Levels:  rec.Levels,
+			Members: rec.Members,
+			Base:    cf.base,
+			Frame:   cf.frame.State(),
+		})
 	}
 	return cp
 }
@@ -165,7 +150,7 @@ func (cp *Checkpoint) normalize() {
 // the shard set of a pre-canonical per-shard file, the nodes of a cluster —
 // into the one canonical Checkpoint: what a single Engine fed the whole
 // stream would export, byte for byte once serialized. Partitions hold
-// disjoint cells and history, so concatenation is lossless and normalize
+// disjoint cells and frames, so concatenation is lossless and normalize
 // makes the order independent of the partition count. Every part must
 // agree on the unit counters, the schema shape and the WAL watermark — a
 // whole-log position stamped identically on every shard, so disagreement
@@ -215,7 +200,11 @@ func cellKeyRec(key cube.CellKey) CellHistory {
 }
 
 // Restore loads a checkpoint into a freshly configured engine. The
-// engine's schema shape must match the checkpoint's.
+// engine's schema shape must match the checkpoint's. Trend history has one
+// upgrade rule: a frame record that is a state of this engine's level chain
+// restores exactly; anything else — a frame written under another chain, or
+// the flat history of a file that predates frames — reseeds a fresh frame
+// from its finest retained level (seedFrame).
 func (e *Engine) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("%w: nil checkpoint", ErrConfig)
@@ -267,65 +256,43 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		copy(key[:], cs.Members)
 		e.cells[key] = acc
 	}
-	e.history = make(map[cube.CellKey][]historyEntry, len(cp.History))
-	if e.tilted() {
-		e.frames = make(map[cube.CellKey]*cellFrame, len(cp.Tilt))
-	}
-	for _, ch := range cp.History {
-		key, err := historyKey(e.cfg.Schema, ch.Levels, ch.Members)
+	e.frames = make(map[cube.CellKey]*cellFrame, max(len(cp.Tilt), len(cp.History)))
+	for _, rec := range cp.Tilt {
+		key, err := historyKey(e.cfg.Schema, rec.Levels, rec.Members)
 		if err != nil {
 			return err
 		}
-		// A checkpoint's history must be strictly increasing in closed
-		// units: duplicates or out-of-order entries would restore silently
-		// and later poison TrendQuery's gap detection, so they are
-		// rejected here rather than at query time.
-		for i, rec := range ch.Entries {
-			if rec.Unit < 0 || rec.Unit >= cp.Unit {
-				return fmt.Errorf("%w: history for cell %v names unit %d outside closed range [0,%d)",
-					ErrConfig, key, rec.Unit, cp.Unit)
-			}
-			if i > 0 && rec.Unit <= ch.Entries[i-1].Unit {
-				return fmt.Errorf("%w: history for cell %v has unit %d after unit %d (want sorted unique units)",
-					ErrConfig, key, rec.Unit, ch.Entries[i-1].Unit)
-			}
+		if rec.Base < 0 || rec.Base+rec.Frame.Pushed != cp.Unit {
+			return fmt.Errorf("%w: tilt frame for cell %v covers units [%d,%d), checkpoint closed %d",
+				ErrConfig, key, rec.Base, rec.Base+rec.Frame.Pushed, cp.Unit)
 		}
-		if e.tilted() {
-			// History is derived state in tilt mode; frames restore below
-			// (or are reseeded from this history for pre-tilt files).
+		if rec.Frame.Pushed > 0 && rec.Frame.UnitTicks != int64(e.cfg.TicksPerUnit) {
+			return fmt.Errorf("%w: tilt frame for cell %v has %d-tick units, engine %d",
+				ErrConfig, key, rec.Frame.UnitTicks, e.cfg.TicksPerUnit)
+		}
+		if f, err := tilt.RestoreUnitFrame(e.cfg.TiltLevels, rec.Frame); err == nil {
+			e.frames[key] = &cellFrame{base: rec.Base, frame: f}
 			continue
 		}
-		entries := make([]historyEntry, len(ch.Entries))
-		for i, rec := range ch.Entries {
-			entries[i] = historyEntry{unit: rec.Unit, isb: rec.ISB}
-		}
-		e.history[key] = entries
-	}
-	if e.tilted() {
-		if len(cp.Tilt) > 0 {
-			for _, rec := range cp.Tilt {
-				key, err := historyKey(e.cfg.Schema, rec.Levels, rec.Members)
-				if err != nil {
-					return err
-				}
-				if rec.Base < 0 || rec.Base+rec.Frame.Pushed != cp.Unit {
-					return fmt.Errorf("%w: tilt frame for cell %v covers units [%d,%d), checkpoint closed %d",
-						ErrConfig, key, rec.Base, rec.Base+rec.Frame.Pushed, cp.Unit)
-				}
-				if rec.Frame.Pushed > 0 && rec.Frame.UnitTicks != int64(e.cfg.TicksPerUnit) {
-					return fmt.Errorf("%w: tilt frame for cell %v has %d-tick units, engine %d",
-						ErrConfig, key, rec.Frame.UnitTicks, e.cfg.TicksPerUnit)
-				}
-				f, err := tilt.RestoreUnitFrame(e.cfg.TiltLevels, rec.Frame)
-				if err != nil {
-					return fmt.Errorf("%w: tilt frame for cell %v: %v", ErrConfig, key, err)
-				}
-				e.frames[key] = &cellFrame{base: rec.Base, frame: f}
+		var finest []HistoryEntryRec
+		if len(rec.Frame.Levels) > 0 {
+			for _, s := range rec.Frame.Levels[0].Slots {
+				finest = append(finest, HistoryEntryRec{Unit: rec.Base + s.Unit, ISB: s.ISB})
 			}
-		} else if err := e.seedFrames(cp); err != nil {
-			// Pre-tilt (v1/v2) files carry only flat history; replay it
-			// into fresh frames so old state keeps upgrading forward.
+		}
+		if err := e.seedFrame(key, finest, cp.Unit); err != nil {
 			return err
+		}
+	}
+	if len(cp.Tilt) == 0 {
+		for _, ch := range cp.History {
+			key, err := historyKey(e.cfg.Schema, ch.Levels, ch.Members)
+			if err != nil {
+				return err
+			}
+			if err := e.seedFrame(key, ch.Entries, cp.Unit); err != nil {
+				return err
+			}
 		}
 	}
 	// Published snapshots describe units of the replaced state; readers
@@ -346,52 +313,61 @@ func historyKey(schema *cube.Schema, levels []int, members []int32) (cube.CellKe
 	return cube.NewCellKey(cb, members...), nil
 }
 
-// seedFrames rebuilds tilt frames from a flat-history checkpoint: each
-// cell's entries replay in unit order with zero regressions filling the
-// gaps (and the tail up to the open unit), exactly as recordTilt would
-// have registered them live. This is how a v1/v2 checkpoint written by a
-// flat engine restores into a tilt-configured one.
-func (e *Engine) seedFrames(cp *Checkpoint) error {
-	zeroAt := func(u int64) regression.ISB {
-		return regression.ISB{Tb: e.unitStart(u), Te: e.unitStart(u+1) - 1}
+// seedFrame rebuilds one o-cell's frame from per-unit entries — a pre-frame
+// file's history, or the finest level of a frame kept under another chain:
+// the entries replay in unit order with zero regressions filling the gaps
+// (and the tail up to the open unit), exactly as recordTilt would have
+// registered them live. The entries must be strictly increasing closed
+// units on this engine's unit grid; duplicates or strays would restore
+// silently and poison later promotions, so they are rejected here.
+func (e *Engine) seedFrame(key cube.CellKey, entries []HistoryEntryRec, open int64) error {
+	if len(entries) == 0 {
+		return nil
 	}
-	for _, ch := range cp.History {
-		if len(ch.Entries) == 0 {
-			continue
+	f, err := tilt.NewUnitFrame(e.cfg.TiltLevels)
+	if err != nil {
+		return fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
+	}
+	base := entries[0].Unit
+	next := base
+	push := func(isb regression.ISB) error {
+		if err := f.Push(isb); err != nil {
+			return fmt.Errorf("%w: seeding tilt frame for cell %v: %v", ErrConfig, key, err)
 		}
-		key, err := historyKey(e.cfg.Schema, ch.Levels, ch.Members)
-		if err != nil {
+		next++
+		return nil
+	}
+	zeroTo := func(u int64) error {
+		for next < u {
+			if err := push(regression.ISB{Tb: e.unitStart(next), Te: e.unitStart(next+1) - 1}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i, rec := range entries {
+		if rec.Unit < 0 || rec.Unit >= open {
+			return fmt.Errorf("%w: history for cell %v names unit %d outside closed range [0,%d)",
+				ErrConfig, key, rec.Unit, open)
+		}
+		if i > 0 && rec.Unit <= entries[i-1].Unit {
+			return fmt.Errorf("%w: history for cell %v has unit %d after unit %d (want sorted unique units)",
+				ErrConfig, key, rec.Unit, entries[i-1].Unit)
+		}
+		if rec.ISB.Tb != e.unitStart(rec.Unit) || rec.ISB.Te != e.unitStart(rec.Unit+1)-1 {
+			return fmt.Errorf("%w: history for cell %v unit %d covers ticks [%d,%d], not the engine's unit",
+				ErrConfig, key, rec.Unit, rec.ISB.Tb, rec.ISB.Te)
+		}
+		if err := zeroTo(rec.Unit); err != nil {
 			return err
 		}
-		f, err := tilt.NewUnitFrame(e.cfg.TiltLevels)
-		if err != nil {
-			return fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
+		if err := push(rec.ISB); err != nil {
+			return err
 		}
-		base := ch.Entries[0].Unit
-		next := base
-		push := func(isb regression.ISB) error {
-			if err := f.Push(isb); err != nil {
-				return fmt.Errorf("%w: seeding tilt frame for cell %v: %v", ErrConfig, key, err)
-			}
-			next++
-			return nil
-		}
-		for _, rec := range ch.Entries {
-			for next < rec.Unit {
-				if err := push(zeroAt(next)); err != nil {
-					return err
-				}
-			}
-			if err := push(rec.ISB); err != nil {
-				return err
-			}
-		}
-		for next < cp.Unit {
-			if err := push(zeroAt(next)); err != nil {
-				return err
-			}
-		}
-		e.frames[key] = &cellFrame{base: base, frame: f}
 	}
+	if err := zeroTo(open); err != nil {
+		return err
+	}
+	e.frames[key] = &cellFrame{base: base, frame: f}
 	return nil
 }

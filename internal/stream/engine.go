@@ -3,9 +3,10 @@
 // accumulators; each completed tilt-frame unit (e.g. a quarter of an hour)
 // triggers a cube computation over the unit's m-layer ISBs with one of the
 // two exception-based algorithms, produces o-layer observation alerts, and
-// promotes per-o-cell regression history for multi-granularity trend
-// queries. "Although the stream data flows in-and-out, regression always
-// keeps up to the most recent granularity time unit at each layer."
+// registers each o-cell's regression in its tilt time frame (§4.1) for
+// multi-granularity trend queries. "Although the stream data flows
+// in-and-out, regression always keeps up to the most recent granularity
+// time unit at each layer."
 package stream
 
 import (
@@ -64,20 +65,16 @@ type Config struct {
 	// Path is the popular drilling path; defaults to the lattice's
 	// DefaultPath when the popular-path algorithm is selected.
 	Path cube.Path
-	// HistoryUnits bounds per-o-cell regression history (default 64). It
-	// only applies to the flat history; with TiltLevels set, retention is
-	// the level chain's slot capacity instead.
-	HistoryUnits int
-	// TiltLevels, when non-empty, replaces the flat per-o-cell history
-	// with a tilt time frame (§4.1): each closed unit's o-layer ISBs are
-	// promoted through the level chain (tilt.UnitFrame), so trend queries
-	// reach far into the past at progressively coarser granularity while
-	// per-cell state stays bounded by the chain's slot capacity — the
+	// TiltLevels is the level chain of every o-cell's tilt time frame
+	// (§4.1), the cell's one history register: each closed unit's o-layer
+	// ISBs are promoted through the chain (tilt.UnitFrame), so trend
+	// queries reach far into the past at progressively coarser granularity
+	// while per-cell state stays bounded by the chain's slot capacity — the
 	// paper's "71 units instead of 35,136". tilt.CalendarLevels() is the
 	// natural chain when a unit is a quarter-hour; the finest level's
 	// Multiple is ignored (each engine unit is one finest frame unit).
-	// Empty keeps the flat HistoryUnits-bounded history, bit-for-bit as
-	// before.
+	// Empty means the one-level chain {unit, 1, 64}: the last 64 units at
+	// unit granularity and nothing coarser.
 	TiltLevels []tilt.Level
 	// Delta, when set, also raises change alerts comparing each o-cell's
 	// slope against its previous unit ("current quarter vs. the last").
@@ -89,7 +86,7 @@ type Config struct {
 	DeltaDrill bool
 	// PublishSnapshots makes the engine publish an immutable Snapshot at
 	// every unit boundary for lock-free concurrent readers (the serving
-	// layer). Costs one history copy per closed unit — nothing on the
+	// layer). Costs one frame copy per closed unit — nothing on the
 	// per-record path — and is off by default so pure-ingest pipelines pay
 	// zero.
 	PublishSnapshots bool
@@ -147,11 +144,6 @@ type UnitResult struct {
 	Delta *core.DeltaResult
 }
 
-type historyEntry struct {
-	unit int64
-	isb  regression.ISB
-}
-
 // Engine is the online analyzer over one partition of the stream: the
 // worker behind every shard of a ShardedEngine (which is what the runtime
 // constructs, at every shard count), and — used directly, over the whole
@@ -185,10 +177,8 @@ type Engine struct {
 	denseActive []int64
 	strides     [cube.MaxDims]int64
 	cards       [cube.MaxDims]int32
-	history     map[cube.CellKey][]historyEntry
-	// frames holds the per-o-cell tilt frames; non-nil exactly when
-	// Config.TiltLevels is set, in which case history stays empty and
-	// trend state lives here instead.
+	// frames holds every o-cell's history: one tilt frame per cell seen so
+	// far, its finest level the per-unit history.
 	frames    map[cube.CellKey]*cellFrame
 	unitsDone int64
 	// accPool recycles the per-cell accumulators of closed units, so a
@@ -236,20 +226,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Threshold == nil {
 		return nil, fmt.Errorf("%w: nil thresholder", ErrConfig)
 	}
-	if cfg.HistoryUnits == 0 {
-		cfg.HistoryUnits = 64
-	}
-	if cfg.HistoryUnits < 1 {
-		return nil, fmt.Errorf("%w: history units %d", ErrConfig, cfg.HistoryUnits)
-	}
 	if cfg.Algorithm == PopularPath && len(cfg.Path.Cuboids) == 0 {
 		cfg.Path = cube.NewLattice(cfg.Schema).DefaultPath()
 	}
-	if len(cfg.TiltLevels) > 0 {
-		// Validate the level chain once; per-cell frames are built lazily.
-		if _, err := tilt.NewUnitFrame(cfg.TiltLevels); err != nil {
-			return nil, fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
-		}
+	if len(cfg.TiltLevels) == 0 {
+		cfg.TiltLevels = []tilt.Level{{Name: "unit", Multiple: 1, Slots: 64}}
+	}
+	// Validate the level chain once; per-cell frames are built lazily.
+	if _, err := tilt.NewUnitFrame(cfg.TiltLevels); err != nil {
+		return nil, fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -258,10 +243,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		openStart: cfg.StartTick,
 		openEnd:   cfg.StartTick + int64(cfg.TicksPerUnit),
 		cells:     make(map[[cube.MaxDims]int32]*regression.Accumulator),
-		history:   make(map[cube.CellKey][]historyEntry),
-	}
-	if len(cfg.TiltLevels) > 0 {
-		e.frames = make(map[cube.CellKey]*cellFrame)
+		frames:    make(map[cube.CellKey]*cellFrame),
 	}
 	// Direct-index cell storage when the m-layer is small enough: one
 	// mixed-radix index per member tuple replaces the map hash of a
@@ -334,11 +316,12 @@ func (e *Engine) unitStart(u int64) int64 {
 }
 
 // Ingest consumes one record. Records may skip ticks (absent readings
-// count as zero usage) and may open new cells mid-unit, but each cell's
-// ticks must be non-decreasing and at most one reading per tick. Crossing
-// a unit boundary closes earlier units; their results are returned in
-// order (units that received no data yield a UnitResult with a nil
-// Result).
+// count as zero usage — and so does a whole absent unit: an o-cell with no
+// reading in a closed unit registers a zero regression over it, see
+// recordTilt) and may open new cells mid-unit, but each cell's ticks must
+// be non-decreasing and at most one reading per tick. Crossing a unit
+// boundary closes earlier units; their results are returned in order
+// (units that received no data yield a UnitResult with a nil Result).
 func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error) {
 	if len(members) != e.nd {
 		return nil, fmt.Errorf("%w: %d members for %d dimensions", ErrRecord, len(members), e.nd)
@@ -500,18 +483,7 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 			e.prevInputs = inputs // empty but non-nil: the base is this unit
 			e.prevUnit = ur.Unit
 		}
-		if e.tilted() {
-			// Frames pad empty units with zero regressions so promotion
-			// cascades stay contiguous.
-			if err := e.recordTilt(ur, nil); err != nil {
-				return nil, err
-			}
-		}
-		e.unitsDone++
-		if e.cfg.PublishSnapshots {
-			e.publishSnapshot(ur)
-		}
-		return ur, nil
+		return e.finishUnit(ur)
 	}
 
 	var res *core.Result
@@ -539,12 +511,14 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 		e.prevInputs = inputs
 		e.prevUnit = ur.Unit
 	}
-	if e.tilted() {
-		if err := e.recordTilt(ur, res); err != nil {
-			return nil, err
-		}
-	} else {
-		e.recordHistory(ur, res)
+	return e.finishUnit(ur)
+}
+
+// finishUnit registers the closed unit (data or none) with every o-cell
+// frame, counts it and publishes its snapshot.
+func (e *Engine) finishUnit(ur *UnitResult) (*UnitResult, error) {
+	if err := e.recordTilt(ur); err != nil {
+		return nil, err
 	}
 	e.unitsDone++
 	if e.cfg.PublishSnapshots {
@@ -574,9 +548,12 @@ func (e *Engine) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 			})
 		}
 		if e.cfg.Delta != nil {
-			if lastUnit, lastISB, ok := e.lastUnit(key); ok &&
-				lastUnit == ur.Unit-1 && e.cfg.Delta.Exceptional(isb, lastISB, true) {
-				alerts = append(alerts, Alert{Unit: ur.Unit, Kind: SlopeChange, Cell: key, ISB: isb})
+			if cf := e.frames[key]; cf != nil {
+				// The frame's last slot is always the previous unit: a unit
+				// the cell sat out was registered as a zero regression.
+				if last, ok := cf.frame.LastSlot(0); ok && e.cfg.Delta.Exceptional(isb, last.ISB, true) {
+					alerts = append(alerts, Alert{Unit: ur.Unit, Kind: SlopeChange, Cell: key, ISB: isb})
+				}
 			}
 		}
 	}
@@ -584,68 +561,19 @@ func (e *Engine) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 	return alerts
 }
 
-// lastUnit returns the most recent completed unit recorded for an o-cell —
-// from the flat history, or from the finest frame level in tilt mode
-// (where absent units were padded with zero regressions, so the previous
-// unit always exists once a cell has a frame).
-func (e *Engine) lastUnit(key cube.CellKey) (int64, regression.ISB, bool) {
-	if e.tilted() {
-		cf := e.frames[key]
-		if cf == nil {
-			return 0, regression.ISB{}, false
-		}
-		s, ok := cf.frame.LastSlot(0)
-		if !ok {
-			return 0, regression.ISB{}, false
-		}
-		return cf.base + s.Unit, s.ISB, true
-	}
-	h := e.history[key]
-	if len(h) == 0 {
-		return 0, regression.ISB{}, false
-	}
-	last := h[len(h)-1]
-	return last.unit, last.isb, true
-}
-
-func (e *Engine) recordHistory(ur *UnitResult, res *core.Result) {
-	for key, isb := range res.OLayer {
-		h := append(e.history[key], historyEntry{unit: ur.Unit, isb: isb})
-		if over := len(h) - e.cfg.HistoryUnits; over > 0 {
-			h = append(h[:0], h[over:]...)
-		}
-		e.history[key] = h
-	}
-}
-
-// TrendQuery aggregates the last k units of an o-cell's history into one
-// regression over the combined interval (Theorem 3.3). It fails when the
-// cell lacks k consecutive trailing units. In tilt mode it answers from
-// the finest frame level (whose retention is TiltLevels[0].Slots).
+// TrendQuery aggregates the last k units of an o-cell's history — the
+// finest level of its frame, retaining TiltLevels[0].Slots units — into one
+// regression over the combined interval (Theorem 3.3). It fails when fewer
+// than k units are retained.
 func (e *Engine) TrendQuery(cell cube.CellKey, k int) (regression.ISB, error) {
-	if e.tilted() {
-		var slots []tilt.Slot
-		var base int64
-		if cf := e.frames[cell]; cf != nil {
-			slots = cf.frame.SlotsAt(0)
-			base = cf.base
-		}
-		return aggregateTrend(len(slots), k, func(i int) (int64, regression.ISB) {
-			return base + slots[i].Unit, slots[i].ISB
-		})
-	}
-	h := e.history[cell]
-	return aggregateTrend(len(h), k, func(i int) (int64, regression.ISB) { return h[i].unit, h[i].isb })
+	return e.TrendQueryAt(cell, 0, k)
 }
 
 // HistoryLen returns how many units of history an o-cell currently has at
 // the finest granularity.
 func (e *Engine) HistoryLen(cell cube.CellKey) int {
-	if e.tilted() {
-		if cf := e.frames[cell]; cf != nil {
-			return cf.frame.SlotsLen(0)
-		}
-		return 0
+	if cf := e.frames[cell]; cf != nil {
+		return cf.frame.SlotsLen(0)
 	}
-	return len(e.history[cell])
+	return 0
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cube"
 	"repro/internal/exception"
 	"repro/internal/regression"
+	"repro/internal/tilt"
 	"repro/internal/timeseries"
 )
 
@@ -57,7 +58,7 @@ func TestNewEngineValidation(t *testing.T) {
 		{TicksPerUnit: 5, Threshold: exception.Global(1)},
 		{Schema: s, Threshold: exception.Global(1)},
 		{Schema: s, TicksPerUnit: 5},
-		{Schema: s, TicksPerUnit: 5, Threshold: exception.Global(1), HistoryUnits: -1},
+		{Schema: s, TicksPerUnit: 5, Threshold: exception.Global(1), TiltLevels: []tilt.Level{{Name: "unit", Slots: -1}}},
 	}
 	for i, cfg := range cases {
 		if _, err := NewEngine(cfg); err == nil {
@@ -403,10 +404,14 @@ func TestTrendQuery(t *testing.T) {
 	}
 }
 
+// TestTrendQueryGapDetection pins the absent-unit decision on a default
+// engine: a cell that sits a unit out registers a zero regression over it,
+// so a window across the quiet unit answers (it used to fail with "history
+// gap") and spans it.
 func TestTrendQueryGapDetection(t *testing.T) {
 	s := smallSchema(t)
 	e := newEngine(t, s, 1e9, MOCubing)
-	// Unit 0 with data, unit 1 empty (gap), unit 2 with data.
+	// Unit 0 with data, unit 1 empty (quiet), unit 2 with data.
 	for i := int64(0); i < 5; i++ {
 		_, _ = e.Ingest([]int32{0, 0}, i, 1)
 	}
@@ -417,10 +422,28 @@ func TestTrendQueryGapDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	oCell := cube.NewCellKey(s.OLayer(), 0, 0)
-	if _, err := e.TrendQuery(oCell, 2); err == nil {
-		t.Fatal("expected gap error across empty unit")
+	if got := e.HistoryLen(oCell); got != 3 {
+		t.Fatalf("history = %d units, want 3 (the quiet unit is one of them)", got)
 	}
-	// Single trailing unit still works.
+	across, err := e.TrendQuery(oCell, 2)
+	if err != nil {
+		t.Fatalf("k=2 across the quiet unit: %v", err)
+	}
+	if across.Tb != 5 || across.Te != 14 {
+		t.Fatalf("k=2 interval = [%d,%d], want [5,14]: quiet unit 1 plus unit 2", across.Tb, across.Te)
+	}
+	// The quiet unit contributes zeros: the same window fitted over the
+	// raw series with zeros for unit 1 and for unit 2's absent ticks.
+	padded, err := timeseries.New(5, []float64{0, 0, 0, 0, 0, 1, 0, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := regression.MustFit(padded); !almostEq(across.Slope, want.Slope, 1e-12) || !almostEq(across.Base, want.Base, 1e-12) {
+		t.Fatalf("k=2 trend = %v, want %v", across, want)
+	}
+	if all, err := e.TrendQuery(oCell, 3); err != nil || all.Tb != 0 || all.Te != 14 {
+		t.Fatalf("k=3 = %v, %v; want interval [0,14]", all, err)
+	}
 	if _, err := e.TrendQuery(oCell, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +452,8 @@ func TestTrendQueryGapDetection(t *testing.T) {
 func TestHistoryBounded(t *testing.T) {
 	s := smallSchema(t)
 	e, err := NewEngine(Config{
-		Schema: s, TicksPerUnit: 2, Threshold: exception.Global(1e9), HistoryUnits: 3,
+		Schema: s, TicksPerUnit: 2, Threshold: exception.Global(1e9),
+		TiltLevels: []tilt.Level{{Name: "unit", Multiple: 1, Slots: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package stream
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -68,7 +69,7 @@ type shard struct {
 // therefore every cell of every cuboid between the critical layers that
 // aggregates them — live in exactly one shard. Per-shard cube results are
 // disjoint and union to precisely the single-engine result: the merged
-// o-layer, exception sets, drill-downs, per-o-cell history, and delta cubes
+// o-layer, exception sets, drill-downs, per-o-cell frames, and delta cubes
 // are identical (bitwise, thanks to the canonical aggregation order) to
 // what one Engine would produce from the same stream, alert order (see
 // SortAlerts) included.
@@ -123,7 +124,7 @@ type ShardedEngine struct {
 	closed       bool
 	// snap is the coordinator's published merged snapshot
 	// (cfg.PublishSnapshots). The per-shard engines run with publication
-	// off; the coordinator collects their history copies at each barrier
+	// off; the coordinator collects their frame copies at each barrier
 	// and publishes one merged snapshot instead. bus broadcasts the same
 	// merged values push-side to subscribers (Subscribe).
 	snap atomic.Pointer[Snapshot]
@@ -148,7 +149,7 @@ func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 		pending: make([]*wire.Batch, shards),
 	}
 	// Shard engines never publish their own snapshots: a per-shard view
-	// would expose partial units, and the coordinator merges histories at
+	// would expose partial units, and the coordinator merges frames at
 	// each barrier anyway.
 	shardCfg := cfg
 	shardCfg.PublishSnapshots = false
@@ -161,7 +162,7 @@ func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 		eng.shardDelta = true
 		engines[i] = eng
 	}
-	s.cfg = engines[0].cfg // normalized (history bound, default path)
+	s.cfg = engines[0].cfg // normalized (level chain, default path)
 	s.cfg.PublishSnapshots = cfg.PublishSnapshots
 	s.nDims = len(cfg.Schema.Dims)
 	part, err := NewPartitioner(cfg.Schema, shards)
@@ -381,18 +382,16 @@ func (s *ShardedEngine) Ingest(members []int32, tick int64, value float64) ([]*U
 }
 
 // shardAdvance is one shard's reply to an advanceTo broadcast: its closed
-// units plus, when snapshots are on, a copy of its history and tilted
-// frame views after each closed unit (hists[u]/frames[u] reflect state
-// just after urs[u] closed).
+// units plus, when snapshots are on, a copy of its frame views after each
+// closed unit (frames[u] reflects state just after urs[u] closed).
 type shardAdvance struct {
 	urs    []*UnitResult
-	hists  []map[cube.CellKey][]HistoryPoint
 	frames []map[cube.CellKey]*FrameView
 }
 
 // advanceTo closes units up to (excluding) target on every shard in
 // parallel and merges the per-unit results. With snapshots on, the barrier
-// collects each shard's per-unit history copies and publishes one merged
+// collects each shard's per-unit frame copies and publishes one merged
 // Snapshot per closed unit — the same sequence a single Engine publishes,
 // so bus subscribers observe an identical snapshot stream at any shard
 // count (pull-side Snapshot() callers see the last one either way).
@@ -411,7 +410,6 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 				// Copied inside the shard goroutine, unit by unit, so the
 				// copies are exact per unit and never race with the
 				// shard's own later units.
-				adv.hists = append(adv.hists, e.snapshotHistory())
 				adv.frames = append(adv.frames, e.snapshotFrames())
 			}
 		}
@@ -441,20 +439,11 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 	s.openEnd = s.unitStart(target + 1)
 	if publish {
 		for u := 0; u < n; u++ {
-			// Shards own disjoint o-cells, so the merged history (and the
-			// merged frame set) is a union.
-			hist := make(map[cube.CellKey][]HistoryPoint)
-			var frames map[cube.CellKey]*FrameView
-			for i := range perShard {
-				for k, pts := range perShard[i].hists[u] {
-					hist[k] = pts
-				}
-				if perShard[i].frames[u] != nil && frames == nil {
-					frames = make(map[cube.CellKey]*FrameView)
-				}
-				for k, fv := range perShard[i].frames[u] {
-					frames[k] = fv
-				}
+			// Shards own disjoint o-cells, so the merged frame set is a
+			// union — a sole shard's is the set itself.
+			frames := perShard[0].frames[u]
+			for _, adv := range perShard[1:] {
+				maps.Copy(frames, adv.frames[u])
 			}
 			ur := out[u]
 			snap := &Snapshot{
@@ -463,10 +452,9 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 				UnitsDone: s.done + int64(u) + 1,
 				// The clone keeps readers isolated from whatever the Ingest
 				// caller does with the returned UnitResult's slices.
-				Alerts:  cloneAlerts(ur.Alerts),
-				Result:  ur.Result,
-				History: hist,
-				Frames:  frames,
+				Alerts: cloneAlerts(ur.Alerts),
+				Result: ur.Result,
+				Frames: frames,
 			}
 			s.snap.Store(snap)
 			s.bus.publish(snap)
@@ -790,10 +778,10 @@ func (s *ShardedEngine) Checkpoint() (*Checkpoint, error) {
 }
 
 // Restore loads a checkpoint taken by an Engine or at any shard count by
-// repartitioning cells by o-ancestor and history by o-cell across this
-// engine's shards. Buffered records not yet past a boundary are
-// discarded, mirroring Engine.Restore replacing un-checkpointed
-// accumulator state.
+// repartitioning cells by o-ancestor and frames (or an older file's flat
+// history) by o-cell across this engine's shards. Buffered records not
+// yet past a boundary are discarded, mirroring Engine.Restore replacing
+// un-checkpointed accumulator state.
 func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 	if s.closed {
 		return fmt.Errorf("%w: engine closed", ErrConfig)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/exception"
+	"repro/internal/regression"
 )
 
 func snapshotTestSchema(t testing.TB) *cube.Schema {
@@ -74,7 +75,7 @@ func verifySnapshot(t testing.TB, cfg *Config, s *Snapshot) {
 	}
 	if s.Result != nil {
 		for key, isb := range s.Result.OLayer {
-			h := s.History[key]
+			h := s.HistoryOf(key)
 			if len(h) == 0 {
 				t.Fatalf("o-cell %v has no history in its own unit's snapshot", key)
 			}
@@ -85,14 +86,15 @@ func verifySnapshot(t testing.TB, cfg *Config, s *Snapshot) {
 			}
 		}
 	}
-	for key, h := range s.History {
+	for key := range s.Frames {
+		h := s.HistoryOf(key)
 		for i := 1; i < len(h); i++ {
-			if h[i].Unit <= h[i-1].Unit {
-				t.Fatalf("history of %v not strictly increasing at %d", key, i)
+			if h[i].Unit != h[i-1].Unit+1 {
+				t.Fatalf("history of %v not contiguous at %d", key, i)
 			}
 		}
-		if len(h) > 0 && h[len(h)-1].Unit > s.Unit {
-			t.Fatalf("history of %v reaches unit %d beyond snapshot unit %d", key, h[len(h)-1].Unit, s.Unit)
+		if len(h) == 0 || h[len(h)-1].Unit != s.Unit {
+			t.Fatalf("history of %v (%d units) does not end at snapshot unit %d", key, len(h), s.Unit)
 		}
 	}
 }
@@ -131,9 +133,9 @@ func TestEngineSnapshotPublishedPerUnit(t *testing.T) {
 		t.Fatalf("snapshot result has %d o-cells, %d alerts", len(snap.Result.OLayer), len(snap.Alerts))
 	}
 	// History is a deep copy: later units must not mutate a held snapshot.
-	before := len(snap.History[snap.Alerts[0].Cell])
+	before := snap.HistoryLen(snap.Alerts[0].Cell)
 	ingestGrid(t, eng.Ingest, 9, 13)
-	if got := len(snap.History[snap.Alerts[0].Cell]); got != before {
+	if got := snap.HistoryLen(snap.Alerts[0].Cell); got != before {
 		t.Fatalf("held snapshot's history grew from %d to %d", before, got)
 	}
 	// Flush publishes the final partial unit.
@@ -199,8 +201,8 @@ func TestShardedSnapshotMatchesSingle(t *testing.T) {
 			if !reflect.DeepEqual(got.Result.Exceptions, want.Result.Exceptions) {
 				t.Fatal("merged exceptions differ from single engine")
 			}
-			if !reflect.DeepEqual(got.History, want.History) {
-				t.Fatal("merged history differs from single engine")
+			if !reflect.DeepEqual(got.Frames, want.Frames) {
+				t.Fatal("merged frames differ from single engine")
 			}
 			// As published by each engine: no SortAlerts on either side.
 			if !reflect.DeepEqual(got.Alerts, want.Alerts) {
@@ -233,9 +235,14 @@ func TestSnapshotEmptyUnit(t *testing.T) {
 	if empty.Unit != 1 || empty.Result != nil || len(empty.Alerts) != 0 {
 		t.Fatalf("empty-unit snapshot = unit %d result %v", empty.Unit, empty.Result)
 	}
-	// History still carries unit 0's cells.
-	if !reflect.DeepEqual(empty.History, full.History) {
-		t.Fatal("empty unit must preserve history")
+	// History still carries unit 0's cells, each one zero regression
+	// longer: the cells sat unit 1 out.
+	for key := range full.Frames {
+		was, now := full.HistoryOf(key), empty.HistoryOf(key)
+		quiet := HistoryPoint{Unit: 1, ISB: regression.ISB{Tb: empty.Interval.Tb, Te: empty.Interval.Te}}
+		if !reflect.DeepEqual(now, append(was, quiet)) {
+			t.Fatalf("history of %v after the empty unit = %+v, want %+v plus a zero unit", key, now, was)
+		}
 	}
 	if empty.UnitsDone != 2 {
 		t.Fatalf("units done = %d, want 2", empty.UnitsDone)

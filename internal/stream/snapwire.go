@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -28,13 +29,15 @@ import (
 //	header   "RCSN" · version u8 · dims u8 · flags u8 · unit · interval Tb,Te · unitsDone
 //	result   oLayer cells · exceptions cells · [u32 × (key · cells)] · stats   (absent when empty)
 //	alerts   u32 × (unit · kind · key · ISB · drill cells)
-//	history  u32 × (key · u32 × point)
-//	frames   u32 × (key · base · u32 × (name · unitTicks · capacity · completed · u32 × point))   (tilted only)
+//	frames   u32 × (key · base · u32 × (name · unitTicks · capacity · completed · u32 × point))
 //
 //	cells = u32 × (key · ISB)     key = levels[dims]u8 · members[dims]i32
 //	ISB = Tb,Te i64 · Base,Slope f64     point = unit i64 · ISB
 //	stats = algorithm · 11 × i64 in core.Stats field order     strings = u32 length · bytes
 //
+// A frame has at least one level, and its finest level is the cell's
+// per-unit history (version 2 carried that a second time, as a history
+// section); a point's unit is the slot's ordinal at its level.
 // dims is the dimension count of the cells, 0 in a document without any
 // (a first unit that closed empty). Every list is in canonical order
 // (cube.CompareKeys; alerts as published), so encoding is deterministic:
@@ -44,12 +47,12 @@ import (
 
 const (
 	snapMagic = "RCSN"
-	// snapshotWireVersion is the /v1/snapshot document version (1 was JSON).
-	snapshotWireVersion = 2
+	// snapshotWireVersion is the /v1/snapshot document version (1 was
+	// JSON, 2 had a history section and optional frames).
+	snapshotWireVersion = 3
 
-	flagEmpty  = 1 << 0 // the unit closed with no data: no result section
-	flagTilted = 1 << 1 // Frames is non-nil: a frames section follows the history
-	flagPaths  = 1 << 2 // Result.PathCells is non-nil (popular-path cubing)
+	flagEmpty = 1 << 0 // the unit closed with no data: no result section
+	flagPaths = 1 << 1 // Result.PathCells is non-nil (popular-path cubing)
 
 	isbSize   = 32
 	pointSize = 8 + isbSize
@@ -107,7 +110,7 @@ func (w *snapWriter) cells(m map[cube.CellKey]regression.ISB) {
 
 // EncodeSnapshot serializes a published snapshot into the /v1/snapshot
 // wire document. Encoding is deterministic: every cell list, alert, and
-// history entry is emitted in canonical key order.
+// frame is emitted in canonical key order.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("%w: nil snapshot", ErrRecord)
@@ -122,11 +125,11 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 			flags |= flagPaths
 		}
 	}
-	if s.Frames != nil {
-		flags |= flagTilted
-	}
-	for _, pts := range s.History {
-		size += (1 + len(pts)) * pointSize
+	for _, v := range s.Frames {
+		size += 2 * pointSize
+		for _, lv := range v.Levels {
+			size += (1 + len(lv.Slots)) * pointSize
+		}
 	}
 	w := snapWriter{buf: append(make([]byte, 0, size), snapMagic...)}
 	w.buf = append(w.buf, snapshotWireVersion, 0, flags)
@@ -173,33 +176,21 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		}
 	}
 
-	w.count(len(s.History))
-	for _, k := range core.SortedCellKeys(s.History) {
+	w.count(len(s.Frames))
+	for _, k := range core.SortedCellKeys(s.Frames) {
+		v := s.Frames[k]
 		w.key(k)
-		w.count(len(s.History[k]))
-		for _, p := range s.History[k] {
-			w.i64(p.Unit)
-			w.isb(p.ISB)
-		}
-	}
-
-	if s.Frames != nil {
-		w.count(len(s.Frames))
-		for _, k := range core.SortedCellKeys(s.Frames) {
-			v := s.Frames[k]
-			w.key(k)
-			w.i64(v.Base)
-			w.count(len(v.Levels))
-			for _, lv := range v.Levels {
-				w.str(lv.Name)
-				w.i64(lv.UnitTicks)
-				w.i64(int64(lv.Capacity))
-				w.i64(lv.Completed)
-				w.count(len(lv.Slots))
-				for _, sl := range lv.Slots {
-					w.i64(sl.Unit)
-					w.isb(sl.ISB)
-				}
+		w.i64(v.Base)
+		w.count(len(v.Levels))
+		for _, lv := range v.Levels {
+			w.str(lv.Name)
+			w.i64(lv.UnitTicks)
+			w.i64(int64(lv.Capacity))
+			w.i64(lv.Completed)
+			w.count(len(lv.Slots))
+			for _, sl := range lv.Slots {
+				w.i64(sl.Unit)
+				w.isb(sl.ISB)
 			}
 		}
 	}
@@ -335,7 +326,7 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	if r.nd != 0 && r.nd != len(schema.Dims) {
 		return nil, fmt.Errorf("%w: snapshot document has %d dimensions, schema has %d", ErrRecord, r.nd, len(schema.Dims))
 	}
-	if flags&^(flagEmpty|flagTilted|flagPaths) != 0 || flags&(flagEmpty|flagPaths) == flagEmpty|flagPaths {
+	if flags&^(flagEmpty|flagPaths) != 0 || flags == flagEmpty|flagPaths {
 		return nil, fmt.Errorf("%w: snapshot document flags %#x", ErrRecord, flags)
 	}
 	for d := 0; d < r.nd; d++ {
@@ -389,40 +380,29 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 		}
 	}
 
-	cells := r.count(5*r.nd + 4)
-	s.History = make(map[cube.CellKey][]HistoryPoint, cells)
+	const levelSize = 4 + 3*8 + 4
+	cells := r.count(5*r.nd + 8 + 4 + levelSize)
+	s.Frames = make(map[cube.CellKey]*FrameView, cells)
 	for range cells {
 		k := r.key()
-		pts := make([]HistoryPoint, r.count(pointSize))
-		for j := range pts {
-			pts[j].Unit = r.i64()
-			pts[j].ISB = r.isb()
+		v := &FrameView{Base: r.i64()}
+		v.Levels = make([]FrameLevelView, r.count(levelSize))
+		if len(v.Levels) == 0 {
+			r.fail("frame of no levels")
 		}
-		s.History[k] = pts
-	}
-
-	if flags&flagTilted != 0 {
-		const levelSize = 4 + 3*8 + 4
-		cells := r.count(5*r.nd + 8 + 4)
-		s.Frames = make(map[cube.CellKey]*FrameView, cells)
-		for range cells {
-			k := r.key()
-			v := &FrameView{Base: r.i64()}
-			v.Levels = make([]FrameLevelView, r.count(levelSize))
-			for j := range v.Levels {
-				lv := &v.Levels[j]
-				lv.Name = r.str()
-				lv.UnitTicks = r.i64()
-				lv.Capacity = int(r.i64())
-				lv.Completed = r.i64()
-				lv.Slots = make([]tilt.Slot, r.count(pointSize))
-				for x := range lv.Slots {
-					lv.Slots[x].Unit = r.i64()
-					lv.Slots[x].ISB = r.isb()
-				}
+		for j := range v.Levels {
+			lv := &v.Levels[j]
+			lv.Name = r.str()
+			lv.UnitTicks = r.i64()
+			lv.Capacity = int(r.i64())
+			lv.Completed = r.i64()
+			lv.Slots = make([]tilt.Slot, r.count(pointSize))
+			for x := range lv.Slots {
+				lv.Slots[x].Unit = r.i64()
+				lv.Slots[x].ISB = r.isb()
 			}
-			s.Frames[k] = v
 		}
+		s.Frames[k] = v
 	}
 	if len(r.data) != 0 {
 		r.fail("%d trailing bytes", len(r.data))
@@ -458,23 +438,13 @@ func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 		Unit:      first.Unit,
 		Interval:  first.Interval,
 		UnitsDone: first.UnitsDone,
-		History:   make(map[cube.CellKey][]HistoryPoint),
+		Frames:    make(map[cube.CellKey]*FrameView),
 	}
 	results := make([]*core.Result, len(snaps))
 	alerts := make([][]Alert, len(snaps))
 	for i, s := range snaps {
 		results[i], alerts[i] = s.Result, s.Alerts
-		for k, pts := range s.History {
-			out.History[k] = pts
-		}
-		if s.Frames != nil {
-			if out.Frames == nil {
-				out.Frames = make(map[cube.CellKey]*FrameView)
-			}
-			for k, v := range s.Frames {
-				out.Frames[k] = v
-			}
-		}
+		maps.Copy(out.Frames, s.Frames)
 	}
 	out.Result = unionResults(schema, results)
 	out.Alerts = mergeAlerts(alerts)

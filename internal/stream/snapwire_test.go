@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -59,9 +60,6 @@ func snapshotsEquivalent(t *testing.T, got, want *Snapshot) {
 	}
 	if !reflect.DeepEqual(got.Alerts, want.Alerts) {
 		t.Fatalf("alerts differ:\n%+v\n%+v", got.Alerts, want.Alerts)
-	}
-	if !reflect.DeepEqual(got.History, want.History) {
-		t.Fatal("histories differ")
 	}
 	if !reflect.DeepEqual(got.Frames, want.Frames) {
 		t.Fatal("frames differ")
@@ -144,7 +142,8 @@ func TestSnapshotCodecTilted(t *testing.T) {
 }
 
 // codecSnapshots builds one published snapshot per shape the codec has a
-// branch for: flat history with alerts and drill-downs, tilted frames,
+// branch for: the default one-level chain with alerts and drill-downs, a
+// two-level chain,
 // popular-path cells, and a unit that closed empty after units with data.
 func codecSnapshots(t testing.TB) map[string]*Snapshot {
 	t.Helper()
@@ -350,6 +349,7 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		"JSON document":       []byte(`{"version":1}`),
 		"foreign magic":       mutate(0, 'X'),
 		"future version":      mutate(len(snapMagic), snapshotWireVersion+1),
+		"previous version":    mutate(len(snapMagic), snapshotWireVersion-1),
 		"three dimensions":    mutate(len(snapMagic)+1, 3),
 		"no dimensions":       mutate(len(snapMagic)+1, 0),
 		"unknown flag":        mutate(len(snapMagic)+2, 0x80),
@@ -360,6 +360,11 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		if !refused(t, schema, doc, what) {
 			t.Errorf("%s accepted", what)
 		}
+	}
+	// A version-2 document (history section, optional frames) is refused by
+	// its version, not misread.
+	if _, err := DecodeSnapshot(schema, mutate(len(snapMagic), 2)); err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
+		t.Errorf("version-2 document: %v, want a version error", err)
 	}
 }
 
@@ -532,7 +537,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		}
 	}
 	snap := eng.Snapshot()
-	if got := len(snap.History[snap.Alerts[0].Cell]); got != 64 {
+	if got := snap.HistoryLen(snap.Alerts[0].Cell); got != 64 {
 		b.Fatalf("history holds %d units, want the full 64", got)
 	}
 	data, err := EncodeSnapshot(snap)

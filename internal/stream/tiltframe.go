@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/regression"
 	"repro/internal/tilt"
@@ -34,10 +33,10 @@ type FrameLevelView struct {
 	Slots []tilt.Slot
 }
 
-// FrameView is an immutable multi-granularity view of one o-cell's tilted
-// regression history, published through Snapshot.Frames when
-// Config.TiltLevels is set. Like every other snapshot field it is built
-// once at a unit boundary and never mutated, so readers share it freely.
+// FrameView is an immutable multi-granularity view of one o-cell's
+// regression history, published through Snapshot.Frames. Like every other
+// snapshot field it is built once at a unit boundary and never mutated, so
+// readers share it freely.
 type FrameView struct {
 	// Base is the engine unit of the frame's first registered unit: the
 	// finest-level slot with ordinal u covers engine unit Base+u.
@@ -53,29 +52,36 @@ func (v *FrameView) Query(level, k int) (regression.ISB, error) {
 	if level < 0 || level >= len(v.Levels) {
 		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrRecord, level, len(v.Levels))
 	}
-	slots := v.Levels[level].Slots
-	if k < 1 || k > len(slots) {
-		return regression.ISB{}, fmt.Errorf("%w: %d units requested at level %q, %d retained",
-			ErrRecord, k, v.Levels[level].Name, len(slots))
-	}
-	isbs := make([]regression.ISB, k)
-	for i, s := range slots[len(slots)-k:] {
-		isbs[i] = s.ISB
-	}
-	return regression.AggregateTime(isbs...)
+	return trendErr(tilt.AggregateLast(v.Levels[level].Name, v.Levels[level].Slots, k))
 }
 
-// tilted reports whether the engine keeps multi-granularity frames instead
-// of the flat per-o-cell history.
-func (e *Engine) tilted() bool { return e.frames != nil }
+// trendErr reports a frame query's failure as this package's ErrRecord.
+func trendErr(isb regression.ISB, err error) (regression.ISB, error) {
+	if err != nil {
+		return isb, fmt.Errorf("%w: %v", ErrRecord, err)
+	}
+	return isb, nil
+}
+
+// History returns the finest level as per-unit history points, frame
+// ordinals mapped back to engine units.
+func (v *FrameView) History() []HistoryPoint {
+	pts := make([]HistoryPoint, len(v.Levels[0].Slots))
+	for i, s := range v.Levels[0].Slots {
+		pts[i] = HistoryPoint{Unit: v.Base + s.Unit, ISB: s.ISB}
+	}
+	return pts
+}
 
 // recordTilt registers the closed unit with every o-cell frame. Cells with
 // data this unit push their o-layer ISB; cells absent the whole unit push
 // a zero regression over the unit's interval — the unit-level extension of
-// "absent readings count as zero usage" — so frames stay contiguous and
-// promotions never see gaps. Cells seen for the first time start a frame
-// at this unit (no back-fill). res is nil for units that closed empty.
-func (e *Engine) recordTilt(ur *UnitResult, res *core.Result) error {
+// "absent readings count as zero usage" — so frames stay contiguous, trend
+// windows span quiet units at every granularity and promotions never see
+// gaps. Cells seen for the first time start a frame at this unit (no
+// back-fill). The unit's Result is nil when it closed empty.
+func (e *Engine) recordTilt(ur *UnitResult) error {
+	res := ur.Result
 	zero := regression.ISB{Tb: ur.Interval.Tb, Te: ur.Interval.Te}
 	for key, cf := range e.frames {
 		isb := zero
@@ -128,13 +134,11 @@ func (e *Engine) frameView(cf *cellFrame) *FrameView {
 	return v
 }
 
-// snapshotFrames copies every o-cell frame for publication. It returns a
-// non-nil (possibly empty) map exactly when the engine is tilted, so
-// readers can distinguish "no tilt configured" from "no cells yet".
+// snapshotFrames copies every o-cell frame for publication. The engine
+// mutates its frames in place on later units, so published snapshots must
+// not share their slot arrays; the copy runs at unit boundaries only, never
+// on the per-record path.
 func (e *Engine) snapshotFrames() map[cube.CellKey]*FrameView {
-	if !e.tilted() {
-		return nil
-	}
 	out := make(map[cube.CellKey]*FrameView, len(e.frames))
 	for key, cf := range e.frames {
 		out[key] = e.frameView(cf)
@@ -142,55 +146,15 @@ func (e *Engine) snapshotFrames() map[cube.CellKey]*FrameView {
 	return out
 }
 
-// tiltHistory derives the flat-history representation from the frames'
-// finest level, mapping frame-local ordinals back to engine units. It is
-// what Snapshot.History and Checkpoint.History carry in tilt mode, so
-// trend consumers and older (v1/v2) checkpoint readers keep working
-// against the finest granularity.
-func (e *Engine) tiltHistory() map[cube.CellKey][]HistoryPoint {
-	out := make(map[cube.CellKey][]HistoryPoint, len(e.frames))
-	for key, cf := range e.frames {
-		slots := cf.frame.SlotsAt(0)
-		pts := make([]HistoryPoint, len(slots))
-		for i, s := range slots {
-			pts[i] = HistoryPoint{Unit: cf.base + s.Unit, ISB: s.ISB}
-		}
-		out[key] = pts
-	}
-	return out
-}
-
 // TrendQueryAt aggregates the last k completed units of an o-cell at the
-// given tilt level (0 = finest). Level 0 is answered on flat engines too
-// (it is TrendQuery); coarser levels need Config.TiltLevels.
+// given tilt level (0 = finest).
 func (e *Engine) TrendQueryAt(cell cube.CellKey, level, k int) (regression.ISB, error) {
-	if level == 0 {
-		return e.TrendQuery(cell, k)
-	}
-	if !e.tilted() {
-		return regression.ISB{}, fmt.Errorf("%w: level %d trend on a flat-history engine", ErrRecord, level)
-	}
 	cf := e.frames[cell]
 	if cf == nil {
 		return regression.ISB{}, fmt.Errorf("%w: no history for cell %v", ErrRecord, cell)
 	}
-	if level >= cf.frame.Levels() {
-		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrRecord, level, cf.frame.Levels())
-	}
-	slots := cf.frame.SlotsAt(level)
-	if k < 1 || k > len(slots) {
-		return regression.ISB{}, fmt.Errorf("%w: %d units requested at level %q, %d retained",
-			ErrRecord, k, e.cfg.TiltLevels[level].Name, len(slots))
-	}
-	isbs := make([]regression.ISB, k)
-	for i, s := range slots[len(slots)-k:] {
-		isbs[i] = s.ISB
-	}
-	return regression.AggregateTime(isbs...)
+	return trendErr(cf.frame.Query(level, k))
 }
-
-// FrameLevels returns the engine's tilt level chain (nil on flat engines).
-func (e *Engine) FrameLevels() []tilt.Level { return e.cfg.TiltLevels }
 
 // TiltSlots returns the total retained and maximum frame slots across all
 // o-cell frames — the bounded-state invariant of §4.1: inUse never exceeds

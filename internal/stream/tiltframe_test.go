@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -43,15 +44,14 @@ func TestNewEngineValidatesTiltLevels(t *testing.T) {
 
 // TestTiltedHistoryPromotesAndBounds drives enough units through a tilted
 // engine to cross every promotion boundary and asserts (a) the finest
-// level answers TrendQuery exactly like a flat engine over the same
+// level answers TrendQuery exactly like a one-level chain over the same
 // window, (b) coarser levels answer TrendQueryAt, and (c) total state
-// stays bounded by the chain's slot capacity while a flat engine's
-// history keeps growing.
+// stays bounded by the chain's slot capacity while a one-level chain
+// long enough to hold every unit keeps growing.
 func TestTiltedHistoryPromotesAndBounds(t *testing.T) {
 	cfg := tiltConfig(t)
 	flatCfg := cfg
-	flatCfg.TiltLevels = nil
-	flatCfg.HistoryUnits = 1024
+	flatCfg.TiltLevels = []tilt.Level{{Name: "unit", Multiple: 1, Slots: 1024}}
 	tilted, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestTiltedHistoryPromotesAndBounds(t *testing.T) {
 		t.Fatalf("out-of-range level: %v, want ErrRecord", err)
 	}
 	if _, err := flat.TrendQueryAt(cell, 1, 1); !errors.Is(err, ErrRecord) {
-		t.Fatalf("flat engine must reject coarse levels: %v", err)
+		t.Fatalf("a one-level chain must reject coarse levels: %v", err)
 	}
 
 	// (c) Bounded state: every frame is within capacity, while the flat
@@ -140,6 +140,127 @@ func TestTiltedHistoryPromotesAndBounds(t *testing.T) {
 	}
 }
 
+// TestFinestLevelIndependentOfChain is the one-history property: over
+// random gappy streams (cells that come and go, units nobody reports in),
+// the history a one-level chain {unit,1,N} keeps equals, bitwise and after
+// every unit, the last N finest slots of a multi-level chain whose finest
+// level retains at least N — on a bare Engine and at 1, 4 and 7 shards.
+// What the coarser levels add never shows at unit granularity.
+func TestFinestLevelIndependentOfChain(t *testing.T) {
+	const n, units = 6, 40
+	oneLevel := []tilt.Level{{Name: "unit", Multiple: 1, Slots: n}}
+	multi := []tilt.Level{{Name: "q", Multiple: 1, Slots: n + 3}, {Name: "h", Multiple: 4, Slots: 3}, {Name: "d", Multiple: 2, Slots: 2}}
+	type engine interface {
+		Ingest([]int32, int64, float64) ([]*UnitResult, error)
+		AdvanceTo(int64) ([]*UnitResult, error)
+		Snapshot() *Snapshot
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		// history[u][cell] is the reference: the one-level chain on a bare
+		// Engine, after unit u.
+		var history []map[cube.CellKey][]HistoryPoint
+		for _, variant := range []struct {
+			chain  []tilt.Level
+			shards int // 0: bare Engine
+		}{{oneLevel, 0}, {multi, 0}, {oneLevel, 4}, {multi, 1}, {multi, 4}, {multi, 7}} {
+			cfg := tiltConfig(t)
+			cfg.TiltLevels = variant.chain
+			var eng engine
+			if variant.shards == 0 {
+				e, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng = e
+			} else {
+				e, err := NewShardedEngine(cfg, variant.shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				eng = e
+			}
+			r := rand.New(rand.NewSource(seed))
+			for u := int64(0); u < units; u++ {
+				silent := r.Float64() < 0.15
+				for a := int32(0); a < 4; a++ {
+					for b := int32(0); b < 4; b++ {
+						active := r.Float64() < 0.6
+						for k := int64(0); k < 4; k++ {
+							v, skip := r.NormFloat64()*3, r.Float64() < 0.3
+							if silent || !active || skip {
+								continue
+							}
+							if _, err := eng.Ingest([]int32{a, b}, u*4+k, v); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				if _, err := eng.AdvanceTo(u + 1); err != nil {
+					t.Fatal(err)
+				}
+				got := make(map[cube.CellKey][]HistoryPoint)
+				snap := eng.Snapshot()
+				for key := range snap.Frames {
+					h := snap.HistoryOf(key)
+					got[key] = h[max(0, len(h)-n):]
+				}
+				if len(history) <= int(u) {
+					history = append(history, got)
+				} else if !reflect.DeepEqual(got, history[u]) {
+					t.Fatalf("seed %d, %d levels at %d shards, unit %d: finest history\n %+v\nwant\n %+v",
+						seed, len(variant.chain), variant.shards, u, got, history[u])
+				}
+			}
+		}
+	}
+}
+
+// TestSlopeChangeAfterQuietUnit pins the absent-unit decision for change
+// alerts: a cell returning after a unit it sat out is compared against
+// that unit's zero regression — under the default chain exactly as under
+// a multi-level one (the flat history used to skip the comparison).
+func TestSlopeChangeAfterQuietUnit(t *testing.T) {
+	var alerts [][]Alert
+	for _, chain := range [][]tilt.Level{nil, testTiltLevels()} {
+		cfg := tiltConfig(t)
+		cfg.TiltLevels = chain
+		cfg.Threshold = exception.Global(1e9) // slope-change alerts only
+		cfg.Delta = &exception.Delta{MinSlopeChange: 1.5}
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Alert
+		for _, u := range []int64{0, 2, 3} { // unit 1 is quiet
+			for k := int64(0); k < 4; k++ {
+				urs, err := eng.Ingest([]int32{0, 0}, u*4+k, 2*float64(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ur := range urs {
+					got = append(got, ur.Alerts...)
+				}
+			}
+		}
+		ur, err := eng.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		alerts = append(alerts, append(got, ur.Alerts...))
+	}
+	// Slope 2 in unit 0, the zero line in unit 1, slope 2 again in units 2
+	// and 3: only unit 2 moved by more than 1.5 against its predecessor.
+	// (The quiet unit itself has no o-layer cell to alert on.)
+	if len(alerts[0]) != 1 || alerts[0][0].Kind != SlopeChange || alerts[0][0].Unit != 2 {
+		t.Fatalf("default chain alerts = %+v, want one slope-change at unit 2", alerts[0])
+	}
+	if !reflect.DeepEqual(alerts[0], alerts[1]) {
+		t.Fatalf("default chain alerts %+v, multi-level chain %+v", alerts[0], alerts[1])
+	}
+}
+
 // oCell builds the o-layer cell key (a, b) for the snapshot test schema.
 func oCell(t testing.TB, a, b int32) cube.CellKey {
 	t.Helper()
@@ -152,7 +273,7 @@ func oCell(t testing.TB, a, b int32) cube.CellKey {
 
 // TestTiltedZeroPadsAbsentUnits stops feeding one o-cell mid-stream and
 // asserts its frame keeps advancing on zero regressions, so the finest
-// trend keeps answering without gap errors (flat engines would reject).
+// trend keeps answering across the quiet units.
 func TestTiltedZeroPadsAbsentUnits(t *testing.T) {
 	cfg := tiltConfig(t)
 	eng, err := NewEngine(cfg)
@@ -230,9 +351,6 @@ func TestShardedTiltedMatchesSingle(t *testing.T) {
 			if !reflect.DeepEqual(got.Frames, want.Frames) {
 				t.Fatal("merged frames differ from single engine")
 			}
-			if !reflect.DeepEqual(got.History, want.History) {
-				t.Fatal("merged derived history differs from single engine")
-			}
 			if !reflect.DeepEqual(got.Alerts, want.Alerts) {
 				t.Fatalf("alerts differ:\n%+v\nvs\n%+v", got.Alerts, want.Alerts)
 			}
@@ -300,12 +418,25 @@ func TestTiltedCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(a.Frames, b.Frames) {
 		t.Fatal("resumed frames diverge from the uninterrupted run")
 	}
-	if !reflect.DeepEqual(a.History, b.History) {
-		t.Fatal("resumed history diverges from the uninterrupted run")
-	}
 }
 
-// TestFlatCheckpointSeedsTiltedEngine restores a pre-tilt (flat-history)
+// legacyCheckpoint rewrites a checkpoint the way a writer older than
+// envelope version 4 that kept no frames cut it: each cell's finest level
+// as flat per-unit history, no frames.
+func legacyCheckpoint(cp *Checkpoint) *Checkpoint {
+	out := *cp
+	out.Tilt = nil
+	for _, cf := range cp.Tilt {
+		ch := CellHistory{Levels: cf.Levels, Members: cf.Members}
+		for _, s := range cf.Frame.Levels[0].Slots {
+			ch.Entries = append(ch.Entries, HistoryEntryRec{Unit: cf.Base + s.Unit, ISB: s.ISB})
+		}
+		out.History = append(out.History, ch)
+	}
+	return &out
+}
+
+// TestFlatCheckpointSeedsTiltedEngine restores a pre-frame (flat-history)
 // checkpoint into a tilt-configured engine: frames must reseed from the
 // replayed history and keep promoting from there.
 func TestFlatCheckpointSeedsTiltedEngine(t *testing.T) {
@@ -316,9 +447,9 @@ func TestFlatCheckpointSeedsTiltedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestGrid(t, flat.Ingest, 0, 50) // 12 closed units
-	cp := flat.Checkpoint()
-	if len(cp.Tilt) != 0 {
-		t.Fatal("flat checkpoint must not carry frames")
+	cp := legacyCheckpoint(flat.Checkpoint())
+	if len(cp.Tilt) != 0 || len(cp.History) == 0 {
+		t.Fatal("a pre-frame checkpoint carries history and no frames")
 	}
 
 	cfg := tiltConfig(t)
@@ -353,8 +484,9 @@ func TestFlatCheckpointSeedsTiltedEngine(t *testing.T) {
 	}
 }
 
-// TestTiltedCheckpointLoadsIntoFlatEngine goes the other way: the derived
-// finest-level history in a v3 checkpoint restores into a flat engine.
+// TestTiltedCheckpointLoadsIntoFlatEngine goes the other way: a checkpoint
+// kept under a multi-level chain restores into a default (one-level)
+// engine, which reseeds its frames from the file's finest level.
 func TestTiltedCheckpointLoadsIntoFlatEngine(t *testing.T) {
 	cfg := tiltConfig(t)
 	tilted, err := NewEngine(cfg)
@@ -363,6 +495,9 @@ func TestTiltedCheckpointLoadsIntoFlatEngine(t *testing.T) {
 	}
 	ingestGrid(t, tilted.Ingest, 0, 50)
 	cp := tilted.Checkpoint()
+	if len(cp.History) != 0 {
+		t.Fatal("a current checkpoint carries each slot once: frames, no derived history")
+	}
 
 	flatCfg := cfg
 	flatCfg.TiltLevels = nil
@@ -375,18 +510,152 @@ func TestTiltedCheckpointLoadsIntoFlatEngine(t *testing.T) {
 	}
 	cell := oCell(t, 0, 0)
 	if got, want := flat.HistoryLen(cell), tilted.HistoryLen(cell); got != want {
-		t.Fatalf("flat history %d units, tilted finest level %d", got, want)
+		t.Fatalf("default engine history %d units, tilted finest level %d", got, want)
 	}
-	a, err := flat.TrendQuery(cell, 2)
+	for k := 1; k <= flat.HistoryLen(cell); k++ {
+		a, err := flat.TrendQuery(cell, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := tilted.TrendQuery(cell, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("k=%d: cross-loaded trend %v vs %v", k, a, b)
+		}
+	}
+	if _, err := flat.TrendQueryAt(cell, 1, 1); !errors.Is(err, ErrRecord) {
+		t.Fatalf("level 1 on the default chain: %v, want ErrRecord", err)
+	}
+	// The reseeded engine keeps running: its one level keeps growing.
+	ingestGrid(t, flat.Ingest, 50, 90)
+	if _, err := flat.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := flat.HistoryLen(cell), tilted.HistoryLen(cell)+11; got != want {
+		t.Fatalf("history after 11 more units = %d, want %d", got, want)
+	}
+}
+
+// reseedExpectation is what restoring a frame record under another chain
+// must produce: a fresh frame of that chain fed the record's retained
+// finest slots in order (they are contiguous and end at the open unit).
+func reseedExpectation(t *testing.T, chain []tilt.Level, rec CellFrame) (int64, tilt.UnitFrameState) {
+	t.Helper()
+	f, err := tilt.NewUnitFrame(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tilted.TrendQuery(cell, 2)
-	if err != nil {
-		t.Fatal(err)
+	slots := rec.Frame.Levels[0].Slots
+	for _, sl := range slots {
+		if err := f.Push(sl.ISB); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if a != b {
-		t.Fatalf("cross-loaded trend %v vs %v", a, b)
+	return rec.Base + slots[0].Unit, f.State()
+}
+
+// TestCheckpointReseedsAcrossChains is the one upgrade rule: a checkpoint
+// written under one level chain resumes under any other (calendar → log4x8
+// used to fail in tilt.RestoreUnitFrame on the level mismatch). The
+// destination's finest level is bitwise the source's retained finest
+// slots (as many as its capacity holds), its coarser levels are what a
+// fresh frame fed those units promotes, and it keeps running.
+func TestCheckpointReseedsAcrossChains(t *testing.T) {
+	logChain := tilt.LogarithmicLevels(4, 1, 8)
+	chains := map[string][]tilt.Level{"calendar": tilt.CalendarLevels(), "log4x8": logChain, "default": nil}
+	for _, tc := range []struct{ from, to string }{
+		{"calendar", "log4x8"}, {"calendar", "default"}, {"default", "calendar"}, {"log4x8", "calendar"},
+	} {
+		t.Run(tc.from+"_to_"+tc.to, func(t *testing.T) {
+			cfg := tiltConfig(t)
+			cfg.TiltLevels = chains[tc.from]
+			src, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 13 closed units. O-cell (0,1) sits units 5 and 6 out (padded
+			// slots travel like any other); o-cell (1,1) joins at unit 12, so
+			// its one-slot frame is a state of every chain and restores
+			// exactly — to the same thing a reseed builds.
+			for tick := int64(0); tick < 54; tick++ {
+				for a := int32(0); a < 4; a++ {
+					for b := int32(0); b < 4; b++ {
+						quiet := a < 2 && b >= 2 && tick/4 >= 5 && tick/4 <= 6
+						late := a >= 2 && b >= 2 && tick < 48
+						if quiet || late {
+							continue
+						}
+						if _, err := src.Ingest([]int32{a, b}, tick, float64(tick)*float64(a+2*b+1)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			cp := copyCheckpoint(t, src.Checkpoint())
+			if len(cp.Tilt) != 4 {
+				t.Fatalf("source checkpoint has %d frames, want 4", len(cp.Tilt))
+			}
+
+			cfg.TiltLevels = chains[tc.to]
+			for _, shards := range []int{1, 3} {
+				dst, err := NewShardedEngine(cfg, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer dst.Close()
+				if err := dst.Restore(cp); err != nil {
+					t.Fatalf("%d shards: %v", shards, err)
+				}
+				got, err := dst.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Tilt) != len(cp.Tilt) {
+					t.Fatalf("%d shards: %d frames restored, want %d", shards, len(got.Tilt), len(cp.Tilt))
+				}
+				for i, rec := range cp.Tilt {
+					wantBase, want := reseedExpectation(t, dst.cfg.TiltLevels, rec)
+					if got.Tilt[i].Base != wantBase || !reflect.DeepEqual(got.Tilt[i].Frame, want) {
+						t.Fatalf("%d shards, cell %v: frame\n %+v (base %d)\nwant\n %+v (base %d)",
+							shards, rec.Members, got.Tilt[i].Frame, got.Tilt[i].Base, want, wantBase)
+					}
+					// Finest level: the source's retained slots, the tail the
+					// destination's capacity holds, same engine units, same bits.
+					srcSlots, dstSlots := rec.Frame.Levels[0].Slots, got.Tilt[i].Frame.Levels[0].Slots
+					srcSlots = srcSlots[max(0, len(srcSlots)-dst.cfg.TiltLevels[0].Slots):]
+					if len(dstSlots) != len(srcSlots) {
+						t.Fatalf("cell %v: %d finest slots, want %d", rec.Members, len(dstSlots), len(srcSlots))
+					}
+					for j := range srcSlots {
+						if rec.Base+srcSlots[j].Unit != got.Tilt[i].Base+dstSlots[j].Unit || srcSlots[j].ISB != dstSlots[j].ISB {
+							t.Fatalf("cell %v finest slot %d: %+v, want %+v", rec.Members, j, dstSlots[j], srcSlots[j])
+						}
+					}
+				}
+				// The reseeded engine keeps promoting, and its own checkpoint
+				// restores exactly under its own chain.
+				ingestGrid(t, dst.Ingest, 54, 90)
+				if _, err := dst.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				again, err := dst.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				same, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := same.Restore(copyCheckpoint(t, again)); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(same.Checkpoint(), copyCheckpoint(t, again)) {
+					t.Fatalf("%d shards: same-chain restore is not exact", shards)
+				}
+			}
+		})
 	}
 }
 
@@ -439,9 +708,9 @@ func TestShardedTiltedCheckpointRepartitions(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptHistory is the checkpoint-validation bugfix:
-// duplicate or out-of-order history units must fail Restore with
-// ErrConfig instead of silently poisoning later TrendQuery calls — in
-// both history modes.
+// duplicate, out-of-order or off-grid history units in a pre-frame file
+// must fail Restore with ErrConfig instead of silently poisoning the
+// reseeded frames — under the default chain and a multi-level one.
 func TestRestoreRejectsCorruptHistory(t *testing.T) {
 	for _, mode := range []string{"flat", "tilted"} {
 		t.Run(mode, func(t *testing.T) {
@@ -454,7 +723,7 @@ func TestRestoreRejectsCorruptHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			ingestGrid(t, src.Ingest, 0, 20)
-			good := src.Checkpoint()
+			good := legacyCheckpoint(src.Checkpoint())
 			if len(good.History) == 0 || len(good.History[0].Entries) < 3 {
 				t.Fatalf("checkpoint too small to corrupt: %+v", good)
 			}
@@ -476,6 +745,11 @@ func TestRestoreRejectsCorruptHistory(t *testing.T) {
 				}},
 				{"negative unit", func(cp *Checkpoint) {
 					cp.History[0].Entries[0].Unit = -1
+				}},
+				{"unit off its ticks", func(cp *Checkpoint) {
+					e := cp.History[0].Entries
+					e[0].Unit, e[1].Unit = e[1].Unit, e[1].Unit+1 // units 1,2 carry the ticks of 0,1
+					cp.History[0].Entries = e[:2]
 				}},
 			}
 			for _, tc := range corrupt {
@@ -501,7 +775,7 @@ func TestRestoreRejectsCorruptHistory(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptFrames mutates the v3 frame records.
+// TestRestoreRejectsCorruptFrames mutates the frame records.
 func TestRestoreRejectsCorruptFrames(t *testing.T) {
 	cfg := tiltConfig(t)
 	src, err := NewEngine(cfg)
@@ -553,10 +827,10 @@ func copyCheckpoint(t *testing.T, cp *Checkpoint) *Checkpoint {
 	return out
 }
 
-// BenchmarkTiltedIngest measures the tilted hot path and reports the
-// bounded-memory invariant: slots per cell stays at the chain capacity no
-// matter how many units stream through, where flat history scales with
-// HistoryUnits (and unbounded retention would scale with units ingested).
+// BenchmarkTiltedIngest measures the hot path under the default one-level
+// chain ("flat") and a multi-level one, and reports the bounded-memory
+// invariant: slots per cell stays within the chain capacity no matter how
+// many units stream through.
 func BenchmarkTiltedIngest(b *testing.B) {
 	for _, mode := range []string{"flat", "tilted"} {
 		b.Run(mode, func(b *testing.B) {
@@ -589,23 +863,12 @@ func BenchmarkTiltedIngest(b *testing.B) {
 			}
 			b.StopTimer()
 			units := eng.UnitsDone()
-			if mode == "tilted" {
-				inUse, capacity := eng.TiltSlots()
-				cells := len(eng.frames)
-				if cells > 0 {
-					b.ReportMetric(float64(inUse)/float64(cells), "slots/cell")
-				}
-				if inUse > capacity {
-					b.Fatalf("slots in use %d exceed capacity %d after %d units", inUse, capacity, units)
-				}
-			} else {
-				var entries int
-				for _, h := range eng.history {
-					entries += len(h)
-				}
-				if n := len(eng.history); n > 0 {
-					b.ReportMetric(float64(entries)/float64(n), "slots/cell")
-				}
+			inUse, capacity := eng.TiltSlots()
+			if cells := len(eng.frames); cells > 0 {
+				b.ReportMetric(float64(inUse)/float64(cells), "slots/cell")
+			}
+			if inUse > capacity {
+				b.Fatalf("slots in use %d exceed capacity %d after %d units", inUse, capacity, units)
 			}
 			b.ReportMetric(float64(units), "units")
 		})

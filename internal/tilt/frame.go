@@ -148,7 +148,7 @@ func (f *Frame) Add(t int64, z float64) error {
 		if err != nil {
 			return err
 		}
-		f.completeUnit(0, isb)
+		completeUnit(f.levels, 0, isb)
 		f.acc.Reset(f.start + f.ticks)
 	}
 	return nil
@@ -180,36 +180,31 @@ func (f *Frame) AdvanceTo(t int64) {
 				// fail on zero fills.
 				panic(fmt.Sprintf("tilt: advance snapshot failed: %v", err))
 			}
-			f.completeUnit(0, isb)
+			completeUnit(f.levels, 0, isb)
 			f.acc.Reset(f.start + f.ticks)
 		}
 	}
 }
 
-// completeUnit registers a finished unit ISB at level i and cascades
-// promotion when it fills a unit of level i+1.
-func (f *Frame) completeUnit(i int, isb regression.ISB) {
-	ls := &f.levels[i]
+// completeUnit registers a finished unit ISB at level i of a chain (a
+// Frame's or a UnitFrame's) and cascades promotion when it fills a unit of
+// level i+1.
+func completeUnit(levels []levelState, i int, isb regression.ISB) {
+	ls := &levels[i]
 	ls.slots = append(ls.slots, Slot{Unit: ls.next, ISB: isb})
 	ls.next++
 
-	if i+1 < len(f.levels) {
-		mult := int64(f.levels[i+1].cfg.Multiple)
-		if ls.next%mult == 0 {
+	if i+1 < len(levels) {
+		if mult := levels[i+1].cfg.Multiple; ls.next%int64(mult) == 0 {
 			// The most recent `mult` slots are exactly the children of the
 			// parent unit (Slots ≥ mult was validated at construction).
-			children := ls.slots[len(ls.slots)-int(mult):]
-			isbs := make([]regression.ISB, len(children))
-			for j, s := range children {
-				isbs[j] = s.ISB
-			}
-			parent, err := regression.AggregateTime(isbs...)
+			parent, err := AggregateLast(ls.cfg.Name, ls.slots, mult)
 			if err != nil {
 				// Children are adjacent complete units by construction;
 				// failure here indicates internal corruption.
 				panic(fmt.Sprintf("tilt: promotion aggregation failed: %v", err))
 			}
-			f.completeUnit(i+1, parent)
+			completeUnit(levels, i+1, parent)
 		}
 	}
 	// Evict beyond retention after promotion so children were available.
@@ -241,18 +236,27 @@ func (f *Frame) Completed(i int) int64 {
 // Query returns the regression over the last k completed units at level i,
 // computed purely from stored ISBs with Theorem 3.3 — e.g. "the last hour
 // with the precision of a quarter" is Query(0, 4).
-func (f *Frame) Query(i, k int) (regression.ISB, error) {
-	if i < 0 || i >= len(f.levels) {
-		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrQuery, i, len(f.levels))
+func (f *Frame) Query(i, k int) (regression.ISB, error) { return queryLevel(f.levels, i, k) }
+
+func queryLevel(levels []levelState, i, k int) (regression.ISB, error) {
+	if i < 0 || i >= len(levels) {
+		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrQuery, i, len(levels))
 	}
-	ls := &f.levels[i]
-	if k <= 0 || k > len(ls.slots) {
+	return AggregateLast(levels[i].cfg.Name, levels[i].slots, k)
+}
+
+// AggregateLast combines the last k slots of one level (named for the
+// error) into one regression over their combined interval (Theorem 3.3).
+// A level's retained slots are always contiguous — promotion consumes a
+// trailing window, eviction trims the front — so any 1 ≤ k ≤ len(slots)
+// answers. Every trend read, raw frame, engine or snapshot, ends here.
+func AggregateLast(name string, slots []Slot, k int) (regression.ISB, error) {
+	if k <= 0 || k > len(slots) {
 		return regression.ISB{}, fmt.Errorf("%w: %d units requested at level %q, %d retained",
-			ErrQuery, k, ls.cfg.Name, len(ls.slots))
+			ErrQuery, k, name, len(slots))
 	}
-	tail := ls.slots[len(ls.slots)-k:]
 	isbs := make([]regression.ISB, k)
-	for j, s := range tail {
+	for j, s := range slots[len(slots)-k:] {
 		isbs[j] = s.ISB
 	}
 	return regression.AggregateTime(isbs...)

@@ -7,11 +7,12 @@ import (
 )
 
 // ParseLevels decodes the command-line tilt chain syntax shared by streamd
-// -tilt and regcube replay -tilt. "" keeps the flat history (nil levels);
-// "calendar" is the paper's quarter/hour/day/month chain (each engine unit
-// plays the quarter); "log<N>x<S>" is N doubling-coverage levels of S
-// slots each; anything else is an explicit "name:multiple:slots,..."
-// chain, finest level first (its multiple is implied 1 — one engine unit).
+// -tilt and regcube replay -tilt. "" is nil levels, which the stream engine
+// reads as its one-level default chain (unit:1:64); "calendar" is the
+// paper's quarter/hour/day/month chain (each engine unit plays the
+// quarter); "log<N>x<S>" is N doubling-coverage levels of S slots each;
+// anything else is an explicit "name:multiple:slots,..." chain, finest
+// level first (its multiple is implied 1 — one engine unit).
 func ParseLevels(s string) ([]Level, error) {
 	if s == "" {
 		return nil, nil
@@ -23,7 +24,7 @@ func ParseLevels(s string) ([]Level, error) {
 	if c, err := fmt.Sscanf(s, "log%dx%d", &n, &slots); c == 2 && err == nil {
 		// Sscanf accepts signs and ignores trailing text; require an exact
 		// round trip so log0x4, log-1x4, and log3x4junk all fail loudly
-		// instead of panicking or silently disabling tilt.
+		// instead of panicking or silently falling back to the default.
 		if n < 1 || slots < 1 || fmt.Sprintf("log%dx%d", n, slots) != s {
 			return nil, fmt.Errorf("%q: want log<levels>x<slots> with both ≥ 1", s)
 		}

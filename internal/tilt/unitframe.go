@@ -69,35 +69,10 @@ func (f *UnitFrame) Push(isb regression.ISB) error {
 	if isb.Tb != f.nextTb {
 		return fmt.Errorf("%w: unit starts at %d, frame expects %d", ErrConfig, isb.Tb, f.nextTb)
 	}
-	f.completeUnit(0, isb)
+	completeUnit(f.levels, 0, isb)
 	f.nextTb = isb.Te + 1
 	f.pushed++
 	return nil
-}
-
-// completeUnit mirrors Frame.completeUnit for pushed units.
-func (f *UnitFrame) completeUnit(i int, isb regression.ISB) {
-	ls := &f.levels[i]
-	ls.slots = append(ls.slots, Slot{Unit: ls.next, ISB: isb})
-	ls.next++
-	if i+1 < len(f.levels) {
-		mult := int64(f.levels[i+1].cfg.Multiple)
-		if ls.next%mult == 0 {
-			children := ls.slots[len(ls.slots)-int(mult):]
-			isbs := make([]regression.ISB, len(children))
-			for j, s := range children {
-				isbs[j] = s.ISB
-			}
-			parent, err := regression.AggregateTime(isbs...)
-			if err != nil {
-				panic(fmt.Sprintf("tilt: unit-frame promotion failed: %v", err))
-			}
-			f.completeUnit(i+1, parent)
-		}
-	}
-	if over := len(ls.slots) - ls.cfg.Slots; over > 0 {
-		ls.slots = append(ls.slots[:0], ls.slots[over:]...)
-	}
 }
 
 // Levels returns the number of granularity levels.
@@ -146,22 +121,7 @@ func (f *UnitFrame) Completed(i int) int64 {
 }
 
 // Query aggregates the last k completed units at level i (Theorem 3.3).
-func (f *UnitFrame) Query(i, k int) (regression.ISB, error) {
-	if i < 0 || i >= len(f.levels) {
-		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrQuery, i, len(f.levels))
-	}
-	ls := &f.levels[i]
-	if k <= 0 || k > len(ls.slots) {
-		return regression.ISB{}, fmt.Errorf("%w: %d units requested at level %q, %d retained",
-			ErrQuery, k, ls.cfg.Name, len(ls.slots))
-	}
-	tail := ls.slots[len(ls.slots)-k:]
-	isbs := make([]regression.ISB, k)
-	for j, s := range tail {
-		isbs[j] = s.ISB
-	}
-	return regression.AggregateTime(isbs...)
-}
+func (f *UnitFrame) Query(i, k int) (regression.ISB, error) { return queryLevel(f.levels, i, k) }
 
 // SlotCapacity returns the total retention across levels.
 func (f *UnitFrame) SlotCapacity() int {

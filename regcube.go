@@ -291,24 +291,27 @@ func SortStreamAlerts(alerts []Alert) { stream.SortAlerts(alerts) }
 
 // StreamSnapshot is the immutable per-unit view an engine publishes when
 // StreamConfig.PublishSnapshots is set: the unit's cube result, alerts in
-// canonical order, and every o-cell's trailing history. Reading one (via
+// canonical order, and every o-cell's tilt frame (its trailing history is
+// the frame's finest level: HistoryOf, TrendQuery). Reading one (via
 // the engine's Snapshot method) is a single atomic load, safe from any
 // goroutine concurrently with ingestion.
 type StreamSnapshot = stream.Snapshot
 
-// StreamHistoryPoint is one completed unit of an o-cell's history inside a
-// snapshot.
+// StreamHistoryPoint is one completed unit of an o-cell's history — a
+// finest-level frame slot named by engine unit — as StreamSnapshot.HistoryOf
+// returns it.
 type StreamHistoryPoint = stream.HistoryPoint
 
 // StreamFrameView is the immutable multi-granularity view of one o-cell's
-// tilted history, published through snapshots when StreamConfig.TiltLevels
-// is set (§4.1 over the online engine).
+// history, published through every snapshot (§4.1 over the online engine);
+// StreamConfig.TiltLevels names its level chain, by default the one level
+// unit:1:64.
 type StreamFrameView = stream.FrameView
 
 // StreamFrameLevelView is one granularity of a StreamFrameView.
 type StreamFrameLevelView = stream.FrameLevelView
 
-// StreamCellFrame is the checkpoint record of one o-cell's tilted history.
+// StreamCellFrame is the checkpoint record of one o-cell's history.
 type StreamCellFrame = stream.CellFrame
 
 // SnapshotSource supplies published snapshots to the query server; both
@@ -321,7 +324,7 @@ type SnapshotSource = serve.Source
 // /v1/alerts, /v1/summary, /healthz, /metrics) plus POST /v1/query, the
 // typed batch endpoint of the query API v2. It is an http.Handler; see
 // DESIGN.md §7 for the snapshot-publication protocol behind it, §8 for
-// the tilted history, and §9 for the typed request model. The Go client
+// the tilt-frame history, and §9 for the typed request model. The Go client
 // SDK for the API lives in the repro/client package.
 type QueryServer = serve.Server
 

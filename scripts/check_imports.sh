@@ -57,9 +57,8 @@ checkonly() {
     done
 }
 
-# The daemon binary is flag parsing over the node runtime; internal/tilt
-# is tolerated for the -tilt flag's parse seam.
-checkonly repro/cmd/streamd internal/node internal/tilt
+# The daemon binary is flag parsing over the node runtime.
+checkonly repro/cmd/streamd internal/node
 
 # The node runtime sits above everything except the cluster layer (the
 # router is its peer, not its dependency).
