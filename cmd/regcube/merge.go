@@ -55,7 +55,10 @@ func runMerge(args []string, out io.Writer) error {
 		return err
 	}
 	if err := persist.WriteCheckpoint(f, cp); err != nil {
+		// Nothing was written (the document is refused whole, as for the
+		// flat history of version 1/2 inputs): leave no empty file behind.
 		f.Close()
+		os.Remove(*outPath)
 		return err
 	}
 	if err := f.Close(); err != nil {

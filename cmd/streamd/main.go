@@ -63,22 +63,24 @@
 // different shard count, tilt chain, or threshold.
 //
 // Checkpoint files have one layout: the same stream position writes the
-// same bytes at any -shards value (envelope version 4: the open unit's
-// cells plus every o-cell's tilt frame), and a file resumes at any -shards
+// same bytes at any -shards value (the binary checkpoint document, version
+// 5: the open unit's cells plus every o-cell's tilt frame behind a
+// checksum), and a file resumes at any -shards
 // or -tilt value — cells repartition across the shards, a frame kept under
 // the same -tilt chain restores exactly, and one kept under another chain
 // (or the flat history of a version 1/2 file) reseeds a fresh frame from
 // its finest retained level — so both knobs can change freely between
-// restarts. The files older releases wrote (versions 1 to 3, per-shard
-// ones included) still load: they are upgraded to the one layout on read.
+// restarts. The JSON files older releases wrote (versions 1 to 4,
+// per-shard ones included) still load: they are upgraded to the one layout
+// on read, and the next closed unit replaces the file with a version 5 one.
 //
 // Text record format (no header): tick,dim0,...,dimN,value
 //
 // Usage:
 //
 //	datagen-style producer | streamd -spec D2L2C4 -unit 15 -threshold 2
-//	streamd -spec D2L2C4 -unit 15 -threshold 2 -checkpoint state.json < records.csv
-//	streamd -spec D2L2C4 -shards 8 -listen :8080 -checkpoint state.json < records.csv
+//	streamd -spec D2L2C4 -unit 15 -threshold 2 -checkpoint state.ckpt < records.csv
+//	streamd -spec D2L2C4 -shards 8 -listen :8080 -checkpoint state.ckpt < records.csv
 //
 // The runtime itself — engine construction, WAL replay, ingest sources,
 // the query server, the alert lifecycle, and the ordered shutdown — lives

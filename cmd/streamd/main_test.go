@@ -336,8 +336,8 @@ func TestRunTiltCheckpointCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"version":4`) || strings.Contains(string(raw), `"history"`) {
-		t.Fatalf("tilted run wrote %.60s, want v4 without a history section", raw)
+	if !bytes.HasPrefix(raw, []byte("RCCP\x05")) {
+		t.Fatalf("tilted run wrote %.16q, want a version 5 checkpoint document", raw)
 	}
 	// Each resume below saves its own checkpoint over the file; start every
 	// one from the calendar-chain original.

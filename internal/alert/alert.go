@@ -17,7 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/cube"
@@ -198,6 +198,8 @@ type candidate struct {
 	level Level
 }
 
+func compareCandidates(a, b candidate) int { return cube.CompareKeys(a.key, b.key) }
+
 // New validates the config and builds a manager with no handlers; attach
 // them with Handle before the first Observe.
 func New(cfg Config) (*Manager, error) {
@@ -299,8 +301,8 @@ func (m *Manager) Observe(snap *stream.Snapshot) {
 	for k := range m.states {
 		add(k, 0, false)
 	}
-	sort.Slice(m.ocells, func(i, j int) bool { return cube.CompareKeys(m.ocells[i].key, m.ocells[j].key) < 0 })
-	sort.Slice(m.dcells, func(i, j int) bool { return cube.CompareKeys(m.dcells[i].key, m.dcells[j].key) < 0 })
+	slices.SortFunc(m.ocells, compareCandidates)
+	slices.SortFunc(m.dcells, compareCandidates)
 
 	// O-layer first: each o-cell's post-transition level is what inhibits
 	// its descendants in the same unit.
@@ -401,7 +403,7 @@ func (m *Manager) observeForecast(snap *stream.Snapshot, emitted []Event) []Even
 			m.fcells = append(m.fcells, candidate{key: k})
 		}
 	}
-	sort.Slice(m.fcells, func(i, j int) bool { return cube.CompareKeys(m.fcells[i].key, m.fcells[j].key) < 0 })
+	slices.SortFunc(m.fcells, compareCandidates)
 	for _, c := range m.fcells {
 		if ev, ok := m.transition(m.fstates, c, TopicForecast, snap.Unit, false); ok {
 			emitted = append(emitted, ev)

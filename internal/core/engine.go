@@ -317,7 +317,8 @@ func radixSortByCode(entries, spare []runEntry, maxCode uint64) (sorted, other [
 // MOCubing runs Algorithm 1 (m/o H-cubing). It aggregates every cuboid of
 // the lattice from the H-tree's m-layer cells, one cuboid at a time in a
 // reused scratch aggregator, and retains only exception cells in between
-// the layers (all cells at the o-layer, which is also returned).
+// the layers (all cells at the o-layer, which is also returned). It is the
+// one-shot form of Workspace.MOCubing.
 func MOCubing(s *cube.Schema, inputs []Input, thr exception.Thresholder) (*Result, error) {
 	return MOCubingWith(s, inputs, thr, CubingOptions{})
 }
@@ -327,22 +328,64 @@ func MOCubing(s *cube.Schema, inputs []Input, thr exception.Thresholder) (*Resul
 // the cost differs (BenchmarkAblationAncestorIndex/ScratchReuse, and the
 // agreement property tests, are the referees).
 func MOCubingWith(s *cube.Schema, inputs []Input, thr exception.Thresholder, opts CubingOptions) (*Result, error) {
+	return NewWorkspace(s).run(inputs, thr, opts)
+}
+
+// Workspace is what repeated m/o-cubing runs over one schema can keep
+// between runs: the H-tree (node and pointer arenas, header tables, the
+// ancestor index built with it), the lattice, the leaf-cell buffer and the
+// run aggregator. The online engine cubes one unit after another over the
+// same schema; rebuilding all of this per unit was most of what a unit
+// allocated. A run's Result shares nothing with the workspace, and results
+// are bit for bit those of a fresh MOCubing call. Not safe for concurrent
+// use.
+type Workspace struct {
+	schema    *cube.Schema
+	tree      *htree.HTree // built by the first run, Reset by every later one
+	lattice   *cube.Lattice
+	leafCells []Cell
+	scratch   runScratch
+	// oCells and exceptions are the last run's retained-cell counts: the
+	// next result's maps start at that size instead of growing to it.
+	oCells, exceptions int
+}
+
+// NewWorkspace returns an empty workspace for cubing over s.
+func NewWorkspace(s *cube.Schema) *Workspace { return &Workspace{schema: s} }
+
+// MOCubing is core.MOCubing run in the workspace.
+func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result, error) {
+	return w.run(inputs, thr, CubingOptions{})
+}
+
+func (w *Workspace) run(inputs []Input, thr exception.Thresholder, opts CubingOptions) (*Result, error) {
+	s := w.schema
 	if err := validate(s, inputs); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	tree, err := buildTree(s, htree.CardinalityOrder(s), inputs)
-	if err != nil {
-		return nil, err
+	if w.tree == nil {
+		tree, err := htree.New(s, htree.CardinalityOrder(s))
+		if err != nil {
+			return nil, err
+		}
+		w.tree, w.lattice = tree, cube.NewLattice(s)
+	}
+	tree := w.tree
+	tree.Reset()
+	for i, in := range inputs {
+		if err := tree.Insert(in.Members, in.Measure); err != nil {
+			return nil, fmt.Errorf("core: inserting tuple %d: %w", i, err)
+		}
 	}
 	build := time.Since(start)
 
 	idx := tree.AncestorIndex() // built once with the tree
-	lattice := cube.NewLattice(s)
+	lattice := w.lattice
 	res := &Result{
 		Schema:     s,
-		OLayer:     make(map[cube.CellKey]regression.ISB),
-		Exceptions: make(map[cube.CellKey]regression.ISB),
+		OLayer:     make(map[cube.CellKey]regression.ISB, w.oCells),
+		Exceptions: make(map[cube.CellKey]regression.ISB, w.exceptions),
 	}
 	st := &res.Stats
 	st.Algorithm = "m/o-cubing"
@@ -356,11 +399,12 @@ func MOCubingWith(s *cube.Schema, inputs []Input, thr exception.Thresholder, opt
 	oLayer := s.OLayer()
 	leaves := tree.Leaves()
 	// Pre-extract leaf cells once; every cuboid pass rolls them up.
-	leafCells := make([]Cell, len(leaves))
-	for i, leaf := range leaves {
-		leafCells[i] = Cell{Key: tree.CellKeyOf(leaf), ISB: leaf.Measure}
+	leafCells := slices.Grow(w.leafCells[:0], len(leaves))
+	for _, leaf := range leaves {
+		leafCells = append(leafCells, Cell{Key: tree.CellKeyOf(leaf), ISB: leaf.Measure})
 	}
-	var scratch runScratch
+	w.leafCells = leafCells
+	scratch := &w.scratch
 
 	treeBytes := tree.BytesEstimate()
 	for _, c := range lattice.Cuboids() {
@@ -390,8 +434,8 @@ func MOCubingWith(s *cube.Schema, inputs []Input, thr exception.Thresholder, opt
 			for _, lc := range leafCells {
 				var key cube.CellKey
 				if opts.NoAncestorIndex {
-					key, err = cube.RollUpKey(s, lc.Key, c)
-					if err != nil {
+					var err error
+					if key, err = cube.RollUpKey(s, lc.Key, c); err != nil {
 						return nil, err
 					}
 				} else {
@@ -446,6 +490,13 @@ func MOCubingWith(s *cube.Schema, inputs []Input, thr exception.Thresholder, opt
 	st.BytesRetained = treeBytes + st.CellsRetained*bytesPerCell
 	if st.BytesRetained > st.PeakBytes {
 		st.PeakBytes = st.BytesRetained
+	}
+	w.oCells, w.exceptions = len(res.OLayer), len(res.Exceptions)
+	// Bound what is kept to a small multiple of this run's size, so one
+	// bursty unit cannot pin its peak footprint (the tree does the same in
+	// Reset).
+	if bound := 4*len(leafCells) + 1024; cap(leafCells) > bound {
+		w.leafCells, w.scratch = nil, runScratch{}
 	}
 	return res, nil
 }

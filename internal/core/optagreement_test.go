@@ -85,6 +85,27 @@ func randomAgreementSchema(r *rand.Rand) (*cube.Schema, error) {
 	return cube.NewSchema(dims...)
 }
 
+// randomAgreementInputs draws n tuples over s, with duplicate m-cells on
+// purpose: multi-leaf runs are where operand order can diverge.
+func randomAgreementInputs(r *rand.Rand, s *cube.Schema, n int) []Input {
+	inputs := make([]Input, n)
+	for i := range inputs {
+		members := make([]int32, s.NumDims())
+		for d := range members {
+			card := s.Dims[d].Hierarchy.Cardinality(s.Dims[d].MLevel)
+			if card > 4 && r.Intn(2) == 0 {
+				card = 4
+			}
+			members[d] = int32(r.Intn(card))
+		}
+		inputs[i] = Input{
+			Members: members,
+			Measure: regression.ISB{Tb: 0, Te: 9, Base: r.NormFloat64(), Slope: r.NormFloat64() * 2},
+		}
+	}
+	return inputs
+}
+
 // Property: every CubingOptions combination — map scratch vs sorted-run
 // aggregator, interface roll-up vs ancestor index — produces bitwise
 // identical results on random schemas and datasets. This is the referee for
@@ -98,24 +119,7 @@ func TestMOCubingOptionsBitwiseAgreement(t *testing.T) {
 			t.Logf("schema: %v", err)
 			return false
 		}
-		// Duplicate m-cells on purpose: multi-leaf runs are where operand
-		// order can diverge.
-		nTuples := 20 + r.Intn(200)
-		inputs := make([]Input, nTuples)
-		for i := range inputs {
-			members := make([]int32, s.NumDims())
-			for d := range members {
-				card := s.Dims[d].Hierarchy.Cardinality(s.Dims[d].MLevel)
-				if card > 4 && r.Intn(2) == 0 {
-					card = 4
-				}
-				members[d] = int32(r.Intn(card))
-			}
-			inputs[i] = Input{
-				Members: members,
-				Measure: regression.ISB{Tb: 0, Te: 9, Base: r.NormFloat64(), Slope: r.NormFloat64() * 2},
-			}
-		}
+		inputs := randomAgreementInputs(r, s, 20+r.Intn(200))
 		thr := exception.Global(r.Float64() * 2)
 
 		baseline, err := MOCubingWith(s, inputs, thr, CubingOptions{MapScratch: true, NoAncestorIndex: true})
@@ -137,6 +141,66 @@ func TestMOCubingOptionsBitwiseAgreement(t *testing.T) {
 				t.Logf("%+v: %v", opts, err)
 				return false
 			}
+		}
+		return true
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a Workspace carried through a run of batches — large, then a
+// few tuples, then large again, with a rejected batch in between — gives
+// every batch the result a fresh MOCubing call gives it, bit for bit (the
+// map-scratch, interface-walking baseline is the referee), and a result
+// handed out earlier is not touched by later runs: nothing of a unit
+// survives in the tree, the leaf buffer or the run aggregator into the
+// next.
+func TestWorkspaceReuseBitwiseAgreement(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(303))}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		s, err := randomAgreementSchema(r)
+		if err != nil {
+			t.Logf("schema: %v", err)
+			return false
+		}
+		thr := exception.Global(r.Float64() * 2)
+		ws := NewWorkspace(s)
+		var firstGot, firstWant *Result
+		for i, n := range []int{150 + r.Intn(150), 1 + r.Intn(5), 0, 6000, 2, 40 + r.Intn(100)} {
+			if n == 0 {
+				// A batch the tree rejects halfway leaves it half built.
+				bad := randomAgreementInputs(r, s, 30)
+				bad[20].Members[0] = -1
+				if _, err := ws.MOCubing(bad, thr); err == nil {
+					t.Log("out-of-range member accepted")
+					return false
+				}
+				continue
+			}
+			inputs := randomAgreementInputs(r, s, n)
+			want, err := MOCubingWith(s, inputs, thr, CubingOptions{MapScratch: true, NoAncestorIndex: true})
+			if err != nil {
+				t.Logf("baseline: %v", err)
+				return false
+			}
+			got, err := ws.MOCubing(inputs, thr)
+			if err != nil {
+				t.Logf("workspace batch %d: %v", i, err)
+				return false
+			}
+			if err := bitwiseEqualResults(want, got); err != nil {
+				t.Logf("workspace batch %d (%d tuples): %v", i, n, err)
+				return false
+			}
+			if firstGot == nil {
+				firstGot, firstWant = got, want
+			}
+		}
+		if err := bitwiseEqualResults(firstWant, firstGot); err != nil {
+			t.Logf("first result after later runs: %v", err)
+			return false
 		}
 		return true
 	}

@@ -132,18 +132,19 @@ type HTree struct {
 	headers []headerTable
 	nodes   int
 	leaves  []*Node
-	// nodeArena slab-allocates nodes: one allocation per chunk instead of
-	// one per node. Retired chunks stay reachable through the tree itself.
-	// Chunks start small and double so the many-small-trees workload (one
-	// tree per shard per unit) doesn't turn every build into fixed-size
-	// slab garbage.
-	nodeArena     []Node
-	nodeChunkSize int
-	// ptrArena carves children slices: child-slice growth allocates from
-	// here instead of the heap, so a build does a handful of chunk
-	// allocations rather than one per growing node.
-	ptrArena     []*Node
-	ptrChunkSize int
+	// nodeChunks slab-allocate nodes: one allocation per chunk instead of
+	// one per node. Chunks start small and double so the many-small-trees
+	// workload (one tree per shard per unit) doesn't turn every build into
+	// fixed-size slab garbage; Reset rewinds to the first chunk and the next
+	// build fills the same ones, so a reused tree allocates nothing while
+	// its batches stay the size of the last. nodeChunk indexes the chunk
+	// being filled.
+	nodeChunks [][]Node
+	nodeChunk  int
+	// ptrChunks carve children slices the same way: child-slice growth
+	// takes from here instead of the heap.
+	ptrChunks [][]*Node
+	ptrChunk  int
 }
 
 const (
@@ -189,7 +190,6 @@ func New(s *cube.Schema, attrs []Attribute) (*HTree, error) {
 		mLevels: make([]int, len(s.Dims)),
 		cards:   make([]int, len(s.Dims)),
 		headers: make([]headerTable, len(attrs)),
-		nodes:   1,
 	}
 	for d, dim := range s.Dims {
 		t.mLevels[d] = dim.MLevel
@@ -206,25 +206,36 @@ func New(s *cube.Schema, attrs []Attribute) (*HTree, error) {
 		t.headers[k].heads = make([]*Node, 0, card)
 		t.headers[k].tails = make([]*Node, 0, card)
 	}
-	t.root = t.newNode()
-	t.root.Depth = 0
+	t.Reset()
 	return t, nil
 }
 
-// newNode slab-allocates one node.
-func (t *HTree) newNode() *Node {
-	if len(t.nodeArena) == cap(t.nodeArena) {
-		if t.nodeChunkSize < maxNodeChunk {
-			if t.nodeChunkSize == 0 {
-				t.nodeChunkSize = minNodeChunk
-			} else {
-				t.nodeChunkSize *= 2
-			}
+// chunkSize is the capacity of the n-th chunk of an arena: min doubling to
+// max.
+func chunkSize(n, min, max int) int {
+	for size := min; ; size *= 2 {
+		if n == 0 || size >= max {
+			return size
 		}
-		t.nodeArena = make([]Node, 0, t.nodeChunkSize)
+		n--
 	}
-	t.nodeArena = t.nodeArena[:len(t.nodeArena)+1]
-	return &t.nodeArena[len(t.nodeArena)-1]
+}
+
+// newNode slab-allocates one zeroed node.
+func (t *HTree) newNode() *Node {
+	for {
+		if t.nodeChunk == len(t.nodeChunks) {
+			t.nodeChunks = append(t.nodeChunks, make([]Node, 0, chunkSize(t.nodeChunk, minNodeChunk, maxNodeChunk)))
+		}
+		c := &t.nodeChunks[t.nodeChunk]
+		if len(*c) < cap(*c) {
+			*c = (*c)[:len(*c)+1]
+			n := &(*c)[len(*c)-1]
+			*n = Node{}
+			return n
+		}
+		t.nodeChunk++
+	}
 }
 
 // growChildren returns a copy of old with room for at least one more child,
@@ -234,25 +245,50 @@ func (t *HTree) growChildren(old []*Node) []*Node {
 	if cap(old) > 0 {
 		newCap = cap(old) * 2
 	}
-	if len(t.ptrArena)+newCap > cap(t.ptrArena) {
-		if t.ptrChunkSize < maxPtrChunk {
-			if t.ptrChunkSize == 0 {
-				t.ptrChunkSize = minPtrChunk
-			} else {
-				t.ptrChunkSize *= 2
-			}
+	for {
+		if t.ptrChunk == len(t.ptrChunks) {
+			size := max(newCap, chunkSize(t.ptrChunk, minPtrChunk, maxPtrChunk))
+			t.ptrChunks = append(t.ptrChunks, make([]*Node, 0, size))
 		}
-		size := t.ptrChunkSize
-		if newCap > size {
-			size = newCap
+		c := &t.ptrChunks[t.ptrChunk]
+		if base := len(*c); base+newCap <= cap(*c) {
+			*c = (*c)[:base+newCap]
+			s := (*c)[base : base+len(old) : base+newCap]
+			copy(s, old)
+			return s
 		}
-		t.ptrArena = make([]*Node, 0, size)
+		t.ptrChunk++
 	}
-	base := len(t.ptrArena)
-	t.ptrArena = t.ptrArena[:base+newCap]
-	s := t.ptrArena[base : base+len(old) : base+newCap]
-	copy(s, old)
-	return s
+}
+
+// Reset empties the tree for the next batch over the same schema and
+// attribute order, keeping the header tables' storage, the ancestor index
+// and the arena chunks the finished build filled — not the ones beyond, so
+// one bursty batch does not pin its footprint. Nodes, leaves and children
+// slices handed out before the call are invalid after it.
+func (t *HTree) Reset() {
+	if used := t.nodeChunk + 1; used < len(t.nodeChunks) {
+		clear(t.nodeChunks[used:])
+		t.nodeChunks = t.nodeChunks[:used]
+	}
+	if used := t.ptrChunk + 1; used < len(t.ptrChunks) {
+		clear(t.ptrChunks[used:])
+		t.ptrChunks = t.ptrChunks[:used]
+	}
+	for i := range t.nodeChunks {
+		t.nodeChunks[i] = t.nodeChunks[i][:0]
+	}
+	for i := range t.ptrChunks {
+		t.ptrChunks[i] = t.ptrChunks[i][:0]
+	}
+	t.nodeChunk, t.ptrChunk = 0, 0
+	for k := range t.headers {
+		h := &t.headers[k]
+		h.members, h.heads, h.tails, h.nodes = h.members[:0], h.heads[:0], h.tails[:0], 0
+	}
+	t.leaves = t.leaves[:0]
+	t.nodes = 1
+	t.root = t.newNode()
 }
 
 // Schema returns the schema the tree was built against.

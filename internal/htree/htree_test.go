@@ -3,6 +3,7 @@ package htree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -378,5 +379,78 @@ func TestPropagationInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResetRebuildsAsFresh: a tree that held a large batch, was Reset, and
+// then takes a small one is the tree New builds from the small one — same
+// nodes per depth, same leaves in the same order with the same cells and
+// measures, same header members — and the arena chunks the small build did
+// not need are let go by the Reset after it.
+func TestResetRebuildsAsFresh(t *testing.T) {
+	s := paperSchema(t)
+	attrs := CardinalityOrder(s)
+	r := rand.New(rand.NewSource(9))
+	batch := func(n int) (members [][]int32, isbs []regression.ISB) {
+		for i := 0; i < n; i++ {
+			members = append(members, []int32{int32(r.Intn(49)), int32(r.Intn(100)), int32(r.Intn(24))})
+			isbs = append(isbs, regression.ISB{Tb: 0, Te: 9, Base: r.NormFloat64(), Slope: r.NormFloat64()})
+		}
+		return members, isbs
+	}
+	fill := func(tree *HTree, members [][]int32, isbs []regression.ISB) {
+		t.Helper()
+		for i := range members {
+			if err := tree.Insert(members[i], isbs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reused, err := New(s, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigMembers, bigISBs := batch(20000)
+	fill(reused, bigMembers, bigISBs)
+	bigNodeChunks, bigPtrChunks := len(reused.nodeChunks), len(reused.ptrChunks)
+
+	members, isbs := batch(300)
+	reused.Reset()
+	fill(reused, members, isbs)
+	fresh, err := New(s, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(fresh, members, isbs)
+
+	if reused.NodeCount() != fresh.NodeCount() || reused.LeafCount() != fresh.LeafCount() {
+		t.Fatalf("reused tree has %d nodes, %d leaves; fresh %d, %d",
+			reused.NodeCount(), reused.LeafCount(), fresh.NodeCount(), fresh.LeafCount())
+	}
+	for i, leaf := range fresh.Leaves() {
+		got := reused.Leaves()[i]
+		if reused.CellKeyOf(got) != fresh.CellKeyOf(leaf) || got.Measure != leaf.Measure || got.Tuples != leaf.Tuples {
+			t.Fatalf("leaf %d: %v %v vs fresh %v %v", i, reused.CellKeyOf(got), got.Measure, fresh.CellKeyOf(leaf), leaf.Measure)
+		}
+	}
+	for k := 1; k <= len(attrs); k++ {
+		a, b := reused.NodesAtDepth(k), fresh.NodesAtDepth(k)
+		if len(a) != len(b) {
+			t.Fatalf("depth %d: %d nodes vs fresh %d", k, len(a), len(b))
+		}
+		for i := range a {
+			if reused.CellKeyOf(a[i]) != fresh.CellKeyOf(b[i]) || len(a[i].Children) != len(b[i].Children) {
+				t.Fatalf("depth %d node %d differs from the fresh tree's", k, i)
+			}
+		}
+		if !slices.Equal(reused.HeaderMembers(k-1), fresh.HeaderMembers(k-1)) {
+			t.Fatalf("attribute %d header members differ", k-1)
+		}
+	}
+
+	reused.Reset()
+	if len(reused.nodeChunks) >= bigNodeChunks || len(reused.ptrChunks) >= bigPtrChunks {
+		t.Fatalf("after a small build the tree still holds %d node and %d pointer chunks (the large one needed %d and %d)",
+			len(reused.nodeChunks), len(reused.ptrChunks), bigNodeChunks, bigPtrChunks)
 	}
 }

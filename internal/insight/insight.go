@@ -25,10 +25,11 @@
 package insight
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/cube"
 	"repro/internal/regression"
@@ -213,22 +214,17 @@ func ScanChanges(snap *stream.Snapshot, minScore float64, k int) []CellChange {
 	if snap == nil {
 		return nil
 	}
-	keys := make([]cube.CellKey, 0, len(snap.Frames))
-	for key := range snap.Frames {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return cube.CompareKeys(keys[i], keys[j]) < 0 })
 	var out []CellChange
-	for _, key := range keys {
-		if c, ok := scoreFrame(key, snap.Frames[key]); ok && c.Score >= minScore {
+	for key, v := range snap.Frames {
+		if c, ok := scoreFrame(key, v); ok && c.Score >= minScore {
+			if out == nil {
+				out = make([]CellChange, 0, len(snap.Frames))
+			}
 			out = append(out, c)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return cube.CompareKeys(out[i].Key, out[j].Key) < 0
+	slices.SortFunc(out, func(a, b CellChange) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cube.CompareKeys(a.Key, b.Key))
 	})
 	if k > 0 && k < len(out) {
 		out = out[:k]

@@ -46,8 +46,9 @@ type EngineConfig struct {
 // Analyzer is the node's engine: a stream.ShardedEngine — the one engine
 // the runtime constructs, at every shard count; with -shards 1 it runs on
 // the caller's goroutine — plus the schema it was built for and the two
-// methods that put a persist envelope around its checkpoint. Its methods
-// are coordinator-confined except Snapshot, Subscribe, and BusDropped.
+// methods that move its checkpoint document to and from a stream. Its
+// methods are coordinator-confined except Snapshot, Subscribe, and
+// BusDropped.
 type Analyzer struct {
 	*stream.ShardedEngine
 	// Schema is the parsed cube schema.
@@ -56,6 +57,8 @@ type Analyzer struct {
 	Dims int
 	// Shards is the shard count.
 	Shards int
+	// cpDoc is WriteCheckpoint's document buffer, kept between checkpoints.
+	cpDoc []byte
 }
 
 // Build parses the spec and constructs the engine. Callers must Close the
@@ -106,12 +109,16 @@ func (a *Analyzer) LoadCheckpoint(r io.Reader) error {
 	return a.Restore(cp)
 }
 
-// WriteCheckpoint exports engine state; the bytes depend on the stream
-// position alone, not on the shard count.
+// WriteCheckpoint exports engine state — what persist.WriteCheckpoint makes
+// of Checkpoint, cut through buffers the engine and the analyzer keep — in
+// one Write; the bytes depend on the stream position alone, not on the
+// shard count.
 func (a *Analyzer) WriteCheckpoint(w io.Writer) error {
-	cp, err := a.Checkpoint()
+	doc, err := a.AppendCheckpoint(a.cpDoc[:0])
 	if err != nil {
 		return err
 	}
-	return persist.WriteCheckpoint(w, cp)
+	a.cpDoc = doc
+	_, err = w.Write(doc)
+	return err
 }

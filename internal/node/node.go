@@ -137,6 +137,8 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 	var wlog *wal.Log
 	var ingestedSeq atomic.Int64
 
+	var cpStats checkpointStats
+
 	saveCheckpoint := func() error {
 		if wlog != nil {
 			if err := wlog.Sync(); err != nil {
@@ -149,19 +151,15 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		if cfg.Checkpoint == "" {
 			return nil
 		}
-		tmp := cfg.Checkpoint + ".tmp"
-		f, err := os.Create(tmp)
+		start := time.Now()
+		n, err := replaceFile(cfg.Checkpoint, a.WriteCheckpoint)
 		if err != nil {
 			return err
 		}
-		if err := a.WriteCheckpoint(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp, cfg.Checkpoint)
+		cpStats.writes.Add(1)
+		cpStats.bytes.Store(n)
+		cpStats.nanos.Add(int64(time.Since(start)))
+		return nil
 	}
 
 	if cfg.WALDir != "" {
@@ -311,6 +309,10 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		handler := serve.New(a, schema)
 		handler.SetIngestStats(ingestStats)
 		handler.SetBusDropped(a.BusDropped)
+		handler.SetMetrics(func(w io.Writer) {
+			cpStats.writeMetrics(w)
+			writeGCMetrics(w)
+		})
 		fdef := serve.ForecastDefaults{Horizon: cfg.ForecastHorizon, ChangeScore: cfg.ChangeScore}
 		if cfg.ForecastThreshold != 0 {
 			th := cfg.ForecastThreshold

@@ -1,10 +1,12 @@
 // Package persist serializes regression-cube artifacts: cubing results
-// (the two critical layers plus exception cells) and online-engine
-// checkpoints, both as JSON. The paper's design keeps only the critical
-// layers "in memory or stored on disks" — this package is the disk half.
+// (the two critical layers plus exception cells) as JSON, and online-engine
+// checkpoints as the binary document of internal/stream. The paper's design
+// keeps only the critical layers "in memory or stored on disks" — this
+// package is the disk half.
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,18 +26,21 @@ const formatVersion = 1
 
 // Checkpoint envelope versions. One layout is written: the canonical
 // stream.Checkpoint — the same bytes from a stream.Engine and from a
-// stream.ShardedEngine at any shard count — under version 4, whose trend
-// history is the per-o-cell tilt frames and nothing else. Older releases
-// wrote a flat per-unit history (version 1), one checkpoint per shard
-// (version 2), or frames next to a history derived from them, single or
-// per shard (version 3). ReadCheckpoint upgrades per-shard files by
-// merging the shards, and stream.Engine.Restore reseeds frames from a
-// file that has only the flat history.
+// stream.ShardedEngine at any shard count — as the binary document of
+// stream.AppendCheckpoint, version 5, whose trend history is the per-o-cell
+// tilt frames and nothing else. Versions 1 to 4 were JSON: a flat per-unit
+// history (version 1), one checkpoint per shard (version 2), frames next to
+// a history derived from them, single or per shard (version 3), and frames
+// only (version 4). ReadCheckpoint tells the two encodings apart by the
+// document's magic and upgrades the JSON ones: per-shard files by merging
+// the shards, a history that only repeats the frames by dropping it; and
+// stream.Engine.Restore reseeds frames from a file that has only the flat
+// history.
 const (
-	checkpointVersionFlat     = 1 // read only
-	checkpointVersionPerShard = 2 // read only
-	checkpointVersionTilted   = 3 // read only
-	checkpointVersion         = 4
+	checkpointVersionFlat     = 1
+	checkpointVersionPerShard = 2
+	checkpointVersionTilted   = 3
+	checkpointVersionFrames   = 4
 )
 
 // cellRec flattens one (cell, measure) pair.
@@ -133,32 +138,52 @@ func ReadResult(r io.Reader, schema *cube.Schema) (*core.Result, error) {
 	return res, nil
 }
 
-// checkpointDoc wraps a stream checkpoint with versioning. Shards is the
-// per-shard layout of older releases, never written.
+// WriteCheckpoint serializes an engine checkpoint as the version 5
+// document, in one Write.
+func WriteCheckpoint(w io.Writer, cp *stream.Checkpoint) error {
+	if cp == nil {
+		return fmt.Errorf("%w: nil checkpoint", ErrFormat)
+	}
+	doc, err := stream.AppendCheckpoint(nil, cp)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	_, err = w.Write(doc)
+	return err
+}
+
+// checkpointDoc is the JSON envelope of versions 1 to 4, read only. Shards
+// is the per-shard layout of versions 2 and 3.
 type checkpointDoc struct {
 	Version    int                  `json:"version"`
 	Checkpoint *stream.Checkpoint   `json:"checkpoint,omitempty"`
 	Shards     []*stream.Checkpoint `json:"shards,omitempty"`
 }
 
-// WriteCheckpoint serializes an engine checkpoint under version 4.
-func WriteCheckpoint(w io.Writer, cp *stream.Checkpoint) error {
-	if cp == nil {
-		return fmt.Errorf("%w: nil checkpoint", ErrFormat)
-	}
-	return json.NewEncoder(w).Encode(checkpointDoc{Version: checkpointVersion, Checkpoint: cp})
-}
-
 // ReadCheckpoint deserializes a checkpoint of any version into the
-// canonical form, which restores into an engine of any shard count. It is
-// the one upgrade path for per-shard files: their disjoint shards merge
-// (stream.MergeCheckpoints, which also checks that the shards were cut at
-// one stream position) into the checkpoint a current writer would have
-// produced, so shard-count changes between runs never strand a state
-// file.
+// canonical form, which restores into an engine of any shard count. A
+// version 5 document that is torn, corrupted or followed by anything is
+// ErrFormat naming the offset and what is wrong there. For the JSON
+// versions it is the one upgrade path: the disjoint shards of a per-shard
+// file merge (stream.MergeCheckpoints, which also checks that the shards
+// were cut at one stream position) into the checkpoint a current writer
+// would have produced, so shard-count changes between runs never strand a
+// state file, and a version 3 history — a copy of the frames' finest level
+// — is dropped, so what is returned can be written again.
 func ReadCheckpoint(r io.Reader) (*stream.Checkpoint, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	if stream.IsCheckpointDocument(data) {
+		cp, err := stream.DecodeCheckpoint(data)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+		}
+		return cp, nil
+	}
 	var doc checkpointDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	// Every version carries exactly one layout; a file with both (or
@@ -170,7 +195,7 @@ func ReadCheckpoint(r io.Reader) (*stream.Checkpoint, error) {
 		return nil, fmt.Errorf("%w: checkpoint needs exactly one of checkpoint/shards", ErrFormat)
 	}
 	switch doc.Version {
-	case checkpointVersionFlat, checkpointVersion:
+	case checkpointVersionFlat, checkpointVersionFrames:
 		if perShard {
 			return nil, fmt.Errorf("%w: version %d without a single checkpoint", ErrFormat, doc.Version)
 		}
@@ -181,15 +206,17 @@ func ReadCheckpoint(r io.Reader) (*stream.Checkpoint, error) {
 	case checkpointVersionTilted:
 		// v3 is v1- or v2-shaped with frames attached.
 	default:
-		return nil, fmt.Errorf("%w: version %d, want %d to %d", ErrFormat,
-			doc.Version, checkpointVersionFlat, checkpointVersion)
+		return nil, fmt.Errorf("%w: JSON checkpoint of version %d, want %d to %d", ErrFormat,
+			doc.Version, checkpointVersionFlat, checkpointVersionFrames)
 	}
-	if !perShard {
-		return doc.Checkpoint, nil
+	cp := doc.Checkpoint
+	if perShard {
+		if cp, err = stream.MergeCheckpoints(doc.Shards); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+		}
 	}
-	cp, err := stream.MergeCheckpoints(doc.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	if len(cp.Tilt) > 0 {
+		cp.History = nil
 	}
 	return cp, nil
 }

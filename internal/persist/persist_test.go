@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -213,19 +214,23 @@ func TestReadCheckpointErrors(t *testing.T) {
 	}
 }
 
-// Files of every older version still resume. The fixtures were written by
-// the releases that had those writers, all from the same records (14 ticks,
+var updateGolden = flag.Bool("update", false, "rewrite testdata/v5_single.ckpt from the current writer")
+
+// Files of every version still resume. The fixtures were written by the
+// releases that had those writers, all from the same records (14 ticks,
 // cut mid-unit with 3 units closed, watermark 56): a flat-history single
-// file (version 1), its per-shard twin from 3 shards (version 2), and the
-// tilted pair (version 3, whose frames sit next to a derived history).
+// file (version 1), its per-shard twin from 3 shards (version 2), the
+// tilted pair (version 3, whose frames sit next to a derived history), the
+// frames-only JSON file (version 4) and the binary golden (version 5).
 // ReadCheckpoint merges a per-shard file into its single twin, and each
 // file restores at any shard count onto exactly the state of an engine
-// that ran the records itself — the same version-4 bytes at the cut and
-// after running on. Bound: a frame restores exactly under its own chain
-// (the version 3 pair) for any length of run; a version 1/2 history
-// reseeds the very frame the uninterrupted run built as long as the
-// writer had evicted nothing from it, i.e. the cell had fewer than that
-// release's 64 retained units (here 3).
+// that ran the records itself — the same version-5 bytes at the cut (the
+// golden's own, so the layout is pinned) and after running on. Bound: a
+// frame restores exactly under its own chain (versions 3 to 5) for any
+// length of run; a version 1/2 history reseeds the very frame the
+// uninterrupted run built as long as the writer had evicted nothing from
+// it, i.e. the cell had fewer than that release's 64 retained units
+// (here 3).
 func TestShardedCheckpointCrossVersion(t *testing.T) {
 	tiltCfg, schema := tiltedStreamConfig(t)
 	flatCfg := stream.Config{Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(0.5)}
@@ -252,16 +257,14 @@ func TestShardedCheckpointCrossVersion(t *testing.T) {
 		}
 		return cp
 	}
+	const golden = "v5_single.ckpt"
 	for _, c := range []struct {
-		perShard, twin string
-		cfg            stream.Config
+		files []string // the first two are a per-shard file and its single twin
+		cfg   stream.Config
 	}{
-		{"v2_sharded.json", "v1_single.json", flatCfg},
-		{"v3_sharded_tilt.json", "v3_single_tilt.json", tiltCfg},
+		{[]string{"v2_sharded.json", "v1_single.json"}, flatCfg},
+		{[]string{"v3_sharded_tilt.json", "v3_single_tilt.json", "v4_single.json", golden}, tiltCfg},
 	} {
-		if !reflect.DeepEqual(read(c.perShard), read(c.twin)) {
-			t.Fatalf("%s does not merge into its twin %s", c.perShard, c.twin)
-		}
 		eng, err := stream.NewEngine(c.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -272,8 +275,22 @@ func TestShardedCheckpointCrossVersion(t *testing.T) {
 		feedUnits(t, eng.Ingest, 14, 41)
 		wantFinal := file(eng.Checkpoint(), nil)
 
-		for _, name := range []string{c.perShard, c.twin} {
-			for _, shards := range []int{1, 2, 5} {
+		if c.files[len(c.files)-1] == golden {
+			path := filepath.Join("testdata", golden)
+			if *updateGolden {
+				if err := os.WriteFile(path, wantCut, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, wantCut) {
+				t.Fatalf("the writer no longer produces %s (err %v): a layout change needs a new version, not new bytes under this one", golden, err)
+			}
+		}
+		if !reflect.DeepEqual(read(c.files[0]), read(c.files[1])) {
+			t.Fatalf("%s does not merge into its twin %s", c.files[0], c.files[1])
+		}
+		for _, name := range c.files {
+			for _, shards := range []int{1, 2, 4, 5} {
 				dst, err := stream.NewShardedEngine(c.cfg, shards)
 				if err != nil {
 					t.Fatal(err)
@@ -283,7 +300,7 @@ func TestShardedCheckpointCrossVersion(t *testing.T) {
 					t.Fatalf("%s into %d shards: %v", name, shards, err)
 				}
 				if got := file(dst.Checkpoint()); !bytes.Equal(got, wantCut) {
-					t.Fatalf("%s restored into %d shards checkpoints as\n%s\nwant the uninterrupted run's\n%s", name, shards, got, wantCut)
+					t.Fatalf("%s restored into %d shards checkpoints as\n%x\nwant the uninterrupted run's\n%x", name, shards, got, wantCut)
 				}
 				feedUnits(t, dst.Ingest, 14, 41)
 				if got := file(dst.Checkpoint()); !bytes.Equal(got, wantFinal) {

@@ -2,9 +2,12 @@ package persist
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,10 +44,11 @@ func feedUnits(t *testing.T, ing func([]int32, int64, float64) ([]*stream.UnitRe
 	}
 }
 
-// TestCheckpointWritesV4 asserts the one envelope: version 4 whatever the
-// level chain and whichever engine cut the checkpoint, with the trend
-// history as frames only — no derived "history" section, each slot once.
-func TestCheckpointWritesV4(t *testing.T) {
+// TestCheckpointWritesV5 asserts the one layout: the version 5 binary
+// document whatever the level chain and whichever engine cut the
+// checkpoint, with the trend history as frames only — no history section,
+// each slot once.
+func TestCheckpointWritesV5(t *testing.T) {
 	tilted, _ := tiltedStreamConfig(t)
 	def := tilted
 	def.TiltLevels = nil
@@ -69,24 +73,99 @@ func TestCheckpointWritesV4(t *testing.T) {
 			if err := WriteCheckpoint(&buf, cp); err != nil {
 				t.Fatal(err)
 			}
-			var doc struct {
-				Version    int                        `json:"version"`
-				Checkpoint map[string]json.RawMessage `json:"checkpoint"`
+			doc := buf.Bytes()
+			if !bytes.HasPrefix(doc, []byte("RCCP\x05")) || stream.CheckpointWireVersion != 5 {
+				t.Fatalf("%s %s checkpoint starts %q, want the RCCP magic and version 5", name, kind, doc[:8])
 			}
-			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-				t.Fatal(err)
+			if bytes.Contains(doc, []byte("history")) || len(cp.History) != 0 {
+				t.Fatalf("%s %s checkpoint carries a history section", name, kind)
 			}
-			if doc.Version != 4 {
-				t.Fatalf("%s %s checkpoint version %d, want 4", name, kind, doc.Version)
-			}
-			if _, ok := doc.Checkpoint["history"]; ok || len(doc.Checkpoint["tilt"]) == 0 {
-				t.Fatalf("%s %s checkpoint must carry frames and no history: %s", name, kind, buf.Bytes())
-			}
-			// 2 closed units × 2 o-cells: each unit's regression appears once.
-			if n := strings.Count(buf.String(), `"Tb":0,"Te":3`); n != 2 {
+			// 2 closed units × 2 o-cells: each unit's regression appears
+			// once, as the interval [0,3] in little-endian.
+			unit0 := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 0), 3)
+			if n := bytes.Count(doc, unit0); n != 2 {
 				t.Fatalf("%s %s checkpoint names unit 0's interval %d times, want once per o-cell", name, kind, n)
 			}
+			back, err := ReadCheckpoint(bytes.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, cp) {
+				t.Fatalf("%s %s checkpoint reads back as\n%+v\nwrote\n%+v", name, kind, back, cp)
+			}
 		}
+	}
+}
+
+// TestReadCheckpointRejectsDamagedV5: a torn, bit-flipped, padded or
+// future-version document is ErrFormat naming the offset and the kind of
+// damage — never a panic, never a silently different state.
+func TestReadCheckpointRejectsDamagedV5(t *testing.T) {
+	good, err := os.ReadFile("testdata/v5_single.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(good)) }
+	// The cell count sits after the header (6), three counters (24) and the
+	// one dimension's shape: name "A" (4+1) and three integers (24).
+	const cellCount = 6 + 24 + 5 + 24
+	for name, c := range map[string]struct {
+		doc  []byte
+		want string
+	}{
+		"torn":           {good[:len(good)/2], "bytes that remain"},
+		"no trailer":     {good[:len(good)-4], "truncated"},
+		"flipped bit":    {mutate(func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }), "crc32c"},
+		"flipped crc":    {mutate(func(b []byte) []byte { b[len(b)-1] ^= 1; return b }), fmt.Sprintf("offset %d: crc32c", len(good)-4)},
+		"trailing bytes": {append(bytes.Clone(good), 0, 0), "2 trailing bytes"},
+		"future version": {mutate(func(b []byte) []byte { b[4] = 6; return b }), "offset 4: version 6, want 5"},
+		"no dimensions":  {mutate(func(b []byte) []byte { b[5] = 0; return b }), "offset 5: 0 dimensions"},
+		"huge count": {mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[cellCount:], 1<<30)
+			return b
+		}), fmt.Sprintf("offset %d: count 1073741824 exceeds", cellCount+4)},
+	} {
+		_, err := ReadCheckpoint(bytes.NewReader(c.doc))
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want ErrFormat mentioning %q", name, err, c.want)
+		}
+	}
+}
+
+// A checkpoint that still carries the flat history of a version 1 or 2
+// file (only merging such files, as `regcube merge` does, yields one) has
+// no version 5 encoding and is refused with a message, not written short.
+func TestWriteCheckpointRefusesFlatHistory(t *testing.T) {
+	raw, err := os.ReadFile("testdata/v2_sharded.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ReadCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.History) == 0 {
+		t.Fatal("the version 2 fixture merged without its history")
+	}
+	var buf bytes.Buffer
+	err = WriteCheckpoint(&buf, cp)
+	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "flat history") || buf.Len() != 0 {
+		t.Fatalf("err = %v after %d bytes, want a refusal naming the flat history", err, buf.Len())
+	}
+	// A version 3 file's history only repeats its frames: read drops it,
+	// so the merged file writes.
+	raw, err = os.ReadFile("testdata/v3_sharded_tilt.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp, err = ReadCheckpoint(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCheckpoint(&buf, cp); err != nil {
+		t.Fatalf("version 3 file does not rewrite: %v", err)
 	}
 }
 

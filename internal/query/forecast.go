@@ -186,19 +186,21 @@ func (e *Executor) changes(r ChangesRequest) *ChangesResponse {
 		Interval: encodeInterval(snap.Interval),
 		Tilted:   snap.Tilted(),
 		MinScore: r.MinScore,
-		Cells:    []ChangeJSON{},
 	}
 	scored := insight.ScanChanges(snap, r.MinScore, 0)
 	resp.Count = len(scored)
 	if r.K > 0 && r.K < len(scored) {
 		scored = scored[:r.K]
 	}
+	resp.Cells = make([]ChangeJSON, 0, len(scored))
+	var name []byte // one rendering buffer for every cell's name
 	for _, c := range scored {
 		levels, members := encodeKey(c.Key)
+		name = c.Key.AppendDescribe(name[:0], e.schema)
 		resp.Cells = append(resp.Cells, ChangeJSON{
 			Levels:      levels,
 			Members:     members,
-			Name:        c.Key.Describe(e.schema),
+			Name:        string(name),
 			Score:       c.Score,
 			RecentLevel: c.RecentName,
 			LongLevel:   c.LongName,

@@ -142,6 +142,15 @@ func TestChangesExecute(t *testing.T) {
 		t.Fatalf("k=2 changes = count %d, %d cells", top.Count, len(top.Cells))
 	}
 
+	// The scan aggregates slots where they lie and ranks in one buffer:
+	// what a query allocates is its answer — three per returned cell
+	// (levels, members, name) and a handful around them — whatever the
+	// number of frames scanned and slots aggregated.
+	var req Request = ChangesRequest{K: 2}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = tex.Execute(req) }); allocs > 3*2+5 {
+		t.Fatalf("a changes query returning 2 of 4 scored cells allocates %v times", allocs)
+	}
+
 	// MinScore filters: 1.0 keeps only full divergence (none in the
 	// steady fixture).
 	resp, err = tex.Execute(ChangesRequest{MinScore: 1})

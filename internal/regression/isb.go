@@ -184,26 +184,33 @@ func AggregateStandard(isbs ...ISB) (ISB, error) {
 //	    + 6·Σᵢ (2·Σ_{j<i} nⱼ + nᵢ − nₐ)/(nₐ³−nₐ) · (nₐSᵢ − nᵢSₐ)/nₐ
 //	α̂ₐ = z̄ₐ − β̂ₐ·t̄ₐ
 func AggregateTime(isbs ...ISB) (ISB, error) {
-	if len(isbs) == 0 {
+	return AggregateTimeFunc(len(isbs), func(i int) ISB { return isbs[i] })
+}
+
+// AggregateTimeFunc is AggregateTime over segments read through at(0) ..
+// at(n−1), for callers whose ISBs sit inside larger records (tilt-frame
+// slots): nothing is copied out and nothing is allocated. The segment sums
+// are computed once for the grand total and again, by the same expression,
+// where each is used — the operand order is AggregateTime's, so the result
+// is bitwise the same.
+func AggregateTimeFunc(n int, at func(i int) ISB) (ISB, error) {
+	if n == 0 {
 		return ISB{}, ErrEmpty
 	}
-	for i := 1; i < len(isbs); i++ {
-		if isbs[i].Tb != isbs[i-1].Te+1 {
+	first := at(0)
+	prev := first
+	var sa float64 // the grand sum Sₐ; segment sums derive from ISBs alone
+	for i := 0; i < n; i++ {
+		r := at(i)
+		if i > 0 && r.Tb != prev.Te+1 {
 			return ISB{}, fmt.Errorf("%w: segment %d starts at %d, want %d",
-				ErrMismatch, i, isbs[i].Tb, isbs[i-1].Te+1)
+				ErrMismatch, i, r.Tb, prev.Te+1)
 		}
+		sa += float64(r.Sum()) // the conversion keeps Sᵢ a rounded product where FMA exists
+		prev = r
 	}
-	tb := isbs[0].Tb
-	te := isbs[len(isbs)-1].Te
+	tb, te := first.Tb, prev.Te
 	na := float64(te - tb + 1)
-
-	// Segment sums Sᵢ and the grand sum Sₐ, derivable from ISBs alone.
-	sums := make([]float64, len(isbs))
-	var sa float64
-	for i, r := range isbs {
-		sums[i] = r.Sum()
-		sa += sums[i]
-	}
 
 	out := ISB{Tb: tb, Te: te}
 	if na == 1 {
@@ -214,10 +221,11 @@ func AggregateTime(isbs ...ISB) (ISB, error) {
 	denom := na*na*na - na
 	var beta float64
 	var prefix float64 // Σ_{j<i} nⱼ
-	for i, r := range isbs {
+	for i := 0; i < n; i++ {
+		r := at(i)
 		ni := float64(r.N())
 		beta += (ni*ni*ni - ni) / denom * r.Slope
-		beta += 6 * (2*prefix + ni - na) / denom * (na*sums[i] - ni*sa) / na
+		beta += 6 * (2*prefix + ni - na) / denom * (na*float64(r.Sum()) - ni*sa) / na
 		prefix += ni
 	}
 	out.Slope = beta

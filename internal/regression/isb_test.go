@@ -552,3 +552,71 @@ func TestResidualsDegenerateZeroFit(t *testing.T) {
 		t.Fatalf("R2 = %g, want 0", st.R2)
 	}
 }
+
+// aggregateTimeTwoPass is Theorem 3.3 as AggregateTime computed it while it
+// still copied the segments and kept their sums in a slice: the reference
+// the allocation-free form must match bit for bit, since every tilt-frame
+// promotion and every trend read goes through it and checkpoints are
+// compared as bytes.
+func aggregateTimeTwoPass(isbs []ISB) ISB {
+	tb, te := isbs[0].Tb, isbs[len(isbs)-1].Te
+	na := float64(te - tb + 1)
+	sums := make([]float64, len(isbs))
+	var sa float64
+	for i, r := range isbs {
+		sums[i] = r.Sum()
+		sa += sums[i]
+	}
+	out := ISB{Tb: tb, Te: te}
+	if na == 1 {
+		out.Base = sa
+		return out
+	}
+	denom := na*na*na - na
+	var beta, prefix float64
+	for i, r := range isbs {
+		ni := float64(r.N())
+		beta += (ni*ni*ni - ni) / denom * r.Slope
+		beta += 6 * (2*prefix + ni - na) / denom * (na*sums[i] - ni*sa) / na
+		prefix += ni
+	}
+	out.Slope = beta
+	out.Base = sa/na - beta*(float64(tb+te)/2)
+	return out
+}
+
+func TestAggregateTimeBitwiseStable(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 2000; trial++ {
+		isbs := make([]ISB, 1+r.Intn(40))
+		tb := int64(r.Intn(1 << 20))
+		for i := range isbs {
+			n := int64(1 + r.Intn(30))
+			isbs[i] = ISB{Tb: tb, Te: tb + n - 1, Base: r.NormFloat64() * 1e3, Slope: r.NormFloat64()}
+			tb += n
+		}
+		want := aggregateTimeTwoPass(isbs)
+		got, err := AggregateTime(isbs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaFunc, err := AggregateTimeFunc(len(isbs), func(i int) ISB { return isbs[i] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []ISB{got, viaFunc} {
+			if g.Tb != want.Tb || g.Te != want.Te ||
+				math.Float64bits(g.Base) != math.Float64bits(want.Base) || math.Float64bits(g.Slope) != math.Float64bits(want.Slope) {
+				t.Fatalf("trial %d: %v, the two-pass form gives %v", trial, g, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		isbs := [3]ISB{{Tb: 0, Te: 3, Base: 1}, {Tb: 4, Te: 7, Slope: 2}, {Tb: 8, Te: 11, Base: 3}}
+		if _, err := AggregateTimeFunc(len(isbs), func(i int) ISB { return isbs[i] }); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("AggregateTimeFunc allocates %v times a call", allocs)
+	}
+}

@@ -1,9 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cube"
 	"repro/internal/regression"
@@ -19,10 +19,11 @@ type Checkpoint struct {
 	Unit      int64       `json:"unit"`
 	UnitsDone int64       `json:"unitsDone"`
 	Cells     []CellState `json:"cells"`
-	// History is the flat per-unit o-cell history of files older than
-	// envelope version 4: all a version 1/2 file has, a derived copy of the
-	// frames' finest level in a version 3 one. Engine.Checkpoint never
-	// fills it; Restore reseeds frames from it when the file has none.
+	// History is the flat per-unit o-cell history that is all a version 1
+	// or 2 file has (a version 3 file's copy of its frames' finest level is
+	// dropped on read). Engine.Checkpoint never fills it, Restore reseeds
+	// frames from it when the file has none, and the checkpoint document
+	// has no section for it (AppendCheckpoint).
 	History []CellHistory `json:"history,omitempty"`
 	// WALSeq is the write-ahead-log watermark: how many log records the
 	// checkpointed state reflects. Recovery replays log records
@@ -52,7 +53,7 @@ type CellState struct {
 	Acc     regression.AccumulatorState `json:"acc"`
 }
 
-// CellHistory is one o-cell's unit history in a pre-version-4 file.
+// CellHistory is one o-cell's unit history in a version 1 or 2 file.
 type CellHistory struct {
 	Levels  []int             `json:"levels"`
 	Members []int32           `json:"members"`
@@ -87,62 +88,109 @@ func shapeOf(s *cube.Schema) []DimensionShape {
 	return out
 }
 
+// checkpointBuf is the storage one Checkpoint is cut into: the document and
+// the slabs its cells' and frames' slices point into, so a cut is a handful
+// of slices however many cells there are. Engine.Checkpoint cuts into a
+// fresh one, which the caller then owns; ShardedEngine.AppendCheckpoint has
+// every shard cut into the one its engine keeps, so the per-unit checkpoint
+// of a running node allocates nothing once the slabs have grown.
+type checkpointBuf struct {
+	cp      Checkpoint
+	keys    []cube.CellKey
+	members []int32 // the cells' and the frames' member tuples
+	levels  []int   // the frames' level tuples
+	recs    []tilt.LevelStateRec
+	slots   []tilt.Slot
+}
+
 // Checkpoint exports the engine's full dynamic state in canonical form:
 // cells and tilt frames are sorted by coordinate, so two engines
 // in identical states serialize to byte-identical checkpoints. The replay-
 // equivalence tests lean on that — "recovered state equals uninterrupted
 // state" is checked bit for bit on the encoded checkpoint.
-func (e *Engine) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
+func (e *Engine) Checkpoint() *Checkpoint { return e.cutCheckpoint(new(checkpointBuf)) }
+
+// cutCheckpoint is Checkpoint into b, overwriting what b held: the returned
+// checkpoint is b's and lives until b is cut into again.
+func (e *Engine) cutCheckpoint(b *checkpointBuf) *Checkpoint {
+	nd := e.nd
+	cp := &b.cp
+	*cp = Checkpoint{
 		Unit:      e.unit,
 		UnitsDone: e.unitsDone,
 		WALSeq:    e.walSeq,
-		Schema:    shapeOf(e.cfg.Schema),
+		Schema:    e.shape,
+		Cells:     cp.Cells[:0],
+		Tilt:      cp.Tilt[:0],
 	}
-	defer cp.normalize()
-	nd := len(e.cfg.Schema.Dims)
+	slotsInUse, _ := e.TiltSlots()
+	members := slices.Grow(b.members[:0], (e.ActiveCells()+len(e.frames))*nd)
+	levels := slices.Grow(b.levels[:0], len(e.frames)*nd)
+	recs := slices.Grow(b.recs[:0], len(e.frames)*len(e.cfg.TiltLevels))
+	slots := slices.Grow(b.slots[:0], slotsInUse)
+
+	cell := func(m []int32, acc *regression.Accumulator) {
+		start := len(members)
+		members = append(members, m...)
+		cp.Cells = append(cp.Cells, CellState{Members: members[start:len(members):len(members)], Acc: acc.State()})
+	}
+	var denseKey [cube.MaxDims]int32
 	for _, idx := range e.denseActive {
-		members := make([]int32, nd)
-		e.denseMembers(idx, members)
-		cp.Cells = append(cp.Cells, CellState{Members: members, Acc: e.dense[idx].State()})
+		e.denseMembers(idx, denseKey[:nd])
+		cell(denseKey[:nd], e.dense[idx])
 	}
 	for key, acc := range e.cells {
-		cp.Cells = append(cp.Cells, CellState{
-			Members: append([]int32(nil), key[:nd]...),
-			Acc:     acc.State(),
-		})
+		cell(key[:nd], acc)
 	}
-	for key, cf := range e.frames {
-		rec := cellKeyRec(key)
-		cp.Tilt = append(cp.Tilt, CellFrame{
-			Levels:  rec.Levels,
-			Members: rec.Members,
+	// Map iteration (and the dense table's index order) is not coordinate
+	// order; sorting makes the cut a pure function of engine state.
+	slices.SortFunc(cp.Cells, compareCellStates)
+
+	keys := b.keys[:0]
+	for key := range e.frames {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, cube.CompareKeys)
+	for _, key := range keys {
+		cf := e.frames[key]
+		ls, ms := len(levels), len(members)
+		for d := 0; d < key.Cuboid.NumDims(); d++ {
+			levels = append(levels, key.Cuboid.Level(d))
+			members = append(members, key.Members[d])
+		}
+		rec := CellFrame{
+			Levels:  levels[ls:len(levels):len(levels)],
+			Members: members[ms:len(members):len(members)],
 			Base:    cf.base,
-			Frame:   cf.frame.State(),
-		})
+		}
+		rec.Frame, recs, slots = cf.frame.AppendState(recs, slots)
+		cp.Tilt = append(cp.Tilt, rec)
 	}
+	b.keys, b.members, b.levels, b.recs, b.slots = keys, members, levels, recs, slots
 	return cp
 }
 
-// normalize sorts the checkpoint's collections into canonical coordinate
-// order. Map iteration makes the raw append order nondeterministic;
-// sorting makes the serialized form a pure function of engine state.
-func (cp *Checkpoint) normalize() {
-	sort.Slice(cp.Cells, func(i, j int) bool {
-		return slices.Compare(cp.Cells[i].Members, cp.Cells[j].Members) < 0
-	})
-	sort.Slice(cp.History, func(i, j int) bool {
-		if c := slices.Compare(cp.History[i].Levels, cp.History[j].Levels); c != 0 {
-			return c < 0
-		}
-		return slices.Compare(cp.History[i].Members, cp.History[j].Members) < 0
-	})
-	sort.Slice(cp.Tilt, func(i, j int) bool {
-		if c := slices.Compare(cp.Tilt[i].Levels, cp.Tilt[j].Levels); c != 0 {
-			return c < 0
-		}
-		return slices.Compare(cp.Tilt[i].Members, cp.Tilt[j].Members) < 0
-	})
+func compareCellStates(a, b CellState) int { return slices.Compare(a.Members, b.Members) }
+
+// compareCoords is cube.CompareKeys on the checkpoint's coordinate form.
+func compareCoords(aLevels, bLevels []int, aMembers, bMembers []int32) int {
+	return cmp.Or(slices.Compare(aLevels, bLevels), slices.Compare(aMembers, bMembers))
+}
+
+func compareCellHistories(a, b CellHistory) int {
+	return compareCoords(a.Levels, b.Levels, a.Members, b.Members)
+}
+
+func compareCellFrames(a, b CellFrame) int {
+	return compareCoords(a.Levels, b.Levels, a.Members, b.Members)
+}
+
+// canonical reports whether the checkpoint's collections are in coordinate
+// order, as every engine cuts them and every writer wrote them.
+func (cp *Checkpoint) canonical() bool {
+	return slices.IsSortedFunc(cp.Cells, compareCellStates) &&
+		slices.IsSortedFunc(cp.History, compareCellHistories) &&
+		slices.IsSortedFunc(cp.Tilt, compareCellFrames)
 }
 
 // MergeCheckpoints flattens the checkpoints of disjoint partitions of one
@@ -150,53 +198,87 @@ func (cp *Checkpoint) normalize() {
 // the shard set of a pre-canonical per-shard file, the nodes of a cluster —
 // into the one canonical Checkpoint: what a single Engine fed the whole
 // stream would export, byte for byte once serialized. Partitions hold
-// disjoint cells and frames, so concatenation is lossless and normalize
-// makes the order independent of the partition count. Every part must
-// agree on the unit counters, the schema shape and the WAL watermark — a
-// whole-log position stamped identically on every shard, so disagreement
-// means the parts were cut at different points in the stream. (Parts that
-// follow separate logs — cluster nodes — are merged with the watermark
-// cleared; see cluster.MergeCheckpoints.)
+// disjoint cells and frames, each part in coordinate order, so a k-way
+// merge is lossless and its order independent of the partition count. Every
+// part must agree on the unit counters, the schema shape and the WAL
+// watermark — a whole-log position stamped identically on every shard, so
+// disagreement means the parts were cut at different points in the stream.
+// (Parts that follow separate logs — cluster nodes — are merged with the
+// watermark cleared; see cluster.MergeCheckpoints.)
 func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
+	out := new(Checkpoint)
+	if err := mergeCheckpoints(out, parts); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// mergeCheckpoints is MergeCheckpoints into out, reusing out's slices. The
+// merged lists hold the parts' records by value: their member tuples and
+// slots still point into the parts.
+func mergeCheckpoints(out *Checkpoint, parts []*Checkpoint) error {
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("%w: no checkpoints to merge", ErrConfig)
+		return fmt.Errorf("%w: no checkpoints to merge", ErrConfig)
 	}
 	first := parts[0]
 	for i, cp := range parts {
 		if cp == nil {
-			return nil, fmt.Errorf("%w: nil checkpoint part %d", ErrConfig, i)
+			return fmt.Errorf("%w: nil checkpoint part %d", ErrConfig, i)
 		}
 		if cp.Unit != first.Unit || cp.UnitsDone != first.UnitsDone {
-			return nil, fmt.Errorf("%w: part %d at unit %d/%d, part 0 at %d/%d",
+			return fmt.Errorf("%w: part %d at unit %d/%d, part 0 at %d/%d",
 				ErrConfig, i, cp.Unit, cp.UnitsDone, first.Unit, first.UnitsDone)
 		}
 		if cp.WALSeq != first.WALSeq {
-			return nil, fmt.Errorf("%w: part %d at WAL watermark %d, part 0 at %d",
+			return fmt.Errorf("%w: part %d at WAL watermark %d, part 0 at %d",
 				ErrConfig, i, cp.WALSeq, first.WALSeq)
 		}
 		if !slices.Equal(cp.Schema, first.Schema) {
-			return nil, fmt.Errorf("%w: part %d schema shape %+v differs from part 0 %+v",
+			return fmt.Errorf("%w: part %d schema shape %+v differs from part 0 %+v",
 				ErrConfig, i, cp.Schema, first.Schema)
 		}
 	}
-	out := &Checkpoint{Unit: first.Unit, UnitsDone: first.UnitsDone, WALSeq: first.WALSeq, Schema: first.Schema}
-	for _, cp := range parts {
-		out.Cells = append(out.Cells, cp.Cells...)
-		out.History = append(out.History, cp.History...)
-		out.Tilt = append(out.Tilt, cp.Tilt...)
+	cells := make([][]CellState, len(parts))
+	history := make([][]CellHistory, len(parts))
+	frames := make([][]CellFrame, len(parts))
+	for i, cp := range parts {
+		if !cp.canonical() {
+			// A hand-assembled part: sort a copy, the caller's stays as it is.
+			sorted := *cp
+			sorted.Cells, sorted.History, sorted.Tilt = slices.Clone(cp.Cells), slices.Clone(cp.History), slices.Clone(cp.Tilt)
+			slices.SortStableFunc(sorted.Cells, compareCellStates)
+			slices.SortStableFunc(sorted.History, compareCellHistories)
+			slices.SortStableFunc(sorted.Tilt, compareCellFrames)
+			cp = &sorted
+		}
+		cells[i], history[i], frames[i] = cp.Cells, cp.History, cp.Tilt
 	}
-	out.normalize()
-	return out, nil
+	*out = Checkpoint{
+		Unit: first.Unit, UnitsDone: first.UnitsDone, WALSeq: first.WALSeq, Schema: first.Schema,
+		Cells:   mergeSorted(out.Cells[:0], cells, compareCellStates),
+		History: mergeSorted(out.History[:0], history, compareCellHistories),
+		Tilt:    mergeSorted(out.Tilt[:0], frames, compareCellFrames),
+	}
+	return nil
 }
 
-// cellKeyRec flattens a cell key into the checkpoint coordinate form.
-func cellKeyRec(key cube.CellKey) CellHistory {
-	ch := CellHistory{}
-	for d := 0; d < key.Cuboid.NumDims(); d++ {
-		ch.Levels = append(ch.Levels, key.Cuboid.Level(d))
-		ch.Members = append(ch.Members, key.Member(d))
+// mergeSorted k-way-merges lists that are each sorted by cmp onto dst,
+// consuming the lists; equal elements keep list order. A linear scan for
+// the least head suits the handful of shards or nodes there ever are.
+func mergeSorted[T any](dst []T, lists [][]T, cmp func(a, b T) int) []T {
+	for {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || cmp(l[0], lists[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return dst
+		}
+		dst = append(dst, lists[best][0])
+		lists[best] = lists[best][1:]
 	}
-	return ch
 }
 
 // Restore loads a checkpoint into a freshly configured engine. The
@@ -209,7 +291,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("%w: nil checkpoint", ErrConfig)
 	}
-	shape := shapeOf(e.cfg.Schema)
+	shape := e.shape
 	if len(shape) != len(cp.Schema) {
 		return fmt.Errorf("%w: checkpoint has %d dimensions, schema %d", ErrConfig, len(cp.Schema), len(shape))
 	}

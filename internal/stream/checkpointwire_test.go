@@ -1,0 +1,284 @@
+package stream
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"math/rand"
+	"os"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/cube"
+	"repro/internal/exception"
+	"repro/internal/tilt"
+)
+
+// checkpointDoc encodes cp, failing the test on error.
+func checkpointDoc(t testing.TB, cp *Checkpoint) []byte {
+	t.Helper()
+	doc, err := AppendCheckpoint(nil, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestCheckpointCodecRoundTrip is the codec's property over random engines:
+// seeded streams (random cells, random ticks, one silent unit) cut mid-unit
+// under the default chain and the calendar chain, from a plain Engine and
+// from sharded engines at 1, 4 and 7 shards. Decode(Append(cp)) is cp,
+// equal state is equal bytes at every shard count, and the document a
+// ShardedEngine appends from its own buffers — twice, so the second cut
+// runs in reused ones — is the one its Checkpoint encodes to.
+func TestCheckpointCodecRoundTrip(t *testing.T) {
+	flat := Config{Schema: wideSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1)}
+	calendar := flat
+	calendar.TiltLevels = tilt.CalendarLevels()
+	for name, cfg := range map[string]Config{"flat": flat, "calendar": calendar} {
+		for seed := int64(1); seed <= 6; seed++ {
+			recs := genStream(seed, 9, cfg.TicksPerUnit, 3)
+			cut := len(recs) - 3 - int(seed)
+			ref, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedRecords(t, ref, recs[:cut])
+			ref.SetWALSeq(int64(cut))
+			want := ref.Checkpoint()
+			doc := checkpointDoc(t, want)
+			back, err := DecodeCheckpoint(doc)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if !reflect.DeepEqual(back, want) {
+				t.Fatalf("%s seed %d: decoded\n%+v\nwant\n%+v", name, seed, back, want)
+			}
+			if !bytes.Equal(checkpointDoc(t, back), doc) {
+				t.Fatalf("%s seed %d: decode→encode is not the identity", name, seed)
+			}
+			for _, shards := range []int{1, 4, 7} {
+				s, err := NewShardedEngine(cfg, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				feedRecords(t, s, recs[:cut])
+				if err := s.SetWALSeq(int64(cut)); err != nil {
+					t.Fatal(err)
+				}
+				cp, err := s.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(cp, want) {
+					t.Fatalf("%s seed %d: %d shards checkpoint\n%+v\nthe engine\n%+v", name, seed, shards, cp, want)
+				}
+				for range 2 {
+					own, err := s.AppendCheckpoint([]byte("prefix"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(own, append([]byte("prefix"), doc...)) {
+						t.Fatalf("%s seed %d: %d shards append a different document than the engine's checkpoint encodes to", name, seed, shards)
+					}
+				}
+				// The checkpoint taken before the engine's own cuts owns
+				// its storage: they did not write into it.
+				if !reflect.DeepEqual(cp, want) {
+					t.Fatalf("%s seed %d: AppendCheckpoint clobbered an earlier Checkpoint", name, seed)
+				}
+			}
+		}
+	}
+}
+
+// feedRecords ingests records without flushing (the cut stays mid-unit).
+func feedRecords(t testing.TB, e ingester, recs []testRecord) {
+	t.Helper()
+	for _, r := range recs {
+		if _, err := e.Ingest(r.members, r.tick, r.value); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointCodecFloatBits: sums travel as bits, so −0, subnormals and
+// the extremes come back exactly.
+func TestCheckpointCodecFloatBits(t *testing.T) {
+	cp := codecCheckpoint(t)
+	vals := []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1.0 / 3}
+	for i, v := range vals {
+		cp.Cells[i%len(cp.Cells)].Acc.SumZ = v
+		cp.Tilt[0].Frame.Levels[0].Slots[0].ISB.Slope = v
+		back, err := DecodeCheckpoint(checkpointDoc(t, cp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Cells[i%len(cp.Cells)].Acc.SumZ; math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("sum %x came back %x", math.Float64bits(v), math.Float64bits(got))
+		}
+		if got := back.Tilt[0].Frame.Levels[0].Slots[0].ISB.Slope; math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("slope %x came back %x", math.Float64bits(v), math.Float64bits(got))
+		}
+	}
+}
+
+// codecCheckpoint is a small tilted checkpoint cut mid-unit: cells, frames
+// with two populated levels, a watermark.
+func codecCheckpoint(t testing.TB) *Checkpoint {
+	t.Helper()
+	cfg := Config{Schema: wideSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1),
+		TiltLevels: []tilt.Level{{Name: "q", Multiple: 1, Slots: 3}, {Name: "h", Multiple: 3, Slots: 2}}}
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := genStream(5, 8, cfg.TicksPerUnit, -1)
+	feedRecords(t, eng, recs[:len(recs)-2])
+	eng.SetWALSeq(int64(len(recs) - 2))
+	return eng.Checkpoint()
+}
+
+// TestCheckpointCodecRejects pins what the writer refuses — a nil
+// checkpoint, a flat history, a cell or frame of the wrong width, no
+// dimensions — and what the reader does: every strict prefix, a trailing
+// byte and a flipped bit anywhere are ErrRecord, none a panic.
+func TestCheckpointCodecRejects(t *testing.T) {
+	if _, err := AppendCheckpoint(nil, nil); !errors.Is(err, ErrRecord) {
+		t.Fatalf("nil checkpoint: %v", err)
+	}
+	for what, spoil := range map[string]func(*Checkpoint){
+		"flat history":  func(cp *Checkpoint) { cp.History = []CellHistory{{Levels: []int{1, 1}, Members: []int32{0, 0}}} },
+		"no dimensions": func(cp *Checkpoint) { cp.Schema = nil },
+		"short cell":    func(cp *Checkpoint) { cp.Cells[0].Members = cp.Cells[0].Members[:1] },
+		"short frame":   func(cp *Checkpoint) { cp.Tilt[0].Levels = cp.Tilt[0].Levels[:1] },
+		"level 300":     func(cp *Checkpoint) { cp.Tilt[0].Levels = []int{300, 1} },
+	} {
+		cp := codecCheckpoint(t)
+		spoil(cp)
+		if doc, err := AppendCheckpoint([]byte("kept"), cp); !errors.Is(err, ErrRecord) || string(doc) != "kept" {
+			t.Errorf("%s: err = %v, dst came back as %q", what, err, doc)
+		}
+	}
+
+	doc := checkpointDoc(t, codecCheckpoint(t))
+	refused := func(data []byte) bool {
+		_, err := DecodeCheckpoint(data)
+		if err != nil && !errors.Is(err, ErrRecord) {
+			t.Fatalf("%v is not ErrRecord", err)
+		}
+		return err != nil
+	}
+	for n := range doc {
+		if !refused(doc[:n]) {
+			t.Fatalf("%d-byte prefix of %d accepted", n, len(doc))
+		}
+	}
+	if !refused(append(slices.Clone(doc), 0)) {
+		t.Fatal("trailing byte accepted")
+	}
+	flipped := slices.Clone(doc)
+	for off := range doc {
+		flipped[off] ^= 0x04
+		if !refused(flipped) {
+			t.Fatalf("bit flipped at offset %d accepted", off)
+		}
+		flipped[off] = doc[off]
+	}
+	if !refused([]byte(`{"version":4}`)) {
+		t.Fatal("JSON accepted as a checkpoint document")
+	}
+}
+
+// FuzzDecodeCheckpoint holds the decoder to its contract on arbitrary
+// bytes: never panic, fail only with ErrRecord, and hand back something the
+// encoder turns into the very bytes that were decoded — the checksum leaves
+// no second spelling of a document.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	golden, err := os.ReadFile("../persist/testdata/v5_single.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Add(checkpointDoc(f, codecCheckpoint(f)))
+	f.Add(checkpointDoc(f, &Checkpoint{Schema: []DimensionShape{{Name: "A", MLevel: 2, OLevel: 1, Card: 4}}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := DecodeCheckpoint(data)
+		if err != nil {
+			if !errors.Is(err, ErrRecord) {
+				t.Fatalf("%v is not ErrRecord", err)
+			}
+			return
+		}
+		again, err := AppendCheckpoint(nil, cp)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded checkpoint: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("decode→encode is not the identity")
+		}
+	})
+}
+
+// durableCheckpoint is the checkpoint a durable_serve node cuts: 1 000
+// open m-cells of a 256×256 m-layer (D2L2C16) under the calendar chain, 100
+// units in — 4 quarters, 24 hours and a day in each of the o-cells' frames
+// — and half a unit open.
+func durableCheckpoint(tb testing.TB) *Checkpoint {
+	tb.Helper()
+	ha, _ := cube.NewFanoutHierarchy("A", 16, 2)
+	hb, _ := cube.NewFanoutHierarchy("B", 16, 2)
+	schema, err := cube.NewSchema(
+		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
+		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := NewEngine(Config{Schema: schema, TicksPerUnit: 10, Threshold: exception.Global(1), TiltLevels: tilt.CalendarLevels()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(2011))
+	cells := r.Perm(256 * 256)[:1000]
+	for tick := int64(0); tick < 10*100+5; tick++ {
+		for i, c := range cells {
+			if _, err := eng.Ingest([]int32{int32(c % 256), int32(c / 256)}, tick, float64(i%7)+0.01*float64(tick%10)*float64(i%13)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	eng.SetWALSeq(1005 * 1000)
+	return eng.Checkpoint()
+}
+
+// BenchmarkCheckpointCodec times the codec on durableCheckpoint. Encode
+// appends into a kept buffer, as the node does.
+func BenchmarkCheckpointCodec(b *testing.B) {
+	cp := durableCheckpoint(b)
+	doc := checkpointDoc(b, cp)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(doc)))
+		buf := make([]byte, 0, len(doc))
+		for b.Loop() {
+			var err error
+			if buf, err = AppendCheckpoint(buf[:0], cp); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(doc)), "doc-bytes")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(doc)))
+		for b.Loop() {
+			if _, err := DecodeCheckpoint(doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -191,6 +191,12 @@ type Engine struct {
 	inputBufs  [2][]core.Input
 	memberBufs [2][]int32
 	bufSel     int
+	// ws is what m/o-cubing keeps from one unit's close to the next.
+	ws *core.Workspace
+	// shape fingerprints cfg.Schema in every checkpoint; cpBuf is where the
+	// owning ShardedEngine has this engine cut them (AppendCheckpoint).
+	shape []DimensionShape
+	cpBuf checkpointBuf
 	// prevInputs is the previous unit's m-layer (DeltaDrill only).
 	prevInputs []core.Input
 	prevUnit   int64
@@ -239,7 +245,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		anc:       cube.NewAncestorIndex(cfg.Schema),
+		ws:        core.NewWorkspace(cfg.Schema),
 		nd:        len(cfg.Schema.Dims),
+		shape:     shapeOf(cfg.Schema),
 		openStart: cfg.StartTick,
 		openEnd:   cfg.StartTick + int64(cfg.TicksPerUnit),
 		cells:     make(map[[cube.MaxDims]int32]*regression.Accumulator),
@@ -492,7 +500,7 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 	case PopularPath:
 		res, err = core.PopularPath(e.cfg.Schema, inputs, e.cfg.Threshold, e.cfg.Path)
 	default:
-		res, err = core.MOCubing(e.cfg.Schema, inputs, e.cfg.Threshold)
+		res, err = e.ws.MOCubing(inputs, e.cfg.Threshold)
 	}
 	if err != nil {
 		return nil, err

@@ -129,6 +129,8 @@ type ShardedEngine struct {
 	// merged values push-side to subscribers (Subscribe).
 	snap atomic.Pointer[Snapshot]
 	bus  snapBus
+	// cpMerged is the list AppendCheckpoint merges the shards' parts into.
+	cpMerged Checkpoint
 }
 
 // NewShardedEngine builds a sharded analyzer with `shards` partitions. Each
@@ -635,20 +637,7 @@ func mergeAlerts(lists [][]Alert) []Alert {
 	if nonEmpty <= 1 {
 		return sole
 	}
-	var out []Alert
-	for {
-		best := -1
-		for i, l := range lists {
-			if len(l) > 0 && (best < 0 || compareAlerts(l[0], lists[best][0]) < 0) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, lists[best][0])
-		lists[best] = lists[best][1:]
-	}
+	return mergeSorted(nil, lists, compareAlerts)
 }
 
 // AdvanceTo closes units in order until `unit` is the open unit, exactly
@@ -763,10 +752,35 @@ func (s *ShardedEngine) SetWALSeq(seq int64) error {
 // what an Engine — or a ShardedEngine of any other shard count — at the
 // same stream position exports.
 func (s *ShardedEngine) Checkpoint() (*Checkpoint, error) {
+	parts, err := s.cutCheckpoints(func(e *Engine) *Checkpoint { return e.Checkpoint() })
+	if err != nil {
+		return nil, err
+	}
+	return MergeCheckpoints(parts)
+}
+
+// AppendCheckpoint appends the checkpoint document of the engine's state —
+// AppendCheckpoint of Checkpoint, byte for byte — to dst. It is the form a
+// node cuts after every closed unit: each shard cuts its sorted part into
+// the buffers its engine keeps, and the parts merge through a list the
+// coordinator keeps, so nothing is allocated once those have grown.
+func (s *ShardedEngine) AppendCheckpoint(dst []byte) ([]byte, error) {
+	parts, err := s.cutCheckpoints(func(e *Engine) *Checkpoint { return e.cutCheckpoint(&e.cpBuf) })
+	if err != nil {
+		return dst, err
+	}
+	if err := mergeCheckpoints(&s.cpMerged, parts); err != nil {
+		return dst, err
+	}
+	return AppendCheckpoint(dst, &s.cpMerged)
+}
+
+// cutCheckpoints drains ingest buffers and has every shard cut its part.
+func (s *ShardedEngine) cutCheckpoints(cut func(*Engine) *Checkpoint) ([]*Checkpoint, error) {
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	vals, err := s.broadcast(func(e *Engine) (any, error) { return e.Checkpoint(), nil })
+	vals, err := s.broadcast(func(e *Engine) (any, error) { return cut(e), nil })
 	if err != nil {
 		return nil, err
 	}
@@ -774,7 +788,7 @@ func (s *ShardedEngine) Checkpoint() (*Checkpoint, error) {
 	for i, v := range vals {
 		parts[i] = v.(*Checkpoint)
 	}
-	return MergeCheckpoints(parts)
+	return parts, nil
 }
 
 // Restore loads a checkpoint taken by an Engine or at any shard count by

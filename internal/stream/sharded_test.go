@@ -76,7 +76,7 @@ func genStream(seed int64, units, ticksPer int, emptyUnit int) []testRecord {
 
 // wideSchema is a 2-dim, 3-level fanout-3 schema: m-layer 9×9, o-layer 3×3
 // (9 shard partitions).
-func wideSchema(t *testing.T) *cube.Schema {
+func wideSchema(t testing.TB) *cube.Schema {
 	t.Helper()
 	ha, _ := cube.NewFanoutHierarchy("A", 3, 2)
 	hb, _ := cube.NewFanoutHierarchy("B", 3, 2)
@@ -90,7 +90,7 @@ func wideSchema(t *testing.T) *cube.Schema {
 	return s
 }
 
-func feed(t *testing.T, e ingester, recs []testRecord) []*UnitResult {
+func feed(t testing.TB, e ingester, recs []testRecord) []*UnitResult {
 	t.Helper()
 	var out []*UnitResult
 	for _, r := range recs {

@@ -96,9 +96,11 @@ func (w *snapWriter) key(k cube.CellKey) {
 func (w *snapWriter) isb(v regression.ISB) {
 	w.i64(v.Tb)
 	w.i64(v.Te)
-	w.i64(int64(math.Float64bits(v.Base)))
-	w.i64(int64(math.Float64bits(v.Slope)))
+	w.f64(v.Base)
+	w.f64(v.Slope)
 }
+
+func (w *snapWriter) f64(v float64) { w.i64(int64(math.Float64bits(v))) }
 
 func (w *snapWriter) cells(m map[cube.CellKey]regression.ISB) {
 	w.count(len(m))
@@ -205,6 +207,8 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 // bounded by a count already checked against the remaining bytes — runs
 // out harmlessly and the caller tests err once at the end.
 type snapReader struct {
+	doc  string // the document kind, for error messages
+	size int    // the whole document's length: size − len(data) is the read offset
 	data []byte
 	nd   int
 	// card[d][l] is the member count of dimension d at level l; a key
@@ -215,7 +219,7 @@ type snapReader struct {
 
 func (r *snapReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: snapshot document: %s", ErrRecord, fmt.Sprintf(format, args...))
+		r.err = fmt.Errorf("%w: %s document at offset %d: %s", ErrRecord, r.doc, r.size-len(r.data), fmt.Sprintf(format, args...))
 	}
 }
 
@@ -313,7 +317,7 @@ func (r *snapReader) cells() map[cube.CellKey]regression.ISB {
 // well-formed document — truncation, trailing bytes, a count the bytes
 // cannot back, a cell outside the schema — is ErrRecord.
 func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
-	r := snapReader{data: data}
+	r := snapReader{doc: "snapshot", size: len(data), data: data}
 	head := r.take(len(snapMagic) + 3)
 	if head == nil || string(head[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("%w: not a snapshot document", ErrRecord)

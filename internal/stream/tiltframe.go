@@ -114,34 +114,39 @@ func (e *Engine) recordTilt(ur *UnitResult) error {
 	return nil
 }
 
-// frameView deep-copies one cell frame into its immutable published form.
-func (e *Engine) frameView(cf *cellFrame) *FrameView {
-	v := &FrameView{Base: cf.base, Levels: make([]FrameLevelView, cf.frame.Levels())}
-	span := int64(e.cfg.TicksPerUnit)
-	for i := range v.Levels {
-		lv := e.cfg.TiltLevels[i]
-		if i > 0 {
-			span *= int64(lv.Multiple)
-		}
-		v.Levels[i] = FrameLevelView{
-			Name:      lv.Name,
-			UnitTicks: span,
-			Capacity:  lv.Slots,
-			Completed: cf.frame.Completed(i),
-			Slots:     cf.frame.SlotsAt(i), // SlotsAt copies
-		}
-	}
-	return v
-}
-
 // snapshotFrames copies every o-cell frame for publication. The engine
 // mutates its frames in place on later units, so published snapshots must
 // not share their slot arrays; the copy runs at unit boundaries only, never
-// on the per-record path.
+// on the per-record path. The views, their levels and their slots are cut
+// from one slab each — three allocations and the map, however many cells —
+// which a snapshot's readers keep alive together, as they do the snapshot.
 func (e *Engine) snapshotFrames() map[cube.CellKey]*FrameView {
+	nl := len(e.cfg.TiltLevels)
+	slotsInUse, _ := e.TiltSlots()
+	views := make([]FrameView, len(e.frames))
+	levels := make([]FrameLevelView, 0, len(e.frames)*nl)
+	slots := make([]tilt.Slot, 0, slotsInUse)
 	out := make(map[cube.CellKey]*FrameView, len(e.frames))
 	for key, cf := range e.frames {
-		out[key] = e.frameView(cf)
+		v := &views[len(out)]
+		v.Base = cf.base
+		span := int64(e.cfg.TicksPerUnit)
+		for i, lv := range e.cfg.TiltLevels {
+			if i > 0 {
+				span *= int64(lv.Multiple)
+			}
+			start := len(slots)
+			slots = cf.frame.AppendSlots(slots, i)
+			levels = append(levels, FrameLevelView{
+				Name:      lv.Name,
+				UnitTicks: span,
+				Capacity:  lv.Slots,
+				Completed: cf.frame.Completed(i),
+				Slots:     slots[start:len(slots):len(slots)],
+			})
+		}
+		v.Levels = levels[len(levels)-nl : len(levels) : len(levels)]
+		out[key] = v
 	}
 	return out
 }

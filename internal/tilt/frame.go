@@ -255,11 +255,8 @@ func AggregateLast(name string, slots []Slot, k int) (regression.ISB, error) {
 		return regression.ISB{}, fmt.Errorf("%w: %d units requested at level %q, %d retained",
 			ErrQuery, k, name, len(slots))
 	}
-	isbs := make([]regression.ISB, k)
-	for j, s := range slots[len(slots)-k:] {
-		isbs[j] = s.ISB
-	}
-	return regression.AggregateTime(isbs...)
+	tail := slots[len(slots)-k:]
+	return regression.AggregateTimeFunc(k, func(j int) regression.ISB { return tail[j].ISB })
 }
 
 // Partial returns the ISB over the raw ticks of the current incomplete

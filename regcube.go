@@ -489,14 +489,16 @@ func WriteResult(w io.Writer, res *Result) error { return persist.WriteResult(w,
 // ReadResult deserializes a cubing result against its schema.
 func ReadResult(r io.Reader, schema *Schema) (*Result, error) { return persist.ReadResult(r, schema) }
 
-// WriteCheckpoint serializes a stream-engine checkpoint as JSON.
+// WriteCheckpoint serializes a stream-engine checkpoint as the binary
+// checkpoint document (version 5), in one Write.
 func WriteCheckpoint(w io.Writer, cp *StreamCheckpoint) error {
 	return persist.WriteCheckpoint(w, cp)
 }
 
-// ReadCheckpoint deserializes a stream-engine checkpoint of any version;
-// the per-shard files older releases wrote for sharded engines are merged
-// into the one canonical checkpoint.
+// ReadCheckpoint deserializes a stream-engine checkpoint of any version —
+// the binary document, or the JSON envelopes of versions 1 to 4; the
+// per-shard files older releases wrote for sharded engines are merged into
+// the one canonical checkpoint.
 func ReadCheckpoint(r io.Reader) (*StreamCheckpoint, error) { return persist.ReadCheckpoint(r) }
 
 // Durable ingest (DESIGN.md §10): a segmented, CRC32C-framed write-ahead

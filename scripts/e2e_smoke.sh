@@ -122,6 +122,9 @@ grep -q 'below minimum' <<<"$body" || { echo "FAIL: k=0 not rejected: $body" >&2
 echo "   OK bad requests rejected as JSON errors"
 fetch /metrics | grep -q 'regcube_http_requests_total' \
   || { echo "FAIL: /metrics missing counters" >&2; exit 1; }
+m=$(fetch /metrics)
+grep -q 'regcube_checkpoint_writes_total [1-9]' <<<"$m" && grep -q 'regcube_gc_cycles_total [0-9]' <<<"$m" \
+  || { echo "FAIL: /metrics missing the checkpoint or GC counters" >&2; exit 1; }
 echo "   OK GET /metrics"
 
 echo "== POST /v1/query: one batch, four kinds plus a bad sub-request"
@@ -176,8 +179,10 @@ dpid=""
 echo "== resume the calendar-chain checkpoint under the same chain, another chain, then the default chain"
 # Each resume saves its own checkpoint over the file it loaded, so the
 # later legs also resume what the earlier one reseeded.
-grep -q '"version":4' "$workdir/state.json" && ! grep -q '"history"' "$workdir/state.json" \
-  || { echo "FAIL: checkpoint is not a version-4 (frames only) file" >&2; head -c 200 "$workdir/state.json" >&2; exit 1; }
+# (The file is the binary checkpoint document whatever it is called: the
+# magic "RCCP", then the version byte.)
+[ "$(head -c 5 "$workdir/state.json" | od -An -c | tr -d ' \n')" = 'RCCP005' ] \
+  || { echo "FAIL: checkpoint is not a version-5 checkpoint document" >&2; head -c 16 "$workdir/state.json" | od -c >&2; exit 1; }
 "$workdir/streamd" -spec D2L2C4 -unit 15 -threshold 0.2 -shards 2 \
   -tilt calendar \
   -checkpoint "$workdir/state.json" < /dev/null > "$workdir/resume.log" 2>&1
