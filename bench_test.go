@@ -23,6 +23,7 @@ import (
 	"repro/internal/stream"
 	"repro/internal/tilt"
 	"repro/internal/timeseries"
+	"repro/internal/wire"
 )
 
 func benchDataset(b *testing.B, spec gen.Spec, seed int64) *gen.Dataset {
@@ -379,6 +380,57 @@ func BenchmarkShardedIngest(b *testing.B) {
 			run(b,
 				func(m []int32, t int64, v float64) error { _, err := eng.Ingest(m, t, v); return err },
 				func() error { _, err := eng.ActiveCells(); return err })
+		})
+	}
+}
+
+// The batch path in the firehose workload's shape (DESIGN.md §11.3): a
+// D2L2C4 stream, every one of the 256 m-cells reporting on every tick, in
+// 2 048-record frames — one op is one frame through IngestBatch, ticks
+// rewritten in place between calls as a decoder reusing its batch would.
+// No unit closes; the final ActiveCells barrier is inside the timer.
+// ns/rec at 1 / 2 / 4 shards is what sharding costs on ingest.
+func BenchmarkShardedIngestBatch(b *testing.B) {
+	spec, err := gen.ParseSpec("D2L2C4T1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema, err := spec.StreamSchema()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const cells, frameTicks = 256, 8
+	var frame wire.Batch
+	frame.Reset(2)
+	for i := 0; i < cells*frameTicks; i++ {
+		c := int32(i % cells)
+		frame.Append(int64(i/cells), []int32{c % 16, c / 16}, float64(i%13))
+	}
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("s%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			eng, err := stream.NewShardedEngine(stream.Config{
+				Schema:       schema,
+				TicksPerUnit: 1 << 40,
+				Threshold:    exception.Global(1e18),
+			}, shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := range frame.Ticks {
+					frame.Ticks[i] = int64(n*frameTicks + i/cells)
+				}
+				if _, err := eng.IngestBatch(&frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := eng.ActiveCells(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frame.Len()), "ns/rec")
 		})
 	}
 }

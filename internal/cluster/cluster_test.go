@@ -536,6 +536,90 @@ func TestRouterReconnects(t *testing.T) {
 	}
 }
 
+// TestRouterBatchResumesAfterReconnect kills a node's connection in the
+// middle of a segment's selection: the retry must resume at the first
+// record the dead writer had not accepted. With every record flushed on
+// its own nothing may be lost or doubled; with records batched, what the
+// dead connection had buffered is lost with it (at most once per
+// connection) and still nothing arrives twice.
+func TestRouterBatchResumesAfterReconnect(t *testing.T) {
+	schema := testSchema(t)
+	const records = 48
+	for _, tc := range []struct {
+		name         string
+		batchRecords int
+		failAt       int // successful writes on the first connection, header included
+		maxLost      int
+	}{
+		{"unbuffered", 1, 11, 0},
+		{"batched", 5, 4, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &flakySink{failAt: tc.failAt}
+			router, err := NewRouter(RouterConfig{
+				Schema:       schema,
+				Nodes:        []string{"sink:0"},
+				TicksPerUnit: records,
+				BatchRecords: tc.batchRecords,
+				Dial:         sink.dial,
+				Backoff:      time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One segment: every record in unit 0, its value its identity.
+			var b wire.Batch
+			b.Reset(2)
+			for i := 0; i < records; i++ {
+				b.Append(int64(i), []int32{int32(i % 4), int32(i / 4 % 4)}, float64(i))
+			}
+			if err := router.RouteBatch(context.Background(), &b); err != nil {
+				t.Fatal(err)
+			}
+			if err := router.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := router.Stats(); got.Reconnects != 1 || got.Records[0] != records {
+				t.Fatalf("stats %+v, want 1 reconnect and %d records", got, records)
+			}
+			seen := make(map[float64]int)
+			for i, buf := range sink.conns {
+				r, err := wire.NewReader(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatalf("conn %d: %v", i, err)
+				}
+				var got wire.Batch
+				for {
+					if _, err := r.Next(&got); err != nil {
+						break // end of the connection, torn or clean
+					}
+					for _, v := range got.Values {
+						seen[v]++
+					}
+				}
+			}
+			lost := 0
+			last := -1.0
+			for i := 0; i < records; i++ {
+				switch seen[float64(i)] {
+				case 0:
+					lost++
+				case 1:
+					last = float64(i)
+				default:
+					t.Fatalf("record %d delivered %d times", i, seen[float64(i)])
+				}
+			}
+			if lost > tc.maxLost || (tc.maxLost > 0 && lost == 0) {
+				t.Fatalf("%d records lost, want at most %d (and the dead connection's buffer gone)", lost, tc.maxLost)
+			}
+			if last != records-1 {
+				t.Fatalf("last record delivered is %v: the retry did not finish the selection", last)
+			}
+		})
+	}
+}
+
 // TestRouterRejects pins the router's config and record failure modes.
 func TestRouterRejects(t *testing.T) {
 	schema := testSchema(t)

@@ -77,7 +77,9 @@ type RouterStats struct {
 // Delivery is at-most-once per connection: records accepted by Append but
 // still buffered when a connection fails are lost with it (the WAL on
 // each node, not the router, is the durability story). A reconnect opens
-// a fresh stream header on the same node.
+// a fresh stream header on the same node. Within a unit a node's records
+// keep their stream order; records of different nodes are not ordered
+// against each other between barriers.
 type Router struct {
 	cfg   RouterConfig
 	part  *stream.Partitioner
@@ -86,7 +88,11 @@ type Router struct {
 	// unit is the current open unit; openEnd its first-excluded tick.
 	unit    int64
 	openEnd int64
+	// hb, sel and members are routeSegment's scratch: the partition fold,
+	// each node's record positions, and one record's member tuple.
 	hb      []uint64
+	sel     [][]int32
+	members []int32
 	stats   RouterStats
 }
 
@@ -127,6 +133,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		dims:    len(cfg.Schema.Dims),
 		unit:    0,
 		openEnd: int64(cfg.TicksPerUnit),
+		sel:     make([][]int32, len(cfg.Nodes)),
+		members: make([]int32, len(cfg.Schema.Dims)),
 		stats:   RouterStats{Records: make([]int64, len(cfg.Nodes))},
 	}
 	for i, addr := range cfg.Nodes {
@@ -215,28 +223,42 @@ func (r *Router) Advance(ctx context.Context, target int64) error {
 }
 
 // routeSegment partitions records [lo,hi) of b — all inside the open
-// unit — to their nodes.
+// unit — to their nodes: one position list per node (Partitioner.Select,
+// as the in-process shards are fed), then one do per node with records.
+// sent is the cursor a retry resumes from: do re-runs the closure on a
+// fresh connection, and it must carry on at the first record the failed
+// writer did not accept, never re-append the ones it had.
 func (r *Router) routeSegment(ctx context.Context, b *wire.Batch, lo, hi int) error {
 	if lo >= hi {
 		return nil
 	}
-	hb := r.hb[:hi-lo]
-	if err := r.part.FoldColumns(b, lo, hi, hb); err != nil {
+	for sid := range r.sel {
+		r.sel[sid] = r.sel[sid][:0]
+	}
+	if err := r.part.Select(b, lo, hi, r.hb[:hi-lo], int32(lo), r.sel); err != nil {
 		return err
 	}
-	members := make([]int32, r.dims)
-	for i := lo; i < hi; i++ {
-		sid := int(hb[i-lo])
-		for d := 0; d < r.dims; d++ {
-			members[d] = b.Cols[d][i]
+	for sid, sel := range r.sel {
+		if len(sel) == 0 {
+			continue
 		}
-		nc := r.nodes[sid]
-		if err := nc.do(ctx, func(w *wire.Writer) error {
-			return w.Append(b.Ticks[i], members, b.Values[i])
-		}); err != nil {
+		sent := 0
+		err := r.nodes[sid].do(ctx, func(w *wire.Writer) error {
+			for ; sent < len(sel); sent++ {
+				i := sel[sent]
+				for d := range r.members {
+					r.members[d] = b.Cols[d][i]
+				}
+				if err := w.Append(b.Ticks[i], r.members, b.Values[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		r.stats.Records[sid] += int64(sent)
+		if err != nil {
 			return err
 		}
-		r.stats.Records[sid]++
 	}
 	return nil
 }

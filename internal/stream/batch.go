@@ -58,7 +58,7 @@ func (e *Engine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 		for end < n && b.Ticks[end] >= e.openStart && b.Ticks[end] < e.openEnd {
 			end++
 		}
-		if err := e.ingestRun(b, start, end); err != nil {
+		if err := e.ingestRun(b, nil, start, end); err != nil {
 			return closed, err
 		}
 		start = end
@@ -67,14 +67,20 @@ func (e *Engine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 }
 
 // ingestRun is the tight loop behind the batch paths: it consumes records
-// [lo,hi) of a shape-checked batch, every one of which must fall inside
+// [lo,hi) of a shape-checked batch — or, given a selection, the records at
+// positions sel[lo:hi] of it, which is how the shards of a ShardedEngine
+// read their share of a segment in place. Every record must fall inside
 // the open unit (IngestBatch cuts runs that way; a ShardedEngine's
-// coordinator barriers boundaries before dispatching). A record outside
-// the open unit means the caller broke that contract and fails the run.
-// Per-record validation and accumulator updates are exactly Ingest's.
-func (e *Engine) ingestRun(b *wire.Batch, lo, hi int) error {
+// coordinator barriers boundaries before dispatching); one outside it
+// means the caller broke that contract and fails the run. Per-record
+// validation and accumulator updates are exactly Ingest's.
+func (e *Engine) ingestRun(b *wire.Batch, sel []int32, lo, hi int) error {
 	var key [cube.MaxDims]int32
-	for i := lo; i < hi; i++ {
+	for j := lo; j < hi; j++ {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
 		tick := b.Ticks[i]
 		if tick < e.openStart || tick >= e.openEnd {
 			return fmt.Errorf("%w: tick %d outside open unit [%d,%d)", ErrRecord, tick, e.openStart, e.openEnd)
@@ -122,18 +128,17 @@ func (e *Engine) ingestRun(b *wire.Batch, lo, hi int) error {
 	return nil
 }
 
-// IngestBatch consumes a columnar record batch, partitioning it across the
-// shards with one ancestor-table pass per dimension instead of resolving
-// records one at a time. The batch is cut into maximal runs that stay
-// inside the open unit; each boundary crossing barriers the shards exactly
-// as record-at-a-time ingest would, so closed-unit results — and the final
-// state — are bitwise-identical to feeding the same records through
-// Ingest.
+// IngestBatch consumes a columnar record batch; the caller may reuse b as
+// soon as it returns. The batch is cut into maximal runs that stay inside
+// the open unit, each dispatched to the shards as one segment
+// (routeSegment); each boundary crossing barriers the shards exactly as
+// record-at-a-time ingest would, so closed-unit results — and the final
+// state — are bitwise-identical to feeding the same records through Ingest.
 //
 // Validation is batch-level: a segment with an out-of-range member or a
-// tick before the open unit fails before any of the segment's records are
-// routed (records of earlier segments, and units they closed, stand). The
-// sole shard of a one-shard engine ingests each segment in place instead,
+// tick before the open unit fails before any of its records is routed
+// (earlier segments, and units they closed, stand). The sole shard of a
+// one-shard engine ingests each segment in place, in the caller's batch,
 // with Engine.IngestBatch's record-level semantics.
 func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 	if err := s.ready(); err != nil {
@@ -145,27 +150,20 @@ func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 	var closed []*UnitResult
 	n := b.Len()
 	for start := 0; start < n; {
-		tick := b.Ticks[start]
-		if tick >= s.openEnd {
-			target := (tick - s.cfg.StartTick) / int64(s.cfg.TicksPerUnit)
-			urs, err := s.advanceTo(target)
-			closed = append(closed, urs...)
-			if err != nil {
-				return closed, err
-			}
+		urs, err := s.reach(b.Ticks[start])
+		closed = append(closed, urs...)
+		if err != nil {
+			return closed, err
 		}
 		openStart := s.openEnd - int64(s.cfg.TicksPerUnit)
-		if tick < openStart {
-			return closed, fmt.Errorf("%w: tick %d before open unit start %d", ErrRecord, tick, openStart)
-		}
 		// The segment is the maximal run staying inside the open unit.
 		end := start + 1
 		for end < n && b.Ticks[end] >= openStart && b.Ticks[end] < s.openEnd {
 			end++
 		}
-		var err error
-		if sh := s.sole(); sh != nil {
-			err = sh.ingestRun(b, start, end)
+		if len(s.shards) == 1 {
+			s.segments.Add(1)
+			err = s.shards[0].ingestRun(b, nil, start, end)
 		} else {
 			err = s.routeSegment(b, start, end)
 		}
@@ -177,80 +175,25 @@ func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 	return closed, nil
 }
 
-// routeSegment partitions records [lo,hi) of a batch — all inside the open
-// unit — into the per-shard pending buffers. The partition function is
-// Partitioner.FoldColumns — the o-layer ancestor fold computed column-wise
-// (one dense-table pass per dimension, then one finalize pass), shared
-// verbatim with the multi-node router so batch, record, and cross-process
-// routing all agree bit for bit.
+// routeSegment appends records [lo,hi) of a batch — all inside the open
+// unit — to the open segment and dispatches it. Partitioner.Select (shared
+// verbatim with the multi-node router, so batch, record and cross-process
+// routing agree bit for bit) runs first, on the caller's columns, so an
+// out-of-range member fails the run before any record of it is routed.
+// The columns are then copied in bulk, once, not per shard: the shards
+// read them in place through their lists while the caller reuses b.
 func (s *ShardedEngine) routeSegment(b *wire.Batch, lo, hi int) error {
 	nrec := hi - lo
-	if cap(s.hashBuf) < nrec {
-		s.hashBuf = make([]uint64, nrec)
-	}
-	hb := s.hashBuf[:nrec]
-	if err := s.part.FoldColumns(b, lo, hi, hb); err != nil {
+	seg := s.openSegment(nrec)
+	seg.hash = slices.Grow(seg.hash[:0], nrec)[:nrec]
+	if err := s.part.Select(b, lo, hi, seg.hash, int32(seg.Len()), seg.sel); err != nil {
 		return err
 	}
-	// Scatter the segment into the per-shard columnar sub-batches,
-	// column-wise — one pass per column, like the ancestor fold — so each
-	// source column streams through the cache once and no per-record
-	// struct is materialized.
-	// The scatter is cursor-based: a histogram pass counts each shard's
-	// share, every destination column grows once, and the fill loops write
-	// by index — no per-record append bookkeeping or capacity checks.
-	if cap(s.scatterBase) < len(s.shards) {
-		s.scatterBase = make([]int, len(s.shards))
-		s.scatterCur = make([]int, len(s.shards))
+	seg.Ticks = append(seg.Ticks, b.Ticks[lo:hi]...)
+	seg.Values = append(seg.Values, b.Values[lo:hi]...)
+	for d := range seg.Cols {
+		seg.Cols[d] = append(seg.Cols[d], b.Cols[d][lo:hi]...)
 	}
-	base := s.scatterBase[:len(s.shards)]
-	cur := s.scatterCur[:len(s.shards)]
-	for i := range base {
-		base[i] = 0
-	}
-	for _, sid := range hb {
-		base[sid]++
-	}
-	for sid, c := range base {
-		if c == 0 {
-			continue
-		}
-		p := s.pending[sid]
-		if p == nil {
-			p = s.getBatch()
-			s.pending[sid] = p
-		}
-		n0 := len(p.Ticks)
-		p.Ticks = slices.Grow(p.Ticks, c)[:n0+c]
-		p.Values = slices.Grow(p.Values, c)[:n0+c]
-		for d := 0; d < s.nDims; d++ {
-			p.Cols[d] = slices.Grow(p.Cols[d], c)[:n0+c]
-		}
-		base[sid] = n0
-	}
-	copy(cur, base)
-	ticks, values := b.Ticks[lo:hi], b.Values[lo:hi]
-	for i, sid := range hb {
-		p := s.pending[sid]
-		j := cur[sid]
-		cur[sid] = j + 1
-		p.Ticks[j] = ticks[i]
-		p.Values[j] = values[i]
-	}
-	for d := 0; d < s.nDims; d++ {
-		col := b.Cols[d][lo:hi]
-		copy(cur, base)
-		for i, sid := range hb {
-			j := cur[sid]
-			cur[sid] = j + 1
-			s.pending[sid].Cols[d][j] = col[i]
-		}
-	}
-	for sid, p := range s.pending {
-		if p != nil && p.Len() >= ingestBatchSize {
-			s.shards[sid].send(shardMsg{batch: p})
-			s.pending[sid] = nil
-		}
-	}
+	s.dispatch()
 	return nil
 }

@@ -81,13 +81,24 @@ func (p *Partitioner) Hash(members *[cube.MaxDims]int32) int {
 	for d := 0; d < p.nDims; d++ {
 		h = (h ^ uint64(uint32(members[d]))) * 1099511628211
 	}
+	return int(reduce(h, uint64(p.n)))
+}
+
+// reduce finishes a folded hash: the splitmix64 avalanche, then the
+// multiply-high reduction to [0,n).
+func reduce(h, n uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
-	sid, _ := bits.Mul64(h, uint64(p.n))
-	return int(sid)
+	sid, _ := bits.Mul64(h, n)
+	return sid
+}
+
+// rangeErr reports member m as outside dimension d's m-layer.
+func (p *Partitioner) rangeErr(d int, m int32) error {
+	return fmt.Errorf("%w: member %d of dimension %s outside [0,%d)", ErrRecord, m, p.names[d], p.cards[d])
 }
 
 // Route maps an m-layer member tuple to its partition by resolving the
@@ -96,8 +107,7 @@ func (p *Partitioner) Route(members []int32) (int, error) {
 	var o [cube.MaxDims]int32
 	for d := 0; d < p.nDims; d++ {
 		if members[d] < 0 || int(members[d]) >= p.cards[d] {
-			return 0, fmt.Errorf("%w: member %d of dimension %s outside [0,%d)",
-				ErrRecord, members[d], p.names[d], p.cards[d])
+			return 0, p.rangeErr(d, members[d])
 		}
 		if tab := p.anc[d]; tab != nil {
 			o[d] = tab[members[d]]
@@ -115,6 +125,19 @@ func (p *Partitioner) Route(members []int32) (int, error) {
 // record routing agree bit for bit. A batch with an out-of-range member
 // fails before any id is meaningful.
 func (p *Partitioner) FoldColumns(b *wire.Batch, lo, hi int, hb []uint64) error {
+	if err := p.fold(b, lo, hi, hb); err != nil {
+		return err
+	}
+	n := uint64(p.n)
+	for i, h := range hb {
+		hb[i] = reduce(h, n)
+	}
+	return nil
+}
+
+// fold is the column-wise half of FoldColumns: hb[i] becomes record lo+i's
+// o-ancestor fold, not yet reduced to a partition.
+func (p *Partitioner) fold(b *wire.Batch, lo, hi int, hb []uint64) error {
 	for i := range hb {
 		hb[i] = 1469598103934665603
 	}
@@ -124,31 +147,35 @@ func (p *Partitioner) FoldColumns(b *wire.Batch, lo, hi int, hb []uint64) error 
 		if tab := p.anc[d]; tab != nil {
 			for i, m := range col {
 				if m < 0 || m >= card {
-					return fmt.Errorf("%w: member %d of dimension %s outside [0,%d)",
-						ErrRecord, m, p.names[d], card)
+					return p.rangeErr(d, m)
 				}
 				hb[i] = (hb[i] ^ uint64(uint32(tab[m]))) * 1099511628211
 			}
-		} else {
-			for i, m := range col {
-				if m < 0 || m >= card {
-					return fmt.Errorf("%w: member %d of dimension %s outside [0,%d)",
-						ErrRecord, m, p.names[d], card)
-				}
-				o := p.idx.Ancestor(d, p.mLevels[d], p.oLevels[d], m)
-				hb[i] = (hb[i] ^ uint64(uint32(o))) * 1099511628211
-			}
+			continue
 		}
+		for i, m := range col {
+			if m < 0 || m >= card {
+				return p.rangeErr(d, m)
+			}
+			o := p.idx.Ancestor(d, p.mLevels[d], p.oLevels[d], m)
+			hb[i] = (hb[i] ^ uint64(uint32(o))) * 1099511628211
+		}
+	}
+	return nil
+}
+
+// Select assigns records [lo,hi) to partitions as FoldColumns does, through
+// the scratch hb (length hi-lo), and appends each record's position —
+// counting up from base for record lo — to its partition's list in sel. A
+// batch with an out-of-range member fails before any list is touched.
+func (p *Partitioner) Select(b *wire.Batch, lo, hi int, hb []uint64, base int32, sel [][]int32) error {
+	if err := p.fold(b, lo, hi, hb); err != nil {
+		return err
 	}
 	n := uint64(p.n)
 	for i, h := range hb {
-		h ^= h >> 30
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
-		sid, _ := bits.Mul64(h, n)
-		hb[i] = sid
+		sid := reduce(h, n)
+		sel[sid] = append(sel[sid], base+int32(i))
 	}
 	return nil
 }

@@ -13,17 +13,31 @@ import (
 	"repro/internal/wire"
 )
 
-// ingestBatchSize is how many records the coordinator buffers per shard
-// before handing them to the shard goroutine in one channel send. Batching
-// amortizes channel synchronization (and, on loaded machines, goroutine
-// switches) over the per-record accumulator work; correctness never
-// depends on it because every unit boundary, query, and checkpoint drains
-// the buffers first. The buffers are columnar (wire.Batch) — ~20 bytes per
-// record instead of a fixed max-width struct — so 512 records is ~10 KiB
-// per sub-batch: big enough to amortize the handoff and the goroutine
-// switch it implies, small enough that a full shard fan-out's pending
-// buffers stay cache-resident.
+// ingestBatchSize is how many records per-record Ingest gathers in the
+// open segment before dispatching it, to amortize the channel handoff
+// (every unit boundary, query and checkpoint dispatches it first, so
+// nothing depends on it). IngestBatch dispatches each in-unit run at once.
 const ingestBatchSize = 512
+
+// runAhead is how many segments an engine has, and so how far the
+// coordinator runs ahead of its slowest shard: with all of them in flight
+// the next Ingest or IngestBatch waits for one to come back. Three keeps
+// the shards fed while the next segment is folded and copied; more buys
+// throughput with query latency (DESIGN §11.3) — a constant, not a setting.
+const runAhead = 3
+
+// segment is one in-unit run of records in engine-owned columns — the copy
+// is what lets an IngestBatch caller reuse its batch the moment the call
+// returns — plus, per shard, the positions of the records that shard owns:
+// shards read the columns in place through their list. left counts the
+// shards still reading; the one that takes it to zero hands the segment
+// back to the coordinator.
+type segment struct {
+	wire.Batch
+	hash []uint64  // Partitioner.Select's fold scratch
+	sel  [][]int32 // sel[i] lists shard i's record positions, ascending
+	left atomic.Int32
+}
 
 // shardReply carries a control operation's outcome back to the
 // coordinator.
@@ -32,12 +46,12 @@ type shardReply struct {
 	err error
 }
 
-// shardMsg is one message to a shard goroutine: either a columnar record
-// sub-batch (batch, fire-and-forget) or a control operation (fn, answered
-// on reply). reset clears the shard's sticky error first — only Restore
-// sets it, because restoring replaces whatever state the error poisoned.
+// shardMsg is one message to a shard goroutine: a segment to read the
+// shard's selection of (seg, fire-and-forget) or a control operation (fn,
+// answered on reply). reset clears the shard's sticky error first — only
+// Restore sets it, because restoring replaces the state the error poisoned.
 type shardMsg struct {
-	batch *wire.Batch
+	seg   *segment
 	fn    func(*Engine) (any, error)
 	reply chan shardReply
 	reset bool
@@ -45,18 +59,18 @@ type shardMsg struct {
 
 // shard is the coordinator's handle on one partition's Engine. With
 // several shards each engine is confined to its own goroutine behind in;
-// the sole shard of a one-shard engine has no goroutine (in and done are
-// nil) and send handles its messages on the caller's. Only this transport
-// differs between shard counts.
+// the sole shard of a one-shard engine has no goroutine (in, done and
+// segFree are nil) and send handles its messages on the caller's. Only
+// this transport differs between shard counts.
 type shard struct {
+	id  int
 	eng *Engine
 	// sticky is the first record error; it fails every later message
 	// until Restore replaces the state it poisoned.
-	sticky error
-	in     chan shardMsg
-	done   chan struct{}
-	// free returns drained sub-batches to the coordinator.
-	free chan *wire.Batch
+	sticky  error
+	in      chan shardMsg
+	done    chan struct{}
+	segFree chan *segment // takes back segments this shard was last to read
 }
 
 // ShardedEngine partitions the online analyzer (§4.5) across N independent
@@ -75,48 +89,44 @@ type shard struct {
 // SortAlerts) included.
 //
 // Unit boundaries are the only synchronization points: a record crossing
-// the open unit's end makes the coordinator drain all shard buffers, close
-// the finished units on every shard in parallel, and merge the per-shard
-// results in shard-stable order. Between boundaries, shards ingest
-// concurrently without coordination.
+// the open unit's end makes the coordinator dispatch the open segment,
+// close the finished units on every shard in parallel, and merge the
+// per-shard results in shard-stable order. Between boundaries the shards
+// read their selections of the dispatched segments concurrently.
 //
 // Like Engine, a ShardedEngine's methods must be called from one goroutine
 // (the issue is the coordinator state, not the shards). Record errors that
-// surface inside a shard (for example per-cell tick regressions) are
-// reported at the next unit boundary, query, or Flush rather than on the
-// Ingest call that enqueued the bad record; the first error sticks and
-// fails all subsequent calls.
+// surface inside a shard (per-cell tick regressions) are reported at the
+// next unit boundary, query, or Flush rather than on the call that carried
+// the bad record; the first error sticks and fails all subsequent calls.
 //
-// With one shard there is nothing to scatter: records skip routing and
+// With one shard there is nothing to route: records skip the segments and
 // reach the shard's Engine on the caller's goroutine, so the engine is
-// single-threaded, a record error comes back from the very Ingest or
-// IngestBatch call that carried the record (and sticks all the same), and
-// out-of-range members are rejected when their unit closes, as Engine
-// does, rather than by the router.
+// single-threaded, a record error comes back from the very call that
+// carried the record (and sticks all the same), and out-of-range members
+// are rejected when their unit closes, as Engine does.
 type ShardedEngine struct {
 	cfg    Config
 	nDims  int
 	shards []*shard
-	// part is the o-ancestor partition function, shared verbatim with the
-	// multi-node router (internal/cluster) so in-process shards and
-	// cross-process nodes route records bit-for-bit identically.
+	// part is the o-ancestor partition function the multi-node router
+	// (internal/cluster) shares, so shards and nodes route identically.
 	part *Partitioner
 	// openEnd caches unitStart(unit+1) so the per-record boundary test is
 	// one comparison.
 	openEnd int64
-	pending []*wire.Batch
-	// hashBuf is routeSegment's per-record hash scratch, reused across
-	// batches so columnar routing allocates nothing at steady state.
-	// scatterBase/scatterCur hold the per-shard write offsets for the
-	// cursor scatter (one cell per shard, reused the same way).
-	hashBuf     []uint64
-	scatterBase []int
-	scatterCur  []int
-	// free recycles drained sub-batches back from the shard goroutines,
-	// so steady-state ingest stops allocating batch storage.
-	free chan *wire.Batch
-	unit int64
-	done int64
+	// open is the segment being filled (nil when none is): Ingest appends
+	// records to it, IngestBatch whole runs, dispatch hands it to the
+	// shards. segFree holds the segments neither open nor in flight; the
+	// same runAhead circulate, so steady-state ingest allocates nothing.
+	open    *segment
+	segFree chan *segment
+	// segments counts dispatched segments; runaheadWaits the times the
+	// coordinator found every segment in flight and had to wait for a shard.
+	segments      atomic.Int64
+	runaheadWaits atomic.Int64
+	unit          int64
+	done          int64
 	// prevNonEmpty tracks whether the last closed unit had data in any
 	// shard — the delta-base adjacency rule at global scope.
 	prevNonEmpty bool
@@ -136,51 +146,47 @@ type ShardedEngine struct {
 // NewShardedEngine builds a sharded analyzer with `shards` partitions. Each
 // shard runs the exact Config the single engine would; shards must be ≥ 1.
 // Call Close when done to stop the shard goroutines (Flush first for the
-// final partial unit).
-//
-// Parallelism is bounded by the number of distinct o-layer cells: a schema
-// whose o-layer is the apex cuboid has a single partition and degrades to
-// one active shard.
+// final partial unit). Parallelism is bounded by the number of distinct
+// o-layer cells: a schema whose o-layer is the apex cuboid has a single
+// partition and degrades to one active shard.
 func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("%w: %d shards", ErrConfig, shards)
 	}
-	s := &ShardedEngine{
-		cfg:     cfg,
-		shards:  make([]*shard, shards),
-		pending: make([]*wire.Batch, shards),
-	}
+	s := &ShardedEngine{cfg: cfg, shards: make([]*shard, shards)}
 	// Shard engines never publish their own snapshots: a per-shard view
 	// would expose partial units, and the coordinator merges frames at
 	// each barrier anyway.
 	shardCfg := cfg
 	shardCfg.PublishSnapshots = false
-	engines := make([]*Engine, shards)
-	for i := range engines {
+	for i := range s.shards {
 		eng, err := NewEngine(shardCfg)
 		if err != nil {
 			return nil, err
 		}
 		eng.shardDelta = true
-		engines[i] = eng
+		s.shards[i] = &shard{id: i, eng: eng}
 	}
-	s.cfg = engines[0].cfg // normalized (level chain, default path)
+	s.cfg = s.shards[0].eng.cfg // normalized (level chain, default path)
 	s.cfg.PublishSnapshots = cfg.PublishSnapshots
 	s.nDims = len(cfg.Schema.Dims)
-	part, err := NewPartitioner(cfg.Schema, shards)
-	if err != nil {
+	var err error
+	if s.part, err = NewPartitioner(cfg.Schema, shards); err != nil {
 		return nil, err
 	}
-	s.part = part
 	s.openEnd = s.unitStart(1)
-	s.free = make(chan *wire.Batch, 4*shards)
-	for i, eng := range engines {
-		sh := &shard{eng: eng, free: s.free}
-		s.shards[i] = sh
-		if shards > 1 {
-			sh.in, sh.done = make(chan shardMsg, 4), make(chan struct{})
-			go sh.run()
-		}
+	if shards == 1 {
+		return s, nil // the sole shard runs on the caller's goroutine
+	}
+	s.segFree = make(chan *segment, runAhead)
+	for i := 0; i < runAhead; i++ {
+		s.segFree <- &segment{}
+	}
+	for _, sh := range s.shards {
+		// Room for every segment plus a control message, so the
+		// coordinator never blocks on the channel itself.
+		sh.segFree, sh.in, sh.done = s.segFree, make(chan shardMsg, runAhead+1), make(chan struct{})
+		go sh.run()
 	}
 	return s, nil
 }
@@ -193,8 +199,7 @@ func (sh *shard) run() {
 	}
 }
 
-// send delivers one message to the shard: over the channel to its
-// goroutine, or straight to handle when the shard has none.
+// send delivers one message: over the channel, or straight to handle.
 func (sh *shard) send(msg shardMsg) {
 	if sh.in == nil {
 		sh.handle(msg)
@@ -203,17 +208,16 @@ func (sh *shard) send(msg shardMsg) {
 	sh.in <- msg
 }
 
-// handle processes one message: drain a columnar sub-batch into the
-// engine, or answer a control operation (reply channels are buffered, so
-// answering never blocks). Drained batches go back to the coordinator
-// through the free list (dropped when it is full), closing the
-// zero-allocation ingest loop.
+// handle processes one message: read this shard's selection of a segment
+// into the engine, or answer a control operation. The last shard done with
+// a segment — had a sticky error made it skip the records or not — returns
+// it; segFree and the reply channels have room, so neither send blocks.
 func (sh *shard) handle(msg shardMsg) {
-	if msg.fn == nil {
-		sh.ingestRun(msg.batch, 0, msg.batch.Len())
-		select {
-		case sh.free <- msg.batch:
-		default:
+	if seg := msg.seg; seg != nil {
+		sel := seg.sel[sh.id]
+		sh.ingestRun(&seg.Batch, sel, 0, len(sel))
+		if seg.left.Add(-1) == 0 {
+			sh.segFree <- seg
 		}
 		return
 	}
@@ -228,14 +232,14 @@ func (sh *shard) handle(msg shardMsg) {
 	msg.reply <- shardReply{val: val, err: err}
 }
 
-// ingestRun feeds records [lo,hi) of b to the engine unless an earlier
-// record already failed, and returns the sticky error. The coordinator
-// barriers every boundary before dispatching the crossing record, so
-// every record here is inside the open unit — Engine.ingestRun rejects
-// anything else, keeping a shard from ever closing units on its own.
-func (sh *shard) ingestRun(b *wire.Batch, lo, hi int) error {
+// ingestRun is Engine.ingestRun unless an earlier record already failed,
+// and returns the sticky error. The coordinator barriers every boundary
+// before dispatching the crossing record, so every record here is inside
+// the open unit — Engine.ingestRun rejects anything else, keeping a shard
+// from ever closing units on its own.
+func (sh *shard) ingestRun(b *wire.Batch, sel []int32, lo, hi int) error {
 	if sh.sticky == nil {
-		sh.sticky = sh.eng.ingestRun(b, lo, hi)
+		sh.sticky = sh.eng.ingestRun(b, sel, lo, hi)
 	}
 	return sh.sticky
 }
@@ -248,16 +252,6 @@ func (sh *shard) ingest(members []int32, tick int64, value float64) error {
 		_, sh.sticky = sh.eng.Ingest(members, tick, value)
 	}
 	return sh.sticky
-}
-
-// sole returns the only shard of a one-shard engine — the one that runs
-// on the caller's goroutine, where ingest skips routing and buffering —
-// and nil when records must be scattered.
-func (s *ShardedEngine) sole() *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	return nil
 }
 
 // Shards returns the shard count.
@@ -273,18 +267,62 @@ func (s *ShardedEngine) unitStart(u int64) int64 {
 	return s.cfg.StartTick + u*int64(s.cfg.TicksPerUnit)
 }
 
-// getBatch draws a recycled sub-batch, or allocates while the free list
-// warms up. Either way the batch comes back empty with this engine's
-// dimension count.
-func (s *ShardedEngine) getBatch() *wire.Batch {
-	var b *wire.Batch
-	select {
-	case b = <-s.free:
-	default:
-		b = &wire.Batch{}
+// openSegment returns the segment being filled, taking a free one when
+// none is — and waiting for the shards to hand one back when all are in
+// flight, which is what bounds the run-ahead. A buffer far larger than
+// both what it last held and the n records about to be added is dropped
+// for a fresh one, so one huge batch does not pin its columns and
+// position lists for the engine's life.
+func (s *ShardedEngine) openSegment(n int) *segment {
+	if s.open != nil {
+		return s.open
 	}
-	b.Reset(s.nDims)
-	return b
+	if len(s.segFree) == 0 { // only this goroutine takes from it
+		s.runaheadWaits.Add(1)
+	}
+	seg := <-s.segFree
+	if cap(seg.Ticks) > 4*max(n, seg.Len())+1024 {
+		seg = &segment{}
+	}
+	seg.Reset(s.nDims)
+	if seg.sel == nil {
+		seg.sel = make([][]int32, len(s.shards))
+	}
+	for i := range seg.sel {
+		seg.sel[i] = seg.sel[i][:0]
+	}
+	s.open = seg
+	return seg
+}
+
+// dispatch hands the open segment to every shard that owns records of it;
+// shard channels are FIFO, so a later control message arrives behind it.
+func (s *ShardedEngine) dispatch() {
+	seg := s.open
+	if seg == nil || seg.Len() == 0 {
+		return
+	}
+	s.open = nil
+	s.segments.Add(1)
+	readers := int32(0)
+	for _, sel := range seg.sel {
+		if len(sel) > 0 {
+			readers++
+		}
+	}
+	seg.left.Store(readers)
+	for i, sel := range seg.sel {
+		if len(sel) > 0 {
+			s.shards[i].send(shardMsg{seg: seg})
+		}
+	}
+}
+
+// DispatchStats returns how many segments went to the shards (with one
+// shard: were ingested in place) and how often the coordinator found all
+// of them in flight and waited. Safe from any goroutine.
+func (s *ShardedEngine) DispatchStats() (segments, runaheadWaits int64) {
+	return s.segments.Load(), s.runaheadWaits.Load()
 }
 
 // ready guards every public operation behind the closed/sticky-error state.
@@ -295,26 +333,12 @@ func (s *ShardedEngine) ready() error {
 	return s.err
 }
 
-// flushPending hands every buffered sub-batch to its shard goroutine.
-func (s *ShardedEngine) flushPending() {
-	for i, batch := range s.pending {
-		if batch != nil && batch.Len() > 0 {
-			s.shards[i].send(shardMsg{batch: batch})
-			s.pending[i] = nil
-		}
-	}
-}
-
-// broadcast drains buffers, runs fn on every shard concurrently, and
-// returns the replies in shard order. The first error becomes sticky.
-func (s *ShardedEngine) broadcast(fn func(*Engine) (any, error)) ([]any, error) {
-	return s.scatter(false, func(_ int, e *Engine) (any, error) { return fn(e) })
-}
-
-// scatter is broadcast with the shard index passed to fn; reset clears
-// each shard's sticky error first (see shardMsg).
+// scatter dispatches the open segment, runs fn on every shard concurrently
+// (fn gets the shard's index) and returns the replies in shard order. The
+// first error becomes sticky; reset clears each shard's sticky error first
+// (see shardMsg).
 func (s *ShardedEngine) scatter(reset bool, fn func(int, *Engine) (any, error)) ([]any, error) {
-	s.flushPending()
+	s.dispatch()
 	replies := make([]chan shardReply, len(s.shards))
 	for i, sh := range s.shards {
 		ch := make(chan shardReply, 1)
@@ -337,6 +361,18 @@ func (s *ShardedEngine) scatter(reset bool, fn func(int, *Engine) (any, error)) 
 	return out, nil
 }
 
+// reach makes tick's unit the open one, closing every unit before it and
+// returning their merged results; a tick before the open unit is ErrRecord.
+func (s *ShardedEngine) reach(tick int64) (closed []*UnitResult, err error) {
+	if tick >= s.openEnd {
+		closed, err = s.advanceTo((tick - s.cfg.StartTick) / int64(s.cfg.TicksPerUnit))
+	}
+	if start := s.openEnd - int64(s.cfg.TicksPerUnit); err == nil && tick < start {
+		err = fmt.Errorf("%w: tick %d before open unit start %d", ErrRecord, tick, start)
+	}
+	return closed, err
+}
+
 // Ingest consumes one record with Engine.Ingest semantics: crossing a unit
 // boundary closes the finished units on every shard and returns the merged
 // results in order. Per-cell validation happens inside the owning shard;
@@ -348,20 +384,12 @@ func (s *ShardedEngine) Ingest(members []int32, tick int64, value float64) ([]*U
 	if len(members) != s.nDims {
 		return nil, fmt.Errorf("%w: %d members for %d dimensions", ErrRecord, len(members), s.nDims)
 	}
-	if tick < s.openEnd-int64(s.cfg.TicksPerUnit) {
-		return nil, fmt.Errorf("%w: tick %d before open unit start %d", ErrRecord, tick, s.unitStart(s.unit))
+	closed, err := s.reach(tick)
+	if err != nil {
+		return closed, err
 	}
-	var closed []*UnitResult
-	if tick >= s.openEnd {
-		target := (tick - s.cfg.StartTick) / int64(s.cfg.TicksPerUnit)
-		var err error
-		closed, err = s.advanceTo(target)
-		if err != nil {
-			return closed, err
-		}
-	}
-	if sh := s.sole(); sh != nil {
-		return closed, sh.ingest(members, tick, value)
+	if len(s.shards) == 1 {
+		return closed, s.shards[0].ingest(members, tick, value)
 	}
 	// An Engine only range-checks members when the unit's H-tree is built;
 	// routing needs the check per record, so bad members fail here (after
@@ -370,20 +398,16 @@ func (s *ShardedEngine) Ingest(members []int32, tick int64, value float64) ([]*U
 	if err != nil {
 		return closed, err
 	}
-	p := s.pending[sid]
-	if p == nil {
-		p = s.getBatch()
-		s.pending[sid] = p
-	}
-	p.Append(tick, members, value)
-	if p.Len() >= ingestBatchSize {
-		s.shards[sid].send(shardMsg{batch: p})
-		s.pending[sid] = nil
+	seg := s.openSegment(1)
+	seg.sel[sid] = append(seg.sel[sid], int32(seg.Len()))
+	seg.Append(tick, members, value)
+	if seg.Len() >= ingestBatchSize {
+		s.dispatch()
 	}
 	return closed, nil
 }
 
-// shardAdvance is one shard's reply to an advanceTo broadcast: its closed
+// shardAdvance is one shard's reply to an advanceTo barrier: its closed
 // units plus, when snapshots are on, a copy of its frame views after each
 // closed unit (frames[u] reflects state just after urs[u] closed).
 type shardAdvance struct {
@@ -400,7 +424,7 @@ type shardAdvance struct {
 func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 	n := int(target - s.unit)
 	publish := s.cfg.PublishSnapshots
-	vals, err := s.broadcast(func(e *Engine) (any, error) {
+	vals, err := s.scatter(false, func(_ int, e *Engine) (any, error) {
 		var adv shardAdvance
 		for e.unit < target {
 			ur, err := e.closeUnit()
@@ -676,7 +700,7 @@ func (s *ShardedEngine) ActiveCells() (int, error) {
 	if err := s.ready(); err != nil {
 		return 0, err
 	}
-	vals, err := s.broadcast(func(e *Engine) (any, error) { return e.ActiveCells(), nil })
+	vals, err := s.scatter(false, func(_ int, e *Engine) (any, error) { return e.ActiveCells(), nil })
 	if err != nil {
 		return 0, err
 	}
@@ -740,7 +764,7 @@ func (s *ShardedEngine) SetWALSeq(seq int64) error {
 	if err := s.ready(); err != nil {
 		return err
 	}
-	_, err := s.broadcast(func(e *Engine) (any, error) {
+	_, err := s.scatter(false, func(_ int, e *Engine) (any, error) {
 		e.SetWALSeq(seq)
 		return nil, nil
 	})
@@ -780,7 +804,7 @@ func (s *ShardedEngine) cutCheckpoints(cut func(*Engine) *Checkpoint) ([]*Checkp
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	vals, err := s.broadcast(func(e *Engine) (any, error) { return cut(e), nil })
+	vals, err := s.scatter(false, func(_ int, e *Engine) (any, error) { return cut(e), nil })
 	if err != nil {
 		return nil, err
 	}
@@ -829,7 +853,12 @@ func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 		sid := s.part.Hash(&members)
 		parts[sid].Tilt = append(parts[sid].Tilt, cf)
 	}
-	clear(s.pending)
+	// The open segment is discarded; the scatter below is a barrier, so the
+	// ones in flight are handed back before any shard restores.
+	if s.open != nil {
+		s.segFree <- s.open
+		s.open = nil
+	}
 	if _, err := s.scatter(true, func(i int, e *Engine) (any, error) { return nil, e.Restore(parts[i]) }); err != nil {
 		return err
 	}
@@ -844,18 +873,19 @@ func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 	return nil
 }
 
-// Close stops the shard goroutines and waits for them to exit. Buffered
-// records that have not reached a unit boundary are dropped — Flush first
-// for the final partial unit. Close is idempotent; every other method
-// fails after it.
+// Close stops the shard goroutines and waits for them to exit; they read
+// every segment still in flight first. Records in the open segment are
+// dropped — Flush first for the final partial unit. Close is idempotent;
+// every other method fails after it.
 func (s *ShardedEngine) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if s.sole() != nil {
+	if len(s.shards) == 1 {
 		return
 	}
+	s.open = nil
 	for _, sh := range s.shards {
 		close(sh.in)
 	}

@@ -39,6 +39,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Typed failure classes, shared with the WAL: ErrTorn marks a byte stream
@@ -278,8 +279,8 @@ func AppendBatch(dst []byte, b *Batch) []byte {
 // payload declares within [1,MaxDims]. All validation is batch-level and
 // up front: version, dims, count bounds, a minimum-size check so a corrupt
 // count cannot force a huge allocation, varint shape, tick overflow, and
-// exact payload length. Malformed payloads return ErrCorrupt; DecodeBatch
-// never panics on arbitrary input.
+// exact payload length. Malformed payloads return ErrCorrupt (b's contents
+// are then unspecified); DecodeBatch never panics on arbitrary input.
 func DecodeBatch(payload []byte, wantDims int, b *Batch) (int, error) {
 	if len(payload) < 3 {
 		return 0, fmt.Errorf("%w: %d-byte batch payload", ErrCorrupt, len(payload))
@@ -307,70 +308,80 @@ func DecodeBatch(payload []byte, wantDims int, b *Batch) (int, error) {
 	}
 	b.Reset(dims)
 	nr := int(count)
-	// count is bounded by the payload length above, so growing each column
-	// to its exact final size up front is safe — and it keeps the decode
-	// loops free of append-doubling (one allocation per column per batch,
-	// none once the batch is recycled).
-	if cap(b.Ticks) < nr {
-		b.Ticks = make([]int64, 0, nr)
+	// count is bounded by the payload length above, so sizing each column
+	// to its final length up front is safe — and the decode loops write by
+	// index (one allocation per column per batch, none once the batch is
+	// recycled).
+	b.Ticks = slices.Grow(b.Ticks, nr)[:nr]
+	b.Values = slices.Grow(b.Values, nr)[:nr]
+	n, bad := decodeVarints(rest, b.Ticks)
+	if bad >= 0 {
+		return 0, fmt.Errorf("%w: record %d tick delta", ErrCorrupt, bad)
 	}
-	if cap(b.Values) < nr {
-		b.Values = make([]float64, 0, nr)
-	}
-	for d := range b.Cols {
-		if cap(b.Cols[d]) < nr {
-			b.Cols[d] = make([]int32, 0, nr)
-		}
-	}
+	rest = rest[n:]
 	prev := int64(0)
-	for i := 0; i < nr; i++ {
-		// Single-byte deltas dominate real streams (consecutive ticks);
-		// decode them inline and leave the general varint off the fast path.
-		var d int64
-		if len(rest) > 0 && rest[0] < 0x80 {
-			c := rest[0]
-			d = int64(c>>1) ^ -int64(c&1)
-			rest = rest[1:]
-		} else {
-			var n int
-			d, n = binary.Varint(rest)
-			if n <= 0 {
-				return 0, fmt.Errorf("%w: record %d tick delta", ErrCorrupt, i)
-			}
-			rest = rest[n:]
-		}
+	for i, d := range b.Ticks {
 		tick := prev + d
 		// Overflow would make tick deltas ambiguous on re-encode.
 		if (d > 0 && tick < prev) || (d < 0 && tick > prev) {
 			return 0, fmt.Errorf("%w: record %d tick overflows", ErrCorrupt, i)
 		}
-		b.Ticks = append(b.Ticks, tick)
+		b.Ticks[i] = tick
 		prev = tick
 	}
-	for d := 0; d < dims; d++ {
-		col := b.Cols[d]
-		for i := 0; i < nr; i++ {
-			// Same fast path for members: dimension ids are small.
-			if len(rest) > 0 && rest[0] < 0x80 {
-				c := rest[0]
-				col = append(col, int32(c>>1)^-int32(c&1))
-				rest = rest[1:]
-				continue
-			}
-			v, n := binary.Varint(rest)
-			if n <= 0 || v < math.MinInt32 || v > math.MaxInt32 {
-				return 0, fmt.Errorf("%w: record %d member of dimension %d", ErrCorrupt, i, d)
-			}
-			col = append(col, int32(v))
-			rest = rest[n:]
+	for d := range b.Cols {
+		b.Cols[d] = slices.Grow(b.Cols[d], nr)[:nr]
+		n, bad := decodeVarints(rest, b.Cols[d])
+		if bad >= 0 {
+			return 0, fmt.Errorf("%w: record %d member of dimension %d", ErrCorrupt, bad, d)
 		}
-		b.Cols[d] = col
+		rest = rest[n:]
 	}
 	if len(rest) != 8*nr {
 		return 0, fmt.Errorf("%w: %d value bytes after %d records, want %d", ErrCorrupt, len(rest), nr, 8*nr)
 	}
-	for i := 0; i < nr; i++ {
-		b.Values = append(b.Values, math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:])))
+	for i := range b.Values {
+		b.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
 	}
 	return nr, nil
+}
+
+// decodeVarints decodes len(dst) zig-zag varints from the front of src and
+// returns the bytes they took, or — bad ≥ 0 — the index of the first one
+// that is truncated, overlong or outside T's range.
+//
+// Tick deltas and member ids are single-byte varints on dense streams
+// (consecutive ticks, small dimension ids), so eight payload bytes are
+// loaded as one word: when no lane has its continuation bit set, all eight
+// are zig-zag-decoded at once — value>>1 in every lane, XORed with 0xff
+// where the lane's sign bit was set, which is the value as a signed byte —
+// and stored by index. A word with a longer varint in it, or the tail of
+// the column, goes through the byte-at-a-time path eight values at a time.
+func decodeVarints[T int32 | int64](src []byte, dst []T) (n, bad int) {
+	for i := 0; i < len(dst); {
+		if i+8 <= len(dst) && n+8 <= len(src) {
+			if w := binary.LittleEndian.Uint64(src[n:]); w&0x8080808080808080 == 0 {
+				z := (w >> 1 & 0x3f3f3f3f3f3f3f3f) ^ (w&0x0101010101010101)*0xff
+				out := dst[i : i+8 : i+8]
+				out[0], out[1], out[2], out[3] = T(int8(z)), T(int8(z>>8)), T(int8(z>>16)), T(int8(z>>24))
+				out[4], out[5], out[6], out[7] = T(int8(z>>32)), T(int8(z>>40)), T(int8(z>>48)), T(int8(z>>56))
+				i, n = i+8, n+8
+				continue
+			}
+		}
+		for end := min(i+8, len(dst)); i < end; i++ {
+			if n < len(src) && src[n] < 0x80 {
+				dst[i] = T(src[n]>>1) ^ -T(src[n]&1)
+				n++
+				continue
+			}
+			v, size := binary.Varint(src[n:])
+			if size <= 0 || int64(T(v)) != v {
+				return n, i
+			}
+			dst[i] = T(v)
+			n += size
+		}
+	}
+	return n, -1
 }
