@@ -1,9 +1,11 @@
 package regcube
 
-// Benchmarks regenerating the paper's evaluation (one bench per figure
-// panel, on bench-scale datasets — full paper-scale sweeps run via
-// cmd/benchfig), plus micro-benchmarks of the substrate operations and
-// ablation benches for the design decisions listed in DESIGN.md §5.
+// Micro-benchmarks of the substrate operations, the sharded-engine
+// benchmarks the CI perf canary names, and ablation benches for the design
+// decisions listed in DESIGN.md §5 (#7 and #8 live in internal/core, beside
+// the reference kernel they time). The paper's Figures 8–10 are swept by
+// internal/bench (cmd/benchfig); the stream pipeline end to end and layer
+// by layer is timed by benchmark/.
 //
 // Custom metrics reported per op:
 //   cells/op  — cells aggregated (the paper's computation cost)
@@ -39,147 +41,6 @@ func reportCubing(b *testing.B, res *core.Result) {
 	b.Helper()
 	b.ReportMetric(float64(res.Stats.CellsComputed), "cells/op")
 	b.ReportMetric(float64(res.Stats.PeakBytes)/(1<<20), "peakMB/op")
-}
-
-// --- Figure 8: time & space vs exception rate (D3L3C6T10K bench scale) ---
-
-func BenchmarkFig8MOCubing(b *testing.B) {
-	b.ReportAllocs()
-	ds := benchDataset(b, gen.Spec{Dims: 3, Levels: 3, Fanout: 6, Tuples: 10000}, 8)
-	rates := []float64{0.001, 0.01, 0.1, 1}
-	thresholds := ds.CalibrateThresholds(rates)
-	for i, rate := range rates {
-		thr := exception.Global(thresholds[i])
-		b.Run(fmt.Sprintf("exc=%g%%", rate*100), func(b *testing.B) {
-			b.ReportAllocs()
-			var last *core.Result
-			for n := 0; n < b.N; n++ {
-				res, err := core.MOCubing(ds.Schema, ds.Inputs, thr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportCubing(b, last)
-		})
-	}
-}
-
-func BenchmarkFig8PopularPath(b *testing.B) {
-	b.ReportAllocs()
-	ds := benchDataset(b, gen.Spec{Dims: 3, Levels: 3, Fanout: 6, Tuples: 10000}, 8)
-	path := cube.NewLattice(ds.Schema).DefaultPath()
-	rates := []float64{0.001, 0.01, 0.1, 1}
-	thresholds := ds.CalibrateThresholds(rates)
-	for i, rate := range rates {
-		thr := exception.Global(thresholds[i])
-		b.Run(fmt.Sprintf("exc=%g%%", rate*100), func(b *testing.B) {
-			b.ReportAllocs()
-			var last *core.Result
-			for n := 0; n < b.N; n++ {
-				res, err := core.PopularPath(ds.Schema, ds.Inputs, thr, path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportCubing(b, last)
-		})
-	}
-}
-
-// --- Figure 9: time & space vs m-layer size (D3L3C6, 1% exceptions) ------
-
-func BenchmarkFig9MOCubing(b *testing.B) {
-	b.ReportAllocs()
-	full := benchDataset(b, gen.Spec{Dims: 3, Levels: 3, Fanout: 6, Tuples: 32000}, 9)
-	for _, size := range []int{4000, 8000, 16000, 32000} {
-		ds, err := full.Subset(size)
-		if err != nil {
-			b.Fatal(err)
-		}
-		thr := exception.Global(ds.CalibrateThreshold(0.01))
-		b.Run(fmt.Sprintf("T=%dK", size/1000), func(b *testing.B) {
-			b.ReportAllocs()
-			var last *core.Result
-			for n := 0; n < b.N; n++ {
-				res, err := core.MOCubing(ds.Schema, ds.Inputs, thr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportCubing(b, last)
-		})
-	}
-}
-
-func BenchmarkFig9PopularPath(b *testing.B) {
-	b.ReportAllocs()
-	full := benchDataset(b, gen.Spec{Dims: 3, Levels: 3, Fanout: 6, Tuples: 32000}, 9)
-	path := cube.NewLattice(full.Schema).DefaultPath()
-	for _, size := range []int{4000, 8000, 16000, 32000} {
-		ds, err := full.Subset(size)
-		if err != nil {
-			b.Fatal(err)
-		}
-		thr := exception.Global(ds.CalibrateThreshold(0.01))
-		b.Run(fmt.Sprintf("T=%dK", size/1000), func(b *testing.B) {
-			b.ReportAllocs()
-			var last *core.Result
-			for n := 0; n < b.N; n++ {
-				res, err := core.PopularPath(ds.Schema, ds.Inputs, thr, path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportCubing(b, last)
-		})
-	}
-}
-
-// --- Figure 10: time & space vs #levels (D2C10T10K bench scale) ----------
-
-func BenchmarkFig10MOCubing(b *testing.B) {
-	b.ReportAllocs()
-	for _, levels := range []int{3, 4, 5} {
-		ds := benchDataset(b, gen.Spec{Dims: 2, Levels: levels, Fanout: 10, Tuples: 10000}, 10)
-		thr := exception.Global(ds.CalibrateThreshold(0.01))
-		b.Run(fmt.Sprintf("L=%d", levels), func(b *testing.B) {
-			b.ReportAllocs()
-			var last *core.Result
-			for n := 0; n < b.N; n++ {
-				res, err := core.MOCubing(ds.Schema, ds.Inputs, thr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportCubing(b, last)
-		})
-	}
-}
-
-func BenchmarkFig10PopularPath(b *testing.B) {
-	b.ReportAllocs()
-	for _, levels := range []int{3, 4, 5} {
-		ds := benchDataset(b, gen.Spec{Dims: 2, Levels: levels, Fanout: 10, Tuples: 10000}, 10)
-		path := cube.NewLattice(ds.Schema).DefaultPath()
-		thr := exception.Global(ds.CalibrateThreshold(0.01))
-		b.Run(fmt.Sprintf("L=%d", levels), func(b *testing.B) {
-			b.ReportAllocs()
-			var last *core.Result
-			for n := 0; n < b.N; n++ {
-				res, err := core.PopularPath(ds.Schema, ds.Inputs, thr, path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportCubing(b, last)
-		})
-	}
 }
 
 // --- Substrate micro-benchmarks ------------------------------------------
@@ -265,37 +126,6 @@ func BenchmarkTiltFrameAdd(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if err := f.Add(int64(n), float64(n%60)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStreamIngest(b *testing.B) {
-	b.ReportAllocs()
-	h, err := cube.NewFanoutHierarchy("A", 4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	schema, err := cube.NewSchema(cube.Dimension{Name: "A", Hierarchy: h, MLevel: 2, OLevel: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := stream.NewEngine(stream.Config{
-		Schema:       schema,
-		TicksPerUnit: 60,
-		Threshold:    exception.Global(5),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	members := make([][]int32, 16)
-	for i := range members {
-		members[i] = []int32{int32(i)}
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		tick := int64(n / 16)
-		if _, err := eng.Ingest(members[n%16], tick, float64(n%13)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -435,10 +265,11 @@ func BenchmarkShardedIngestBatch(b *testing.B) {
 	}
 }
 
-// Same pipeline with snapshot publication on and a subscriber draining
-// the broadcast bus — the serving/alerting configuration. The subscriber
-// costs one channel send per closed unit; the delta against
-// BenchmarkShardedPipeline is the bus's whole ingest-path overhead.
+// The whole pipeline in the serving/alerting configuration: a unit closes
+// (and cubes, in parallel across shards) every 64 ticks × 256 cells,
+// snapshot publication is on and a subscriber drains the broadcast bus,
+// which costs one channel send per closed unit (the suite isolates it as
+// stream.close_unit_ms.sN minus .nopublish).
 func BenchmarkShardedIngestBusSubscriber(b *testing.B) {
 	b.ReportAllocs()
 	schema := shardedBenchSchema(b)
@@ -500,43 +331,6 @@ func BenchmarkShardedIngestBusSubscriber(b *testing.B) {
 			if units := eng.UnitsDone(); units > 0 && seen+eng.BusDropped() < units {
 				b.Fatalf("subscriber saw %d of %d units with %d dropped", seen, units, eng.BusDropped())
 			}
-		})
-	}
-}
-
-// End-to-end pipeline: a unit closes (and cubes, in parallel across
-// shards) every 64 ticks × 256 cells, the dominant cost at stream scale.
-func BenchmarkShardedPipeline(b *testing.B) {
-	b.ReportAllocs()
-	schema := shardedBenchSchema(b)
-	cells := shardedBenchCells()
-	cfg := stream.Config{
-		Schema:       schema,
-		TicksPerUnit: 64,
-		Threshold:    exception.Global(100),
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			eng, err := stream.NewShardedEngine(cfg, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			var units int64
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				tick := int64(n / len(cells))
-				closed, err := eng.Ingest(cells[n%len(cells)], tick, float64(n%13))
-				if err != nil {
-					b.Fatal(err)
-				}
-				units += int64(len(closed))
-			}
-			if _, err := eng.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(units+1)/float64(b.N), "units/op")
 		})
 	}
 }
@@ -764,66 +558,6 @@ func BenchmarkAblationEngines(b *testing.B) {
 		}
 		b.ReportMetric(float64(last.Stats.CellsRetained), "retained/op")
 	})
-}
-
-// Ablation: precomputed AncestorIndex roll-up vs the interface-walking
-// cube.RollUpKey in m/o-cubing's cuboid×leaf loop — identical sorted-run
-// aggregation (and identical bitwise results) in both arms, so the gap is
-// purely the per-leaf ancestor resolution (DESIGN.md §5 #7).
-func BenchmarkAblationAncestorIndex(b *testing.B) {
-	b.ReportAllocs()
-	ds := benchDataset(b, gen.Spec{Dims: 3, Levels: 3, Fanout: 6, Tuples: 10000}, 16)
-	thr := exception.Global(ds.CalibrateThreshold(0.01))
-	for _, bc := range []struct {
-		name string
-		opts core.CubingOptions
-	}{
-		{"indexed", core.CubingOptions{}},
-		{"interface-walk", core.CubingOptions{NoAncestorIndex: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var last *core.Result
-			for n := 0; n < b.N; n++ {
-				res, err := core.MOCubingWith(ds.Schema, ds.Inputs, thr, bc.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportCubing(b, last)
-		})
-	}
-}
-
-// Ablation: the reusable sorted-run scratch aggregator vs the original
-// per-cuboid map header table — AncestorIndex roll-ups (and identical
-// bitwise results) in both arms, so the gap is purely the scratch
-// strategy's allocation and hashing churn (DESIGN.md §5 #8).
-func BenchmarkAblationScratchReuse(b *testing.B) {
-	b.ReportAllocs()
-	ds := benchDataset(b, gen.Spec{Dims: 3, Levels: 3, Fanout: 6, Tuples: 10000}, 16)
-	thr := exception.Global(ds.CalibrateThreshold(0.01))
-	for _, bc := range []struct {
-		name string
-		opts core.CubingOptions
-	}{
-		{"sorted-run", core.CubingOptions{}},
-		{"map-scratch", core.CubingOptions{MapScratch: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var last *core.Result
-			for n := 0; n < b.N; n++ {
-				res, err := core.MOCubingWith(ds.Schema, ds.Inputs, thr, bc.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportCubing(b, last)
-		})
-	}
 }
 
 // Ablation: workload skew. Zipf-hot cells share H-tree prefixes, shrinking

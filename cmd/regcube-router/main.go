@@ -24,7 +24,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -188,65 +187,29 @@ func run(ctx context.Context, opt options, in io.Reader, out io.Writer) error {
 	return nil
 }
 
-// route decodes stdin — binary when the wire magic opens the stream,
-// text otherwise — and feeds the router until EOF, a decode error, or
-// the signal. Incoming advance barriers (a upstream router or replayed
+// route decodes stdin — text or binary, as gen.StreamReader negotiates —
+// and feeds the router batch by batch until EOF, a decode error, or the
+// signal. Incoming advance barriers (an upstream router or a replayed
 // capture) are forwarded.
 func route(ctx context.Context, router *cluster.Router, dims int, in io.Reader) error {
-	br := bufio.NewReaderSize(in, 1<<16)
-	peek, _ := br.Peek(len(wire.Magic))
-	if string(peek) == wire.Magic {
-		return routeBinary(ctx, router, br)
-	}
-	return routeText(ctx, router, dims, br)
-}
-
-func routeBinary(ctx context.Context, router *cluster.Router, br *bufio.Reader) error {
-	r, err := wire.NewReader(br)
-	if err != nil {
-		return err
-	}
+	sr := gen.NewStreamReader(bufio.NewReaderSize(in, 1<<16), dims)
 	var b wire.Batch
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		_, c, isCtrl, err := r.NextAny(&b)
-		if errors.Is(err, io.EOF) {
+	for ctx.Err() == nil {
+		_, ctrl, isCtrl, err := sr.Next(&b)
+		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			return err
+			return fmt.Errorf("%s stream: %w", sr.Format(), err)
 		}
 		if isCtrl {
-			if err := router.Advance(ctx, c.Unit); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := router.RouteBatch(ctx, &b); err != nil {
-			return err
-		}
-	}
-}
-
-func routeText(ctx context.Context, router *cluster.Router, dims int, br *bufio.Reader) error {
-	rr := gen.NewRecordReader(br, dims)
-	var n int64
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		tick, members, value, err := rr.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
+			err = router.Advance(ctx, ctrl.Unit)
+		} else {
+			err = router.RouteBatch(ctx, &b)
 		}
 		if err != nil {
-			return fmt.Errorf("record %d: %w", n+1, err)
-		}
-		n++
-		if err := router.Append(ctx, tick, members, value); err != nil {
 			return err
 		}
 	}
+	return nil
 }

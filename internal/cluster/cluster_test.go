@@ -467,6 +467,14 @@ func (s *flakySink) dial(context.Context, string) (io.WriteCloser, error) {
 	return &flakyConn{s: s, buf: buf, first: len(s.conns) == 1}, nil
 }
 
+// routeOne routes one record as a one-record batch.
+func routeOne(r *Router, tick int64, members []int32, value float64) error {
+	var b wire.Batch
+	b.Reset(len(members))
+	b.Append(tick, members, value)
+	return r.RouteBatch(context.Background(), &b)
+}
+
 // TestRouterReconnects proves a mid-stream connection failure is
 // survived: the router re-dials with a fresh stream header and re-sends
 // the failed operation, losing nothing when batches are unbuffered.
@@ -484,10 +492,9 @@ func TestRouterReconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	const records = 20
 	for i := 0; i < records; i++ {
-		if err := router.Append(ctx, int64(i), []int32{int32(i % 4), 0}, 1); err != nil {
+		if err := routeOne(router, int64(i), []int32{int32(i % 4), 0}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -639,17 +646,16 @@ func TestRouterRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := r.Append(ctx, 9, []int32{0, 0}, 1); err != nil {
+	if err := routeOne(r, 9, []int32{0, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Append(ctx, 1, []int32{0, 0}, 1); err == nil {
+	if err := routeOne(r, 1, []int32{0, 0}, 1); err == nil {
 		t.Fatal("regressing tick accepted")
 	}
-	if err := r.Append(ctx, 9, []int32{0}, 1); err == nil {
+	if err := routeOne(r, 9, []int32{0}, 1); err == nil {
 		t.Fatal("wrong dimension count accepted")
 	}
-	if err := r.Append(ctx, 10, []int32{0, 99}, 1); err == nil {
+	if err := routeOne(r, 10, []int32{0, 99}, 1); err == nil {
 		t.Fatal("out-of-range member accepted")
 	}
 }

@@ -74,8 +74,8 @@ type RouterStats struct {
 // sees a record of unit u+1 before every node was told to close unit u.
 // Not safe for concurrent use — one goroutine owns the stream.
 //
-// Delivery is at-most-once per connection: records accepted by Append but
-// still buffered when a connection fails are lost with it (the WAL on
+// Delivery is at-most-once per connection: records accepted by RouteBatch
+// but still buffered when a connection fails are lost with it (the WAL on
 // each node, not the router, is the durability story). A reconnect opens
 // a fresh stream header on the same node. Within a unit a node's records
 // keep their stream order; records of different nodes are not ordered
@@ -183,33 +183,6 @@ func (r *Router) RouteBatch(ctx context.Context, b *wire.Batch) error {
 		}
 	}
 	return r.routeSegment(ctx, b, lo, n)
-}
-
-// Append routes one record (the text-ingest path).
-func (r *Router) Append(ctx context.Context, tick int64, members []int32, value float64) error {
-	if len(members) != r.dims {
-		return fmt.Errorf("%w: record has %d members, schema has %d", stream.ErrRecord, len(members), r.dims)
-	}
-	if tick < r.unit*int64(r.cfg.TicksPerUnit) {
-		return fmt.Errorf("%w: tick %d before open unit %d", stream.ErrRecord, tick, r.unit)
-	}
-	if tick >= r.openEnd {
-		if err := r.advance(ctx, tick/int64(r.cfg.TicksPerUnit)); err != nil {
-			return err
-		}
-	}
-	sid, err := r.part.Route(members)
-	if err != nil {
-		return err
-	}
-	nc := r.nodes[sid]
-	if err := nc.do(ctx, func(w *wire.Writer) error {
-		return w.Append(tick, members, value)
-	}); err != nil {
-		return err
-	}
-	r.stats.Records[sid]++
-	return nil
 }
 
 // Advance applies an upstream barrier: flush and broadcast an advance

@@ -226,23 +226,11 @@ func SortedCellKeys[V any](m map[cube.CellKey]V) []cube.CellKey {
 	return keys
 }
 
-// CubingOptions disables the hot-path optimizations of MOCubing, keeping
-// the original implementation callable for the ablation benchmarks and the
-// old-vs-new bitwise agreement tests. The zero value — every optimization
-// on — is what MOCubing runs.
-type CubingOptions struct {
-	// MapScratch restores the per-cuboid map[cube.CellKey]regression.ISB
-	// header table instead of the reusable sorted-run aggregator.
-	MapScratch bool
-	// NoAncestorIndex resolves roll-ups with the interface-walking
-	// cube.RollUpKey instead of the precomputed cube.AncestorIndex.
-	NoAncestorIndex bool
-}
-
 // runEntry is one rolled-up leaf in the sorted-run aggregator: the target
 // cell as a linear code and the index of the source leaf. The stable radix
 // sort groups equal cells while preserving leaf order inside each group, so
-// the float accumulation order is exactly the map path's.
+// the float accumulation order is exactly that of a map header table filled
+// in leaf order (moCubingRef, the test reference).
 type runEntry struct {
 	code uint64
 	idx  int32
@@ -320,15 +308,7 @@ func radixSortByCode(entries, spare []runEntry, maxCode uint64) (sorted, other [
 // the layers (all cells at the o-layer, which is also returned). It is the
 // one-shot form of Workspace.MOCubing.
 func MOCubing(s *cube.Schema, inputs []Input, thr exception.Thresholder) (*Result, error) {
-	return MOCubingWith(s, inputs, thr, CubingOptions{})
-}
-
-// MOCubingWith is MOCubing with explicit optimization toggles — see
-// CubingOptions. Every combination produces bitwise-identical results; only
-// the cost differs (BenchmarkAblationAncestorIndex/ScratchReuse, and the
-// agreement property tests, are the referees).
-func MOCubingWith(s *cube.Schema, inputs []Input, thr exception.Thresholder, opts CubingOptions) (*Result, error) {
-	return NewWorkspace(s).run(inputs, thr, opts)
+	return NewWorkspace(s).MOCubing(inputs, thr)
 }
 
 // Workspace is what repeated m/o-cubing runs over one schema can keep
@@ -355,10 +335,6 @@ func NewWorkspace(s *cube.Schema) *Workspace { return &Workspace{schema: s} }
 
 // MOCubing is core.MOCubing run in the workspace.
 func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result, error) {
-	return w.run(inputs, thr, CubingOptions{})
-}
-
-func (w *Workspace) run(inputs []Input, thr exception.Thresholder, opts CubingOptions) (*Result, error) {
 	s := w.schema
 	if err := validate(s, inputs); err != nil {
 		return nil, err
@@ -427,63 +403,33 @@ func (w *Workspace) run(inputs []Input, thr exception.Thresholder, opts CubingOp
 			}
 			continue
 		}
-		var distinct int64
-		var retain func(yield func(cube.CellKey, regression.ISB))
-		if opts.MapScratch {
-			table := make(map[cube.CellKey]regression.ISB)
-			for _, lc := range leafCells {
-				var key cube.CellKey
-				if opts.NoAncestorIndex {
-					var err error
-					if key, err = cube.RollUpKey(s, lc.Key, c); err != nil {
-						return nil, err
-					}
-				} else {
-					key = idx.RollUp(lc.Key, c)
-				}
-				accumulate(table, key, lc.ISB)
-			}
-			distinct = int64(len(table))
-			retain = func(yield func(cube.CellKey, regression.ISB)) {
-				for key, isb := range table {
-					yield(key, isb)
-				}
-			}
-		} else {
-			if err := scratch.aggregate(s, idx, leafCells, c, opts.NoAncestorIndex); err != nil {
-				return nil, err
-			}
-			distinct = int64(len(scratch.cells))
-			retain = func(yield func(cube.CellKey, regression.ISB)) {
-				for i := range scratch.cells {
-					yield(scratch.cells[i].Key, scratch.cells[i].ISB)
-				}
-			}
+		if err := scratch.aggregate(s, idx, leafCells, c); err != nil {
+			return nil, err
 		}
+		distinct := int64(len(scratch.cells))
 		st.CellsComputed += distinct
 		if distinct > st.PeakScratchCells {
 			st.PeakScratchCells = distinct
 		}
-		peak := treeBytes + (distinct+int64(len(res.Exceptions))+int64(len(res.OLayer)))*bytesPerCell
-		if !opts.MapScratch {
-			// The run aggregator's two leaf-proportional entry buffers are
-			// scratch too; keep the memory panels honest about them.
-			const runEntryBytes = 16
-			peak += int64(cap(scratch.entries)+cap(scratch.spare)) * runEntryBytes
-		}
+		// The run aggregator's two leaf-proportional entry buffers are
+		// scratch too; keep the memory panels honest about them.
+		const runEntryBytes = 16
+		peak := treeBytes + (distinct+int64(len(res.Exceptions))+int64(len(res.OLayer)))*bytesPerCell +
+			int64(cap(scratch.entries)+cap(scratch.spare))*runEntryBytes
 		if peak > st.PeakBytes {
 			st.PeakBytes = peak
 		}
 		threshold := thr.Threshold(c)
 		isO := c.Equal(oLayer)
-		retain(func(key cube.CellKey, isb regression.ISB) {
+		for i := range scratch.cells {
+			cell := &scratch.cells[i]
 			if isO {
-				res.OLayer[key] = isb
+				res.OLayer[cell.Key] = cell.ISB
 			}
-			if exception.IsException(isb, threshold) {
-				res.Exceptions[key] = isb
+			if exception.IsException(cell.ISB, threshold) {
+				res.Exceptions[cell.Key] = cell.ISB
 			}
-		})
+		}
 	}
 	st.CubeTime = time.Since(cubeStart)
 	st.CellsRetained = int64(len(res.OLayer) + len(res.Exceptions))
@@ -503,10 +449,11 @@ func (w *Workspace) run(inputs []Input, thr exception.Thresholder, opts CubingOp
 
 // aggregate rolls every leaf up to cuboid c and sums equal cells into
 // sc.cells, reusing sc's buffers. The accumulation order inside each cell
-// is leaf order — identical to the map path's operand order, so results
-// are bitwise equal; only the bookkeeping differs (append + stable radix
-// sort instead of map assignments).
-func (sc *runScratch) aggregate(s *cube.Schema, idx *cube.AncestorIndex, leafCells []Cell, c cube.Cuboid, noIndex bool) error {
+// is leaf order — the operand order of a map header table filled leaf by
+// leaf (moCubingRef, the test reference), so results are bitwise equal to
+// it; only the bookkeeping differs (append + stable radix sort instead of
+// map assignments).
+func (sc *runScratch) aggregate(s *cube.Schema, idx *cube.AncestorIndex, leafCells []Cell, c cube.Cuboid) error {
 	strides, cards, total, coded := cuboidCoder(s, c)
 	sc.cells = sc.cells[:0]
 	if !coded {
@@ -515,36 +462,20 @@ func (sc *runScratch) aggregate(s *cube.Schema, idx *cube.AncestorIndex, leafCel
 
 	nd := len(s.Dims)
 	sc.entries = sc.entries[:0]
-	if noIndex {
-		// Ablation path: the interface-walking roll-up feeds the same coded
-		// aggregation, isolating the AncestorIndex's contribution.
-		for i := range leafCells {
-			key, err := cube.RollUpKey(s, leafCells[i].Key, c)
-			if err != nil {
-				return err
-			}
-			code := uint64(0)
-			for d := 0; d < nd; d++ {
-				code += uint64(key.Members[d]) * strides[d]
-			}
-			sc.entries = append(sc.entries, runEntry{code: code, idx: int32(i)})
+	// Compile the per-dimension resolution once per cuboid; coding a leaf is
+	// then one table read or divide per dimension.
+	sc.plan = sc.plan[:0]
+	mLayer := s.MLayer()
+	for d := 0; d < nd; d++ {
+		sc.plan = append(sc.plan, idx.Resolver(d, mLayer.Level(d), c.Level(d)))
+	}
+	for i := range leafCells {
+		members := &leafCells[i].Key.Members
+		code := uint64(0)
+		for d := range sc.plan {
+			code += uint64(sc.plan[d].Resolve(members[d])) * strides[d]
 		}
-	} else {
-		// Compile the per-dimension resolution once per cuboid; coding a
-		// leaf is then one table read or divide per dimension.
-		sc.plan = sc.plan[:0]
-		mLayer := s.MLayer()
-		for d := 0; d < nd; d++ {
-			sc.plan = append(sc.plan, idx.Resolver(d, mLayer.Level(d), c.Level(d)))
-		}
-		for i := range leafCells {
-			members := &leafCells[i].Key.Members
-			code := uint64(0)
-			for d := range sc.plan {
-				code += uint64(sc.plan[d].Resolve(members[d])) * strides[d]
-			}
-			sc.entries = append(sc.entries, runEntry{code: code, idx: int32(i)})
-		}
+		sc.entries = append(sc.entries, runEntry{code: code, idx: int32(i)})
 	}
 	if cap(sc.spare) < len(sc.entries) {
 		sc.spare = make([]runEntry, len(sc.entries))

@@ -23,7 +23,7 @@ func almostEq(a, b, tol float64) bool {
 
 // testSchema builds a D-dims, L-levels, fanout-C schema with o-layer at
 // level 1 everywhere (the benchmark convention of §5).
-func testSchema(t *testing.T, dims, levels, fanout int) *cube.Schema {
+func testSchema(t testing.TB, dims, levels, fanout int) *cube.Schema {
 	t.Helper()
 	ds := make([]cube.Dimension, dims)
 	for d := 0; d < dims; d++ {

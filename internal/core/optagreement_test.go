@@ -106,10 +106,11 @@ func randomAgreementInputs(r *rand.Rand, s *cube.Schema, n int) []Input {
 	return inputs
 }
 
-// Property: every CubingOptions combination — map scratch vs sorted-run
-// aggregator, interface roll-up vs ancestor index — produces bitwise
-// identical results on random schemas and datasets. This is the referee for
-// the PR-2 hot-path rewrite: the optimizations must change cost only.
+// Property: MOCubing (sorted-run aggregator, ancestor index) and the
+// reference kernel with either roll-up (map header table; interface walk or
+// ancestor index) produce bitwise identical results on random schemas and
+// datasets. This is the referee for the PR-2 hot-path rewrite: the
+// optimizations must change cost only.
 func TestMOCubingOptionsBitwiseAgreement(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(202))}
 	f := func(seed int64) bool {
@@ -122,23 +123,22 @@ func TestMOCubingOptionsBitwiseAgreement(t *testing.T) {
 		inputs := randomAgreementInputs(r, s, 20+r.Intn(200))
 		thr := exception.Global(r.Float64() * 2)
 
-		baseline, err := MOCubingWith(s, inputs, thr, CubingOptions{MapScratch: true, NoAncestorIndex: true})
+		baseline, err := moCubingRef(s, inputs, thr, false)
 		if err != nil {
 			t.Logf("baseline: %v", err)
 			return false
 		}
-		for _, opts := range []CubingOptions{
-			{},
-			{MapScratch: true},
-			{NoAncestorIndex: true},
+		for name, run := range map[string]func() (*Result, error){
+			"MOCubing":        func() (*Result, error) { return MOCubing(s, inputs, thr) },
+			"reference+index": func() (*Result, error) { return moCubingRef(s, inputs, thr, true) },
 		} {
-			got, err := MOCubingWith(s, inputs, thr, opts)
+			got, err := run()
 			if err != nil {
-				t.Logf("%+v: %v", opts, err)
+				t.Logf("%s: %v", name, err)
 				return false
 			}
 			if err := bitwiseEqualResults(baseline, got); err != nil {
-				t.Logf("%+v: %v", opts, err)
+				t.Logf("%s: %v", name, err)
 				return false
 			}
 		}
@@ -151,8 +151,8 @@ func TestMOCubingOptionsBitwiseAgreement(t *testing.T) {
 
 // Property: a Workspace carried through a run of batches — large, then a
 // few tuples, then large again, with a rejected batch in between — gives
-// every batch the result a fresh MOCubing call gives it, bit for bit (the
-// map-scratch, interface-walking baseline is the referee), and a result
+// every batch the result the reference kernel gives it, bit for bit
+// (moCubingRef: fresh tree, map header table, interface walk), and a result
 // handed out earlier is not touched by later runs: nothing of a unit
 // survives in the tree, the leaf buffer or the run aggregator into the
 // next.
@@ -180,7 +180,7 @@ func TestWorkspaceReuseBitwiseAgreement(t *testing.T) {
 				continue
 			}
 			inputs := randomAgreementInputs(r, s, n)
-			want, err := MOCubingWith(s, inputs, thr, CubingOptions{MapScratch: true, NoAncestorIndex: true})
+			want, err := moCubingRef(s, inputs, thr, false)
 			if err != nil {
 				t.Logf("baseline: %v", err)
 				return false
@@ -230,7 +230,7 @@ func (f *flatHierarchy) MemberName(level int, member int32) string {
 
 // The coded sort only covers cuboids whose cell space fits in a uint64;
 // larger spaces take the key-sorting fallback, which must agree bitwise
-// with the map path too.
+// with the reference kernel's map header table too.
 func TestMOCubingSortFallbackBitwiseAgreement(t *testing.T) {
 	// Three 2^21-member flat dimensions and one 2-level fanout dimension:
 	// cuboid (1,1,1,1) spans 2^63·2 cells, overflowing the coder, while the
@@ -264,7 +264,7 @@ func TestMOCubingSortFallbackBitwiseAgreement(t *testing.T) {
 		}
 	}
 	thr := exception.Global(0.5)
-	baseline, err := MOCubingWith(s, inputs, thr, CubingOptions{MapScratch: true, NoAncestorIndex: true})
+	baseline, err := moCubingRef(s, inputs, thr, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/regression"
+	"repro/internal/wire"
 )
 
 // WriteCSV emits a dataset in the cmd/datagen format: a header line, then
@@ -206,6 +207,84 @@ func (r *RecordReader) readLine() ([]byte, error) {
 			return line, nil
 		}
 	}
+}
+
+// textBatchRecords is how many text records StreamReader gathers into one
+// columnar batch. It also cuts a batch whenever the buffer runs dry, so a
+// paced producer's records are never held back waiting for a full batch.
+const textBatchRecords = 512
+
+// StreamReader decodes a record stream in either ingest format — text
+// lines (RecordReader) or the framed columnar encoding (internal/wire) —
+// into columnar batches. It is the one place the format is negotiated: the
+// wire magic's first byte can never open a text record, so peeking the
+// magic length decides the decoder, and a stream shorter than the magic is
+// text. Every stream source (streamd's stdin and TCP connections, the
+// router's stdin) reads through it. Not safe for concurrent use.
+type StreamReader struct {
+	format  wire.Format
+	dims    int
+	bin     *wire.Reader  // FormatBinary
+	text    *RecordReader // FormatText
+	records int64         // text records returned so far, for error positions
+	// err ends the stream: a binary header that is bad or names another
+	// dimension count, or the text error (io.EOF included) met after the
+	// records of the batch just returned.
+	err error
+}
+
+// NewStreamReader negotiates the format of the stream in br, whose records
+// must have dims dimension members. A binary stream's header is consumed
+// here; what is wrong with it is reported by the first Next.
+func NewStreamReader(br *bufio.Reader, dims int) *StreamReader {
+	r := &StreamReader{dims: dims}
+	if peek, _ := br.Peek(len(wire.Magic)); string(peek) != wire.Magic {
+		r.text = NewRecordReader(br, dims)
+		return r
+	}
+	r.format = wire.FormatBinary
+	if r.bin, r.err = wire.NewReader(br); r.err == nil && r.bin.Dims() != dims {
+		r.err = fmt.Errorf("gen: stream carries %d dimensions, want %d", r.bin.Dims(), dims)
+	}
+	return r
+}
+
+// Format reports which encoding the stream opened with.
+func (r *StreamReader) Format() wire.Format { return r.format }
+
+// Next decodes into b, whose storage it reuses, either the next batch (n
+// records, n > 0) or — binary streams only — the next control frame (isCtrl,
+// n zero). A binary batch is one frame; a text batch ends at
+// textBatchRecords or when the buffer runs dry. A clean end of input is
+// io.EOF. A bad text line is reported by the call after the one that
+// returned the records before it, so those are delivered first.
+func (r *StreamReader) Next(b *wire.Batch) (n int, ctrl wire.Control, isCtrl bool, err error) {
+	if r.err != nil {
+		return 0, wire.Control{}, false, r.err
+	}
+	if r.format == wire.FormatBinary {
+		return r.bin.NextAny(b)
+	}
+	b.Reset(r.dims)
+	for {
+		tick, members, value, err := r.text.Next()
+		if err != nil {
+			if err != io.EOF {
+				err = fmt.Errorf("record %d: %w", r.records+1, err)
+			}
+			r.err = err
+			break
+		}
+		r.records++
+		b.Append(tick, members, value)
+		if b.Len() >= textBatchRecords || r.text.Buffered() == 0 {
+			break
+		}
+	}
+	if b.Len() == 0 {
+		return 0, wire.Control{}, false, r.err
+	}
+	return b.Len(), wire.Control{}, false, nil
 }
 
 func indexComma(b []byte) int {

@@ -13,12 +13,6 @@ import (
 	"repro/internal/wire"
 )
 
-// textBatchRecords is how many text records accumulate into one columnar
-// batch before hand-off to the ingest loop. The reader also cuts a batch
-// whenever its buffer runs dry, so a paced producer's records are never
-// held back waiting for a full batch.
-const textBatchRecords = 512
-
 // ingestMsg is one message from the reader goroutine to the ingest loop:
 // a decoded record batch, or an advance barrier (a control frame telling
 // the engine to close every unit before advance).
@@ -49,13 +43,7 @@ func serveIngest(ctx context.Context, ln net.Listener, dims int, getBatch func()
 			fmt.Fprintf(os.Stderr, "streamd: ingest accept: %v\n", err)
 			continue
 		}
-		br := bufio.NewReaderSize(conn, 1<<16)
-		peek, _ := br.Peek(len(wire.Magic))
-		if string(peek) == wire.Magic {
-			err = readBinary(ctx, br, dims, getBatch, msgs, stats, wire.SourceTCP)
-		} else {
-			err = readText(ctx, br, dims, getBatch, msgs, stats, wire.SourceTCP)
-		}
+		err = readStream(ctx, conn, dims, getBatch, msgs, stats, wire.SourceTCP)
 		conn.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "streamd: ingest connection: %v\n", err)
@@ -66,90 +54,41 @@ func serveIngest(ctx context.Context, ln net.Listener, dims int, getBatch func()
 	}
 }
 
-// readBinary decodes framed columnar batches (internal/wire) into the
-// message channel until EOF, a decode error, or the signal. Frames decode
-// straight into recycled Batch storage — no per-record allocation — and
-// control frames (the router's unit barriers) pass through as advance
-// messages in stream order.
-func readBinary(ctx context.Context, br *bufio.Reader, dims int, getBatch func() *wire.Batch,
+// readStream decodes one record stream — stdin or a TCP connection, text
+// or binary as gen.StreamReader negotiates — into the message channel until
+// EOF, a decode error, or the signal. Batches decode straight into recycled
+// Batch storage, no per-record allocation; a batch is drawn only when the
+// previous one was handed on, so control frames (the router's unit
+// barriers, passed through as advance messages in stream order) cost none.
+func readStream(ctx context.Context, in io.Reader, dims int, getBatch func() *wire.Batch,
 	msgs chan<- ingestMsg, stats *wire.IngestStats, src wire.Source) error {
-	wr, err := wire.NewReader(br)
-	if err != nil {
-		stats.AddDecodeError(wire.FormatBinary, src)
-		return fmt.Errorf("binary stream: %w", err)
-	}
-	if wr.Dims() != dims {
-		stats.AddDecodeError(wire.FormatBinary, src)
-		return fmt.Errorf("binary stream carries %d dimensions, -spec has %d", wr.Dims(), dims)
-	}
+	sr := gen.NewStreamReader(bufio.NewReaderSize(in, 1<<16), dims)
+	format := sr.Format()
+	b := getBatch()
 	for {
-		// Stop decoding once the signal fires — the unconditional send
-		// below still delivers the batch in flight, so shutdown drains a
+		// Stop decoding once the signal fires — the unconditional sends
+		// below still deliver what was decoded, so shutdown drains a
 		// bounded backlog instead of racing a fast producer.
 		select {
 		case <-ctx.Done():
 			return nil
 		default:
 		}
-		b := getBatch()
-		n, ctrl, isCtrl, err := wr.NextAny(b)
+		n, ctrl, isCtrl, err := sr.Next(b)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			stats.AddDecodeError(wire.FormatBinary, src)
-			return fmt.Errorf("binary stream: %w", err)
+			stats.AddDecodeError(format, src)
+			return fmt.Errorf("%s stream: %w", format, err)
 		}
-		stats.AddFrame(wire.FormatBinary, src)
+		stats.AddFrame(format, src)
 		if isCtrl {
 			msgs <- ingestMsg{advance: ctrl.Unit, isCtrl: true}
 			continue
 		}
-		stats.AddRecords(wire.FormatBinary, src, n)
+		stats.AddRecords(format, src, n)
 		msgs <- ingestMsg{batch: b}
-	}
-}
-
-// readText parses text records (tick,dim0,...,dimN,value) into columnar
-// batches, cutting a batch at textBatchRecords or whenever the buffer runs
-// dry — a paced producer's records are delivered as they arrive, a bulk
-// pipe is consumed in full batches.
-func readText(ctx context.Context, br *bufio.Reader, dims int, getBatch func() *wire.Batch,
-	msgs chan<- ingestMsg, stats *wire.IngestStats, src wire.Source) error {
-	rr := gen.NewRecordReader(br, dims)
-	b := getBatch()
-	flush := func() {
-		if b.Len() > 0 {
-			stats.AddFrame(wire.FormatText, src)
-			stats.AddRecords(wire.FormatText, src, b.Len())
-			msgs <- ingestMsg{batch: b}
-			b = getBatch()
-		}
-	}
-	var n int64
-	for {
-		select {
-		case <-ctx.Done():
-			flush()
-			return nil
-		default:
-		}
-		tick, members, value, err := rr.Next()
-		if err == io.EOF {
-			flush()
-			return nil
-		}
-		if err != nil {
-			// Records decoded before the bad one are still delivered, then
-			// the error fails the run.
-			flush()
-			stats.AddDecodeError(wire.FormatText, src)
-			return fmt.Errorf("record %d: %w", n+1, err)
-		}
-		n++
-		b.Append(tick, members, value)
-		if b.Len() >= textBatchRecords || rr.Buffered() == 0 {
-			flush()
-		}
+		b = getBatch()
 	}
 }

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -410,18 +409,7 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 	} else {
 		go func() {
 			defer close(msgs)
-			br := bufio.NewReaderSize(in, 1<<16)
-			// Format negotiation: the wire magic's first byte can never open a
-			// text record, so peeking the magic length decides the decoder. A
-			// stream shorter than the magic falls through to the text parser.
-			peek, _ := br.Peek(len(wire.Magic))
-			var err error
-			if string(peek) == wire.Magic {
-				err = readBinary(ctx, br, a.Dims, getBatch, msgs, ingestStats, wire.SourceStdin)
-			} else {
-				err = readText(ctx, br, a.Dims, getBatch, msgs, ingestStats, wire.SourceStdin)
-			}
-			if err != nil {
+			if err := readStream(ctx, in, a.Dims, getBatch, msgs, ingestStats, wire.SourceStdin); err != nil {
 				readErr <- err
 			}
 		}()

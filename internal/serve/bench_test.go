@@ -174,8 +174,8 @@ func BenchmarkServeQueryUnderIngest(b *testing.B) {
 // /v1/forecast: the Theorem 3.3 fold over the cell's trailing history
 // plus the forward evaluation and JSON encoding. Forecasting is
 // query-time only by construction — no per-record state is maintained
-// for it, so its ingest cost is zero; BenchmarkSnapshotPublish (run
-// alongside in BENCH_PR10.json) is the unchanged ingest-side price.
+// for it, so its ingest cost is zero; BenchmarkSnapshotPublish is the
+// unchanged ingest-side price.
 func BenchmarkForecastQuery(b *testing.B) {
 	eng := benchEngine(b, 4, 8)
 	cells := benchCells()

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -85,8 +84,8 @@ type shard struct {
 // disjoint and union to precisely the single-engine result: the merged
 // o-layer, exception sets, drill-downs, per-o-cell frames, and delta cubes
 // are identical (bitwise, thanks to the canonical aggregation order) to
-// what one Engine would produce from the same stream, alert order (see
-// SortAlerts) included.
+// what one Engine would produce from the same stream, alert order (unit,
+// then cube.CompareKeys on the cell, then kind) included.
 //
 // Unit boundaries are the only synchronization points: a record crossing
 // the open unit's end makes the coordinator dispatch the open segment,
@@ -632,18 +631,6 @@ func mergeDeltas(schema *cube.Schema, urs []*UnitResult) *core.DeltaResult {
 // (cube.CompareKeys), then kind.
 func compareAlerts(a, b Alert) int {
 	return cmp.Or(cmp.Compare(a.Unit, b.Unit), cube.CompareKeys(a.Cell, b.Cell), cmp.Compare(a.Kind, b.Kind))
-}
-
-// SortAlerts orders alerts canonically — by unit, cell (cube.CompareKeys),
-// then kind — and each alert's drill-down by cell. Both engines, and every
-// published or merged snapshot, already return alerts in this order, so on
-// engine output it changes nothing; it is for alert lists a caller
-// assembled or reordered itself.
-func SortAlerts(alerts []Alert) {
-	for i := range alerts {
-		slices.SortFunc(alerts[i].Drill, core.CompareCells)
-	}
-	slices.SortFunc(alerts, compareAlerts)
 }
 
 // mergeAlerts k-way-merges alert lists that are each in canonical order

@@ -40,7 +40,8 @@ type Snapshot struct {
 	// PublishSnapshots on, callers must treat UnitResult.Result as
 	// immutable (mutating its maps races concurrent readers).
 	Result *core.Result
-	// Alerts are the unit's alerts in canonical order (SortAlerts).
+	// Alerts are the unit's alerts in canonical order: unit, then cell
+	// (cube.CompareKeys), then kind.
 	Alerts []Alert
 	// Frames maps each o-cell seen so far to its history: the frame's
 	// finest level holds the trailing per-unit regressions (every frame

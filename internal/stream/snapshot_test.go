@@ -204,7 +204,7 @@ func TestShardedSnapshotMatchesSingle(t *testing.T) {
 			if !reflect.DeepEqual(got.Frames, want.Frames) {
 				t.Fatal("merged frames differ from single engine")
 			}
-			// As published by each engine: no SortAlerts on either side.
+			// As published by each engine: no re-sorting on either side.
 			if !reflect.DeepEqual(got.Alerts, want.Alerts) {
 				t.Fatalf("alerts differ:\n%+v\nvs\n%+v", got.Alerts, want.Alerts)
 			}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/exception"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // checkpointJSON renders a checkpoint in its canonical serialized form;
@@ -158,11 +159,12 @@ func TestWALReplayShardCountWhatIf(t *testing.T) {
 	// multi-record frames.
 	for i := 0; i < len(recs); i += 5 {
 		end := min(i+5, len(recs))
-		batch := make([]wal.Record, 0, 5)
+		var batch wire.Batch
+		batch.Reset(len(recs[i].members))
 		for _, r := range recs[i:end] {
-			batch = append(batch, wal.Record{Tick: r.tick, Value: r.value, Members: r.members})
+			batch.Append(r.tick, r.members, r.value)
 		}
-		if err := log.Append(batch); err != nil {
+		if err := log.AppendColumnar(&batch); err != nil {
 			t.Fatal(err)
 		}
 	}

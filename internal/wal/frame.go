@@ -64,25 +64,9 @@ func DecodeFrame(b []byte) (payload []byte, n int, err error) {
 	return payload, n, err
 }
 
-// EncodeBatch appends the batch encoding of recs to dst and returns the
-// extended slice.
-func EncodeBatch(dst []byte, recs []Record) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
-	for _, r := range recs {
-		dst = binary.AppendUvarint(dst, uint64(len(r.Members)))
-		for _, m := range r.Members {
-			dst = binary.AppendVarint(dst, int64(m))
-		}
-		dst = binary.AppendVarint(dst, r.Tick)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Value))
-	}
-	return dst
-}
-
-// appendColumnarBatch appends the same batch encoding, reading records
-// column-wise from a wire batch instead of a []Record — the binary ingest
-// path logs straight from decoded columns without materializing rows.
-func appendColumnarBatch(dst []byte, b *wire.Batch) []byte {
+// appendBatch appends the batch payload of b's records to dst and returns
+// the extended slice, reading the columns row by row.
+func appendBatch(dst []byte, b *wire.Batch) []byte {
 	dims := len(b.Cols)
 	dst = binary.AppendUvarint(dst, uint64(b.Len()))
 	for i, tick := range b.Ticks {

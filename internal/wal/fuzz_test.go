@@ -1,12 +1,31 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/wire"
 )
+
+// encodeBatch is the decoder tests' reference encoder of the batch payload:
+// unlike Log.AppendColumnar, which writes every record of a wire.Batch with
+// the batch's one dimension count, it takes rows and so can produce the
+// ragged and oversized member counts DecodeBatch's checks exist for.
+func encodeBatch(dst []byte, recs []Record) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
+	for _, r := range recs {
+		dst = binary.AppendUvarint(dst, uint64(len(r.Members)))
+		for _, m := range r.Members {
+			dst = binary.AppendVarint(dst, int64(m))
+		}
+		dst = binary.AppendVarint(dst, r.Tick)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Value))
+	}
+	return dst
+}
 
 // FuzzDecodeFrame drives the recovery decoder with arbitrary bytes: every
 // input must yield a clean decode, io.EOF, or a typed ErrTorn/ErrCorrupt —
@@ -15,7 +34,7 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	// Seeds: a healthy frame, a torn tail at several offsets, a zero fill,
 	// a bit flip, and an oversized length prefix.
-	valid := EncodeFrame(nil, EncodeBatch(nil, []Record{
+	valid := EncodeFrame(nil, encodeBatch(nil, []Record{
 		{Tick: 7, Value: 3.5, Members: []int32{1, 2}},
 		{Tick: 8, Value: -1, Members: []int32{0, 5}},
 	}))
@@ -91,7 +110,7 @@ func FuzzEncodeDecodeBatch(f *testing.F) {
 			}
 			recs = append(recs, Record{Tick: tick + int64(i), Value: value * float64(i+1), Members: members})
 		}
-		payload := EncodeBatch(nil, recs)
+		payload := encodeBatch(nil, recs)
 		var got []Record
 		count, err := DecodeBatch(payload, func(r Record) error {
 			cp := r

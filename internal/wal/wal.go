@@ -466,32 +466,14 @@ func (l *Log) Segments() []SegmentInfo { return slices.Clone(l.segs) }
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.opts.Dir }
 
-// Append writes one frame carrying recs and advances Seq by len(recs).
-// Whether the frame is durable when Append returns is the sync policy's
-// call; Sync forces the question. An empty batch is a no-op.
-func (l *Log) Append(recs []Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	l.payload = EncodeBatch(l.payload[:0], recs)
-	return l.appendPayload(int64(len(recs)))
-}
-
-// AppendColumnar writes one frame carrying the records of a wire batch and
-// advances Seq by b.Len(). The on-disk encoding is identical to Append on
-// the equivalent []Record — the log format does not fork — so replay and
-// recovery are oblivious to which ingest path fed the log.
+// AppendColumnar writes one frame carrying the records of a wire batch —
+// row-encoded, straight from the decoded columns — and advances Seq by
+// b.Len(). Whether the frame is durable when it returns is the sync
+// policy's call; Sync forces the question. An empty batch is a no-op.
 func (l *Log) AppendColumnar(b *wire.Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	l.payload = appendColumnarBatch(l.payload[:0], b)
-	return l.appendPayload(int64(b.Len()))
-}
-
-// appendPayload frames l.payload, writes it, and applies rotation and the
-// sync policy. recs is how far Seq advances on success.
-func (l *Log) appendPayload(recs int64) error {
 	if l.f == nil {
 		return fmt.Errorf("%w: log closed", ErrCorrupt)
 	}
@@ -500,6 +482,7 @@ func (l *Log) appendPayload(recs int64) error {
 			return err
 		}
 	}
+	l.payload = appendBatch(l.payload[:0], b)
 	if len(l.payload) > MaxFramePayload {
 		return fmt.Errorf("%w: batch encodes to %d bytes, frame cap %d", ErrCorrupt, len(l.payload), MaxFramePayload)
 	}
@@ -508,7 +491,7 @@ func (l *Log) appendPayload(recs int64) error {
 		return err
 	}
 	l.size += int64(len(l.frameBuf))
-	l.seq += recs
+	l.seq += int64(b.Len())
 	l.dirty = true
 	switch l.opts.Sync {
 	case SyncBatch:

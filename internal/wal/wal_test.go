@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // rec builds a test record with a recognizable shape: tick t, value v,
@@ -17,13 +20,24 @@ func rec(t int64, v float64) Record {
 	return Record{Tick: t, Value: v, Members: []int32{int32(t % 7), int32(t % 3)}}
 }
 
+// appendRecs appends recs as one frame.
+func appendRecs(t *testing.T, l *Log, recs ...Record) {
+	t.Helper()
+	var b wire.Batch
+	b.Reset(len(recs[0].Members))
+	for _, r := range recs {
+		b.Append(r.Tick, r.Members, r.Value)
+	}
+	if err := l.AppendColumnar(&b); err != nil {
+		t.Fatalf("AppendColumnar: %v", err)
+	}
+}
+
 // appendN appends n single-record frames starting at tick base.
 func appendN(t *testing.T, l *Log, base int64, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := l.Append([]Record{rec(base+int64(i), float64(i))}); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+		appendRecs(t, l, rec(base+int64(i), float64(i)))
 	}
 }
 
@@ -56,9 +70,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		batch := []Record{rec(int64(i*2), float64(i)), rec(int64(i*2+1), -float64(i))}
 		want = append(want, batch...)
-		if err := l.Append(batch); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+		appendRecs(t, l, batch...)
 	}
 	if got := l.Seq(); got != 20 {
 		t.Fatalf("Seq = %d, want 20", got)
@@ -352,7 +364,7 @@ func TestRotationEdges(t *testing.T) {
 				var hdr [segmentHdrLen]byte
 				copy(hdr[:], segmentMagic)
 				binary.LittleEndian.PutUint64(hdr[8:], 3)
-				frame := EncodeFrame(nil, EncodeBatch(nil, []Record{rec(100, 1)}))
+				frame := EncodeFrame(nil, encodeBatch(nil, []Record{rec(100, 1)}))
 				if err := os.WriteFile(filepath.Join(dir, name), append(hdr[:], frame...), 0o666); err != nil {
 					t.Fatal(err)
 				}
@@ -518,7 +530,7 @@ func TestReplayNegativeWatermark(t *testing.T) {
 }
 
 func TestFrameCodecErrors(t *testing.T) {
-	valid := EncodeFrame(nil, EncodeBatch(nil, []Record{rec(1, 2)}))
+	valid := EncodeFrame(nil, encodeBatch(nil, []Record{rec(1, 2)}))
 	if _, _, err := DecodeFrame(valid); err != nil {
 		t.Fatalf("DecodeFrame(valid): %v", err)
 	}
@@ -544,5 +556,20 @@ func TestFrameCodecErrors(t *testing.T) {
 	huge = append(huge, 0, 0, 0, 0)
 	if _, _, err := DecodeFrame(huge); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized length error = %v, want ErrCorrupt", err)
+	}
+}
+
+// The log's one writer reads columns; the decoder tests' reference encoder
+// reads rows. On the same records they must produce the same payload — the
+// on-disk format has one definition.
+func TestAppendBatchMatchesReferenceEncoder(t *testing.T) {
+	recs := []Record{rec(3, 1.5), rec(-9, -0.25), rec(1<<40, 1e300)}
+	var b wire.Batch
+	b.Reset(2)
+	for _, r := range recs {
+		b.Append(r.Tick, r.Members, r.Value)
+	}
+	if got, want := appendBatch(nil, &b), encodeBatch(nil, recs); !bytes.Equal(got, want) {
+		t.Fatalf("columnar payload %x, reference %x", got, want)
 	}
 }

@@ -282,13 +282,6 @@ func NewShardedStreamEngine(cfg StreamConfig, shards int) (*ShardedStreamEngine,
 	return stream.NewShardedEngine(cfg, shards)
 }
 
-// SortStreamAlerts orders alerts canonically — by unit, cell
-// (cube.CompareKeys order), then kind — and each alert's Drill by cell.
-// Every engine, sharded or not, already returns alerts in this order, so
-// on engine output it changes nothing; it is for alert lists the caller
-// assembled or reordered.
-func SortStreamAlerts(alerts []Alert) { stream.SortAlerts(alerts) }
-
 // StreamSnapshot is the immutable per-unit view an engine publishes when
 // StreamConfig.PublishSnapshots is set: the unit's cube result, alerts in
 // canonical order, and every o-cell's tilt frame (its trailing history is

@@ -9,6 +9,7 @@
 # know about.
 #
 #   cmd/streamd          -> internal/node only (among internal/*)
+#   cmd/regcube-router   -> internal/cluster, gen, serve, wire only
 #   internal/node        -> anything below it except internal/cluster
 #   internal/serve       -> must not reach node/cluster/wal/persist/gen
 #   internal/alert       -> must not reach node/serve/cluster/wal/persist/gen/query
@@ -59,6 +60,10 @@ checkonly() {
 
 # The daemon binary is flag parsing over the node runtime.
 checkonly repro/cmd/streamd internal/node
+
+# The router binary is flag parsing over the cluster layer: the stream
+# reader (gen, wire) feeds cluster.Router, serve answers for the gatherer.
+checkonly repro/cmd/regcube-router internal/cluster internal/gen internal/serve internal/wire
 
 # The node runtime sits above everything except the cluster layer (the
 # router is its peer, not its dependency).
