@@ -219,31 +219,44 @@ func BenchmarkShardedIngest(b *testing.B) {
 // 2 048-record frames — one op is one frame through IngestBatch, ticks
 // rewritten in place between calls as a decoder reusing its batch would.
 // No unit closes; the final ActiveCells barrier is inside the timer.
-// ns/rec at 1 / 2 / 4 shards is what sharding costs on ingest.
+// ns/rec at 1 / 2 / 4 shards is what sharding costs on ingest. sparse-s2
+// feeds the same 256 cells, spread over a D2L3C8 m-layer of 262 144 cells
+// (past the dense cell table: the o-ancestor fold, member columns and the
+// engine's map), at 2 shards.
 func BenchmarkShardedIngestBatch(b *testing.B) {
-	spec, err := gen.ParseSpec("D2L2C4T1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	schema, err := spec.StreamSchema()
-	if err != nil {
-		b.Fatal(err)
-	}
 	const cells, frameTicks = 256, 8
-	var frame wire.Batch
-	frame.Reset(2)
-	for i := 0; i < cells*frameTicks; i++ {
-		c := int32(i % cells)
-		frame.Append(int64(i/cells), []int32{c % 16, c / 16}, float64(i%13))
-	}
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("s%d", shards), func(b *testing.B) {
+	for _, leg := range []struct {
+		name   string
+		spec   string
+		spread int32 // member stride: 16 values per dimension
+		shards int
+	}{
+		{"s1", "D2L2C4T1", 1, 1},
+		{"s2", "D2L2C4T1", 1, 2},
+		{"s4", "D2L2C4T1", 1, 4},
+		{"sparse-s2", "D2L3C8T1", 32, 2},
+	} {
+		spec, err := gen.ParseSpec(leg.spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		schema, err := spec.StreamSchema()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var frame wire.Batch
+		frame.Reset(2)
+		for i := 0; i < cells*frameTicks; i++ {
+			c := int32(i % cells)
+			frame.Append(int64(i/cells), []int32{c % 16 * leg.spread, c / 16 * leg.spread}, float64(i%13))
+		}
+		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			eng, err := stream.NewShardedEngine(stream.Config{
 				Schema:       schema,
 				TicksPerUnit: 1 << 40,
 				Threshold:    exception.Global(1e18),
-			}, shards)
+			}, leg.shards)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -88,8 +88,10 @@ type Router struct {
 	// unit is the current open unit; openEnd its first-excluded tick.
 	unit    int64
 	openEnd int64
-	// hb, sel and members are routeSegment's scratch: the partition fold,
+	// cells, hb, sel and members are routeSegment's scratch: the m-cell
+	// indexes or the partition fold (whichever Partitioner.Select uses),
 	// each node's record positions, and one record's member tuple.
+	cells   []int32
 	hb      []uint64
 	sel     [][]int32
 	members []int32
@@ -162,7 +164,7 @@ func (r *Router) RouteBatch(ctx context.Context, b *wire.Batch) error {
 	}
 	n := b.Len()
 	if cap(r.hb) < n {
-		r.hb = make([]uint64, n)
+		r.cells, r.hb = make([]int32, n), make([]uint64, n)
 	}
 	lo := 0
 	for i := 0; i < n; i++ {
@@ -208,7 +210,7 @@ func (r *Router) routeSegment(ctx context.Context, b *wire.Batch, lo, hi int) er
 	for sid := range r.sel {
 		r.sel[sid] = r.sel[sid][:0]
 	}
-	if err := r.part.Select(b, lo, hi, r.hb[:hi-lo], int32(lo), r.sel); err != nil {
+	if err := r.part.Select(b, lo, hi, r.cells[:hi-lo], r.hb[:hi-lo], int32(lo), r.sel); err != nil {
 		return err
 	}
 	for sid, sel := range r.sel {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -331,6 +332,47 @@ func TestExecuteBatch(t *testing.T) {
 	}
 	if _, err := batch.Results[3].Decode(KindTrend); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("decoded missing result err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestBatchResponseAppendJSON holds the hand-written batch envelope to
+// encoding/json: json.Marshal's bytes — and json.Encoder's, newline aside
+// — for an executed batch and for results exercising every omitempty
+// field, HTML escaping and an invalid UTF-8 error message.
+func TestBatchResponseAppendJSON(t *testing.T) {
+	ex := execTestExecutor(t, 3, nil)
+	for i, batch := range []*BatchResponse{
+		ex.ExecuteBatch(Wrap(
+			SummaryRequest{},
+			ExceptionsRequest{K: 2},
+			SupportersRequest{CellRef: OCell(9, 9)},
+			TrendRequest{CellRef: OCell(0, 0), K: 99},
+			AlertsRequest{},
+			FrameRequest{CellRef: OCell(0, 0)},
+		)),
+		{Unit: -3, UnitsDone: 1 << 40, Results: []BatchResult{
+			{Status: 500, Error: "<a href=\"x\">&\u2028\xff"},
+			{OK: true, Result: json.RawMessage(`{"name":"\u003cA:1\u003e","v":[1,2.5e-7]}`)},
+			{},
+		}},
+		{Results: []BatchResult{}},
+		{},
+	} {
+		want, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := batch.AppendJSON([]byte("prefix"))
+		if !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("batch %d:\n got %s\nwant %s", i, got[len("prefix"):], want)
+		}
+		var enc bytes.Buffer
+		if err := json.NewEncoder(&enc).Encode(batch); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(got[len("prefix"):], '\n'), enc.Bytes()) {
+			t.Fatalf("batch %d: Encoder wrote %s", i, enc.Bytes())
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 )
 
@@ -166,6 +167,39 @@ type BatchResponse struct {
 	Unit      int64         `json:"unit"`
 	UnitsDone int64         `json:"unitsDone"`
 	Results   []BatchResult `json:"results"`
+}
+
+// AppendJSON appends json.Marshal's encoding of r to dst, byte for byte,
+// provided every Result holds encoding/json output as ExecuteBatch's do:
+// those are written verbatim, where encoding/json would re-scan each one
+// to compact and HTML-escape what already is.
+func (r *BatchResponse) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"unit":`...)
+	dst = strconv.AppendInt(dst, r.Unit, 10)
+	dst = append(dst, `,"unitsDone":`...)
+	dst = strconv.AppendInt(dst, r.UnitsDone, 10)
+	if r.Results == nil {
+		return append(dst, `,"results":null}`...)
+	}
+	dst = append(dst, `,"results":[`...)
+	for i, res := range r.Results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendBool(append(dst, `{"ok":`...), res.OK)
+		if res.Status != 0 {
+			dst = strconv.AppendInt(append(dst, `,"status":`...), int64(res.Status), 10)
+		}
+		if res.Error != "" {
+			msg, _ := json.Marshal(res.Error) // a string always encodes
+			dst = append(append(dst, `,"error":`...), msg...)
+		}
+		if len(res.Result) > 0 {
+			dst = append(append(dst, `,"result":`...), res.Result...)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...)
 }
 
 // HTTPStatus maps an Execute or Validate error to the HTTP status the

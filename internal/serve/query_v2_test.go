@@ -85,6 +85,24 @@ func TestBatchQuery(t *testing.T) {
 			t.Fatalf("cell %d differs: %+v vs %+v", i, viaBatch.Cells[i], viaGET.Cells[i])
 		}
 	}
+
+	// The body is what a json.Encoder writes for the executor's batch: the
+	// envelope written around the encoded results changes no byte.
+	var req query.BatchRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := srv.executor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := json.NewEncoder(&want).Encode(ex.ExecuteBatch(req.Queries)); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Body.String() != want.String() {
+		t.Fatalf("POST /v1/query body:\n%s\nencoder:\n%s", rec.Body.String(), want.String())
+	}
 }
 
 // TestBatchQueryErrors pins the whole-batch failure modes: bad bodies,

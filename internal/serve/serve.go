@@ -639,7 +639,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return s.writeJSON(w, http.StatusOK, ex.ExecuteBatch(batch.Queries))
+	// ExecuteBatch encoded every result already; the envelope goes around
+	// them as they are, where writeJSON's encoder would re-scan each one.
+	// The bytes are the encoder's, trailing newline included.
+	body := append(ex.ExecuteBatch(batch.Queries).AppendJSON(nil), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		s.encodeErrors.Add(1)
+		return fmt.Errorf("%w: %v", errEncode, err)
+	}
+	return nil
 }
 
 // --- GET /v1/info ---------------------------------------------------------

@@ -87,41 +87,34 @@ func (e *Engine) ingestRun(b *wire.Batch, sel []int32, lo, hi int) error {
 		}
 		var acc *regression.Accumulator
 		if e.dense != nil {
-			idx := int64(0)
-			inRange := true
-			for d := 0; d < e.nd; d++ {
-				m := b.Cols[d][i]
-				if uint32(m) >= uint32(e.cards[d]) {
-					inRange = false
-					break
-				}
-				idx += int64(m) * e.strides[d]
-			}
-			if inRange {
-				acc = e.dense[idx]
-				if acc == nil {
-					acc = e.newAccumulator()
-					e.dense[idx] = acc
-					e.denseActive = append(e.denseActive, idx)
-				}
+			if idx, ok := e.layout.indexAt(b.Cols, i); ok {
+				acc = e.denseAcc(idx)
 			}
 		}
 		if acc == nil {
 			for d := 0; d < e.nd; d++ {
 				key[d] = b.Cols[d][i]
 			}
-			var ok bool
-			acc, ok = e.cells[key]
-			if !ok {
-				acc = e.newAccumulator()
-				e.cells[key] = acc
+			if acc = e.cells[key]; acc == nil { // hits stay inline
+				acc = e.cellAcc(key[:e.nd])
 			}
 		}
-		if tick < acc.NextTick() {
-			return fmt.Errorf("%w: tick %d already consumed for cell (next %d)", ErrRecord, tick, acc.NextTick())
+		if err := e.add(acc, tick, b.Values[i]); err != nil {
+			return err
 		}
-		acc.AdvanceTo(tick)
-		if err := acc.Add(tick, b.Values[i]); err != nil {
+	}
+	return nil
+}
+
+// ingestCells is ingestRun over the records at positions sel of a dense
+// m-layer's segment, whose cells column replaces the members.
+func (e *Engine) ingestCells(b *wire.Batch, cells, sel []int32) error {
+	for _, i := range sel {
+		tick := b.Ticks[i]
+		if tick < e.openStart || tick >= e.openEnd {
+			return fmt.Errorf("%w: tick %d outside open unit [%d,%d)", ErrRecord, tick, e.openStart, e.openEnd)
+		}
+		if err := e.add(e.denseAcc(cells[i]), tick, b.Values[i]); err != nil {
 			return err
 		}
 	}
@@ -163,7 +156,7 @@ func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 		}
 		if len(s.shards) == 1 {
 			s.segments.Add(1)
-			err = s.shards[0].ingestRun(b, nil, start, end)
+			err = s.shards[0].ingestRun(b, nil, nil, start, end)
 		} else {
 			err = s.routeSegment(b, start, end)
 		}
@@ -179,16 +172,24 @@ func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 // unit — to the open segment and dispatches it. Partitioner.Select (shared
 // verbatim with the multi-node router, so batch, record and cross-process
 // routing agree bit for bit) runs first, on the caller's columns, so an
-// out-of-range member fails the run before any record of it is routed.
-// The columns are then copied in bulk, once, not per shard: the shards
-// read them in place through their lists while the caller reuses b.
+// out-of-range member fails the run before any record of it is routed. It
+// writes a dense m-layer's cell indexes into the segment; the rest is copied
+// in bulk, once, not per shard: the shards read it in place as b is reused.
 func (s *ShardedEngine) routeSegment(b *wire.Batch, lo, hi int) error {
 	nrec := hi - lo
 	seg := s.openSegment(nrec)
-	seg.hash = slices.Grow(seg.hash[:0], nrec)[:nrec]
-	if err := s.part.Select(b, lo, hi, seg.hash, int32(seg.Len()), seg.sel); err != nil {
+	base := len(seg.cells) // seg.Len() on a dense m-layer, 0 on a sparse one
+	var cells []int32
+	if s.part.table != nil {
+		seg.cells = slices.Grow(seg.cells, nrec)
+		cells = seg.cells[base : base+nrec]
+	} else {
+		seg.hash = slices.Grow(seg.hash[:0], nrec)[:nrec]
+	}
+	if err := s.part.Select(b, lo, hi, cells, seg.hash, int32(seg.Len()), seg.sel); err != nil {
 		return err
 	}
+	seg.cells = seg.cells[:base+len(cells)]
 	seg.Ticks = append(seg.Ticks, b.Ticks[lo:hi]...)
 	seg.Values = append(seg.Values, b.Values[lo:hi]...)
 	for d := range seg.Cols {

@@ -136,7 +136,7 @@ func (e *Engine) cutCheckpoint(b *checkpointBuf) *Checkpoint {
 	}
 	var denseKey [cube.MaxDims]int32
 	for _, idx := range e.denseActive {
-		e.denseMembers(idx, denseKey[:nd])
+		e.layout.decode(idx, denseKey[:nd])
 		cell(denseKey[:nd], e.dense[idx])
 	}
 	for key, acc := range e.cells {
@@ -325,18 +325,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		if err != nil {
 			return fmt.Errorf("stream: restoring accumulator: %w", err)
 		}
-		if e.dense != nil {
-			if idx, ok := e.denseIndex(cs.Members); ok {
-				if e.dense[idx] == nil {
-					e.denseActive = append(e.denseActive, idx)
-				}
-				e.dense[idx] = acc
-				continue
-			}
-		}
-		var key [cube.MaxDims]int32
-		copy(key[:], cs.Members)
-		e.cells[key] = acc
+		*e.cellAcc(cs.Members) = *acc
 	}
 	e.frames = make(map[cube.CellKey]*cellFrame, max(len(cp.Tilt), len(cp.History)))
 	for _, rec := range cp.Tilt {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cube"
 	"repro/internal/exception"
 	"repro/internal/tilt"
 	"repro/internal/wire"
@@ -30,81 +31,91 @@ func scribble(b *wire.Batch) {
 // IngestBatch, every batch scribbled over the moment its call returns —
 // a ShardedEngine at 1, 2, 4 and 7 shards closes the units a plain Engine
 // fed record by record closes and ends in its state, bitwise, under the
-// default one-level frame chain and the calendar chain.
+// default one-level frame chain and the calendar chain — on a dense
+// m-layer (segments carry cell indexes, shards run ingestCells) and on one
+// past denseCells (member columns, ingestRun).
 func TestSelectionDispatchMatchesSingleEngine(t *testing.T) {
-	for _, chain := range []struct {
+	for _, sc := range []struct {
 		name   string
-		levels []tilt.Level
-	}{{"flat", nil}, {"calendar", tilt.CalendarLevels()}} {
-		cfg := Config{
-			Schema:       wideSchema(t),
-			TicksPerUnit: 4,
-			Threshold:    exception.Global(1.0),
-			Delta:        &exception.Delta{MinSlopeChange: 0.8},
-			DeltaDrill:   true,
-			TiltLevels:   chain.levels,
+		schema *cube.Schema
+	}{{"dense", wideSchema(t)}, {"sparse", sparseSchema(t)}} {
+		for _, chain := range []struct {
+			name   string
+			levels []tilt.Level
+		}{{"flat", nil}, {"calendar", tilt.CalendarLevels()}} {
+			dispatchMatchesSingleEngine(t, sc.name+"/"+chain.name, Config{
+				Schema:       sc.schema,
+				TicksPerUnit: 4,
+				Threshold:    exception.Global(1.0),
+				Delta:        &exception.Delta{MinSlopeChange: 0.8},
+				DeltaDrill:   true,
+				TiltLevels:   chain.levels,
+			})
 		}
-		for seed := int64(1); seed <= 3; seed++ {
-			// Ten units of ~90 records each, unit 2 empty.
-			recs := genStream(seed, 10, 4, 2)
-			ref, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := feed(t, ref, recs)
-			wantCP := checkpointJSON(t, ref.Checkpoint())
+	}
+}
 
-			for _, cut := range []struct {
-				name  string
-				sizes []int
-			}{
-				{"straddling", []int{350, 1, 97, 260}}, // up to four boundaries in a batch
-				{"sparse", []int{1, 2, 1, 3}},          // most shards get no selection
-				{"mixed", []int{17, 64, 5, 120}},
-			} {
-				for _, shards := range []int{1, 2, 4, 7} {
-					label := fmt.Sprintf("%s/seed%d/%s/shards%d", chain.name, seed, cut.name, shards)
-					sh, err := NewShardedEngine(cfg, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var got []*UnitResult
-					pos := 0
-					for k, b := range toBatches(recs, cut.sizes...) {
-						if k%3 == 2 {
-							// Every third cut goes in record by record, into the
-							// segment the batches share.
-							for _, r := range recs[pos : pos+b.Len()] {
-								closed, err := sh.Ingest(r.members, r.tick, r.value)
-								if err != nil {
-									t.Fatalf("%s: %v", label, err)
-								}
-								got = append(got, closed...)
-							}
-						} else {
-							closed, err := sh.IngestBatch(b)
+func dispatchMatchesSingleEngine(t *testing.T, name string, cfg Config) {
+	for seed := int64(1); seed <= 3; seed++ {
+		// Ten units of ~90 records each, unit 2 empty.
+		recs := genStream(seed, 10, 4, 2)
+		ref, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := feed(t, ref, recs)
+		wantCP := checkpointJSON(t, ref.Checkpoint())
+
+		for _, cut := range []struct {
+			name  string
+			sizes []int
+		}{
+			{"straddling", []int{350, 1, 97, 260}}, // up to four boundaries in a batch
+			{"sparse", []int{1, 2, 1, 3}},          // most shards get no selection
+			{"mixed", []int{17, 64, 5, 120}},
+		} {
+			for _, shards := range []int{1, 2, 4, 7} {
+				label := fmt.Sprintf("%s/seed%d/%s/shards%d", name, seed, cut.name, shards)
+				sh, err := NewShardedEngine(cfg, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []*UnitResult
+				pos := 0
+				for k, b := range toBatches(recs, cut.sizes...) {
+					if k%3 == 2 {
+						// Every third cut goes in record by record, into the
+						// segment the batches share.
+						for _, r := range recs[pos : pos+b.Len()] {
+							closed, err := sh.Ingest(r.members, r.tick, r.value)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
 							got = append(got, closed...)
 						}
-						pos += b.Len()
-						scribble(b)
+					} else {
+						closed, err := sh.IngestBatch(b)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						got = append(got, closed...)
 					}
-					final, err := sh.Flush()
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					requireSameResults(t, label, want, append(got, final))
-					cp, err := sh.Checkpoint()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(wantCP, checkpointJSON(t, cp)) {
-						t.Fatalf("%s: checkpoint differs from the single engine's", label)
-					}
-					sh.Close()
+					pos += b.Len()
+					scribble(b)
 				}
+				final, err := sh.Flush()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireSameResults(t, label, want, append(got, final))
+				cp, err := sh.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wantCP, checkpointJSON(t, cp)) {
+					t.Fatalf("%s: checkpoint differs from the single engine's", label)
+				}
+				sh.Close()
 			}
 		}
 	}
@@ -181,9 +192,10 @@ func pooledSegments(t *testing.T, e *ShardedEngine) []*segment {
 	return segs
 }
 
-// One wire.MaxBatchRecords batch grows a segment to ~24 MB of columns plus
-// its position lists and fold scratch; once ordinary frames follow, the
-// engine must not keep any of it.
+// One wire.MaxBatchRecords batch grows a segment to ~20 MB of columns —
+// ticks, values and cell indexes; a dense m-layer's segments hold no
+// member columns — plus its position lists; once ordinary frames follow,
+// the engine must not keep any of it.
 func TestSegmentBuffersAreBounded(t *testing.T) {
 	cfg := Config{Schema: wideSchema(t), TicksPerUnit: 1 << 30, Threshold: exception.Global(1e18)}
 	e, err := NewShardedEngine(cfg, 2)
@@ -200,7 +212,10 @@ func TestSegmentBuffersAreBounded(t *testing.T) {
 	}
 	grown := 0
 	for _, seg := range pooledSegments(t, e) {
-		grown = max(grown, cap(seg.Ticks))
+		grown = max(grown, min(cap(seg.Ticks), cap(seg.cells)))
+		if len(seg.Cols) != 0 {
+			t.Fatalf("a dense m-layer's segment has %d member columns", len(seg.Cols))
+		}
 	}
 	if grown < huge.Len() {
 		t.Fatalf("largest pooled segment holds %d records, the batch had %d", grown, huge.Len())
@@ -220,7 +235,10 @@ func TestSegmentBuffersAreBounded(t *testing.T) {
 	}
 	bound := 4*frame.Len() + 1024
 	for i, seg := range pooledSegments(t, e) {
-		held := max(cap(seg.Ticks), cap(seg.Values), cap(seg.hash), cap(seg.Cols[0]), cap(seg.Cols[1]))
+		held := max(cap(seg.Ticks), cap(seg.Values), cap(seg.hash), cap(seg.cells))
+		for _, col := range seg.Cols {
+			held = max(held, cap(col))
+		}
 		for _, sel := range seg.sel {
 			held = max(held, cap(sel))
 		}

@@ -169,14 +169,12 @@ type Engine struct {
 	// and this map only sees out-of-range members, which must keep their
 	// own cells so their error still surfaces at unit close.
 	cells map[[cube.MaxDims]int32]*regression.Accumulator
-	// dense[i] is the accumulator of the cell whose mixed-radix member
-	// index is i (strides/cards below); nil when the m-layer is too large.
-	// denseActive lists the occupied indexes, so closes and checkpoints
-	// never scan the whole table.
+	// dense[i] is the accumulator of the cell whose layout index is i; nil
+	// when the m-layer is too large. denseActive lists the occupied
+	// indexes, so closes and checkpoints never scan the whole table.
 	dense       []*regression.Accumulator
-	denseActive []int64
-	strides     [cube.MaxDims]int64
-	cards       [cube.MaxDims]int32
+	denseActive []int32
+	layout      cellLayout
 	// frames holds every o-cell's history: one tilt frame per cell seen so
 	// far, its finest level the per-unit history.
 	frames    map[cube.CellKey]*cellFrame
@@ -252,50 +250,70 @@ func NewEngine(cfg Config) (*Engine, error) {
 		openEnd:   cfg.StartTick + int64(cfg.TicksPerUnit),
 		cells:     make(map[[cube.MaxDims]int32]*regression.Accumulator),
 		frames:    make(map[cube.CellKey]*cellFrame),
+		layout:    newCellLayout(cfg.Schema),
 	}
-	// Direct-index cell storage when the m-layer is small enough: one
-	// mixed-radix index per member tuple replaces the map hash of a
-	// MaxDims-wide key on the per-record path.
-	size := int64(1)
-	for d, dim := range cfg.Schema.Dims {
-		card := int64(dim.Hierarchy.Cardinality(dim.MLevel))
-		e.cards[d] = int32(card)
-		e.strides[d] = size
-		size *= card
-		if size > denseCells {
-			size = 0
-			break
-		}
-	}
-	if size > 0 {
-		e.dense = make([]*regression.Accumulator, size)
+	if e.layout.size > 0 {
+		e.dense = make([]*regression.Accumulator, e.layout.size)
 	}
 	return e, nil
 }
 
-// denseCells bounds the direct-index cell table: an m-layer with at most
-// this many potential cells gets O(1) indexed lookups (512 KiB of pointers
-// at the cap); anything larger stays on the map.
+// denseCells bounds the dense cell tables: an m-layer with at most this
+// many potential cells gets O(1) indexed lookups (512 KiB of pointers at
+// the cap); anything larger stays on the map and the o-ancestor fold.
 const denseCells = 1 << 16
 
-// denseIndex returns the mixed-radix index of a member tuple, or false when
-// any member falls outside its dimension's m-layer (those cells live in the
-// fallback map so their error still surfaces at unit close).
-func (e *Engine) denseIndex(members []int32) (int64, bool) {
-	idx := int64(0)
+// cellLayout is the mixed-radix m-cell index, dimension 0 least
+// significant, of both dense tables: the Engine's accumulators and the
+// Partitioner's cell→partition table. cards holds every dimension's
+// m-layer cardinality; size is the cell count, 0 past denseCells.
+type cellLayout struct {
+	size    int
+	cards   [cube.MaxDims]int32
+	strides [cube.MaxDims]int32
+}
+
+func newCellLayout(schema *cube.Schema) cellLayout {
+	l := cellLayout{size: 1}
+	for d, dim := range schema.Dims {
+		l.cards[d] = int32(dim.Hierarchy.Cardinality(dim.MLevel))
+		l.strides[d] = int32(l.size)
+		if l.size *= int(l.cards[d]); l.size > denseCells {
+			l.size = 0
+		}
+	}
+	return l
+}
+
+// index returns a member tuple's cell index; false when one is out of range.
+func (l *cellLayout) index(members []int32) (int32, bool) {
+	idx := int32(0)
 	for d, m := range members {
-		if uint32(m) >= uint32(e.cards[d]) {
+		if uint32(m) >= uint32(l.cards[d]) {
 			return 0, false
 		}
-		idx += int64(m) * e.strides[d]
+		idx += m * l.strides[d]
 	}
 	return idx, true
 }
 
-// denseMembers decodes a mixed-radix index back into the member tuple.
-func (e *Engine) denseMembers(idx int64, members []int32) {
-	for d := 0; d < e.nd; d++ {
-		members[d] = int32(idx / e.strides[d] % int64(e.cards[d]))
+// indexAt is index for record i of member columns cols.
+func (l *cellLayout) indexAt(cols [][]int32, i int) (int32, bool) {
+	idx := int32(0)
+	for d, col := range cols {
+		m := col[i]
+		if uint32(m) >= uint32(l.cards[d]) {
+			return 0, false
+		}
+		idx += m * l.strides[d]
+	}
+	return idx, true
+}
+
+// decode writes the member tuple of cell index idx into members.
+func (l *cellLayout) decode(idx int32, members []int32) {
+	for d := range members {
+		members[d] = idx / l.strides[d] % l.cards[d]
 	}
 }
 
@@ -345,38 +363,50 @@ func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*UnitResu
 		}
 		closed = append(closed, ur)
 	}
+	return closed, e.add(e.cellAcc(members), tick, value)
+}
 
-	var acc *regression.Accumulator
+// cellAcc returns the open unit's accumulator of a member tuple, opening it
+// on first use in the dense table, or else in the map (see Engine.cells).
+func (e *Engine) cellAcc(members []int32) *regression.Accumulator {
 	if e.dense != nil {
-		if idx, ok := e.denseIndex(members); ok {
-			acc = e.dense[idx]
-			if acc == nil {
-				acc = e.newAccumulator()
-				e.dense[idx] = acc
-				e.denseActive = append(e.denseActive, idx)
-			}
+		if idx, ok := e.layout.index(members); ok {
+			return e.denseAcc(idx)
 		}
 	}
-	if acc == nil {
-		var key [cube.MaxDims]int32
-		copy(key[:], members)
-		var ok bool
-		acc, ok = e.cells[key]
-		if !ok {
-			acc = e.newAccumulator()
-			e.cells[key] = acc
-		}
+	var key [cube.MaxDims]int32
+	copy(key[:], members)
+	acc, ok := e.cells[key]
+	if !ok {
+		acc = e.newAccumulator()
+		e.cells[key] = acc
 	}
+	return acc
+}
+
+// denseAcc is cellAcc for dense cell idx; openDense is out of line so it inlines.
+func (e *Engine) denseAcc(idx int32) *regression.Accumulator {
+	if acc := e.dense[idx]; acc != nil {
+		return acc
+	}
+	return e.openDense(idx)
+}
+
+func (e *Engine) openDense(idx int32) *regression.Accumulator {
+	acc := e.newAccumulator()
+	e.dense[idx] = acc
+	e.denseActive = append(e.denseActive, idx)
+	return acc
+}
+
+// add is the one accumulator step of every ingest path: per-cell tick order,
+// the O(1) zero fill of absent ticks, and Add (which refuses non-finite z).
+func (e *Engine) add(acc *regression.Accumulator, tick int64, value float64) error {
 	if tick < acc.NextTick() {
-		return closed, fmt.Errorf("%w: tick %d already consumed for cell (next %d)", ErrRecord, tick, acc.NextTick())
+		return fmt.Errorf("%w: tick %d already consumed for cell (next %d)", ErrRecord, tick, acc.NextTick())
 	}
-	// Absent ticks count as zero usage; the bulk advance replaces the old
-	// one-Add-per-gap-tick loop bit-for-bit.
 	acc.AdvanceTo(tick)
-	if err := acc.Add(tick, value); err != nil {
-		return closed, err
-	}
-	return closed, nil
+	return acc.Add(tick, value)
 }
 
 // newAccumulator draws a recycled per-cell accumulator for the open unit,
@@ -443,7 +473,7 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 	}
 	var denseKey [cube.MaxDims]int32
 	for _, idx := range e.denseActive {
-		e.denseMembers(idx, denseKey[:nd])
+		e.layout.decode(idx, denseKey[:nd])
 		if err := harvest(denseKey[:nd], e.dense[idx]); err != nil {
 			return nil, err
 		}

@@ -28,14 +28,16 @@ const runAhead = 3
 // segment is one in-unit run of records in engine-owned columns — the copy
 // is what lets an IngestBatch caller reuse its batch the moment the call
 // returns — plus, per shard, the positions of the records that shard owns:
-// shards read the columns in place through their list. left counts the
-// shards still reading; the one that takes it to zero hands the segment
-// back to the coordinator.
+// shards read the columns in place through their list (a dense m-layer's
+// hold cell indexes instead of members). left counts the shards still
+// reading; the one that takes it to zero hands the segment back to the
+// coordinator.
 type segment struct {
 	wire.Batch
-	hash []uint64  // Partitioner.Select's fold scratch
-	sel  [][]int32 // sel[i] lists shard i's record positions, ascending
-	left atomic.Int32
+	cells []int32   // cells[i] is record i's m-cell index; nil on a sparse m-layer
+	hash  []uint64  // Partitioner.Select's fold scratch (sparse m-layer)
+	sel   [][]int32 // sel[i] lists shard i's record positions, ascending
+	left  atomic.Int32
 }
 
 // shardReply carries a control operation's outcome back to the
@@ -214,7 +216,7 @@ func (sh *shard) send(msg shardMsg) {
 func (sh *shard) handle(msg shardMsg) {
 	if seg := msg.seg; seg != nil {
 		sel := seg.sel[sh.id]
-		sh.ingestRun(&seg.Batch, sel, 0, len(sel))
+		sh.ingestRun(&seg.Batch, seg.cells, sel, 0, len(sel))
 		if seg.left.Add(-1) == 0 {
 			sh.segFree <- seg
 		}
@@ -231,13 +233,15 @@ func (sh *shard) handle(msg shardMsg) {
 	msg.reply <- shardReply{val: val, err: err}
 }
 
-// ingestRun is Engine.ingestRun unless an earlier record already failed,
-// and returns the sticky error. The coordinator barriers every boundary
-// before dispatching the crossing record, so every record here is inside
-// the open unit — Engine.ingestRun rejects anything else, keeping a shard
-// from ever closing units on its own.
-func (sh *shard) ingestRun(b *wire.Batch, sel []int32, lo, hi int) error {
-	if sh.sticky == nil {
+// ingestRun is Engine.ingestRun, or ingestCells given a dense segment's
+// cell indexes, unless an earlier record already failed; it returns the
+// sticky error. The coordinator barriers every boundary before dispatching
+// the crossing record, so every record here is inside the open unit — both
+// loops reject anything else, keeping a shard from closing units itself.
+func (sh *shard) ingestRun(b *wire.Batch, cells, sel []int32, lo, hi int) error {
+	if sh.sticky == nil && cells != nil {
+		sh.sticky = sh.eng.ingestCells(b, cells, sel[lo:hi])
+	} else if sh.sticky == nil {
 		sh.sticky = sh.eng.ingestRun(b, sel, lo, hi)
 	}
 	return sh.sticky
@@ -283,7 +287,12 @@ func (s *ShardedEngine) openSegment(n int) *segment {
 	if cap(seg.Ticks) > 4*max(n, seg.Len())+1024 {
 		seg = &segment{}
 	}
-	seg.Reset(s.nDims)
+	dims := s.nDims
+	if s.part.table != nil {
+		dims = 0 // cell indexes replace the member columns
+	}
+	seg.Reset(dims)
+	seg.cells = seg.cells[:0]
 	if seg.sel == nil {
 		seg.sel = make([][]int32, len(s.shards))
 	}
@@ -399,7 +408,11 @@ func (s *ShardedEngine) Ingest(members []int32, tick int64, value float64) ([]*U
 	}
 	seg := s.openSegment(1)
 	seg.sel[sid] = append(seg.sel[sid], int32(seg.Len()))
-	seg.Append(tick, members, value)
+	seg.Append(tick, members, value) // no member columns on a dense m-layer
+	if s.part.table != nil {
+		cell, _ := s.part.layout.index(members) // Route range-checked them
+		seg.cells = append(seg.cells, cell)
+	}
 	if seg.Len() >= ingestBatchSize {
 		s.dispatch()
 	}

@@ -76,13 +76,22 @@ func genStream(seed int64, units, ticksPer int, emptyUnit int) []testRecord {
 
 // wideSchema is a 2-dim, 3-level fanout-3 schema: m-layer 9×9, o-layer 3×3
 // (9 shard partitions).
-func wideSchema(t testing.TB) *cube.Schema {
+func wideSchema(t testing.TB) *cube.Schema { return fanoutSchema(t, 3, 2) }
+
+// sparseSchema is wideSchema's shape at depth 6: an m-layer of 729×729
+// cells, past denseCells, whose members 0..8 roll up to the same 3×3
+// o-cells — genStream's streams on the map and the o-ancestor fold.
+func sparseSchema(t testing.TB) *cube.Schema { return fanoutSchema(t, 3, 6) }
+
+// fanoutSchema is a 2-dim schema of fanout hierarchies `levels` deep, the
+// m-layer at the finest level and the o-layer one above it.
+func fanoutSchema(t testing.TB, fanout, levels int) *cube.Schema {
 	t.Helper()
-	ha, _ := cube.NewFanoutHierarchy("A", 3, 2)
-	hb, _ := cube.NewFanoutHierarchy("B", 3, 2)
+	ha, _ := cube.NewFanoutHierarchy("A", fanout, levels)
+	hb, _ := cube.NewFanoutHierarchy("B", fanout, levels)
 	s, err := cube.NewSchema(
-		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
-		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
+		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: levels, OLevel: levels - 1},
+		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: levels, OLevel: levels - 1},
 	)
 	if err != nil {
 		t.Fatal(err)
