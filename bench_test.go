@@ -220,9 +220,10 @@ func BenchmarkShardedIngest(b *testing.B) {
 // rewritten in place between calls as a decoder reusing its batch would.
 // No unit closes; the final ActiveCells barrier is inside the timer.
 // ns/rec at 1 / 2 / 4 shards is what sharding costs on ingest. sparse-s2
-// feeds the same 256 cells, spread over a D2L3C8 m-layer of 262 144 cells
-// (past the dense cell table: the o-ancestor fold, member columns and the
-// engine's map), at 2 shards.
+// feeds the same 256 cells spread over a D2L3C8 m-layer of 262 144 cells,
+// and wide-s2 over a D2L2C17 one of 83 521, just past 2¹⁶, both at 2
+// shards: every m-layer takes the one cell path, so their cost should
+// follow the active cells, not the nominal ones.
 func BenchmarkShardedIngestBatch(b *testing.B) {
 	const cells, frameTicks = 256, 8
 	for _, leg := range []struct {
@@ -235,6 +236,7 @@ func BenchmarkShardedIngestBatch(b *testing.B) {
 		{"s2", "D2L2C4T1", 1, 2},
 		{"s4", "D2L2C4T1", 1, 4},
 		{"sparse-s2", "D2L3C8T1", 32, 2},
+		{"wide-s2", "D2L2C17T1", 18, 2},
 	} {
 		spec, err := gen.ParseSpec(leg.spec)
 		if err != nil {

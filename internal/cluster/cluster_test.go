@@ -828,3 +828,46 @@ func benchmarkRouter(b *testing.B, numNodes int) {
 func BenchmarkRouter1Node(b *testing.B)  { benchmarkRouter(b, 1) }
 func BenchmarkRouter2Nodes(b *testing.B) { benchmarkRouter(b, 2) }
 func BenchmarkRouter4Nodes(b *testing.B) { benchmarkRouter(b, 4) }
+
+// BenchmarkRouterActiveCells routes the cluster_serve workload's shape:
+// 2 048 of a D2L2C8 m-layer's 4 096 cells, in a fixed scattered order,
+// every tick of ten-tick units, to four nodes — enough distinct cells that
+// the router's cell dictionary, not a 16-cell toy, is what a record costs.
+// One op is one unit.
+func BenchmarkRouterActiveCells(b *testing.B) {
+	ha, _ := cube.NewFanoutHierarchy("A", 8, 2)
+	hb, _ := cube.NewFanoutHierarchy("B", 8, 2)
+	schema, err := cube.NewSchema(
+		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
+		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const ticksPerUnit, cells = 10, 2048
+	router, err := NewRouter(RouterConfig{Schema: schema, Nodes: make([]string, 4), TicksPerUnit: ticksPerUnit,
+		Dial: func(context.Context, string) (io.WriteCloser, error) { return discardSink{}, nil }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var batch wire.Batch
+	batch.Reset(2)
+	for k := 0; k < ticksPerUnit; k++ {
+		for i := 0; i < cells; i++ {
+			c := i * 2039 % 4096 // 2039 is prime: a scattered half of the cells
+			batch.Append(int64(k), []int32{int32(c % 64), int32(c / 64)}, 1)
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch.Ticks {
+			batch.Ticks[j] = int64(i*ticksPerUnit + j/cells)
+		}
+		if err := router.RouteBatch(ctx, &batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Len()), "ns/rec")
+}

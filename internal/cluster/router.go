@@ -81,18 +81,17 @@ type RouterStats struct {
 // keep their stream order; records of different nodes are not ordered
 // against each other between barriers.
 type Router struct {
-	cfg   RouterConfig
-	part  *stream.Partitioner
+	cfg RouterConfig
+	// cells routes each record through the shared partition function, once
+	// per cell.
+	cells *stream.CellRouter
 	dims  int
 	nodes []*nodeConn
 	// unit is the current open unit; openEnd its first-excluded tick.
 	unit    int64
 	openEnd int64
-	// cells, hb, sel and members are routeSegment's scratch: the m-cell
-	// indexes or the partition fold (whichever Partitioner.Select uses),
-	// each node's record positions, and one record's member tuple.
-	cells   []int32
-	hb      []uint64
+	// sel and members are routeSegment's scratch: each node's record
+	// positions and one record's member tuple.
 	sel     [][]int32
 	members []int32
 	stats   RouterStats
@@ -131,7 +130,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{
 		cfg:     cfg,
-		part:    part,
+		cells:   stream.NewCellRouter(part),
 		dims:    len(cfg.Schema.Dims),
 		unit:    0,
 		openEnd: int64(cfg.TicksPerUnit),
@@ -163,9 +162,6 @@ func (r *Router) RouteBatch(ctx context.Context, b *wire.Batch) error {
 		return fmt.Errorf("%w: batch has %d dimensions, schema has %d", stream.ErrRecord, got, r.dims)
 	}
 	n := b.Len()
-	if cap(r.hb) < n {
-		r.cells, r.hb = make([]int32, n), make([]uint64, n)
-	}
 	lo := 0
 	for i := 0; i < n; i++ {
 		tick := b.Ticks[i]
@@ -198,8 +194,9 @@ func (r *Router) Advance(ctx context.Context, target int64) error {
 }
 
 // routeSegment partitions records [lo,hi) of b — all inside the open
-// unit — to their nodes: one position list per node (Partitioner.Select,
-// as the in-process shards are fed), then one do per node with records.
+// unit — to their nodes: one position list per node (CellRouter.Select,
+// whose cell dictionary runs Route once per cell), then one do per node
+// with records.
 // sent is the cursor a retry resumes from: do re-runs the closure on a
 // fresh connection, and it must carry on at the first record the failed
 // writer did not accept, never re-append the ones it had.
@@ -210,7 +207,7 @@ func (r *Router) routeSegment(ctx context.Context, b *wire.Batch, lo, hi int) er
 	for sid := range r.sel {
 		r.sel[sid] = r.sel[sid][:0]
 	}
-	if err := r.part.Select(b, lo, hi, r.cells[:hi-lo], r.hb[:hi-lo], int32(lo), r.sel); err != nil {
+	if err := r.cells.Select(b, lo, hi, int32(lo), r.sel); err != nil {
 		return err
 	}
 	for sid, sel := range r.sel {
@@ -251,6 +248,7 @@ func (r *Router) advance(ctx context.Context, target int64) error {
 	}
 	r.unit = target
 	r.openEnd = (target + 1) * int64(r.cfg.TicksPerUnit)
+	r.cells.Advance()
 	r.stats.Advances++
 	return nil
 }

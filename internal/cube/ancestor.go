@@ -225,14 +225,3 @@ func (r *RollUpTo) Key(k CellKey) (up CellKey, ok bool) {
 	}
 	return up, true
 }
-
-// TableFor returns the dense member→ancestor table for dimension d's
-// (from→to) resolution, or nil when the dimension is not table-backed
-// (fanout fast path, identity/ALL levels, or the oversized fallback).
-func (ix *AncestorIndex) TableFor(d, from, to int) []int32 {
-	di := &ix.dims[d]
-	if di.tables == nil || to <= 0 || to >= from {
-		return nil
-	}
-	return di.tables[from][to]
-}

@@ -153,6 +153,8 @@ func TestRunCheckpointMetricsAndCorruptFile(t *testing.T) {
 		"regcube_gc_cycles_total ",
 		"regcube_gc_pause_nanos_total ",
 		"regcube_ingest_runahead_waits_total ",
+		// Unit 1 held every one of the feed's 4×4 cells.
+		"regcube_cells_active 16\n",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q:\n%s", want, metrics)

@@ -316,6 +316,9 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			segments, waits := a.DispatchStats()
 			fmt.Fprintf(w, "regcube_ingest_segments_total %d\n", segments)
 			fmt.Fprintf(w, "regcube_ingest_runahead_waits_total %d\n", waits)
+			// The cell dictionary's size at the last close: the distinct
+			// m-cells that unit held, summed over shards.
+			fmt.Fprintf(w, "regcube_cells_active %d\n", a.CellsActive())
 		})
 		fdef := serve.ForecastDefaults{Horizon: cfg.ForecastHorizon, ChangeScore: cfg.ChangeScore}
 		if cfg.ForecastThreshold != 0 {

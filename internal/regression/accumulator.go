@@ -19,7 +19,6 @@ type Accumulator struct {
 	n     int64
 	sumZ  float64
 	sumTZ float64
-	begun bool
 }
 
 // NewAccumulator returns an accumulator for a series starting at tick tb.
@@ -38,7 +37,6 @@ func (a *Accumulator) Add(t int64, z float64) error {
 	if t != want {
 		return fmt.Errorf("%w: got tick %d, want %d", ErrMismatch, t, want)
 	}
-	a.begun = true
 	a.n++
 	a.sumZ += z
 	a.sumTZ += float64(t) * z
@@ -56,8 +54,21 @@ func (a *Accumulator) Add(t int64, z float64) error {
 func (a *Accumulator) AdvanceTo(t int64) {
 	if n := t - a.tb; n > a.n {
 		a.n = n
-		a.begun = true
 	}
+}
+
+// Observe is AdvanceTo(t) then Add(t, z) in one step — bit for bit — for a
+// t at or after NextTick and a finite z. It reports false and changes
+// nothing for anything else; Add then names the failure. The stream
+// engines' per-record step, small enough to inline.
+func (a *Accumulator) Observe(t int64, z float64) bool {
+	if t < a.tb+a.n || z-z != 0 { // z-z is NaN for NaN and ±Inf
+		return false
+	}
+	a.n = t - a.tb + 1
+	a.sumZ += z
+	a.sumTZ += float64(t) * z
+	return true
 }
 
 // N returns the number of points accumulated so far.
@@ -95,7 +106,6 @@ func (a *Accumulator) Reset(tb int64) {
 	a.n = 0
 	a.sumZ = 0
 	a.sumTZ = 0
-	a.begun = false
 }
 
 // AccumulatorState is the serializable snapshot of an accumulator — the
@@ -120,5 +130,5 @@ func RestoreAccumulator(st AccumulatorState) (*Accumulator, error) {
 	if math.IsNaN(st.SumZ) || math.IsInf(st.SumZ, 0) || math.IsNaN(st.SumTZ) || math.IsInf(st.SumTZ, 0) {
 		return nil, fmt.Errorf("%w: non-finite sums", ErrNonFinite)
 	}
-	return &Accumulator{tb: st.Tb, n: st.N, sumZ: st.SumZ, sumTZ: st.SumTZ, begun: st.N > 0}, nil
+	return &Accumulator{tb: st.Tb, n: st.N, sumZ: st.SumZ, sumTZ: st.SumTZ}, nil
 }

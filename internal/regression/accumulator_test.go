@@ -148,6 +148,49 @@ func TestAccumulatorAdvanceToMatchesZeroAdds(t *testing.T) {
 	}
 }
 
+// Observe is AdvanceTo then Add, bit for bit, at any gap and for any value
+// (negative zero and huge magnitudes included); a tick behind NextTick or a
+// non-finite value is refused and leaves the state as it was.
+func TestAccumulatorObserveMatchesAdvanceAdd(t *testing.T) {
+	r := rand.New(rand.NewSource(58))
+	step := NewAccumulator(-7)
+	pair := NewAccumulator(-7)
+	for i := 0; i < 2000; i++ {
+		tick := step.NextTick() + int64(r.Intn(4))
+		z := r.NormFloat64() * 8
+		switch r.Intn(6) {
+		case 0:
+			z = math.Copysign(0, -1)
+		case 1:
+			z = 1e300
+		}
+		if !step.Observe(tick, z) {
+			t.Fatalf("step %d: Observe(%d, %g) refused at next tick %d", i, tick, z, step.NextTick())
+		}
+		pair.AdvanceTo(tick)
+		if err := pair.Add(tick, z); err != nil {
+			t.Fatal(err)
+		}
+		if *step != *pair {
+			t.Fatalf("step %d: Observe %+v, AdvanceTo+Add %+v", i, *step, *pair)
+		}
+	}
+	before := *step
+	for _, bad := range []struct {
+		tick int64
+		z    float64
+	}{
+		{step.NextTick() - 1, 1},
+		{step.NextTick(), math.NaN()},
+		{step.NextTick() + 3, math.Inf(1)},
+		{step.NextTick(), math.Inf(-1)},
+	} {
+		if step.Observe(bad.tick, bad.z) || *step != before {
+			t.Fatalf("Observe(%d, %g) accepted or changed state", bad.tick, bad.z)
+		}
+	}
+}
+
 // AdvanceTo to the current or an earlier tick must be a no-op.
 func TestAccumulatorAdvanceToNoOp(t *testing.T) {
 	acc := NewAccumulator(10)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/cube"
-	"repro/internal/regression"
 	"repro/internal/wire"
 )
 
@@ -30,35 +28,33 @@ func checkBatchShape(b *wire.Batch, nDims int) error {
 // IngestBatch consumes a columnar record batch with Ingest semantics:
 // records are ingested in order, boundary crossings close units, and the
 // closed units accumulate across the whole batch. On a record error the
-// records before it are already ingested (exactly as if they had arrived
-// one at a time) and the error is returned with the units closed so far.
+// records before it are already ingested and the error is returned with
+// the units closed so far — except that an out-of-range member refuses its
+// whole run, the records of one unit around it, before any is ingested.
 //
 // The batch is cut into maximal runs inside the open unit; each run goes
-// through ingestRun, whose per-record work is the accumulator update alone
-// — no per-record call or boundary re-check.
+// through ingestRun, whose per-record work is one dictionary lookup and
+// the accumulator step — no per-record call or boundary re-check.
 func (e *Engine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
-	if err := checkBatchShape(b, e.nd); err != nil {
+	if err := checkBatchShape(b, e.layout.nd); err != nil {
 		return nil, err
 	}
 	var closed []*UnitResult
+	var err error
 	n := b.Len()
 	for start := 0; start < n; {
-		tick := b.Ticks[start]
-		if tick < e.openStart {
-			return closed, fmt.Errorf("%w: tick %d before open unit start %d", ErrRecord, tick, e.openStart)
+		if closed, err = e.reach(b.Ticks[start], closed); err != nil {
+			return closed, err
 		}
-		for tick >= e.openEnd {
-			ur, err := e.closeUnit()
-			if err != nil {
-				return closed, err
-			}
-			closed = append(closed, ur)
-		}
-		end := start + 1
-		for end < n && b.Ticks[end] >= e.openStart && b.Ticks[end] < e.openEnd {
+		end, lo, hi := start+1, e.openStart, e.openEnd
+		for end < n && b.Ticks[end] >= lo && b.Ticks[end] < hi {
 			end++
 		}
-		if err := e.ingestRun(b, nil, start, end); err != nil {
+		codes, err := e.dict.codes(b, start, end)
+		if err != nil {
+			return closed, err
+		}
+		if err := e.ingestRun(b.Ticks[start:end], b.Values[start:end], codes); err != nil {
 			return closed, err
 		}
 		start = end
@@ -66,56 +62,42 @@ func (e *Engine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 	return closed, nil
 }
 
-// ingestRun is the tight loop behind the batch paths: it consumes records
-// [lo,hi) of a shape-checked batch — or, given a selection, the records at
-// positions sel[lo:hi] of it, which is how the shards of a ShardedEngine
-// read their share of a segment in place. Every record must fall inside
-// the open unit (IngestBatch cuts runs that way; a ShardedEngine's
-// coordinator barriers boundaries before dispatching); one outside it
-// means the caller broke that contract and fails the run. Per-record
-// validation and accumulator updates are exactly Ingest's.
-func (e *Engine) ingestRun(b *wire.Batch, sel []int32, lo, hi int) error {
-	var key [cube.MaxDims]int32
-	for j := lo; j < hi; j++ {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
+// ingestRun consumes a run of records inside the open unit, given as
+// columns, their cells coded and range-checked by the caller
+// (cellDict.codes refuses an out-of-range member before any record of the
+// run is ingested): per record, the cell's ordinal from the engine's own
+// dictionary and the accumulator step.
+func (e *Engine) ingestRun(ticks []int64, values []float64, codes []uint64) error {
+	ticks, values = ticks[:len(codes)], values[:len(codes)]
+	for j, code := range codes {
+		c := e.dict.slot(code)
+		if c.key == 0 {
+			c = e.dict.add(c, code)
+			e.open(code)
 		}
-		tick := b.Ticks[i]
-		if tick < e.openStart || tick >= e.openEnd {
-			return fmt.Errorf("%w: tick %d outside open unit [%d,%d)", ErrRecord, tick, e.openStart, e.openEnd)
-		}
-		var acc *regression.Accumulator
-		if e.dense != nil {
-			if idx, ok := e.layout.indexAt(b.Cols, i); ok {
-				acc = e.denseAcc(idx)
-			}
-		}
-		if acc == nil {
-			for d := 0; d < e.nd; d++ {
-				key[d] = b.Cols[d][i]
-			}
-			if acc = e.cells[key]; acc == nil { // hits stay inline
-				acc = e.cellAcc(key[:e.nd])
-			}
-		}
-		if err := e.add(acc, tick, b.Values[i]); err != nil {
-			return err
+		acc := &e.slab[c.ord]
+		if !acc.Observe(ticks[j], values[j]) {
+			return e.refuse(acc, ticks[j], values[j])
 		}
 	}
 	return nil
 }
 
-// ingestCells is ingestRun over the records at positions sel of a dense
-// m-layer's segment, whose cells column replaces the members.
-func (e *Engine) ingestCells(b *wire.Batch, cells, sel []int32) error {
+// ingestSegment is the shard loop: it opens the accumulators of the cells
+// new to this shard — fresh holds their codes in ordinal order — then
+// consumes the records at positions sel of seg through their ordinals. The
+// coordinator barriers every boundary before dispatching, so every record
+// is inside the open unit; one that is not fails the run, keeping a shard
+// from closing units itself.
+func (e *Engine) ingestSegment(seg *segment, fresh []uint64, sel []int32) error {
+	for _, code := range fresh {
+		e.open(code)
+	}
+	ticks, values, ords, end := seg.ticks, seg.values, seg.ords, e.openEnd
 	for _, i := range sel {
-		tick := b.Ticks[i]
-		if tick < e.openStart || tick >= e.openEnd {
-			return fmt.Errorf("%w: tick %d outside open unit [%d,%d)", ErrRecord, tick, e.openStart, e.openEnd)
-		}
-		if err := e.add(e.denseAcc(cells[i]), tick, b.Values[i]); err != nil {
-			return err
+		tick, acc := ticks[i], &e.slab[ords[i]]
+		if tick >= end || !acc.Observe(tick, values[i]) {
+			return e.refuse(acc, tick, values[i])
 		}
 	}
 	return nil
@@ -132,12 +114,12 @@ func (e *Engine) ingestCells(b *wire.Batch, cells, sel []int32) error {
 // tick before the open unit fails before any of its records is routed
 // (earlier segments, and units they closed, stand). The sole shard of a
 // one-shard engine ingests each segment in place, in the caller's batch,
-// with Engine.IngestBatch's record-level semantics.
+// with Engine.IngestBatch's semantics.
 func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	if err := checkBatchShape(b, s.nDims); err != nil {
+	if err := checkBatchShape(b, s.part.layout.nd); err != nil {
 		return nil, err
 	}
 	var closed []*UnitResult
@@ -148,53 +130,52 @@ func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 		if err != nil {
 			return closed, err
 		}
-		openStart := s.openEnd - int64(s.cfg.TicksPerUnit)
 		// The segment is the maximal run staying inside the open unit.
-		end := start + 1
-		for end < n && b.Ticks[end] >= openStart && b.Ticks[end] < s.openEnd {
+		end, lo, hi := start+1, s.openEnd-int64(s.cfg.TicksPerUnit), s.openEnd
+		for end < n && b.Ticks[end] >= lo && b.Ticks[end] < hi {
 			end++
+		}
+		codes, err := s.dict.codes(b, start, end)
+		if err != nil {
+			return closed, err // nothing of the run is ingested: nothing sticks
 		}
 		if len(s.shards) == 1 {
 			s.segments.Add(1)
-			err = s.shards[0].ingestRun(b, nil, nil, start, end)
+			if err := s.shards[0].eng.ingestRun(b.Ticks[start:end], b.Values[start:end], codes); err != nil {
+				s.err = err // sticky at once, as a shard's own errors are
+				return closed, err
+			}
 		} else {
-			err = s.routeSegment(b, start, end)
-		}
-		if err != nil {
-			return closed, err
+			s.routeSegment(b.Ticks[start:end], b.Values[start:end], codes)
+			s.dispatch()
 		}
 		start = end
 	}
 	return closed, nil
 }
 
-// routeSegment appends records [lo,hi) of a batch — all inside the open
-// unit — to the open segment and dispatches it. Partitioner.Select (shared
-// verbatim with the multi-node router, so batch, record and cross-process
-// routing agree bit for bit) runs first, on the caller's columns, so an
-// out-of-range member fails the run before any record of it is routed. It
-// writes a dense m-layer's cell indexes into the segment; the rest is copied
-// in bulk, once, not per shard: the shards read it in place as b is reused.
-func (s *ShardedEngine) routeSegment(b *wire.Batch, lo, hi int) error {
-	nrec := hi - lo
-	seg := s.openSegment(nrec)
-	base := len(seg.cells) // seg.Len() on a dense m-layer, 0 on a sparse one
-	var cells []int32
-	if s.part.table != nil {
-		seg.cells = slices.Grow(seg.cells, nrec)
-		cells = seg.cells[base : base+nrec]
-	} else {
-		seg.hash = slices.Grow(seg.hash[:0], nrec)[:nrec]
+// routeSegment appends a run of records inside the open unit, given as
+// columns with their cells coded (cellDict.codes range-checked them), to
+// the open segment. Each record's cell is looked up in the coordinator's
+// dictionary, which gives its shard and its ordinal there, and a cell's
+// first record files its code on the shard's fresh list. Ticks and values
+// are copied in bulk, once, not per shard: the shards read them in place
+// through their position lists as the caller reuses its batch.
+func (s *ShardedEngine) routeSegment(ticks []int64, values []float64, codes []uint64) {
+	n := len(codes)
+	seg := s.openSegment(n)
+	base := len(seg.ords)
+	seg.ords = slices.Grow(seg.ords, n)[:base+n]
+	ords := seg.ords[base:]
+	for j, code := range codes {
+		c := s.dict.slot(code)
+		if c.key == 0 {
+			c = s.dict.add(c, code)
+			seg.fresh[c.part] = append(seg.fresh[c.part], code)
+		}
+		seg.sel[c.part] = append(seg.sel[c.part], int32(base+j))
+		ords[j] = c.ord
 	}
-	if err := s.part.Select(b, lo, hi, cells, seg.hash, int32(seg.Len()), seg.sel); err != nil {
-		return err
-	}
-	seg.cells = seg.cells[:base+len(cells)]
-	seg.Ticks = append(seg.Ticks, b.Ticks[lo:hi]...)
-	seg.Values = append(seg.Values, b.Values[lo:hi]...)
-	for d := range seg.Cols {
-		seg.Cols[d] = append(seg.Cols[d], b.Cols[d][lo:hi]...)
-	}
-	s.dispatch()
-	return nil
+	seg.ticks = append(seg.ticks, ticks[:n]...)
+	seg.values = append(seg.values, values[:n]...)
 }

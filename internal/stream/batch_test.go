@@ -106,7 +106,10 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 }
 
 // Batch-level validation fails the whole segment before any of its records
-// are routed, with a typed ErrRecord, and earlier complete segments stand.
+// are routed, with a typed ErrRecord, and earlier complete segments stand —
+// on every engine. An out-of-range member fails at ingest with Route's
+// error for the first bad member: in dimension-major order in a batch, in
+// dimension order in one record.
 func TestIngestBatchValidation(t *testing.T) {
 	cfg := Config{Schema: wideSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1.0)}
 
@@ -120,8 +123,16 @@ func TestIngestBatchValidation(t *testing.T) {
 	}
 
 	type batchIngester interface {
+		Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error)
 		IngestBatch(b *wire.Batch) ([]*UnitResult, error)
+		ActiveCells() int
 	}
+	p, err := NewPartitioner(cfg.Schema, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantBatch := p.Route([]int32{-1, 0}) // dimension 0 before dimension 1
+	_, wantRecord := p.Route([]int32{1, 99})
 	for _, mk := range []func(t *testing.T) batchIngester{
 		func(t *testing.T) batchIngester {
 			e, err := NewEngine(cfg)
@@ -130,14 +141,8 @@ func TestIngestBatchValidation(t *testing.T) {
 			}
 			return e
 		},
-		func(t *testing.T) batchIngester {
-			e, err := NewShardedEngine(cfg, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(e.Close)
-			return e
-		},
+		func(t *testing.T) batchIngester { return shardedCounter(t, cfg, 1) },
+		func(t *testing.T) batchIngester { return shardedCounter(t, cfg, 3) },
 	} {
 		e := mk(t)
 
@@ -153,13 +158,21 @@ func TestIngestBatchValidation(t *testing.T) {
 			t.Fatal("ragged batch accepted")
 		}
 
-		// Member outside the m-layer: the router must reject it before
-		// ancestor resolution. (The single engine defers member validation
-		// to unit close, as Ingest does.)
-		if sh, ok := e.(*ShardedEngine); ok {
-			if _, err := sh.IngestBatch(newBatch(2, testRecord{members: []int32{1, 99}, tick: 0})); err == nil {
-				t.Fatal("out-of-range member accepted")
-			}
+		// Members outside the m-layer fail the batch with Route's error for
+		// the first bad one in dimension-major order, before any record of
+		// it is ingested, and a record with Route's own.
+		bad := newBatch(2,
+			testRecord{members: []int32{2, 2}, tick: 0, value: 1},
+			testRecord{members: []int32{1, 99}, tick: 0, value: 1},
+			testRecord{members: []int32{-1, 0}, tick: 1, value: 1})
+		if _, err := e.IngestBatch(bad); err == nil || err.Error() != wantBatch.Error() {
+			t.Fatalf("%T: out-of-range batch: %v, want %v", e, err, wantBatch)
+		}
+		if _, err := e.Ingest([]int32{1, 99}, 0, 1); err == nil || err.Error() != wantRecord.Error() {
+			t.Fatalf("%T: out-of-range record: %v, want %v", e, err, wantRecord)
+		}
+		if n := e.ActiveCells(); n != 0 {
+			t.Fatalf("%T: refused records left %d active cells", e, n)
 		}
 
 		// A valid batch, then one that regresses behind the open unit: the
@@ -171,4 +184,25 @@ func TestIngestBatchValidation(t *testing.T) {
 			t.Fatal("tick before the open unit accepted")
 		}
 	}
+}
+
+// shardedCounterEngine adapts a ShardedEngine's ActiveCells to Engine's
+// form; shardedCounter builds one and closes it with the test.
+type shardedCounterEngine struct{ *ShardedEngine }
+
+func (s shardedCounterEngine) ActiveCells() int {
+	n, err := s.ShardedEngine.ActiveCells()
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+func shardedCounter(t *testing.T, cfg Config, shards int) shardedCounterEngine {
+	e, err := NewShardedEngine(cfg, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return shardedCounterEngine{e}
 }

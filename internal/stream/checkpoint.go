@@ -113,7 +113,7 @@ func (e *Engine) Checkpoint() *Checkpoint { return e.cutCheckpoint(new(checkpoin
 // cutCheckpoint is Checkpoint into b, overwriting what b held: the returned
 // checkpoint is b's and lives until b is cut into again.
 func (e *Engine) cutCheckpoint(b *checkpointBuf) *Checkpoint {
-	nd := e.nd
+	nd := e.layout.nd
 	cp := &b.cp
 	*cp = Checkpoint{
 		Unit:      e.unit,
@@ -129,21 +129,14 @@ func (e *Engine) cutCheckpoint(b *checkpointBuf) *Checkpoint {
 	recs := slices.Grow(b.recs[:0], len(e.frames)*len(e.cfg.TiltLevels))
 	slots := slices.Grow(b.slots[:0], slotsInUse)
 
-	cell := func(m []int32, acc *regression.Accumulator) {
+	for o := range e.slab {
 		start := len(members)
-		members = append(members, m...)
-		cp.Cells = append(cp.Cells, CellState{Members: members[start:len(members):len(members)], Acc: acc.State()})
+		members = slices.Grow(members, nd)[:start+nd]
+		e.layout.decode(e.codes[o], members[start:])
+		cp.Cells = append(cp.Cells, CellState{Members: members[start:len(members):len(members)], Acc: e.slab[o].State()})
 	}
-	var denseKey [cube.MaxDims]int32
-	for _, idx := range e.denseActive {
-		e.layout.decode(idx, denseKey[:nd])
-		cell(denseKey[:nd], e.dense[idx])
-	}
-	for key, acc := range e.cells {
-		cell(key[:nd], acc)
-	}
-	// Map iteration (and the dense table's index order) is not coordinate
-	// order; sorting makes the cut a pure function of engine state.
+	// Ordinal order is first-sight order, not coordinate order; sorting
+	// makes the cut a pure function of engine state.
 	slices.SortFunc(cp.Cells, compareCellStates)
 
 	keys := b.keys[:0]
@@ -312,20 +305,34 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	// The delta base is not checkpointed; restoring always starts a fresh
 	// base (the first restored unit carries no delta cube).
 	e.prevInputs = nil
-	e.cells = make(map[[cube.MaxDims]int32]*regression.Accumulator, len(cp.Cells))
-	for _, idx := range e.denseActive {
-		e.dense[idx] = nil
-	}
-	e.denseActive = e.denseActive[:0]
+	// Cells take ordinals in checkpoint order — a many-shard coordinator
+	// numbers its shards' parts the same way — and a repeated cell replaces
+	// the earlier one.
+	e.slab, e.codes = e.slab[:0], e.codes[:0]
+	e.dict.reset()
 	for _, cs := range cp.Cells {
-		if len(cs.Members) != len(e.cfg.Schema.Dims) {
+		if len(cs.Members) != e.layout.nd {
 			return fmt.Errorf("%w: checkpoint cell has %d members", ErrConfig, len(cs.Members))
+		}
+		code, bad := e.layout.code(cs.Members)
+		if bad >= 0 {
+			return fmt.Errorf("%w: checkpoint %v", ErrConfig, e.layout.rangeErr(bad, cs.Members[bad]))
 		}
 		acc, err := regression.RestoreAccumulator(cs.Acc)
 		if err != nil {
 			return fmt.Errorf("stream: restoring accumulator: %w", err)
 		}
-		*e.cellAcc(cs.Members) = *acc
+		if e.dict == nil { // a shard of a many-shard engine: cells arrive in ordinal order
+			e.open(code)
+			e.slab[len(e.slab)-1] = *acc
+			continue
+		}
+		c := e.dict.slot(code)
+		if c.key == 0 {
+			c = e.dict.add(c, code)
+			e.open(code)
+		}
+		e.slab[c.ord] = *acc
 	}
 	e.frames = make(map[cube.CellKey]*cellFrame, max(len(cp.Tilt), len(cp.History)))
 	for _, rec := range cp.Tilt {

@@ -31,9 +31,9 @@ func scribble(b *wire.Batch) {
 // IngestBatch, every batch scribbled over the moment its call returns —
 // a ShardedEngine at 1, 2, 4 and 7 shards closes the units a plain Engine
 // fed record by record closes and ends in its state, bitwise, under the
-// default one-level frame chain and the calendar chain — on a dense
-// m-layer (segments carry cell indexes, shards run ingestCells) and on one
-// past denseCells (member columns, ingestRun).
+// default one-level frame chain and the calendar chain — on a 9×9 m-layer
+// and on a 729×729 one where the same few dozen cells are active: one cell
+// path, whose dictionary numbers each shard's cells, on both.
 func TestSelectionDispatchMatchesSingleEngine(t *testing.T) {
 	for _, sc := range []struct {
 		name   string
@@ -137,10 +137,21 @@ func denseFrame(from, ticks int) *wire.Batch {
 }
 
 // Steady-state IngestBatch at two shards allocates nothing: the segments
-// circulate, their columns and position lists keep their capacity, and a
-// dispatch is channel sends of a pointer.
+// circulate, their columns and position lists keep their capacity, every
+// cell is in the dictionary and the slabs, and a dispatch is channel sends
+// of a pointer — on a 9×9 m-layer, a 729×729 one and one of 289×289 cells,
+// just past 2¹⁶, alike.
 func TestIngestBatchSteadyStateAllocatesNothing(t *testing.T) {
-	cfg := Config{Schema: wideSchema(t), TicksPerUnit: 1 << 30, Threshold: exception.Global(1e18)}
+	for _, sc := range []struct {
+		name   string
+		schema *cube.Schema
+	}{{"dense", wideSchema(t)}, {"sparse", sparseSchema(t)}, {"past-2^16", fanoutSchema(t, 17, 2)}} {
+		t.Run(sc.name, func(t *testing.T) { steadyStateAllocatesNothing(t, sc.schema) })
+	}
+}
+
+func steadyStateAllocatesNothing(t *testing.T, schema *cube.Schema) {
+	cfg := Config{Schema: schema, TicksPerUnit: 1 << 30, Threshold: exception.Global(1e18)}
 	e, err := NewShardedEngine(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -193,9 +204,9 @@ func pooledSegments(t *testing.T, e *ShardedEngine) []*segment {
 }
 
 // One wire.MaxBatchRecords batch grows a segment to ~20 MB of columns —
-// ticks, values and cell indexes; a dense m-layer's segments hold no
-// member columns — plus its position lists; once ordinary frames follow,
-// the engine must not keep any of it.
+// ticks, values and ordinals; segments hold no member columns — plus its
+// position lists; once ordinary frames follow, the engine must not keep
+// any of it.
 func TestSegmentBuffersAreBounded(t *testing.T) {
 	cfg := Config{Schema: wideSchema(t), TicksPerUnit: 1 << 30, Threshold: exception.Global(1e18)}
 	e, err := NewShardedEngine(cfg, 2)
@@ -212,10 +223,7 @@ func TestSegmentBuffersAreBounded(t *testing.T) {
 	}
 	grown := 0
 	for _, seg := range pooledSegments(t, e) {
-		grown = max(grown, min(cap(seg.Ticks), cap(seg.cells)))
-		if len(seg.Cols) != 0 {
-			t.Fatalf("a dense m-layer's segment has %d member columns", len(seg.Cols))
-		}
+		grown = max(grown, min(cap(seg.ticks), cap(seg.values), cap(seg.ords)))
 	}
 	if grown < huge.Len() {
 		t.Fatalf("largest pooled segment holds %d records, the batch had %d", grown, huge.Len())
@@ -235,12 +243,9 @@ func TestSegmentBuffersAreBounded(t *testing.T) {
 	}
 	bound := 4*frame.Len() + 1024
 	for i, seg := range pooledSegments(t, e) {
-		held := max(cap(seg.Ticks), cap(seg.Values), cap(seg.hash), cap(seg.cells))
-		for _, col := range seg.Cols {
-			held = max(held, cap(col))
-		}
-		for _, sel := range seg.sel {
-			held = max(held, cap(sel))
+		held := max(cap(seg.ticks), cap(seg.values), cap(seg.ords))
+		for i, sel := range seg.sel {
+			held = max(held, cap(sel), cap(seg.fresh[i]))
 		}
 		if held > bound {
 			t.Fatalf("segment %d still holds room for %d records after %d-record frames (bound %d)",

@@ -155,33 +155,25 @@ type Engine struct {
 	// anc resolves roll-ups to the o-layer when a closed unit's supporter
 	// index is built.
 	anc  *cube.AncestorIndex
-	nd   int   // cached len(cfg.Schema.Dims), for the per-record path
 	unit int64 // index of the current (open) unit
 	// openStart/openEnd cache the open unit's tick bounds
 	// [openStart, openEnd), so the per-record boundary tests are single
 	// comparisons.
 	openStart int64
 	openEnd   int64
-	// cells holds the open unit's per-cell accumulators keyed by the full
-	// member tuple. When the m-layer is small enough (denseCells), the hot
-	// path uses the dense direct-index table below instead — hashing a
-	// MaxDims-wide array key costs more than the whole regression update —
-	// and this map only sees out-of-range members, which must keep their
-	// own cells so their error still surfaces at unit close.
-	cells map[[cube.MaxDims]int32]*regression.Accumulator
-	// dense[i] is the accumulator of the cell whose layout index is i; nil
-	// when the m-layer is too large. denseActive lists the occupied
-	// indexes, so closes and checkpoints never scan the whole table.
-	dense       []*regression.Accumulator
-	denseActive []int32
-	layout      cellLayout
+	// layout codes m-cells. slab[o] is the accumulator of the open unit's
+	// cell with ordinal o and codes[o] its code, sized by the unit's active
+	// cells and emptied at every close. dict numbers the cells of an engine
+	// that reads its own records; a many-shard engine's shards have none,
+	// the coordinator's dictionary numbers theirs.
+	layout cellLayout
+	dict   *cellDict
+	slab   []regression.Accumulator
+	codes  []uint64
 	// frames holds every o-cell's history: one tilt frame per cell seen so
 	// far, its finest level the per-unit history.
 	frames    map[cube.CellKey]*cellFrame
 	unitsDone int64
-	// accPool recycles the per-cell accumulators of closed units, so a
-	// steady-state unit allocates nothing per cell.
-	accPool []*regression.Accumulator
 	// inputBufs/memberBufs double-buffer each closed unit's m-layer batch:
 	// the previous unit's buffer may still be aliased by prevInputs
 	// (DeltaDrill compares adjacent units), so closes alternate between two
@@ -230,6 +222,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Threshold == nil {
 		return nil, fmt.Errorf("%w: nil thresholder", ErrConfig)
 	}
+	layout, err := newCellLayout(cfg.Schema)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Algorithm == PopularPath && len(cfg.Path.Cuboids) == 0 {
 		cfg.Path = cube.NewLattice(cfg.Schema).DefaultPath()
 	}
@@ -244,77 +240,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		anc:       cube.NewAncestorIndex(cfg.Schema),
 		ws:        core.NewWorkspace(cfg.Schema),
-		nd:        len(cfg.Schema.Dims),
 		shape:     shapeOf(cfg.Schema),
 		openStart: cfg.StartTick,
 		openEnd:   cfg.StartTick + int64(cfg.TicksPerUnit),
-		cells:     make(map[[cube.MaxDims]int32]*regression.Accumulator),
 		frames:    make(map[cube.CellKey]*cellFrame),
-		layout:    newCellLayout(cfg.Schema),
+		layout:    layout,
 	}
-	if e.layout.size > 0 {
-		e.dense = make([]*regression.Accumulator, e.layout.size)
-	}
+	e.dict = newCellDict(&e.layout, nil)
 	return e, nil
-}
-
-// denseCells bounds the dense cell tables: an m-layer with at most this
-// many potential cells gets O(1) indexed lookups (512 KiB of pointers at
-// the cap); anything larger stays on the map and the o-ancestor fold.
-const denseCells = 1 << 16
-
-// cellLayout is the mixed-radix m-cell index, dimension 0 least
-// significant, of both dense tables: the Engine's accumulators and the
-// Partitioner's cell→partition table. cards holds every dimension's
-// m-layer cardinality; size is the cell count, 0 past denseCells.
-type cellLayout struct {
-	size    int
-	cards   [cube.MaxDims]int32
-	strides [cube.MaxDims]int32
-}
-
-func newCellLayout(schema *cube.Schema) cellLayout {
-	l := cellLayout{size: 1}
-	for d, dim := range schema.Dims {
-		l.cards[d] = int32(dim.Hierarchy.Cardinality(dim.MLevel))
-		l.strides[d] = int32(l.size)
-		if l.size *= int(l.cards[d]); l.size > denseCells {
-			l.size = 0
-		}
-	}
-	return l
-}
-
-// index returns a member tuple's cell index; false when one is out of range.
-func (l *cellLayout) index(members []int32) (int32, bool) {
-	idx := int32(0)
-	for d, m := range members {
-		if uint32(m) >= uint32(l.cards[d]) {
-			return 0, false
-		}
-		idx += m * l.strides[d]
-	}
-	return idx, true
-}
-
-// indexAt is index for record i of member columns cols.
-func (l *cellLayout) indexAt(cols [][]int32, i int) (int32, bool) {
-	idx := int32(0)
-	for d, col := range cols {
-		m := col[i]
-		if uint32(m) >= uint32(l.cards[d]) {
-			return 0, false
-		}
-		idx += m * l.strides[d]
-	}
-	return idx, true
-}
-
-// decode writes the member tuple of cell index idx into members.
-func (l *cellLayout) decode(idx int32, members []int32) {
-	for d := range members {
-		members[d] = idx / l.strides[d] % l.cards[d]
-	}
 }
 
 // Unit returns the index of the currently open unit.
@@ -325,7 +258,7 @@ func (e *Engine) UnitsDone() int64 { return e.unitsDone }
 
 // ActiveCells returns the number of m-layer cells with data in the open
 // unit.
-func (e *Engine) ActiveCells() int { return len(e.denseActive) + len(e.cells) }
+func (e *Engine) ActiveCells() int { return len(e.slab) }
 
 // WALSeq returns the WAL watermark: the count of write-ahead-log records
 // this engine's state reflects (zero when no WAL is in use).
@@ -349,13 +282,37 @@ func (e *Engine) unitStart(u int64) int64 {
 // boundary closes earlier units; their results are returned in order
 // (units that received no data yield a UnitResult with a nil Result).
 func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error) {
-	if len(members) != e.nd {
-		return nil, fmt.Errorf("%w: %d members for %d dimensions", ErrRecord, len(members), e.nd)
-	}
-	if tick < e.openStart {
-		return nil, fmt.Errorf("%w: tick %d before open unit start %d", ErrRecord, tick, e.openStart)
+	if len(members) != e.layout.nd {
+		return nil, fmt.Errorf("%w: %d members for %d dimensions", ErrRecord, len(members), e.layout.nd)
 	}
 	var closed []*UnitResult
+	if tick < e.openStart || tick >= e.openEnd {
+		var err error
+		if closed, err = e.reach(tick, nil); err != nil {
+			return closed, err
+		}
+	}
+	code, bad := e.layout.code(members)
+	if bad >= 0 {
+		return closed, e.layout.rangeErr(bad, members[bad])
+	}
+	c := e.dict.slot(code) // ingestRun's step, for one record
+	if c.key == 0 {
+		c = e.dict.add(c, code)
+		e.open(code)
+	}
+	if acc := &e.slab[c.ord]; !acc.Observe(tick, value) {
+		return closed, e.refuse(acc, tick, value)
+	}
+	return closed, nil
+}
+
+// reach makes tick's unit the open one, appending the units it closes to
+// closed; a tick before the open unit is ErrRecord.
+func (e *Engine) reach(tick int64, closed []*UnitResult) ([]*UnitResult, error) {
+	if tick < e.openStart {
+		return closed, fmt.Errorf("%w: tick %d before open unit start %d", ErrRecord, tick, e.openStart)
+	}
 	for tick >= e.openEnd {
 		ur, err := e.closeUnit()
 		if err != nil {
@@ -363,62 +320,27 @@ func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*UnitResu
 		}
 		closed = append(closed, ur)
 	}
-	return closed, e.add(e.cellAcc(members), tick, value)
+	return closed, nil
 }
 
-// cellAcc returns the open unit's accumulator of a member tuple, opening it
-// on first use in the dense table, or else in the map (see Engine.cells).
-func (e *Engine) cellAcc(members []int32) *regression.Accumulator {
-	if e.dense != nil {
-		if idx, ok := e.layout.index(members); ok {
-			return e.denseAcc(idx)
-		}
+// open appends a new cell's accumulator to the slab, at the next ordinal.
+func (e *Engine) open(code uint64) {
+	e.slab = append(e.slab, *regression.NewAccumulator(e.openStart))
+	e.codes = append(e.codes, code)
+}
+
+// refuse names why a record failed the inline step every ingest path
+// takes (Accumulator.Observe; the shard loop checks the tick is inside the
+// open unit too): a tick outside the open unit, one its cell already
+// consumed, or a non-finite value.
+func (e *Engine) refuse(acc *regression.Accumulator, tick int64, value float64) error {
+	if tick < e.openStart || tick >= e.openEnd {
+		return fmt.Errorf("%w: tick %d outside open unit [%d,%d)", ErrRecord, tick, e.openStart, e.openEnd)
 	}
-	var key [cube.MaxDims]int32
-	copy(key[:], members)
-	acc, ok := e.cells[key]
-	if !ok {
-		acc = e.newAccumulator()
-		e.cells[key] = acc
-	}
-	return acc
-}
-
-// denseAcc is cellAcc for dense cell idx; openDense is out of line so it inlines.
-func (e *Engine) denseAcc(idx int32) *regression.Accumulator {
-	if acc := e.dense[idx]; acc != nil {
-		return acc
-	}
-	return e.openDense(idx)
-}
-
-func (e *Engine) openDense(idx int32) *regression.Accumulator {
-	acc := e.newAccumulator()
-	e.dense[idx] = acc
-	e.denseActive = append(e.denseActive, idx)
-	return acc
-}
-
-// add is the one accumulator step of every ingest path: per-cell tick order,
-// the O(1) zero fill of absent ticks, and Add (which refuses non-finite z).
-func (e *Engine) add(acc *regression.Accumulator, tick int64, value float64) error {
 	if tick < acc.NextTick() {
 		return fmt.Errorf("%w: tick %d already consumed for cell (next %d)", ErrRecord, tick, acc.NextTick())
 	}
-	acc.AdvanceTo(tick)
 	return acc.Add(tick, value)
-}
-
-// newAccumulator draws a recycled per-cell accumulator for the open unit,
-// falling back to allocation while the pool warms up.
-func (e *Engine) newAccumulator() *regression.Accumulator {
-	if n := len(e.accPool); n > 0 {
-		acc := e.accPool[n-1]
-		e.accPool = e.accPool[:n-1]
-		acc.Reset(e.openStart)
-		return acc
-	}
-	return regression.NewAccumulator(e.openStart)
 }
 
 // Flush closes the currently open unit even if it is mid-way: every active
@@ -434,15 +356,10 @@ func (e *Engine) Flush() (*UnitResult, error) {
 // past boundaries without a record; already being at or past `unit` is a
 // no-op.
 func (e *Engine) AdvanceTo(unit int64) ([]*UnitResult, error) {
-	var out []*UnitResult
-	for e.unit < unit {
-		ur, err := e.closeUnit()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ur)
+	if unit <= e.unit {
+		return nil, nil
 	}
-	return out, nil
+	return e.reach(e.unitStart(unit), nil)
 }
 
 func (e *Engine) closeUnit() (*UnitResult, error) {
@@ -451,48 +368,34 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 	ur := &UnitResult{Unit: e.unit, Interval: timeseries.Interval{Tb: lo, Te: hi}}
 
 	// Reuse this close's buffers from two units ago (prevInputs may still
-	// alias last unit's); member tuples are copied into the arena so the
-	// accumulator map entries can be recycled immediately.
-	nd := len(e.cfg.Schema.Dims)
+	// alias last unit's); member tuples are decoded into the arena, so the
+	// slab empties at once.
+	nd := e.layout.nd
 	inputs := e.inputBufs[e.bufSel][:0]
 	if inputs == nil {
-		inputs = make([]core.Input, 0, e.ActiveCells())
+		inputs = make([]core.Input, 0, len(e.slab))
 	}
 	arena := e.memberBufs[e.bufSel][:0]
-	harvest := func(members []int32, acc *regression.Accumulator) error {
+	for o := range e.slab {
+		acc := &e.slab[o]
 		acc.AdvanceTo(hi + 1) // zero-pad to the unit boundary, in O(1)
 		isb, err := acc.Snapshot()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		start := len(arena)
-		arena = append(arena, members...)
+		arena = slices.Grow(arena, nd)[:start+nd]
+		e.layout.decode(e.codes[o], arena[start:])
 		inputs = append(inputs, core.Input{Members: arena[start:len(arena):len(arena)], Measure: isb})
-		e.accPool = append(e.accPool, acc)
-		return nil
 	}
-	var denseKey [cube.MaxDims]int32
-	for _, idx := range e.denseActive {
-		e.layout.decode(idx, denseKey[:nd])
-		if err := harvest(denseKey[:nd], e.dense[idx]); err != nil {
-			return nil, err
-		}
-		e.dense[idx] = nil
+	// Stream data flows in-and-out: the ordinals go with the unit. A slab
+	// far larger than this unit needed is dropped, so one bursty unit
+	// cannot pin its peak footprint forever.
+	if bound := 4*len(inputs) + 1024; cap(e.slab) > bound {
+		e.slab, e.codes = nil, nil
 	}
-	e.denseActive = e.denseActive[:0]
-	for key, acc := range e.cells {
-		if err := harvest(key[:nd], acc); err != nil {
-			return nil, err
-		}
-	}
-	// Bound recycled state to a small multiple of this unit's size, so one
-	// bursty unit cannot pin its peak footprint forever.
-	if bound := 2*len(inputs) + 1024; len(e.accPool) > bound {
-		for i := bound; i < len(e.accPool); i++ {
-			e.accPool[i] = nil // release for GC; keep the slot array
-		}
-		e.accPool = e.accPool[:bound]
-	}
+	e.slab, e.codes = e.slab[:0], e.codes[:0]
+	e.dict.reset()
 	if bound := 4*len(inputs) + 1024; cap(inputs) > bound {
 		inputs = append(make([]core.Input, 0, bound), inputs...)
 		// The arena's contents are reached only through inputs' Members
@@ -509,9 +412,6 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 	slices.SortFunc(inputs, func(a, b core.Input) int {
 		return slices.Compare(a.Members, b.Members)
 	})
-	// Stream data flows in-and-out: the unit's accumulators return to the
-	// pool and the map empties in place.
-	clear(e.cells)
 	e.unit++
 	e.openStart = e.openEnd
 	e.openEnd += int64(e.cfg.TicksPerUnit)

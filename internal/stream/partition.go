@@ -20,26 +20,16 @@ import (
 // The hash is a 64-bit FNV-style fold of the o-member tuple plus a
 // splitmix64 avalanche, reduced to a partition with a multiply-high
 // instead of a modulo — fixed and stable (checkpoints repartition
-// identically on every run), and far cheaper than byte-wise hashing on
-// the per-record path. A dense m-layer's batches route through a cell →
-// partition table filled from Route, so both agree by construction.
+// identically on every run). Batches route through cell dictionaries that
+// run Route once per cell, so batch and record routing agree by
+// construction. A Partitioner holds no state past construction and is safe
+// for concurrent use.
 type Partitioner struct {
-	n     int
-	nDims int
-	// idx resolves each record's o-layer ancestor with precomputed
-	// tables; mLevels/oLevels cache the per-dimension levels so routing
-	// does no interface calls, and anc[d] flattens the m→o mapping into
-	// one dense slice per dimension (nil for oversized hierarchies, which
-	// route through idx instead).
-	idx     *cube.AncestorIndex
-	mLevels [cube.MaxDims]int
-	oLevels [cube.MaxDims]int
-	anc     [cube.MaxDims][]int32
-	names   [cube.MaxDims]string
-	// layout is the Engine's m-cell index (its cards bound every member);
-	// table[c] is m-cell c's partition, nil past denseCells.
+	n int
+	// anc[d] lifts a dimension-d m-member to its o-layer ancestor.
+	anc [cube.MaxDims]cube.Resolver
+	// layout codes and range-checks m-cells.
 	layout cellLayout
-	table  []int32
 }
 
 // NewPartitioner builds the o-ancestor partition function for a schema
@@ -51,33 +41,14 @@ func NewPartitioner(schema *cube.Schema, n int) (*Partitioner, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: %d partitions", ErrConfig, n)
 	}
-	p := &Partitioner{n: n, nDims: len(schema.Dims), idx: cube.NewAncestorIndex(schema), layout: newCellLayout(schema)}
-	for d, dim := range schema.Dims {
-		p.mLevels[d] = dim.MLevel
-		p.oLevels[d] = dim.OLevel
-		p.names[d] = dim.Name
-		// Flatten routing to one table lookup per dimension: reuse the
-		// index's own dense table when it has one, otherwise build one
-		// (fanout/identity dimensions); skip it (and fall back to the
-		// index per record) past 4M members.
-		if tab := p.idx.TableFor(d, dim.MLevel, dim.OLevel); tab != nil {
-			p.anc[d] = tab
-		} else if card := p.layout.cards[d]; card <= 1<<22 {
-			tab := make([]int32, card)
-			for m := range tab {
-				tab[m] = p.idx.Ancestor(d, dim.MLevel, dim.OLevel, int32(m))
-			}
-			p.anc[d] = tab
-		}
+	layout, err := newCellLayout(schema)
+	if err != nil {
+		return nil, err
 	}
-	if p.layout.size > 0 {
-		p.table = make([]int32, p.layout.size)
-		members := make([]int32, p.nDims)
-		for c := range p.table {
-			p.layout.decode(int32(c), members)
-			sid, _ := p.Route(members) // decoded members are in range
-			p.table[c] = int32(sid)
-		}
+	p := &Partitioner{n: n, layout: layout}
+	idx := cube.NewAncestorIndex(schema)
+	for d, dim := range schema.Dims {
+		p.anc[d] = idx.Resolver(d, dim.MLevel, dim.OLevel)
 	}
 	return p, nil
 }
@@ -90,139 +61,98 @@ func (p *Partitioner) Partitions() int { return p.n }
 // multiply-high range reduction.
 func (p *Partitioner) Hash(members *[cube.MaxDims]int32) int {
 	h := uint64(1469598103934665603)
-	for d := 0; d < p.nDims; d++ {
+	for d := 0; d < p.layout.nd; d++ {
 		h = (h ^ uint64(uint32(members[d]))) * 1099511628211
 	}
-	return int(reduce(h, uint64(p.n)))
-}
-
-// reduce finishes a folded hash: the splitmix64 avalanche, then the
-// multiply-high reduction to [0,n).
-func reduce(h, n uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
-	sid, _ := bits.Mul64(h, n)
-	return sid
-}
-
-// rangeErr reports member m as outside dimension d's m-layer.
-func (p *Partitioner) rangeErr(d int, m int32) error {
-	return fmt.Errorf("%w: member %d of dimension %s outside [0,%d)", ErrRecord, m, p.names[d], p.layout.cards[d])
+	sid, _ := bits.Mul64(h, uint64(p.n))
+	return int(sid)
 }
 
 // Route maps an m-layer member tuple to its partition by resolving the
 // o-layer ancestors first, range-checking every member.
 func (p *Partitioner) Route(members []int32) (int, error) {
 	var o [cube.MaxDims]int32
-	for d := 0; d < p.nDims; d++ {
-		if uint32(members[d]) >= uint32(p.layout.cards[d]) {
-			return 0, p.rangeErr(d, members[d])
+	for d := 0; d < p.layout.nd; d++ {
+		if uint32(members[d]) >= p.layout.cards[d] {
+			return 0, p.layout.rangeErr(d, members[d])
 		}
-		if tab := p.anc[d]; tab != nil {
-			o[d] = tab[members[d]]
-		} else {
-			o[d] = p.idx.Ancestor(d, p.mLevels[d], p.oLevels[d], members[d])
-		}
+		o[d] = p.anc[d].Resolve(members[d])
 	}
 	return p.Hash(&o), nil
 }
 
-// FoldColumns assigns records [lo,hi) of a columnar batch to partitions,
-// writing the partition ids into hb (whose length must be hi-lo): through
-// the cell table when there is one, else by the ancestor fold, column-wise
-// in Hash's order and constants. Either way batch and record routing agree
-// bit for bit. An out-of-range member fails the batch; hb is then garbage.
+// FoldColumns writes the partitions of records [lo,hi) of a columnar
+// batch into hb (of length hi-lo), through a cell dictionary that starts
+// empty on every call, as an engine's does at every unit: over one unit's
+// records it pays Route per distinct cell, as a coordinator does, and
+// grows its table from empty, which a coordinator does not. An
+// out-of-range member fails the batch with Route's error for the first bad
+// member in dimension-major order; hb is then garbage.
 func (p *Partitioner) FoldColumns(b *wire.Batch, lo, hi int, hb []uint64) error {
-	if p.table != nil {
-		if err := cellColumn(p, b, lo, hi, hb); err != nil {
-			return err
-		}
-		for i, c := range hb {
-			hb[i] = uint64(p.table[c])
-		}
-		return nil
-	}
-	if err := p.fold(b, lo, hi, hb); err != nil {
+	d := newCellDict(&p.layout, p)
+	d.buf = hb[:0] // the codes go into hb, then the partitions over them
+	codes, err := d.codes(b, lo, hi)
+	if err != nil {
 		return err
 	}
-	n := uint64(p.n)
-	for i, h := range hb {
-		hb[i] = reduce(h, n)
+	for i, code := range codes {
+		c := d.slot(code)
+		if c.key == 0 {
+			c = d.add(c, code)
+		}
+		hb[i] = uint64(c.part)
 	}
 	return nil
 }
 
-// cellColumn writes the m-cell index of records [lo,hi) into out, checking
-// members in fold's order: the error names the same first bad member.
-func cellColumn[T int32 | uint64](p *Partitioner, b *wire.Batch, lo, hi int, out []T) error {
-	clear(out)
-	for d := 0; d < p.nDims; d++ {
-		card, stride := p.layout.cards[d], T(p.layout.strides[d])
-		for i, m := range b.Cols[d][lo:hi] {
-			if uint32(m) >= uint32(card) {
-				return p.rangeErr(d, m)
-			}
-			out[i] += T(m) * stride
-		}
-	}
-	return nil
+// CellRouter is a routing-only cell dictionary, the cluster router's: it
+// hands out no ordinals, so it outlives units and a stable set of cells
+// runs Route once for the stream's life. Advance empties it when it holds
+// more than twice the cells the closing unit routed, so under churn it
+// holds three units' cells at most. Not safe for concurrent use.
+type CellRouter struct {
+	dict *cellDict
+	unit int32 // stamps the open unit in the ord of each cell it routes
+	live int   // cells the open unit routed
 }
 
-// fold is the column-wise half of the hash path: hb[i] becomes record
-// lo+i's o-ancestor fold, not yet reduced to a partition.
-func (p *Partitioner) fold(b *wire.Batch, lo, hi int, hb []uint64) error {
-	for i := range hb {
-		hb[i] = 1469598103934665603
-	}
-	for d := 0; d < p.nDims; d++ {
-		col := b.Cols[d][lo:hi]
-		card := p.layout.cards[d]
-		if tab := p.anc[d]; tab != nil {
-			for i, m := range col {
-				if m < 0 || m >= card {
-					return p.rangeErr(d, m)
-				}
-				hb[i] = (hb[i] ^ uint64(uint32(tab[m]))) * 1099511628211
-			}
-			continue
-		}
-		for i, m := range col {
-			if m < 0 || m >= card {
-				return p.rangeErr(d, m)
-			}
-			o := p.idx.Ancestor(d, p.mLevels[d], p.oLevels[d], m)
-			hb[i] = (hb[i] ^ uint64(uint32(o))) * 1099511628211
-		}
-	}
-	return nil
+// NewCellRouter returns an empty cell dictionary routing through p.
+func NewCellRouter(p *Partitioner) *CellRouter {
+	return &CellRouter{dict: newCellDict(&p.layout, p)}
 }
 
-// Select assigns records [lo,hi) to partitions as FoldColumns does and
-// appends each record's position — counting up from base for record lo —
-// to its partition's list in sel; cells receives each record's m-cell index
-// (cell table) or hb is the fold scratch (none), each of length hi-lo. A
-// batch with an out-of-range member fails before any list is touched.
-func (p *Partitioner) Select(b *wire.Batch, lo, hi int, cells []int32, hb []uint64, base int32, sel [][]int32) error {
-	if p.table != nil {
-		if err := cellColumn(p, b, lo, hi, cells); err != nil {
-			return err
-		}
-		for i, c := range cells {
-			sid := p.table[c]
-			sel[sid] = append(sel[sid], base+int32(i))
-		}
-		return nil
-	}
-	if err := p.fold(b, lo, hi, hb); err != nil {
+// Select appends the position of each record in [lo,hi) of a shape-checked
+// batch — counting up from base for record lo — to its partition's list in
+// sel. An out-of-range member fails the batch as in FoldColumns, before
+// any list is touched or any cell filed.
+func (r *CellRouter) Select(b *wire.Batch, lo, hi int, base int32, sel [][]int32) error {
+	codes, err := r.dict.codes(b, lo, hi)
+	if err != nil {
 		return err
 	}
-	n := uint64(p.n)
-	for i, h := range hb {
-		sid := reduce(h, n)
-		sel[sid] = append(sel[sid], base+int32(i))
+	for i, code := range codes {
+		c := r.dict.slot(code)
+		if c.key == 0 {
+			c = r.dict.add(c, code)
+			c.ord = r.unit - 1 // not yet routed in this unit
+		}
+		if c.ord != r.unit {
+			c.ord, r.live = r.unit, r.live+1
+		}
+		sel[c.part] = append(sel[c.part], base+int32(i))
 	}
 	return nil
+}
+
+// Advance closes the open unit.
+func (r *CellRouter) Advance() {
+	if r.dict.n > 2*r.live {
+		r.dict.reset()
+	}
+	r.unit, r.live = r.unit+1, 0
 }

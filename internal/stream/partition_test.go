@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -8,11 +10,12 @@ import (
 )
 
 // TestPartitionerRouteFoldAgree pins the one property everything in the
-// cluster rests on: record-at-a-time routing (Route), the cell table
-// filled from it, and the batch paths (FoldColumns, Select) must place
-// every record in the same partition — across partition counts, on dense
-// m-layers (every m-cell, up to exactly denseCells of them: the table) and
-// on one past the cap (a grid of m-cells: no table, the o-ancestor fold).
+// cluster rests on: record-at-a-time routing (Route) and the batch paths
+// (FoldColumns, CellRouter.Select), which route through cell dictionaries
+// that run Route once per cell, must place every record in the same
+// partition — across partition counts, on m-layers up to exactly 2¹⁶ cells
+// (every m-cell) and past it (a grid of m-cells), with the router's
+// dictionary cold and warm.
 func TestPartitionerRouteFoldAgree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -21,10 +24,14 @@ func TestPartitionerRouteFoldAgree(t *testing.T) {
 	}{
 		{"snapshot", snapshotTestSchema(t), 1},
 		{"wide", wideSchema(t), 1},
-		{"at-cap", fanoutSchema(t, 16, 2), 1},
+		{"2^16", fanoutSchema(t, 16, 2), 1},
+		{"past-2^16", fanoutSchema(t, 17, 2), 3},
 		{"sparse", sparseSchema(t), 7},
 	} {
-		layout := newCellLayout(tc.schema)
+		layout, err := newCellLayout(tc.schema)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cards := layout.cards
 		for _, n := range []int{1, 2, 3, 4, 7, 16, 300} {
 			p, err := NewPartitioner(tc.schema, n)
@@ -34,14 +41,11 @@ func TestPartitionerRouteFoldAgree(t *testing.T) {
 			if p.Partitions() != n {
 				t.Fatalf("Partitions = %d, want %d", p.Partitions(), n)
 			}
-			if hasTable := p.table != nil; hasTable != (int(cards[0])*int(cards[1]) <= denseCells) {
-				t.Fatalf("%s: cell table present = %v for %d×%d m-cells", tc.name, hasTable, cards[0], cards[1])
-			}
 			var b wire.Batch
 			b.Reset(len(tc.schema.Dims))
 			var want []int
-			for a := int32(0); a < cards[0]; a += tc.step {
-				for c := int32(0); c < cards[1]; c += tc.step {
+			for a := int32(0); a < int32(cards[0]); a += tc.step {
+				for c := int32(0); c < int32(cards[1]); c += tc.step {
 					m := []int32{a, c}
 					sid, err := p.Route(m)
 					if err != nil {
@@ -49,11 +53,6 @@ func TestPartitionerRouteFoldAgree(t *testing.T) {
 					}
 					if sid < 0 || sid >= n {
 						t.Fatalf("n=%d: Route(%d,%d) = %d out of range", n, a, c, sid)
-					}
-					if p.table != nil {
-						if idx, _ := layout.index(m); int(p.table[idx]) != sid {
-							t.Fatalf("%s n=%d: table routes (%d,%d) to %d, Route to %d", tc.name, n, a, c, p.table[idx], sid)
-						}
 					}
 					want = append(want, sid)
 					b.Append(int64(a), m, 1)
@@ -68,44 +67,97 @@ func TestPartitionerRouteFoldAgree(t *testing.T) {
 					t.Fatalf("%s n=%d: record %d folds to %d, Route says %d", tc.name, n, i, sid, want[i])
 				}
 			}
-			// Select over the back half, positions counting from 5.
+			// Select over the back half, positions counting from 5: cold,
+			// then warm a unit later.
+			r := NewCellRouter(p)
 			lo := b.Len() / 2
-			cells, sel := make([]int32, b.Len()-lo), make([][]int32, n)
-			if err := p.Select(&b, lo, b.Len(), cells, hb[lo:], 5, sel); err != nil {
-				t.Fatal(err)
-			}
-			got := 0
-			for sid, list := range sel {
-				for _, pos := range list {
-					if i := lo + int(pos) - 5; want[i] != sid {
-						t.Fatalf("%s n=%d: record %d selected for %d, Route says %d", tc.name, n, i, sid, want[i])
+			for _, state := range []string{"cold", "warm"} {
+				sel := make([][]int32, n)
+				if err := r.Select(&b, lo, b.Len(), 5, sel); err != nil {
+					t.Fatal(err)
+				}
+				r.Advance()
+				if r.dict.n != b.Len()-lo {
+					t.Fatalf("%s n=%d %s: the router holds %d cells after routing %d", tc.name, n, state, r.dict.n, b.Len()-lo)
+				}
+				got := 0
+				for sid, list := range sel {
+					for _, pos := range list {
+						if i := lo + int(pos) - 5; want[i] != sid {
+							t.Fatalf("%s n=%d %s: record %d selected for %d, Route says %d", tc.name, n, state, i, sid, want[i])
+						}
+						got++
 					}
-					got++
 				}
-			}
-			if got != b.Len()-lo {
-				t.Fatalf("%s n=%d: %d of %d records selected", tc.name, n, got, b.Len()-lo)
-			}
-			for i := range cells {
-				if p.table == nil {
-					break
-				}
-				if idx, _ := layout.index([]int32{b.Cols[0][lo+i], b.Cols[1][lo+i]}); cells[i] != idx {
-					t.Fatalf("%s n=%d: record %d's cell index %d, want %d", tc.name, n, lo+i, cells[i], idx)
+				if got != b.Len()-lo {
+					t.Fatalf("%s n=%d %s: %d of %d records selected", tc.name, n, state, got, b.Len()-lo)
 				}
 			}
 		}
 	}
 }
 
+// A CellRouter routes a stable cell set once for the stream's life, and
+// under churn holds at most three units' cells: Advance drops its cells
+// when they are more than twice the ones the closing unit routed, and an
+// empty unit drops them all.
+func TestCellRouterStaysBounded(t *testing.T) {
+	p, err := NewPartitioner(sparseSchema(t), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewCellRouter(p)
+	const cells = 1000
+	unit := func(first int) {
+		var b wire.Batch
+		b.Reset(2)
+		for tick := 0; tick < 3; tick++ {
+			for k := first; k < first+cells; k++ {
+				b.Append(int64(tick), []int32{int32(k % 729), int32(k / 729 % 360)}, 1)
+			}
+		}
+		if err := r.Select(&b, 0, b.Len(), 0, make([][]int32, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if r.live != cells {
+			t.Fatalf("unit of %d cells from %d: %d counted live", cells, first, r.live)
+		}
+		r.Advance()
+	}
+	for u := 0; u < 5; u++ {
+		unit(0)
+		if r.dict.n != cells {
+			t.Fatalf("stable unit %d: the router holds %d cells, want %d", u, r.dict.n, cells)
+		}
+	}
+	held := []int{}
+	for u := 1; u <= 6; u++ {
+		unit(u * cells)
+		held = append(held, r.dict.n)
+	}
+	// Disjoint units: the stable set and the first churned unit stay (2 000
+	// ≤ 2×1 000), the next Advance drops all three units' cells, and so on.
+	if want := []int{2 * cells, 0, cells, 2 * cells, 0, cells}; !slices.Equal(held, want) {
+		t.Fatalf("cells held after each churned unit: %v, want %v", held, want)
+	}
+	unit(0)
+	r.Advance()
+	if r.dict.n != 0 {
+		t.Fatalf("an empty unit left %d cells", r.dict.n)
+	}
+}
+
 // TestPartitionerRejects covers the config and record failure modes. An
-// out-of-range member fails the cell-table path and the fold path with
-// the same error — Route's for the first bad member in dimension-major
-// order — before any list is touched.
+// out-of-range member fails FoldColumns and CellRouter.Select with Route's
+// error for the first bad member in dimension-major order, before any list
+// is touched or any cell filed; an m-layer past 2⁶⁴ cells is ErrConfig.
 func TestPartitionerRejects(t *testing.T) {
 	schema := snapshotTestSchema(t)
 	if _, err := NewPartitioner(schema, 0); err == nil {
 		t.Fatal("0 partitions accepted")
+	}
+	if _, err := NewPartitioner(overflowSchema(t), 2); !errors.Is(err, ErrConfig) {
+		t.Fatalf("an m-layer past 2^64 cells: %v, want ErrConfig", err)
 	}
 	p, err := NewPartitioner(schema, 3)
 	if err != nil {
@@ -117,29 +169,27 @@ func TestPartitionerRejects(t *testing.T) {
 	if _, err := p.Route([]int32{0, 99}); err == nil {
 		t.Fatal("out-of-range member accepted")
 	}
-	if p.table == nil {
-		t.Fatal("no cell table on a 16-cell m-layer")
-	}
-	folding := *p
-	folding.table = nil
 	var b wire.Batch
 	b.Reset(2)
+	b.Append(0, []int32{1, 1}, 1)
 	b.Append(0, []int32{0, 99}, 1)
 	b.Append(0, []int32{-1, 0}, 1)
 	_, want := p.Route([]int32{-1, 0})
-	for _, q := range []*Partitioner{p, &folding} {
-		if err := q.FoldColumns(&b, 0, 2, make([]uint64, 2)); err == nil || err.Error() != want.Error() {
-			t.Fatalf("table=%v: FoldColumns error %v, want %v", q.table != nil, err, want)
+	if err := p.FoldColumns(&b, 0, 3, make([]uint64, 3)); err == nil || err.Error() != want.Error() {
+		t.Fatalf("FoldColumns error %v, want %v", err, want)
+	}
+	r := NewCellRouter(p)
+	sel := make([][]int32, 3)
+	if err := r.Select(&b, 0, 3, 0, sel); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Select error %v, want %v", err, want)
+	}
+	for sid, list := range sel {
+		if len(list) > 0 {
+			t.Fatalf("a failed Select listed %v for partition %d", list, sid)
 		}
-		sel := make([][]int32, 3)
-		if err := q.Select(&b, 0, 2, make([]int32, 2), make([]uint64, 2), 0, sel); err == nil || err.Error() != want.Error() {
-			t.Fatalf("table=%v: Select error %v, want %v", q.table != nil, err, want)
-		}
-		for sid, list := range sel {
-			if len(list) > 0 {
-				t.Fatalf("table=%v: a failed Select listed %v for partition %d", q.table != nil, list, sid)
-			}
-		}
+	}
+	if r.dict.n != 0 {
+		t.Fatalf("a failed batch filed %d cells", r.dict.n)
 	}
 }
 

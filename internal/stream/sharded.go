@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/regression"
-	"repro/internal/wire"
 )
 
 // ingestBatchSize is how many records per-record Ingest gathers in the
@@ -21,23 +20,24 @@ const ingestBatchSize = 512
 // runAhead is how many segments an engine has, and so how far the
 // coordinator runs ahead of its slowest shard: with all of them in flight
 // the next Ingest or IngestBatch waits for one to come back. Three keeps
-// the shards fed while the next segment is folded and copied; more buys
+// the shards fed while the next segment is coded and copied; more buys
 // throughput with query latency (DESIGN §11.3) — a constant, not a setting.
 const runAhead = 3
 
 // segment is one in-unit run of records in engine-owned columns — the copy
 // is what lets an IngestBatch caller reuse its batch the moment the call
-// returns — plus, per shard, the positions of the records that shard owns:
-// shards read the columns in place through their list (a dense m-layer's
-// hold cell indexes instead of members). left counts the shards still
+// returns — plus, per shard, the positions of the records that shard owns
+// and the codes of the cells it sees first in this segment: shards read
+// the columns in place through their list. left counts the shards still
 // reading; the one that takes it to zero hands the segment back to the
 // coordinator.
 type segment struct {
-	wire.Batch
-	cells []int32   // cells[i] is record i's m-cell index; nil on a sparse m-layer
-	hash  []uint64  // Partitioner.Select's fold scratch (sparse m-layer)
-	sel   [][]int32 // sel[i] lists shard i's record positions, ascending
-	left  atomic.Int32
+	ticks  []int64
+	values []float64
+	ords   []int32    // ords[i] is record i's cell's ordinal in its shard
+	sel    [][]int32  // sel[i] lists shard i's record positions, ascending
+	fresh  [][]uint64 // fresh[i] holds the codes of shard i's new cells, in ordinal order
+	left   atomic.Int32
 }
 
 // shardReply carries a control operation's outcome back to the
@@ -100,19 +100,26 @@ type shard struct {
 // surface inside a shard (per-cell tick regressions) are reported at the
 // next unit boundary, query, or Flush rather than on the call that carried
 // the bad record; the first error sticks and fails all subsequent calls.
+// An out-of-range member is refused by the call that carried it, before
+// any record of its run is ingested, at every shard count; that refusal
+// does not stick.
 //
 // With one shard there is nothing to route: records skip the segments and
-// reach the shard's Engine on the caller's goroutine, so the engine is
-// single-threaded, a record error comes back from the very call that
-// carried the record (and sticks all the same), and out-of-range members
-// are rejected when their unit closes, as Engine does.
+// reach the shard's Engine on the caller's goroutine, which numbers its
+// cells with its own dictionary, so the engine is single-threaded and a
+// record error comes back from the very call that carried the record (and
+// sticks all the same).
 type ShardedEngine struct {
 	cfg    Config
-	nDims  int
 	shards []*shard
 	// part is the o-ancestor partition function the multi-node router
 	// (internal/cluster) shares, so shards and nodes route identically.
-	part *Partitioner
+	// dict is the cell dictionary that routes records through it and
+	// numbers each shard's cells — the sole shard's own with one shard.
+	// cellsActive is its size when the last barrier emptied it.
+	part        *Partitioner
+	dict        *cellDict
+	cellsActive atomic.Int64
 	// openEnd caches unitStart(unit+1) so the per-record boundary test is
 	// one comparison.
 	openEnd int64
@@ -170,14 +177,18 @@ func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 	}
 	s.cfg = s.shards[0].eng.cfg // normalized (level chain, default path)
 	s.cfg.PublishSnapshots = cfg.PublishSnapshots
-	s.nDims = len(cfg.Schema.Dims)
 	var err error
 	if s.part, err = NewPartitioner(cfg.Schema, shards); err != nil {
 		return nil, err
 	}
 	s.openEnd = s.unitStart(1)
 	if shards == 1 {
+		s.dict = s.shards[0].eng.dict
 		return s, nil // the sole shard runs on the caller's goroutine
+	}
+	s.dict = newCellDict(&s.part.layout, s.part)
+	for _, sh := range s.shards {
+		sh.eng.dict = nil // the coordinator numbers the shards' cells
 	}
 	s.segFree = make(chan *segment, runAhead)
 	for i := 0; i < runAhead; i++ {
@@ -215,8 +226,9 @@ func (sh *shard) send(msg shardMsg) {
 // it; segFree and the reply channels have room, so neither send blocks.
 func (sh *shard) handle(msg shardMsg) {
 	if seg := msg.seg; seg != nil {
-		sel := seg.sel[sh.id]
-		sh.ingestRun(&seg.Batch, seg.cells, sel, 0, len(sel))
+		if sh.sticky == nil {
+			sh.sticky = sh.eng.ingestSegment(seg, seg.fresh[sh.id], seg.sel[sh.id])
+		}
 		if seg.left.Add(-1) == 0 {
 			sh.segFree <- seg
 		}
@@ -231,30 +243,6 @@ func (sh *shard) handle(msg shardMsg) {
 	}
 	val, err := msg.fn(sh.eng)
 	msg.reply <- shardReply{val: val, err: err}
-}
-
-// ingestRun is Engine.ingestRun, or ingestCells given a dense segment's
-// cell indexes, unless an earlier record already failed; it returns the
-// sticky error. The coordinator barriers every boundary before dispatching
-// the crossing record, so every record here is inside the open unit — both
-// loops reject anything else, keeping a shard from closing units itself.
-func (sh *shard) ingestRun(b *wire.Batch, cells, sel []int32, lo, hi int) error {
-	if sh.sticky == nil && cells != nil {
-		sh.sticky = sh.eng.ingestCells(b, cells, sel[lo:hi])
-	} else if sh.sticky == nil {
-		sh.sticky = sh.eng.ingestRun(b, sel, lo, hi)
-	}
-	return sh.sticky
-}
-
-// ingest is ingestRun for one record.
-func (sh *shard) ingest(members []int32, tick int64, value float64) error {
-	if sh.sticky == nil {
-		// The coordinator already closed every unit before the record's,
-		// so Engine.Ingest closes none.
-		_, sh.sticky = sh.eng.Ingest(members, tick, value)
-	}
-	return sh.sticky
 }
 
 // Shards returns the shard count.
@@ -284,20 +272,15 @@ func (s *ShardedEngine) openSegment(n int) *segment {
 		s.runaheadWaits.Add(1)
 	}
 	seg := <-s.segFree
-	if cap(seg.Ticks) > 4*max(n, seg.Len())+1024 {
+	if cap(seg.ticks) > 4*max(n, len(seg.ticks))+1024 {
 		seg = &segment{}
 	}
-	dims := s.nDims
-	if s.part.table != nil {
-		dims = 0 // cell indexes replace the member columns
-	}
-	seg.Reset(dims)
-	seg.cells = seg.cells[:0]
+	seg.ticks, seg.values, seg.ords = seg.ticks[:0], seg.values[:0], seg.ords[:0]
 	if seg.sel == nil {
-		seg.sel = make([][]int32, len(s.shards))
+		seg.sel, seg.fresh = make([][]int32, len(s.shards)), make([][]uint64, len(s.shards))
 	}
 	for i := range seg.sel {
-		seg.sel[i] = seg.sel[i][:0]
+		seg.sel[i], seg.fresh[i] = seg.sel[i][:0], seg.fresh[i][:0]
 	}
 	s.open = seg
 	return seg
@@ -307,7 +290,7 @@ func (s *ShardedEngine) openSegment(n int) *segment {
 // shard channels are FIFO, so a later control message arrives behind it.
 func (s *ShardedEngine) dispatch() {
 	seg := s.open
-	if seg == nil || seg.Len() == 0 {
+	if seg == nil || len(seg.ticks) == 0 {
 		return
 	}
 	s.open = nil
@@ -325,6 +308,11 @@ func (s *ShardedEngine) dispatch() {
 		}
 	}
 }
+
+// CellsActive returns the cell dictionary's size when the last unit
+// barrier emptied it: the distinct m-cells the open unit held then, summed
+// over shards. Safe from any goroutine.
+func (s *ShardedEngine) CellsActive() int64 { return s.cellsActive.Load() }
 
 // DispatchStats returns how many segments went to the shards (with one
 // shard: were ingested in place) and how often the coordinator found all
@@ -383,37 +371,43 @@ func (s *ShardedEngine) reach(tick int64) (closed []*UnitResult, err error) {
 
 // Ingest consumes one record with Engine.Ingest semantics: crossing a unit
 // boundary closes the finished units on every shard and returns the merged
-// results in order. Per-cell validation happens inside the owning shard;
-// its errors surface at the next boundary instead of here.
+// results in order. An out-of-range member fails here, after boundary
+// handling; the record waits in the open segment until ingestBatchSize
+// records share it. Per-cell validation happens inside the owning shard,
+// and its errors surface at the next boundary.
 func (s *ShardedEngine) Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error) {
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	if len(members) != s.nDims {
-		return nil, fmt.Errorf("%w: %d members for %d dimensions", ErrRecord, len(members), s.nDims)
+	if len(members) != s.part.layout.nd {
+		return nil, fmt.Errorf("%w: %d members for %d dimensions", ErrRecord, len(members), s.part.layout.nd)
 	}
 	closed, err := s.reach(tick)
 	if err != nil {
 		return closed, err
 	}
 	if len(s.shards) == 1 {
-		return closed, s.shards[0].ingest(members, tick, value)
-	}
-	// An Engine only range-checks members when the unit's H-tree is built;
-	// routing needs the check per record, so bad members fail here (after
-	// boundary handling, like any other record error).
-	sid, err := s.part.Route(members)
-	if err != nil {
+		_, err := s.shards[0].eng.Ingest(members, tick, value) // reach closed the units before tick's
+		if err != nil {
+			if _, bad := s.part.layout.code(members); bad < 0 {
+				s.err = err // sticky at once, as a shard's own errors are; a refused member is not
+			}
+		}
 		return closed, err
 	}
-	seg := s.openSegment(1)
-	seg.sel[sid] = append(seg.sel[sid], int32(seg.Len()))
-	seg.Append(tick, members, value) // no member columns on a dense m-layer
-	if s.part.table != nil {
-		cell, _ := s.part.layout.index(members) // Route range-checked them
-		seg.cells = append(seg.cells, cell)
+	code, bad := s.part.layout.code(members)
+	if bad >= 0 {
+		return closed, s.part.layout.rangeErr(bad, members[bad])
 	}
-	if seg.Len() >= ingestBatchSize {
+	seg := s.openSegment(1) // routeSegment's step, for one record
+	c := s.dict.slot(code)
+	if c.key == 0 {
+		c = s.dict.add(c, code)
+		seg.fresh[c.part] = append(seg.fresh[c.part], code)
+	}
+	seg.sel[c.part] = append(seg.sel[c.part], int32(len(seg.ords)))
+	seg.ords, seg.ticks, seg.values = append(seg.ords, c.ord), append(seg.ticks, tick), append(seg.values, value)
+	if len(seg.ticks) >= ingestBatchSize {
 		s.dispatch()
 	}
 	return closed, nil
@@ -436,6 +430,7 @@ type shardAdvance struct {
 func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 	n := int(target - s.unit)
 	publish := s.cfg.PublishSnapshots
+	s.cellsActive.Store(int64(s.dict.n))
 	vals, err := s.scatter(false, func(_ int, e *Engine) (any, error) {
 		var adv shardAdvance
 		for e.unit < target {
@@ -475,6 +470,7 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 	}
 	s.unit = target
 	s.openEnd = s.unitStart(target + 1)
+	s.dict.reset() // the shards emptied their slabs
 	if publish {
 		for u := 0; u < n; u++ {
 			// Shards own disjoint o-cells, so the merged frame set is a
@@ -700,15 +696,10 @@ func (s *ShardedEngine) ActiveCells() (int, error) {
 	if err := s.ready(); err != nil {
 		return 0, err
 	}
-	vals, err := s.scatter(false, func(_ int, e *Engine) (any, error) { return e.ActiveCells(), nil })
-	if err != nil {
+	if _, err := s.scatter(false, func(int, *Engine) (any, error) { return nil, nil }); err != nil {
 		return 0, err
 	}
-	total := 0
-	for _, v := range vals {
-		total += v.(int)
-	}
-	return total, nil
+	return s.dict.n, nil // the drained shards' slabs hold the dictionary's cells
 }
 
 // askShard runs fn on one shard — after the ready check — and returns
@@ -831,15 +822,12 @@ func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 	for i := range parts {
 		parts[i] = &Checkpoint{Unit: cp.Unit, UnitsDone: cp.UnitsDone, WALSeq: cp.WALSeq, Schema: cp.Schema}
 	}
-	for _, cs := range cp.Cells {
-		if len(cs.Members) != s.nDims {
-			return fmt.Errorf("%w: checkpoint cell has %d members", ErrConfig, len(cs.Members))
-		}
-		sid, err := s.part.Route(cs.Members)
-		if err != nil {
-			return fmt.Errorf("%w: checkpoint %v", ErrConfig, err)
-		}
-		parts[sid].Cells = append(parts[sid].Cells, cs)
+	var err error
+	dict := s.dict // the sole shard numbers its own cells
+	if len(s.shards) == 1 {
+		parts[0].Cells = cp.Cells
+	} else if dict, err = s.routeCells(cp.Cells, parts); err != nil {
+		return err
 	}
 	for _, ch := range cp.History {
 		var members [cube.MaxDims]int32
@@ -862,6 +850,7 @@ func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 	if _, err := s.scatter(true, func(i int, e *Engine) (any, error) { return nil, e.Restore(parts[i]) }); err != nil {
 		return err
 	}
+	s.dict = dict
 	s.unit = cp.Unit
 	s.openEnd = s.unitStart(cp.Unit + 1)
 	s.done = cp.UnitsDone
@@ -871,6 +860,30 @@ func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 	// must wait for the first post-restore boundary.
 	s.snap.Store(nil)
 	return nil
+}
+
+// routeCells hands checkpointed cells to their shards in the order a fresh
+// dictionary numbers them, so each shard's restored slab matches its
+// ordinals; a repeated cell replaces the earlier one, as on an Engine. The
+// dictionary replaces the coordinator's once the shards have restored.
+func (s *ShardedEngine) routeCells(cells []CellState, parts []*Checkpoint) (*cellDict, error) {
+	dict := newCellDict(&s.part.layout, s.part)
+	for _, cs := range cells {
+		if len(cs.Members) != s.part.layout.nd {
+			return nil, fmt.Errorf("%w: checkpoint cell has %d members", ErrConfig, len(cs.Members))
+		}
+		code, bad := s.part.layout.code(cs.Members)
+		if bad >= 0 {
+			return nil, fmt.Errorf("%w: checkpoint %v", ErrConfig, s.part.layout.rangeErr(bad, cs.Members[bad]))
+		}
+		if c := dict.slot(code); c.key != 0 {
+			parts[c.part].Cells[c.ord] = cs
+		} else {
+			c = dict.add(c, code)
+			parts[c.part].Cells = append(parts[c.part].Cells, cs)
+		}
+	}
+	return dict, nil
 }
 
 // Close stops the shard goroutines and waits for them to exit; they read

@@ -79,9 +79,26 @@ func genStream(seed int64, units, ticksPer int, emptyUnit int) []testRecord {
 func wideSchema(t testing.TB) *cube.Schema { return fanoutSchema(t, 3, 2) }
 
 // sparseSchema is wideSchema's shape at depth 6: an m-layer of 729×729
-// cells, past denseCells, whose members 0..8 roll up to the same 3×3
-// o-cells — genStream's streams on the map and the o-ancestor fold.
+// cells, whose members 0..8 roll up to the same 3×3 o-cells — genStream's
+// streams with a few dozen active cells of half a million.
 func sparseSchema(t testing.TB) *cube.Schema { return fanoutSchema(t, 3, 6) }
+
+// overflowSchema has five dimensions of 2¹³ m-members: 2⁶⁵ m-cells, more
+// than a 64-bit cell code holds.
+func overflowSchema(t testing.TB) *cube.Schema {
+	t.Helper()
+	dims := make([]cube.Dimension, 5)
+	for d := range dims {
+		name := string(rune('A' + d))
+		h, _ := cube.NewFanoutHierarchy(name, 1<<13, 1)
+		dims[d] = cube.Dimension{Name: name, Hierarchy: h, MLevel: 1, OLevel: 0}
+	}
+	s, err := cube.NewSchema(dims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // fanoutSchema is a 2-dim schema of fanout hierarchies `levels` deep, the
 // m-layer at the finest level and the o-layer one above it.
