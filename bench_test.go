@@ -2,7 +2,7 @@ package regcube
 
 // Micro-benchmarks of the substrate operations, the sharded-engine
 // benchmarks the CI perf canary names, and ablation benches for the design
-// decisions listed in DESIGN.md §5 (#7 and #8 live in internal/core, beside
+// decisions listed in DESIGN.md §5 (#6 and #7 live in internal/core, beside
 // the reference kernel they time). The paper's Figures 8–10 are swept by
 // internal/bench (cmd/benchfig); the stream pipeline end to end and layer
 // by layer is timed by benchmark/.
@@ -497,75 +497,6 @@ func BenchmarkAblationExceptionRetention(b *testing.B) {
 		var last *core.Result
 		for n := 0; n < b.N; n++ {
 			res, err := core.MOCubing(ds.Schema, ds.Inputs, full)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		b.ReportMetric(float64(last.Stats.CellsRetained), "retained/op")
-	})
-}
-
-// Ablation: the four cubing engines on one workload — m/o H-cubing vs
-// BUC partitioning vs dense multiway arrays vs full materialization
-// (§7's suggested alternatives, all producing identical answers).
-func BenchmarkAblationEngines(b *testing.B) {
-	b.ReportAllocs()
-	ds := benchDataset(b, gen.Spec{Dims: 3, Levels: 2, Fanout: 8, Tuples: 20000}, 14)
-	thr := exception.Global(ds.CalibrateThreshold(0.01))
-	b.Run("mo-cubing", func(b *testing.B) {
-		b.ReportAllocs()
-		var last *core.Result
-		for n := 0; n < b.N; n++ {
-			res, err := core.MOCubing(ds.Schema, ds.Inputs, thr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		reportCubing(b, last)
-	})
-	b.Run("buc", func(b *testing.B) {
-		b.ReportAllocs()
-		var last *core.Result
-		for n := 0; n < b.N; n++ {
-			res, err := core.BUCCubing(ds.Schema, ds.Inputs, thr, core.BUCOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		reportCubing(b, last)
-	})
-	b.Run("buc-minsup8", func(b *testing.B) {
-		b.ReportAllocs()
-		var last *core.Result
-		for n := 0; n < b.N; n++ {
-			res, err := core.BUCCubing(ds.Schema, ds.Inputs, thr, core.BUCOptions{MinSupport: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		reportCubing(b, last)
-	})
-	b.Run("array", func(b *testing.B) {
-		b.ReportAllocs()
-		var last *core.Result
-		for n := 0; n < b.N; n++ {
-			res, err := core.ArrayCubing(ds.Schema, ds.Inputs, thr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		reportCubing(b, last)
-	})
-	b.Run("full-materialize", func(b *testing.B) {
-		b.ReportAllocs()
-		var last *core.FullResult
-		for n := 0; n < b.N; n++ {
-			res, err := core.FullCubing(ds.Schema, ds.Inputs)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -39,87 +40,82 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "replay" {
-		if err := runReplay(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "regcube replay: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	run, name, args := runBatch, "regcube", os.Args[1:]
+	if len(args) > 0 && args[0] == "replay" {
+		run, name, args = runReplay, "regcube replay", args[1:]
+	} else if len(args) > 0 && args[0] == "merge" {
+		run, name, args = runMerge, "regcube merge", args[1:]
 	}
-	if len(os.Args) > 1 && os.Args[1] == "merge" {
-		if err := runMerge(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "regcube merge: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if err := run(args, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(1)
 	}
-	specStr := flag.String("spec", "D3L3C10T10K", "dataset spec (D/L/C/T convention)")
-	seed := flag.Int64("seed", 2002, "generator seed")
-	rate := flag.Float64("rate", 1, "target exception percentage (calibrated); ignored when -threshold is set")
-	threshold := flag.Float64("threshold", -1, "explicit slope threshold (overrides -rate)")
-	alg := flag.String("alg", "both", "algorithm: mo | popular-path | both")
-	top := flag.Int("top", 5, "top-N steepest o-layer cells and exceptions to print")
-	flag.Parse()
+}
+
+// runBatch is the batch session: generate the -spec workload, cube it with
+// the chosen algorithms and print each one's cost and top cells.
+func runBatch(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("regcube", flag.ContinueOnError)
+	specStr := fs.String("spec", "D3L3C10T10K", "dataset spec (D/L/C/T convention)")
+	seed := fs.Int64("seed", 2002, "generator seed")
+	rate := fs.Float64("rate", 1, "target exception percentage (calibrated); ignored when -threshold is set")
+	threshold := fs.Float64("threshold", -1, "explicit slope threshold (overrides -rate)")
+	alg := fs.String("alg", "both", "algorithm: mo | popular-path | both")
+	top := fs.Int("top", 5, "top-N steepest o-layer cells and exceptions to print")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var names []string
+	switch *alg {
+	case "mo", "popular-path":
+		names = []string{*alg}
+	case "both":
+		names = []string{"mo", "popular-path"}
+	default:
+		return fmt.Errorf("unknown algorithm %q (want mo, popular-path or both)", *alg)
+	}
 
 	spec, err := gen.ParseSpec(*specStr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "regcube: %v\n", err)
-		os.Exit(2)
+		return err
 	}
 	ds, err := gen.Generate(gen.Config{Spec: spec, Seed: *seed})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "regcube: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	thr := *threshold
 	if thr < 0 {
 		thr = ds.CalibrateThreshold(*rate / 100)
-		fmt.Printf("calibrated threshold %.4f for %.2f%% exceptions on %s\n\n", thr, *rate, spec)
+		fmt.Fprintf(out, "calibrated threshold %.4f for %.2f%% exceptions on %s\n\n", thr, *rate, spec)
 	}
 
-	runOne := func(name string) error {
+	for _, name := range names {
 		var res *core.Result
-		var err error
 		start := time.Now()
-		switch name {
-		case "mo":
+		if name == "mo" {
 			res, err = core.MOCubing(ds.Schema, ds.Inputs, exception.Global(thr))
-		case "popular-path":
-			lattice := cube.NewLattice(ds.Schema)
-			res, err = core.PopularPath(ds.Schema, ds.Inputs, exception.Global(thr), lattice.DefaultPath())
-		default:
-			return fmt.Errorf("unknown algorithm %q", name)
+		} else {
+			res, err = core.PopularPath(ds.Schema, ds.Inputs, exception.Global(thr), cube.NewLattice(ds.Schema).DefaultPath())
 		}
 		if err != nil {
 			return err
 		}
 		elapsed := time.Since(start)
 		st := res.Stats
-		fmt.Printf("== %s ==\n", st.Algorithm)
-		fmt.Printf("  tuples=%d tree-nodes=%d leaves=%d cuboids=%d\n",
+		fmt.Fprintf(out, "== %s ==\n", st.Algorithm)
+		fmt.Fprintf(out, "  tuples=%d tree-nodes=%d leaves=%d cuboids=%d\n",
 			st.Tuples, st.TreeNodes, st.TreeLeaves, st.CuboidsComputed)
-		fmt.Printf("  cells computed=%d retained=%d exceptions=%d\n",
+		fmt.Fprintf(out, "  cells computed=%d retained=%d exceptions=%d\n",
 			st.CellsComputed, st.CellsRetained, len(res.Exceptions))
-		fmt.Printf("  time=%v (build %v + cube %v), peak-mem≈%.1f MB\n",
+		fmt.Fprintf(out, "  time=%v (build %v + cube %v), peak-mem≈%.1f MB\n",
 			elapsed.Round(time.Millisecond), st.BuildTime.Round(time.Millisecond),
 			st.CubeTime.Round(time.Millisecond), float64(st.PeakBytes)/(1<<20))
 
-		printTop("o-layer observation deck (steepest cells)", ds.Schema, cellsOf(res.OLayer), *top)
-		printTop("exception cells between the layers", ds.Schema, cellsOf(res.Exceptions), *top)
-		fmt.Println()
-		return nil
+		printTop(out, "o-layer observation deck (steepest cells)", ds.Schema, cellsOf(res.OLayer), *top)
+		printTop(out, "exception cells between the layers", ds.Schema, cellsOf(res.Exceptions), *top)
+		fmt.Fprintln(out)
 	}
-
-	names := []string{*alg}
-	if *alg == "both" {
-		names = []string{"mo", "popular-path"}
-	}
-	for _, n := range names {
-		if err := runOne(n); err != nil {
-			fmt.Fprintf(os.Stderr, "regcube: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	return nil
 }
 
 func cellsOf(m map[cube.CellKey]regression.ISB) []core.Cell {
@@ -130,8 +126,8 @@ func cellsOf(m map[cube.CellKey]regression.ISB) []core.Cell {
 	return out
 }
 
-func printTop(title string, schema *cube.Schema, cells []core.Cell, n int) {
-	fmt.Printf("  %s:\n", title)
+func printTop(out io.Writer, title string, schema *cube.Schema, cells []core.Cell, n int) {
+	fmt.Fprintf(out, "  %s:\n", title)
 	sort.Slice(cells, func(i, j int) bool {
 		a, b := cells[i].ISB.Slope, cells[j].ISB.Slope
 		if a < 0 {
@@ -143,14 +139,14 @@ func printTop(title string, schema *cube.Schema, cells []core.Cell, n int) {
 		return a > b
 	})
 	if len(cells) == 0 {
-		fmt.Println("    (none)")
+		fmt.Fprintln(out, "    (none)")
 		return
 	}
 	for i, c := range cells {
 		if i >= n {
 			break
 		}
-		fmt.Printf("    %-40s %v slope=%+.3f mean=%.2f\n",
+		fmt.Fprintf(out, "    %-40s %v slope=%+.3f mean=%.2f\n",
 			c.Key.Describe(schema), c.Key.Cuboid.Describe(schema), c.ISB.Slope, c.ISB.Mean())
 	}
 }

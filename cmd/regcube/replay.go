@@ -24,7 +24,6 @@ func runReplay(args []string, out io.Writer) error {
 	specStr := fs.String("spec", "D2L2C4", "schema spec D<dims>L<levels>C<fanout> (no T component); must match the recording schema's shape")
 	unit := fs.Int("unit", 15, "ticks per unit")
 	threshold := fs.Float64("threshold", 1, "slope exception threshold")
-	alg := fs.String("alg", "mo", "cubing algorithm: mo | popular-path")
 	shards := fs.Int("shards", 1, "engine shards; 1 = single-threaded")
 	tiltStr := fs.String("tilt", "", "tilted trend history chain (same syntax as streamd -tilt)")
 	from := fs.Int64("from", 0, "replay from this record sequence (skip earlier records)")
@@ -40,7 +39,6 @@ func runReplay(args []string, out io.Writer) error {
 		Spec:         *specStr,
 		TicksPerUnit: *unit,
 		Threshold:    *threshold,
-		Alg:          *alg,
 		Tilt:         *tiltStr,
 		Shards:       *shards,
 	}.Build()

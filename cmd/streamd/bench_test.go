@@ -69,7 +69,7 @@ func BenchmarkIngest(b *testing.B) {
 				b.SetBytes(int64(len(enc.data)))
 				for i := 0; i < b.N; i++ {
 					err := run(context.Background(), options{
-						spec: benchSpec, unit: 50, threshold: 0.5, alg: "mo",
+						spec: benchSpec, unit: 50, threshold: 0.5,
 						shards: shards,
 					}, bytes.NewReader(enc.data), io.Discard)
 					if err != nil {

@@ -61,7 +61,7 @@ func binaryStream(t *testing.T, dims, batchRecords int, lines ...string) *bytes.
 func TestRunBinaryEndToEnd(t *testing.T) {
 	lines := []string{"0,0,1.0", "1,0,2.0", "2,0,3.0", "3,0,4.0", "4,0,5.0"}
 	var out bytes.Buffer
-	if err := runOpts("D1L2C2", 4, 0.5, "mo", "", 1, binaryStream(t, 1, 2, lines...), &out); err != nil {
+	if err := runOpts("D1L2C2", 4, 0.5, "", 1, binaryStream(t, 1, 2, lines...), &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -91,10 +91,10 @@ func TestRunBinaryMatchesTextBitwise(t *testing.T) {
 			cpText := filepath.Join(dir, "text.cp")
 			cpBin := filepath.Join(dir, "bin.cp")
 			var outText, outBin bytes.Buffer
-			if err := runOpts("D2L2C2", 4, 0.5, "mo", cpText, shards, records(lines...), &outText); err != nil {
+			if err := runOpts("D2L2C2", 4, 0.5, cpText, shards, records(lines...), &outText); err != nil {
 				t.Fatal(err)
 			}
-			if err := runOpts("D2L2C2", 4, 0.5, "mo", cpBin, shards, binaryStream(t, 2, batch, lines...), &outBin); err != nil {
+			if err := runOpts("D2L2C2", 4, 0.5, cpBin, shards, binaryStream(t, 2, batch, lines...), &outBin); err != nil {
 				t.Fatal(err)
 			}
 			textCP, err := os.ReadFile(cpText)
@@ -128,7 +128,7 @@ func TestRunBinaryErrors(t *testing.T) {
 	var out bytes.Buffer
 
 	// Dimension mismatch between the stream header and -spec.
-	if err := runOpts("D2L2C2", 4, 1, "mo", "", 1, binaryStream(t, 1, 4, lines...), &out); err == nil {
+	if err := runOpts("D2L2C2", 4, 1, "", 1, binaryStream(t, 1, 4, lines...), &out); err == nil {
 		t.Fatal("expected dims mismatch error")
 	} else if !strings.Contains(err.Error(), "dimensions") {
 		t.Fatalf("dims mismatch error = %v", err)
@@ -140,12 +140,12 @@ func TestRunBinaryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	full[len(full)-1] ^= 0x20
-	if err := runOpts("D1L2C2", 4, 1, "mo", "", 1, bytes.NewReader(full), &out); err == nil {
+	if err := runOpts("D1L2C2", 4, 1, "", 1, bytes.NewReader(full), &out); err == nil {
 		t.Fatal("expected corrupt frame error")
 	}
 
 	// A stream that dies mid-frame surfaces a torn-stream error.
-	if err := runOpts("D1L2C2", 4, 1, "mo", "", 1, bytes.NewReader(full[:len(full)-3]), &out); err == nil {
+	if err := runOpts("D1L2C2", 4, 1, "", 1, bytes.NewReader(full[:len(full)-3]), &out); err == nil {
 		t.Fatal("expected torn frame error")
 	}
 }

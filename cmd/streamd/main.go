@@ -105,7 +105,6 @@ type options struct {
 	spec         string
 	unit         int
 	threshold    float64
-	alg          string
 	checkpoint   string
 	shards       int
 	listen       string
@@ -130,7 +129,6 @@ func main() {
 		"the o-layer sits at level 1 per dimension, bounding -shards parallelism by fanout^dims o-cells")
 	flag.IntVar(&opt.unit, "unit", 15, "ticks per finest tilt-frame unit")
 	flag.Float64Var(&opt.threshold, "threshold", 1, "slope exception threshold")
-	flag.StringVar(&opt.alg, "alg", "mo", "cubing algorithm: mo | popular-path")
 	flag.StringVar(&opt.checkpoint, "checkpoint", "", "checkpoint file (loaded if present, saved after every unit; "+
 		"one layout whatever -shards wrote it, resumable at any -shards; older per-shard files upgrade on read)")
 	flag.IntVar(&opt.shards, "shards", runtime.GOMAXPROCS(0), "engine shards ingesting and cubing in parallel; 1 = single-threaded, on the ingest loop's goroutine")
@@ -177,7 +175,6 @@ func run(ctx context.Context, opt options, in io.Reader, out io.Writer) error {
 			Spec:         opt.spec,
 			TicksPerUnit: opt.unit,
 			Threshold:    opt.threshold,
-			Alg:          opt.alg,
 			Tilt:         opt.tilt,
 			Shards:       opt.shards,
 		},

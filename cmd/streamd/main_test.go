@@ -22,9 +22,9 @@ func records(lines ...string) *strings.Reader {
 }
 
 // runOpts drives run with defaults matching the old positional signature.
-func runOpts(spec string, unit int, threshold float64, alg, checkpoint string, shards int, in io.Reader, out io.Writer) error {
+func runOpts(spec string, unit int, threshold float64, checkpoint string, shards int, in io.Reader, out io.Writer) error {
 	return run(context.Background(), options{
-		spec: spec, unit: unit, threshold: threshold, alg: alg,
+		spec: spec, unit: unit, threshold: threshold,
 		checkpoint: checkpoint, shards: shards,
 	}, in, out)
 }
@@ -38,7 +38,7 @@ func TestRunEndToEnd(t *testing.T) {
 		"4,0,5.0",
 	)
 	var out bytes.Buffer
-	if err := runOpts("D1L2C2", 4, 0.5, "mo", "", 1, in, &out); err != nil {
+	if err := runOpts("D1L2C2", 4, 0.5, "", 1, in, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -53,17 +53,6 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunPopularPath(t *testing.T) {
-	in := records("0,0,1.0", "1,0,2.0")
-	var out bytes.Buffer
-	if err := runOpts("D1L2C2", 2, 99, "popular-path", "", 1, in, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "popular-path") {
-		t.Fatalf("wrong algorithm: %q", out.String())
-	}
-}
-
 // The sharded engine prints the same reports as the single engine for the
 // same stream.
 func TestRunShardedMatchesSingle(t *testing.T) {
@@ -73,10 +62,10 @@ func TestRunShardedMatchesSingle(t *testing.T) {
 		"4,0,0,5.0", "4,2,3,1.0", "5,1,2,6.0",
 	}
 	var single, sharded bytes.Buffer
-	if err := runOpts("D2L2C2", 4, 0.5, "mo", "", 1, records(lines...), &single); err != nil {
+	if err := runOpts("D2L2C2", 4, 0.5, "", 1, records(lines...), &single); err != nil {
 		t.Fatal(err)
 	}
-	if err := runOpts("D2L2C2", 4, 0.5, "mo", "", 4, records(lines...), &sharded); err != nil {
+	if err := runOpts("D2L2C2", 4, 0.5, "", 4, records(lines...), &sharded); err != nil {
 		t.Fatal(err)
 	}
 	// Alerts print sorted only in sharded mode, so compare line sets.
@@ -92,25 +81,22 @@ func TestRunShardedMatchesSingle(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := runOpts("garbage", 4, 1, "mo", "", 1, records("0,0,1"), &out); err == nil {
+	if err := runOpts("garbage", 4, 1, "", 1, records("0,0,1"), &out); err == nil {
 		t.Fatal("expected spec error")
 	}
-	if err := runOpts("D1L2C2", 4, 1, "nope", "", 1, records("0,0,1"), &out); err == nil {
-		t.Fatal("expected algorithm error")
-	}
-	if err := runOpts("D1L2C2", 4, 1, "mo", "", 0, records("0,0,1"), &out); err == nil {
+	if err := runOpts("D1L2C2", 4, 1, "", 0, records("0,0,1"), &out); err == nil {
 		t.Fatal("expected shard-count error")
 	}
-	if err := runOpts("D1L2C2", 4, 1, "mo", "", 1, records("x,0,1"), &out); err == nil {
+	if err := runOpts("D1L2C2", 4, 1, "", 1, records("x,0,1"), &out); err == nil {
 		t.Fatal("expected tick parse error")
 	}
-	if err := runOpts("D1L2C2", 4, 1, "mo", "", 1, records("0,x,1"), &out); err == nil {
+	if err := runOpts("D1L2C2", 4, 1, "", 1, records("0,x,1"), &out); err == nil {
 		t.Fatal("expected member parse error")
 	}
-	if err := runOpts("D1L2C2", 4, 1, "mo", "", 1, records("0,0,x"), &out); err == nil {
+	if err := runOpts("D1L2C2", 4, 1, "", 1, records("0,0,x"), &out); err == nil {
 		t.Fatal("expected value parse error")
 	}
-	if err := runOpts("D1L2C2", 4, 1, "mo", "", 1, records("0,0"), &out); err == nil {
+	if err := runOpts("D1L2C2", 4, 1, "", 1, records("0,0"), &out); err == nil {
 		t.Fatal("expected column count error")
 	}
 }
@@ -122,7 +108,7 @@ func TestRunCheckpointResume(t *testing.T) {
 	// First run: 6 ticks of unit size 4 → one closed unit + checkpoint.
 	var out1 bytes.Buffer
 	in1 := records("0,0,1", "1,0,2", "2,0,3", "3,0,4", "4,0,5", "5,0,6")
-	if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, 1, in1, &out1); err != nil {
+	if err := runOpts("D1L2C2", 4, 99, cpPath, 1, in1, &out1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(cpPath); err != nil {
@@ -132,7 +118,7 @@ func TestRunCheckpointResume(t *testing.T) {
 	// Second run resumes from the checkpoint (unit 2 open after flush).
 	var out2 bytes.Buffer
 	in2 := records("8,0,1", "9,0,2")
-	if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, 1, in2, &out2); err != nil {
+	if err := runOpts("D1L2C2", 4, 99, cpPath, 1, in2, &out2); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out2.String(), "# resumed at unit") {
@@ -149,7 +135,7 @@ func TestRunCheckpointAcrossShardCounts(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		cpPath := filepath.Join(dir, fmt.Sprintf("shards%d.json", shards))
 		var out bytes.Buffer
-		if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, shards, six(), &out); err != nil {
+		if err := runOpts("D1L2C2", 4, 99, cpPath, shards, six(), &out); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := os.ReadFile(cpPath)
@@ -159,7 +145,7 @@ func TestRunCheckpointAcrossShardCounts(t *testing.T) {
 		files[shards] = raw
 		// Written at one count, resumed at the other.
 		out.Reset()
-		if err := runOpts("D1L2C2", 4, 99, "mo", cpPath, 5-shards, records("8,0,1", "9,0,2"), &out); err != nil {
+		if err := runOpts("D1L2C2", 4, 99, cpPath, 5-shards, records("8,0,1", "9,0,2"), &out); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(out.String(), "# resumed at unit 2") {
@@ -200,7 +186,7 @@ func startServing(t *testing.T, ctx context.Context, shards int, out *syncBuffer
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, options{
-			spec: "D1L2C2", unit: 4, threshold: 0.5, alg: "mo",
+			spec: "D1L2C2", unit: 4, threshold: 0.5,
 			shards: shards, listen: "127.0.0.1:0",
 		}, pr, out)
 	}()
@@ -327,7 +313,7 @@ func TestRunTiltCheckpointCompat(t *testing.T) {
 
 	var out bytes.Buffer
 	if err := run(context.Background(), options{
-		spec: "D1L2C2", unit: 4, threshold: 99, alg: "mo",
+		spec: "D1L2C2", unit: 4, threshold: 99,
 		checkpoint: cpPath, shards: 1, tilt: "calendar",
 	}, six(), &out); err != nil {
 		t.Fatal(err)
@@ -350,7 +336,7 @@ func TestRunTiltCheckpointCompat(t *testing.T) {
 		}
 		out.Reset()
 		if err := run(context.Background(), options{
-			spec: "D1L2C2", unit: 4, threshold: 99, alg: "mo",
+			spec: "D1L2C2", unit: 4, threshold: 99,
 			checkpoint: cpPath, shards: c.shards, tilt: c.tilt,
 		}, records("8,0,1", "9,0,2"), &out); err != nil {
 			t.Fatalf("calendar file → %s: %v", c.name, err)
@@ -362,12 +348,12 @@ func TestRunTiltCheckpointCompat(t *testing.T) {
 	// Default-chain file → -tilt run reseeds frames.
 	flatPath := filepath.Join(dir, "flat.json")
 	out.Reset()
-	if err := runOpts("D1L2C2", 4, 99, "mo", flatPath, 1, six(), &out); err != nil {
+	if err := runOpts("D1L2C2", 4, 99, flatPath, 1, six(), &out); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
 	if err := run(context.Background(), options{
-		spec: "D1L2C2", unit: 4, threshold: 99, alg: "mo",
+		spec: "D1L2C2", unit: 4, threshold: 99,
 		checkpoint: flatPath, shards: 1, tilt: "calendar",
 	}, records("8,0,1", "9,0,2"), &out); err != nil {
 		t.Fatal(err)

@@ -52,7 +52,6 @@ func main() {
 		Schema:       schema,
 		TicksPerUnit: minutesPerQuarter,
 		Threshold:    regcube.GlobalThreshold(0.8), // kW per minute of trend
-		Algorithm:    regcube.AlgorithmMOCubing,
 		Delta:        &regcube.DeltaDetector{MinSlopeChange: 1.5},
 	})
 	if err != nil {

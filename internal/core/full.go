@@ -25,11 +25,11 @@ func (r *FullResult) CellCount() int64 {
 	return n
 }
 
-// FullCubing fully materializes the regression cube — the
-// non-exception-driven computation §7 names as an open algorithm family.
-// It exists as the memory baseline Framework 4.1 is designed to beat (see
-// BenchmarkAblationExceptionRetention) and as ground truth for tests: its
-// cells are exactly the brute-force aggregation of the inputs.
+// FullCubing fully materializes the regression cube: every cell of every
+// cuboid between the critical layers, with no pruning. It is the exact
+// oracle the cubing kernels are tested against — its cells are the
+// brute-force aggregation of the inputs, so any retained-exception set is a
+// filter of it. No production path runs it.
 func FullCubing(s *cube.Schema, inputs []Input) (*FullResult, error) {
 	if err := validate(s, inputs); err != nil {
 		return nil, err

@@ -101,7 +101,7 @@ func benchCubing(b *testing.B, run func() (*Result, error)) {
 // Ablation: the precomputed cube.AncestorIndex vs the interface-walking
 // cube.RollUpKey in the reference kernel's cuboid×leaf loop — the same map
 // header table (and identical bitwise results) in both arms, so the gap is
-// purely the per-leaf ancestor resolution (DESIGN.md §5 #7).
+// purely the per-leaf ancestor resolution (DESIGN.md §5 #6).
 func BenchmarkAblationAncestorIndex(b *testing.B) {
 	s, inputs, thr := ablationInput(b)
 	b.Run("indexed", func(b *testing.B) {
@@ -115,7 +115,7 @@ func BenchmarkAblationAncestorIndex(b *testing.B) {
 // Ablation: the production kernel's reusable sorted-run aggregator vs the
 // reference kernel's per-cuboid map header table — AncestorIndex roll-ups
 // (and identical bitwise results) in both arms, so the gap is the scratch
-// strategy's allocation and hashing churn (DESIGN.md §5 #8).
+// strategy's allocation and hashing churn (DESIGN.md §5 #7).
 func BenchmarkAblationScratchReuse(b *testing.B) {
 	s, inputs, thr := ablationInput(b)
 	b.Run("sorted-run", func(b *testing.B) {

@@ -30,7 +30,9 @@ type EngineConfig struct {
 	TicksPerUnit int
 	// Threshold is the global slope exception threshold.
 	Threshold float64
-	// Alg selects the cubing algorithm: "mo" (default) or "popular-path".
+	// Alg names the cubing algorithm; the node runs m/o-cubing only, so
+	// "" and "mo" are the accepted values. It is kept because benchmark/
+	// sets Alg: "mo"; the next benchmark change removes it.
 	Alg string
 	// Tilt is the tilt-frame level chain spec (streamd -tilt syntax); empty
 	// is the one-level default, unit:1:64.
@@ -72,11 +74,8 @@ func (c EngineConfig) Build() (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	alg := stream.MOCubing
-	if c.Alg == "popular-path" {
-		alg = stream.PopularPath
-	} else if c.Alg != "" && c.Alg != "mo" {
-		return nil, fmt.Errorf("unknown -alg %q", c.Alg)
+	if c.Alg != "" && c.Alg != "mo" {
+		return nil, fmt.Errorf("cubing algorithm %q: the node runs m/o-cubing only", c.Alg)
 	}
 	if c.Shards < 1 {
 		return nil, fmt.Errorf("-shards %d: need at least 1", c.Shards)
@@ -89,7 +88,6 @@ func (c EngineConfig) Build() (*Analyzer, error) {
 		Schema:           schema,
 		TicksPerUnit:     c.TicksPerUnit,
 		Threshold:        exception.Global(c.Threshold),
-		Algorithm:        alg,
 		TiltLevels:       tiltLevels,
 		PublishSnapshots: c.PublishSnapshots,
 	}, c.Shards)

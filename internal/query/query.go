@@ -46,8 +46,8 @@ func MakeCellKey(s *cube.Schema, levels []int, members []int32) (cube.CellKey, e
 	return cube.NewCellKey(cb, members...), nil
 }
 
-// View wraps a cubing result for navigation. Results from any engine
-// (m/o-cubing, popular-path, BUC, array) work identically.
+// View wraps a cubing result for navigation. Results of either algorithm
+// (m/o-cubing, popular-path) work identically.
 type View struct {
 	res     *core.Result
 	lattice *cube.Lattice

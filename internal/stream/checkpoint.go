@@ -302,9 +302,6 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	e.openEnd = e.unitStart(cp.Unit + 1)
 	e.unitsDone = cp.UnitsDone
 	e.walSeq = cp.WALSeq
-	// The delta base is not checkpointed; restoring always starts a fresh
-	// base (the first restored unit carries no delta cube).
-	e.prevInputs = nil
 	// Cells take ordinals in checkpoint order — a many-shard coordinator
 	// numbers its shards' parts the same way — and a repeated cell replaces
 	// the earlier one.

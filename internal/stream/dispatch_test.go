@@ -48,7 +48,6 @@ func TestSelectionDispatchMatchesSingleEngine(t *testing.T) {
 				TicksPerUnit: 4,
 				Threshold:    exception.Global(1.0),
 				Delta:        &exception.Delta{MinSlopeChange: 0.8},
-				DeltaDrill:   true,
 				TiltLevels:   chain.levels,
 			})
 		}

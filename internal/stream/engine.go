@@ -1,8 +1,9 @@
 // Package stream implements the paper's on-line operation (§4.5): raw
 // stream records accumulate per m-layer cell in O(1) regression
 // accumulators; each completed tilt-frame unit (e.g. a quarter of an hour)
-// triggers a cube computation over the unit's m-layer ISBs with one of the
-// two exception-based algorithms, produces o-layer observation alerts, and
+// triggers a cube computation over the unit's m-layer ISBs with m/o H-cubing
+// (the paper's Algorithm 1, the one that finds every exception cell the
+// query API serves), produces o-layer observation alerts, and
 // registers each o-cell's regression in its tilt time frame (§4.1) for
 // multi-granularity trend queries. "Although the stream data flows
 // in-and-out, regression always keeps up to the most recent granularity
@@ -29,27 +30,6 @@ var ErrConfig = errors.New("stream: invalid configuration")
 // ErrRecord is returned for unusable records.
 var ErrRecord = errors.New("stream: invalid record")
 
-// Algorithm selects the cubing algorithm run at each unit boundary.
-type Algorithm int
-
-// The paper's two algorithms.
-const (
-	MOCubing Algorithm = iota
-	PopularPath
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case MOCubing:
-		return "m/o-cubing"
-	case PopularPath:
-		return "popular-path"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
 // Config configures the online engine.
 type Config struct {
 	Schema *cube.Schema
@@ -60,11 +40,6 @@ type Config struct {
 	StartTick int64
 	// Threshold drives exception detection at every layer.
 	Threshold exception.Thresholder
-	// Algorithm selects m/o-cubing (default) or popular-path.
-	Algorithm Algorithm
-	// Path is the popular drilling path; defaults to the lattice's
-	// DefaultPath when the popular-path algorithm is selected.
-	Path cube.Path
 	// TiltLevels is the level chain of every o-cell's tilt time frame
 	// (§4.1), the cell's one history register: each closed unit's o-layer
 	// ISBs are promoted through the chain (tilt.UnitFrame), so trend
@@ -79,11 +54,6 @@ type Config struct {
 	// Delta, when set, also raises change alerts comparing each o-cell's
 	// slope against its previous unit ("current quarter vs. the last").
 	Delta *exception.Delta
-	// DeltaDrill, together with Delta, computes the full change-based
-	// exception cube between consecutive units (core.DeltaCubing) and
-	// attaches it to each UnitResult. Costs one extra cube pass plus
-	// retention of the previous unit's m-layer.
-	DeltaDrill bool
 	// PublishSnapshots makes the engine publish an immutable Snapshot at
 	// every unit boundary for lock-free concurrent readers (the serving
 	// layer). Costs one frame copy per closed unit — nothing on the
@@ -138,10 +108,6 @@ type UnitResult struct {
 	// with no data at all.
 	Result *core.Result
 	Alerts []Alert
-	// Delta is the change-based exception cube against the previous unit
-	// (only with Config.DeltaDrill; nil for the first unit, empty units,
-	// or after a unit gap).
-	Delta *core.DeltaResult
 }
 
 // Engine is the online analyzer over one partition of the stream: the
@@ -174,28 +140,16 @@ type Engine struct {
 	// far, its finest level the per-unit history.
 	frames    map[cube.CellKey]*cellFrame
 	unitsDone int64
-	// inputBufs/memberBufs double-buffer each closed unit's m-layer batch:
-	// the previous unit's buffer may still be aliased by prevInputs
-	// (DeltaDrill compares adjacent units), so closes alternate between two
-	// reusable buffers instead of reallocating every unit.
-	inputBufs  [2][]core.Input
-	memberBufs [2][]int32
-	bufSel     int
+	// inputs/members hold each closed unit's m-layer batch, reused from
+	// close to close: nothing the cube returns aliases them.
+	inputs  []core.Input
+	members []int32
 	// ws is what m/o-cubing keeps from one unit's close to the next.
 	ws *core.Workspace
 	// shape fingerprints cfg.Schema in every checkpoint; cpBuf is where the
 	// owning ShardedEngine has this engine cut them (AppendCheckpoint).
 	shape []DimensionShape
 	cpBuf checkpointBuf
-	// prevInputs is the previous unit's m-layer (DeltaDrill only).
-	prevInputs []core.Input
-	prevUnit   int64
-	// shardDelta is set on the per-shard engines of a ShardedEngine: the
-	// delta base then tracks through locally-empty units (the global unit
-	// may still have data in other shards), so per-shard delta cubes union
-	// to the single-engine result. The coordinator suppresses the merged
-	// delta when the previous unit was globally empty.
-	shardDelta bool
 	// snap is the published per-unit snapshot (PublishSnapshots); readers
 	// load it without locks, so it must only ever hold fully built,
 	// never-again-mutated values. bus broadcasts the same values push-side
@@ -225,9 +179,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	layout, err := newCellLayout(cfg.Schema)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Algorithm == PopularPath && len(cfg.Path.Cuboids) == 0 {
-		cfg.Path = cube.NewLattice(cfg.Schema).DefaultPath()
 	}
 	if len(cfg.TiltLevels) == 0 {
 		cfg.TiltLevels = []tilt.Level{{Name: "unit", Multiple: 1, Slots: 64}}
@@ -367,15 +318,13 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 	hi := e.unitStart(e.unit+1) - 1
 	ur := &UnitResult{Unit: e.unit, Interval: timeseries.Interval{Tb: lo, Te: hi}}
 
-	// Reuse this close's buffers from two units ago (prevInputs may still
-	// alias last unit's); member tuples are decoded into the arena, so the
-	// slab empties at once.
+	// Member tuples are decoded into the arena, so the slab empties at once.
 	nd := e.layout.nd
-	inputs := e.inputBufs[e.bufSel][:0]
+	inputs := e.inputs[:0]
 	if inputs == nil {
 		inputs = make([]core.Input, 0, len(e.slab))
 	}
-	arena := e.memberBufs[e.bufSel][:0]
+	arena := e.members[:0]
 	for o := range e.slab {
 		acc := &e.slab[o]
 		acc.AdvanceTo(hi + 1) // zero-pad to the unit boundary, in O(1)
@@ -403,9 +352,7 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 		// stored capacity matters for the next reuse.
 		arena = make([]int32, 0, bound*nd)
 	}
-	e.inputBufs[e.bufSel] = inputs
-	e.memberBufs[e.bufSel] = arena
-	e.bufSel ^= 1
+	e.inputs, e.members = inputs, arena
 	// Canonical member order: cubing accumulates floats in input order, so
 	// sorting here makes every unit result bitwise reproducible across runs
 	// and identical between sharded and single-engine computation.
@@ -417,38 +364,14 @@ func (e *Engine) closeUnit() (*UnitResult, error) {
 	e.openEnd += int64(e.cfg.TicksPerUnit)
 
 	if len(inputs) == 0 {
-		if e.shardDelta && e.cfg.DeltaDrill && e.cfg.Delta != nil {
-			e.prevInputs = inputs // empty but non-nil: the base is this unit
-			e.prevUnit = ur.Unit
-		}
 		return e.finishUnit(ur)
 	}
-
-	var res *core.Result
-	var err error
-	switch e.cfg.Algorithm {
-	case PopularPath:
-		res, err = core.PopularPath(e.cfg.Schema, inputs, e.cfg.Threshold, e.cfg.Path)
-	default:
-		res, err = e.ws.MOCubing(inputs, e.cfg.Threshold)
-	}
+	res, err := e.ws.MOCubing(inputs, e.cfg.Threshold)
 	if err != nil {
 		return nil, err
 	}
 	ur.Result = res
 	ur.Alerts = e.raiseAlerts(ur, res)
-	if e.cfg.DeltaDrill && e.cfg.Delta != nil {
-		// Only adjacent units can be compared; a gap resets the base.
-		if e.prevInputs != nil && e.prevUnit == ur.Unit-1 {
-			delta, err := core.DeltaCubing(e.cfg.Schema, inputs, e.prevInputs, *e.cfg.Delta)
-			if err != nil {
-				return nil, err
-			}
-			ur.Delta = delta
-		}
-		e.prevInputs = inputs
-		e.prevUnit = ur.Unit
-	}
 	return e.finishUnit(ur)
 }
 

@@ -38,13 +38,12 @@ func smallSchema(t *testing.T) *cube.Schema {
 	return s
 }
 
-func newEngine(t *testing.T, s *cube.Schema, thr float64, alg Algorithm) *Engine {
+func newEngine(t *testing.T, s *cube.Schema, thr float64) *Engine {
 	t.Helper()
 	e, err := NewEngine(Config{
 		Schema:       s,
 		TicksPerUnit: 5,
 		Threshold:    exception.Global(thr),
-		Algorithm:    alg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,13 +66,7 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if MOCubing.String() != "m/o-cubing" || PopularPath.String() != "popular-path" {
-		t.Fatal("algorithm names")
-	}
-	if Algorithm(9).String() == "" {
-		t.Fatal("unknown algorithm must render")
-	}
+func TestAlertKindString(t *testing.T) {
 	if SlopeException.String() != "slope-exception" || SlopeChange.String() != "slope-change" {
 		t.Fatal("alert kind names")
 	}
@@ -83,7 +76,7 @@ func TestAlgorithmString(t *testing.T) {
 }
 
 func TestIngestValidation(t *testing.T) {
-	e := newEngine(t, smallSchema(t), 1, MOCubing)
+	e := newEngine(t, smallSchema(t), 1)
 	if _, err := e.Ingest([]int32{0}, 0, 1); err == nil {
 		t.Fatal("expected member-count error")
 	}
@@ -102,7 +95,7 @@ func TestIngestValidation(t *testing.T) {
 }
 
 func TestUnitBoundaryClosesAndCubes(t *testing.T) {
-	e := newEngine(t, smallSchema(t), 0.1, MOCubing)
+	e := newEngine(t, smallSchema(t), 0.1)
 	// Fill unit 0 densely for two cells with clear slopes.
 	for tk := int64(0); tk < 5; tk++ {
 		if _, err := e.Ingest([]int32{0, 0}, tk, float64(tk)); err != nil { // slope 1
@@ -153,7 +146,7 @@ func TestUnitBoundaryClosesAndCubes(t *testing.T) {
 }
 
 func TestMissingTicksCountAsZero(t *testing.T) {
-	e := newEngine(t, smallSchema(t), 99, MOCubing)
+	e := newEngine(t, smallSchema(t), 99)
 	// Only ticks 0 and 4 observed; 1-3 are implicit zeros.
 	if _, err := e.Ingest([]int32{0, 0}, 0, 5); err != nil {
 		t.Fatal(err)
@@ -176,7 +169,7 @@ func TestMissingTicksCountAsZero(t *testing.T) {
 }
 
 func TestFlushPadsToBoundary(t *testing.T) {
-	e := newEngine(t, smallSchema(t), 99, MOCubing)
+	e := newEngine(t, smallSchema(t), 99)
 	if _, err := e.Ingest([]int32{0, 0}, 0, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +191,7 @@ func TestFlushPadsToBoundary(t *testing.T) {
 }
 
 func TestEmptyUnitsOnGap(t *testing.T) {
-	e := newEngine(t, smallSchema(t), 1, MOCubing)
+	e := newEngine(t, smallSchema(t), 1)
 	if _, err := e.Ingest([]int32{0, 0}, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -222,80 +215,73 @@ func TestEmptyUnitsOnGap(t *testing.T) {
 // computation over the same data.
 func TestOnlineEqualsBatch(t *testing.T) {
 	s := smallSchema(t)
-	for _, alg := range []Algorithm{MOCubing, PopularPath} {
-		e := newEngine(t, s, 0.5, alg)
-		r := rand.New(rand.NewSource(33))
-		const units, ticksPer = 3, 5
-		type cellSeries map[[2]int32][]float64
-		perUnit := make([]cellSeries, units)
-		for u := range perUnit {
-			perUnit[u] = cellSeries{}
-			for a := int32(0); a < 4; a++ {
-				for b := int32(0); b < 4; b++ {
-					vals := make([]float64, ticksPer)
-					for i := range vals {
-						vals[i] = r.NormFloat64() * 3
-					}
-					perUnit[u][[2]int32{a, b}] = vals
+	e := newEngine(t, s, 0.5)
+	r := rand.New(rand.NewSource(33))
+	const units, ticksPer = 3, 5
+	type cellSeries map[[2]int32][]float64
+	perUnit := make([]cellSeries, units)
+	for u := range perUnit {
+		perUnit[u] = cellSeries{}
+		for a := int32(0); a < 4; a++ {
+			for b := int32(0); b < 4; b++ {
+				vals := make([]float64, ticksPer)
+				for i := range vals {
+					vals[i] = r.NormFloat64() * 3
 				}
+				perUnit[u][[2]int32{a, b}] = vals
 			}
 		}
-		var unitResults []*UnitResult
-		for u := 0; u < units; u++ {
-			for i := 0; i < ticksPer; i++ {
-				tick := int64(u*ticksPer + i)
-				for cell, vals := range perUnit[u] {
-					closed, err := e.Ingest([]int32{cell[0], cell[1]}, tick, vals[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					unitResults = append(unitResults, closed...)
+	}
+	var unitResults []*UnitResult
+	for u := 0; u < units; u++ {
+		for i := 0; i < ticksPer; i++ {
+			tick := int64(u*ticksPer + i)
+			for cell, vals := range perUnit[u] {
+				closed, err := e.Ingest([]int32{cell[0], cell[1]}, tick, vals[i])
+				if err != nil {
+					t.Fatal(err)
 				}
+				unitResults = append(unitResults, closed...)
 			}
 		}
-		final, err := e.Flush()
+	}
+	final, err := e.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unitResults = append(unitResults, final)
+	if len(unitResults) != units {
+		t.Fatalf("unit results = %d, want %d", len(unitResults), units)
+	}
+	// Batch comparison per unit.
+	for u, ur := range unitResults {
+		var inputs []core.Input
+		for cell, vals := range perUnit[u] {
+			isb := regression.MustFit(timeseries.MustNew(int64(u*ticksPer), vals))
+			inputs = append(inputs, core.Input{Members: []int32{cell[0], cell[1]}, Measure: isb})
+		}
+		want, err := core.MOCubing(s, inputs, exception.Global(0.5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		unitResults = append(unitResults, final)
-		if len(unitResults) != units {
-			t.Fatalf("unit results = %d, want %d", len(unitResults), units)
+		if len(want.OLayer) != len(ur.Result.OLayer) {
+			t.Fatalf("unit %d: o-layer %d vs %d", u, len(want.OLayer), len(ur.Result.OLayer))
 		}
-		// Batch comparison per unit.
-		for u, ur := range unitResults {
-			var inputs []core.Input
-			for cell, vals := range perUnit[u] {
-				isb := regression.MustFit(timeseries.MustNew(int64(u*ticksPer), vals))
-				inputs = append(inputs, core.Input{Members: []int32{cell[0], cell[1]}, Measure: isb})
+		for key, isb := range want.OLayer {
+			got, ok := ur.Result.OLayer[key]
+			if !ok || !almostEq(got.Slope, isb.Slope, 1e-9) || !almostEq(got.Base, isb.Base, 1e-9) {
+				t.Fatalf("unit %d: o-cell %v online %v vs batch %v", u, key, got, isb)
 			}
-			var want *core.Result
-			if alg == PopularPath {
-				want, err = core.PopularPath(s, inputs, exception.Global(0.5), cube.NewLattice(s).DefaultPath())
-			} else {
-				want, err = core.MOCubing(s, inputs, exception.Global(0.5))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want.OLayer) != len(ur.Result.OLayer) {
-				t.Fatalf("alg %v unit %d: o-layer %d vs %d", alg, u, len(want.OLayer), len(ur.Result.OLayer))
-			}
-			for key, isb := range want.OLayer {
-				got, ok := ur.Result.OLayer[key]
-				if !ok || !almostEq(got.Slope, isb.Slope, 1e-9) || !almostEq(got.Base, isb.Base, 1e-9) {
-					t.Fatalf("alg %v unit %d: o-cell %v online %v vs batch %v", alg, u, key, got, isb)
-				}
-			}
-			if len(want.Exceptions) != len(ur.Result.Exceptions) {
-				t.Fatalf("alg %v unit %d: exceptions %d vs %d", alg, u, len(want.Exceptions), len(ur.Result.Exceptions))
-			}
+		}
+		if len(want.Exceptions) != len(ur.Result.Exceptions) {
+			t.Fatalf("unit %d: exceptions %d vs %d", u, len(want.Exceptions), len(ur.Result.Exceptions))
 		}
 	}
 }
 
 func TestAlertsCarryDrill(t *testing.T) {
 	s := smallSchema(t)
-	e := newEngine(t, s, 0.5, MOCubing)
+	e := newEngine(t, s, 0.5)
 	// One m-cell with a steep series: its o-ancestor alerts and the drill
 	// names the m-cell among supporters.
 	for tk := int64(0); tk < 5; tk++ {
@@ -374,7 +360,7 @@ func TestDeltaAlerts(t *testing.T) {
 
 func TestTrendQuery(t *testing.T) {
 	s := smallSchema(t)
-	e := newEngine(t, s, 1e9, MOCubing)
+	e := newEngine(t, s, 1e9)
 	raw := timeseries.NewSynth(5).Linear(0, 15, 4, 0.3, 0.2) // 3 units
 	for i, z := range raw.Values {
 		if _, err := e.Ingest([]int32{0, 0}, int64(i), z); err != nil {
@@ -410,7 +396,7 @@ func TestTrendQuery(t *testing.T) {
 // gap") and spans it.
 func TestTrendQueryGapDetection(t *testing.T) {
 	s := smallSchema(t)
-	e := newEngine(t, s, 1e9, MOCubing)
+	e := newEngine(t, s, 1e9)
 	// Unit 0 with data, unit 1 empty (quiet), unit 2 with data.
 	for i := int64(0); i < 5; i++ {
 		_, _ = e.Ingest([]int32{0, 0}, i, 1)

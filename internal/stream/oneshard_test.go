@@ -26,7 +26,6 @@ func TestOneShardMatchesEngine(t *testing.T) {
 		TicksPerUnit:     4,
 		Threshold:        exception.Global(1.0),
 		Delta:            &exception.Delta{MinSlopeChange: 0.8},
-		DeltaDrill:       true,
 		PublishSnapshots: true,
 	}
 	recs := genStream(3, 6, 4, 2)

@@ -84,8 +84,7 @@ type shard struct {
 // therefore every cell of every cuboid between the critical layers that
 // aggregates them — live in exactly one shard. Per-shard cube results are
 // disjoint and union to precisely the single-engine result: the merged
-// o-layer, exception sets, drill-downs, per-o-cell frames, and delta cubes
-// are identical (bitwise, thanks to the canonical aggregation order) to
+// o-layer, exception sets, drill-downs and per-o-cell frames are identical (bitwise, thanks to the canonical aggregation order) to
 // what one Engine would produce from the same stream, alert order (unit,
 // then cube.CompareKeys on the cell, then kind) included.
 //
@@ -135,11 +134,8 @@ type ShardedEngine struct {
 	runaheadWaits atomic.Int64
 	unit          int64
 	done          int64
-	// prevNonEmpty tracks whether the last closed unit had data in any
-	// shard — the delta-base adjacency rule at global scope.
-	prevNonEmpty bool
-	err          error
-	closed       bool
+	err           error
+	closed        bool
 	// snap is the coordinator's published merged snapshot
 	// (cfg.PublishSnapshots). The per-shard engines run with publication
 	// off; the coordinator collects their frame copies at each barrier
@@ -172,10 +168,9 @@ func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng.shardDelta = true
 		s.shards[i] = &shard{id: i, eng: eng}
 	}
-	s.cfg = s.shards[0].eng.cfg // normalized (level chain, default path)
+	s.cfg = s.shards[0].eng.cfg // normalized (level chain)
 	s.cfg.PublishSnapshots = cfg.PublishSnapshots
 	var err error
 	if s.part, err = NewPartitioner(cfg.Schema, shards); err != nil {
@@ -510,14 +505,8 @@ func (s *ShardedEngine) mergeUnit(urs []*UnitResult) *UnitResult {
 		results[i], alerts[i] = ur.Result, ur.Alerts
 	}
 	merged.Result = unionResults(s.cfg.Schema, results)
-	prevNonEmpty := s.prevNonEmpty
-	s.prevNonEmpty = merged.Result != nil
-	if merged.Result == nil {
-		return merged
-	}
-	merged.Alerts = mergeAlerts(alerts)
-	if s.cfg.DeltaDrill && s.cfg.Delta != nil && prevNonEmpty {
-		merged.Delta = mergeDeltas(s.cfg.Schema, urs)
+	if merged.Result != nil {
+		merged.Alerts = mergeAlerts(alerts)
 	}
 	return merged
 }
@@ -559,19 +548,6 @@ func unionResults(schema *cube.Schema, parts []*core.Result) *core.Result {
 		for k, v := range r.Exceptions {
 			res.Exceptions[k] = v
 		}
-		for cb, cells := range r.PathCells {
-			if res.PathCells == nil {
-				res.PathCells = make(map[cube.Cuboid]map[cube.CellKey]regression.ISB)
-			}
-			dst := res.PathCells[cb]
-			if dst == nil {
-				dst = make(map[cube.CellKey]regression.ISB, len(cells))
-				res.PathCells[cb] = dst
-			}
-			for k, v := range cells {
-				dst[k] = v
-			}
-		}
 		mergeStats(&res.Stats, &r.Stats, first)
 		first = false
 	}
@@ -605,35 +581,6 @@ func mergeStats(dst *core.Stats, src *core.Stats, first bool) {
 	if src.CubeTime > dst.CubeTime {
 		dst.CubeTime = src.CubeTime
 	}
-}
-
-// mergeDeltas unions the per-shard delta cubes of one unit. Shards whose
-// current unit was empty contribute nothing, exactly as their cells
-// contribute nothing to the single engine's delta pass.
-func mergeDeltas(schema *cube.Schema, urs []*UnitResult) *core.DeltaResult {
-	var out *core.DeltaResult
-	first := true
-	for _, ur := range urs {
-		if ur.Delta == nil {
-			continue
-		}
-		if out == nil {
-			out = &core.DeltaResult{
-				Schema:     schema,
-				OLayer:     make(map[cube.CellKey]core.DeltaCell),
-				Exceptions: make(map[cube.CellKey]core.DeltaCell),
-			}
-		}
-		for k, v := range ur.Delta.OLayer {
-			out.OLayer[k] = v
-		}
-		for k, v := range ur.Delta.Exceptions {
-			out.Exceptions[k] = v
-		}
-		mergeStats(&out.Stats, &ur.Delta.Stats, first)
-		first = false
-	}
-	return out
 }
 
 // compareAlerts is the canonical alert order: unit, then cell
@@ -854,7 +801,6 @@ func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 	s.unit = cp.Unit
 	s.openEnd = s.unitStart(cp.Unit + 1)
 	s.done = cp.UnitsDone
-	s.prevNonEmpty = false
 	s.err = nil
 	// Published snapshots describe units of the replaced state; readers
 	// must wait for the first post-restore boundary.

@@ -27,8 +27,8 @@ type testRecord struct {
 
 // genStream builds a deterministic random stream over the 9×9 m-layer of
 // smallSchema: per unit a random subset of cells reports at a random subset
-// of ticks. Unit `emptyUnit` gets no records at all (tests the delta-base
-// reset and empty-unit merging).
+// of ticks. Unit `emptyUnit` gets no records at all (tests slope changes
+// across a quiet unit and empty-unit merging).
 func genStream(seed int64, units, ticksPer int, emptyUnit int) []testRecord {
 	r := rand.New(rand.NewSource(seed))
 	var out []testRecord
@@ -135,8 +135,7 @@ func feed(t testing.TB, e ingester, recs []testRecord) []*UnitResult {
 
 // requireSameResults asserts two unit-result sequences are identical:
 // bitwise-equal cell measures, byte-identical alerts in the order each
-// engine returned them (canonical by construction — no sorting here), and
-// matching delta cubes.
+// engine returned them (canonical by construction — no sorting here).
 func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -157,9 +156,6 @@ func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 			if !reflect.DeepEqual(w.Result.Exceptions, g.Result.Exceptions) {
 				t.Fatalf("%s unit %d: exception sets differ", label, w.Unit)
 			}
-			if !reflect.DeepEqual(w.Result.PathCells, g.Result.PathCells) {
-				t.Fatalf("%s unit %d: path cells differ", label, w.Unit)
-			}
 		}
 		if !reflect.DeepEqual(w.Alerts, g.Alerts) {
 			t.Fatalf("%s unit %d: alerts differ:\n%+v\nvs\n%+v", label, w.Unit, g.Alerts, w.Alerts)
@@ -172,74 +168,59 @@ func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 				t.Fatalf("%s unit %d: drill of %v not in CompareKeys order", label, w.Unit, a.Cell)
 			}
 		}
-		if (w.Delta == nil) != (g.Delta == nil) {
-			t.Fatalf("%s unit %d: delta nil-ness differs (want nil=%v)", label, w.Unit, w.Delta == nil)
-		}
-		if w.Delta != nil {
-			if !reflect.DeepEqual(w.Delta.OLayer, g.Delta.OLayer) {
-				t.Fatalf("%s unit %d: delta o-layers differ", label, w.Unit)
-			}
-			if !reflect.DeepEqual(w.Delta.Exceptions, g.Delta.Exceptions) {
-				t.Fatalf("%s unit %d: delta exceptions differ", label, w.Unit)
-			}
-		}
 	}
 }
 
 // The tentpole property: identical record streams through Engine and
-// ShardedEngine at 1, 4, and 7 shards produce identical sorted alerts,
-// cell sets, and delta cubes — for both cubing algorithms.
+// ShardedEngine at 1, 4, and 7 shards produce identical sorted alerts
+// (slope changes included) and cell sets.
 func TestShardedMatchesSingleEngine(t *testing.T) {
 	s := wideSchema(t)
-	for _, alg := range []Algorithm{MOCubing, PopularPath} {
-		cfg := Config{
-			Schema:       s,
-			TicksPerUnit: 4,
-			Threshold:    exception.Global(1.0),
-			Algorithm:    alg,
-			Delta:        &exception.Delta{MinSlopeChange: 0.8},
-			DeltaDrill:   true,
+	cfg := Config{
+		Schema:       s,
+		TicksPerUnit: 4,
+		Threshold:    exception.Global(1.0),
+		Delta:        &exception.Delta{MinSlopeChange: 0.8},
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		recs := genStream(seed, 6, 4, 2)
+		single, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for seed := int64(1); seed <= 3; seed++ {
-			recs := genStream(seed, 6, 4, 2)
-			single, err := NewEngine(cfg)
+		want := feed(t, single, recs)
+
+		for _, shards := range []int{1, 4, 7} {
+			sh, err := NewShardedEngine(cfg, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := feed(t, single, recs)
+			got := feed(t, sh, recs)
+			requireSameResults(t, "sharded", want, got)
 
-			for _, shards := range []int{1, 4, 7} {
-				sh, err := NewShardedEngine(cfg, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := feed(t, sh, recs)
-				requireSameResults(t, alg.String()+"/sharded", want, got)
-
-				// History-backed queries agree for every o-cell too.
-				for a := int32(0); a < 3; a++ {
-					for b := int32(0); b < 3; b++ {
-						cell := cube.NewCellKey(s.OLayer(), a, b)
-						hw := single.HistoryLen(cell)
-						hg, err := sh.HistoryLen(cell)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if hw != hg {
-							t.Fatalf("history len %d vs %d for %v", hg, hw, cell)
-						}
-						if hw == 0 {
-							continue
-						}
-						tw, errW := single.TrendQuery(cell, 1)
-						tg, errG := sh.TrendQuery(cell, 1)
-						if (errW == nil) != (errG == nil) || tw != tg {
-							t.Fatalf("trend query differs for %v: %v/%v vs %v/%v", cell, tg, errG, tw, errW)
-						}
+			// History-backed queries agree for every o-cell too.
+			for a := int32(0); a < 3; a++ {
+				for b := int32(0); b < 3; b++ {
+					cell := cube.NewCellKey(s.OLayer(), a, b)
+					hw := single.HistoryLen(cell)
+					hg, err := sh.HistoryLen(cell)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hw != hg {
+						t.Fatalf("history len %d vs %d for %v", hg, hw, cell)
+					}
+					if hw == 0 {
+						continue
+					}
+					tw, errW := single.TrendQuery(cell, 1)
+					tg, errG := sh.TrendQuery(cell, 1)
+					if (errW == nil) != (errG == nil) || tw != tg {
+						t.Fatalf("trend query differs for %v: %v/%v vs %v/%v", cell, tg, errG, tw, errW)
 					}
 				}
-				sh.Close()
 			}
+			sh.Close()
 		}
 	}
 }
@@ -433,12 +414,9 @@ func TestShardedCheckpointValidate(t *testing.T) {
 // aggregation order): two identical runs produce bitwise-identical
 // results. This is the foundation the sharded equivalence rests on.
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
-	s := wideSchema(t)
-	for _, alg := range []Algorithm{MOCubing, PopularPath} {
-		cfg := Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1.0), Algorithm: alg}
-		recs := genStream(11, 4, 4, -1)
-		a, _ := NewEngine(cfg)
-		b, _ := NewEngine(cfg)
-		requireSameResults(t, "rerun/"+alg.String(), feed(t, a, recs), feed(t, b, recs))
-	}
+	cfg := Config{Schema: wideSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1.0)}
+	recs := genStream(11, 4, 4, -1)
+	a, _ := NewEngine(cfg)
+	b, _ := NewEngine(cfg)
+	requireSameResults(t, "rerun", feed(t, a, recs), feed(t, b, recs))
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -27,7 +26,7 @@ import (
 // travel as their IEEE-754 bits (−0, ±Inf and NaN payloads survive):
 //
 //	header   "RCSN" · version u8 · dims u8 · flags u8 · unit · interval Tb,Te · unitsDone
-//	result   oLayer cells · exceptions cells · [u32 × (key · cells)] · stats   (absent when empty)
+//	result   oLayer cells · exceptions cells · stats   (absent when empty)
 //	alerts   u32 × (unit · kind · key · ISB · drill cells)
 //	frames   u32 × (key · base · u32 × (name · unitTicks · capacity · completed · u32 × point))
 //
@@ -52,7 +51,6 @@ const (
 	snapshotWireVersion = 3
 
 	flagEmpty = 1 << 0 // the unit closed with no data: no result section
-	flagPaths = 1 << 1 // Result.PathCells is non-nil (popular-path cubing)
 
 	isbSize   = 32
 	pointSize = 8 + isbSize
@@ -123,9 +121,6 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		flags |= flagEmpty
 	} else {
 		size += (len(res.OLayer) + len(res.Exceptions)) * 2 * pointSize
-		if res.PathCells != nil {
-			flags |= flagPaths
-		}
 	}
 	for _, v := range s.Frames {
 		size += 2 * pointSize
@@ -143,18 +138,6 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if res := s.Result; res != nil {
 		w.cells(res.OLayer)
 		w.cells(res.Exceptions)
-		if res.PathCells != nil {
-			cuboids := make([]cube.CellKey, 0, len(res.PathCells))
-			for cb := range res.PathCells {
-				cuboids = append(cuboids, cube.CellKey{Cuboid: cb})
-			}
-			slices.SortFunc(cuboids, cube.CompareKeys)
-			w.count(len(cuboids))
-			for _, k := range cuboids {
-				w.key(k)
-				w.cells(res.PathCells[k.Cuboid])
-			}
-		}
 		st := &res.Stats
 		w.str(st.Algorithm)
 		for _, v := range [...]int64{int64(st.Tuples), int64(st.TreeNodes), int64(st.TreeLeaves), int64(st.CuboidsComputed),
@@ -330,7 +313,7 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	if r.nd != 0 && r.nd != len(schema.Dims) {
 		return nil, fmt.Errorf("%w: snapshot document has %d dimensions, schema has %d", ErrRecord, r.nd, len(schema.Dims))
 	}
-	if flags&^(flagEmpty|flagPaths) != 0 || flags == flagEmpty|flagPaths {
+	if flags&^flagEmpty != 0 {
 		return nil, fmt.Errorf("%w: snapshot document flags %#x", ErrRecord, flags)
 	}
 	for d := 0; d < r.nd; d++ {
@@ -351,14 +334,6 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 		res := &core.Result{Schema: schema}
 		res.OLayer = r.cells()
 		res.Exceptions = r.cells()
-		if flags&flagPaths != 0 {
-			n := r.count(5*r.nd + 4)
-			res.PathCells = make(map[cube.Cuboid]map[cube.CellKey]regression.ISB, n)
-			for range n {
-				cb := r.key().Cuboid
-				res.PathCells[cb] = r.cells()
-			}
-		}
 		st := &res.Stats
 		st.Algorithm = r.str()
 		st.Tuples, st.TreeNodes, st.TreeLeaves, st.CuboidsComputed = int(r.i64()), int(r.i64()), int(r.i64()), int(r.i64())

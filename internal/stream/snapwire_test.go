@@ -54,9 +54,6 @@ func snapshotsEquivalent(t *testing.T, got, want *Snapshot) {
 		if !reflect.DeepEqual(got.Result.Exceptions, want.Result.Exceptions) {
 			t.Fatal("exception sets differ")
 		}
-		if !reflect.DeepEqual(got.Result.PathCells, want.Result.PathCells) {
-			t.Fatal("path cells differ")
-		}
 	}
 	if !reflect.DeepEqual(got.Alerts, want.Alerts) {
 		t.Fatalf("alerts differ:\n%+v\n%+v", got.Alerts, want.Alerts)
@@ -143,8 +140,8 @@ func TestSnapshotCodecTilted(t *testing.T) {
 
 // codecSnapshots builds one published snapshot per shape the codec has a
 // branch for: the default one-level chain with alerts and drill-downs, a
-// two-level chain,
-// popular-path cells, and a unit that closed empty after units with data.
+// two-level chain, slope-change alerts (which carry no drill), and a unit
+// that closed empty after units with data.
 func codecSnapshots(t testing.TB) map[string]*Snapshot {
 	t.Helper()
 	out := make(map[string]*Snapshot)
@@ -153,7 +150,8 @@ func codecSnapshots(t testing.TB) map[string]*Snapshot {
 		"tilted": func(c *Config) {
 			c.TiltLevels = []tilt.Level{{Name: "fine", Multiple: 1, Slots: 4}, {Name: "coarse", Multiple: 2, Slots: 3}}
 		},
-		"popular-path": func(c *Config) { c.Algorithm = PopularPath },
+		// A zero minimum change alerts every o-cell that has a previous unit.
+		"slope-change": func(c *Config) { c.Delta = &exception.Delta{} },
 	} {
 		cfg := snapshotTestConfig(t)
 		shape(&cfg)
@@ -175,18 +173,23 @@ func codecSnapshots(t testing.TB) map[string]*Snapshot {
 			out["empty-unit"] = eng.Snapshot()
 		}
 	}
-	drills := 0
+	drills, changes := 0, 0
 	for _, a := range out["flat"].Alerts {
 		drills += len(a.Drill)
 	}
-	if drills == 0 || out["tilted"].Frames == nil || out["popular-path"].Result.PathCells == nil || out["empty-unit"].Result != nil {
+	for _, a := range out["slope-change"].Alerts {
+		if a.Kind == SlopeChange {
+			changes++
+		}
+	}
+	if drills == 0 || changes == 0 || out["tilted"].Frames == nil || out["empty-unit"].Result != nil {
 		t.Fatalf("fixture lost a shape: %d drill cells, snapshots %+v", drills, out)
 	}
 	return out
 }
 
 // TestSnapshotCodecShapes round-trips every snapshot shape to a deeply
-// equal value — nil-ness of Result, Frames and PathCells included — and
+// equal value — nil-ness of Result and Frames included — and
 // pins "equal state, equal bytes" both ways.
 func TestSnapshotCodecShapes(t *testing.T) {
 	schema := snapshotTestSchema(t)
@@ -345,6 +348,8 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		out[off] = b
 		return out
 	}
+	// Flag bit 1 marked a path-cells section when a node could run
+	// popular-path cubing; nothing writes it now, so it is an unknown flag.
 	for what, doc := range map[string][]byte{
 		"JSON document":       []byte(`{"version":1}`),
 		"foreign magic":       mutate(0, 'X'),
@@ -353,7 +358,8 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		"three dimensions":    mutate(len(snapMagic)+1, 3),
 		"no dimensions":       mutate(len(snapMagic)+1, 0),
 		"unknown flag":        mutate(len(snapMagic)+2, 0x80),
-		"empty with paths":    mutate(len(snapMagic)+2, flagEmpty|flagPaths),
+		"retired path flag":   mutate(len(snapMagic)+2, 1<<1),
+		"empty with paths":    mutate(len(snapMagic)+2, flagEmpty|1<<1),
 		"level past the tree": mutate(len(snapMagic)+3+32+4, 9),
 		"member past a level": mutate(len(snapMagic)+3+32+4+2, 200),
 	} {

@@ -11,9 +11,11 @@
 //     (71 slots instead of 35,136 for a year of quarter-hours);
 //   - compute exception-based regression cubes between an m-layer and an
 //     o-layer with either of the paper's two algorithms, m/o H-cubing and
-//     popular-path cubing, on an H-tree substrate;
+//     popular-path cubing, on an H-tree substrate, and the change-based
+//     cube between two windows (DeltaCubing);
 //   - run the whole pipeline online over raw stream records, with o-layer
-//     alerts and exception drill-down;
+//     alerts and exception drill-down — the stream engine cubes every unit
+//     with m/o H-cubing, the algorithm that finds every exception cell;
 //   - generalize to multiple linear regression (spatio-temporal sensors,
 //     irregular ticks, log/polynomial/exponential bases).
 //
@@ -127,14 +129,6 @@ type (
 	UnitResult = stream.UnitResult
 	// Alert is one o-layer observation with drill-down supporters.
 	Alert = stream.Alert
-	// Algorithm selects the cubing algorithm.
-	Algorithm = stream.Algorithm
-)
-
-// Algorithm selectors for StreamConfig.
-const (
-	AlgorithmMOCubing    = stream.MOCubing
-	AlgorithmPopularPath = stream.PopularPath
 )
 
 // Tilt time frame (paper §4.1).
@@ -231,30 +225,6 @@ func MOCubing(s *Schema, inputs []Input, thr Thresholder) (*Result, error) {
 // PopularPath runs the paper's Algorithm 2 (popular-path cubing).
 func PopularPath(s *Schema, inputs []Input, thr Thresholder, path Path) (*Result, error) {
 	return core.PopularPath(s, inputs, thr, path)
-}
-
-// BUCOptions configures BUC-style regression cubing.
-type BUCOptions = core.BUCOptions
-
-// FullCubeResult is the fully materialized regression cube.
-type FullCubeResult = core.FullResult
-
-// BUCCubing runs bottom-up regression cubing with optional iceberg
-// support pruning (§7 suggested extension).
-func BUCCubing(s *Schema, inputs []Input, thr Thresholder, opts BUCOptions) (*Result, error) {
-	return core.BUCCubing(s, inputs, thr, opts)
-}
-
-// ArrayCubing runs dense multiway-array regression cubing for small,
-// dense schemas (§7 suggested extension).
-func ArrayCubing(s *Schema, inputs []Input, thr Thresholder) (*Result, error) {
-	return core.ArrayCubing(s, inputs, thr)
-}
-
-// FullCubing fully materializes every cuboid — the non-exception-driven
-// baseline Framework 4.1 is designed to beat.
-func FullCubing(s *Schema, inputs []Input) (*FullCubeResult, error) {
-	return core.FullCubing(s, inputs)
 }
 
 // DeltaCell pairs a cell's current and previous-window regressions.

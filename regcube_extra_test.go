@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Facade coverage for the extension surfaces: alternative cubing engines,
+// Facade coverage for the extension surfaces: the alternative cubing engine,
 // persistence, result navigation, unit frames, and MLR inference.
 
 func facadeDataset(t *testing.T) *Dataset {
@@ -22,6 +22,8 @@ func facadeDataset(t *testing.T) *Dataset {
 	return ds
 }
 
+// The facade's alternative to MOCubing is popular-path cubing: the same
+// o-layer, and a subset of the exceptions with the same measures.
 func TestFacadeAlternativeEngines(t *testing.T) {
 	ds := facadeDataset(t)
 	thr := GlobalThreshold(ds.CalibrateThreshold(0.05))
@@ -29,32 +31,25 @@ func TestFacadeAlternativeEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buc, err := BUCCubing(ds.Schema, ds.Inputs, thr, BUCOptions{})
+	pp, err := PopularPath(ds.Schema, ds.Inputs, thr, NewLattice(ds.Schema).DefaultPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := ArrayCubing(ds.Schema, ds.Inputs, thr)
-	if err != nil {
-		t.Fatal(err)
+	if len(pp.OLayer) != len(mo.OLayer) {
+		t.Fatalf("o-layers: popular-path %d cells, m/o-cubing %d", len(pp.OLayer), len(mo.OLayer))
 	}
-	if len(buc.Exceptions) != len(mo.Exceptions) || len(arr.Exceptions) != len(mo.Exceptions) {
-		t.Fatalf("engines disagree: mo=%d buc=%d arr=%d",
-			len(mo.Exceptions), len(buc.Exceptions), len(arr.Exceptions))
+	for key, isb := range mo.OLayer {
+		if got, ok := pp.OLayer[key]; !ok || math.Abs(got.Slope-isb.Slope) > 1e-9 {
+			t.Fatalf("o-cell %v: popular-path %v, m/o-cubing %v", key, got, isb)
+		}
 	}
-	full, err := FullCubing(ds.Schema, ds.Inputs)
-	if err != nil {
-		t.Fatal(err)
+	if len(pp.Exceptions) == 0 || len(pp.Exceptions) > len(mo.Exceptions) {
+		t.Fatalf("exceptions: popular-path %d, m/o-cubing %d", len(pp.Exceptions), len(mo.Exceptions))
 	}
-	if full.CellCount() < int64(len(mo.Exceptions)) {
-		t.Fatal("full cube must contain at least the exceptions")
-	}
-	// Iceberg pruning reduces work.
-	pruned, err := BUCCubing(ds.Schema, ds.Inputs, thr, BUCOptions{MinSupport: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Stats.CellsComputed >= buc.Stats.CellsComputed {
-		t.Fatal("min-support pruning must reduce computed cells")
+	for key, isb := range pp.Exceptions {
+		if want, ok := mo.Exceptions[key]; !ok || math.Abs(want.Slope-isb.Slope) > 1e-9 {
+			t.Fatalf("popular-path exception %v is not m/o-cubing's", key)
+		}
 	}
 }
 

@@ -59,17 +59,6 @@ func TestFacadeEndToEndCubing(t *testing.T) {
 	if len(res.OLayer) == 0 {
 		t.Fatal("no o-layer cells")
 	}
-	lattice := NewLattice(ds.Schema)
-	pp, err := PopularPath(ds.Schema, ds.Inputs, GlobalThreshold(1), lattice.DefaultPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key, isb := range pp.Exceptions {
-		want, ok := res.Exceptions[key]
-		if !ok || math.Abs(want.Slope-isb.Slope) > 1e-9 {
-			t.Fatalf("facade algorithms disagree at %v", key)
-		}
-	}
 }
 
 func TestFacadeStreamEngine(t *testing.T) {
@@ -85,7 +74,6 @@ func TestFacadeStreamEngine(t *testing.T) {
 		Schema:       schema,
 		TicksPerUnit: 4,
 		Threshold:    GlobalThreshold(0.5),
-		Algorithm:    AlgorithmPopularPath,
 	})
 	if err != nil {
 		t.Fatal(err)
