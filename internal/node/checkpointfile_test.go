@@ -152,18 +152,12 @@ func TestRunCheckpointMetricsAndCorruptFile(t *testing.T) {
 		"regcube_checkpoint_nanos_total ",
 		"regcube_gc_cycles_total ",
 		"regcube_gc_pause_nanos_total ",
-		"regcube_ingest_runahead_waits_total ",
 		// Unit 1 held every one of the feed's 4×4 cells.
 		"regcube_cells_active 16\n",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q:\n%s", want, metrics)
 		}
-	}
-	// The two units closed, so the text reader's batches reached the
-	// shards as at least one segment.
-	if strings.Contains(metrics, "regcube_ingest_segments_total 0\n") || !strings.Contains(metrics, "regcube_ingest_segments_total ") {
-		t.Errorf("/metrics counts no dispatched segment:\n%s", metrics)
 	}
 	feed.Close()
 	if err := <-ran; err != nil {

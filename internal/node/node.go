@@ -311,11 +311,6 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		handler.SetMetrics(func(w io.Writer) {
 			cpStats.writeMetrics(w)
 			writeGCMetrics(w)
-			// Waits are the ingest loop blocked because the shards could
-			// not take another segment (stream.ShardedEngine.DispatchStats).
-			segments, waits := a.DispatchStats()
-			fmt.Fprintf(w, "regcube_ingest_segments_total %d\n", segments)
-			fmt.Fprintf(w, "regcube_ingest_runahead_waits_total %d\n", waits)
 			// The cell dictionary's size at the last close: the distinct
 			// m-cells that unit held, summed over shards.
 			fmt.Fprintf(w, "regcube_cells_active %d\n", a.CellsActive())

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // syncWriter makes a bytes.Buffer safe for the runtime's two writers (the
@@ -134,6 +135,72 @@ func TestRunAlertsForcePublication(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "ALERTEVENT ") {
 		t.Fatalf("alerting disabled but events fired:\n%s", out.String())
+	}
+}
+
+// TestRunRecordErrorSameAtEveryShardCount: a record whose tick its cell
+// already consumed, in the middle of a unit and of a stream of many
+// batches, stops the node with the same report and the same error — the
+// same record named — at one shard and at two, for text and binary input.
+// The error comes back from the batch that carried the record, not from
+// the next unit boundary.
+func TestRunRecordErrorSameAtEveryShardCount(t *testing.T) {
+	const ticksPerUnit, ticks, dupTick = 64, 192, 70
+	type record struct {
+		tick    int64
+		members []int32
+		value   float64
+	}
+	var recs []record
+	for tick := int64(0); tick < ticks; tick++ {
+		for c := int32(0); c < 16; c++ {
+			r := record{tick, []int32{c % 4, c / 4}, float64(tick) * float64(c+1)}
+			recs = append(recs, r)
+			if tick == dupTick && c == 5 {
+				recs = append(recs, r)
+			}
+		}
+	}
+	var text strings.Builder
+	var binary bytes.Buffer
+	w, err := wire.NewWriter(&binary, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BatchRecords = 100
+	for _, r := range recs {
+		fmt.Fprintf(&text, "%d,%d,%d,%g\n", r.tick, r.members[0], r.members[1], r.value)
+		if err := w.Append(r.tick, r.members, r.value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for format, feed := range map[string]string{"text": text.String(), "binary": binary.String()} {
+		var wantOut, wantErr string
+		for _, shards := range []int{1, 2} {
+			out := &syncWriter{}
+			err := Run(context.Background(), Config{
+				Engine: EngineConfig{Spec: "D2L2C4", TicksPerUnit: ticksPerUnit, Threshold: 0.5, Shards: shards},
+			}, strings.NewReader(feed), out)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tick %d already consumed", dupTick)) {
+				t.Fatalf("%s shards=%d: %v, want the duplicate tick refused", format, shards, err)
+			}
+			if shards == 1 {
+				wantOut, wantErr = out.String(), err.Error()
+				if !strings.Contains(wantOut, "[unit 0]") || strings.Contains(wantOut, "[unit 1]") {
+					t.Fatalf("%s: want unit 0 reported and unit 1 not:\n%s", format, wantOut)
+				}
+				continue
+			}
+			if err.Error() != wantErr {
+				t.Fatalf("%s: shards=2 error %q, shards=1 %q", format, err, wantErr)
+			}
+			if out.String() != wantOut {
+				t.Fatalf("%s: shards=2 printed\n%s\nshards=1\n%s", format, out.String(), wantOut)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/wire"
 )
@@ -83,38 +82,13 @@ func (e *Engine) ingestRun(ticks []int64, values []float64, codes []uint64) erro
 	return nil
 }
 
-// ingestSegment is the shard loop: it opens the accumulators of the cells
-// new to this shard — fresh holds their codes in ordinal order — then
-// consumes the records at positions sel of seg through their ordinals. The
-// coordinator barriers every boundary before dispatching, so every record
-// is inside the open unit; one that is not fails the run, keeping a shard
-// from closing units itself.
-func (e *Engine) ingestSegment(seg *segment, fresh []uint64, sel []int32) error {
-	for _, code := range fresh {
-		e.open(code)
-	}
-	ticks, values, ords, end := seg.ticks, seg.values, seg.ords, e.openEnd
-	for _, i := range sel {
-		tick, acc := ticks[i], &e.slab[ords[i]]
-		if tick >= end || !acc.Observe(tick, values[i]) {
-			return e.refuse(acc, tick, values[i])
-		}
-	}
-	return nil
-}
-
 // IngestBatch consumes a columnar record batch; the caller may reuse b as
 // soon as it returns. The batch is cut into maximal runs that stay inside
-// the open unit, each dispatched to the shards as one segment
-// (routeSegment); each boundary crossing barriers the shards exactly as
-// record-at-a-time ingest would, so closed-unit results — and the final
-// state — are bitwise-identical to feeding the same records through Ingest.
-//
-// Validation is batch-level: a segment with an out-of-range member or a
-// tick before the open unit fails before any of its records is routed
-// (earlier segments, and units they closed, stand). The sole shard of a
-// one-shard engine ingests each segment in place, in the caller's batch,
-// with Engine.IngestBatch's semantics.
+// the open unit, each accumulated by the one ingest loop (accumulate); each
+// boundary crossing barriers the shards exactly as record-at-a-time ingest
+// would, so closed-unit results — and the final state — are
+// bitwise-identical to feeding the same records through Ingest, and to
+// Engine.IngestBatch, record errors included.
 func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 	if err := s.ready(); err != nil {
 		return nil, err
@@ -130,7 +104,6 @@ func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 		if err != nil {
 			return closed, err
 		}
-		// The segment is the maximal run staying inside the open unit.
 		end, lo, hi := start+1, s.openEnd-int64(s.cfg.TicksPerUnit), s.openEnd
 		for end < n && b.Ticks[end] >= lo && b.Ticks[end] < hi {
 			end++
@@ -139,43 +112,10 @@ func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 		if err != nil {
 			return closed, err // nothing of the run is ingested: nothing sticks
 		}
-		if len(s.shards) == 1 {
-			s.segments.Add(1)
-			if err := s.shards[0].eng.ingestRun(b.Ticks[start:end], b.Values[start:end], codes); err != nil {
-				s.err = err // sticky at once, as a shard's own errors are
-				return closed, err
-			}
-		} else {
-			s.routeSegment(b.Ticks[start:end], b.Values[start:end], codes)
-			s.dispatch()
+		if err := s.accumulate(b.Ticks[start:end], b.Values[start:end], codes); err != nil {
+			return closed, err
 		}
 		start = end
 	}
 	return closed, nil
-}
-
-// routeSegment appends a run of records inside the open unit, given as
-// columns with their cells coded (cellDict.codes range-checked them), to
-// the open segment. Each record's cell is looked up in the coordinator's
-// dictionary, which gives its shard and its ordinal there, and a cell's
-// first record files its code on the shard's fresh list. Ticks and values
-// are copied in bulk, once, not per shard: the shards read them in place
-// through their position lists as the caller reuses its batch.
-func (s *ShardedEngine) routeSegment(ticks []int64, values []float64, codes []uint64) {
-	n := len(codes)
-	seg := s.openSegment(n)
-	base := len(seg.ords)
-	seg.ords = slices.Grow(seg.ords, n)[:base+n]
-	ords := seg.ords[base:]
-	for j, code := range codes {
-		c := s.dict.slot(code)
-		if c.key == 0 {
-			c = s.dict.add(c, code)
-			seg.fresh[c.part] = append(seg.fresh[c.part], code)
-		}
-		seg.sel[c.part] = append(seg.sel[c.part], int32(base+j))
-		ords[j] = c.ord
-	}
-	seg.ticks = append(seg.ticks, ticks[:n]...)
-	seg.values = append(seg.values, values[:n]...)
 }

@@ -105,8 +105,8 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 	}
 }
 
-// Batch-level validation fails the whole segment before any of its records
-// are routed, with a typed ErrRecord, and earlier complete segments stand —
+// Batch-level validation fails the whole in-unit run before any of its
+// records is ingested, with a typed ErrRecord, and earlier runs stand —
 // on every engine. An out-of-range member fails at ingest with Route's
 // error for the first bad member: in dimension-major order in a batch, in
 // dimension order in one record.

@@ -171,7 +171,7 @@ func (d *cellDict) add(s *dictSlot, code uint64) *dictSlot {
 }
 
 // reset empties the dictionary, ordinals and all; an empty one, or the
-// nil one of a many-shard engine's shard, is left alone. A table or
+// nil one of a ShardedEngine's shard, is left alone. A table or
 // scratch far larger than the cells and runs it held since the last reset
 // is dropped, so one bursty unit does not pin its peak for the engine's life.
 func (d *cellDict) reset() {

@@ -53,16 +53,9 @@ func TestCellDictChurnStaysBounded(t *testing.T) {
 		if k%4 != 3 {
 			continue
 		}
-		slabs, err := e.scatter(false, func(_ int, e *Engine) (any, error) {
-			return [2]int{cap(e.slab), cap(e.codes)}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		held := [2]int{}
-		for _, v := range slabs {
-			c := v.([2]int)
-			held[0], held[1] = held[0]+c[0], held[1]+c[1]
+		for _, sh := range e.shards {
+			held[0], held[1] = held[0]+cap(sh.eng.slab), held[1]+cap(sh.eng.codes)
 		}
 		if e.dict.n > cells || len(e.dict.slots) > 8*cells || held[0] > 2*cells || held[1] > 2*cells {
 			t.Fatalf("batch %d (unit %d): dictionary %d cells in %d slots, slabs %d, codes %d; one unit has %d cells",

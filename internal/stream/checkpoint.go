@@ -302,9 +302,9 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	e.openEnd = e.unitStart(cp.Unit + 1)
 	e.unitsDone = cp.UnitsDone
 	e.walSeq = cp.WALSeq
-	// Cells take ordinals in checkpoint order — a many-shard coordinator
-	// numbers its shards' parts the same way — and a repeated cell replaces
-	// the earlier one.
+	// Cells take ordinals in checkpoint order — a ShardedEngine numbers its
+	// shards' parts the same way — and a repeated cell replaces the earlier
+	// one.
 	e.slab, e.codes = e.slab[:0], e.codes[:0]
 	e.dict.reset()
 	for _, cs := range cp.Cells {
@@ -319,7 +319,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		if err != nil {
 			return fmt.Errorf("stream: restoring accumulator: %w", err)
 		}
-		if e.dict == nil { // a shard of a many-shard engine: cells arrive in ordinal order
+		if e.dict == nil { // a ShardedEngine's shard: cells arrive in ordinal order
 			e.open(code)
 			e.slab[len(e.slab)-1] = *acc
 			continue

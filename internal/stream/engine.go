@@ -130,8 +130,8 @@ type Engine struct {
 	// layout codes m-cells. slab[o] is the accumulator of the open unit's
 	// cell with ordinal o and codes[o] its code, sized by the unit's active
 	// cells and emptied at every close. dict numbers the cells of an engine
-	// that reads its own records; a many-shard engine's shards have none,
-	// the coordinator's dictionary numbers theirs.
+	// that reads its own records; a ShardedEngine's shards have none, the
+	// coordinator's dictionary numbers theirs and fills their slabs.
 	layout cellLayout
 	dict   *cellDict
 	slab   []regression.Accumulator
@@ -281,9 +281,8 @@ func (e *Engine) open(code uint64) {
 }
 
 // refuse names why a record failed the inline step every ingest path
-// takes (Accumulator.Observe; the shard loop checks the tick is inside the
-// open unit too): a tick outside the open unit, one its cell already
-// consumed, or a non-finite value.
+// takes (Accumulator.Observe): a tick outside the open unit, one its cell
+// already consumed, or a non-finite value.
 func (e *Engine) refuse(acc *regression.Accumulator, tick int64, value float64) error {
 	if tick < e.openStart || tick >= e.openEnd {
 		return fmt.Errorf("%w: tick %d outside open unit [%d,%d)", ErrRecord, tick, e.openStart, e.openEnd)

@@ -11,72 +11,35 @@ import (
 	"repro/internal/regression"
 )
 
-// ingestBatchSize is how many records per-record Ingest gathers in the
-// open segment before dispatching it, to amortize the channel handoff
-// (every unit boundary, query and checkpoint dispatches it first, so
-// nothing depends on it). IngestBatch dispatches each in-unit run at once.
-const ingestBatchSize = 512
+// barrierFn is one shard's part of a barrier: it runs on the shard's
+// engine, given the shard's index, while the coordinator waits.
+type barrierFn func(id int, e *Engine) (any, error)
 
-// runAhead is how many segments an engine has, and so how far the
-// coordinator runs ahead of its slowest shard: with all of them in flight
-// the next Ingest or IngestBatch waits for one to come back. Three keeps
-// the shards fed while the next segment is coded and copied; more buys
-// throughput with query latency (DESIGN §11.3) — a constant, not a setting.
-const runAhead = 3
-
-// segment is one in-unit run of records in engine-owned columns — the copy
-// is what lets an IngestBatch caller reuse its batch the moment the call
-// returns — plus, per shard, the positions of the records that shard owns
-// and the codes of the cells it sees first in this segment: shards read
-// the columns in place through their list. left counts the shards still
-// reading; the one that takes it to zero hands the segment back to the
-// coordinator.
-type segment struct {
-	ticks  []int64
-	values []float64
-	ords   []int32    // ords[i] is record i's cell's ordinal in its shard
-	sel    [][]int32  // sel[i] lists shard i's record positions, ascending
-	fresh  [][]uint64 // fresh[i] holds the codes of shard i's new cells, in ordinal order
-	left   atomic.Int32
-}
-
-// shardReply carries a control operation's outcome back to the
-// coordinator.
+// shardReply carries a barrierFn's outcome back to the coordinator.
 type shardReply struct {
 	val any
 	err error
 }
 
-// shardMsg is one message to a shard goroutine: a segment to read the
-// shard's selection of (seg, fire-and-forget) or a control operation (fn,
-// answered on reply). reset clears the shard's sticky error first — only
-// Restore sets it, because restoring replaces the state the error poisoned.
-type shardMsg struct {
-	seg   *segment
-	fn    func(*Engine) (any, error)
-	reply chan shardReply
-	reset bool
-}
-
-// shard is the coordinator's handle on one partition's Engine. With
-// several shards each engine is confined to its own goroutine behind in;
-// the sole shard of a one-shard engine has no goroutine (in, done and
-// segFree are nil) and send handles its messages on the caller's. Only
-// this transport differs between shard counts.
+// shard is the coordinator's handle on one partition's Engine. Shard 0's
+// barrier work runs on the coordinator's own goroutine; every other shard
+// has a goroutine that takes barrierFns on in and answers on out, and
+// closes done when in is closed. No shard goroutine runs between
+// barriers, so the coordinator accumulates into every shard's slab itself.
+// slab mirrors eng.slab, one load nearer the per-record step; only opening
+// a cell and a barrier change the engine's, and both refresh it.
 type shard struct {
-	id  int
-	eng *Engine
-	// sticky is the first record error; it fails every later message
-	// until Restore replaces the state it poisoned.
-	sticky  error
-	in      chan shardMsg
-	done    chan struct{}
-	segFree chan *segment // takes back segments this shard was last to read
+	id   int
+	eng  *Engine
+	slab []regression.Accumulator
+	in   chan barrierFn // nil for shard 0
+	out  chan shardReply
+	done chan struct{}
 }
 
 // ShardedEngine partitions the online analyzer (§4.5) across N independent
-// per-shard Engines, each confined to its own goroutine and fed over a
-// channel — share memory by communicating; no locks on the hot path.
+// per-shard Engines. The coordinator accumulates every record itself; the
+// shards close their units in parallel.
 //
 // The partition function is the m-layer cell's o-layer ancestor: every
 // record hashes by the o-level member tuple its members roll up to. Because
@@ -88,54 +51,42 @@ type shard struct {
 // what one Engine would produce from the same stream, alert order (unit,
 // then cube.CompareKeys on the cell, then kind) included.
 //
-// Unit boundaries are the only synchronization points: a record crossing
-// the open unit's end makes the coordinator dispatch the open segment,
-// close the finished units on every shard in parallel, and merge the
-// per-shard results in shard-stable order. Between boundaries the shards
-// read their selections of the dispatched segments concurrently.
+// Ingest is one loop at every shard count, on the caller's goroutine: the
+// coordinator codes a record's m-cell, its one cell dictionary gives the
+// cell's shard and ordinal there, and the record's accumulator step runs on
+// that shard engine's slab before Ingest or IngestBatch returns. Barriers —
+// unit closes, checkpoint cuts, Restore — are the only time shard
+// goroutines run, and the coordinator waits for them, so no engine is ever
+// touched by two goroutines at once. A record crossing the open unit's end
+// closes the finished units on every shard in parallel and merges the
+// per-shard results in shard-stable order.
 //
-// Like Engine, a ShardedEngine's methods must be called from one goroutine
-// (the issue is the coordinator state, not the shards). Record errors that
-// surface inside a shard (per-cell tick regressions) are reported at the
-// next unit boundary, query, or Flush rather than on the call that carried
-// the bad record; the first error sticks and fails all subsequent calls.
-// An out-of-range member is refused by the call that carried it, before
-// any record of its run is ingested, at every shard count; that refusal
-// does not stick.
-//
-// With one shard there is nothing to route: records skip the segments and
-// reach the shard's Engine on the caller's goroutine, which numbers its
-// cells with its own dictionary, so the engine is single-threaded and a
-// record error comes back from the very call that carried the record (and
-// sticks all the same).
+// Like Engine, a ShardedEngine's methods must be called from one
+// goroutine. A record error comes back from the call that carried the
+// record, at every shard count. A refused accumulator step (a tick its cell
+// already consumed, a non-finite value) and any barrier error stick: they
+// fail every later call until Restore replaces the state. An out-of-range
+// member or a tick before the open unit is refused before any record of its
+// run is ingested, and does not stick.
 type ShardedEngine struct {
 	cfg    Config
-	shards []*shard
+	shards []shard
 	// part is the o-ancestor partition function the multi-node router
 	// (internal/cluster) shares, so shards and nodes route identically.
-	// dict is the cell dictionary that routes records through it and
-	// numbers each shard's cells — the sole shard's own with one shard.
-	// cellsActive is its size when the last barrier emptied it.
+	// dict is the one cell dictionary: it routes cells through part and
+	// numbers each shard's cells (one shard has nothing to route). The
+	// shard engines have none. cellsActive is its size when the last
+	// barrier emptied it.
 	part        *Partitioner
 	dict        *cellDict
 	cellsActive atomic.Int64
 	// openEnd caches unitStart(unit+1) so the per-record boundary test is
 	// one comparison.
 	openEnd int64
-	// open is the segment being filled (nil when none is): Ingest appends
-	// records to it, IngestBatch whole runs, dispatch hands it to the
-	// shards. segFree holds the segments neither open nor in flight; the
-	// same runAhead circulate, so steady-state ingest allocates nothing.
-	open    *segment
-	segFree chan *segment
-	// segments counts dispatched segments; runaheadWaits the times the
-	// coordinator found every segment in flight and had to wait for a shard.
-	segments      atomic.Int64
-	runaheadWaits atomic.Int64
-	unit          int64
-	done          int64
-	err           error
-	closed        bool
+	unit    int64
+	done    int64
+	err     error
+	closed  bool
 	// snap is the coordinator's published merged snapshot
 	// (cfg.PublishSnapshots). The per-shard engines run with publication
 	// off; the coordinator collects their frame copies at each barrier
@@ -157,7 +108,7 @@ func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("%w: %d shards", ErrConfig, shards)
 	}
-	s := &ShardedEngine{cfg: cfg, shards: make([]*shard, shards)}
+	s := &ShardedEngine{cfg: cfg, shards: make([]shard, shards)}
 	// Shard engines never publish their own snapshots: a per-shard view
 	// would expose partial units, and the coordinator merges frames at
 	// each barrier anyway.
@@ -168,7 +119,8 @@ func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.shards[i] = &shard{id: i, eng: eng}
+		eng.dict = nil // the coordinator numbers the shards' cells
+		s.shards[i] = shard{id: i, eng: eng}
 	}
 	s.cfg = s.shards[0].eng.cfg // normalized (level chain)
 	s.cfg.PublishSnapshots = cfg.PublishSnapshots
@@ -177,67 +129,42 @@ func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 		return nil, err
 	}
 	s.openEnd = s.unitStart(1)
-	if shards == 1 {
-		s.dict = s.shards[0].eng.dict
-		return s, nil // the sole shard runs on the caller's goroutine
-	}
-	s.dict = newCellDict(&s.part.layout, s.part)
-	for _, sh := range s.shards {
-		sh.eng.dict = nil // the coordinator numbers the shards' cells
-	}
-	s.segFree = make(chan *segment, runAhead)
-	for i := 0; i < runAhead; i++ {
-		s.segFree <- &segment{}
-	}
-	for _, sh := range s.shards {
-		// Room for every segment plus a control message, so the
-		// coordinator never blocks on the channel itself.
-		sh.segFree, sh.in, sh.done = s.segFree, make(chan shardMsg, runAhead+1), make(chan struct{})
+	s.dict = s.newDict()
+	for i := 1; i < shards; i++ {
+		sh := &s.shards[i]
+		sh.in, sh.out, sh.done = make(chan barrierFn, 1), make(chan shardReply, 1), make(chan struct{})
 		go sh.run()
 	}
 	return s, nil
 }
 
-// run is the shard goroutine.
+// newDict returns an empty cell dictionary for the coordinator: one that
+// routes through part, or with one shard one that has nothing to route.
+func (s *ShardedEngine) newDict() *cellDict {
+	if len(s.shards) == 1 {
+		return newCellDict(&s.part.layout, nil)
+	}
+	return newCellDict(&s.part.layout, s.part)
+}
+
+// run is the goroutine of every shard but shard 0.
 func (sh *shard) run() {
 	defer close(sh.done)
-	for msg := range sh.in {
-		sh.handle(msg)
+	for fn := range sh.in {
+		sh.out <- sh.do(fn)
 	}
 }
 
-// send delivers one message: over the channel, or straight to handle.
-func (sh *shard) send(msg shardMsg) {
-	if sh.in == nil {
-		sh.handle(msg)
-		return
-	}
-	sh.in <- msg
+// open opens a cell's accumulator in the shard's slab, at the next ordinal.
+func (sh *shard) open(code uint64) {
+	sh.eng.open(code)
+	sh.slab = sh.eng.slab
 }
 
-// handle processes one message: read this shard's selection of a segment
-// into the engine, or answer a control operation. The last shard done with
-// a segment — had a sticky error made it skip the records or not — returns
-// it; segFree and the reply channels have room, so neither send blocks.
-func (sh *shard) handle(msg shardMsg) {
-	if seg := msg.seg; seg != nil {
-		if sh.sticky == nil {
-			sh.sticky = sh.eng.ingestSegment(seg, seg.fresh[sh.id], seg.sel[sh.id])
-		}
-		if seg.left.Add(-1) == 0 {
-			sh.segFree <- seg
-		}
-		return
-	}
-	if msg.reset {
-		sh.sticky = nil
-	}
-	if sh.sticky != nil {
-		msg.reply <- shardReply{err: sh.sticky}
-		return
-	}
-	val, err := msg.fn(sh.eng)
-	msg.reply <- shardReply{val: val, err: err}
+// do runs fn on the shard's engine.
+func (sh *shard) do(fn barrierFn) shardReply {
+	val, err := fn(sh.id, sh.eng)
+	return shardReply{val: val, err: err}
 }
 
 // Shards returns the shard count.
@@ -253,68 +180,10 @@ func (s *ShardedEngine) unitStart(u int64) int64 {
 	return s.cfg.StartTick + u*int64(s.cfg.TicksPerUnit)
 }
 
-// openSegment returns the segment being filled, taking a free one when
-// none is — and waiting for the shards to hand one back when all are in
-// flight, which is what bounds the run-ahead. A buffer far larger than
-// both what it last held and the n records about to be added is dropped
-// for a fresh one, so one huge batch does not pin its columns and
-// position lists for the engine's life.
-func (s *ShardedEngine) openSegment(n int) *segment {
-	if s.open != nil {
-		return s.open
-	}
-	if len(s.segFree) == 0 { // only this goroutine takes from it
-		s.runaheadWaits.Add(1)
-	}
-	seg := <-s.segFree
-	if cap(seg.ticks) > 4*max(n, len(seg.ticks))+1024 {
-		seg = &segment{}
-	}
-	seg.ticks, seg.values, seg.ords = seg.ticks[:0], seg.values[:0], seg.ords[:0]
-	if seg.sel == nil {
-		seg.sel, seg.fresh = make([][]int32, len(s.shards)), make([][]uint64, len(s.shards))
-	}
-	for i := range seg.sel {
-		seg.sel[i], seg.fresh[i] = seg.sel[i][:0], seg.fresh[i][:0]
-	}
-	s.open = seg
-	return seg
-}
-
-// dispatch hands the open segment to every shard that owns records of it;
-// shard channels are FIFO, so a later control message arrives behind it.
-func (s *ShardedEngine) dispatch() {
-	seg := s.open
-	if seg == nil || len(seg.ticks) == 0 {
-		return
-	}
-	s.open = nil
-	s.segments.Add(1)
-	readers := int32(0)
-	for _, sel := range seg.sel {
-		if len(sel) > 0 {
-			readers++
-		}
-	}
-	seg.left.Store(readers)
-	for i, sel := range seg.sel {
-		if len(sel) > 0 {
-			s.shards[i].send(shardMsg{seg: seg})
-		}
-	}
-}
-
 // CellsActive returns the cell dictionary's size when the last unit
 // barrier emptied it: the distinct m-cells the open unit held then, summed
 // over shards. Safe from any goroutine.
 func (s *ShardedEngine) CellsActive() int64 { return s.cellsActive.Load() }
-
-// DispatchStats returns how many segments went to the shards (with one
-// shard: were ingested in place) and how often the coordinator found all
-// of them in flight and waited. Safe from any goroutine.
-func (s *ShardedEngine) DispatchStats() (segments, runaheadWaits int64) {
-	return s.segments.Load(), s.runaheadWaits.Load()
-}
 
 // ready guards every public operation behind the closed/sticky-error state.
 func (s *ShardedEngine) ready() error {
@@ -324,26 +193,29 @@ func (s *ShardedEngine) ready() error {
 	return s.err
 }
 
-// scatter dispatches the open segment, runs fn on every shard concurrently
-// (fn gets the shard's index) and returns the replies in shard order. The
-// first error becomes sticky; reset clears each shard's sticky error first
-// (see shardMsg).
-func (s *ShardedEngine) scatter(reset bool, fn func(int, *Engine) (any, error)) ([]any, error) {
-	s.dispatch()
-	replies := make([]chan shardReply, len(s.shards))
-	for i, sh := range s.shards {
-		ch := make(chan shardReply, 1)
-		replies[i] = ch
-		sh.send(shardMsg{fn: func(e *Engine) (any, error) { return fn(i, e) }, reply: ch, reset: reset})
+// scatter is a barrier: it runs fn on every shard concurrently — shard 0's
+// on the caller's goroutine — and returns the replies in shard order. The
+// first error, in shard order, becomes sticky.
+func (s *ShardedEngine) scatter(fn barrierFn) ([]any, error) {
+	for _, sh := range s.shards[1:] {
+		sh.in <- fn
 	}
 	out := make([]any, len(s.shards))
 	var firstErr error
-	for i, ch := range replies {
-		rep := <-ch
+	for i := range s.shards {
+		var rep shardReply
+		if i == 0 {
+			rep = s.shards[0].do(fn)
+		} else {
+			rep = <-s.shards[i].out
+		}
 		if rep.err != nil && firstErr == nil {
 			firstErr = rep.err
 		}
 		out[i] = rep.val
+	}
+	for i := range s.shards {
+		s.shards[i].slab = s.shards[i].eng.slab // closes and restores replace it
 	}
 	if firstErr != nil {
 		s.err = firstErr
@@ -366,10 +238,8 @@ func (s *ShardedEngine) reach(tick int64) (closed []*UnitResult, err error) {
 
 // Ingest consumes one record with Engine.Ingest semantics: crossing a unit
 // boundary closes the finished units on every shard and returns the merged
-// results in order. An out-of-range member fails here, after boundary
-// handling; the record waits in the open segment until ingestBatchSize
-// records share it. Per-cell validation happens inside the owning shard,
-// and its errors surface at the next boundary.
+// results in order. The record is then accumulated before Ingest returns;
+// an out-of-range member fails here, after boundary handling.
 func (s *ShardedEngine) Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error) {
 	if err := s.ready(); err != nil {
 		return nil, err
@@ -381,31 +251,47 @@ func (s *ShardedEngine) Ingest(members []int32, tick int64, value float64) ([]*U
 	if err != nil {
 		return closed, err
 	}
-	if len(s.shards) == 1 {
-		_, err := s.shards[0].eng.Ingest(members, tick, value) // reach closed the units before tick's
-		if err != nil {
-			if _, bad := s.part.layout.code(members); bad < 0 {
-				s.err = err // sticky at once, as a shard's own errors are; a refused member is not
-			}
-		}
-		return closed, err
-	}
 	code, bad := s.part.layout.code(members)
 	if bad >= 0 {
 		return closed, s.part.layout.rangeErr(bad, members[bad])
 	}
-	seg := s.openSegment(1) // routeSegment's step, for one record
+	// accumulate's step, spelled out for one record: a run of one through
+	// the loop costs a call and a few ns a record on WAL replay.
 	c := s.dict.slot(code)
 	if c.key == 0 {
 		c = s.dict.add(c, code)
-		seg.fresh[c.part] = append(seg.fresh[c.part], code)
+		s.shards[c.part].open(code)
 	}
-	seg.sel[c.part] = append(seg.sel[c.part], int32(len(seg.ords)))
-	seg.ords, seg.ticks, seg.values = append(seg.ords, c.ord), append(seg.ticks, tick), append(seg.values, value)
-	if len(seg.ticks) >= ingestBatchSize {
-		s.dispatch()
+	sh := &s.shards[c.part]
+	if acc := &sh.slab[c.ord]; !acc.Observe(tick, value) {
+		s.err = sh.eng.refuse(acc, tick, value)
+		return closed, s.err
 	}
 	return closed, nil
+}
+
+// accumulate is the ingest loop at every shard count: per record of a run
+// inside the open unit, its cells coded and range-checked by the caller,
+// the cell's shard and ordinal from the dictionary — a cell's first record
+// opens its accumulator in that shard's slab — and the accumulator step,
+// on the caller's goroutine. A refused step fails the run and sticks; the
+// records before it stand.
+func (s *ShardedEngine) accumulate(ticks []int64, values []float64, codes []uint64) error {
+	ticks, values = ticks[:len(codes)], values[:len(codes)]
+	d, shards := s.dict, s.shards
+	for j, code := range codes {
+		c := d.slot(code)
+		if c.key == 0 {
+			c = d.add(c, code)
+			shards[c.part].open(code)
+		}
+		sh := &shards[c.part]
+		if acc := &sh.slab[c.ord]; !acc.Observe(ticks[j], values[j]) {
+			s.err = sh.eng.refuse(acc, ticks[j], values[j])
+			return s.err
+		}
+	}
+	return nil
 }
 
 // shardAdvance is one shard's reply to an advanceTo barrier: its closed
@@ -426,7 +312,7 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 	n := int(target - s.unit)
 	publish := s.cfg.PublishSnapshots
 	s.cellsActive.Store(int64(s.dict.n))
-	vals, err := s.scatter(false, func(_ int, e *Engine) (any, error) {
+	vals, err := s.scatter(func(_ int, e *Engine) (any, error) {
 		var adv shardAdvance
 		for e.unit < target {
 			ur, err := e.closeUnit()
@@ -435,9 +321,9 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 			}
 			adv.urs = append(adv.urs, ur)
 			if publish {
-				// Copied inside the shard goroutine, unit by unit, so the
-				// copies are exact per unit and never race with the
-				// shard's own later units.
+				// Copied inside the barrier, unit by unit, so the copies
+				// are exact per unit and never race with the shard's own
+				// later units.
 				adv.frames = append(adv.frames, e.snapshotFrames())
 			}
 		}
@@ -495,7 +381,7 @@ func (s *ShardedEngine) advanceTo(target int64) ([]*UnitResult, error) {
 
 // mergeUnit combines one unit's per-shard results: the cube results union
 // (unionResults), and since each shard's alerts arrive in canonical order
-// with their drills complete (finished inside the shard goroutine), the
+// with their drills complete (finished inside the barrier), the
 // merged list is a k-way merge.
 func (s *ShardedEngine) mergeUnit(urs []*UnitResult) *UnitResult {
 	merged := &UnitResult{Unit: urs[0].Unit, Interval: urs[0].Interval}
@@ -638,31 +524,23 @@ func (s *ShardedEngine) Flush() (*UnitResult, error) {
 }
 
 // ActiveCells returns the number of m-layer cells with data in the open
-// unit, across all shards. It drains ingest buffers first.
+// unit, across all shards: the dictionary's size, since the shards' slabs
+// hold exactly its cells.
 func (s *ShardedEngine) ActiveCells() (int, error) {
 	if err := s.ready(); err != nil {
 		return 0, err
 	}
-	if _, err := s.scatter(false, func(int, *Engine) (any, error) { return nil, nil }); err != nil {
-		return 0, err
-	}
-	return s.dict.n, nil // the drained shards' slabs hold the dictionary's cells
+	return s.dict.n, nil
 }
 
-// askShard runs fn on one shard — after the ready check — and returns
-// its typed reply.
+// askShard runs fn on one shard's engine — after the ready check — on the
+// caller's goroutine: between barriers no shard goroutine runs.
 func askShard[T any](s *ShardedEngine, sid int, fn func(*Engine) (T, error)) (T, error) {
-	var zero T
 	if err := s.ready(); err != nil {
+		var zero T
 		return zero, err
 	}
-	ch := make(chan shardReply, 1)
-	s.shards[sid].send(shardMsg{fn: func(e *Engine) (any, error) { return fn(e) }, reply: ch})
-	rep := <-ch
-	if rep.err != nil {
-		return zero, rep.err
-	}
-	return rep.val.(T), nil
+	return fn(s.shards[sid].eng)
 }
 
 // TrendQuery aggregates the last k units of an o-cell's history
@@ -702,14 +580,13 @@ func (s *ShardedEngine) SetWALSeq(seq int64) error {
 	if err := s.ready(); err != nil {
 		return err
 	}
-	_, err := s.scatter(false, func(_ int, e *Engine) (any, error) {
-		e.SetWALSeq(seq)
-		return nil, nil
-	})
-	return err
+	for _, sh := range s.shards {
+		sh.eng.SetWALSeq(seq)
+	}
+	return nil
 }
 
-// Checkpoint drains ingest buffers and exports the engine's state in the
+// Checkpoint exports the engine's state in the
 // one canonical form (MergeCheckpoints over the shards): byte for byte
 // what an Engine — or a ShardedEngine of any other shard count — at the
 // same stream position exports.
@@ -737,12 +614,12 @@ func (s *ShardedEngine) AppendCheckpoint(dst []byte) ([]byte, error) {
 	return AppendCheckpoint(dst, &s.cpMerged)
 }
 
-// cutCheckpoints drains ingest buffers and has every shard cut its part.
+// cutCheckpoints has every shard cut its part, in parallel.
 func (s *ShardedEngine) cutCheckpoints(cut func(*Engine) *Checkpoint) ([]*Checkpoint, error) {
 	if err := s.ready(); err != nil {
 		return nil, err
 	}
-	vals, err := s.scatter(false, func(_ int, e *Engine) (any, error) { return cut(e), nil })
+	vals, err := s.scatter(func(_ int, e *Engine) (any, error) { return cut(e), nil })
 	if err != nil {
 		return nil, err
 	}
@@ -755,9 +632,9 @@ func (s *ShardedEngine) cutCheckpoints(cut func(*Engine) *Checkpoint) ([]*Checkp
 
 // Restore loads a checkpoint taken by an Engine or at any shard count by
 // repartitioning cells by o-ancestor and frames (or an older file's flat
-// history) by o-cell across this engine's shards. Buffered records not
-// yet past a boundary are discarded, mirroring Engine.Restore replacing
-// un-checkpointed accumulator state.
+// history) by o-cell across this engine's shards. The open unit's records
+// are discarded, mirroring Engine.Restore replacing un-checkpointed
+// accumulator state. A successful Restore clears a sticky error.
 func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 	if s.closed {
 		return fmt.Errorf("%w: engine closed", ErrConfig)
@@ -769,11 +646,8 @@ func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 	for i := range parts {
 		parts[i] = &Checkpoint{Unit: cp.Unit, UnitsDone: cp.UnitsDone, WALSeq: cp.WALSeq, Schema: cp.Schema}
 	}
-	var err error
-	dict := s.dict // the sole shard numbers its own cells
-	if len(s.shards) == 1 {
-		parts[0].Cells = cp.Cells
-	} else if dict, err = s.routeCells(cp.Cells, parts); err != nil {
+	dict, err := s.routeCells(cp.Cells, parts)
+	if err != nil {
 		return err
 	}
 	for _, ch := range cp.History {
@@ -788,13 +662,7 @@ func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 		sid := s.part.Hash(&members)
 		parts[sid].Tilt = append(parts[sid].Tilt, cf)
 	}
-	// The open segment is discarded; the scatter below is a barrier, so the
-	// ones in flight are handed back before any shard restores.
-	if s.open != nil {
-		s.segFree <- s.open
-		s.open = nil
-	}
-	if _, err := s.scatter(true, func(i int, e *Engine) (any, error) { return nil, e.Restore(parts[i]) }); err != nil {
+	if _, err := s.scatter(func(i int, e *Engine) (any, error) { return nil, e.Restore(parts[i]) }); err != nil {
 		return err
 	}
 	s.dict = dict
@@ -813,7 +681,7 @@ func (s *ShardedEngine) Restore(cp *Checkpoint) error {
 // ordinals; a repeated cell replaces the earlier one, as on an Engine. The
 // dictionary replaces the coordinator's once the shards have restored.
 func (s *ShardedEngine) routeCells(cells []CellState, parts []*Checkpoint) (*cellDict, error) {
-	dict := newCellDict(&s.part.layout, s.part)
+	dict := s.newDict()
 	for _, cs := range cells {
 		if len(cs.Members) != s.part.layout.nd {
 			return nil, fmt.Errorf("%w: checkpoint cell has %d members", ErrConfig, len(cs.Members))
@@ -832,23 +700,18 @@ func (s *ShardedEngine) routeCells(cells []CellState, parts []*Checkpoint) (*cel
 	return dict, nil
 }
 
-// Close stops the shard goroutines and waits for them to exit; they read
-// every segment still in flight first. Records in the open segment are
-// dropped — Flush first for the final partial unit. Close is idempotent;
-// every other method fails after it.
+// Close stops the shard goroutines and waits for them to exit. The open
+// unit's records are dropped — Flush first for the final partial unit.
+// Close is idempotent; every other method fails after it.
 func (s *ShardedEngine) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if len(s.shards) == 1 {
-		return
-	}
-	s.open = nil
-	for _, sh := range s.shards {
+	for _, sh := range s.shards[1:] {
 		close(sh.in)
 	}
-	for _, sh := range s.shards {
+	for _, sh := range s.shards[1:] {
 		<-sh.done
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -339,8 +340,8 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// A record error inside a shard (per-cell duplicate tick) surfaces at the
-// next barrier, sticks, and is cleared by Restore.
+// A refused accumulator step (per-cell duplicate tick) fails the Ingest
+// that carried it, sticks, and is cleared by Restore.
 func TestShardedStickyErrorAndRecovery(t *testing.T) {
 	s := wideSchema(t)
 	cfg := Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1)}
@@ -356,15 +357,16 @@ func TestShardedStickyErrorAndRecovery(t *testing.T) {
 	if _, err := e.Ingest([]int32{0, 0}, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Same cell, same tick: the owning shard rejects it asynchronously.
-	if _, err := e.Ingest([]int32{0, 0}, 0, 2); err != nil {
-		t.Fatalf("duplicate-tick error must be deferred to the barrier, got %v", err)
+	// Same cell, same tick: the call that carried it fails.
+	_, dup := e.Ingest([]int32{0, 0}, 0, 2)
+	if !errors.Is(dup, ErrRecord) {
+		t.Fatalf("duplicate tick: %v, want ErrRecord from the call that carried it", dup)
 	}
-	if _, err := e.Flush(); err == nil {
-		t.Fatal("expected deferred record error at flush")
+	if _, err := e.Ingest([]int32{1, 1}, 0, 1); err != dup {
+		t.Fatalf("error must stick: Ingest returned %v", err)
 	}
-	if _, err := e.Flush(); err == nil {
-		t.Fatal("error must stick")
+	if _, err := e.Flush(); err != dup {
+		t.Fatalf("error must stick: Flush returned %v", err)
 	}
 	if err := e.Restore(cp); err != nil {
 		t.Fatal(err)

@@ -240,9 +240,10 @@ func DeltaCubing(s *Schema, cur, prev []Input, det DeltaDetector) (*DeltaResult,
 }
 
 // ShardedStreamEngine is the parallel online analyzer: m-layer cells
-// hash-partition by o-layer ancestor across per-shard engines that ingest
-// and cube concurrently, merging into results identical to a single
-// engine's (alerts deterministically sorted). See DESIGN.md §6.
+// hash-partition by o-layer ancestor across per-shard engines; the caller's
+// goroutine accumulates every record and the shards cube concurrently at
+// each unit close, merging into results identical to a single engine's
+// (alerts deterministically sorted). See DESIGN.md §6.
 type ShardedStreamEngine = stream.ShardedEngine
 
 // NewShardedStreamEngine builds a sharded online analyzer with the given

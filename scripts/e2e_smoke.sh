@@ -125,8 +125,8 @@ fetch /metrics | grep -q 'regcube_http_requests_total' \
 m=$(fetch /metrics)
 grep -q 'regcube_checkpoint_writes_total [1-9]' <<<"$m" && grep -q 'regcube_gc_cycles_total [0-9]' <<<"$m" \
   || { echo "FAIL: /metrics missing the checkpoint or GC counters" >&2; exit 1; }
-grep -q 'regcube_ingest_segments_total [1-9]' <<<"$m" && grep -q 'regcube_ingest_runahead_waits_total [0-9]' <<<"$m" \
-  || { echo "FAIL: /metrics missing the ingest dispatch counters" >&2; exit 1; }
+grep -q 'regcube_cells_active [1-9]' <<<"$m" \
+  || { echo "FAIL: /metrics missing the active cell count" >&2; exit 1; }
 echo "   OK GET /metrics"
 
 echo "== POST /v1/query: one batch, four kinds plus a bad sub-request"
