@@ -164,11 +164,10 @@ func shardedBenchCells() [][]int32 {
 	return cells
 }
 
-// Pure accumulate path: no unit ever closes; the final drain (an
-// ActiveCells barrier, inside the timer) waits for queued shard work so it
-// is charged to the run. Near-linear scaling here needs ≥ `shards` cores.
+// Pure accumulate path, record by record: no unit ever closes, and every
+// record is accumulated before Ingest returns, on the caller's goroutine at
+// every shard count.
 func BenchmarkShardedIngest(b *testing.B) {
-	b.ReportAllocs()
 	schema := shardedBenchSchema(b)
 	cells := shardedBenchCells()
 	cfg := stream.Config{
@@ -176,40 +175,21 @@ func BenchmarkShardedIngest(b *testing.B) {
 		TicksPerUnit: 1 << 30,
 		Threshold:    exception.Global(1e18), // no alerts: isolate ingest
 	}
-	run := func(b *testing.B, ingest func(members []int32, tick int64, v float64) error, drain func() error) {
-		b.Helper()
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			tick := int64(n / len(cells))
-			if err := ingest(cells[n%len(cells)], tick, float64(n%13)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := drain(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("single-engine", func(b *testing.B) {
-		b.ReportAllocs()
-		eng, err := stream.NewEngine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b,
-			func(m []int32, t int64, v float64) error { _, err := eng.Ingest(m, t, v); return err },
-			func() error { _ = eng.ActiveCells(); return nil })
-	})
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
-			eng, err := stream.NewShardedEngine(cfg, shards)
+			cfg.Shards = shards
+			eng, err := stream.NewEngine(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer eng.Close()
-			run(b,
-				func(m []int32, t int64, v float64) error { _, err := eng.Ingest(m, t, v); return err },
-				func() error { _, err := eng.ActiveCells(); return err })
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := eng.Ingest(cells[n%len(cells)], int64(n/len(cells)), float64(n%13)); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }
@@ -254,11 +234,12 @@ func BenchmarkShardedIngestBatch(b *testing.B) {
 		}
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
-			eng, err := stream.NewShardedEngine(stream.Config{
+			eng, err := stream.NewEngine(stream.Config{
 				Schema:       schema,
 				TicksPerUnit: 1 << 40,
 				Threshold:    exception.Global(1e18),
-			}, leg.shards)
+				Shards:       leg.shards,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -271,9 +252,6 @@ func BenchmarkShardedIngestBatch(b *testing.B) {
 				if _, err := eng.IngestBatch(&frame); err != nil {
 					b.Fatal(err)
 				}
-			}
-			if _, err := eng.ActiveCells(); err != nil {
-				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frame.Len()), "ns/rec")
 		})
@@ -298,7 +276,8 @@ func BenchmarkShardedIngestBusSubscriber(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
-			eng, err := stream.NewShardedEngine(cfg, shards)
+			cfg.Shards = shards
+			eng, err := stream.NewEngine(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -372,24 +351,12 @@ func BenchmarkCloseUnitAlertHeavy(b *testing.B) {
 	for _, shards := range []int{1, 2} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
-			// The node's split: one shard is the plain Engine.
-			var eng interface {
-				Ingest(members []int32, tick int64, value float64) ([]*stream.UnitResult, error)
-				Flush() (*stream.UnitResult, error)
-			}
-			if shards == 1 {
-				eng, err = stream.NewEngine(cfg)
-			} else {
-				var sharded *stream.ShardedEngine
-				sharded, err = stream.NewShardedEngine(cfg, shards)
-				if sharded != nil {
-					defer sharded.Close()
-				}
-				eng = sharded
-			}
+			cfg.Shards = shards
+			eng, err := stream.NewEngine(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer eng.Close()
 			// A four-unit cycle of slopes, the same for every shard count.
 			srng := rand.New(rand.NewSource(13))
 			var cycle [4][cells]float64

@@ -211,8 +211,9 @@ func referenceCheckpoint(t *testing.T, shards int, tiltStr string, unitTicks int
 		TicksPerUnit: unitTicks,
 		Threshold:    exception.Global(threshold),
 		TiltLevels:   tiltLevels,
+		Shards:       shards,
 	}
-	seng, err := stream.NewShardedEngine(cfg, shards)
+	seng, err := stream.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,12 @@
 // ancestor-table pass per dimension.
 //
 // With -shards N > 1 the analyzer hash-partitions m-layer cells by their
-// o-layer ancestors across N per-shard engines that ingest and cube in
-// parallel (see stream.ShardedEngine); the merged output is identical to
-// a single engine's, with alerts deterministically sorted. The default is
-// GOMAXPROCS; -shards 1 is the same analyzer with one partition, run
-// single-threaded on the ingest loop's goroutine.
+// o-layer ancestors across N shards that cube each unit in parallel (see
+// stream.Engine); the ingest loop's goroutine accumulates every record, and
+// the merged output is identical at every shard count, with alerts
+// deterministically sorted. The default is GOMAXPROCS; -shards 1 is the
+// same analyzer with one partition, run wholly on the ingest loop's
+// goroutine.
 //
 // With -listen ADDR streamd also serves the HTTP/JSON query API
 // (internal/serve) from per-unit engine snapshots, so analysts can hit

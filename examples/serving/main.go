@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eng, err := regcube.NewShardedStreamEngine(regcube.StreamConfig{
+	eng, err := regcube.NewStreamEngine(regcube.StreamConfig{
 		Schema:       schema,
 		TicksPerUnit: 15, // a quarter of an hour of minute readings
 		Threshold:    regcube.GlobalThreshold(0.4),
@@ -55,7 +55,8 @@ func main() {
 		},
 		// The serving layer reads immutable per-unit snapshots.
 		PublishSnapshots: true,
-	}, 4)
+		Shards:           4,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

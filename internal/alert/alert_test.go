@@ -253,25 +253,14 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sub *stream.Subscription
-		var ingest func([]int32, int64, float64) ([]*stream.UnitResult, error)
-		var flush func() (*stream.UnitResult, error)
-		if shards == 1 {
-			eng, err := stream.NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub = eng.Subscribe(256)
-			ingest, flush = eng.Ingest, eng.Flush
-		} else {
-			eng, err := stream.NewShardedEngine(cfg, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			sub = eng.Subscribe(256)
-			ingest, flush = eng.Ingest, eng.Flush
+		cfg.Shards = shards
+		eng, err := stream.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer eng.Close()
+		sub := eng.Subscribe(256)
+		ingest, flush := eng.Ingest, eng.Flush
 		defer sub.Close()
 		// Slopes ramp with the tick so cells cross warn, then crit, then
 		// fall back — several full lifecycles across 10 units.

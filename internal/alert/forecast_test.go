@@ -207,7 +207,8 @@ func TestForecastDeterministicAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := stream.NewShardedEngine(cfg, shards)
+		cfg.Shards = shards
+		eng, err := stream.NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -343,18 +343,14 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := persist.WriteCheckpoint(&buf, n.eng.Checkpoint()); err != nil {
-			t.Fatal(err)
-		}
+		writeCheckpoint(t, &buf, n.eng)
 		files[i] = &buf
 	}
 	if _, err := single.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	var singleCP bytes.Buffer
-	if err := persist.WriteCheckpoint(&singleCP, single.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, &singleCP, single)
 	mergedCP, err := MergeCheckpoints(files)
 	if err != nil {
 		t.Fatal(err)
@@ -679,12 +675,8 @@ func TestMergeCheckpointsRejectsSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bufA, bufB bytes.Buffer
-	if err := persist.WriteCheckpoint(&bufA, a.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	if err := persist.WriteCheckpoint(&bufB, b.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, &bufA, a)
+	writeCheckpoint(t, &bufB, b)
 	if _, err := MergeCheckpoints([]io.Reader{&bufA, &bufB}); err == nil {
 		t.Fatal("unit-skewed checkpoints merged")
 	}
@@ -712,9 +704,7 @@ func TestMergeCheckpointsIgnoresNodeWatermarks(t *testing.T) {
 		}
 		eng.SetWALSeq(records)
 		var buf bytes.Buffer
-		if err := persist.WriteCheckpoint(&buf, eng.Checkpoint()); err != nil {
-			t.Fatal(err)
-		}
+		writeCheckpoint(t, &buf, eng)
 		files = append(files, &buf)
 	}
 	cp, err := MergeCheckpoints(files)
@@ -745,9 +735,7 @@ func TestMergeCheckpointsRejectsSchemaMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := persist.WriteCheckpoint(&buf, eng.Checkpoint()); err != nil {
-			t.Fatal(err)
-		}
+		writeCheckpoint(t, &buf, eng)
 		files = append(files, &buf)
 	}
 	if _, err := MergeCheckpoints(files); err == nil {
@@ -869,4 +857,16 @@ func BenchmarkRouterActiveCells(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Len()), "ns/rec")
+}
+
+// writeCheckpoint writes e's checkpoint document to w.
+func writeCheckpoint(t *testing.T, w io.Writer, e *stream.Engine) {
+	t.Helper()
+	cp, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.WriteCheckpoint(w, cp); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -7,9 +7,9 @@
 // single-engine file.
 //
 // The partition function is stream.Partitioner — byte-for-byte the
-// in-process ShardedEngine's — so an N-node cluster holds exactly the
-// state an N-shard engine would, and its merged checkpoints and query
-// bodies are bitwise-identical to a single engine fed the same stream.
+// in-process engine's shard function — so an N-node cluster holds exactly
+// the state an N-shard engine would, and its merged checkpoints and query
+// bodies are bitwise-identical to one engine fed the same stream.
 package cluster
 
 import (
@@ -156,7 +156,7 @@ func (r *Router) Stats() RouterStats {
 
 // RouteBatch partitions one columnar batch. Boundary crossings inside the
 // batch split it into segments, with a barrier broadcast between them —
-// exactly the ShardedEngine.IngestBatch segmentation, across processes.
+// exactly the stream.Engine.IngestBatch segmentation, across processes.
 func (r *Router) RouteBatch(ctx context.Context, b *wire.Batch) error {
 	if got := len(b.Cols); got != r.dims {
 		return fmt.Errorf("%w: batch has %d dimensions, schema has %d", stream.ErrRecord, got, r.dims)

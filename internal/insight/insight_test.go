@@ -223,7 +223,7 @@ func testSchema(t testing.TB) *cube.Schema {
 // plateau) into a sharded tilted engine and returns the last snapshot.
 func tiltedSnapshot(t *testing.T, shards int) *stream.Snapshot {
 	t.Helper()
-	eng, err := stream.NewShardedEngine(stream.Config{
+	eng, err := stream.NewEngine(stream.Config{
 		Schema:           testSchema(t),
 		TicksPerUnit:     4,
 		Threshold:        exception.Global(0.5),
@@ -232,7 +232,8 @@ func tiltedSnapshot(t *testing.T, shards int) *stream.Snapshot {
 			{Name: "quarter", Multiple: 1, Slots: 3},
 			{Name: "hour", Multiple: 3, Slots: 4},
 		},
-	}, shards)
+		Shards: shards,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

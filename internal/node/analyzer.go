@@ -37,28 +37,25 @@ type EngineConfig struct {
 	// Tilt is the tilt-frame level chain spec (streamd -tilt syntax); empty
 	// is the one-level default, unit:1:64.
 	Tilt string
-	// Shards hash-partitions the engine across that many goroutines; 1
-	// runs it single-threaded on the caller's.
+	// Shards is how many partitions the engine closes its units across in
+	// parallel; with 1 it runs wholly on the caller's goroutine.
 	Shards int
 	// PublishSnapshots turns on per-unit snapshot publication (required
 	// by the query API and the alert lifecycle).
 	PublishSnapshots bool
 }
 
-// Analyzer is the node's engine: a stream.ShardedEngine — the one engine
-// the runtime constructs, at every shard count; with -shards 1 it runs on
-// the caller's goroutine — plus the schema it was built for and the two
-// methods that move its checkpoint document to and from a stream. Its
-// methods are coordinator-confined except Snapshot, Subscribe, and
-// BusDropped.
+// Analyzer is the node's engine: a stream.Engine — with -shards 1 it runs
+// wholly on the caller's goroutine — plus the schema it was built for and
+// the two methods that move its checkpoint document to and from a stream.
+// Its methods are coordinator-confined except Snapshot, Subscribe,
+// BusDropped and CellsActive.
 type Analyzer struct {
-	*stream.ShardedEngine
+	*stream.Engine
 	// Schema is the parsed cube schema.
 	Schema *cube.Schema
 	// Dims is the schema's dimension count.
 	Dims int
-	// Shards is the shard count.
-	Shards int
 	// cpDoc is WriteCheckpoint's document buffer, kept between checkpoints.
 	cpDoc []byte
 }
@@ -84,17 +81,18 @@ func (c EngineConfig) Build() (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad -tilt: %w", err)
 	}
-	eng, err := stream.NewShardedEngine(stream.Config{
+	eng, err := stream.NewEngine(stream.Config{
 		Schema:           schema,
 		TicksPerUnit:     c.TicksPerUnit,
 		Threshold:        exception.Global(c.Threshold),
 		TiltLevels:       tiltLevels,
 		PublishSnapshots: c.PublishSnapshots,
-	}, c.Shards)
+		Shards:           c.Shards,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Analyzer{ShardedEngine: eng, Schema: schema, Dims: spec.Dims, Shards: c.Shards}, nil
+	return &Analyzer{Engine: eng, Schema: schema, Dims: spec.Dims}, nil
 }
 
 // LoadCheckpoint restores engine state from a checkpoint stream; any

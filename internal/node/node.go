@@ -176,10 +176,7 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			return fmt.Errorf("-wal-dir: %w", err)
 		}
 		defer wlog.Close()
-		mark, err := a.WALSeq()
-		if err != nil {
-			return err
-		}
+		mark := a.WALSeq()
 		if wlog.Seq() < mark {
 			return fmt.Errorf("checkpoint WAL watermark %d exceeds the %d-record log in %s (wrong -wal-dir?)",
 				mark, wlog.Seq(), cfg.WALDir)

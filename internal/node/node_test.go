@@ -369,11 +369,7 @@ func TestSIGTERMZeroWALLoss(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.Close()
-			mark, err := a.WALSeq()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mark != durable {
+			if mark := a.WALSeq(); mark != durable {
 				t.Fatalf("checkpoint watermark %d != %d durable WAL records — graceful shutdown lost ingested records", mark, durable)
 			}
 

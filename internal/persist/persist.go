@@ -25,8 +25,8 @@ var ErrFormat = errors.New("persist: invalid format")
 const formatVersion = 1
 
 // Checkpoint envelope versions. One layout is written: the canonical
-// stream.Checkpoint — the same bytes from a stream.Engine and from a
-// stream.ShardedEngine at any shard count — as the binary document of
+// stream.Checkpoint — the same bytes from a stream.Engine at any shard
+// count — as the binary document of
 // stream.AppendCheckpoint, version 5, whose trend history is the per-o-cell
 // tilt frames and nothing else. Versions 1 to 4 were JSON: a flat per-unit
 // history (version 1), one checkpoint per shard (version 2), frames next to

@@ -119,8 +119,12 @@ func TestCheckpointRoundTripResumesExactly(t *testing.T) {
 	}
 	feed(a, 0, 6) // unit 0 closed, unit 1 half full
 
+	acp, err := a.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, a.Checkpoint()); err != nil {
+	if err := WriteCheckpoint(&buf, acp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,7 +174,10 @@ func TestCheckpointRoundTripResumesExactly(t *testing.T) {
 
 func TestRestoreValidatesSchema(t *testing.T) {
 	a, _ := streamEngine(t)
-	cp := a.Checkpoint()
+	cp, err := a.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Different fanout → different m-level cardinality → reject.
 	h2, _ := cube.NewFanoutHierarchy("A", 3, 2)
@@ -271,9 +278,9 @@ func TestShardedCheckpointCrossVersion(t *testing.T) {
 		}
 		feedUnits(t, eng.Ingest, 0, 14)
 		eng.SetWALSeq(56)
-		wantCut := file(eng.Checkpoint(), nil)
+		wantCut := file(eng.Checkpoint())
 		feedUnits(t, eng.Ingest, 14, 41)
-		wantFinal := file(eng.Checkpoint(), nil)
+		wantFinal := file(eng.Checkpoint())
 
 		if c.files[len(c.files)-1] == golden {
 			path := filepath.Join("testdata", golden)
@@ -291,7 +298,8 @@ func TestShardedCheckpointCrossVersion(t *testing.T) {
 		}
 		for _, name := range c.files {
 			for _, shards := range []int{1, 2, 4, 5} {
-				dst, err := stream.NewShardedEngine(c.cfg, shards)
+				c.cfg.Shards = shards
+				dst, err := stream.NewEngine(c.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -58,7 +58,8 @@ func TestCheckpointWritesV5(t *testing.T) {
 			t.Fatal(err)
 		}
 		feedUnits(t, eng.Ingest, 0, 10)
-		seng, err := stream.NewShardedEngine(cfg, 2)
+		cfg.Shards = 2
+		seng, err := stream.NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,11 @@ func TestCheckpointWritesV5(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for kind, cp := range map[string]*stream.Checkpoint{"engine": eng.Checkpoint(), "sharded": scp} {
+		cp1, err := eng.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, cp := range map[string]*stream.Checkpoint{"engine": cp1, "sharded": scp} {
 			var buf bytes.Buffer
 			if err := WriteCheckpoint(&buf, cp); err != nil {
 				t.Fatal(err)
@@ -257,15 +262,16 @@ func TestCheckpointOneLayoutAcrossShardCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		feed(ref, 0, cut)
-		wantCut := file(ref.Checkpoint(), nil)
+		wantCut := file(ref.Checkpoint())
 		feed(ref, cut, len(recs))
 		if _, err := ref.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		wantFinal := file(ref.Checkpoint(), nil)
+		wantFinal := file(ref.Checkpoint())
 
 		for _, src := range shardCounts {
-			e, err := stream.NewShardedEngine(cfg, src)
+			cfg.Shards = src
+			e, err := stream.NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +287,8 @@ func TestCheckpointOneLayoutAcrossShardCounts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := stream.NewShardedEngine(cfg, dst)
+				cfg.Shards = dst
+				d, err := stream.NewEngine(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

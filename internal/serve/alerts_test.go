@@ -19,12 +19,13 @@ import (
 func alertServer(t *testing.T, units int) (*Server, *alert.Manager) {
 	t.Helper()
 	schema := testSchema(t)
-	eng, err := stream.NewShardedEngine(stream.Config{
+	eng, err := stream.NewEngine(stream.Config{
 		Schema:           schema,
 		TicksPerUnit:     4,
 		Threshold:        exception.Global(0.5),
 		PublishSnapshots: true,
-	}, 2)
+		Shards:           2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,14 +45,15 @@ func benchCells() [][]int32 {
 	return cells
 }
 
-func benchEngine(b *testing.B, shards, ticksPerUnit int) *stream.ShardedEngine {
+func benchEngine(b *testing.B, shards, ticksPerUnit int) *stream.Engine {
 	b.Helper()
-	eng, err := stream.NewShardedEngine(stream.Config{
+	eng, err := stream.NewEngine(stream.Config{
 		Schema:           benchSchema(b),
 		TicksPerUnit:     ticksPerUnit,
 		Threshold:        exception.Global(0.05),
 		PublishSnapshots: true,
-	}, shards)
+		Shards:           shards,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func BenchmarkForecastQuery(b *testing.B) {
 // ranked and truncated. Like the forecast, the scan reads the published
 // snapshot — ingest never pays for it.
 func BenchmarkChangeScan(b *testing.B) {
-	eng, err := stream.NewShardedEngine(stream.Config{
+	eng, err := stream.NewEngine(stream.Config{
 		Schema:           benchSchema(b),
 		TicksPerUnit:     8,
 		Threshold:        exception.Global(0.05),
@@ -222,7 +223,8 @@ func BenchmarkChangeScan(b *testing.B) {
 			{Name: "hour", Multiple: 4, Slots: 6},
 			{Name: "day", Multiple: 2, Slots: 3},
 		},
-	}, 4)
+		Shards: 4,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -65,9 +65,8 @@ import (
 )
 
 // Source supplies published engine snapshots. The node passes its
-// node.Analyzer (a *stream.ShardedEngine with Config.PublishSnapshots set,
-// at any shard count); *stream.Engine and the coordinator's gatherer
-// implement it too. Snapshot must be safe for concurrent use.
+// node.Analyzer (a *stream.Engine with Config.PublishSnapshots set); a
+// bare *stream.Engine and the coordinator's gatherer implement it too. Snapshot must be safe for concurrent use.
 type Source interface {
 	Snapshot() *stream.Snapshot
 }

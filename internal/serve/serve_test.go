@@ -40,15 +40,16 @@ func testSchema(t testing.TB) *cube.Schema {
 // testServer ingests `units` full units into a sharded engine and returns
 // a Server over it. Values rise with the tick, so slopes are positive and
 // alerts fire at threshold 0.5.
-func testServer(t testing.TB, shards, units int) (*Server, *stream.ShardedEngine, *cube.Schema) {
+func testServer(t testing.TB, shards, units int) (*Server, *stream.Engine, *cube.Schema) {
 	t.Helper()
 	schema := testSchema(t)
-	eng, err := stream.NewShardedEngine(stream.Config{
+	eng, err := stream.NewEngine(stream.Config{
 		Schema:           schema,
 		TicksPerUnit:     4,
 		Threshold:        exception.Global(0.5),
 		PublishSnapshots: true,
-	}, shards)
+		Shards:           shards,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,12 +354,13 @@ func TestIngestMetrics(t *testing.T) {
 // internal/stream; this exercises the full HTTP path.)
 func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	schema := testSchema(t)
-	eng, err := stream.NewShardedEngine(stream.Config{
+	eng, err := stream.NewEngine(stream.Config{
 		Schema:           schema,
 		TicksPerUnit:     4,
 		Threshold:        exception.Global(0.5),
 		PublishSnapshots: true,
-	}, 4)
+		Shards:           4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,10 @@ import (
 
 // tiltServer is testServer with a tilt level chain: 3 engine units per
 // "hour", 2 hours per "day".
-func tiltServer(t testing.TB, shards, units int) (*Server, *stream.ShardedEngine, *cube.Schema) {
+func tiltServer(t testing.TB, shards, units int) (*Server, *stream.Engine, *cube.Schema) {
 	t.Helper()
 	schema := testSchema(t)
-	eng, err := stream.NewShardedEngine(stream.Config{
+	eng, err := stream.NewEngine(stream.Config{
 		Schema:           schema,
 		TicksPerUnit:     4,
 		Threshold:        exception.Global(0.5),
@@ -29,7 +29,8 @@ func tiltServer(t testing.TB, shards, units int) (*Server, *stream.ShardedEngine
 			{Name: "hour", Multiple: 3, Slots: 4},
 			{Name: "day", Multiple: 2, Slots: 2},
 		},
-	}, shards)
+		Shards: shards,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,25 +24,34 @@ func checkBatchShape(b *wire.Batch, nDims int) error {
 	return nil
 }
 
-// IngestBatch consumes a columnar record batch with Ingest semantics:
-// records are ingested in order, boundary crossings close units, and the
-// closed units accumulate across the whole batch. On a record error the
-// records before it are already ingested and the error is returned with
-// the units closed so far — except that an out-of-range member refuses its
-// whole run, the records of one unit around it, before any is ingested.
+// IngestBatch consumes a columnar record batch with Ingest semantics; the
+// caller may reuse b as soon as it returns. Records are ingested in order,
+// boundary crossings close units, and the closed units accumulate across
+// the whole batch. On a record error the records before it are already
+// ingested and the error is returned with the units closed so far — except
+// that an out-of-range member refuses its whole run, the records of one
+// unit around it, before any is ingested.
 //
-// The batch is cut into maximal runs inside the open unit; each run goes
-// through ingestRun, whose per-record work is one dictionary lookup and
-// the accumulator step — no per-record call or boundary re-check.
+// The batch is cut into maximal runs that stay inside the open unit, each
+// accumulated by the one ingest loop (accumulate), whose per-record work is
+// one dictionary probe and the accumulator step — no per-record call or
+// boundary re-check. Each boundary crossing barriers the shards exactly as
+// record-at-a-time ingest would, so closed-unit results — and the final
+// state — are bitwise-identical to feeding the same records through Ingest,
+// record errors included.
 func (e *Engine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
-	if err := checkBatchShape(b, e.layout.nd); err != nil {
+	if err := e.ready(); err != nil {
+		return nil, err
+	}
+	if err := checkBatchShape(b, e.part.layout.nd); err != nil {
 		return nil, err
 	}
 	var closed []*UnitResult
-	var err error
 	n := b.Len()
 	for start := 0; start < n; {
-		if closed, err = e.reach(b.Ticks[start], closed); err != nil {
+		urs, err := e.reach(b.Ticks[start])
+		closed = append(closed, urs...)
+		if err != nil {
 			return closed, err
 		}
 		end, lo, hi := start+1, e.openStart, e.openEnd
@@ -51,9 +60,9 @@ func (e *Engine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 		}
 		codes, err := e.dict.codes(b, start, end)
 		if err != nil {
-			return closed, err
+			return closed, err // nothing of the run is ingested: nothing sticks
 		}
-		if err := e.ingestRun(b.Ticks[start:end], b.Values[start:end], codes); err != nil {
+		if err := e.accumulate(b.Ticks[start:end], b.Values[start:end], codes); err != nil {
 			return closed, err
 		}
 		start = end
@@ -61,61 +70,25 @@ func (e *Engine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 	return closed, nil
 }
 
-// ingestRun consumes a run of records inside the open unit, given as
-// columns, their cells coded and range-checked by the caller
-// (cellDict.codes refuses an out-of-range member before any record of the
-// run is ingested): per record, the cell's ordinal from the engine's own
-// dictionary and the accumulator step.
-func (e *Engine) ingestRun(ticks []int64, values []float64, codes []uint64) error {
+// accumulate is the ingest loop: per record of a run inside the open unit,
+// its cells coded and range-checked by the caller, the cell's shard and
+// ordinal from the dictionary — a cell's first record opens its accumulator
+// in that shard's slab — and the accumulator step, on the caller's
+// goroutine. A refused step fails the run and sticks; the records before it
+// stand.
+func (e *Engine) accumulate(ticks []int64, values []float64, codes []uint64) error {
 	ticks, values = ticks[:len(codes)], values[:len(codes)]
+	d, shards := e.dict, e.shards
 	for j, code := range codes {
-		c := e.dict.slot(code)
+		c := d.slot(code)
 		if c.key == 0 {
-			c = e.dict.add(c, code)
-			e.open(code)
+			c = d.add(c, code)
+			e.open(c.part, code)
 		}
-		acc := &e.slab[c.ord]
-		if !acc.Observe(ticks[j], values[j]) {
-			return e.refuse(acc, ticks[j], values[j])
+		if acc := &shards[c.part].slab[c.ord]; !acc.Observe(ticks[j], values[j]) {
+			e.err = e.refuse(acc, ticks[j], values[j])
+			return e.err
 		}
 	}
 	return nil
-}
-
-// IngestBatch consumes a columnar record batch; the caller may reuse b as
-// soon as it returns. The batch is cut into maximal runs that stay inside
-// the open unit, each accumulated by the one ingest loop (accumulate); each
-// boundary crossing barriers the shards exactly as record-at-a-time ingest
-// would, so closed-unit results — and the final state — are
-// bitwise-identical to feeding the same records through Ingest, and to
-// Engine.IngestBatch, record errors included.
-func (s *ShardedEngine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
-	if err := s.ready(); err != nil {
-		return nil, err
-	}
-	if err := checkBatchShape(b, s.part.layout.nd); err != nil {
-		return nil, err
-	}
-	var closed []*UnitResult
-	n := b.Len()
-	for start := 0; start < n; {
-		urs, err := s.reach(b.Ticks[start])
-		closed = append(closed, urs...)
-		if err != nil {
-			return closed, err
-		}
-		end, lo, hi := start+1, s.openEnd-int64(s.cfg.TicksPerUnit), s.openEnd
-		for end < n && b.Ticks[end] >= lo && b.Ticks[end] < hi {
-			end++
-		}
-		codes, err := s.dict.codes(b, start, end)
-		if err != nil {
-			return closed, err // nothing of the run is ingested: nothing sticks
-		}
-		if err := s.accumulate(b.Ticks[start:end], b.Values[start:end], codes); err != nil {
-			return closed, err
-		}
-		start = end
-	}
-	return closed, nil
 }

@@ -34,9 +34,9 @@ func toBatches(recs []testRecord, sizes ...int) []*wire.Batch {
 	return out
 }
 
-func feedBatches(t *testing.T, e interface {
-	IngestBatch(b *wire.Batch) ([]*UnitResult, error)
-}, flush func() (*UnitResult, error), batches []*wire.Batch) []*UnitResult {
+// ingestBatches feeds batches through IngestBatch and returns the units
+// they closed.
+func ingestBatches(t *testing.T, e *Engine, batches []*wire.Batch) []*UnitResult {
 	t.Helper()
 	var out []*UnitResult
 	for _, b := range batches {
@@ -46,7 +46,14 @@ func feedBatches(t *testing.T, e interface {
 		}
 		out = append(out, closed...)
 	}
-	final, err := flush()
+	return out
+}
+
+// feedBatches is ingestBatches, then Flush.
+func feedBatches(t *testing.T, e *Engine, batches []*wire.Batch) []*UnitResult {
+	t.Helper()
+	out := ingestBatches(t, e, batches)
+	final, err := e.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +62,9 @@ func feedBatches(t *testing.T, e interface {
 
 // The batch-path property: the same records through IngestBatch — at any
 // batch cut — close the same units and leave the same engine state,
-// bitwise, as record-at-a-time Ingest, for the single engine and for every
-// shard count. Checkpoints are compared in serialized form: one layout, so
-// every shard count must match the single engine's bytes.
+// bitwise, as record-at-a-time Ingest, at every shard count. Checkpoints
+// are compared in serialized form: one layout, so every shard count must
+// match the one-shard engine's bytes.
 func TestIngestBatchMatchesIngest(t *testing.T) {
 	cfg := Config{
 		Schema:       wideSchema(t),
@@ -74,30 +81,16 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := feed(t, ref, recs)
-		wantCP := checkpointJSON(t, ref.Checkpoint())
-
-		single, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := feedBatches(t, single, single.Flush, batches)
-		requireSameResults(t, "engine/batch", want, got)
-		if gotCP := checkpointJSON(t, single.Checkpoint()); !bytes.Equal(wantCP, gotCP) {
-			t.Fatalf("seed %d: single-engine batch checkpoint differs from record-at-a-time", seed)
-		}
+		wantCP := checkpointJSON(t, checkpointOf(t, ref))
 
 		for _, shards := range []int{1, 4, 7} {
-			sh, err := NewShardedEngine(cfg, shards)
+			sh, err := NewEngine(withShards(cfg, shards))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := feedBatches(t, sh, sh.Flush, batches)
-			requireSameResults(t, "sharded/batch", want, got)
-			cp, err := sh.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotCP := checkpointJSON(t, cp); !bytes.Equal(wantCP, gotCP) {
+			got := feedBatches(t, sh, batches)
+			requireSameResults(t, "batch", want, got)
+			if gotCP := checkpointJSON(t, checkpointOf(t, sh)); !bytes.Equal(wantCP, gotCP) {
 				t.Fatalf("seed %d shards %d: batch checkpoint differs from the engine's record-at-a-time one", seed, shards)
 			}
 			sh.Close()
@@ -107,7 +100,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 
 // Batch-level validation fails the whole in-unit run before any of its
 // records is ingested, with a typed ErrRecord, and earlier runs stand —
-// on every engine. An out-of-range member fails at ingest with Route's
+// at every shard count. An out-of-range member fails at ingest with Route's
 // error for the first bad member: in dimension-major order in a batch, in
 // dimension order in one record.
 func TestIngestBatchValidation(t *testing.T) {
@@ -122,29 +115,18 @@ func TestIngestBatchValidation(t *testing.T) {
 		return &b
 	}
 
-	type batchIngester interface {
-		Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error)
-		IngestBatch(b *wire.Batch) ([]*UnitResult, error)
-		ActiveCells() int
-	}
 	p, err := NewPartitioner(cfg.Schema, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, wantBatch := p.Route([]int32{-1, 0}) // dimension 0 before dimension 1
 	_, wantRecord := p.Route([]int32{1, 99})
-	for _, mk := range []func(t *testing.T) batchIngester{
-		func(t *testing.T) batchIngester {
-			e, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		},
-		func(t *testing.T) batchIngester { return shardedCounter(t, cfg, 1) },
-		func(t *testing.T) batchIngester { return shardedCounter(t, cfg, 3) },
-	} {
-		e := mk(t)
+	for _, shards := range []int{1, 3} {
+		e, err := NewEngine(withShards(cfg, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
 
 		// Wrong dimension count.
 		if _, err := e.IngestBatch(newBatch(3, testRecord{members: []int32{1, 2, 3}, tick: 0})); err == nil {
@@ -166,13 +148,13 @@ func TestIngestBatchValidation(t *testing.T) {
 			testRecord{members: []int32{1, 99}, tick: 0, value: 1},
 			testRecord{members: []int32{-1, 0}, tick: 1, value: 1})
 		if _, err := e.IngestBatch(bad); err == nil || err.Error() != wantBatch.Error() {
-			t.Fatalf("%T: out-of-range batch: %v, want %v", e, err, wantBatch)
+			t.Fatalf("%d shards: out-of-range batch: %v, want %v", shards, err, wantBatch)
 		}
 		if _, err := e.Ingest([]int32{1, 99}, 0, 1); err == nil || err.Error() != wantRecord.Error() {
-			t.Fatalf("%T: out-of-range record: %v, want %v", e, err, wantRecord)
+			t.Fatalf("%d shards: out-of-range record: %v, want %v", shards, err, wantRecord)
 		}
 		if n := e.ActiveCells(); n != 0 {
-			t.Fatalf("%T: refused records left %d active cells", e, n)
+			t.Fatalf("%d shards: refused records left %d active cells", shards, n)
 		}
 
 		// A valid batch, then one that regresses behind the open unit: the
@@ -184,25 +166,4 @@ func TestIngestBatchValidation(t *testing.T) {
 			t.Fatal("tick before the open unit accepted")
 		}
 	}
-}
-
-// shardedCounterEngine adapts a ShardedEngine's ActiveCells to Engine's
-// form; shardedCounter builds one and closes it with the test.
-type shardedCounterEngine struct{ *ShardedEngine }
-
-func (s shardedCounterEngine) ActiveCells() int {
-	n, err := s.ShardedEngine.ActiveCells()
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-func shardedCounter(t *testing.T, cfg Config, shards int) shardedCounterEngine {
-	e, err := NewShardedEngine(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	return shardedCounterEngine{e}
 }

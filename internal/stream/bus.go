@@ -55,10 +55,9 @@ func (s *Subscription) Coalesce() *Subscription {
 // idempotent and safe to call concurrently with publication.
 func (s *Subscription) Close() { s.bus.unsubscribe(s) }
 
-// snapBus is the broadcast half of snapshot publication, embedded in both
-// Engine and ShardedEngine. The subscriber list is mutex-guarded; publish
-// runs only at unit boundaries so the lock is nowhere near the per-record
-// path.
+// snapBus is the broadcast half of snapshot publication, embedded in the
+// Engine. The subscriber list is mutex-guarded; publish runs only at unit
+// boundaries so the lock is nowhere near the per-record path.
 type snapBus struct {
 	mu      sync.Mutex
 	subs    []*Subscription
@@ -130,12 +129,3 @@ func (e *Engine) Subscribe(buf int) *Subscription { return e.bus.subscribe(buf) 
 // BusDropped returns how many snapshots the bus shed to slow subscribers
 // since the engine was built. Safe to call from any goroutine.
 func (e *Engine) BusDropped() int64 { return e.bus.droppedCount() }
-
-// Subscribe registers a snapshot consumer on the coordinator's merged
-// snapshot bus; semantics are identical to Engine.Subscribe. Delivered
-// snapshots are the same merged values Snapshot() serves.
-func (s *ShardedEngine) Subscribe(buf int) *Subscription { return s.bus.subscribe(buf) }
-
-// BusDropped returns how many merged snapshots the bus shed to slow
-// subscribers since the engine was built.
-func (s *ShardedEngine) BusDropped() int64 { return s.bus.droppedCount() }

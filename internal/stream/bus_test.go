@@ -67,7 +67,7 @@ func TestBusShardedMatchesSingleDeliverySequence(t *testing.T) {
 	want := drainUnits(ssub)
 
 	for _, shards := range []int{1, 4, 7} {
-		seng, err := NewShardedEngine(cfg, shards)
+		seng, err := NewEngine(withShards(cfg, shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestBusUnsubscribeStopsDelivery(t *testing.T) {
 // channel sheds, the publisher cannot wait).
 func TestBusRaceStress(t *testing.T) {
 	cfg := snapshotTestConfig(t)
-	seng, err := NewShardedEngine(cfg, 4)
+	seng, err := NewEngine(withShards(cfg, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,12 +170,12 @@ func (d *cellDict) add(s *dictSlot, code uint64) *dictSlot {
 	return s
 }
 
-// reset empties the dictionary, ordinals and all; an empty one, or the
-// nil one of a ShardedEngine's shard, is left alone. A table or
-// scratch far larger than the cells and runs it held since the last reset
-// is dropped, so one bursty unit does not pin its peak for the engine's life.
+// reset empties the dictionary, ordinals and all; an empty one is left
+// alone. A table or scratch far larger than the cells and runs it held
+// since the last reset is dropped, so one bursty unit does not pin its peak
+// for the engine's life.
 func (d *cellDict) reset() {
-	if d == nil || d.n == 0 {
+	if d.n == 0 {
 		return
 	}
 	if slots := max(16, 1<<bits.Len(uint(4*d.n))); len(d.slots) > 4*slots {

@@ -13,7 +13,7 @@ import (
 // 5 000 cells, so over the run twenty times one unit's cells report. The
 // coordinator's dictionary and the shards' slabs hold one unit's cells at
 // most — the dictionary's table at most eight slots a cell — and the run
-// closes the units a plain Engine fed record by record closes, bitwise.
+// closes the units a one-shard Engine fed record by record closes, bitwise.
 func TestCellDictChurnStaysBounded(t *testing.T) {
 	const units, cells, ticksPer = 20, 5000, 2
 	cfg := Config{Schema: fanoutSchema(t, 8, 3), TicksPerUnit: ticksPer, Threshold: exception.Global(1.0)}
@@ -34,11 +34,11 @@ func TestCellDictChurnStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := feed(t, ref, recs)
-	if ref.dict.n != 0 || len(ref.slab) != 0 {
-		t.Fatalf("a flushed engine holds %d dictionary cells and %d accumulators", ref.dict.n, len(ref.slab))
+	if ref.dict.n != 0 || len(ref.shards[0].slab) != 0 {
+		t.Fatalf("a flushed engine holds %d dictionary cells and %d accumulators", ref.dict.n, len(ref.shards[0].slab))
 	}
 
-	e, err := NewShardedEngine(cfg, 3)
+	e, err := NewEngine(withShards(cfg, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCellDictChurnStaysBounded(t *testing.T) {
 		}
 		held := [2]int{}
 		for _, sh := range e.shards {
-			held[0], held[1] = held[0]+cap(sh.eng.slab), held[1]+cap(sh.eng.codes)
+			held[0], held[1] = held[0]+cap(sh.slab), held[1]+cap(sh.codes)
 		}
 		if e.dict.n > cells || len(e.dict.slots) > 8*cells || held[0] > 2*cells || held[1] > 2*cells {
 			t.Fatalf("batch %d (unit %d): dictionary %d cells in %d slots, slabs %d, codes %d; one unit has %d cells",
@@ -113,15 +113,12 @@ func TestCellDictResetShrinks(t *testing.T) {
 }
 
 // An m-layer whose cells a 64-bit code cannot number is refused at
-// construction, by every engine.
+// construction, at every shard count.
 func TestEnginesRefuseOverflowingLayout(t *testing.T) {
 	cfg := Config{Schema: overflowSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1)}
-	if _, err := NewEngine(cfg); !errors.Is(err, ErrConfig) {
-		t.Fatalf("NewEngine: %v, want ErrConfig", err)
-	}
 	for _, shards := range []int{1, 2} {
-		if _, err := NewShardedEngine(cfg, shards); !errors.Is(err, ErrConfig) {
-			t.Fatalf("NewShardedEngine(%d): %v, want ErrConfig", shards, err)
+		if _, err := NewEngine(withShards(cfg, shards)); !errors.Is(err, ErrConfig) {
+			t.Fatalf("%d shards: %v, want ErrConfig", shards, err)
 		}
 	}
 	// Four of the five dimensions, 2⁵² cells, still fit.
@@ -134,7 +131,7 @@ func TestEnginesRefuseOverflowingLayout(t *testing.T) {
 // A checkpoint Restore refuses — one cell outside the m-layer — leaves the
 // engine as it was mid-unit: the coordinator's dictionary still numbers the
 // open unit's cells as the shards' slabs hold them, and the run ends in
-// the single engine's results.
+// the one-shard engine's results.
 func TestRestoreRefusalKeepsDictionary(t *testing.T) {
 	cfg := Config{Schema: wideSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1.0)}
 	recs := genStream(9, 6, 4, -1)
@@ -143,14 +140,13 @@ func TestRestoreRefusalKeepsDictionary(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := feed(t, ref, recs)
-	e, err := NewShardedEngine(cfg, 3)
+	e, err := NewEngine(withShards(cfg, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	half := len(recs) / 2
-	got := feedBatches(t, e, func() (*UnitResult, error) { return nil, nil }, toBatches(recs[:half]))
-	got = got[:len(got)-1]
+	got := ingestBatches(t, e, toBatches(recs[:half]))
 	cp, err := e.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +159,7 @@ func TestRestoreRefusalKeepsDictionary(t *testing.T) {
 	if err := e.Restore(&bad); !errors.Is(err, ErrConfig) {
 		t.Fatalf("Restore of a checkpoint with an out-of-range cell: %v, want ErrConfig", err)
 	}
-	requireSameResults(t, "after a refused restore", want, append(got, feedBatches(t, e, e.Flush, toBatches(recs[half:]))...))
+	requireSameResults(t, "after a refused restore", want, append(got, feedBatches(t, e, toBatches(recs[half:]))...))
 }
 
 // Every cell keeps its first-sight ordinal through every rehash, for a run

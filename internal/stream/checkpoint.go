@@ -91,9 +91,9 @@ func shapeOf(s *cube.Schema) []DimensionShape {
 // checkpointBuf is the storage one Checkpoint is cut into: the document and
 // the slabs its cells' and frames' slices point into, so a cut is a handful
 // of slices however many cells there are. Engine.Checkpoint cuts into a
-// fresh one, which the caller then owns; ShardedEngine.AppendCheckpoint has
-// every shard cut into the one its engine keeps, so the per-unit checkpoint
-// of a running node allocates nothing once the slabs have grown.
+// fresh one per shard, which the caller then owns; Engine.AppendCheckpoint
+// has every shard cut into the one it keeps, so the per-unit checkpoint of
+// a running node allocates nothing once the slabs have grown.
 type checkpointBuf struct {
 	cp      Checkpoint
 	keys    []cube.CellKey
@@ -104,48 +104,86 @@ type checkpointBuf struct {
 }
 
 // Checkpoint exports the engine's full dynamic state in canonical form:
-// cells and tilt frames are sorted by coordinate, so two engines
-// in identical states serialize to byte-identical checkpoints. The replay-
+// cells and tilt frames are sorted by coordinate, so two engines in
+// identical states serialize to byte-identical checkpoints, whatever their
+// shard counts — MergeCheckpoints over the shards' parts. The replay-
 // equivalence tests lean on that — "recovered state equals uninterrupted
-// state" is checked bit for bit on the encoded checkpoint.
-func (e *Engine) Checkpoint() *Checkpoint { return e.cutCheckpoint(new(checkpointBuf)) }
-
-// cutCheckpoint is Checkpoint into b, overwriting what b held: the returned
-// checkpoint is b's and lives until b is cut into again.
-func (e *Engine) cutCheckpoint(b *checkpointBuf) *Checkpoint {
-	nd := e.layout.nd
-	cp := &b.cp
-	*cp = Checkpoint{
-		Unit:      e.unit,
-		UnitsDone: e.unitsDone,
-		WALSeq:    e.walSeq,
-		Schema:    e.shape,
-		Cells:     cp.Cells[:0],
-		Tilt:      cp.Tilt[:0],
+// state" is checked bit for bit on the encoded checkpoint. The checkpoint
+// is the caller's.
+func (e *Engine) Checkpoint() (*Checkpoint, error) {
+	parts, err := e.cutCheckpoints(func(*shard) *checkpointBuf { return new(checkpointBuf) })
+	if err != nil {
+		return nil, err
 	}
-	slotsInUse, _ := e.TiltSlots()
-	members := slices.Grow(b.members[:0], (e.ActiveCells()+len(e.frames))*nd)
-	levels := slices.Grow(b.levels[:0], len(e.frames)*nd)
-	recs := slices.Grow(b.recs[:0], len(e.frames)*len(e.cfg.TiltLevels))
+	return MergeCheckpoints(parts)
+}
+
+// AppendCheckpoint appends the checkpoint document of the engine's state —
+// AppendCheckpoint of Checkpoint, byte for byte — to dst. It is the form a
+// node cuts after every closed unit: each shard cuts its sorted part into
+// the buffers it keeps, and the parts merge through a list the engine
+// keeps, so nothing is allocated once those have grown.
+func (e *Engine) AppendCheckpoint(dst []byte) ([]byte, error) {
+	parts, err := e.cutCheckpoints(func(sh *shard) *checkpointBuf { return &sh.cpBuf })
+	if err != nil {
+		return dst, err
+	}
+	if err := mergeCheckpoints(&e.cpMerged, parts); err != nil {
+		return dst, err
+	}
+	return AppendCheckpoint(dst, &e.cpMerged)
+}
+
+// cutCheckpoints has every shard cut its part into the buffer buf names,
+// in parallel.
+func (e *Engine) cutCheckpoints(buf func(*shard) *checkpointBuf) ([]*Checkpoint, error) {
+	if err := e.ready(); err != nil {
+		return nil, err
+	}
+	head := Checkpoint{Unit: e.unit, UnitsDone: e.unitsDone, WALSeq: e.walSeq, Schema: e.shape}
+	vals, err := e.barrier(func(sh *shard) (any, error) { return sh.cutCheckpoint(buf(sh), &head), nil })
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*Checkpoint, len(vals))
+	for i, v := range vals {
+		parts[i] = v.(*Checkpoint)
+	}
+	return parts, nil
+}
+
+// cutCheckpoint cuts the shard's part — head's counters, the partition's
+// cells and frames, each in coordinate order — into b, overwriting what b
+// held: the returned checkpoint is b's and lives until b is cut into again.
+func (sh *shard) cutCheckpoint(b *checkpointBuf, head *Checkpoint) *Checkpoint {
+	nd := sh.e.part.layout.nd
+	cp := &b.cp
+	cells, tilts := cp.Cells[:0], cp.Tilt[:0]
+	*cp = *head
+	cp.Cells, cp.Tilt = cells, tilts
+	slotsInUse, _ := sh.tiltSlots()
+	members := slices.Grow(b.members[:0], (len(sh.slab)+len(sh.frames))*nd)
+	levels := slices.Grow(b.levels[:0], len(sh.frames)*nd)
+	recs := slices.Grow(b.recs[:0], len(sh.frames)*len(sh.e.cfg.TiltLevels))
 	slots := slices.Grow(b.slots[:0], slotsInUse)
 
-	for o := range e.slab {
+	for o := range sh.slab {
 		start := len(members)
 		members = slices.Grow(members, nd)[:start+nd]
-		e.layout.decode(e.codes[o], members[start:])
-		cp.Cells = append(cp.Cells, CellState{Members: members[start:len(members):len(members)], Acc: e.slab[o].State()})
+		sh.e.part.layout.decode(sh.codes[o], members[start:])
+		cp.Cells = append(cp.Cells, CellState{Members: members[start:len(members):len(members)], Acc: sh.slab[o].State()})
 	}
 	// Ordinal order is first-sight order, not coordinate order; sorting
 	// makes the cut a pure function of engine state.
 	slices.SortFunc(cp.Cells, compareCellStates)
 
 	keys := b.keys[:0]
-	for key := range e.frames {
+	for key := range sh.frames {
 		keys = append(keys, key)
 	}
 	slices.SortFunc(keys, cube.CompareKeys)
 	for _, key := range keys {
-		cf := e.frames[key]
+		cf := sh.frames[key]
 		ls, ms := len(levels), len(members)
 		for d := 0; d < key.Cuboid.NumDims(); d++ {
 			levels = append(levels, key.Cuboid.Level(d))
@@ -187,9 +225,9 @@ func (cp *Checkpoint) canonical() bool {
 }
 
 // MergeCheckpoints flattens the checkpoints of disjoint partitions of one
-// stream, cut at the same stream position — the shards of a ShardedEngine,
+// stream, cut at the same stream position — the shards of an Engine,
 // the shard set of a pre-canonical per-shard file, the nodes of a cluster —
-// into the one canonical Checkpoint: what a single Engine fed the whole
+// into the one canonical Checkpoint: what a one-shard Engine fed the whole
 // stream would export, byte for byte once serialized. Partitions hold
 // disjoint cells and frames, each part in coordinate order, so a k-way
 // merge is lossless and its order independent of the partition count. Every
@@ -274,79 +312,123 @@ func mergeSorted[T any](dst []T, lists [][]T, cmp func(a, b T) int) []T {
 	}
 }
 
-// Restore loads a checkpoint into a freshly configured engine. The
-// engine's schema shape must match the checkpoint's. Trend history has one
-// upgrade rule: a frame record that is a state of this engine's level chain
-// restores exactly; anything else — a frame written under another chain, or
-// the flat history of a file that predates frames — reseeds a fresh frame
-// from its finest retained level (seedFrame).
+// Restore loads a checkpoint taken at any shard count: it repartitions
+// cells by o-ancestor and frames (or an older file's flat history) by
+// o-cell across this engine's shards. The open unit's records are
+// discarded — Restore replaces un-checkpointed accumulator state — and a
+// successful Restore clears a sticky error. The engine's schema shape must
+// match the checkpoint's. Trend history has one upgrade rule: a frame
+// record that is a state of this engine's level chain restores exactly;
+// anything else — a frame written under another chain, or the flat history
+// of a file that predates frames — reseeds a fresh frame from its finest
+// retained level (seedFrame).
 func (e *Engine) Restore(cp *Checkpoint) error {
+	if e.closed {
+		return fmt.Errorf("%w: engine closed", ErrConfig)
+	}
 	if cp == nil {
 		return fmt.Errorf("%w: nil checkpoint", ErrConfig)
 	}
-	shape := e.shape
-	if len(shape) != len(cp.Schema) {
-		return fmt.Errorf("%w: checkpoint has %d dimensions, schema %d", ErrConfig, len(cp.Schema), len(shape))
+	if len(e.shape) != len(cp.Schema) {
+		return fmt.Errorf("%w: checkpoint has %d dimensions, schema %d", ErrConfig, len(cp.Schema), len(e.shape))
 	}
-	for i := range shape {
-		if shape[i] != cp.Schema[i] {
+	for i := range e.shape {
+		if e.shape[i] != cp.Schema[i] {
 			return fmt.Errorf("%w: dimension %d shape %+v differs from checkpoint %+v",
-				ErrConfig, i, shape[i], cp.Schema[i])
+				ErrConfig, i, e.shape[i], cp.Schema[i])
 		}
 	}
 	if cp.WALSeq < 0 {
 		return fmt.Errorf("%w: negative WAL watermark %d", ErrConfig, cp.WALSeq)
 	}
+	parts := make([]Checkpoint, len(e.shards))
+	dict, err := e.routeCells(cp.Cells, parts)
+	if err != nil {
+		return err
+	}
+	for _, ch := range cp.History {
+		var members [cube.MaxDims]int32
+		copy(members[:], ch.Members)
+		sid := e.part.Hash(&members)
+		parts[sid].History = append(parts[sid].History, ch)
+	}
+	for _, cf := range cp.Tilt {
+		var members [cube.MaxDims]int32
+		copy(members[:], cf.Members)
+		sid := e.part.Hash(&members)
+		parts[sid].Tilt = append(parts[sid].Tilt, cf)
+	}
+	if _, err := e.barrier(func(sh *shard) (any, error) { return nil, sh.restore(&parts[sh.id], cp.Unit) }); err != nil {
+		return err
+	}
+	e.dict = dict
 	e.unit = cp.Unit
-	e.openStart = e.unitStart(cp.Unit)
-	e.openEnd = e.unitStart(cp.Unit + 1)
+	e.openStart = e.cfg.unitStart(cp.Unit)
+	e.openEnd = e.cfg.unitStart(cp.Unit + 1)
 	e.unitsDone = cp.UnitsDone
 	e.walSeq = cp.WALSeq
-	// Cells take ordinals in checkpoint order — a ShardedEngine numbers its
-	// shards' parts the same way — and a repeated cell replaces the earlier
-	// one.
-	e.slab, e.codes = e.slab[:0], e.codes[:0]
-	e.dict.reset()
-	for _, cs := range cp.Cells {
-		if len(cs.Members) != e.layout.nd {
-			return fmt.Errorf("%w: checkpoint cell has %d members", ErrConfig, len(cs.Members))
+	e.err = nil
+	// Published snapshots describe units of the replaced state; readers
+	// must wait for the first post-restore boundary.
+	e.snap.Store(nil)
+	return nil
+}
+
+// routeCells hands checkpointed cells to their shards in the order a fresh
+// dictionary numbers them, so each shard's restored slab matches its
+// ordinals; a repeated cell replaces the earlier one. The dictionary
+// replaces the engine's once the shards have restored.
+func (e *Engine) routeCells(cells []CellState, parts []Checkpoint) (*cellDict, error) {
+	dict := e.newDict()
+	for _, cs := range cells {
+		if len(cs.Members) != e.part.layout.nd {
+			return nil, fmt.Errorf("%w: checkpoint cell has %d members", ErrConfig, len(cs.Members))
 		}
-		code, bad := e.layout.code(cs.Members)
+		code, bad := e.part.layout.code(cs.Members)
 		if bad >= 0 {
-			return fmt.Errorf("%w: checkpoint %v", ErrConfig, e.layout.rangeErr(bad, cs.Members[bad]))
+			return nil, fmt.Errorf("%w: checkpoint %v", ErrConfig, e.part.layout.rangeErr(bad, cs.Members[bad]))
 		}
+		if c := dict.slot(code); c.key != 0 {
+			parts[c.part].Cells[c.ord] = cs
+		} else {
+			c = dict.add(c, code)
+			parts[c.part].Cells = append(parts[c.part].Cells, cs)
+		}
+	}
+	return dict, nil
+}
+
+// restore replaces the shard's state with its part of a checkpoint whose
+// open unit is open: the cells, range-checked and in ordinal order
+// (routeCells), and the frames of its o-cells.
+func (sh *shard) restore(cp *Checkpoint, open int64) error {
+	cfg, layout := &sh.e.cfg, &sh.e.part.layout
+	sh.slab, sh.codes = sh.slab[:0], sh.codes[:0]
+	for _, cs := range cp.Cells {
 		acc, err := regression.RestoreAccumulator(cs.Acc)
 		if err != nil {
 			return fmt.Errorf("stream: restoring accumulator: %w", err)
 		}
-		if e.dict == nil { // a ShardedEngine's shard: cells arrive in ordinal order
-			e.open(code)
-			e.slab[len(e.slab)-1] = *acc
-			continue
-		}
-		c := e.dict.slot(code)
-		if c.key == 0 {
-			c = e.dict.add(c, code)
-			e.open(code)
-		}
-		e.slab[c.ord] = *acc
+		code, _ := layout.code(cs.Members)
+		sh.slab = append(sh.slab, *acc)
+		sh.codes = append(sh.codes, code)
 	}
-	e.frames = make(map[cube.CellKey]*cellFrame, max(len(cp.Tilt), len(cp.History)))
+	sh.frames = make(map[cube.CellKey]*cellFrame, max(len(cp.Tilt), len(cp.History)))
 	for _, rec := range cp.Tilt {
-		key, err := historyKey(e.cfg.Schema, rec.Levels, rec.Members)
+		key, err := historyKey(cfg.Schema, rec.Levels, rec.Members)
 		if err != nil {
 			return err
 		}
-		if rec.Base < 0 || rec.Base+rec.Frame.Pushed != cp.Unit {
+		if rec.Base < 0 || rec.Base+rec.Frame.Pushed != open {
 			return fmt.Errorf("%w: tilt frame for cell %v covers units [%d,%d), checkpoint closed %d",
-				ErrConfig, key, rec.Base, rec.Base+rec.Frame.Pushed, cp.Unit)
+				ErrConfig, key, rec.Base, rec.Base+rec.Frame.Pushed, open)
 		}
-		if rec.Frame.Pushed > 0 && rec.Frame.UnitTicks != int64(e.cfg.TicksPerUnit) {
+		if rec.Frame.Pushed > 0 && rec.Frame.UnitTicks != int64(cfg.TicksPerUnit) {
 			return fmt.Errorf("%w: tilt frame for cell %v has %d-tick units, engine %d",
-				ErrConfig, key, rec.Frame.UnitTicks, e.cfg.TicksPerUnit)
+				ErrConfig, key, rec.Frame.UnitTicks, cfg.TicksPerUnit)
 		}
-		if f, err := tilt.RestoreUnitFrame(e.cfg.TiltLevels, rec.Frame); err == nil {
-			e.frames[key] = &cellFrame{base: rec.Base, frame: f}
+		if f, err := tilt.RestoreUnitFrame(cfg.TiltLevels, rec.Frame); err == nil {
+			sh.frames[key] = &cellFrame{base: rec.Base, frame: f}
 			continue
 		}
 		var finest []HistoryEntryRec
@@ -355,24 +437,21 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 				finest = append(finest, HistoryEntryRec{Unit: rec.Base + s.Unit, ISB: s.ISB})
 			}
 		}
-		if err := e.seedFrame(key, finest, cp.Unit); err != nil {
+		if err := sh.seedFrame(key, finest, open); err != nil {
 			return err
 		}
 	}
 	if len(cp.Tilt) == 0 {
 		for _, ch := range cp.History {
-			key, err := historyKey(e.cfg.Schema, ch.Levels, ch.Members)
+			key, err := historyKey(cfg.Schema, ch.Levels, ch.Members)
 			if err != nil {
 				return err
 			}
-			if err := e.seedFrame(key, ch.Entries, cp.Unit); err != nil {
+			if err := sh.seedFrame(key, ch.Entries, open); err != nil {
 				return err
 			}
 		}
 	}
-	// Published snapshots describe units of the replaced state; readers
-	// must wait for the first post-restore boundary.
-	e.snap.Store(nil)
 	return nil
 }
 
@@ -395,11 +474,12 @@ func historyKey(schema *cube.Schema, levels []int, members []int32) (cube.CellKe
 // registered them live. The entries must be strictly increasing closed
 // units on this engine's unit grid; duplicates or strays would restore
 // silently and poison later promotions, so they are rejected here.
-func (e *Engine) seedFrame(key cube.CellKey, entries []HistoryEntryRec, open int64) error {
+func (sh *shard) seedFrame(key cube.CellKey, entries []HistoryEntryRec, open int64) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	f, err := tilt.NewUnitFrame(e.cfg.TiltLevels)
+	cfg := &sh.e.cfg
+	f, err := tilt.NewUnitFrame(cfg.TiltLevels)
 	if err != nil {
 		return fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
 	}
@@ -414,7 +494,7 @@ func (e *Engine) seedFrame(key cube.CellKey, entries []HistoryEntryRec, open int
 	}
 	zeroTo := func(u int64) error {
 		for next < u {
-			if err := push(regression.ISB{Tb: e.unitStart(next), Te: e.unitStart(next+1) - 1}); err != nil {
+			if err := push(regression.ISB{Tb: cfg.unitStart(next), Te: cfg.unitStart(next+1) - 1}); err != nil {
 				return err
 			}
 		}
@@ -429,7 +509,7 @@ func (e *Engine) seedFrame(key cube.CellKey, entries []HistoryEntryRec, open int
 			return fmt.Errorf("%w: history for cell %v has unit %d after unit %d (want sorted unique units)",
 				ErrConfig, key, rec.Unit, entries[i-1].Unit)
 		}
-		if rec.ISB.Tb != e.unitStart(rec.Unit) || rec.ISB.Te != e.unitStart(rec.Unit+1)-1 {
+		if rec.ISB.Tb != cfg.unitStart(rec.Unit) || rec.ISB.Te != cfg.unitStart(rec.Unit+1)-1 {
 			return fmt.Errorf("%w: history for cell %v unit %d covers ticks [%d,%d], not the engine's unit",
 				ErrConfig, key, rec.Unit, rec.ISB.Tb, rec.ISB.Te)
 		}
@@ -443,6 +523,6 @@ func (e *Engine) seedFrame(key cube.CellKey, entries []HistoryEntryRec, open int
 	if err := zeroTo(open); err != nil {
 		return err
 	}
-	e.frames[key] = &cellFrame{base: base, frame: f}
+	sh.frames[key] = &cellFrame{base: base, frame: f}
 	return nil
 }

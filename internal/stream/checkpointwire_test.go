@@ -27,11 +27,11 @@ func checkpointDoc(t testing.TB, cp *Checkpoint) []byte {
 
 // TestCheckpointCodecRoundTrip is the codec's property over random engines:
 // seeded streams (random cells, random ticks, one silent unit) cut mid-unit
-// under the default chain and the calendar chain, from a plain Engine and
-// from sharded engines at 1, 4 and 7 shards. Decode(Append(cp)) is cp,
-// equal state is equal bytes at every shard count, and the document a
-// ShardedEngine appends from its own buffers — twice, so the second cut
-// runs in reused ones — is the one its Checkpoint encodes to.
+// under the default chain and the calendar chain, from engines at 1, 4 and
+// 7 shards. Decode(Append(cp)) is cp, equal state is equal bytes at every
+// shard count, and the document an Engine appends from its own buffers —
+// twice, so the second cut runs in reused ones — is the one its Checkpoint
+// encodes to.
 func TestCheckpointCodecRoundTrip(t *testing.T) {
 	flat := Config{Schema: wideSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1)}
 	calendar := flat
@@ -46,7 +46,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 			}
 			feedRecords(t, ref, recs[:cut])
 			ref.SetWALSeq(int64(cut))
-			want := ref.Checkpoint()
+			want := checkpointOf(t, ref)
 			doc := checkpointDoc(t, want)
 			back, err := DecodeCheckpoint(doc)
 			if err != nil {
@@ -59,7 +59,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%s seed %d: decode→encode is not the identity", name, seed)
 			}
 			for _, shards := range []int{1, 4, 7} {
-				s, err := NewShardedEngine(cfg, shards)
+				s, err := NewEngine(withShards(cfg, shards))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +95,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 }
 
 // feedRecords ingests records without flushing (the cut stays mid-unit).
-func feedRecords(t testing.TB, e ingester, recs []testRecord) {
+func feedRecords(t testing.TB, e *Engine, recs []testRecord) {
 	t.Helper()
 	for _, r := range recs {
 		if _, err := e.Ingest(r.members, r.tick, r.value); err != nil {
@@ -138,7 +138,7 @@ func codecCheckpoint(t testing.TB) *Checkpoint {
 	recs := genStream(5, 8, cfg.TicksPerUnit, -1)
 	feedRecords(t, eng, recs[:len(recs)-2])
 	eng.SetWALSeq(int64(len(recs) - 2))
-	return eng.Checkpoint()
+	return checkpointOf(t, eng)
 }
 
 // TestCheckpointCodecRejects pins what the writer refuses — a nil
@@ -252,7 +252,7 @@ func durableCheckpoint(tb testing.TB) *Checkpoint {
 		}
 	}
 	eng.SetWALSeq(1005 * 1000)
-	return eng.Checkpoint()
+	return checkpointOf(tb, eng)
 }
 
 // BenchmarkCheckpointCodec times the codec on durableCheckpoint. Encode

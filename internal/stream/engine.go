@@ -13,7 +13,7 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"maps"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -60,6 +60,14 @@ type Config struct {
 	// per-record path — and is off by default so pure-ingest pipelines pay
 	// zero.
 	PublishSnapshots bool
+	// Shards is how many partitions the engine closes its units across in
+	// parallel (§6); 0 means 1. Results, snapshots and checkpoints do not
+	// depend on it.
+	Shards int
+}
+
+func (c *Config) unitStart(u int64) int64 {
+	return c.StartTick + u*int64(c.TicksPerUnit)
 }
 
 // AlertKind distinguishes alert causes.
@@ -110,62 +118,82 @@ type UnitResult struct {
 	Alerts []Alert
 }
 
-// Engine is the online analyzer over one partition of the stream: the
-// worker behind every shard of a ShardedEngine (which is what the runtime
-// constructs, at every shard count), and — used directly, over the whole
-// stream — the reference the sharded == single property tests and the
-// benchmark oracle compare against. Not safe for concurrent use; confine
-// it to one goroutine (share memory by communicating).
+// Engine is the online analyzer (§4.5), at every shard count. Its
+// coordinator — the caller's goroutine — accumulates every record; its
+// shards, the partition workers, close their units in parallel.
+//
+// The partition function is the m-layer cell's o-layer ancestor: every
+// record hashes by the o-level member tuple its members roll up to. Because
+// roll-up is per-dimension hierarchical, all m-cells below one o-cell — and
+// therefore every cell of every cuboid between the critical layers that
+// aggregates them — live in exactly one shard. Per-shard cube results are
+// disjoint and union to precisely the one-shard result: the merged o-layer,
+// exception sets, drill-downs and per-o-cell frames are identical (bitwise,
+// thanks to the canonical aggregation order) at every shard count, alert
+// order (unit, then cube.CompareKeys on the cell, then kind) included.
+//
+// Ingest is one loop on the caller's goroutine: the coordinator codes a
+// record's m-cell, its cell dictionary gives the cell's shard and ordinal
+// there, and the record's accumulator step runs on that shard's slab before
+// Ingest or IngestBatch returns. Barriers — unit closes, checkpoint cuts,
+// Restore — are the only time shard goroutines run, and the coordinator
+// waits for them, so no shard is ever touched by two goroutines at once. A
+// record crossing the open unit's end closes the finished units on every
+// shard in parallel and merges the per-shard results in shard-stable order.
+//
+// An Engine's methods must be called from one goroutine, except Snapshot,
+// Subscribe, BusDropped and CellsActive. A record error comes back from the
+// call that carried the record. A refused accumulator step (a tick its cell
+// already consumed, a non-finite value) and any barrier error stick: they
+// fail every later call until Restore replaces the state. An out-of-range
+// member or a tick before the open unit is refused before any record of its
+// run is ingested, and does not stick.
 type Engine struct {
-	cfg Config
+	cfg    Config
+	shards []shard
+	// part is the o-ancestor partition function the multi-node router
+	// (internal/cluster) shares, so shards and nodes route identically; its
+	// layout codes m-cells. dict is the cell dictionary: it routes cells
+	// through part and numbers each shard's cells (one shard has nothing to
+	// route). cellsActive is its size when the last barrier emptied it.
+	part        *Partitioner
+	dict        *cellDict
+	cellsActive atomic.Int64
 	// anc resolves roll-ups to the o-layer when a closed unit's supporter
-	// index is built.
-	anc  *cube.AncestorIndex
-	unit int64 // index of the current (open) unit
+	// index is built; shape fingerprints cfg.Schema in every checkpoint.
+	anc   *cube.AncestorIndex
+	shape []DimensionShape
+	unit  int64 // index of the current (open) unit
 	// openStart/openEnd cache the open unit's tick bounds
 	// [openStart, openEnd), so the per-record boundary tests are single
 	// comparisons.
 	openStart int64
 	openEnd   int64
-	// layout codes m-cells. slab[o] is the accumulator of the open unit's
-	// cell with ordinal o and codes[o] its code, sized by the unit's active
-	// cells and emptied at every close. dict numbers the cells of an engine
-	// that reads its own records; a ShardedEngine's shards have none, the
-	// coordinator's dictionary numbers theirs and fills their slabs.
-	layout cellLayout
-	dict   *cellDict
-	slab   []regression.Accumulator
-	codes  []uint64
-	// frames holds every o-cell's history: one tilt frame per cell seen so
-	// far, its finest level the per-unit history.
-	frames    map[cube.CellKey]*cellFrame
 	unitsDone int64
-	// inputs/members hold each closed unit's m-layer batch, reused from
-	// close to close: nothing the cube returns aliases them.
-	inputs  []core.Input
-	members []int32
-	// ws is what m/o-cubing keeps from one unit's close to the next.
-	ws *core.Workspace
-	// shape fingerprints cfg.Schema in every checkpoint; cpBuf is where the
-	// owning ShardedEngine has this engine cut them (AppendCheckpoint).
-	shape []DimensionShape
-	cpBuf checkpointBuf
-	// snap is the published per-unit snapshot (PublishSnapshots); readers
-	// load it without locks, so it must only ever hold fully built,
-	// never-again-mutated values. bus broadcasts the same values push-side
-	// to subscribers (Subscribe).
-	snap atomic.Pointer[Snapshot]
-	bus  snapBus
 	// walSeq is the WAL watermark the owner stamps before checkpointing:
 	// how many log records this engine's state reflects. The engine never
 	// advances it itself — counting durable records is the log owner's job
 	// (replayed records and live records both count, appended-but-not-yet-
 	// ingested ones don't).
 	walSeq int64
+	err    error
+	closed bool
+	// snap is the published per-unit snapshot (PublishSnapshots), merged
+	// over the shards; readers load it without locks, so it must only ever
+	// hold fully built, never-again-mutated values. bus broadcasts the same
+	// values push-side to subscribers (Subscribe).
+	snap atomic.Pointer[Snapshot]
+	bus  snapBus
+	// cpMerged is the list AppendCheckpoint merges the shards' parts into.
+	cpMerged Checkpoint
 }
 
-// NewEngine validates the config and returns an engine expecting its first
-// record at StartTick.
+// NewEngine validates the config and returns an engine of cfg.Shards
+// partitions expecting its first record at StartTick. Call Close when done
+// to stop the shard goroutines (Flush first for the final partial unit).
+// Parallelism is bounded by the number of distinct o-layer cells: a schema
+// whose o-layer is the apex cuboid has a single partition and degrades to
+// one busy shard.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Schema == nil {
 		return nil, fmt.Errorf("%w: nil schema", ErrConfig)
@@ -176,10 +204,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Threshold == nil {
 		return nil, fmt.Errorf("%w: nil thresholder", ErrConfig)
 	}
-	layout, err := newCellLayout(cfg.Schema)
-	if err != nil {
-		return nil, err
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("%w: %d shards", ErrConfig, cfg.Shards)
 	}
+	cfg.Shards = max(cfg.Shards, 1)
 	if len(cfg.TiltLevels) == 0 {
 		cfg.TiltLevels = []tilt.Level{{Name: "unit", Multiple: 1, Slots: 64}}
 	}
@@ -187,19 +215,43 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if _, err := tilt.NewUnitFrame(cfg.TiltLevels); err != nil {
 		return nil, fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
 	}
+	part, err := NewPartitioner(cfg.Schema, cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:       cfg,
+		shards:    make([]shard, cfg.Shards),
+		part:      part,
 		anc:       cube.NewAncestorIndex(cfg.Schema),
-		ws:        core.NewWorkspace(cfg.Schema),
 		shape:     shapeOf(cfg.Schema),
 		openStart: cfg.StartTick,
 		openEnd:   cfg.StartTick + int64(cfg.TicksPerUnit),
-		frames:    make(map[cube.CellKey]*cellFrame),
-		layout:    layout,
 	}
-	e.dict = newCellDict(&e.layout, nil)
+	e.dict = e.newDict()
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.id, sh.e, sh.ws = i, e, core.NewWorkspace(cfg.Schema)
+		sh.frames = make(map[cube.CellKey]*cellFrame)
+		if i > 0 {
+			sh.in, sh.out, sh.done = make(chan barrierFn, 1), make(chan shardReply, 1), make(chan struct{})
+			go sh.run()
+		}
+	}
 	return e, nil
 }
+
+// newDict returns an empty cell dictionary: one that routes through part,
+// or with one shard one that has nothing to route.
+func (e *Engine) newDict() *cellDict {
+	if len(e.shards) == 1 {
+		return newCellDict(&e.part.layout, nil)
+	}
+	return newCellDict(&e.part.layout, e.part)
+}
+
+// Shards returns the shard count.
+func (e *Engine) Shards() int { return len(e.shards) }
 
 // Unit returns the index of the currently open unit.
 func (e *Engine) Unit() int64 { return e.unit }
@@ -207,22 +259,17 @@ func (e *Engine) Unit() int64 { return e.unit }
 // UnitsDone returns how many units have been closed.
 func (e *Engine) UnitsDone() int64 { return e.unitsDone }
 
-// ActiveCells returns the number of m-layer cells with data in the open
-// unit.
-func (e *Engine) ActiveCells() int { return len(e.slab) }
+// CellsActive returns the cell dictionary's size when the last unit
+// barrier emptied it: the distinct m-cells the open unit held then, summed
+// over shards. Safe from any goroutine.
+func (e *Engine) CellsActive() int64 { return e.cellsActive.Load() }
 
-// WALSeq returns the WAL watermark: the count of write-ahead-log records
-// this engine's state reflects (zero when no WAL is in use).
-func (e *Engine) WALSeq() int64 { return e.walSeq }
-
-// SetWALSeq stamps the WAL watermark. The log owner calls it after
-// ingesting records it has durably appended, so the next Checkpoint
-// records exactly which log prefix the state covers; recovery then
-// replays records [WALSeq, end) and nothing else.
-func (e *Engine) SetWALSeq(seq int64) { e.walSeq = seq }
-
-func (e *Engine) unitStart(u int64) int64 {
-	return e.cfg.StartTick + u*int64(e.cfg.TicksPerUnit)
+// ready guards every public operation behind the closed/sticky-error state.
+func (e *Engine) ready() error {
+	if e.closed {
+		return fmt.Errorf("%w: engine closed", ErrConfig)
+	}
+	return e.err
 }
 
 // Ingest consumes one record. Records may skip ticks (absent readings
@@ -230,54 +277,60 @@ func (e *Engine) unitStart(u int64) int64 {
 // reading in a closed unit registers a zero regression over it, see
 // recordTilt) and may open new cells mid-unit, but each cell's ticks must
 // be non-decreasing and at most one reading per tick. Crossing a unit
-// boundary closes earlier units; their results are returned in order
-// (units that received no data yield a UnitResult with a nil Result).
+// boundary closes earlier units on every shard; their merged results are
+// returned in order (units that received no data yield a UnitResult with a
+// nil Result). The record is then accumulated before Ingest returns; an
+// out-of-range member fails here, after boundary handling.
 func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error) {
-	if len(members) != e.layout.nd {
-		return nil, fmt.Errorf("%w: %d members for %d dimensions", ErrRecord, len(members), e.layout.nd)
+	if err := e.ready(); err != nil {
+		return nil, err
+	}
+	if len(members) != e.part.layout.nd {
+		return nil, fmt.Errorf("%w: %d members for %d dimensions", ErrRecord, len(members), e.part.layout.nd)
 	}
 	var closed []*UnitResult
 	if tick < e.openStart || tick >= e.openEnd {
 		var err error
-		if closed, err = e.reach(tick, nil); err != nil {
+		if closed, err = e.reach(tick); err != nil {
 			return closed, err
 		}
 	}
-	code, bad := e.layout.code(members)
+	code, bad := e.part.layout.code(members)
 	if bad >= 0 {
-		return closed, e.layout.rangeErr(bad, members[bad])
+		return closed, e.part.layout.rangeErr(bad, members[bad])
 	}
-	c := e.dict.slot(code) // ingestRun's step, for one record
+	// accumulate's step, spelled out for one record: a run of one through
+	// the loop costs a call and a few ns a record on WAL replay.
+	c := e.dict.slot(code)
 	if c.key == 0 {
 		c = e.dict.add(c, code)
-		e.open(code)
+		e.open(c.part, code)
 	}
-	if acc := &e.slab[c.ord]; !acc.Observe(tick, value) {
-		return closed, e.refuse(acc, tick, value)
+	if acc := &e.shards[c.part].slab[c.ord]; !acc.Observe(tick, value) {
+		e.err = e.refuse(acc, tick, value)
+		return closed, e.err
 	}
 	return closed, nil
 }
 
-// reach makes tick's unit the open one, appending the units it closes to
-// closed; a tick before the open unit is ErrRecord.
-func (e *Engine) reach(tick int64, closed []*UnitResult) ([]*UnitResult, error) {
+// reach makes tick's unit the open one, closing every unit before it and
+// returning their merged results; a tick before the open unit is ErrRecord.
+func (e *Engine) reach(tick int64) ([]*UnitResult, error) {
 	if tick < e.openStart {
-		return closed, fmt.Errorf("%w: tick %d before open unit start %d", ErrRecord, tick, e.openStart)
+		return nil, fmt.Errorf("%w: tick %d before open unit start %d", ErrRecord, tick, e.openStart)
 	}
-	for tick >= e.openEnd {
-		ur, err := e.closeUnit()
-		if err != nil {
-			return closed, err
-		}
-		closed = append(closed, ur)
+	if tick < e.openEnd {
+		return nil, nil
 	}
-	return closed, nil
+	return e.advanceTo((tick - e.cfg.StartTick) / int64(e.cfg.TicksPerUnit))
 }
 
-// open appends a new cell's accumulator to the slab, at the next ordinal.
-func (e *Engine) open(code uint64) {
-	e.slab = append(e.slab, *regression.NewAccumulator(e.openStart))
-	e.codes = append(e.codes, code)
+// open appends a new cell's accumulator to its shard's slab, at the next
+// ordinal.
+func (e *Engine) open(sid int32, code uint64) {
+	sh := &e.shards[sid]
+	sh.slab = append(sh.slab, *regression.NewAccumulator(e.openStart))
+	sh.codes = append(sh.codes, code)
 }
 
 // refuse names why a record failed the inline step every ingest path
@@ -293,133 +346,115 @@ func (e *Engine) refuse(acc *regression.Accumulator, tick int64, value float64) 
 	return acc.Add(tick, value)
 }
 
-// Flush closes the currently open unit even if it is mid-way: every active
-// cell is zero-padded to the unit boundary first. Returns the unit's
-// result (nil Result when no cell had data).
-func (e *Engine) Flush() (*UnitResult, error) {
-	return e.closeUnit()
-}
-
-// AdvanceTo closes units in order until `unit` is the open unit, as if a
-// record at unit's first tick had arrived. It is how a coordinator (a
-// ShardedEngine, or a wall-clock driver with sparse data) forces engines
-// past boundaries without a record; already being at or past `unit` is a
-// no-op.
-func (e *Engine) AdvanceTo(unit int64) ([]*UnitResult, error) {
-	if unit <= e.unit {
-		return nil, nil
-	}
-	return e.reach(e.unitStart(unit), nil)
-}
-
-func (e *Engine) closeUnit() (*UnitResult, error) {
-	lo := e.unitStart(e.unit)
-	hi := e.unitStart(e.unit+1) - 1
-	ur := &UnitResult{Unit: e.unit, Interval: timeseries.Interval{Tb: lo, Te: hi}}
-
-	// Member tuples are decoded into the arena, so the slab empties at once.
-	nd := e.layout.nd
-	inputs := e.inputs[:0]
-	if inputs == nil {
-		inputs = make([]core.Input, 0, len(e.slab))
-	}
-	arena := e.members[:0]
-	for o := range e.slab {
-		acc := &e.slab[o]
-		acc.AdvanceTo(hi + 1) // zero-pad to the unit boundary, in O(1)
-		isb, err := acc.Snapshot()
-		if err != nil {
-			return nil, err
+// advanceTo closes units up to (excluding) target on every shard in
+// parallel and merges the per-unit results. With snapshots on, the barrier
+// collects each shard's per-unit frame copies and publishes one merged
+// Snapshot per closed unit, so bus subscribers observe the same snapshot
+// stream at any shard count (pull-side Snapshot() callers see the last one).
+func (e *Engine) advanceTo(target int64) ([]*UnitResult, error) {
+	from, n := e.unit, int(target-e.unit)
+	publish := e.cfg.PublishSnapshots
+	e.cellsActive.Store(int64(e.dict.n))
+	vals, err := e.barrier(func(sh *shard) (any, error) {
+		var adv shardAdvance
+		for u := from; u < target; u++ {
+			ur, err := sh.closeUnit(u)
+			if err != nil {
+				return nil, err
+			}
+			adv.urs = append(adv.urs, ur)
+			if publish {
+				// Copied inside the barrier, unit by unit, so the copies
+				// are exact per unit and never race with the shard's own
+				// later units.
+				adv.frames = append(adv.frames, sh.snapshotFrames())
+			}
 		}
-		start := len(arena)
-		arena = slices.Grow(arena, nd)[:start+nd]
-		e.layout.decode(e.codes[o], arena[start:])
-		inputs = append(inputs, core.Input{Members: arena[start:len(arena):len(arena)], Measure: isb})
-	}
-	// Stream data flows in-and-out: the ordinals go with the unit. A slab
-	// far larger than this unit needed is dropped, so one bursty unit
-	// cannot pin its peak footprint forever.
-	if bound := 4*len(inputs) + 1024; cap(e.slab) > bound {
-		e.slab, e.codes = nil, nil
-	}
-	e.slab, e.codes = e.slab[:0], e.codes[:0]
-	e.dict.reset()
-	if bound := 4*len(inputs) + 1024; cap(inputs) > bound {
-		inputs = append(make([]core.Input, 0, bound), inputs...)
-		// The arena's contents are reached only through inputs' Members
-		// (which keep the old backing alive for this unit); only the
-		// stored capacity matters for the next reuse.
-		arena = make([]int32, 0, bound*nd)
-	}
-	e.inputs, e.members = inputs, arena
-	// Canonical member order: cubing accumulates floats in input order, so
-	// sorting here makes every unit result bitwise reproducible across runs
-	// and identical between sharded and single-engine computation.
-	slices.SortFunc(inputs, func(a, b core.Input) int {
-		return slices.Compare(a.Members, b.Members)
+		return adv, nil
 	})
-	e.unit++
-	e.openStart = e.openEnd
-	e.openEnd += int64(e.cfg.TicksPerUnit)
-
-	if len(inputs) == 0 {
-		return e.finishUnit(ur)
-	}
-	res, err := e.ws.MOCubing(inputs, e.cfg.Threshold)
 	if err != nil {
 		return nil, err
 	}
-	ur.Result = res
-	ur.Alerts = e.raiseAlerts(ur, res)
-	return e.finishUnit(ur)
-}
-
-// finishUnit registers the closed unit (data or none) with every o-cell
-// frame, counts it and publishes its snapshot.
-func (e *Engine) finishUnit(ur *UnitResult) (*UnitResult, error) {
-	if err := e.recordTilt(ur); err != nil {
-		return nil, err
+	perShard := make([]shardAdvance, len(vals))
+	for i, v := range vals {
+		perShard[i] = v.(shardAdvance)
 	}
-	e.unitsDone++
-	if e.cfg.PublishSnapshots {
-		e.publishSnapshot(ur)
+	out := make([]*UnitResult, n)
+	for u := range out {
+		shardURs := make([]*UnitResult, len(perShard))
+		for i := range perShard {
+			shardURs[i] = perShard[i].urs[u]
+		}
+		out[u] = e.mergeUnit(shardURs)
 	}
-	return ur, nil
-}
-
-// raiseAlerts returns the unit's alerts in canonical order (compareAlerts).
-// The supporter index is built on the first alerting o-cell, so a unit
-// whose observation deck is quiet never scans its exception cells.
-func (e *Engine) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
-	var alerts []Alert
-	var supporters map[cube.CellKey][]core.Cell
-	oThr := e.cfg.Threshold.Threshold(e.cfg.Schema.OLayer())
-	for key, isb := range res.OLayer {
-		if exception.IsException(isb, oThr) {
-			if supporters == nil {
-				supporters = core.SupportersByOCell(e.anc, res)
+	e.unit = target
+	e.openStart = e.cfg.unitStart(target)
+	e.openEnd = e.cfg.unitStart(target + 1)
+	e.dict.reset() // the shards emptied their slabs
+	if publish {
+		for u, ur := range out {
+			// Shards own disjoint o-cells, so the merged frame set is a
+			// union — a sole shard's is the set itself.
+			frames := perShard[0].frames[u]
+			for _, adv := range perShard[1:] {
+				maps.Copy(frames, adv.frames[u])
 			}
-			alerts = append(alerts, Alert{
-				Unit:  ur.Unit,
-				Kind:  SlopeException,
-				Cell:  key,
-				ISB:   isb,
-				Drill: supporters[key],
+			e.publish(&Snapshot{
+				Unit:      ur.Unit,
+				Interval:  ur.Interval,
+				UnitsDone: e.unitsDone + int64(u) + 1,
+				// The clone keeps readers isolated from whatever the Ingest
+				// caller does with the returned UnitResult's slices.
+				Alerts: cloneAlerts(ur.Alerts),
+				Result: ur.Result,
+				Frames: frames,
 			})
 		}
-		if e.cfg.Delta != nil {
-			if cf := e.frames[key]; cf != nil {
-				// The frame's last slot is always the previous unit: a unit
-				// the cell sat out was registered as a zero regression.
-				if last, ok := cf.frame.LastSlot(0); ok && e.cfg.Delta.Exceptional(isb, last.ISB, true) {
-					alerts = append(alerts, Alert{Unit: ur.Unit, Kind: SlopeChange, Cell: key, ISB: isb})
-				}
-			}
-		}
 	}
-	slices.SortFunc(alerts, compareAlerts)
-	return alerts
+	e.unitsDone += int64(n)
+	return out, nil
 }
+
+// AdvanceTo closes units in order until `unit` is the open unit, exactly
+// as if a record at unit's first tick had arrived, and returns the merged
+// results. Targets at or before the open unit are a no-op. It is how a
+// cluster ingest node applies the router's unit-boundary barrier frames
+// (and a wall-clock driver with sparse data moves on): every node advances
+// in lockstep even when it received no records for the closed units, so
+// per-node checkpoints and snapshots always agree on the unit counters and
+// merge losslessly.
+func (e *Engine) AdvanceTo(unit int64) ([]*UnitResult, error) {
+	if err := e.ready(); err != nil {
+		return nil, err
+	}
+	if unit <= e.unit {
+		return nil, nil
+	}
+	return e.advanceTo(unit)
+}
+
+// Flush closes the currently open unit even if it is mid-way: every active
+// cell is zero-padded to the unit boundary first. Returns the merged result
+// (nil Result when no cell had data).
+func (e *Engine) Flush() (*UnitResult, error) {
+	if err := e.ready(); err != nil {
+		return nil, err
+	}
+	urs, err := e.advanceTo(e.unit + 1)
+	if err != nil {
+		return nil, err
+	}
+	return urs[0], nil
+}
+
+// ActiveCells returns the number of m-layer cells with data in the open
+// unit, across all shards: the dictionary's size, since the shards' slabs
+// hold exactly its cells.
+func (e *Engine) ActiveCells() int { return e.dict.n }
+
+// owner returns the shard that owns an o-cell. Between barriers no shard
+// goroutine runs, so the caller reads it directly.
+func (e *Engine) owner(cell *cube.CellKey) *shard { return &e.shards[e.part.Hash(&cell.Members)] }
 
 // TrendQuery aggregates the last k units of an o-cell's history — the
 // finest level of its frame, retaining TiltLevels[0].Slots units — into one
@@ -429,11 +464,54 @@ func (e *Engine) TrendQuery(cell cube.CellKey, k int) (regression.ISB, error) {
 	return e.TrendQueryAt(cell, 0, k)
 }
 
+// TrendQueryAt aggregates the last k completed units of an o-cell at the
+// given tilt level (0 = finest).
+func (e *Engine) TrendQueryAt(cell cube.CellKey, level, k int) (regression.ISB, error) {
+	cf := e.owner(&cell).frames[cell]
+	if cf == nil {
+		return regression.ISB{}, fmt.Errorf("%w: no history for cell %v", ErrRecord, cell)
+	}
+	return trendErr(cf.frame.Query(level, k))
+}
+
 // HistoryLen returns how many units of history an o-cell currently has at
 // the finest granularity.
 func (e *Engine) HistoryLen(cell cube.CellKey) int {
-	if cf := e.frames[cell]; cf != nil {
+	if cf := e.owner(&cell).frames[cell]; cf != nil {
 		return cf.frame.SlotsLen(0)
 	}
 	return 0
+}
+
+// WALSeq returns the WAL watermark: the count of write-ahead-log records
+// this engine's state reflects (zero when no WAL is in use).
+func (e *Engine) WALSeq() int64 { return e.walSeq }
+
+// SetWALSeq stamps the WAL watermark. The log owner calls it after
+// ingesting records it has durably appended, so the next Checkpoint
+// records exactly which log prefix the state covers; recovery then replays
+// records [WALSeq, end) and nothing else. It is a whole-log position, so
+// MergeCheckpoints can demand that the parts of one stream agree on it.
+func (e *Engine) SetWALSeq(seq int64) error {
+	if err := e.ready(); err != nil {
+		return err
+	}
+	e.walSeq = seq
+	return nil
+}
+
+// Close stops the shard goroutines and waits for them to exit. The open
+// unit's records are dropped — Flush first for the final partial unit.
+// Close is idempotent; every other method fails after it.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	for _, sh := range e.shards[1:] {
+		close(sh.in)
+	}
+	for _, sh := range e.shards[1:] {
+		<-sh.done
+	}
 }

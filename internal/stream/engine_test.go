@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,14 +84,24 @@ func TestIngestValidation(t *testing.T) {
 	if _, err := e.Ingest([]int32{0, 0}, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Per-cell duplicate tick.
-	if _, err := e.Ingest([]int32{0, 0}, 0, 1); err == nil {
-		t.Fatal("expected duplicate-tick error")
+	// Per-cell duplicate tick: refused, and the refusal sticks.
+	_, dup := e.Ingest([]int32{0, 0}, 0, 1)
+	if !errors.Is(dup, ErrRecord) {
+		t.Fatalf("duplicate tick: %v, want ErrRecord", dup)
 	}
-	// Tick before the open unit.
-	_, _ = e.Ingest([]int32{0, 0}, 7, 1) // crosses into unit 1
-	if _, err := e.Ingest([]int32{1, 1}, 2, 1); err == nil {
-		t.Fatal("expected stale-tick error")
+	if _, err := e.Ingest([]int32{1, 1}, 1, 1); err != dup {
+		t.Fatalf("the refusal must stick: %v", err)
+	}
+	// Tick before the open unit: refused, and nothing sticks.
+	e = newEngine(t, smallSchema(t), 1)
+	if _, err := e.Ingest([]int32{0, 0}, 7, 1); err != nil { // crosses into unit 1
+		t.Fatal(err)
+	}
+	if _, err := e.Ingest([]int32{1, 1}, 2, 1); !errors.Is(err, ErrRecord) {
+		t.Fatalf("stale tick: %v, want ErrRecord", err)
+	}
+	if _, err := e.Ingest([]int32{1, 1}, 8, 1); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -324,7 +335,7 @@ func TestDeltaAlerts(t *testing.T) {
 	}
 	feedUnit := func(slope float64) *UnitResult {
 		t.Helper()
-		start := e.unitStart(e.Unit())
+		start := e.cfg.unitStart(e.Unit())
 		for i := int64(0); i < 5; i++ {
 			if _, err := e.Ingest([]int32{0, 0}, start+i, slope*float64(i)); err != nil {
 				t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 
 // Partitioner is the cluster-wide partition function: it maps records to
 // one of N partitions by hashing the o-layer ancestor tuple of their
-// m-layer members. ShardedEngine assigns each m-cell to the shard engine
-// whose slab holds it and whose unit close cubes it with it, and the
+// m-layer members. An Engine assigns each m-cell to the shard whose slab
+// holds it and whose unit close cubes it with it, and the
 // multi-node router (internal/cluster) routes whole columnar batches to
 // ingest nodes with the very same instance type — one
 // implementation, so in-process shards and cross-process nodes partition

@@ -194,13 +194,13 @@ func TestPartitionerRejects(t *testing.T) {
 }
 
 // TestPartitionerMatchesShardedEngine proves the extracted Partitioner is
-// byte-for-byte the ShardedEngine's partition function: a sharded engine's
-// per-record shardOf must agree with a standalone Partitioner built from
-// the same schema and count.
+// byte-for-byte a sharded engine's partition function: the engine's Route
+// must agree with a standalone Partitioner built from the same schema and
+// count.
 func TestPartitionerMatchesShardedEngine(t *testing.T) {
 	cfg := snapshotTestConfig(t)
 	const shards = 4
-	s, err := NewShardedEngine(cfg, shards)
+	s, err := NewEngine(withShards(cfg, shards))
 	if err != nil {
 		t.Fatal(err)
 	}

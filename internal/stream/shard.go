@@ -1,0 +1,310 @@
+package stream
+
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/cube"
+	"repro/internal/exception"
+	"repro/internal/regression"
+	"repro/internal/timeseries"
+)
+
+// barrierFn is one shard's part of a barrier: it runs on the shard while
+// the coordinator waits.
+type barrierFn func(sh *shard) (any, error)
+
+// shardReply carries a barrierFn's outcome back to the coordinator.
+type shardReply struct {
+	val any
+	err error
+}
+
+// shard is one partition's worker: the open unit's accumulators of the
+// cells its partition owns, those o-cells' frames, and what closing a unit
+// over them keeps from one close to the next. The coordinator fills its
+// slab (Engine.open, Engine.Ingest) and runs its barrier work — shard 0's
+// on the coordinator's own goroutine; every other shard has a goroutine
+// that takes barrierFns on in and answers on out, and closes done when in
+// is closed. No shard goroutine runs between barriers, and a shard reads
+// only its engine's immutable fields (cfg, part, anc).
+type shard struct {
+	id int
+	e  *Engine
+	// slab[o] is the accumulator of the open unit's cell with ordinal o and
+	// codes[o] its code, sized by the unit's active cells and emptied at
+	// every close.
+	slab  []regression.Accumulator
+	codes []uint64
+	// frames holds the history of every o-cell of the partition seen so
+	// far: one tilt frame per cell, its finest level the per-unit history.
+	frames map[cube.CellKey]*cellFrame
+	// inputs/members hold each closed unit's m-layer batch, reused from
+	// close to close: nothing the cube returns aliases them.
+	inputs  []core.Input
+	members []int32
+	// ws is what m/o-cubing keeps from one unit's close to the next; cpBuf
+	// is where AppendCheckpoint has the shard cut its part.
+	ws    *core.Workspace
+	cpBuf checkpointBuf
+	in    chan barrierFn // nil for shard 0
+	out   chan shardReply
+	done  chan struct{}
+}
+
+// run is the goroutine of every shard but shard 0.
+func (sh *shard) run() {
+	defer close(sh.done)
+	for fn := range sh.in {
+		val, err := fn(sh)
+		sh.out <- shardReply{val: val, err: err}
+	}
+}
+
+// barrier runs fn on every shard concurrently — shard 0's on the caller's
+// goroutine — and returns the replies in shard order. The first error, in
+// shard order, becomes sticky.
+func (e *Engine) barrier(fn barrierFn) ([]any, error) {
+	for _, sh := range e.shards[1:] {
+		sh.in <- fn
+	}
+	out := make([]any, len(e.shards))
+	var firstErr error
+	for i := range e.shards {
+		var rep shardReply
+		if i == 0 {
+			rep.val, rep.err = fn(&e.shards[0])
+		} else {
+			rep = <-e.shards[i].out
+		}
+		if rep.err != nil && firstErr == nil {
+			firstErr = rep.err
+		}
+		out[i] = rep.val
+	}
+	if firstErr != nil {
+		e.err = firstErr
+		return nil, firstErr
+	}
+	return out, nil
+}
+
+// shardAdvance is one shard's reply to an advanceTo barrier: its closed
+// units plus, when snapshots are on, a copy of its frame views after each
+// closed unit (frames[u] reflects state just after urs[u] closed).
+type shardAdvance struct {
+	urs    []*UnitResult
+	frames []map[cube.CellKey]*FrameView
+}
+
+// closeUnit closes unit u, the shard's open one: it cubes the partition's
+// cells of the unit, raises their alerts and registers the unit with every
+// frame of the partition.
+func (sh *shard) closeUnit(u int64) (*UnitResult, error) {
+	cfg, layout := &sh.e.cfg, &sh.e.part.layout
+	lo, hi := cfg.unitStart(u), cfg.unitStart(u+1)-1
+	ur := &UnitResult{Unit: u, Interval: timeseries.Interval{Tb: lo, Te: hi}}
+
+	// Member tuples are decoded into the arena, so the slab empties at once.
+	nd := layout.nd
+	inputs := sh.inputs[:0]
+	if inputs == nil {
+		inputs = make([]core.Input, 0, len(sh.slab))
+	}
+	arena := sh.members[:0]
+	for o := range sh.slab {
+		acc := &sh.slab[o]
+		acc.AdvanceTo(hi + 1) // zero-pad to the unit boundary, in O(1)
+		isb, err := acc.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		start := len(arena)
+		arena = slices.Grow(arena, nd)[:start+nd]
+		layout.decode(sh.codes[o], arena[start:])
+		inputs = append(inputs, core.Input{Members: arena[start:len(arena):len(arena)], Measure: isb})
+	}
+	// Stream data flows in-and-out: the ordinals go with the unit. A slab
+	// far larger than this unit needed is dropped, so one bursty unit
+	// cannot pin its peak footprint forever.
+	if bound := 4*len(inputs) + 1024; cap(sh.slab) > bound {
+		sh.slab, sh.codes = nil, nil
+	}
+	sh.slab, sh.codes = sh.slab[:0], sh.codes[:0]
+	if bound := 4*len(inputs) + 1024; cap(inputs) > bound {
+		inputs = append(make([]core.Input, 0, bound), inputs...)
+		// The arena's contents are reached only through inputs' Members
+		// (which keep the old backing alive for this unit); only the
+		// stored capacity matters for the next reuse.
+		arena = make([]int32, 0, bound*nd)
+	}
+	sh.inputs, sh.members = inputs, arena
+	// Canonical member order: cubing accumulates floats in input order, so
+	// sorting here makes every unit result bitwise reproducible across runs
+	// and identical at every shard count.
+	slices.SortFunc(inputs, func(a, b core.Input) int {
+		return slices.Compare(a.Members, b.Members)
+	})
+	if len(inputs) > 0 {
+		res, err := sh.ws.MOCubing(inputs, cfg.Threshold)
+		if err != nil {
+			return nil, err
+		}
+		ur.Result = res
+		ur.Alerts = sh.raiseAlerts(ur, res)
+	}
+	if err := sh.recordTilt(ur); err != nil {
+		return nil, err
+	}
+	return ur, nil
+}
+
+// raiseAlerts returns the unit's alerts in canonical order (compareAlerts).
+// The supporter index is built on the first alerting o-cell, so a unit
+// whose observation deck is quiet never scans its exception cells.
+func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
+	cfg := &sh.e.cfg
+	var alerts []Alert
+	var supporters map[cube.CellKey][]core.Cell
+	oThr := cfg.Threshold.Threshold(cfg.Schema.OLayer())
+	for key, isb := range res.OLayer {
+		if exception.IsException(isb, oThr) {
+			if supporters == nil {
+				supporters = core.SupportersByOCell(sh.e.anc, res)
+			}
+			alerts = append(alerts, Alert{
+				Unit:  ur.Unit,
+				Kind:  SlopeException,
+				Cell:  key,
+				ISB:   isb,
+				Drill: supporters[key],
+			})
+		}
+		if cfg.Delta != nil {
+			if cf := sh.frames[key]; cf != nil {
+				// The frame's last slot is always the previous unit: a unit
+				// the cell sat out was registered as a zero regression.
+				if last, ok := cf.frame.LastSlot(0); ok && cfg.Delta.Exceptional(isb, last.ISB, true) {
+					alerts = append(alerts, Alert{Unit: ur.Unit, Kind: SlopeChange, Cell: key, ISB: isb})
+				}
+			}
+		}
+	}
+	slices.SortFunc(alerts, compareAlerts)
+	return alerts
+}
+
+// mergeUnit combines one unit's per-shard results: the cube results union
+// (unionResults), and since each shard's alerts arrive in canonical order
+// with their drills complete (finished inside the barrier), the
+// merged list is a k-way merge.
+func (e *Engine) mergeUnit(urs []*UnitResult) *UnitResult {
+	merged := &UnitResult{Unit: urs[0].Unit, Interval: urs[0].Interval}
+	results := make([]*core.Result, len(urs))
+	alerts := make([][]Alert, len(urs))
+	for i, ur := range urs {
+		results[i], alerts[i] = ur.Result, ur.Alerts
+	}
+	merged.Result = unionResults(e.cfg.Schema, results)
+	if merged.Result != nil {
+		merged.Alerts = mergeAlerts(alerts)
+	}
+	return merged
+}
+
+// unionResults merges the cube results of one unit computed over disjoint
+// partitions (shards here, cluster nodes in MergeSnapshots); nil entries
+// are partitions that closed empty, and all-nil yields nil. A sole
+// non-empty part is the union and is returned as is — the whole story at
+// one shard. Otherwise cell maps are disjoint by the partition invariant,
+// so merging is a union into maps sized once from the part sizes; stats
+// fold through mergeStats.
+func unionResults(schema *cube.Schema, parts []*core.Result) *core.Result {
+	var oCells, exceptions, nonEmpty int
+	var sole *core.Result
+	for _, r := range parts {
+		if r != nil {
+			nonEmpty++
+			sole = r
+			oCells += len(r.OLayer)
+			exceptions += len(r.Exceptions)
+		}
+	}
+	if nonEmpty <= 1 {
+		return sole
+	}
+	res := &core.Result{
+		Schema:     schema,
+		OLayer:     make(map[cube.CellKey]regression.ISB, oCells),
+		Exceptions: make(map[cube.CellKey]regression.ISB, exceptions),
+	}
+	first := true
+	for _, r := range parts {
+		if r == nil {
+			continue
+		}
+		for k, v := range r.OLayer {
+			res.OLayer[k] = v
+		}
+		for k, v := range r.Exceptions {
+			res.Exceptions[k] = v
+		}
+		mergeStats(&res.Stats, &r.Stats, first)
+		first = false
+	}
+	return res
+}
+
+// mergeStats folds one shard's cube statistics into the merged result.
+// Additive counters sum — including the peak estimates, since concurrent
+// shards can peak simultaneously and the sum is the safe whole-process
+// bound. Wall-clock phases take the maximum (shards run in parallel), and
+// per-cuboid counts too, since every shard walks the same lattice.
+func mergeStats(dst *core.Stats, src *core.Stats, first bool) {
+	if first {
+		*dst = *src
+		return
+	}
+	dst.Tuples += src.Tuples
+	dst.TreeNodes += src.TreeNodes
+	dst.TreeLeaves += src.TreeLeaves
+	dst.CellsComputed += src.CellsComputed
+	dst.CellsRetained += src.CellsRetained
+	dst.BytesRetained += src.BytesRetained
+	dst.PeakScratchCells += src.PeakScratchCells
+	dst.PeakBytes += src.PeakBytes
+	if src.CuboidsComputed > dst.CuboidsComputed {
+		dst.CuboidsComputed = src.CuboidsComputed
+	}
+	if src.BuildTime > dst.BuildTime {
+		dst.BuildTime = src.BuildTime
+	}
+	if src.CubeTime > dst.CubeTime {
+		dst.CubeTime = src.CubeTime
+	}
+}
+
+// compareAlerts is the canonical alert order: unit, then cell
+// (cube.CompareKeys), then kind.
+func compareAlerts(a, b Alert) int {
+	return cmp.Or(cmp.Compare(a.Unit, b.Unit), cube.CompareKeys(a.Cell, b.Cell), cmp.Compare(a.Kind, b.Kind))
+}
+
+// mergeAlerts k-way-merges alert lists that are each in canonical order
+// and pairwise disjoint (shards and cluster nodes own disjoint o-cells),
+// consuming the lists. A sole non-empty list is returned as is.
+func mergeAlerts(lists [][]Alert) []Alert {
+	var sole []Alert
+	nonEmpty := 0
+	for _, l := range lists {
+		if len(l) > 0 {
+			nonEmpty++
+			sole = l
+		}
+	}
+	if nonEmpty <= 1 {
+		return sole
+	}
+	return mergeSorted(nil, lists, compareAlerts)
+}

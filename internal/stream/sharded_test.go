@@ -12,11 +12,10 @@ import (
 	"repro/internal/exception"
 )
 
-// ingester is the surface shared by Engine and ShardedEngine that the
-// equivalence tests drive.
-type ingester interface {
-	Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error)
-	Flush() (*UnitResult, error)
+// withShards returns cfg at the given shard count.
+func withShards(cfg Config, shards int) Config {
+	cfg.Shards = shards
+	return cfg
 }
 
 // testRecord is one record of a generated stream.
@@ -117,7 +116,17 @@ func fanoutSchema(t testing.TB, fanout, levels int) *cube.Schema {
 	return s
 }
 
-func feed(t testing.TB, e ingester, recs []testRecord) []*UnitResult {
+// checkpointOf is e's Checkpoint, which must not fail.
+func checkpointOf(t testing.TB, e *Engine) *Checkpoint {
+	t.Helper()
+	cp, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+func feed(t testing.TB, e *Engine, recs []testRecord) []*UnitResult {
 	t.Helper()
 	var out []*UnitResult
 	for _, r := range recs {
@@ -172,8 +181,8 @@ func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 	}
 }
 
-// The tentpole property: identical record streams through Engine and
-// ShardedEngine at 1, 4, and 7 shards produce identical sorted alerts
+// The partition property: identical record streams through an Engine at
+// one shard and at 1, 4, and 7 shards produce identical sorted alerts
 // (slope changes included) and cell sets.
 func TestShardedMatchesSingleEngine(t *testing.T) {
 	s := wideSchema(t)
@@ -192,7 +201,7 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 		want := feed(t, single, recs)
 
 		for _, shards := range []int{1, 4, 7} {
-			sh, err := NewShardedEngine(cfg, shards)
+			sh, err := NewEngine(withShards(cfg, shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,11 +212,7 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 			for a := int32(0); a < 3; a++ {
 				for b := int32(0); b < 3; b++ {
 					cell := cube.NewCellKey(s.OLayer(), a, b)
-					hw := single.HistoryLen(cell)
-					hg, err := sh.HistoryLen(cell)
-					if err != nil {
-						t.Fatal(err)
-					}
+					hw, hg := single.HistoryLen(cell), sh.HistoryLen(cell)
 					if hw != hg {
 						t.Fatalf("history len %d vs %d for %v", hg, hw, cell)
 					}
@@ -226,10 +231,10 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-// Checkpoints round-trip across shard counts: state taken at one count is
-// the very checkpoint a plain Engine exports at that stream position, and
-// restores into any other count (and into a plain Engine, and back) with
-// the engines bitwise-identical afterwards.
+// Checkpoints round-trip across shard counts: state taken at four shards
+// is the very checkpoint a one-shard Engine exports at that stream
+// position, and restores into any other count with the engines
+// bitwise-identical afterwards.
 func TestShardedCheckpointRepartitions(t *testing.T) {
 	s := wideSchema(t)
 	cfg := Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1.0)}
@@ -240,7 +245,7 @@ func TestShardedCheckpointRepartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewShardedEngine(cfg, 4)
+	src, err := NewEngine(withShards(cfg, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +262,11 @@ func TestShardedCheckpointRepartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cp, ref.Checkpoint()) {
-		t.Fatal("4-shard checkpoint differs from the plain engine's")
+	if !reflect.DeepEqual(cp, checkpointOf(t, ref)) {
+		t.Fatal("4-shard checkpoint differs from the one-shard engine's")
 	}
 
-	finish := func(e ingester) []*UnitResult {
+	finish := func(e *Engine) []*UnitResult {
 		var out []*UnitResult
 		for _, r := range recs[split:] {
 			closed, err := e.Ingest(r.members, r.tick, r.value)
@@ -279,36 +284,31 @@ func TestShardedCheckpointRepartitions(t *testing.T) {
 	want := finish(ref)
 
 	for _, shards := range []int{7, 4, 1} {
-		dst, err := NewShardedEngine(cfg, shards)
+		dst, err := NewEngine(withShards(cfg, shards))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := dst.Restore(cp); err != nil {
 			t.Fatal(err)
 		}
-		requireSameResults(t, "restored-sharded", want, finish(dst))
+		requireSameResults(t, "restored", want, finish(dst))
 		dst.Close()
 	}
-	plain, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "restored-plain", want, finish(plain))
 }
 
 func TestShardedValidation(t *testing.T) {
 	s := wideSchema(t)
 	cfg := Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1)}
-	if _, err := NewShardedEngine(cfg, 0); err == nil {
+	if _, err := NewEngine(withShards(cfg, -1)); err == nil {
 		t.Fatal("expected shard-count error")
 	}
-	if _, err := NewShardedEngine(Config{TicksPerUnit: 4}, 2); err == nil {
+	if e, err := NewEngine(cfg); err != nil || e.Shards() != 1 {
+		t.Fatalf("zero shards: %v, want one shard", err)
+	}
+	if _, err := NewEngine(withShards(Config{TicksPerUnit: 4}, 2)); err == nil {
 		t.Fatal("expected config error")
 	}
-	e, err := NewShardedEngine(cfg, 3)
+	e, err := NewEngine(withShards(cfg, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestShardedValidation(t *testing.T) {
 func TestShardedStickyErrorAndRecovery(t *testing.T) {
 	s := wideSchema(t)
 	cfg := Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1)}
-	e, err := NewShardedEngine(cfg, 2)
+	e, err := NewEngine(withShards(cfg, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestShardedCheckpointValidate(t *testing.T) {
 		t.Fatal("expected schema-shape-mismatch error")
 	}
 	s := wideSchema(t)
-	e, err := NewShardedEngine(Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1)}, 2)
+	e, err := NewEngine(withShards(Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1)}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

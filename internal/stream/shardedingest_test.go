@@ -29,8 +29,8 @@ func scribble(b *wire.Batch) {
 // The batch-cut property: however the stream is cut — batches straddling
 // several unit boundaries, one-record batches, per-record Ingest
 // interleaved with IngestBatch, every batch scribbled over the moment its
-// call returns — a ShardedEngine at 1, 2, 4 and 7 shards closes the units
-// a plain Engine fed record by record closes and ends in its state,
+// call returns — an Engine at 1, 2, 4 and 7 shards closes the units a
+// one-shard Engine fed record by record closes and ends in its state,
 // bitwise, under the default one-level frame chain and the calendar chain
 // — on a 9×9 m-layer and on a 729×729 one where the same few dozen cells
 // are active: one cell path, whose dictionary numbers each shard's cells,
@@ -64,7 +64,7 @@ func batchCutsMatchSingleEngine(t *testing.T, name string, cfg Config) {
 			t.Fatal(err)
 		}
 		want := feed(t, ref, recs)
-		wantCP := checkpointJSON(t, ref.Checkpoint())
+		wantCP := checkpointJSON(t, checkpointOf(t, ref))
 
 		for _, cut := range []struct {
 			name  string
@@ -76,7 +76,7 @@ func batchCutsMatchSingleEngine(t *testing.T, name string, cfg Config) {
 		} {
 			for _, shards := range []int{1, 2, 4, 7} {
 				label := fmt.Sprintf("%s/seed%d/%s/shards%d", name, seed, cut.name, shards)
-				sh, err := NewShardedEngine(cfg, shards)
+				sh, err := NewEngine(withShards(cfg, shards))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,12 +107,8 @@ func batchCutsMatchSingleEngine(t *testing.T, name string, cfg Config) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				requireSameResults(t, label, want, append(got, final))
-				cp, err := sh.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(wantCP, checkpointJSON(t, cp)) {
-					t.Fatalf("%s: checkpoint differs from the single engine's", label)
+				if !bytes.Equal(wantCP, checkpointJSON(t, checkpointOf(t, sh))) {
+					t.Fatalf("%s: checkpoint differs from the one-shard engine's", label)
 				}
 				sh.Close()
 			}
@@ -154,7 +150,7 @@ func TestIngestBatchSteadyStateAllocatesNothing(t *testing.T) {
 
 func steadyStateAllocatesNothing(t *testing.T, schema *cube.Schema, shards int) {
 	cfg := Config{Schema: schema, TicksPerUnit: 1 << 30, Threshold: exception.Global(1e18)}
-	e, err := NewShardedEngine(cfg, shards)
+	e, err := NewEngine(withShards(cfg, shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +181,7 @@ func steadyStateAllocatesNothing(t *testing.T, schema *cube.Schema, shards int) 
 // four times what that unit needed.
 func TestBurstUnitBuffersAreBounded(t *testing.T) {
 	cfg := Config{Schema: fanoutSchema(t, 8, 3), TicksPerUnit: 4, Threshold: exception.Global(1e18)}
-	e, err := NewShardedEngine(cfg, 2)
+	e, err := NewEngine(withShards(cfg, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +199,8 @@ func TestBurstUnitBuffersAreBounded(t *testing.T) {
 	// the close's inputs and its member arena (two members a cell).
 	held := func() (slabs, most int) {
 		for _, sh := range e.shards {
-			eng := sh.eng
-			slabs += cap(eng.slab)
-			most = max(most, cap(eng.slab), cap(eng.codes), cap(eng.inputs), cap(eng.members)/2)
+			slabs += cap(sh.slab)
+			most = max(most, cap(sh.slab), cap(sh.codes), cap(sh.inputs), cap(sh.members)/2)
 		}
 		return slabs, most
 	}
@@ -231,16 +226,8 @@ func TestBurstUnitBuffersAreBounded(t *testing.T) {
 	}
 }
 
-// engineSurface is what TestEveryShardCountMatchesEngine drives on both
-// sides.
-type engineSurface interface {
-	ingester
-	IngestBatch(b *wire.Batch) ([]*UnitResult, error)
-	Subscribe(buf int) *Subscription
-}
-
-// A ShardedEngine at 1, 2, 4 and 7 shards behaves call for call as an
-// Engine: same unit results, same published snapshot sequence on the bus,
+// An Engine at 2, 4 and 7 shards behaves call for call as one at one
+// shard, which closes its units on the caller's goroutine: same unit results, same published snapshot sequence on the bus,
 // and — because the coordinator accumulates every record before the call
 // returns — the same record error from the very call that carried the bad
 // record, per record and per batch.
@@ -275,7 +262,7 @@ func TestEveryShardCountMatchesEngine(t *testing.T) {
 	// run feeds the first half record by record and the second in batches,
 	// then sends a record whose tick its cell already consumed — alone, or
 	// inside a batch behind a good record of the same unit.
-	run := func(e engineSurface, inBatch bool) (urs []*UnitResult, snaps []*Snapshot, recErr error) {
+	run := func(e *Engine, inBatch bool) (urs []*UnitResult, snaps []*Snapshot, recErr error) {
 		sub := e.Subscribe(64)
 		for _, r := range recs[:half] {
 			closed, err := e.Ingest(r.members, r.tick, r.value)
@@ -320,11 +307,11 @@ func TestEveryShardCountMatchesEngine(t *testing.T) {
 		if wantErr == nil {
 			t.Fatal("engine accepted a consumed tick")
 		}
-		wantCells := ref.ActiveCells()
+		wantCells := ref.dict.n
 
-		for _, shards := range []int{1, 2, 4, 7} {
+		for _, shards := range []int{2, 4, 7} {
 			label := fmt.Sprintf("inBatch=%v/shards%d", inBatch, shards)
-			sh, err := NewShardedEngine(cfg, shards)
+			sh, err := NewEngine(withShards(cfg, shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,7 +319,7 @@ func TestEveryShardCountMatchesEngine(t *testing.T) {
 
 			requireSameResults(t, label, wantURs, gotURs)
 			if len(gotSnaps) != len(wantSnaps) {
-				t.Fatalf("%s: bus delivered %d snapshots, engine %d", label, len(gotSnaps), len(wantSnaps))
+				t.Fatalf("%s: bus delivered %d snapshots, one shard %d", label, len(gotSnaps), len(wantSnaps))
 			}
 			for i, w := range wantSnaps {
 				g := gotSnaps[i]
@@ -352,11 +339,11 @@ func TestEveryShardCountMatchesEngine(t *testing.T) {
 				}
 			}
 			if gotErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Fatalf("%s: record error %v, engine's %v", label, gotErr, wantErr)
+				t.Fatalf("%s: record error %v, one shard's %v", label, gotErr, wantErr)
 			}
 			// The records before the bad one stand, and the error sticks.
 			if got := sh.dict.n; got != wantCells {
-				t.Fatalf("%s: %d active cells after the error, engine %d", label, got, wantCells)
+				t.Fatalf("%s: %d active cells after the error, one shard %d", label, got, wantCells)
 			}
 			if _, err := sh.Flush(); err == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("%s: Flush after the record error: %v, want it to stick", label, err)

@@ -124,30 +124,17 @@ func cloneAlerts(alerts []Alert) []Alert {
 	return out
 }
 
-// publishSnapshot swaps in the immutable view of the unit that just
-// closed. The atomic store orders all snapshot construction before any
-// reader's load, so a reader never sees a partially built snapshot.
-func (e *Engine) publishSnapshot(ur *UnitResult) {
-	snap := &Snapshot{
-		Unit:      ur.Unit,
-		Interval:  ur.Interval,
-		UnitsDone: e.unitsDone,
-		Result:    ur.Result,
-		Alerts:    cloneAlerts(ur.Alerts),
-		Frames:    e.snapshotFrames(),
-	}
+// publish swaps in the immutable view of a unit that just closed and
+// offers it on the bus. The atomic store orders all snapshot construction
+// before any reader's load, so a reader never sees a partially built
+// snapshot.
+func (e *Engine) publish(snap *Snapshot) {
 	e.snap.Store(snap)
 	e.bus.publish(snap)
 }
 
 // Snapshot returns the most recently published unit view, or nil before
 // the first unit closes (or when Config.PublishSnapshots is off). Unlike
-// every other Engine method, Snapshot is safe to call from any goroutine
+// most Engine methods, Snapshot is safe to call from any goroutine
 // concurrently with ingestion — it is a single atomic load.
 func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
-
-// Snapshot returns the most recently published merged unit view, or nil
-// before the first boundary (or when Config.PublishSnapshots is off). It
-// is safe to call from any goroutine concurrently with the coordinator's
-// Ingest loop — it is a single atomic load.
-func (s *ShardedEngine) Snapshot() *Snapshot { return s.snap.Load() }

@@ -158,7 +158,7 @@ func TestSnapshotDisabledByDefault(t *testing.T) {
 	if eng.Snapshot() != nil {
 		t.Fatal("snapshot published with PublishSnapshots off")
 	}
-	seng, err := NewShardedEngine(cfg, 3)
+	seng, err := NewEngine(withShards(cfg, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestShardedSnapshotMatchesSingle(t *testing.T) {
 
 	for _, shards := range []int{1, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			seng, err := NewShardedEngine(cfg, shards)
+			seng, err := NewEngine(withShards(cfg, shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestShardedSnapshotMatchesSingle(t *testing.T) {
 
 func TestSnapshotEmptyUnit(t *testing.T) {
 	cfg := snapshotTestConfig(t)
-	seng, err := NewShardedEngine(cfg, 2)
+	seng, err := NewEngine(withShards(cfg, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSnapshotEmptyUnit(t *testing.T) {
 
 func TestSnapshotClearedOnRestore(t *testing.T) {
 	cfg := snapshotTestConfig(t)
-	seng, err := NewShardedEngine(cfg, 2)
+	seng, err := NewEngine(withShards(cfg, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestSnapshotClearedOnRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestGrid(t, single.Ingest, 0, 5)
-	if err := single.Restore(single.Checkpoint()); err != nil {
+	if err := single.Restore(checkpointOf(t, single)); err != nil {
 		t.Fatal(err)
 	}
 	if single.Snapshot() != nil {
@@ -290,7 +290,7 @@ func TestSnapshotClearedOnRestore(t *testing.T) {
 // consistent — alerts, result, and history all of one unit.
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	cfg := snapshotTestConfig(t)
-	seng, err := NewShardedEngine(cfg, 4)
+	seng, err := NewEngine(withShards(cfg, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

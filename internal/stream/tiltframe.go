@@ -80,10 +80,10 @@ func (v *FrameView) History() []HistoryPoint {
 // windows span quiet units at every granularity and promotions never see
 // gaps. Cells seen for the first time start a frame at this unit (no
 // back-fill). The unit's Result is nil when it closed empty.
-func (e *Engine) recordTilt(ur *UnitResult) error {
+func (sh *shard) recordTilt(ur *UnitResult) error {
 	res := ur.Result
 	zero := regression.ISB{Tb: ur.Interval.Tb, Te: ur.Interval.Te}
-	for key, cf := range e.frames {
+	for key, cf := range sh.frames {
 		isb := zero
 		if res != nil {
 			if v, ok := res.OLayer[key]; ok {
@@ -98,10 +98,10 @@ func (e *Engine) recordTilt(ur *UnitResult) error {
 		return nil
 	}
 	for key, isb := range res.OLayer {
-		if _, ok := e.frames[key]; ok {
+		if _, ok := sh.frames[key]; ok {
 			continue
 		}
-		f, err := tilt.NewUnitFrame(e.cfg.TiltLevels)
+		f, err := tilt.NewUnitFrame(sh.e.cfg.TiltLevels)
 		if err != nil {
 			// The level chain was validated by NewEngine.
 			return fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
@@ -109,7 +109,7 @@ func (e *Engine) recordTilt(ur *UnitResult) error {
 		if err := f.Push(isb); err != nil {
 			return fmt.Errorf("stream: tilt push for %v: %w", key, err)
 		}
-		e.frames[key] = &cellFrame{base: ur.Unit, frame: f}
+		sh.frames[key] = &cellFrame{base: ur.Unit, frame: f}
 	}
 	return nil
 }
@@ -120,18 +120,19 @@ func (e *Engine) recordTilt(ur *UnitResult) error {
 // on the per-record path. The views, their levels and their slots are cut
 // from one slab each — three allocations and the map, however many cells —
 // which a snapshot's readers keep alive together, as they do the snapshot.
-func (e *Engine) snapshotFrames() map[cube.CellKey]*FrameView {
-	nl := len(e.cfg.TiltLevels)
-	slotsInUse, _ := e.TiltSlots()
-	views := make([]FrameView, len(e.frames))
-	levels := make([]FrameLevelView, 0, len(e.frames)*nl)
+func (sh *shard) snapshotFrames() map[cube.CellKey]*FrameView {
+	cfg := &sh.e.cfg
+	nl := len(cfg.TiltLevels)
+	slotsInUse, _ := sh.tiltSlots()
+	views := make([]FrameView, len(sh.frames))
+	levels := make([]FrameLevelView, 0, len(sh.frames)*nl)
 	slots := make([]tilt.Slot, 0, slotsInUse)
-	out := make(map[cube.CellKey]*FrameView, len(e.frames))
-	for key, cf := range e.frames {
+	out := make(map[cube.CellKey]*FrameView, len(sh.frames))
+	for key, cf := range sh.frames {
 		v := &views[len(out)]
 		v.Base = cf.base
-		span := int64(e.cfg.TicksPerUnit)
-		for i, lv := range e.cfg.TiltLevels {
+		span := int64(cfg.TicksPerUnit)
+		for i, lv := range cfg.TiltLevels {
 			if i > 0 {
 				span *= int64(lv.Multiple)
 			}
@@ -151,21 +152,20 @@ func (e *Engine) snapshotFrames() map[cube.CellKey]*FrameView {
 	return out
 }
 
-// TrendQueryAt aggregates the last k completed units of an o-cell at the
-// given tilt level (0 = finest).
-func (e *Engine) TrendQueryAt(cell cube.CellKey, level, k int) (regression.ISB, error) {
-	cf := e.frames[cell]
-	if cf == nil {
-		return regression.ISB{}, fmt.Errorf("%w: no history for cell %v", ErrRecord, cell)
-	}
-	return trendErr(cf.frame.Query(level, k))
-}
-
 // TiltSlots returns the total retained and maximum frame slots across all
 // o-cell frames — the bounded-state invariant of §4.1: inUse never exceeds
 // cells × SlotCapacity no matter how many units have flowed through.
 func (e *Engine) TiltSlots() (inUse, capacity int) {
-	for _, cf := range e.frames {
+	for i := range e.shards {
+		u, c := e.shards[i].tiltSlots()
+		inUse, capacity = inUse+u, capacity+c
+	}
+	return inUse, capacity
+}
+
+// tiltSlots is TiltSlots over the shard's frames.
+func (sh *shard) tiltSlots() (inUse, capacity int) {
+	for _, cf := range sh.frames {
 		inUse += cf.frame.SlotsInUse()
 		capacity += cf.frame.SlotCapacity()
 	}

@@ -144,42 +144,27 @@ func TestTiltedHistoryPromotesAndBounds(t *testing.T) {
 // random gappy streams (cells that come and go, units nobody reports in),
 // the history a one-level chain {unit,1,N} keeps equals, bitwise and after
 // every unit, the last N finest slots of a multi-level chain whose finest
-// level retains at least N — on a bare Engine and at 1, 4 and 7 shards.
+// level retains at least N — at 1, 4 and 7 shards.
 // What the coarser levels add never shows at unit granularity.
 func TestFinestLevelIndependentOfChain(t *testing.T) {
 	const n, units = 6, 40
 	oneLevel := []tilt.Level{{Name: "unit", Multiple: 1, Slots: n}}
 	multi := []tilt.Level{{Name: "q", Multiple: 1, Slots: n + 3}, {Name: "h", Multiple: 4, Slots: 3}, {Name: "d", Multiple: 2, Slots: 2}}
-	type engine interface {
-		Ingest([]int32, int64, float64) ([]*UnitResult, error)
-		AdvanceTo(int64) ([]*UnitResult, error)
-		Snapshot() *Snapshot
-	}
 	for seed := int64(1); seed <= 5; seed++ {
-		// history[u][cell] is the reference: the one-level chain on a bare
-		// Engine, after unit u.
+		// history[u][cell] is the reference: the one-level chain at one
+		// shard, after unit u.
 		var history []map[cube.CellKey][]HistoryPoint
 		for _, variant := range []struct {
 			chain  []tilt.Level
-			shards int // 0: bare Engine
-		}{{oneLevel, 0}, {multi, 0}, {oneLevel, 4}, {multi, 1}, {multi, 4}, {multi, 7}} {
+			shards int
+		}{{oneLevel, 1}, {multi, 1}, {oneLevel, 4}, {multi, 4}, {multi, 7}} {
 			cfg := tiltConfig(t)
 			cfg.TiltLevels = variant.chain
-			var eng engine
-			if variant.shards == 0 {
-				e, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng = e
-			} else {
-				e, err := NewShardedEngine(cfg, variant.shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				eng = e
+			eng, err := NewEngine(withShards(cfg, variant.shards))
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer eng.Close()
 			r := rand.New(rand.NewSource(seed))
 			for u := int64(0); u < units; u++ {
 				silent := r.Float64() < 0.15
@@ -338,7 +323,7 @@ func TestShardedTiltedMatchesSingle(t *testing.T) {
 
 	for _, shards := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			seng, err := NewShardedEngine(cfg, shards)
+			seng, err := NewEngine(withShards(cfg, shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,7 +372,7 @@ func TestTiltedCheckpointRoundTrip(t *testing.T) {
 	ingestGrid(t, golden.Ingest, 0, 90)
 	ingestGrid(t, interrupted.Ingest, 0, 50)
 
-	cp := interrupted.Checkpoint()
+	cp := checkpointOf(t, interrupted)
 	if len(cp.Tilt) == 0 {
 		t.Fatal("tilted checkpoint carries no frames")
 	}
@@ -447,7 +432,7 @@ func TestFlatCheckpointSeedsTiltedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestGrid(t, flat.Ingest, 0, 50) // 12 closed units
-	cp := legacyCheckpoint(flat.Checkpoint())
+	cp := legacyCheckpoint(checkpointOf(t, flat))
 	if len(cp.Tilt) != 0 || len(cp.History) == 0 {
 		t.Fatal("a pre-frame checkpoint carries history and no frames")
 	}
@@ -494,7 +479,7 @@ func TestTiltedCheckpointLoadsIntoFlatEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestGrid(t, tilted.Ingest, 0, 50)
-	cp := tilted.Checkpoint()
+	cp := checkpointOf(t, tilted)
 	if len(cp.History) != 0 {
 		t.Fatal("a current checkpoint carries each slot once: frames, no derived history")
 	}
@@ -593,14 +578,14 @@ func TestCheckpointReseedsAcrossChains(t *testing.T) {
 					}
 				}
 			}
-			cp := copyCheckpoint(t, src.Checkpoint())
+			cp := copyCheckpoint(t, checkpointOf(t, src))
 			if len(cp.Tilt) != 4 {
 				t.Fatalf("source checkpoint has %d frames, want 4", len(cp.Tilt))
 			}
 
 			cfg.TiltLevels = chains[tc.to]
 			for _, shards := range []int{1, 3} {
-				dst, err := NewShardedEngine(cfg, shards)
+				dst, err := NewEngine(withShards(cfg, shards))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -651,7 +636,7 @@ func TestCheckpointReseedsAcrossChains(t *testing.T) {
 				if err := same.Restore(copyCheckpoint(t, again)); err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(same.Checkpoint(), copyCheckpoint(t, again)) {
+				if !reflect.DeepEqual(checkpointOf(t, same), copyCheckpoint(t, again)) {
 					t.Fatalf("%d shards: same-chain restore is not exact", shards)
 				}
 			}
@@ -663,7 +648,7 @@ func TestCheckpointReseedsAcrossChains(t *testing.T) {
 // checkpoint across shard counts.
 func TestShardedTiltedCheckpointRepartitions(t *testing.T) {
 	cfg := tiltConfig(t)
-	src, err := NewShardedEngine(cfg, 4)
+	src, err := NewEngine(withShards(cfg, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +664,7 @@ func TestShardedTiltedCheckpointRepartitions(t *testing.T) {
 
 	for _, shards := range []int{1, 3, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dst, err := NewShardedEngine(cfg, shards)
+			dst, err := NewEngine(withShards(cfg, shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -691,7 +676,7 @@ func TestShardedTiltedCheckpointRepartitions(t *testing.T) {
 			if _, err := dst.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			golden, err := NewShardedEngine(cfg, 2)
+			golden, err := NewEngine(withShards(cfg, 2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -723,7 +708,7 @@ func TestRestoreRejectsCorruptHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			ingestGrid(t, src.Ingest, 0, 20)
-			good := legacyCheckpoint(src.Checkpoint())
+			good := legacyCheckpoint(checkpointOf(t, src))
 			if len(good.History) == 0 || len(good.History[0].Entries) < 3 {
 				t.Fatalf("checkpoint too small to corrupt: %+v", good)
 			}
@@ -762,14 +747,17 @@ func TestRestoreRejectsCorruptHistory(t *testing.T) {
 				if err := dst.Restore(cp); !errors.Is(err, ErrConfig) {
 					t.Fatalf("%s: Restore = %v, want ErrConfig", tc.name, err)
 				}
-			}
-			// The untouched checkpoint still restores.
-			dst, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.Restore(copyCheckpoint(t, good)); err != nil {
-				t.Fatal(err)
+				// The refusal came half-way through the shard's state: it
+				// sticks until the untouched checkpoint restores.
+				if _, err := dst.Flush(); !errors.Is(err, ErrConfig) {
+					t.Fatalf("%s: Flush after a refused Restore = %v, want it to stick", tc.name, err)
+				}
+				if err := dst.Restore(copyCheckpoint(t, good)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dst.Flush(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
@@ -783,7 +771,7 @@ func TestRestoreRejectsCorruptFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestGrid(t, src.Ingest, 0, 20)
-	good := src.Checkpoint()
+	good := checkpointOf(t, src)
 	if len(good.Tilt) == 0 {
 		t.Fatal("no frames to corrupt")
 	}
@@ -864,7 +852,7 @@ func BenchmarkTiltedIngest(b *testing.B) {
 			b.StopTimer()
 			units := eng.UnitsDone()
 			inUse, capacity := eng.TiltSlots()
-			if cells := len(eng.frames); cells > 0 {
+			if cells := len(eng.shards[0].frames); cells > 0 {
 				b.ReportMetric(float64(inUse)/float64(cells), "slots/cell")
 			}
 			if inUse > capacity {
@@ -905,7 +893,7 @@ func TestTiltedStateBoundedOverLongRun(t *testing.T) {
 	}
 	perCellCap := probe.SlotCapacity()
 	inUse, capacity := eng.TiltSlots()
-	cells := len(eng.frames)
+	cells := len(eng.shards[0].frames)
 	if cells == 0 {
 		t.Fatal("no frames after long run")
 	}

@@ -55,7 +55,7 @@ func TestCheckpointThenReplayExactlyOnce(t *testing.T) {
 	if _, err := ref.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := checkpointJSON(t, ref.Checkpoint())
+	want := checkpointJSON(t, checkpointOf(t, ref))
 
 	// Cut points: the edges, a mid-unit spot, and the records surrounding
 	// the first unit-boundary crossing — the exact position where a
@@ -83,7 +83,7 @@ func TestCheckpointThenReplayExactlyOnce(t *testing.T) {
 				}
 			}
 			live.SetWALSeq(int64(cut))
-			cp := live.Checkpoint()
+			cp := checkpointOf(t, live)
 			if cp.WALSeq != int64(cut) {
 				t.Fatalf("checkpoint WALSeq = %d, want %d", cp.WALSeq, cut)
 			}
@@ -114,7 +114,7 @@ func TestCheckpointThenReplayExactlyOnce(t *testing.T) {
 			if _, err := restored.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			got := checkpointJSON(t, restored.Checkpoint())
+			got := checkpointJSON(t, checkpointOf(t, restored))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("checkpoint-then-replay at cut %d diverged from uninterrupted run\n got: %.200s\nwant: %.200s",
 					cut, got, want)
@@ -135,8 +135,8 @@ func TestCheckpointSerializationCanonical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a := checkpointJSON(t, eng.Checkpoint())
-	b := checkpointJSON(t, eng.Checkpoint())
+	a := checkpointJSON(t, checkpointOf(t, eng))
+	b := checkpointJSON(t, checkpointOf(t, eng))
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same state serialized two ways:\n%s\n%s", a, b)
 	}
@@ -189,11 +189,11 @@ func TestWALReplayShardCountWhatIf(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct.SetWALSeq(int64(len(recs)))
-	want := checkpointJSON(t, direct.Checkpoint())
+	want := checkpointJSON(t, checkpointOf(t, direct))
 
 	for _, shards := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			seng, err := NewShardedEngine(walTestConfig(t, ticksPer), shards)
+			seng, err := NewEngine(withShards(walTestConfig(t, ticksPer), shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestWALReplayShardCountWhatIf(t *testing.T) {
 // checkpoint/restore must carry it.
 func TestShardedWALSeqValidation(t *testing.T) {
 	cfg := walTestConfig(t, 8)
-	seng, err := NewShardedEngine(cfg, 3)
+	seng, err := NewEngine(withShards(cfg, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +243,8 @@ func TestShardedWALSeqValidation(t *testing.T) {
 	if err := seng.SetWALSeq(42); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := seng.WALSeq(); err != nil || got != 42 {
-		t.Fatalf("WALSeq = %d, %v; want 42", got, err)
+	if got := seng.WALSeq(); got != 42 {
+		t.Fatalf("WALSeq = %d; want 42", got)
 	}
 	cp, err := seng.Checkpoint()
 	if err != nil {
@@ -261,7 +261,7 @@ func TestShardedWALSeqValidation(t *testing.T) {
 		t.Fatalf("MergeCheckpoints with disagreeing WALSeq: %v, want ErrConfig", err)
 	}
 	// Restore round-trips the watermark across a shard-count change.
-	seng2, err := NewShardedEngine(cfg, 5)
+	seng2, err := NewEngine(withShards(cfg, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,8 @@ func TestShardedWALSeqValidation(t *testing.T) {
 	if err := seng2.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := seng2.WALSeq(); err != nil || got != 42 {
-		t.Fatalf("restored WALSeq = %d, %v; want 42", got, err)
+	if got := seng2.WALSeq(); got != 42 {
+		t.Fatalf("restored WALSeq = %d; want 42", got)
 	}
 	// A negative watermark never restores.
 	neg, err := NewEngine(cfg)

@@ -121,7 +121,11 @@ type (
 	Result = core.Result
 	// Stats carries the paper's time/space cost measures.
 	Stats = core.Stats
-	// StreamEngine is the online analyzer.
+	// StreamEngine is the online analyzer. StreamConfig.Shards partitions
+	// it: m-layer cells hash-partition by o-layer ancestor across shards;
+	// the caller's goroutine accumulates every record and the shards cube
+	// concurrently at each unit close, merging into results identical at
+	// every shard count (alerts deterministically sorted). See DESIGN.md §6.
 	StreamEngine = stream.Engine
 	// StreamConfig configures the online analyzer.
 	StreamConfig = stream.Config
@@ -237,20 +241,6 @@ type DeltaResult = core.DeltaResult
 // cube between two adjacent time windows (§4.3).
 func DeltaCubing(s *Schema, cur, prev []Input, det DeltaDetector) (*DeltaResult, error) {
 	return core.DeltaCubing(s, cur, prev, det)
-}
-
-// ShardedStreamEngine is the parallel online analyzer: m-layer cells
-// hash-partition by o-layer ancestor across per-shard engines; the caller's
-// goroutine accumulates every record and the shards cube concurrently at
-// each unit close, merging into results identical to a single engine's
-// (alerts deterministically sorted). See DESIGN.md §6.
-type ShardedStreamEngine = stream.ShardedEngine
-
-// NewShardedStreamEngine builds a sharded online analyzer with the given
-// shard count (≥ 1; runtime.GOMAXPROCS(0) is the natural default). Call
-// Close when done.
-func NewShardedStreamEngine(cfg StreamConfig, shards int) (*ShardedStreamEngine, error) {
-	return stream.NewShardedEngine(cfg, shards)
 }
 
 // StreamSnapshot is the immutable per-unit view an engine publishes when
@@ -380,7 +370,9 @@ func FitMLRRaw(b MLRBasis, vars [][]float64, ys []float64) (*MLRModel, error) {
 	return mlr.FitRaw(b, vars, ys)
 }
 
-// NewStreamEngine builds the online analyzer of §4.5.
+// NewStreamEngine builds the online analyzer of §4.5 with
+// StreamConfig.Shards partitions (runtime.GOMAXPROCS(0) is the natural
+// count). Call Close when done.
 func NewStreamEngine(cfg StreamConfig) (*StreamEngine, error) { return stream.NewEngine(cfg) }
 
 // NewFrame builds a tilt time frame from a level chain.

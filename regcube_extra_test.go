@@ -105,8 +105,12 @@ func TestFacadeStreamCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	acp, err := a.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, a.Checkpoint()); err != nil {
+	if err := WriteCheckpoint(&buf, acp); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := ReadCheckpoint(&buf)

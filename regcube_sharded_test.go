@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The facade surface for the sharded analyzer: construct, ingest, flush,
+// The facade surface at several shards: construct, ingest, flush,
 // checkpoint through the versioned envelope, and restore — with results
-// identical to the single-engine facade path.
+// identical to the one-shard facade path.
 func TestShardedFacadeRoundTrip(t *testing.T) {
 	h, err := NewFanoutHierarchy("region", 4, 2)
 	if err != nil {
@@ -23,7 +23,8 @@ func TestShardedFacadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedStreamEngine(cfg, 3)
+	cfg.Shards = 3
+	sharded, err := NewStreamEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,11 @@ func TestShardedFacadeRoundTrip(t *testing.T) {
 	if err := WriteCheckpoint(&buf, scp); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(&want, single.Checkpoint()); err != nil {
+	wcp, err := single.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCheckpoint(&want, wcp); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -93,7 +98,8 @@ func TestShardedFacadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewShardedStreamEngine(cfg, 5)
+	cfg.Shards = 5
+	restored, err := NewStreamEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +110,7 @@ func TestShardedFacadeRoundTrip(t *testing.T) {
 	if restored.Unit() != sharded.Unit() {
 		t.Fatalf("restored unit %d, want %d", restored.Unit(), sharded.Unit())
 	}
+	cfg.Shards = 1
 	plain, err := NewStreamEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
