@@ -14,8 +14,10 @@ import (
 // into one checkpoint. The inputs must have been cut at the same stream
 // position — same open unit and closed-unit count, which a router-driven
 // cluster guarantees at its barriers — over the same schema; anything
-// else is refused rather than merged wrong. Each node's WAL watermark
-// counts its own log, so the merged file carries none.
+// else — inputs that share a cell, the same file twice among them — is
+// refused rather than merged wrong. Each node's WAL watermark counts its
+// own log, so the merged file carries none. Inputs of any version write
+// the version 5 document.
 //
 //	regcube merge -o merged.ckpt node0.ckpt node1.ckpt node2.ckpt node3.ckpt
 func runMerge(args []string, out io.Writer) error {
@@ -55,8 +57,7 @@ func runMerge(args []string, out io.Writer) error {
 		return err
 	}
 	if err := persist.WriteCheckpoint(f, cp); err != nil {
-		// Nothing was written (the document is refused whole, as for the
-		// flat history of version 1/2 inputs): leave no empty file behind.
+		// Leave no empty or partial file behind.
 		f.Close()
 		os.Remove(*outPath)
 		return err

@@ -69,11 +69,12 @@
 // checksum), and a file resumes at any -shards
 // or -tilt value — cells repartition across the shards, a frame kept under
 // the same -tilt chain restores exactly, and one kept under another chain
-// (or the flat history of a version 1/2 file) reseeds a fresh frame from
-// its finest retained level — so both knobs can change freely between
-// restarts. The JSON files older releases wrote (versions 1 to 4,
-// per-shard ones included) still load: they are upgraded to the one layout
-// on read, and the next closed unit replaces the file with a version 5 one.
+// reseeds a fresh frame from its finest retained level — so both knobs can
+// change freely between restarts. The JSON files older releases wrote
+// (versions 1 to 4, per-shard ones included) still load: they are
+// converted to the one layout on read (a version 1/2 flat history becomes
+// a one-level frame), and the next closed unit replaces the file with a
+// version 5 one.
 //
 // Text record format (no header): tick,dim0,...,dimN,value
 //

@@ -6,7 +6,6 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,25 +22,6 @@ var ErrFormat = errors.New("persist: invalid format")
 
 // formatVersion guards against silent cross-version decoding.
 const formatVersion = 1
-
-// Checkpoint envelope versions. One layout is written: the canonical
-// stream.Checkpoint — the same bytes from a stream.Engine at any shard
-// count — as the binary document of
-// stream.AppendCheckpoint, version 5, whose trend history is the per-o-cell
-// tilt frames and nothing else. Versions 1 to 4 were JSON: a flat per-unit
-// history (version 1), one checkpoint per shard (version 2), frames next to
-// a history derived from them, single or per shard (version 3), and frames
-// only (version 4). ReadCheckpoint tells the two encodings apart by the
-// document's magic and upgrades the JSON ones: per-shard files by merging
-// the shards, a history that only repeats the frames by dropping it; and
-// stream.Engine.Restore reseeds frames from a file that has only the flat
-// history.
-const (
-	checkpointVersionFlat     = 1
-	checkpointVersionPerShard = 2
-	checkpointVersionTilted   = 3
-	checkpointVersionFrames   = 4
-)
 
 // cellRec flattens one (cell, measure) pair.
 type cellRec struct {
@@ -152,71 +132,27 @@ func WriteCheckpoint(w io.Writer, cp *stream.Checkpoint) error {
 	return err
 }
 
-// checkpointDoc is the JSON envelope of versions 1 to 4, read only. Shards
-// is the per-shard layout of versions 2 and 3.
-type checkpointDoc struct {
-	Version    int                  `json:"version"`
-	Checkpoint *stream.Checkpoint   `json:"checkpoint,omitempty"`
-	Shards     []*stream.Checkpoint `json:"shards,omitempty"`
-}
-
 // ReadCheckpoint deserializes a checkpoint of any version into the
-// canonical form, which restores into an engine of any shard count. A
-// version 5 document that is torn, corrupted or followed by anything is
-// ErrFormat naming the offset and what is wrong there. For the JSON
-// versions it is the one upgrade path: the disjoint shards of a per-shard
-// file merge (stream.MergeCheckpoints, which also checks that the shards
-// were cut at one stream position) into the checkpoint a current writer
-// would have produced, so shard-count changes between runs never strand a
-// state file, and a version 3 history — a copy of the frames' finest level
-// — is dropped, so what is returned can be written again.
+// canonical form, which restores into an engine of any shard count and
+// which WriteCheckpoint stores as it is. A version 5 document that is torn,
+// corrupted or followed by anything is ErrFormat naming the offset and
+// what is wrong there. The JSON envelopes of versions 1 to 4 are converted
+// as they are read (readLegacyCheckpoint): the disjoint shards of a
+// per-shard file merge (stream.MergeCheckpoints, which also checks that
+// the shards were cut at one stream position), so shard-count changes
+// between runs never strand a state file, and a flat per-unit history
+// becomes one-level frames.
 func ReadCheckpoint(r io.Reader) (*stream.Checkpoint, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	if stream.IsCheckpointDocument(data) {
-		cp, err := stream.DecodeCheckpoint(data)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-		return cp, nil
+	if !stream.IsCheckpointDocument(data) {
+		return readLegacyCheckpoint(data)
 	}
-	var doc checkpointDoc
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+	cp, err := stream.DecodeCheckpoint(data)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	// Every version carries exactly one layout; a file with both (or
-	// neither) is ambiguous, and the reader must not silently pick one —
-	// choosing the stray single checkpoint over a shard set would drop
-	// state.
-	perShard := len(doc.Shards) > 0
-	if (doc.Checkpoint != nil) == perShard {
-		return nil, fmt.Errorf("%w: checkpoint needs exactly one of checkpoint/shards", ErrFormat)
-	}
-	switch doc.Version {
-	case checkpointVersionFlat, checkpointVersionFrames:
-		if perShard {
-			return nil, fmt.Errorf("%w: version %d without a single checkpoint", ErrFormat, doc.Version)
-		}
-	case checkpointVersionPerShard:
-		if !perShard {
-			return nil, fmt.Errorf("%w: version 2 without shards", ErrFormat)
-		}
-	case checkpointVersionTilted:
-		// v3 is v1- or v2-shaped with frames attached.
-	default:
-		return nil, fmt.Errorf("%w: JSON checkpoint of version %d, want %d to %d", ErrFormat,
-			doc.Version, checkpointVersionFlat, checkpointVersionFrames)
-	}
-	cp := doc.Checkpoint
-	if perShard {
-		if cp, err = stream.MergeCheckpoints(doc.Shards); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-	}
-	if len(cp.Tilt) > 0 {
-		cp.History = nil
 	}
 	return cp, nil
 }

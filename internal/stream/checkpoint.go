@@ -19,12 +19,6 @@ type Checkpoint struct {
 	Unit      int64       `json:"unit"`
 	UnitsDone int64       `json:"unitsDone"`
 	Cells     []CellState `json:"cells"`
-	// History is the flat per-unit o-cell history that is all a version 1
-	// or 2 file has (a version 3 file's copy of its frames' finest level is
-	// dropped on read). Engine.Checkpoint never fills it, Restore reseeds
-	// frames from it when the file has none, and the checkpoint document
-	// has no section for it (AppendCheckpoint).
-	History []CellHistory `json:"history,omitempty"`
 	// WALSeq is the write-ahead-log watermark: how many log records the
 	// checkpointed state reflects. Recovery replays log records
 	// [WALSeq, end) on top of the restored state — sequence-based, not
@@ -51,19 +45,6 @@ type CellFrame struct {
 type CellState struct {
 	Members []int32                     `json:"members"`
 	Acc     regression.AccumulatorState `json:"acc"`
-}
-
-// CellHistory is one o-cell's unit history in a version 1 or 2 file.
-type CellHistory struct {
-	Levels  []int             `json:"levels"`
-	Members []int32           `json:"members"`
-	Entries []HistoryEntryRec `json:"entries"`
-}
-
-// HistoryEntryRec is one unit of o-cell history.
-type HistoryEntryRec struct {
-	Unit int64          `json:"unit"`
-	ISB  regression.ISB `json:"isb"`
 }
 
 // DimensionShape fingerprints one schema dimension so a checkpoint cannot
@@ -115,7 +96,11 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MergeCheckpoints(parts)
+	out := new(Checkpoint)
+	if err := mergeCheckpoints(out, parts); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // AppendCheckpoint appends the checkpoint document of the engine's state —
@@ -208,10 +193,6 @@ func compareCoords(aLevels, bLevels []int, aMembers, bMembers []int32) int {
 	return cmp.Or(slices.Compare(aLevels, bLevels), slices.Compare(aMembers, bMembers))
 }
 
-func compareCellHistories(a, b CellHistory) int {
-	return compareCoords(a.Levels, b.Levels, a.Members, b.Members)
-}
-
 func compareCellFrames(a, b CellFrame) int {
 	return compareCoords(a.Levels, b.Levels, a.Members, b.Members)
 }
@@ -220,7 +201,6 @@ func compareCellFrames(a, b CellFrame) int {
 // order, as every engine cuts them and every writer wrote them.
 func (cp *Checkpoint) canonical() bool {
 	return slices.IsSortedFunc(cp.Cells, compareCellStates) &&
-		slices.IsSortedFunc(cp.History, compareCellHistories) &&
 		slices.IsSortedFunc(cp.Tilt, compareCellFrames)
 }
 
@@ -235,18 +215,31 @@ func (cp *Checkpoint) canonical() bool {
 // watermark — a whole-log position stamped identically on every shard, so
 // disagreement means the parts were cut at different points in the stream.
 // (Parts that follow separate logs — cluster nodes — are merged with the
-// watermark cleared; see cluster.MergeCheckpoints.)
+// watermark cleared; see cluster.MergeCheckpoints.) Parts that share a
+// cell or a frame are not disjoint — the same file twice, say — and are
+// refused.
 func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 	out := new(Checkpoint)
 	if err := mergeCheckpoints(out, parts); err != nil {
 		return nil, err
 	}
+	for i := 1; i < len(out.Cells); i++ {
+		if compareCellStates(out.Cells[i-1], out.Cells[i]) == 0 {
+			return nil, fmt.Errorf("%w: parts share cell %v", ErrConfig, out.Cells[i].Members)
+		}
+	}
+	for i := 1; i < len(out.Tilt); i++ {
+		if compareCellFrames(out.Tilt[i-1], out.Tilt[i]) == 0 {
+			return nil, fmt.Errorf("%w: parts share the frame of cell %v", ErrConfig, out.Tilt[i].Members)
+		}
+	}
 	return out, nil
 }
 
-// mergeCheckpoints is MergeCheckpoints into out, reusing out's slices. The
-// merged lists hold the parts' records by value: their member tuples and
-// slots still point into the parts.
+// mergeCheckpoints is MergeCheckpoints into out, reusing out's slices, for
+// the parts of one engine, which are disjoint by construction. The merged
+// lists hold the parts' records by value: their member tuples and slots
+// still point into the parts.
 func mergeCheckpoints(out *Checkpoint, parts []*Checkpoint) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("%w: no checkpoints to merge", ErrConfig)
@@ -270,25 +263,22 @@ func mergeCheckpoints(out *Checkpoint, parts []*Checkpoint) error {
 		}
 	}
 	cells := make([][]CellState, len(parts))
-	history := make([][]CellHistory, len(parts))
 	frames := make([][]CellFrame, len(parts))
 	for i, cp := range parts {
 		if !cp.canonical() {
 			// A hand-assembled part: sort a copy, the caller's stays as it is.
 			sorted := *cp
-			sorted.Cells, sorted.History, sorted.Tilt = slices.Clone(cp.Cells), slices.Clone(cp.History), slices.Clone(cp.Tilt)
+			sorted.Cells, sorted.Tilt = slices.Clone(cp.Cells), slices.Clone(cp.Tilt)
 			slices.SortStableFunc(sorted.Cells, compareCellStates)
-			slices.SortStableFunc(sorted.History, compareCellHistories)
 			slices.SortStableFunc(sorted.Tilt, compareCellFrames)
 			cp = &sorted
 		}
-		cells[i], history[i], frames[i] = cp.Cells, cp.History, cp.Tilt
+		cells[i], frames[i] = cp.Cells, cp.Tilt
 	}
 	*out = Checkpoint{
 		Unit: first.Unit, UnitsDone: first.UnitsDone, WALSeq: first.WALSeq, Schema: first.Schema,
-		Cells:   mergeSorted(out.Cells[:0], cells, compareCellStates),
-		History: mergeSorted(out.History[:0], history, compareCellHistories),
-		Tilt:    mergeSorted(out.Tilt[:0], frames, compareCellFrames),
+		Cells: mergeSorted(out.Cells[:0], cells, compareCellStates),
+		Tilt:  mergeSorted(out.Tilt[:0], frames, compareCellFrames),
 	}
 	return nil
 }
@@ -313,15 +303,15 @@ func mergeSorted[T any](dst []T, lists [][]T, cmp func(a, b T) int) []T {
 }
 
 // Restore loads a checkpoint taken at any shard count: it repartitions
-// cells by o-ancestor and frames (or an older file's flat history) by
-// o-cell across this engine's shards. The open unit's records are
-// discarded — Restore replaces un-checkpointed accumulator state — and a
-// successful Restore clears a sticky error. The engine's schema shape must
-// match the checkpoint's. Trend history has one upgrade rule: a frame
-// record that is a state of this engine's level chain restores exactly;
-// anything else — a frame written under another chain, or the flat history
-// of a file that predates frames — reseeds a fresh frame from its finest
-// retained level (seedFrame).
+// cells by o-ancestor and frames by o-cell across this engine's shards.
+// The open unit's records are discarded — Restore replaces
+// un-checkpointed accumulator state — and a successful Restore clears a
+// sticky error. The engine's schema shape must match the checkpoint's,
+// and every frame must be an o-cell's on this engine's unit grid that has
+// registered every closed unit since its first. Trend history has one
+// upgrade rule: a frame record that is a state of this engine's level
+// chain restores exactly; a frame written under another chain reseeds a
+// fresh frame from its finest retained level (seedFrame).
 func (e *Engine) Restore(cp *Checkpoint) error {
 	if e.closed {
 		return fmt.Errorf("%w: engine closed", ErrConfig)
@@ -345,12 +335,6 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	dict, err := e.routeCells(cp.Cells, parts)
 	if err != nil {
 		return err
-	}
-	for _, ch := range cp.History {
-		var members [cube.MaxDims]int32
-		copy(members[:], ch.Members)
-		sid := e.part.Hash(&members)
-		parts[sid].History = append(parts[sid].History, ch)
 	}
 	for _, cf := range cp.Tilt {
 		var members [cube.MaxDims]int32
@@ -413,69 +397,57 @@ func (sh *shard) restore(cp *Checkpoint, open int64) error {
 		sh.slab = append(sh.slab, *acc)
 		sh.codes = append(sh.codes, code)
 	}
-	sh.frames = make(map[cube.CellKey]*cellFrame, max(len(cp.Tilt), len(cp.History)))
-	for _, rec := range cp.Tilt {
-		key, err := historyKey(cfg.Schema, rec.Levels, rec.Members)
+	sh.frames = make(map[cube.CellKey]*cellFrame, len(cp.Tilt))
+	for i := range cp.Tilt {
+		rec := &cp.Tilt[i]
+		key, err := frameKey(cfg.Schema, rec.Levels, rec.Members)
 		if err != nil {
 			return err
 		}
-		if rec.Base < 0 || rec.Base+rec.Frame.Pushed != open {
+		st := &rec.Frame
+		if rec.Base < 0 || rec.Base+st.Pushed != open {
 			return fmt.Errorf("%w: tilt frame for cell %v covers units [%d,%d), checkpoint closed %d",
-				ErrConfig, key, rec.Base, rec.Base+rec.Frame.Pushed, open)
+				ErrConfig, key, rec.Base, rec.Base+st.Pushed, open)
 		}
-		if rec.Frame.Pushed > 0 && rec.Frame.UnitTicks != int64(cfg.TicksPerUnit) {
-			return fmt.Errorf("%w: tilt frame for cell %v has %d-tick units, engine %d",
-				ErrConfig, key, rec.Frame.UnitTicks, cfg.TicksPerUnit)
+		if st.Pushed > 0 && (st.UnitTicks != int64(cfg.TicksPerUnit) || st.NextTb != cfg.unitStart(open)) {
+			return fmt.Errorf("%w: tilt frame for cell %v has %d-tick units up to tick %d, engine %d-tick units up to %d",
+				ErrConfig, key, st.UnitTicks, st.NextTb, cfg.TicksPerUnit, cfg.unitStart(open))
 		}
-		if f, err := tilt.RestoreUnitFrame(cfg.TiltLevels, rec.Frame); err == nil {
+		if f, err := tilt.RestoreUnitFrame(cfg.TiltLevels, *st); err == nil {
 			sh.frames[key] = &cellFrame{base: rec.Base, frame: f}
-			continue
-		}
-		var finest []HistoryEntryRec
-		if len(rec.Frame.Levels) > 0 {
-			for _, s := range rec.Frame.Levels[0].Slots {
-				finest = append(finest, HistoryEntryRec{Unit: rec.Base + s.Unit, ISB: s.ISB})
-			}
-		}
-		if err := sh.seedFrame(key, finest, open); err != nil {
+		} else if err := sh.seedFrame(key, rec, open); err != nil {
 			return err
-		}
-	}
-	if len(cp.Tilt) == 0 {
-		for _, ch := range cp.History {
-			key, err := historyKey(cfg.Schema, ch.Levels, ch.Members)
-			if err != nil {
-				return err
-			}
-			if err := sh.seedFrame(key, ch.Entries, open); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// historyKey validates and decodes one checkpoint cell coordinate.
-func historyKey(schema *cube.Schema, levels []int, members []int32) (cube.CellKey, error) {
+// frameKey validates and decodes one frame record's coordinate, which must
+// name a cell of the schema's o-layer.
+func frameKey(schema *cube.Schema, levels []int, members []int32) (cube.CellKey, error) {
 	if len(levels) != len(schema.Dims) || len(members) != len(levels) {
-		return cube.CellKey{}, fmt.Errorf("%w: malformed history key", ErrConfig)
+		return cube.CellKey{}, fmt.Errorf("%w: malformed tilt frame key", ErrConfig)
 	}
-	cb, err := cube.NewCuboid(levels...)
-	if err != nil {
-		return cube.CellKey{}, fmt.Errorf("stream: restoring history: %w", err)
+	for d, dim := range schema.Dims {
+		if levels[d] != dim.OLevel {
+			return cube.CellKey{}, fmt.Errorf("%w: tilt frame for a cell at levels %v, not on the o-layer", ErrConfig, levels)
+		}
+		if m := members[d]; m < 0 || int(m) >= dim.Hierarchy.Cardinality(dim.OLevel) {
+			return cube.CellKey{}, fmt.Errorf("%w: tilt frame for o-cell %v: dimension %d has no member %d",
+				ErrConfig, members, d, m)
+		}
 	}
-	return cube.NewCellKey(cb, members...), nil
+	return cube.NewCellKey(schema.OLayer(), members...), nil
 }
 
-// seedFrame rebuilds one o-cell's frame from per-unit entries — a pre-frame
-// file's history, or the finest level of a frame kept under another chain:
-// the entries replay in unit order with zero regressions filling the gaps
-// (and the tail up to the open unit), exactly as recordTilt would have
-// registered them live. The entries must be strictly increasing closed
-// units on this engine's unit grid; duplicates or strays would restore
-// silently and poison later promotions, so they are rejected here.
-func (sh *shard) seedFrame(key cube.CellKey, entries []HistoryEntryRec, open int64) error {
-	if len(entries) == 0 {
+// seedFrame rebuilds one o-cell's frame under this engine's level chain
+// from the finest level of a frame record kept under another: its retained
+// slots, which must be the contiguous engine units that end where the open
+// unit starts, replay in order exactly as recordTilt registered them live.
+// Anything else would restore silently and poison later promotions, so it
+// is rejected here.
+func (sh *shard) seedFrame(key cube.CellKey, rec *CellFrame, open int64) error {
+	if len(rec.Frame.Levels) == 0 || len(rec.Frame.Levels[0].Slots) == 0 {
 		return nil
 	}
 	cfg := &sh.e.cfg
@@ -483,45 +455,21 @@ func (sh *shard) seedFrame(key cube.CellKey, entries []HistoryEntryRec, open int
 	if err != nil {
 		return fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
 	}
-	base := entries[0].Unit
-	next := base
-	push := func(isb regression.ISB) error {
-		if err := f.Push(isb); err != nil {
+	slots := rec.Frame.Levels[0].Slots
+	base := open - int64(len(slots))
+	if base < rec.Base {
+		return fmt.Errorf("%w: tilt frame for cell %v retains %d finest units of %d registered",
+			ErrConfig, key, len(slots), rec.Frame.Pushed)
+	}
+	for i, s := range slots {
+		u := base + int64(i)
+		if rec.Base+s.Unit != u || s.ISB.Tb != cfg.unitStart(u) || s.ISB.Te != cfg.unitStart(u+1)-1 {
+			return fmt.Errorf("%w: tilt frame for cell %v: finest slot %d is unit %d over ticks [%d,%d], want unit %d",
+				ErrConfig, key, i, rec.Base+s.Unit, s.ISB.Tb, s.ISB.Te, u)
+		}
+		if err := f.Push(s.ISB); err != nil {
 			return fmt.Errorf("%w: seeding tilt frame for cell %v: %v", ErrConfig, key, err)
 		}
-		next++
-		return nil
-	}
-	zeroTo := func(u int64) error {
-		for next < u {
-			if err := push(regression.ISB{Tb: cfg.unitStart(next), Te: cfg.unitStart(next+1) - 1}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, rec := range entries {
-		if rec.Unit < 0 || rec.Unit >= open {
-			return fmt.Errorf("%w: history for cell %v names unit %d outside closed range [0,%d)",
-				ErrConfig, key, rec.Unit, open)
-		}
-		if i > 0 && rec.Unit <= entries[i-1].Unit {
-			return fmt.Errorf("%w: history for cell %v has unit %d after unit %d (want sorted unique units)",
-				ErrConfig, key, rec.Unit, entries[i-1].Unit)
-		}
-		if rec.ISB.Tb != cfg.unitStart(rec.Unit) || rec.ISB.Te != cfg.unitStart(rec.Unit+1)-1 {
-			return fmt.Errorf("%w: history for cell %v unit %d covers ticks [%d,%d], not the engine's unit",
-				ErrConfig, key, rec.Unit, rec.ISB.Tb, rec.ISB.Te)
-		}
-		if err := zeroTo(rec.Unit); err != nil {
-			return err
-		}
-		if err := push(rec.ISB); err != nil {
-			return err
-		}
-	}
-	if err := zeroTo(open); err != nil {
-		return err
 	}
 	sh.frames[key] = &cellFrame{base: base, frame: f}
 	return nil

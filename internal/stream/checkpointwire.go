@@ -31,8 +31,7 @@ import (
 // tilt frame level by level, finest first; both lists are in coordinate
 // order, as Engine.Checkpoint cuts them, so equal state is equal bytes at
 // any shard count. The document is self-describing (no schema is needed to
-// read it; Engine.Restore checks it against one), and there is no section
-// for the flat per-unit history of envelope versions 1 and 2.
+// read it; Engine.Restore checks it against one).
 //
 // Every count is checked against the bytes that remain before anything is
 // allocated for it, and the trailer tells a torn or bit-flipped file from a
@@ -77,17 +76,10 @@ func (w *snapWriter) coord(levels []int, members []int32) {
 // AppendCheckpoint appends the checkpoint document of cp to dst. Encoding
 // is deterministic — cp's lists are written in the order they are in, which
 // for every engine's and every merge's checkpoint is coordinate order — so
-// equal state gives equal bytes. A checkpoint that still carries the flat
-// History of a version 1 or 2 file has no encoding: the document has no
-// section for it (restore it into an engine, which reseeds frames from it,
-// and checkpoint that).
+// equal state gives equal bytes.
 func AppendCheckpoint(dst []byte, cp *Checkpoint) ([]byte, error) {
 	if cp == nil {
 		return dst, fmt.Errorf("%w: nil checkpoint", ErrRecord)
-	}
-	if len(cp.History) > 0 {
-		return dst, fmt.Errorf("%w: checkpoint carries the flat history of a version 1 or 2 file, which the version %d document cannot hold; resume the file with streamd and keep the checkpoint that run writes",
-			ErrRecord, CheckpointWireVersion)
 	}
 	nd := len(cp.Schema)
 	if nd < 1 || nd > cube.MaxDims {

@@ -142,15 +142,14 @@ func codecCheckpoint(t testing.TB) *Checkpoint {
 }
 
 // TestCheckpointCodecRejects pins what the writer refuses — a nil
-// checkpoint, a flat history, a cell or frame of the wrong width, no
-// dimensions — and what the reader does: every strict prefix, a trailing
-// byte and a flipped bit anywhere are ErrRecord, none a panic.
+// checkpoint, a cell or frame of the wrong width, no dimensions — and what
+// the reader does: every strict prefix, a trailing byte and a flipped bit
+// anywhere are ErrRecord, none a panic.
 func TestCheckpointCodecRejects(t *testing.T) {
 	if _, err := AppendCheckpoint(nil, nil); !errors.Is(err, ErrRecord) {
 		t.Fatalf("nil checkpoint: %v", err)
 	}
 	for what, spoil := range map[string]func(*Checkpoint){
-		"flat history":  func(cp *Checkpoint) { cp.History = []CellHistory{{Levels: []int{1, 1}, Members: []int32{0, 0}}} },
 		"no dimensions": func(cp *Checkpoint) { cp.Schema = nil },
 		"short cell":    func(cp *Checkpoint) { cp.Cells[0].Members = cp.Cells[0].Members[:1] },
 		"short frame":   func(cp *Checkpoint) { cp.Tilt[0].Levels = cp.Tilt[0].Levels[:1] },

@@ -405,25 +405,10 @@ func TestTiltedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyCheckpoint rewrites a checkpoint the way a writer older than
-// envelope version 4 that kept no frames cut it: each cell's finest level
-// as flat per-unit history, no frames.
-func legacyCheckpoint(cp *Checkpoint) *Checkpoint {
-	out := *cp
-	out.Tilt = nil
-	for _, cf := range cp.Tilt {
-		ch := CellHistory{Levels: cf.Levels, Members: cf.Members}
-		for _, s := range cf.Frame.Levels[0].Slots {
-			ch.Entries = append(ch.Entries, HistoryEntryRec{Unit: cf.Base + s.Unit, ISB: s.ISB})
-		}
-		out.History = append(out.History, ch)
-	}
-	return &out
-}
-
-// TestFlatCheckpointSeedsTiltedEngine restores a pre-frame (flat-history)
-// checkpoint into a tilt-configured engine: frames must reseed from the
-// replayed history and keep promoting from there.
+// TestFlatCheckpointSeedsTiltedEngine restores a checkpoint of one-level
+// frames — the default chain's, and the form persist reads the flat
+// history of a pre-frame file into — into a tilt-configured engine: frames
+// must reseed from the finest level and keep promoting from there.
 func TestFlatCheckpointSeedsTiltedEngine(t *testing.T) {
 	flatCfg := tiltConfig(t)
 	flatCfg.TiltLevels = nil
@@ -432,10 +417,7 @@ func TestFlatCheckpointSeedsTiltedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestGrid(t, flat.Ingest, 0, 50) // 12 closed units
-	cp := legacyCheckpoint(checkpointOf(t, flat))
-	if len(cp.Tilt) != 0 || len(cp.History) == 0 {
-		t.Fatal("a pre-frame checkpoint carries history and no frames")
-	}
+	cp := checkpointOf(t, flat)
 
 	cfg := tiltConfig(t)
 	tilted, err := NewEngine(cfg)
@@ -446,7 +428,7 @@ func TestFlatCheckpointSeedsTiltedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := oCell(t, 0, 1)
-	// The flat history retained all 12 units; the seeded frame promotes
+	// The one level retained all 12 units; the seeded frame promotes
 	// them, so hours exist immediately after restore.
 	if _, err := tilted.TrendQueryAt(cell, 1, 2); err != nil {
 		t.Fatalf("no hour trend after seeding: %v", err)
@@ -480,9 +462,6 @@ func TestTiltedCheckpointLoadsIntoFlatEngine(t *testing.T) {
 	}
 	ingestGrid(t, tilted.Ingest, 0, 50)
 	cp := checkpointOf(t, tilted)
-	if len(cp.History) != 0 {
-		t.Fatal("a current checkpoint carries each slot once: frames, no derived history")
-	}
 
 	flatCfg := cfg
 	flatCfg.TiltLevels = nil
@@ -693,9 +672,11 @@ func TestShardedTiltedCheckpointRepartitions(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptHistory is the checkpoint-validation bugfix:
-// duplicate, out-of-order or off-grid history units in a pre-frame file
-// must fail Restore with ErrConfig instead of silently poisoning the
-// reseeded frames — under the default chain and a multi-level one.
+// a frame record that is not an o-cell's history on this engine's unit
+// grid must fail Restore with ErrConfig instead of restoring silently —
+// as a phantom o-cell, or as a frame the first unit close then refuses —
+// under the default chain and a multi-level one. (The flat history of a
+// pre-frame file is checked where persist converts it into frames.)
 func TestRestoreRejectsCorruptHistory(t *testing.T) {
 	for _, mode := range []string{"flat", "tilted"} {
 		t.Run(mode, func(t *testing.T) {
@@ -708,33 +689,33 @@ func TestRestoreRejectsCorruptHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			ingestGrid(t, src.Ingest, 0, 20)
-			good := legacyCheckpoint(checkpointOf(t, src))
-			if len(good.History) == 0 || len(good.History[0].Entries) < 3 {
+			good := checkpointOf(t, src)
+			if len(good.Tilt) == 0 || good.Tilt[0].Frame.Pushed < 3 {
 				t.Fatalf("checkpoint too small to corrupt: %+v", good)
 			}
+			schema := cfg.Schema
 
 			corrupt := []struct {
 				name string
 				mut  func(cp *Checkpoint)
 			}{
-				{"duplicate unit", func(cp *Checkpoint) {
-					cp.History[0].Entries[1].Unit = cp.History[0].Entries[0].Unit
+				{"m-layer cuboid", func(cp *Checkpoint) {
+					for d, dim := range schema.Dims {
+						cp.Tilt[0].Levels[d] = dim.MLevel
+					}
 				}},
-				{"out of order", func(cp *Checkpoint) {
-					e := cp.History[0].Entries
-					e[0].Unit, e[1].Unit = e[1].Unit, e[0].Unit
+				{"members outside the o-layer", func(cp *Checkpoint) {
+					cp.Tilt[0].Members = []int32{999999, -7}
 				}},
-				{"unit beyond open", func(cp *Checkpoint) {
-					e := cp.History[0].Entries
-					e[len(e)-1].Unit = cp.Unit + 3
-				}},
-				{"negative unit", func(cp *Checkpoint) {
-					cp.History[0].Entries[0].Unit = -1
-				}},
-				{"unit off its ticks", func(cp *Checkpoint) {
-					e := cp.History[0].Entries
-					e[0].Unit, e[1].Unit = e[1].Unit, e[1].Unit+1 // units 1,2 carry the ticks of 0,1
-					cp.History[0].Entries = e[:2]
+				{"shifted by one tick", func(cp *Checkpoint) {
+					st := &cp.Tilt[0].Frame
+					st.NextTb++
+					for _, lv := range st.Levels {
+						for j := range lv.Slots {
+							lv.Slots[j].ISB.Tb++
+							lv.Slots[j].ISB.Te++
+						}
+					}
 				}},
 			}
 			for _, tc := range corrupt {

@@ -71,20 +71,16 @@ type Slot struct {
 	ISB  regression.ISB `json:"isb"`
 }
 
-type levelState struct {
-	cfg   Level
-	span  int64  // raw ticks per unit of this level
-	slots []Slot // completed units, oldest first, len ≤ cfg.Slots
-	next  int64  // index of the next unit to complete
-}
-
 // Frame is a multi-granularity register of regression measures over an
-// ever-growing time-series stream. The zero value is unusable; use New.
+// ever-growing time-series stream: an O(1) accumulator over the raw ticks
+// of the current finest-level unit in front of a UnitFrame, which each
+// completed unit's ISB is pushed to. The zero value is unusable; use New.
 type Frame struct {
-	start  int64
-	levels []levelState
-	acc    *regression.Accumulator
-	ticks  int64 // raw ticks consumed
+	start int64
+	mult  int64 // raw ticks per finest-level unit
+	acc   *regression.Accumulator
+	ticks int64 // raw ticks consumed
+	units *UnitFrame
 }
 
 // New validates the level chain and returns an empty frame whose first raw
@@ -92,26 +88,15 @@ type Frame struct {
 // finest to be meaningful) and Slots ≥ Multiple of the level above it so
 // promotion always finds its children still resident.
 func New(levels []Level, startTick int64) (*Frame, error) {
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("%w: no levels", ErrConfig)
+	if len(levels) > 0 && levels[0].Multiple < 1 {
+		return nil, fmt.Errorf("%w: level %q multiple %d", ErrConfig, levels[0].Name, levels[0].Multiple)
 	}
-	f := &Frame{start: startTick, acc: regression.NewAccumulator(startTick)}
-	span := int64(1)
-	for i, lv := range levels {
-		if lv.Multiple < 1 {
-			return nil, fmt.Errorf("%w: level %q multiple %d", ErrConfig, lv.Name, lv.Multiple)
-		}
-		if lv.Slots < 1 {
-			return nil, fmt.Errorf("%w: level %q slots %d", ErrConfig, lv.Name, lv.Slots)
-		}
-		if i+1 < len(levels) && lv.Slots < levels[i+1].Multiple {
-			return nil, fmt.Errorf("%w: level %q retains %d slots but level %q needs %d children",
-				ErrConfig, lv.Name, lv.Slots, levels[i+1].Name, levels[i+1].Multiple)
-		}
-		span *= int64(lv.Multiple)
-		f.levels = append(f.levels, levelState{cfg: lv, span: span})
+	units, err := NewUnitFrame(levels)
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
+	return &Frame{start: startTick, mult: int64(levels[0].Multiple),
+		acc: regression.NewAccumulator(startTick), units: units}, nil
 }
 
 // MustNew is New for tests and examples; it panics on error.
@@ -124,10 +109,10 @@ func MustNew(levels []Level, startTick int64) *Frame {
 }
 
 // Levels returns the number of granularity levels.
-func (f *Frame) Levels() int { return len(f.levels) }
+func (f *Frame) Levels() int { return f.units.Levels() }
 
 // LevelName returns the configured name of level i.
-func (f *Frame) LevelName(i int) string { return f.levels[i].cfg.Name }
+func (f *Frame) LevelName(i int) string { return f.units.LevelName(i) }
 
 // Ticks returns the number of raw ticks consumed so far.
 func (f *Frame) Ticks() int64 { return f.ticks }
@@ -143,15 +128,7 @@ func (f *Frame) Add(t int64, z float64) error {
 		return err
 	}
 	f.ticks++
-	if f.acc.N() == int64(f.levels[0].cfg.Multiple) {
-		isb, err := f.acc.Snapshot()
-		if err != nil {
-			return err
-		}
-		completeUnit(f.levels, 0, isb)
-		f.acc.Reset(f.start + f.ticks)
-	}
-	return nil
+	return f.pushUnit()
 }
 
 // AdvanceTo registers absent readings as zeros for every raw tick from
@@ -161,89 +138,47 @@ func (f *Frame) Add(t int64, z float64) error {
 // Within a unit the fill is O(1); the total cost is O(units crossed), not
 // O(ticks skipped). A t at or before NextTick is a no-op.
 func (f *Frame) AdvanceTo(t int64) {
-	mult := int64(f.levels[0].cfg.Multiple)
-	for {
-		next := f.start + f.ticks
-		if t <= next {
-			return
-		}
-		step := t - next
-		if rem := mult - f.acc.N(); step > rem {
-			step = rem
-		}
+	for next := f.NextTick(); t > next; next = f.NextTick() {
+		step := min(t-next, f.mult-f.acc.N())
 		f.acc.AdvanceTo(next + step)
 		f.ticks += step
-		if f.acc.N() == mult {
-			isb, err := f.acc.Snapshot()
-			if err != nil {
-				// The accumulator holds mult ≥ 1 points; Snapshot cannot
-				// fail on zero fills.
-				panic(fmt.Sprintf("tilt: advance snapshot failed: %v", err))
-			}
-			completeUnit(f.levels, 0, isb)
-			f.acc.Reset(f.start + f.ticks)
+		if err := f.pushUnit(); err != nil {
+			// Zero fills of whole units on the frame's own grid cannot be
+			// refused.
+			panic(fmt.Sprintf("tilt: advance failed: %v", err))
 		}
 	}
 }
 
-// completeUnit registers a finished unit ISB at level i of a chain (a
-// Frame's or a UnitFrame's) and cascades promotion when it fills a unit of
-// level i+1.
-func completeUnit(levels []levelState, i int, isb regression.ISB) {
-	ls := &levels[i]
-	ls.slots = append(ls.slots, Slot{Unit: ls.next, ISB: isb})
-	ls.next++
-
-	if i+1 < len(levels) {
-		if mult := levels[i+1].cfg.Multiple; ls.next%int64(mult) == 0 {
-			// The most recent `mult` slots are exactly the children of the
-			// parent unit (Slots ≥ mult was validated at construction).
-			parent, err := AggregateLast(ls.cfg.Name, ls.slots, mult)
-			if err != nil {
-				// Children are adjacent complete units by construction;
-				// failure here indicates internal corruption.
-				panic(fmt.Sprintf("tilt: promotion aggregation failed: %v", err))
-			}
-			completeUnit(levels, i+1, parent)
-		}
+// pushUnit pushes the finest-level unit to the register once the
+// accumulator holds all of its ticks.
+func (f *Frame) pushUnit() error {
+	if f.acc.N() < f.mult {
+		return nil
 	}
-	// Evict beyond retention after promotion so children were available.
-	if over := len(ls.slots) - ls.cfg.Slots; over > 0 {
-		ls.slots = append(ls.slots[:0], ls.slots[over:]...)
+	isb, err := f.acc.Snapshot()
+	if err != nil {
+		return err
 	}
+	if err := f.units.Push(isb); err != nil {
+		return err
+	}
+	f.acc.Reset(f.NextTick())
+	return nil
 }
 
 // SlotsAt returns a copy of the completed, retained units at level i,
 // oldest first.
-func (f *Frame) SlotsAt(i int) []Slot {
-	if i < 0 || i >= len(f.levels) {
-		return nil
-	}
-	out := make([]Slot, len(f.levels[i].slots))
-	copy(out, f.levels[i].slots)
-	return out
-}
+func (f *Frame) SlotsAt(i int) []Slot { return f.units.SlotsAt(i) }
 
 // Completed returns how many units have ever completed at level i
 // (including ones already evicted).
-func (f *Frame) Completed(i int) int64 {
-	if i < 0 || i >= len(f.levels) {
-		return 0
-	}
-	return f.levels[i].next
-}
+func (f *Frame) Completed(i int) int64 { return f.units.Completed(i) }
 
 // Query returns the regression over the last k completed units at level i,
 // computed purely from stored ISBs with Theorem 3.3 — e.g. "the last hour
 // with the precision of a quarter" is Query(0, 4).
-func (f *Frame) Query(i, k int) (regression.ISB, error) { return queryLevel(f.levels, i, k) }
-
-func queryLevel(levels []levelState, i, k int) (regression.ISB, error) {
-	if i < 0 || i >= len(levels) {
-		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrQuery, i, len(levels))
-	}
-	return AggregateLast(levels[i].cfg.Name, levels[i].slots, k)
-}
+func (f *Frame) Query(i, k int) (regression.ISB, error) { return f.units.Query(i, k) }
 
 // AggregateLast combines the last k slots of one level (named for the
 // error) into one regression over their combined interval (Theorem 3.3).
@@ -275,29 +210,21 @@ func (f *Frame) Partial() (regression.ISB, bool) {
 
 // SlotCapacity returns the total number of slots the frame can hold — the
 // paper's "71 units" for the calendar configuration.
-func (f *Frame) SlotCapacity() int {
-	var total int
-	for i := range f.levels {
-		total += f.levels[i].cfg.Slots
-	}
-	return total
-}
+func (f *Frame) SlotCapacity() int { return f.units.SlotCapacity() }
 
 // SlotsInUse returns the number of retained completed units across levels.
-func (f *Frame) SlotsInUse() int {
-	var total int
-	for i := range f.levels {
-		total += len(f.levels[i].slots)
-	}
-	return total
-}
+func (f *Frame) SlotsInUse() int { return f.units.SlotsInUse() }
 
 // Span returns the number of raw ticks covered by one unit of level i.
 func (f *Frame) Span(i int) int64 {
-	if i < 0 || i >= len(f.levels) {
+	if i < 0 || i >= f.Levels() {
 		return 0
 	}
-	return f.levels[i].span
+	span := f.mult
+	for _, ls := range f.units.levels[1 : i+1] {
+		span *= int64(ls.cfg.Multiple)
+	}
+	return span
 }
 
 // CompressionVsRaw returns the ratio between registering rawUnits units of

@@ -6,14 +6,16 @@ import (
 	"repro/internal/regression"
 )
 
-// UnitFrame is a tilt frame fed with already-fitted unit ISBs instead of
-// raw ticks — the natural register for an o-layer cell in the online
-// engine (§4.5): each completed unit's cube computation yields one ISB per
-// o-cell, and the frame promotes them to coarser granularities exactly
-// like Frame does for raw streams.
+// UnitFrame is the tilt register: a level chain fed with already-fitted
+// unit ISBs — the natural register for an o-layer cell in the online
+// engine (§4.5), where each completed unit's cube computation yields one
+// ISB per o-cell, and the register behind Frame, which fits raw ticks
+// into those units itself. Each pushed unit occupies a slot at the finest
+// level, and whenever enough units complete to fill one unit of the next
+// level they are combined with Theorem 3.3 and promoted.
 //
 // Level 0's Multiple is interpreted as 1 (each pushed ISB is one level-0
-// unit); higher levels behave as in Frame.
+// unit).
 type UnitFrame struct {
 	levels    []levelState
 	unitTicks int64 // ticks per pushed unit, fixed by the first push
@@ -21,14 +23,46 @@ type UnitFrame struct {
 	pushed    int64
 }
 
+type levelState struct {
+	cfg   Level
+	slots []Slot // completed units, oldest first, len ≤ cfg.Slots
+	next  int64  // index of the next unit to complete
+}
+
+// completeUnit registers a finished unit ISB at level i of a chain and
+// cascades promotion when it fills a unit of level i+1.
+func completeUnit(levels []levelState, i int, isb regression.ISB) {
+	ls := &levels[i]
+	ls.slots = append(ls.slots, Slot{Unit: ls.next, ISB: isb})
+	ls.next++
+
+	if i+1 < len(levels) {
+		if mult := levels[i+1].cfg.Multiple; ls.next%int64(mult) == 0 {
+			// The most recent `mult` slots are exactly the children of the
+			// parent unit (Slots ≥ mult was validated at construction).
+			parent, err := AggregateLast(ls.cfg.Name, ls.slots, mult)
+			if err != nil {
+				// Children are adjacent complete units by construction;
+				// failure here indicates internal corruption.
+				panic(fmt.Sprintf("tilt: promotion aggregation failed: %v", err))
+			}
+			completeUnit(levels, i+1, parent)
+		}
+	}
+	// Evict beyond retention after promotion so children were available.
+	if over := len(ls.slots) - ls.cfg.Slots; over > 0 {
+		ls.slots = append(ls.slots[:0], ls.slots[over:]...)
+	}
+}
+
 // NewUnitFrame validates the level chain. The finest level's Multiple is
-// forced to 1; retention/promotion constraints match Frame's.
+// forced to 1; every level needs Slots ≥ 1, and Slots ≥ the Multiple of
+// the level above it so promotion always finds its children resident.
 func NewUnitFrame(levels []Level) (*UnitFrame, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("%w: no levels", ErrConfig)
 	}
 	f := &UnitFrame{}
-	span := int64(1)
 	for i, lv := range levels {
 		if i == 0 {
 			lv.Multiple = 1
@@ -43,8 +77,7 @@ func NewUnitFrame(levels []Level) (*UnitFrame, error) {
 			return nil, fmt.Errorf("%w: level %q retains %d slots but level %q needs %d children",
 				ErrConfig, lv.Name, lv.Slots, levels[i+1].Name, levels[i+1].Multiple)
 		}
-		span *= int64(lv.Multiple)
-		f.levels = append(f.levels, levelState{cfg: lv, span: span})
+		f.levels = append(f.levels, levelState{cfg: lv})
 	}
 	return f, nil
 }
@@ -125,7 +158,12 @@ func (f *UnitFrame) Completed(i int) int64 {
 }
 
 // Query aggregates the last k completed units at level i (Theorem 3.3).
-func (f *UnitFrame) Query(i, k int) (regression.ISB, error) { return queryLevel(f.levels, i, k) }
+func (f *UnitFrame) Query(i, k int) (regression.ISB, error) {
+	if i < 0 || i >= len(f.levels) {
+		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrQuery, i, len(f.levels))
+	}
+	return AggregateLast(f.levels[i].cfg.Name, f.levels[i].slots, k)
+}
 
 // SlotCapacity returns the total retention across levels.
 func (f *UnitFrame) SlotCapacity() int {

@@ -25,7 +25,6 @@ package regcube
 
 import (
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -39,25 +38,18 @@ import (
 	"repro/internal/stream"
 	"repro/internal/tilt"
 	"repro/internal/timeseries"
-	"repro/internal/wal"
 )
 
 // Time-series substrate (paper §2.2).
 type (
 	// Series is a discrete time series z(t) over [tb, te].
 	Series = timeseries.Series
-	// Interval is a closed integer tick range.
-	Interval = timeseries.Interval
-	// Synth generates deterministic synthetic series.
-	Synth = timeseries.Synth
 )
 
 // Regression measures (paper §3).
 type (
 	// ISB is the compact (Interval, Slope, Base) regression measure.
 	ISB = regression.ISB
-	// IntVal is the equivalent endpoint representation.
-	IntVal = regression.IntVal
 	// Accumulator fits a growing series in O(1) space.
 	Accumulator = regression.Accumulator
 	// ResidualStats carries RSS/TSS/R² diagnostics.
@@ -81,8 +73,6 @@ type (
 	Schema = cube.Schema
 	// Dimension binds a hierarchy to its m- and o-levels.
 	Dimension = cube.Dimension
-	// Hierarchy is a concept hierarchy over one dimension.
-	Hierarchy = cube.Hierarchy
 	// FanoutHierarchy is the synthetic benchmark hierarchy.
 	FanoutHierarchy = cube.FanoutHierarchy
 	// NamedHierarchy is an explicitly enumerated hierarchy.
@@ -119,8 +109,6 @@ type (
 	Cell = core.Cell
 	// Result is a cubing outcome with stats.
 	Result = core.Result
-	// Stats carries the paper's time/space cost measures.
-	Stats = core.Stats
 	// StreamEngine is the online analyzer. StreamConfig.Shards partitions
 	// it: m-layer cells hash-partition by o-layer ancestor across shards;
 	// the caller's goroutine accumulates every record and the shards cube
@@ -129,8 +117,6 @@ type (
 	StreamEngine = stream.Engine
 	// StreamConfig configures the online analyzer.
 	StreamConfig = stream.Config
-	// UnitResult is the outcome of one completed stream unit.
-	UnitResult = stream.UnitResult
 	// Alert is one o-layer observation with drill-down supporters.
 	Alert = stream.Alert
 )
@@ -141,25 +127,14 @@ type (
 	Frame = tilt.Frame
 	// UnitFrame is a tilt frame fed with completed-unit ISBs.
 	UnitFrame = tilt.UnitFrame
-	// UnitFrameState is the serializable state of a UnitFrame.
-	UnitFrameState = tilt.UnitFrameState
 	// FrameLevel configures one granularity of a frame.
 	FrameLevel = tilt.Level
-	// FrameSlot is one completed unit at some granularity.
-	FrameSlot = tilt.Slot
 )
-
-// RestoreUnitFrame rebuilds a unit frame from checkpointed state.
-func RestoreUnitFrame(levels []FrameLevel, st UnitFrameState) (*UnitFrame, error) {
-	return tilt.RestoreUnitFrame(levels, st)
-}
 
 // Result navigation (the analyst's drill-down workflow).
 type (
 	// ResultView navigates a cubing result: rankings, supporters, slices.
 	ResultView = query.View
-	// CuboidSummary aggregates one cuboid's retained exceptions.
-	CuboidSummary = query.CuboidSummary
 )
 
 // Multiple linear regression extension (paper §6.2).
@@ -168,8 +143,6 @@ type (
 	MLR = mlr.NCR
 	// MLRBasis maps raw regressors to design-matrix features.
 	MLRBasis = mlr.Basis
-	// MLRModel is a fitted multiple regression.
-	MLRModel = mlr.Model
 )
 
 // Synthetic workloads (paper §5).
@@ -243,33 +216,8 @@ func DeltaCubing(s *Schema, cur, prev []Input, det DeltaDetector) (*DeltaResult,
 	return core.DeltaCubing(s, cur, prev, det)
 }
 
-// StreamSnapshot is the immutable per-unit view an engine publishes when
-// StreamConfig.PublishSnapshots is set: the unit's cube result, alerts in
-// canonical order, and every o-cell's tilt frame (its trailing history is
-// the frame's finest level: HistoryOf, TrendQuery). Reading one (via
-// the engine's Snapshot method) is a single atomic load, safe from any
-// goroutine concurrently with ingestion.
-type StreamSnapshot = stream.Snapshot
-
-// StreamHistoryPoint is one completed unit of an o-cell's history — a
-// finest-level frame slot named by engine unit — as StreamSnapshot.HistoryOf
-// returns it.
-type StreamHistoryPoint = stream.HistoryPoint
-
-// StreamFrameView is the immutable multi-granularity view of one o-cell's
-// history, published through every snapshot (§4.1 over the online engine);
-// StreamConfig.TiltLevels names its level chain, by default the one level
-// unit:1:64.
-type StreamFrameView = stream.FrameView
-
-// StreamFrameLevelView is one granularity of a StreamFrameView.
-type StreamFrameLevelView = stream.FrameLevelView
-
-// StreamCellFrame is the checkpoint record of one o-cell's history.
-type StreamCellFrame = stream.CellFrame
-
-// SnapshotSource supplies published snapshots to the query server; both
-// stream engine flavors implement it.
+// SnapshotSource supplies published snapshots to the query server; the
+// stream engine implements it.
 type SnapshotSource = serve.Source
 
 // QueryServer is the HTTP/JSON analyst query API over published engine
@@ -285,89 +233,6 @@ type QueryServer = serve.Server
 // NewQueryServer builds the analyst query API over a snapshot source.
 func NewQueryServer(src SnapshotSource, schema *Schema) *QueryServer {
 	return serve.New(src, schema)
-}
-
-// Typed query API v2 (DESIGN.md §9): transport-independent request and
-// response models. Build requests, execute them in-process against a
-// snapshot with a QueryExecutor, or send them over HTTP with
-// repro/client.
-type (
-	// QueryRequest is the typed request union: summary / exceptions /
-	// alerts / supporters / slice / trend / frame.
-	QueryRequest = query.Request
-	// QueryKind discriminates requests on the wire.
-	QueryKind = query.Kind
-	// QueryCellRef names one cell by levels and members (nil levels =
-	// o-layer).
-	QueryCellRef = query.CellRef
-	// QuerySummaryRequest asks for the unit header and cuboid rollup.
-	QuerySummaryRequest = query.SummaryRequest
-	// QueryExceptionsRequest asks for ranked exception cells.
-	QueryExceptionsRequest = query.ExceptionsRequest
-	// QueryAlertsRequest asks for the unit's o-layer alerts.
-	QueryAlertsRequest = query.AlertsRequest
-	// QuerySupportersRequest asks for a cell's exception descendants.
-	QuerySupportersRequest = query.SupportersRequest
-	// QuerySliceRequest asks for the exceptions under one member.
-	QuerySliceRequest = query.SliceRequest
-	// QueryTrendRequest asks for a k-unit trend regression of an o-cell.
-	QueryTrendRequest = query.TrendRequest
-	// QueryFrameRequest asks for an o-cell's tilt frame listing.
-	QueryFrameRequest = query.FrameRequest
-	// QueryResponse is the typed response union.
-	QueryResponse = query.Response
-	// QuerySummaryResponse answers QuerySummaryRequest.
-	QuerySummaryResponse = query.SummaryResponse
-	// QueryCellsResponse answers exceptions and slice requests.
-	QueryCellsResponse = query.CellsResponse
-	// QueryAlertsResponse answers QueryAlertsRequest.
-	QueryAlertsResponse = query.AlertsResponse
-	// QuerySupportersResponse answers QuerySupportersRequest.
-	QuerySupportersResponse = query.SupportersResponse
-	// QueryTrendResponse answers QueryTrendRequest.
-	QueryTrendResponse = query.TrendResponse
-	// QueryFrameResponse answers QueryFrameRequest.
-	QueryFrameResponse = query.FrameResponse
-	// QueryBatchRequest is the POST /v1/query body: many requests, one
-	// unit-consistent reply.
-	QueryBatchRequest = query.BatchRequest
-	// QueryBatchResponse is the batch reply with per-request results.
-	QueryBatchResponse = query.BatchResponse
-	// QueryExecutor validates and runs typed requests against one
-	// published snapshot.
-	QueryExecutor = query.Executor
-)
-
-// Query API sentinel errors; test with errors.Is (the client SDK maps
-// HTTP statuses back onto them).
-var (
-	// ErrQueryInvalid marks requests that can never succeed (HTTP 400).
-	ErrQueryInvalid = query.ErrInvalid
-	// ErrQueryNotFound marks targets absent from the unit (HTTP 404).
-	ErrQueryNotFound = query.ErrNotFound
-	// ErrQueryUnavailable means no unit has completed yet (HTTP 503).
-	ErrQueryUnavailable = query.ErrUnavailable
-)
-
-// NewQueryExecutor builds the typed-request dispatcher over one published
-// snapshot — the in-process path the HTTP server and the client SDK both
-// run through.
-func NewQueryExecutor(schema *Schema, snap *StreamSnapshot) (*QueryExecutor, error) {
-	return query.NewExecutor(schema, snap)
-}
-
-// QueryOCell references an o-layer cell by its members.
-func QueryOCell(members ...int32) QueryCellRef { return query.OCell(members...) }
-
-// QueryCell references a cell at explicit levels.
-func QueryCell(levels []int, members []int32) QueryCellRef {
-	return query.Cell(levels, members)
-}
-
-// FitMLRRaw fits a multiple regression by Householder QR on the raw
-// design matrix — the robust path for ill-conditioned bases.
-func FitMLRRaw(b MLRBasis, vars [][]float64, ys []float64) (*MLRModel, error) {
-	return mlr.FitRaw(b, vars, ys)
 }
 
 // NewStreamEngine builds the online analyzer of §4.5 with
@@ -456,61 +321,6 @@ func WriteCheckpoint(w io.Writer, cp *StreamCheckpoint) error {
 // per-shard files older releases wrote for sharded engines are merged into
 // the one canonical checkpoint.
 func ReadCheckpoint(r io.Reader) (*StreamCheckpoint, error) { return persist.ReadCheckpoint(r) }
-
-// Durable ingest (DESIGN.md §10): a segmented, CRC32C-framed write-ahead
-// record log. streamd appends every record before ingest; recovery replays
-// the durable suffix past a checkpoint's watermark, and `regcube replay`
-// re-runs a whole log under a different configuration.
-type (
-	// WALRecord is one logged stream record: (members, tick, value).
-	WALRecord = wal.Record
-	// WALOptions configures OpenWAL: directory, segment size, sync policy.
-	WALOptions = wal.Options
-	// WALLog is an open, appendable write-ahead log.
-	WALLog = wal.Log
-	// WALSyncPolicy selects when appends are fsynced.
-	WALSyncPolicy = wal.SyncPolicy
-	// WALSegmentInfo describes one log segment.
-	WALSegmentInfo = wal.SegmentInfo
-)
-
-// WAL sync policies.
-const (
-	WALSyncBatch    = wal.SyncBatch
-	WALSyncInterval = wal.SyncInterval
-	WALSyncOff      = wal.SyncOff
-)
-
-// WAL failure classes; test with errors.Is.
-var (
-	// ErrWALTorn marks an incomplete tail write (truncated on recovery).
-	ErrWALTorn = wal.ErrTorn
-	// ErrWALCorrupt marks damaged durable data or an inconsistent log
-	// directory.
-	ErrWALCorrupt = wal.ErrCorrupt
-)
-
-// OpenWAL opens (or initializes) a write-ahead log for appending,
-// truncating any torn or corrupt tail left by a crash.
-func OpenWAL(opts WALOptions) (*WALLog, error) { return wal.Open(opts) }
-
-// ReplayWAL reads a log read-only, invoking fn for every record at
-// sequence ≥ from, and returns the durable record count. Pair it with a
-// checkpoint's WALSeq to rebuild an engine's open unit, or replay from 0
-// into a differently configured engine for what-if analysis.
-func ReplayWAL(dir string, from int64, fn func(seq int64, rec WALRecord) error) (int64, error) {
-	return wal.Replay(dir, from, fn)
-}
-
-// ParseWALSyncPolicy decodes the -wal-sync flag syntax: "batch", "off",
-// "interval", or "interval=250ms".
-func ParseWALSyncPolicy(s string) (WALSyncPolicy, time.Duration, error) {
-	return wal.ParseSyncPolicy(s)
-}
-
-// ParseFrameLevels decodes the -tilt flag syntax shared by streamd and
-// regcube replay: "calendar", "log<N>x<S>", or "name:multiple:slots,...".
-func ParseFrameLevels(s string) ([]FrameLevel, error) { return tilt.ParseLevels(s) }
 
 // WriteDatasetCSV emits a dataset in the cmd/datagen CSV format.
 func WriteDatasetCSV(w io.Writer, ds *Dataset) error { return gen.WriteCSV(w, ds) }
