@@ -393,9 +393,11 @@ func (m *Manager) observeForecast(snap *stream.Snapshot, emitted []Event) []Even
 	}
 	m.fcells = m.fcells[:0]
 	seen := make(map[cube.CellKey]bool)
-	for k, v := range snap.Frames {
+	for i := range snap.Frames {
+		f := &snap.Frames[i]
+		k := f.Key()
 		seen[k] = true
-		level, slope := m.forecastLevel(v.History())
+		level, slope := m.forecastLevel(f.History())
 		m.fcells = append(m.fcells, candidate{key: k, slope: slope, level: level})
 	}
 	for k := range m.fstates {

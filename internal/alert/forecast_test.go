@@ -3,6 +3,7 @@ package alert
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -12,14 +13,19 @@ import (
 	"repro/internal/tilt"
 )
 
-// historyFrame wraps contiguous per-unit points as the one-level frame the
-// engine's default chain publishes.
-func historyFrame(pts []stream.HistoryPoint) *stream.FrameView {
+// historyFrame wraps contiguous per-unit points as the one-level frame of
+// o-cell k the engine's default chain publishes.
+func historyFrame(k cube.CellKey, pts []stream.HistoryPoint) stream.CellFrame {
 	slots := make([]tilt.Slot, len(pts))
 	for i, p := range pts {
 		slots[i] = tilt.Slot{Unit: int64(i), ISB: p.ISB}
 	}
-	return &stream.FrameView{Base: pts[0].Unit, Levels: []stream.FrameLevelView{{Name: "unit", Slots: slots}}}
+	f := stream.CellFrame{Base: pts[0].Unit, Members: k.Members[:k.Cuboid.NumDims()]}
+	for d := range f.Members {
+		f.Levels = append(f.Levels, k.Cuboid.Level(d))
+	}
+	f.Frame.Levels = []tilt.LevelStateRec{{Next: int64(len(slots)), Slots: slots}}
+	return f
 }
 
 // fsnap fabricates a unit snapshot whose frames hold exact per-unit
@@ -29,7 +35,6 @@ func historyFrame(pts []stream.HistoryPoint) *stream.FrameView {
 func fsnap(schema *cube.Schema, unit int64, slopes map[cube.CellKey]float64) *stream.Snapshot {
 	s := &stream.Snapshot{Unit: unit, UnitsDone: unit + 1}
 	if len(slopes) > 0 {
-		s.Frames = map[cube.CellKey]*stream.FrameView{}
 		for k, slope := range slopes {
 			pts := make([]stream.HistoryPoint, unit+1)
 			for u := int64(0); u <= unit; u++ {
@@ -38,8 +43,10 @@ func fsnap(schema *cube.Schema, unit int64, slopes map[cube.CellKey]float64) *st
 					ISB:  regression.ISB{Tb: 2 * u, Te: 2*u + 1, Base: 0, Slope: slope},
 				}
 			}
-			s.Frames[k] = historyFrame(pts)
+			s.Frames = append(s.Frames, historyFrame(k, pts))
 		}
+		// Snapshots list their frames in coordinate order.
+		slices.SortFunc(s.Frames, func(a, b stream.CellFrame) int { return cube.CompareKeys(a.Key(), b.Key()) })
 	}
 	return s
 }
@@ -134,7 +141,7 @@ func TestForecastWindowLimitsModel(t *testing.T) {
 		pts := append(plateau.HistoryOf(o), stream.HistoryPoint{
 			Unit: u, ISB: regression.ISB{Tb: 2 * u, Te: 2*u + 1, Base: 970, Slope: 0},
 		})
-		snap := &stream.Snapshot{Unit: u, UnitsDone: u + 1, Frames: map[cube.CellKey]*stream.FrameView{o: historyFrame(pts)}}
+		snap := &stream.Snapshot{Unit: u, UnitsDone: u + 1, Frames: []stream.CellFrame{historyFrame(o, pts)}}
 		plateau = snap
 		m.Observe(snap)
 	}

@@ -121,7 +121,8 @@ func (c *mirrorCluster) checkView(t testing.TB, v *stream.Snapshot) {
 	if len(v.Frames) != len(c.nodes) {
 		t.Errorf("view of unit %d has %d cell histories, want %d", v.Unit, len(v.Frames), len(c.nodes))
 	}
-	for cell := range v.Frames {
+	for _, f := range v.Frames {
+		cell := f.Key()
 		pts := v.HistoryOf(cell)
 		if last := pts[len(pts)-1].Unit; last != v.Unit {
 			t.Errorf("view of unit %d: cell %v ends at unit %d", v.Unit, cell, last)
@@ -511,4 +512,27 @@ func BenchmarkGatherRound(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestGatherRefusesDuplicateEndpoint: a coordinator given one node's API
+// twice (regcube-router -node-api A,A,C,D) mirrors that node's snapshot
+// twice. The merge refuses the overlap, so the coordinator serves no view
+// instead of a summary that counts the node's tuples twice.
+func TestGatherRefusesDuplicateEndpoint(t *testing.T) {
+	c := newMirrorCluster(t)
+	c.stepAll(t)
+	endpoints := []string{c.nodes[0].ts.URL, c.nodes[0].ts.URL, c.nodes[2].ts.URL, c.nodes[3].ts.URL}
+	g, err := NewGatherer(GatherConfig{Schema: c.schema, Endpoints: endpoints, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	if err := g.Refresh(context.Background()); err == nil || !strings.Contains(err.Error(), "parts share") {
+		t.Fatalf("Refresh over a duplicated endpoint = %v, want a shared-cell refusal", err)
+	}
+	rec := httptest.NewRecorder()
+	serve.New(g, c.schema).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/summary", nil))
+	if rec.Code == http.StatusOK {
+		t.Fatalf("summary over a duplicated endpoint answered 200: %s", rec.Body.String())
+	}
 }

@@ -215,8 +215,8 @@ func ScanChanges(snap *stream.Snapshot, minScore float64, k int) []CellChange {
 		return nil
 	}
 	var out []CellChange
-	for key, v := range snap.Frames {
-		if c, ok := scoreFrame(key, v); ok && c.Score >= minScore {
+	for i := range snap.Frames {
+		if c, ok := scoreFrame(snap.Chain, &snap.Frames[i]); ok && c.Score >= minScore {
 			if out == nil {
 				out = make([]CellChange, 0, len(snap.Frames))
 			}
@@ -236,22 +236,23 @@ func ScanChanges(snap *stream.Snapshot, minScore float64, k int) []CellChange {
 // with no completed slot yet are skipped; a frame with fewer than two
 // populated levels has nothing to compare (ok=false). Ties keep the
 // finest pair — the most recent disagreement is the most actionable.
-func scoreFrame(key cube.CellKey, v *stream.FrameView) (CellChange, bool) {
-	c := CellChange{Key: key, Score: -1}
-	for l := 0; l+1 < len(v.Levels); l++ {
-		fine, coarse := v.Levels[l], v.Levels[l+1]
-		if len(fine.Slots) == 0 || len(coarse.Slots) == 0 {
+func scoreFrame(chain []tilt.Level, f *stream.CellFrame) (CellChange, bool) {
+	c := CellChange{Key: f.Key(), Score: -1}
+	levels := f.Frame.Levels
+	for l := 0; l+1 < len(levels); l++ {
+		fine, coarse := levels[l].Slots, levels[l+1].Slots
+		if len(fine) == 0 || len(coarse) == 0 {
 			continue
 		}
-		a, errA := levelSlope(fine)
-		b, errB := levelSlope(coarse)
+		a, errA := levelSlope(chain[l].Name, fine)
+		b, errB := levelSlope(chain[l+1].Name, coarse)
 		if errA != nil || errB != nil {
 			continue
 		}
 		if d := Divergence(a, b); d > c.Score {
 			c.Score = d
 			c.RecentLevel, c.LongLevel = l, l+1
-			c.RecentName, c.LongName = fine.Name, coarse.Name
+			c.RecentName, c.LongName = chain[l].Name, chain[l+1].Name
 			c.RecentSlope, c.LongSlope = a, b
 		}
 	}
@@ -262,7 +263,7 @@ func scoreFrame(key cube.CellKey, v *stream.FrameView) (CellChange, bool) {
 // trend (Theorem 3.3) and returns its slope. Retained slots at one level
 // are always contiguous (promotion consumes a trailing window, eviction
 // trims the front), so the aggregation cannot see a gap.
-func levelSlope(lv stream.FrameLevelView) (float64, error) {
-	isb, err := tilt.AggregateLast(lv.Name, lv.Slots, len(lv.Slots))
+func levelSlope(name string, slots []tilt.Slot) (float64, error) {
+	isb, err := tilt.AggregateLast(name, slots, len(slots))
 	return isb.Slope, err
 }

@@ -278,7 +278,8 @@ func TestInsightDeterministicAcrossShards(t *testing.T) {
 		if !reflect.DeepEqual(ScanChanges(snap, 0, 0), baseScan) {
 			t.Fatalf("ScanChanges differs between 1 and %d shards", shards)
 		}
-		for key := range base.Frames {
+		for _, f := range base.Frames {
+			key := f.Key()
 			want, errW := ForecastHistory(base.HistoryOf(key), 8, &threshold)
 			got, errG := ForecastHistory(snap.HistoryOf(key), 8, &threshold)
 			if (errW == nil) != (errG == nil) {

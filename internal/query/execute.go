@@ -265,29 +265,29 @@ func (e *Executor) trend(r TrendRequest, key cube.CellKey) (Response, error) {
 		return nil, notFoundf("trend for %s: %d units requested, 0 recorded", name, k)
 	case v == nil:
 		return nil, notFoundf("trend for %s: no history", name)
-	case r.Level >= len(v.Levels):
-		return nil, invalidf("parameter level: %d outside [0,%d)", r.Level, len(v.Levels))
+	case r.Level >= len(snap.Chain):
+		return nil, invalidf("parameter level: %d outside [0,%d)", r.Level, len(snap.Chain))
 	}
-	lv := v.Levels[r.Level]
-	if k > len(lv.Slots) && r.Level == 0 {
-		return nil, notFoundf("trend for %s: %d units requested, %d recorded", name, k, len(lv.Slots))
+	slots, level := v.Frame.Levels[r.Level].Slots, snap.Chain[r.Level].Name
+	if k > len(slots) && r.Level == 0 {
+		return nil, notFoundf("trend for %s: %d units requested, %d recorded", name, k, len(slots))
 	}
-	if k > len(lv.Slots) {
-		return nil, notFoundf("trend for %s: %d %s units requested, %d retained", name, k, lv.Name, len(lv.Slots))
+	if k > len(slots) {
+		return nil, notFoundf("trend for %s: %d %s units requested, %d retained", name, k, level, len(slots))
 	}
-	isb, terr := v.Query(r.Level, k)
+	isb, terr := snap.TrendQueryAt(key, r.Level, k)
 	if terr != nil {
 		return nil, notFoundf("trend for %s: %v", name, terr)
 	}
-	resp := &TrendResponse{Unit: snap.Unit, K: k, History: len(lv.Slots), Points: []HistoryPointJSON{}}
+	resp := &TrendResponse{Unit: snap.Unit, K: k, History: len(slots), Points: []HistoryPointJSON{}}
 	resp.Cell = encodeCell(e.schema, core.Cell{Key: key, ISB: isb})
 	// The finest level is the per-unit history and speaks engine units;
 	// coarser levels are named and number their slots from the frame's start.
 	base := v.Base
 	if r.Level > 0 {
-		resp.Level, base = lv.Name, 0
+		resp.Level, base = level, 0
 	}
-	for _, sl := range lv.Slots[len(lv.Slots)-k:] {
+	for _, sl := range slots[len(slots)-k:] {
 		resp.Points = append(resp.Points, HistoryPointJSON{Unit: base + sl.Unit, ISB: encodeISB(sl.ISB)})
 	}
 	return resp, nil
@@ -299,16 +299,20 @@ func (e *Executor) frame(key cube.CellKey) (Response, error) {
 	if v == nil {
 		return nil, notFoundf("frame for %s: no history", key.Describe(e.schema))
 	}
-	resp := &FrameResponse{Unit: snap.Unit, Tilted: len(v.Levels) > 1, Base: v.Base, Levels: []FrameLevelJSON{}}
+	resp := &FrameResponse{Unit: snap.Unit, Tilted: snap.Tilted(), Base: v.Base, Levels: []FrameLevelJSON{}}
 	resp.Cell.Levels, resp.Cell.Members = encodeKey(key)
 	resp.Cell.Name = key.Describe(e.schema)
-	for i, lv := range v.Levels {
+	ticks := snap.Interval.Len() // per finest slot: one engine unit
+	for i, lv := range v.Frame.Levels {
+		if i > 0 {
+			ticks *= int64(snap.Chain[i].Multiple)
+		}
 		lj := FrameLevelJSON{
 			Level:     i,
-			Name:      lv.Name,
-			UnitTicks: lv.UnitTicks,
-			Capacity:  lv.Capacity,
-			Completed: lv.Completed,
+			Name:      snap.Chain[i].Name,
+			UnitTicks: ticks,
+			Capacity:  snap.Chain[i].Slots,
+			Completed: lv.Next,
 			Slots:     []HistoryPointJSON{},
 		}
 		for _, sl := range lv.Slots {

@@ -5,6 +5,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/exception"
+	"repro/internal/stream"
+	"repro/internal/tilt"
 )
 
 // TestForecastEndpoint walks the happy path of GET /v1/forecast against
@@ -94,6 +98,26 @@ func TestChangesEndpoint(t *testing.T) {
 	get(t, flat, "/v1/changes", &none)
 	if none.Tilted || none.Count != 0 || len(none.Cells) != 0 {
 		t.Fatalf("flat changes = %+v, want empty scan", none)
+	}
+
+	// A calendar-chain engine whose first unit closed empty holds no frame
+	// yet; its chain has more than one level all the same.
+	schema := testSchema(t)
+	eng, err := stream.NewEngine(stream.Config{
+		Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(0.5),
+		TiltLevels: tilt.CalendarLevels(), PublishSnapshots: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	if _, err := eng.AdvanceTo(1); err != nil {
+		t.Fatal(err)
+	}
+	var quiet changesResponse
+	get(t, New(eng, schema), "/v1/changes", &quiet)
+	if !quiet.Tilted || quiet.Count != 0 || len(quiet.Cells) != 0 {
+		t.Fatalf("calendar changes before any frame = %+v, want a tilted empty scan", quiet)
 	}
 }
 

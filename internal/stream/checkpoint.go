@@ -69,216 +69,133 @@ func shapeOf(s *cube.Schema) []DimensionShape {
 	return out
 }
 
-// checkpointBuf is the storage one Checkpoint is cut into: the document and
-// the slabs its cells' and frames' slices point into, so a cut is a handful
-// of slices however many cells there are. Engine.Checkpoint cuts into a
-// fresh one per shard, which the caller then owns; Engine.AppendCheckpoint
-// has every shard cut into the one it keeps, so the per-unit checkpoint of
-// a running node allocates nothing once the slabs have grown.
-type checkpointBuf struct {
-	cp      Checkpoint
-	keys    []cube.CellKey
-	members []int32 // the cells' and the frames' member tuples
-	levels  []int   // the frames' level tuples
-	recs    []tilt.LevelStateRec
-	slots   []tilt.Slot
-}
-
-// Checkpoint exports the engine's full dynamic state in canonical form:
-// cells and tilt frames are sorted by coordinate, so two engines in
-// identical states serialize to byte-identical checkpoints, whatever their
-// shard counts — MergeCheckpoints over the shards' parts. The replay-
-// equivalence tests lean on that — "recovered state equals uninterrupted
-// state" is checked bit for bit on the encoded checkpoint. The checkpoint
-// is the caller's.
+// Checkpoint exports the engine's full dynamic state in canonical form, as
+// AppendCheckpoint's document read back: cells and frames in coordinate
+// order, byte-identical for identical states at any shard count (the
+// replay-equivalence tests compare them bit for bit), and the caller's.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
-	parts, err := e.cutCheckpoints(func(*shard) *checkpointBuf { return new(checkpointBuf) })
+	doc, err := e.AppendCheckpoint(nil)
 	if err != nil {
 		return nil, err
 	}
-	out := new(Checkpoint)
-	if err := mergeCheckpoints(out, parts); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return DecodeCheckpoint(doc)
 }
 
-// AppendCheckpoint appends the checkpoint document of the engine's state —
-// AppendCheckpoint of Checkpoint, byte for byte — to dst. It is the form a
-// node cuts after every closed unit: each shard cuts its sorted part into
-// the buffers it keeps, and the parts merge through a list the engine
-// keeps, so nothing is allocated once those have grown.
+// AppendCheckpoint appends the checkpoint document of the engine's state to
+// dst. It is the form a node cuts after every closed unit. Frames change
+// only at a close or a Restore, which cut them (Engine.frames), so a
+// checkpoint cuts just the open unit's cells: each shard its sorted part,
+// into buffers it keeps, merged into a list the engine keeps — nothing is
+// allocated once those have grown.
 func (e *Engine) AppendCheckpoint(dst []byte) ([]byte, error) {
-	parts, err := e.cutCheckpoints(func(sh *shard) *checkpointBuf { return &sh.cpBuf })
-	if err != nil {
-		return dst, err
-	}
-	if err := mergeCheckpoints(&e.cpMerged, parts); err != nil {
-		return dst, err
-	}
-	return AppendCheckpoint(dst, &e.cpMerged)
-}
-
-// cutCheckpoints has every shard cut its part into the buffer buf names,
-// in parallel.
-func (e *Engine) cutCheckpoints(buf func(*shard) *checkpointBuf) ([]*Checkpoint, error) {
 	if err := e.ready(); err != nil {
-		return nil, err
+		return dst, err
 	}
-	head := Checkpoint{Unit: e.unit, UnitsDone: e.unitsDone, WALSeq: e.walSeq, Schema: e.shape}
-	vals, err := e.barrier(func(sh *shard) (any, error) { return sh.cutCheckpoint(buf(sh), &head), nil })
+	vals, err := e.barrier(func(sh *shard) (any, error) { return sh.cutCells(), nil })
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	parts := make([]*Checkpoint, len(vals))
-	for i, v := range vals {
-		parts[i] = v.(*Checkpoint)
+	e.cp = Checkpoint{
+		Unit: e.unit, UnitsDone: e.unitsDone, WALSeq: e.walSeq, Schema: e.shape,
+		Cells: mergeSorted(e.cp.Cells[:0], replies[[]CellState](vals), compareCellStates),
+		Tilt:  e.frames,
 	}
-	return parts, nil
+	return AppendCheckpoint(dst, &e.cp)
 }
 
-// cutCheckpoint cuts the shard's part — head's counters, the partition's
-// cells and frames, each in coordinate order — into b, overwriting what b
-// held: the returned checkpoint is b's and lives until b is cut into again.
-func (sh *shard) cutCheckpoint(b *checkpointBuf, head *Checkpoint) *Checkpoint {
+// cutCells cuts the shard's open cells, in coordinate order, into the
+// buffers it keeps: the returned list lives until the shard cuts again.
+func (sh *shard) cutCells() []CellState {
 	nd := sh.e.part.layout.nd
-	cp := &b.cp
-	cells, tilts := cp.Cells[:0], cp.Tilt[:0]
-	*cp = *head
-	cp.Cells, cp.Tilt = cells, tilts
-	slotsInUse, _ := sh.tiltSlots()
-	members := slices.Grow(b.members[:0], (len(sh.slab)+len(sh.frames))*nd)
-	levels := slices.Grow(b.levels[:0], len(sh.frames)*nd)
-	recs := slices.Grow(b.recs[:0], len(sh.frames)*len(sh.e.cfg.TiltLevels))
-	slots := slices.Grow(b.slots[:0], slotsInUse)
-
+	cells := sh.cpCells[:0]
+	members := slices.Grow(sh.cpMembers[:0], len(sh.slab)*nd)[:len(sh.slab)*nd]
 	for o := range sh.slab {
-		start := len(members)
-		members = slices.Grow(members, nd)[:start+nd]
-		sh.e.part.layout.decode(sh.codes[o], members[start:])
-		cp.Cells = append(cp.Cells, CellState{Members: members[start:len(members):len(members)], Acc: sh.slab[o].State()})
+		m := members[o*nd : (o+1)*nd : (o+1)*nd]
+		sh.e.part.layout.decode(sh.codes[o], m)
+		cells = append(cells, CellState{Members: m, Acc: sh.slab[o].State()})
 	}
 	// Ordinal order is first-sight order, not coordinate order; sorting
 	// makes the cut a pure function of engine state.
-	slices.SortFunc(cp.Cells, compareCellStates)
-
-	keys := b.keys[:0]
-	for key := range sh.frames {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, cube.CompareKeys)
-	for _, key := range keys {
-		cf := sh.frames[key]
-		ls, ms := len(levels), len(members)
-		for d := 0; d < key.Cuboid.NumDims(); d++ {
-			levels = append(levels, key.Cuboid.Level(d))
-			members = append(members, key.Members[d])
-		}
-		rec := CellFrame{
-			Levels:  levels[ls:len(levels):len(levels)],
-			Members: members[ms:len(members):len(members)],
-			Base:    cf.base,
-		}
-		rec.Frame, recs, slots = cf.frame.AppendState(recs, slots)
-		cp.Tilt = append(cp.Tilt, rec)
-	}
-	b.keys, b.members, b.levels, b.recs, b.slots = keys, members, levels, recs, slots
-	return cp
+	slices.SortFunc(cells, compareCellStates)
+	sh.cpCells, sh.cpMembers = cells, members
+	return cells
 }
 
 func compareCellStates(a, b CellState) int { return slices.Compare(a.Members, b.Members) }
 
-// compareCoords is cube.CompareKeys on the checkpoint's coordinate form.
-func compareCoords(aLevels, bLevels []int, aMembers, bMembers []int32) int {
-	return cmp.Or(slices.Compare(aLevels, bLevels), slices.Compare(aMembers, bMembers))
-}
-
+// compareCellFrames is cube.CompareKeys on the checkpoint's coordinate
+// form.
 func compareCellFrames(a, b CellFrame) int {
-	return compareCoords(a.Levels, b.Levels, a.Members, b.Members)
-}
-
-// canonical reports whether the checkpoint's collections are in coordinate
-// order, as every engine cuts them and every writer wrote them.
-func (cp *Checkpoint) canonical() bool {
-	return slices.IsSortedFunc(cp.Cells, compareCellStates) &&
-		slices.IsSortedFunc(cp.Tilt, compareCellFrames)
+	return cmp.Or(slices.Compare(a.Levels, b.Levels), slices.Compare(a.Members, b.Members))
 }
 
 // MergeCheckpoints flattens the checkpoints of disjoint partitions of one
-// stream, cut at the same stream position — the shards of an Engine,
-// the shard set of a pre-canonical per-shard file, the nodes of a cluster —
-// into the one canonical Checkpoint: what a one-shard Engine fed the whole
-// stream would export, byte for byte once serialized. Partitions hold
-// disjoint cells and frames, each part in coordinate order, so a k-way
-// merge is lossless and its order independent of the partition count. Every
-// part must agree on the unit counters, the schema shape and the WAL
-// watermark — a whole-log position stamped identically on every shard, so
-// disagreement means the parts were cut at different points in the stream.
-// (Parts that follow separate logs — cluster nodes — are merged with the
-// watermark cleared; see cluster.MergeCheckpoints.) Parts that share a
-// cell or a frame are not disjoint — the same file twice, say — and are
-// refused.
+// stream, cut at the same stream position — the shard set of a
+// pre-canonical per-shard file, the nodes of a cluster — into the one
+// canonical Checkpoint: what a one-shard Engine fed the whole stream would
+// export, byte for byte once serialized. Partitions hold disjoint cells and
+// frames, each part in coordinate order, so a k-way merge is lossless and
+// its order independent of the partition count. Every part must agree on
+// the unit counters, the schema shape and the WAL watermark — a whole-log
+// position stamped identically on every shard, so disagreement means the
+// parts were cut at different points in the stream. (Parts that follow
+// separate logs — cluster nodes — are merged with the watermark cleared;
+// see cluster.MergeCheckpoints.) Parts that share a cell or a frame are not
+// disjoint — the same file twice, say — and are refused.
 func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
-	out := new(Checkpoint)
-	if err := mergeCheckpoints(out, parts); err != nil {
-		return nil, err
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("%w: no checkpoints to merge", ErrConfig)
+	}
+	first := parts[0]
+	cells := make([][]CellState, len(parts))
+	frames := make([][]CellFrame, len(parts))
+	for i, cp := range parts {
+		if cp == nil {
+			return nil, fmt.Errorf("%w: nil checkpoint part %d", ErrConfig, i)
+		}
+		if cp.Unit != first.Unit || cp.UnitsDone != first.UnitsDone {
+			return nil, fmt.Errorf("%w: part %d at unit %d/%d, part 0 at %d/%d",
+				ErrConfig, i, cp.Unit, cp.UnitsDone, first.Unit, first.UnitsDone)
+		}
+		if cp.WALSeq != first.WALSeq {
+			return nil, fmt.Errorf("%w: part %d at WAL watermark %d, part 0 at %d",
+				ErrConfig, i, cp.WALSeq, first.WALSeq)
+		}
+		if !slices.Equal(cp.Schema, first.Schema) {
+			return nil, fmt.Errorf("%w: part %d schema shape %+v differs from part 0 %+v",
+				ErrConfig, i, cp.Schema, first.Schema)
+		}
+		cells[i], frames[i] = cp.Cells, cp.Tilt
+		if !slices.IsSortedFunc(cp.Cells, compareCellStates) || !slices.IsSortedFunc(cp.Tilt, compareCellFrames) {
+			// A hand-assembled part: sort a copy, the caller's stays as it is.
+			cells[i], frames[i] = slices.Clone(cp.Cells), slices.Clone(cp.Tilt)
+			slices.SortStableFunc(cells[i], compareCellStates)
+			slices.SortStableFunc(frames[i], compareCellFrames)
+		}
+	}
+	out := &Checkpoint{
+		Unit: first.Unit, UnitsDone: first.UnitsDone, WALSeq: first.WALSeq, Schema: first.Schema,
+		Cells: mergeSorted(nil, cells, compareCellStates),
+		Tilt:  mergeSorted(nil, frames, compareCellFrames),
 	}
 	for i := 1; i < len(out.Cells); i++ {
 		if compareCellStates(out.Cells[i-1], out.Cells[i]) == 0 {
 			return nil, fmt.Errorf("%w: parts share cell %v", ErrConfig, out.Cells[i].Members)
 		}
 	}
-	for i := 1; i < len(out.Tilt); i++ {
-		if compareCellFrames(out.Tilt[i-1], out.Tilt[i]) == 0 {
-			return nil, fmt.Errorf("%w: parts share the frame of cell %v", ErrConfig, out.Tilt[i].Members)
-		}
+	if f := sharedFrame(out.Tilt); f != nil {
+		return nil, fmt.Errorf("%w: parts share the frame of cell %v", ErrConfig, f.Members)
 	}
 	return out, nil
 }
 
-// mergeCheckpoints is MergeCheckpoints into out, reusing out's slices, for
-// the parts of one engine, which are disjoint by construction. The merged
-// lists hold the parts' records by value: their member tuples and slots
-// still point into the parts.
-func mergeCheckpoints(out *Checkpoint, parts []*Checkpoint) error {
-	if len(parts) == 0 {
-		return fmt.Errorf("%w: no checkpoints to merge", ErrConfig)
-	}
-	first := parts[0]
-	for i, cp := range parts {
-		if cp == nil {
-			return fmt.Errorf("%w: nil checkpoint part %d", ErrConfig, i)
+// sharedFrame returns the first frame of a merged list that repeats its
+// predecessor's cell, or nil when the list holds each cell once.
+func sharedFrame(frames []CellFrame) *CellFrame {
+	for i := 1; i < len(frames); i++ {
+		if compareCellFrames(frames[i-1], frames[i]) == 0 {
+			return &frames[i]
 		}
-		if cp.Unit != first.Unit || cp.UnitsDone != first.UnitsDone {
-			return fmt.Errorf("%w: part %d at unit %d/%d, part 0 at %d/%d",
-				ErrConfig, i, cp.Unit, cp.UnitsDone, first.Unit, first.UnitsDone)
-		}
-		if cp.WALSeq != first.WALSeq {
-			return fmt.Errorf("%w: part %d at WAL watermark %d, part 0 at %d",
-				ErrConfig, i, cp.WALSeq, first.WALSeq)
-		}
-		if !slices.Equal(cp.Schema, first.Schema) {
-			return fmt.Errorf("%w: part %d schema shape %+v differs from part 0 %+v",
-				ErrConfig, i, cp.Schema, first.Schema)
-		}
-	}
-	cells := make([][]CellState, len(parts))
-	frames := make([][]CellFrame, len(parts))
-	for i, cp := range parts {
-		if !cp.canonical() {
-			// A hand-assembled part: sort a copy, the caller's stays as it is.
-			sorted := *cp
-			sorted.Cells, sorted.Tilt = slices.Clone(cp.Cells), slices.Clone(cp.Tilt)
-			slices.SortStableFunc(sorted.Cells, compareCellStates)
-			slices.SortStableFunc(sorted.Tilt, compareCellFrames)
-			cp = &sorted
-		}
-		cells[i], frames[i] = cp.Cells, cp.Tilt
-	}
-	*out = Checkpoint{
-		Unit: first.Unit, UnitsDone: first.UnitsDone, WALSeq: first.WALSeq, Schema: first.Schema,
-		Cells: mergeSorted(out.Cells[:0], cells, compareCellStates),
-		Tilt:  mergeSorted(out.Tilt[:0], frames, compareCellFrames),
 	}
 	return nil
 }
@@ -300,6 +217,25 @@ func mergeSorted[T any](dst []T, lists [][]T, cmp func(a, b T) int) []T {
 		dst = append(dst, lists[best][0])
 		lists[best] = lists[best][1:]
 	}
+}
+
+// mergeParts is mergeSorted for the immutable lists of a unit's parts —
+// alerts, frames — into one: nil when every list is empty, a sole non-empty
+// list as is, otherwise a fresh list.
+func mergeParts[T any](lists [][]T, cmp func(a, b T) int) []T {
+	var sole []T
+	n, nonEmpty := 0, 0
+	for _, l := range lists {
+		if len(l) > 0 {
+			n += len(l)
+			nonEmpty++
+			sole = l
+		}
+	}
+	if nonEmpty <= 1 {
+		return sole
+	}
+	return mergeSorted(make([]T, 0, n), lists, cmp)
 }
 
 // Restore loads a checkpoint taken at any shard count: it repartitions
@@ -342,9 +278,16 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		sid := e.part.Hash(&members)
 		parts[sid].Tilt = append(parts[sid].Tilt, cf)
 	}
-	if _, err := e.barrier(func(sh *shard) (any, error) { return nil, sh.restore(&parts[sh.id], cp.Unit) }); err != nil {
+	vals, err := e.barrier(func(sh *shard) (any, error) {
+		if err := sh.restore(&parts[sh.id], cp.Unit); err != nil {
+			return nil, err
+		}
+		return sh.cutFrames(), nil
+	})
+	if err != nil {
 		return err
 	}
+	e.frames = mergeParts(replies[[]CellFrame](vals), compareCellFrames)
 	e.dict = dict
 	e.unit = cp.Unit
 	e.openStart = e.cfg.unitStart(cp.Unit)
@@ -400,20 +343,11 @@ func (sh *shard) restore(cp *Checkpoint, open int64) error {
 	sh.frames = make(map[cube.CellKey]*cellFrame, len(cp.Tilt))
 	for i := range cp.Tilt {
 		rec := &cp.Tilt[i]
-		key, err := frameKey(cfg.Schema, rec.Levels, rec.Members)
-		if err != nil {
-			return err
+		if err := checkFrame(cfg.Schema, rec, open, cfg.unitStart(open), int64(cfg.TicksPerUnit)); err != nil {
+			return fmt.Errorf("%w: %v", ErrConfig, err)
 		}
-		st := &rec.Frame
-		if rec.Base < 0 || rec.Base+st.Pushed != open {
-			return fmt.Errorf("%w: tilt frame for cell %v covers units [%d,%d), checkpoint closed %d",
-				ErrConfig, key, rec.Base, rec.Base+st.Pushed, open)
-		}
-		if st.Pushed > 0 && (st.UnitTicks != int64(cfg.TicksPerUnit) || st.NextTb != cfg.unitStart(open)) {
-			return fmt.Errorf("%w: tilt frame for cell %v has %d-tick units up to tick %d, engine %d-tick units up to %d",
-				ErrConfig, key, st.UnitTicks, st.NextTb, cfg.TicksPerUnit, cfg.unitStart(open))
-		}
-		if f, err := tilt.RestoreUnitFrame(cfg.TiltLevels, *st); err == nil {
+		key := rec.Key()
+		if f, err := tilt.RestoreUnitFrame(cfg.TiltLevels, rec.Frame); err == nil {
 			sh.frames[key] = &cellFrame{base: rec.Base, frame: f}
 		} else if err := sh.seedFrame(key, rec, open); err != nil {
 			return err
@@ -422,22 +356,41 @@ func (sh *shard) restore(cp *Checkpoint, open int64) error {
 	return nil
 }
 
-// frameKey validates and decodes one frame record's coordinate, which must
-// name a cell of the schema's o-layer.
-func frameKey(schema *cube.Schema, levels []int, members []int32) (cube.CellKey, error) {
-	if len(levels) != len(schema.Dims) || len(members) != len(levels) {
-		return cube.CellKey{}, fmt.Errorf("%w: malformed tilt frame key", ErrConfig)
+// checkFrame is the one check a frame record passes before an engine
+// restores it or a snapshot carries it: an o-layer coordinate with members
+// inside the o-layer, and a base and push count that end where unit open
+// starts, on the unit grid of unitTicks-tick units that has open's first
+// tick at nextTb. Whether the frame is a state of a level chain is
+// tilt.CheckState's to say. It allocates nothing unless it fails.
+func checkFrame(schema *cube.Schema, rec *CellFrame, open, nextTb, unitTicks int64) error {
+	if len(rec.Levels) != len(schema.Dims) || len(rec.Members) != len(rec.Levels) {
+		return fmt.Errorf("malformed tilt frame key: %d levels, %d members", len(rec.Levels), len(rec.Members))
 	}
 	for d, dim := range schema.Dims {
-		if levels[d] != dim.OLevel {
-			return cube.CellKey{}, fmt.Errorf("%w: tilt frame for a cell at levels %v, not on the o-layer", ErrConfig, levels)
+		if rec.Levels[d] != dim.OLevel {
+			return fmt.Errorf("tilt frame for a cell at levels %v, not on the o-layer", rec.Levels)
 		}
-		if m := members[d]; m < 0 || int(m) >= dim.Hierarchy.Cardinality(dim.OLevel) {
-			return cube.CellKey{}, fmt.Errorf("%w: tilt frame for o-cell %v: dimension %d has no member %d",
-				ErrConfig, members, d, m)
+		if m := rec.Members[d]; m < 0 || int(m) >= dim.Hierarchy.Cardinality(dim.OLevel) {
+			return fmt.Errorf("tilt frame for o-cell %v: dimension %d has no member %d", rec.Members, d, m)
 		}
 	}
-	return cube.NewCellKey(schema.OLayer(), members...), nil
+	st := &rec.Frame
+	if rec.Base < 0 || rec.Base+st.Pushed != open {
+		return fmt.Errorf("tilt frame for o-cell %v covers units [%d,%d), want it to end at unit %d",
+			rec.Members, rec.Base, rec.Base+st.Pushed, open)
+	}
+	if st.Pushed > 0 && (st.UnitTicks != unitTicks || st.NextTb != nextTb) {
+		return fmt.Errorf("tilt frame for o-cell %v has %d-tick units up to tick %d, want %d-tick units up to %d",
+			rec.Members, st.UnitTicks, st.NextTb, unitTicks, nextTb)
+	}
+	return nil
+}
+
+// Key returns the frame's cell. The record must name one, as every record
+// that passed checkFrame does.
+func (f *CellFrame) Key() cube.CellKey {
+	c, _ := cube.NewCuboid(f.Levels...)
+	return cube.NewCellKey(c, f.Members...)
 }
 
 // seedFrame rebuilds one o-cell's frame under this engine's level chain

@@ -51,8 +51,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // members writes one member tuple, which must be as wide as the document.
 func (w *snapWriter) members(ms []int32) {
-	if len(ms) != w.nd && w.err == nil {
-		w.err = fmt.Errorf("%w: cell with %d members in a %d-dimensional checkpoint", ErrRecord, len(ms), w.nd)
+	if len(ms) != w.nd {
+		w.dims(len(ms))
 	}
 	for _, m := range ms {
 		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(m))
@@ -61,9 +61,7 @@ func (w *snapWriter) members(ms []int32) {
 
 // coord writes a checkpoint cell coordinate in the key layout.
 func (w *snapWriter) coord(levels []int, members []int32) {
-	if len(levels) != w.nd && w.err == nil {
-		w.err = fmt.Errorf("%w: frame cell with %d levels in a %d-dimensional checkpoint", ErrRecord, len(levels), w.nd)
-	}
+	w.dims(len(levels))
 	for _, l := range levels {
 		if (l < 0 || l > math.MaxUint8) && w.err == nil {
 			w.err = fmt.Errorf("%w: frame cell at level %d", ErrRecord, l)
@@ -71,6 +69,41 @@ func (w *snapWriter) coord(levels []int, members []int32) {
 		w.buf = append(w.buf, byte(l))
 	}
 	w.members(members)
+}
+
+// framesSize is the encoded size of a frames section, for a writer to size
+// its buffer once.
+func framesSize(frames []CellFrame) int {
+	n := 4
+	for i := range frames {
+		n += 5*len(frames[i].Levels) + 4*8 + 4
+		for _, lv := range frames[i].Frame.Levels {
+			n += 8 + 4 + len(lv.Slots)*pointSize
+		}
+	}
+	return n
+}
+
+// frames writes a frames section: one record per frame, in list order.
+func (w *snapWriter) frames(frames []CellFrame) {
+	w.count(len(frames))
+	for i := range frames {
+		f := &frames[i]
+		w.coord(f.Levels, f.Members)
+		w.i64(f.Base)
+		w.i64(f.Frame.UnitTicks)
+		w.i64(f.Frame.NextTb)
+		w.i64(f.Frame.Pushed)
+		w.count(len(f.Frame.Levels))
+		for _, lv := range f.Frame.Levels {
+			w.i64(lv.Next)
+			w.count(len(lv.Slots))
+			for _, sl := range lv.Slots {
+				w.i64(sl.Unit)
+				w.isb(sl.ISB)
+			}
+		}
+	}
 }
 
 // AppendCheckpoint appends the checkpoint document of cp to dst. Encoding
@@ -108,24 +141,7 @@ func AppendCheckpoint(dst []byte, cp *Checkpoint) ([]byte, error) {
 		w.f64(c.Acc.SumTZ)
 	}
 
-	w.count(len(cp.Tilt))
-	for i := range cp.Tilt {
-		f := &cp.Tilt[i]
-		w.coord(f.Levels, f.Members)
-		w.i64(f.Base)
-		w.i64(f.Frame.UnitTicks)
-		w.i64(f.Frame.NextTb)
-		w.i64(f.Frame.Pushed)
-		w.count(len(f.Frame.Levels))
-		for _, lv := range f.Frame.Levels {
-			w.i64(lv.Next)
-			w.count(len(lv.Slots))
-			for _, sl := range lv.Slots {
-				w.i64(sl.Unit)
-				w.isb(sl.ISB)
-			}
-		}
-	}
+	w.frames(cp.Tilt)
 	if w.err != nil {
 		return dst, w.err
 	}
@@ -178,38 +194,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 	}
 
-	const levelSize = 8 + 4
-	if n := r.count(5*nd + 4*8 + 4); n > 0 {
-		cp.Tilt = make([]CellFrame, n)
-		levels, members := make([]int, n*nd), make([]int32, n*nd)
-		for i := range cp.Tilt {
-			f := &cp.Tilt[i]
-			f.Levels, levels = levels[:nd:nd], levels[nd:]
-			f.Members, members = members[:nd:nd], members[nd:]
-			if b := r.take(nd); b != nil {
-				for d, l := range b {
-					f.Levels[d] = int(l)
-				}
-			}
-			r.members(f.Members)
-			f.Base = r.i64()
-			f.Frame = tilt.UnitFrameState{UnitTicks: r.i64(), NextTb: r.i64(), Pushed: r.i64()}
-			if nl := r.count(levelSize); nl > 0 {
-				f.Frame.Levels = make([]tilt.LevelStateRec, nl)
-			}
-			for j := range f.Frame.Levels {
-				lv := &f.Frame.Levels[j]
-				lv.Next = r.i64()
-				if ns := r.count(pointSize); ns > 0 {
-					lv.Slots = make([]tilt.Slot, ns)
-				}
-				for x := range lv.Slots {
-					lv.Slots[x].Unit = r.i64()
-					lv.Slots[x].ISB = r.isb()
-				}
-			}
-		}
-	}
+	cp.Tilt = r.frames()
 
 	// What is left must be exactly the trailer. It is checked last, so that
 	// a torn file reads as truncated at the offset where it ends.
@@ -226,6 +211,47 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			ErrRecord, body, want, got)
 	}
 	return cp, nil
+}
+
+// frames reads a frames section (snapWriter.frames). What the records say
+// is for their reader to check (checkFrame, tilt.CheckState).
+func (r *snapReader) frames() []CellFrame {
+	const levelSize = 8 + 4
+	nd := r.nd
+	n := r.count(5*nd + 4*8 + 4)
+	if n == 0 {
+		return nil
+	}
+	frames := make([]CellFrame, n)
+	levels, members := make([]int, n*nd), make([]int32, n*nd)
+	for i := range frames {
+		f := &frames[i]
+		f.Levels, levels = levels[:nd:nd], levels[nd:]
+		f.Members, members = members[:nd:nd], members[nd:]
+		if b := r.take(nd); b != nil {
+			for d, l := range b {
+				f.Levels[d] = int(l)
+			}
+		}
+		r.members(f.Members)
+		f.Base = r.i64()
+		f.Frame = tilt.UnitFrameState{UnitTicks: r.i64(), NextTb: r.i64(), Pushed: r.i64()}
+		if nl := r.count(levelSize); nl > 0 {
+			f.Frame.Levels = make([]tilt.LevelStateRec, nl)
+		}
+		for j := range f.Frame.Levels {
+			lv := &f.Frame.Levels[j]
+			lv.Next = r.i64()
+			if ns := r.count(pointSize); ns > 0 {
+				lv.Slots = make([]tilt.Slot, ns)
+			}
+			for x := range lv.Slots {
+				lv.Slots[x].Unit = r.i64()
+				lv.Slots[x].ISB = r.isb()
+			}
+		}
+	}
+	return frames
 }
 
 // members reads one member tuple into dst.

@@ -13,7 +13,7 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -56,9 +56,8 @@ type Config struct {
 	Delta *exception.Delta
 	// PublishSnapshots makes the engine publish an immutable Snapshot at
 	// every unit boundary for lock-free concurrent readers (the serving
-	// layer). Costs one frame copy per closed unit — nothing on the
-	// per-record path — and is off by default so pure-ingest pipelines pay
-	// zero.
+	// layer). It costs a frame cut per closed unit instead of one per
+	// advance — nothing on the per-record path — and is off by default.
 	PublishSnapshots bool
 	// Shards is how many partitions the engine closes its units across in
 	// parallel (§6); 0 means 1. Results, snapshots and checkpoints do not
@@ -160,10 +159,12 @@ type Engine struct {
 	dict        *cellDict
 	cellsActive atomic.Int64
 	// anc resolves roll-ups to the o-layer when a closed unit's supporter
-	// index is built; shape fingerprints cfg.Schema in every checkpoint.
-	anc   *cube.AncestorIndex
-	shape []DimensionShape
-	unit  int64 // index of the current (open) unit
+	// index is built; shape fingerprints cfg.Schema in every checkpoint;
+	// oLevels is the o-layer's level tuple, which every frame record shares.
+	anc     *cube.AncestorIndex
+	shape   []DimensionShape
+	oLevels []int
+	unit    int64 // index of the current (open) unit
 	// openStart/openEnd cache the open unit's tick bounds
 	// [openStart, openEnd), so the per-record boundary tests are single
 	// comparisons.
@@ -184,8 +185,11 @@ type Engine struct {
 	// values push-side to subscribers (Subscribe).
 	snap atomic.Pointer[Snapshot]
 	bus  snapBus
-	// cpMerged is the list AppendCheckpoint merges the shards' parts into.
-	cpMerged Checkpoint
+	// frames is every o-cell's frame record in coordinate order, cut at the
+	// last close or Restore: the snapshot's Frames and the checkpoint's
+	// Tilt. cp is the checkpoint AppendCheckpoint assembles.
+	frames []CellFrame
+	cp     Checkpoint
 }
 
 // NewEngine validates the config and returns an engine of cfg.Shards
@@ -211,6 +215,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if len(cfg.TiltLevels) == 0 {
 		cfg.TiltLevels = []tilt.Level{{Name: "unit", Multiple: 1, Slots: 64}}
 	}
+	// Every snapshot shares the chain.
+	cfg.TiltLevels = slices.Clone(cfg.TiltLevels)
 	// Validate the level chain once; per-cell frames are built lazily.
 	if _, err := tilt.NewUnitFrame(cfg.TiltLevels); err != nil {
 		return nil, fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
@@ -227,6 +233,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		shape:     shapeOf(cfg.Schema),
 		openStart: cfg.StartTick,
 		openEnd:   cfg.StartTick + int64(cfg.TicksPerUnit),
+	}
+	for _, dim := range cfg.Schema.Dims {
+		e.oLevels = append(e.oLevels, dim.OLevel)
 	}
 	e.dict = e.newDict()
 	for i := range e.shards {
@@ -347,10 +356,12 @@ func (e *Engine) refuse(acc *regression.Accumulator, tick int64, value float64) 
 }
 
 // advanceTo closes units up to (excluding) target on every shard in
-// parallel and merges the per-unit results. With snapshots on, the barrier
-// collects each shard's per-unit frame copies and publishes one merged
-// Snapshot per closed unit, so bus subscribers observe the same snapshot
-// stream at any shard count (pull-side Snapshot() callers see the last one).
+// parallel and merges the per-unit results. Each shard cuts its frames
+// inside the barrier, after the last unit or, with snapshots on, after
+// every unit, and the coordinator merges the cuts into one frame list. With
+// snapshots on it publishes one merged Snapshot per closed unit, so bus
+// subscribers observe the same snapshot stream at any shard count
+// (pull-side Snapshot() callers see the last one).
 func (e *Engine) advanceTo(target int64) ([]*UnitResult, error) {
 	from, n := e.unit, int(target-e.unit)
 	publish := e.cfg.PublishSnapshots
@@ -363,11 +374,8 @@ func (e *Engine) advanceTo(target int64) ([]*UnitResult, error) {
 				return nil, err
 			}
 			adv.urs = append(adv.urs, ur)
-			if publish {
-				// Copied inside the barrier, unit by unit, so the copies
-				// are exact per unit and never race with the shard's own
-				// later units.
-				adv.frames = append(adv.frames, sh.snapshotFrames())
+			if publish || u == target-1 {
+				adv.frames = append(adv.frames, sh.cutFrames())
 			}
 		}
 		return adv, nil
@@ -375,42 +383,44 @@ func (e *Engine) advanceTo(target int64) ([]*UnitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	perShard := make([]shardAdvance, len(vals))
-	for i, v := range vals {
-		perShard[i] = v.(shardAdvance)
-	}
+	perShard := replies[shardAdvance](vals)
 	out := make([]*UnitResult, n)
+	lists := make([][]CellFrame, len(perShard))
 	for u := range out {
 		shardURs := make([]*UnitResult, len(perShard))
 		for i := range perShard {
 			shardURs[i] = perShard[i].urs[u]
 		}
-		out[u] = e.mergeUnit(shardURs)
+		if out[u], err = e.mergeUnit(shardURs); err != nil {
+			e.err = err
+			return nil, err
+		}
+		if !publish && u < n-1 {
+			continue
+		}
+		for i := range perShard {
+			lists[i] = perShard[i].frames[0]
+			perShard[i].frames = perShard[i].frames[1:]
+		}
+		e.frames = mergeParts(lists, compareCellFrames)
+		if publish {
+			e.publish(&Snapshot{
+				Unit:      out[u].Unit,
+				Interval:  out[u].Interval,
+				UnitsDone: e.unitsDone + int64(u) + 1,
+				// The clone keeps readers isolated from whatever the Ingest
+				// caller does with the returned UnitResult's slices.
+				Alerts: cloneAlerts(out[u].Alerts),
+				Result: out[u].Result,
+				Chain:  e.cfg.TiltLevels,
+				Frames: e.frames,
+			})
+		}
 	}
 	e.unit = target
 	e.openStart = e.cfg.unitStart(target)
 	e.openEnd = e.cfg.unitStart(target + 1)
 	e.dict.reset() // the shards emptied their slabs
-	if publish {
-		for u, ur := range out {
-			// Shards own disjoint o-cells, so the merged frame set is a
-			// union — a sole shard's is the set itself.
-			frames := perShard[0].frames[u]
-			for _, adv := range perShard[1:] {
-				maps.Copy(frames, adv.frames[u])
-			}
-			e.publish(&Snapshot{
-				Unit:      ur.Unit,
-				Interval:  ur.Interval,
-				UnitsDone: e.unitsDone + int64(u) + 1,
-				// The clone keeps readers isolated from whatever the Ingest
-				// caller does with the returned UnitResult's slices.
-				Alerts: cloneAlerts(ur.Alerts),
-				Result: ur.Result,
-				Frames: frames,
-			})
-		}
-	}
 	e.unitsDone += int64(n)
 	return out, nil
 }
@@ -452,10 +462,6 @@ func (e *Engine) Flush() (*UnitResult, error) {
 // hold exactly its cells.
 func (e *Engine) ActiveCells() int { return e.dict.n }
 
-// owner returns the shard that owns an o-cell. Between barriers no shard
-// goroutine runs, so the caller reads it directly.
-func (e *Engine) owner(cell *cube.CellKey) *shard { return &e.shards[e.part.Hash(&cell.Members)] }
-
 // TrendQuery aggregates the last k units of an o-cell's history — the
 // finest level of its frame, retaining TiltLevels[0].Slots units — into one
 // regression over the combined interval (Theorem 3.3). It fails when fewer
@@ -467,21 +473,15 @@ func (e *Engine) TrendQuery(cell cube.CellKey, k int) (regression.ISB, error) {
 // TrendQueryAt aggregates the last k completed units of an o-cell at the
 // given tilt level (0 = finest).
 func (e *Engine) TrendQueryAt(cell cube.CellKey, level, k int) (regression.ISB, error) {
-	cf := e.owner(&cell).frames[cell]
-	if cf == nil {
-		return regression.ISB{}, fmt.Errorf("%w: no history for cell %v", ErrRecord, cell)
-	}
-	return trendErr(cf.frame.Query(level, k))
+	return e.frameView().TrendQueryAt(cell, level, k)
 }
 
 // HistoryLen returns how many units of history an o-cell currently has at
 // the finest granularity.
-func (e *Engine) HistoryLen(cell cube.CellKey) int {
-	if cf := e.owner(&cell).frames[cell]; cf != nil {
-		return cf.frame.SlotsLen(0)
-	}
-	return 0
-}
+func (e *Engine) HistoryLen(cell cube.CellKey) int { return e.frameView().HistoryLen(cell) }
+
+// frameView reads the frames the last close or Restore cut like a snapshot.
+func (e *Engine) frameView() *Snapshot { return &Snapshot{Chain: e.cfg.TiltLevels, Frames: e.frames} }
 
 // WALSeq returns the WAL watermark: the count of write-ahead-log records
 // this engine's state reflects (zero when no WAL is in use).

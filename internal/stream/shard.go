@@ -2,6 +2,7 @@ package stream
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/core"
@@ -38,19 +39,23 @@ type shard struct {
 	slab  []regression.Accumulator
 	codes []uint64
 	// frames holds the history of every o-cell of the partition seen so
-	// far: one tilt frame per cell, its finest level the per-unit history.
+	// far: one tilt frame per cell, its finest level the per-unit history;
+	// keys is where cutFrames sorts their cells.
 	frames map[cube.CellKey]*cellFrame
+	keys   []cube.CellKey
 	// inputs/members hold each closed unit's m-layer batch, reused from
 	// close to close: nothing the cube returns aliases them.
 	inputs  []core.Input
 	members []int32
-	// ws is what m/o-cubing keeps from one unit's close to the next; cpBuf
-	// is where AppendCheckpoint has the shard cut its part.
-	ws    *core.Workspace
-	cpBuf checkpointBuf
-	in    chan barrierFn // nil for shard 0
-	out   chan shardReply
-	done  chan struct{}
+	// ws is what m/o-cubing keeps from one unit's close to the next;
+	// cpCells/cpMembers are what AppendCheckpoint has the shard cut its
+	// cells into.
+	ws        *core.Workspace
+	cpCells   []CellState
+	cpMembers []int32
+	in        chan barrierFn // nil for shard 0
+	out       chan shardReply
+	done      chan struct{}
 }
 
 // run is the goroutine of every shard but shard 0.
@@ -90,12 +95,22 @@ func (e *Engine) barrier(fn barrierFn) ([]any, error) {
 	return out, nil
 }
 
+// replies types a barrier's replies.
+func replies[T any](vals []any) []T {
+	out := make([]T, len(vals))
+	for i, v := range vals {
+		out[i] = v.(T)
+	}
+	return out
+}
+
 // shardAdvance is one shard's reply to an advanceTo barrier: its closed
-// units plus, when snapshots are on, a copy of its frame views after each
-// closed unit (frames[u] reflects state just after urs[u] closed).
+// units and the cuts of its frames — after each closed unit when snapshots
+// are on (frames[u] reflects state just after urs[u] closed), else after
+// the last one only.
 type shardAdvance struct {
 	urs    []*UnitResult
-	frames []map[cube.CellKey]*FrameView
+	frames [][]CellFrame
 }
 
 // closeUnit closes unit u, the shard's open one: it cubes the partition's
@@ -199,18 +214,21 @@ func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 // (unionResults), and since each shard's alerts arrive in canonical order
 // with their drills complete (finished inside the barrier), the
 // merged list is a k-way merge.
-func (e *Engine) mergeUnit(urs []*UnitResult) *UnitResult {
+func (e *Engine) mergeUnit(urs []*UnitResult) (*UnitResult, error) {
 	merged := &UnitResult{Unit: urs[0].Unit, Interval: urs[0].Interval}
 	results := make([]*core.Result, len(urs))
 	alerts := make([][]Alert, len(urs))
 	for i, ur := range urs {
 		results[i], alerts[i] = ur.Result, ur.Alerts
 	}
-	merged.Result = unionResults(e.cfg.Schema, results)
-	if merged.Result != nil {
-		merged.Alerts = mergeAlerts(alerts)
+	var err error
+	if merged.Result, err = unionResults(e.cfg.Schema, results); err != nil {
+		return nil, err
 	}
-	return merged
+	if merged.Result != nil {
+		merged.Alerts = mergeParts(alerts, compareAlerts)
+	}
+	return merged, nil
 }
 
 // unionResults merges the cube results of one unit computed over disjoint
@@ -219,8 +237,9 @@ func (e *Engine) mergeUnit(urs []*UnitResult) *UnitResult {
 // non-empty part is the union and is returned as is — the whole story at
 // one shard. Otherwise cell maps are disjoint by the partition invariant,
 // so merging is a union into maps sized once from the part sizes; stats
-// fold through mergeStats.
-func unionResults(schema *cube.Schema, parts []*core.Result) *core.Result {
+// fold through mergeStats. Parts that share a cell are not disjoint — one
+// node's snapshot twice, say — and are refused.
+func unionResults(schema *cube.Schema, parts []*core.Result) (*core.Result, error) {
 	var oCells, exceptions, nonEmpty int
 	var sole *core.Result
 	for _, r := range parts {
@@ -232,7 +251,7 @@ func unionResults(schema *cube.Schema, parts []*core.Result) *core.Result {
 		}
 	}
 	if nonEmpty <= 1 {
-		return sole
+		return sole, nil
 	}
 	res := &core.Result{
 		Schema:     schema,
@@ -244,16 +263,19 @@ func unionResults(schema *cube.Schema, parts []*core.Result) *core.Result {
 		if r == nil {
 			continue
 		}
-		for k, v := range r.OLayer {
-			res.OLayer[k] = v
-		}
-		for k, v := range r.Exceptions {
-			res.Exceptions[k] = v
+		// A map an insert does not grow already held the cell.
+		for _, m := range [...][2]map[cube.CellKey]regression.ISB{{res.OLayer, r.OLayer}, {res.Exceptions, r.Exceptions}} {
+			for k, v := range m[1] {
+				n := len(m[0])
+				if m[0][k] = v; len(m[0]) == n {
+					return nil, fmt.Errorf("%w: parts share cell %s", ErrRecord, k.Describe(schema))
+				}
+			}
 		}
 		mergeStats(&res.Stats, &r.Stats, first)
 		first = false
 	}
-	return res
+	return res, nil
 }
 
 // mergeStats folds one shard's cube statistics into the merged result.
@@ -289,22 +311,4 @@ func mergeStats(dst *core.Stats, src *core.Stats, first bool) {
 // (cube.CompareKeys), then kind.
 func compareAlerts(a, b Alert) int {
 	return cmp.Or(cmp.Compare(a.Unit, b.Unit), cube.CompareKeys(a.Cell, b.Cell), cmp.Compare(a.Kind, b.Kind))
-}
-
-// mergeAlerts k-way-merges alert lists that are each in canonical order
-// and pairwise disjoint (shards and cluster nodes own disjoint o-cells),
-// consuming the lists. A sole non-empty list is returned as is.
-func mergeAlerts(lists [][]Alert) []Alert {
-	var sole []Alert
-	nonEmpty := 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			nonEmpty++
-			sole = l
-		}
-	}
-	if nonEmpty <= 1 {
-		return sole
-	}
-	return mergeSorted(nil, lists, compareAlerts)
 }

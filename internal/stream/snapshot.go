@@ -2,10 +2,12 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/regression"
+	"repro/internal/tilt"
 	"repro/internal/timeseries"
 )
 
@@ -43,11 +45,14 @@ type Snapshot struct {
 	// Alerts are the unit's alerts in canonical order: unit, then cell
 	// (cube.CompareKeys), then kind.
 	Alerts []Alert
-	// Frames maps each o-cell seen so far to its history: the frame's
-	// finest level holds the trailing per-unit regressions (every frame
-	// ends at Unit; a unit the cell sat out is a zero regression), coarser
-	// levels the promoted ones.
-	Frames map[cube.CellKey]*FrameView
+	// Chain is the engine's tilt level chain (Config.TiltLevels), finest
+	// first: level i of every frame below is Chain[i].
+	Chain []tilt.Level
+	// Frames holds each o-cell's history in coordinate order, the records
+	// the engine's checkpoint writes: the finest level the trailing
+	// per-unit regressions (every frame ends at Unit; a unit the cell sat
+	// out is a zero regression), coarser levels the promoted ones.
+	Frames []CellFrame
 }
 
 // Empty reports whether this snapshot's unit closed with no data: Result
@@ -56,47 +61,64 @@ type Snapshot struct {
 // erroring.
 func (s *Snapshot) Empty() bool { return s.Result == nil }
 
-// FrameOf returns an o-cell's frame view (shared, do not mutate), or nil
+// FrameOf returns an o-cell's frame record (shared, do not mutate), or nil
 // when the cell is unknown.
-func (s *Snapshot) FrameOf(cell cube.CellKey) *FrameView {
-	return s.Frames[cell]
+func (s *Snapshot) FrameOf(cell cube.CellKey) *CellFrame {
+	i, ok := slices.BinarySearchFunc(s.Frames, cell, func(f CellFrame, cell cube.CellKey) int {
+		return cube.CompareKeys(f.Key(), cell)
+	})
+	if !ok {
+		return nil
+	}
+	return &s.Frames[i]
 }
 
-// Tilted reports whether the level chain has more than one granularity,
-// as far as this snapshot shows: every frame follows the engine's one
-// chain, and a snapshot without cells has nothing tilted to read.
-func (s *Snapshot) Tilted() bool {
-	for _, v := range s.Frames {
-		return len(v.Levels) > 1
-	}
-	return false
-}
+// Tilted reports whether the level chain has more than one granularity.
+func (s *Snapshot) Tilted() bool { return len(s.Chain) > 1 }
 
 // TrendQueryAt aggregates the last k completed units of an o-cell at the
 // given tilt level (0 = finest), exactly like Engine.TrendQueryAt but
 // against this immutable snapshot.
 func (s *Snapshot) TrendQueryAt(cell cube.CellKey, level, k int) (regression.ISB, error) {
-	v := s.Frames[cell]
-	if v == nil {
+	f := s.FrameOf(cell)
+	if f == nil {
 		return regression.ISB{}, fmt.Errorf("%w: no history for cell %v", ErrRecord, cell)
 	}
-	return v.Query(level, k)
+	if level < 0 || level >= len(s.Chain) {
+		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrRecord, level, len(s.Chain))
+	}
+	isb, err := tilt.AggregateLast(s.Chain[level].Name, f.Frame.Levels[level].Slots, k)
+	if err != nil {
+		return isb, fmt.Errorf("%w: %v", ErrRecord, err)
+	}
+	return isb, nil
 }
 
 // HistoryOf returns an o-cell's trailing per-unit history, oldest first:
 // a fresh copy of its frame's finest level, named by engine unit.
 func (s *Snapshot) HistoryOf(cell cube.CellKey) []HistoryPoint {
-	if v := s.Frames[cell]; v != nil {
-		return v.History()
+	if f := s.FrameOf(cell); f != nil {
+		return f.History()
 	}
 	return nil
+}
+
+// History returns the frame's finest level as per-unit history points,
+// frame ordinals mapped back to engine units.
+func (f *CellFrame) History() []HistoryPoint {
+	slots := f.Frame.Levels[0].Slots
+	pts := make([]HistoryPoint, len(slots))
+	for i, sl := range slots {
+		pts[i] = HistoryPoint{Unit: f.Base + sl.Unit, ISB: sl.ISB}
+	}
+	return pts
 }
 
 // HistoryLen returns how many units of history an o-cell has in this
 // snapshot.
 func (s *Snapshot) HistoryLen(cell cube.CellKey) int {
-	if v := s.Frames[cell]; v != nil {
-		return len(v.Levels[0].Slots)
+	if f := s.FrameOf(cell); f != nil {
+		return len(f.Frame.Levels[0].Slots)
 	}
 	return 0
 }

@@ -86,7 +86,8 @@ func verifySnapshot(t testing.TB, cfg *Config, s *Snapshot) {
 			}
 		}
 	}
-	for key := range s.Frames {
+	for _, f := range s.Frames {
+		key := f.Key()
 		h := s.HistoryOf(key)
 		for i := 1; i < len(h); i++ {
 			if h[i].Unit != h[i-1].Unit+1 {
@@ -237,7 +238,8 @@ func TestSnapshotEmptyUnit(t *testing.T) {
 	}
 	// History still carries unit 0's cells, each one zero regression
 	// longer: the cells sat unit 1 out.
-	for key := range full.Frames {
+	for _, f := range full.Frames {
+		key := f.Key()
 		was, now := full.HistoryOf(key), empty.HistoryOf(key)
 		quiet := HistoryPoint{Unit: 1, ISB: regression.ISB{Tb: empty.Interval.Tb, Te: empty.Interval.Te}}
 		if !reflect.DeepEqual(now, append(was, quiet)) {

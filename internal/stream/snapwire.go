@@ -3,8 +3,8 @@ package stream
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -17,38 +17,38 @@ import (
 // GET /v1/snapshot ships and the cluster coordinator's gather tier
 // decodes and merges. It lives in this package (not internal/serve or
 // internal/cluster) because it is the third leg of the snapshot
-// contract — publish (snapshot.go), merge (sharded.go), and now
-// transfer — and both the server and the coordinator need it without
-// importing each other.
+// contract — publish (snapshot.go), merge (shard.go), and transfer — and
+// both the server and the coordinator need it without importing each
+// other.
 //
 // A cell's regression is four numbers (the ISB, §3.2), so the document is
 // fixed-size records behind counts. All integers are little-endian, floats
 // travel as their IEEE-754 bits (−0, ±Inf and NaN payloads survive):
 //
 //	header   "RCSN" · version u8 · dims u8 · flags u8 · unit · interval Tb,Te · unitsDone
+//	         · chain u32 × (name · multiple · slots)
 //	result   oLayer cells · exceptions cells · stats   (absent when empty)
 //	alerts   u32 × (unit · kind · key · ISB · drill cells)
-//	frames   u32 × (key · base · u32 × (name · unitTicks · capacity · completed · u32 × point))
+//	frames   u32 × (key · base · unitTicks · nextTb · pushed · u32 × (completed · u32 × point))
 //
 //	cells = u32 × (key · ISB)     key = levels[dims]u8 · members[dims]i32
 //	ISB = Tb,Te i64 · Base,Slope f64     point = unit i64 · ISB
 //	stats = algorithm · 11 × i64 in core.Stats field order     strings = u32 length · bytes
 //
-// A frame has at least one level, and its finest level is the cell's
-// per-unit history (version 2 carried that a second time, as a history
-// section); a point's unit is the slot's ordinal at its level.
-// dims is the dimension count of the cells, 0 in a document without any
-// (a first unit that closed empty). Every list is in canonical order
-// (cube.CompareKeys; alerts as published), so encoding is deterministic:
-// two nodes holding equal state encode equal bytes. Every count is
-// checked against the bytes that remain before anything is allocated for
-// it.
+// The tilt level chain is written once, and each frame is the checkpoint
+// document's CellFrame record, its levels following the chain. dims is
+// the dimension count of the cells, 0 in a document without any (a first
+// unit that closed empty). Every list is in canonical order
+// (cube.CompareKeys; alerts as published), so equal state encodes to equal
+// bytes. Every count is checked against the bytes that remain before
+// anything is allocated for it, and every frame before it is handed out.
 
 const (
 	snapMagic = "RCSN"
 	// snapshotWireVersion is the /v1/snapshot document version (1 was
-	// JSON, 2 had a history section and optional frames).
-	snapshotWireVersion = 3
+	// JSON, 2 had a history section and optional frames, 3 frames in an
+	// encoding of their own).
+	snapshotWireVersion = 4
 
 	flagEmpty = 1 << 0 // the unit closed with no data: no result section
 
@@ -75,13 +75,21 @@ func (w *snapWriter) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-func (w *snapWriter) key(k cube.CellKey) {
+// dims takes a cell of n dimensions in a document of w.nd: a snapshot's
+// first cell fixes its count (the header's dims byte); a cell of another
+// count sticks in err.
+func (w *snapWriter) dims(n int) {
 	if w.nd == 0 {
-		w.nd = k.Cuboid.NumDims()
-		w.buf[len(snapMagic)+1] = byte(w.nd) // the header's dims
+		w.nd = n
+		w.buf[len(snapMagic)+1] = byte(n)
+	} else if n != w.nd && w.err == nil {
+		w.err = fmt.Errorf("%w: %d-dimensional cell in a %d-dimensional document", ErrRecord, n, w.nd)
 	}
-	if k.Cuboid.NumDims() != w.nd && w.err == nil {
-		w.err = fmt.Errorf("%w: %d-dimensional cell in a %d-dimensional snapshot", ErrRecord, k.Cuboid.NumDims(), w.nd)
+}
+
+func (w *snapWriter) key(k cube.CellKey) {
+	if k.Cuboid.NumDims() != w.nd {
+		w.dims(k.Cuboid.NumDims())
 	}
 	for d := 0; d < w.nd; d++ {
 		w.buf = append(w.buf, byte(k.Cuboid.Level(d)))
@@ -116,17 +124,11 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		return nil, fmt.Errorf("%w: nil snapshot", ErrRecord)
 	}
 	var flags byte
-	size := 1 << 10
+	size := 1<<10 + framesSize(s.Frames)
 	if res := s.Result; res == nil {
 		flags |= flagEmpty
 	} else {
 		size += (len(res.OLayer) + len(res.Exceptions)) * 2 * pointSize
-	}
-	for _, v := range s.Frames {
-		size += 2 * pointSize
-		for _, lv := range v.Levels {
-			size += (1 + len(lv.Slots)) * pointSize
-		}
 	}
 	w := snapWriter{buf: append(make([]byte, 0, size), snapMagic...)}
 	w.buf = append(w.buf, snapshotWireVersion, 0, flags)
@@ -134,6 +136,12 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	w.i64(s.Interval.Tb)
 	w.i64(s.Interval.Te)
 	w.i64(s.UnitsDone)
+	w.count(len(s.Chain))
+	for _, lv := range s.Chain {
+		w.str(lv.Name)
+		w.i64(int64(lv.Multiple))
+		w.i64(int64(lv.Slots))
+	}
 
 	if res := s.Result; res != nil {
 		w.cells(res.OLayer)
@@ -161,24 +169,7 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		}
 	}
 
-	w.count(len(s.Frames))
-	for _, k := range core.SortedCellKeys(s.Frames) {
-		v := s.Frames[k]
-		w.key(k)
-		w.i64(v.Base)
-		w.count(len(v.Levels))
-		for _, lv := range v.Levels {
-			w.str(lv.Name)
-			w.i64(lv.UnitTicks)
-			w.i64(int64(lv.Capacity))
-			w.i64(lv.Completed)
-			w.count(len(lv.Slots))
-			for _, sl := range lv.Slots {
-				w.i64(sl.Unit)
-				w.isb(sl.ISB)
-			}
-		}
-	}
+	w.frames(s.Frames)
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -298,7 +289,9 @@ func (r *snapReader) cells() map[cube.CellKey]regression.ISB {
 // are validated against; the returned snapshot's Result carries that
 // schema, exactly as a local engine's would. Anything but one whole
 // well-formed document — truncation, trailing bytes, a count the bytes
-// cannot back, a cell outside the schema — is ErrRecord.
+// cannot back, a cell outside the schema, an invalid level chain, a frame
+// that fails checkFrame or is not a state of the chain (tilt.CheckState),
+// frames out of coordinate order or two for one cell — is ErrRecord.
 func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	r := snapReader{doc: "snapshot", size: len(data), data: data}
 	head := r.take(len(snapMagic) + 3)
@@ -329,6 +322,14 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	s.Interval.Tb = r.i64()
 	s.Interval.Te = r.i64()
 	s.UnitsDone = r.i64()
+	s.Chain = make([]tilt.Level, r.count(4+8+8))
+	for i := range s.Chain {
+		s.Chain[i] = tilt.Level{Name: r.str(), Multiple: int(r.i64()), Slots: int(r.i64())}
+	}
+	// A failed chain ends the reads, so no frame meets it below.
+	if _, err := tilt.NewUnitFrame(s.Chain); err != nil && r.err == nil {
+		r.fail("level chain: %v", err)
+	}
 
 	if flags&flagEmpty == 0 {
 		res := &core.Result{Schema: schema}
@@ -359,29 +360,16 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 		}
 	}
 
-	const levelSize = 4 + 3*8 + 4
-	cells := r.count(5*r.nd + 8 + 4 + levelSize)
-	s.Frames = make(map[cube.CellKey]*FrameView, cells)
-	for range cells {
-		k := r.key()
-		v := &FrameView{Base: r.i64()}
-		v.Levels = make([]FrameLevelView, r.count(levelSize))
-		if len(v.Levels) == 0 {
-			r.fail("frame of no levels")
+	s.Frames = r.frames()
+	for i := range s.Frames {
+		f := &s.Frames[i]
+		if err := checkFrame(schema, f, s.Unit+1, s.Interval.Te+1, s.Interval.Len()); err != nil {
+			r.fail("%v", err)
+		} else if err := tilt.CheckState(s.Chain, &f.Frame); err != nil {
+			r.fail("tilt frame for o-cell %v: %v", f.Members, err)
+		} else if i > 0 && compareCellFrames(s.Frames[i-1], *f) >= 0 {
+			r.fail("tilt frame for o-cell %v out of order or repeated", f.Members)
 		}
-		for j := range v.Levels {
-			lv := &v.Levels[j]
-			lv.Name = r.str()
-			lv.UnitTicks = r.i64()
-			lv.Capacity = int(r.i64())
-			lv.Completed = r.i64()
-			lv.Slots = make([]tilt.Slot, r.count(pointSize))
-			for x := range lv.Slots {
-				lv.Slots[x].Unit = r.i64()
-				lv.Slots[x].ISB = r.isb()
-			}
-		}
-		s.Frames[k] = v
 	}
 	if len(r.data) != 0 {
 		r.fail("%d trailing bytes", len(r.data))
@@ -394,11 +382,14 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 
 // MergeSnapshots combines per-node snapshots of the same closed unit into
 // the cluster-wide view, with exactly the union-and-merge semantics the
-// sharded coordinator applies at its barriers (advanceTo): cell maps are
+// engine applies to its shards at a close (advanceTo): cell maps are
 // disjoint by the partition invariant so merging is a union, the nodes'
-// alert lists (canonical as published) merge into one canonical list, and
-// per-node stats fold through mergeStats. Every snapshot must describe the same unit; mismatched
-// units mean the gather tier fetched without aligning watermarks first.
+// alert lists (canonical as published) and frame lists (in coordinate
+// order) merge into one list each, and per-node stats fold through
+// mergeStats. Every snapshot must describe the same unit under the same
+// level chain; mismatched units mean the gather tier fetched without
+// aligning watermarks first. Parts that share a result cell or a frame are
+// not disjoint — one node's snapshot twice, say — and are refused.
 func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("%w: no snapshots to merge", ErrRecord)
@@ -412,20 +403,31 @@ func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 		if s.Interval != first.Interval {
 			return nil, fmt.Errorf("%w: snapshot intervals diverge at unit %d", ErrRecord, s.Unit)
 		}
+		if !slices.Equal(s.Chain, first.Chain) {
+			return nil, fmt.Errorf("%w: snapshot level chains diverge at unit %d", ErrRecord, s.Unit)
+		}
+	}
+	results := make([]*core.Result, len(snaps))
+	alerts := make([][]Alert, len(snaps))
+	frames := make([][]CellFrame, len(snaps))
+	for i, s := range snaps {
+		results[i], alerts[i], frames[i] = s.Result, s.Alerts, s.Frames
+	}
+	res, err := unionResults(schema, results)
+	if err != nil {
+		return nil, err
 	}
 	out := &Snapshot{
 		Unit:      first.Unit,
 		Interval:  first.Interval,
 		UnitsDone: first.UnitsDone,
-		Frames:    make(map[cube.CellKey]*FrameView),
+		Result:    res,
+		Alerts:    mergeParts(alerts, compareAlerts),
+		Chain:     first.Chain,
+		Frames:    mergeParts(frames, compareCellFrames),
 	}
-	results := make([]*core.Result, len(snaps))
-	alerts := make([][]Alert, len(snaps))
-	for i, s := range snaps {
-		results[i], alerts[i] = s.Result, s.Alerts
-		maps.Copy(out.Frames, s.Frames)
+	if f := sharedFrame(out.Frames); f != nil {
+		return nil, fmt.Errorf("%w: parts share the frame of o-cell %v", ErrRecord, f.Members)
 	}
-	out.Result = unionResults(schema, results)
-	out.Alerts = mergeAlerts(alerts)
 	return out, nil
 }

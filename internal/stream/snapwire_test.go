@@ -215,6 +215,14 @@ func TestSnapshotCodecShapes(t *testing.T) {
 		if !bytes.Equal(again, data) {
 			t.Errorf("%s: decode→encode is not the identity", name)
 		}
+		// The coordinator checks every frame of every document it decodes.
+		if n := testing.AllocsPerRun(10, func() {
+			for i := range dec.Frames {
+				_ = checkFrame(schema, &dec.Frames[i], dec.Unit+1, dec.Interval.Te+1, dec.Interval.Len())
+			}
+		}); n != 0 {
+			t.Errorf("%s: checking the frames allocates %v times", name, n)
+		}
 	}
 	// Adding a core.Stats field must add it to the document too.
 	if n := reflect.TypeOf(core.Stats{}).NumField(); n != 12 {
@@ -331,18 +339,20 @@ func TestSnapshotCodecRejects(t *testing.T) {
 			t.Fatalf("%s: no corrupted count was refused", name)
 		}
 		// The first count (o-layer cells, or alerts of an empty unit)
-		// directly follows the fixed header.
+		// directly follows the header.
 		copy(corrupt, data)
-		binary.LittleEndian.PutUint32(corrupt[len(snapMagic)+3+32:], math.MaxUint32)
+		binary.LittleEndian.PutUint32(corrupt[snapHeaderLen(snap):], math.MaxUint32)
 		if !refused(t, schema, corrupt, name+" first count") {
 			t.Fatalf("%s: first count of 0xFFFFFFFF accepted", name)
 		}
 	}
 
-	good, err := EncodeSnapshot(codecSnapshots(t)["flat"])
+	flat := codecSnapshots(t)["flat"]
+	good, err := EncodeSnapshot(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	head := snapHeaderLen(flat)
 	mutate := func(off int, b byte) []byte {
 		out := slices.Clone(good)
 		out[off] = b
@@ -360,18 +370,74 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		"unknown flag":        mutate(len(snapMagic)+2, 0x80),
 		"retired path flag":   mutate(len(snapMagic)+2, 1<<1),
 		"empty with paths":    mutate(len(snapMagic)+2, flagEmpty|1<<1),
-		"level past the tree": mutate(len(snapMagic)+3+32+4, 9),
-		"member past a level": mutate(len(snapMagic)+3+32+4+2, 200),
+		"level past the tree": mutate(head+4, 9),
+		"member past a level": mutate(head+4+2, 200),
 	} {
 		if !refused(t, schema, doc, what) {
 			t.Errorf("%s accepted", what)
 		}
 	}
-	// A version-2 document (history section, optional frames) is refused by
-	// its version, not misread.
-	if _, err := DecodeSnapshot(schema, mutate(len(snapMagic), 2)); err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
-		t.Errorf("version-2 document: %v, want a version error", err)
+	// A version-3 document (each frame in an encoding of its own) is
+	// refused by its version, not misread.
+	if _, err := DecodeSnapshot(schema, mutate(len(snapMagic), 3)); err == nil || !strings.Contains(err.Error(), "version 3, want 4") {
+		t.Errorf("version-3 document: %v, want a version error", err)
 	}
+
+	// Well-formed documents whose frames or chain no engine publishes:
+	// each used to decode.
+	tilted := codecSnapshots(t)["tilted"]
+	for what, mutate := range map[string]func(s *Snapshot){
+		"frame off the o-layer":    func(s *Snapshot) { s.Frames[0].Levels[0] = 2 },
+		"member outside it":        func(s *Snapshot) { s.Frames[1].Members[1] = 2 },
+		"level count unlike chain": func(s *Snapshot) { s.Frames[0].Frame.Levels = s.Frames[0].Frame.Levels[:1] },
+		"out-of-order slots": func(s *Snapshot) {
+			sl := s.Frames[2].Frame.Levels[0].Slots
+			sl[0], sl[1] = sl[1], sl[0]
+		},
+		"frame ending elsewhere":   func(s *Snapshot) { s.Frames[0].Base++ },
+		"frame on another grid":    func(s *Snapshot) { s.Frames[0].Frame.NextTb++ },
+		"two frames for a cell":    func(s *Snapshot) { s.Frames = append(s.Frames[:1], s.Frames...) },
+		"frames out of order":      func(s *Snapshot) { s.Frames[0], s.Frames[1] = s.Frames[1], s.Frames[0] },
+		"no level chain":           func(s *Snapshot) { s.Chain = nil },
+		"chain of no slots":        func(s *Snapshot) { s.Chain[1].Slots = 0 },
+		"chain of a zero multiple": func(s *Snapshot) { s.Chain[1].Multiple = 0 },
+	} {
+		hostile := *tilted
+		hostile.Chain = slices.Clone(tilted.Chain)
+		hostile.Frames = cloneFrames(tilted.Frames)
+		mutate(&hostile)
+		doc, err := EncodeSnapshot(&hostile)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !refused(t, schema, doc, what) {
+			t.Errorf("%s accepted", what)
+		}
+	}
+}
+
+// snapHeaderLen is the length of a snapshot document's header: the fixed
+// fields, then the level chain.
+func snapHeaderLen(s *Snapshot) int {
+	n := len(snapMagic) + 3 + 32 + 4
+	for _, lv := range s.Chain {
+		n += 4 + len(lv.Name) + 16
+	}
+	return n
+}
+
+// cloneFrames deep-copies frame records, so a test can damage the copy.
+func cloneFrames(frames []CellFrame) []CellFrame {
+	out := slices.Clone(frames)
+	for i := range out {
+		f := &out[i]
+		f.Levels, f.Members = slices.Clone(f.Levels), slices.Clone(f.Members)
+		f.Frame.Levels = slices.Clone(f.Frame.Levels)
+		for j := range f.Frame.Levels {
+			f.Frame.Levels[j].Slots = slices.Clone(f.Frame.Levels[j].Slots)
+		}
+	}
+	return out
 }
 
 // FuzzDecodeSnapshot holds the decoder to its contract on arbitrary
@@ -569,4 +635,19 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestMergeSnapshotsRefusesOverlap: parts that share a result cell or a
+// frame are not disjoint partitions — one node's snapshot twice, say —
+// and merging them would double its summary stats and alerts. They are
+// refused by name, at every snapshot shape, the empty unit (frames only)
+// included.
+func TestMergeSnapshotsRefusesOverlap(t *testing.T) {
+	schema := snapshotTestSchema(t)
+	for name, s := range codecSnapshots(t) {
+		_, err := MergeSnapshots(schema, []*Snapshot{s, s})
+		if !errors.Is(err, ErrRecord) || !strings.Contains(err.Error(), "parts share") {
+			t.Errorf("%s: merging a snapshot with itself: %v, want a shared-cell ErrRecord", name, err)
+		}
+	}
 }

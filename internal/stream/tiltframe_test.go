@@ -124,14 +124,15 @@ func TestTiltedHistoryPromotesAndBounds(t *testing.T) {
 	if inUse == 0 || inUse > capacity {
 		t.Fatalf("tilt slots %d of %d", inUse, capacity)
 	}
-	perCell := tilted.Snapshot().FrameOf(cell)
+	snap := tilted.Snapshot()
+	perCell := snap.FrameOf(cell)
 	if perCell == nil {
 		t.Fatal("snapshot has no frame for the o-cell")
 	}
 	var cellSlots int
-	for _, lv := range perCell.Levels {
-		if len(lv.Slots) > lv.Capacity {
-			t.Fatalf("level %q holds %d slots, cap %d", lv.Name, len(lv.Slots), lv.Capacity)
+	for i, lv := range perCell.Frame.Levels {
+		if c := snap.Chain[i]; len(lv.Slots) > c.Slots {
+			t.Fatalf("level %q holds %d slots, cap %d", c.Name, len(lv.Slots), c.Slots)
 		}
 		cellSlots += len(lv.Slots)
 	}
@@ -187,7 +188,8 @@ func TestFinestLevelIndependentOfChain(t *testing.T) {
 				}
 				got := make(map[cube.CellKey][]HistoryPoint)
 				snap := eng.Snapshot()
-				for key := range snap.Frames {
+				for _, f := range snap.Frames {
+					key := f.Key()
 					h := snap.HistoryOf(key)
 					got[key] = h[max(0, len(h)-n):]
 				}
@@ -883,5 +885,64 @@ func TestTiltedStateBoundedOverLongRun(t *testing.T) {
 	}
 	if perCellCap >= units {
 		t.Fatalf("test is vacuous: capacity %d ≥ units %d", perCellCap, units)
+	}
+}
+
+// TestCheckpointAfterRestoreIsTheCut pins the one-cut invariant: frames
+// are cut at a close or a Restore and a checkpoint cuts only the open
+// unit's cells, so a checkpoint taken right after Restore, before any unit
+// closes, is the restored document under the same chain, and under a
+// foreign chain (the reseed) a fixed point of a second Restore and
+// checkpoint. The restoring engines hold state of their own first, so a
+// cut that is stale (that state's frames) or missing fails both legs.
+func TestCheckpointAfterRestoreIsTheCut(t *testing.T) {
+	cfg := tiltConfig(t)
+	src, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestGrid(t, src.Ingest, 0, 50)
+	doc, err := src.AppendCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := DecodeCheckpoint(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := cfg
+	foreign.TiltLevels = []tilt.Level{{Name: "q", Multiple: 1, Slots: 16}, {Name: "h", Multiple: 2, Slots: 3}}
+	restored := func(cfg Config, shards int, cp *Checkpoint) []byte {
+		t.Helper()
+		e, err := NewEngine(withShards(cfg, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		ingestGrid(t, e.Ingest, 0, 22)
+		if err := e.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		out, err := e.AppendCheckpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, shards := range []int{1, 3} {
+		if got := restored(cfg, shards, cp); !bytes.Equal(got, doc) {
+			t.Fatalf("%d shards: checkpoint after a same-chain Restore differs from the restored document", shards)
+		}
+		first := restored(foreign, shards, cp)
+		reseeded, err := DecodeCheckpoint(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reseeded.Tilt) != len(cp.Tilt) {
+			t.Fatalf("%d shards: reseeded checkpoint holds %d frames, the restored one %d", shards, len(reseeded.Tilt), len(cp.Tilt))
+		}
+		if second := restored(foreign, shards, reseeded); !bytes.Equal(second, first) {
+			t.Fatalf("%d shards: checkpoint after a foreign-chain Restore is not a fixed point", shards)
+		}
 	}
 }

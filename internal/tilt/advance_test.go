@@ -197,6 +197,10 @@ func TestUnitFrameStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(f, g) {
 		t.Fatalf("restored frame differs:\n%+v\nvs\n%+v", f, g)
 	}
+	// A decoder runs the check on every frame it reads.
+	if n := testing.AllocsPerRun(100, func() { _ = CheckState(levels, &st) }); n != 0 {
+		t.Fatalf("CheckState of a valid state allocates %v times", n)
+	}
 	if err := g.Push(unit(23)); err != nil {
 		t.Fatalf("restored frame rejects the next unit: %v", err)
 	}

@@ -117,15 +117,6 @@ func (f *UnitFrame) LevelName(i int) string { return f.levels[i].cfg.Name }
 // Pushed returns how many unit ISBs have been registered.
 func (f *UnitFrame) Pushed() int64 { return f.pushed }
 
-// SlotsLen returns how many completed units level i currently retains,
-// without copying them.
-func (f *UnitFrame) SlotsLen(i int) int {
-	if i < 0 || i >= len(f.levels) {
-		return 0
-	}
-	return len(f.levels[i].slots)
-}
-
 // LastSlot returns the most recent retained completed unit at level i.
 func (f *UnitFrame) LastSlot(i int) (Slot, bool) {
 	if i < 0 || i >= len(f.levels) || len(f.levels[i].slots) == 0 {
@@ -140,13 +131,7 @@ func (f *UnitFrame) SlotsAt(i int) []Slot {
 	if i < 0 || i >= len(f.levels) {
 		return nil
 	}
-	return f.AppendSlots(make([]Slot, 0, len(f.levels[i].slots)), i)
-}
-
-// AppendSlots appends level i's retained completed units, oldest first, to
-// dst: the copy a publisher takes, into storage it shares between frames.
-func (f *UnitFrame) AppendSlots(dst []Slot, i int) []Slot {
-	return append(dst, f.levels[i].slots...)
+	return append(make([]Slot, 0, len(f.levels[i].slots)), f.levels[i].slots...)
 }
 
 // Completed returns how many units have ever completed at level i.
@@ -211,7 +196,7 @@ func (f *UnitFrame) State() UnitFrameState {
 // appended to recs and every level's slots to slots, and the returned
 // state's slices alias what was appended (capacity-clipped, so appending
 // to one never reaches its neighbour; a level without slots has nil). A
-// checkpoint cuts hundreds of frames into two slices this way instead of
+// unit close cuts hundreds of frames into two slices this way instead of
 // five allocations each.
 func (f *UnitFrame) AppendState(recs []LevelStateRec, slots []Slot) (UnitFrameState, []LevelStateRec, []Slot) {
 	st := UnitFrameState{UnitTicks: f.unitTicks, NextTb: f.nextTb, Pushed: f.pushed}
@@ -231,67 +216,82 @@ func (f *UnitFrame) AppendState(recs []LevelStateRec, slots []Slot) (UnitFrameSt
 }
 
 // RestoreUnitFrame rebuilds a frame from a checkpointed state against the
-// same level chain it was configured with.
+// same level chain it was configured with (CheckState).
 func RestoreUnitFrame(levels []Level, st UnitFrameState) (*UnitFrame, error) {
 	f, err := NewUnitFrame(levels)
 	if err != nil {
 		return nil, err
 	}
-	if len(st.Levels) != len(f.levels) {
-		return nil, fmt.Errorf("%w: restore: state has %d levels, frame %d",
-			ErrConfig, len(st.Levels), len(f.levels))
+	if err := CheckState(levels, &st); err != nil {
+		return nil, err
 	}
-	if st.Pushed < 0 || (st.Pushed > 0 && st.UnitTicks < 1) {
-		return nil, fmt.Errorf("%w: restore: pushed %d units of %d ticks", ErrConfig, st.Pushed, st.UnitTicks)
-	}
-	if len(st.Levels) > 0 && st.Levels[0].Next != st.Pushed {
-		return nil, fmt.Errorf("%w: restore: %d pushed units but %d finest completions",
-			ErrConfig, st.Pushed, st.Levels[0].Next)
-	}
-	span := int64(1)
 	for i := range f.levels {
-		ls := &f.levels[i]
-		rec := st.Levels[i]
-		if i > 0 {
-			span *= int64(ls.cfg.Multiple)
-			if want := st.Levels[i-1].Next / int64(ls.cfg.Multiple); rec.Next != want {
-				return nil, fmt.Errorf("%w: restore: level %q completed %d units, want %d",
-					ErrConfig, ls.cfg.Name, rec.Next, want)
-			}
-		}
-		if rec.Next < int64(len(rec.Slots)) || len(rec.Slots) > ls.cfg.Slots {
-			return nil, fmt.Errorf("%w: restore: level %q retains %d slots of %d completed (cap %d)",
-				ErrConfig, ls.cfg.Name, len(rec.Slots), rec.Next, ls.cfg.Slots)
-		}
-		for j, s := range rec.Slots {
-			if want := rec.Next - int64(len(rec.Slots)) + int64(j); s.Unit != want {
-				return nil, fmt.Errorf("%w: restore: level %q slot %d is unit %d, want %d",
-					ErrConfig, ls.cfg.Name, j, s.Unit, want)
-			}
-			if !s.ISB.IsFinite() {
-				return nil, fmt.Errorf("%w: restore: level %q unit %d has non-finite measure",
-					ErrConfig, ls.cfg.Name, s.Unit)
-			}
-			if n := s.ISB.N(); n != span*st.UnitTicks {
-				return nil, fmt.Errorf("%w: restore: level %q unit %d spans %d ticks, want %d",
-					ErrConfig, ls.cfg.Name, s.Unit, n, span*st.UnitTicks)
-			}
-			if j > 0 && s.ISB.Tb != rec.Slots[j-1].ISB.Te+1 {
-				return nil, fmt.Errorf("%w: restore: level %q units %d and %d are not adjacent",
-					ErrConfig, ls.cfg.Name, rec.Slots[j-1].Unit, s.Unit)
-			}
-		}
-		ls.slots = append([]Slot(nil), rec.Slots...)
-		ls.next = rec.Next
-	}
-	if n := len(st.Levels[0].Slots); n > 0 {
-		if last := st.Levels[0].Slots[n-1]; last.ISB.Te+1 != st.NextTb {
-			return nil, fmt.Errorf("%w: restore: next unit starts at %d, last finest unit ends at %d",
-				ErrConfig, st.NextTb, last.ISB.Te)
-		}
+		f.levels[i].slots = append([]Slot(nil), st.Levels[i].Slots...)
+		f.levels[i].next = st.Levels[i].Next
 	}
 	f.unitTicks = st.UnitTicks
 	f.nextTb = st.NextTb
 	f.pushed = st.Pushed
 	return f, nil
+}
+
+// CheckState reports whether st is a state a frame over the (valid) level
+// chain levels can be in: one level record per level, completion counters
+// that add up through the multiples, at most each level's retention,
+// slots numbered consecutively up to the counter, finite, each spanning
+// its level's ticks and adjacent to the one before, and the next unit
+// starting where the finest level ends. It allocates nothing unless it
+// fails.
+func CheckState(levels []Level, st *UnitFrameState) error {
+	if len(levels) == 0 || len(st.Levels) != len(levels) {
+		return fmt.Errorf("%w: restore: state has %d levels, frame %d",
+			ErrConfig, len(st.Levels), len(levels))
+	}
+	if st.Pushed < 0 || (st.Pushed > 0 && st.UnitTicks < 1) {
+		return fmt.Errorf("%w: restore: pushed %d units of %d ticks", ErrConfig, st.Pushed, st.UnitTicks)
+	}
+	if st.Levels[0].Next != st.Pushed {
+		return fmt.Errorf("%w: restore: %d pushed units but %d finest completions",
+			ErrConfig, st.Pushed, st.Levels[0].Next)
+	}
+	span := int64(1)
+	for i, lv := range levels {
+		rec := &st.Levels[i]
+		if i > 0 {
+			span *= int64(lv.Multiple)
+			if want := st.Levels[i-1].Next / int64(lv.Multiple); rec.Next != want {
+				return fmt.Errorf("%w: restore: level %q completed %d units, want %d",
+					ErrConfig, lv.Name, rec.Next, want)
+			}
+		}
+		if rec.Next < int64(len(rec.Slots)) || len(rec.Slots) > lv.Slots {
+			return fmt.Errorf("%w: restore: level %q retains %d slots of %d completed (cap %d)",
+				ErrConfig, lv.Name, len(rec.Slots), rec.Next, lv.Slots)
+		}
+		for j, s := range rec.Slots {
+			if want := rec.Next - int64(len(rec.Slots)) + int64(j); s.Unit != want {
+				return fmt.Errorf("%w: restore: level %q slot %d is unit %d, want %d",
+					ErrConfig, lv.Name, j, s.Unit, want)
+			}
+			if !s.ISB.IsFinite() {
+				return fmt.Errorf("%w: restore: level %q unit %d has non-finite measure",
+					ErrConfig, lv.Name, s.Unit)
+			}
+			if n := s.ISB.N(); n != span*st.UnitTicks {
+				return fmt.Errorf("%w: restore: level %q unit %d spans %d ticks, want %d",
+					ErrConfig, lv.Name, s.Unit, n, span*st.UnitTicks)
+			}
+			if j > 0 && s.ISB.Tb != rec.Slots[j-1].ISB.Te+1 {
+				return fmt.Errorf("%w: restore: level %q units %d and %d are not adjacent",
+					ErrConfig, lv.Name, rec.Slots[j-1].Unit, s.Unit)
+			}
+		}
+	}
+	if n := len(st.Levels[0].Slots); n > 0 {
+		if last := st.Levels[0].Slots[n-1]; last.ISB.Te+1 != st.NextTb {
+			return fmt.Errorf("%w: restore: next unit starts at %d, last finest unit ends at %d",
+				ErrConfig, st.NextTb, last.ISB.Te)
+		}
+	}
+	return nil
 }
