@@ -9,15 +9,17 @@ import (
 	"repro/internal/node"
 	"repro/internal/stream"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // runReplay is the `regcube replay` subcommand: re-run a streamd
 // write-ahead log through a fresh engine under whatever configuration the
-// flags name. The engine is built through the same construction path as
-// the live daemon (node.EngineConfig), and ingest is deterministic, so
-// the result is exactly what a live run with this configuration would
-// have produced — shard count, tilt chain, and threshold become what-if
-// knobs over recorded history.
+// flags name. The engine is built like the live daemon's
+// (node.EngineConfig), takes each logged batch in one IngestBatch call as
+// live ingest did and reports through the node's writer, so the result is
+// exactly what a live run with this configuration would have produced —
+// shard count, tilt chain, and threshold become what-if knobs over
+// recorded history.
 func runReplay(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("regcube replay", flag.ContinueOnError)
 	walDir := fs.String("wal-dir", "", "write-ahead log directory to replay (required)")
@@ -46,36 +48,17 @@ func runReplay(args []string, out io.Writer) error {
 		return err
 	}
 	defer a.Close()
-	schema := a.Schema
-
-	report := func(urs []*stream.UnitResult) {
-		if *quiet {
-			return
-		}
-		for _, ur := range urs {
-			if ur.Result == nil {
-				fmt.Fprintf(out, "[unit %d] no data\n", ur.Unit)
-				continue
-			}
-			fmt.Fprintf(out, "[unit %d] %s: %d o-cells, %d exceptions, %d alerts\n",
-				ur.Unit, ur.Result.Stats.Algorithm, len(ur.Result.OLayer),
-				len(ur.Result.Exceptions), len(ur.Alerts))
-			for _, al := range ur.Alerts {
-				fmt.Fprintf(out, "  ALERT %s %s slope=%+.3f\n", al.Kind, al.Cell.Describe(schema), al.ISB.Slope)
-			}
-		}
+	report := node.Report(out, a.Schema)
+	if *quiet {
+		report = func([]*stream.UnitResult) {}
 	}
 
-	var records int64
-	end, err := wal.Replay(*walDir, *from, func(seq int64, rec wal.Record) error {
-		closed, ingestErr := a.Ingest(rec.Members, rec.Tick, rec.Value)
-		if len(closed) > 0 {
-			report(closed)
-		}
+	end, err := wal.ReplayBatches(*walDir, *from, func(seq int64, b *wire.Batch) error {
+		closed, ingestErr := a.IngestBatch(b)
+		report(closed)
 		if ingestErr != nil {
-			return fmt.Errorf("wal record %d: %w", seq, ingestErr)
+			return fmt.Errorf("wal batch at record %d: %w", seq, ingestErr)
 		}
-		records++
 		return nil
 	})
 	if err != nil {
@@ -104,6 +87,6 @@ func runReplay(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	fmt.Fprintf(out, "# replayed %d records (log end %d), %d units\n", records, end, a.UnitsDone())
+	fmt.Fprintf(out, "# replayed %d records (log end %d), %d units\n", max(end-*from, 0), end, a.UnitsDone())
 	return nil
 }

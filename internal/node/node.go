@@ -67,6 +67,37 @@ type Config struct {
 	ChangeScore float64
 }
 
+// Report returns the writer of the unit report streamd prints to out and
+// `regcube replay` repeats: per closed unit its summary, each alert and the
+// alert's supporters, every line its own Write (DESIGN.md §6.6 has why).
+// Each cuboid is described once: an alert-heavy unit reports tens of
+// thousands of supporter lines over a few dozen cuboids.
+func Report(out io.Writer, schema *cube.Schema) func([]*stream.UnitResult) {
+	cuboidNames := make(map[cube.Cuboid]string)
+	return func(urs []*stream.UnitResult) {
+		for _, ur := range urs {
+			if ur.Result == nil {
+				fmt.Fprintf(out, "[unit %d] no data\n", ur.Unit)
+				continue
+			}
+			fmt.Fprintf(out, "[unit %d] %s: %d o-cells, %d exceptions, %d alerts\n",
+				ur.Unit, ur.Result.Stats.Algorithm, len(ur.Result.OLayer),
+				len(ur.Result.Exceptions), len(ur.Alerts))
+			for _, al := range ur.Alerts {
+				fmt.Fprintf(out, "  ALERT %s %s slope=%+.3f\n", al.Kind, al.Cell.Describe(schema), al.ISB.Slope)
+				for _, c := range al.Drill {
+					name, ok := cuboidNames[c.Key.Cuboid]
+					if !ok {
+						name = c.Key.Cuboid.Describe(schema)
+						cuboidNames[c.Key.Cuboid] = name
+					}
+					fmt.Fprintf(out, "    supporter %s %s slope=%+.3f\n", c.Key.Describe(schema), name, c.ISB.Slope)
+				}
+			}
+		}
+	}
+}
+
 // Run is the node runtime: build the engine, restore the checkpoint,
 // replay the WAL tail, start the query server and the alert lifecycle,
 // consume the record stream until it ends or ctx is canceled, then shut
@@ -99,32 +130,7 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		}
 	}
 
-	// An alert-heavy unit reports tens of thousands of supporter lines over
-	// a few dozen cuboids: each cuboid is described once. Every line stays
-	// its own Write (DESIGN.md §6.6 has why they are not batched yet).
-	cuboidNames := make(map[cube.Cuboid]string)
-	report := func(urs []*stream.UnitResult) {
-		for _, ur := range urs {
-			if ur.Result == nil {
-				fmt.Fprintf(out, "[unit %d] no data\n", ur.Unit)
-				continue
-			}
-			fmt.Fprintf(out, "[unit %d] %s: %d o-cells, %d exceptions, %d alerts\n",
-				ur.Unit, ur.Result.Stats.Algorithm, len(ur.Result.OLayer),
-				len(ur.Result.Exceptions), len(ur.Alerts))
-			for _, al := range ur.Alerts {
-				fmt.Fprintf(out, "  ALERT %s %s slope=%+.3f\n", al.Kind, al.Cell.Describe(schema), al.ISB.Slope)
-				for _, c := range al.Drill {
-					name, ok := cuboidNames[c.Key.Cuboid]
-					if !ok {
-						name = c.Key.Cuboid.Describe(schema)
-						cuboidNames[c.Key.Cuboid] = name
-					}
-					fmt.Fprintf(out, "    supporter %s %s slope=%+.3f\n", c.Key.Describe(schema), name, c.ISB.Slope)
-				}
-			}
-		}
-	}
+	report := Report(out, schema)
 
 	// WAL plumbing. Every batch is appended to the log before ingest;
 	// ingestedSeq counts records the engine has consumed, and is the
@@ -184,18 +190,17 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		ingestedSeq.Store(mark)
 		if wlog.Seq() > mark {
 			// The crash window: records durably logged after the last
-			// checkpoint was cut. Re-ingesting them rebuilds the open unit
-			// exactly — ingest is deterministic — and may close units whose
-			// reports were lost with the crashed process.
-			n, err := wal.Replay(cfg.WALDir, mark, func(seq int64, rec wal.Record) error {
-				closed, ingestErr := a.Ingest(rec.Members, rec.Tick, rec.Value)
-				if len(closed) > 0 {
-					report(closed)
-				}
+			// checkpoint was cut. Re-ingesting each logged batch, as live
+			// ingest did, rebuilds the open unit exactly — ingest is
+			// deterministic — and may close units whose reports were lost
+			// with the crashed process.
+			n, err := wal.ReplayBatches(cfg.WALDir, mark, func(seq int64, b *wire.Batch) error {
+				closed, ingestErr := a.IngestBatch(b)
+				report(closed)
 				if ingestErr != nil {
-					return fmt.Errorf("wal record %d: %w", seq, ingestErr)
+					return fmt.Errorf("wal batch at record %d: %w", seq, ingestErr)
 				}
-				ingestedSeq.Add(1)
+				ingestedSeq.Add(int64(b.Len()))
 				return nil
 			})
 			if err != nil {
@@ -420,9 +425,7 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			// WAL-logged; the checkpoint cut after the closed units is
 			// what makes their effect durable.
 			closed, err := a.AdvanceTo(m.advance)
-			if len(closed) > 0 {
-				report(closed)
-			}
+			report(closed)
 			if err != nil {
 				return fmt.Errorf("advance to unit %d: %w", m.advance, err)
 			}

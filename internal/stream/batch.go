@@ -33,12 +33,11 @@ func checkBatchShape(b *wire.Batch, nDims int) error {
 // unit around it, before any is ingested.
 //
 // The batch is cut into maximal runs that stay inside the open unit, each
-// accumulated by the one ingest loop (accumulate), whose per-record work is
-// one dictionary probe and the accumulator step — no per-record call or
-// boundary re-check. Each boundary crossing barriers the shards exactly as
-// record-at-a-time ingest would, so closed-unit results — and the final
-// state — are bitwise-identical to feeding the same records through Ingest,
-// record errors included.
+// accumulated by the one ingest loop (accumulate): per record one
+// dictionary probe and the accumulator step, no boundary re-check. Each
+// crossing barriers the shards, so closed-unit results — and the final
+// state — are bitwise the same however the records are cut into batches,
+// Ingest's runs of one included, record errors included.
 func (e *Engine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
 	if err := e.ready(); err != nil {
 		return nil, err

@@ -281,15 +281,16 @@ func (e *Engine) ready() error {
 	return e.err
 }
 
-// Ingest consumes one record. Records may skip ticks (absent readings
-// count as zero usage — and so does a whole absent unit: an o-cell with no
-// reading in a closed unit registers a zero regression over it, see
-// recordTilt) and may open new cells mid-unit, but each cell's ticks must
-// be non-decreasing and at most one reading per tick. Crossing a unit
-// boundary closes earlier units on every shard; their merged results are
-// returned in order (units that received no data yield a UnitResult with a
-// nil Result). The record is then accumulated before Ingest returns; an
-// out-of-range member fails here, after boundary handling.
+// Ingest consumes one record: a run of one through the ingest loop
+// (accumulate). Records may skip ticks (absent readings count as zero
+// usage — and so does a whole absent unit: an o-cell with no reading in a
+// closed unit registers a zero regression over it, see recordTilt) and may
+// open new cells mid-unit, but each cell's ticks must be non-decreasing
+// and at most one reading per tick. Crossing a unit boundary closes earlier
+// units on every shard; their merged results are returned in order (units
+// that received no data yield a UnitResult with a nil Result). The record
+// is then accumulated before Ingest returns; an out-of-range member fails
+// here, after boundary handling.
 func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error) {
 	if err := e.ready(); err != nil {
 		return nil, err
@@ -297,29 +298,15 @@ func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*UnitResu
 	if len(members) != e.part.layout.nd {
 		return nil, fmt.Errorf("%w: %d members for %d dimensions", ErrRecord, len(members), e.part.layout.nd)
 	}
-	var closed []*UnitResult
-	if tick < e.openStart || tick >= e.openEnd {
-		var err error
-		if closed, err = e.reach(tick); err != nil {
-			return closed, err
-		}
+	closed, err := e.reach(tick)
+	if err != nil {
+		return closed, err
 	}
 	code, bad := e.part.layout.code(members)
 	if bad >= 0 {
 		return closed, e.part.layout.rangeErr(bad, members[bad])
 	}
-	// accumulate's step, spelled out for one record: a run of one through
-	// the loop costs a call and a few ns a record on WAL replay.
-	c := e.dict.slot(code)
-	if c.key == 0 {
-		c = e.dict.add(c, code)
-		e.open(c.part, code)
-	}
-	if acc := &e.shards[c.part].slab[c.ord]; !acc.Observe(tick, value) {
-		e.err = e.refuse(acc, tick, value)
-		return closed, e.err
-	}
-	return closed, nil
+	return closed, e.accumulate([]int64{tick}, []float64{value}, []uint64{code})
 }
 
 // reach makes tick's unit the open one, closing every unit before it and

@@ -13,35 +13,11 @@ import (
 //
 //	uint32 payload length | uint32 CRC32C(payload) | payload
 //
-// The framing itself lives in internal/wire — the log and the binary
-// ingest wire ship identically framed payloads — and this file keeps the
-// log's batch payload codec plus thin wrappers that translate wire's
-// corruption sentinel into the log's. A zero length is never written — a
-// tail of zero-filled blocks (the classic post-crash state on
-// extent-allocating filesystems) must read as corruption, not as an
-// endless run of valid empty frames.
-//
-// Batch payload layout (row-oriented, unlike the wire's columnar batches —
-// replay walks records in order and never needs columns):
-//
-//	uvarint record count
-//	per record: uvarint member count, varint members..., varint tick,
-//	            8-byte IEEE-754 value bits
-const (
-	// MaxFramePayload bounds a single frame's payload. Lengths beyond it
-	// are corruption by definition, so a flipped length byte cannot make a
-	// reader attempt a multi-gigabyte allocation.
-	MaxFramePayload = wire.MaxFramePayload
-	// maxRecordMembers bounds the per-record member count the codec
-	// accepts; streams have at most a handful of dimensions.
-	maxRecordMembers = wire.MaxDims
-)
-
-// EncodeFrame appends the framed payload to dst and returns the extended
-// slice.
-func EncodeFrame(dst []byte, payload []byte) []byte {
-	return wire.EncodeFrame(dst, payload)
-}
+// Framing and payload codec both live in internal/wire: a logged frame is
+// the frame the binary ingest wire ships, its payload wire.AppendBatch's
+// columnar batch. A zero length is never written — a tail of zero-filled
+// blocks (the classic post-crash state on extent-allocating filesystems)
+// must read as corruption, not as an endless run of valid empty frames.
 
 // DecodeFrame decodes the first frame in b. It returns the payload (a
 // sub-slice of b), the total number of bytes the frame occupies, and one
@@ -64,73 +40,58 @@ func DecodeFrame(b []byte) (payload []byte, n int, err error) {
 	return payload, n, err
 }
 
-// appendBatch appends the batch payload of b's records to dst and returns
-// the extended slice, reading the columns row by row.
-func appendBatch(dst []byte, b *wire.Batch) []byte {
-	dims := len(b.Cols)
-	dst = binary.AppendUvarint(dst, uint64(b.Len()))
-	for i, tick := range b.Ticks {
-		dst = binary.AppendUvarint(dst, uint64(dims))
-		for d := 0; d < dims; d++ {
-			dst = binary.AppendVarint(dst, int64(b.Cols[d][i]))
-		}
-		dst = binary.AppendVarint(dst, tick)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Values[i]))
+// decodeBatch decodes one RGCWAL02 frame payload into b.
+func decodeBatch(payload []byte, b *wire.Batch) error {
+	if _, err := wire.DecodeBatch(payload, 0, b); err != nil {
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	return dst
+	return nil
 }
 
-// DecodeBatch decodes one frame payload, invoking fn for each record in
-// order, and returns the record count. The Record passed to fn aliases
-// scratch storage reused across calls — copy Members to retain it. A nil
-// fn just validates and counts. Malformed payloads (bad varints, oversized
-// member counts, trailing garbage) return ErrCorrupt; DecodeBatch never
-// panics on arbitrary input.
-func DecodeBatch(payload []byte, fn func(Record) error) (int, error) {
+// decodeRowBatch decodes one frame payload of an RGCWAL01 segment — the
+// row layout older builds logged — into b:
+//
+//	uvarint record count ≥ 1
+//	per record: uvarint member count, varint members..., varint tick,
+//	            8-byte IEEE-754 value bits
+//
+// Member counts must all be the first record's, in [1, wire.MaxDims].
+// Malformed payloads are ErrCorrupt; it never panics on arbitrary input.
+func decodeRowBatch(payload []byte, b *wire.Batch) error {
 	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: batch count varint", ErrCorrupt)
+	// Every record takes at least 1 (member count) + 1 (member) + 1 (tick)
+	// + 8 (value) bytes, so a huge count in a small payload fails up front.
+	if n <= 0 || count == 0 || count > uint64(len(payload))/11 {
+		return fmt.Errorf("%w: row batch claims %d records in %d bytes", ErrCorrupt, count, len(payload))
 	}
-	// Every record takes at least 1 (member count) + 1 (tick) + 8 (value)
-	// bytes, so a huge count in a small payload fails up front.
-	if count > uint64(len(payload)) {
-		return 0, fmt.Errorf("%w: batch claims %d records in %d bytes", ErrCorrupt, count, len(payload))
-	}
-	b := payload[n:]
-	var members []int32
-	for i := uint64(0); i < count; i++ {
-		nm, n := binary.Uvarint(b)
-		if n <= 0 || nm > maxRecordMembers {
-			return 0, fmt.Errorf("%w: record %d member count", ErrCorrupt, i)
+	rest := payload[n:]
+	for i := 0; i < int(count); i++ {
+		nm, n := binary.Uvarint(rest)
+		if n <= 0 || nm < 1 || nm > wire.MaxDims || (i > 0 && nm != uint64(len(b.Cols))) {
+			return fmt.Errorf("%w: row record %d member count", ErrCorrupt, i)
 		}
-		b = b[n:]
-		members = members[:0]
-		for j := uint64(0); j < nm; j++ {
-			v, n := binary.Varint(b)
-			if n <= 0 || v < math.MinInt32 || v > math.MaxInt32 {
-				return 0, fmt.Errorf("%w: record %d member %d", ErrCorrupt, i, j)
+		if i == 0 {
+			b.Reset(int(nm))
+		}
+		rest = rest[n:]
+		for d := range b.Cols {
+			v, n := binary.Varint(rest)
+			if n <= 0 || v != int64(int32(v)) {
+				return fmt.Errorf("%w: row record %d member %d", ErrCorrupt, i, d)
 			}
-			members = append(members, int32(v))
-			b = b[n:]
+			b.Cols[d] = append(b.Cols[d], int32(v))
+			rest = rest[n:]
 		}
-		tick, n := binary.Varint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: record %d tick", ErrCorrupt, i)
+		tick, n := binary.Varint(rest)
+		if n <= 0 || len(rest) < n+8 {
+			return fmt.Errorf("%w: row record %d tick or value", ErrCorrupt, i)
 		}
-		b = b[n:]
-		if len(b) < 8 {
-			return 0, fmt.Errorf("%w: record %d value", ErrCorrupt, i)
-		}
-		value := math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		if fn != nil {
-			if err := fn(Record{Tick: tick, Value: value, Members: members}); err != nil {
-				return 0, err
-			}
-		}
+		b.Ticks = append(b.Ticks, tick)
+		b.Values = append(b.Values, math.Float64frombits(binary.LittleEndian.Uint64(rest[n:])))
+		rest = rest[n+8:]
 	}
-	if len(b) != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes after %d records", ErrCorrupt, len(b), count)
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after %d records", ErrCorrupt, len(rest), count)
 	}
-	return int(count), nil
+	return nil
 }

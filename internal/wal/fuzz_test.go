@@ -5,16 +5,17 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/wire"
 )
 
-// encodeBatch is the decoder tests' reference encoder of the batch payload:
-// unlike Log.AppendColumnar, which writes every record of a wire.Batch with
-// the batch's one dimension count, it takes rows and so can produce the
-// ragged and oversized member counts DecodeBatch's checks exist for.
-func encodeBatch(dst []byte, recs []Record) []byte {
+// encodeRows is the RGCWAL01 row payload writer, kept for tests only: it
+// takes rows, so it can produce the ragged and oversized member counts
+// decodeRowBatch's checks exist for.
+func encodeRows(dst []byte, recs []Record) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	for _, r := range recs {
 		dst = binary.AppendUvarint(dst, uint64(len(r.Members)))
@@ -27,17 +28,19 @@ func encodeBatch(dst []byte, recs []Record) []byte {
 	return dst
 }
 
-// FuzzDecodeFrame drives the recovery decoder with arbitrary bytes: every
+// FuzzDecodeFrame drives the recovery decoders with arbitrary bytes: every
 // input must yield a clean decode, io.EOF, or a typed ErrTorn/ErrCorrupt —
 // never a panic, and never an undeclared error. This is exactly the
 // surface a crashed or bit-rotted segment tail exercises.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seeds: a healthy frame, a torn tail at several offsets, a zero fill,
-	// a bit flip, and an oversized length prefix.
-	valid := EncodeFrame(nil, encodeBatch(nil, []Record{
+	// a bit flip, an oversized length prefix, two frames, and one frame of
+	// an RGCWAL01 segment.
+	recs := []Record{
 		{Tick: 7, Value: 3.5, Members: []int32{1, 2}},
 		{Tick: 8, Value: -1, Members: []int32{0, 5}},
-	}))
+	}
+	valid := wire.EncodeFrame(nil, wire.AppendBatch(nil, batchOf(recs...)))
 	f.Add(valid)
 	f.Add(valid[:3])
 	f.Add(valid[:wire.FrameHeaderLen])
@@ -48,11 +51,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 1})
 	f.Add(append(append([]byte(nil), valid...), valid...)) // two frames
+	f.Add(wire.EncodeFrame(nil, encodeRows(nil, recs)))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// Walk frames exactly as scanSegment does, bounding the walk by
-		// the input length (each frame consumes ≥ wire.FrameHeaderLen bytes).
+		// Walk frames as walkSegment does, bounding the walk by the input
+		// length (each frame consumes ≥ wire.FrameHeaderLen bytes).
 		rest := b
+		var batch wire.Batch
 		for {
 			payload, n, err := DecodeFrame(rest)
 			if err != nil {
@@ -64,27 +69,24 @@ func FuzzDecodeFrame(f *testing.F) {
 			if n <= 0 || n > len(rest) {
 				t.Fatalf("DecodeFrame consumed %d of %d bytes", n, len(rest))
 			}
-			// A CRC-valid frame still gets full batch validation; the only
-			// legal failure is ErrCorrupt.
-			count, err := DecodeBatch(payload, nil)
-			if err != nil && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("DecodeBatch: undeclared error %v", err)
-			}
-			if err == nil {
-				// A valid batch must re-deliver the same count through the
-				// callback path, and member slices must respect the bound.
-				delivered := 0
-				if _, err := DecodeBatch(payload, func(r Record) error {
-					if len(r.Members) > maxRecordMembers {
-						t.Fatalf("record with %d members escaped validation", len(r.Members))
+			// A CRC-valid frame still gets full batch validation under
+			// either segment format; the only legal failure is ErrCorrupt,
+			// and a decoded batch is well-shaped.
+			for _, decode := range []func([]byte, *wire.Batch) error{decodeBatch, decodeRowBatch} {
+				if err := decode(payload, &batch); err != nil {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("decode: undeclared error %v", err)
 					}
-					delivered++
-					return nil
-				}); err != nil {
-					t.Fatalf("DecodeBatch callback pass failed after nil-fn pass: %v", err)
+					continue
 				}
-				if delivered != count {
-					t.Fatalf("DecodeBatch delivered %d records, counted %d", delivered, count)
+				n := batch.Len()
+				if n == 0 || len(batch.Values) != n || len(batch.Cols) < 1 || len(batch.Cols) > wire.MaxDims {
+					t.Fatalf("decoded a malformed batch: %d ticks, %d values, %d columns", n, len(batch.Values), len(batch.Cols))
+				}
+				for d, col := range batch.Cols {
+					if len(col) != n {
+						t.Fatalf("column %d has %d members for %d ticks", d, len(col), n)
+					}
 				}
 			}
 			rest = rest[n:]
@@ -92,54 +94,63 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzEncodeDecodeBatch round-trips generated records through the batch
-// codec: whatever encodes must decode back exactly.
-func FuzzEncodeDecodeBatch(f *testing.F) {
-	f.Add(int64(0), 0.0, int64(3), 5)
-	f.Add(int64(-9), 1e300, int64(1<<40), 1)
-	f.Add(int64(1<<62), -0.5, int64(-7), 8)
-	f.Fuzz(func(t *testing.T, tick int64, value float64, memberSeed int64, n int) {
-		if n < 0 || n > 32 {
-			return
+// FuzzReplaySegment puts arbitrary bytes behind either segment magic as a
+// log's only, and so newest, segment. ReplayBatches must never panic and
+// fails only with ErrCorrupt or ErrTorn; the records it delivers are the
+// records Open's recovery scan keeps, since the two share one reader; and
+// after Open repaired the log, a replay still delivers them.
+func FuzzReplaySegment(f *testing.F) {
+	recs := []Record{
+		{Tick: 7, Value: 3.5, Members: []int32{1, 2}},
+		{Tick: 8, Value: -1, Members: []int32{0, 5}},
+	}
+	frame := wire.EncodeFrame(nil, wire.AppendBatch(nil, batchOf(recs...)))
+	rows := wire.EncodeFrame(nil, encodeRows(nil, recs))
+	f.Add(false, append(append([]byte(nil), frame...), frame...))
+	f.Add(false, append(append([]byte(nil), frame...), frame[:len(frame)-3]...))
+	f.Add(true, append(append([]byte(nil), rows...), make([]byte, 32)...))
+	f.Add(true, frame)
+	f.Add(false, []byte{})
+
+	f.Fuzz(func(t *testing.T, legacy bool, data []byte) {
+		dir := t.TempDir()
+		hdr := []byte(segmentMagic)
+		if legacy {
+			hdr = []byte(legacyMagic)
 		}
-		var recs []Record
-		for i := 0; i < n; i++ {
-			members := make([]int32, (i+int(memberSeed&3))%8)
-			for j := range members {
-				members[j] = int32((memberSeed >> (j * 4)) & 0xffff)
+		hdr = binary.LittleEndian.AppendUint64(hdr, 0)
+		if err := os.WriteFile(filepath.Join(dir, segmentName(0)), append(hdr, data...), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		delivered := int64(0)
+		end, err := ReplayBatches(dir, 0, func(seq int64, b *wire.Batch) error {
+			if seq != delivered {
+				t.Fatalf("batch at sequence %d, want %d", seq, delivered)
 			}
-			recs = append(recs, Record{Tick: tick + int64(i), Value: value * float64(i+1), Members: members})
-		}
-		payload := encodeBatch(nil, recs)
-		var got []Record
-		count, err := DecodeBatch(payload, func(r Record) error {
-			cp := r
-			cp.Members = append([]int32(nil), r.Members...)
-			got = append(got, cp)
+			delivered += int64(b.Len())
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTorn) {
+				t.Fatalf("ReplayBatches: undeclared error %v", err)
+			}
+			return
 		}
-		if count != len(recs) || len(got) != len(recs) {
-			t.Fatalf("decoded %d/%d records, want %d", count, len(got), len(recs))
+		if end != delivered {
+			t.Fatalf("ReplayBatches returned %d, delivered %d records", end, delivered)
 		}
-		for i := range recs {
-			if got[i].Tick != recs[i].Tick || got[i].Value != recs[i].Value {
-				// NaN encodes to the same bit pattern it decodes from, but
-				// != fails on NaN; compare only when comparable.
-				if !(recs[i].Value != recs[i].Value && got[i].Value != got[i].Value) {
-					t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
-				}
-			}
-			if len(got[i].Members) != len(recs[i].Members) {
-				t.Fatalf("record %d members %v, want %v", i, got[i].Members, recs[i].Members)
-			}
-			for j := range recs[i].Members {
-				if got[i].Members[j] != recs[i].Members[j] {
-					t.Fatalf("record %d members %v, want %v", i, got[i].Members, recs[i].Members)
-				}
-			}
+		l, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("Open after a clean replay: %v", err)
+		}
+		if l.Seq() != delivered {
+			t.Fatalf("Open keeps %d records, replay delivered %d", l.Seq(), delivered)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := ReplayBatches(dir, 0, func(int64, *wire.Batch) error { return nil }); err != nil || again != delivered {
+			t.Fatalf("replay after Open: %d records (err %v), want %d", again, err, delivered)
 		}
 	})
 }

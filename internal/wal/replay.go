@@ -1,28 +1,62 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/wire"
 )
 
-// Replay reads the log in dir and invokes fn for every record whose
-// sequence is >= from, in order, returning the sequence one past the last
-// record delivered (equally: the count of records the durable log holds).
-// Segments wholly below the watermark are skipped by their manifest
-// bounds without being read.
+// walkSegment is the log's one segment reader, shared by Open's recovery
+// scan and ReplayBatches: it hands fn each frame of the segment at path,
+// decoded by the decoder its magic names into one reused Batch. It returns
+// the bytes delivered (header included), whether the segment is RGCWAL01,
+// and stop: the torn frame, bad checksum or refused payload that ended the
+// walk early. Only fn's errors and I/O errors fail it.
+func walkSegment(path string, fn func(*wire.Batch) error) (valid int64, legacy bool, stop, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) < segmentHdrLen {
+		return int64(len(data)), false, fmt.Errorf("%w: segment header", ErrTorn), err
+	}
+	decode := decodeBatch
+	if legacy = string(data[:len(legacyMagic)]) == legacyMagic; legacy {
+		decode = decodeRowBatch
+	}
+	var b wire.Batch
+	off := segmentHdrLen
+	for off < len(data) {
+		payload, n, err := DecodeFrame(data[off:])
+		if err == nil {
+			err = decode(payload, &b)
+		}
+		if err != nil {
+			return int64(off), legacy, err, nil
+		}
+		if err := fn(&b); err != nil {
+			return int64(off), legacy, nil, err
+		}
+		off += n
+	}
+	return int64(off), legacy, nil, nil
+}
+
+// ReplayBatches reads the log in dir and hands fn, in order, every logged
+// batch with records at sequence from or later, seq being the sequence of
+// the batch's first record (the frame that straddles from starts at its
+// record from), and returns the sequence one past the last record
+// delivered: the count of records the durable log holds. The batches are
+// the frames AppendColumnar wrote, each validated whole before fn sees it,
+// so ingesting each one repeats the live run's IngestBatch calls. Segments
+// wholly below from are skipped unread, by their manifest bounds.
 //
-// Replay never mutates the directory, so it also serves crashed logs that
-// Open has not repaired yet: a torn or corrupt tail in the *last* segment
-// ends the replay cleanly at the valid prefix — exactly where Open would
-// truncate — while damage in a sealed segment, whose frames were all
-// durably acknowledged, is a hard ErrCorrupt.
-//
-// The Record passed to fn aliases scratch storage reused across calls;
-// copy Members to retain it. A non-nil error from fn aborts the replay
-// and is returned verbatim.
-func Replay(dir string, from int64, fn func(seq int64, rec Record) error) (int64, error) {
+// ReplayBatches never mutates the directory, so it also serves crashed
+// logs Open has not repaired: a torn or corrupt tail in the *last* segment
+// ends the replay cleanly where Open would truncate, while damage in a
+// sealed segment, whose frames were all durably acknowledged, is a hard
+// ErrCorrupt. fn must not retain the reused batch; its errors abort the
+// replay and are returned verbatim.
+func ReplayBatches(dir string, from int64, fn func(seq int64, b *wire.Batch) error) (int64, error) {
 	if from < 0 {
 		return 0, fmt.Errorf("%w: negative replay watermark %d", ErrCorrupt, from)
 	}
@@ -42,52 +76,57 @@ func Replay(dir string, from int64, fn func(seq int64, rec Record) error) (int64
 		if s.FirstSeq != seq {
 			return 0, fmt.Errorf("%w: segment %s starts at %d, expected %d", ErrCorrupt, s.Name, s.FirstSeq, seq)
 		}
-		b, err := os.ReadFile(filepath.Join(dir, s.Name))
-		if err != nil {
-			return 0, err
-		}
-		if len(b) < segmentHdrLen {
-			if last {
-				break
-			}
-			return 0, fmt.Errorf("%w: sealed segment %s truncated", ErrCorrupt, s.Name)
-		}
-		rest := b[segmentHdrLen:]
-		for {
-			payload, n, err := DecodeFrame(rest)
-			if err != nil {
-				if errors.Is(err, ErrTorn) || errors.Is(err, ErrCorrupt) {
-					if last {
-						// The unrepaired tail of a crashed log: stop at
-						// the valid prefix, where Open would truncate.
-						return seq, nil
-					}
-					return 0, fmt.Errorf("%w: sealed segment %s: %v", ErrCorrupt, s.Name, err)
-				}
-				break // io.EOF: clean end of this segment
-			}
-			// Validate the whole batch before delivering any of it, so a
-			// CRC-colliding-but-malformed payload can't hand fn a partial
-			// batch: frames are all-or-nothing.
-			if _, err := DecodeBatch(payload, nil); err != nil {
-				if last {
-					return seq, nil
-				}
-				return 0, fmt.Errorf("%w: sealed segment %s: %v", ErrCorrupt, s.Name, err)
-			}
-			if _, err := DecodeBatch(payload, func(rec Record) error {
-				if seq >= from {
-					if err := fn(seq, rec); err != nil {
-						return err
-					}
-				}
-				seq++
+		_, _, stop, err := walkSegment(filepath.Join(dir, s.Name), func(b *wire.Batch) error {
+			first := seq
+			if seq += int64(b.Len()); seq <= from {
 				return nil
-			}); err != nil {
-				return seq, err
 			}
-			rest = rest[n:]
+			if k := from - first; k > 0 {
+				b.Ticks, b.Values = b.Ticks[k:], b.Values[k:]
+				for d := range b.Cols {
+					b.Cols[d] = b.Cols[d][k:]
+				}
+				first = from
+			}
+			return fn(first, b)
+		})
+		switch {
+		case err != nil:
+			return seq, err
+		case stop != nil && last:
+			// The unrepaired tail of a crashed log: stop at the valid
+			// prefix, where Open would truncate.
+			return seq, nil
+		case stop != nil:
+			return 0, fmt.Errorf("%w: sealed segment %s: %v", ErrCorrupt, s.Name, stop)
 		}
 	}
 	return seq, nil
+}
+
+// Record is one logged record, its sequence its position in the log.
+// Record and Replay are kept only because benchmark/ calls them; the next
+// benchmark change moves it to ReplayBatches and removes them.
+type Record struct {
+	Tick    int64
+	Value   float64
+	Members []int32
+}
+
+// Replay is ReplayBatches one record at a time. The Record passed to fn
+// aliases scratch storage reused across calls; copy Members to retain it.
+func Replay(dir string, from int64, fn func(seq int64, rec Record) error) (int64, error) {
+	var rec Record
+	return ReplayBatches(dir, from, func(seq int64, b *wire.Batch) error {
+		for i := range b.Ticks {
+			rec.Tick, rec.Value, rec.Members = b.Ticks[i], b.Values[i], rec.Members[:0]
+			for _, col := range b.Cols {
+				rec.Members = append(rec.Members, col[i])
+			}
+			if err := fn(seq+int64(i), rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }

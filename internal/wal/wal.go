@@ -14,14 +14,15 @@
 //	...
 //	MANIFEST.json              {"version":1,"segments":[...]}
 //
-// Each segment starts with a 16-byte header (magic "RGCWAL01" plus the
+// Each segment starts with a 16-byte header (magic "RGCWAL02" plus the
 // little-endian first record sequence, which also names the file) and then
-// carries frames (see frame.go). Rotation seals the current segment,
-// creates the next one, and rewrites the manifest atomically; a crash
-// between the two leaves an untracked trailing segment that recovery
-// adopts. Recovery scans only the newest segment and truncates it at the
-// first torn or corrupt frame — everything before that point is the
-// durable record prefix, everything after never happened.
+// carries frames of wire batches (see frame.go); "RGCWAL01" segments, which
+// older builds wrote, are read and never appended to. Rotation seals the
+// current segment, creates the next one, and rewrites the manifest
+// atomically; a crash between the two leaves an untracked trailing segment
+// that recovery adopts. Recovery scans only the newest segment and
+// truncates it at the first torn or corrupt frame — everything before that
+// point is the durable record prefix, everything after never happened.
 package wal
 
 import (
@@ -52,15 +53,6 @@ var (
 	ErrTorn    = wire.ErrTorn
 	ErrCorrupt = errors.New("wal: corrupt log")
 )
-
-// Record is one raw stream record as ingested: the engine's
-// (members, tick, value) triple. Sequence numbers are implicit — a
-// record's sequence is its zero-based position in the log.
-type Record struct {
-	Tick    int64
-	Value   float64
-	Members []int32
-}
 
 // SyncPolicy selects when appended frames are fsynced.
 type SyncPolicy int
@@ -100,7 +92,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, time.Duration, error) {
 }
 
 const (
-	segmentMagic  = "RGCWAL01"
+	// legacyMagic opened the row-payload segments of older builds; a new
+	// magic makes such a build refuse a segment rather than truncate it.
+	segmentMagic  = "RGCWAL02"
+	legacyMagic   = "RGCWAL01"
 	segmentHdrLen = 16
 	manifestName  = "MANIFEST.json"
 	segPrefix     = "wal-"
@@ -173,7 +168,8 @@ func parseSegmentName(name string) (int64, bool) {
 // recovering from any crash state first: the newest segment is scanned and
 // truncated at the first torn or corrupt frame, a trailing segment the
 // manifest missed is adopted, and a half-created trailing segment (torn
-// header, untracked) is removed. The returned log appends at Seq().
+// header, untracked) is removed. The returned log appends at Seq(), in a
+// new segment when the newest one is an RGCWAL01 segment holding records.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("%w: empty directory", ErrCorrupt)
@@ -201,7 +197,11 @@ func Open(opts Options) (*Log, error) {
 	l.segs = segs
 	last := segs[len(segs)-1]
 	path := filepath.Join(opts.Dir, last.Name)
-	records, validSize, err := scanSegment(path)
+	var records int64
+	valid, legacy, _, err := walkSegment(path, func(b *wire.Batch) error {
+		records += int64(b.Len())
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -209,28 +209,37 @@ func Open(opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fi, err := f.Stat(); err != nil {
-		f.Close()
-		return nil, err
-	} else if fi.Size() != validSize {
+	fi, err := f.Stat()
+	if err == nil && fi.Size() != valid {
 		// The torn or corrupt tail is physically removed so the rebuilt
 		// append position and every future reader agree on the log's end.
-		if err := f.Truncate(validSize); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
+		if err = f.Truncate(valid); err == nil {
+			err = f.Sync()
 		}
 	}
-	if _, err := f.Seek(validSize, io.SeekStart); err != nil {
+	l.seq = last.FirstSeq + records
+	// An RGCWAL01 segment is never appended to: the log goes on in a new
+	// segment at Seq, or in the old one re-stamped if it holds no record.
+	if err == nil && legacy && records > 0 {
+		f.Close()
+		if err := l.createSegment(l.seq); err != nil {
+			return nil, err
+		}
+		return l, nil
+	}
+	if err == nil && legacy {
+		if _, err = f.WriteAt([]byte(segmentMagic), 0); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err == nil {
+		_, err = f.Seek(valid, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	l.f = f
-	l.size = validSize
-	l.seq = last.FirstSeq + records
+	l.f, l.size = f, valid
 	return l, nil
 }
 
@@ -345,44 +354,13 @@ func checkHeader(path string, wantSeq int64) error {
 		}
 		return err
 	}
-	if string(hdr[:8]) != segmentMagic {
+	if magic := string(hdr[:8]); magic != segmentMagic && magic != legacyMagic {
 		return fmt.Errorf("%w: segment %s has bad magic", ErrCorrupt, filepath.Base(path))
 	}
 	if got := int64(binary.LittleEndian.Uint64(hdr[8:])); got != wantSeq {
 		return fmt.Errorf("%w: segment %s header sequence %d, want %d", ErrCorrupt, filepath.Base(path), got, wantSeq)
 	}
 	return nil
-}
-
-// scanSegment walks one segment's frames, returning the record count of
-// the valid prefix and its byte length. The scan stops cleanly at the
-// first torn or corrupt frame — that is the recovery truncation point —
-// and only real I/O errors fail it.
-func scanSegment(path string) (records, validSize int64, err error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(b) < segmentHdrLen {
-		return 0, int64(len(b)), nil
-	}
-	off := int64(segmentHdrLen)
-	rest := b[segmentHdrLen:]
-	for {
-		payload, n, err := DecodeFrame(rest)
-		if err != nil {
-			// io.EOF is the clean end; ErrTorn/ErrCorrupt mark the
-			// truncation point. All three end the scan without failing it.
-			return records, off, nil
-		}
-		count, err := DecodeBatch(payload, nil)
-		if err != nil {
-			return records, off, nil
-		}
-		records += int64(count)
-		off += int64(n)
-		rest = rest[n:]
-	}
 }
 
 func writeManifest(dir string, segs []SegmentInfo) error {
@@ -463,35 +441,45 @@ func (l *Log) Seq() int64 { return l.seq }
 // Segments returns the ordered segment list (a copy).
 func (l *Log) Segments() []SegmentInfo { return slices.Clone(l.segs) }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.opts.Dir }
-
-// AppendColumnar writes one frame carrying the records of a wire batch —
-// row-encoded, straight from the decoded columns — and advances Seq by
-// b.Len(). Whether the frame is durable when it returns is the sync
-// policy's call; Sync forces the question. An empty batch is a no-op.
+// AppendColumnar writes one frame carrying a wire batch — the frame the
+// binary ingest wire ships for it — and advances Seq by b.Len(). A batch
+// wire.DecodeBatch would refuse (dimensions, record count, a tick delta
+// overflowing int64) is refused as ErrCorrupt before a byte is written: the
+// log never acknowledges a record its recovery scan would cut. Whether the
+// frame is durable when it returns is the sync policy's call; Sync forces
+// the question. An empty batch is a no-op.
 func (l *Log) AppendColumnar(b *wire.Batch) error {
-	if b.Len() == 0 {
+	n := b.Len()
+	if n == 0 {
 		return nil
 	}
 	if l.f == nil {
 		return fmt.Errorf("%w: log closed", ErrCorrupt)
+	}
+	if dims := len(b.Cols); dims < 1 || dims > wire.MaxDims || n > wire.MaxBatchRecords {
+		return fmt.Errorf("%w: batch of %d records in %d dimensions, want at most %d in [1,%d]",
+			ErrCorrupt, n, dims, wire.MaxBatchRecords, wire.MaxDims)
+	}
+	for i := 1; i < n; i++ {
+		if t, prev := b.Ticks[i], b.Ticks[i-1]; (t-prev < 0) != (t < prev) {
+			return fmt.Errorf("%w: record %d tick %d overflows its delta from %d", ErrCorrupt, i, t, prev)
+		}
+	}
+	l.payload = wire.AppendBatch(l.payload[:0], b)
+	if len(l.payload) > wire.MaxFramePayload {
+		return fmt.Errorf("%w: batch encodes to %d bytes, frame cap %d", ErrCorrupt, len(l.payload), wire.MaxFramePayload)
 	}
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
-	l.payload = appendBatch(l.payload[:0], b)
-	if len(l.payload) > MaxFramePayload {
-		return fmt.Errorf("%w: batch encodes to %d bytes, frame cap %d", ErrCorrupt, len(l.payload), MaxFramePayload)
-	}
-	l.frameBuf = EncodeFrame(l.frameBuf[:0], l.payload)
+	l.frameBuf = wire.EncodeFrame(l.frameBuf[:0], l.payload)
 	if _, err := l.f.Write(l.frameBuf); err != nil {
 		return err
 	}
 	l.size += int64(len(l.frameBuf))
-	l.seq += int64(b.Len())
+	l.seq += int64(n)
 	l.dirty = true
 	switch l.opts.Sync {
 	case SyncBatch:

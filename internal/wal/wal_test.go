@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,15 +21,20 @@ func rec(t int64, v float64) Record {
 	return Record{Tick: t, Value: v, Members: []int32{int32(t % 7), int32(t % 3)}}
 }
 
-// appendRecs appends recs as one frame.
-func appendRecs(t *testing.T, l *Log, recs ...Record) {
-	t.Helper()
-	var b wire.Batch
+// batchOf gathers recs into one wire batch.
+func batchOf(recs ...Record) *wire.Batch {
+	b := &wire.Batch{}
 	b.Reset(len(recs[0].Members))
 	for _, r := range recs {
 		b.Append(r.Tick, r.Members, r.Value)
 	}
-	if err := l.AppendColumnar(&b); err != nil {
+	return b
+}
+
+// appendRecs appends recs as one frame.
+func appendRecs(t *testing.T, l *Log, recs ...Record) {
+	t.Helper()
+	if err := l.AppendColumnar(batchOf(recs...)); err != nil {
 		t.Fatalf("AppendColumnar: %v", err)
 	}
 }
@@ -364,7 +370,7 @@ func TestRotationEdges(t *testing.T) {
 				var hdr [segmentHdrLen]byte
 				copy(hdr[:], segmentMagic)
 				binary.LittleEndian.PutUint64(hdr[8:], 3)
-				frame := EncodeFrame(nil, encodeBatch(nil, []Record{rec(100, 1)}))
+				frame := wire.EncodeFrame(nil, wire.AppendBatch(nil, batchOf(rec(100, 1))))
 				if err := os.WriteFile(filepath.Join(dir, name), append(hdr[:], frame...), 0o666); err != nil {
 					t.Fatal(err)
 				}
@@ -530,7 +536,7 @@ func TestReplayNegativeWatermark(t *testing.T) {
 }
 
 func TestFrameCodecErrors(t *testing.T) {
-	valid := EncodeFrame(nil, encodeBatch(nil, []Record{rec(1, 2)}))
+	valid := wire.EncodeFrame(nil, wire.AppendBatch(nil, batchOf(rec(1, 2))))
 	if _, _, err := DecodeFrame(valid); err != nil {
 		t.Fatalf("DecodeFrame(valid): %v", err)
 	}
@@ -552,24 +558,74 @@ func TestFrameCodecErrors(t *testing.T) {
 	if _, _, err := DecodeFrame(flipped); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("checksum error = %v, want ErrCorrupt", err)
 	}
-	huge := binary.LittleEndian.AppendUint32(nil, MaxFramePayload+1)
+	huge := binary.LittleEndian.AppendUint32(nil, wire.MaxFramePayload+1)
 	huge = append(huge, 0, 0, 0, 0)
 	if _, _, err := DecodeFrame(huge); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized length error = %v, want ErrCorrupt", err)
 	}
 }
 
-// The log's one writer reads columns; the decoder tests' reference encoder
-// reads rows. On the same records they must produce the same payload — the
-// on-disk format has one definition.
-func TestAppendBatchMatchesReferenceEncoder(t *testing.T) {
-	recs := []Record{rec(3, 1.5), rec(-9, -0.25), rec(1<<40, 1e300)}
-	var b wire.Batch
-	b.Reset(2)
-	for _, r := range recs {
-		b.Append(r.Tick, r.Members, r.Value)
+// A frame the log writes is the frame the binary ingest wire ships for the
+// same batch: the log has no payload codec of its own.
+func TestAppendColumnarWritesTheWireFrame(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := appendBatch(nil, &b), encodeBatch(nil, recs); !bytes.Equal(got, want) {
-		t.Fatalf("columnar payload %x, reference %x", got, want)
+	b := batchOf(rec(3, 1.5), rec(-9, -0.25), rec(1<<40, 1e300))
+	if err := l.AppendColumnar(b); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, l.Segments()[0].Name)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:8]) != "RGCWAL02" {
+		t.Fatalf("segment magic %q, want RGCWAL02", got[:8])
+	}
+	if want := wire.EncodeFrame(nil, wire.AppendBatch(nil, b)); !bytes.Equal(got[segmentHdrLen:], want) {
+		t.Fatalf("logged frame %x, wire frame %x", got[segmentHdrLen:], want)
+	}
+}
+
+// Every frame the log writes, it can read: a batch wire.DecodeBatch would
+// refuse is refused before a byte is written — no rotation, no Seq advance.
+func TestAppendColumnarRefusesUndecodableBatches(t *testing.T) {
+	tooMany := &wire.Batch{}
+	tooMany.Reset(1)
+	for i := 0; i <= wire.MaxBatchRecords; i++ {
+		tooMany.Append(int64(i), []int32{0}, 0)
+	}
+	noDims := &wire.Batch{Ticks: []int64{1}, Values: []float64{1}}
+	overflow := batchOf(rec(math.MinInt64, 1), rec(1, 2))
+	for name, b := range map[string]*wire.Batch{"dims": noDims, "records": tooMany, "tick delta": overflow} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := smallSegmentLog(t, dir, 40)
+			defer l.Close()
+			appendN(t, l, 0, 2) // the open segment is due to rotate
+			segs := l.Segments()
+			path := filepath.Join(dir, segs[len(segs)-1].Name)
+			before, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendColumnar(b); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("AppendColumnar error = %v, want ErrCorrupt", err)
+			}
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Seq() != 2 || len(l.Segments()) != len(segs) || after.Size() != before.Size() {
+				t.Fatalf("refused batch moved the log: Seq %d, %d segments, size %d; want 2, %d, %d",
+					l.Seq(), len(l.Segments()), after.Size(), len(segs), before.Size())
+			}
+		})
 	}
 }
