@@ -100,25 +100,55 @@ func BenchmarkDurableUnit(b *testing.B) {
 }
 
 // durableUnitBudget is the bytes a steady-state durable unit may allocate:
-// half as much again as it does (0.65 MB). The snapshot's frame copies and
-// the unit's result maps are what is left (DESIGN §6.7); the cubing
-// workspace and the checkpoint cut allocate nothing once warm. At about
-// 3 MB a unit the node ran nearly one GC cycle per unit, and the cycle
-// landed in whichever burst crossed the heap trigger.
-const durableUnitBudget = 1_000_000
+// about 1.5 times what it does (≈ 0.27 MB). The unit's result maps, the
+// published and checkpointed frame list with its level records, and the
+// frames' slot backings as they grow are what is left (DESIGN §6.7); a
+// close shares every slot a unit did not complete with the record before,
+// and the cubing workspace and the checkpoint cut allocate nothing once
+// warm. At about 3 MB a unit the node ran nearly one GC cycle per unit,
+// and the cycle landed in whichever burst crossed the heap trigger.
+const durableUnitBudget = 400_000
 
-func TestDurableUnitAllocBudget(t *testing.T) {
-	d := newDurableUnit(t, 100)
-	const units = 20
+// bytesPerUnit runs units durable units and returns what each allocated,
+// on average.
+func (d *durableUnit) bytesPerUnit(tb testing.TB, units int) (bytes, mallocs uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range units {
-		d.run(t)
+		d.run(tb)
 	}
 	runtime.ReadMemStats(&after)
-	perUnit := (after.TotalAlloc - before.TotalAlloc) / units
-	t.Logf("%d B and %d mallocs per durable unit", perUnit, (after.Mallocs-before.Mallocs)/units)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(units), (after.Mallocs - before.Mallocs) / uint64(units)
+}
+
+func TestDurableUnitAllocBudget(t *testing.T) {
+	d := newDurableUnit(t, 100)
+	perUnit, mallocs := d.bytesPerUnit(t, 20)
+	t.Logf("%d B and %d mallocs per durable unit", perUnit, mallocs)
 	if perUnit > durableUnitBudget {
 		t.Fatalf("a durable unit allocates %d B, budget %d", perUnit, durableUnitBudget)
+	}
+}
+
+// TestDurableUnitAllocFlat holds a unit's bytes to the unit, not to the
+// history behind it: after 1 000 warm units the calendar chain's day level
+// holds ten slots a frame where after 100 it held one, and a close that
+// copied every retained slot paid for each of them again every unit. The
+// window spans two days of units, so each frame's level backings regrow
+// about as often in both readings.
+func TestDurableUnitAllocFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 1 400 durable units")
+	}
+	const window = 192
+	d := newDurableUnit(t, 100)
+	shallow, _ := d.bytesPerUnit(t, window)
+	for d.unit < 1000 {
+		d.run(t)
+	}
+	deep, _ := d.bytesPerUnit(t, window)
+	t.Logf("%d B per unit after 100 units, %d B after 1 000", shallow, deep)
+	if deep*100 > shallow*105 {
+		t.Fatalf("a unit after 1 000 allocates %d B, more than 5%% over %d B after 100", deep, shallow)
 	}
 }

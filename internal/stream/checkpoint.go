@@ -83,7 +83,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 
 // AppendCheckpoint appends the checkpoint document of the engine's state to
 // dst. It is the form a node cuts after every closed unit. Frames change
-// only at a close or a Restore, which cut them (Engine.frames), so a
+// only at a close or a Restore, which leave them in Engine.frames, so a
 // checkpoint cuts just the open unit's cells: each shard its sorted part,
 // into buffers it keeps, merged into a list the engine keeps — nothing is
 // allocated once those have grown.
@@ -247,7 +247,9 @@ func mergeParts[T any](lists [][]T, cmp func(a, b T) int) []T {
 // registered every closed unit since its first. Trend history has one
 // upgrade rule: a frame record that is a state of this engine's level
 // chain restores exactly; a frame written under another chain reseeds a
-// fresh frame from its finest retained level (seedFrame).
+// fresh frame from its finest retained level (seedFrame). The engine keeps
+// the records' member tuples and slots and never writes them: write them
+// after Restore and the engine's history changes with them.
 func (e *Engine) Restore(cp *Checkpoint) error {
 	if e.closed {
 		return fmt.Errorf("%w: engine closed", ErrConfig)
@@ -282,7 +284,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		if err := sh.restore(&parts[sh.id], cp.Unit); err != nil {
 			return nil, err
 		}
-		return sh.cutFrames(), nil
+		return sh.frames, nil
 	})
 	if err != nil {
 		return err
@@ -327,7 +329,9 @@ func (e *Engine) routeCells(cells []CellState, parts []Checkpoint) (*cellDict, e
 
 // restore replaces the shard's state with its part of a checkpoint whose
 // open unit is open: the cells, range-checked and in ordinal order
-// (routeCells), and the frames of its o-cells.
+// (routeCells), and the frames of its o-cells, sorted. A record of this
+// engine's chain is adopted as it is, its slots shared with the caller's
+// and clipped (tilt.RestoreUnitFrame); one of another chain is reseeded.
 func (sh *shard) restore(cp *Checkpoint, open int64) error {
 	cfg, layout := &sh.e.cfg, &sh.e.part.layout
 	sh.slab, sh.codes = sh.slab[:0], sh.codes[:0]
@@ -340,19 +344,26 @@ func (sh *shard) restore(cp *Checkpoint, open int64) error {
 		sh.slab = append(sh.slab, *acc)
 		sh.codes = append(sh.codes, code)
 	}
-	sh.frames = make(map[cube.CellKey]*cellFrame, len(cp.Tilt))
-	for i := range cp.Tilt {
-		rec := &cp.Tilt[i]
-		if err := checkFrame(cfg.Schema, rec, open, cfg.unitStart(open), int64(cfg.TicksPerUnit)); err != nil {
+	frames := make([]CellFrame, 0, len(cp.Tilt))
+	for _, rec := range cp.Tilt {
+		if err := checkFrame(cfg.Schema, &rec, open, cfg.unitStart(open), int64(cfg.TicksPerUnit)); err != nil {
 			return fmt.Errorf("%w: %v", ErrConfig, err)
 		}
-		key := rec.Key()
+		rec.Levels = sh.e.oLevels
 		if f, err := tilt.RestoreUnitFrame(cfg.TiltLevels, rec.Frame); err == nil {
-			sh.frames[key] = &cellFrame{base: rec.Base, frame: f}
-		} else if err := sh.seedFrame(key, rec, open); err != nil {
+			rec.Frame = f.State()
+		} else if len(rec.Frame.Levels) == 0 || len(rec.Frame.Levels[0].Slots) == 0 {
+			continue // no finest slots to reseed from
+		} else if err := sh.seedFrame(&rec, open); err != nil {
 			return err
 		}
+		frames = append(frames, rec)
 	}
+	// A hand-assembled list may come in any order and name a cell twice:
+	// the record listed last is the one kept.
+	slices.Reverse(frames)
+	slices.SortStableFunc(frames, compareCellFrames)
+	sh.frames = slices.CompactFunc(frames, func(a, b CellFrame) bool { return compareCellFrames(a, b) == 0 })
 	return nil
 }
 
@@ -393,16 +404,13 @@ func (f *CellFrame) Key() cube.CellKey {
 	return cube.NewCellKey(c, f.Members...)
 }
 
-// seedFrame rebuilds one o-cell's frame under this engine's level chain
-// from the finest level of a frame record kept under another: its retained
-// slots, which must be the contiguous engine units that end where the open
-// unit starts, replay in order exactly as recordTilt registered them live.
-// Anything else would restore silently and poison later promotions, so it
-// is rejected here.
-func (sh *shard) seedFrame(key cube.CellKey, rec *CellFrame, open int64) error {
-	if len(rec.Frame.Levels) == 0 || len(rec.Frame.Levels[0].Slots) == 0 {
-		return nil
-	}
+// seedFrame rebuilds one o-cell's frame record under this engine's level
+// chain from the finest level of a record kept under another, in place:
+// its retained slots, which must be the contiguous engine units that end
+// where the open unit starts, replay in order exactly as recordTilt
+// registered them live. Anything else would restore silently and poison
+// later promotions, so it is rejected here.
+func (sh *shard) seedFrame(rec *CellFrame, open int64) error {
 	cfg := &sh.e.cfg
 	f, err := tilt.NewUnitFrame(cfg.TiltLevels)
 	if err != nil {
@@ -412,18 +420,18 @@ func (sh *shard) seedFrame(key cube.CellKey, rec *CellFrame, open int64) error {
 	base := open - int64(len(slots))
 	if base < rec.Base {
 		return fmt.Errorf("%w: tilt frame for cell %v retains %d finest units of %d registered",
-			ErrConfig, key, len(slots), rec.Frame.Pushed)
+			ErrConfig, rec.Key(), len(slots), rec.Frame.Pushed)
 	}
 	for i, s := range slots {
 		u := base + int64(i)
 		if rec.Base+s.Unit != u || s.ISB.Tb != cfg.unitStart(u) || s.ISB.Te != cfg.unitStart(u+1)-1 {
 			return fmt.Errorf("%w: tilt frame for cell %v: finest slot %d is unit %d over ticks [%d,%d], want unit %d",
-				ErrConfig, key, i, rec.Base+s.Unit, s.ISB.Tb, s.ISB.Te, u)
+				ErrConfig, rec.Key(), i, rec.Base+s.Unit, s.ISB.Tb, s.ISB.Te, u)
 		}
 		if err := f.Push(s.ISB); err != nil {
-			return fmt.Errorf("%w: seeding tilt frame for cell %v: %v", ErrConfig, key, err)
+			return fmt.Errorf("%w: seeding tilt frame for cell %v: %v", ErrConfig, rec.Key(), err)
 		}
 	}
-	sh.frames[key] = &cellFrame{base: base, frame: f}
+	rec.Base, rec.Frame = base, f.State()
 	return nil
 }

@@ -42,22 +42,24 @@ type Config struct {
 	Threshold exception.Thresholder
 	// TiltLevels is the level chain of every o-cell's tilt time frame
 	// (§4.1), the cell's one history register: each closed unit's o-layer
-	// ISBs are promoted through the chain (tilt.UnitFrame), so trend
-	// queries reach far into the past at progressively coarser granularity
-	// while per-cell state stays bounded by the chain's slot capacity — the
-	// paper's "71 units instead of 35,136". tilt.CalendarLevels() is the
-	// natural chain when a unit is a quarter-hour; the finest level's
-	// Multiple is ignored (each engine unit is one finest frame unit).
-	// Empty means the one-level chain {unit, 1, 64}: the last 64 units at
-	// unit granularity and nothing coarser.
+	// ISBs are promoted through the chain (tilt.UnitFrameState.Push), so
+	// trend queries reach far into the past at progressively coarser
+	// granularity while per-cell state stays bounded by the chain's slot
+	// capacity — the paper's "71 units instead of 35,136".
+	// tilt.CalendarLevels() is the natural chain when a unit is a
+	// quarter-hour; the finest level's Multiple is ignored (each engine
+	// unit is one finest frame unit). Empty means the one-level chain
+	// {unit, 1, 64}: the last 64 units at unit granularity and nothing
+	// coarser.
 	TiltLevels []tilt.Level
 	// Delta, when set, also raises change alerts comparing each o-cell's
 	// slope against its previous unit ("current quarter vs. the last").
 	Delta *exception.Delta
 	// PublishSnapshots makes the engine publish an immutable Snapshot at
 	// every unit boundary for lock-free concurrent readers (the serving
-	// layer). It costs a frame cut per closed unit instead of one per
-	// advance — nothing on the per-record path — and is off by default.
+	// layer). It costs a merge of the shards' frame lists per closed unit
+	// instead of one per advance — nothing on the per-record path — and is
+	// off by default.
 	PublishSnapshots bool
 	// Shards is how many partitions the engine closes its units across in
 	// parallel (§6); 0 means 1. Results, snapshots and checkpoints do not
@@ -185,9 +187,10 @@ type Engine struct {
 	// values push-side to subscribers (Subscribe).
 	snap atomic.Pointer[Snapshot]
 	bus  snapBus
-	// frames is every o-cell's frame record in coordinate order, cut at the
-	// last close or Restore: the snapshot's Frames and the checkpoint's
-	// Tilt. cp is the checkpoint AppendCheckpoint assembles.
+	// frames is every o-cell's frame record in coordinate order, the
+	// shards' lists as the last close or Restore left them, merged: the
+	// snapshot's Frames and the checkpoint's Tilt. cp is the checkpoint
+	// AppendCheckpoint assembles.
 	frames []CellFrame
 	cp     Checkpoint
 }
@@ -241,7 +244,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.id, sh.e, sh.ws = i, e, core.NewWorkspace(cfg.Schema)
-		sh.frames = make(map[cube.CellKey]*cellFrame)
 		if i > 0 {
 			sh.in, sh.out, sh.done = make(chan barrierFn, 1), make(chan shardReply, 1), make(chan struct{})
 			go sh.run()
@@ -343,9 +345,9 @@ func (e *Engine) refuse(acc *regression.Accumulator, tick int64, value float64) 
 }
 
 // advanceTo closes units up to (excluding) target on every shard in
-// parallel and merges the per-unit results. Each shard cuts its frames
-// inside the barrier, after the last unit or, with snapshots on, after
-// every unit, and the coordinator merges the cuts into one frame list. With
+// parallel and merges the per-unit results. Each shard hands back its
+// frame list after the last unit or, with snapshots on, after every unit,
+// and the coordinator merges the lists into one. With
 // snapshots on it publishes one merged Snapshot per closed unit, so bus
 // subscribers observe the same snapshot stream at any shard count
 // (pull-side Snapshot() callers see the last one).
@@ -362,7 +364,7 @@ func (e *Engine) advanceTo(target int64) ([]*UnitResult, error) {
 			}
 			adv.urs = append(adv.urs, ur)
 			if publish || u == target-1 {
-				adv.frames = append(adv.frames, sh.cutFrames())
+				adv.frames = append(adv.frames, sh.frames)
 			}
 		}
 		return adv, nil
@@ -467,7 +469,8 @@ func (e *Engine) TrendQueryAt(cell cube.CellKey, level, k int) (regression.ISB, 
 // the finest granularity.
 func (e *Engine) HistoryLen(cell cube.CellKey) int { return e.frameView().HistoryLen(cell) }
 
-// frameView reads the frames the last close or Restore cut like a snapshot.
+// frameView reads the frames the last close or Restore left like a
+// snapshot.
 func (e *Engine) frameView() *Snapshot { return &Snapshot{Chain: e.cfg.TiltLevels, Frames: e.frames} }
 
 // WALSeq returns the WAL watermark: the count of write-ahead-log records

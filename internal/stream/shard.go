@@ -39,10 +39,10 @@ type shard struct {
 	slab  []regression.Accumulator
 	codes []uint64
 	// frames holds the history of every o-cell of the partition seen so
-	// far: one tilt frame per cell, its finest level the per-unit history;
-	// keys is where cutFrames sorts their cells.
-	frames map[cube.CellKey]*cellFrame
-	keys   []cube.CellKey
+	// far, in coordinate order: one frame record per cell, its finest
+	// level the per-unit history. It is the list the shard published last,
+	// so no record in it is ever written; a close replaces the list.
+	frames []CellFrame
 	// inputs/members hold each closed unit's m-layer batch, reused from
 	// close to close: nothing the cube returns aliases them.
 	inputs  []core.Input
@@ -105,9 +105,9 @@ func replies[T any](vals []any) []T {
 }
 
 // shardAdvance is one shard's reply to an advanceTo barrier: its closed
-// units and the cuts of its frames — after each closed unit when snapshots
-// are on (frames[u] reflects state just after urs[u] closed), else after
-// the last one only.
+// units and its frame lists — after each closed unit when snapshots are on
+// (frames[u] reflects state just after urs[u] closed), else after the last
+// one only.
 type shardAdvance struct {
 	urs    []*UnitResult
 	frames [][]CellFrame
@@ -197,10 +197,11 @@ func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 			})
 		}
 		if cfg.Delta != nil {
-			if cf := sh.frames[key]; cf != nil {
+			if f := frameOf(sh.frames, key); f != nil {
 				// The frame's last slot is always the previous unit: a unit
 				// the cell sat out was registered as a zero regression.
-				if last, ok := cf.frame.LastSlot(0); ok && cfg.Delta.Exceptional(isb, last.ISB, true) {
+				finest := f.Frame.Levels[0].Slots
+				if n := len(finest); n > 0 && cfg.Delta.Exceptional(isb, finest[n-1].ISB, true) {
 					alerts = append(alerts, Alert{Unit: ur.Unit, Kind: SlopeChange, Cell: key, ISB: isb})
 				}
 			}

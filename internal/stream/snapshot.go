@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -63,15 +62,7 @@ func (s *Snapshot) Empty() bool { return s.Result == nil }
 
 // FrameOf returns an o-cell's frame record (shared, do not mutate), or nil
 // when the cell is unknown.
-func (s *Snapshot) FrameOf(cell cube.CellKey) *CellFrame {
-	i, ok := slices.BinarySearchFunc(s.Frames, cell, func(f CellFrame, cell cube.CellKey) int {
-		return cube.CompareKeys(f.Key(), cell)
-	})
-	if !ok {
-		return nil
-	}
-	return &s.Frames[i]
-}
+func (s *Snapshot) FrameOf(cell cube.CellKey) *CellFrame { return frameOf(s.Frames, cell) }
 
 // Tilted reports whether the level chain has more than one granularity.
 func (s *Snapshot) Tilted() bool { return len(s.Chain) > 1 }

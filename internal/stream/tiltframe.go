@@ -9,84 +9,70 @@ import (
 	"repro/internal/tilt"
 )
 
-// cellFrame binds one o-cell's tilt frame to the engine unit it started
-// at: frame-local unit ordinal u is engine unit base+u at the finest
-// level.
-type cellFrame struct {
-	base  int64
-	frame *tilt.UnitFrame
-}
-
-// recordTilt registers the closed unit with every o-cell frame. Cells with
-// data this unit push their o-layer ISB; cells absent the whole unit push
-// a zero regression over the unit's interval — the unit-level extension of
-// "absent readings count as zero usage" — so frames stay contiguous, trend
-// windows span quiet units at every granularity and promotions never see
-// gaps. Cells seen for the first time start a frame at this unit (no
-// back-fill). The unit's Result is nil when it closed empty.
+// recordTilt registers the closed unit with every o-cell frame of the
+// shard: the unit's list of frame records replaces the last one, each
+// record followed by its successor (tilt.UnitFrameState.Push), which
+// shares every slot the unit did not complete; the successors' level
+// records are cut from one slab. Cells with data this unit push their
+// o-layer ISB; cells absent the whole unit push a zero regression over the
+// unit's interval — the unit-level extension of "absent readings count as
+// zero usage" — so frames stay contiguous, trend windows span quiet units
+// at every granularity and promotions never see gaps. Cells seen for the
+// first time start a frame at this unit (no back-fill). The unit's Result
+// is nil when it closed empty.
 func (sh *shard) recordTilt(ur *UnitResult) error {
-	res := ur.Result
+	var oLayer map[cube.CellKey]regression.ISB
+	if ur.Result != nil {
+		oLayer = ur.Result.OLayer
+	}
+	e, oc := sh.e, sh.e.cfg.Schema.OLayer()
+	chain, nl := e.cfg.TiltLevels, len(e.cfg.TiltLevels)
 	zero := regression.ISB{Tb: ur.Interval.Tb, Te: ur.Interval.Te}
-	for key, cf := range sh.frames {
-		isb := zero
-		if res != nil {
-			if v, ok := res.OLayer[key]; ok {
-				isb = v
+	next := make([]CellFrame, len(sh.frames))
+	recs := make([]tilt.LevelStateRec, len(next)*nl)
+	seen := 0
+	for i := range next {
+		f := &next[i]
+		*f = sh.frames[i]
+		isb, ok := oLayer[cube.NewCellKey(oc, f.Members...)]
+		if ok {
+			seen++
+		} else {
+			isb = zero
+		}
+		var err error
+		if f.Frame, err = f.Frame.Push(chain, isb, recs[i*nl:(i+1)*nl:(i+1)*nl]); err != nil {
+			return fmt.Errorf("stream: tilt promotion for %v: %w", f.Members, err)
+		}
+	}
+	if seen < len(oLayer) {
+		for key, isb := range oLayer {
+			if frameOf(sh.frames, key) != nil {
+				continue
 			}
+			f := CellFrame{Levels: e.oLevels, Members: slices.Clone(key.Members[:len(e.oLevels)]), Base: ur.Unit}
+			var err error
+			if f.Frame, err = f.Frame.Push(chain, isb, nil); err != nil {
+				return fmt.Errorf("stream: tilt push for %v: %w", key, err)
+			}
+			next = append(next, f)
 		}
-		if err := cf.frame.Push(isb); err != nil {
-			return fmt.Errorf("stream: tilt promotion for %v: %w", key, err)
-		}
+		slices.SortFunc(next, compareCellFrames)
 	}
-	if res == nil {
-		return nil
-	}
-	for key, isb := range res.OLayer {
-		if _, ok := sh.frames[key]; ok {
-			continue
-		}
-		f, err := tilt.NewUnitFrame(sh.e.cfg.TiltLevels)
-		if err != nil {
-			// The level chain was validated by NewEngine.
-			return fmt.Errorf("%w: tilt levels: %v", ErrConfig, err)
-		}
-		if err := f.Push(isb); err != nil {
-			return fmt.Errorf("stream: tilt push for %v: %w", key, err)
-		}
-		sh.frames[key] = &cellFrame{base: ur.Unit, frame: f}
-	}
+	sh.frames = next
 	return nil
 }
 
-// cutFrames cuts every o-cell frame of the shard, in coordinate order, into
-// fresh storage: the frame records a snapshot publishes and a checkpoint
-// writes, never touched again once cut. The records, their member tuples,
-// level records and slots are cut from one slab each; all of them share the
-// engine's o-layer level tuple. Nil when the shard has no frames.
-func (sh *shard) cutFrames() []CellFrame {
-	if len(sh.frames) == 0 {
+// frameOf returns the record of cell in a coordinate-ordered frame list,
+// or nil when the list holds none.
+func frameOf(frames []CellFrame, cell cube.CellKey) *CellFrame {
+	i, ok := slices.BinarySearchFunc(frames, cell, func(f CellFrame, cell cube.CellKey) int {
+		return cube.CompareKeys(f.Key(), cell)
+	})
+	if !ok {
 		return nil
 	}
-	keys, inUse := sh.keys[:0], 0
-	for key, cf := range sh.frames {
-		keys = append(keys, key)
-		inUse += cf.frame.SlotsInUse()
-	}
-	slices.SortFunc(keys, cube.CompareKeys)
-	sh.keys = keys
-	nd := len(sh.e.oLevels)
-	out := make([]CellFrame, len(keys))
-	members := make([]int32, len(keys)*nd)
-	recs := make([]tilt.LevelStateRec, 0, len(keys)*len(sh.e.cfg.TiltLevels))
-	slots := make([]tilt.Slot, 0, inUse)
-	for i, key := range keys {
-		cf, f := sh.frames[key], &out[i]
-		f.Levels, f.Base = sh.e.oLevels, cf.base
-		f.Members = members[i*nd : (i+1)*nd : (i+1)*nd]
-		copy(f.Members, key.Members[:nd])
-		f.Frame, recs, slots = cf.frame.AppendState(recs, slots)
-	}
-	return out
+	return &frames[i]
 }
 
 // TiltSlots returns the total retained and maximum frame slots across all

@@ -946,3 +946,157 @@ func TestCheckpointAfterRestoreIsTheCut(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreHandAssembledFrames pins Restore's rule for a frame list no
+// engine wrote: any order is accepted, and an o-cell listed twice keeps
+// the record listed last. The engine restored from such a list must cut
+// and continue exactly like one restored from the canonical list that
+// rule describes.
+func TestRestoreHandAssembledFrames(t *testing.T) {
+	cfg := tiltConfig(t)
+	cfg.PublishSnapshots = false
+	cut := func(scale float64) *Checkpoint {
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		ingestGrid(t, func(m []int32, tick int64, v float64) ([]*UnitResult, error) {
+			return e.Ingest(m, tick, scale*v+1)
+		}, 0, 50)
+		return checkpointOf(t, e)
+	}
+	a, b := cut(1), cut(3)
+	if len(a.Tilt) < 3 || len(b.Tilt) != len(a.Tilt) {
+		t.Fatalf("checkpoints carry %d and %d frames, want at least 3 each", len(a.Tilt), len(b.Tilt))
+	}
+	if reflect.DeepEqual(a.Tilt[1], b.Tilt[1]) {
+		t.Fatal("test is vacuous: both records of the repeated cell are equal")
+	}
+	// Reversed, with the second cell's frame from a, then b's record for it
+	// last of all.
+	hand := *a
+	hand.Tilt = nil
+	for i := len(a.Tilt) - 1; i >= 0; i-- {
+		hand.Tilt = append(hand.Tilt, a.Tilt[i])
+	}
+	hand.Tilt = append(hand.Tilt, b.Tilt[1])
+	want := *a
+	want.Tilt = append([]CellFrame(nil), a.Tilt...)
+	want.Tilt[1] = b.Tilt[1]
+
+	run := func(shards int, cp *Checkpoint) (restored, continued []byte) {
+		t.Helper()
+		e, err := NewEngine(withShards(cfg, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if err := e.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		if restored, err = e.AppendCheckpoint(nil); err != nil {
+			t.Fatal(err)
+		}
+		ingestGrid(t, e.Ingest, 50, 90)
+		if continued, err = e.AppendCheckpoint(nil); err != nil {
+			t.Fatal(err)
+		}
+		return restored, continued
+	}
+	wantRestored, wantContinued := run(1, &want)
+	for _, shards := range []int{1, 3} {
+		restored, continued := run(shards, &hand)
+		if !bytes.Equal(restored, wantRestored) {
+			t.Fatalf("%d shards: a hand-assembled frame list restores to another state than its canonical form", shards)
+		}
+		if !bytes.Equal(continued, wantContinued) {
+			t.Fatalf("%d shards: a hand-assembled frame list continues differently from its canonical form", shards)
+		}
+	}
+}
+
+// TestPublishedFramesNeverChange keeps every snapshot a calendar-chain
+// engine on two shards publishes — through quiet units, o-cells that
+// appear mid-run, hour and day promotions, and two Restores from one
+// checkpoint that shares its slots with the published frames — and
+// requires each to encode at the end to the bytes it encoded to when it
+// was published: a close pushes successors and never writes a record.
+func TestPublishedFramesNeverChange(t *testing.T) {
+	cfg := tiltConfig(t)
+	cfg.TiltLevels = tilt.CalendarLevels()
+	eng, err := NewEngine(withShards(cfg, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var kept []*Snapshot
+	var docs [][]byte
+	// unit ingests unit u — nothing in every seventh, else the cells whose
+	// first member is below width — and closes it.
+	unit := func(u int64, width int32, scale float64) {
+		t.Helper()
+		if u%7 != 3 {
+			for tick := u * int64(cfg.TicksPerUnit); tick < (u+1)*int64(cfg.TicksPerUnit); tick++ {
+				for a := int32(0); a < width; a++ {
+					for b := int32(0); b < 4; b++ {
+						v := scale * float64(tick%11) * float64(a+2*b+1)
+						if _, err := eng.Ingest([]int32{a, b}, tick, v); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+		if _, err := eng.AdvanceTo(u + 1); err != nil {
+			t.Fatal(err)
+		}
+		s := eng.Snapshot()
+		if s == nil || s.Unit != u {
+			t.Fatalf("unit %d not published", u)
+		}
+		doc, err := EncodeSnapshot(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, docs = append(kept, s), append(docs, doc)
+	}
+	// o-cells (0,*) first; (1,*) join at unit 30.
+	for u := int64(0); u < 60; u++ {
+		width := int32(4)
+		if u < 30 {
+			width = 2
+		}
+		unit(u, width, 1)
+	}
+	cp := checkpointOf(t, eng)
+	if !reflect.DeepEqual(cp.Tilt, eng.Snapshot().Frames) {
+		t.Fatal("the checkpoint's frames are not the published ones")
+	}
+	cp.Tilt = eng.Snapshot().Frames
+	for pass, scale := range []float64{2, 3} {
+		if err := eng.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		end := int64(70)
+		if pass == 1 {
+			end = 130
+		}
+		for u := int64(60); u < end; u++ {
+			unit(u, 4, scale)
+		}
+	}
+	last := kept[len(kept)-1]
+	if f := last.Frames[0].Frame; f.Levels[2].Next < 1 || len(last.Frames) != 4 {
+		t.Fatalf("test is vacuous: %d frames, %d days completed", len(last.Frames), f.Levels[2].Next)
+	}
+	for i, s := range kept {
+		doc, err := EncodeSnapshot(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(doc, docs[i]) {
+			t.Fatalf("the snapshot of unit %d changed after it was published", s.Unit)
+		}
+	}
+}

@@ -221,8 +221,8 @@ func (f *Frame) Span(i int) int64 {
 		return 0
 	}
 	span := f.mult
-	for _, ls := range f.units.levels[1 : i+1] {
-		span *= int64(ls.cfg.Multiple)
+	for _, lv := range f.units.chain[1 : i+1] {
+		span *= int64(lv.Multiple)
 	}
 	return span
 }

@@ -12,7 +12,10 @@ import (
 // paper's quarter/hour/day/month chain (each engine unit plays the
 // quarter); "log<N>x<S>" is N doubling-coverage levels of S slots each;
 // anything else is an explicit "name:multiple:slots,..." chain, finest
-// level first (its multiple is implied 1 — one engine unit).
+// level first (its multiple is implied 1 — one engine unit). An explicit
+// chain NewUnitFrame would refuse, and a log chain whose coarsest level
+// would span more than an int64 counts, are refused before anything is
+// sized by them.
 func ParseLevels(s string) ([]Level, error) {
 	if s == "" {
 		return nil, nil
@@ -27,6 +30,10 @@ func ParseLevels(s string) ([]Level, error) {
 		// instead of panicking or silently falling back to the default.
 		if n < 1 || slots < 1 || fmt.Sprintf("log%dx%d", n, slots) != s {
 			return nil, fmt.Errorf("%q: want log<levels>x<slots> with both ≥ 1", s)
+		}
+		// Level i spans 2^i units: past 63 levels the coarsest overflows.
+		if n > 63 {
+			return nil, fmt.Errorf("%q: %d doubling levels, at most 63", s, n)
 		}
 		return LogarithmicLevels(n, 1, slots), nil
 	}
@@ -45,6 +52,9 @@ func ParseLevels(s string) ([]Level, error) {
 			return nil, fmt.Errorf("level %q slots: %w", part, err)
 		}
 		levels = append(levels, Level{Name: fields[0], Multiple: mult, Slots: sl})
+	}
+	if err := checkChain(levels); err != nil {
+		return nil, err
 	}
 	return levels, nil
 }

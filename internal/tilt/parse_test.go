@@ -1,6 +1,9 @@
 package tilt
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestParseLevels(t *testing.T) {
 	if levels, err := ParseLevels(""); err != nil || levels != nil {
@@ -22,5 +25,35 @@ func TestParseLevels(t *testing.T) {
 		if _, err := ParseLevels(bad); err == nil {
 			t.Fatalf("%q parsed silently", bad)
 		}
+	}
+}
+
+// TestChainsSpanAtMostInt64 refuses chains whose coarsest unit spans more
+// finest units than an int64 counts, in ParseLevels before it sizes
+// anything by the spec and in the chain check every frame runs; the
+// largest chains that fit still parse.
+func TestChainsSpanAtMostInt64(t *testing.T) {
+	for _, spec := range []string{
+		"log64x1",
+		"log100000000x1",
+		"log9223372036854775807x2",
+		"a:1:10,b:10:1000000000,c:1000000000:1000000000,d:1000000000:1000000000",
+		"a:1:3037000500,b:3037000500:3037000500,c:3037000500:1",
+		"a:1:9223372036854775807,b:9223372036854775807:2,c:2:1",
+	} {
+		if levels, err := ParseLevels(spec); err == nil {
+			t.Errorf("%q parsed to %d levels", spec, len(levels))
+		}
+	}
+	for _, spec := range []string{"log63x2", "a:1:3037000499,b:3037000499:3037000499,c:3037000499:1"} {
+		if _, err := ParseLevels(spec); err != nil {
+			t.Errorf("%q: %v", spec, err)
+		}
+	}
+	if _, err := NewUnitFrame(LogarithmicLevels(64, 1, 2)); !errors.Is(err, ErrConfig) {
+		t.Fatalf("NewUnitFrame of a 64-level doubling chain: %v, want ErrConfig", err)
+	}
+	if _, err := NewUnitFrame(LogarithmicLevels(63, 1, 2)); err != nil {
+		t.Fatal(err)
 	}
 }

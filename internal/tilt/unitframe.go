@@ -2,159 +2,112 @@ package tilt
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/regression"
 )
 
-// UnitFrame is the tilt register: a level chain fed with already-fitted
-// unit ISBs — the natural register for an o-layer cell in the online
-// engine (§4.5), where each completed unit's cube computation yields one
-// ISB per o-cell, and the register behind Frame, which fits raw ticks
-// into those units itself. Each pushed unit occupies a slot at the finest
-// level, and whenever enough units complete to fill one unit of the next
-// level they are combined with Theorem 3.3 and promoted.
+// UnitFrame is a tilt register: a level chain fed with already-fitted unit
+// ISBs — the form behind Frame, which fits raw ticks into those units
+// itself. Each pushed unit occupies a slot at the finest level, and
+// whenever enough units complete to fill one unit of the next level they
+// are combined with Theorem 3.3 and promoted. The frame is its chain and
+// its current record (UnitFrameState), which every push replaces with the
+// record's successor.
 //
 // Level 0's Multiple is interpreted as 1 (each pushed ISB is one level-0
 // unit).
 type UnitFrame struct {
-	levels    []levelState
-	unitTicks int64 // ticks per pushed unit, fixed by the first push
-	nextTb    int64 // required Tb of the next pushed unit
-	pushed    int64
-}
-
-type levelState struct {
-	cfg   Level
-	slots []Slot // completed units, oldest first, len ≤ cfg.Slots
-	next  int64  // index of the next unit to complete
-}
-
-// completeUnit registers a finished unit ISB at level i of a chain and
-// cascades promotion when it fills a unit of level i+1.
-func completeUnit(levels []levelState, i int, isb regression.ISB) {
-	ls := &levels[i]
-	ls.slots = append(ls.slots, Slot{Unit: ls.next, ISB: isb})
-	ls.next++
-
-	if i+1 < len(levels) {
-		if mult := levels[i+1].cfg.Multiple; ls.next%int64(mult) == 0 {
-			// The most recent `mult` slots are exactly the children of the
-			// parent unit (Slots ≥ mult was validated at construction).
-			parent, err := AggregateLast(ls.cfg.Name, ls.slots, mult)
-			if err != nil {
-				// Children are adjacent complete units by construction;
-				// failure here indicates internal corruption.
-				panic(fmt.Sprintf("tilt: promotion aggregation failed: %v", err))
-			}
-			completeUnit(levels, i+1, parent)
-		}
-	}
-	// Evict beyond retention after promotion so children were available.
-	if over := len(ls.slots) - ls.cfg.Slots; over > 0 {
-		ls.slots = append(ls.slots[:0], ls.slots[over:]...)
-	}
+	chain []Level
+	st    UnitFrameState
 }
 
 // NewUnitFrame validates the level chain. The finest level's Multiple is
-// forced to 1; every level needs Slots ≥ 1, and Slots ≥ the Multiple of
-// the level above it so promotion always finds its children resident.
+// ignored; every level needs Slots ≥ 1, and Slots ≥ the Multiple of the
+// level above it so promotion always finds its children resident, and one
+// unit of the coarsest level must span at most math.MaxInt64 finest units.
 func NewUnitFrame(levels []Level) (*UnitFrame, error) {
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("%w: no levels", ErrConfig)
+	if err := checkChain(levels); err != nil {
+		return nil, err
 	}
-	f := &UnitFrame{}
+	return &UnitFrame{chain: slices.Clone(levels), st: UnitFrameState{Levels: make([]LevelStateRec, len(levels))}}, nil
+}
+
+// checkChain is NewUnitFrame's check of a level chain.
+func checkChain(levels []Level) error {
+	if len(levels) == 0 {
+		return fmt.Errorf("%w: no levels", ErrConfig)
+	}
+	span := int64(1)
 	for i, lv := range levels {
-		if i == 0 {
-			lv.Multiple = 1
-		}
-		if lv.Multiple < 1 {
-			return nil, fmt.Errorf("%w: level %q multiple %d", ErrConfig, lv.Name, lv.Multiple)
+		if i > 0 {
+			if lv.Multiple < 1 {
+				return fmt.Errorf("%w: level %q multiple %d", ErrConfig, lv.Name, lv.Multiple)
+			}
+			if span > math.MaxInt64/int64(lv.Multiple) {
+				return fmt.Errorf("%w: a unit of level %q spans more than %d finest units",
+					ErrConfig, lv.Name, int64(math.MaxInt64))
+			}
+			span *= int64(lv.Multiple)
 		}
 		if lv.Slots < 1 {
-			return nil, fmt.Errorf("%w: level %q slots %d", ErrConfig, lv.Name, lv.Slots)
+			return fmt.Errorf("%w: level %q slots %d", ErrConfig, lv.Name, lv.Slots)
 		}
 		if i+1 < len(levels) && lv.Slots < levels[i+1].Multiple {
-			return nil, fmt.Errorf("%w: level %q retains %d slots but level %q needs %d children",
+			return fmt.Errorf("%w: level %q retains %d slots but level %q needs %d children",
 				ErrConfig, lv.Name, lv.Slots, levels[i+1].Name, levels[i+1].Multiple)
 		}
-		f.levels = append(f.levels, levelState{cfg: lv})
 	}
-	return f, nil
+	return nil
 }
 
 // Push registers the next completed unit's ISB. All units must have equal
 // tick counts and be adjacent in time.
 func (f *UnitFrame) Push(isb regression.ISB) error {
-	n := isb.N()
-	if n < 1 {
-		return fmt.Errorf("%w: empty unit interval", ErrConfig)
+	st, err := f.st.Push(f.chain, isb, nil)
+	if err != nil {
+		return err
 	}
-	if !isb.IsFinite() {
-		return fmt.Errorf("%w: non-finite unit measure", ErrConfig)
-	}
-	if f.pushed == 0 {
-		f.unitTicks = n
-		f.nextTb = isb.Tb
-	}
-	if n != f.unitTicks {
-		return fmt.Errorf("%w: unit has %d ticks, frame expects %d", ErrConfig, n, f.unitTicks)
-	}
-	if isb.Tb != f.nextTb {
-		return fmt.Errorf("%w: unit starts at %d, frame expects %d", ErrConfig, isb.Tb, f.nextTb)
-	}
-	completeUnit(f.levels, 0, isb)
-	f.nextTb = isb.Te + 1
-	f.pushed++
+	f.st = st
 	return nil
 }
 
 // Levels returns the number of granularity levels.
-func (f *UnitFrame) Levels() int { return len(f.levels) }
+func (f *UnitFrame) Levels() int { return len(f.chain) }
 
 // LevelName returns the configured name of level i.
-func (f *UnitFrame) LevelName(i int) string { return f.levels[i].cfg.Name }
-
-// Pushed returns how many unit ISBs have been registered.
-func (f *UnitFrame) Pushed() int64 { return f.pushed }
-
-// LastSlot returns the most recent retained completed unit at level i.
-func (f *UnitFrame) LastSlot(i int) (Slot, bool) {
-	if i < 0 || i >= len(f.levels) || len(f.levels[i].slots) == 0 {
-		return Slot{}, false
-	}
-	slots := f.levels[i].slots
-	return slots[len(slots)-1], true
-}
+func (f *UnitFrame) LevelName(i int) string { return f.chain[i].Name }
 
 // SlotsAt returns the retained completed units at level i, oldest first.
 func (f *UnitFrame) SlotsAt(i int) []Slot {
-	if i < 0 || i >= len(f.levels) {
+	if i < 0 || i >= len(f.chain) {
 		return nil
 	}
-	return append(make([]Slot, 0, len(f.levels[i].slots)), f.levels[i].slots...)
+	return slices.Clone(f.st.Levels[i].Slots)
 }
 
 // Completed returns how many units have ever completed at level i.
 func (f *UnitFrame) Completed(i int) int64 {
-	if i < 0 || i >= len(f.levels) {
+	if i < 0 || i >= len(f.chain) {
 		return 0
 	}
-	return f.levels[i].next
+	return f.st.Levels[i].Next
 }
 
 // Query aggregates the last k completed units at level i (Theorem 3.3).
 func (f *UnitFrame) Query(i, k int) (regression.ISB, error) {
-	if i < 0 || i >= len(f.levels) {
-		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrQuery, i, len(f.levels))
+	if i < 0 || i >= len(f.chain) {
+		return regression.ISB{}, fmt.Errorf("%w: level %d of %d", ErrQuery, i, len(f.chain))
 	}
-	return AggregateLast(f.levels[i].cfg.Name, f.levels[i].slots, k)
+	return AggregateLast(f.chain[i].Name, f.st.Levels[i].Slots, k)
 }
 
 // SlotCapacity returns the total retention across levels.
 func (f *UnitFrame) SlotCapacity() int {
 	var total int
-	for i := range f.levels {
-		total += f.levels[i].cfg.Slots
+	for _, lv := range f.chain {
+		total += lv.Slots
 	}
 	return total
 }
@@ -162,17 +115,18 @@ func (f *UnitFrame) SlotCapacity() int {
 // SlotsInUse returns the retained completed units across levels.
 func (f *UnitFrame) SlotsInUse() int {
 	var total int
-	for i := range f.levels {
-		total += len(f.levels[i].slots)
+	for _, lv := range f.st.Levels {
+		total += len(lv.Slots)
 	}
 	return total
 }
 
-// UnitFrameState is the serializable state of a UnitFrame — what a stream
-// checkpoint stores per o-cell so tilted multi-granularity history
-// survives restarts. State/RestoreUnitFrame round-trip exactly; the
-// restore path validates level structure, slot ordering, and interval
-// adjacency so a corrupt file cannot poison later promotions.
+// UnitFrameState is the record of a frame's state: what a stream
+// checkpoint stores and a snapshot publishes per o-cell, and what a push
+// replaces with its successor (Push). A record is never written once it is
+// made, so any number of readers may hold it while its successors are
+// pushed. CheckState validates level structure, slot ordering and
+// interval adjacency, so a corrupt file cannot poison later promotions.
 type UnitFrameState struct {
 	UnitTicks int64           `json:"unitTicks"`
 	NextTb    int64           `json:"nextTb"`
@@ -186,37 +140,82 @@ type LevelStateRec struct {
 	Slots []Slot `json:"slots"`
 }
 
-// State exports the frame's dynamic state for checkpointing.
-func (f *UnitFrame) State() UnitFrameState {
-	st, _, _ := f.AppendState(nil, nil)
-	return st
-}
-
-// AppendState is State cut into the caller's slabs: the level records are
-// appended to recs and every level's slots to slots, and the returned
-// state's slices alias what was appended (capacity-clipped, so appending
-// to one never reaches its neighbour; a level without slots has nil). A
-// unit close cuts hundreds of frames into two slices this way instead of
-// five allocations each.
-func (f *UnitFrame) AppendState(recs []LevelStateRec, slots []Slot) (UnitFrameState, []LevelStateRec, []Slot) {
-	st := UnitFrameState{UnitTicks: f.unitTicks, NextTb: f.nextTb, Pushed: f.pushed}
-	first := len(recs)
-	for i := range f.levels {
-		ls := &f.levels[i]
-		rec := LevelStateRec{Next: ls.next}
-		if len(ls.slots) > 0 {
-			start := len(slots)
-			slots = append(slots, ls.slots...)
-			rec.Slots = slots[start:len(slots):len(slots)]
-		}
-		recs = append(recs, rec)
+// Push returns the record that follows st, a state of the valid level
+// chain (the zero record has registered nothing), once the next unit's ISB
+// is registered: units have equal tick counts and are adjacent in time.
+// Levels the unit did not complete share st's Slots; one it completed
+// appends past st's window where the backing has room, else append grows a
+// new one, so st reads as before — but push a record at most once, as two
+// successors would share the slot past its window. levels, when it has
+// one record per level and no record holds it, becomes the successor's
+// Levels; otherwise they are allocated.
+func (st UnitFrameState) Push(chain []Level, isb regression.ISB, levels []LevelStateRec) (UnitFrameState, error) {
+	n := isb.N()
+	if n < 1 {
+		return st, fmt.Errorf("%w: empty unit interval", ErrConfig)
 	}
-	st.Levels = recs[first:len(recs):len(recs)]
-	return st, recs, slots
+	if !isb.IsFinite() {
+		return st, fmt.Errorf("%w: non-finite unit measure", ErrConfig)
+	}
+	if len(st.Levels) != 0 && len(st.Levels) != len(chain) {
+		return st, fmt.Errorf("%w: state has %d levels, chain %d", ErrConfig, len(st.Levels), len(chain))
+	}
+	if st.Pushed == 0 {
+		st.UnitTicks, st.NextTb = n, isb.Tb
+	}
+	if n != st.UnitTicks {
+		return st, fmt.Errorf("%w: unit has %d ticks, frame expects %d", ErrConfig, n, st.UnitTicks)
+	}
+	if isb.Tb != st.NextTb {
+		return st, fmt.Errorf("%w: unit starts at %d, frame expects %d", ErrConfig, isb.Tb, st.NextTb)
+	}
+	if len(levels) != len(chain) {
+		levels = make([]LevelStateRec, len(chain))
+	} else if len(st.Levels) == 0 {
+		clear(levels)
+	}
+	copy(levels, st.Levels)
+	complete(chain, levels, 0, isb)
+	st.Levels = levels
+	st.NextTb = isb.Te + 1
+	st.Pushed++
+	return st, nil
 }
 
-// RestoreUnitFrame rebuilds a frame from a checkpointed state against the
-// same level chain it was configured with (CheckState).
+// complete registers a finished unit ISB at level i of a successor's level
+// records and cascades promotion when it fills a unit of level i+1.
+func complete(chain []Level, levels []LevelStateRec, i int, isb regression.ISB) {
+	lv := &levels[i]
+	slots := append(lv.Slots, Slot{Unit: lv.Next, ISB: isb})
+	lv.Next++
+	if i+1 < len(levels) {
+		if mult := chain[i+1].Multiple; lv.Next%int64(mult) == 0 {
+			// The most recent `mult` slots are exactly the children of the
+			// parent unit (Slots ≥ mult was validated with the chain).
+			parent, err := AggregateLast(chain[i].Name, slots, mult)
+			if err != nil {
+				// Children are adjacent complete units by construction;
+				// failure here indicates internal corruption.
+				panic(fmt.Sprintf("tilt: promotion aggregation failed: %v", err))
+			}
+			complete(chain, levels, i+1, parent)
+		}
+	}
+	// Evict beyond retention after promotion so children were available.
+	if over := len(slots) - chain[i].Slots; over > 0 {
+		slots = slots[over:]
+	}
+	lv.Slots = slots
+}
+
+// State returns the frame's current record, which later pushes leave as
+// it is.
+func (f *UnitFrame) State() UnitFrameState { return f.st }
+
+// RestoreUnitFrame adopts a checkpointed record as a frame's state against
+// the same level chain it was configured with (CheckState). The frame
+// keeps the record's slots; each level's capacity is clipped, so the
+// frame's first push at that level copies instead of writing past them.
 func RestoreUnitFrame(levels []Level, st UnitFrameState) (*UnitFrame, error) {
 	f, err := NewUnitFrame(levels)
 	if err != nil {
@@ -225,13 +224,11 @@ func RestoreUnitFrame(levels []Level, st UnitFrameState) (*UnitFrame, error) {
 	if err := CheckState(levels, &st); err != nil {
 		return nil, err
 	}
-	for i := range f.levels {
-		f.levels[i].slots = append([]Slot(nil), st.Levels[i].Slots...)
-		f.levels[i].next = st.Levels[i].Next
+	for i, lv := range st.Levels {
+		f.st.Levels[i] = LevelStateRec{Next: lv.Next, Slots: slices.Clip(lv.Slots)}
 	}
-	f.unitTicks = st.UnitTicks
-	f.nextTb = st.NextTb
-	f.pushed = st.Pushed
+	st.Levels = f.st.Levels
+	f.st = st
 	return f, nil
 }
 

@@ -75,8 +75,8 @@ func TestUnitFramePushDiscipline(t *testing.T) {
 	if err := f.Push(regression.ISB{Tb: 10, Te: 19, Base: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Pushed() != 2 {
-		t.Fatalf("pushed = %d", f.Pushed())
+	if f.State().Pushed != 2 {
+		t.Fatalf("pushed = %d", f.State().Pushed)
 	}
 }
 
