@@ -13,7 +13,9 @@ package regcube
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -338,15 +340,7 @@ func BenchmarkShardedIngestBusSubscriber(b *testing.B) {
 // harvest, sort, cubing, supporter index, alerts, shard merge.
 func BenchmarkCloseUnitAlertHeavy(b *testing.B) {
 	const cells, ticksPerUnit = 5000, 10
-	schema, err := gen.Spec{Dims: 3, Levels: 3, Fanout: 4, Tuples: cells}.StreamSchema()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	members := make([][]int32, cells)
-	for i, idx := range rng.Perm(64 * 64 * 64)[:cells] {
-		members[i] = []int32{int32(idx % 64), int32(idx / 64 % 64), int32(idx / 4096)}
-	}
+	schema, members := alertHeavyCells(b, cells)
 	cfg := stream.Config{Schema: schema, TicksPerUnit: ticksPerUnit, Threshold: exception.Global(1)}
 	for _, shards := range []int{1, 2} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -391,6 +385,92 @@ func BenchmarkCloseUnitAlertHeavy(b *testing.B) {
 			b.ReportMetric(float64(alerts), "alerts/op")
 			b.ReportMetric(float64(supporters), "supporters/op")
 		})
+	}
+}
+
+// alertHeavyCells returns the D3L3C4 schema and the first n of the alert-
+// heavy unit's seeded m-cells.
+func alertHeavyCells(tb testing.TB, n int) (*cube.Schema, [][]int32) {
+	tb.Helper()
+	schema, err := gen.Spec{Dims: 3, Levels: 3, Fanout: 4, Tuples: n}.StreamSchema()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	members := make([][]int32, n)
+	for i, idx := range rng.Perm(64 * 64 * 64)[:n] {
+		members[i] = []int32{int32(idx % 64), int32(idx / 64 % 64), int32(idx / 4096)}
+	}
+	return schema, members
+}
+
+// TestMergeCostFlatInCells merges the two parts of the alert-heavy unit —
+// two engines fed by the two-way partitioner, as two cluster nodes or two
+// shards split it — at a quarter of its cells and at all of them. All 64
+// o-cells have data at both sizes and the merge touches no cell, so the
+// bytes it allocates must not grow with the cells; a merge that copies the
+// parts' cells into one table allocates about 4.5 MB at 5 000.
+func TestMergeCostFlatInCells(t *testing.T) {
+	const ticksPerUnit = 10
+	mergeBytes := func(cells int) uint64 {
+		schema, members := alertHeavyCells(t, cells)
+		part, err := stream.NewPartitioner(schema, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := stream.Config{Schema: schema, TicksPerUnit: ticksPerUnit, Threshold: exception.Global(1), PublishSnapshots: true}
+		nodes := make([]*stream.Engine, 2)
+		for i := range nodes {
+			if nodes[i], err = stream.NewEngine(cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer nodes[i].Close()
+		}
+		srng := rand.New(rand.NewSource(13))
+		slopes := make([]float64, cells)
+		for i := range slopes {
+			slopes[i] = srng.NormFloat64()
+		}
+		for tick := range int64(ticksPerUnit) {
+			for i, m := range members {
+				sid, err := part.Route(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := nodes[sid].Ingest(m, tick, 5+slopes[i]*float64(tick)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		snaps := make([]*stream.Snapshot, len(nodes))
+		cellsRetained := 0
+		for i, e := range nodes {
+			if _, err := e.AdvanceTo(1); err != nil {
+				t.Fatal(err)
+			}
+			snaps[i] = e.Snapshot()
+			cellsRetained += snaps[i].Result.NumOCells() + snaps[i].Result.NumExceptions()
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			merged, err := stream.MergeSnapshots(schema, snaps)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := merged.Result.NumOCells() + merged.Result.NumExceptions(); got != cellsRetained {
+				t.Fatalf("%d cells: merged result holds %d cells, its parts %d", cells, got, cellsRetained)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%d cells (%d retained): merge allocates %d B", cells, cellsRetained, least)
+		return least
+	}
+	quarter, whole := mergeBytes(1250), mergeBytes(5000)
+	if whole > quarter+quarter/4+4<<10 {
+		t.Fatalf("merge allocates %d B at 5 000 cells, %d B at 1 250: it grows with the cells", whole, quarter)
 	}
 }
 

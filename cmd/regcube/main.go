@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,7 +37,6 @@ import (
 	"repro/internal/cube"
 	"repro/internal/exception"
 	"repro/internal/gen"
-	"repro/internal/regression"
 )
 
 func main() {
@@ -106,24 +106,16 @@ func runBatch(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  tuples=%d tree-nodes=%d leaves=%d cuboids=%d\n",
 			st.Tuples, st.TreeNodes, st.TreeLeaves, st.CuboidsComputed)
 		fmt.Fprintf(out, "  cells computed=%d retained=%d exceptions=%d\n",
-			st.CellsComputed, st.CellsRetained, len(res.Exceptions))
+			st.CellsComputed, st.CellsRetained, res.NumExceptions())
 		fmt.Fprintf(out, "  time=%v (build %v + cube %v), peak-mem≈%.1f MB\n",
 			elapsed.Round(time.Millisecond), st.BuildTime.Round(time.Millisecond),
 			st.CubeTime.Round(time.Millisecond), float64(st.PeakBytes)/(1<<20))
 
-		printTop(out, "o-layer observation deck (steepest cells)", ds.Schema, cellsOf(res.OLayer), *top)
-		printTop(out, "exception cells between the layers", ds.Schema, cellsOf(res.Exceptions), *top)
+		printTop(out, "o-layer observation deck (steepest cells)", ds.Schema, slices.Clone(res.OCells()), *top)
+		printTop(out, "exception cells between the layers", ds.Schema, slices.Clone(res.ExceptionCells()), *top)
 		fmt.Fprintln(out)
 	}
 	return nil
-}
-
-func cellsOf(m map[cube.CellKey]regression.ISB) []core.Cell {
-	out := make([]core.Cell, 0, len(m))
-	for k, isb := range m {
-		out = append(out, core.Cell{Key: k, ISB: isb})
-	}
-	return out
 }
 
 func printTop(out io.Writer, title string, schema *cube.Schema, cells []core.Cell, n int) {

@@ -63,7 +63,7 @@ func ExampleMOCubing() {
 		{Members: []int32{2}, Measure: regcube.ISB{Tb: 0, Te: 9, Base: 1, Slope: -0.1}},
 	}
 	res, _ := regcube.MOCubing(schema, inputs, regcube.GlobalThreshold(1))
-	fmt.Printf("o-layer cells: %d, exceptions: %d\n", len(res.OLayer), len(res.Exceptions))
+	fmt.Printf("o-layer cells: %d, exceptions: %d\n", res.NumOCells(), res.NumExceptions())
 	// Output: o-layer cells: 2, exceptions: 2
 }
 

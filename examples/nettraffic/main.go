@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"sort"
 
 	regcube "repro"
@@ -114,10 +115,7 @@ func main() {
 		pp.Stats.CellsComputed, mo.Stats.CellsComputed,
 		100*(1-float64(pp.Stats.CellsComputed)/float64(mo.Stats.CellsComputed)))
 
-	cells := make([]regcube.Cell, 0, len(pp.Exceptions))
-	for k, isb := range pp.Exceptions {
-		cells = append(cells, regcube.Cell{Key: k, ISB: isb})
-	}
+	cells := slices.Clone(pp.ExceptionCells())
 	sort.Slice(cells, func(i, j int) bool {
 		return abs(cells[i].ISB.Slope) > abs(cells[j].ISB.Slope)
 	})

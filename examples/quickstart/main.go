@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nm/o-cubing over %s: %d o-layer cells, %d exception cells (threshold %.2f)\n",
-		spec, len(res.OLayer), len(res.Exceptions), thr)
+		spec, res.NumOCells(), res.NumExceptions(), thr)
 
 	// The popular-path algorithm retains a subset of the same exceptions.
 	lattice := regcube.NewLattice(ds.Schema)
@@ -67,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("popular-path:            %d o-layer cells, %d exception cells\n",
-		len(pp.OLayer), len(pp.Exceptions))
+		pp.NumOCells(), pp.NumExceptions())
 	fmt.Printf("\nstats: m/o computed %d cells, popular-path %d (of %d cuboids)\n",
 		res.Stats.CellsComputed, pp.Stats.CellsComputed, ds.Schema.CuboidCount())
 }

@@ -39,9 +39,9 @@ func TestFullPipelineIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(orig.Exceptions) != len(reloaded.Exceptions) {
+	if orig.NumExceptions() != reloaded.NumExceptions() {
 		t.Fatalf("CSV round trip changed exceptions: %d vs %d",
-			len(orig.Exceptions), len(reloaded.Exceptions))
+			orig.NumExceptions(), reloaded.NumExceptions())
 	}
 
 	// 3. Popular-path confirms a subset of m/o-cubing's exceptions.
@@ -50,8 +50,9 @@ func TestFullPipelineIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, isb := range pp.Exceptions {
-		want, ok := orig.Exceptions[key]
+	for _, c := range pp.ExceptionCells() {
+		key, isb := c.Key, c.ISB
+		want, ok := orig.Exception(key)
 		if !ok || math.Abs(want.Slope-isb.Slope) > 1e-9 {
 			t.Fatalf("popular-path exception %v not confirmed", key)
 		}
@@ -65,7 +66,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 		t.Fatal("no observation deck")
 	}
 	for _, sup := range view.Supporters(obs[0].Key) {
-		if _, ok := orig.Exceptions[sup.Key]; !ok {
+		if _, ok := orig.Exception(sup.Key); !ok {
 			t.Fatalf("supporter %v is not a retained exception", sup.Key)
 		}
 	}

@@ -291,11 +291,11 @@ func (m *Manager) Observe(snap *stream.Snapshot) {
 		}
 	}
 	if snap.Result != nil {
-		for k, isb := range snap.Result.OLayer {
-			add(k, isb.Slope, true)
+		for c := range snap.Result.AllOCells {
+			add(c.Key, c.ISB.Slope, true)
 		}
-		for k, isb := range snap.Result.Exceptions {
-			add(k, isb.Slope, true)
+		for c := range snap.Result.AllExceptions {
+			add(c.Key, c.ISB.Slope, true)
 		}
 	}
 	for k := range m.states {

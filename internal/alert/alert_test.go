@@ -2,9 +2,11 @@ package alert
 
 import (
 	"context"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -49,24 +51,42 @@ func testManager(t testing.TB, hold int) (*Manager, *cube.Schema) {
 
 // snap fabricates a unit snapshot carrying the given o-layer and drill
 // slopes. Drill cells sit at the m-layer and double as exception entries,
-// exactly where the engine puts drill-down supporters.
+// exactly where the engine puts drill-down supporters; a drill cell's
+// o-cell the caller did not give is retained flat, as the engine retains
+// every o-cell with data.
 func snap(schema *cube.Schema, unit int64, ocells map[cube.CellKey]float64, drill map[cube.CellKey]float64) *stream.Snapshot {
-	res := &core.Result{
-		Schema:     schema,
-		OLayer:     map[cube.CellKey]regression.ISB{},
-		Exceptions: map[cube.CellKey]regression.ISB{},
+	if len(ocells) == 0 && len(drill) == 0 {
+		return &stream.Snapshot{Unit: unit, UnitsDone: unit + 1}
 	}
+	ocells = maps.Clone(ocells)
+	if ocells == nil {
+		ocells = map[cube.CellKey]float64{}
+	}
+	for k := range drill {
+		o, err := cube.RollUpKey(schema, k, schema.OLayer())
+		if err != nil {
+			panic(err)
+		}
+		if _, ok := ocells[o]; !ok {
+			ocells[o] = 0
+		}
+	}
+	var oLayer, exceptions []core.Cell
 	for k, s := range ocells {
-		res.OLayer[k] = regression.ISB{Slope: s}
-		if exception.IsException(res.OLayer[k], 1) {
-			res.Exceptions[k] = res.OLayer[k]
+		c := core.Cell{Key: k, ISB: regression.ISB{Slope: s}}
+		oLayer = append(oLayer, c)
+		if exception.IsException(c.ISB, 1) {
+			exceptions = append(exceptions, c)
 		}
 	}
 	for k, s := range drill {
-		res.Exceptions[k] = regression.ISB{Slope: s}
+		exceptions = append(exceptions, core.Cell{Key: k, ISB: regression.ISB{Slope: s}})
 	}
-	if len(ocells) == 0 && len(drill) == 0 {
-		res = nil
+	slices.SortFunc(oLayer, core.CompareCells)
+	slices.SortFunc(exceptions, core.CompareCells)
+	res, err := core.NewResult(schema, oLayer, exceptions, core.Stats{})
+	if err != nil {
+		panic(err)
 	}
 	return &stream.Snapshot{Unit: unit, UnitsDone: unit + 1, Result: res}
 }

@@ -34,7 +34,7 @@ func toAlgoStats(res *core.Result) AlgoStats {
 		PeakBytes: res.Stats.PeakBytes,
 		Cells:     res.Stats.CellsComputed,
 		Retained:  res.Stats.CellsRetained,
-		Exc:       len(res.Exceptions),
+		Exc:       res.NumExceptions(),
 	}
 }
 

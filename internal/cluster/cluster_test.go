@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -267,8 +268,8 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 	if want == nil || want.Unit != merged.Unit {
 		t.Fatalf("single engine at %+v, cluster at unit %d", want, merged.Unit)
 	}
-	if !reflect.DeepEqual(merged.Result.OLayer, want.Result.OLayer) ||
-		!reflect.DeepEqual(merged.Result.Exceptions, want.Result.Exceptions) ||
+	if !slices.Equal(merged.Result.OCells(), want.Result.OCells()) ||
+		!slices.Equal(merged.Result.ExceptionCells(), want.Result.ExceptionCells()) ||
 		!reflect.DeepEqual(merged.Alerts, want.Alerts) ||
 		!reflect.DeepEqual(merged.Frames, want.Frames) {
 		t.Fatal("merged cluster snapshot differs from single engine")

@@ -74,11 +74,11 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 
 		// The o-layer is retained whole: exactly the full cube's o-cuboid.
 		fullO := full.Cuboids[s.OLayer()]
-		if len(fullO) != len(mo.OLayer) {
+		if len(fullO) != len(mo.oLayer.m) {
 			return false
 		}
 		for key, want := range fullO {
-			got, ok := mo.OLayer[key]
+			got, ok := mo.oLayer.m[key]
 			if !ok || !almostEq(got.Slope, want.Slope, 1e-7) {
 				return false
 			}
@@ -92,20 +92,20 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 			for key, isb := range cells {
 				if exception.IsException(isb, th) {
 					fullExc++
-					want, ok := mo.Exceptions[key]
+					want, ok := mo.exceptions.m[key]
 					if !ok || !almostEq(want.Slope, isb.Slope, 1e-7) {
 						return false
 					}
 				}
 			}
 		}
-		if fullExc != len(mo.Exceptions) {
+		if fullExc != len(mo.exceptions.m) {
 			return false
 		}
 
 		// Popular-path subset + closure.
-		for key, isb := range pp.Exceptions {
-			want, ok := mo.Exceptions[key]
+		for key, isb := range pp.exceptions.m {
+			want, ok := mo.exceptions.m[key]
 			if !ok || !almostEq(want.Slope, isb.Slope, 1e-7) {
 				return false
 			}
@@ -113,7 +113,7 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 		path := lattice.DefaultPath()
 		expected := map[cube.CellKey]bool{}
 		for _, c := range lattice.Cuboids() {
-			for key := range mo.Exceptions {
+			for key := range mo.exceptions.m {
 				if key.Cuboid != c {
 					continue
 				}
@@ -133,7 +133,7 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 				}
 			}
 		}
-		if len(expected) != len(pp.Exceptions) {
+		if len(expected) != len(pp.exceptions.m) {
 			return false
 		}
 		return true

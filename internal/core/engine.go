@@ -71,32 +71,6 @@ type Stats struct {
 // overhead) for the paper's memory panels.
 const bytesPerCell = 96
 
-// Result is the outcome of one cubing run.
-type Result struct {
-	Schema *cube.Schema
-	// OLayer holds every o-layer cell ("all cells are retained for
-	// observation").
-	OLayer map[cube.CellKey]regression.ISB
-	// Exceptions holds every retained exception cell from the o-layer
-	// down to (and including) the m-layer, keyed by cell.
-	Exceptions map[cube.CellKey]regression.ISB
-	// PathCells holds the materialized popular-path cuboid cells
-	// (popular-path algorithm only; nil for m/o-cubing).
-	PathCells map[cube.Cuboid]map[cube.CellKey]regression.ISB
-	Stats     Stats
-}
-
-// ExceptionsAt returns the retained exception cells of one cuboid.
-func (r *Result) ExceptionsAt(c cube.Cuboid) []Cell {
-	var out []Cell
-	for k, isb := range r.Exceptions {
-		if k.Cuboid == c {
-			out = append(out, Cell{Key: k, ISB: isb})
-		}
-	}
-	return out
-}
-
 // sortedCells flattens a retained-cell map into canonical key order
 // (cube.CompareKeys) — the stable iteration surface snapshot readers,
 // serializers and the supporter index need, since map order changes run to
@@ -157,13 +131,6 @@ func radixSortCells(s *cube.Schema, cells []Cell) (sorted []Cell, ok bool) {
 	}
 	return sorted, true
 }
-
-// OCells returns every o-layer cell in canonical key order.
-func (r *Result) OCells() []Cell { return sortedCells(r.Schema, r.OLayer) }
-
-// ExceptionCells returns every retained exception cell in canonical key
-// order.
-func (r *Result) ExceptionCells() []Cell { return sortedCells(r.Schema, r.Exceptions) }
 
 // validate checks batch shape and interval uniformity.
 func validate(s *cube.Schema, inputs []Input) error {
@@ -360,8 +327,8 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 	lattice := w.lattice
 	res := &Result{
 		Schema:     s,
-		OLayer:     make(map[cube.CellKey]regression.ISB, w.oCells),
-		Exceptions: make(map[cube.CellKey]regression.ISB, w.exceptions),
+		oLayer:     cellSet{m: make(map[cube.CellKey]regression.ISB, w.oCells)},
+		exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB, w.exceptions)},
 	}
 	st := &res.Stats
 	st.Algorithm = "m/o-cubing"
@@ -395,10 +362,10 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 			isO := c.Equal(oLayer) // degenerate schema with no layers in between
 			for _, lc := range leafCells {
 				if isO {
-					res.OLayer[lc.Key] = lc.ISB
+					res.oLayer.m[lc.Key] = lc.ISB
 				}
 				if exception.IsException(lc.ISB, thrM) {
-					res.Exceptions[lc.Key] = lc.ISB
+					res.exceptions.m[lc.Key] = lc.ISB
 				}
 			}
 			continue
@@ -414,7 +381,7 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 		// The run aggregator's two leaf-proportional entry buffers are
 		// scratch too; keep the memory panels honest about them.
 		const runEntryBytes = 16
-		peak := treeBytes + (distinct+int64(len(res.Exceptions))+int64(len(res.OLayer)))*bytesPerCell +
+		peak := treeBytes + (distinct+int64(len(res.exceptions.m))+int64(len(res.oLayer.m)))*bytesPerCell +
 			int64(cap(scratch.entries)+cap(scratch.spare))*runEntryBytes
 		if peak > st.PeakBytes {
 			st.PeakBytes = peak
@@ -424,20 +391,20 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 		for i := range scratch.cells {
 			cell := &scratch.cells[i]
 			if isO {
-				res.OLayer[cell.Key] = cell.ISB
+				res.oLayer.m[cell.Key] = cell.ISB
 			}
 			if exception.IsException(cell.ISB, threshold) {
-				res.Exceptions[cell.Key] = cell.ISB
+				res.exceptions.m[cell.Key] = cell.ISB
 			}
 		}
 	}
 	st.CubeTime = time.Since(cubeStart)
-	st.CellsRetained = int64(len(res.OLayer) + len(res.Exceptions))
+	st.CellsRetained = int64(len(res.oLayer.m) + len(res.exceptions.m))
 	st.BytesRetained = treeBytes + st.CellsRetained*bytesPerCell
 	if st.BytesRetained > st.PeakBytes {
 		st.PeakBytes = st.BytesRetained
 	}
-	w.oCells, w.exceptions = len(res.OLayer), len(res.Exceptions)
+	w.oCells, w.exceptions = len(res.oLayer.m), len(res.exceptions.m)
 	// Bound what is kept to a small multiple of this run's size, so one
 	// bursty unit cannot pin its peak footprint (the tree does the same in
 	// Reset).

@@ -118,7 +118,7 @@ func TestMOCubingMatchesBruteForce(t *testing.T) {
 	}
 	// Every o-layer cell matches truth.
 	o := s.OLayer()
-	for key, isb := range res.OLayer {
+	for key, isb := range res.oLayer.m {
 		want, ok := truth[key]
 		if !ok || key.Cuboid != o {
 			t.Fatalf("unexpected o-layer cell %v", key)
@@ -132,7 +132,7 @@ func TestMOCubingMatchesBruteForce(t *testing.T) {
 	for key, isb := range truth {
 		if exception.IsException(isb, 0.8) {
 			wantExc++
-			got, ok := res.Exceptions[key]
+			got, ok := res.exceptions.m[key]
 			if !ok {
 				t.Fatalf("missing exception %v (slope %g)", key, isb.Slope)
 			}
@@ -141,13 +141,13 @@ func TestMOCubingMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	if len(res.Exceptions) != wantExc {
-		t.Fatalf("exceptions = %d, want %d", len(res.Exceptions), wantExc)
+	if len(res.exceptions.m) != wantExc {
+		t.Fatalf("exceptions = %d, want %d", len(res.exceptions.m), wantExc)
 	}
 	// Every truth cell under threshold must NOT be in exceptions.
 	for key, isb := range truth {
 		if !exception.IsException(isb, 0.8) {
-			if _, bad := res.Exceptions[key]; bad {
+			if _, bad := res.exceptions.m[key]; bad {
 				t.Fatalf("non-exception %v retained", key)
 			}
 		}
@@ -177,7 +177,7 @@ func TestMOCubingStats(t *testing.T) {
 	if st.BytesRetained <= 0 || st.PeakBytes < st.BytesRetained {
 		t.Fatalf("bytes accounting: retained %d peak %d", st.BytesRetained, st.PeakBytes)
 	}
-	if st.CellsRetained != int64(len(res.OLayer)+len(res.Exceptions)) {
+	if st.CellsRetained != int64(len(res.oLayer.m)+len(res.exceptions.m)) {
 		t.Fatal("retained count mismatch")
 	}
 }
@@ -219,7 +219,7 @@ func TestPopularPathMatchesBruteForceOnPath(t *testing.T) {
 	// o-layer identical to truth.
 	for key := range truth {
 		if key.Cuboid == s.OLayer() {
-			if _, ok := res.OLayer[key]; !ok {
+			if _, ok := res.oLayer.m[key]; !ok {
 				t.Fatalf("missing o-layer cell %v", key)
 			}
 		}
@@ -248,11 +248,11 @@ func TestAlgorithmsAgree(t *testing.T) {
 		}
 
 		// (o-layer identical)
-		if len(mo.OLayer) != len(pp.OLayer) {
-			t.Fatalf("o-layer sizes differ: %d vs %d", len(mo.OLayer), len(pp.OLayer))
+		if len(mo.oLayer.m) != len(pp.oLayer.m) {
+			t.Fatalf("o-layer sizes differ: %d vs %d", len(mo.oLayer.m), len(pp.oLayer.m))
 		}
-		for key, a := range mo.OLayer {
-			b, ok := pp.OLayer[key]
+		for key, a := range mo.oLayer.m {
+			b, ok := pp.oLayer.m[key]
 			if !ok {
 				t.Fatalf("popular-path missing o-cell %v", key)
 			}
@@ -262,8 +262,8 @@ func TestAlgorithmsAgree(t *testing.T) {
 		}
 
 		// (subset with equal measures)
-		for key, b := range pp.Exceptions {
-			a, ok := mo.Exceptions[key]
+		for key, b := range pp.exceptions.m {
+			a, ok := mo.exceptions.m[key]
 			if !ok {
 				t.Fatalf("popular-path exception %v not found by m/o-cubing", key)
 			}
@@ -277,7 +277,7 @@ func TestAlgorithmsAgree(t *testing.T) {
 		// expected set, processed coarsest-first.
 		expected := map[cube.CellKey]bool{}
 		for _, c := range lattice.Cuboids() {
-			for key, isb := range mo.Exceptions {
+			for key, isb := range mo.exceptions.m {
 				if key.Cuboid != c {
 					continue
 				}
@@ -298,11 +298,11 @@ func TestAlgorithmsAgree(t *testing.T) {
 				}
 			}
 		}
-		if len(expected) != len(pp.Exceptions) {
-			t.Fatalf("closure size %d vs popular-path %d (spread %g)", len(expected), len(pp.Exceptions), spread)
+		if len(expected) != len(pp.exceptions.m) {
+			t.Fatalf("closure size %d vs popular-path %d (spread %g)", len(expected), len(pp.exceptions.m), spread)
 		}
 		for key := range expected {
-			if _, ok := pp.Exceptions[key]; !ok {
+			if _, ok := pp.exceptions.m[key]; !ok {
 				t.Fatalf("closure cell %v missing from popular-path", key)
 			}
 		}
@@ -326,8 +326,8 @@ func TestPopularPathCustomPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, b := range res.Exceptions {
-		a, ok := mo.Exceptions[key]
+	for key, b := range res.exceptions.m {
+		a, ok := mo.exceptions.m[key]
 		if !ok {
 			t.Fatalf("exception %v not in m/o set", key)
 		}
@@ -352,19 +352,19 @@ func TestDegenerateSingleCuboidSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.OLayer) != 2 {
-		t.Fatalf("o-layer cells = %d, want 2", len(res.OLayer))
+	if len(res.oLayer.m) != 2 {
+		t.Fatalf("o-layer cells = %d, want 2", len(res.oLayer.m))
 	}
-	if len(res.Exceptions) != 1 {
-		t.Fatalf("exceptions = %d, want 1", len(res.Exceptions))
+	if len(res.exceptions.m) != 1 {
+		t.Fatalf("exceptions = %d, want 1", len(res.exceptions.m))
 	}
 	lattice := cube.NewLattice(s)
 	pp, err := PopularPath(s, inputs, exception.Global(1), lattice.DefaultPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pp.OLayer) != 2 || len(pp.Exceptions) != 1 {
-		t.Fatalf("popular-path degenerate: o=%d exc=%d", len(pp.OLayer), len(pp.Exceptions))
+	if len(pp.oLayer.m) != 2 || len(pp.exceptions.m) != 1 {
+		t.Fatalf("popular-path degenerate: o=%d exc=%d", len(pp.oLayer.m), len(pp.exceptions.m))
 	}
 }
 
@@ -380,22 +380,22 @@ func TestOLayerAtApex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mo.OLayer) != 1 {
-		t.Fatalf("apex o-layer cells = %d, want 1", len(mo.OLayer))
+	if len(mo.oLayer.m) != 1 {
+		t.Fatalf("apex o-layer cells = %d, want 1", len(mo.oLayer.m))
 	}
 	lattice := cube.NewLattice(s)
 	pp, err := PopularPath(s, inputs, exception.Global(0.5), lattice.DefaultPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pp.OLayer) != 1 {
-		t.Fatalf("popular-path apex o-layer = %d, want 1", len(pp.OLayer))
+	if len(pp.oLayer.m) != 1 {
+		t.Fatalf("popular-path apex o-layer = %d, want 1", len(pp.oLayer.m))
 	}
 	var a, b regression.ISB
-	for _, v := range mo.OLayer {
+	for _, v := range mo.oLayer.m {
 		a = v
 	}
-	for _, v := range pp.OLayer {
+	for _, v := range pp.oLayer.m {
 		b = v
 	}
 	if !almostEq(a.Slope, b.Slope, 1e-9) || !almostEq(a.Base, b.Base, 1e-9) {
@@ -415,8 +415,8 @@ func TestExceptionsAt(t *testing.T) {
 	for _, c := range lattice.Cuboids() {
 		total += len(res.ExceptionsAt(c))
 	}
-	if total != len(res.Exceptions) {
-		t.Fatalf("per-cuboid exceptions %d != total %d", total, len(res.Exceptions))
+	if total != len(res.exceptions.m) {
+		t.Fatalf("per-cuboid exceptions %d != total %d", total, len(res.exceptions.m))
 	}
 }
 
@@ -431,10 +431,10 @@ func TestThresholdSweepMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Exceptions) > prev {
-			t.Fatalf("exceptions grew from %d to %d when threshold rose to %g", prev, len(res.Exceptions), thr)
+		if len(res.exceptions.m) > prev {
+			t.Fatalf("exceptions grew from %d to %d when threshold rose to %g", prev, len(res.exceptions.m), thr)
 		}
-		prev = len(res.Exceptions)
+		prev = len(res.exceptions.m)
 	}
 }
 

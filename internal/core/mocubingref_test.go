@@ -28,8 +28,8 @@ func moCubingRef(s *cube.Schema, inputs []Input, thr exception.Thresholder, inde
 	idx := tree.AncestorIndex()
 	res := &Result{
 		Schema:     s,
-		OLayer:     make(map[cube.CellKey]regression.ISB),
-		Exceptions: make(map[cube.CellKey]regression.ISB),
+		oLayer:     cellSet{m: make(map[cube.CellKey]regression.ISB)},
+		exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB)},
 	}
 	st := &res.Stats
 	st.Algorithm = "m/o-cubing (reference)"
@@ -61,20 +61,20 @@ func moCubingRef(s *cube.Schema, inputs []Input, thr exception.Thresholder, inde
 		if !isM && distinct > st.PeakScratchCells {
 			st.PeakScratchCells = distinct // the m-layer is read off the tree, not scratch
 		}
-		if peak := treeBytes + (distinct+int64(len(res.Exceptions)+len(res.OLayer)))*bytesPerCell; peak > st.PeakBytes {
+		if peak := treeBytes + (distinct+int64(len(res.exceptions.m)+len(res.oLayer.m)))*bytesPerCell; peak > st.PeakBytes {
 			st.PeakBytes = peak
 		}
 		threshold := thr.Threshold(c)
 		for key, isb := range table {
 			if c.Equal(oLayer) {
-				res.OLayer[key] = isb
+				res.oLayer.m[key] = isb
 			}
 			if exception.IsException(isb, threshold) {
-				res.Exceptions[key] = isb
+				res.exceptions.m[key] = isb
 			}
 		}
 	}
-	st.CellsRetained = int64(len(res.OLayer) + len(res.Exceptions))
+	st.CellsRetained = int64(len(res.oLayer.m) + len(res.exceptions.m))
 	return res, nil
 }
 

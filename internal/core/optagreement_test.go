@@ -14,19 +14,19 @@ import (
 // bitwiseEqualResults demands exact float equality — the optimized paths
 // must replay the unoptimized paths' operand order, not approximate it.
 func bitwiseEqualResults(a, b *Result) error {
-	if len(a.OLayer) != len(b.OLayer) {
-		return fmt.Errorf("o-layer size %d vs %d", len(a.OLayer), len(b.OLayer))
+	if len(a.oLayer.m) != len(b.oLayer.m) {
+		return fmt.Errorf("o-layer size %d vs %d", len(a.oLayer.m), len(b.oLayer.m))
 	}
-	for key, want := range a.OLayer {
-		if got, ok := b.OLayer[key]; !ok || got != want {
+	for key, want := range a.oLayer.m {
+		if got, ok := b.oLayer.m[key]; !ok || got != want {
 			return fmt.Errorf("o-layer cell %v: %v vs %v", key, want, got)
 		}
 	}
-	if len(a.Exceptions) != len(b.Exceptions) {
-		return fmt.Errorf("exceptions size %d vs %d", len(a.Exceptions), len(b.Exceptions))
+	if len(a.exceptions.m) != len(b.exceptions.m) {
+		return fmt.Errorf("exceptions size %d vs %d", len(a.exceptions.m), len(b.exceptions.m))
 	}
-	for key, want := range a.Exceptions {
-		if got, ok := b.Exceptions[key]; !ok || got != want {
+	for key, want := range a.exceptions.m {
+		if got, ok := b.exceptions.m[key]; !ok || got != want {
 			return fmt.Errorf("exception cell %v: %v vs %v", key, want, got)
 		}
 	}

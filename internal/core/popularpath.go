@@ -47,8 +47,8 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	lattice := cube.NewLattice(s)
 	res := &Result{
 		Schema:     s,
-		OLayer:     make(map[cube.CellKey]regression.ISB),
-		Exceptions: make(map[cube.CellKey]regression.ISB),
+		oLayer:     cellSet{m: make(map[cube.CellKey]regression.ISB)},
+		exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB)},
 		PathCells:  make(map[cube.Cuboid]map[cube.CellKey]regression.ISB),
 	}
 	st := &res.Stats
@@ -93,7 +93,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	st.CuboidsComputed = len(path.Cuboids)
 
 	for key, isb := range res.PathCells[oLayer] {
-		res.OLayer[key] = isb
+		res.oLayer.m[key] = isb
 	}
 
 	// Exception registry: retained exception cells per cuboid with their
@@ -103,7 +103,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 
 	treeBytes := tree.BytesEstimate()
 	updatePeak := func(scratch int64) {
-		peak := treeBytes + (pathCellCount+scratch+int64(len(res.Exceptions))+int64(len(res.OLayer)))*bytesPerCell + srcRefs*8
+		peak := treeBytes + (pathCellCount+scratch+int64(len(res.exceptions.m))+int64(len(res.oLayer.m)))*bytesPerCell + srcRefs*8
 		if peak > st.PeakBytes {
 			st.PeakBytes = peak
 		}
@@ -120,7 +120,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 				root := tree.Root()
 				if root.HasMeasure && exception.IsException(root.Measure, threshold) {
 					key := cube.CellKey{Cuboid: c}
-					res.Exceptions[key] = root.Measure
+					res.exceptions.m[key] = root.Measure
 					excByCuboid[c] = append(excByCuboid[c], excSrc{key: key, sources: []*htree.Node{root}})
 					srcRefs++
 				}
@@ -129,7 +129,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 			for _, n := range tree.NodesAtDepth(depth) {
 				if exception.IsException(n.Measure, threshold) {
 					key := tree.CellKeyOf(n)
-					res.Exceptions[key] = n.Measure
+					res.exceptions.m[key] = n.Measure
 					excByCuboid[c] = append(excByCuboid[c], excSrc{key: key, sources: []*htree.Node{n}})
 					srcRefs++
 				}
@@ -186,8 +186,8 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 		for _, key := range SortedCellKeys(scratch) {
 			cell := scratch[key]
 			if exception.IsException(cell.isb, threshold) {
-				if _, dup := res.Exceptions[key]; !dup {
-					res.Exceptions[key] = cell.isb
+				if _, dup := res.exceptions.m[key]; !dup {
+					res.exceptions.m[key] = cell.isb
 					excByCuboid[c] = append(excByCuboid[c], excSrc{key: key, sources: cell.sources})
 					srcRefs += int64(len(cell.sources))
 				}
@@ -196,7 +196,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	}
 
 	st.CubeTime = time.Since(cubeStart)
-	st.CellsRetained = pathCellCount + int64(len(res.Exceptions)) + int64(len(res.OLayer))
+	st.CellsRetained = pathCellCount + int64(len(res.exceptions.m)) + int64(len(res.oLayer.m))
 	st.BytesRetained = treeBytes + st.CellsRetained*bytesPerCell + srcRefs*8
 	if st.BytesRetained > st.PeakBytes {
 		st.PeakBytes = st.BytesRetained

@@ -11,7 +11,7 @@ import "repro/internal/cube"
 // o-layer exception is not its own supporter.
 func SupportersByOCell(idx *cube.AncestorIndex, res *Result) map[cube.CellKey][]Cell {
 	up := idx.RollUpTo(res.Schema.OLayer())
-	buckets := make(map[cube.CellKey][]Cell, len(res.OLayer))
+	buckets := make(map[cube.CellKey][]Cell, res.NumOCells())
 	for _, c := range res.ExceptionCells() {
 		if o, ok := up.Key(c.Key); ok && o != c.Key {
 			buckets[o] = append(buckets[o], c)

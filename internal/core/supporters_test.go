@@ -95,8 +95,8 @@ func randomRetained(t *testing.T, rng *rand.Rand, trial int) *Result {
 	}
 	res := &Result{
 		Schema:     s,
-		OLayer:     make(map[cube.CellKey]regression.ISB),
-		Exceptions: make(map[cube.CellKey]regression.ISB),
+		oLayer:     cellSet{m: make(map[cube.CellKey]regression.ISB)},
+		exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB)},
 	}
 	cuboids := cube.NewLattice(s).Cuboids()
 	for i := 0; i < 200; i++ {
@@ -106,12 +106,12 @@ func randomRetained(t *testing.T, rng *rand.Rand, trial int) *Result {
 			key.Members[d] = int32(rng.Intn(min(card, 6)) * (card / min(card, 6)))
 		}
 		isb := regression.ISB{Te: 9, Base: rng.NormFloat64(), Slope: rng.NormFloat64()}
-		res.Exceptions[key] = isb
+		res.exceptions.m[key] = isb
 		o, err := cube.RollUpKey(s, key, s.OLayer())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.OLayer[o] = isb
+		res.oLayer.m[o] = isb
 	}
 	return res
 }
@@ -125,8 +125,8 @@ func TestSupportersByOCellMatchesBruteForce(t *testing.T) {
 		res := randomRetained(t, rng, trial)
 		s := res.Schema
 		want := make(map[cube.CellKey][]Cell)
-		for o := range res.OLayer {
-			for k, isb := range res.Exceptions {
+		for o := range res.oLayer.m {
+			for k, isb := range res.exceptions.m {
 				if k != o && cube.IsDescendantCell(s, k, o) {
 					want[o] = append(want[o], Cell{Key: k, ISB: isb})
 				}
@@ -147,8 +147,8 @@ func TestSupportersByOCellMatchesBruteForce(t *testing.T) {
 func TestExceptionCellsCanonicalOrder(t *testing.T) {
 	check := func(label string, res *Result) {
 		t.Helper()
-		want := make([]Cell, 0, len(res.Exceptions))
-		for k, isb := range res.Exceptions {
+		want := make([]Cell, 0, len(res.exceptions.m))
+		for k, isb := range res.exceptions.m {
 			want = append(want, Cell{Key: k, ISB: isb})
 		}
 		slices.SortFunc(want, CompareCells)
@@ -182,14 +182,14 @@ func TestExceptionCellsCanonicalOrder(t *testing.T) {
 	if _, coded := radixSortCells(s, nil); coded {
 		t.Fatal("expected the 2^63-cell lattice to overflow the code")
 	}
-	res := &Result{Schema: s, Exceptions: make(map[cube.CellKey]regression.ISB)}
+	res := &Result{Schema: s, exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB)}}
 	for i := 0; i < 200; i++ {
 		levels := []int{rng.Intn(2), rng.Intn(2), rng.Intn(2)}
 		key := cube.CellKey{Cuboid: cube.MustCuboid(levels...)}
 		for d, l := range levels {
 			key.Members[d] = int32(l * rng.Intn(1<<21))
 		}
-		res.Exceptions[key] = regression.ISB{Te: 9, Slope: rng.NormFloat64()}
+		res.exceptions.m[key] = regression.ISB{Te: 9, Slope: rng.NormFloat64()}
 	}
 	check("overflow", res)
 }

@@ -214,7 +214,7 @@ func TestCalibrationDrivesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := float64(len(res.Exceptions)) / float64(res.Stats.CellsComputed)
+	got := float64(res.NumExceptions()) / float64(res.Stats.CellsComputed)
 	if got < rate/2 || got > rate*2 {
 		t.Fatalf("engine exception rate %g, want ≈%g", got, rate)
 	}

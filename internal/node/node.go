@@ -81,8 +81,8 @@ func Report(out io.Writer, schema *cube.Schema) func([]*stream.UnitResult) {
 				continue
 			}
 			fmt.Fprintf(out, "[unit %d] %s: %d o-cells, %d exceptions, %d alerts\n",
-				ur.Unit, ur.Result.Stats.Algorithm, len(ur.Result.OLayer),
-				len(ur.Result.Exceptions), len(ur.Alerts))
+				ur.Unit, ur.Result.Stats.Algorithm, ur.Result.NumOCells(),
+				ur.Result.NumExceptions(), len(ur.Alerts))
 			for _, al := range ur.Alerts {
 				fmt.Fprintf(out, "  ALERT %s %s slope=%+.3f\n", al.Kind, al.Cell.Describe(schema), al.ISB.Slope)
 				for _, c := range al.Drill {

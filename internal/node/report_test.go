@@ -75,7 +75,7 @@ func TestReportGolden(t *testing.T) {
 	}
 	render := func(ur *stream.UnitResult) {
 		fmt.Fprintf(&want, "[unit %d] %s: %d o-cells, %d exceptions, %d alerts\n", ur.Unit,
-			ur.Result.Stats.Algorithm, len(ur.Result.OLayer), len(ur.Result.Exceptions), len(ur.Alerts))
+			ur.Result.Stats.Algorithm, ur.Result.NumOCells(), ur.Result.NumExceptions(), len(ur.Alerts))
 		for _, al := range ur.Alerts {
 			fmt.Fprintf(&want, "  ALERT %s %s slope=%+.3f\n", al.Kind, name(al.Cell), al.ISB.Slope)
 			for _, c := range al.Drill {

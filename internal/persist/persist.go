@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -70,11 +71,11 @@ func WriteResult(w io.Writer, res *core.Result) error {
 		Algorithm: res.Stats.Algorithm,
 		Dims:      res.Schema.NumDims(),
 	}
-	for key, isb := range res.OLayer {
-		doc.OLayer = append(doc.OLayer, toRec(key, isb))
+	for _, c := range res.OCells() {
+		doc.OLayer = append(doc.OLayer, toRec(c.Key, c.ISB))
 	}
-	for key, isb := range res.Exceptions {
-		doc.Exceptions = append(doc.Exceptions, toRec(key, isb))
+	for _, c := range res.ExceptionCells() {
+		doc.Exceptions = append(doc.Exceptions, toRec(c.Key, c.ISB))
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
@@ -95,25 +96,21 @@ func ReadResult(r io.Reader, schema *cube.Schema) (*core.Result, error) {
 	if doc.Dims != schema.NumDims() {
 		return nil, fmt.Errorf("%w: result has %d dimensions, schema %d", ErrFormat, doc.Dims, schema.NumDims())
 	}
-	res := &core.Result{
-		Schema:     schema,
-		OLayer:     make(map[cube.CellKey]regression.ISB, len(doc.OLayer)),
-		Exceptions: make(map[cube.CellKey]regression.ISB, len(doc.Exceptions)),
-	}
-	res.Stats.Algorithm = doc.Algorithm
-	for _, rec := range doc.OLayer {
-		key, isb, err := fromRec(rec)
-		if err != nil {
-			return nil, err
+	var lists [2][]core.Cell
+	for i, recs := range [2][]cellRec{doc.OLayer, doc.Exceptions} {
+		lists[i] = make([]core.Cell, len(recs))
+		for j, rec := range recs {
+			key, isb, err := fromRec(rec)
+			if err != nil {
+				return nil, err
+			}
+			lists[i][j] = core.Cell{Key: key, ISB: isb}
 		}
-		res.OLayer[key] = isb
+		slices.SortFunc(lists[i], core.CompareCells) // older writers wrote table order
 	}
-	for _, rec := range doc.Exceptions {
-		key, isb, err := fromRec(rec)
-		if err != nil {
-			return nil, err
-		}
-		res.Exceptions[key] = isb
+	res, err := core.NewResult(schema, lists[0], lists[1], core.Stats{Algorithm: doc.Algorithm})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	return res, nil
 }

@@ -42,18 +42,20 @@ func TestResultRoundTrip(t *testing.T) {
 	if back.Stats.Algorithm != "m/o-cubing" {
 		t.Fatalf("algorithm = %q", back.Stats.Algorithm)
 	}
-	if len(back.OLayer) != len(res.OLayer) || len(back.Exceptions) != len(res.Exceptions) {
+	if back.NumOCells() != res.NumOCells() || back.NumExceptions() != res.NumExceptions() {
 		t.Fatalf("sizes: o %d/%d exc %d/%d",
-			len(back.OLayer), len(res.OLayer), len(back.Exceptions), len(res.Exceptions))
+			back.NumOCells(), res.NumOCells(), back.NumExceptions(), res.NumExceptions())
 	}
-	for key, want := range res.OLayer {
-		got, ok := back.OLayer[key]
+	for _, c := range res.OCells() {
+		key, want := c.Key, c.ISB
+		got, ok := back.OCell(key)
 		if !ok || got != want {
 			t.Fatalf("o-cell %v: %v vs %v", key, got, want)
 		}
 	}
-	for key, want := range res.Exceptions {
-		got, ok := back.Exceptions[key]
+	for _, c := range res.ExceptionCells() {
+		key, want := c.Key, c.ISB
+		got, ok := back.Exception(key)
 		if !ok || got != want {
 			t.Fatalf("exception %v: %v vs %v", key, got, want)
 		}
@@ -153,11 +155,12 @@ func TestCheckpointRoundTripResumesExactly(t *testing.T) {
 		if ra[i].Result == nil || rb[i].Result == nil {
 			t.Fatal("missing results")
 		}
-		if len(ra[i].Result.OLayer) != len(rb[i].Result.OLayer) {
+		if ra[i].Result.NumOCells() != rb[i].Result.NumOCells() {
 			t.Fatal("o-layer sizes differ after restore")
 		}
-		for key, want := range ra[i].Result.OLayer {
-			got, ok := rb[i].Result.OLayer[key]
+		for _, c := range ra[i].Result.OCells() {
+			key, want := c.Key, c.ISB
+			got, ok := rb[i].Result.OCell(key)
 			if !ok || got != want {
 				t.Fatalf("unit %d o-cell %v: %v vs %v", ra[i].Unit, key, got, want)
 			}
@@ -351,7 +354,7 @@ func TestDatasetCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Exceptions) != len(b.Exceptions) {
+	if a.NumExceptions() != b.NumExceptions() {
 		t.Fatal("round-tripped dataset cubes differently")
 	}
 }

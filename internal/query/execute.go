@@ -36,7 +36,7 @@ func NewExecutor(schema *cube.Schema, snap *stream.Snapshot) (*Executor, error) 
 	if !snap.Empty() {
 		e.view = NewView(snap.Result)
 		e.bySlope = e.view.TopExceptions(-1)
-		e.byKey = snap.Result.ExceptionCells()
+		e.byKey = e.view.exceptions
 		for _, cs := range e.view.Summary() {
 			levels := make([]int, cs.Cuboid.NumDims())
 			for d := range levels {
@@ -163,8 +163,8 @@ func (e *Executor) summary() *SummaryResponse {
 	}
 	if e.view != nil {
 		res := snap.Result
-		resp.OCells = len(res.OLayer)
-		resp.Exceptions = len(res.Exceptions)
+		resp.OCells = res.NumOCells()
+		resp.Exceptions = res.NumExceptions()
 		resp.Stats = &StatsJSON{
 			Algorithm:       res.Stats.Algorithm,
 			Tuples:          res.Stats.Tuples,
@@ -188,7 +188,7 @@ func (e *Executor) exceptions(r ExceptionsRequest) *CellsResponse {
 		Cells:    []CellJSON{},
 	}
 	if e.view != nil {
-		resp.Count = len(e.snap.Result.Exceptions)
+		resp.Count = e.snap.Result.NumExceptions()
 		cells := e.bySlope
 		if r.Order == OrderKey {
 			cells = e.byKey
@@ -219,11 +219,11 @@ func (e *Executor) supporters(r SupportersRequest, key cube.CellKey) (Response, 
 	resp.Cell.Name = key.Describe(e.schema)
 	if e.view != nil {
 		res := e.snap.Result
-		if isb, ok := res.OLayer[key]; ok {
-			resp.Retained = true
-			j := encodeISB(isb)
-			resp.Cell.ISB = &j
-		} else if isb, ok := res.Exceptions[key]; ok {
+		isb, ok := res.OCell(key)
+		if !ok {
+			isb, ok = res.Exception(key)
+		}
+		if ok {
 			resp.Retained = true
 			j := encodeISB(isb)
 			resp.Cell.ISB = &j

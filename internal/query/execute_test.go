@@ -169,7 +169,7 @@ func TestExecuteMatchesView(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := resp.(*CellsResponse)
-	if cells.Count != len(snap.Result.Exceptions) || len(cells.Cells) != 5 {
+	if cells.Count != snap.Result.NumExceptions() || len(cells.Cells) != 5 {
 		t.Fatalf("exceptions = count %d, %d cells", cells.Count, len(cells.Cells))
 	}
 	want := v.TopExceptions(5)

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -49,14 +50,15 @@ func MakeCellKey(s *cube.Schema, levels []int, members []int32) (cube.CellKey, e
 // View wraps a cubing result for navigation. Results of either algorithm
 // (m/o-cubing, popular-path) work identically.
 type View struct {
-	res     *core.Result
-	lattice *cube.Lattice
-	anc     *cube.AncestorIndex // compiled roll-ups for the descendant scans
+	res        *core.Result
+	exceptions []core.Cell // res.ExceptionCells(), listed once for every scan
+	lattice    *cube.Lattice
+	anc        *cube.AncestorIndex // compiled roll-ups for the descendant scans
 }
 
 // NewView builds a navigation view over a result.
 func NewView(res *core.Result) *View {
-	return &View{res: res, lattice: cube.NewLattice(res.Schema), anc: cube.NewAncestorIndex(res.Schema)}
+	return &View{res: res, exceptions: res.ExceptionCells(), lattice: cube.NewLattice(res.Schema), anc: cube.NewAncestorIndex(res.Schema)}
 }
 
 // Result returns the underlying result.
@@ -91,10 +93,7 @@ func lessKey(a, b cube.CellKey) bool {
 // TopExceptions returns the k steepest retained exception cells across all
 // cuboids.
 func (v *View) TopExceptions(k int) []core.Cell {
-	cells := make([]core.Cell, 0, len(v.res.Exceptions))
-	for key, isb := range v.res.Exceptions {
-		cells = append(cells, core.Cell{Key: key, ISB: isb})
-	}
+	cells := slices.Clone(v.exceptions)
 	sortCells(cells)
 	if k >= 0 && k < len(cells) {
 		cells = cells[:k]
@@ -105,10 +104,7 @@ func (v *View) TopExceptions(k int) []core.Cell {
 // TopObservations returns the k steepest o-layer cells — the observation
 // deck ranking an analyst watches.
 func (v *View) TopObservations(k int) []core.Cell {
-	cells := make([]core.Cell, 0, len(v.res.OLayer))
-	for key, isb := range v.res.OLayer {
-		cells = append(cells, core.Cell{Key: key, ISB: isb})
-	}
+	cells := slices.Clone(v.res.OCells())
 	sortCells(cells)
 	if k >= 0 && k < len(cells) {
 		cells = cells[:k]
@@ -122,9 +118,9 @@ func (v *View) TopObservations(k int) []core.Cell {
 func (v *View) Supporters(cell cube.CellKey) []core.Cell {
 	var out []core.Cell
 	up := v.anc.RollUpTo(cell.Cuboid)
-	for key, isb := range v.res.Exceptions {
-		if a, ok := up.Key(key); ok && a == cell && key != cell {
-			out = append(out, core.Cell{Key: key, ISB: isb})
+	for _, c := range v.exceptions {
+		if a, ok := up.Key(c.Key); ok && a == cell && c.Key != cell {
+			out = append(out, c)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -156,12 +152,12 @@ func (v *View) ExceptionChildren(cell cube.CellKey) []core.Cell {
 	var out []core.Cell
 	up := v.anc.RollUpTo(cell.Cuboid)
 	for _, childCuboid := range v.lattice.Children(cell.Cuboid) {
-		for key, isb := range v.res.Exceptions {
-			if key.Cuboid != childCuboid {
+		for _, c := range v.exceptions {
+			if c.Key.Cuboid != childCuboid {
 				continue
 			}
-			if a, ok := up.Key(key); ok && a == cell {
-				out = append(out, core.Cell{Key: key, ISB: isb})
+			if a, ok := up.Key(c.Key); ok && a == cell {
+				out = append(out, c)
 			}
 		}
 	}
@@ -176,15 +172,15 @@ func (v *View) ExceptionChildren(cell cube.CellKey) []core.Cell {
 func (v *View) Slice(d, level int, member int32) []core.Cell {
 	var out []core.Cell
 	h := v.res.Schema.Dims[d].Hierarchy
-	for key, isb := range v.res.Exceptions {
-		cellLevel := key.Cuboid.Level(d)
+	for _, c := range v.exceptions {
+		cellLevel := c.Key.Cuboid.Level(d)
 		if cellLevel < level {
 			continue
 		}
-		if cube.Ancestor(h, cellLevel, level, key.Members[d]) != member {
+		if cube.Ancestor(h, cellLevel, level, c.Key.Members[d]) != member {
 			continue
 		}
-		out = append(out, core.Cell{Key: key, ISB: isb})
+		out = append(out, c)
 	}
 	sortCells(out)
 	return out
@@ -205,14 +201,14 @@ func (v *View) Summary() []CuboidSummary {
 	for _, c := range v.lattice.Cuboids() {
 		byCuboid[c] = &CuboidSummary{Cuboid: c}
 	}
-	for key, isb := range v.res.Exceptions {
-		s, ok := byCuboid[key.Cuboid]
+	for _, c := range v.exceptions {
+		s, ok := byCuboid[c.Key.Cuboid]
 		if !ok { // exception outside the lattice cannot happen; be safe
-			s = &CuboidSummary{Cuboid: key.Cuboid}
-			byCuboid[key.Cuboid] = s
+			s = &CuboidSummary{Cuboid: c.Key.Cuboid}
+			byCuboid[c.Key.Cuboid] = s
 		}
 		s.Exceptions++
-		if a := math.Abs(isb.Slope); a > s.MaxAbsSlope {
+		if a := math.Abs(c.ISB.Slope); a > s.MaxAbsSlope {
 			s.MaxAbsSlope = a
 		}
 	}

@@ -27,8 +27,8 @@ func view(t *testing.T) (*View, *cube.Schema) {
 func TestTopExceptionsOrderedAndBounded(t *testing.T) {
 	v, _ := view(t)
 	all := v.TopExceptions(-1)
-	if len(all) != len(v.Result().Exceptions) {
-		t.Fatalf("all = %d, want %d", len(all), len(v.Result().Exceptions))
+	if len(all) != v.Result().NumExceptions() {
+		t.Fatalf("all = %d, want %d", len(all), v.Result().NumExceptions())
 	}
 	for i := 1; i < len(all); i++ {
 		if math.Abs(all[i].ISB.Slope) > math.Abs(all[i-1].ISB.Slope) {
@@ -52,7 +52,7 @@ func TestTopExceptionsOrderedAndBounded(t *testing.T) {
 func TestTopObservations(t *testing.T) {
 	v, s := view(t)
 	obs := v.TopObservations(-1)
-	if len(obs) != len(v.Result().OLayer) {
+	if len(obs) != v.Result().NumOCells() {
 		t.Fatal("observation count")
 	}
 	for _, c := range obs {
@@ -88,7 +88,8 @@ func TestSupportersRollUpToCell(t *testing.T) {
 	}
 	// Count matches a direct scan.
 	direct := 0
-	for key := range v.Result().Exceptions {
+	for _, c := range v.Result().ExceptionCells() {
+		key := c.Key
 		if key == target {
 			continue
 		}
@@ -140,7 +141,8 @@ func TestSliceFiltersByAncestor(t *testing.T) {
 	}
 	// Direct count.
 	direct := 0
-	for key := range v.Result().Exceptions {
+	for _, c := range v.Result().ExceptionCells() {
+		key := c.Key
 		lvl := key.Cuboid.Level(0)
 		if lvl >= 1 && cube.Ancestor(h, lvl, 1, key.Members[0]) == member {
 			direct++
@@ -165,8 +167,8 @@ func TestSummaryCoversLattice(t *testing.T) {
 			t.Fatal("max slope missing")
 		}
 	}
-	if total != len(v.Result().Exceptions) {
-		t.Fatalf("summary total = %d, want %d", total, len(v.Result().Exceptions))
+	if total != v.Result().NumExceptions() {
+		t.Fatalf("summary total = %d, want %d", total, v.Result().NumExceptions())
 	}
 	// Coarsest-first: depths non-decreasing.
 	for i := 1; i < len(sum); i++ {
@@ -187,7 +189,7 @@ func TestViewWorksForPopularPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewView(res)
-	if len(v.TopExceptions(-1)) != len(res.Exceptions) {
+	if len(v.TopExceptions(-1)) != res.NumExceptions() {
 		t.Fatal("popular-path view exception count")
 	}
 	obs := v.TopObservations(1)

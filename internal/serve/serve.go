@@ -444,8 +444,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		fmt.Fprintf(w, "regcube_snapshot_units_done %d\n", snap.UnitsDone)
 		fmt.Fprintf(w, "regcube_snapshot_alerts %d\n", len(snap.Alerts))
 		if snap.Result != nil {
-			fmt.Fprintf(w, "regcube_snapshot_ocells %d\n", len(snap.Result.OLayer))
-			fmt.Fprintf(w, "regcube_snapshot_exceptions %d\n", len(snap.Result.Exceptions))
+			fmt.Fprintf(w, "regcube_snapshot_ocells %d\n", snap.Result.NumOCells())
+			fmt.Fprintf(w, "regcube_snapshot_exceptions %d\n", snap.Result.NumExceptions())
 		}
 	}
 	if s.ingest != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/regression"
 	"repro/internal/tilt"
@@ -97,7 +98,7 @@ func (e *Engine) AppendCheckpoint(dst []byte) ([]byte, error) {
 	}
 	e.cp = Checkpoint{
 		Unit: e.unit, UnitsDone: e.unitsDone, WALSeq: e.walSeq, Schema: e.shape,
-		Cells: mergeSorted(e.cp.Cells[:0], replies[[]CellState](vals), compareCellStates),
+		Cells: core.MergeSorted(e.cp.Cells[:0], replies[[]CellState](vals), compareCellStates),
 		Tilt:  e.frames,
 	}
 	return AppendCheckpoint(dst, &e.cp)
@@ -175,8 +176,8 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 	}
 	out := &Checkpoint{
 		Unit: first.Unit, UnitsDone: first.UnitsDone, WALSeq: first.WALSeq, Schema: first.Schema,
-		Cells: mergeSorted(nil, cells, compareCellStates),
-		Tilt:  mergeSorted(nil, frames, compareCellFrames),
+		Cells: core.MergeSorted(nil, cells, compareCellStates),
+		Tilt:  core.MergeSorted(nil, frames, compareCellFrames),
 	}
 	for i := 1; i < len(out.Cells); i++ {
 		if compareCellStates(out.Cells[i-1], out.Cells[i]) == 0 {
@@ -198,44 +199,6 @@ func sharedFrame(frames []CellFrame) *CellFrame {
 		}
 	}
 	return nil
-}
-
-// mergeSorted k-way-merges lists that are each sorted by cmp onto dst,
-// consuming the lists; equal elements keep list order. A linear scan for
-// the least head suits the handful of shards or nodes there ever are.
-func mergeSorted[T any](dst []T, lists [][]T, cmp func(a, b T) int) []T {
-	for {
-		best := -1
-		for i, l := range lists {
-			if len(l) > 0 && (best < 0 || cmp(l[0], lists[best][0]) < 0) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		dst = append(dst, lists[best][0])
-		lists[best] = lists[best][1:]
-	}
-}
-
-// mergeParts is mergeSorted for the immutable lists of a unit's parts —
-// alerts, frames — into one: nil when every list is empty, a sole non-empty
-// list as is, otherwise a fresh list.
-func mergeParts[T any](lists [][]T, cmp func(a, b T) int) []T {
-	var sole []T
-	n, nonEmpty := 0, 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			n += len(l)
-			nonEmpty++
-			sole = l
-		}
-	}
-	if nonEmpty <= 1 {
-		return sole
-	}
-	return mergeSorted(make([]T, 0, n), lists, cmp)
 }
 
 // Restore loads a checkpoint taken at any shard count: it repartitions
@@ -289,7 +252,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	e.frames = mergeParts(replies[[]CellFrame](vals), compareCellFrames)
+	e.frames = core.MergeParts(replies[[]CellFrame](vals), compareCellFrames)
 	e.dict = dict
 	e.unit = cp.Unit
 	e.openStart = e.cfg.unitStart(cp.Unit)

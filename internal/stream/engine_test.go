@@ -132,11 +132,12 @@ func TestUnitBoundaryClosesAndCubes(t *testing.T) {
 		t.Fatal("expected a cube result")
 	}
 	// o-layer = 2×2 grid; two populated o-cells.
-	if len(ur.Result.OLayer) != 2 {
-		t.Fatalf("o-layer cells = %d, want 2", len(ur.Result.OLayer))
+	if ur.Result.NumOCells() != 2 {
+		t.Fatalf("o-layer cells = %d, want 2", ur.Result.NumOCells())
 	}
 	// Slopes at the o-layer match the raw fits exactly (zero noise).
-	for key, isb := range ur.Result.OLayer {
+	for _, c := range ur.Result.OCells() {
+		key, isb := c.Key, c.ISB
 		switch key.Member(0) {
 		case 0:
 			if !almostEq(isb.Slope, 1, 1e-9) {
@@ -171,7 +172,8 @@ func TestMissingTicksCountAsZero(t *testing.T) {
 	}
 	want := regression.MustFit(timeseries.MustNew(0, []float64{5, 0, 0, 0, 5}))
 	var got regression.ISB
-	for _, isb := range ur.Result.OLayer {
+	for _, c := range ur.Result.OCells() {
+		isb := c.ISB
 		got = isb
 	}
 	if !almostEq(got.Slope, want.Slope, 1e-9) || !almostEq(got.Base, want.Base, 1e-9) {
@@ -190,7 +192,8 @@ func TestFlushPadsToBoundary(t *testing.T) {
 	}
 	want := regression.MustFit(timeseries.MustNew(0, []float64{10, 0, 0, 0, 0}))
 	var got regression.ISB
-	for _, isb := range ur.Result.OLayer {
+	for _, c := range ur.Result.OCells() {
+		isb := c.ISB
 		got = isb
 	}
 	if !almostEq(got.Slope, want.Slope, 1e-9) {
@@ -275,17 +278,18 @@ func TestOnlineEqualsBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want.OLayer) != len(ur.Result.OLayer) {
-			t.Fatalf("unit %d: o-layer %d vs %d", u, len(want.OLayer), len(ur.Result.OLayer))
+		if want.NumOCells() != ur.Result.NumOCells() {
+			t.Fatalf("unit %d: o-layer %d vs %d", u, want.NumOCells(), ur.Result.NumOCells())
 		}
-		for key, isb := range want.OLayer {
-			got, ok := ur.Result.OLayer[key]
+		for _, c := range want.OCells() {
+			key, isb := c.Key, c.ISB
+			got, ok := ur.Result.OCell(key)
 			if !ok || !almostEq(got.Slope, isb.Slope, 1e-9) || !almostEq(got.Base, isb.Base, 1e-9) {
 				t.Fatalf("unit %d: o-cell %v online %v vs batch %v", u, key, got, isb)
 			}
 		}
-		if len(want.Exceptions) != len(ur.Result.Exceptions) {
-			t.Fatalf("unit %d: exceptions %d vs %d", u, len(want.Exceptions), len(ur.Result.Exceptions))
+		if want.NumExceptions() != ur.Result.NumExceptions() {
+			t.Fatalf("unit %d: exceptions %d vs %d", u, want.NumExceptions(), ur.Result.NumExceptions())
 		}
 	}
 }

@@ -183,7 +183,8 @@ func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 	var alerts []Alert
 	var supporters map[cube.CellKey][]core.Cell
 	oThr := cfg.Threshold.Threshold(cfg.Schema.OLayer())
-	for key, isb := range res.OLayer {
+	for c := range res.AllOCells {
+		key, isb := c.Key, c.ISB
 		if exception.IsException(isb, oThr) {
 			if supporters == nil {
 				supporters = core.SupportersByOCell(sh.e.anc, res)
@@ -211,10 +212,10 @@ func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 	return alerts
 }
 
-// mergeUnit combines one unit's per-shard results: the cube results union
-// (unionResults), and since each shard's alerts arrive in canonical order
-// with their drills complete (finished inside the barrier), the
-// merged list is a k-way merge.
+// mergeUnit combines one unit's per-shard results: the cube result holds
+// the shards' results as its parts (core.Merge), and since each shard's
+// alerts arrive in canonical order with their drills complete (finished
+// inside the barrier), the merged list is a k-way merge.
 func (e *Engine) mergeUnit(urs []*UnitResult) (*UnitResult, error) {
 	merged := &UnitResult{Unit: urs[0].Unit, Interval: urs[0].Interval}
 	results := make([]*core.Result, len(urs))
@@ -223,89 +224,13 @@ func (e *Engine) mergeUnit(urs []*UnitResult) (*UnitResult, error) {
 		results[i], alerts[i] = ur.Result, ur.Alerts
 	}
 	var err error
-	if merged.Result, err = unionResults(e.cfg.Schema, results); err != nil {
-		return nil, err
+	if merged.Result, err = core.Merge(e.cfg.Schema, results); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrRecord, err)
 	}
 	if merged.Result != nil {
-		merged.Alerts = mergeParts(alerts, compareAlerts)
+		merged.Alerts = core.MergeParts(alerts, compareAlerts)
 	}
 	return merged, nil
-}
-
-// unionResults merges the cube results of one unit computed over disjoint
-// partitions (shards here, cluster nodes in MergeSnapshots); nil entries
-// are partitions that closed empty, and all-nil yields nil. A sole
-// non-empty part is the union and is returned as is — the whole story at
-// one shard. Otherwise cell maps are disjoint by the partition invariant,
-// so merging is a union into maps sized once from the part sizes; stats
-// fold through mergeStats. Parts that share a cell are not disjoint — one
-// node's snapshot twice, say — and are refused.
-func unionResults(schema *cube.Schema, parts []*core.Result) (*core.Result, error) {
-	var oCells, exceptions, nonEmpty int
-	var sole *core.Result
-	for _, r := range parts {
-		if r != nil {
-			nonEmpty++
-			sole = r
-			oCells += len(r.OLayer)
-			exceptions += len(r.Exceptions)
-		}
-	}
-	if nonEmpty <= 1 {
-		return sole, nil
-	}
-	res := &core.Result{
-		Schema:     schema,
-		OLayer:     make(map[cube.CellKey]regression.ISB, oCells),
-		Exceptions: make(map[cube.CellKey]regression.ISB, exceptions),
-	}
-	first := true
-	for _, r := range parts {
-		if r == nil {
-			continue
-		}
-		// A map an insert does not grow already held the cell.
-		for _, m := range [...][2]map[cube.CellKey]regression.ISB{{res.OLayer, r.OLayer}, {res.Exceptions, r.Exceptions}} {
-			for k, v := range m[1] {
-				n := len(m[0])
-				if m[0][k] = v; len(m[0]) == n {
-					return nil, fmt.Errorf("%w: parts share cell %s", ErrRecord, k.Describe(schema))
-				}
-			}
-		}
-		mergeStats(&res.Stats, &r.Stats, first)
-		first = false
-	}
-	return res, nil
-}
-
-// mergeStats folds one shard's cube statistics into the merged result.
-// Additive counters sum — including the peak estimates, since concurrent
-// shards can peak simultaneously and the sum is the safe whole-process
-// bound. Wall-clock phases take the maximum (shards run in parallel), and
-// per-cuboid counts too, since every shard walks the same lattice.
-func mergeStats(dst *core.Stats, src *core.Stats, first bool) {
-	if first {
-		*dst = *src
-		return
-	}
-	dst.Tuples += src.Tuples
-	dst.TreeNodes += src.TreeNodes
-	dst.TreeLeaves += src.TreeLeaves
-	dst.CellsComputed += src.CellsComputed
-	dst.CellsRetained += src.CellsRetained
-	dst.BytesRetained += src.BytesRetained
-	dst.PeakScratchCells += src.PeakScratchCells
-	dst.PeakBytes += src.PeakBytes
-	if src.CuboidsComputed > dst.CuboidsComputed {
-		dst.CuboidsComputed = src.CuboidsComputed
-	}
-	if src.BuildTime > dst.BuildTime {
-		dst.BuildTime = src.BuildTime
-	}
-	if src.CubeTime > dst.CubeTime {
-		dst.CubeTime = src.CubeTime
-	}
 }
 
 // compareAlerts is the canonical alert order: unit, then cell

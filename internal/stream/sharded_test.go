@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/exception"
+	"repro/internal/regression"
 )
 
 // withShards returns cfg at the given shard count.
@@ -160,12 +162,7 @@ func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 			t.Fatalf("%s unit %d: result nil-ness differs", label, w.Unit)
 		}
 		if w.Result != nil {
-			if !reflect.DeepEqual(w.Result.OLayer, g.Result.OLayer) {
-				t.Fatalf("%s unit %d: o-layers differ", label, w.Unit)
-			}
-			if !reflect.DeepEqual(w.Result.Exceptions, g.Result.Exceptions) {
-				t.Fatalf("%s unit %d: exception sets differ", label, w.Unit)
-			}
+			requireSameCells(t, fmt.Sprintf("%s unit %d", label, w.Unit), w.Result, g.Result)
 		}
 		if !reflect.DeepEqual(w.Alerts, g.Alerts) {
 			t.Fatalf("%s unit %d: alerts differ:\n%+v\nvs\n%+v", label, w.Unit, g.Alerts, w.Alerts)
@@ -176,6 +173,34 @@ func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 		for _, a := range g.Alerts {
 			if !slices.IsSortedFunc(a.Drill, core.CompareCells) {
 				t.Fatalf("%s unit %d: drill of %v not in CompareKeys order", label, w.Unit, a.Cell)
+			}
+		}
+	}
+}
+
+// requireSameCells asserts got holds exactly want's retained cells, read
+// through every accessor: the counts, the canonical lists, and a lookup of
+// each cell of either kind as both kinds — so a merged result that sends a
+// lookup to the wrong part fails here.
+func requireSameCells(t testing.TB, label string, want, got *core.Result) {
+	t.Helper()
+	if got.NumOCells() != want.NumOCells() || got.NumExceptions() != want.NumExceptions() {
+		t.Fatalf("%s: %d o-cells and %d exceptions, want %d and %d",
+			label, got.NumOCells(), got.NumExceptions(), want.NumOCells(), want.NumExceptions())
+	}
+	oCells, exceptions := want.OCells(), want.ExceptionCells()
+	if !slices.Equal(got.OCells(), oCells) || !slices.Equal(got.ExceptionCells(), exceptions) {
+		t.Fatalf("%s: canonical cell lists differ", label)
+	}
+	for _, c := range slices.Concat(oCells, exceptions) {
+		for kind, lookup := range map[string][2]func(cube.CellKey) (regression.ISB, bool){
+			"o-cell":    {want.OCell, got.OCell},
+			"exception": {want.Exception, got.Exception},
+		} {
+			w, wok := lookup[0](c.Key)
+			g, gok := lookup[1](c.Key)
+			if w != g || wok != gok {
+				t.Fatalf("%s: %s lookup of %v = %v/%v, want %v/%v", label, kind, c.Key, g, gok, w, wok)
 			}
 		}
 	}

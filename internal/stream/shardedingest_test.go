@@ -330,9 +330,8 @@ func TestEveryShardCountMatchesEngine(t *testing.T) {
 				if (g.Result == nil) != (w.Result == nil) {
 					t.Fatalf("%s: snapshot %d: result nil-ness differs", label, i)
 				}
-				if w.Result != nil && (!reflect.DeepEqual(g.Result.OLayer, w.Result.OLayer) ||
-					!reflect.DeepEqual(g.Result.Exceptions, w.Result.Exceptions)) {
-					t.Fatalf("%s: snapshot %d: result cells differ", label, i)
+				if w.Result != nil {
+					requireSameCells(t, fmt.Sprintf("%s: snapshot %d", label, i), w.Result, g.Result)
 				}
 				if !reflect.DeepEqual(g.Alerts, w.Alerts) || !reflect.DeepEqual(g.Frames, w.Frames) {
 					t.Fatalf("%s: snapshot %d: alerts or frames differ", label, i)

@@ -35,11 +35,14 @@ type Snapshot struct {
 	// UnitsDone counts closed units as of this snapshot.
 	UnitsDone int64
 	// Result is the unit's cube computation; nil when the unit closed with
-	// no data (the Frames below still reflect earlier units). It is the
-	// same *core.Result the engine returned in the unit's UnitResult:
-	// snapshot readers and the engine's caller share it, so with
-	// PublishSnapshots on, callers must treat UnitResult.Result as
-	// immutable (mutating its maps races concurrent readers).
+	// no data (the Frames below still reflect earlier units). At more than
+	// one shard it holds the shards' results as its parts (core.Merge),
+	// merged only as a reader asks: lookups go to the part that holds the
+	// cell's o-cell, canonical lists k-way merge the parts'. It is the
+	// same *core.Result the engine returned in the unit's UnitResult and
+	// is never written after publication, so any number of goroutines
+	// read it without locks; a canonical list it hands out may be its
+	// own, and must not be modified.
 	Result *core.Result
 	// Alerts are the unit's alerts in canonical order: unit, then cell
 	// (cube.CompareKeys), then kind.

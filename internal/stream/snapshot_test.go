@@ -58,7 +58,7 @@ func verifySnapshot(t testing.TB, cfg *Config, s *Snapshot) {
 		if s.Result == nil {
 			t.Fatalf("alert %d inside empty-unit snapshot", i)
 		}
-		isb, ok := s.Result.OLayer[a.Cell]
+		isb, ok := s.Result.OCell(a.Cell)
 		if !ok {
 			t.Fatalf("alert %d cell %v missing from the snapshot's o-layer", i, a.Cell)
 		}
@@ -74,7 +74,8 @@ func verifySnapshot(t testing.TB, cfg *Config, s *Snapshot) {
 		}
 	}
 	if s.Result != nil {
-		for key, isb := range s.Result.OLayer {
+		for _, c := range s.Result.OCells() {
+			key, isb := c.Key, c.ISB
 			h := s.HistoryOf(key)
 			if len(h) == 0 {
 				t.Fatalf("o-cell %v has no history in its own unit's snapshot", key)
@@ -83,6 +84,11 @@ func verifySnapshot(t testing.TB, cfg *Config, s *Snapshot) {
 			if tip.Unit != s.Unit || tip.ISB != isb {
 				t.Fatalf("o-cell %v history tip (%d, %+v) disagrees with unit %d o-layer %+v",
 					key, tip.Unit, tip.ISB, s.Unit, isb)
+			}
+		}
+		for _, c := range s.Result.ExceptionCells() {
+			if isb, ok := s.Result.Exception(c.Key); !ok || isb != c.ISB {
+				t.Fatalf("exception %v listed with %+v, looked up as %+v/%v", c.Key, c.ISB, isb, ok)
 			}
 		}
 	}
@@ -130,8 +136,8 @@ func TestEngineSnapshotPublishedPerUnit(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want unit 1", snap)
 	}
 	verifySnapshot(t, &cfg, snap)
-	if len(snap.Result.OLayer) != 4 || len(snap.Alerts) == 0 {
-		t.Fatalf("snapshot result has %d o-cells, %d alerts", len(snap.Result.OLayer), len(snap.Alerts))
+	if snap.Result.NumOCells() != 4 || len(snap.Alerts) == 0 {
+		t.Fatalf("snapshot result has %d o-cells, %d alerts", snap.Result.NumOCells(), len(snap.Alerts))
 	}
 	// History is a deep copy: later units must not mutate a held snapshot.
 	before := snap.HistoryLen(snap.Alerts[0].Cell)
@@ -171,7 +177,7 @@ func TestSnapshotDisabledByDefault(t *testing.T) {
 }
 
 // The merged sharded snapshot is identical to the single engine's at every
-// shard count: same result maps, same canonical alerts, same history.
+// shard count: same result cells, same canonical alerts, same history.
 func TestShardedSnapshotMatchesSingle(t *testing.T) {
 	cfg := snapshotTestConfig(t)
 	single, err := NewEngine(cfg)
@@ -182,7 +188,7 @@ func TestShardedSnapshotMatchesSingle(t *testing.T) {
 	want := single.Snapshot()
 	verifySnapshot(t, &cfg, want)
 
-	for _, shards := range []int{1, 3, 4} {
+	for _, shards := range []int{1, 2, 3, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			seng, err := NewEngine(withShards(cfg, shards))
 			if err != nil {
@@ -196,12 +202,7 @@ func TestShardedSnapshotMatchesSingle(t *testing.T) {
 				t.Fatalf("header %d/%d/%v, want %d/%d/%v",
 					got.Unit, got.UnitsDone, got.Interval, want.Unit, want.UnitsDone, want.Interval)
 			}
-			if !reflect.DeepEqual(got.Result.OLayer, want.Result.OLayer) {
-				t.Fatal("merged o-layer differs from single engine")
-			}
-			if !reflect.DeepEqual(got.Result.Exceptions, want.Result.Exceptions) {
-				t.Fatal("merged exceptions differ from single engine")
-			}
+			requireSameCells(t, "merged result", want.Result, got.Result)
 			if !reflect.DeepEqual(got.Frames, want.Frames) {
 				t.Fatal("merged frames differ from single engine")
 			}
@@ -329,7 +330,8 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 					prevUnit = s.Unit
 					verifySnapshot(t, &cfg, s)
 					// Exercise the trend path against the frozen history.
-					for key := range s.Result.OLayer {
+					for _, c := range s.Result.OCells() {
+						key := c.Key
 						if _, err := s.TrendQuery(key, 1); err != nil {
 							t.Errorf("trend on snapshot unit %d: %v", s.Unit, err)
 							return

@@ -108,11 +108,11 @@ func (w *snapWriter) isb(v regression.ISB) {
 
 func (w *snapWriter) f64(v float64) { w.i64(int64(math.Float64bits(v))) }
 
-func (w *snapWriter) cells(m map[cube.CellKey]regression.ISB) {
-	w.count(len(m))
-	for _, k := range core.SortedCellKeys(m) {
-		w.key(k)
-		w.isb(m[k])
+func (w *snapWriter) cells(cells []core.Cell) {
+	w.count(len(cells))
+	for _, c := range cells {
+		w.key(c.Key)
+		w.isb(c.ISB)
 	}
 }
 
@@ -128,7 +128,7 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if res := s.Result; res == nil {
 		flags |= flagEmpty
 	} else {
-		size += (len(res.OLayer) + len(res.Exceptions)) * 2 * pointSize
+		size += (res.NumOCells() + res.NumExceptions()) * 2 * pointSize
 	}
 	w := snapWriter{buf: append(make([]byte, 0, size), snapMagic...)}
 	w.buf = append(w.buf, snapshotWireVersion, 0, flags)
@@ -144,8 +144,8 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	}
 
 	if res := s.Result; res != nil {
-		w.cells(res.OLayer)
-		w.cells(res.Exceptions)
+		w.cells(res.OCells())
+		w.cells(res.ExceptionCells())
 		st := &res.Stats
 		w.str(st.Algorithm)
 		for _, v := range [...]int64{int64(st.Tuples), int64(st.TreeNodes), int64(st.TreeLeaves), int64(st.CuboidsComputed),
@@ -274,12 +274,11 @@ func (r *snapReader) isb() regression.ISB {
 	}
 }
 
-func (r *snapReader) cells() map[cube.CellKey]regression.ISB {
-	n := r.count(5*r.nd + isbSize)
-	out := make(map[cube.CellKey]regression.ISB, n)
-	for range n {
-		k := r.key()
-		out[k] = r.isb()
+func (r *snapReader) cells() []core.Cell {
+	out := make([]core.Cell, r.count(5*r.nd+isbSize))
+	for i := range out {
+		out[i].Key = r.key()
+		out[i].ISB = r.isb()
 	}
 	return out
 }
@@ -287,11 +286,15 @@ func (r *snapReader) cells() map[cube.CellKey]regression.ISB {
 // DecodeSnapshot parses a /v1/snapshot document back into a Snapshot. The
 // schema supplies the dimension count, levels and members the coordinates
 // are validated against; the returned snapshot's Result carries that
-// schema, exactly as a local engine's would. Anything but one whole
-// well-formed document — truncation, trailing bytes, a count the bytes
-// cannot back, a cell outside the schema, an invalid level chain, a frame
-// that fails checkFrame or is not a state of the chain (tilt.CheckState),
-// frames out of coordinate order or two for one cell — is ErrRecord.
+// schema, exactly as a local engine's would, and keeps the document's cell
+// lists (core.NewResult). Anything but one whole well-formed document —
+// truncation, trailing bytes, a count the bytes cannot back, a cell
+// outside the schema, result cells core.NewResult refuses (out of order,
+// repeated, off their layer, an exception under no o-cell of the
+// document), alerts or an alert's drill cells out of canonical order or
+// repeated, an invalid level chain, a frame that fails checkFrame or is
+// not a state of the chain (tilt.CheckState), frames out of coordinate
+// order or two for one cell — is ErrRecord.
 func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	r := snapReader{doc: "snapshot", size: len(data), data: data}
 	head := r.take(len(snapMagic) + 3)
@@ -332,16 +335,19 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	}
 
 	if flags&flagEmpty == 0 {
-		res := &core.Result{Schema: schema}
-		res.OLayer = r.cells()
-		res.Exceptions = r.cells()
-		st := &res.Stats
+		oCells, exceptions := r.cells(), r.cells()
+		var st core.Stats
 		st.Algorithm = r.str()
 		st.Tuples, st.TreeNodes, st.TreeLeaves, st.CuboidsComputed = int(r.i64()), int(r.i64()), int(r.i64()), int(r.i64())
 		st.CellsComputed, st.CellsRetained, st.PeakScratchCells = r.i64(), r.i64(), r.i64()
 		st.BytesRetained, st.PeakBytes = r.i64(), r.i64()
 		st.BuildTime, st.CubeTime = time.Duration(r.i64()), time.Duration(r.i64())
-		s.Result = res
+		if r.err == nil {
+			var err error
+			if s.Result, err = core.NewResult(schema, oCells, exceptions, st); err != nil {
+				r.fail("%v", err)
+			}
+		}
 	}
 
 	s.Alerts = make([]Alert, r.count(16+cellSize+4))
@@ -356,7 +362,13 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 			for j := range a.Drill {
 				a.Drill[j].Key = r.key()
 				a.Drill[j].ISB = r.isb()
+				if j > 0 && r.err == nil && core.CompareCells(a.Drill[j-1], a.Drill[j]) >= 0 {
+					r.fail("drill cell %v of an alert out of order or repeated", a.Drill[j].Key.Members[:r.nd])
+				}
 			}
+		}
+		if i > 0 && r.err == nil && compareAlerts(s.Alerts[i-1], *a) >= 0 {
+			r.fail("alert for cell %v out of order or repeated", a.Cell.Members[:r.nd])
 		}
 	}
 
@@ -381,15 +393,15 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 }
 
 // MergeSnapshots combines per-node snapshots of the same closed unit into
-// the cluster-wide view, with exactly the union-and-merge semantics the
-// engine applies to its shards at a close (advanceTo): cell maps are
-// disjoint by the partition invariant so merging is a union, the nodes'
-// alert lists (canonical as published) and frame lists (in coordinate
-// order) merge into one list each, and per-node stats fold through
-// mergeStats. Every snapshot must describe the same unit under the same
-// level chain; mismatched units mean the gather tier fetched without
-// aligning watermarks first. Parts that share a result cell or a frame are
-// not disjoint — one node's snapshot twice, say — and are refused.
+// the cluster-wide view, with exactly the merge semantics the engine
+// applies to its shards at a close (mergeUnit): the nodes' results are
+// disjoint by the partition invariant and become the parts of one result
+// (core.Merge), and the nodes' alert lists (canonical as published) and
+// frame lists (in coordinate order) merge into one list each. Every
+// snapshot must describe the same unit under the same level chain;
+// mismatched units mean the gather tier fetched without aligning
+// watermarks first. Parts that share an o-cell or a frame are not
+// disjoint — one node's snapshot twice, say — and are refused.
 func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("%w: no snapshots to merge", ErrRecord)
@@ -413,18 +425,18 @@ func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 	for i, s := range snaps {
 		results[i], alerts[i], frames[i] = s.Result, s.Alerts, s.Frames
 	}
-	res, err := unionResults(schema, results)
+	res, err := core.Merge(schema, results)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrRecord, err)
 	}
 	out := &Snapshot{
 		Unit:      first.Unit,
 		Interval:  first.Interval,
 		UnitsDone: first.UnitsDone,
 		Result:    res,
-		Alerts:    mergeParts(alerts, compareAlerts),
+		Alerts:    core.MergeParts(alerts, compareAlerts),
 		Chain:     first.Chain,
-		Frames:    mergeParts(frames, compareCellFrames),
+		Frames:    core.MergeParts(frames, compareCellFrames),
 	}
 	if f := sharedFrame(out.Frames); f != nil {
 		return nil, fmt.Errorf("%w: parts share the frame of o-cell %v", ErrRecord, f.Members)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/exception"
-	"repro/internal/regression"
 	"repro/internal/tilt"
 )
 
@@ -48,12 +47,7 @@ func snapshotsEquivalent(t *testing.T, got, want *Snapshot) {
 		t.Fatalf("Result nil-ness differs")
 	}
 	if got.Result != nil {
-		if !reflect.DeepEqual(got.Result.OLayer, want.Result.OLayer) {
-			t.Fatal("o-layers differ")
-		}
-		if !reflect.DeepEqual(got.Result.Exceptions, want.Result.Exceptions) {
-			t.Fatal("exception sets differ")
-		}
+		requireSameCells(t, "result", want.Result, got.Result)
 	}
 	if !reflect.DeepEqual(got.Alerts, want.Alerts) {
 		t.Fatalf("alerts differ:\n%+v\n%+v", got.Alerts, want.Alerts)
@@ -202,11 +196,21 @@ func TestSnapshotCodecShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if snap.Result != nil {
-			dec.Result.Schema = snap.Result.Schema // the decoder carries its caller's schema
+		// The decoded result keeps the document's lists where the engine's
+		// keeps its cubing tables: compare what they hold.
+		if (dec.Result == nil) != (snap.Result == nil) {
+			t.Fatalf("%s: result nil-ness differs", name)
 		}
-		if !reflect.DeepEqual(dec, snap) {
-			t.Errorf("%s: decoded snapshot differs:\n got %+v\nwant %+v", name, dec, snap)
+		if snap.Result != nil {
+			requireSameCells(t, name, snap.Result, dec.Result)
+			if dec.Result.Stats != snap.Result.Stats {
+				t.Errorf("%s: stats %+v, want %+v", name, dec.Result.Stats, snap.Result.Stats)
+			}
+		}
+		bare, decBare := *snap, *dec
+		bare.Result, decBare.Result = nil, nil
+		if !reflect.DeepEqual(decBare, bare) {
+			t.Errorf("%s: decoded snapshot differs:\n got %+v\nwant %+v", name, decBare, bare)
 		}
 		again, err := EncodeSnapshot(dec)
 		if err != nil {
@@ -244,17 +248,17 @@ func TestSnapshotCodecFloatBits(t *testing.T) {
 		0xfff4000000000bad, // signalling NaN, sign set
 		1,                  // smallest subnormal
 	}
-	hostile := *snap
-	res := *snap.Result
-	hostile.Result = &res
-	res.OLayer = make(map[cube.CellKey]regression.ISB)
-	i := 0
-	for k, v := range snap.Result.OLayer {
-		v.Base = math.Float64frombits(patterns[i%len(patterns)])
-		v.Slope = math.Float64frombits(patterns[(i+1)%len(patterns)])
-		res.OLayer[k] = v
-		i++
+	oCells := slices.Clone(snap.Result.OCells())
+	for i := range oCells {
+		oCells[i].ISB.Base = math.Float64frombits(patterns[i%len(patterns)])
+		oCells[i].ISB.Slope = math.Float64frombits(patterns[(i+1)%len(patterns)])
 	}
+	res, err := core.NewResult(schema, oCells, snap.Result.ExceptionCells(), snap.Result.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := *snap
+	hostile.Result = res
 	data, err := EncodeSnapshot(&hostile)
 	if err != nil {
 		t.Fatal(err)
@@ -263,11 +267,11 @@ func TestSnapshotCodecFloatBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, want := range res.OLayer {
-		got := dec.Result.OLayer[k]
-		if math.Float64bits(got.Base) != math.Float64bits(want.Base) || math.Float64bits(got.Slope) != math.Float64bits(want.Slope) {
-			t.Fatalf("cell %v: bits %#x/%#x, want %#x/%#x", k, math.Float64bits(got.Base), math.Float64bits(got.Slope),
-				math.Float64bits(want.Base), math.Float64bits(want.Slope))
+	for _, want := range oCells {
+		got, _ := dec.Result.OCell(want.Key)
+		if math.Float64bits(got.Base) != math.Float64bits(want.ISB.Base) || math.Float64bits(got.Slope) != math.Float64bits(want.ISB.Slope) {
+			t.Fatalf("cell %v: bits %#x/%#x, want %#x/%#x", want.Key, math.Float64bits(got.Base), math.Float64bits(got.Slope),
+				math.Float64bits(want.ISB.Base), math.Float64bits(want.ISB.Slope))
 		}
 	}
 }
@@ -377,6 +381,70 @@ func TestSnapshotCodecRejects(t *testing.T) {
 			t.Errorf("%s accepted", what)
 		}
 	}
+	// Result cells no engine lists: each used to decode, a repeated cell
+	// folding into one. The result section follows the header: the
+	// o-layer cells, then the exceptions, each list behind its count.
+	cellSize := 5*len(schema.Dims) + isbSize
+	oCount := int(binary.LittleEndian.Uint32(good[head:]))
+	oAt := func(i int) int { return head + 4 + i*cellSize }
+	excAt := func(i int) int { return oAt(oCount) + 4 + i*cellSize }
+	edited := func(edit func(doc []byte)) []byte {
+		doc := slices.Clone(good)
+		edit(doc)
+		return doc
+	}
+	swap := func(doc []byte, a, b int) {
+		first := slices.Clone(doc[a : a+cellSize])
+		copy(doc[a:], doc[b:b+cellSize])
+		copy(doc[b:], first)
+	}
+	// The last o-cell, struck from its list with its count.
+	dropped := slices.Concat(good[:head], binary.LittleEndian.AppendUint32(nil, uint32(oCount-1)),
+		good[head+4:oAt(oCount-1)], good[oAt(oCount):])
+	for what, doc := range map[string][]byte{
+		"o-cell listed twice":     edited(func(d []byte) { copy(d[oAt(1):], d[oAt(0):oAt(1)]) }),
+		"o-cells out of order":    edited(func(d []byte) { swap(d, oAt(0), oAt(1)) }),
+		"exception listed twice":  edited(func(d []byte) { copy(d[excAt(1):], d[excAt(0):excAt(1)]) }),
+		"exceptions out of order": edited(func(d []byte) { swap(d, excAt(0), excAt(1)) }),
+		// The last o-cell's levels moved to the m-layer: still in order.
+		"o-cell off the o-layer": edited(func(d []byte) { d[oAt(oCount-1)], d[oAt(oCount-1)+1] = 2, 2 }),
+		// The first exception becomes the apex cell: still in order.
+		"exception above the o-layer": edited(func(d []byte) {
+			at := excAt(0)
+			d[at], d[at+1] = 0, 0
+			clear(d[at+2 : at+cellSize-isbSize])
+		}),
+		"exception under no o-cell": dropped,
+	} {
+		if !refused(t, schema, doc, what) {
+			t.Errorf("%s accepted", what)
+		}
+	}
+	// Alerts no engine publishes: MergeSnapshots k-way merges the nodes'
+	// alert lists and needs each canonical.
+	for what, mutate := range map[string]func(s *Snapshot){
+		"alerts out of order": func(s *Snapshot) { s.Alerts[0], s.Alerts[1] = s.Alerts[1], s.Alerts[0] },
+		"an alert twice":      func(s *Snapshot) { s.Alerts = append(s.Alerts[:1], s.Alerts...) },
+		"drill out of order": func(s *Snapshot) {
+			d := s.Alerts[0].Drill
+			d[0], d[1] = d[1], d[0]
+		},
+		"a drill cell twice": func(s *Snapshot) { s.Alerts[0].Drill[1] = s.Alerts[0].Drill[0] },
+	} {
+		hostile := *flat
+		hostile.Alerts = slices.Clone(flat.Alerts)
+		for i := range hostile.Alerts {
+			hostile.Alerts[i].Drill = slices.Clone(flat.Alerts[i].Drill)
+		}
+		mutate(&hostile)
+		doc, err := EncodeSnapshot(&hostile)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !refused(t, schema, doc, what) {
+			t.Errorf("%s accepted", what)
+		}
+	}
 	// A version-3 document (each frame in an encoding of its own) is
 	// refused by its version, not misread.
 	if _, err := DecodeSnapshot(schema, mutate(len(snapMagic), 3)); err == nil || !strings.Contains(err.Error(), "version 3, want 4") {
@@ -477,9 +545,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 }
 
 // TestMergeSnapshotsMatchesSharded is the gather tier's core guarantee:
-// per-shard snapshots round-tripped through the wire codec and merged with
+// per-node snapshots round-tripped through the wire codec and merged with
 // MergeSnapshots must equal both the sharded coordinator's own merged
-// snapshot and a single engine's snapshot of the same stream.
+// snapshot and a single engine's snapshot of the same stream, at 1, 2, 4
+// and 7 nodes.
 func TestMergeSnapshotsMatchesSharded(t *testing.T) {
 	cfg := snapshotTestConfig(t)
 
@@ -498,75 +567,89 @@ func TestMergeSnapshotsMatchesSharded(t *testing.T) {
 	}
 	want := single.Snapshot()
 
-	// Cluster stand-in: partition the same stream across 4 per-node
-	// engines with the shared Partitioner, advance them in lockstep at
-	// each boundary (the router's barrier), then merge their snapshots.
-	const nodes = 4
-	part, err := NewPartitioner(cfg.Schema, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := make([]*Engine, nodes)
-	for i := range engines {
-		if engines[i], err = NewEngine(cfg); err != nil {
+	for _, nodes := range []int{1, 2, 4, 7} {
+		// Cluster stand-in: partition the same stream across the per-node
+		// engines with the shared Partitioner, advance them in lockstep at
+		// each boundary (the router's barrier), then merge their
+		// snapshots. The coordinator at as many shards sees it all.
+		part, err := NewPartitioner(cfg.Schema, nodes)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	lastUnit := int64(0)
-	feedUnits(t, func(m []int32, tick int64, v float64) {
-		if u := tick / int64(cfg.TicksPerUnit); u > lastUnit {
-			// The router's barrier: every node closes the boundary's
-			// units before any node sees the next unit's records.
-			for _, e := range engines {
-				if _, err := e.AdvanceTo(u); err != nil {
-					t.Fatal(err)
-				}
+		engines := make([]*Engine, nodes)
+		for i := range engines {
+			if engines[i], err = NewEngine(cfg); err != nil {
+				t.Fatal(err)
 			}
-			lastUnit = u
 		}
-		sid, err := part.Route(m)
+		sharded, err := NewEngine(withShards(cfg, nodes))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := engines[sid].Ingest(m, tick, v); err != nil {
-			t.Fatal(err)
+		defer sharded.Close()
+		lastUnit := int64(0)
+		feedUnits(t, func(m []int32, tick int64, v float64) {
+			if u := tick / int64(cfg.TicksPerUnit); u > lastUnit {
+				// The router's barrier: every node closes the boundary's
+				// units before any node sees the next unit's records.
+				for _, e := range engines {
+					if _, err := e.AdvanceTo(u); err != nil {
+						t.Fatal(err)
+					}
+				}
+				lastUnit = u
+			}
+			sid, err := part.Route(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := engines[sid].Ingest(m, tick, v); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sharded.Ingest(m, tick, v); err != nil {
+				t.Fatal(err)
+			}
+		}, cfg, 3)
+		for _, e := range append(engines, sharded) {
+			if _, err := e.AdvanceTo(3); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}, cfg, 3)
-	for _, e := range engines {
-		if _, err := e.AdvanceTo(3); err != nil {
-			t.Fatal(err)
+		snaps := make([]*Snapshot, nodes)
+		for i, e := range engines {
+			data, err := EncodeSnapshot(e.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snaps[i], err = DecodeSnapshot(cfg.Schema, data); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	snaps := make([]*Snapshot, nodes)
-	for i, e := range engines {
-		data, err := EncodeSnapshot(e.Snapshot())
+		merged, err := MergeSnapshots(cfg.Schema, snaps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snaps[i], err = DecodeSnapshot(cfg.Schema, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := MergeSnapshots(cfg.Schema, snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotsEquivalent(t, merged, want)
+		snapshotsEquivalent(t, merged, want)
+		snapshotsEquivalent(t, merged, sharded.Snapshot())
 
-	// Unit-mismatched snapshots must be rejected: the gather tier fetches
-	// only after aligning watermarks.
-	if _, err := engines[0].AdvanceTo(4); err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeSnapshot(engines[0].Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snaps[0], err = DecodeSnapshot(cfg.Schema, data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeSnapshots(cfg.Schema, snaps); err == nil {
-		t.Fatal("diverged units merged")
+		// Unit-mismatched snapshots must be rejected: the gather tier
+		// fetches only after aligning watermarks.
+		if nodes == 1 {
+			continue
+		}
+		if _, err := engines[0].AdvanceTo(4); err != nil {
+			t.Fatal(err)
+		}
+		data, err := EncodeSnapshot(engines[0].Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snaps[0], err = DecodeSnapshot(cfg.Schema, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MergeSnapshots(cfg.Schema, snaps); err == nil {
+			t.Fatalf("%d nodes: diverged units merged", nodes)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/regression"
 	"repro/internal/tilt"
@@ -21,9 +22,9 @@ import (
 // first time start a frame at this unit (no back-fill). The unit's Result
 // is nil when it closed empty.
 func (sh *shard) recordTilt(ur *UnitResult) error {
-	var oLayer map[cube.CellKey]regression.ISB
-	if ur.Result != nil {
-		oLayer = ur.Result.OLayer
+	res := ur.Result
+	if res == nil {
+		res = &core.Result{} // no o-cell has data
 	}
 	e, oc := sh.e, sh.e.cfg.Schema.OLayer()
 	chain, nl := e.cfg.TiltLevels, len(e.cfg.TiltLevels)
@@ -34,7 +35,7 @@ func (sh *shard) recordTilt(ur *UnitResult) error {
 	for i := range next {
 		f := &next[i]
 		*f = sh.frames[i]
-		isb, ok := oLayer[cube.NewCellKey(oc, f.Members...)]
+		isb, ok := res.OCell(cube.NewCellKey(oc, f.Members...))
 		if ok {
 			seen++
 		} else {
@@ -45,15 +46,15 @@ func (sh *shard) recordTilt(ur *UnitResult) error {
 			return fmt.Errorf("stream: tilt promotion for %v: %w", f.Members, err)
 		}
 	}
-	if seen < len(oLayer) {
-		for key, isb := range oLayer {
-			if frameOf(sh.frames, key) != nil {
+	if seen < res.NumOCells() {
+		for c := range res.AllOCells {
+			if frameOf(sh.frames, c.Key) != nil {
 				continue
 			}
-			f := CellFrame{Levels: e.oLevels, Members: slices.Clone(key.Members[:len(e.oLevels)]), Base: ur.Unit}
+			f := CellFrame{Levels: e.oLevels, Members: slices.Clone(c.Key.Members[:len(e.oLevels)]), Base: ur.Unit}
 			var err error
-			if f.Frame, err = f.Frame.Push(chain, isb, nil); err != nil {
-				return fmt.Errorf("stream: tilt push for %v: %w", key, err)
+			if f.Frame, err = f.Frame.Push(chain, c.ISB, nil); err != nil {
+				return fmt.Errorf("stream: tilt push for %v: %w", c.Key, err)
 			}
 			next = append(next, f)
 		}

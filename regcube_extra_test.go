@@ -35,19 +35,21 @@ func TestFacadeAlternativeEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pp.OLayer) != len(mo.OLayer) {
-		t.Fatalf("o-layers: popular-path %d cells, m/o-cubing %d", len(pp.OLayer), len(mo.OLayer))
+	if pp.NumOCells() != mo.NumOCells() {
+		t.Fatalf("o-layers: popular-path %d cells, m/o-cubing %d", pp.NumOCells(), mo.NumOCells())
 	}
-	for key, isb := range mo.OLayer {
-		if got, ok := pp.OLayer[key]; !ok || math.Abs(got.Slope-isb.Slope) > 1e-9 {
+	for _, c := range mo.OCells() {
+		key, isb := c.Key, c.ISB
+		if got, ok := pp.OCell(key); !ok || math.Abs(got.Slope-isb.Slope) > 1e-9 {
 			t.Fatalf("o-cell %v: popular-path %v, m/o-cubing %v", key, got, isb)
 		}
 	}
-	if len(pp.Exceptions) == 0 || len(pp.Exceptions) > len(mo.Exceptions) {
-		t.Fatalf("exceptions: popular-path %d, m/o-cubing %d", len(pp.Exceptions), len(mo.Exceptions))
+	if pp.NumExceptions() == 0 || pp.NumExceptions() > mo.NumExceptions() {
+		t.Fatalf("exceptions: popular-path %d, m/o-cubing %d", pp.NumExceptions(), mo.NumExceptions())
 	}
-	for key, isb := range pp.Exceptions {
-		if want, ok := mo.Exceptions[key]; !ok || math.Abs(want.Slope-isb.Slope) > 1e-9 {
+	for _, c := range pp.ExceptionCells() {
+		key, isb := c.Key, c.ISB
+		if want, ok := mo.Exception(key); !ok || math.Abs(want.Slope-isb.Slope) > 1e-9 {
 			t.Fatalf("popular-path exception %v is not m/o-cubing's", key)
 		}
 	}
@@ -67,7 +69,7 @@ func TestFacadePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Exceptions) != len(res.Exceptions) {
+	if back.NumExceptions() != res.NumExceptions() {
 		t.Fatal("result round trip lost cells")
 	}
 

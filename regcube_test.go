@@ -56,7 +56,7 @@ func TestFacadeEndToEndCubing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.OLayer) == 0 {
+	if res.NumOCells() == 0 {
 		t.Fatal("no o-layer cells")
 	}
 }
