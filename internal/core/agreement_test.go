@@ -74,11 +74,11 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 
 		// The o-layer is retained whole: exactly the full cube's o-cuboid.
 		fullO := full.Cuboids[s.OLayer()]
-		if len(fullO) != len(mo.oLayer.m) {
+		if len(fullO) != mo.NumOCells() {
 			return false
 		}
 		for key, want := range fullO {
-			got, ok := mo.oLayer.m[key]
+			got, ok := mo.OCell(key)
 			if !ok || !almostEq(got.Slope, want.Slope, 1e-7) {
 				return false
 			}
@@ -92,20 +92,21 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 			for key, isb := range cells {
 				if exception.IsException(isb, th) {
 					fullExc++
-					want, ok := mo.exceptions.m[key]
+					want, ok := mo.Exception(key)
 					if !ok || !almostEq(want.Slope, isb.Slope, 1e-7) {
 						return false
 					}
 				}
 			}
 		}
-		if fullExc != len(mo.exceptions.m) {
+		if fullExc != mo.NumExceptions() {
 			return false
 		}
 
 		// Popular-path subset + closure.
-		for key, isb := range pp.exceptions.m {
-			want, ok := mo.exceptions.m[key]
+		for _, cell := range pp.ExceptionCells() {
+			key, isb := cell.Key, cell.ISB
+			want, ok := mo.Exception(key)
 			if !ok || !almostEq(want.Slope, isb.Slope, 1e-7) {
 				return false
 			}
@@ -113,7 +114,8 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 		path := lattice.DefaultPath()
 		expected := map[cube.CellKey]bool{}
 		for _, c := range lattice.Cuboids() {
-			for key := range mo.exceptions.m {
+			for _, cell := range mo.ExceptionCells() {
+				key := cell.Key
 				if key.Cuboid != c {
 					continue
 				}
@@ -133,7 +135,7 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 				}
 			}
 		}
-		if len(expected) != len(pp.exceptions.m) {
+		if len(expected) != pp.NumExceptions() {
 			return false
 		}
 		return true

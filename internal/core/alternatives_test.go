@@ -67,7 +67,7 @@ func TestMOCubingMergesDuplicateTuples(t *testing.T) {
 		t.Fatalf("merged leaves = %d, want 1", res.Stats.TreeLeaves)
 	}
 	mKey := cube.NewCellKey(s.MLayer(), 0, 0)
-	got, ok := res.exceptions.m[mKey]
+	got, ok := res.Exception(mKey)
 	if !ok || !almostEq(got.Base, 2, 1e-12) || !almostEq(got.Slope, 2, 1e-12) {
 		t.Fatalf("merged m-cell = %v", got)
 	}
@@ -98,10 +98,10 @@ func TestAlternativesDegenerateSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.CellCount() != 2 || len(mo.oLayer.m) != 2 || len(pp.oLayer.m) != 2 {
-		t.Fatalf("cells: full %d, o-layer mo %d pp %d, want 2", full.CellCount(), len(mo.oLayer.m), len(pp.oLayer.m))
+	if full.CellCount() != 2 || mo.NumOCells() != 2 || pp.NumOCells() != 2 {
+		t.Fatalf("cells: full %d, o-layer mo %d pp %d, want 2", full.CellCount(), mo.NumOCells(), pp.NumOCells())
 	}
-	if len(mo.exceptions.m) != 1 || len(pp.exceptions.m) != 1 {
+	if mo.NumExceptions() != 1 || pp.NumExceptions() != 1 {
 		t.Fatal("exception counts differ on degenerate schema")
 	}
 }

@@ -136,7 +136,7 @@ func TestDeltaCubingConsistentWithMOCubing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key, dc := range res.Exceptions {
-		curWant, ok := moCur.exceptions.m[key] // threshold 0: every cell retained
+		curWant, ok := moCur.Exception(key) // threshold 0: every cell retained
 		if !ok {
 			t.Fatalf("cell %v missing from current cube", key)
 		}
@@ -144,7 +144,7 @@ func TestDeltaCubingConsistentWithMOCubing(t *testing.T) {
 			t.Fatalf("cur slope mismatch at %v", key)
 		}
 		if dc.HavePrev {
-			prevWant, ok := moPrev.exceptions.m[key]
+			prevWant, ok := moPrev.Exception(key)
 			if !ok {
 				t.Fatalf("cell %v missing from previous cube", key)
 			}

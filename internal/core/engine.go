@@ -4,9 +4,11 @@
 // Two algorithms are provided, exactly the paper's pair:
 //
 //   - Algorithm 1, m/o H-cubing (MOCubing): aggregate every cuboid between
-//     the m-layer and the o-layer, reusing one scratch header table at a
-//     time, retaining only exception cells (plus all o-layer cells "for
-//     observation").
+//     the m-layer and the o-layer from the H-tree's leaves, reusing one
+//     scratch header table at a time, retaining only exception cells (plus
+//     all o-layer cells "for observation"). The tree is modelled, not
+//     built: its leaves are the batch's distinct m-cells, and each pass
+//     writes its retained cells already in canonical order.
 //   - Algorithm 2, popular-path cubing (PopularPath): materialize only the
 //     cuboids along one popular drilling path in the H-tree's non-leaf
 //     nodes, then recursively drill from the o-layer into exception cells'
@@ -18,6 +20,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -25,7 +28,6 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/exception"
-	"repro/internal/htree"
 	"repro/internal/regression"
 )
 
@@ -55,7 +57,7 @@ func CompareCells(a, b Cell) int { return cube.CompareKeys(a.Key, b.Key) }
 type Stats struct {
 	Algorithm        string
 	Tuples           int           // m-layer tuples consumed
-	TreeNodes        int           // H-tree size
+	TreeNodes        int           // H-tree size (m/o-cubing: the modelled tree's)
 	TreeLeaves       int           // distinct m-layer cells
 	CuboidsComputed  int           // cuboids whose cells were aggregated
 	CellsComputed    int64         // total cells aggregated across cuboids
@@ -63,84 +65,40 @@ type Stats struct {
 	PeakScratchCells int64         // largest transient header table
 	BytesRetained    int64         // estimate of resident bytes at finish
 	PeakBytes        int64         // estimate of peak resident bytes
-	BuildTime        time.Duration // H-tree construction (stream scan)
+	BuildTime        time.Duration // H-tree construction or leaf fold (stream scan)
 	CubeTime         time.Duration // aggregation + exception detection
 }
 
-// bytesPerCell estimates the footprint of one retained cell (key+ISB+map
-// overhead) for the paper's memory panels.
+// bytesPerCell estimates the footprint of one retained cell for the
+// paper's memory panels: an 80-byte Cell in a result's list, with the
+// headroom the figure has always carried, so the panels stay comparable
+// across versions.
 const bytesPerCell = 96
 
-// sortedCells flattens a retained-cell map into canonical key order
-// (cube.CompareKeys) — the stable iteration surface snapshot readers,
-// serializers and the supporter index need, since map order changes run to
-// run. A unit retains tens of thousands of cells, and a comparison sort
-// moves every ~80-byte cell a dozen times; so when the linear codings of
-// the lattice's cuboids (cuboidCoder), laid end to end in cuboid order,
-// fit one uint64, cells are radix-sorted by that code instead.
-func sortedCells(s *cube.Schema, m map[cube.CellKey]regression.ISB) []Cell {
-	cells := make([]Cell, 0, len(m))
-	for k, isb := range m {
-		cells = append(cells, Cell{Key: k, ISB: isb})
-	}
-	if sorted, ok := radixSortCells(s, cells); ok {
-		return sorted
-	}
-	slices.SortFunc(cells, CompareCells)
-	return cells
-}
+// bytesPerNode is the H-tree's per-node footprint estimate
+// (htree.HTree.BytesEstimate): Algorithm 1's tree is modelled, not built,
+// but the memory panels still count it.
+const bytesPerNode = 120
 
-// radixSortCells returns cells in cube.CompareKeys order, or ok=false when
-// some cell lies outside the lattice or the lattice's cell space exceeds
-// the code range (the caller then sorts by comparison).
-func radixSortCells(s *cube.Schema, cells []Cell) (sorted []Cell, ok bool) {
-	type coding struct {
-		strides [cube.MaxDims]uint64
-		base    uint64 // the cuboid's first code: all cells of earlier cuboids sort before it
-	}
-	cuboids := slices.Clone(cube.NewLattice(s).Cuboids())
-	slices.SortFunc(cuboids, func(a, b cube.Cuboid) int {
-		return cube.CompareKeys(cube.CellKey{Cuboid: a}, cube.CellKey{Cuboid: b})
-	})
-	codings := make(map[cube.Cuboid]coding, len(cuboids))
-	next := uint64(0)
-	for _, c := range cuboids {
-		strides, _, total, fits := cuboidCoder(s, c)
-		if !fits || next+total < next || next+total > 1<<62 {
-			return nil, false
-		}
-		codings[c] = coding{strides: strides, base: next}
-		next += total
-	}
-	entries := make([]runEntry, len(cells), 2*len(cells))
-	for i := range cells {
-		cd, inLattice := codings[cells[i].Key.Cuboid]
-		if !inLattice {
-			return nil, false
-		}
-		code := cd.base
-		for d := range s.Dims {
-			code += uint64(cells[i].Key.Members[d]) * cd.strides[d]
-		}
-		entries[i] = runEntry{code: code, idx: int32(i)}
-	}
-	entries, _ = radixSortByCode(entries, entries[len(cells):cap(entries)], next-1)
-	sorted = make([]Cell, len(cells))
-	for j, e := range entries {
-		sorted[j] = cells[e.idx]
-	}
-	return sorted, true
-}
-
-// validate checks batch shape and interval uniformity.
+// validate checks batch shape, interval uniformity and that every member
+// lies in its dimension's m-layer.
 func validate(s *cube.Schema, inputs []Input) error {
 	if len(inputs) == 0 {
 		return fmt.Errorf("%w: empty batch", ErrInput)
+	}
+	var cards [cube.MaxDims]int
+	for d, dim := range s.Dims {
+		cards[d] = dim.Hierarchy.Cardinality(dim.MLevel)
 	}
 	tb, te := inputs[0].Measure.Tb, inputs[0].Measure.Te
 	for i, in := range inputs {
 		if len(in.Members) != len(s.Dims) {
 			return fmt.Errorf("%w: tuple %d has %d members for %d dimensions", ErrInput, i, len(in.Members), len(s.Dims))
+		}
+		for d, m := range in.Members {
+			if m < 0 || int(m) >= cards[d] {
+				return fmt.Errorf("%w: tuple %d member %d of dimension %s outside [0,%d)", ErrInput, i, m, s.Dims[d].Name, cards[d])
+			}
 		}
 		if in.Measure.Tb != tb || in.Measure.Te != te {
 			return fmt.Errorf("%w: tuple %d interval [%d,%d] differs from [%d,%d]",
@@ -151,33 +109,6 @@ func validate(s *cube.Schema, inputs []Input) error {
 		}
 	}
 	return nil
-}
-
-// buildTree scans the batch once into an H-tree with the given attribute
-// order — Step 1 of both algorithms.
-func buildTree(s *cube.Schema, attrs []htree.Attribute, inputs []Input) (*htree.HTree, error) {
-	tree, err := htree.New(s, attrs)
-	if err != nil {
-		return nil, err
-	}
-	for i, in := range inputs {
-		if err := tree.Insert(in.Members, in.Measure); err != nil {
-			return nil, fmt.Errorf("core: inserting tuple %d: %w", i, err)
-		}
-	}
-	return tree, nil
-}
-
-// accumulate merges an ISB into a scratch header table by
-// standard-dimension aggregation (bases and slopes add; Theorem 3.2).
-func accumulate(scratch map[cube.CellKey]regression.ISB, key cube.CellKey, isb regression.ISB) {
-	if cur, ok := scratch[key]; ok {
-		cur.Base += isb.Base
-		cur.Slope += isb.Slope
-		scratch[key] = cur
-	} else {
-		scratch[key] = isb
-	}
 }
 
 // SortedCellKeys returns a cell table's keys in cube.CompareKeys order —
@@ -270,35 +201,91 @@ func radixSortByCode(entries, spare []runEntry, maxCode uint64) (sorted, other [
 }
 
 // MOCubing runs Algorithm 1 (m/o H-cubing). It aggregates every cuboid of
-// the lattice from the H-tree's m-layer cells, one cuboid at a time in a
-// reused scratch aggregator, and retains only exception cells in between
-// the layers (all cells at the o-layer, which is also returned). It is the
+// the lattice from the m-layer cells, one cuboid at a time in a reused
+// scratch aggregator, and retains only exception cells in between the
+// layers (all cells at the o-layer, which is also returned). It is the
 // one-shot form of Workspace.MOCubing.
 func MOCubing(s *cube.Schema, inputs []Input, thr exception.Thresholder) (*Result, error) {
 	return NewWorkspace(s).MOCubing(inputs, thr)
 }
 
 // Workspace is what repeated m/o-cubing runs over one schema can keep
-// between runs: the H-tree (node and pointer arenas, header tables, the
-// ancestor index built with it), the lattice, the leaf-cell buffer and the
-// run aggregator. The online engine cubes one unit after another over the
-// same schema; rebuilding all of this per unit was most of what a unit
-// allocated. A run's Result shares nothing with the workspace, and results
-// are bit for bit those of a fresh MOCubing call. Not safe for concurrent
-// use.
+// between runs: the lattice with its canonical order and tree model, the
+// ancestor index, and the leaf, exception and run-aggregator buffers. The online engine cubes one unit
+// after another over the same schema; rebuilding all of this per unit was
+// most of what a unit allocated. A run's Result shares nothing with the
+// workspace, and results are bit for bit those of a fresh MOCubing call.
+// Not safe for concurrent use.
+//
+// Algorithm 1's H-tree is modelled, not built: its leaves are the inputs'
+// distinct m-cells in the tree's leaf order (foldLeaves), and its node
+// count is counted from the cuboids its depths hold (treeDepths).
 type Workspace struct {
-	schema    *cube.Schema
-	tree      *htree.HTree // built by the first run, Reset by every later one
-	lattice   *cube.Lattice
-	leafCells []Cell
-	scratch   runScratch
-	// oCells and exceptions are the last run's retained-cell counts: the
-	// next result's maps start at that size instead of growing to it.
-	oCells, exceptions int
+	schema  *cube.Schema
+	lattice *cube.Lattice
+	idx     *cube.AncestorIndex
+	canon   []int // lattice positions in canonical cuboid order
+	// depths[i] counts the tree depths whose cuboid is lattice cuboid i;
+	// outside lists the depths' cuboids outside the lattice.
+	depths  []int
+	outside []cube.Cuboid
+	// bounds[i:i+2] delimits lattice cuboid i's run in exceptions, the
+	// last run's exception cells in pass order.
+	bounds     []int
+	exceptions []Cell
+	leafCells  []Cell
+	scratch    runScratch
 }
 
 // NewWorkspace returns an empty workspace for cubing over s.
-func NewWorkspace(s *cube.Schema) *Workspace { return &Workspace{schema: s} }
+func NewWorkspace(s *cube.Schema) *Workspace {
+	lattice := cube.NewLattice(s)
+	cuboids := lattice.Cuboids()
+	w := &Workspace{
+		schema: s, lattice: lattice, idx: cube.NewAncestorIndex(s),
+		canon: make([]int, len(cuboids)), depths: make([]int, len(cuboids)), bounds: make([]int, len(cuboids)+1),
+	}
+	for i := range w.canon {
+		w.canon[i] = i
+	}
+	slices.SortFunc(w.canon, func(a, b int) int {
+		return cube.CompareKeys(cube.CellKey{Cuboid: cuboids[a]}, cube.CellKey{Cuboid: cuboids[b]})
+	})
+	for _, c := range treeDepths(s) {
+		if i := slices.Index(cuboids, c); i >= 0 {
+			w.depths[i]++
+		} else {
+			w.outside = append(w.outside, c)
+		}
+	}
+	return w
+}
+
+// treeDepths returns the cuboids the levels of Algorithm 1's H-tree hold
+// (§4.4, Example 5). The tree's attributes are each dimension's levels
+// from its o-level (at least 1) to its m-level, in ascending cardinality
+// (ties: level, then dimension), and depth k holds one node per distinct
+// cell of the prefix cuboid that takes, per dimension, the finest level
+// among the first k attributes.
+func treeDepths(s *cube.Schema) []cube.Cuboid {
+	type attr struct{ card, level, dim int }
+	var attrs []attr
+	for d, dim := range s.Dims {
+		for l := max(dim.OLevel, 1); l <= dim.MLevel; l++ {
+			attrs = append(attrs, attr{card: dim.Hierarchy.Cardinality(l), level: l, dim: d})
+		}
+	}
+	slices.SortFunc(attrs, func(a, b attr) int {
+		return cmp.Or(cmp.Compare(a.card, b.card), cmp.Compare(a.level, b.level), cmp.Compare(a.dim, b.dim))
+	})
+	prefix := cube.MustCuboid(make([]int, len(s.Dims))...)
+	depths := make([]cube.Cuboid, len(attrs))
+	for k, a := range attrs {
+		prefix = prefix.WithLevel(a.dim, max(prefix.Level(a.dim), a.level))
+		depths[k] = prefix
+	}
+	return depths
+}
 
 // MOCubing is core.MOCubing run in the workspace.
 func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result, error) {
@@ -307,111 +294,166 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 		return nil, err
 	}
 	start := time.Now()
-	if w.tree == nil {
-		tree, err := htree.New(s, htree.CardinalityOrder(s))
-		if err != nil {
-			return nil, err
-		}
-		w.tree, w.lattice = tree, cube.NewLattice(s)
-	}
-	tree := w.tree
-	tree.Reset()
-	for i, in := range inputs {
-		if err := tree.Insert(in.Members, in.Measure); err != nil {
-			return nil, fmt.Errorf("core: inserting tuple %d: %w", i, err)
-		}
-	}
-	build := time.Since(start)
-
-	idx := tree.AncestorIndex() // built once with the tree
-	lattice := w.lattice
-	res := &Result{
-		Schema:     s,
-		oLayer:     cellSet{m: make(map[cube.CellKey]regression.ISB, w.oCells)},
-		exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB, w.exceptions)},
-	}
+	leafCells, mCells := w.foldLeaves(inputs)
+	res := &Result{Schema: s}
 	st := &res.Stats
 	st.Algorithm = "m/o-cubing"
 	st.Tuples = len(inputs)
-	st.TreeNodes = tree.NodeCount()
-	st.TreeLeaves = tree.LeafCount()
-	st.BuildTime = build
+	st.TreeLeaves = len(leafCells)
+	st.BuildTime = time.Since(start)
 
 	cubeStart := time.Now()
-	mLayer := s.MLayer()
-	oLayer := s.OLayer()
-	leaves := tree.Leaves()
-	// Pre-extract leaf cells once; every cuboid pass rolls them up.
-	leafCells := slices.Grow(w.leafCells[:0], len(leaves))
-	for _, leaf := range leaves {
-		leafCells = append(leafCells, Cell{Key: tree.CellKeyOf(leaf), ISB: leaf.Measure})
-	}
-	w.leafCells = leafCells
+	mLayer, oLayer := s.MLayer(), s.OLayer()
 	scratch := &w.scratch
-
-	treeBytes := tree.BytesEstimate()
-	for _, c := range lattice.Cuboids() {
+	excs := w.exceptions[:0]
+	nodes := 1     // the tree's root
+	var peak int64 // the largest footprint a pass reached, less the tree's
+	for i, c := range w.lattice.Cuboids() {
 		st.CuboidsComputed++
-		if c.Equal(mLayer) {
-			// The m-layer is the tree's leaf level: computed during the
-			// build, no extra pass needed; its exceptions are still
-			// detected and retained (Algorithm 1 computes all exception
-			// cells in every required cuboid).
-			st.CellsComputed += int64(len(leafCells))
-			thrM := thr.Threshold(c)
-			isO := c.Equal(oLayer) // degenerate schema with no layers in between
-			for _, lc := range leafCells {
-				if isO {
-					res.oLayer.m[lc.Key] = lc.ISB
-				}
-				if exception.IsException(lc.ISB, thrM) {
-					res.exceptions.m[lc.Key] = lc.ISB
-				}
+		// The m-layer is the leaf level: no pass needed. Its exceptions are
+		// still retained (Algorithm 1 computes all exception cells in every
+		// required cuboid).
+		cells := mCells
+		if c != mLayer {
+			if err := scratch.aggregate(s, w.idx, leafCells, c); err != nil {
+				return nil, err
 			}
-			continue
+			cells = scratch.cells
+			distinct := int64(len(cells))
+			st.PeakScratchCells = max(st.PeakScratchCells, distinct)
+			// The run aggregator's two leaf-proportional entry buffers are
+			// scratch too; keep the memory panels honest about them.
+			const runEntryBytes = 16
+			peak = max(peak, (distinct+int64(len(excs)+len(res.oLayer)))*bytesPerCell+
+				int64(cap(scratch.entries)+cap(scratch.spare))*runEntryBytes)
 		}
-		if err := scratch.aggregate(s, idx, leafCells, c); err != nil {
-			return nil, err
-		}
-		distinct := int64(len(scratch.cells))
-		st.CellsComputed += distinct
-		if distinct > st.PeakScratchCells {
-			st.PeakScratchCells = distinct
-		}
-		// The run aggregator's two leaf-proportional entry buffers are
-		// scratch too; keep the memory panels honest about them.
-		const runEntryBytes = 16
-		peak := treeBytes + (distinct+int64(len(res.exceptions.m))+int64(len(res.oLayer.m)))*bytesPerCell +
-			int64(cap(scratch.entries)+cap(scratch.spare))*runEntryBytes
-		if peak > st.PeakBytes {
-			st.PeakBytes = peak
+		st.CellsComputed += int64(len(cells))
+		nodes += w.depths[i] * len(cells)
+		if c == oLayer {
+			res.oLayer = slices.Clone(cells) // one cuboid's cells: canonical as they stand
 		}
 		threshold := thr.Threshold(c)
-		isO := c.Equal(oLayer)
-		for i := range scratch.cells {
-			cell := &scratch.cells[i]
-			if isO {
-				res.oLayer.m[cell.Key] = cell.ISB
-			}
+		for _, cell := range cells {
 			if exception.IsException(cell.ISB, threshold) {
-				res.exceptions.m[cell.Key] = cell.ISB
+				excs = append(excs, cell)
 			}
 		}
+		w.bounds[i+1] = len(excs)
 	}
+	// Each pass's exceptions are canonical within its cuboid, so laid out
+	// in canonical cuboid order they are canonical throughout.
+	res.exceptions = make([]Cell, 0, len(excs))
+	for _, i := range w.canon {
+		res.exceptions = append(res.exceptions, excs[w.bounds[i]:w.bounds[i+1]]...)
+	}
+	// The tree's levels outside the lattice are rolled up from the leaves
+	// on the aggregator's entry buffers, handed back as they were: the next
+	// run's passes start from, and count, what the passes alone left.
+	entries, spare := scratch.entries, scratch.spare
+	for _, c := range w.outside {
+		if err := scratch.aggregate(s, w.idx, leafCells, c); err != nil {
+			return nil, err
+		}
+		nodes += len(scratch.cells)
+	}
+	scratch.entries, scratch.spare = entries, spare
 	st.CubeTime = time.Since(cubeStart)
-	st.CellsRetained = int64(len(res.oLayer.m) + len(res.exceptions.m))
+	st.TreeNodes = nodes
+	treeBytes := int64(nodes) * bytesPerNode
+	st.CellsRetained = int64(len(res.oLayer) + len(res.exceptions))
 	st.BytesRetained = treeBytes + st.CellsRetained*bytesPerCell
-	if st.BytesRetained > st.PeakBytes {
-		st.PeakBytes = st.BytesRetained
-	}
-	w.oCells, w.exceptions = len(res.oLayer.m), len(res.exceptions.m)
+	st.PeakBytes = treeBytes + max(peak, st.CellsRetained*bytesPerCell)
 	// Bound what is kept to a small multiple of this run's size, so one
-	// bursty unit cannot pin its peak footprint (the tree does the same in
-	// Reset).
+	// bursty unit cannot pin its peak footprint.
+	w.exceptions = excs
+	if cap(excs) > 4*len(excs)+1024 {
+		w.exceptions = nil
+	}
 	if bound := 4*len(leafCells) + 1024; cap(leafCells) > bound {
 		w.leafCells, w.scratch = nil, runScratch{}
 	}
 	return res, nil
+}
+
+// foldLeaves returns the m-layer cells of inputs in two orders. leaves is
+// the leaf order of Algorithm 1's H-tree: each distinct cell where it
+// first occurs, its duplicates folded into it in input order, so every sum
+// a pass makes has the tree's operand order. canonical is the same cells
+// in canonical order. Strictly ascending inputs — the stream's — are both
+// as given; otherwise a stable sort of the cells (codeOrder) finds the
+// duplicates.
+func (w *Workspace) foldLeaves(inputs []Input) (leaves, canonical []Cell) {
+	ascending := true
+	for i := 1; ascending && i < len(inputs); i++ {
+		ascending = slices.Compare(inputs[i-1].Members, inputs[i].Members) < 0
+	}
+	var cells []Cell
+	if ascending {
+		cells = slices.Grow(w.leafCells[:0], len(inputs))
+	}
+	mLayer := w.schema.MLayer()
+	for _, in := range inputs {
+		cell := Cell{Key: cube.CellKey{Cuboid: mLayer}, ISB: in.Measure}
+		copy(cell.Key.Members[:], in.Members)
+		cells = append(cells, cell)
+	}
+	if ascending {
+		w.leafCells = cells
+		return cells, cells
+	}
+	// head[i] is the first occurrence of cell i's key: the stable sort
+	// puts it first in the key's run.
+	order := codeOrder(w.schema, mLayer, cells)
+	head := make([]int32, len(cells))
+	n := 0
+	for r, e := range order {
+		if r > 0 && cells[order[r-1].idx].Key == cells[e.idx].Key {
+			head[e.idx] = head[order[r-1].idx]
+			continue
+		}
+		head[e.idx] = e.idx
+		n++
+	}
+	for i, h := range head {
+		if h != int32(i) { // the tree's fold, in input order
+			cells[h].ISB, _ = regression.AggregateStandard(cells[h].ISB, cells[i].ISB)
+		}
+	}
+	leaves, canonical = slices.Grow(w.leafCells[:0], n), make([]Cell, 0, n)
+	for i, h := range head {
+		if h == int32(i) {
+			leaves = append(leaves, cells[i])
+		}
+	}
+	for _, e := range order {
+		if head[e.idx] == e.idx {
+			canonical = append(canonical, cells[e.idx])
+		}
+	}
+	w.leafCells = leaves
+	return leaves, canonical
+}
+
+// codeOrder returns the indices of cells, all of cuboid c, stably sorted
+// into canonical order: by a radix pass over their linear codes
+// (cuboidCoder), or by key when c's cell space overflows the code.
+func codeOrder(s *cube.Schema, c cube.Cuboid, cells []Cell) []runEntry {
+	strides, _, total, coded := cuboidCoder(s, c)
+	entries := make([]runEntry, len(cells), 2*len(cells))
+	for i := range cells {
+		entries[i].idx = int32(i)
+	}
+	if !coded {
+		slices.SortStableFunc(entries, func(a, b runEntry) int { return CompareCells(cells[a.idx], cells[b.idx]) })
+		return entries
+	}
+	for i := range cells {
+		for d := range s.Dims {
+			entries[i].code += uint64(cells[i].Key.Members[d]) * strides[d]
+		}
+	}
+	sorted, _ := radixSortByCode(entries, entries[len(cells):cap(entries)], total-1)
+	return sorted
 }
 
 // aggregate rolls every leaf up to cuboid c and sums equal cells into

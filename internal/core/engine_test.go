@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/exception"
+	"repro/internal/htree"
 	"repro/internal/regression"
 )
 
@@ -118,7 +119,8 @@ func TestMOCubingMatchesBruteForce(t *testing.T) {
 	}
 	// Every o-layer cell matches truth.
 	o := s.OLayer()
-	for key, isb := range res.oLayer.m {
+	for _, cell := range res.OCells() {
+		key, isb := cell.Key, cell.ISB
 		want, ok := truth[key]
 		if !ok || key.Cuboid != o {
 			t.Fatalf("unexpected o-layer cell %v", key)
@@ -132,7 +134,7 @@ func TestMOCubingMatchesBruteForce(t *testing.T) {
 	for key, isb := range truth {
 		if exception.IsException(isb, 0.8) {
 			wantExc++
-			got, ok := res.exceptions.m[key]
+			got, ok := res.Exception(key)
 			if !ok {
 				t.Fatalf("missing exception %v (slope %g)", key, isb.Slope)
 			}
@@ -141,13 +143,13 @@ func TestMOCubingMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	if len(res.exceptions.m) != wantExc {
-		t.Fatalf("exceptions = %d, want %d", len(res.exceptions.m), wantExc)
+	if res.NumExceptions() != wantExc {
+		t.Fatalf("exceptions = %d, want %d", res.NumExceptions(), wantExc)
 	}
 	// Every truth cell under threshold must NOT be in exceptions.
 	for key, isb := range truth {
 		if !exception.IsException(isb, 0.8) {
-			if _, bad := res.exceptions.m[key]; bad {
+			if _, bad := res.Exception(key); bad {
 				t.Fatalf("non-exception %v retained", key)
 			}
 		}
@@ -177,8 +179,55 @@ func TestMOCubingStats(t *testing.T) {
 	if st.BytesRetained <= 0 || st.PeakBytes < st.BytesRetained {
 		t.Fatalf("bytes accounting: retained %d peak %d", st.BytesRetained, st.PeakBytes)
 	}
-	if st.CellsRetained != int64(len(res.oLayer.m)+len(res.exceptions.m)) {
+	if st.CellsRetained != int64(res.NumOCells()+res.NumExceptions()) {
 		t.Fatal("retained count mismatch")
+	}
+}
+
+// TestTreeModelMatchesHTree: the H-tree MOCubing models instead of
+// building has the built tree's levels (htree.CardinalityOrder), node
+// count and byte estimate, on random schemas — o-layers anywhere, so some
+// prefix cuboids fall outside the lattice — and duplicate tuples.
+func TestTreeModelMatchesHTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	outside := 0
+	for trial := 0; trial < 40; trial++ {
+		s, err := randomAgreementSchema(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := randomAgreementInputs(rng, s, 1+rng.Intn(300))
+		tree, err := buildTree(s, htree.CardinalityOrder(s), inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		depths := treeDepths(s)
+		if len(depths) != len(tree.Attrs()) {
+			t.Fatalf("%s: %d modelled depths, the tree has %d", s.Describe(), len(depths), len(tree.Attrs()))
+		}
+		lattice := cube.NewLattice(s)
+		for k, c := range depths {
+			if want := tree.CuboidAtDepth(k + 1); c != want {
+				t.Fatalf("%s: depth %d models %s, the tree holds %s", s.Describe(), k+1, c.Describe(s), want.Describe(s))
+			}
+			if !lattice.Contains(c) {
+				outside++
+			}
+		}
+		res, err := MOCubing(s, inputs, exception.Global(rng.Float64()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.TreeNodes != tree.NodeCount() || st.TreeLeaves != tree.LeafCount() {
+			t.Fatalf("%s: %d nodes, %d leaves; the tree has %d, %d", s.Describe(), st.TreeNodes, st.TreeLeaves, tree.NodeCount(), tree.LeafCount())
+		}
+		if want := tree.BytesEstimate() + st.CellsRetained*bytesPerCell; st.BytesRetained != want {
+			t.Fatalf("%s: %d bytes retained, want %d", s.Describe(), st.BytesRetained, want)
+		}
+	}
+	if outside == 0 {
+		t.Fatal("no modelled depth fell outside the lattice; the test no longer covers the leaf count")
 	}
 }
 
@@ -219,7 +268,7 @@ func TestPopularPathMatchesBruteForceOnPath(t *testing.T) {
 	// o-layer identical to truth.
 	for key := range truth {
 		if key.Cuboid == s.OLayer() {
-			if _, ok := res.oLayer.m[key]; !ok {
+			if _, ok := res.OCell(key); !ok {
 				t.Fatalf("missing o-layer cell %v", key)
 			}
 		}
@@ -248,11 +297,12 @@ func TestAlgorithmsAgree(t *testing.T) {
 		}
 
 		// (o-layer identical)
-		if len(mo.oLayer.m) != len(pp.oLayer.m) {
-			t.Fatalf("o-layer sizes differ: %d vs %d", len(mo.oLayer.m), len(pp.oLayer.m))
+		if mo.NumOCells() != pp.NumOCells() {
+			t.Fatalf("o-layer sizes differ: %d vs %d", mo.NumOCells(), pp.NumOCells())
 		}
-		for key, a := range mo.oLayer.m {
-			b, ok := pp.oLayer.m[key]
+		for _, cell := range mo.OCells() {
+			key, a := cell.Key, cell.ISB
+			b, ok := pp.OCell(key)
 			if !ok {
 				t.Fatalf("popular-path missing o-cell %v", key)
 			}
@@ -262,8 +312,9 @@ func TestAlgorithmsAgree(t *testing.T) {
 		}
 
 		// (subset with equal measures)
-		for key, b := range pp.exceptions.m {
-			a, ok := mo.exceptions.m[key]
+		for _, cell := range pp.ExceptionCells() {
+			key, b := cell.Key, cell.ISB
+			a, ok := mo.Exception(key)
 			if !ok {
 				t.Fatalf("popular-path exception %v not found by m/o-cubing", key)
 			}
@@ -277,7 +328,8 @@ func TestAlgorithmsAgree(t *testing.T) {
 		// expected set, processed coarsest-first.
 		expected := map[cube.CellKey]bool{}
 		for _, c := range lattice.Cuboids() {
-			for key, isb := range mo.exceptions.m {
+			for _, cell := range mo.ExceptionCells() {
+				key, isb := cell.Key, cell.ISB
 				if key.Cuboid != c {
 					continue
 				}
@@ -298,11 +350,11 @@ func TestAlgorithmsAgree(t *testing.T) {
 				}
 			}
 		}
-		if len(expected) != len(pp.exceptions.m) {
-			t.Fatalf("closure size %d vs popular-path %d (spread %g)", len(expected), len(pp.exceptions.m), spread)
+		if len(expected) != pp.NumExceptions() {
+			t.Fatalf("closure size %d vs popular-path %d (spread %g)", len(expected), pp.NumExceptions(), spread)
 		}
 		for key := range expected {
-			if _, ok := pp.exceptions.m[key]; !ok {
+			if _, ok := pp.Exception(key); !ok {
 				t.Fatalf("closure cell %v missing from popular-path", key)
 			}
 		}
@@ -326,8 +378,9 @@ func TestPopularPathCustomPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, b := range res.exceptions.m {
-		a, ok := mo.exceptions.m[key]
+	for _, cell := range res.ExceptionCells() {
+		key, b := cell.Key, cell.ISB
+		a, ok := mo.Exception(key)
 		if !ok {
 			t.Fatalf("exception %v not in m/o set", key)
 		}
@@ -352,19 +405,19 @@ func TestDegenerateSingleCuboidSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.oLayer.m) != 2 {
-		t.Fatalf("o-layer cells = %d, want 2", len(res.oLayer.m))
+	if res.NumOCells() != 2 {
+		t.Fatalf("o-layer cells = %d, want 2", res.NumOCells())
 	}
-	if len(res.exceptions.m) != 1 {
-		t.Fatalf("exceptions = %d, want 1", len(res.exceptions.m))
+	if res.NumExceptions() != 1 {
+		t.Fatalf("exceptions = %d, want 1", res.NumExceptions())
 	}
 	lattice := cube.NewLattice(s)
 	pp, err := PopularPath(s, inputs, exception.Global(1), lattice.DefaultPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pp.oLayer.m) != 2 || len(pp.exceptions.m) != 1 {
-		t.Fatalf("popular-path degenerate: o=%d exc=%d", len(pp.oLayer.m), len(pp.exceptions.m))
+	if pp.NumOCells() != 2 || pp.NumExceptions() != 1 {
+		t.Fatalf("popular-path degenerate: o=%d exc=%d", pp.NumOCells(), pp.NumExceptions())
 	}
 }
 
@@ -380,22 +433,24 @@ func TestOLayerAtApex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mo.oLayer.m) != 1 {
-		t.Fatalf("apex o-layer cells = %d, want 1", len(mo.oLayer.m))
+	if mo.NumOCells() != 1 {
+		t.Fatalf("apex o-layer cells = %d, want 1", mo.NumOCells())
 	}
 	lattice := cube.NewLattice(s)
 	pp, err := PopularPath(s, inputs, exception.Global(0.5), lattice.DefaultPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pp.oLayer.m) != 1 {
-		t.Fatalf("popular-path apex o-layer = %d, want 1", len(pp.oLayer.m))
+	if pp.NumOCells() != 1 {
+		t.Fatalf("popular-path apex o-layer = %d, want 1", pp.NumOCells())
 	}
 	var a, b regression.ISB
-	for _, v := range mo.oLayer.m {
+	for _, cell := range mo.OCells() {
+		v := cell.ISB
 		a = v
 	}
-	for _, v := range pp.oLayer.m {
+	for _, cell := range pp.OCells() {
+		v := cell.ISB
 		b = v
 	}
 	if !almostEq(a.Slope, b.Slope, 1e-9) || !almostEq(a.Base, b.Base, 1e-9) {
@@ -415,8 +470,8 @@ func TestExceptionsAt(t *testing.T) {
 	for _, c := range lattice.Cuboids() {
 		total += len(res.ExceptionsAt(c))
 	}
-	if total != len(res.exceptions.m) {
-		t.Fatalf("per-cuboid exceptions %d != total %d", total, len(res.exceptions.m))
+	if total != res.NumExceptions() {
+		t.Fatalf("per-cuboid exceptions %d != total %d", total, res.NumExceptions())
 	}
 }
 
@@ -431,10 +486,10 @@ func TestThresholdSweepMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.exceptions.m) > prev {
-			t.Fatalf("exceptions grew from %d to %d when threshold rose to %g", prev, len(res.exceptions.m), thr)
+		if res.NumExceptions() > prev {
+			t.Fatalf("exceptions grew from %d to %d when threshold rose to %g", prev, res.NumExceptions(), thr)
 		}
-		prev = len(res.exceptions.m)
+		prev = res.NumExceptions()
 	}
 }
 

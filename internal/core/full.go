@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/cube"
@@ -77,4 +78,31 @@ func FullCubing(s *cube.Schema, inputs []Input) (*FullResult, error) {
 	st.BytesRetained = tree.BytesEstimate() + st.CellsRetained*bytesPerCell
 	st.PeakBytes = st.BytesRetained
 	return res, nil
+}
+
+// buildTree scans the batch once into an H-tree with the given attribute
+// order — Step 1 of popular-path cubing and of the FullCubing oracle.
+func buildTree(s *cube.Schema, attrs []htree.Attribute, inputs []Input) (*htree.HTree, error) {
+	tree, err := htree.New(s, attrs)
+	if err != nil {
+		return nil, err
+	}
+	for i, in := range inputs {
+		if err := tree.Insert(in.Members, in.Measure); err != nil {
+			return nil, fmt.Errorf("core: inserting tuple %d: %w", i, err)
+		}
+	}
+	return tree, nil
+}
+
+// accumulate merges an ISB into a scratch header table by
+// standard-dimension aggregation (bases and slopes add; Theorem 3.2).
+func accumulate(scratch map[cube.CellKey]regression.ISB, key cube.CellKey, isb regression.ISB) {
+	if cur, ok := scratch[key]; ok {
+		cur.Base += isb.Base
+		cur.Slope += isb.Slope
+		scratch[key] = cur
+	} else {
+		scratch[key] = isb
+	}
 }

@@ -26,11 +26,9 @@ func moCubingRef(s *cube.Schema, inputs []Input, thr exception.Thresholder, inde
 		return nil, err
 	}
 	idx := tree.AncestorIndex()
-	res := &Result{
-		Schema:     s,
-		oLayer:     cellSet{m: make(map[cube.CellKey]regression.ISB)},
-		exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB)},
-	}
+	res := &Result{Schema: s}
+	oCells := make(map[cube.CellKey]regression.ISB)
+	excs := make(map[cube.CellKey]regression.ISB)
 	st := &res.Stats
 	st.Algorithm = "m/o-cubing (reference)"
 	st.Tuples = len(inputs)
@@ -61,20 +59,21 @@ func moCubingRef(s *cube.Schema, inputs []Input, thr exception.Thresholder, inde
 		if !isM && distinct > st.PeakScratchCells {
 			st.PeakScratchCells = distinct // the m-layer is read off the tree, not scratch
 		}
-		if peak := treeBytes + (distinct+int64(len(res.exceptions.m)+len(res.oLayer.m)))*bytesPerCell; peak > st.PeakBytes {
+		if peak := treeBytes + (distinct+int64(len(excs)+len(oCells)))*bytesPerCell; peak > st.PeakBytes {
 			st.PeakBytes = peak
 		}
 		threshold := thr.Threshold(c)
 		for key, isb := range table {
 			if c.Equal(oLayer) {
-				res.oLayer.m[key] = isb
+				oCells[key] = isb
 			}
 			if exception.IsException(isb, threshold) {
-				res.exceptions.m[key] = isb
+				excs[key] = isb
 			}
 		}
 	}
-	st.CellsRetained = int64(len(res.oLayer.m) + len(res.exceptions.m))
+	res.oLayer, res.exceptions = cellList(oCells), cellList(excs)
+	st.CellsRetained = int64(len(oCells) + len(excs))
 	return res, nil
 }
 

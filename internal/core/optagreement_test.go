@@ -12,23 +12,15 @@ import (
 )
 
 // bitwiseEqualResults demands exact float equality — the optimized paths
-// must replay the unoptimized paths' operand order, not approximate it.
+// must replay the unoptimized paths' operand order, not approximate it —
+// and the same canonical lists, element by element, so order is pinned as
+// well as contents.
 func bitwiseEqualResults(a, b *Result) error {
-	if len(a.oLayer.m) != len(b.oLayer.m) {
-		return fmt.Errorf("o-layer size %d vs %d", len(a.oLayer.m), len(b.oLayer.m))
+	if err := equalCellLists("o-layer", a.OCells(), b.OCells()); err != nil {
+		return err
 	}
-	for key, want := range a.oLayer.m {
-		if got, ok := b.oLayer.m[key]; !ok || got != want {
-			return fmt.Errorf("o-layer cell %v: %v vs %v", key, want, got)
-		}
-	}
-	if len(a.exceptions.m) != len(b.exceptions.m) {
-		return fmt.Errorf("exceptions size %d vs %d", len(a.exceptions.m), len(b.exceptions.m))
-	}
-	for key, want := range a.exceptions.m {
-		if got, ok := b.exceptions.m[key]; !ok || got != want {
-			return fmt.Errorf("exception cell %v: %v vs %v", key, want, got)
-		}
+	if err := equalCellLists("exception", a.ExceptionCells(), b.ExceptionCells()); err != nil {
+		return err
 	}
 	if a.Stats.CellsComputed != b.Stats.CellsComputed ||
 		a.Stats.CellsRetained != b.Stats.CellsRetained ||
@@ -37,6 +29,19 @@ func bitwiseEqualResults(a, b *Result) error {
 		a.Stats.TreeNodes != b.Stats.TreeNodes ||
 		a.Stats.TreeLeaves != b.Stats.TreeLeaves {
 		return fmt.Errorf("stats differ: %+v vs %+v", a.Stats, b.Stats)
+	}
+	return nil
+}
+
+// equalCellLists compares two cell lists element by element.
+func equalCellLists(kind string, a, b []Cell) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%s list size %d vs %d", kind, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return fmt.Errorf("%s cell %d: %v vs %v", kind, i, a[i], b[i])
+		}
 	}
 	return nil
 }

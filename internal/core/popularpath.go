@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/cube"
@@ -46,11 +47,12 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	idx := tree.AncestorIndex() // built once with the tree
 	lattice := cube.NewLattice(s)
 	res := &Result{
-		Schema:     s,
-		oLayer:     cellSet{m: make(map[cube.CellKey]regression.ISB)},
-		exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB)},
-		PathCells:  make(map[cube.Cuboid]map[cube.CellKey]regression.ISB),
+		Schema:    s,
+		PathCells: make(map[cube.Cuboid]map[cube.CellKey]regression.ISB),
 	}
+	// The exceptions are kept in a table while drilling and listed in
+	// canonical order at the end.
+	excs := make(map[cube.CellKey]regression.ISB)
 	st := &res.Stats
 	st.Algorithm = "popular-path"
 	st.Tuples = len(inputs)
@@ -92,9 +94,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	}
 	st.CuboidsComputed = len(path.Cuboids)
 
-	for key, isb := range res.PathCells[oLayer] {
-		res.oLayer.m[key] = isb
-	}
+	oCells := res.PathCells[oLayer]
 
 	// Exception registry: retained exception cells per cuboid with their
 	// source nodes for further drilling.
@@ -103,7 +103,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 
 	treeBytes := tree.BytesEstimate()
 	updatePeak := func(scratch int64) {
-		peak := treeBytes + (pathCellCount+scratch+int64(len(res.exceptions.m))+int64(len(res.oLayer.m)))*bytesPerCell + srcRefs*8
+		peak := treeBytes + (pathCellCount+scratch+int64(len(excs))+int64(len(oCells)))*bytesPerCell + srcRefs*8
 		if peak > st.PeakBytes {
 			st.PeakBytes = peak
 		}
@@ -120,7 +120,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 				root := tree.Root()
 				if root.HasMeasure && exception.IsException(root.Measure, threshold) {
 					key := cube.CellKey{Cuboid: c}
-					res.exceptions.m[key] = root.Measure
+					excs[key] = root.Measure
 					excByCuboid[c] = append(excByCuboid[c], excSrc{key: key, sources: []*htree.Node{root}})
 					srcRefs++
 				}
@@ -129,7 +129,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 			for _, n := range tree.NodesAtDepth(depth) {
 				if exception.IsException(n.Measure, threshold) {
 					key := tree.CellKeyOf(n)
-					res.exceptions.m[key] = n.Measure
+					excs[key] = n.Measure
 					excByCuboid[c] = append(excByCuboid[c], excSrc{key: key, sources: []*htree.Node{n}})
 					srcRefs++
 				}
@@ -186,8 +186,8 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 		for _, key := range SortedCellKeys(scratch) {
 			cell := scratch[key]
 			if exception.IsException(cell.isb, threshold) {
-				if _, dup := res.exceptions.m[key]; !dup {
-					res.exceptions.m[key] = cell.isb
+				if _, dup := excs[key]; !dup {
+					excs[key] = cell.isb
 					excByCuboid[c] = append(excByCuboid[c], excSrc{key: key, sources: cell.sources})
 					srcRefs += int64(len(cell.sources))
 				}
@@ -195,11 +195,22 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 		}
 	}
 
+	res.oLayer, res.exceptions = cellList(oCells), cellList(excs)
 	st.CubeTime = time.Since(cubeStart)
-	st.CellsRetained = pathCellCount + int64(len(res.exceptions.m)) + int64(len(res.oLayer.m))
+	st.CellsRetained = pathCellCount + int64(len(excs)) + int64(len(oCells))
 	st.BytesRetained = treeBytes + st.CellsRetained*bytesPerCell + srcRefs*8
 	if st.BytesRetained > st.PeakBytes {
 		st.PeakBytes = st.BytesRetained
 	}
 	return res, nil
+}
+
+// cellList lists a cell table in canonical order.
+func cellList(m map[cube.CellKey]regression.ISB) []Cell {
+	cells := make([]Cell, 0, len(m))
+	for k, isb := range m {
+		cells = append(cells, Cell{Key: k, ISB: isb})
+	}
+	slices.SortFunc(cells, CompareCells)
+	return cells
 }

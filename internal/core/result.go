@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cube"
 	"repro/internal/regression"
@@ -22,10 +21,11 @@ type Result struct {
 
 	// oLayer holds every o-layer cell ("all cells are retained for
 	// observation"), exceptions every retained exception cell from the
-	// o-layer down to (and including) the m-layer. Both are empty in a
-	// merged result, which holds its parts instead, in partition order,
-	// and owners: each o-cell with the part that holds it, in key order.
-	oLayer, exceptions cellSet
+	// o-layer down to (and including) the m-layer, both in canonical key
+	// order. Both are empty in a merged result, which holds its parts
+	// instead, in partition order, and owners: each o-cell with the part
+	// that holds it, in key order.
+	oLayer, exceptions []Cell
 	parts              []*Result
 	owners             []owner
 }
@@ -36,73 +36,29 @@ type owner struct {
 	part int
 }
 
-// cellSet is one part's retained cells of one kind, in the form that made
-// them: the table a cubing run fills, or a list already in canonical order
-// (NewResult's).
-type cellSet struct {
-	m      map[cube.CellKey]regression.ISB
-	sorted []Cell
-}
-
-func (c *cellSet) len() int { return len(c.m) + len(c.sorted) }
-
-func (c *cellSet) get(k cube.CellKey) (regression.ISB, bool) {
-	if c.m != nil {
-		isb, ok := c.m[k]
-		return isb, ok
-	}
-	i, ok := findCell(c.sorted, k)
+// lookup binary-searches a canonical cell list for cell k's regression.
+func lookup(cells []Cell, k cube.CellKey) (regression.ISB, bool) {
+	i, ok := slices.BinarySearchFunc(cells, k, func(c Cell, k cube.CellKey) int { return cube.CompareKeys(c.Key, k) })
 	if !ok {
 		return regression.ISB{}, false
 	}
-	return c.sorted[i].ISB, true
-}
-
-// findCell binary-searches a canonical cell list for k.
-func findCell(cells []Cell, k cube.CellKey) (int, bool) {
-	i := sort.Search(len(cells), func(i int) bool { return cube.CompareKeys(cells[i].Key, k) >= 0 })
-	return i, i < len(cells) && cube.CompareKeys(cells[i].Key, k) == 0
-}
-
-// all yields the cells in no particular order and reports whether yield
-// asked for every one.
-func (c *cellSet) all(yield func(Cell) bool) bool {
-	for k, isb := range c.m {
-		if !yield(Cell{Key: k, ISB: isb}) {
-			return false
-		}
-	}
-	for _, cell := range c.sorted {
-		if !yield(cell) {
-			return false
-		}
-	}
-	return true
-}
-
-// canonical returns the cells in canonical key order: a list as is, a
-// table sorted afresh.
-func (c *cellSet) canonical(s *cube.Schema) []Cell {
-	if c.m != nil {
-		return sortedCells(s, c.m)
-	}
-	return c.sorted
+	return cells[i].ISB, true
 }
 
 // NumOCells counts the o-layer cells.
 func (r *Result) NumOCells() int {
-	return r.count(func(p *Result) *cellSet { return &p.oLayer })
+	return r.count(func(p *Result) []Cell { return p.oLayer })
 }
 
 // NumExceptions counts the retained exception cells.
 func (r *Result) NumExceptions() int {
-	return r.count(func(p *Result) *cellSet { return &p.exceptions })
+	return r.count(func(p *Result) []Cell { return p.exceptions })
 }
 
-func (r *Result) count(of func(*Result) *cellSet) int {
-	n := of(r).len()
+func (r *Result) count(of func(*Result) []Cell) int {
+	n := len(of(r))
 	for _, p := range r.parts {
-		n += of(p).len()
+		n += len(of(p))
 	}
 	return n
 }
@@ -113,21 +69,21 @@ func (r *Result) OCell(k cube.CellKey) (regression.ISB, bool) {
 	if p == nil {
 		return regression.ISB{}, false
 	}
-	return p.oLayer.get(k)
+	return lookup(p.oLayer, k)
 }
 
 // Exception returns the retained exception cell k's regression, if the
 // result holds it.
 func (r *Result) Exception(k cube.CellKey) (regression.ISB, bool) {
 	if r.parts == nil {
-		return r.exceptions.get(k)
+		return lookup(r.exceptions, k)
 	}
 	o, err := cube.RollUpKey(r.Schema, k, r.Schema.OLayer())
 	if err != nil {
 		return regression.ISB{}, false
 	}
 	if p := r.partOf(o); p != nil {
-		return p.exceptions.get(k)
+		return lookup(p.exceptions, k)
 	}
 	return regression.ISB{}, false
 }
@@ -148,47 +104,50 @@ func (r *Result) partOf(o cube.CellKey) *Result {
 // OCells returns every o-layer cell in canonical key order. The list may
 // be the result's own: do not modify it.
 func (r *Result) OCells() []Cell {
-	return r.canonical(func(p *Result) *cellSet { return &p.oLayer })
+	return r.canonical(func(p *Result) []Cell { return p.oLayer })
 }
 
 // ExceptionCells returns every retained exception cell in canonical key
 // order. The list may be the result's own: do not modify it.
 func (r *Result) ExceptionCells() []Cell {
-	return r.canonical(func(p *Result) *cellSet { return &p.exceptions })
+	return r.canonical(func(p *Result) []Cell { return p.exceptions })
 }
 
 // canonical k-way merges the parts' canonical lists; a part's o-cells and
 // the exceptions under them are its own, so no two lists share a cell.
-func (r *Result) canonical(of func(*Result) *cellSet) []Cell {
+func (r *Result) canonical(of func(*Result) []Cell) []Cell {
 	if r.parts == nil {
-		return of(r).canonical(r.Schema)
+		return of(r)
 	}
 	lists := make([][]Cell, len(r.parts))
 	for i, p := range r.parts {
-		lists[i] = of(p).canonical(r.Schema)
+		lists[i] = of(p)
 	}
 	return MergeParts(lists, CompareCells)
 }
 
-// AllOCells yields every o-layer cell in no particular order, for readers
-// that impose their own: range over the method value.
+// AllOCells yields every o-layer cell part by part, with no merge, for
+// readers that impose their own order: range over the method value.
 func (r *Result) AllOCells(yield func(Cell) bool) {
-	r.all(func(p *Result) *cellSet { return &p.oLayer }, yield)
+	r.all(func(p *Result) []Cell { return p.oLayer }, yield)
 }
 
-// AllExceptions yields every retained exception cell in no particular
-// order, for readers that impose their own.
+// AllExceptions yields every retained exception cell part by part, for
+// readers that impose their own order.
 func (r *Result) AllExceptions(yield func(Cell) bool) {
-	r.all(func(p *Result) *cellSet { return &p.exceptions }, yield)
+	r.all(func(p *Result) []Cell { return p.exceptions }, yield)
 }
 
-func (r *Result) all(of func(*Result) *cellSet, yield func(Cell) bool) {
-	if !of(r).all(yield) {
-		return
+func (r *Result) all(of func(*Result) []Cell, yield func(Cell) bool) {
+	parts := r.parts
+	if parts == nil {
+		parts = []*Result{r}
 	}
-	for _, p := range r.parts {
-		if !of(p).all(yield) {
-			return
+	for _, p := range parts {
+		for _, c := range of(p) {
+			if !yield(c) {
+				return
+			}
 		}
 	}
 }
@@ -239,12 +198,12 @@ func NewResult(s *cube.Schema, oCells, exceptions []Cell, st Stats) (*Result, er
 		if o == found {
 			continue
 		}
-		if _, ok := findCell(oCells, o); !ok {
+		if _, ok := lookup(oCells, o); !ok {
 			return nil, fmt.Errorf("%w: exception cell %s is under no o-layer cell", ErrInput, c.Key.Describe(s))
 		}
 		found = o
 	}
-	return &Result{Schema: s, oLayer: cellSet{sorted: oCells}, exceptions: cellSet{sorted: exceptions}, Stats: st}, nil
+	return &Result{Schema: s, oLayer: oCells, exceptions: exceptions, Stats: st}, nil
 }
 
 // inSchema reports whether k names a member of every dimension at a level

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/cube"
+	"repro/internal/exception"
 	"repro/internal/regression"
 )
 
@@ -93,11 +93,8 @@ func randomRetained(t *testing.T, rng *rand.Rand, trial int) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{
-		Schema:     s,
-		oLayer:     cellSet{m: make(map[cube.CellKey]regression.ISB)},
-		exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB)},
-	}
+	oCells := make(map[cube.CellKey]regression.ISB)
+	excs := make(map[cube.CellKey]regression.ISB)
 	cuboids := cube.NewLattice(s).Cuboids()
 	for i := 0; i < 200; i++ {
 		key := cube.CellKey{Cuboid: cuboids[rng.Intn(len(cuboids))]}
@@ -106,14 +103,14 @@ func randomRetained(t *testing.T, rng *rand.Rand, trial int) *Result {
 			key.Members[d] = int32(rng.Intn(min(card, 6)) * (card / min(card, 6)))
 		}
 		isb := regression.ISB{Te: 9, Base: rng.NormFloat64(), Slope: rng.NormFloat64()}
-		res.exceptions.m[key] = isb
+		excs[key] = isb
 		o, err := cube.RollUpKey(s, key, s.OLayer())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.oLayer.m[o] = isb
+		oCells[o] = isb
 	}
-	return res
+	return &Result{Schema: s, oLayer: cellList(oCells), exceptions: cellList(excs)}
 }
 
 // TestSupportersByOCellMatchesBruteForce: the index must hold — per
@@ -125,13 +122,12 @@ func TestSupportersByOCellMatchesBruteForce(t *testing.T) {
 		res := randomRetained(t, rng, trial)
 		s := res.Schema
 		want := make(map[cube.CellKey][]Cell)
-		for o := range res.oLayer.m {
-			for k, isb := range res.exceptions.m {
-				if k != o && cube.IsDescendantCell(s, k, o) {
-					want[o] = append(want[o], Cell{Key: k, ISB: isb})
+		for _, o := range res.OCells() {
+			for _, c := range res.ExceptionCells() {
+				if c.Key != o.Key && cube.IsDescendantCell(s, c.Key, o.Key) {
+					want[o.Key] = append(want[o.Key], c)
 				}
 			}
-			slices.SortFunc(want[o], CompareCells)
 		}
 		got := SupportersByOCell(cube.NewAncestorIndex(s), res)
 		if !reflect.DeepEqual(got, want) {
@@ -141,55 +137,106 @@ func TestSupportersByOCellMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestExceptionCellsCanonicalOrder: the coded radix sort and the
-// comparison fallback (a lattice whose cell space overflows the code) both
-// return exactly the comparison-sorted cells.
+// TestExceptionCellsCanonicalOrder: MOCubing, fresh or in a reused Workspace,
+// lists its o-layer and exception cells in CompareCells order with no
+// repeats — the invariants NewResult holds a decoded document to, so it
+// must accept both lists as they stand. Random schemas with duplicate
+// tuples, a lattice with a 2^63·2-cell cuboid (aggregateByKey) and an apex
+// o-layer cover every way a pass's run is made.
 func TestExceptionCellsCanonicalOrder(t *testing.T) {
+	spread := 0 // runs whose exceptions span three or more cuboids
 	check := func(label string, res *Result) {
 		t.Helper()
-		want := make([]Cell, 0, len(res.exceptions.m))
-		for k, isb := range res.exceptions.m {
-			want = append(want, Cell{Key: k, ISB: isb})
+		for kind, cells := range map[string][]Cell{"o-layer": res.OCells(), "exception": res.ExceptionCells()} {
+			for i := 1; i < len(cells); i++ {
+				if CompareCells(cells[i-1], cells[i]) >= 0 {
+					t.Fatalf("%s: %s cells %d and %d out of canonical order: %s, %s", label, kind, i-1, i,
+						cells[i-1].Key.Describe(res.Schema), cells[i].Key.Describe(res.Schema))
+				}
+			}
 		}
-		slices.SortFunc(want, CompareCells)
-		if got := res.ExceptionCells(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: ExceptionCells not in CompareKeys order:\n got %v\nwant %v", label, got, want)
+		if _, err := NewResult(res.Schema, res.OCells(), res.ExceptionCells(), res.Stats); err != nil {
+			t.Fatalf("%s: NewResult refuses the kernel's lists: %v", label, err)
+		}
+		cuboids := map[cube.Cuboid]bool{}
+		for _, c := range res.ExceptionCells() {
+			cuboids[c.Key.Cuboid] = true
+		}
+		if len(cuboids) >= 3 {
+			spread++
 		}
 	}
-	rng := rand.New(rand.NewSource(101))
-	coded := 0
-	for trial := 0; trial < 30; trial++ {
-		res := randomRetained(t, rng, trial)
-		if _, ok := radixSortCells(res.Schema, nil); ok {
-			coded++
+	run := func(label string, s *cube.Schema, thr exception.Thresholder, batches ...[]Input) {
+		t.Helper()
+		ws := NewWorkspace(s)
+		for i, inputs := range batches {
+			fresh, err := MOCubing(s, inputs, thr)
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", label, i, err)
+			}
+			check(fmt.Sprintf("%s batch %d", label, i), fresh)
+			reused, err := ws.MOCubing(inputs, thr)
+			if err != nil {
+				t.Fatalf("%s batch %d in a workspace: %v", label, i, err)
+			}
+			check(fmt.Sprintf("%s batch %d in a workspace", label, i), reused)
 		}
-		check(res.Schema.Describe(), res)
-	}
-	if coded < 15 {
-		t.Fatalf("the coded sort applied to %d of 30 random schemas; the test no longer covers it", coded)
 	}
 
-	// Three 2^21-member flat dimensions: cuboid (1,1,1) alone has 2^63 cells.
-	dims := make([]cube.Dimension, 3)
-	for d := range dims {
-		name := string(rune('A' + d))
-		dims[d] = cube.Dimension{Name: name, Hierarchy: &flatHierarchy{name: name, card: 1 << 21}, MLevel: 1}
+	rng := rand.New(rand.NewSource(101))
+	for trial := 0; trial < 30; trial++ {
+		s, err := randomAgreementSchema(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(s.Describe(), s, exception.Global(rng.Float64()),
+			randomAgreementInputs(rng, s, 100+rng.Intn(200)), randomAgreementInputs(rng, s, 3),
+			randomAgreementInputs(rng, s, 150))
+	}
+	if spread < 15 {
+		t.Fatalf("only %d random runs retained exceptions in three or more cuboids; the test no longer covers run placement", spread)
+	}
+
+	// Three 2^21-member flat dimensions and a 2-level fanout one: cuboid
+	// (1,1,1,1) has 2^64 cells and takes aggregateByKey, and the m-layer
+	// overflows the code too.
+	fh, err := cube.NewFanoutHierarchy("D", 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := []cube.Dimension{{Name: "D", Hierarchy: fh, MLevel: 2, OLevel: 1}}
+	for _, name := range []string{"A", "B", "C"} {
+		dims = append(dims, cube.Dimension{Name: name, Hierarchy: &flatHierarchy{name: name, card: 1 << 21}, MLevel: 1})
 	}
 	s, err := cube.NewSchema(dims...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, coded := radixSortCells(s, nil); coded {
-		t.Fatal("expected the 2^63-cell lattice to overflow the code")
+	if _, _, _, ok := cuboidCoder(s, cube.MustCuboid(1, 1, 1, 1)); ok {
+		t.Fatal("expected the 2^64-cell cuboid to overflow the coder")
 	}
-	res := &Result{Schema: s, exceptions: cellSet{m: make(map[cube.CellKey]regression.ISB)}}
-	for i := 0; i < 200; i++ {
-		levels := []int{rng.Intn(2), rng.Intn(2), rng.Intn(2)}
-		key := cube.CellKey{Cuboid: cube.MustCuboid(levels...)}
-		for d, l := range levels {
-			key.Members[d] = int32(l * rng.Intn(1<<21))
+	inputs := make([]Input, 300)
+	for i := range inputs {
+		pick := func() int32 { return int32(rng.Intn(8)) * (1 << 18) }
+		inputs[i] = Input{
+			Members: []int32{int32(rng.Intn(4)), pick(), pick(), pick()},
+			Measure: regression.ISB{Te: 9, Base: rng.NormFloat64(), Slope: rng.NormFloat64() * 2},
 		}
-		res.exceptions.m[key] = regression.ISB{Te: 9, Slope: rng.NormFloat64()}
 	}
-	check("overflow", res)
+	run("overflow", s, exception.Global(0.5), inputs, inputs[:40])
+
+	// Apex o-layer: one o-cell, every cuboid of the lattice below it.
+	var apexDims []cube.Dimension
+	for _, name := range []string{"A", "B", "C"} {
+		h, err := cube.NewFanoutHierarchy(name, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apexDims = append(apexDims, cube.Dimension{Name: name, Hierarchy: h, MLevel: 2})
+	}
+	apex, err := cube.NewSchema(apexDims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("apex", apex, exception.Global(0.5), randomInputs(apex, 400, 2, 5), randomInputs(apex, 30, 2, 6))
 }

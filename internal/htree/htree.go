@@ -7,7 +7,9 @@
 // Two attribute orders are supported, matching the paper's two algorithms:
 //
 //   - cardinality-ascending order (Example 5: ⟨A1,B1,C1,C2,A2,B2⟩) for
-//     m/o-cubing, maximizing prefix sharing;
+//     m/o-cubing, maximizing prefix sharing — built here for the oracles
+//     the tests hold core.MOCubing to, which models this tree instead of
+//     building it;
 //   - popular-path order (⟨(A1,C1)→B1→B2→A2→C2⟩) for popular-path cubing,
 //     making every tree depth a cuboid of the path so roll-ups along the
 //     path materialize for free in the non-leaf nodes.

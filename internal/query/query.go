@@ -72,22 +72,8 @@ func sortCells(cells []core.Cell) {
 		if a != b {
 			return a > b
 		}
-		return lessKey(cells[i].Key, cells[j].Key)
+		return cube.CompareKeys(cells[i].Key, cells[j].Key) < 0
 	})
-}
-
-func lessKey(a, b cube.CellKey) bool {
-	for d := 0; d < a.Cuboid.NumDims(); d++ {
-		if a.Cuboid.Level(d) != b.Cuboid.Level(d) {
-			return a.Cuboid.Level(d) < b.Cuboid.Level(d)
-		}
-	}
-	for d := 0; d < a.Cuboid.NumDims(); d++ {
-		if a.Members[d] != b.Members[d] {
-			return a.Members[d] < b.Members[d]
-		}
-	}
-	return false
 }
 
 // TopExceptions returns the k steepest retained exception cells across all
@@ -132,7 +118,7 @@ func (v *View) Supporters(cell cube.CellKey) []core.Cell {
 		if a != b {
 			return a > b
 		}
-		return lessKey(out[i].Key, out[j].Key)
+		return cube.CompareKeys(out[i].Key, out[j].Key) < 0
 	})
 	return out
 }

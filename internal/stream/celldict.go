@@ -10,9 +10,9 @@ import (
 )
 
 // cellLayout codes m-cells: a cell's code is its member tuple read as a
-// mixed-radix number, dimension 0 least significant, in a uint64 — the key
-// of every cell dictionary. An m-layer with more cells than a uint64 counts
-// is ErrConfig at construction.
+// mixed-radix number, dimension 0 most significant, in a uint64 — the key
+// of every cell dictionary, and, sorted, coordinate order. An m-layer with
+// more cells than a uint64 counts is ErrConfig at construction.
 type cellLayout struct {
 	nd      int
 	cards   [cube.MaxDims]uint32 // m-layer cardinalities (capped at 2³¹: members are int32)
@@ -23,7 +23,8 @@ type cellLayout struct {
 func newCellLayout(schema *cube.Schema) (cellLayout, error) {
 	l := cellLayout{nd: len(schema.Dims)}
 	size := uint64(1)
-	for d, dim := range schema.Dims {
+	for d := l.nd - 1; d >= 0; d-- {
+		dim := schema.Dims[d]
 		l.cards[d] = uint32(min(dim.Hierarchy.Cardinality(dim.MLevel), 1<<31))
 		l.names[d] = dim.Name
 		l.strides[d] = size

@@ -110,14 +110,13 @@ func (sh *shard) cutCells() []CellState {
 	nd := sh.e.part.layout.nd
 	cells := sh.cpCells[:0]
 	members := slices.Grow(sh.cpMembers[:0], len(sh.slab)*nd)[:len(sh.slab)*nd]
-	for o := range sh.slab {
-		m := members[o*nd : (o+1)*nd : (o+1)*nd]
+	// Ordinal order is first-sight order; code order, coordinate order,
+	// makes the cut a pure function of engine state.
+	for i, o := range sh.byCode() {
+		m := members[i*nd : (i+1)*nd : (i+1)*nd]
 		sh.e.part.layout.decode(sh.codes[o], m)
 		cells = append(cells, CellState{Members: m, Acc: sh.slab[o].State()})
 	}
-	// Ordinal order is first-sight order, not coordinate order; sorting
-	// makes the cut a pure function of engine state.
-	slices.SortFunc(cells, compareCellStates)
 	sh.cpCells, sh.cpMembers = cells, members
 	return cells
 }

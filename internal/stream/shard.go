@@ -49,8 +49,9 @@ type shard struct {
 	members []int32
 	// ws is what m/o-cubing keeps from one unit's close to the next;
 	// cpCells/cpMembers are what AppendCheckpoint has the shard cut its
-	// cells into.
+	// cells into; order is byCode's list.
 	ws        *core.Workspace
+	order     []int32
 	cpCells   []CellState
 	cpMembers []int32
 	in        chan barrierFn // nil for shard 0
@@ -127,8 +128,11 @@ func (sh *shard) closeUnit(u int64) (*UnitResult, error) {
 	if inputs == nil {
 		inputs = make([]core.Input, 0, len(sh.slab))
 	}
+	// The cells go in coordinate order: cubing accumulates floats in input
+	// order, so this makes every unit result bitwise reproducible across
+	// runs and identical at every shard count.
 	arena := sh.members[:0]
-	for o := range sh.slab {
+	for _, o := range sh.byCode() {
 		acc := &sh.slab[o]
 		acc.AdvanceTo(hi + 1) // zero-pad to the unit boundary, in O(1)
 		isb, err := acc.Snapshot()
@@ -144,7 +148,7 @@ func (sh *shard) closeUnit(u int64) (*UnitResult, error) {
 	// far larger than this unit needed is dropped, so one bursty unit
 	// cannot pin its peak footprint forever.
 	if bound := 4*len(inputs) + 1024; cap(sh.slab) > bound {
-		sh.slab, sh.codes = nil, nil
+		sh.slab, sh.codes, sh.order = nil, nil, nil
 	}
 	sh.slab, sh.codes = sh.slab[:0], sh.codes[:0]
 	if bound := 4*len(inputs) + 1024; cap(inputs) > bound {
@@ -155,12 +159,6 @@ func (sh *shard) closeUnit(u int64) (*UnitResult, error) {
 		arena = make([]int32, 0, bound*nd)
 	}
 	sh.inputs, sh.members = inputs, arena
-	// Canonical member order: cubing accumulates floats in input order, so
-	// sorting here makes every unit result bitwise reproducible across runs
-	// and identical at every shard count.
-	slices.SortFunc(inputs, func(a, b core.Input) int {
-		return slices.Compare(a.Members, b.Members)
-	})
 	if len(inputs) > 0 {
 		res, err := sh.ws.MOCubing(inputs, cfg.Threshold)
 		if err != nil {
@@ -175,15 +173,17 @@ func (sh *shard) closeUnit(u int64) (*UnitResult, error) {
 	return ur, nil
 }
 
-// raiseAlerts returns the unit's alerts in canonical order (compareAlerts).
-// The supporter index is built on the first alerting o-cell, so a unit
-// whose observation deck is quiet never scans its exception cells.
+// raiseAlerts returns the unit's alerts in canonical order (compareAlerts):
+// the o-cells come in canonical order, and each raises its slope exception
+// before its slope change. The supporter index is built on the first
+// alerting o-cell, so a unit whose observation deck is quiet never scans
+// its exception cells.
 func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 	cfg := &sh.e.cfg
 	var alerts []Alert
 	var supporters map[cube.CellKey][]core.Cell
 	oThr := cfg.Threshold.Threshold(cfg.Schema.OLayer())
-	for c := range res.AllOCells {
+	for _, c := range res.OCells() {
 		key, isb := c.Key, c.ISB
 		if exception.IsException(isb, oThr) {
 			if supporters == nil {
@@ -208,8 +208,20 @@ func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 			}
 		}
 	}
-	slices.SortFunc(alerts, compareAlerts)
 	return alerts
+}
+
+// byCode returns the ordinals of the shard's open cells in code order,
+// which cellLayout makes coordinate order. The list is the shard's, reused
+// call to call.
+func (sh *shard) byCode() []int32 {
+	order := sh.order[:0]
+	for o := range sh.codes {
+		order = append(order, int32(o))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(sh.codes[a], sh.codes[b]) })
+	sh.order = order
+	return order
 }
 
 // mergeUnit combines one unit's per-shard results: the cube result holds

@@ -238,12 +238,17 @@ dpid=$!
   -listen "$ADDR" \
   < "$fifo3" > "$workdir/wal-restart.log" 2>&1 &
 spid=$!
-ready=""
+# The node can answer /healthz before its log shows the replay line, so
+# both are polled, within one 30 s budget.
+ready="" replayed=""
 for _ in $(seq 1 150); do
-  if h=$(fetch /healthz 2>/dev/null) && grep -q '"unitsDone":[1-9]' <<<"$h"; then
+  if [ -z "$ready" ] && h=$(fetch /healthz 2>/dev/null) && grep -q '"unitsDone":[1-9]' <<<"$h"; then
     ready=yes
-    break
   fi
+  if [ -z "$replayed" ] && grep -q '# wal: replayed' "$workdir/wal-restart.log"; then
+    replayed=yes
+  fi
+  [ -n "$ready" ] && [ -n "$replayed" ] && break
   sleep 0.2
 done
 if [ -z "$ready" ]; then
@@ -251,8 +256,11 @@ if [ -z "$ready" ]; then
   cat "$workdir/wal-restart.log" >&2
   exit 1
 fi
-grep -q '# wal: replayed' "$workdir/wal-restart.log" \
-  || { echo "FAIL: restart did not replay the WAL" >&2; cat "$workdir/wal-restart.log" >&2; exit 1; }
+if [ -z "$replayed" ]; then
+  echo "FAIL: restart did not replay the WAL" >&2
+  cat "$workdir/wal-restart.log" >&2
+  exit 1
+fi
 echo "   $(grep '# wal: replayed' "$workdir/wal-restart.log")"
 assert_json '/v1/summary'        '"cuboids":\['
 assert_json '/v1/exceptions?k=3' '"cells":\['
