@@ -291,7 +291,7 @@ func (m *Manager) Observe(snap *stream.Snapshot) {
 		}
 	}
 	if snap.Result != nil {
-		for c := range snap.Result.AllOCells {
+		for _, c := range snap.Result.OCells() {
 			add(c.Key, c.ISB.Slope, true)
 		}
 		for c := range snap.Result.AllExceptions {

@@ -383,10 +383,7 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 // as given; otherwise a stable sort of the cells (codeOrder) finds the
 // duplicates.
 func (w *Workspace) foldLeaves(inputs []Input) (leaves, canonical []Cell) {
-	ascending := true
-	for i := 1; ascending && i < len(inputs); i++ {
-		ascending = slices.Compare(inputs[i-1].Members, inputs[i].Members) < 0
-	}
+	ascending := CheckRun(inputs, func(a, b Input) int { return slices.Compare(a.Members, b.Members) }) < 0
 	var cells []Cell
 	if ascending {
 		cells = slices.Grow(w.leafCells[:0], len(inputs))

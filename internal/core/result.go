@@ -22,129 +22,84 @@ type Result struct {
 	// oLayer holds every o-layer cell ("all cells are retained for
 	// observation"), exceptions every retained exception cell from the
 	// o-layer down to (and including) the m-layer, both in canonical key
-	// order. Both are empty in a merged result, which holds its parts
-	// instead, in partition order, and owners: each o-cell with the part
-	// that holds it, in key order.
+	// order. A merged result holds its parts instead, in partition order,
+	// and of its own lists only oLayer: the parts' o-layers merged.
 	oLayer, exceptions []Cell
 	parts              []*Result
-	owners             []owner
 }
 
-// owner names the part of a merged result that holds an o-cell.
-type owner struct {
-	key  cube.CellKey
-	part int
+// NumOCells counts the o-layer cells.
+func (r *Result) NumOCells() int { return len(r.oLayer) }
+
+// NumExceptions counts the retained exception cells.
+func (r *Result) NumExceptions() int {
+	n := len(r.exceptions)
+	for _, p := range r.parts {
+		n += len(p.exceptions)
+	}
+	return n
+}
+
+// OCell returns the o-layer cell k's regression, if the result — which
+// may be nil — holds it.
+func (r *Result) OCell(k cube.CellKey) (regression.ISB, bool) {
+	if r == nil {
+		return regression.ISB{}, false
+	}
+	return lookup(r.oLayer, k)
+}
+
+// Exception returns the retained exception cell k's regression, if the
+// result holds it: a merged result asks its parts in turn, which share no
+// cell.
+func (r *Result) Exception(k cube.CellKey) (regression.ISB, bool) {
+	isb, ok := lookup(r.exceptions, k)
+	for _, p := range r.parts {
+		if !ok {
+			isb, ok = lookup(p.exceptions, k)
+		}
+	}
+	return isb, ok
 }
 
 // lookup binary-searches a canonical cell list for cell k's regression.
 func lookup(cells []Cell, k cube.CellKey) (regression.ISB, bool) {
-	i, ok := slices.BinarySearchFunc(cells, k, func(c Cell, k cube.CellKey) int { return cube.CompareKeys(c.Key, k) })
+	i, ok := slices.BinarySearchFunc(cells, Cell{Key: k}, CompareCells)
 	if !ok {
 		return regression.ISB{}, false
 	}
 	return cells[i].ISB, true
 }
 
-// NumOCells counts the o-layer cells.
-func (r *Result) NumOCells() int {
-	return r.count(func(p *Result) []Cell { return p.oLayer })
-}
-
-// NumExceptions counts the retained exception cells.
-func (r *Result) NumExceptions() int {
-	return r.count(func(p *Result) []Cell { return p.exceptions })
-}
-
-func (r *Result) count(of func(*Result) []Cell) int {
-	n := len(of(r))
-	for _, p := range r.parts {
-		n += len(of(p))
-	}
-	return n
-}
-
-// OCell returns the o-layer cell k's regression, if the result holds it.
-func (r *Result) OCell(k cube.CellKey) (regression.ISB, bool) {
-	p := r.partOf(k)
-	if p == nil {
-		return regression.ISB{}, false
-	}
-	return lookup(p.oLayer, k)
-}
-
-// Exception returns the retained exception cell k's regression, if the
-// result holds it.
-func (r *Result) Exception(k cube.CellKey) (regression.ISB, bool) {
-	if r.parts == nil {
-		return lookup(r.exceptions, k)
-	}
-	o, err := cube.RollUpKey(r.Schema, k, r.Schema.OLayer())
-	if err != nil {
-		return regression.ISB{}, false
-	}
-	if p := r.partOf(o); p != nil {
-		return lookup(p.exceptions, k)
-	}
-	return regression.ISB{}, false
-}
-
-// partOf returns the part that holds o-cell o: r itself unless r is
-// merged, nil when no part does.
-func (r *Result) partOf(o cube.CellKey) *Result {
-	if r.parts == nil {
-		return r
-	}
-	i, ok := slices.BinarySearchFunc(r.owners, o, func(w owner, k cube.CellKey) int { return cube.CompareKeys(w.key, k) })
-	if !ok {
-		return nil
-	}
-	return r.parts[r.owners[i].part]
-}
-
-// OCells returns every o-layer cell in canonical key order. The list may
-// be the result's own: do not modify it.
-func (r *Result) OCells() []Cell {
-	return r.canonical(func(p *Result) []Cell { return p.oLayer })
-}
+// OCells returns every o-layer cell in canonical key order. The list is
+// the result's own: do not modify it.
+func (r *Result) OCells() []Cell { return r.oLayer }
 
 // ExceptionCells returns every retained exception cell in canonical key
-// order. The list may be the result's own: do not modify it.
+// order, a merged result's k-way merged from its parts' lists, which share
+// no cell. The list may be the result's own: do not modify it.
 func (r *Result) ExceptionCells() []Cell {
-	return r.canonical(func(p *Result) []Cell { return p.exceptions })
-}
-
-// canonical k-way merges the parts' canonical lists; a part's o-cells and
-// the exceptions under them are its own, so no two lists share a cell.
-func (r *Result) canonical(of func(*Result) []Cell) []Cell {
 	if r.parts == nil {
-		return of(r)
+		return r.exceptions
 	}
-	lists := make([][]Cell, len(r.parts))
+	runs := make([][]Cell, len(r.parts))
 	for i, p := range r.parts {
-		lists[i] = of(p)
+		runs[i] = p.exceptions
 	}
-	return MergeParts(lists, CompareCells)
+	cells, _ := MergeRuns(nil, runs, CompareCells)
+	return cells
 }
 
-// AllOCells yields every o-layer cell part by part, with no merge, for
-// readers that impose their own order: range over the method value.
-func (r *Result) AllOCells(yield func(Cell) bool) {
-	r.all(func(p *Result) []Cell { return p.oLayer }, yield)
-}
-
-// AllExceptions yields every retained exception cell part by part, for
-// readers that impose their own order.
+// AllExceptions yields every retained exception cell part by part, with
+// no merge, for readers that impose their own order: range over the
+// method value.
 func (r *Result) AllExceptions(yield func(Cell) bool) {
-	r.all(func(p *Result) []Cell { return p.exceptions }, yield)
-}
-
-func (r *Result) all(of func(*Result) []Cell, yield func(Cell) bool) {
 	parts := r.parts
 	if parts == nil {
 		parts = []*Result{r}
 	}
 	for _, p := range parts {
-		for _, c := range of(p) {
+		for _, c := range p.exceptions {
 			if !yield(c) {
 				return
 			}
@@ -173,35 +128,41 @@ func (r *Result) ExceptionsAt(c cube.Cuboid) []Cell {
 // cell, is ErrInput.
 func NewResult(s *cube.Schema, oCells, exceptions []Cell, st Stats) (*Result, error) {
 	oLayer, mLayer := s.OLayer(), s.MLayer()
-	for i, c := range oCells {
+	for _, c := range oCells {
 		switch {
 		case !inSchema(s, c.Key):
 			return nil, fmt.Errorf("%w: cell %v is not in the schema", ErrInput, c.Key)
 		case c.Key.Cuboid != oLayer:
 			return nil, fmt.Errorf("%w: o-layer cell %s is off the o-layer", ErrInput, c.Key.Describe(s))
-		case i > 0 && CompareCells(oCells[i-1], c) >= 0:
-			return nil, fmt.Errorf("%w: o-layer cell %s out of order or repeated", ErrInput, c.Key.Describe(s))
 		}
 	}
+	if i := CheckRun(oCells, CompareCells); i >= 0 {
+		return nil, fmt.Errorf("%w: o-layer cell %s out of order or repeated", ErrInput, oCells[i].Key.Describe(s))
+	}
 	up := cube.NewAncestorIndex(s).RollUpTo(oLayer)
-	var found cube.CellKey // the last o-cell an exception rolled up to: neighbours share it
-	for i, c := range exceptions {
+	next := 0 // one past the last exception's o-cell: neighbours share it, or most often take the next
+	for _, c := range exceptions {
 		switch {
 		case !inSchema(s, c.Key):
 			return nil, fmt.Errorf("%w: cell %v is not in the schema", ErrInput, c.Key)
 		case !oLayer.DominatedBy(c.Key.Cuboid) || !c.Key.Cuboid.DominatedBy(mLayer):
 			return nil, fmt.Errorf("%w: exception cell %s is outside the critical layers", ErrInput, c.Key.Describe(s))
-		case i > 0 && CompareCells(exceptions[i-1], c) >= 0:
-			return nil, fmt.Errorf("%w: exception cell %s out of order or repeated", ErrInput, c.Key.Describe(s))
 		}
 		o, _ := up.Key(c.Key) // the cell's cuboid dominates the o-layer: cannot fail
-		if o == found {
+		if next > 0 && oCells[next-1].Key == o {
 			continue
 		}
-		if _, ok := lookup(oCells, o); !ok {
+		i, ok := next, next < len(oCells) && oCells[next].Key == o
+		if !ok {
+			i, ok = slices.BinarySearchFunc(oCells, Cell{Key: o}, CompareCells)
+		}
+		if !ok {
 			return nil, fmt.Errorf("%w: exception cell %s is under no o-layer cell", ErrInput, c.Key.Describe(s))
 		}
-		found = o
+		next = i + 1
+	}
+	if i := CheckRun(exceptions, CompareCells); i >= 0 {
+		return nil, fmt.Errorf("%w: exception cell %s out of order or repeated", ErrInput, exceptions[i].Key.Describe(s))
 	}
 	return &Result{Schema: s, oLayer: oCells, exceptions: exceptions, Stats: st}, nil
 }
@@ -225,13 +186,13 @@ func inSchema(s *cube.Schema, k cube.CellKey) bool {
 // its cells — a node's shards, a cluster's nodes — into one result that
 // holds them as its parts, in the order given (a merged part's own parts
 // in its place). nil entries are partitions that closed empty: all-nil
-// yields nil, and a sole non-empty part is returned as is. No cell is
-// touched: counts sum the parts', a lookup goes to the one part holding
-// the cell's o-cell, ordered reads k-way merge the parts' canonical lists,
-// and stats fold through mergeStats. The o-cell → part index is all that
-// is built, and building it refuses parts that share an o-cell — one
-// node's snapshot twice, say; since each part's exceptions lie under its
-// own o-cells, parts that share none share no cell.
+// yields nil, and a sole non-empty part is returned as is. Only the
+// o-layer is built, the parts' o-layer runs merged, and the merge refuses
+// parts that share an o-cell — one node's snapshot twice, say; since each
+// part's exceptions lie under its own o-cells, parts that share none share
+// no cell. No exception cell is touched: their count sums the parts', a
+// lookup asks each part in turn, the canonical list k-way merges the
+// parts' lists, and stats fold through mergeStats.
 func Merge(s *cube.Schema, parts []*Result) (*Result, error) {
 	var flat []*Result
 	for _, p := range parts {
@@ -250,18 +211,14 @@ func Merge(s *cube.Schema, parts []*Result) (*Result, error) {
 		return flat[0], nil
 	}
 	res := &Result{Schema: s, parts: flat}
-	res.owners = make([]owner, 0, res.NumOCells())
+	runs := make([][]Cell, len(flat))
 	for i, p := range flat {
-		for c := range p.AllOCells {
-			res.owners = append(res.owners, owner{key: c.Key, part: i})
-		}
+		runs[i] = p.oLayer
 		mergeStats(&res.Stats, &p.Stats, i == 0)
 	}
-	slices.SortFunc(res.owners, func(a, b owner) int { return cube.CompareKeys(a.key, b.key) })
-	for i := 1; i < len(res.owners); i++ {
-		if k := res.owners[i].key; cube.CompareKeys(k, res.owners[i-1].key) == 0 {
-			return nil, fmt.Errorf("%w: parts share cell %s", ErrInput, k.Describe(s))
-		}
+	var repeat int
+	if res.oLayer, repeat = MergeRuns(nil, runs, CompareCells); repeat >= 0 {
+		return nil, fmt.Errorf("%w: parts share cell %s", ErrInput, res.oLayer[repeat].Key.Describe(s))
 	}
 	return res, nil
 }
@@ -293,42 +250,4 @@ func mergeStats(dst *Stats, src *Stats, first bool) {
 	if src.CubeTime > dst.CubeTime {
 		dst.CubeTime = src.CubeTime
 	}
-}
-
-// MergeSorted k-way-merges lists that are each sorted by cmp onto dst,
-// consuming the lists; equal elements keep list order. A linear scan for
-// the least head suits the handful of shards or nodes there ever are.
-func MergeSorted[T any](dst []T, lists [][]T, cmp func(a, b T) int) []T {
-	for {
-		best := -1
-		for i, l := range lists {
-			if len(l) > 0 && (best < 0 || cmp(l[0], lists[best][0]) < 0) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		dst = append(dst, lists[best][0])
-		lists[best] = lists[best][1:]
-	}
-}
-
-// MergeParts is MergeSorted for the immutable lists of a unit's parts —
-// cells, alerts, frames — into one: nil when every list is empty, a sole
-// non-empty list as is, otherwise a fresh list.
-func MergeParts[T any](lists [][]T, cmp func(a, b T) int) []T {
-	var sole []T
-	n, nonEmpty := 0, 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			n += len(l)
-			nonEmpty++
-			sole = l
-		}
-	}
-	if nonEmpty <= 1 {
-		return sole
-	}
-	return MergeSorted(make([]T, 0, n), lists, cmp)
 }

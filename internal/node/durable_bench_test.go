@@ -100,7 +100,7 @@ func BenchmarkDurableUnit(b *testing.B) {
 }
 
 // durableUnitBudget is the bytes a steady-state durable unit may allocate:
-// about 1.7 times what it does (≈ 0.23 MB). The shards' result maps, the
+// about 1.9 times what it does (≈ 0.21 MB). The shards' result lists, the
 // published and checkpointed frame list with its level records, and the
 // frames' slot backings as they grow are what is left (DESIGN §6.7); a
 // close shares every slot a unit did not complete with the record before,

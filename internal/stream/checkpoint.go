@@ -96,11 +96,9 @@ func (e *Engine) AppendCheckpoint(dst []byte) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	e.cp = Checkpoint{
-		Unit: e.unit, UnitsDone: e.unitsDone, WALSeq: e.walSeq, Schema: e.shape,
-		Cells: core.MergeSorted(e.cp.Cells[:0], replies[[]CellState](vals), compareCellStates),
-		Tilt:  e.frames,
-	}
+	// Never a nil dst, which would keep a sole shard's cut as e.cp.Cells.
+	cells, _ := core.MergeRuns(slices.Grow(e.cp.Cells[:0], 1), replies[[]CellState](vals), compareCellStates)
+	e.cp = Checkpoint{Unit: e.unit, UnitsDone: e.unitsDone, WALSeq: e.walSeq, Schema: e.shape, Cells: cells, Tilt: e.frames}
 	return AppendCheckpoint(dst, &e.cp)
 }
 
@@ -166,38 +164,24 @@ func MergeCheckpoints(parts []*Checkpoint) (*Checkpoint, error) {
 				ErrConfig, i, cp.Schema, first.Schema)
 		}
 		cells[i], frames[i] = cp.Cells, cp.Tilt
-		if !slices.IsSortedFunc(cp.Cells, compareCellStates) || !slices.IsSortedFunc(cp.Tilt, compareCellFrames) {
-			// A hand-assembled part: sort a copy, the caller's stays as it is.
-			cells[i], frames[i] = slices.Clone(cp.Cells), slices.Clone(cp.Tilt)
-			slices.SortStableFunc(cells[i], compareCellStates)
-			slices.SortStableFunc(frames[i], compareCellFrames)
+		if core.CheckRun(cp.Cells, compareCellStates) >= 0 || core.CheckRun(cp.Tilt, compareCellFrames) >= 0 {
+			// A hand-assembled part: normalise a copy, the caller's stays as it is.
+			cells[i] = core.NormalizeRun(slices.Clone(cp.Cells), compareCellStates)
+			frames[i] = core.NormalizeRun(slices.Clone(cp.Tilt), compareCellFrames)
+			if len(cells[i]) < len(cp.Cells) || len(frames[i]) < len(cp.Tilt) {
+				return nil, fmt.Errorf("%w: parts share cells: part %d lists one twice", ErrConfig, i)
+			}
 		}
 	}
-	out := &Checkpoint{
-		Unit: first.Unit, UnitsDone: first.UnitsDone, WALSeq: first.WALSeq, Schema: first.Schema,
-		Cells: core.MergeSorted(nil, cells, compareCellStates),
-		Tilt:  core.MergeSorted(nil, frames, compareCellFrames),
+	out := &Checkpoint{Unit: first.Unit, UnitsDone: first.UnitsDone, WALSeq: first.WALSeq, Schema: first.Schema}
+	var repeat int
+	if out.Cells, repeat = core.MergeRuns(nil, cells, compareCellStates); repeat >= 0 {
+		return nil, fmt.Errorf("%w: parts share cell %v", ErrConfig, out.Cells[repeat].Members)
 	}
-	for i := 1; i < len(out.Cells); i++ {
-		if compareCellStates(out.Cells[i-1], out.Cells[i]) == 0 {
-			return nil, fmt.Errorf("%w: parts share cell %v", ErrConfig, out.Cells[i].Members)
-		}
-	}
-	if f := sharedFrame(out.Tilt); f != nil {
-		return nil, fmt.Errorf("%w: parts share the frame of cell %v", ErrConfig, f.Members)
+	if out.Tilt, repeat = core.MergeRuns(nil, frames, compareCellFrames); repeat >= 0 {
+		return nil, fmt.Errorf("%w: parts share the frame of cell %v", ErrConfig, out.Tilt[repeat].Members)
 	}
 	return out, nil
-}
-
-// sharedFrame returns the first frame of a merged list that repeats its
-// predecessor's cell, or nil when the list holds each cell once.
-func sharedFrame(frames []CellFrame) *CellFrame {
-	for i := 1; i < len(frames); i++ {
-		if compareCellFrames(frames[i-1], frames[i]) == 0 {
-			return &frames[i]
-		}
-	}
-	return nil
 }
 
 // Restore loads a checkpoint taken at any shard count: it repartitions
@@ -251,7 +235,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	e.frames = core.MergeParts(replies[[]CellFrame](vals), compareCellFrames)
+	e.frames, _ = core.MergeRuns(nil, replies[[]CellFrame](vals), compareCellFrames)
 	e.dict = dict
 	e.unit = cp.Unit
 	e.openStart = e.cfg.unitStart(cp.Unit)
@@ -323,9 +307,7 @@ func (sh *shard) restore(cp *Checkpoint, open int64) error {
 	}
 	// A hand-assembled list may come in any order and name a cell twice:
 	// the record listed last is the one kept.
-	slices.Reverse(frames)
-	slices.SortStableFunc(frames, compareCellFrames)
-	sh.frames = slices.CompactFunc(frames, func(a, b CellFrame) bool { return compareCellFrames(a, b) == 0 })
+	sh.frames = core.NormalizeRun(frames, compareCellFrames)
 	return nil
 }
 

@@ -244,10 +244,11 @@ func (r *snapReader) frames() []CellFrame {
 			lv.Next = r.i64()
 			if ns := r.count(pointSize); ns > 0 {
 				lv.Slots = make([]tilt.Slot, ns)
-			}
-			for x := range lv.Slots {
-				lv.Slots[x].Unit = r.i64()
-				lv.Slots[x].ISB = r.isb()
+				b := r.take(ns * pointSize) // count has checked that the bytes remain
+				for x := range lv.Slots {
+					p := b[x*pointSize:]
+					lv.Slots[x] = tilt.Slot{Unit: int64(binary.LittleEndian.Uint64(p)), ISB: isbAt(p[8:])}
+				}
 			}
 		}
 	}

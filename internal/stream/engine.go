@@ -391,7 +391,7 @@ func (e *Engine) advanceTo(target int64) ([]*UnitResult, error) {
 			lists[i] = perShard[i].frames[0]
 			perShard[i].frames = perShard[i].frames[1:]
 		}
-		e.frames = core.MergeParts(lists, compareCellFrames)
+		e.frames, _ = core.MergeRuns(nil, lists, compareCellFrames)
 		if publish {
 			e.publish(&Snapshot{
 				Unit:      out[u].Unit,

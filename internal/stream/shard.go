@@ -239,9 +239,7 @@ func (e *Engine) mergeUnit(urs []*UnitResult) (*UnitResult, error) {
 	if merged.Result, err = core.Merge(e.cfg.Schema, results); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRecord, err)
 	}
-	if merged.Result != nil {
-		merged.Alerts = core.MergeParts(alerts, compareAlerts)
-	}
+	merged.Alerts, _ = core.MergeRuns(nil, alerts, compareAlerts) // none when every shard closed empty
 	return merged, nil
 }
 

@@ -126,7 +126,7 @@ func (s *Snapshot) TrendQuery(cell cube.CellKey, k int) (regression.ISB, error) 
 // cloneAlerts deep-copies an alert list (including each alert's Drill
 // slice) so the engine's caller can re-sort or truncate the returned
 // UnitResult.Alerts without snapshot readers observing it. (The Result
-// maps are still shared; see Snapshot.Result.)
+// and its cell lists are still shared; see Snapshot.Result.)
 func cloneAlerts(alerts []Alert) []Alert {
 	out := make([]Alert, len(alerts))
 	copy(out, alerts)

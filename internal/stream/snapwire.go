@@ -262,10 +262,14 @@ func (r *snapReader) key() cube.CellKey {
 }
 
 func (r *snapReader) isb() regression.ISB {
-	b := r.take(isbSize)
-	if b == nil {
-		return regression.ISB{}
+	if b := r.take(isbSize); b != nil {
+		return isbAt(b)
 	}
+	return regression.ISB{}
+}
+
+// isbAt decodes the ISB at the front of b.
+func isbAt(b []byte) regression.ISB {
 	return regression.ISB{
 		Tb:    int64(binary.LittleEndian.Uint64(b)),
 		Te:    int64(binary.LittleEndian.Uint64(b[8:])),
@@ -274,8 +278,12 @@ func (r *snapReader) isb() regression.ISB {
 	}
 }
 
+// cells reads a cell list: nil when it is empty.
 func (r *snapReader) cells() []core.Cell {
-	out := make([]core.Cell, r.count(5*r.nd+isbSize))
+	var out []core.Cell
+	if n := r.count(5*r.nd + isbSize); n > 0 {
+		out = make([]core.Cell, n)
+	}
 	for i := range out {
 		out[i].Key = r.key()
 		out[i].ISB = r.isb()
@@ -291,10 +299,13 @@ func (r *snapReader) cells() []core.Cell {
 // truncation, trailing bytes, a count the bytes cannot back, a cell
 // outside the schema, result cells core.NewResult refuses (out of order,
 // repeated, off their layer, an exception under no o-cell of the
-// document), alerts or an alert's drill cells out of canonical order or
-// repeated, an invalid level chain, a frame that fails checkFrame or is
-// not a state of the chain (tilt.CheckState), frames out of coordinate
-// order or two for one cell — is ErrRecord.
+// document), an alert of another unit or on a cell that is not one of the
+// document's o-cells (so none in an empty unit), alerts or an alert's
+// drill cells out of canonical order or repeated, a drill cell not under
+// its alert's cell, an invalid level chain, a frame that fails checkFrame
+// or is not a state of the chain (tilt.CheckState), frames out of
+// coordinate order or two for one cell — is ErrRecord. Each list is
+// checked as a run (core.CheckRun) once it has been read.
 func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	r := snapReader{doc: "snapshot", size: len(data), data: data}
 	head := r.take(len(snapMagic) + 3)
@@ -319,7 +330,6 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 			r.card[d][l] = h.Cardinality(l)
 		}
 	}
-	cellSize := 5*r.nd + isbSize
 
 	s := &Snapshot{Unit: r.i64()}
 	s.Interval.Tb = r.i64()
@@ -350,26 +360,30 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 		}
 	}
 
-	s.Alerts = make([]Alert, r.count(16+cellSize+4))
+	s.Alerts = make([]Alert, r.count(16+5*r.nd+isbSize+4)) // unit · kind · key · ISB · drill count
+	anc := cube.NewAncestorIndex(schema)
 	for i := range s.Alerts {
 		a := &s.Alerts[i]
 		a.Unit = r.i64()
 		a.Kind = AlertKind(r.i64())
 		a.Cell = r.key()
 		a.ISB = r.isb()
-		if n := r.count(cellSize); n > 0 {
-			a.Drill = make([]core.Cell, n)
-			for j := range a.Drill {
-				a.Drill[j].Key = r.key()
-				a.Drill[j].ISB = r.isb()
-				if j > 0 && r.err == nil && core.CompareCells(a.Drill[j-1], a.Drill[j]) >= 0 {
-					r.fail("drill cell %v of an alert out of order or repeated", a.Drill[j].Key.Members[:r.nd])
-				}
-			}
+		a.Drill = r.cells()
+		switch _, onOCell := s.Result.OCell(a.Cell); {
+		case a.Unit != s.Unit:
+			r.fail("alert of unit %d in a unit-%d document", a.Unit, s.Unit)
+		case !onOCell:
+			r.fail("alert on cell %v, not an o-cell of the document", a.Cell.Members[:r.nd])
+		case core.CheckRun(a.Drill, core.CompareCells) >= 0:
+			r.fail("drill cells of the alert on o-cell %v out of order or repeated", a.Cell.Members[:r.nd])
+		case slices.ContainsFunc(a.Drill, func(d core.Cell) bool {
+			return !a.Cell.Cuboid.DominatedBy(d.Key.Cuboid) || anc.RollUp(d.Key, a.Cell.Cuboid) != a.Cell
+		}):
+			r.fail("a drill cell of the alert on o-cell %v is not under it", a.Cell.Members[:r.nd])
 		}
-		if i > 0 && r.err == nil && compareAlerts(s.Alerts[i-1], *a) >= 0 {
-			r.fail("alert for cell %v out of order or repeated", a.Cell.Members[:r.nd])
-		}
+	}
+	if i := core.CheckRun(s.Alerts, compareAlerts); i >= 0 {
+		r.fail("alert for cell %v out of order or repeated", s.Alerts[i].Cell.Members[:r.nd])
 	}
 
 	s.Frames = r.frames()
@@ -379,9 +393,10 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 			r.fail("%v", err)
 		} else if err := tilt.CheckState(s.Chain, &f.Frame); err != nil {
 			r.fail("tilt frame for o-cell %v: %v", f.Members, err)
-		} else if i > 0 && compareCellFrames(s.Frames[i-1], *f) >= 0 {
-			r.fail("tilt frame for o-cell %v out of order or repeated", f.Members)
 		}
+	}
+	if i := core.CheckRun(s.Frames, compareCellFrames); i >= 0 {
+		r.fail("tilt frame for o-cell %v out of order or repeated", s.Frames[i].Members)
 	}
 	if len(r.data) != 0 {
 		r.fail("%d trailing bytes", len(r.data))
@@ -407,7 +422,11 @@ func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: no snapshots to merge", ErrRecord)
 	}
 	first := snaps[0]
-	for _, s := range snaps[1:] {
+	results := make([]*core.Result, len(snaps))
+	alerts := make([][]Alert, len(snaps))
+	frames := make([][]CellFrame, len(snaps))
+	for i, s := range snaps {
+		results[i], alerts[i], frames[i] = s.Result, s.Alerts, s.Frames
 		if s.Unit != first.Unit || s.UnitsDone != first.UnitsDone {
 			return nil, fmt.Errorf("%w: snapshot units diverge (%d/%d done vs %d/%d done)",
 				ErrRecord, s.Unit, s.UnitsDone, first.Unit, first.UnitsDone)
@@ -419,27 +438,16 @@ func MergeSnapshots(schema *cube.Schema, snaps []*Snapshot) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: snapshot level chains diverge at unit %d", ErrRecord, s.Unit)
 		}
 	}
-	results := make([]*core.Result, len(snaps))
-	alerts := make([][]Alert, len(snaps))
-	frames := make([][]CellFrame, len(snaps))
-	for i, s := range snaps {
-		results[i], alerts[i], frames[i] = s.Result, s.Alerts, s.Frames
-	}
 	res, err := core.Merge(schema, results)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRecord, err)
 	}
-	out := &Snapshot{
-		Unit:      first.Unit,
-		Interval:  first.Interval,
-		UnitsDone: first.UnitsDone,
-		Result:    res,
-		Alerts:    core.MergeParts(alerts, compareAlerts),
-		Chain:     first.Chain,
-		Frames:    core.MergeParts(frames, compareCellFrames),
-	}
-	if f := sharedFrame(out.Frames); f != nil {
-		return nil, fmt.Errorf("%w: parts share the frame of o-cell %v", ErrRecord, f.Members)
+	out := &Snapshot{Unit: first.Unit, Interval: first.Interval, UnitsDone: first.UnitsDone, Result: res, Chain: first.Chain}
+	// Alerts lie on their part's o-cells, which core.Merge found disjoint.
+	out.Alerts, _ = core.MergeRuns(nil, alerts, compareAlerts)
+	var repeat int
+	if out.Frames, repeat = core.MergeRuns(nil, frames, compareCellFrames); repeat >= 0 {
+		return nil, fmt.Errorf("%w: parts share the frame of o-cell %v", ErrRecord, out.Frames[repeat].Members)
 	}
 	return out, nil
 }

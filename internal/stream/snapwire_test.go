@@ -351,7 +351,8 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		}
 	}
 
-	flat := codecSnapshots(t)["flat"]
+	snaps := codecSnapshots(t)
+	flat := snaps["flat"]
 	good, err := EncodeSnapshot(flat)
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +422,8 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		}
 	}
 	// Alerts no engine publishes: MergeSnapshots k-way merges the nodes'
-	// alert lists and needs each canonical.
+	// alert lists and needs each canonical, and each on one of its node's
+	// o-cells.
 	for what, mutate := range map[string]func(s *Snapshot){
 		"alerts out of order": func(s *Snapshot) { s.Alerts[0], s.Alerts[1] = s.Alerts[1], s.Alerts[0] },
 		"an alert twice":      func(s *Snapshot) { s.Alerts = append(s.Alerts[:1], s.Alerts...) },
@@ -430,6 +432,30 @@ func TestSnapshotCodecRejects(t *testing.T) {
 			d[0], d[1] = d[1], d[0]
 		},
 		"a drill cell twice": func(s *Snapshot) { s.Alerts[0].Drill[1] = s.Alerts[0].Drill[0] },
+		// An alert names an o-cell of its own unit, and drills into the
+		// exceptions under it: a unit that closed empty has none.
+		"alerts in an empty unit": func(s *Snapshot) {
+			alerts := s.Alerts
+			*s = *snaps["empty-unit"]
+			s.Alerts = alerts
+			for i := range alerts {
+				alerts[i].Unit = s.Unit
+			}
+		},
+		"an alert on an m-layer cell": func(s *Snapshot) {
+			last := &s.Alerts[len(s.Alerts)-1]
+			last.Cell, last.Drill = cube.NewCellKey(schema.MLayer(), 3, 3), nil
+		},
+		"an alert of another unit": func(s *Snapshot) { s.Alerts[len(s.Alerts)-1].Unit++ },
+		"a drill cell under another o-cell": func(s *Snapshot) {
+			for _, a := range s.Alerts[1:] {
+				if a.Cell != s.Alerts[0].Cell && len(a.Drill) > 0 {
+					s.Alerts[0].Drill = a.Drill
+					return
+				}
+			}
+			t.Fatal("test is vacuous: no two o-cells alert with drill cells")
+		},
 	} {
 		hostile := *flat
 		hostile.Alerts = slices.Clone(flat.Alerts)
@@ -453,7 +479,7 @@ func TestSnapshotCodecRejects(t *testing.T) {
 
 	// Well-formed documents whose frames or chain no engine publishes:
 	// each used to decode.
-	tilted := codecSnapshots(t)["tilted"]
+	tilted := snaps["tilted"]
 	for what, mutate := range map[string]func(s *Snapshot){
 		"frame off the o-layer":    func(s *Snapshot) { s.Frames[0].Levels[0] = 2 },
 		"member outside it":        func(s *Snapshot) { s.Frames[1].Members[1] = 2 },

@@ -47,7 +47,8 @@ func (sh *shard) recordTilt(ur *UnitResult) error {
 		}
 	}
 	if seen < res.NumOCells() {
-		for c := range res.AllOCells {
+		var fresh []CellFrame // in canonical order, as the shard's one-part result lists its o-cells
+		for _, c := range res.OCells() {
 			if frameOf(sh.frames, c.Key) != nil {
 				continue
 			}
@@ -56,9 +57,9 @@ func (sh *shard) recordTilt(ur *UnitResult) error {
 			if f.Frame, err = f.Frame.Push(chain, c.ISB, nil); err != nil {
 				return fmt.Errorf("stream: tilt push for %v: %w", c.Key, err)
 			}
-			next = append(next, f)
+			fresh = append(fresh, f)
 		}
-		slices.SortFunc(next, compareCellFrames)
+		next, _ = core.MergeRuns(nil, [][]CellFrame{next, fresh}, compareCellFrames)
 	}
 	sh.frames = next
 	return nil

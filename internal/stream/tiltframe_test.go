@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cube"
@@ -1012,6 +1014,64 @@ func TestRestoreHandAssembledFrames(t *testing.T) {
 		}
 		if !bytes.Equal(continued, wantContinued) {
 			t.Fatalf("%d shards: a hand-assembled frame list continues differently from its canonical form", shards)
+		}
+	}
+}
+
+// TestMergeCheckpointsHandAssembledParts pins MergeCheckpoints' rule for
+// parts no engine cut: parts that share only a frame, and a part that
+// lists a cell twice, are refused; parts in reverse order are accepted and
+// merge into the canonical checkpoint, the callers' lists left as they
+// were.
+func TestMergeCheckpointsHandAssembledParts(t *testing.T) {
+	cfg := tiltConfig(t)
+	cfg.PublishSnapshots = false
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ingestGrid(t, e.Ingest, 0, 50)
+	cp := checkpointOf(t, e)
+	nc, nf := len(cp.Cells)/2, len(cp.Tilt)/2
+	if nc < 1 || nf < 1 {
+		t.Fatalf("checkpoint carries %d cells and %d frames, want at least 2 each", len(cp.Cells), len(cp.Tilt))
+	}
+	part := func(cells []CellState, frames []CellFrame) *Checkpoint {
+		p := *cp
+		p.Cells, p.Tilt = cells, frames
+		return &p
+	}
+	twice := append([]CellState{cp.Cells[0]}, cp.Cells...)
+	for what, parts := range map[string][]*Checkpoint{
+		"parts sharing only a frame":  {part(cp.Cells[:nc], cp.Tilt[:nf+1]), part(cp.Cells[nc:], cp.Tilt[nf:])},
+		"a part listing a cell twice": {part(twice, cp.Tilt)},
+	} {
+		if _, err := MergeCheckpoints(parts); !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "share") {
+			t.Errorf("%s: %v, want a refusal naming what the parts share", what, err)
+		}
+	}
+	reversed := func(cells []CellState, frames []CellFrame) *Checkpoint {
+		p := part(slices.Clone(cells), slices.Clone(frames))
+		slices.Reverse(p.Cells)
+		slices.Reverse(p.Tilt)
+		return p
+	}
+	want := checkpointDoc(t, cp)
+	for _, parts := range [][]*Checkpoint{
+		{reversed(cp.Cells, cp.Tilt)},
+		{reversed(cp.Cells[nc:], cp.Tilt[:nf]), reversed(cp.Cells[:nc], cp.Tilt[nf:])},
+	} {
+		before := checkpointDoc(t, parts[0])
+		got, err := MergeCheckpoints(parts)
+		if err != nil {
+			t.Fatalf("%d reversed parts: %v", len(parts), err)
+		}
+		if !bytes.Equal(checkpointDoc(t, got), want) {
+			t.Errorf("%d reversed parts merge into another checkpoint than the canonical one", len(parts))
+		}
+		if !bytes.Equal(checkpointDoc(t, parts[0]), before) {
+			t.Errorf("%d reversed parts: merging changed the caller's part", len(parts))
 		}
 	}
 }
