@@ -1,12 +1,12 @@
-// Command alertsink is a minimal webhook receiver for smoke tests and
-// local demos of the alert lifecycle: it accepts POSTs on -listen and
-// prints each request body as one line on stdout, so a shell script can
-// grep the event stream a streamd -alert-webhook run delivers.
+// Command alertsink is a minimal webhook receiver for local demos of the
+// alert lifecycle: it accepts POSTs on -listen and prints each request
+// body as one line on stdout, so a shell can grep the event stream a
+// streamd -alert-webhook run delivers.
 //
 // Usage:
 //
-//	alertsink -listen 127.0.0.1:18084 &
-//	streamd -alert-crit 5 -alert-webhook http://127.0.0.1:18084 ...
+//	alertsink -listen 127.0.0.1:9090 &
+//	streamd -alert-crit 5 -alert-webhook http://127.0.0.1:9090 ...
 package main
 
 import (

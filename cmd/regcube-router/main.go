@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -136,13 +137,19 @@ func run(ctx context.Context, opt options, in io.Reader, out io.Writer) error {
 			fdef.Threshold = &th
 		}
 		coord.SetForecastDefaults(fdef)
-		srv = &http.Server{Addr: opt.listen, Handler: coord}
+		// Bind before routing, so a taken address fails the run at once and
+		// the banner names the port actually held (-listen :0 included).
+		ln, err := net.Listen("tcp", opt.listen)
+		if err != nil {
+			return fmt.Errorf("-listen: %w", err)
+		}
+		srv = serve.NewHTTPServer(coord)
 		go func() {
-			fmt.Fprintf(out, "# coordinator listening on %s (%d nodes)\n", opt.listen, len(nodes))
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				serveErr <- err
 			}
 		}()
+		fmt.Fprintf(out, "# coordinator listening on %s (%d nodes)\n", ln.Addr(), len(nodes))
 	} else if opt.nodeAPI != "" {
 		return fmt.Errorf("-node-api requires -listen")
 	}

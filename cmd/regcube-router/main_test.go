@@ -1,15 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"net/http"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/stream"
@@ -223,5 +226,48 @@ func TestRunRefusesFlagCombinations(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: err = %v, want %q", tc.opt, err, tc.want)
 		}
+	}
+}
+
+// -listen binds before any record is routed: port 0 announces the address
+// the coordinator holds, and an address already taken fails the run at
+// once, with stdin still open.
+func TestRunCoordinatorListen(t *testing.T) {
+	node := startIngestNode(t)
+	defer node.stop()
+	opt := options{spec: testSpec, unit: testUnit, nodes: node.ln.Addr().String(),
+		nodeAPI: "http://127.0.0.1:1", listen: "127.0.0.1:0"}
+	ctx, cancel := context.WithCancel(context.Background())
+	in, feed := io.Pipe()
+	outR, outW := io.Pipe()
+	ran := make(chan error, 2)
+	go func() { ran <- run(ctx, opt, in, outW); outW.Close() }()
+	banner, err := bufio.NewReader(outR).ReadString('\n')
+	go io.Copy(io.Discard, outR) //nolint:errcheck // drains "# routed" until run closes outW
+	addr, ok := strings.CutPrefix(banner, "# coordinator listening on ")
+	addr, _, _ = strings.Cut(addr, " ")
+	if err != nil || !ok {
+		t.Fatalf("first line %q (%v) is not the coordinator banner", banner, err)
+	}
+	if resp, err := http.Get("http://" + addr + "/healthz"); err != nil {
+		t.Fatalf("the announced address %s does not answer: %v", addr, err)
+	} else {
+		resp.Body.Close()
+	}
+
+	opt.listen = addr
+	go func() { ran <- run(ctx, opt, in, io.Discard) }()
+	select {
+	case err := <-ran:
+		if err == nil || !strings.Contains(err.Error(), "-listen") {
+			t.Fatalf("router on a taken address: err = %v, want the -listen bind refused", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("router on a taken address did not fail before routing")
+	}
+	feed.Close()
+	cancel()
+	if err := <-ran; err != nil {
+		t.Fatalf("first router: %v", err)
 	}
 }

@@ -128,6 +128,14 @@ func TestReplayMatchesLive(t *testing.T) {
 		if line := fmt.Sprintf("# replayed %d records (log end %d)", end, end); !strings.Contains(out.String(), line) {
 			t.Fatalf("shards=%d: summary %q, want %q", shards, out.String(), line)
 		}
+		// The what-if checkpoint is a real checkpoint: a node resumes from it.
+		cfg := replayEngine
+		cfg.Shards = shards
+		out.Reset()
+		if err := node.Run(context.Background(), node.Config{Engine: cfg, Checkpoint: path}, strings.NewReader(""), &out); err != nil ||
+			!strings.Contains(out.String(), "# resumed at unit") {
+			t.Fatalf("shards=%d: a node on the replay's checkpoint: %v\n%s", shards, err, out.String())
+		}
 	}
 
 	// -from a record strictly inside a frame halfway through the log,

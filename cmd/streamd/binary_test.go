@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -150,10 +151,15 @@ func TestRunBinaryErrors(t *testing.T) {
 	}
 }
 
-// The ingest counters on /metrics move as binary frames decode.
+// The ingest counters on /metrics move as binary frames decode, the
+// closed units serve, and the signal (run's context) ends a binary-fed
+// run cleanly.
 func TestRunBinaryIngestMetrics(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var out syncBuffer
-	url, pw, done := startServing(t, context.Background(), 2, &out)
+	url, pw, done := startServing(t, ctx, 2, &out)
+	defer pw.Close()
 
 	// Feed a binary stream through the pipe: header, then records.
 	w, err := wire.NewWriter(pw, 1)
@@ -206,8 +212,15 @@ func TestRunBinaryIngestMetrics(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// Ingest trails the decode counters by the batches in flight.
+	for path, field := range map[string]string{"/v1/summary": "cuboids", "/v1/exceptions?k=3": "cells"} {
+		var body map[string]json.RawMessage
+		if getJSON(t, url+path, &body); !bytes.HasPrefix(body[field], []byte("[")) {
+			t.Fatalf("GET %s: %s", path, body)
+		}
+	}
 
-	pw.Close()
+	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

@@ -266,42 +266,6 @@ func TestRunServeEndpoints(t *testing.T) {
 	}
 }
 
-// A signal mid-stream flushes the final partial unit, checkpoints, and
-// exits cleanly — the stdin pipe is still open.
-func TestRunSignalGracefulFlush(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var out syncBuffer
-	_, pw, done := startServing(t, ctx, 1, &out)
-	defer pw.Close()
-
-	for tick := 0; tick < 3; tick++ { // partial unit 0 only
-		fmt.Fprintf(pw, "%d,0,%g\n", tick, float64(tick+1))
-	}
-	// Wait until the records are through the pipe and ingested, then
-	// deliver the "signal".
-	time.Sleep(100 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("run did not exit after signal")
-	}
-	got := out.String()
-	if !strings.Contains(got, "# signal: flushing final unit") {
-		t.Fatalf("missing signal banner: %q", got)
-	}
-	if !strings.Contains(got, "[unit 0]") {
-		t.Fatalf("final partial unit not flushed: %q", got)
-	}
-	if !strings.Contains(got, "# 3 records, 1 units") {
-		t.Fatalf("missing summary: %q", got)
-	}
-}
-
 // A checkpoint resumes under any -tilt value: the same chain restores its
 // frames exactly, another chain — multi-level (this used to fail on the
 // level mismatch) or the default — reseeds them, and a default-chain file
@@ -343,6 +307,23 @@ func TestRunTiltCheckpointCompat(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), "# resumed at unit 2 (2 units done)") {
 			t.Fatalf("calendar file → %s resume failed: %q", c.name, out.String())
+		}
+	}
+	// A reseeded file resumes again: the calendar file's log4x8 successor
+	// under the default chain, as across two restarts that each change -tilt.
+	if err := os.WriteFile(cpPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, tilt := range []string{"log4x8", ""} {
+		out.Reset()
+		if err := run(context.Background(), options{
+			spec: "D1L2C2", unit: 4, threshold: 99,
+			checkpoint: cpPath, shards: 2 - i, tilt: tilt,
+		}, records(fmt.Sprintf("%d,0,1", 8+4*i)), &out); err != nil {
+			t.Fatalf("resume %d (-tilt %q): %v", i, tilt, err)
+		}
+		if want := fmt.Sprintf("# resumed at unit %d (%d units done)", 2+i, 2+i); !strings.Contains(out.String(), want) {
+			t.Fatalf("resume %d (-tilt %q): want %q in %q", i, tilt, want, out.String())
 		}
 	}
 	// Default-chain file → -tilt run reseeds frames.

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/persist"
 )
@@ -112,37 +111,24 @@ func TestRunCheckpointMetricsAndCorruptFile(t *testing.T) {
 	cfg := Config{
 		Engine:     EngineConfig{Spec: "D2L2C4", TicksPerUnit: 4, Threshold: 0.5, Shards: 2},
 		Checkpoint: path,
-		Listen:     "127.0.0.1:0",
 	}
-	out := &syncWriter{}
-	in, feed := io.Pipe()
-	ran := make(chan error, 1)
-	go func() { ran <- Run(context.Background(), cfg, in, out) }()
+	base, feed, ran, out := serveNode(t, cfg)
 	if _, err := io.WriteString(feed, risingFeed(10)); err != nil { // closes units 0 and 1
 		t.Fatal(err)
 	}
 	var metrics string
-	deadline := time.Now().Add(10 * time.Second)
 	// One text frame can carry both boundaries, and a batch is followed by
 	// one checkpoint however many units it closed.
-	for !strings.Contains(metrics, "regcube_snapshot_unit 1\n") || strings.Contains(metrics, "regcube_checkpoint_writes_total 0\n") {
-		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint write after unit 1 showed on /metrics:\n%s\n%s", metrics, out.String())
-		}
-		time.Sleep(time.Millisecond)
-		_, rest, ok := strings.Cut(out.String(), "# serving http on ")
-		if !ok {
-			continue
-		}
-		addr, _, _ := strings.Cut(rest, "\n")
-		resp, err := http.Get("http://" + addr + "/metrics")
+	eventually(t, "a checkpoint write after unit 1 on /metrics", func() bool {
+		resp, err := http.Get(base + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		metrics = string(body)
-	}
+		return strings.Contains(metrics, "regcube_snapshot_unit 1\n") && !strings.Contains(metrics, "regcube_checkpoint_writes_total 0\n")
+	})
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +157,6 @@ func TestRunCheckpointMetricsAndCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, file[:len(file)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Listen = ""
 	err = Run(context.Background(), cfg, strings.NewReader(""), &syncWriter{})
 	if !errors.Is(err, persist.ErrFormat) || !strings.Contains(err.Error(), "restoring checkpoint") || !strings.Contains(err.Error(), "offset") {
 		t.Fatalf("restart on a torn checkpoint: %v, want a refusal with ErrFormat and the offset", err)

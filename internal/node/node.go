@@ -302,11 +302,6 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-listen: %w", err)
 		}
-		// The timeouts keep slow or stuck clients from pinning connections
-		// (and Shutdown) on a daemon that runs for days: headers within 5s,
-		// the whole request — including a POST /v1/query body — within 30s,
-		// idle keep-alives reaped after 2 minutes, headers capped at 64 KiB
-		// (the serving layer separately caps query bodies at 1 MiB).
 		handler := serve.New(a, schema)
 		handler.SetIngestStats(ingestStats)
 		handler.SetBusDropped(a.BusDropped)
@@ -339,13 +334,7 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 				WALSeq:      ingestedSeq.Load(),
 			}
 		})
-		srv = &http.Server{
-			Handler:           handler,
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       30 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-			MaxHeaderBytes:    1 << 16,
-		}
+		srv = serve.NewHTTPServer(handler)
 		// Shutdown waits for active handlers: release a coordinator's
 		// parked /v1/snapshot?wait= instead of waiting out its park.
 		srv.RegisterOnShutdown(handler.Drain)

@@ -6,19 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"os/exec"
-	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
-	"repro/internal/wal"
+	"repro/internal/alert"
+	"repro/internal/query"
 	"repro/internal/wire"
 )
 
@@ -56,6 +55,28 @@ func risingFeed(ticks int) string {
 	return sb.String()
 }
 
+// eventSink is an httptest webhook that keeps every alert event POSTed
+// to it, in arrival order.
+func eventSink(t *testing.T) (url string, events func() []alert.EventJSON) {
+	var mu sync.Mutex
+	var posted []alert.EventJSON
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var ev alert.EventJSON
+		if err := json.NewDecoder(r.Body).Decode(&ev); err != nil {
+			t.Errorf("webhook got bad JSON: %v", err)
+		}
+		mu.Lock()
+		posted = append(posted, ev)
+		mu.Unlock()
+	}))
+	t.Cleanup(hook.Close)
+	return hook.URL, func() []alert.EventJSON {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(posted)
+	}
+}
+
 // TestRunShutdownDrainsAlerts drives the runtime end to end in-process:
 // a rising feed with the alert lifecycle and a webhook enabled, plain EOF
 // shutdown. The ordered shutdown's last step drains the alert pipeline,
@@ -63,20 +84,7 @@ func risingFeed(ticks int) string {
 // including those from the final flush — and the ALERTEVENT log lines
 // must all precede the summary line.
 func TestRunShutdownDrainsAlerts(t *testing.T) {
-	var mu sync.Mutex
-	var posted []map[string]any
-	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		var ev map[string]any
-		if err := json.Unmarshal(body, &ev); err != nil {
-			t.Errorf("webhook got bad JSON: %v", err)
-		}
-		mu.Lock()
-		posted = append(posted, ev)
-		mu.Unlock()
-	}))
-	defer hook.Close()
-
+	hook, events := eventSink(t)
 	out := &syncWriter{}
 	err := Run(context.Background(), Config{
 		Engine: EngineConfig{
@@ -85,7 +93,7 @@ func TestRunShutdownDrainsAlerts(t *testing.T) {
 		AlertWarn:    0.5,
 		AlertCrit:    4,
 		AlertHold:    1,
-		AlertWebhook: hook.URL,
+		AlertWebhook: hook,
 	}, strings.NewReader(risingFeed(10)), out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -103,8 +111,7 @@ func TestRunShutdownDrainsAlerts(t *testing.T) {
 		t.Fatalf("ALERTEVENT after the summary line — alert drain did not precede it:\n%s", text)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
+	posted := events()
 	if len(posted) == 0 {
 		t.Fatal("webhook received no events before Run returned")
 	}
@@ -113,13 +120,144 @@ func TestRunShutdownDrainsAlerts(t *testing.T) {
 	}
 	var crits int
 	for _, ev := range posted {
-		if ev["to"] == "crit" {
+		if ev.To == "crit" {
 			crits++
 		}
 	}
 	if crits == 0 {
 		t.Fatalf("rising feed produced no crit escalation; events: %v", posted)
 	}
+}
+
+// serveNode runs a node with the query API on a loopback port and a pipe
+// for stdin, and returns the API's base URL once it is announced.
+func serveNode(t *testing.T, cfg Config) (base string, feed *io.PipeWriter, ran <-chan error, out *syncWriter) {
+	t.Helper()
+	cfg.Listen = "127.0.0.1:0"
+	out = &syncWriter{}
+	in, feed := io.Pipe()
+	t.Cleanup(func() { feed.Close() })
+	done := make(chan error, 1)
+	go func() { done <- Run(context.Background(), cfg, in, out) }()
+	eventually(t, "the API banner", func() bool {
+		_, rest, ok := strings.Cut(out.String(), "# serving http on ")
+		addr, _, _ := strings.Cut(rest, "\n")
+		base = "http://" + addr
+		return ok
+	})
+	return base, feed, done, out
+}
+
+// eventually polls cond until it holds, failing the test after 10 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// getJSON is one GET of url decoded into v; false unless it answered 200.
+func getJSON(url string, v any) bool {
+	resp, err := http.Get(url)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	return resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(v) == nil
+}
+
+// TestRunAlertEventsMidStream: the alert lifecycle read while the stream
+// is still open and again after the ordered shutdown, the same on every
+// surface — /v1/alerts/events and /metrics mid-stream, the webhook and the
+// log sink once Run returns.
+func TestRunAlertEventsMidStream(t *testing.T) {
+	// An engine threshold no slope reaches keeps the exception drill-down
+	// empty, so the only alert candidates are o-layer cells.
+	engine := EngineConfig{Spec: "D2L2C4", TicksPerUnit: 4, Threshold: 1000, Shards: 4}
+
+	t.Run("slope", func(t *testing.T) {
+		hook, posted := eventSink(t)
+		base, feed, ran, out := serveNode(t, Config{Engine: engine, AlertWarn: 2, AlertCrit: 5, AlertHold: 2, AlertWebhook: hook})
+		// Cell (0,0), slope 10 for units 0-2: one immediate ok->crit at
+		// unit 0, then dedup'd silence. Flat from tick 12 on: slope 0, the
+		// hold counts units 3 and 4, and the crit->ok recovery fires at
+		// unit 4.
+		for tick := 0; tick < 28; tick++ {
+			fmt.Fprintf(feed, "%d,0,0,%d\n", tick, min(tick, 11)*10)
+		}
+		var ev query.AlertEventsResponse
+		eventually(t, "the recovery on /v1/alerts/events", func() bool {
+			return getJSON(base+"/v1/alerts/events", &ev) && slices.ContainsFunc(ev.Events, func(e alert.EventJSON) bool { return e.To == "ok" })
+		})
+		if ev.Count != 2 || ev.Events[0].To != "crit" || ev.Events[1].To != "ok" {
+			t.Fatalf("want one crit, then one recovery (dedup + hold): %+v", ev)
+		}
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(metrics), `regcube_alert_events_total{level="crit",topic="olayer"} 1`+"\n") {
+			t.Fatalf("/metrics lacks the one crit event:\n%s", metrics)
+		}
+		feed.Close() // EOF: the ordered shutdown drains the alert pipeline
+		if err := <-ran; err != nil {
+			t.Fatalf("run: %v\n%s", err, out.String())
+		}
+		if got := posted(); !reflect.DeepEqual(got, ev.Events) {
+			t.Fatalf("webhook received %+v, /v1/alerts/events listed %+v", got, ev.Events)
+		}
+		var want strings.Builder
+		for _, e := range ev.Events {
+			fmt.Fprintf(&want, "ALERTEVENT seq=%d unit=%d topic=%s cell=%s %s->%s slope=%+.3f\n", e.Seq, e.Unit, e.Topic, e.Cell, e.From, e.To, e.Slope)
+		}
+		if got := regexp.MustCompile(`(?m)^ALERTEVENT .*\n`).FindAllString(out.String(), -1); strings.Join(got, "") != want.String() {
+			t.Fatalf("log sink printed\n%swant\n%s", strings.Join(got, ""), want.String())
+		}
+	})
+
+	t.Run("forecast", func(t *testing.T) {
+		hook, posted := eventSink(t)
+		// Forecast-only: no AlertCrit, so the slope topics stay silent and
+		// every event is the predictive topic. The threshold and horizon
+		// are also /v1/forecast's defaults, so it needs no parameters.
+		base, feed, ran, out := serveNode(t, Config{Engine: engine, ForecastThreshold: 1000, ForecastHorizon: 8,
+			ChangeScore: 0.25, AlertHold: 2, AlertWebhook: hook})
+		// Cell (0,0) rises 10/tick toward 1000: at unit 23 (ticks 92-95)
+		// the fitted line sits at 950, five ticks from the threshold —
+		// inside the 8-tick horizon, so the forecast goes crit while the
+		// measured value is still 5% below the line it is forecast to cross.
+		for tick := 0; tick < 100; tick++ {
+			fmt.Fprintf(feed, "%d,0,0,%d\n", tick, tick*10)
+		}
+		var fc query.ForecastResponse
+		eventually(t, "/v1/forecast to predict the breach", func() bool {
+			return getJSON(base+"/v1/forecast?members=0,0", &fc) && fc.WillBreach
+		})
+		if fc.TicksToThreshold == nil {
+			t.Fatalf("forecast without ticksToThreshold: %+v", fc)
+		}
+		var changes map[string]json.RawMessage
+		if !getJSON(base+"/v1/changes", &changes) || changes["cells"] == nil {
+			t.Fatalf("/v1/changes answered %s", changes)
+		}
+		isForecast := func(e alert.EventJSON) bool { return e.Topic == "forecast" }
+		var ev query.AlertEventsResponse
+		eventually(t, "a forecast event on /v1/alerts/events", func() bool {
+			return getJSON(base+"/v1/alerts/events", &ev) && slices.ContainsFunc(ev.Events, isForecast)
+		})
+		feed.Close()
+		if err := <-ran; err != nil {
+			t.Fatalf("run: %v\n%s", err, out.String())
+		}
+		got := posted()
+		if !slices.ContainsFunc(got, isForecast) || slices.ContainsFunc(got, func(e alert.EventJSON) bool { return !isForecast(e) }) {
+			t.Fatalf("webhook received %+v, want forecast-topic events only", got)
+		}
+	})
 }
 
 // TestRunAlertsForcePublication checks the runtime turns snapshot
@@ -209,31 +347,13 @@ func TestRunRecordErrorSameAtEveryShardCount(t *testing.T) {
 // its park — Shutdown fires the serving layer's drain signal, the request
 // answers 304 at once, and the node is down well inside the park.
 func TestRunShutdownReleasesParkedFollower(t *testing.T) {
-	out := &syncWriter{}
-	in, feed := io.Pipe()
-	ran := make(chan error, 1)
-	go func() {
-		ran <- Run(context.Background(), Config{
-			Engine: EngineConfig{Spec: "D2L2C4", TicksPerUnit: 4, Threshold: 0.5, Shards: 1},
-			Listen: "127.0.0.1:0",
-		}, in, out)
-	}()
+	base, feed, ran, out := serveNode(t, Config{
+		Engine: EngineConfig{Spec: "D2L2C4", TicksPerUnit: 4, Threshold: 0.5, Shards: 1},
+	})
 	if _, err := io.WriteString(feed, risingFeed(10)); err != nil { // closes units 0 and 1
 		t.Fatal(err)
 	}
-	var base string
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, rest, ok := strings.Cut(out.String(), "# serving http on "); ok && strings.Contains(out.String(), "[unit 1]") {
-			addr, _, _ := strings.Cut(rest, "\n")
-			base = "http://" + addr
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node never served unit 1:\n%s", out.String())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	eventually(t, "unit 1", func() bool { return strings.Contains(out.String(), "[unit 1]") })
 	parked := make(chan int, 1)
 	go func() {
 		resp, err := http.Get(base + "/v1/snapshot?after=1&wait=450")
@@ -260,131 +380,5 @@ func TestRunShutdownReleasesParkedFollower(t *testing.T) {
 	}
 	if status := <-parked; status != http.StatusNotModified {
 		t.Fatalf("parked request answered %d, want 304", status)
-	}
-}
-
-// TestSIGTERMZeroWALLoss is the graceful-shutdown durability harness: a
-// real streamd subprocess streams paced records into a WAL, receives
-// SIGTERM mid-stream, and must exit 0 with its checkpoint watermark equal
-// to the durable log length — every logged record ingested, nothing to
-// replay. A restart on the same state must confirm that by replaying no
-// WAL suffix.
-func TestSIGTERMZeroWALLoss(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess shutdown harness")
-	}
-	bin := filepath.Join(t.TempDir(), "streamd")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/streamd")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building streamd: %v", err)
-	}
-
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			walDir := filepath.Join(dir, "wal")
-			cpPath := filepath.Join(dir, "state.json")
-			args := []string{
-				"-spec", "D2L2C4", "-unit", "15", "-threshold", "0.3",
-				"-shards", fmt.Sprint(shards),
-				"-wal-dir", walDir, "-wal-sync", "batch",
-				"-checkpoint", cpPath,
-			}
-
-			cmd := exec.Command(bin, args...)
-			stdin, err := cmd.StdinPipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out bytes.Buffer
-			cmd.Stdout = &out
-			cmd.Stderr = &out
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
-			stop := make(chan struct{})
-			go func() {
-				defer stdin.Close()
-				w := rand.New(rand.NewSource(int64(shards)))
-				for tick := 0; ; tick++ {
-					// Distinct cells within a tick: the engine takes one
-					// reading per cell per tick, and the harness must stream
-					// only records a live engine accepts.
-					var drawn [3][2]int
-					for i := 0; i < 3; i++ {
-					draw:
-						a, b := w.Intn(16), w.Intn(16)
-						for j := 0; j < i; j++ {
-							if drawn[j] == [2]int{a, b} {
-								goto draw
-							}
-						}
-						drawn[i] = [2]int{a, b}
-						row := fmt.Sprintf("%d,%d,%d,%g\n", tick, a, b, w.NormFloat64()*5)
-						if _, err := io.WriteString(stdin, row); err != nil {
-							return
-						}
-					}
-					select {
-					case <-stop:
-						return
-					case <-time.After(200 * time.Microsecond):
-					}
-				}
-			}()
-			time.Sleep(80 * time.Millisecond)
-			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-				t.Fatal(err)
-			}
-			waitErr := cmd.Wait()
-			close(stop)
-			if waitErr != nil {
-				t.Fatalf("SIGTERM must exit 0, got %v\n%s", waitErr, out.String())
-			}
-			if !strings.Contains(out.String(), "# signal: flushing final unit") {
-				t.Fatalf("missing signal banner:\n%s", out.String())
-			}
-
-			// Zero loss: the checkpoint watermark equals the durable log
-			// length exactly.
-			durable, err := wal.Replay(walDir, 0, func(int64, wal.Record) error { return nil })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if durable == 0 {
-				t.Fatal("no durable records; the harness tested nothing")
-			}
-			a, err := EngineConfig{Spec: "D2L2C4", TicksPerUnit: 15, Threshold: 0.3, Shards: shards}.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
-			f, err := os.Open(cpPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := a.LoadCheckpoint(f); err != nil {
-				f.Close()
-				t.Fatal(err)
-			}
-			f.Close()
-			if mark := a.WALSeq(); mark != durable {
-				t.Fatalf("checkpoint watermark %d != %d durable WAL records — graceful shutdown lost ingested records", mark, durable)
-			}
-
-			// A restart on the same state must find nothing to replay.
-			restart := exec.Command(bin, args...)
-			restart.Stdin = nil
-			var rout bytes.Buffer
-			restart.Stdout = &rout
-			restart.Stderr = &rout
-			if err := restart.Run(); err != nil {
-				t.Fatalf("restart failed: %v\n%s", err, rout.String())
-			}
-			if strings.Contains(rout.String(), "# wal: replayed") {
-				t.Fatalf("restart replayed a WAL suffix after a graceful shutdown:\n%s", rout.String())
-			}
-		})
 	}
 }

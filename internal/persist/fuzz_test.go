@@ -14,15 +14,11 @@ import (
 // every refusal is ErrFormat, and every checkpoint it accepts can be
 // written — a version 5 input back to the very bytes it was — and reads
 // back to what writes the same bytes again. Seeded with every checkpoint
-// file of every version the tests and scripts keep.
+// file of every version the tests keep.
 func FuzzReadCheckpoint(f *testing.F) {
-	var seeds []string
-	for _, dir := range []string{"testdata", filepath.Join("..", "..", "scripts", "testdata")} {
-		paths, err := filepath.Glob(filepath.Join(dir, "*"))
-		if err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, paths...)
+	seeds, err := filepath.Glob(filepath.Join("testdata", "*"))
+	if err != nil {
+		f.Fatal(err)
 	}
 	if len(seeds) < 7 {
 		f.Fatalf("found %d seed files: %v", len(seeds), seeds)

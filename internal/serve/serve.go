@@ -216,6 +216,22 @@ func (s *Server) SetMetrics(fn func(io.Writer)) { s.metrics = fn }
 // otherwise hold it for up to maxPark. Idempotent.
 func (s *Server) Drain() { s.drainOnce.Do(func() { close(s.drain) }) }
 
+// NewHTTPServer wraps h in the http.Server every daemon here listens
+// with. The timeouts keep slow or stuck clients from pinning connections
+// (and Shutdown) on a process that runs for days: headers within 5s, the
+// whole request — including a POST /v1/query body — within 30s, idle
+// keep-alives reaped after 2 minutes, headers capped at 64 KiB (query
+// bodies are capped separately, at 1 MiB).
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    1 << 16,
+	}
+}
+
 // New builds a query server over a snapshot source. Method-mismatched
 // requests get 405 with an Allow header from the route patterns.
 func New(src Source, schema *cube.Schema) *Server {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -75,9 +76,10 @@ func TestParamLowerBounds(t *testing.T) {
 		{"slice", "/v1/slice?dim=0&level=-2&member=0"},
 		{"slice", "/v1/slice?dim=0&level=1&member=-1"},
 		{"trend", "/v1/trend?members=0,0&k=1&level=-1"},
-		// Non-integers keep failing too.
+		// Non-integers and coordinates past the schema keep failing too.
 		{"exceptions", "/v1/exceptions?k=ten"},
 		{"slice", "/v1/slice?dim=x&member=0"},
+		{"slice", "/v1/slice?dim=99&member=0"},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -86,8 +88,14 @@ func TestParamLowerBounds(t *testing.T) {
 			t.Errorf("GET %s: status %d, want 400 (%s)", tc.path, rec.Code, rec.Body.String())
 			continue
 		}
-		if !strings.Contains(rec.Body.String(), `"error"`) {
+		var body struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
 			t.Errorf("GET %s: non-JSON error body %s", tc.path, rec.Body.String())
+		}
+		if strings.HasSuffix(tc.path, "k=0") && !strings.Contains(body.Error, "below minimum") {
+			t.Errorf("GET %s: error %q does not name the minimum", tc.path, body.Error)
 		}
 	}
 }

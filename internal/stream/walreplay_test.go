@@ -198,12 +198,12 @@ func TestWALReplayShardCountWhatIf(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer seng.Close()
-			n, err := wal.Replay(dir, 0, func(seq int64, rec wal.Record) error {
-				_, err := seng.Ingest(rec.Members, rec.Tick, rec.Value)
+			n, err := wal.ReplayBatches(dir, 0, func(seq int64, b *wire.Batch) error {
+				_, err := seng.IngestBatch(b)
 				return err
 			})
 			if err != nil {
-				t.Fatalf("Replay: %v", err)
+				t.Fatalf("ReplayBatches: %v", err)
 			}
 			if n != int64(len(recs)) {
 				t.Fatalf("replayed %d records, want %d", n, len(recs))
