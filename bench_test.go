@@ -379,7 +379,11 @@ func BenchmarkCloseUnitAlertHeavy(b *testing.B) {
 				alerts = len(ur.Alerts)
 				supporters = 0
 				for _, al := range ur.Alerts {
-					supporters += len(al.Drill)
+					if al.Kind == stream.SlopeException {
+						for range ur.Result.Supporters(al.Cell) {
+							supporters++
+						}
+					}
 				}
 			}
 			b.ReportMetric(float64(alerts), "alerts/op")

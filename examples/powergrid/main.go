@@ -76,6 +76,7 @@ func main() {
 	// quarter.
 	const quarters = 8
 	var alerts []regcube.Alert
+	results := make(map[int64]*regcube.Result) // by unit, for the alerts' supporters
 	for minute := int64(0); minute < quarters*minutesPerQuarter; minute++ {
 		for g := int32(0); g < 4; g++ {
 			for blk := int32(0); blk < 6; blk++ {
@@ -90,6 +91,7 @@ func main() {
 				}
 				for _, ur := range closed {
 					alerts = append(alerts, ur.Alerts...)
+					results[ur.Unit] = ur.Result
 				}
 				if g == 0 && blk == 0 {
 					if err := frame.Add(minute, load); err != nil {
@@ -103,13 +105,17 @@ func main() {
 		log.Fatal(err)
 	} else {
 		alerts = append(alerts, ur.Alerts...)
+		results[ur.Unit] = ur.Result
 	}
 
 	fmt.Printf("processed %d quarters; %d alerts raised\n\n", eng.UnitsDone(), len(alerts))
 	for _, al := range alerts {
 		fmt.Printf("[quarter %d] %s at %s  slope=%+.2f kW/min\n",
 			al.Unit, al.Kind, al.Cell.Describe(schema), al.ISB.Slope)
-		for _, c := range al.Drill {
+		if al.Kind != regcube.SlopeException {
+			continue
+		}
+		for c := range results[al.Unit].Supporters(al.Cell) {
 			fmt.Printf("    supporter: %-28s %s slope=%+.2f\n",
 				c.Key.Describe(schema), c.Key.Cuboid.Describe(schema), c.ISB.Slope)
 		}

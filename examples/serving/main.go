@@ -105,7 +105,7 @@ func main() {
 		fmt.Printf("  %-34s slope %+0.2f\n", cell.Name, cell.ISB.Slope)
 	}
 
-	// Drill into the hot o-cell's supporters and pull its 4-unit trend.
+	// Open the hot o-cell's supporters and pull its 4-unit trend.
 	hot := client.OCell(2, 0)
 	sup, err := c.Supporters(ctx, client.SupportersRequest{CellRef: hot})
 	if err != nil {

@@ -53,13 +53,13 @@ func (l Level) String() string {
 // extrapolated time-to-threshold fell inside the configured budget
 // before the measured slope tripped anything.
 const (
-	TopicOLayer   = "olayer"
-	TopicDrill    = "drill"
-	TopicForecast = "forecast"
+	TopicOLayer    = "olayer"
+	TopicDrillDown = "drill"
+	TopicForecast  = "forecast"
 )
 
 // Topics lists every topic in metric-rendering order.
-var Topics = []string{TopicOLayer, TopicDrill, TopicForecast}
+var Topics = []string{TopicOLayer, TopicDrillDown, TopicForecast}
 
 // Levels lists every level in metric-rendering order.
 var Levels = []Level{LevelOK, LevelWarn, LevelCrit}
@@ -249,7 +249,7 @@ func (m *Manager) levelOf(slope float64) Level {
 // topicIndex maps a topic to its counter column.
 func topicIndex(topic string) int {
 	switch topic {
-	case TopicDrill:
+	case TopicDrillDown:
 		return 1
 	case TopicForecast:
 		return 2
@@ -326,7 +326,7 @@ func (m *Manager) Observe(snap *stream.Snapshot) {
 		if m.olayer.DominatedBy(c.key.Cuboid) {
 			inhibited = firing[m.anc.RollUp(c.key, m.olayer)]
 		}
-		if ev, ok := m.transition(m.states, c, TopicDrill, snap.Unit, inhibited); ok {
+		if ev, ok := m.transition(m.states, c, TopicDrillDown, snap.Unit, inhibited); ok {
 			emitted = append(emitted, ev)
 		}
 	}

@@ -50,7 +50,7 @@ func testManager(t testing.TB, hold int) (*Manager, *cube.Schema) {
 }
 
 // snap fabricates a unit snapshot carrying the given o-layer and drill
-// slopes. Drill cells sit at the m-layer and double as exception entries,
+// slopes. The drill cells sit at the m-layer and double as exception entries,
 // exactly where the engine puts drill-down supporters; a drill cell's
 // o-cell the caller did not give is retained flat, as the engine retains
 // every o-cell with data.
@@ -192,9 +192,9 @@ func TestLifecycleAncestorInhibition(t *testing.T) {
 
 	want := []evRow{
 		{0, TopicOLayer, o, LevelOK, LevelCrit},
-		{0, TopicDrill, far, LevelOK, LevelWarn},
+		{0, TopicDrillDown, far, LevelOK, LevelWarn},
 		{1, TopicOLayer, o, LevelCrit, LevelOK},
-		{1, TopicDrill, d, LevelOK, LevelWarn},
+		{1, TopicDrillDown, d, LevelOK, LevelWarn},
 	}
 	if got := rows(m.Events(0)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("events %+v, want %+v", got, want)
@@ -206,7 +206,7 @@ func TestLifecycleInhibitionFreezesNoStaleRecovery(t *testing.T) {
 	o := oKey(schema, 0, 0)
 	d := mKey(schema, 0, 0)
 
-	// Drill cell fires first, alone.
+	// The drill cell fires first, alone.
 	m.Observe(snap(schema, 0, map[cube.CellKey]float64{o: 0.1},
 		map[cube.CellKey]float64{d: 1.5}))
 	// Ancestor fires; drill cell drops to ok underneath it. Frozen: no
@@ -218,10 +218,10 @@ func TestLifecycleInhibitionFreezesNoStaleRecovery(t *testing.T) {
 	m.Observe(snap(schema, 4, map[cube.CellKey]float64{o: 0.1}, nil))
 
 	want := []evRow{
-		{0, TopicDrill, d, LevelOK, LevelWarn},
+		{0, TopicDrillDown, d, LevelOK, LevelWarn},
 		{1, TopicOLayer, o, LevelOK, LevelCrit},
 		{3, TopicOLayer, o, LevelCrit, LevelOK},
-		{3, TopicDrill, d, LevelWarn, LevelOK},
+		{3, TopicDrillDown, d, LevelWarn, LevelOK},
 	}
 	if got := rows(m.Events(0)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("events %+v, want %+v", got, want)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +138,22 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 		}
 		if len(expected) != pp.NumExceptions() {
 			return false
+		}
+		// Each o-cell's supporters are m/o-cubing's that popular-path
+		// retains, in the same order.
+		for _, o := range pp.OCells() {
+			var want, got []cube.CellKey
+			for c := range mo.Supporters(o.Key) {
+				if expected[c.Key] {
+					want = append(want, c.Key)
+				}
+			}
+			for c := range pp.Supporters(o.Key) {
+				got = append(got, c.Key)
+			}
+			if !slices.Equal(got, want) {
+				return false
+			}
 		}
 		return true
 	}

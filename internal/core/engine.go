@@ -372,6 +372,8 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 	if bound := 4*len(leafCells) + 1024; cap(leafCells) > bound {
 		w.leafCells, w.scratch = nil, runScratch{}
 	}
+	// The supporters index is not the cube's: no stat counts it.
+	res.groupByOCell(w.idx) // every cell aggregates into one o-cell: cannot fail
 	return res, nil
 }
 

@@ -202,8 +202,8 @@ func TestTreeModelMatchesHTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		depths := treeDepths(s)
-		if len(depths) != len(tree.Attrs()) {
-			t.Fatalf("%s: %d modelled depths, the tree has %d", s.Describe(), len(depths), len(tree.Attrs()))
+		if attrs := htree.CardinalityOrder(s); len(depths) != len(attrs) {
+			t.Fatalf("%s: %d modelled depths, the tree has %d", s.Describe(), len(depths), len(attrs))
 		}
 		lattice := cube.NewLattice(s)
 		for k, c := range depths {
@@ -455,23 +455,6 @@ func TestOLayerAtApex(t *testing.T) {
 	}
 	if !almostEq(a.Slope, b.Slope, 1e-9) || !almostEq(a.Base, b.Base, 1e-9) {
 		t.Fatalf("apex cells differ: %v vs %v", a, b)
-	}
-}
-
-func TestExceptionsAt(t *testing.T) {
-	s := testSchema(t, 2, 2, 3)
-	inputs := randomInputs(s, 100, 2, 13)
-	res, err := MOCubing(s, inputs, exception.Global(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	lattice := cube.NewLattice(s)
-	for _, c := range lattice.Cuboids() {
-		total += len(res.ExceptionsAt(c))
-	}
-	if total != res.NumExceptions() {
-		t.Fatalf("per-cuboid exceptions %d != total %d", total, res.NumExceptions())
 	}
 }
 

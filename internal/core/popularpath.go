@@ -202,6 +202,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	if st.BytesRetained > st.PeakBytes {
 		st.PeakBytes = st.BytesRetained
 	}
+	res.groupByOCell(idx) // every cell aggregates into one o-cell: cannot fail
 	return res, nil
 }
 

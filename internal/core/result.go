@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"repro/internal/cube"
@@ -26,6 +27,11 @@ type Result struct {
 	// and of its own lists only oLayer: the parts' o-layers merged.
 	oLayer, exceptions []Cell
 	parts              []*Result
+	// supporters groups a part's exceptions by the o-cell each rolls up
+	// to, o-layer exceptions left out: the exceptions under oLayer[i] are
+	// at indices supporters[groups[i]:groups[i+1]], in canonical order.
+	// Built once with the lists (groupByOCell), never written after.
+	groups, supporters []int32
 }
 
 // NumOCells counts the o-layer cells.
@@ -107,16 +113,88 @@ func (r *Result) AllExceptions(yield func(Cell) bool) {
 	}
 }
 
-// ExceptionsAt returns the retained exception cells of one cuboid, in
-// canonical key order.
-func (r *Result) ExceptionsAt(c cube.Cuboid) []Cell {
-	var out []Cell
-	for _, cell := range r.ExceptionCells() {
-		if cell.Key.Cuboid == c {
-			out = append(out, cell)
+// Supporters yields the retained exception cells that roll up to o-layer
+// cell o — the "exception supporters" an analyst drills into from it
+// (§4.3), o itself excluded — in canonical key order, read off the index
+// the result was built with: range over the returned sequence. A merged
+// result asks the part that holds o. A cell that is not one of the
+// result's o-cells has none.
+func (r *Result) Supporters(o cube.CellKey) iter.Seq[Cell] {
+	return func(yield func(Cell) bool) {
+		p, group := r.group(o)
+		for _, j := range group {
+			if !yield(p.exceptions[j]) {
+				return
+			}
 		}
 	}
-	return out
+}
+
+// NumSupporters counts what Supporters(o) yields.
+func (r *Result) NumSupporters(o cube.CellKey) int {
+	_, group := r.group(o)
+	return len(group)
+}
+
+// group returns the part that holds o-cell o and the indices of o's
+// supporters in that part's exceptions.
+func (r *Result) group(o cube.CellKey) (*Result, []int32) {
+	parts := r.parts
+	if parts == nil {
+		parts = []*Result{r}
+	}
+	for _, p := range parts {
+		if i, ok := slices.BinarySearchFunc(p.oLayer, Cell{Key: o}, CompareCells); ok {
+			return p, p.supporters[p.groups[i]:p.groups[i+1]]
+		}
+	}
+	return nil, nil
+}
+
+// groupByOCell builds the part's supporters index from its two lists: it
+// rolls every exception up to its o-cell — neighbours share one, or most
+// often take the next — and a counting sort over the canonical exception
+// list, stable, groups them with every group in canonical order. It
+// returns the index of the first exception under none of the o-cells, or
+// -1. The exceptions must lie between the critical layers.
+func (r *Result) groupByOCell(idx *cube.AncestorIndex) int {
+	oLayer := r.Schema.OLayer()
+	up := idx.RollUpTo(oLayer)
+	owner := make([]int32, len(r.exceptions)) // the o-cell each exception supports, or -1
+	// groups[i+2] counts oLayer[i]'s supporters, then the prefix sums make
+	// groups[i+1] the start of its run, and the placement its end.
+	groups := make([]int32, len(r.oLayer)+2)
+	next := 0 // one past the last exception's o-cell
+	for j, c := range r.exceptions {
+		o, _ := up.Key(c.Key) // the cell's cuboid dominates the o-layer: cannot fail
+		if next == 0 || r.oLayer[next-1].Key != o {
+			i, ok := next, next < len(r.oLayer) && r.oLayer[next].Key == o
+			if !ok {
+				i, ok = slices.BinarySearchFunc(r.oLayer, Cell{Key: o}, CompareCells)
+			}
+			if !ok {
+				return j
+			}
+			next = i + 1
+		}
+		owner[j] = -1
+		if c.Key.Cuboid != oLayer {
+			owner[j] = int32(next - 1)
+			groups[next+1]++
+		}
+	}
+	for i := 2; i < len(groups); i++ {
+		groups[i] += groups[i-1]
+	}
+	supporters := make([]int32, groups[len(groups)-1])
+	for j, i := range owner {
+		if i >= 0 {
+			supporters[groups[i+1]] = int32(j)
+			groups[i+1]++
+		}
+	}
+	r.groups, r.supporters = groups[:len(r.oLayer)+1], supporters
+	return -1
 }
 
 // NewResult returns the result of one part over cell lists in canonical
@@ -139,8 +217,6 @@ func NewResult(s *cube.Schema, oCells, exceptions []Cell, st Stats) (*Result, er
 	if i := CheckRun(oCells, CompareCells); i >= 0 {
 		return nil, fmt.Errorf("%w: o-layer cell %s out of order or repeated", ErrInput, oCells[i].Key.Describe(s))
 	}
-	up := cube.NewAncestorIndex(s).RollUpTo(oLayer)
-	next := 0 // one past the last exception's o-cell: neighbours share it, or most often take the next
 	for _, c := range exceptions {
 		switch {
 		case !inSchema(s, c.Key):
@@ -148,23 +224,15 @@ func NewResult(s *cube.Schema, oCells, exceptions []Cell, st Stats) (*Result, er
 		case !oLayer.DominatedBy(c.Key.Cuboid) || !c.Key.Cuboid.DominatedBy(mLayer):
 			return nil, fmt.Errorf("%w: exception cell %s is outside the critical layers", ErrInput, c.Key.Describe(s))
 		}
-		o, _ := up.Key(c.Key) // the cell's cuboid dominates the o-layer: cannot fail
-		if next > 0 && oCells[next-1].Key == o {
-			continue
-		}
-		i, ok := next, next < len(oCells) && oCells[next].Key == o
-		if !ok {
-			i, ok = slices.BinarySearchFunc(oCells, Cell{Key: o}, CompareCells)
-		}
-		if !ok {
-			return nil, fmt.Errorf("%w: exception cell %s is under no o-layer cell", ErrInput, c.Key.Describe(s))
-		}
-		next = i + 1
+	}
+	res := &Result{Schema: s, oLayer: oCells, exceptions: exceptions, Stats: st}
+	if j := res.groupByOCell(cube.NewAncestorIndex(s)); j >= 0 {
+		return nil, fmt.Errorf("%w: exception cell %s is under no o-layer cell", ErrInput, exceptions[j].Key.Describe(s))
 	}
 	if i := CheckRun(exceptions, CompareCells); i >= 0 {
 		return nil, fmt.Errorf("%w: exception cell %s out of order or repeated", ErrInput, exceptions[i].Key.Describe(s))
 	}
-	return &Result{Schema: s, oLayer: oCells, exceptions: exceptions, Stats: st}, nil
+	return res, nil
 }
 
 // inSchema reports whether k names a member of every dimension at a level

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -110,30 +111,77 @@ func randomRetained(t *testing.T, rng *rand.Rand, trial int) *Result {
 		}
 		oCells[o] = isb
 	}
-	return &Result{Schema: s, oLayer: cellList(oCells), exceptions: cellList(excs)}
+	res, err := NewResult(s, cellList(oCells), cellList(excs), Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
-// TestSupportersByOCellMatchesBruteForce: the index must hold — per
+// TestSupportersMatchBruteForce: Result.Supporters must yield — per
 // o-cell, in CompareKeys order — exactly the retained exceptions a
-// cube.IsDescendantCell scan finds below that o-cell.
-func TestSupportersByOCellMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	for trial := 0; trial < 60; trial++ {
-		res := randomRetained(t, rng, trial)
+// cube.IsDescendantCell scan finds below that o-cell, NumSupporters count
+// them, and both give nothing for a cell that is not an o-cell; the same
+// holds of a result merged from disjoint parts.
+func TestSupportersMatchBruteForce(t *testing.T) {
+	check := func(label string, res *Result) {
+		t.Helper()
 		s := res.Schema
-		want := make(map[cube.CellKey][]Cell)
 		for _, o := range res.OCells() {
+			var want []Cell
 			for _, c := range res.ExceptionCells() {
 				if c.Key != o.Key && cube.IsDescendantCell(s, c.Key, o.Key) {
-					want[o.Key] = append(want[o.Key], c)
+					want = append(want, c)
+				}
+			}
+			if got := slices.Collect(res.Supporters(o.Key)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (%s): supporters of %s differ from the brute-force scan:\n got %v\nwant %v",
+					label, s.Describe(), o.Key.Describe(s), got, want)
+			}
+			if n := res.NumSupporters(o.Key); n != len(want) {
+				t.Fatalf("%s: NumSupporters(%s) = %d, want %d", label, o.Key.Describe(s), n, len(want))
+			}
+		}
+		for _, c := range res.ExceptionCells() {
+			if c.Key.Cuboid != s.OLayer() {
+				if n := len(slices.Collect(res.Supporters(c.Key))) + res.NumSupporters(c.Key); n != 0 {
+					t.Fatalf("%s: %d supporters of %s, which is not an o-cell", label, n, c.Key.Describe(s))
 				}
 			}
 		}
-		got := SupportersByOCell(cube.NewAncestorIndex(s), res)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (%s): index differs from the brute-force scan:\n got %v\nwant %v",
-				trial, s.Describe(), got, want)
+	}
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 60; trial++ {
+		res := randomRetained(t, rng, trial)
+		check(fmt.Sprintf("trial %d", trial), res)
+		// Split the o-cells in two, each exception going with its o-cell.
+		s := res.Schema
+		var parts [2][2][]Cell
+		side := make(map[cube.CellKey]int)
+		for _, o := range res.OCells() {
+			side[o.Key] = rng.Intn(2)
+			parts[side[o.Key]][0] = append(parts[side[o.Key]][0], o)
 		}
+		for _, c := range res.ExceptionCells() {
+			o, err := cube.RollUpKey(s, c.Key, s.OLayer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts[side[o]][1] = append(parts[side[o]][1], c)
+		}
+		var results []*Result
+		for _, p := range parts {
+			r, err := NewResult(s, p[0], p[1], Stats{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, r)
+		}
+		merged, err := Merge(s, results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("trial %d merged", trial), merged)
 	}
 }
 
@@ -155,12 +203,26 @@ func TestExceptionCellsCanonicalOrder(t *testing.T) {
 				}
 			}
 		}
-		if _, err := NewResult(res.Schema, res.OCells(), res.ExceptionCells(), res.Stats); err != nil {
+		decoded, err := NewResult(res.Schema, res.OCells(), res.ExceptionCells(), res.Stats)
+		if err != nil {
 			t.Fatalf("%s: NewResult refuses the kernel's lists: %v", label, err)
 		}
+		// The kernel indexes its supporters as NewResult does.
+		for _, o := range res.OCells() {
+			if got, want := slices.Collect(res.Supporters(o.Key)), slices.Collect(decoded.Supporters(o.Key)); !slices.Equal(got, want) {
+				t.Fatalf("%s: supporters of %s: kernel %v, NewResult %v", label, o.Key.Describe(res.Schema), got, want)
+			}
+		}
+		// The exceptions partition over the lattice's cuboids.
 		cuboids := map[cube.Cuboid]bool{}
 		for _, c := range res.ExceptionCells() {
 			cuboids[c.Key.Cuboid] = true
+		}
+		lattice := cube.NewLattice(res.Schema).Cuboids()
+		for c := range cuboids {
+			if !slices.Contains(lattice, c) {
+				t.Fatalf("%s: exception cell in cuboid %s, outside the lattice", label, c.Describe(res.Schema))
+			}
 		}
 		if len(cuboids) >= 3 {
 			spread++

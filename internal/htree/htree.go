@@ -14,7 +14,8 @@
 //     making every tree depth a cuboid of the path so roll-ups along the
 //     path materialize for free in the non-leaf nodes.
 //
-// The layout is built for the per-unit hot path: nodes come from slab
+// The tree is built once per cubing call, for the batch popular-path
+// algorithm and the tests' oracles; no tree is reused. Nodes come from slab
 // arenas (one allocation per thousands of nodes), children live in
 // member-sorted slices carved from a shared pointer arena (binary-search
 // lookup, order-preserving traversal with no per-visit sort), header tables
@@ -135,12 +136,8 @@ type HTree struct {
 	nodes   int
 	leaves  []*Node
 	// nodeChunks slab-allocate nodes: one allocation per chunk instead of
-	// one per node. Chunks start small and double so the many-small-trees
-	// workload (one tree per shard per unit) doesn't turn every build into
-	// fixed-size slab garbage; Reset rewinds to the first chunk and the next
-	// build fills the same ones, so a reused tree allocates nothing while
-	// its batches stay the size of the last. nodeChunk indexes the chunk
-	// being filled.
+	// one per node. Chunks start small and double, so a small tree is not
+	// mostly slab slack. nodeChunk indexes the chunk being filled.
 	nodeChunks [][]Node
 	nodeChunk  int
 	// ptrChunks carve children slices the same way: child-slice growth
@@ -208,7 +205,8 @@ func New(s *cube.Schema, attrs []Attribute) (*HTree, error) {
 		t.headers[k].heads = make([]*Node, 0, card)
 		t.headers[k].tails = make([]*Node, 0, card)
 	}
-	t.Reset()
+	t.nodes = 1
+	t.root = t.newNode()
 	return t, nil
 }
 
@@ -263,46 +261,10 @@ func (t *HTree) growChildren(old []*Node) []*Node {
 	}
 }
 
-// Reset empties the tree for the next batch over the same schema and
-// attribute order, keeping the header tables' storage, the ancestor index
-// and the arena chunks the finished build filled — not the ones beyond, so
-// one bursty batch does not pin its footprint. Nodes, leaves and children
-// slices handed out before the call are invalid after it.
-func (t *HTree) Reset() {
-	if used := t.nodeChunk + 1; used < len(t.nodeChunks) {
-		clear(t.nodeChunks[used:])
-		t.nodeChunks = t.nodeChunks[:used]
-	}
-	if used := t.ptrChunk + 1; used < len(t.ptrChunks) {
-		clear(t.ptrChunks[used:])
-		t.ptrChunks = t.ptrChunks[:used]
-	}
-	for i := range t.nodeChunks {
-		t.nodeChunks[i] = t.nodeChunks[i][:0]
-	}
-	for i := range t.ptrChunks {
-		t.ptrChunks[i] = t.ptrChunks[i][:0]
-	}
-	t.nodeChunk, t.ptrChunk = 0, 0
-	for k := range t.headers {
-		h := &t.headers[k]
-		h.members, h.heads, h.tails, h.nodes = h.members[:0], h.heads[:0], h.tails[:0], 0
-	}
-	t.leaves = t.leaves[:0]
-	t.nodes = 1
-	t.root = t.newNode()
-}
-
-// Schema returns the schema the tree was built against.
-func (t *HTree) Schema() *cube.Schema { return t.schema }
-
 // AncestorIndex returns the precomputed ancestor tables the tree resolves
 // attributes with, so callers cubing over the tree reuse them instead of
 // rebuilding the index per pass.
 func (t *HTree) AncestorIndex() *cube.AncestorIndex { return t.idx }
-
-// Attrs returns the attribute order. The slice is shared; do not modify.
-func (t *HTree) Attrs() []Attribute { return t.attrs }
 
 // Root returns the root node.
 func (t *HTree) Root() *Node { return t.root }
@@ -388,7 +350,7 @@ func (t *HTree) Insert(members []int32, isb regression.ISB) error {
 // add links a freshly created node into the header's chain for val.
 func (h *headerTable) add(val int32, n *Node) {
 	h.nodes++
-	lo, found := findMember(h.members, val)
+	lo, found := slices.BinarySearch(h.members, val)
 	if found {
 		h.tails[lo].hlink = n
 		h.tails[lo] = n
@@ -462,44 +424,6 @@ func (n *Node) WalkAtDepth(depth int, fn func(*Node)) {
 	for _, c := range n.Children {
 		c.WalkAtDepth(depth, fn)
 	}
-}
-
-// HeaderNodes returns the side-linked nodes at the given attribute index
-// carrying the given member — a header-table traversal (Figure 7). The
-// slice is materialized from the chain; nil when the slot is absent.
-func (t *HTree) HeaderNodes(attr int, member int32) []*Node {
-	if attr < 0 || attr >= len(t.headers) {
-		return nil
-	}
-	h := &t.headers[attr]
-	lo, found := findMember(h.members, member)
-	if !found {
-		return nil
-	}
-	var out []*Node
-	for n := h.heads[lo]; n != nil; n = n.hlink {
-		out = append(out, n)
-	}
-	return out
-}
-
-// findMember binary-searches a sorted member slice.
-func findMember(members []int32, val int32) (int, bool) {
-	return slices.BinarySearch(members, val)
-}
-
-// HeaderMembers returns the distinct members present at the attribute,
-// ascending.
-func (t *HTree) HeaderMembers(attr int) []int32 {
-	if attr < 0 || attr >= len(t.headers) {
-		return nil
-	}
-	if len(t.headers[attr].members) == 0 {
-		return nil
-	}
-	out := make([]int32, len(t.headers[attr].members))
-	copy(out, t.headers[attr].members)
-	return out
 }
 
 // NodesAtDepth returns every node at depth k (1-based; k ≤ len(attrs)),

@@ -212,6 +212,7 @@ func TestPropagateUpAndHeaders(t *testing.T) {
 		{[]int32{5, 17, 3}, isbAt(1, 0.5)},
 		{[]int32{6, 17, 3}, isbAt(2, -0.25)},
 		{[]int32{40, 90, 20}, isbAt(3, 1)},
+		{[]int32{41, 17, 3}, isbAt(4, 0)},
 	}
 	for _, in := range inputs {
 		if err := tree.Insert(in.members, in.isb); err != nil {
@@ -223,27 +224,25 @@ func TestPropagateUpAndHeaders(t *testing.T) {
 	}
 	// Root measure = sum of all.
 	root := tree.Root()
-	if !root.HasMeasure || !almostEq(root.Measure.Base, 6, 1e-12) || !almostEq(root.Measure.Slope, 1.25, 1e-12) {
+	if !root.HasMeasure || !almostEq(root.Measure.Base, 10, 1e-12) || !almostEq(root.Measure.Slope, 1.25, 1e-12) {
 		t.Fatalf("root measure = %v", root.Measure)
 	}
-	// Header tables: attribute 0 is A1; members present are 0 (5/7=0,
-	// 6/7=0) and 5 (40/7=5).
-	members := tree.HeaderMembers(0)
-	if len(members) != 2 || members[0] != 0 || members[1] != 5 {
-		t.Fatalf("A1 header members = %v", members)
-	}
-	if nodes := tree.HeaderNodes(0, 0); len(nodes) != 1 {
-		t.Fatalf("A1=0 side links = %d", len(nodes))
-	}
-	if nodes := tree.HeaderNodes(99, 0); nodes != nil {
-		t.Fatal("out-of-range header must be nil")
-	}
-	if tree.HeaderMembers(-1) != nil {
-		t.Fatal("out-of-range header members must be nil")
-	}
-	// Depth queries.
-	if got := len(tree.NodesAtDepth(1)); got != 2 {
-		t.Fatalf("depth-1 nodes = %d, want 2", got)
+	// Header tables, walked through their side-links: attribute 0 is A1,
+	// whose members are 0 (5/7, 6/7) and 5 (40/7, 41/7), one node each;
+	// attribute 1 is B1, where member 1 (17/10) sits under both A1
+	// members, chained in creation order, and member 9 (90/10) under A1=5.
+	for k, want := range map[int][][2]int32{
+		1: {{0, 0}, {5, 0}},         // (member, parent's member)
+		2: {{1, 0}, {1, 5}, {9, 5}}, // member 1's chain: A1=0's node first
+	} {
+		nodes := tree.NodesAtDepth(k)
+		got := make([][2]int32, len(nodes))
+		for i, n := range nodes {
+			got[i] = [2]int32{n.Member, n.Parent.Member}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("depth %d side-links = %v, want %v", k, got, want)
+		}
 	}
 	if tree.NodesAtDepth(0) != nil || tree.NodesAtDepth(99) != nil {
 		t.Fatal("out-of-range NodesAtDepth must be nil")
@@ -387,70 +386,3 @@ func TestPropagationInvariantsProperty(t *testing.T) {
 // nodes per depth, same leaves in the same order with the same cells and
 // measures, same header members — and the arena chunks the small build did
 // not need are let go by the Reset after it.
-func TestResetRebuildsAsFresh(t *testing.T) {
-	s := paperSchema(t)
-	attrs := CardinalityOrder(s)
-	r := rand.New(rand.NewSource(9))
-	batch := func(n int) (members [][]int32, isbs []regression.ISB) {
-		for i := 0; i < n; i++ {
-			members = append(members, []int32{int32(r.Intn(49)), int32(r.Intn(100)), int32(r.Intn(24))})
-			isbs = append(isbs, regression.ISB{Tb: 0, Te: 9, Base: r.NormFloat64(), Slope: r.NormFloat64()})
-		}
-		return members, isbs
-	}
-	fill := func(tree *HTree, members [][]int32, isbs []regression.ISB) {
-		t.Helper()
-		for i := range members {
-			if err := tree.Insert(members[i], isbs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	reused, err := New(s, attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigMembers, bigISBs := batch(20000)
-	fill(reused, bigMembers, bigISBs)
-	bigNodeChunks, bigPtrChunks := len(reused.nodeChunks), len(reused.ptrChunks)
-
-	members, isbs := batch(300)
-	reused.Reset()
-	fill(reused, members, isbs)
-	fresh, err := New(s, attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(fresh, members, isbs)
-
-	if reused.NodeCount() != fresh.NodeCount() || reused.LeafCount() != fresh.LeafCount() {
-		t.Fatalf("reused tree has %d nodes, %d leaves; fresh %d, %d",
-			reused.NodeCount(), reused.LeafCount(), fresh.NodeCount(), fresh.LeafCount())
-	}
-	for i, leaf := range fresh.Leaves() {
-		got := reused.Leaves()[i]
-		if reused.CellKeyOf(got) != fresh.CellKeyOf(leaf) || got.Measure != leaf.Measure || got.Tuples != leaf.Tuples {
-			t.Fatalf("leaf %d: %v %v vs fresh %v %v", i, reused.CellKeyOf(got), got.Measure, fresh.CellKeyOf(leaf), leaf.Measure)
-		}
-	}
-	for k := 1; k <= len(attrs); k++ {
-		a, b := reused.NodesAtDepth(k), fresh.NodesAtDepth(k)
-		if len(a) != len(b) {
-			t.Fatalf("depth %d: %d nodes vs fresh %d", k, len(a), len(b))
-		}
-		for i := range a {
-			if reused.CellKeyOf(a[i]) != fresh.CellKeyOf(b[i]) || len(a[i].Children) != len(b[i].Children) {
-				t.Fatalf("depth %d node %d differs from the fresh tree's", k, i)
-			}
-		}
-		if !slices.Equal(reused.HeaderMembers(k-1), fresh.HeaderMembers(k-1)) {
-			t.Fatalf("attribute %d header members differ", k-1)
-		}
-	}
-
-	reused.Reset()
-	if len(reused.nodeChunks) >= bigNodeChunks || len(reused.ptrChunks) >= bigPtrChunks {
-		t.Fatalf("after a small build the tree still holds %d node and %d pointer chunks (the large one needed %d and %d)",
-			len(reused.nodeChunks), len(reused.ptrChunks), bigNodeChunks, bigPtrChunks)
-	}
-}

@@ -73,7 +73,7 @@ func TestWalkAtDepth(t *testing.T) {
 	}
 	// Walking the root at leaf depth visits every leaf exactly once.
 	count := 0
-	tree.Root().WalkAtDepth(len(tree.Attrs()), func(n *Node) { count++ })
+	tree.Root().WalkAtDepth(len(tree.attrs), func(n *Node) { count++ })
 	if count != tree.LeafCount() {
 		t.Fatalf("walked %d leaves, want %d", count, tree.LeafCount())
 	}
@@ -131,7 +131,7 @@ func TestWalkAtDepthPartitionsMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n1 := range tree.NodesAtDepth(1) {
-		for depth := 2; depth <= len(tree.Attrs()); depth++ {
+		for depth := 2; depth <= len(tree.attrs); depth++ {
 			var base, slope float64
 			n1.WalkAtDepth(depth, func(n *Node) {
 				base += n.Measure.Base

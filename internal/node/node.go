@@ -85,7 +85,10 @@ func Report(out io.Writer, schema *cube.Schema) func([]*stream.UnitResult) {
 				ur.Result.NumExceptions(), len(ur.Alerts))
 			for _, al := range ur.Alerts {
 				fmt.Fprintf(out, "  ALERT %s %s slope=%+.3f\n", al.Kind, al.Cell.Describe(schema), al.ISB.Slope)
-				for _, c := range al.Drill {
+				if al.Kind != stream.SlopeException {
+					continue // a slope change has no supporters
+				}
+				for c := range ur.Result.Supporters(al.Cell) {
 					name, ok := cuboidNames[c.Key.Cuboid]
 					if !ok {
 						name = c.Key.Cuboid.Describe(schema)

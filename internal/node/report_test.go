@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/stream"
 )
@@ -73,12 +74,26 @@ func TestReportGolden(t *testing.T) {
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
 	}
+	// A slope exception's supporters are the exception cells below it,
+	// found by a scan of the canonical list.
+	supportersOf := func(ur *stream.UnitResult, al stream.Alert) []core.Cell {
+		var out []core.Cell
+		if al.Kind != stream.SlopeException {
+			return out
+		}
+		for _, c := range ur.Result.ExceptionCells() {
+			if c.Key != al.Cell && cube.IsDescendantCell(ref.Schema, c.Key, al.Cell) {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
 	render := func(ur *stream.UnitResult) {
 		fmt.Fprintf(&want, "[unit %d] %s: %d o-cells, %d exceptions, %d alerts\n", ur.Unit,
 			ur.Result.Stats.Algorithm, ur.Result.NumOCells(), ur.Result.NumExceptions(), len(ur.Alerts))
 		for _, al := range ur.Alerts {
 			fmt.Fprintf(&want, "  ALERT %s %s slope=%+.3f\n", al.Kind, name(al.Cell), al.ISB.Slope)
-			for _, c := range al.Drill {
+			for _, c := range supportersOf(ur, al) {
 				cb := make([]string, c.Key.Cuboid.NumDims())
 				for d := range cb {
 					cb[d] = fmt.Sprintf("D%d%d", d, c.Key.Cuboid.Level(d))
@@ -106,7 +121,7 @@ func TestReportGolden(t *testing.T) {
 	render(last)
 	supporters := 0
 	for _, al := range last.Alerts {
-		supporters += len(al.Drill)
+		supporters += len(supportersOf(last, al))
 	}
 	if supporters < 1000 {
 		t.Fatalf("the feed is not alert-heavy: %d supporters in the last unit", supporters)

@@ -208,7 +208,7 @@ func (e *Executor) alerts() *AlertsResponse {
 		Alerts:   []AlertJSON{},
 	}
 	for _, a := range e.snap.Alerts {
-		resp.Alerts = append(resp.Alerts, encodeAlert(e.schema, a))
+		resp.Alerts = append(resp.Alerts, encodeAlert(e.schema, e.snap.Result, a))
 	}
 	return resp
 }

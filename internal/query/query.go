@@ -100,11 +100,17 @@ func (v *View) TopObservations(k int) []core.Cell {
 
 // Supporters returns every retained exception cell that rolls up to the
 // given cell — the descendants an analyst drills into, coarsest cuboids
-// first, steepest first within a cuboid.
+// first, steepest first within a cuboid. They are among the supporters of
+// the cell's o-cell (core.Result.Supporters), so only those are scanned: a
+// cell whose cuboid does not lie at or below the o-layer has none.
 func (v *View) Supporters(cell cube.CellKey) []core.Cell {
+	oLayer := v.res.Schema.OLayer()
+	if !oLayer.DominatedBy(cell.Cuboid) {
+		return nil
+	}
 	var out []core.Cell
 	up := v.anc.RollUpTo(cell.Cuboid)
-	for _, c := range v.exceptions {
+	for c := range v.res.Supporters(v.anc.RollUp(cell, oLayer)) {
 		if a, ok := up.Key(c.Key); ok && a == cell && c.Key != cell {
 			out = append(out, c)
 		}
@@ -188,11 +194,7 @@ func (v *View) Summary() []CuboidSummary {
 		byCuboid[c] = &CuboidSummary{Cuboid: c}
 	}
 	for _, c := range v.exceptions {
-		s, ok := byCuboid[c.Key.Cuboid]
-		if !ok { // exception outside the lattice cannot happen; be safe
-			s = &CuboidSummary{Cuboid: c.Key.Cuboid}
-			byCuboid[c.Key.Cuboid] = s
-		}
+		s := byCuboid[c.Key.Cuboid] // a result's exceptions lie in its lattice
 		s.Exceptions++
 		if a := math.Abs(c.ISB.Slope); a > s.MaxAbsSlope {
 			s.MaxAbsSlope = a

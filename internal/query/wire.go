@@ -96,13 +96,22 @@ type AlertJSON struct {
 	Supporters []CellJSON `json:"supporters"`
 }
 
-func encodeAlert(s *cube.Schema, a stream.Alert) AlertJSON {
-	return AlertJSON{
+// encodeAlert lists a slope exception's supporters from its unit's result;
+// a slope change has none.
+func encodeAlert(s *cube.Schema, res *core.Result, a stream.Alert) AlertJSON {
+	out := AlertJSON{
 		Unit:       a.Unit,
 		Kind:       a.Kind.String(),
 		Cell:       encodeCell(s, core.Cell{Key: a.Cell, ISB: a.ISB}),
-		Supporters: encodeCells(s, a.Drill),
+		Supporters: []CellJSON{},
 	}
+	if a.Kind == stream.SlopeException {
+		out.Supporters = make([]CellJSON, 0, res.NumSupporters(a.Cell))
+		for c := range res.Supporters(a.Cell) {
+			out.Supporters = append(out.Supporters, encodeCell(s, c))
+		}
+	}
+	return out
 }
 
 // HistoryPointJSON is one completed unit of an o-cell's trend history.

@@ -78,7 +78,7 @@ func TestAlertEventsEndpoint(t *testing.T) {
 			t.Fatalf("event seqs not strictly increasing: %d after %d", e.Seq, prev)
 		}
 		prev = e.Seq
-		if e.Topic != alert.TopicOLayer && e.Topic != alert.TopicDrill {
+		if e.Topic != alert.TopicOLayer && e.Topic != alert.TopicDrillDown {
 			t.Fatalf("event %d has unknown topic %q", e.Seq, e.Topic)
 		}
 		if e.To == e.From {

@@ -89,6 +89,7 @@ func BenchmarkServeQuery(b *testing.B) {
 		"/v1/alerts",
 		"/v1/summary",
 		"/v1/trend?members=0,0&k=1",
+		"/v1/supporters?members=0,0",
 	} {
 		b.Run(path, func(b *testing.B) {
 			b.ReportAllocs()

@@ -370,7 +370,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	paths := []string{"/healthz", "/v1/exceptions?k=4", "/v1/summary", "/v1/alerts"}
+	paths := []string{"/healthz", "/v1/exceptions?k=4", "/v1/summary", "/v1/alerts", "/v1/supporters?members=0,0"}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {

@@ -96,17 +96,14 @@ func (k AlertKind) String() string {
 	}
 }
 
-// Alert is one o-layer observation the analyst would act on, with the
-// exception descendants ("supporters") found below the cell by the
-// exception-guided drill.
+// Alert is one o-layer observation the analyst would act on: the o-cell
+// and its regression. A slope exception's supporters, the exception cells
+// below it, are its unit result's (core.Result.Supporters).
 type Alert struct {
 	Unit int64
 	Kind AlertKind
 	Cell cube.CellKey
 	ISB  regression.ISB
-	// Drill lists the retained exception cells that roll up to this o-cell
-	// (the cell itself excluded), in cube.CompareKeys order.
-	Drill []core.Cell
 }
 
 // UnitResult is the outcome of one completed unit.
@@ -160,10 +157,8 @@ type Engine struct {
 	part        *Partitioner
 	dict        *cellDict
 	cellsActive atomic.Int64
-	// anc resolves roll-ups to the o-layer when a closed unit's supporter
-	// index is built; shape fingerprints cfg.Schema in every checkpoint;
-	// oLevels is the o-layer's level tuple, which every frame record shares.
-	anc     *cube.AncestorIndex
+	// shape fingerprints cfg.Schema in every checkpoint; oLevels is the
+	// o-layer's level tuple, which every frame record shares.
 	shape   []DimensionShape
 	oLevels []int
 	unit    int64 // index of the current (open) unit
@@ -232,7 +227,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		shards:    make([]shard, cfg.Shards),
 		part:      part,
-		anc:       cube.NewAncestorIndex(cfg.Schema),
 		shape:     shapeOf(cfg.Schema),
 		openStart: cfg.StartTick,
 		openEnd:   cfg.StartTick + int64(cfg.TicksPerUnit),
@@ -398,8 +392,8 @@ func (e *Engine) advanceTo(target int64) ([]*UnitResult, error) {
 				Interval:  out[u].Interval,
 				UnitsDone: e.unitsDone + int64(u) + 1,
 				// The clone keeps readers isolated from whatever the Ingest
-				// caller does with the returned UnitResult's slices.
-				Alerts: cloneAlerts(out[u].Alerts),
+				// caller does with the returned UnitResult's alerts.
+				Alerts: slices.Clone(out[u].Alerts),
 				Result: out[u].Result,
 				Chain:  e.cfg.TiltLevels,
 				Frames: e.frames,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -294,11 +295,11 @@ func TestOnlineEqualsBatch(t *testing.T) {
 	}
 }
 
-func TestAlertsCarryDrill(t *testing.T) {
+// TestAlertSupportersOnResult: a steep m-cell's o-ancestor alerts, and
+// the unit result lists the m-cell among that o-cell's supporters.
+func TestAlertSupportersOnResult(t *testing.T) {
 	s := smallSchema(t)
 	e := newEngine(t, s, 0.5)
-	// One m-cell with a steep series: its o-ancestor alerts and the drill
-	// names the m-cell among supporters.
 	for tk := int64(0); tk < 5; tk++ {
 		if _, err := e.Ingest([]int32{0, 0}, tk, 3*float64(tk)); err != nil {
 			t.Fatal(err)
@@ -315,14 +316,9 @@ func TestAlertsCarryDrill(t *testing.T) {
 	if al.Kind != SlopeException {
 		t.Fatalf("kind = %v", al.Kind)
 	}
-	foundM := false
-	for _, c := range al.Drill {
-		if c.Key.Cuboid.Equal(s.MLayer()) && c.Key.Member(0) == 0 && c.Key.Member(1) == 0 {
-			foundM = true
-		}
-	}
-	if !foundM {
-		t.Fatalf("drill missing the m-cell supporter: %+v", al.Drill)
+	supporters := slices.Collect(ur.Result.Supporters(al.Cell))
+	if !slices.ContainsFunc(supporters, func(c core.Cell) bool { return c.Key == cube.NewCellKey(s.MLayer(), 0, 0) }) {
+		t.Fatalf("supporters of the alerting o-cell miss the m-cell: %+v", supporters)
 	}
 }
 

@@ -175,27 +175,15 @@ func (sh *shard) closeUnit(u int64) (*UnitResult, error) {
 
 // raiseAlerts returns the unit's alerts in canonical order (compareAlerts):
 // the o-cells come in canonical order, and each raises its slope exception
-// before its slope change. The supporter index is built on the first
-// alerting o-cell, so a unit whose observation deck is quiet never scans
-// its exception cells.
+// before its slope change.
 func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 	cfg := &sh.e.cfg
 	var alerts []Alert
-	var supporters map[cube.CellKey][]core.Cell
 	oThr := cfg.Threshold.Threshold(cfg.Schema.OLayer())
 	for _, c := range res.OCells() {
 		key, isb := c.Key, c.ISB
 		if exception.IsException(isb, oThr) {
-			if supporters == nil {
-				supporters = core.SupportersByOCell(sh.e.anc, res)
-			}
-			alerts = append(alerts, Alert{
-				Unit:  ur.Unit,
-				Kind:  SlopeException,
-				Cell:  key,
-				ISB:   isb,
-				Drill: supporters[key],
-			})
+			alerts = append(alerts, Alert{Unit: ur.Unit, Kind: SlopeException, Cell: key, ISB: isb})
 		}
 		if cfg.Delta != nil {
 			if f := frameOf(sh.frames, key); f != nil {
@@ -226,8 +214,7 @@ func (sh *shard) byCode() []int32 {
 
 // mergeUnit combines one unit's per-shard results: the cube result holds
 // the shards' results as its parts (core.Merge), and since each shard's
-// alerts arrive in canonical order with their drills complete (finished
-// inside the barrier), the merged list is a k-way merge.
+// alerts arrive in canonical order, the merged list is a k-way merge.
 func (e *Engine) mergeUnit(urs []*UnitResult) (*UnitResult, error) {
 	merged := &UnitResult{Unit: urs[0].Unit, Interval: urs[0].Interval}
 	results := make([]*core.Result, len(urs))

@@ -170,18 +170,13 @@ func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
 		if !slices.IsSortedFunc(g.Alerts, compareAlerts) {
 			t.Fatalf("%s unit %d: alerts not in canonical order", label, w.Unit)
 		}
-		for _, a := range g.Alerts {
-			if !slices.IsSortedFunc(a.Drill, core.CompareCells) {
-				t.Fatalf("%s unit %d: drill of %v not in CompareKeys order", label, w.Unit, a.Cell)
-			}
-		}
 	}
 }
 
 // requireSameCells asserts got holds exactly want's retained cells, read
-// through every accessor: the counts, the canonical lists, and a lookup of
-// each cell of either kind as both kinds — so a merged result that sends a
-// lookup to the wrong part fails here.
+// through every accessor: the counts, the canonical lists, each o-cell's
+// supporters, and a lookup of each cell of either kind as both kinds — so
+// a merged result that sends a lookup to the wrong part fails here.
 func requireSameCells(t testing.TB, label string, want, got *core.Result) {
 	t.Helper()
 	if got.NumOCells() != want.NumOCells() || got.NumExceptions() != want.NumExceptions() {
@@ -191,6 +186,11 @@ func requireSameCells(t testing.TB, label string, want, got *core.Result) {
 	oCells, exceptions := want.OCells(), want.ExceptionCells()
 	if !slices.Equal(got.OCells(), oCells) || !slices.Equal(got.ExceptionCells(), exceptions) {
 		t.Fatalf("%s: canonical cell lists differ", label)
+	}
+	for _, o := range oCells {
+		if !slices.Equal(slices.Collect(got.Supporters(o.Key)), slices.Collect(want.Supporters(o.Key))) {
+			t.Fatalf("%s: supporters of o-cell %v differ", label, o.Key)
+		}
 	}
 	for _, c := range slices.Concat(oCells, exceptions) {
 		for kind, lookup := range map[string][2]func(cube.CellKey) (regression.ISB, bool){

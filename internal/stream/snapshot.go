@@ -123,23 +123,6 @@ func (s *Snapshot) TrendQuery(cell cube.CellKey, k int) (regression.ISB, error) 
 	return s.TrendQueryAt(cell, 0, k)
 }
 
-// cloneAlerts deep-copies an alert list (including each alert's Drill
-// slice) so the engine's caller can re-sort or truncate the returned
-// UnitResult.Alerts without snapshot readers observing it. (The Result
-// and its cell lists are still shared; see Snapshot.Result.)
-func cloneAlerts(alerts []Alert) []Alert {
-	out := make([]Alert, len(alerts))
-	copy(out, alerts)
-	for i := range out {
-		if len(out[i].Drill) > 0 {
-			drill := make([]core.Cell, len(out[i].Drill))
-			copy(drill, out[i].Drill)
-			out[i].Drill = drill
-		}
-	}
-	return out
-}
-
 // publish swaps in the immutable view of a unit that just closed and
 // offers it on the bus. The atomic store orders all snapshot construction
 // before any reader's load, so a reader never sees a partially built

@@ -329,6 +329,15 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 					}
 					prevUnit = s.Unit
 					verifySnapshot(t, &cfg, s)
+					// Walk every alert's supporters off the shared index.
+					for _, a := range s.Alerts {
+						for c := range s.Result.Supporters(a.Cell) {
+							if c.Key == a.Cell || !a.Cell.Cuboid.DominatedBy(c.Key.Cuboid) {
+								t.Errorf("unit %d: %v listed among the supporters of o-cell %v", s.Unit, c.Key, a.Cell)
+								return
+							}
+						}
+					}
 					// Exercise the trend path against the frozen history.
 					for _, c := range s.Result.OCells() {
 						key := c.Key

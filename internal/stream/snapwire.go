@@ -28,7 +28,7 @@ import (
 //	header   "RCSN" · version u8 · dims u8 · flags u8 · unit · interval Tb,Te · unitsDone
 //	         · chain u32 × (name · multiple · slots)
 //	result   oLayer cells · exceptions cells · stats   (absent when empty)
-//	alerts   u32 × (unit · kind · key · ISB · drill cells)
+//	alerts   u32 × (kind u8 · key)
 //	frames   u32 × (key · base · unitTicks · nextTb · pushed · u32 × (completed · u32 × point))
 //
 //	cells = u32 × (key · ISB)     key = levels[dims]u8 · members[dims]i32
@@ -40,15 +40,19 @@ import (
 // the dimension count of the cells, 0 in a document without any (a first
 // unit that closed empty). Every list is in canonical order
 // (cube.CompareKeys; alerts as published), so equal state encodes to equal
-// bytes. Every count is checked against the bytes that remain before
-// anything is allocated for it, and every frame before it is handed out.
+// bytes. An alert is its kind and o-cell: its unit is the header's and its
+// regression the o-cell's, and its supporters are read off the result
+// (core.Result.Supporters). Every count is checked against the bytes that
+// remain before anything is allocated for it, and every frame before it is
+// handed out.
 
 const (
 	snapMagic = "RCSN"
 	// snapshotWireVersion is the /v1/snapshot document version (1 was
 	// JSON, 2 had a history section and optional frames, 3 frames in an
-	// encoding of their own).
-	snapshotWireVersion = 4
+	// encoding of their own, 4 each alert's unit, regression and
+	// supporters).
+	snapshotWireVersion = 5
 
 	flagEmpty = 1 << 0 // the unit closed with no data: no result section
 
@@ -158,15 +162,8 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	// Snapshot alerts are canonical as published.
 	w.count(len(s.Alerts))
 	for _, a := range s.Alerts {
-		w.i64(a.Unit)
-		w.i64(int64(a.Kind))
+		w.buf = append(w.buf, byte(a.Kind))
 		w.key(a.Cell)
-		w.isb(a.ISB)
-		w.count(len(a.Drill))
-		for _, d := range a.Drill {
-			w.key(d.Key)
-			w.isb(d.ISB)
-		}
 	}
 
 	w.frames(s.Frames)
@@ -299,10 +296,9 @@ func (r *snapReader) cells() []core.Cell {
 // truncation, trailing bytes, a count the bytes cannot back, a cell
 // outside the schema, result cells core.NewResult refuses (out of order,
 // repeated, off their layer, an exception under no o-cell of the
-// document), an alert of another unit or on a cell that is not one of the
-// document's o-cells (so none in an empty unit), alerts or an alert's
-// drill cells out of canonical order or repeated, a drill cell not under
-// its alert's cell, an invalid level chain, a frame that fails checkFrame
+// document), an alert of an unknown kind or on a cell that is not one of
+// the document's o-cells (so none in an empty unit), alerts out of
+// canonical order or repeated, an invalid level chain, a frame that fails checkFrame
 // or is not a state of the chain (tilt.CheckState), frames out of
 // coordinate order or two for one cell — is ErrRecord. Each list is
 // checked as a run (core.CheckRun) once it has been read.
@@ -360,26 +356,22 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 		}
 	}
 
-	s.Alerts = make([]Alert, r.count(16+5*r.nd+isbSize+4)) // unit · kind · key · ISB · drill count
-	anc := cube.NewAncestorIndex(schema)
+	if n := r.count(1 + 5*r.nd); n > 0 { // kind · key
+		s.Alerts = make([]Alert, n)
+	}
 	for i := range s.Alerts {
 		a := &s.Alerts[i]
-		a.Unit = r.i64()
-		a.Kind = AlertKind(r.i64())
-		a.Cell = r.key()
-		a.ISB = r.isb()
-		a.Drill = r.cells()
-		switch _, onOCell := s.Result.OCell(a.Cell); {
-		case a.Unit != s.Unit:
-			r.fail("alert of unit %d in a unit-%d document", a.Unit, s.Unit)
+		if b := r.take(1); b != nil {
+			a.Kind = AlertKind(b[0])
+		}
+		a.Unit, a.Cell = s.Unit, r.key()
+		var onOCell bool
+		a.ISB, onOCell = s.Result.OCell(a.Cell)
+		switch {
+		case a.Kind != SlopeException && a.Kind != SlopeChange:
+			r.fail("alert of unknown kind %d", a.Kind)
 		case !onOCell:
 			r.fail("alert on cell %v, not an o-cell of the document", a.Cell.Members[:r.nd])
-		case core.CheckRun(a.Drill, core.CompareCells) >= 0:
-			r.fail("drill cells of the alert on o-cell %v out of order or repeated", a.Cell.Members[:r.nd])
-		case slices.ContainsFunc(a.Drill, func(d core.Cell) bool {
-			return !a.Cell.Cuboid.DominatedBy(d.Key.Cuboid) || anc.RollUp(d.Key, a.Cell.Cuboid) != a.Cell
-		}):
-			r.fail("a drill cell of the alert on o-cell %v is not under it", a.Cell.Members[:r.nd])
 		}
 	}
 	if i := core.CheckRun(s.Alerts, compareAlerts); i >= 0 {

@@ -167,17 +167,19 @@ func codecSnapshots(t testing.TB) map[string]*Snapshot {
 			out["empty-unit"] = eng.Snapshot()
 		}
 	}
-	drills, changes := 0, 0
+	supporters, changes := 0, 0
 	for _, a := range out["flat"].Alerts {
-		drills += len(a.Drill)
+		for range out["flat"].Result.Supporters(a.Cell) {
+			supporters++
+		}
 	}
 	for _, a := range out["slope-change"].Alerts {
 		if a.Kind == SlopeChange {
 			changes++
 		}
 	}
-	if drills == 0 || changes == 0 || out["tilted"].Frames == nil || out["empty-unit"].Result != nil {
-		t.Fatalf("fixture lost a shape: %d drill cells, snapshots %+v", drills, out)
+	if supporters == 0 || changes == 0 || out["tilted"].Frames == nil || out["empty-unit"].Result != nil {
+		t.Fatalf("fixture lost a shape: %d supporters, snapshots %+v", supporters, out)
 	}
 	return out
 }
@@ -422,18 +424,14 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		}
 	}
 	// Alerts no engine publishes: MergeSnapshots k-way merges the nodes'
-	// alert lists and needs each canonical, and each on one of its node's
-	// o-cells.
+	// alert lists and needs each canonical, each on one of its node's
+	// o-cells and of a kind a query can name.
 	for what, mutate := range map[string]func(s *Snapshot){
 		"alerts out of order": func(s *Snapshot) { s.Alerts[0], s.Alerts[1] = s.Alerts[1], s.Alerts[0] },
 		"an alert twice":      func(s *Snapshot) { s.Alerts = append(s.Alerts[:1], s.Alerts...) },
-		"drill out of order": func(s *Snapshot) {
-			d := s.Alerts[0].Drill
-			d[0], d[1] = d[1], d[0]
-		},
-		"a drill cell twice": func(s *Snapshot) { s.Alerts[0].Drill[1] = s.Alerts[0].Drill[0] },
-		// An alert names an o-cell of its own unit, and drills into the
-		// exceptions under it: a unit that closed empty has none.
+		"an alert of kind 7":  func(s *Snapshot) { s.Alerts[0].Kind = 7 },
+		// An alert names an o-cell of its own unit: a unit that closed
+		// empty has none.
 		"alerts in an empty unit": func(s *Snapshot) {
 			alerts := s.Alerts
 			*s = *snaps["empty-unit"]
@@ -444,24 +442,11 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		},
 		"an alert on an m-layer cell": func(s *Snapshot) {
 			last := &s.Alerts[len(s.Alerts)-1]
-			last.Cell, last.Drill = cube.NewCellKey(schema.MLayer(), 3, 3), nil
-		},
-		"an alert of another unit": func(s *Snapshot) { s.Alerts[len(s.Alerts)-1].Unit++ },
-		"a drill cell under another o-cell": func(s *Snapshot) {
-			for _, a := range s.Alerts[1:] {
-				if a.Cell != s.Alerts[0].Cell && len(a.Drill) > 0 {
-					s.Alerts[0].Drill = a.Drill
-					return
-				}
-			}
-			t.Fatal("test is vacuous: no two o-cells alert with drill cells")
+			last.Cell = cube.NewCellKey(schema.MLayer(), 3, 3)
 		},
 	} {
 		hostile := *flat
 		hostile.Alerts = slices.Clone(flat.Alerts)
-		for i := range hostile.Alerts {
-			hostile.Alerts[i].Drill = slices.Clone(flat.Alerts[i].Drill)
-		}
 		mutate(&hostile)
 		doc, err := EncodeSnapshot(&hostile)
 		if err != nil {
@@ -471,10 +456,10 @@ func TestSnapshotCodecRejects(t *testing.T) {
 			t.Errorf("%s accepted", what)
 		}
 	}
-	// A version-3 document (each frame in an encoding of its own) is
-	// refused by its version, not misread.
-	if _, err := DecodeSnapshot(schema, mutate(len(snapMagic), 3)); err == nil || !strings.Contains(err.Error(), "version 3, want 4") {
-		t.Errorf("version-3 document: %v, want a version error", err)
+	// A version-4 document (each alert with its unit, regression and
+	// supporters) is refused by its version, not misread.
+	if _, err := DecodeSnapshot(schema, mutate(len(snapMagic), 4)); err == nil || !strings.Contains(err.Error(), "version 4, want 5") {
+		t.Errorf("version-4 document: %v, want a version error", err)
 	}
 
 	// Well-formed documents whose frames or chain no engine publishes:

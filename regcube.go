@@ -117,9 +117,14 @@ type (
 	StreamEngine = stream.Engine
 	// StreamConfig configures the online analyzer.
 	StreamConfig = stream.Config
-	// Alert is one o-layer observation with drill-down supporters.
+	// Alert is one o-layer observation; a slope exception's drill-down
+	// supporters are its unit result's (Result.Supporters).
 	Alert = stream.Alert
 )
+
+// SlopeException is the kind of alert an o-cell whose slope crosses the
+// threshold raises: the one with supporters.
+const SlopeException = stream.SlopeException
 
 // Tilt time frame (paper §4.1).
 type (
