@@ -136,8 +136,11 @@ type Client struct {
 	endpoints []string
 	// cur is the index of the preferred endpoint — the last one that
 	// answered. Calls start there and rotate on failure.
-	cur     atomic.Int64
+	cur atomic.Int64
+	// hc is the caller's client (WithHTTPClient), or one New builds with
+	// timeout.
 	hc      *http.Client
+	timeout time.Duration
 	retries int
 	backoff time.Duration
 }
@@ -154,12 +157,14 @@ func WithEndpoints(addrs ...string) Option {
 }
 
 // WithHTTPClient substitutes the underlying *http.Client (pools,
-// transports, instrumentation). Its Timeout wins over WithTimeout.
+// transports, instrumentation). It is used as given: its Timeout wins
+// over WithTimeout, and the client never writes to it.
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
 // WithTimeout bounds each HTTP attempt (default 10s). Retries each get
-// the full budget; bound the total with the context instead.
-func WithTimeout(d time.Duration) Option { return func(c *Client) { c.hc.Timeout = d } }
+// the full budget; bound the total with the context instead. It applies
+// only when no WithHTTPClient is given.
+func WithTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = d } }
 
 // WithRetries sets how many extra passes over the endpoint list a
 // failed call makes (default 2). Only transport errors and 503
@@ -178,12 +183,15 @@ func WithRetryBackoff(d time.Duration) Option { return func(c *Client) { c.backo
 //	c, err := client.New(client.WithEndpoints("http://127.0.0.1:8080"))
 func New(opts ...Option) (*Client, error) {
 	c := &Client{
-		hc:      &http.Client{Timeout: 10 * time.Second},
+		timeout: 10 * time.Second,
 		retries: 2,
 		backoff: 150 * time.Millisecond,
 	}
 	for _, opt := range opts {
 		opt(c)
+	}
+	if c.hc == nil {
+		c.hc = &http.Client{Timeout: c.timeout}
 	}
 	if len(c.endpoints) == 0 {
 		return nil, fmt.Errorf("client: %w: no endpoints (use WithEndpoints)", ErrInvalid)

@@ -412,6 +412,48 @@ func TestClientNew(t *testing.T) {
 	}
 }
 
+// TestClientTimeout pins who owns the attempt timeout: WithTimeout bounds
+// the client New builds, and a caller's WithHTTPClient is used as given
+// and never written, whichever option comes first.
+func TestClientTimeout(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(200 * time.Millisecond):
+		case <-r.Context().Done():
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"status":"ok","serving":true}`))
+	}))
+	defer slow.Close()
+
+	c, err := client.New(client.WithEndpoints(slow.URL), client.WithRetries(0), client.WithTimeout(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Health(context.Background()); err == nil {
+		t.Fatal("a 200 ms answer beat the default client's 50 ms timeout")
+	}
+
+	for _, order := range []string{"client first", "timeout first"} {
+		shared := &http.Client{Timeout: 7 * time.Second}
+		opts := []client.Option{client.WithHTTPClient(shared), client.WithTimeout(50 * time.Millisecond)}
+		if order == "timeout first" {
+			opts[0], opts[1] = opts[1], opts[0]
+		}
+		c, err := client.New(append(opts, client.WithEndpoints(slow.URL), client.WithRetries(0))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared.Timeout != 7*time.Second {
+			t.Fatalf("%s: the caller's client timeout became %v", order, shared.Timeout)
+		}
+		if h, err := c.Health(context.Background()); err != nil || !h.Serving {
+			t.Fatalf("%s: the caller's 7 s client did not answer: %+v, %v", order, h, err)
+		}
+	}
+}
+
 // TestClientFailover pins the multi-endpoint contract: a down first
 // endpoint (refused connections and 503s alike) fails over to the next
 // one within a single pass — even with retries off — and the endpoint

@@ -241,9 +241,21 @@ func TestPopularPathMatchesBruteForceOnPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Path cells must match truth exactly.
-	for _, pc := range path.Cuboids {
-		cells := res.PathCells[pc]
+	// Path cells must match truth exactly: Step 2 over the tree
+	// PopularPath builds.
+	tree, err := buildTree(s, htree.PathOrder(s, path), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.PropagateUp(); err != nil {
+		t.Fatal(err)
+	}
+	oAttrs := 0
+	for _, d := range s.Dims {
+		oAttrs += d.OLevel
+	}
+	for i, cells := range pathCells(tree, path, oAttrs) {
+		pc := path.Cuboids[i]
 		if len(cells) == 0 {
 			t.Fatalf("no cells for path cuboid %v", pc)
 		}
@@ -455,6 +467,9 @@ func TestOLayerAtApex(t *testing.T) {
 	}
 	if !almostEq(a.Slope, b.Slope, 1e-9) || !almostEq(a.Base, b.Base, 1e-9) {
 		t.Fatalf("apex cells differ: %v vs %v", a, b)
+	}
+	if mk, pk := mo.OCells()[0].Key, pp.OCells()[0].Key; mk != pk {
+		t.Fatalf("apex keys differ: %v vs %v", mk, pk)
 	}
 }
 

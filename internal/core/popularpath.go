@@ -25,7 +25,7 @@ type excSrc struct {
 //
 // Step 1 builds the H-tree in path order; Step 2 rolls the m-layer up to
 // the o-layer along the path, storing regression points in the non-leaf
-// tree nodes (surfaced as PathCells); Step 3 drills recursively from the
+// tree nodes (read off by pathCells); Step 3 drills recursively from the
 // o-layer: only the children cells of exception cells are computed in
 // non-path cuboids, each aggregated from the closest computed path cuboid
 // below it — enumerated as H-tree subtrees of the exception cell's source
@@ -46,10 +46,7 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 
 	idx := tree.AncestorIndex() // built once with the tree
 	lattice := cube.NewLattice(s)
-	res := &Result{
-		Schema:    s,
-		PathCells: make(map[cube.Cuboid]map[cube.CellKey]regression.ISB),
-	}
+	res := &Result{Schema: s}
 	// The exceptions are kept in a table while drilling and listed in
 	// canonical order at the end.
 	excs := make(map[cube.CellKey]regression.ISB)
@@ -61,7 +58,6 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	st.BuildTime = build
 
 	cubeStart := time.Now()
-	oLayer := s.OLayer()
 
 	// Step 2: the path cuboids are materialized at tree depths oAttrs+i.
 	oAttrs := 0
@@ -70,31 +66,15 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	}
 	depthOf := make(map[cube.Cuboid]int, len(path.Cuboids))
 	var pathCellCount int64
+	onPath := pathCells(tree, path, oAttrs)
 	for i, pc := range path.Cuboids {
-		depth := oAttrs + i
-		depthOf[pc] = depth
-		var cells map[cube.CellKey]regression.ISB
-		if depth == 0 {
-			// o-layer at the apex (every dimension at ALL): one root cell.
-			cells = make(map[cube.CellKey]regression.ISB, 1)
-			root := tree.Root()
-			if root.HasMeasure {
-				cells[cube.CellKey{Cuboid: pc}] = root.Measure
-			}
-		} else {
-			nodes := tree.NodesAtDepth(depth)
-			cells = make(map[cube.CellKey]regression.ISB, len(nodes))
-			for _, n := range nodes {
-				cells[tree.CellKeyOf(n)] = n.Measure
-			}
-		}
-		res.PathCells[pc] = cells
-		pathCellCount += int64(len(cells))
-		st.CellsComputed += int64(len(cells))
+		depthOf[pc] = oAttrs + i
+		pathCellCount += int64(len(onPath[i]))
 	}
+	st.CellsComputed += pathCellCount
 	st.CuboidsComputed = len(path.Cuboids)
 
-	oCells := res.PathCells[oLayer]
+	oCells := onPath[0] // a path starts at the o-layer
 
 	// Exception registry: retained exception cells per cuboid with their
 	// source nodes for further drilling.
@@ -204,6 +184,24 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	}
 	res.groupByOCell(idx) // every cell aggregates into one o-cell: cannot fail
 	return res, nil
+}
+
+// pathCells is Step 2: in a tree built in path order and rolled up, path
+// cuboid i's cells are the nodes at depth oAttrs+i, the o-layer's depth
+// plus i. Listed in path order.
+func pathCells(tree *htree.HTree, path cube.Path, oAttrs int) []map[cube.CellKey]regression.ISB {
+	out := make([]map[cube.CellKey]regression.ISB, len(path.Cuboids))
+	for i := range path.Cuboids {
+		nodes := tree.NodesAtDepth(oAttrs + i)
+		if root := tree.Root(); oAttrs+i == 0 && root.HasMeasure {
+			nodes = []*htree.Node{root} // the o-layer at the apex: one root cell
+		}
+		out[i] = make(map[cube.CellKey]regression.ISB, len(nodes))
+		for _, n := range nodes {
+			out[i][tree.CellKeyOf(n)] = n.Measure
+		}
+	}
+	return out
 }
 
 // cellList lists a cell table in canonical order.

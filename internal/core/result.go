@@ -15,10 +15,7 @@ import (
 // alike for both forms.
 type Result struct {
 	Schema *cube.Schema
-	// PathCells holds the materialized popular-path cuboid cells
-	// (popular-path algorithm only; nil for m/o-cubing and merged results).
-	PathCells map[cube.Cuboid]map[cube.CellKey]regression.ISB
-	Stats     Stats
+	Stats  Stats
 
 	// oLayer holds every o-layer cell ("all cells are retained for
 	// observation"), exceptions every retained exception cell from the

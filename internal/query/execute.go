@@ -60,10 +60,9 @@ func (e *Executor) Snapshot() *stream.Snapshot { return e.snap }
 // Schema returns the schema requests are validated against.
 func (e *Executor) Schema() *cube.Schema { return e.schema }
 
-// Execute validates and runs one request, dispatching on its concrete
-// type. Both value and pointer forms of the request types are accepted.
-// Errors wrap ErrInvalid/ErrCell (bad request) or ErrNotFound (the
-// snapshot does not hold the target).
+// Execute validates one request and runs it. Both value and pointer
+// forms of the request types are accepted. Errors wrap ErrInvalid/ErrCell
+// (bad request) or ErrNotFound (the snapshot does not hold the target).
 func (e *Executor) Execute(req Request) (Response, error) {
 	if req == nil {
 		return nil, invalidf("nil request")
@@ -71,58 +70,7 @@ func (e *Executor) Execute(req Request) (Response, error) {
 	if err := req.Validate(e.schema); err != nil {
 		return nil, err
 	}
-	// Cell-addressed kinds resolve their key exactly once here; Validate
-	// above already proved it resolves, so helpers just consume it.
-	switch r := req.(type) {
-	case SummaryRequest:
-		return e.summary(), nil
-	case *SummaryRequest:
-		return e.summary(), nil
-	case ExceptionsRequest:
-		return e.exceptions(r), nil
-	case *ExceptionsRequest:
-		return e.exceptions(*r), nil
-	case AlertsRequest:
-		return e.alerts(), nil
-	case *AlertsRequest:
-		return e.alerts(), nil
-	case SupportersRequest:
-		return e.dispatchCell(r.CellRef, func(key cube.CellKey) (Response, error) { return e.supporters(r, key) })
-	case *SupportersRequest:
-		return e.dispatchCell(r.CellRef, func(key cube.CellKey) (Response, error) { return e.supporters(*r, key) })
-	case SliceRequest:
-		return e.slice(r), nil
-	case *SliceRequest:
-		return e.slice(*r), nil
-	case TrendRequest:
-		return e.dispatchCell(r.CellRef, func(key cube.CellKey) (Response, error) { return e.trend(r, key) })
-	case *TrendRequest:
-		return e.dispatchCell(r.CellRef, func(key cube.CellKey) (Response, error) { return e.trend(*r, key) })
-	case FrameRequest:
-		return e.dispatchCell(r.CellRef, func(key cube.CellKey) (Response, error) { return e.frame(key) })
-	case *FrameRequest:
-		return e.dispatchCell(r.CellRef, func(key cube.CellKey) (Response, error) { return e.frame(key) })
-	case ForecastRequest:
-		return e.dispatchCell(r.CellRef, func(key cube.CellKey) (Response, error) { return e.forecast(r, key) })
-	case *ForecastRequest:
-		return e.dispatchCell(r.CellRef, func(key cube.CellKey) (Response, error) { return e.forecast(*r, key) })
-	case ChangesRequest:
-		return e.changes(r), nil
-	case *ChangesRequest:
-		return e.changes(*r), nil
-	default:
-		return nil, invalidf("unsupported request type %T", req)
-	}
-}
-
-// dispatchCell resolves a cell reference once and runs the kind's
-// handler with the key.
-func (e *Executor) dispatchCell(ref CellRef, fn func(key cube.CellKey) (Response, error)) (Response, error) {
-	key, err := ref.Resolve(e.schema)
-	if err != nil {
-		return nil, err
-	}
-	return fn(key)
+	return req.run(e)
 }
 
 // ExecuteBatch runs every enveloped request against this executor's one
@@ -151,7 +99,7 @@ func (e *Executor) ExecuteBatch(queries []Envelope) *BatchResponse {
 	return resp
 }
 
-func (e *Executor) summary() *SummaryResponse {
+func (SummaryRequest) run(e *Executor) (Response, error) {
 	snap := e.snap
 	resp := &SummaryResponse{
 		Unit:      snap.Unit,
@@ -178,10 +126,10 @@ func (e *Executor) summary() *SummaryResponse {
 		}
 		resp.Cuboids = e.cuboids
 	}
-	return resp
+	return resp, nil
 }
 
-func (e *Executor) exceptions(r ExceptionsRequest) *CellsResponse {
+func (r ExceptionsRequest) run(e *Executor) (Response, error) {
 	resp := &CellsResponse{
 		Unit:     e.snap.Unit,
 		Interval: encodeInterval(e.snap.Interval),
@@ -198,10 +146,10 @@ func (e *Executor) exceptions(r ExceptionsRequest) *CellsResponse {
 		}
 		resp.Cells = encodeCells(e.schema, cells)
 	}
-	return resp
+	return resp, nil
 }
 
-func (e *Executor) alerts() *AlertsResponse {
+func (AlertsRequest) run(e *Executor) (Response, error) {
 	resp := &AlertsResponse{
 		Unit:     e.snap.Unit,
 		Interval: encodeInterval(e.snap.Interval),
@@ -210,10 +158,14 @@ func (e *Executor) alerts() *AlertsResponse {
 	for _, a := range e.snap.Alerts {
 		resp.Alerts = append(resp.Alerts, encodeAlert(e.schema, e.snap.Result, a))
 	}
-	return resp
+	return resp, nil
 }
 
-func (e *Executor) supporters(r SupportersRequest, key cube.CellKey) (Response, error) {
+func (r SupportersRequest) run(e *Executor) (Response, error) {
+	key, err := r.Resolve(e.schema)
+	if err != nil {
+		return nil, err
+	}
 	resp := &SupportersResponse{Unit: e.snap.Unit, Supporters: []CellJSON{}}
 	resp.Cell.Levels, resp.Cell.Members = encodeKey(key)
 	resp.Cell.Name = key.Describe(e.schema)
@@ -238,7 +190,7 @@ func (e *Executor) supporters(r SupportersRequest, key cube.CellKey) (Response, 
 	return resp, nil
 }
 
-func (e *Executor) slice(r SliceRequest) *CellsResponse {
+func (r SliceRequest) run(e *Executor) (Response, error) {
 	resp := &CellsResponse{
 		Unit:     e.snap.Unit,
 		Interval: encodeInterval(e.snap.Interval),
@@ -252,10 +204,14 @@ func (e *Executor) slice(r SliceRequest) *CellsResponse {
 		}
 		resp.Cells = encodeCells(e.schema, cells)
 	}
-	return resp
+	return resp, nil
 }
 
-func (e *Executor) trend(r TrendRequest, key cube.CellKey) (Response, error) {
+func (r TrendRequest) run(e *Executor) (Response, error) {
+	key, err := r.Resolve(e.schema)
+	if err != nil {
+		return nil, err
+	}
 	k := max(r.K, 1)
 	snap := e.snap
 	name := key.Describe(e.schema)
@@ -275,9 +231,9 @@ func (e *Executor) trend(r TrendRequest, key cube.CellKey) (Response, error) {
 	if k > len(slots) {
 		return nil, notFoundf("trend for %s: %d %s units requested, %d retained", name, k, level, len(slots))
 	}
-	isb, terr := snap.TrendQueryAt(key, r.Level, k)
-	if terr != nil {
-		return nil, notFoundf("trend for %s: %v", name, terr)
+	isb, err := snap.TrendQueryAt(key, r.Level, k)
+	if err != nil {
+		return nil, notFoundf("trend for %s: %v", name, err)
 	}
 	resp := &TrendResponse{Unit: snap.Unit, K: k, History: len(slots), Points: []HistoryPointJSON{}}
 	resp.Cell = encodeCell(e.schema, core.Cell{Key: key, ISB: isb})
@@ -293,7 +249,11 @@ func (e *Executor) trend(r TrendRequest, key cube.CellKey) (Response, error) {
 	return resp, nil
 }
 
-func (e *Executor) frame(key cube.CellKey) (Response, error) {
+func (r FrameRequest) run(e *Executor) (Response, error) {
+	key, err := r.Resolve(e.schema)
+	if err != nil {
+		return nil, err
+	}
 	snap := e.snap
 	v := snap.FrameOf(key)
 	if v == nil {

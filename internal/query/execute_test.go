@@ -244,10 +244,18 @@ func TestExecutorUnavailable(t *testing.T) {
 	}
 }
 
-// TestRequestJSONRoundTrip marshals every request kind through its
+// allKinds lists every Kind constant, for the tests that hold the kinds
+// table to the union.
+var allKinds = []Kind{
+	KindSummary, KindExceptions, KindAlerts, KindSupporters, KindSlice,
+	KindTrend, KindFrame, KindForecast, KindChanges,
+}
+
+// TestRequestJSONRoundTrip marshals requests of every kind through their
 // envelope and back: the decoded request must equal the original, so the
-// batch wire format is lossless.
+// batch wire format is lossless. A rejected envelope keeps no request.
 func TestRequestJSONRoundTrip(t *testing.T) {
+	threshold := 42.5
 	reqs := []Request{
 		SummaryRequest{},
 		ExceptionsRequest{K: 7, Order: OrderKey},
@@ -258,8 +266,14 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		SliceRequest{Dim: 1, Level: 2, Member: 3, K: 2},
 		TrendRequest{CellRef: OCell(0, 1), K: 4, Level: 1},
 		FrameRequest{CellRef: OCell(0, 0)},
+		ForecastRequest{CellRef: OCell(1, 0), Horizon: 30},
+		ForecastRequest{CellRef: Cell([]int{1, 1}, []int32{0, 1}), K: 4, Horizon: 7, Threshold: &threshold},
+		ChangesRequest{},
+		ChangesRequest{K: 5, MinScore: 0.25},
 	}
+	seen := map[Kind]bool{}
 	for _, req := range reqs {
+		seen[req.Kind()] = true
 		b, err := json.Marshal(Envelope{Request: req})
 		if err != nil {
 			t.Fatalf("marshal %T: %v", req, err)
@@ -280,16 +294,86 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 			t.Fatalf("wire form %s carries kind %v, want %s", b, probe["kind"], req.Kind())
 		}
 	}
+	for _, k := range allKinds {
+		if !seen[k] {
+			t.Errorf("no round trip of kind %q", k)
+		}
+	}
 
 	for _, bad := range []string{
-		`{"k":3}`,                     // missing kind
-		`{"kind":"nope"}`,             // unknown kind
-		`{"kind":"trend","k":"five"}`, // mistyped field
+		`{"k":3}`,                          // missing kind
+		`{"kind":"nope"}`,                  // unknown kind
+		`{"kind":"trend","k":"five"}`,      // mistyped field
+		`{"kind":"forecast","horizon":[]}`, // mistyped field
+		`{"kind":"changes","minScore":{}}`, // mistyped field
+		`[]`,                               // not an object
 	} {
-		var e Envelope
+		e := Envelope{}
 		if err := json.Unmarshal([]byte(bad), &e); err == nil {
 			t.Fatalf("unmarshal %s succeeded, want error", bad)
 		}
+		if e.Request != nil {
+			t.Fatalf("unmarshal %s failed but set Request %#v", bad, e.Request)
+		}
+	}
+}
+
+// TestKindsTable holds the union to its one table: every Kind has a row;
+// each kind's request, value or pointer, executes to the response type
+// its row names; and DecodeResponse of that response's JSON gives it back.
+func TestKindsTable(t *testing.T) {
+	if len(kinds) != len(allKinds) {
+		t.Fatalf("kinds has %d rows for %d kinds", len(kinds), len(allKinds))
+	}
+	ex := execTestExecutor(t, 13, execTiltChain)
+	for _, req := range []Request{
+		SummaryRequest{},
+		ExceptionsRequest{K: 3},
+		AlertsRequest{},
+		SupportersRequest{CellRef: OCell(1, 1)},
+		SliceRequest{Dim: 0, Level: 1, Member: 1},
+		TrendRequest{CellRef: OCell(0, 0), K: 2, Level: 1},
+		FrameRequest{CellRef: OCell(0, 0)},
+		ForecastRequest{CellRef: OCell(0, 0), Horizon: 4},
+		ChangesRequest{},
+	} {
+		k := req.Kind()
+		t.Run(string(k), func(t *testing.T) {
+			row, ok := kinds[k]
+			if !ok {
+				t.Fatalf("no kinds row for %q", k)
+			}
+			resp, err := ex.Execute(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := reflect.TypeOf(resp), reflect.TypeOf(row.response()); got != want {
+				t.Fatalf("Execute answered %v, the row names %v", got, want)
+			}
+			ptr := reflect.New(reflect.TypeOf(req))
+			ptr.Elem().Set(reflect.ValueOf(req))
+			presp, err := ex.Execute(ptr.Interface().(Request))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(presp, resp) {
+				t.Fatalf("pointer form answered %+v, value form %+v", presp, resp)
+			}
+			raw, err := json.Marshal(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := DecodeResponse(k, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, resp) {
+				t.Fatalf("DecodeResponse of %s:\n got %+v\nwant %+v", raw, back, resp)
+			}
+		})
+	}
+	if _, err := DecodeResponse("nope", []byte(`{}`)); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("DecodeResponse of an unknown kind: %v, want ErrInvalid", err)
 	}
 }
 

@@ -139,7 +139,11 @@ type ChangesResponse struct {
 
 func (*ChangesResponse) isResponse() {}
 
-func (e *Executor) forecast(r ForecastRequest, key cube.CellKey) (Response, error) {
+func (r ForecastRequest) run(e *Executor) (Response, error) {
+	key, err := r.Resolve(e.schema)
+	if err != nil {
+		return nil, err
+	}
 	snap := e.snap
 	pts := snap.HistoryOf(key)
 	have := len(pts)
@@ -179,7 +183,7 @@ func (e *Executor) forecast(r ForecastRequest, key cube.CellKey) (Response, erro
 	return resp, nil
 }
 
-func (e *Executor) changes(r ChangesRequest) *ChangesResponse {
+func (r ChangesRequest) run(e *Executor) (Response, error) {
 	snap := e.snap
 	resp := &ChangesResponse{
 		Unit:     snap.Unit,
@@ -208,5 +212,5 @@ func (e *Executor) changes(r ChangesRequest) *ChangesResponse {
 			LongSlope:   c.LongSlope,
 		})
 	}
-	return resp
+	return resp, nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -162,28 +163,36 @@ func TestChangesExecute(t *testing.T) {
 	}
 }
 
-// TestForecastEnvelopeRoundTrip pins the wire form of the new kinds
-// through the envelope union, threshold pointer included.
+// TestForecastEnvelopeRoundTrip pins the wire bytes of the predictive
+// kinds through the envelope union: the threshold pointer appears only
+// when set, and zero fields are omitted. The bytes decode back to the
+// request; TestRequestJSONRoundTrip covers the round trip of every kind.
 func TestForecastEnvelopeRoundTrip(t *testing.T) {
 	threshold := 42.5
-	reqs := []Request{
-		ForecastRequest{CellRef: OCell(1, 0), Horizon: 30},
-		ForecastRequest{CellRef: Cell([]int{1, 1}, []int32{0, 1}), K: 4, Horizon: 7, Threshold: &threshold},
-		ChangesRequest{},
-		ChangesRequest{K: 5, MinScore: 0.25},
-	}
-	for _, req := range reqs {
-		env := Envelope{Request: req}
-		data, err := env.MarshalJSON()
+	for _, c := range []struct {
+		req  Request
+		wire string
+	}{
+		{ForecastRequest{CellRef: OCell(1, 0), Horizon: 30},
+			`{"kind":"forecast","members":[1,0],"horizon":30}`},
+		{ForecastRequest{CellRef: Cell([]int{1, 1}, []int32{0, 1}), K: 4, Horizon: 7, Threshold: &threshold},
+			`{"kind":"forecast","levels":[1,1],"members":[0,1],"k":4,"horizon":7,"threshold":42.5}`},
+		{ChangesRequest{}, `{"kind":"changes"}`},
+		{ChangesRequest{K: 5, MinScore: 0.25}, `{"kind":"changes","k":5,"minScore":0.25}`},
+	} {
+		b, err := json.Marshal(Envelope{Request: c.req})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back Envelope
-		if err := back.UnmarshalJSON(data); err != nil {
-			t.Fatalf("unmarshal %s: %v", data, err)
+		if string(b) != c.wire {
+			t.Fatalf("wire form of %+v:\n got %s\nwant %s", c.req, b, c.wire)
 		}
-		if !reflect.DeepEqual(back.Request, req) {
-			t.Fatalf("round trip %s:\n got %+v\nwant %+v", data, back.Request, req)
+		var back Envelope
+		if err := json.Unmarshal([]byte(c.wire), &back); err != nil {
+			t.Fatalf("unmarshal %s: %v", c.wire, err)
+		}
+		if !reflect.DeepEqual(back.Request, c.req) {
+			t.Fatalf("round trip %s:\n got %+v\nwant %+v", c.wire, back.Request, c.req)
 		}
 	}
 }

@@ -12,6 +12,10 @@ import (
 // JSON: every input must either fail decoding cleanly or produce an
 // envelope that re-marshals and decodes to the same request — no panics,
 // and no half-decoded envelopes with a nil Request escaping a nil error.
+// A request that decodes, of any kind, must then validate with a typed
+// error (ErrInvalid/ErrCell) or execute without panicking and without
+// escaping the sentinels. Its corpus holds both seed lists; it is the
+// query target CI fuzzes.
 func FuzzEnvelopeJSON(f *testing.F) {
 	// Seeds: every kind, flattened-field forms, and the classic failure
 	// shapes (missing kind, unknown kind, wrong field types, non-objects).
@@ -35,59 +39,57 @@ func FuzzEnvelopeJSON(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, b []byte) { fuzzEnvelope(t, b) })
-}
-
-// FuzzForecastEnvelopeJSON narrows the union fuzz onto the predictive
-// kinds and adds the execution seam: any forecast or changes envelope
-// that decodes must validate with a typed error (ErrInvalid/ErrCell) or
-// execute without panicking — non-finite thresholds, giant horizons, and
-// truncated cell references included.
-func FuzzForecastEnvelopeJSON(f *testing.F) {
-	for _, s := range []string{
-		`{"kind":"forecast","members":[0,0],"horizon":60}`,
-		`{"kind":"forecast","members":[1,1],"k":2,"horizon":8,"threshold":120.5}`,
-		`{"kind":"forecast","levels":[1,1],"members":[0,1],"horizon":1,"threshold":-3}`,
-		`{"kind":"forecast","members":[0,0]}`,
-		`{"kind":"forecast","members":[0,0],"horizon":-1}`,
-		`{"kind":"forecast","members":[0],"horizon":5}`,
-		`{"kind":"forecast","members":[9,9],"horizon":5}`,
-		`{"kind":"forecast","members":[0,0],"horizon":9223372036854775807}`,
-		`{"kind":"forecast","members":[0,0],"horizon":5,"threshold":1e400}`,
-		`{"kind":"forecast","threshold":"high"}`,
-		`{"kind":"changes"}`,
-		`{"kind":"changes","k":5,"minScore":0.25}`,
-		`{"kind":"changes","k":-1}`,
-		`{"kind":"changes","minScore":2}`,
-		`{"kind":"changes","minScore":-0.0001}`,
-		`{"kind":"changes","minScore":null}`,
-	} {
+	for _, s := range forecastSeeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		env := fuzzEnvelope(t, b)
-		if env == nil {
-			return
+	f.Fuzz(fuzzRequest)
+}
+
+// FuzzForecastEnvelopeJSON replays the predictive kinds' seeds through
+// the same property: non-finite thresholds, giant horizons and truncated
+// cell references included.
+func FuzzForecastEnvelopeJSON(f *testing.F) {
+	for _, s := range forecastSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(fuzzRequest)
+}
+
+var forecastSeeds = []string{
+	`{"kind":"forecast","members":[0,0],"horizon":60}`,
+	`{"kind":"forecast","members":[1,1],"k":2,"horizon":8,"threshold":120.5}`,
+	`{"kind":"forecast","levels":[1,1],"members":[0,1],"horizon":1,"threshold":-3}`,
+	`{"kind":"forecast","members":[0,0]}`,
+	`{"kind":"forecast","members":[0,0],"horizon":-1}`,
+	`{"kind":"forecast","members":[0],"horizon":5}`,
+	`{"kind":"forecast","members":[9,9],"horizon":5}`,
+	`{"kind":"forecast","members":[0,0],"horizon":9223372036854775807}`,
+	`{"kind":"forecast","members":[0,0],"horizon":5,"threshold":1e400}`,
+	`{"kind":"forecast","threshold":"high"}`,
+	`{"kind":"changes"}`,
+	`{"kind":"changes","k":5,"minScore":0.25}`,
+	`{"kind":"changes","k":-1}`,
+	`{"kind":"changes","minScore":2}`,
+	`{"kind":"changes","minScore":-0.0001}`,
+	`{"kind":"changes","minScore":null}`,
+}
+
+// fuzzRequest is the query property: a decoded request validates with a
+// typed error or executes within the sentinel taxonomy.
+func fuzzRequest(t *testing.T, b []byte) {
+	env := fuzzEnvelope(t, b)
+	if env == nil {
+		return
+	}
+	if err := env.Request.Validate(execSchema(t)); err != nil {
+		if !errors.Is(err, ErrInvalid) && !errors.Is(err, ErrCell) {
+			t.Fatalf("Validate of %q returned untyped error %v", b, err)
 		}
-		switch env.Request.Kind() {
-		case KindForecast, KindChanges:
-		default:
-			return
-		}
-		schema := execSchema(t)
-		if err := env.Request.Validate(schema); err != nil {
-			if !errors.Is(err, ErrInvalid) && !errors.Is(err, ErrCell) {
-				t.Fatalf("Validate of %q returned untyped error %v", b, err)
-			}
-			return
-		}
-		// Valid requests must execute without panicking; any failure must
-		// stay inside the sentinel taxonomy.
-		ex := fuzzExecutor(t)
-		if _, err := ex.Execute(env.Request); err != nil && HTTPStatus(err) == http.StatusInternalServerError {
-			t.Fatalf("Execute of %q escaped the sentinels: %v", b, err)
-		}
-	})
+		return
+	}
+	if _, err := fuzzExecutor(t).Execute(env.Request); err != nil && HTTPStatus(err) == http.StatusInternalServerError {
+		t.Fatalf("Execute of %q escaped the sentinels: %v", b, err)
+	}
 }
 
 // fuzzExec caches one executor for the fuzz workers — building the

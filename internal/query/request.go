@@ -61,8 +61,9 @@ const (
 // Request is one typed query against a published snapshot. The concrete
 // types — SummaryRequest, ExceptionsRequest, AlertsRequest,
 // SupportersRequest, SliceRequest, TrendRequest, FrameRequest,
-// ForecastRequest, ChangesRequest — form a closed union;
-// Executor.Execute dispatches on them.
+// ForecastRequest, ChangesRequest — form a closed union, sealed by the
+// unexported run method; Executor.Execute validates a request and has it
+// run itself. Pointers to them are Requests too.
 type Request interface {
 	// Kind returns the union discriminator.
 	Kind() Kind
@@ -70,6 +71,8 @@ type Request interface {
 	// snapshot, so transports can reject bad requests before (or without)
 	// a snapshot existing. Errors wrap ErrInvalid or ErrCell.
 	Validate(s *cube.Schema) error
+	// run answers the validated request from e's snapshot.
+	run(e *Executor) (Response, error)
 }
 
 // CellRef names one cell by coordinates: one level and one member per
@@ -272,7 +275,7 @@ func (e Envelope) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes the kind discriminator and then the matching
 // concrete request. Unknown kinds fail the whole envelope (and hence the
-// batch) with ErrInvalid.
+// batch) with ErrInvalid; on any error the envelope is left as it was.
 func (e *Envelope) UnmarshalJSON(b []byte) error {
 	var probe struct {
 		Kind Kind `json:"kind"`
@@ -280,59 +283,45 @@ func (e *Envelope) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &probe); err != nil {
 		return err
 	}
-	switch probe.Kind {
-	case KindSummary:
-		e.Request = SummaryRequest{}
-	case KindExceptions:
-		var r ExceptionsRequest
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		e.Request = r
-	case KindAlerts:
-		e.Request = AlertsRequest{}
-	case KindSupporters:
-		var r SupportersRequest
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		e.Request = r
-	case KindSlice:
-		var r SliceRequest
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		e.Request = r
-	case KindTrend:
-		var r TrendRequest
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		e.Request = r
-	case KindFrame:
-		var r FrameRequest
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		e.Request = r
-	case KindForecast:
-		var r ForecastRequest
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		e.Request = r
-	case KindChanges:
-		var r ChangesRequest
-		if err := json.Unmarshal(b, &r); err != nil {
-			return err
-		}
-		e.Request = r
-	case "":
+	if probe.Kind == "" {
 		return fmt.Errorf("%w: missing kind", ErrInvalid)
-	default:
+	}
+	k, ok := kinds[probe.Kind]
+	if !ok {
 		return fmt.Errorf("%w: unknown kind %q", ErrInvalid, probe.Kind)
 	}
+	req, err := k.decode(b)
+	if err != nil {
+		return err
+	}
+	e.Request = req
 	return nil
+}
+
+// kinds lists the union once: per kind, the decoder of its request's wire
+// form and a new value of the response type it answers with.
+var kinds = map[Kind]struct {
+	decode   func([]byte) (Request, error)
+	response func() Response
+}{
+	KindSummary:    {decodeAs[SummaryRequest], func() Response { return new(SummaryResponse) }},
+	KindExceptions: {decodeAs[ExceptionsRequest], func() Response { return new(CellsResponse) }},
+	KindAlerts:     {decodeAs[AlertsRequest], func() Response { return new(AlertsResponse) }},
+	KindSupporters: {decodeAs[SupportersRequest], func() Response { return new(SupportersResponse) }},
+	KindSlice:      {decodeAs[SliceRequest], func() Response { return new(CellsResponse) }},
+	KindTrend:      {decodeAs[TrendRequest], func() Response { return new(TrendResponse) }},
+	KindFrame:      {decodeAs[FrameRequest], func() Response { return new(FrameResponse) }},
+	KindForecast:   {decodeAs[ForecastRequest], func() Response { return new(ForecastResponse) }},
+	KindChanges:    {decodeAs[ChangesRequest], func() Response { return new(ChangesResponse) }},
+}
+
+// decodeAs decodes a request's flattened JSON form as the value type R.
+func decodeAs[R Request](b []byte) (Request, error) {
+	var r R
+	if err := json.Unmarshal(b, &r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // Wrap packages requests into envelopes — the body of a BatchRequest.

@@ -108,27 +108,11 @@ func (*FrameResponse) isResponse() {}
 // DecodeResponse unmarshals the wire form of a response by its request
 // kind — the client's half of the batch protocol.
 func DecodeResponse(k Kind, raw []byte) (Response, error) {
-	var resp Response
-	switch k {
-	case KindSummary:
-		resp = &SummaryResponse{}
-	case KindExceptions, KindSlice:
-		resp = &CellsResponse{}
-	case KindAlerts:
-		resp = &AlertsResponse{}
-	case KindSupporters:
-		resp = &SupportersResponse{}
-	case KindTrend:
-		resp = &TrendResponse{}
-	case KindFrame:
-		resp = &FrameResponse{}
-	case KindForecast:
-		resp = &ForecastResponse{}
-	case KindChanges:
-		resp = &ChangesResponse{}
-	default:
+	kind, ok := kinds[k]
+	if !ok {
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrInvalid, k)
 	}
+	resp := kind.response()
 	if err := json.Unmarshal(raw, resp); err != nil {
 		return nil, fmt.Errorf("decoding %s response: %w", k, err)
 	}

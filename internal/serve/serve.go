@@ -90,35 +90,35 @@ const maxQueryBodyBytes = 1 << 20
 // maxBatchQueries bounds the sub-requests of one batch.
 const maxBatchQueries = 128
 
-// endpoint indexes the per-endpoint request counters.
-type endpoint int
-
-const (
-	epHealthz endpoint = iota
-	epMetrics
-	epSummary
-	epExceptions
-	epAlerts
-	epSupporters
-	epSlice
-	epTrend
-	epFrame
-	epQuery
-	epInfo
-	epSnapshot
-	epAlertEvents
-	epForecast
-	epChanges
-	numEndpoints
-)
-
-var endpointNames = [numEndpoints]string{
-	"healthz", "metrics", "summary", "exceptions", "alerts", "supporters", "slice", "trend", "frame", "query",
-	"info", "snapshot", "alertevents", "forecast", "changes",
+// routes is the API, one row per endpoint: its method and path, the label
+// its regcube_http_* families carry on /metrics (in this order), and its
+// handler.
+var routes = [...]struct {
+	pattern, label string
+	handle         func(*Server, http.ResponseWriter, *http.Request) error
+}{
+	{"GET /healthz", "healthz", (*Server).handleHealthz},
+	{"GET /metrics", "metrics", (*Server).handleMetrics},
+	{"GET /v1/summary", "summary", (*Server).handleSummary},
+	{"GET /v1/exceptions", "exceptions", (*Server).handleExceptions},
+	{"GET /v1/alerts", "alerts", (*Server).handleAlerts},
+	{"GET /v1/supporters", "supporters", (*Server).handleSupporters},
+	{"GET /v1/slice", "slice", (*Server).handleSlice},
+	{"GET /v1/trend", "trend", (*Server).handleTrend},
+	{"GET /v1/frame", "frame", (*Server).handleFrame},
+	{"POST /v1/query", "query", (*Server).handleQuery},
+	{"GET /v1/info", "info", (*Server).handleInfo},
+	{"GET /v1/snapshot", "snapshot", (*Server).handleSnapshot},
+	{"GET /v1/alerts/events", "alertevents", (*Server).handleAlertEvents},
+	{"GET /v1/forecast", "forecast", (*Server).handleForecast},
+	{"GET /v1/changes", "changes", (*Server).handleChanges},
 }
 
-// endpointStats are lock-free per-endpoint counters.
+// endpointStats are one route's lock-free counters. The route's label is
+// copied here: handleMetrics reading routes, which names it, would be an
+// initialization cycle.
 type endpointStats struct {
+	label    string
 	requests atomic.Int64
 	errors   atomic.Int64
 	nanos    atomic.Int64
@@ -139,7 +139,7 @@ type Server struct {
 	// cache; rebuilding is idempotent, so two racing requests at a
 	// boundary at worst both build it.
 	exec  atomic.Pointer[query.Executor]
-	stats [numEndpoints]endpointStats
+	stats []endpointStats // one per route, in routes order
 	// encodeErrors counts response bodies that failed mid-write (client
 	// gone, connection reset); they also land in the per-endpoint error
 	// counters.
@@ -235,22 +235,15 @@ func NewHTTPServer(h http.Handler) *http.Server {
 // New builds a query server over a snapshot source. Method-mismatched
 // requests get 405 with an Allow header from the route patterns.
 func New(src Source, schema *cube.Schema) *Server {
-	s := &Server{src: src, schema: schema, mux: http.NewServeMux(), start: time.Now(), drain: make(chan struct{})}
-	s.mux.HandleFunc("GET /healthz", s.instrument(epHealthz, s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.instrument(epMetrics, s.handleMetrics))
-	s.mux.HandleFunc("GET /v1/summary", s.instrument(epSummary, s.handleSummary))
-	s.mux.HandleFunc("GET /v1/exceptions", s.instrument(epExceptions, s.handleExceptions))
-	s.mux.HandleFunc("GET /v1/alerts", s.instrument(epAlerts, s.handleAlerts))
-	s.mux.HandleFunc("GET /v1/supporters", s.instrument(epSupporters, s.handleSupporters))
-	s.mux.HandleFunc("GET /v1/slice", s.instrument(epSlice, s.handleSlice))
-	s.mux.HandleFunc("GET /v1/trend", s.instrument(epTrend, s.handleTrend))
-	s.mux.HandleFunc("GET /v1/frame", s.instrument(epFrame, s.handleFrame))
-	s.mux.HandleFunc("GET /v1/forecast", s.instrument(epForecast, s.handleForecast))
-	s.mux.HandleFunc("GET /v1/changes", s.instrument(epChanges, s.handleChanges))
-	s.mux.HandleFunc("POST /v1/query", s.instrument(epQuery, s.handleQuery))
-	s.mux.HandleFunc("GET /v1/info", s.instrument(epInfo, s.handleInfo))
-	s.mux.HandleFunc("GET /v1/snapshot", s.instrument(epSnapshot, s.handleSnapshot))
-	s.mux.HandleFunc("GET /v1/alerts/events", s.instrument(epAlertEvents, s.handleAlertEvents))
+	s := &Server{
+		src: src, schema: schema, mux: http.NewServeMux(), start: time.Now(),
+		stats: make([]endpointStats, len(routes)), drain: make(chan struct{}),
+	}
+	for i, rt := range routes {
+		st := &s.stats[i]
+		st.label = rt.label
+		s.mux.HandleFunc(rt.pattern, s.instrument(st, rt.handle))
+	}
 	return s
 }
 
@@ -271,9 +264,6 @@ func badRequest(format string, args ...any) error {
 	return &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// errNoSnapshot is returned until the first unit boundary publishes.
-var errNoSnapshot = &apiError{status: http.StatusServiceUnavailable, msg: "no completed unit yet"}
-
 // errEncode marks a response that failed while already being written —
 // counted, but nothing more can be sent on the connection.
 var errEncode = errors.New("serve: encoding response")
@@ -287,13 +277,12 @@ func errorStatus(err error) (int, string) {
 	return query.HTTPStatus(err), query.ErrorMessage(err)
 }
 
-// instrument wraps a handler with per-endpoint counters and JSON error
+// instrument wraps a route's handler with its counters and JSON error
 // rendering.
-func (s *Server) instrument(ep endpoint, fn func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
+func (s *Server) instrument(st *endpointStats, handle func(*Server, http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		err := fn(w, r)
-		st := &s.stats[ep]
+		err := handle(s, w, r)
 		st.requests.Add(1)
 		st.nanos.Add(time.Since(t0).Nanoseconds())
 		if err != nil {
@@ -327,7 +316,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) error {
 func (s *Server) executor() (*query.Executor, error) {
 	snap := s.src.Snapshot()
 	if snap == nil {
-		return nil, errNoSnapshot
+		return nil, query.ErrUnavailable
 	}
 	old := s.exec.Load()
 	if old != nil && old.Snapshot() == snap {
@@ -488,12 +477,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		fmt.Fprintf(w, "regcube_alert_handler_drops_total %d\n", st.HandlerDrops)
 	}
 	fmt.Fprintf(w, "regcube_http_encode_errors_total %d\n", s.encodeErrors.Load())
-	for ep := endpoint(0); ep < numEndpoints; ep++ {
-		st := &s.stats[ep]
-		name := endpointNames[ep]
-		fmt.Fprintf(w, "regcube_http_requests_total{endpoint=%q} %d\n", name, st.requests.Load())
-		fmt.Fprintf(w, "regcube_http_errors_total{endpoint=%q} %d\n", name, st.errors.Load())
-		fmt.Fprintf(w, "regcube_http_request_nanos_total{endpoint=%q} %d\n", name, st.nanos.Load())
+	for i := range s.stats {
+		st := &s.stats[i]
+		fmt.Fprintf(w, "regcube_http_requests_total{endpoint=%q} %d\n", st.label, st.requests.Load())
+		fmt.Fprintf(w, "regcube_http_errors_total{endpoint=%q} %d\n", st.label, st.errors.Load())
+		fmt.Fprintf(w, "regcube_http_request_nanos_total{endpoint=%q} %d\n", st.label, st.nanos.Load())
 	}
 	if s.metrics != nil {
 		s.metrics(w)
@@ -741,7 +729,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 		snap = s.park(r.Context(), src, after, min(time.Duration(wait)*time.Millisecond, maxPark))
 	}
 	if snap == nil {
-		return errNoSnapshot
+		return query.ErrUnavailable
 	}
 	if snap.Unit <= after {
 		w.WriteHeader(http.StatusNotModified)

@@ -293,6 +293,23 @@ func TestMetricsCounters(t *testing.T) {
 	if !strings.Contains(body, "regcube_serving 1") || !strings.Contains(body, "regcube_snapshot_unit 0") {
 		t.Fatalf("metrics missing snapshot gauges:\n%s", body)
 	}
+	// The per-endpoint families keep their names and order: three per
+	// endpoint, the endpoints in the order scrapers have always seen.
+	var got, want []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "regcube_http_") && strings.Contains(line, "{endpoint=") {
+			got = append(got, line[:strings.Index(line, "}")+1])
+		}
+	}
+	for _, ep := range []string{"healthz", "metrics", "summary", "exceptions", "alerts", "supporters", "slice",
+		"trend", "frame", "query", "info", "snapshot", "alertevents", "forecast", "changes"} {
+		for _, family := range []string{"requests_total", "errors_total", "request_nanos_total"} {
+			want = append(want, fmt.Sprintf("regcube_http_%s{endpoint=%q}", family, ep))
+		}
+	}
+	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+		t.Fatalf("per-endpoint families:\n%s\nwant:\n%s", g, w)
+	}
 	// Without SetIngestStats the ingest counters stay off /metrics: a
 	// query-only server has no ingest edge to report.
 	if strings.Contains(body, "regcube_ingest_records_total") {
