@@ -59,6 +59,12 @@ const (
 type nodeMirror struct {
 	unit       atomic.Int64 // unit of the snapshot held for it, -1 before the first
 	fetchNanos atomic.Int64 // body read + decode of the last snapshot it sent
+	// mu orders what the node's fetches do once their answers arrive:
+	// read the body into buf, decode it, replace the node's part. An
+	// answer lands only on the part its request named, so a part takes
+	// at most one successor (stream.DecodeSnapshotAfter).
+	mu  sync.Mutex
+	buf []byte
 }
 
 // Gatherer is the scatter-gather query tier: it implements serve.Source
@@ -68,8 +74,10 @@ type nodeMirror struct {
 // merged view.
 //
 // The mirror is read-driven. One fetch primitive — the conditional GET
-// /v1/snapshot?after=U[&wait=ms] — is used in rounds: every node is asked
-// in parallel for something newer than the mirror holds of it, nodes found
+// /v1/snapshot?after=A&have=U.O[&wait=ms], naming unit U of engine run O
+// as the part held, so a node one unit further on that run answers with
+// its successor document — is used in rounds: every node is asked in
+// parallel for something newer than the mirror holds of it, nodes found
 // behind the newest are asked again for exactly that unit with a park (so
 // they answer the instant they publish it), and the merged view advances
 // only when all nodes hold the same unit. While the mirror is live a
@@ -98,14 +106,16 @@ type Gatherer struct {
 	cancel context.CancelFunc
 	loop   sync.WaitGroup
 
-	// mu guards parts — the newest snapshot held of each node — and the
-	// merge. It is never held across a request, so Refresh and a reader's
-	// revalidation never queue behind a parked prefetch round.
+	// mu guards the merge; parts — the newest snapshot held of each node —
+	// is written under it and under that node's nodeMirror.mu. Neither is
+	// held across a request, so Refresh and a reader's revalidation never
+	// queue behind a parked prefetch round.
 	mu    sync.Mutex
 	parts []*stream.Snapshot
 	nodes []nodeMirror
 
 	rounds                                            [2]atomic.Int64 // by roundKind
+	fullDocs, successorDocs                           atomic.Int64
 	merges, unaligned, fetchErrors, bytes, fetchNanos atomic.Int64
 }
 
@@ -280,13 +290,27 @@ func (g *Gatherer) fetch(ctx context.Context, nodes []int, floor int64, park boo
 
 // fetchOne is the fetch primitive against one node: a conditional GET
 // that leaves the mirror alone on 304 and replaces the node's part on 200.
+// It names the part it holds (?have=), so a node one unit ahead answers
+// with the successor document, whose frames are rebuilt from the part's.
 func (g *Gatherer) fetchOne(ctx context.Context, i int, floor int64, park bool) error {
 	node := &g.nodes[i]
-	url := g.cfg.Endpoints[i] + "/v1/snapshot?after=" + strconv.FormatInt(max(node.unit.Load(), floor), 10)
-	if park {
-		url += "&wait=" + strconv.Itoa(parkMillis)
+	node.mu.Lock()
+	held := g.parts[i]
+	node.mu.Unlock()
+	after := floor
+	if held != nil {
+		after = max(after, held.Unit)
 	}
-	resp, err := g.do(ctx, url)
+	url := append(make([]byte, 0, 128), g.cfg.Endpoints[i]...)
+	url = strconv.AppendInt(append(url, "/v1/snapshot?after="...), after, 10)
+	if held != nil {
+		url = strconv.AppendInt(append(url, "&have="...), held.Unit, 10)
+		url = strconv.AppendUint(append(url, '.'), held.Origin, 16)
+	}
+	if park {
+		url = strconv.AppendInt(append(url, "&wait="...), parkMillis, 10)
+	}
+	resp, err := g.do(ctx, string(url))
 	if err != nil {
 		return err
 	}
@@ -294,27 +318,38 @@ func (g *Gatherer) fetchOne(ctx context.Context, i int, floor int64, park bool) 
 	if resp.StatusCode == http.StatusNotModified {
 		return nil
 	}
+	node.mu.Lock()
+	defer node.mu.Unlock()
+	if g.parts[i] != held {
+		// A round running beside this one has replaced the part since the
+		// request went out, with a newer unit than held: that answer
+		// stands, and this one may be held's successor.
+		return nil
+	}
 	t0 := time.Now()
-	data, err := readOK(resp)
+	node.buf, err = readOK(resp, node.buf)
 	if err != nil {
 		return err
 	}
-	snap, err := stream.DecodeSnapshot(g.cfg.Schema, data)
+	snap, err := stream.DecodeSnapshotAfter(g.cfg.Schema, held, node.buf)
 	if err != nil {
 		return err
 	}
 	took := time.Since(t0).Nanoseconds()
 	node.fetchNanos.Store(took)
 	g.fetchNanos.Add(took)
-	g.bytes.Add(int64(len(data)))
-	g.mu.Lock()
-	// A round running beside this one may have fetched the same unit, or a
-	// newer one, already.
-	if g.parts[i] == nil || snap.Unit > g.parts[i].Unit {
+	g.bytes.Add(int64(len(node.buf)))
+	if stream.IsSuccessorDocument(node.buf) {
+		g.successorDocs.Add(1)
+	} else {
+		g.fullDocs.Add(1)
+	}
+	if held == nil || snap.Unit > held.Unit {
+		g.mu.Lock()
 		g.parts[i] = snap
+		g.mu.Unlock()
 		node.unit.Store(snap.Unit)
 	}
-	g.mu.Unlock()
 	return nil
 }
 
@@ -352,17 +387,28 @@ func (g *Gatherer) do(ctx context.Context, url string) (*http.Response, error) {
 	return g.cfg.HTTP.Do(req)
 }
 
-// readOK reads a response body, turning any status but 200 into an error
-// that quotes the body's first line.
-func readOK(resp *http.Response) ([]byte, error) {
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
+// readOK reads a response body into buf's backing, growing it as needed,
+// and turns any status but 200 into an error that quotes the body's first
+// line. It returns the buffer read into, error or not.
+func readOK(resp *http.Response, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, firstLine(data))
+		return buf, fmt.Errorf("HTTP %d: %s", resp.StatusCode, firstLine(buf))
 	}
-	return data, nil
+	return buf, nil
 }
 
 // nodeInfo fetches one node's /v1/info document.
@@ -372,7 +418,7 @@ func (g *Gatherer) nodeInfo(ctx context.Context, endpoint string) (*query.InfoRe
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := readOK(resp)
+	data, err := readOK(resp, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -430,16 +476,19 @@ func (g *Gatherer) Info() query.InfoResponse {
 
 // WriteMetrics renders the gather counters in Prometheus text format, for
 // serve.Server.SetMetrics: rounds by kind, merges, rounds that could not
-// align, failed fetches, and the bytes and time (body read + decode) of
-// the snapshots fetched. One prefetch round and one merge per unit is the
-// steady state; revalidation rounds mark reads that found the mirror
-// stopped.
+// align, failed fetches, the snapshot documents fetched by kind, and their
+// bytes and time (body read + decode). One prefetch round, one merge and
+// a successor document per node per unit is the steady state;
+// revalidation rounds mark reads that found the mirror stopped, full
+// documents a node's first contact, a gap or a restart.
 func (g *Gatherer) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "regcube_gather_rounds_total{kind=\"prefetch\"} %d\n", g.rounds[prefetch].Load())
 	fmt.Fprintf(w, "regcube_gather_rounds_total{kind=\"revalidate\"} %d\n", g.rounds[revalidate].Load())
 	fmt.Fprintf(w, "regcube_gather_merges_total %d\n", g.merges.Load())
 	fmt.Fprintf(w, "regcube_gather_unaligned_total %d\n", g.unaligned.Load())
 	fmt.Fprintf(w, "regcube_gather_fetch_errors_total %d\n", g.fetchErrors.Load())
+	fmt.Fprintf(w, "regcube_gather_documents_total{kind=\"full\"} %d\n", g.fullDocs.Load())
+	fmt.Fprintf(w, "regcube_gather_documents_total{kind=\"successor\"} %d\n", g.successorDocs.Load())
 	fmt.Fprintf(w, "regcube_gather_bytes_total %d\n", g.bytes.Load())
 	fmt.Fprintf(w, "regcube_gather_fetch_nanos_total %d\n", g.fetchNanos.Load())
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +26,7 @@ import (
 // test goroutine steps it; nothing else touches the engine.
 type mirrorNode struct {
 	eng  *stream.Engine
+	srv  atomic.Pointer[serve.Server] // serves eng; restart replaces both
 	ts   *httptest.Server
 	cell [2]int32 // an m-cell under this node's o-cell
 	unit int64    // last published, -1 before the first
@@ -34,6 +36,9 @@ type mirrorNode struct {
 	infoGets   atomic.Int64
 	// parkedAfter is the ?after= of the last request with a wait to arrive.
 	parkedAfter atomic.Int64
+	// hold, while set, keeps snapshot requests from being answered until
+	// it is closed.
+	hold atomic.Pointer[chan struct{}]
 }
 
 func (n *mirrorNode) snapshotGets() int64 { return n.parkedGets.Load() + n.plainGets.Load() }
@@ -73,7 +78,7 @@ func newMirrorCluster(t *testing.T) *mirrorCluster {
 		// O-cell i of the 2×2 o-layer: m-members 2·(i/2) and 2·(i%2).
 		n := &mirrorNode{eng: eng, cell: [2]int32{int32(i/2) * 2, int32(i%2) * 2}, unit: -1}
 		n.parkedAfter.Store(-2)
-		srv := serve.New(eng, c.schema)
+		n.srv.Store(serve.New(eng, c.schema))
 		n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case r.URL.Path == "/v1/info":
@@ -85,10 +90,13 @@ func newMirrorCluster(t *testing.T) *mirrorCluster {
 			case r.URL.Path == "/v1/snapshot":
 				n.plainGets.Add(1)
 			}
-			srv.ServeHTTP(w, r)
+			if hold := n.hold.Load(); hold != nil && r.URL.Path == "/v1/snapshot" {
+				<-*hold
+			}
+			n.srv.Load().ServeHTTP(w, r)
 		}))
 		t.Cleanup(func() {
-			srv.Drain()
+			n.srv.Load().Drain()
 			n.ts.Close()
 		})
 		c.nodes = append(c.nodes, n)
@@ -101,6 +109,26 @@ func newMirrorCluster(t *testing.T) *mirrorCluster {
 	// Registered last, so it runs first: no round outlives the test.
 	t.Cleanup(c.g.Close)
 	return c
+}
+
+// restart replaces the node's engine with a new one restored from its
+// checkpoint — what a node process that stops and starts again serves
+// under the same address: the same units, another origin.
+func (n *mirrorNode) restart(t testing.TB, schema *cube.Schema) {
+	t.Helper()
+	cp, err := n.eng.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := stream.NewEngine(testConfig(t, schema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	n.eng = eng
+	n.srv.Swap(serve.New(eng, schema)).Drain()
 }
 
 func (c *mirrorCluster) stepAll(t testing.TB) {
@@ -416,6 +444,130 @@ func TestMirrorReadsMakeNoRequests(t *testing.T) {
 		if !st.Reachable || st.MirrorUnit != units || st.LastFetchMs <= 0 {
 			t.Errorf("node %d status = %+v", i, st)
 		}
+	}
+}
+
+// nodesMerged is the merge of the nodes' own latest snapshots: what the
+// view of their unit must equal, frames included.
+func (c *mirrorCluster) nodesMerged(t testing.TB) *stream.Snapshot {
+	t.Helper()
+	snaps := make([]*stream.Snapshot, len(c.nodes))
+	for i, n := range c.nodes {
+		snaps[i] = n.eng.Snapshot()
+	}
+	m, err := stream.MergeSnapshots(c.schema, snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestMirrorFollowsWithSuccessors: a mirror that follows the nodes unit by
+// unit fetches each node's whole document once and a successor document
+// for every unit after, and the frames it rebuilds from them are the
+// nodes' own. A node restarted from its checkpoint — same units, a new
+// engine run — gets one whole document, then successors again.
+func TestMirrorFollowsWithSuccessors(t *testing.T) {
+	c := newMirrorCluster(t)
+	const units = 12
+	follow := func(u int64) {
+		t.Helper()
+		if err := c.g.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		v := c.g.view.Load()
+		if v == nil || v.Unit != u {
+			t.Fatalf("view = %+v, want unit %d", v, u)
+		}
+		if want := c.nodesMerged(t); !reflect.DeepEqual(v.Frames, want.Frames) {
+			t.Fatalf("unit %d: the mirrored frames are not the nodes'", u)
+		}
+	}
+	for u := int64(0); u < units; u++ {
+		c.stepAll(t)
+		follow(u)
+	}
+	full, successors := c.g.fullDocs.Load(), c.g.successorDocs.Load()
+	if full != 4 || successors != 4*(units-1) {
+		t.Fatalf("%d full and %d successor documents for %d units of 4 nodes, want 4 and %d", full, successors, units, 4*(units-1))
+	}
+	c.nodes[2].restart(t, c.schema)
+	for u := int64(units); u < 2*units; u++ {
+		c.stepAll(t)
+		follow(u)
+	}
+	full, successors = c.g.fullDocs.Load(), c.g.successorDocs.Load()
+	if full != 5 || successors != 4*(2*units-1)-1 {
+		t.Fatalf("after a restart: %d full and %d successor documents, want 5 and %d", full, successors, 4*(2*units-1)-1)
+	}
+	var buf bytes.Buffer
+	c.g.WriteMetrics(&buf)
+	for _, want := range []string{
+		`regcube_gather_documents_total{kind="full"} 5` + "\n",
+		fmt.Sprintf(`regcube_gather_documents_total{kind="successor"} %d`+"\n", successors),
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics lack %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestConcurrentRoundsApplyOneSuccessor runs two rounds at once after
+// every unit — a revalidation beside a prefetch, say — and holds the
+// nodes' answers until both have asked every node for the successor of
+// the part they hold. One of the two answers lands; the other is dropped,
+// for the part takes one successor. The view of every unit carries the
+// nodes' frames exactly. Run under -race.
+func TestConcurrentRoundsApplyOneSuccessor(t *testing.T) {
+	c := newMirrorCluster(t)
+	ctx := context.Background()
+	for u := int64(0); u < 30; u++ {
+		c.stepAll(t)
+		hold := make(chan struct{})
+		asked := make([]int64, len(c.nodes))
+		for i, n := range c.nodes {
+			asked[i] = n.snapshotGets()
+			n.hold.Store(&hold)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for r := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[r] = c.g.round(ctx, revalidate)
+			}()
+		}
+		waitFor(t, "both rounds to ask every node", func() bool {
+			for i, n := range c.nodes {
+				if n.snapshotGets() < asked[i]+2 {
+					return false
+				}
+			}
+			return true
+		})
+		for _, n := range c.nodes {
+			n.hold.Store(nil)
+		}
+		close(hold)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("unit %d: %v", u, err)
+			}
+		}
+		v := c.g.view.Load()
+		if v == nil || v.Unit != u {
+			t.Fatalf("view = %+v, want unit %d", v, u)
+		}
+		if want := c.nodesMerged(t); !reflect.DeepEqual(v.Frames, want.Frames) {
+			t.Fatalf("unit %d: the mirrored frames are not the nodes'", u)
+		}
+	}
+	// Every answer that landed: each node's first unit whole, the rest as
+	// successors.
+	if full, successors := c.g.fullDocs.Load(), c.g.successorDocs.Load(); full != 4 || successors != 4*29 {
+		t.Fatalf("%d full and %d successor documents landed over 30 units of 4 nodes", full, successors)
 	}
 }
 

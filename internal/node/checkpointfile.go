@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/metrics"
 	"sync/atomic"
 )
 
@@ -50,24 +48,4 @@ func (c *checkpointStats) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "regcube_checkpoint_writes_total %d\n", c.writes.Load())
 	fmt.Fprintf(w, "regcube_checkpoint_bytes %d\n", c.bytes.Load())
 	fmt.Fprintf(w, "regcube_checkpoint_nanos_total %d\n", c.nanos.Load())
-}
-
-// writeGCMetrics renders the collector's cycle count and pause total from
-// runtime/metrics, which — unlike runtime.ReadMemStats — does not stop the
-// world to be read. Against regcube_snapshot_units_done the first is "GC
-// cycles per unit", the number a unit's allocations decide. The runtime
-// accounts pauses as CPU time, GOMAXPROCS times the wall-clock pause, so
-// the total is divided back.
-func writeGCMetrics(w io.Writer) {
-	samples := []metrics.Sample{
-		{Name: "/gc/cycles/total:gc-cycles"},
-		{Name: "/cpu/classes/gc/pause:cpu-seconds"},
-	}
-	metrics.Read(samples)
-	if v := samples[0].Value; v.Kind() == metrics.KindUint64 {
-		fmt.Fprintf(w, "regcube_gc_cycles_total %d\n", v.Uint64())
-	}
-	if v := samples[1].Value; v.Kind() == metrics.KindFloat64 {
-		fmt.Fprintf(w, "regcube_gc_pause_nanos_total %d\n", int64(v.Float64()/float64(runtime.GOMAXPROCS(0))*1e9))
-	}
 }

@@ -310,7 +310,6 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		handler.SetBusDropped(a.BusDropped)
 		handler.SetMetrics(func(w io.Writer) {
 			cpStats.writeMetrics(w)
-			writeGCMetrics(w)
 			// The cell dictionary's size at the last close: the distinct
 			// m-cells that unit held, summed over shards.
 			fmt.Fprintf(w, "regcube_cells_active %d\n", a.CellsActive())

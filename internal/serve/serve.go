@@ -34,7 +34,8 @@
 //	POST /v1/query              batch of typed requests, one unit-consistent reply
 //	GET  /v1/info               typed identity document (node, or coordinator plus its nodes)
 //	GET  /v1/snapshot           the published snapshot in the binary wire codec (?after=&wait=:
-//	                            304 unless a unit newer than after is published, parking up to wait ms for one)
+//	                            304 unless a unit newer than after is published, parking up to wait ms for one;
+//	                            ?have=unit.origin: the successor document when the snapshot follows that one)
 //
 // The GET endpoints are a compatibility surface: their JSON bodies are
 // byte-identical to the pre-v2 handlers' (pinned by golden tests) and any
@@ -52,7 +53,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
+	"runtime/metrics"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -483,10 +487,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		fmt.Fprintf(w, "regcube_http_errors_total{endpoint=%q} %d\n", st.label, st.errors.Load())
 		fmt.Fprintf(w, "regcube_http_request_nanos_total{endpoint=%q} %d\n", st.label, st.nanos.Load())
 	}
+	writeGCMetrics(w)
 	if s.metrics != nil {
 		s.metrics(w)
 	}
 	return nil
+}
+
+// writeGCMetrics renders the collector's cycle count and pause total from
+// runtime/metrics, which — unlike runtime.ReadMemStats — does not stop the
+// world to be read. Against regcube_snapshot_units_done the first is "GC
+// cycles per unit", the number a unit's allocations decide. The runtime
+// accounts pauses as CPU time, GOMAXPROCS times the wall-clock pause, so
+// the total is divided back.
+func writeGCMetrics(w io.Writer) {
+	samples := []metrics.Sample{
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/cpu/classes/gc/pause:cpu-seconds"},
+	}
+	metrics.Read(samples)
+	if v := samples[0].Value; v.Kind() == metrics.KindUint64 {
+		fmt.Fprintf(w, "regcube_gc_cycles_total %d\n", v.Uint64())
+	}
+	if v := samples[1].Value; v.Kind() == metrics.KindFloat64 {
+		fmt.Fprintf(w, "regcube_gc_pause_nanos_total %d\n", int64(v.Float64()/float64(runtime.GOMAXPROCS(0))*1e9))
+	}
 }
 
 // --- GET shims over the typed request model -------------------------------
@@ -702,22 +727,41 @@ func (s *Server) handleAlertEvents(w http.ResponseWriter, r *http.Request) error
 
 // --- GET /v1/snapshot -----------------------------------------------------
 
-// handleSnapshot ships the latest published snapshot whole, in the
-// canonical binary codec (stream.EncodeSnapshot) — the cluster gather
-// tier's bulk-transfer edge. Analysts never need it; the coordinator
-// mirrors every node through it and merges.
+// handleSnapshot ships the latest published snapshot in the canonical
+// binary codec — the cluster gather tier's transfer edge. Analysts never
+// need it; the coordinator mirrors every node through it and merges.
 //
 // It is a conditional GET. ?after=U answers 304 unless the published unit
 // is newer than U; ?wait=ms (capped at maxPark) parks such a request until
 // a newer unit is published, so a follower learns of a unit the moment it
 // exists instead of polling for it. Without parameters it returns the
 // current snapshot, 503 before the first unit.
+//
+// ?have=U.O names the snapshot the requester holds: unit U of origin O
+// (Snapshot.Origin, in hex). When the answer is the next unit of that
+// origin it goes as the successor document (stream.EncodeSuccessor), which
+// leaves out the frames the requester rebuilds from its own; anything else
+// — no have, a gap, another origin (a restarted engine) — gets the whole
+// document (stream.EncodeSnapshot).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
+	q := r.URL.Query()
 	after := int64(-1)
-	if raw := r.URL.Query().Get("after"); raw != "" {
+	if raw := q.Get("after"); raw != "" {
 		var err error
 		if after, err = strconv.ParseInt(raw, 10, 64); err != nil {
 			return badRequest("parameter after: %v", err)
+		}
+	}
+	var haveUnit int64
+	var haveOrigin uint64
+	if raw := q.Get("have"); raw != "" {
+		u, o, _ := strings.Cut(raw, ".")
+		var err error
+		if haveUnit, err = strconv.ParseInt(u, 10, 64); err != nil {
+			return badRequest("parameter have: unit: %v", err)
+		}
+		if haveOrigin, err = strconv.ParseUint(o, 16, 64); err != nil {
+			return badRequest("parameter have: origin: %v", err)
 		}
 	}
 	wait, err := intParam(r, "wait", 0, 0)
@@ -735,7 +779,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 		w.WriteHeader(http.StatusNotModified)
 		return nil
 	}
-	data, err := stream.EncodeSnapshot(snap)
+	encode := stream.EncodeSnapshot
+	if snap.Origin != 0 && snap.Origin == haveOrigin && snap.Unit == haveUnit+1 {
+		encode = stream.EncodeSuccessor
+	}
+	data, err := encode(snap)
 	if err != nil {
 		return &apiError{status: http.StatusInternalServerError, msg: err.Error()}
 	}

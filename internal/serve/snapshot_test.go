@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -127,9 +128,56 @@ func TestSnapshotUnconditional(t *testing.T) {
 	if r := n.fetch(t, "?after=-1&wait=400"); r.status != http.StatusOK || r.unit != 0 || r.took > 200*time.Millisecond {
 		t.Fatalf("after=-1 = %+v, want unit 0 at once", r)
 	}
-	for _, bad := range []string{"?after=x", "?wait=-1", "?wait=soon"} {
+	for _, bad := range []string{"?after=x", "?wait=-1", "?wait=soon", "?have=0", "?have=x.1", "?have=0.xyz"} {
 		if r := n.fetch(t, bad); r.status != http.StatusBadRequest {
 			t.Fatalf("GET /v1/snapshot%s = %d, want 400", bad, r.status)
+		}
+	}
+}
+
+// TestSnapshotSuccessor: ?have=U.O names the snapshot the requester
+// holds. The node answers with the successor document exactly when its
+// snapshot is the unit after U of origin O, and with the full document
+// otherwise: a gap, its own unit, another engine run, or no have at all.
+func TestSnapshotSuccessor(t *testing.T) {
+	n := newSnapshotNode(t, false)
+	held := n.eng.Snapshot()
+	n.step(t)
+	origin := strconv.FormatUint(held.Origin, 16)
+	for query, successor := range map[string]bool{
+		"?have=0." + origin:         true,
+		"?after=0&have=0." + origin: true,
+		"":                          false,
+		"?have=-1." + origin:        false,
+		"?have=1." + origin:         false,
+		"?have=0." + strconv.FormatUint(held.Origin^1, 16): false,
+	} {
+		resp, err := http.Get(n.ts.URL + "/v1/snapshot" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/snapshot%s = %d, %v", query, resp.StatusCode, err)
+		}
+		if got := stream.IsSuccessorDocument(body); got != successor {
+			t.Fatalf("GET /v1/snapshot%s: successor document %v, want %v", query, got, successor)
+		}
+		// A record takes one successor: each is applied to a copy of held
+		// of its own, not to the one the engine has pushed already.
+		var prev *stream.Snapshot
+		if successor {
+			doc, err := stream.EncodeSnapshot(held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, err = stream.DecodeSnapshot(testSchema(t), doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if snap, err := stream.DecodeSnapshotAfter(testSchema(t), prev, body); err != nil || snap.Unit != 1 {
+			t.Fatalf("GET /v1/snapshot%s: %v", query, err)
 		}
 	}
 }

@@ -244,8 +244,10 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	e.walSeq = cp.WALSeq
 	e.err = nil
 	// Published snapshots describe units of the replaced state; readers
-	// must wait for the first post-restore boundary.
+	// must wait for the first post-restore boundary, and no snapshot
+	// published from here on is a successor of one published before.
 	e.snap.Store(nil)
+	e.origin = newOrigin()
 	return nil
 }
 
@@ -351,7 +353,7 @@ func (f *CellFrame) Key() cube.CellKey {
 // seedFrame rebuilds one o-cell's frame record under this engine's level
 // chain from the finest level of a record kept under another, in place:
 // its retained slots, which must be the contiguous engine units that end
-// where the open unit starts, replay in order exactly as recordTilt
+// where the open unit starts, replay in order exactly as AdvanceFrames
 // registered them live. Anything else would restore silently and poison
 // later promotions, so it is rejected here.
 func (sh *shard) seedFrame(rec *CellFrame, open int64) error {

@@ -188,6 +188,8 @@ type Engine struct {
 	// AppendCheckpoint assembles.
 	frames []CellFrame
 	cp     Checkpoint
+	// origin is every snapshot's Origin until the next Restore.
+	origin uint64
 }
 
 // NewEngine validates the config and returns an engine of cfg.Shards
@@ -230,6 +232,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		shape:     shapeOf(cfg.Schema),
 		openStart: cfg.StartTick,
 		openEnd:   cfg.StartTick + int64(cfg.TicksPerUnit),
+		origin:    newOrigin(),
 	}
 	for _, dim := range cfg.Schema.Dims {
 		e.oLevels = append(e.oLevels, dim.OLevel)
@@ -280,7 +283,7 @@ func (e *Engine) ready() error {
 // Ingest consumes one record: a run of one through the ingest loop
 // (accumulate). Records may skip ticks (absent readings count as zero
 // usage — and so does a whole absent unit: an o-cell with no reading in a
-// closed unit registers a zero regression over it, see recordTilt) and may
+// closed unit registers a zero regression over it, see AdvanceFrames) and may
 // open new cells mid-unit, but each cell's ticks must be non-decreasing
 // and at most one reading per tick. Crossing a unit boundary closes earlier
 // units on every shard; their merged results are returned in order (units
@@ -397,6 +400,7 @@ func (e *Engine) advanceTo(target int64) ([]*UnitResult, error) {
 				Result: out[u].Result,
 				Chain:  e.cfg.TiltLevels,
 				Frames: e.frames,
+				Origin: e.origin,
 			})
 		}
 	}

@@ -167,9 +167,11 @@ func (sh *shard) closeUnit(u int64) (*UnitResult, error) {
 		ur.Result = res
 		ur.Alerts = sh.raiseAlerts(ur, res)
 	}
-	if err := sh.recordTilt(ur); err != nil {
+	frames, err := AdvanceFrames(sh.frames, ur.Result, u, ur.Interval, cfg.TiltLevels)
+	if err != nil {
 		return nil, err
 	}
+	sh.frames = frames
 	return ur, nil
 }
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -55,6 +56,12 @@ type Snapshot struct {
 	// per-unit regressions (every frame ends at Unit; a unit the cell sat
 	// out is a zero regression), coarser levels the promoted ones.
 	Frames []CellFrame
+	// Origin names the engine run that published the snapshot: a random
+	// nonzero number drawn when the engine is made and again at every
+	// Restore, so no two runs share one. A successor document applies only
+	// to a predecessor of its origin (DecodeSnapshotAfter). A merged
+	// snapshot, which no one run published, has none (0).
+	Origin uint64
 }
 
 // Empty reports whether this snapshot's unit closed with no data: Result
@@ -121,6 +128,15 @@ func (s *Snapshot) HistoryLen(cell cube.CellKey) int {
 // regression over the combined interval (Theorem 3.3).
 func (s *Snapshot) TrendQuery(cell cube.CellKey, k int) (regression.ISB, error) {
 	return s.TrendQueryAt(cell, 0, k)
+}
+
+// newOrigin draws an engine run's Origin.
+func newOrigin() uint64 {
+	for {
+		if o := rand.Uint64(); o != 0 {
+			return o
+		}
+	}
 }
 
 // publish swaps in the immutable view of a unit that just closed and

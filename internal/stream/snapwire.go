@@ -26,10 +26,11 @@ import (
 // travel as their IEEE-754 bits (−0, ±Inf and NaN payloads survive):
 //
 //	header   "RCSN" · version u8 · dims u8 · flags u8 · unit · interval Tb,Te · unitsDone
-//	         · chain u32 × (name · multiple · slots)
+//	         · origin u64 · chain u32 × (name · multiple · slots)
 //	result   oLayer cells · exceptions cells · stats   (absent when empty)
 //	alerts   u32 × (kind u8 · key)
 //	frames   u32 × (key · base · unitTicks · nextTb · pushed · u32 × (completed · u32 × point))
+//	         (absent from a successor document)
 //
 //	cells = u32 × (key · ISB)     key = levels[dims]u8 · members[dims]i32
 //	ISB = Tb,Te i64 · Base,Slope f64     point = unit i64 · ISB
@@ -45,16 +46,28 @@ import (
 // (core.Result.Supporters). Every count is checked against the bytes that
 // remain before anything is allocated for it, and every frame before it is
 // handed out.
+//
+// A successor document (flagSuccessor, EncodeSuccessor) is the document of
+// the unit after one its reader holds, minus the frames section: the frames
+// are a pure function of the predecessor's and the unit's o-layer
+// (AdvanceFrames), so the reader rebuilds them bit for bit
+// (DecodeSnapshotAfter) once the header's origin — the engine run that
+// published the snapshot (Snapshot.Origin) — says both units came from one
+// run. A decoder refuses any flag it does not know, and nothing sends a
+// successor unasked.
 
 const (
 	snapMagic = "RCSN"
 	// snapshotWireVersion is the /v1/snapshot document version (1 was
 	// JSON, 2 had a history section and optional frames, 3 frames in an
 	// encoding of their own, 4 each alert's unit, regression and
-	// supporters).
-	snapshotWireVersion = 5
+	// supporters, 5 no origin and no successor flag).
+	snapshotWireVersion = 6
 
 	flagEmpty = 1 << 0 // the unit closed with no data: no result section
+	// Bit 1 marked a path-cells section, when a node could run
+	// popular-path cubing; it is retired, not reused.
+	flagSuccessor = 1 << 2 // the successor of the reader's snapshot: no frames section
 
 	isbSize   = 32
 	pointSize = 8 + isbSize
@@ -123,12 +136,30 @@ func (w *snapWriter) cells(cells []core.Cell) {
 // EncodeSnapshot serializes a published snapshot into the /v1/snapshot
 // wire document. Encoding is deterministic: every cell list, alert, and
 // frame is emitted in canonical key order.
-func EncodeSnapshot(s *Snapshot) ([]byte, error) {
+func EncodeSnapshot(s *Snapshot) ([]byte, error) { return encodeSnapshot(s, false) }
+
+// EncodeSuccessor serializes a published snapshot into its successor
+// document: the full document without its frames section. It decodes only
+// against the snapshot of the unit before, of the same origin
+// (DecodeSnapshotAfter); a snapshot of no origin has no successor document.
+func EncodeSuccessor(s *Snapshot) ([]byte, error) {
+	if s != nil && s.Origin == 0 {
+		return nil, fmt.Errorf("%w: successor of a snapshot of no origin", ErrRecord)
+	}
+	return encodeSnapshot(s, true)
+}
+
+func encodeSnapshot(s *Snapshot, successor bool) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("%w: nil snapshot", ErrRecord)
 	}
 	var flags byte
-	size := 1<<10 + framesSize(s.Frames)
+	size := 1 << 10
+	if successor {
+		flags |= flagSuccessor
+	} else {
+		size += framesSize(s.Frames)
+	}
 	if res := s.Result; res == nil {
 		flags |= flagEmpty
 	} else {
@@ -140,6 +171,7 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	w.i64(s.Interval.Tb)
 	w.i64(s.Interval.Te)
 	w.i64(s.UnitsDone)
+	w.i64(int64(s.Origin))
 	w.count(len(s.Chain))
 	for _, lv := range s.Chain {
 		w.str(lv.Name)
@@ -166,7 +198,9 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		w.key(a.Cell)
 	}
 
-	w.frames(s.Frames)
+	if !successor {
+		w.frames(s.Frames)
+	}
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -288,7 +322,21 @@ func (r *snapReader) cells() []core.Cell {
 	return out
 }
 
-// DecodeSnapshot parses a /v1/snapshot document back into a Snapshot. The
+// IsSuccessorDocument reports whether data starts like a successor
+// document, as opposed to a full one (or something else).
+func IsSuccessorDocument(data []byte) bool {
+	n := len(snapMagic)
+	return len(data) >= n+3 && string(data[:n]) == snapMagic && data[n+2]&flagSuccessor != 0
+}
+
+// DecodeSnapshot parses a full /v1/snapshot document back into a
+// Snapshot: DecodeSnapshotAfter with no predecessor, so a successor
+// document is refused.
+func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
+	return DecodeSnapshotAfter(schema, nil, data)
+}
+
+// DecodeSnapshotAfter parses a /v1/snapshot document back into a Snapshot. The
 // schema supplies the dimension count, levels and members the coordinates
 // are validated against; the returned snapshot's Result carries that
 // schema, exactly as a local engine's would, and keeps the document's cell
@@ -302,7 +350,16 @@ func (r *snapReader) cells() []core.Cell {
 // or is not a state of the chain (tilt.CheckState), frames out of
 // coordinate order or two for one cell — is ErrRecord. Each list is
 // checked as a run (core.CheckRun) once it has been read.
-func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
+//
+// prev is the snapshot the reader holds, or nil. A full document stands
+// alone and ignores it. A successor document applies to prev only — the
+// snapshot of the unit before, of the document's origin, level chain and
+// unit length — and its frames are prev's pushed by the unit
+// (AdvanceFrames); a successor to anything else, or to nothing, is
+// ErrRecord. prev reads as before, but a record takes one successor
+// (tilt.UnitFrameState.Push): a reader that keeps the result must not
+// decode a second successor of the same prev.
+func DecodeSnapshotAfter(schema *cube.Schema, prev *Snapshot, data []byte) (*Snapshot, error) {
 	r := snapReader{doc: "snapshot", size: len(data), data: data}
 	head := r.take(len(snapMagic) + 3)
 	if head == nil || string(head[:len(snapMagic)]) != snapMagic {
@@ -316,7 +373,7 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	if r.nd != 0 && r.nd != len(schema.Dims) {
 		return nil, fmt.Errorf("%w: snapshot document has %d dimensions, schema has %d", ErrRecord, r.nd, len(schema.Dims))
 	}
-	if flags&^flagEmpty != 0 {
+	if flags&^(flagEmpty|flagSuccessor) != 0 {
 		return nil, fmt.Errorf("%w: snapshot document flags %#x", ErrRecord, flags)
 	}
 	for d := 0; d < r.nd; d++ {
@@ -331,6 +388,7 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	s.Interval.Tb = r.i64()
 	s.Interval.Te = r.i64()
 	s.UnitsDone = r.i64()
+	s.Origin = uint64(r.i64())
 	s.Chain = make([]tilt.Level, r.count(4+8+8))
 	for i := range s.Chain {
 		s.Chain[i] = tilt.Level{Name: r.str(), Multiple: int(r.i64()), Slots: int(r.i64())}
@@ -378,7 +436,9 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 		r.fail("alert for cell %v out of order or repeated", s.Alerts[i].Cell.Members[:r.nd])
 	}
 
-	s.Frames = r.frames()
+	if flags&flagSuccessor == 0 {
+		s.Frames = r.frames()
+	}
 	for i := range s.Frames {
 		f := &s.Frames[i]
 		if err := checkFrame(schema, f, s.Unit+1, s.Interval.Te+1, s.Interval.Len()); err != nil {
@@ -392,6 +452,25 @@ func DecodeSnapshot(schema *cube.Schema, data []byte) (*Snapshot, error) {
 	}
 	if len(r.data) != 0 {
 		r.fail("%d trailing bytes", len(r.data))
+	}
+	// Only a whole document pushes prev's records.
+	if flags&flagSuccessor != 0 && r.err == nil {
+		switch {
+		case prev == nil:
+			r.fail("successor document with no predecessor")
+		case s.Origin == 0 || s.Origin != prev.Origin:
+			r.fail("successor of origin %#x to a predecessor of origin %#x", s.Origin, prev.Origin)
+		case s.Unit != prev.Unit+1 || s.UnitsDone != prev.UnitsDone+1 || s.Interval.Tb != prev.Interval.Te+1 || s.Interval.Len() != prev.Interval.Len():
+			r.fail("successor of unit %d (%d done, %+v) to a predecessor of unit %d (%d done, %+v)",
+				s.Unit, s.UnitsDone, s.Interval, prev.Unit, prev.UnitsDone, prev.Interval)
+		case !slices.Equal(s.Chain, prev.Chain):
+			r.fail("successor to a predecessor of another level chain")
+		default:
+			var err error
+			if s.Frames, err = AdvanceFrames(prev.Frames, s.Result, s.Unit, s.Interval, s.Chain); err != nil {
+				r.fail("%v", err)
+			}
+		}
 	}
 	if r.err != nil {
 		return nil, r.err

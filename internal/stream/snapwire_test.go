@@ -457,9 +457,12 @@ func TestSnapshotCodecRejects(t *testing.T) {
 		}
 	}
 	// A version-4 document (each alert with its unit, regression and
-	// supporters) is refused by its version, not misread.
-	if _, err := DecodeSnapshot(schema, mutate(len(snapMagic), 4)); err == nil || !strings.Contains(err.Error(), "version 4, want 5") {
-		t.Errorf("version-4 document: %v, want a version error", err)
+	// supporters) and a version-5 one (no origin) are refused by their
+	// version, not misread.
+	for _, v := range []byte{4, 5} {
+		if _, err := DecodeSnapshot(schema, mutate(len(snapMagic), v)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, want 6", v)) {
+			t.Errorf("version-%d document: %v, want a version error", v, err)
+		}
 	}
 
 	// Well-formed documents whose frames or chain no engine publishes:
@@ -493,12 +496,175 @@ func TestSnapshotCodecRejects(t *testing.T) {
 			t.Errorf("%s accepted", what)
 		}
 	}
+
+	// Successor documents: one applies to the snapshot of the unit before
+	// it, of its origin and level chain, and to nothing else. A second
+	// engine fed the same stream publishes the same snapshots under
+	// another origin, as a restarted node does.
+	var runs [2][]*Snapshot
+	for i := range runs {
+		cfg := snapshotTestConfig(t)
+		cfg.TiltLevels = tilted.Chain
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedUnits(t, func(m []int32, tick int64, v float64) {
+			if _, err := eng.Ingest(m, tick, v); err != nil {
+				t.Fatal(err)
+			}
+			if s := eng.Snapshot(); s != nil && (len(runs[i]) == 0 || runs[i][len(runs[i])-1] != s) {
+				runs[i] = append(runs[i], s)
+			}
+		}, cfg, 4)
+	}
+	decoded := func(s *Snapshot) *Snapshot {
+		doc, err := EncodeSnapshot(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeSnapshot(schema, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+	successor, err := EncodeSuccessor(runs[0][2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshotAfter(schema, decoded(runs[0][1]), successor); err != nil {
+		t.Fatalf("successor to its predecessor: %v", err)
+	}
+	otherChain := decoded(runs[0][1])
+	otherChain.Chain = slices.Clone(otherChain.Chain)
+	otherChain.Chain[1].Slots++
+	for what, prev := range map[string]*Snapshot{
+		"successor with no predecessor":           nil,
+		"successor to the unit before its own":    decoded(runs[0][0]),
+		"successor to its own unit":               decoded(runs[0][2]),
+		"successor to another level chain":        otherChain,
+		"successor to another origin's unit":      decoded(runs[1][1]),
+		"successor to a merge of its predecessor": mustMerge(t, schema, decoded(runs[0][1])),
+	} {
+		_, err := DecodeSnapshotAfter(schema, prev, successor)
+		if !errors.Is(err, ErrRecord) {
+			t.Errorf("%s: %v, want ErrRecord", what, err)
+		}
+	}
+	// An o-cell that regresses over another interval than its unit would
+	// start a frame no engine could hold: here the first o-cell's, once its
+	// frame is gone from the predecessor.
+	shifted := slices.Clone(successor)
+	at := snapHeaderLen(runs[0][2]) + 4 + 5*len(schema.Dims)
+	for _, off := range []int{at, at + 8} {
+		binary.LittleEndian.PutUint64(shifted[off:], binary.LittleEndian.Uint64(shifted[off:])+4)
+	}
+	lacking := decoded(runs[0][1])
+	lacking.Frames = lacking.Frames[1:]
+	if _, err := DecodeSnapshotAfter(schema, lacking, shifted); !errors.Is(err, ErrRecord) {
+		t.Errorf("successor with an o-cell off its unit: %v, want ErrRecord", err)
+	}
+	if !refused(t, schema, successor, "successor alone") {
+		t.Error("DecodeSnapshot accepted a successor document")
+	}
+	if _, err := EncodeSuccessor(mustMerge(t, schema, runs[0][2])); !errors.Is(err, ErrRecord) {
+		t.Errorf("successor of a merged snapshot: %v", err)
+	}
+}
+
+// mustMerge is MergeSnapshots of one part: a snapshot of no origin.
+func mustMerge(t *testing.T, schema *cube.Schema, s *Snapshot) *Snapshot {
+	t.Helper()
+	m, err := MergeSnapshots(schema, []*Snapshot{s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSuccessorDocumentsRebuildFrames follows an engine unit by unit the
+// way the cluster coordinator follows a node: one full document, then
+// successor documents, each decoded against the snapshot decoded before
+// it. Over a three-level chain that promotes and evicts, o-cells that sit
+// units out, o-cells first seen late and a unit that closes empty, at 1, 2
+// and 3 shards, every snapshot so decoded re-encodes to the engine's full
+// document byte for byte.
+func TestSuccessorDocumentsRebuildFrames(t *testing.T) {
+	schema := snapshotTestSchema(t)
+	for _, shards := range []int{1, 2, 3} {
+		cfg := withShards(tiltConfig(t), shards)
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		var held *Snapshot
+		for u := int64(0); u < 40; u++ {
+			// The o-cells (1,*) are first seen at unit 9, the o-cells (*,1)
+			// sit out every fifth unit, and unit 20 closes empty.
+			width := int32(4)
+			if u < 9 {
+				width = 2
+			}
+			for tick := u * 4; tick < (u+1)*4 && u != 20; tick++ {
+				for a := int32(0); a < width; a++ {
+					for b := int32(0); b < 4; b++ {
+						if u%5 == 2 && b >= 2 {
+							continue
+						}
+						v := float64(tick%13) * float64(a+2*b+1) * float64(1+u%3)
+						if _, err := eng.Ingest([]int32{a, b}, tick, v); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if _, err := eng.AdvanceTo(u + 1); err != nil {
+				t.Fatal(err)
+			}
+			s := eng.Snapshot()
+			full, err := EncodeSnapshot(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc := full
+			if held != nil {
+				if doc, err = EncodeSuccessor(s); err != nil {
+					t.Fatal(err)
+				}
+				if !IsSuccessorDocument(doc) || IsSuccessorDocument(full) {
+					t.Fatalf("shards=%d unit %d: documents of the wrong kind", shards, u)
+				}
+				if len(full)-len(doc) != framesSize(s.Frames) {
+					t.Fatalf("shards=%d unit %d: a successor of %d bytes, a full document of %d and frames of %d",
+						shards, u, len(doc), len(full), framesSize(s.Frames))
+				}
+			}
+			dec, err := DecodeSnapshotAfter(schema, held, doc)
+			if err != nil {
+				t.Fatalf("shards=%d unit %d: %v", shards, u, err)
+			}
+			again, err := EncodeSnapshot(dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, full) {
+				t.Fatalf("shards=%d unit %d: the rebuilt snapshot encodes to other bytes than the engine's", shards, u)
+			}
+			held = dec
+		}
+		last := held.Frames
+		if len(last) != 4 || last[0].Frame.Levels[2].Next < 3 || last[3].Base != 9 || held.Result == nil {
+			t.Fatalf("shards=%d: test is vacuous: %d frames", shards, len(last))
+		}
+	}
 }
 
 // snapHeaderLen is the length of a snapshot document's header: the fixed
 // fields, then the level chain.
 func snapHeaderLen(s *Snapshot) int {
-	n := len(snapMagic) + 3 + 32 + 4
+	n := len(snapMagic) + 3 + 40 + 4
 	for _, lv := range s.Chain {
 		n += 4 + len(lv.Name) + 16
 	}
@@ -533,8 +699,40 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
+	// Every input is also offered as the successor of one predecessor,
+	// decoded afresh each time (a record takes one successor), and seeded
+	// with the true successor: whatever frames a successor rebuilds must
+	// make a document the full decoder accepts.
+	cfg := snapshotTestConfig(f)
+	cfg.TiltLevels = []tilt.Level{{Name: "fine", Multiple: 1, Slots: 2}, {Name: "coarse", Multiple: 2, Slots: 2}}
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var pair []*Snapshot
+	feedUnits(f, func(m []int32, tick int64, v float64) {
+		if _, err := eng.Ingest(m, tick, v); err != nil {
+			f.Fatal(err)
+		}
+		if s := eng.Snapshot(); s != nil && (len(pair) == 0 || pair[len(pair)-1] != s) {
+			pair = append(pair, s)
+		}
+	}, cfg, 4)
+	prevDoc, err := EncodeSnapshot(pair[1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	successor, err := EncodeSuccessor(pair[2])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(successor)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := DecodeSnapshot(schema, data)
+		prev, err := DecodeSnapshot(schema, prevDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := DecodeSnapshotAfter(schema, prev, data)
 		if err != nil {
 			if !errors.Is(err, ErrRecord) {
 				t.Fatalf("%v is not ErrRecord", err)
@@ -667,7 +865,8 @@ func TestMergeSnapshotsMatchesSharded(t *testing.T) {
 // BenchmarkSnapshotCodec times the codec on the snapshot one cluster_serve
 // node ships once its history is full: 512 m-cells under 16 o-cells of a
 // fanout-8 schema, 64 units of history per o-cell — not the young snapshot
-// the suite's traced rig encodes.
+// the suite's traced rig encodes — and the successor document of its unit
+// decoded against the unit before, as a following coordinator does.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	ha, err := cube.NewFanoutHierarchy("A", 8, 2)
 	if err != nil {
@@ -688,7 +887,11 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var prev *Snapshot
 	for tick := int64(0); tick < 10*70; tick++ {
+		if tick == 10*69 {
+			prev = eng.Snapshot()
+		}
 		for a := int32(0); a < 16; a++ {
 			for c := int32(0); c < 64; c += 2 {
 				// One m-cell in ten trends past the threshold.
@@ -728,6 +931,32 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	prevDoc, err := EncodeSnapshot(prev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	successor, err := EncodeSuccessor(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A predecessor decoded from its full document holds its slots without
+	// spare capacity, so no push writes into it and it may take any number
+	// of successors; each push copies the slots a mirror's later pushes
+	// mostly append to in place.
+	held, err := DecodeSnapshot(schema, prevDoc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode-successor", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(successor)))
+		for b.Loop() {
+			if _, err := DecodeSnapshotAfter(schema, held, successor); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(successor)), "doc-bytes")
 	})
 }
 

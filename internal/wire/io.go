@@ -18,7 +18,7 @@ type Writer struct {
 	BatchRecords int
 	dims         int
 	batch        Batch
-	buf          []byte // frame scratch, reused
+	buf          []byte // the frame being built, reused (frameStart)
 }
 
 // NewWriter writes the stream header for dims dimensions and returns a
@@ -53,15 +53,7 @@ func (bw *Writer) Flush() error {
 	if bw.batch.Len() == 0 {
 		return nil
 	}
-	payload := AppendBatch(bw.buf[:0], &bw.batch)
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("%w: batch encodes to %d bytes, frame cap %d", ErrCorrupt, len(payload), MaxFramePayload)
-	}
-	// One buffer backs both: the complete frame (header plus payload
-	// copy) is appended after the payload scratch and written in one call.
-	frame := EncodeFrame(payload[len(payload):], payload)
-	bw.buf = payload
-	if _, err := bw.w.Write(frame); err != nil {
+	if err := bw.writeFrame(AppendBatch(bw.frameStart(), &bw.batch)); err != nil {
 		return err
 	}
 	bw.batch.Reset(bw.dims)
@@ -76,9 +68,25 @@ func (bw *Writer) WriteControl(c Control) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	payload := AppendControl(bw.buf[:0], c)
-	frame := EncodeFrame(payload[len(payload):], payload)
-	bw.buf = payload
+	return bw.writeFrame(AppendControl(bw.frameStart(), c))
+}
+
+// frameStart begins a frame in the Writer's one buffer: room for the
+// header, which writeFrame fills in once the caller has appended the
+// payload after it.
+func (bw *Writer) frameStart() []byte {
+	return append(bw.buf[:0], make([]byte, FrameHeaderLen)...)
+}
+
+// writeFrame seals a frame frameStart began and writes it in one call. The
+// buffer, as the payload grew it, is kept for the next frame, so frames
+// allocate nothing once it has reached the largest batch's size.
+func (bw *Writer) writeFrame(frame []byte) error {
+	bw.buf = frame
+	if n := len(frame) - FrameHeaderLen; n > MaxFramePayload {
+		return fmt.Errorf("%w: batch encodes to %d bytes, frame cap %d", ErrCorrupt, n, MaxFramePayload)
+	}
+	sealFrame(frame)
 	_, err := bw.w.Write(frame)
 	return err
 }

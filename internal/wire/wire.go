@@ -85,9 +85,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // of zero-filled blocks must read as corruption, not as an endless run of
 // valid empty frames.
 func EncodeFrame(dst []byte, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(append(dst, make([]byte, FrameHeaderLen)...), payload...)
+	sealFrame(dst[start:])
+	return dst
+}
+
+// sealFrame fills in the header of a frame built in place: FrameHeaderLen
+// bytes of room, then the payload.
+func sealFrame(frame []byte) {
+	payload := frame[FrameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 }
 
 // DecodeFrame decodes the first frame in b. It returns the payload (a

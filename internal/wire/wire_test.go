@@ -231,6 +231,62 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriterSteadyStateAllocs: once its one buffer has grown to the largest
+// frame, a Writer frames and writes batches and control frames without
+// allocating, and every frame it writes is EncodeFrame's bytes.
+func TestWriterSteadyStateAllocs(t *testing.T) {
+	var sink frameSink
+	w, err := NewWriter(&sink, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BatchRecords = 64
+	members := []int32{1, 2, 3}
+	unit := int64(0)
+	round := func() {
+		for i := 0; i < 100; i++ { // one full batch, then a flushed remainder
+			if err := w.Append(unit*100+int64(i), members, float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unit++
+		if err := w.WriteControl(Control{Op: ControlAdvance, Unit: unit}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("%v allocations per round of two batches and a control frame, want 0", allocs)
+	}
+	if sink.frames != 52*3 || sink.bad != 0 { // the first round, AllocsPerRun's warm-up and 50
+		t.Fatalf("%d frames written, %d of them not EncodeFrame's bytes", sink.frames, sink.bad)
+	}
+}
+
+// frameSink checks every frame written after the stream header against
+// EncodeFrame of its payload.
+type frameSink struct {
+	header      bool
+	frames, bad int
+	want        []byte
+}
+
+func (s *frameSink) Write(p []byte) (int, error) {
+	if !s.header {
+		s.header = true
+		return len(p), nil
+	}
+	payload, n, err := DecodeFrame(p)
+	s.frames++
+	if s.want = EncodeFrame(s.want[:0], payload); err != nil || n != len(p) || !bytes.Equal(s.want, p) {
+		s.bad++
+	}
+	return len(p), nil
+}
+
 func TestWriterRejectsBadShape(t *testing.T) {
 	if _, err := NewWriter(io.Discard, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("NewWriter(0 dims) error %v", err)
