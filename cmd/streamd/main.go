@@ -57,9 +57,11 @@
 //
 // With -wal-dir streamd appends every record to a segmented, CRC32C-framed
 // write-ahead log before ingesting it (see internal/wal). Checkpoints then
-// carry the log watermark, and a restart — graceful or kill -9 — replays
-// the durable records past the watermark to rebuild the open unit exactly;
-// -wal-sync picks the fsync policy (batch / interval[=dur] / off). The
+// carry the log watermark and are cut only once the log written since the
+// last one outweighs it, and a restart — graceful or kill -9 — replays
+// the durable records past the watermark to rebuild the open unit exactly,
+// re-reporting the units that replay closes; -wal-sync picks the fsync
+// policy (batch / interval[=dur] / off). The
 // same log feeds `regcube replay` for what-if reprocessing under a
 // different shard count, tilt chain, or threshold.
 //
@@ -131,7 +133,8 @@ func main() {
 		"the o-layer sits at level 1 per dimension, bounding -shards parallelism by fanout^dims o-cells")
 	flag.IntVar(&opt.unit, "unit", 15, "ticks per finest tilt-frame unit")
 	flag.Float64Var(&opt.threshold, "threshold", 1, "slope exception threshold")
-	flag.StringVar(&opt.checkpoint, "checkpoint", "", "checkpoint file (loaded if present, saved after every unit; "+
+	flag.StringVar(&opt.checkpoint, "checkpoint", "", "checkpoint file (loaded if present; saved after every unit, "+
+		"or with -wal-dir once the log written since the last save outweighs the file, and at shutdown; "+
 		"one layout whatever -shards wrote it, resumable at any -shards; older per-shard files upgrade on read)")
 	flag.IntVar(&opt.shards, "shards", runtime.GOMAXPROCS(0), "engine shards ingesting and cubing in parallel; 1 = single-threaded, on the ingest loop's goroutine")
 	flag.StringVar(&opt.listen, "listen", "", "serve the HTTP/JSON query API on this address (e.g. :8080); empty disables")

@@ -200,8 +200,14 @@ func TestMirrorNeverServesTornView(t *testing.T) {
 		}
 	}()
 	// Each node runs ahead of the next by up to three units, in a phase
-	// that rotates, and they meet every fourth round.
-	for round := 1; round <= 12; round++ {
+	// that rotates. The mirror merges when the laggards it re-asks answer
+	// with the unit the others hold, which a round does not promise: the
+	// rounds go on past the twelfth until the mirror has merged once.
+	round := 1
+	for ; round <= 12 || c.g.merges.Load() == 0; round++ {
+		if round > 200 {
+			t.Fatal("200 out-of-phase rounds and no aligned merge")
+		}
 		for i, n := range c.nodes {
 			for n.unit < int64(round*4-(i+round)%4) {
 				n.step(t)
@@ -209,14 +215,15 @@ func TestMirrorNeverServesTornView(t *testing.T) {
 			}
 		}
 	}
+	final := int64(round*4 - 2)
 	for _, n := range c.nodes {
-		for n.unit < 50 {
+		for n.unit < final {
 			n.step(t)
 		}
 	}
-	waitFor(t, "the view to converge on unit 50", func() bool {
+	waitFor(t, fmt.Sprintf("the view to converge on unit %d", final), func() bool {
 		v := c.g.Snapshot()
-		return v != nil && v.Unit == 50
+		return v != nil && v.Unit == final
 	})
 	close(stop)
 	reader.Wait()

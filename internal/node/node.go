@@ -27,8 +27,12 @@ type Config struct {
 	// Engine configures analyzer construction. Run forces
 	// Engine.PublishSnapshots on when Listen or alerting needs it.
 	Engine EngineConfig
-	// Checkpoint is the checkpoint file path (loaded if present, saved
-	// after every closed unit); empty disables persistence.
+	// Checkpoint is the checkpoint file path (loaded if present); empty
+	// disables persistence. Without WALDir it is saved after every closed
+	// unit; with it, once the log written since the last save outweighs
+	// that file, and after every unit a router barrier closes
+	// (checkpointDue). Either way it is saved after WAL replay and at
+	// shutdown.
 	Checkpoint string
 	// Listen serves the HTTP/JSON query API on this address; empty
 	// disables it.
@@ -145,9 +149,15 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 	var wlog *wal.Log
 	var ingestedSeq atomic.Int64
 
+	// cutAt is the log's Appended count at the last checkpoint cut: what
+	// the log has grown by since is the replay debt the policy weighs.
+	// closedSinceCut says a unit has closed since that cut.
 	var cpStats checkpointStats
+	var cutAt int64
+	var closedSinceCut bool
 
 	saveCheckpoint := func() error {
+		closedSinceCut = false
 		if wlog != nil {
 			if err := wlog.Sync(); err != nil {
 				return fmt.Errorf("wal sync: %w", err)
@@ -164,9 +174,33 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// The debt clears before the new size is published, so a scrape
+		// that reads the size first never pairs it with a stale debt.
+		if wlog != nil {
+			cutAt = wlog.Appended()
+			cpStats.walSince.Store(0)
+		}
 		cpStats.writes.Add(1)
 		cpStats.bytes.Store(n)
 		cpStats.nanos.Add(int64(time.Since(start)))
+		return nil
+	}
+
+	// cutIfDue asks the checkpoint policy after a fully ingested batch or a
+	// barrier — closed says it closed a unit, barrier that a barrier did —
+	// and cuts when it answers yes. Replay and shutdown cut unasked.
+	cutIfDue := func(closed, barrier bool) error {
+		closedSinceCut = closedSinceCut || closed
+		logSince := int64(-1) // no log behind the file
+		if wlog != nil && cfg.Checkpoint != "" {
+			logSince = wlog.Appended() - cutAt
+		}
+		if !checkpointDue(logSince, cpStats.bytes.Load(), closedSinceCut, barrier) {
+			return nil
+		}
+		if err := saveCheckpoint(); err != nil {
+			return fmt.Errorf("saving checkpoint: %w", err)
+		}
 		return nil
 	}
 
@@ -414,18 +448,14 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			// cluster-wide analogue of the boundary crossing a single
 			// engine sees in the record stream. Barriers are not
 			// WAL-logged; the checkpoint cut after the closed units is
-			// what makes their effect durable.
+			// what makes their effect durable, so it is always due. A
+			// barrier that closed nothing changed nothing.
 			closed, err := a.AdvanceTo(m.advance)
 			report(closed)
 			if err != nil {
 				return fmt.Errorf("advance to unit %d: %w", m.advance, err)
 			}
-			if len(closed) > 0 {
-				if err := saveCheckpoint(); err != nil {
-					return fmt.Errorf("saving checkpoint: %w", err)
-				}
-			}
-			return nil
+			return cutIfDue(len(closed) > 0, len(closed) > 0)
 		}
 		b := m.batch
 		if wlog != nil {
@@ -434,6 +464,7 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			if err := wlog.AppendColumnar(b); err != nil {
 				return fmt.Errorf("wal append: %w", err)
 			}
+			cpStats.walSince.Store(wlog.Appended() - cutAt)
 		}
 		closed, ingestErr := a.IngestBatch(b)
 		if ingestErr == nil {
@@ -444,16 +475,12 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		// crossings happen first); report them before surfacing the error,
 		// or their output would be lost. The checkpoint is only cut after
 		// fully ingested batches, so its watermark is always exact.
-		if len(closed) > 0 {
-			report(closed)
-			if ingestErr == nil {
-				if err := saveCheckpoint(); err != nil {
-					return fmt.Errorf("saving checkpoint: %w", err)
-				}
-			}
-		}
+		report(closed)
 		if ingestErr != nil {
 			return fmt.Errorf("record %d: %w", records+1, ingestErr)
+		}
+		if err := cutIfDue(len(closed) > 0, false); err != nil {
+			return err
 		}
 		select {
 		case freeBatches <- b:

@@ -43,9 +43,12 @@ func (w *syncWriter) String() string {
 // risingFeed returns text records over `ticks` ticks whose values rise
 // steeply with the tick, so every cell's slope breaches any small
 // threshold once a unit closes.
-func risingFeed(ticks int) string {
+func risingFeed(ticks int) string { return risingTicks(0, ticks) }
+
+// risingTicks is risingFeed's records for ticks [from, to).
+func risingTicks(from, to int) string {
 	var sb strings.Builder
-	for tick := 0; tick < ticks; tick++ {
+	for tick := from; tick < to; tick++ {
 		for a := 0; a < 4; a++ {
 			for b := 0; b < 4; b++ {
 				fmt.Fprintf(&sb, "%d,%d,%d,%g\n", tick, a, b, float64(tick)*float64(a+2*b+1))

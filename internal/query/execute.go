@@ -3,9 +3,11 @@ package query
 import (
 	"encoding/json"
 	"net/http"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cube"
+	"repro/internal/insight"
 	"repro/internal/stream"
 )
 
@@ -13,9 +15,11 @@ import (
 // precomputes the navigation state every request kind shares — the
 // drill-down View, both exception orderings, the per-cuboid summary — so
 // repeated requests against one unit reuse the sorts instead of
-// re-ranking the full exception set per request. An Executor is immutable
-// after construction and safe for concurrent use; serving layers cache
-// one per snapshot (see internal/serve).
+// re-ranking the full exception set per request. The change scan, which
+// only changes requests read, is made by the first of them and kept. An
+// Executor is otherwise immutable after construction and safe for
+// concurrent use; serving layers cache one per snapshot (see
+// internal/serve).
 type Executor struct {
 	schema  *cube.Schema
 	snap    *stream.Snapshot
@@ -23,6 +27,9 @@ type Executor struct {
 	bySlope []core.Cell         // every exception, steepest first
 	byKey   []core.Cell         // every exception, canonical key order
 	cuboids []CuboidSummaryJSON // the per-cuboid rollup summaries serve
+
+	changesOnce sync.Once
+	changes     []insight.CellChange // every scored cell, highest score first
 }
 
 // NewExecutor builds the dispatcher over a snapshot. A nil snapshot
@@ -51,6 +58,14 @@ func NewExecutor(schema *cube.Schema, snap *stream.Snapshot) (*Executor, error) 
 		}
 	}
 	return e, nil
+}
+
+// scoredChanges is the snapshot's change scan at score 0, made once: a
+// request's answer is its prefix at the request's MinScore, since the scan
+// ranks by descending score.
+func (e *Executor) scoredChanges() []insight.CellChange {
+	e.changesOnce.Do(func() { e.changes = insight.ScanChanges(e.snap, 0, 0) })
+	return e.changes
 }
 
 // Snapshot returns the snapshot this executor answers from — serving

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/cube"
 	"repro/internal/insight"
@@ -191,7 +192,8 @@ func (r ChangesRequest) run(e *Executor) (Response, error) {
 		Tilted:   snap.Tilted(),
 		MinScore: r.MinScore,
 	}
-	scored := insight.ScanChanges(snap, r.MinScore, 0)
+	scored := e.scoredChanges()
+	scored = scored[:sort.Search(len(scored), func(i int) bool { return scored[i].Score < r.MinScore })]
 	resp.Count = len(scored)
 	if r.K > 0 && r.K < len(scored) {
 		scored = scored[:r.K]

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/insight"
 	"repro/internal/tilt"
 )
 
@@ -160,6 +161,47 @@ func TestChangesExecute(t *testing.T) {
 	}
 	if hi := resp.(*ChangesResponse); hi.Count != 0 || len(hi.Cells) != 0 {
 		t.Fatalf("minScore=1 changes = %+v, want none", hi)
+	}
+}
+
+// TestChangesAnswerFromOneScan: an executor scans its snapshot once, and
+// every changes request — at any minimum score, at the scores themselves,
+// truncated or not, in any order — answers what a scan at that score
+// would rank.
+func TestChangesAnswerFromOneScan(t *testing.T) {
+	tex := execTestExecutor(t, 13, execTiltChain)
+	full := insight.ScanChanges(tex.Snapshot(), 0, 0)
+	if len(full) < 2 {
+		t.Fatalf("fixture scores %d cells", len(full))
+	}
+	scores := []float64{1, 0.5, 0}
+	for _, c := range full {
+		scores = append(scores, c.Score, math.Nextafter(c.Score, 2))
+	}
+	for _, minScore := range scores {
+		for _, k := range []int{0, 1, 2, len(full) + 1} {
+			resp, err := tex.Execute(ChangesRequest{K: k, MinScore: minScore})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := resp.(*ChangesResponse)
+			want := insight.ScanChanges(tex.Snapshot(), minScore, 0)
+			if got.Count != len(want) {
+				t.Fatalf("minScore %v: count %d, a scan at that score ranks %d", minScore, got.Count, len(want))
+			}
+			if k > 0 && k < len(want) {
+				want = want[:k]
+			}
+			if len(got.Cells) != len(want) {
+				t.Fatalf("minScore %v, k %d: %d cells, want %d", minScore, k, len(got.Cells), len(want))
+			}
+			for i, c := range want {
+				levels, members := encodeKey(c.Key)
+				if g := got.Cells[i]; g.Score != c.Score || !reflect.DeepEqual(g.Levels, levels) || !reflect.DeepEqual(g.Members, members) {
+					t.Fatalf("minScore %v, k %d: cell %d is %+v, want %v scoring %v", minScore, k, i, g, c.Key, c.Score)
+				}
+			}
+		}
 	}
 }
 

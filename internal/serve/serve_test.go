@@ -387,7 +387,9 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	paths := []string{"/healthz", "/v1/exceptions?k=4", "/v1/summary", "/v1/alerts", "/v1/supporters?members=0,0"}
+	// /v1/changes makes the first request of each unit write the
+	// executor's change scan, which the others then read.
+	paths := []string{"/healthz", "/v1/exceptions?k=4", "/v1/summary", "/v1/alerts", "/v1/supporters?members=0,0", "/v1/changes"}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {

@@ -139,6 +139,7 @@ type Log struct {
 	f        *os.File // open (newest) segment
 	size     int64    // bytes written to the open segment, header included
 	seq      int64    // sequence of the next appended record
+	appended int64    // frame bytes appended since Open
 	dirty    bool     // bytes written since the last fsync
 	lastSync time.Time
 	frameBuf []byte
@@ -438,6 +439,11 @@ func (l *Log) rotate() error {
 // how many records the log has ever admitted.
 func (l *Log) Seq() int64 { return l.seq }
 
+// Appended returns the frame bytes this Log has appended since Open. It
+// only grows; a checkpoint policy reads it to weigh the log written since
+// its last cut.
+func (l *Log) Appended() int64 { return l.appended }
+
 // Segments returns the ordered segment list (a copy).
 func (l *Log) Segments() []SegmentInfo { return slices.Clone(l.segs) }
 
@@ -479,6 +485,7 @@ func (l *Log) AppendColumnar(b *wire.Batch) error {
 		return err
 	}
 	l.size += int64(len(l.frameBuf))
+	l.appended += int64(len(l.frameBuf))
 	l.seq += int64(n)
 	l.dirty = true
 	switch l.opts.Sync {

@@ -578,6 +578,7 @@ func TestAppendColumnarWritesTheWireFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(dir, l.Segments()[0].Name)
+	appended := l.Appended()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -588,8 +589,38 @@ func TestAppendColumnarWritesTheWireFrame(t *testing.T) {
 	if string(got[:8]) != "RGCWAL02" {
 		t.Fatalf("segment magic %q, want RGCWAL02", got[:8])
 	}
-	if want := wire.EncodeFrame(nil, wire.AppendBatch(nil, b)); !bytes.Equal(got[segmentHdrLen:], want) {
+	want := wire.EncodeFrame(nil, wire.AppendBatch(nil, b))
+	if !bytes.Equal(got[segmentHdrLen:], want) {
 		t.Fatalf("logged frame %x, wire frame %x", got[segmentHdrLen:], want)
+	}
+	if appended != int64(len(want)) {
+		t.Fatalf("Appended = %d after one %d-byte frame", appended, len(want))
+	}
+}
+
+// Appended counts the frames this Log wrote, across rotations and not the
+// segment headers, and starts again at zero on reopen.
+func TestAppendedCountsFrameBytes(t *testing.T) {
+	dir := t.TempDir()
+	l := smallSegmentLog(t, dir, 40)
+	var want int64
+	for i := int64(0); i < 6; i++ {
+		want += int64(len(wire.EncodeFrame(nil, wire.AppendBatch(nil, batchOf(rec(i, float64(i)))))))
+		appendRecs(t, l, rec(i, float64(i)))
+		if l.Appended() != want {
+			t.Fatalf("after %d frames Appended = %d, want %d", i+1, l.Appended(), want)
+		}
+	}
+	if len(l.Segments()) < 3 {
+		t.Fatalf("%d segments: the log did not rotate", len(l.Segments()))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := smallSegmentLog(t, dir, 40)
+	defer l2.Close()
+	if l2.Appended() != 0 {
+		t.Fatalf("reopened log reports %d bytes appended", l2.Appended())
 	}
 }
 
@@ -615,6 +646,7 @@ func TestAppendColumnarRefusesUndecodableBatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			appended := l.Appended()
 			if err := l.AppendColumnar(b); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("AppendColumnar error = %v, want ErrCorrupt", err)
 			}
@@ -622,7 +654,7 @@ func TestAppendColumnarRefusesUndecodableBatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if l.Seq() != 2 || len(l.Segments()) != len(segs) || after.Size() != before.Size() {
+			if l.Seq() != 2 || len(l.Segments()) != len(segs) || after.Size() != before.Size() || l.Appended() != appended {
 				t.Fatalf("refused batch moved the log: Seq %d, %d segments, size %d; want 2, %d, %d",
 					l.Seq(), len(l.Segments()), after.Size(), len(segs), before.Size())
 			}
