@@ -22,7 +22,6 @@ import (
 	"repro/internal/cube"
 	"repro/internal/exception"
 	"repro/internal/gen"
-	"repro/internal/htree"
 	"repro/internal/regression"
 	"repro/internal/stream"
 	"repro/internal/tilt"
@@ -96,31 +95,6 @@ func BenchmarkAccumulatorAdd(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkHTreeInsert(b *testing.B) {
-	b.ReportAllocs()
-	ds := benchDataset(b, gen.Spec{Dims: 3, Levels: 3, Fanout: 6, Tuples: 10000}, 11)
-	attrs := htree.CardinalityOrder(ds.Schema)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		in := ds.Inputs[n%len(ds.Inputs)]
-		if n%len(ds.Inputs) == 0 {
-			b.StopTimer()
-			var err error
-			tree, err := htree.New(ds.Schema, attrs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchTree = tree
-			b.StartTimer()
-		}
-		if err := benchTree.Insert(in.Members, in.Measure); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-var benchTree *htree.HTree
 
 func BenchmarkTiltFrameAdd(b *testing.B) {
 	b.ReportAllocs()
@@ -392,6 +366,32 @@ func BenchmarkCloseUnitAlertHeavy(b *testing.B) {
 	}
 }
 
+// Popular-path cubing (Algorithm 2, the batch form: cmd/regcube and
+// cmd/benchfig run it) on the alert-heavy unit's cells with per-cell
+// slopes ~ N(0,1) against threshold 1, drilling the default path. One op
+// is one PopularPath call: leaf fold, path-key sort, path roll-up and the
+// drill below the exceptions.
+func BenchmarkPopularPath(b *testing.B) {
+	schema, members := alertHeavyCells(b, 5000)
+	srng := rand.New(rand.NewSource(13))
+	inputs := make([]core.Input, len(members))
+	for i, m := range members {
+		inputs[i] = core.Input{Members: m, Measure: regression.ISB{Tb: 0, Te: 9, Base: 5, Slope: srng.NormFloat64()}}
+	}
+	path := cube.NewLattice(schema).DefaultPath()
+	b.ReportAllocs()
+	var last *core.Result
+	for n := 0; n < b.N; n++ {
+		res, err := core.PopularPath(schema, inputs, exception.Global(1), path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	b.ReportMetric(float64(last.NumExceptions()), "exc/op")
+	b.ReportMetric(float64(last.Stats.TreeNodes), "nodes/op")
+}
+
 // alertHeavyCells returns the D3L3C4 schema and the first n of the alert-
 // heavy unit's seeded m-cells.
 func alertHeavyCells(tb testing.TB, n int) (*cube.Schema, [][]int32) {
@@ -479,49 +479,6 @@ func TestMergeCostFlatInCells(t *testing.T) {
 }
 
 // --- Ablation benches (DESIGN.md §5) --------------------------------------
-
-// Ablation: H-tree construction vs a flat map of m-layer cells. The H-tree
-// pays for prefix structure; the flat map cannot serve path cuboids or
-// header-table traversals.
-func BenchmarkAblationHTreeBuild(b *testing.B) {
-	b.ReportAllocs()
-	ds := benchDataset(b, gen.Spec{Dims: 3, Levels: 3, Fanout: 6, Tuples: 10000}, 12)
-	attrs := htree.CardinalityOrder(ds.Schema)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		tree, err := htree.New(ds.Schema, attrs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, in := range ds.Inputs {
-			if err := tree.Insert(in.Members, in.Measure); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkAblationFlatMapBuild(b *testing.B) {
-	b.ReportAllocs()
-	ds := benchDataset(b, gen.Spec{Dims: 3, Levels: 3, Fanout: 6, Tuples: 10000}, 12)
-	m := ds.Schema.MLayer()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		flat := make(map[cube.CellKey]regression.ISB, len(ds.Inputs))
-		for _, in := range ds.Inputs {
-			var members [cube.MaxDims]int32
-			copy(members[:], in.Members)
-			key := cube.CellKey{Cuboid: m, Members: members}
-			if cur, ok := flat[key]; ok {
-				cur.Base += in.Measure.Base
-				cur.Slope += in.Measure.Slope
-				flat[key] = cur
-			} else {
-				flat[key] = in.Measure
-			}
-		}
-	}
-}
 
 // Ablation: exception-only retention (the paper's Framework 4.1) vs full
 // materialization of every cuboid — the memory blowup the framework avoids.

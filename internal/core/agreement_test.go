@@ -13,7 +13,8 @@ import (
 
 // Property: for RANDOM schema shapes (dims, levels, fanouts, o-levels),
 // random workloads, and random thresholds, m/o-cubing agrees with the exact
-// oracle (full cubing) and popular-path with both:
+// oracle (full cubing) and popular-path, on a random drilling path, with
+// both — duplicate tuples and tuples out of order included:
 //
 //   - m/o-cubing's o-layer is the full cube's o-cuboid, key for key;
 //   - its exceptions are exactly the full cube's cells over threshold;
@@ -56,8 +57,17 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 				Measure: regression.ISB{Tb: 0, Te: 9, Base: r.NormFloat64(), Slope: r.NormFloat64() * 2},
 			}
 		}
+		// Repeat a few tuples, out of order: each folds into its m-cell.
+		for _, i := range r.Perm(nTuples)[:r.Intn(nTuples/4)] {
+			inputs = append(inputs, inputs[i])
+		}
 		threshold := r.Float64() * 3
 		thr := exception.Global(threshold)
+		lattice := cube.NewLattice(s)
+		path, err := lattice.PathFromSteps(randomSteps(r, s))
+		if err != nil {
+			return false
+		}
 
 		mo, err := MOCubing(s, inputs, thr)
 		if err != nil {
@@ -67,8 +77,7 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lattice := cube.NewLattice(s)
-		pp, err := PopularPath(s, inputs, thr, lattice.DefaultPath())
+		pp, err := PopularPath(s, inputs, thr, path)
 		if err != nil {
 			return false
 		}
@@ -112,7 +121,6 @@ func TestAllEnginesAgreeOnRandomSchemas(t *testing.T) {
 				return false
 			}
 		}
-		path := lattice.DefaultPath()
 		expected := map[cube.CellKey]bool{}
 		for _, c := range lattice.Cuboids() {
 			for _, cell := range mo.ExceptionCells() {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -42,13 +44,39 @@ func TestFullCubingMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestAlternativesValidateInput: the batch kernels refuse a bad batch,
+// and popular-path refuses a path that does not run from the schema's
+// o-layer to its m-layer one level of one dimension per step.
 func TestAlternativesValidateInput(t *testing.T) {
 	s := testSchema(t, 2, 2, 3)
 	if _, err := FullCubing(s, nil); err == nil {
 		t.Fatal("FullCubing must validate")
 	}
-	if _, err := PopularPath(s, nil, exception.Global(1), cube.NewLattice(s).DefaultPath()); err == nil {
-		t.Fatal("PopularPath must validate")
+	lattice := cube.NewLattice(s)
+	inputs := randomInputs(s, 20, 1, 3)
+	good := lattice.DefaultPath()
+	foreign := cube.NewLattice(testSchema(t, 3, 2, 3)).DefaultPath()
+	for _, tc := range []struct {
+		name   string
+		inputs []Input
+		path   cube.Path
+	}{
+		{"empty batch", nil, good},
+		{"member count", []Input{{Members: []int32{1}, Measure: inputs[0].Measure}}, good},
+		{"member range", []Input{{Members: []int32{0, 9}, Measure: inputs[0].Measure}}, good},
+		{"skipped level", inputs, cube.Path{Cuboids: []cube.Cuboid{s.OLayer(), s.MLayer()}}},
+		{"zero path", inputs, cube.Path{}},
+		{"foreign schema", inputs, foreign},
+		{"not from the o-layer", inputs, cube.Path{Cuboids: good.Cuboids[1:]}},
+		{"not to the m-layer", inputs, cube.Path{Cuboids: good.Cuboids[:len(good.Cuboids)-1]}},
+		{"step back", inputs, cube.Path{Cuboids: append(slices.Clone(good.Cuboids), good.Cuboids[len(good.Cuboids)-2])}},
+	} {
+		if _, err := PopularPath(s, tc.inputs, exception.Global(1), tc.path); !errors.Is(err, ErrInput) {
+			t.Errorf("%s: PopularPath returned %v, want ErrInput", tc.name, err)
+		}
+	}
+	if _, err := PopularPath(s, inputs, exception.Global(1), good); err != nil {
+		t.Fatalf("the default path: %v", err)
 	}
 }
 

@@ -133,3 +133,15 @@ func DeltaCubing(s *cube.Schema, cur, prev []Input, det exception.Delta) (*Delta
 	st.PeakBytes = st.BytesRetained
 	return res, nil
 }
+
+// accumulate merges an ISB into a cell table by standard-dimension
+// aggregation (bases and slopes add; Theorem 3.2).
+func accumulate(cells map[cube.CellKey]regression.ISB, key cube.CellKey, isb regression.ISB) {
+	if cur, ok := cells[key]; ok {
+		cur.Base += isb.Base
+		cur.Slope += isb.Slope
+		cells[key] = cur
+	} else {
+		cells[key] = isb
+	}
+}

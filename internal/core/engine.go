@@ -10,10 +10,11 @@
 //     built: its leaves are the batch's distinct m-cells, and each pass
 //     writes its retained cells already in canonical order.
 //   - Algorithm 2, popular-path cubing (PopularPath): materialize only the
-//     cuboids along one popular drilling path in the H-tree's non-leaf
-//     nodes, then recursively drill from the o-layer into exception cells'
-//     children, aggregating each off-path cuboid from the closest computed
-//     path cuboid.
+//     cuboids along one popular drilling path — the H-tree's non-leaf
+//     nodes, modelled as runs over the leaves sorted in path order — then
+//     recursively drill from the o-layer into exception cells' children,
+//     aggregating each off-path cuboid from the closest computed path
+//     cuboid.
 //
 // Both consume the same m-layer input (one scan of the stream data) and
 // report detailed time/space statistics for the paper's Figures 8–10.
@@ -57,7 +58,7 @@ func CompareCells(a, b Cell) int { return cube.CompareKeys(a.Key, b.Key) }
 type Stats struct {
 	Algorithm        string
 	Tuples           int           // m-layer tuples consumed
-	TreeNodes        int           // H-tree size (m/o-cubing: the modelled tree's)
+	TreeNodes        int           // size of the H-tree the algorithm models
 	TreeLeaves       int           // distinct m-layer cells
 	CuboidsComputed  int           // cuboids whose cells were aggregated
 	CellsComputed    int64         // total cells aggregated across cuboids
@@ -65,7 +66,7 @@ type Stats struct {
 	PeakScratchCells int64         // largest transient header table
 	BytesRetained    int64         // estimate of resident bytes at finish
 	PeakBytes        int64         // estimate of peak resident bytes
-	BuildTime        time.Duration // H-tree construction or leaf fold (stream scan)
+	BuildTime        time.Duration // leaf fold (stream scan), plus the path roll-up
 	CubeTime         time.Duration // aggregation + exception detection
 }
 
@@ -75,9 +76,10 @@ type Stats struct {
 // across versions.
 const bytesPerCell = 96
 
-// bytesPerNode is the H-tree's per-node footprint estimate
-// (htree.HTree.BytesEstimate): Algorithm 1's tree is modelled, not built,
-// but the memory panels still count it.
+// bytesPerNode is the per-node footprint estimate of a pointer H-tree
+// (member, depth, parent, child slice, measure, header link, and a slot in
+// its parent's child slice): both algorithms model their tree instead of
+// building it, but the memory panels still count it.
 const bytesPerNode = 120
 
 // validate checks batch shape, interval uniformity and that every member

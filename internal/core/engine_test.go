@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/exception"
-	"repro/internal/htree"
 	"repro/internal/regression"
 )
 
@@ -184,10 +183,14 @@ func TestMOCubingStats(t *testing.T) {
 	}
 }
 
-// TestTreeModelMatchesHTree: the H-tree MOCubing models instead of
-// building has the built tree's levels (htree.CardinalityOrder), node
-// count and byte estimate, on random schemas — o-layers anywhere, so some
-// prefix cuboids fall outside the lattice — and duplicate tuples.
+// TestTreeModelMatchesHTree: the H-trees the cubing kernels model instead
+// of building are the reference trees built from the same tuples, on
+// random schemas — o-layers anywhere, so some of Algorithm 1's prefix
+// cuboids fall outside the lattice — random drilling paths, and duplicate
+// tuples. m/o-cubing's tree has the cardinality-ordered tree's levels,
+// node count and byte estimate; popular-path's has the path-ordered
+// tree's node count, and its byte estimate plus one source reference per
+// covering cell of every exception it retains.
 func TestTreeModelMatchesHTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	outside := 0
@@ -197,17 +200,17 @@ func TestTreeModelMatchesHTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs := randomAgreementInputs(rng, s, 1+rng.Intn(300))
-		tree, err := buildTree(s, htree.CardinalityOrder(s), inputs)
+		tree, err := newRefTree(s, cardinalityOrder(s), inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		depths := treeDepths(s)
-		if attrs := htree.CardinalityOrder(s); len(depths) != len(attrs) {
-			t.Fatalf("%s: %d modelled depths, the tree has %d", s.Describe(), len(depths), len(attrs))
+		if len(depths) != len(tree.attrs) {
+			t.Fatalf("%s: %d modelled depths, the tree has %d", s.Describe(), len(depths), len(tree.attrs))
 		}
 		lattice := cube.NewLattice(s)
 		for k, c := range depths {
-			if want := tree.CuboidAtDepth(k + 1); c != want {
+			if want := tree.cuboidAtDepth(s, k+1); c != want {
 				t.Fatalf("%s: depth %d models %s, the tree holds %s", s.Describe(), k+1, c.Describe(s), want.Describe(s))
 			}
 			if !lattice.Contains(c) {
@@ -219,11 +222,48 @@ func TestTreeModelMatchesHTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := res.Stats
-		if st.TreeNodes != tree.NodeCount() || st.TreeLeaves != tree.LeafCount() {
-			t.Fatalf("%s: %d nodes, %d leaves; the tree has %d, %d", s.Describe(), st.TreeNodes, st.TreeLeaves, tree.NodeCount(), tree.LeafCount())
+		if st.TreeNodes != tree.nodes || st.TreeLeaves != len(tree.leaves) {
+			t.Fatalf("%s: %d nodes, %d leaves; the tree has %d, %d", s.Describe(), st.TreeNodes, st.TreeLeaves, tree.nodes, len(tree.leaves))
 		}
-		if want := tree.BytesEstimate() + st.CellsRetained*bytesPerCell; st.BytesRetained != want {
+		if want := tree.bytes() + st.CellsRetained*bytesPerCell; st.BytesRetained != want {
 			t.Fatalf("%s: %d bytes retained, want %d", s.Describe(), st.BytesRetained, want)
+		}
+
+		path, err := lattice.PathFromSteps(randomSteps(rng, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptree, err := newRefTree(s, pathOrder(s, path), inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := PopularPath(s, inputs, exception.Global(rng.Float64()), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = pp.Stats
+		if st.TreeNodes != ptree.nodes || st.TreeLeaves != len(ptree.leaves) {
+			t.Fatalf("%s path %v: %d nodes, %d leaves; the tree has %d, %d", s.Describe(), path.Cuboids, st.TreeNodes, st.TreeLeaves, ptree.nodes, len(ptree.leaves))
+		}
+		// An exception's drill sources are its covering path cuboid's cells
+		// beneath it. (An m-cell rolls up to every cuboid: no error.)
+		below := make(map[cube.CellKey]map[cube.CellKey]bool)
+		for _, c := range lattice.Cuboids() {
+			for _, leaf := range ptree.leaves {
+				k, _ := cube.RollUpKey(s, leaf.cell.Key, c)
+				cov, _ := cube.RollUpKey(s, leaf.cell.Key, path.Covering(c))
+				if below[k] == nil {
+					below[k] = make(map[cube.CellKey]bool)
+				}
+				below[k][cov] = true
+			}
+		}
+		var refs int64
+		for _, x := range pp.ExceptionCells() {
+			refs += int64(len(below[x.Key]))
+		}
+		if want := ptree.bytes() + st.CellsRetained*bytesPerCell + refs*8; st.BytesRetained != want {
+			t.Fatalf("%s path %v: %d bytes retained, want %d", s.Describe(), path.Cuboids, st.BytesRetained, want)
 		}
 	}
 	if outside == 0 {
@@ -231,60 +271,86 @@ func TestTreeModelMatchesHTree(t *testing.T) {
 	}
 }
 
+// randomSteps returns a random drilling order from s's o-layer to its
+// m-layer: each dimension's steps, shuffled together.
+func randomSteps(rng *rand.Rand, s *cube.Schema) []int {
+	var steps []int
+	for d, dim := range s.Dims {
+		for l := dim.OLevel; l < dim.MLevel; l++ {
+			steps = append(steps, d)
+		}
+	}
+	rng.Shuffle(len(steps), func(i, j int) { steps[i], steps[j] = steps[j], steps[i] })
+	return steps
+}
+
+// TestPopularPathMatchesBruteForceOnPath: Step 2's runs are the path
+// cuboids' cells exactly — every cell of each path cuboid, each summing
+// the sorted leaves of its range and no other — and the o-layer is whole.
 func TestPopularPathMatchesBruteForceOnPath(t *testing.T) {
 	s := testSchema(t, 3, 2, 3)
 	inputs := randomInputs(s, 200, 1, 9)
 	truth := bruteForce(t, s, inputs)
 	lattice := cube.NewLattice(s)
-	path := lattice.DefaultPath()
-	res, err := PopularPath(s, inputs, exception.Global(0.8), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Path cells must match truth exactly: Step 2 over the tree
-	// PopularPath builds.
-	tree, err := buildTree(s, htree.PathOrder(s, path), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.PropagateUp(); err != nil {
-		t.Fatal(err)
-	}
-	oAttrs := 0
-	for _, d := range s.Dims {
-		oAttrs += d.OLevel
-	}
-	for i, cells := range pathCells(tree, path, oAttrs) {
-		pc := path.Cuboids[i]
-		if len(cells) == 0 {
-			t.Fatalf("no cells for path cuboid %v", pc)
+	for _, path := range []cube.Path{lattice.DefaultPath(), mustPath(t, lattice, []int{2, 0, 1})} {
+		levels, _, err := rollUpPath(NewWorkspace(s), inputs, path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for key, isb := range cells {
-			want, ok := truth[key]
-			if !ok {
-				t.Fatalf("unexpected path cell %v", key)
+		leaves := levels[len(levels)-1].cells
+		for i, pc := range path.Cuboids {
+			cells, starts := levels[i].cells, levels[i].starts
+			if len(starts) != len(cells)+1 || starts[0] != 0 || int(starts[len(cells)]) != len(leaves) {
+				t.Fatalf("path cuboid %v: %d cells, starts %v", pc, len(cells), starts)
 			}
-			if !almostEq(isb.Base, want.Base, 1e-9) || !almostEq(isb.Slope, want.Slope, 1e-9) {
-				t.Fatalf("path cell %v = %v, want %v", key, isb, want)
+			want := 0
+			for key := range truth {
+				if key.Cuboid == pc {
+					want++
+				}
+			}
+			if len(cells) != want {
+				t.Fatalf("path cuboid %v: %d cells, want %d", pc, len(cells), want)
+			}
+			for k, cell := range cells {
+				isb, ok := truth[cell.Key]
+				if !ok || cell.Key.Cuboid != pc {
+					t.Fatalf("unexpected path cell %v", cell.Key)
+				}
+				if !almostEq(cell.ISB.Base, isb.Base, 1e-9) || !almostEq(cell.ISB.Slope, isb.Slope, 1e-9) {
+					t.Fatalf("path cell %v = %v, want %v", cell.Key, cell.ISB, isb)
+				}
+				if starts[k] >= starts[k+1] {
+					t.Fatalf("path cell %v: empty leaf range", cell.Key)
+				}
+				for _, leaf := range leaves[starts[k]:starts[k+1]] {
+					if up, _ := cube.RollUpKey(s, leaf.Key, pc); up != cell.Key {
+						t.Fatalf("leaf %v in the range of %v", leaf.Key, cell.Key)
+					}
+				}
 			}
 		}
-		// And cover all truth cells of the cuboid.
+		res, err := PopularPath(s, inputs, exception.Global(0.8), path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for key := range truth {
-			if key.Cuboid == pc {
-				if _, ok := cells[key]; !ok {
-					t.Fatalf("missing path cell %v", key)
+			if key.Cuboid == s.OLayer() {
+				if _, ok := res.OCell(key); !ok {
+					t.Fatalf("missing o-layer cell %v", key)
 				}
 			}
 		}
 	}
-	// o-layer identical to truth.
-	for key := range truth {
-		if key.Cuboid == s.OLayer() {
-			if _, ok := res.OCell(key); !ok {
-				t.Fatalf("missing o-layer cell %v", key)
-			}
-		}
+}
+
+func mustPath(t *testing.T, l *cube.Lattice, steps []int) cube.Path {
+	t.Helper()
+	p, err := l.PathFromSteps(steps)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
 }
 
 // Popular-path exceptions must (a) be a subset of m/o-cubing's exceptions

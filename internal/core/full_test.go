@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cube"
-	"repro/internal/htree"
 	"repro/internal/regression"
 )
 
@@ -30,18 +28,13 @@ func (r *FullResult) CellCount() int64 {
 // cuboid between the critical layers, with no pruning. It is the exact
 // oracle the cubing kernels are tested against — its cells are the
 // brute-force aggregation of the inputs, so any retained-exception set is a
-// filter of it. No production path runs it.
+// filter of it.
 func FullCubing(s *cube.Schema, inputs []Input) (*FullResult, error) {
 	if err := validate(s, inputs); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	tree, err := buildTree(s, htree.CardinalityOrder(s), inputs)
-	if err != nil {
-		return nil, err
-	}
-	build := time.Since(start)
-
+	leaves, _ := NewWorkspace(s).foldLeaves(inputs)
 	lattice := cube.NewLattice(s)
 	res := &FullResult{
 		Schema:  s,
@@ -50,24 +43,18 @@ func FullCubing(s *cube.Schema, inputs []Input) (*FullResult, error) {
 	st := &res.Stats
 	st.Algorithm = "full-cubing"
 	st.Tuples = len(inputs)
-	st.TreeNodes = tree.NodeCount()
-	st.TreeLeaves = tree.LeafCount()
-	st.BuildTime = build
+	st.TreeLeaves = len(leaves)
+	st.BuildTime = time.Since(start)
 
 	cubeStart := time.Now()
-	leaves := tree.Leaves()
-	leafCells := make([]Cell, len(leaves))
-	for i, leaf := range leaves {
-		leafCells[i] = Cell{Key: tree.CellKeyOf(leaf), ISB: leaf.Measure}
-	}
 	for _, c := range lattice.Cuboids() {
 		cells := make(map[cube.CellKey]regression.ISB)
-		for _, lc := range leafCells {
-			key, err := cube.RollUpKey(s, lc.Key, c)
+		for _, leaf := range leaves {
+			key, err := cube.RollUpKey(s, leaf.Key, c)
 			if err != nil {
 				return nil, err
 			}
-			accumulate(cells, key, lc.ISB)
+			accumulate(cells, key, leaf.ISB)
 		}
 		res.Cuboids[c] = cells
 		st.CuboidsComputed++
@@ -75,34 +62,7 @@ func FullCubing(s *cube.Schema, inputs []Input) (*FullResult, error) {
 	}
 	st.CubeTime = time.Since(cubeStart)
 	st.CellsRetained = st.CellsComputed
-	st.BytesRetained = tree.BytesEstimate() + st.CellsRetained*bytesPerCell
+	st.BytesRetained = st.CellsRetained * bytesPerCell
 	st.PeakBytes = st.BytesRetained
 	return res, nil
-}
-
-// buildTree scans the batch once into an H-tree with the given attribute
-// order — Step 1 of popular-path cubing and of the FullCubing oracle.
-func buildTree(s *cube.Schema, attrs []htree.Attribute, inputs []Input) (*htree.HTree, error) {
-	tree, err := htree.New(s, attrs)
-	if err != nil {
-		return nil, err
-	}
-	for i, in := range inputs {
-		if err := tree.Insert(in.Members, in.Measure); err != nil {
-			return nil, fmt.Errorf("core: inserting tuple %d: %w", i, err)
-		}
-	}
-	return tree, nil
-}
-
-// accumulate merges an ISB into a scratch header table by
-// standard-dimension aggregation (bases and slopes add; Theorem 3.2).
-func accumulate(scratch map[cube.CellKey]regression.ISB, key cube.CellKey, isb regression.ISB) {
-	if cur, ok := scratch[key]; ok {
-		cur.Base += isb.Base
-		cur.Slope += isb.Slope
-		scratch[key] = cur
-	} else {
-		scratch[key] = isb
-	}
 }

@@ -5,44 +5,43 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/exception"
-	"repro/internal/htree"
 	"repro/internal/regression"
 )
 
-// moCubingRef is Algorithm 1 as first written, before the PR-2 hot-path
+// moCubingRef is Algorithm 1 as first written, before the hot-path
 // rewrite: a fresh H-tree per call, and per cuboid one map header table
 // filled leaf by leaf. It is the reference the bitwise agreement tests hold
 // MOCubing and a reused Workspace to, and the road not taken that the two
 // ablation benchmarks below time. indexed picks how a leaf is rolled up:
 // the interface-walking cube.RollUpKey (false — the original kernel, and
-// what the agreement tests use) or the tree's cube.AncestorIndex (true),
+// what the agreement tests use) or a cube.AncestorIndex (true),
 // so each ablation changes one thing.
 func moCubingRef(s *cube.Schema, inputs []Input, thr exception.Thresholder, indexed bool) (*Result, error) {
 	if err := validate(s, inputs); err != nil {
 		return nil, err
 	}
-	tree, err := buildTree(s, htree.CardinalityOrder(s), inputs)
+	tree, err := newRefTree(s, cardinalityOrder(s), inputs)
 	if err != nil {
 		return nil, err
 	}
-	idx := tree.AncestorIndex()
+	idx := cube.NewAncestorIndex(s)
 	res := &Result{Schema: s}
 	oCells := make(map[cube.CellKey]regression.ISB)
 	excs := make(map[cube.CellKey]regression.ISB)
 	st := &res.Stats
 	st.Algorithm = "m/o-cubing (reference)"
 	st.Tuples = len(inputs)
-	st.TreeNodes = tree.NodeCount()
-	st.TreeLeaves = tree.LeafCount()
+	st.TreeNodes = tree.nodes
+	st.TreeLeaves = len(tree.leaves)
 
 	mLayer, oLayer := s.MLayer(), s.OLayer()
-	treeBytes := tree.BytesEstimate()
+	treeBytes := tree.bytes()
 	for _, c := range cube.NewLattice(s).Cuboids() {
 		st.CuboidsComputed++
 		isM := c.Equal(mLayer)
 		table := make(map[cube.CellKey]regression.ISB)
-		for _, leaf := range tree.Leaves() {
-			key := tree.CellKeyOf(leaf)
+		for _, leaf := range tree.leaves {
+			key := leaf.cell.Key
 			switch {
 			case isM: // the leaves are the m-layer's cells
 			case indexed:
@@ -52,7 +51,7 @@ func moCubingRef(s *cube.Schema, inputs []Input, thr exception.Thresholder, inde
 					return nil, err
 				}
 			}
-			accumulate(table, key, leaf.Measure)
+			accumulate(table, key, leaf.cell.ISB)
 		}
 		distinct := int64(len(table))
 		st.CellsComputed += distinct

@@ -1,215 +1,273 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/cube"
 	"repro/internal/exception"
-	"repro/internal/htree"
-	"repro/internal/regression"
 )
 
-// excSrc tracks one retained exception cell together with the H-tree nodes
-// that cover it at its covering path cuboid's depth. Drilling below the
-// cell enumerates those nodes' subtrees — work proportional to the
-// exception cells, exactly Algorithm 2's cost model ("the cells to be
-// computed are related only to the exception cells").
-type excSrc struct {
-	key     cube.CellKey
-	sources []*htree.Node
+// pathAttr is one column of a leaf's path key: its member of dimension dim
+// at level level.
+type pathAttr struct{ dim, level int }
+
+// pathLevel is one path cuboid's cells in path-key order. Cell k sums the
+// sorted leaves [starts[k], starts[k+1]); the last start is the leaf count.
+type pathLevel struct {
+	cells  []Cell
+	starts []int32
+}
+
+// drillFrom is one cuboid's retained exceptions in canonical order, and
+// where the cells of path cuboid level they sum lie in PopularPath's srcs.
+type drillFrom struct {
+	excs         []Cell
+	level        int
+	srcLo, srcHi int
 }
 
 // PopularPath runs Algorithm 2 (popular-path cubing) with the given
 // drilling path (use lattice.DefaultPath() when indifferent).
 //
-// Step 1 builds the H-tree in path order; Step 2 rolls the m-layer up to
-// the o-layer along the path, storing regression points in the non-leaf
-// tree nodes (read off by pathCells); Step 3 drills recursively from the
-// o-layer: only the children cells of exception cells are computed in
-// non-path cuboids, each aggregated from the closest computed path cuboid
-// below it — enumerated as H-tree subtrees of the exception cell's source
-// nodes rather than by scanning whole cuboids.
+// The paper keeps the path's roll-ups in the non-leaf nodes of an H-tree
+// built in path order; here the tree's levels are runs over the leaves
+// sorted by path key, and the tree is modelled, not built. Step 1 folds
+// the batch into its m-layer cells and sorts them; Step 2 rolls them up
+// along the path (rollUpPath). Step 3 drills recursively from the o-layer:
+// only the children cells of exception cells are computed in non-path
+// cuboids, each summed in path order from the cells of the closest
+// computed path cuboid below it found in its exception parents' leaf
+// ranges — "the cells to be computed are related only to the exception
+// cells".
 func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path cube.Path) (*Result, error) {
 	if err := validate(s, inputs); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	tree, err := buildTree(s, htree.PathOrder(s, path), inputs)
+	w := NewWorkspace(s)
+	levels, nodes, err := rollUpPath(w, inputs, path)
 	if err != nil {
 		return nil, err
 	}
-	if err := tree.PropagateUp(); err != nil {
-		return nil, err
-	}
-	build := time.Since(start)
-
-	idx := tree.AncestorIndex() // built once with the tree
-	lattice := cube.NewLattice(s)
 	res := &Result{Schema: s}
-	// The exceptions are kept in a table while drilling and listed in
-	// canonical order at the end.
-	excs := make(map[cube.CellKey]regression.ISB)
 	st := &res.Stats
 	st.Algorithm = "popular-path"
 	st.Tuples = len(inputs)
-	st.TreeNodes = tree.NodeCount()
-	st.TreeLeaves = tree.LeafCount()
-	st.BuildTime = build
-
+	st.TreeNodes = nodes
+	st.TreeLeaves = len(levels[len(levels)-1].cells)
+	st.BuildTime = time.Since(start)
 	cubeStart := time.Now()
 
-	// Step 2: the path cuboids are materialized at tree depths oAttrs+i.
-	oAttrs := 0
-	for d := range s.Dims {
-		oAttrs += s.Dims[d].OLevel
+	var pathCells int64
+	for _, l := range levels {
+		pathCells += int64(len(l.cells))
 	}
-	depthOf := make(map[cube.Cuboid]int, len(path.Cuboids))
-	var pathCellCount int64
-	onPath := pathCells(tree, path, oAttrs)
-	for i, pc := range path.Cuboids {
-		depthOf[pc] = oAttrs + i
-		pathCellCount += int64(len(onPath[i]))
-	}
-	st.CellsComputed += pathCellCount
-	st.CuboidsComputed = len(path.Cuboids)
+	st.CellsComputed = pathCells
+	st.CuboidsComputed = len(levels)
+	oCells := int64(len(levels[0].cells))
+	treeBytes := int64(nodes) * bytesPerNode
+	// excs counts the exceptions retained so far, and srcs lists the
+	// covering cells each sums; the memory model counts both.
+	var excs int64
+	var srcs []int32
 
-	oCells := onPath[0] // a path starts at the o-layer
-
-	// Exception registry: retained exception cells per cuboid with their
-	// source nodes for further drilling.
-	excByCuboid := make(map[cube.Cuboid][]excSrc)
-	var srcRefs int64 // retained source-pointer count, for the memory model
-
-	treeBytes := tree.BytesEstimate()
-	updatePeak := func(scratch int64) {
-		peak := treeBytes + (pathCellCount+scratch+int64(len(excs))+int64(len(oCells)))*bytesPerCell + srcRefs*8
-		if peak > st.PeakBytes {
-			st.PeakBytes = peak
-		}
-	}
-	updatePeak(0)
-
-	// Step 3: lattice walk, coarsest-first. Path cuboids surface their
-	// exceptions (sources = their own tree nodes); off-path cuboids are
-	// computed only under exception parents, from subtree enumeration.
-	for _, c := range lattice.Cuboids() {
-		threshold := thr.Threshold(c)
-		if depth, onPath := depthOf[c]; onPath {
-			if depth == 0 {
-				root := tree.Root()
-				if root.HasMeasure && exception.IsException(root.Measure, threshold) {
-					key := cube.CellKey{Cuboid: c}
-					excs[key] = root.Measure
-					excByCuboid[c] = append(excByCuboid[c], excSrc{key: key, sources: []*htree.Node{root}})
-					srcRefs++
+	// Step 3: lattice walk, coarsest-first. A path cuboid's cells are its
+	// level's; an off-path cuboid's are computed only under exception
+	// parents, from the covering cells in their leaf ranges.
+	drills := make(map[cube.Cuboid]drillFrom)
+	var covering []int32 // the cells of path cuboid level that c sums
+	var rolled, kept []Cell
+	for _, c := range w.lattice.Cuboids() {
+		level := path.Depth(c)
+		covering = covering[:0]
+		if level >= 0 {
+			for j := range levels[level].cells {
+				covering = append(covering, int32(j))
+			}
+		} else {
+			level = path.Depth(path.Covering(c))
+			starts := levels[level].starts
+			for _, p := range w.lattice.Parents(c) {
+				from := drills[p]
+				for _, src := range srcs[from.srcLo:from.srcHi] {
+					span := levels[from.level].starts[src : src+2]
+					lo, _ := slices.BinarySearch(starts, span[0])
+					hi, _ := slices.BinarySearch(starts, span[1])
+					for j := lo; j < hi; j++ {
+						covering = append(covering, int32(j))
+					}
 				}
+			}
+			if len(covering) == 0 {
 				continue
 			}
-			for _, n := range tree.NodesAtDepth(depth) {
-				if exception.IsException(n.Measure, threshold) {
-					key := tree.CellKeyOf(n)
-					excs[key] = n.Measure
-					excByCuboid[c] = append(excByCuboid[c], excSrc{key: key, sources: []*htree.Node{n}})
-					srcRefs++
+			// Cells reached under two exception parents count once, and
+			// every cell sums its covering cells in path order.
+			slices.Sort(covering)
+			covering = slices.Compact(covering)
+		}
+		rolled = rolled[:0]
+		for _, j := range covering {
+			cell := levels[level].cells[j]
+			cell.Key = w.idx.RollUp(cell.Key, c)
+			rolled = append(rolled, cell)
+		}
+		// A stable canonical sort: each run of equal keys is one cell of c,
+		// its covering cells still in path order.
+		order := codeOrder(s, c, rolled)
+		d := drillFrom{level: level, srcLo: len(srcs)}
+		threshold := thr.Threshold(c)
+		kept = kept[:0]
+		computed := 0
+		for r := 0; r < len(order); computed++ {
+			cell, end := rolled[order[r].idx], r+1
+			for ; end < len(order) && rolled[order[end].idx].Key == cell.Key; end++ {
+				cell.ISB.Base += rolled[order[end].idx].ISB.Base
+				cell.ISB.Slope += rolled[order[end].idx].ISB.Slope
+			}
+			if c == s.OLayer() {
+				res.oLayer = append(res.oLayer, cell)
+			}
+			if exception.IsException(cell.ISB, threshold) {
+				kept = append(kept, cell)
+				for _, e := range order[r:end] {
+					srcs = append(srcs, covering[e.idx])
 				}
 			}
-			continue
+			r = end
 		}
-
-		// Off-path cuboid: gather exception parents.
-		var parentExc []excSrc
-		for _, p := range lattice.Parents(c) {
-			parentExc = append(parentExc, excByCuboid[p]...)
+		if !path.OnPath(c) {
+			st.CuboidsComputed++
+			st.CellsComputed += int64(computed)
+			st.PeakScratchCells = max(st.PeakScratchCells, int64(computed))
+			st.PeakBytes = max(st.PeakBytes, treeBytes+(pathCells+int64(computed)+excs+oCells)*bytesPerCell+int64(d.srcLo)*8)
 		}
-		if len(parentExc) == 0 {
-			continue
-		}
-		st.CuboidsComputed++
-		targetDepth := depthOf[path.Covering(c)]
-
-		type aggCell struct {
-			isb     regression.ISB
-			sources []*htree.Node
-		}
-		scratch := make(map[cube.CellKey]*aggCell)
-		visited := make(map[*htree.Node]bool)
-		for _, e := range parentExc {
-			for _, src := range e.sources {
-				src.WalkAtDepth(targetDepth, func(n *htree.Node) {
-					if visited[n] {
-						return
-					}
-					visited[n] = true
-					// The covering path cuboid always dominates c, so the
-					// unchecked indexed roll-up is safe.
-					key := idx.RollUp(tree.CellKeyOf(n), c)
-					cell := scratch[key]
-					if cell == nil {
-						cell = &aggCell{isb: n.Measure}
-						scratch[key] = cell
-					} else {
-						cell.isb.Base += n.Measure.Base
-						cell.isb.Slope += n.Measure.Slope
-					}
-					cell.sources = append(cell.sources, n)
-				})
-			}
-		}
-		st.CellsComputed += int64(len(scratch))
-		if n := int64(len(scratch)); n > st.PeakScratchCells {
-			st.PeakScratchCells = n
-		}
-		updatePeak(int64(len(scratch)))
-		// Canonical key order: the registry's append order feeds the visit
-		// order of deeper drills, which must be reproducible.
-		for _, key := range SortedCellKeys(scratch) {
-			cell := scratch[key]
-			if exception.IsException(cell.isb, threshold) {
-				if _, dup := excs[key]; !dup {
-					excs[key] = cell.isb
-					excByCuboid[c] = append(excByCuboid[c], excSrc{key: key, sources: cell.sources})
-					srcRefs += int64(len(cell.sources))
-				}
-			}
-		}
+		d.excs, d.srcHi = slices.Clone(kept), len(srcs)
+		excs += int64(len(kept))
+		drills[c] = d
 	}
 
-	res.oLayer, res.exceptions = cellList(oCells), cellList(excs)
+	// Each cuboid's exceptions are canonical within it, so laid out in
+	// canonical cuboid order they are canonical throughout.
+	res.exceptions = make([]Cell, 0, excs)
+	for _, i := range w.canon {
+		res.exceptions = append(res.exceptions, drills[w.lattice.Cuboids()[i]].excs...)
+	}
 	st.CubeTime = time.Since(cubeStart)
-	st.CellsRetained = pathCellCount + int64(len(excs)) + int64(len(oCells))
-	st.BytesRetained = treeBytes + st.CellsRetained*bytesPerCell + srcRefs*8
-	if st.BytesRetained > st.PeakBytes {
-		st.PeakBytes = st.BytesRetained
-	}
-	res.groupByOCell(idx) // every cell aggregates into one o-cell: cannot fail
+	st.CellsRetained = pathCells + excs + oCells
+	st.BytesRetained = treeBytes + st.CellsRetained*bytesPerCell + int64(len(srcs))*8
+	st.PeakBytes = max(st.PeakBytes, st.BytesRetained)
+	res.groupByOCell(w.idx) // every cell aggregates into one o-cell: cannot fail
 	return res, nil
 }
 
-// pathCells is Step 2: in a tree built in path order and rolled up, path
-// cuboid i's cells are the nodes at depth oAttrs+i, the o-layer's depth
-// plus i. Listed in path order.
-func pathCells(tree *htree.HTree, path cube.Path, oAttrs int) []map[cube.CellKey]regression.ISB {
-	out := make([]map[cube.CellKey]regression.ISB, len(path.Cuboids))
-	for i := range path.Cuboids {
-		nodes := tree.NodesAtDepth(oAttrs + i)
-		if root := tree.Root(); oAttrs+i == 0 && root.HasMeasure {
-			nodes = []*htree.Node{root} // the o-layer at the apex: one root cell
-		}
-		out[i] = make(map[cube.CellKey]regression.ISB, len(nodes))
-		for _, n := range nodes {
-			out[i][tree.CellKeyOf(n)] = n.Measure
-		}
+// rollUpPath is Steps 1 and 2 of PopularPath. It folds the inputs into
+// their m-layer cells (the leaves) and sorts them by path key; path cuboid
+// i is then the run-length roll-up of cuboid i+1 by the key's first
+// oAttrs+i columns, children summed first to last as the tree's interior
+// nodes sum theirs. nodes counts the tree those runs model: the root, and
+// per leaf the nodes below the key prefix it shares with the leaf before.
+func rollUpPath(w *Workspace, inputs []Input, path cube.Path) (levels []pathLevel, nodes int, err error) {
+	attrs, oAttrs, err := pathAttrs(w.schema, path)
+	if err != nil {
+		return nil, 0, err
 	}
-	return out
+	leaves, _ := w.foldLeaves(inputs)
+	leaves, diffs := sortByPathKey(w.schema, w.idx, attrs, leaves)
+	nodes = len(attrs) + 1 // the first leaf's root-to-leaf chain
+	for _, d := range diffs[1:] {
+		nodes += len(attrs) - d
+	}
+	levels = make([]pathLevel, len(path.Cuboids))
+	last := &levels[len(levels)-1]
+	last.cells, last.starts = leaves, make([]int32, len(leaves)+1)
+	for r := range last.starts {
+		last.starts[r] = int32(r)
+	}
+	for i := len(levels) - 2; i >= 0; i-- {
+		below, cur := &levels[i+1], &levels[i]
+		cur.cells = make([]Cell, 0, len(below.cells))
+		for k, cell := range below.cells {
+			if first := below.starts[k]; k == 0 || diffs[first] < oAttrs+i {
+				cell.Key = w.idx.RollUp(cell.Key, path.Cuboids[i])
+				cur.cells = append(cur.cells, cell)
+				cur.starts = append(cur.starts, first)
+				continue
+			}
+			sum := &cur.cells[len(cur.cells)-1].ISB
+			sum.Base += cell.ISB.Base
+			sum.Slope += cell.ISB.Slope
+		}
+		cur.starts = append(cur.starts, int32(len(leaves)))
+	}
+	return levels, nodes, nil
 }
 
-// cellList lists a cell table in canonical order.
-func cellList(m map[cube.CellKey]regression.ISB) []Cell {
-	cells := make([]Cell, 0, len(m))
-	for k, isb := range m {
-		cells = append(cells, Cell{Key: k, ISB: isb})
+// pathAttrs checks that p runs from s's o-layer to its m-layer, drilling
+// one dimension one level per step, and returns the columns of the path
+// key: the o-layer's levels below ALL, per dimension coarsest first, then
+// the level each step drills — the attribute order of the paper's
+// path-ordered H-tree, ⟨(A1,C1)→B1→B2→A2→C2⟩. The first oAttrs+i columns
+// identify a cell of path cuboid i.
+func pathAttrs(s *cube.Schema, p cube.Path) (attrs []pathAttr, oAttrs int, err error) {
+	o := s.OLayer()
+	if len(p.Cuboids) == 0 || p.Cuboids[0] != o {
+		return nil, 0, fmt.Errorf("%w: the path does not start at the o-layer %s", ErrInput, o.Describe(s))
 	}
-	slices.SortFunc(cells, CompareCells)
-	return cells
+	for d := range s.Dims {
+		for l := 1; l <= o.Level(d); l++ {
+			attrs = append(attrs, pathAttr{dim: d, level: l})
+		}
+	}
+	oAttrs = len(attrs)
+	for i, c := range p.Cuboids[1:] {
+		prev, step := p.Cuboids[i], -1
+		for d := range s.Dims {
+			if prev.WithLevel(d, prev.Level(d)+1) == c {
+				step = d
+			}
+		}
+		if step < 0 {
+			return nil, 0, fmt.Errorf("%w: path step %d does not drill one dimension one level", ErrInput, i+1)
+		}
+		attrs = append(attrs, pathAttr{dim: step, level: c.Level(step)})
+	}
+	if m := s.MLayer(); p.Cuboids[len(p.Cuboids)-1] != m {
+		return nil, 0, fmt.Errorf("%w: the path does not end at the m-layer %s", ErrInput, m.Describe(s))
+	}
+	return attrs, oAttrs, nil
+}
+
+// sortByPathKey returns the leaves sorted by their members at attrs, and
+// for each sorted leaf after the first the first column at which its key
+// differs from the one before: leaf r starts a new cell of the cuboid a
+// k-column prefix identifies exactly when diffs[r] < k.
+func sortByPathKey(s *cube.Schema, idx *cube.AncestorIndex, attrs []pathAttr, leaves []Cell) (sorted []Cell, diffs []int) {
+	na := len(attrs)
+	keys := make([]int32, len(leaves)*na)
+	for j, a := range attrs {
+		r := idx.Resolver(a.dim, s.Dims[a.dim].MLevel, a.level)
+		for i := range leaves {
+			keys[i*na+j] = r.Resolve(leaves[i].Key.Members[a.dim])
+		}
+	}
+	key := func(i int32) []int32 { return keys[int(i)*na : int(i+1)*na] }
+	order := make([]int32, len(leaves))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(key(a), key(b)) })
+	sorted, diffs = make([]Cell, len(leaves)), make([]int, len(leaves))
+	for r, i := range order {
+		sorted[r] = leaves[i]
+		if r > 0 {
+			prev, cur := key(order[r-1]), key(i)
+			for prev[diffs[r]] == cur[diffs[r]] {
+				diffs[r]++ // distinct leaves: their keys differ somewhere
+			}
+		}
+	}
+	return sorted, diffs
 }

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
 	"repro/internal/exception"
+	"repro/internal/regression"
 )
 
 // popularPathDigest hashes everything of a popular-path result that must
@@ -120,5 +122,182 @@ func TestPopularPathPinned(t *testing.T) {
 					got, tc.want, res.NumOCells(), res.NumExceptions(), res.Stats)
 			}
 		})
+	}
+}
+
+// paperSchema has Example 5's shape: A, B, C with m-layer (A2,B2,C2) and
+// o-layer (A1,*,C1), cardinalities A1 7 < B1 10 < C1 12 < C2 24 < A2 49 <
+// B2 100, so Algorithm 1's attribute order is the paper's
+// ⟨A1,B1,C1,C2,A2,B2⟩.
+func paperSchema(t *testing.T) *cube.Schema {
+	t.Helper()
+	ha, _ := cube.NewFanoutHierarchy("A", 7, 2)
+	hb, _ := cube.NewFanoutHierarchy("B", 10, 2)
+	hc := cube.NewNamedHierarchy("C")
+	c1, c2, parents := make([]string, 12), make([]string, 24), make([]int32, 24)
+	for i := range c2 {
+		c2[i], parents[i] = fmt.Sprintf("c2.%d", i), int32(i/2)
+	}
+	for i := range c1 {
+		c1[i] = fmt.Sprintf("c1.%d", i)
+	}
+	if err := hc.AddLevel(c1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := hc.AddLevel(c2, parents); err != nil {
+		t.Fatal(err)
+	}
+	s, err := cube.NewSchema(
+		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
+		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 0},
+		cube.Dimension{Name: "C", Hierarchy: hc, MLevel: 2, OLevel: 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestCardinalityOrderMatchesPaper: Algorithm 1's modelled tree takes
+// Example 5's attribute order, so its depths hold the prefix cuboids
+// (A1), (A1,B1), (A1,B1,C1), (A1,B1,C2), (A2,B1,C2), (A2,B2,C2).
+func TestCardinalityOrderMatchesPaper(t *testing.T) {
+	s := paperSchema(t)
+	want := []cube.Cuboid{
+		cube.MustCuboid(1, 0, 0), cube.MustCuboid(1, 1, 0), cube.MustCuboid(1, 1, 1),
+		cube.MustCuboid(1, 1, 2), cube.MustCuboid(2, 1, 2), cube.MustCuboid(2, 2, 2),
+	}
+	if got := treeDepths(s); !slices.Equal(got, want) {
+		t.Fatalf("depths %v, want %v", got, want)
+	}
+	wantAttrs := []pathAttr{{0, 1}, {1, 1}, {2, 1}, {2, 2}, {0, 2}, {1, 2}}
+	if got := cardinalityOrder(s); !slices.Equal(got, wantAttrs) {
+		t.Fatalf("reference order %v, want %v", got, wantAttrs)
+	}
+}
+
+// TestPrefixSharing: two m-cells that differ only in A2 share the
+// modelled tree's path down to C2 — root, A1, B1, C1, C2, then two A2 and
+// two B2 nodes.
+func TestPrefixSharing(t *testing.T) {
+	s := paperSchema(t)
+	isb := regression.ISB{Te: 9, Base: 1}
+	inputs := []Input{{Members: []int32{5, 17, 3}, Measure: isb}, {Members: []int32{6, 17, 3}, Measure: isb}}
+	res, err := MOCubing(s, inputs, exception.Global(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TreeNodes != 9 {
+		t.Fatalf("%d nodes, want 9", res.Stats.TreeNodes)
+	}
+}
+
+// TestPathOrder: the paper's path (A1,C1)→B1→B2→A2→C2 keys the leaves by
+// A1, C1, B1, B2, A2, C2, and prefix 2+i of that key is path cuboid i.
+func TestPathOrder(t *testing.T) {
+	s := paperSchema(t)
+	p := mustPath(t, cube.NewLattice(s), []int{1, 1, 0, 2})
+	attrs, oAttrs, err := pathAttrs(s, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []pathAttr{{0, 1}, {2, 1}, {1, 1}, {1, 2}, {0, 2}, {2, 2}}; !slices.Equal(attrs, want) || oAttrs != 2 {
+		t.Fatalf("attrs %v (%d for the o-layer), want %v (2)", attrs, oAttrs, want)
+	}
+	if want := pathOrder(s, p); !slices.Equal(attrs, want) {
+		t.Fatalf("attrs %v, the reference tree's %v", attrs, want)
+	}
+}
+
+// TestPathOrderApexOLayer: with an all-ALL o-layer no column keys the
+// o-layer, and the first step's level is the first column.
+func TestPathOrderApexOLayer(t *testing.T) {
+	s := apexSchema(t)
+	attrs, oAttrs, err := pathAttrs(s, cube.NewLattice(s).DefaultPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []pathAttr{{0, 1}, {0, 2}, {1, 1}, {1, 2}}; !slices.Equal(attrs, want) || oAttrs != 0 {
+		t.Fatalf("attrs %v (%d for the o-layer), want %v (0)", attrs, oAttrs, want)
+	}
+}
+
+func apexSchema(t *testing.T) *cube.Schema {
+	t.Helper()
+	ha, _ := cube.NewFanoutHierarchy("A", 3, 2)
+	hb, _ := cube.NewFanoutHierarchy("B", 2, 2)
+	s, err := cube.NewSchema(
+		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 0},
+		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 0},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestLeafRangesPartitionMeasure: the drill's search — the cells of a
+// finer path cuboid whose starts fall in a coarser cell's leaf range — finds
+// exactly the cells below it, and they sum to it. On the full 9×4 grid of
+// the apex schema's default path, the apex covers every leaf and each A1
+// cell its three A2 cells.
+func TestLeafRangesPartitionMeasure(t *testing.T) {
+	s := apexSchema(t)
+	var inputs []Input
+	for a := int32(0); a < 9; a++ {
+		for b := int32(0); b < 4; b++ {
+			inputs = append(inputs, Input{Members: []int32{a, b}, Measure: regression.ISB{Te: 9, Base: float64(a), Slope: float64(b)}})
+		}
+	}
+	path := cube.NewLattice(s).DefaultPath()
+	levels, _, err := rollUpPath(NewWorkspace(s), inputs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(levels[0].cells) != 1 || len(levels[1].cells) != 3 || len(levels[4].cells) != 36 {
+		t.Fatalf("path cuboids of %d, %d and %d cells, want 1, 3 and 36", len(levels[0].cells), len(levels[1].cells), len(levels[4].cells))
+	}
+	for i := range levels {
+		for j := i; j < len(levels); j++ {
+			for k, cell := range levels[i].cells {
+				lo, _ := slices.BinarySearch(levels[j].starts, levels[i].starts[k])
+				hi, _ := slices.BinarySearch(levels[j].starts, levels[i].starts[k+1])
+				if i == 1 && j == 2 && hi-lo != 3 {
+					t.Fatalf("A1 cell %v covers %d A2 cells, want 3", cell.Key, hi-lo)
+				}
+				var base, slope float64
+				for _, below := range levels[j].cells[lo:hi] {
+					if up, _ := cube.RollUpKey(s, below.Key, path.Cuboids[i]); up != cell.Key {
+						t.Fatalf("cell %v found below %v", below.Key, cell.Key)
+					}
+					base, slope = base+below.ISB.Base, slope+below.ISB.Slope
+				}
+				if !almostEq(base, cell.ISB.Base, 1e-9) || !almostEq(slope, cell.ISB.Slope, 1e-9) {
+					t.Fatalf("path cuboid %d below %v sums to (%g,%g), want (%g,%g)", j, cell.Key, base, slope, cell.ISB.Base, cell.ISB.Slope)
+				}
+			}
+		}
+	}
+}
+
+// TestPopularPathMergesDuplicateTuples: tuples of one m-cell fold into one
+// leaf, in input order.
+func TestPopularPathMergesDuplicateTuples(t *testing.T) {
+	s := paperSchema(t)
+	inputs := []Input{
+		{Members: []int32{5, 17, 3}, Measure: regression.ISB{Te: 9, Base: 1, Slope: 0.5}},
+		{Members: []int32{6, 17, 3}, Measure: regression.ISB{Te: 9, Base: 1, Slope: 1}},
+		{Members: []int32{5, 17, 3}, Measure: regression.ISB{Te: 9, Base: 2, Slope: 0.25}},
+	}
+	res, err := PopularPath(s, inputs, exception.Global(0), cube.NewLattice(s).DefaultPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TreeLeaves != 2 {
+		t.Fatalf("%d leaves, want 2", res.Stats.TreeLeaves)
+	}
+	got, ok := res.Exception(cube.NewCellKey(s.MLayer(), 5, 17, 3))
+	if want, _ := regression.AggregateStandard(inputs[0].Measure, inputs[2].Measure); !ok || got != want {
+		t.Fatalf("merged m-cell %v, want %v", got, want)
 	}
 }

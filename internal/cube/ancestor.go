@@ -2,8 +2,8 @@ package cube
 
 // This file is the cubing hot path's precomputation layer. Ancestor() walks
 // a Hierarchy interface one Parent call per level — fine at the API surface,
-// but the cuboid×leaf loop of m/o-cubing and the per-attribute resolution of
-// H-tree inserts resolve ancestors millions of times per unit. AncestorIndex
+// but the cuboid×leaf loop of m/o-cubing and popular-path's path keys
+// resolve ancestors millions of times per unit. AncestorIndex
 // precomputes every (dimension, from-level, to-level) mapping so those loops
 // do one integer division or one slice index per resolution, with results
 // identical to Ancestor by construction (the tables are built by the same

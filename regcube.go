@@ -11,7 +11,7 @@
 //     (71 slots instead of 35,136 for a year of quarter-hours);
 //   - compute exception-based regression cubes between an m-layer and an
 //     o-layer with either of the paper's two algorithms, m/o H-cubing and
-//     popular-path cubing, on an H-tree substrate, and the change-based
+//     popular-path cubing, over a modelled H-tree, and the change-based
 //     cube between two windows (DeltaCubing);
 //   - run the whole pipeline online over raw stream records, with o-layer
 //     alerts and exception drill-down — the stream engine cubes every unit
