@@ -3,11 +3,13 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/cube"
 	"repro/internal/exception"
@@ -176,6 +178,117 @@ func TestCardinalityOrderMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestCuboidAtDepthCardinalityOrder: in Example 5's attribute order the
+// reference tree's root holds the apex and its depth 4 (A1,B1,C2), and
+// every depth below the root holds the cuboid m/o-cubing models there.
+func TestCuboidAtDepthCardinalityOrder(t *testing.T) {
+	s := paperSchema(t)
+	tree, err := newRefTree(s, cardinalityOrder(s), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tree.cuboidAtDepth(s, 0); got != cube.MustCuboid(0, 0, 0) {
+		t.Fatalf("depth 0 holds %v, want the apex", got)
+	}
+	if got := tree.cuboidAtDepth(s, 4); got != cube.MustCuboid(1, 1, 2) {
+		t.Fatalf("depth 4 holds %v, want (A1,B1,C2)", got)
+	}
+	for k, c := range treeDepths(s) {
+		if want := tree.cuboidAtDepth(s, k+1); c != want {
+			t.Fatalf("depth %d models %v, the reference tree holds %v", k+1, c, want)
+		}
+	}
+}
+
+// TestBytesEstimate: both kernels' byte estimates account the modelled
+// tree from its root down. One tuple of the paper schema is a chain of
+// seven nodes (the root and six attributes); a duplicate tuple adds
+// nothing; a second m-cell adds nodes and at least their bytes.
+func TestBytesEstimate(t *testing.T) {
+	s := paperSchema(t)
+	isb := regression.ISB{Te: 9, Base: 1, Slope: 1}
+	one := []Input{{Members: []int32{5, 17, 3}, Measure: isb}}
+	dup := append(slices.Clone(one), one[0])
+	two := append(slices.Clone(one), Input{Members: []int32{6, 17, 3}, Measure: isb})
+	thr := exception.Global(1e9) // no exceptions: only the tree and o-layer are retained
+	path := cube.NewLattice(s).DefaultPath()
+	for _, kernel := range []struct {
+		name string
+		run  func([]Input) (*Result, error)
+	}{
+		{"m/o-cubing", func(in []Input) (*Result, error) { return MOCubing(s, in, thr) }},
+		{"popular-path", func(in []Input) (*Result, error) { return PopularPath(s, in, thr, path) }},
+	} {
+		stats := func(in []Input) Stats {
+			res, err := kernel.run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats
+		}
+		st1, stDup, st2 := stats(one), stats(dup), stats(two)
+		if st1.TreeNodes != 7 || st1.BytesRetained < 7*bytesPerNode {
+			t.Errorf("%s: one tuple gives %d nodes, %d bytes; want 7 nodes, at least %d bytes", kernel.name, st1.TreeNodes, st1.BytesRetained, 7*bytesPerNode)
+		}
+		if stDup.TreeNodes != st1.TreeNodes || stDup.BytesRetained != st1.BytesRetained {
+			t.Errorf("%s: a duplicate tuple moves %d nodes, %d bytes to %d, %d", kernel.name, st1.TreeNodes, st1.BytesRetained, stDup.TreeNodes, stDup.BytesRetained)
+		}
+		if grown := int64(st2.TreeNodes - st1.TreeNodes); grown <= 0 || st2.BytesRetained-st1.BytesRetained < grown*bytesPerNode {
+			t.Errorf("%s: a second m-cell moves %d nodes, %d bytes to %d, %d", kernel.name, st1.TreeNodes, st1.BytesRetained, st2.TreeNodes, st2.BytesRetained)
+		}
+	}
+}
+
+// TestInsertValidation: both kernels refuse a tuple with the wrong member
+// count, a negative member or one past its m-level's cardinality, and one
+// whose interval differs from the batch's, even in the same m-cell.
+func TestInsertValidation(t *testing.T) {
+	s := paperSchema(t)
+	isb := regression.ISB{Te: 9, Base: 1, Slope: 1}
+	path := cube.NewLattice(s).DefaultPath()
+	for _, tc := range []struct {
+		name string
+		bad  Input
+	}{
+		{"member count", Input{Members: []int32{1, 2}, Measure: isb}},
+		{"negative member", Input{Members: []int32{-1, 0, 0}, Measure: isb}},
+		{"member past C2", Input{Members: []int32{0, 0, 99}, Measure: isb}},
+		{"interval", Input{Members: []int32{0, 0, 0}, Measure: regression.ISB{Tb: 5, Te: 9, Base: 1, Slope: 1}}},
+	} {
+		inputs := []Input{{Members: []int32{0, 0, 0}, Measure: isb}, tc.bad}
+		if _, err := MOCubing(s, inputs, exception.Global(1)); !errors.Is(err, ErrInput) {
+			t.Errorf("%s: MOCubing returned %v, want ErrInput", tc.name, err)
+		}
+		if _, err := PopularPath(s, inputs, exception.Global(1), path); !errors.Is(err, ErrInput) {
+			t.Errorf("%s: PopularPath returned %v, want ErrInput", tc.name, err)
+		}
+	}
+}
+
+// TestPathAttrsValidation: the path key has columns only for a path that
+// starts at the o-layer, drills one dimension one level per step and ends
+// at the m-layer; pathAttrs refuses every other path on the paper schema.
+func TestPathAttrsValidation(t *testing.T) {
+	s := paperSchema(t)
+	good := mustPath(t, cube.NewLattice(s), []int{1, 1, 0, 2}).Cuboids // (1,0,1)→(1,1,1)→(1,2,1)→(2,2,1)→(2,2,2)
+	for _, tc := range []struct {
+		name    string
+		cuboids []cube.Cuboid
+	}{
+		{"no cuboids", nil},
+		{"stops short of C2", good[:len(good)-1]},
+		{"a step drilling nothing", append([]cube.Cuboid{good[0]}, good...)},
+		{"a step of two levels", append([]cube.Cuboid{good[0]}, good[2:]...)},
+		{"a step in two dimensions", []cube.Cuboid{good[0], cube.MustCuboid(2, 1, 1), good[2], good[3], good[4]}},
+		{"past the m-layer", append(slices.Clone(good), good[4].WithLevel(0, 3))},
+		{"another schema's dimensions", cube.NewLattice(testSchema(t, 2, 2, 3)).DefaultPath().Cuboids},
+	} {
+		if attrs, _, err := pathAttrs(s, cube.Path{Cuboids: tc.cuboids}); !errors.Is(err, ErrInput) || attrs != nil {
+			t.Errorf("%s: pathAttrs returned %v, %v; want ErrInput", tc.name, attrs, err)
+		}
+	}
+}
+
 // TestPrefixSharing: two m-cells that differ only in A2 share the
 // modelled tree's path down to C2 — root, A1, B1, C1, C2, then two A2 and
 // two B2 nodes.
@@ -236,12 +349,10 @@ func apexSchema(t *testing.T) *cube.Schema {
 	return s
 }
 
-// TestLeafRangesPartitionMeasure: the drill's search — the cells of a
-// finer path cuboid whose starts fall in a coarser cell's leaf range — finds
-// exactly the cells below it, and they sum to it. On the full 9×4 grid of
-// the apex schema's default path, the apex covers every leaf and each A1
-// cell its three A2 cells.
-func TestLeafRangesPartitionMeasure(t *testing.T) {
+// apexGrid rolls the apex schema's full 9×4 grid of m-cells, cell (a,b)
+// measuring (a,b), up its default path A1→A2→B1→B2.
+func apexGrid(t *testing.T) (*cube.Schema, cube.Path, []pathLevel) {
+	t.Helper()
 	s := apexSchema(t)
 	var inputs []Input
 	for a := int32(0); a < 9; a++ {
@@ -254,19 +365,56 @@ func TestLeafRangesPartitionMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(levels[0].cells) != 1 || len(levels[1].cells) != 3 || len(levels[4].cells) != 36 {
-		t.Fatalf("path cuboids of %d, %d and %d cells, want 1, 3 and 36", len(levels[0].cells), len(levels[1].cells), len(levels[4].cells))
+	return s, path, levels
+}
+
+// cellsBelow is the drill's search: the cells of path cuboid j whose leaf
+// ranges start inside that of cell k of the coarser path cuboid i.
+func cellsBelow(levels []pathLevel, i, k, j int) []Cell {
+	lo, _ := slices.BinarySearch(levels[j].starts, levels[i].starts[k])
+	hi, _ := slices.BinarySearch(levels[j].starts, levels[i].starts[k+1])
+	return levels[j].cells[lo:hi]
+}
+
+// TestLeafRangeSearch: searching a path cell's leaf range in a finer path
+// cuboid finds the cells below it. On the apex grid the apex covers all 36
+// leaves, each A1 cell its three A2 cells, and a cell searched in its own
+// cuboid finds itself.
+func TestLeafRangeSearch(t *testing.T) {
+	s, path, levels := apexGrid(t)
+	leaf := len(levels) - 1
+	if len(levels[0].cells) != 1 || len(levels[1].cells) != 3 || len(levels[leaf].cells) != 36 {
+		t.Fatalf("path cuboids of %d, %d and %d cells, want 1, 3 and 36", len(levels[0].cells), len(levels[1].cells), len(levels[leaf].cells))
 	}
+	if n := len(cellsBelow(levels, 0, 0, leaf)); n != 36 {
+		t.Fatalf("the apex covers %d leaves, want 36", n)
+	}
+	for k, cell := range levels[1].cells {
+		a2 := cellsBelow(levels, 1, k, 2)
+		if len(a2) != 3 {
+			t.Fatalf("A1 cell %v covers %d A2 cells, want 3", cell.Key, len(a2))
+		}
+		for _, c := range a2 {
+			if up, _ := cube.RollUpKey(s, c.Key, path.Cuboids[1]); up != cell.Key {
+				t.Fatalf("A2 cell %v found below %v", c.Key, cell.Key)
+			}
+		}
+		if self := cellsBelow(levels, 1, k, 1); len(self) != 1 || self[0].Key != cell.Key {
+			t.Fatalf("A1 cell %v searched in its own cuboid finds %v", cell.Key, self)
+		}
+	}
+}
+
+// TestLeafRangesPartitionMeasure: on the apex grid, the cells the search
+// finds in any finer path cuboid are exactly the cells below a path cell,
+// and they sum to it.
+func TestLeafRangesPartitionMeasure(t *testing.T) {
+	s, path, levels := apexGrid(t)
 	for i := range levels {
 		for j := i; j < len(levels); j++ {
 			for k, cell := range levels[i].cells {
-				lo, _ := slices.BinarySearch(levels[j].starts, levels[i].starts[k])
-				hi, _ := slices.BinarySearch(levels[j].starts, levels[i].starts[k+1])
-				if i == 1 && j == 2 && hi-lo != 3 {
-					t.Fatalf("A1 cell %v covers %d A2 cells, want 3", cell.Key, hi-lo)
-				}
 				var base, slope float64
-				for _, below := range levels[j].cells[lo:hi] {
+				for _, below := range cellsBelow(levels, i, k, j) {
 					if up, _ := cube.RollUpKey(s, below.Key, path.Cuboids[i]); up != cell.Key {
 						t.Fatalf("cell %v found below %v", below.Key, cell.Key)
 					}
@@ -277,6 +425,132 @@ func TestLeafRangesPartitionMeasure(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRollUpPath: Step 2 on four tuples along the paper's path
+// (A1,C1)→B1→B2→A2→C2. Sorted by path key the leaves (A2,B2,C2) are
+// (5,17,3), (6,17,3), (41,17,3), (40,90,20); the first two differ only
+// from A2 on, so each path cuboid above A2 has three cells, whose leaf
+// ranges start at 0, 2 and 3, the o-layer's cells sum the whole batch, and
+// the runs model the path-ordered tree's 20 nodes.
+func TestRollUpPath(t *testing.T) {
+	s := paperSchema(t)
+	path := mustPath(t, cube.NewLattice(s), []int{1, 1, 0, 2})
+	inputs := []Input{
+		{Members: []int32{5, 17, 3}, Measure: regression.ISB{Te: 9, Base: 1, Slope: 0.5}},
+		{Members: []int32{6, 17, 3}, Measure: regression.ISB{Te: 9, Base: 2, Slope: -0.25}},
+		{Members: []int32{40, 90, 20}, Measure: regression.ISB{Te: 9, Base: 3, Slope: 1}},
+		{Members: []int32{41, 17, 3}, Measure: regression.ISB{Te: 9, Base: 4}},
+	}
+	levels, nodes, err := rollUpPath(NewWorkspace(s), inputs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newRefTree(s, pathOrder(s, path), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes != 20 || ref.nodes != 20 {
+		t.Fatalf("%d nodes modelled, %d in the reference tree, want 20", nodes, ref.nodes)
+	}
+	var leaves [][3]int32
+	for _, c := range levels[len(levels)-1].cells {
+		leaves = append(leaves, [3]int32{c.Key.Member(0), c.Key.Member(1), c.Key.Member(2)})
+	}
+	if want := [][3]int32{{5, 17, 3}, {6, 17, 3}, {41, 17, 3}, {40, 90, 20}}; !slices.Equal(leaves, want) {
+		t.Fatalf("leaves %v, want %v", leaves, want)
+	}
+	for i, l := range levels {
+		want := []int32{0, 2, 3, 4}
+		if i >= 3 { // A2 and C2
+			want = []int32{0, 1, 2, 3, 4}
+		}
+		if !slices.Equal(l.starts, want) {
+			t.Fatalf("path cuboid %d starts %v, want %v", i, l.starts, want)
+		}
+	}
+	type oCell struct {
+		a1, c1      int32
+		base, slope float64
+	}
+	var got []oCell
+	var base, slope float64
+	for _, c := range levels[0].cells {
+		got = append(got, oCell{c.Key.Member(0), c.Key.Member(2), c.ISB.Base, c.ISB.Slope})
+		base, slope = base+c.ISB.Base, slope+c.ISB.Slope
+	}
+	if want := []oCell{{0, 1, 3, 0.25}, {5, 1, 4, 0}, {5, 10, 3, 1}}; !slices.Equal(got, want) {
+		t.Fatalf("o-layer cells %v, want %v", got, want)
+	}
+	if base != 10 || slope != 1.25 {
+		t.Fatalf("the o-layer sums to (%g,%g), want (10,1.25)", base, slope)
+	}
+}
+
+// TestPropagationInvariantsProperty: for random batches on the paper
+// schema and path, the leaves are the distinct m-cells, each the sum of
+// its tuples; every path cell is the sum of the cells below it in the
+// next path cuboid, those ranges tiling that cuboid; and the o-layer sums
+// the whole batch.
+func TestPropagationInvariantsProperty(t *testing.T) {
+	s := paperSchema(t)
+	path := mustPath(t, cube.NewLattice(s), []int{1, 1, 0, 2})
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(71))}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		direct := map[[3]int32]*regression.ISB{}
+		var inputs []Input
+		var totBase, totSlope float64
+		for range 1 + r.Intn(120) {
+			m := [3]int32{int32(r.Intn(49)), int32(r.Intn(100)), int32(r.Intn(24))}
+			isb := regression.ISB{Te: 9, Base: r.NormFloat64(), Slope: r.NormFloat64()}
+			inputs = append(inputs, Input{Members: m[:], Measure: isb})
+			if direct[m] == nil {
+				direct[m] = &regression.ISB{}
+			}
+			direct[m].Base += isb.Base
+			direct[m].Slope += isb.Slope
+			totBase, totSlope = totBase+isb.Base, totSlope+isb.Slope
+		}
+		levels, _, err := rollUpPath(NewWorkspace(s), inputs, path)
+		if err != nil {
+			return false
+		}
+		leaves := levels[len(levels)-1].cells
+		if len(leaves) != len(direct) {
+			return false
+		}
+		for _, leaf := range leaves {
+			want := direct[[3]int32{leaf.Key.Member(0), leaf.Key.Member(1), leaf.Key.Member(2)}]
+			if want == nil || !almostEq(leaf.ISB.Base, want.Base, 1e-7) || !almostEq(leaf.ISB.Slope, want.Slope, 1e-7) {
+				return false
+			}
+		}
+		for i := range levels[:len(levels)-1] {
+			tiled := 0
+			for k, cell := range levels[i].cells {
+				var base, slope float64
+				for _, c := range cellsBelow(levels, i, k, i+1) {
+					base, slope = base+c.ISB.Base, slope+c.ISB.Slope
+					tiled++
+				}
+				if !almostEq(base, cell.ISB.Base, 1e-7) || !almostEq(slope, cell.ISB.Slope, 1e-7) {
+					return false
+				}
+			}
+			if tiled != len(levels[i+1].cells) {
+				return false
+			}
+		}
+		var base, slope float64
+		for _, c := range levels[0].cells {
+			base, slope = base+c.ISB.Base, slope+c.ISB.Slope
+		}
+		return almostEq(base, totBase, 1e-7) && almostEq(slope, totSlope, 1e-7)
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
 	}
 }
 
