@@ -392,6 +392,32 @@ func BenchmarkPopularPath(b *testing.B) {
 	b.ReportMetric(float64(last.Stats.TreeNodes), "nodes/op")
 }
 
+// Delta cubing (§4.3's "current quarter vs. the previous one", the batch
+// form: the facade and examples/deltawatch run it) over two adjacent
+// Fig-8-shaped windows, D3L3C10T10K each, flagging slope changes of at
+// least 1. One op is one DeltaCubing call: both windows' leaf folds and,
+// per cuboid, one m/o pass per window and the merge join of the two.
+func BenchmarkDeltaCubing(b *testing.B) {
+	spec := gen.Spec{Dims: 3, Levels: 3, Fanout: 10, Tuples: 10000}
+	prev, cur := benchDataset(b, spec, 1), benchDataset(b, spec, 2)
+	for i := range cur.Inputs {
+		cur.Inputs[i].Measure.Tb += 10
+		cur.Inputs[i].Measure.Te += 10
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var last *core.DeltaResult
+	for n := 0; n < b.N; n++ {
+		res, err := core.DeltaCubing(prev.Schema, cur.Inputs, prev.Inputs, exception.Delta{MinSlopeChange: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	b.ReportMetric(float64(len(last.Exceptions)), "exc/op")
+	b.ReportMetric(float64(last.Stats.CellsComputed), "cells/op")
+}
+
 // alertHeavyCells returns the D3L3C4 schema and the first n of the alert-
 // heavy unit's seeded m-cells.
 func alertHeavyCells(tb testing.TB, n int) (*cube.Schema, [][]int32) {

@@ -65,22 +65,13 @@ func DeltaCubing(s *cube.Schema, cur, prev []Input, det exception.Delta) (*Delta
 		}
 	}
 	start := time.Now()
+	// Both windows fold on one workspace; the current window's leaves are
+	// detached before the previous window's fold reuses the buffer.
+	w := NewWorkspace(s)
+	curLeaves, _ := w.foldLeaves(cur)
+	w.leafCells = nil
+	prevLeaves, _ := w.foldLeaves(prev)
 
-	m := s.MLayer()
-	mergeToM := func(inputs []Input) map[cube.CellKey]regression.ISB {
-		out := make(map[cube.CellKey]regression.ISB, len(inputs))
-		for _, in := range inputs {
-			var members [cube.MaxDims]int32
-			copy(members[:], in.Members)
-			accumulate(out, cube.CellKey{Cuboid: m, Members: members}, in.Measure)
-		}
-		return out
-	}
-	curM := mergeToM(cur)
-	prevM := mergeToM(prev)
-	build := time.Since(start)
-
-	lattice := cube.NewLattice(s)
 	res := &DeltaResult{
 		Schema:     s,
 		OLayer:     make(map[cube.CellKey]DeltaCell),
@@ -89,41 +80,36 @@ func DeltaCubing(s *cube.Schema, cur, prev []Input, det exception.Delta) (*Delta
 	st := &res.Stats
 	st.Algorithm = "delta-cubing"
 	st.Tuples = len(cur) + len(prev)
-	st.TreeLeaves = len(curM)
-	st.BuildTime = build
+	st.TreeLeaves = len(curLeaves)
+	st.BuildTime = time.Since(start)
 
 	cubeStart := time.Now()
 	oLayer := s.OLayer()
-	// Precomputed ancestor tables: every m-cell rolls up per cuboid with
-	// slice indexing instead of an interface walk (m-layer keys dominate
-	// every lattice cuboid, so the unchecked RollUp is safe).
-	idx := cube.NewAncestorIndex(s)
-	// Canonical m-cell order: per-cell sums are then bitwise reproducible.
-	curKeys := SortedCellKeys(curM)
-	prevKeys := SortedCellKeys(prevM)
-	for _, c := range lattice.Cuboids() {
+	// Each window runs m/o-cubing's pass per cuboid, so its cells are
+	// MOCubing's bit for bit, both lists in canonical order; a merge join
+	// pairs them.
+	var prevScratch runScratch
+	for _, c := range w.lattice.Cuboids() {
 		st.CuboidsComputed++
-		curCells := make(map[cube.CellKey]regression.ISB, len(curKeys))
-		for _, key := range curKeys {
-			accumulate(curCells, idx.RollUp(key, c), curM[key])
-		}
-		prevCells := make(map[cube.CellKey]regression.ISB, len(prevKeys))
-		for _, key := range prevKeys {
-			accumulate(prevCells, idx.RollUp(key, c), prevM[key])
-		}
+		w.scratch.aggregate(s, w.idx, curLeaves, s.MLayer(), c)
+		prevScratch.aggregate(s, w.idx, prevLeaves, s.MLayer(), c)
+		curCells, prevCells := w.scratch.cells, prevScratch.cells
 		st.CellsComputed += int64(len(curCells))
-		if n := int64(len(curCells) + len(prevCells)); n > st.PeakScratchCells {
-			st.PeakScratchCells = n
-		}
-		isO := c.Equal(oLayer)
-		for key, curISB := range curCells {
-			prevISB, have := prevCells[key]
-			dc := DeltaCell{Key: key, Cur: curISB, Prev: prevISB, HavePrev: have}
-			if isO {
-				res.OLayer[key] = dc
+		st.PeakScratchCells = max(st.PeakScratchCells, int64(len(curCells)+len(prevCells)))
+		j := 0
+		for _, cell := range curCells {
+			for j < len(prevCells) && cube.CompareKeys(prevCells[j].Key, cell.Key) < 0 {
+				j++
 			}
-			if det.Exceptional(curISB, prevISB, have) {
-				res.Exceptions[key] = dc
+			dc := DeltaCell{Key: cell.Key, Cur: cell.ISB}
+			if j < len(prevCells) && prevCells[j].Key == cell.Key {
+				dc.Prev, dc.HavePrev = prevCells[j].ISB, true
+			}
+			if c == oLayer {
+				res.OLayer[cell.Key] = dc
+			}
+			if det.Exceptional(dc.Cur, dc.Prev, dc.HavePrev) {
+				res.Exceptions[cell.Key] = dc
 			}
 		}
 	}
@@ -132,16 +118,4 @@ func DeltaCubing(s *cube.Schema, cur, prev []Input, det exception.Delta) (*Delta
 	st.BytesRetained = st.CellsRetained * bytesPerCell * 2 // two ISBs per cell
 	st.PeakBytes = st.BytesRetained
 	return res, nil
-}
-
-// accumulate merges an ISB into a cell table by standard-dimension
-// aggregation (bases and slopes add; Theorem 3.2).
-func accumulate(cells map[cube.CellKey]regression.ISB, key cube.CellKey, isb regression.ISB) {
-	if cur, ok := cells[key]; ok {
-		cur.Base += isb.Base
-		cur.Slope += isb.Slope
-		cells[key] = cur
-	} else {
-		cells[key] = isb
-	}
 }

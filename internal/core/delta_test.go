@@ -112,8 +112,10 @@ func TestDeltaCubingValidation(t *testing.T) {
 	}
 }
 
-// The delta cube's per-cell regressions must equal the plain cubes of each
-// window.
+// The delta cube's per-cell regressions are the plain cubes of each
+// window bit for bit: each window runs m/o-cubing's pass. Legs: adjacent
+// windows, an empty previous window, and an o-region only the previous
+// window holds — its cells are in neither map.
 func TestDeltaCubingConsistentWithMOCubing(t *testing.T) {
 	s := testSchema(t, 2, 2, 3)
 	prevInputs := randomInputs(s, 150, 1, 31)
@@ -123,37 +125,80 @@ func TestDeltaCubingConsistentWithMOCubing(t *testing.T) {
 		curInputs[i].Measure.Tb += 10
 		curInputs[i].Measure.Te += 10
 	}
-	res, err := DeltaCubing(s, curInputs, prevInputs, exception.Delta{MinSlopeChange: 1})
+	// The current window without o-cell (0, 0)'s tuples.
+	var withoutOCell []Input
+	for _, in := range curInputs {
+		if in.Members[0]/3 != 0 || in.Members[1]/3 != 0 {
+			withoutOCell = append(withoutOCell, in)
+		}
+	}
+	for _, leg := range []struct {
+		name      string
+		cur, prev []Input
+	}{
+		{"adjacent", curInputs, prevInputs},
+		{"empty previous", curInputs, nil},
+		{"previous only", withoutOCell, prevInputs},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			checkDeltaCubing(t, s, leg.cur, leg.prev, exception.Delta{MinSlopeChange: 0.5}, func(in []Input) (*Result, error) {
+				return MOCubing(s, in, exception.Global(0)) // threshold 0: every cell retained
+			})
+		})
+	}
+}
+
+// checkDeltaCubing holds every cell of DeltaCubing(cur, prev) to each
+// window's cube, bit for bit: cubeOf retains a window's every cell as an
+// exception. A cell of the current window is in OLayer when at the o-layer
+// and in Exceptions exactly when det flags it; a cell only the previous
+// window holds is in neither.
+func checkDeltaCubing(t *testing.T, s *cube.Schema, cur, prev []Input, det exception.Delta, cubeOf func([]Input) (*Result, error)) {
+	t.Helper()
+	res, err := DeltaCubing(s, cur, prev, det)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moCur, err := MOCubing(s, curInputs, exception.Global(0))
+	moCur, err := cubeOf(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moPrev, err := MOCubing(s, prevInputs, exception.Global(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key, dc := range res.Exceptions {
-		curWant, ok := moCur.Exception(key) // threshold 0: every cell retained
-		if !ok {
-			t.Fatalf("cell %v missing from current cube", key)
-		}
-		if !almostEq(dc.Cur.Slope, curWant.Slope, 1e-9) {
-			t.Fatalf("cur slope mismatch at %v", key)
-		}
-		if dc.HavePrev {
-			prevWant, ok := moPrev.Exception(key)
-			if !ok {
-				t.Fatalf("cell %v missing from previous cube", key)
-			}
-			if !almostEq(dc.Prev.Slope, prevWant.Slope, 1e-9) {
-				t.Fatalf("prev slope mismatch at %v", key)
-			}
-			if dc.SlopeChange() < 1 {
-				t.Fatal("retained cell below change threshold")
-			}
+	moPrev := &Result{Schema: s}
+	if len(prev) > 0 {
+		if moPrev, err = cubeOf(prev); err != nil {
+			t.Fatal(err)
 		}
 	}
+	exceptions := 0
+	for _, cell := range moCur.ExceptionCells() {
+		want := DeltaCell{Key: cell.Key, Cur: cell.ISB}
+		want.Prev, want.HavePrev = moPrev.Exception(cell.Key)
+		if got, ok := res.OLayer[cell.Key]; cell.Key.Cuboid == s.OLayer() && (!ok || got != want) {
+			t.Fatalf("o-cell %v: %+v, want %+v", cell.Key, got, want)
+		}
+		got, ok := res.Exceptions[cell.Key]
+		if det.Exceptional(want.Cur, want.Prev, want.HavePrev) {
+			exceptions++
+			if !ok || got != want {
+				t.Fatalf("exception %v: %+v, want %+v", cell.Key, got, want)
+			}
+		} else if ok {
+			t.Fatalf("cell %v retained below the change threshold", cell.Key)
+		}
+	}
+	if len(res.OLayer) != moCur.NumOCells() || len(res.Exceptions) != exceptions {
+		t.Fatalf("%d o-cells, %d exceptions; want %d, %d", len(res.OLayer), len(res.Exceptions), moCur.NumOCells(), exceptions)
+	}
+	onlyPrev := 0
+	for _, cell := range moPrev.ExceptionCells() {
+		if _, ok := moCur.Exception(cell.Key); ok {
+			continue
+		}
+		onlyPrev++
+		_, inO := res.OLayer[cell.Key]
+		if _, inExc := res.Exceptions[cell.Key]; inO || inExc {
+			t.Fatalf("cell %v of the previous window only is retained", cell.Key)
+		}
+	}
+	t.Logf("%d exceptions, %d cells of the previous window only", exceptions, onlyPrev)
 }

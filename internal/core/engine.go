@@ -18,6 +18,10 @@
 //
 // Both consume the same m-layer input (one scan of the stream data) and
 // report detailed time/space statistics for the paper's Figures 8–10.
+// DeltaCubing, the "current quarter vs. the previous one" cube (§4.3),
+// cubes each of two adjacent windows with Algorithm 1's pass. That pass,
+// runScratch.aggregate, is the one routine that groups and sums a
+// cuboid's cells; all three algorithms and the leaf fold run it.
 package core
 
 import (
@@ -113,37 +117,26 @@ func validate(s *cube.Schema, inputs []Input) error {
 	return nil
 }
 
-// SortedCellKeys returns a cell table's keys in cube.CompareKeys order —
-// the canonical iteration order wherever retention order feeds later
-// aggregation (keeping float results bitwise reproducible) or a wire
-// document (keeping equal state equal bytes).
-func SortedCellKeys[V any](m map[cube.CellKey]V) []cube.CellKey {
-	keys := make([]cube.CellKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, cube.CompareKeys)
-	return keys
-}
-
-// runEntry is one rolled-up leaf in the sorted-run aggregator: the target
-// cell as a linear code and the index of the source leaf. The stable radix
-// sort groups equal cells while preserving leaf order inside each group, so
-// the float accumulation order is exactly that of a map header table filled
-// in leaf order (moCubingRef, the test reference).
+// runEntry is one source cell in the cuboid aggregator: its target cell as
+// a linear code and its index in the source list. The stable sort groups
+// equal cells while preserving source order inside each group, so the float
+// accumulation order is exactly that of a map header table filled in source
+// order (moCubingRef, the test reference).
 type runEntry struct {
 	code uint64
 	idx  int32
 }
 
-// runScratch is the reusable per-cuboid aggregation state of one MOCubing
-// call: allocated once, reused for every cuboid pass ("one local header
-// table at a time", without the churn).
+// runScratch is the reusable state of the cuboid aggregator: allocated
+// once, reused for every cuboid pass ("one local header table at a time",
+// without the churn).
 type runScratch struct {
 	entries []runEntry
-	spare   []runEntry      // radix ping-pong buffer
-	plan    []cube.Resolver // per-dimension m-level → cuboid-level resolution
-	cells   []Cell          // aggregated cells of the current cuboid
+	spare   []runEntry                  // radix ping-pong buffer
+	plan    [cube.MaxDims]cube.Resolver // per-dimension source level → cuboid-level resolution
+	cells   []Cell                      // aggregated cells of the current cuboid
+	// runs[k:k+2] delimits the entries cell k sums; the last is len(entries).
+	runs []int32
 }
 
 // cuboidCoder computes the linear coding of a cuboid's cells: the
@@ -152,19 +145,18 @@ type runScratch struct {
 // cube.CompareKeys restricted to one cuboid. ok is false when the cuboid's
 // cell space exceeds the uint64 range (the caller falls back to key
 // sorting).
-func cuboidCoder(s *cube.Schema, c cube.Cuboid) (strides, cards [cube.MaxDims]uint64, total uint64, ok bool) {
+func cuboidCoder(s *cube.Schema, c cube.Cuboid) (strides [cube.MaxDims]uint64, total uint64, ok bool) {
 	const limit = uint64(1) << 62
 	total = 1
 	for d := len(s.Dims) - 1; d >= 0; d-- {
 		strides[d] = total
 		card := uint64(s.Dims[d].Hierarchy.Cardinality(c.Level(d)))
-		cards[d] = card
 		if card == 0 || total > limit/card {
-			return strides, cards, total, false
+			return strides, total, false
 		}
 		total *= card
 	}
-	return strides, cards, total, true
+	return strides, total, true
 }
 
 // radixSortByCode stable-sorts entries by code with an LSB radix pass per
@@ -236,6 +228,7 @@ type Workspace struct {
 	bounds     []int
 	exceptions []Cell
 	leafCells  []Cell
+	head       []int32 // foldLeaves: each tuple's first occurrence
 	scratch    runScratch
 }
 
@@ -317,9 +310,7 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 		// required cuboid).
 		cells := mCells
 		if c != mLayer {
-			if err := scratch.aggregate(s, w.idx, leafCells, c); err != nil {
-				return nil, err
-			}
+			scratch.aggregate(s, w.idx, leafCells, mLayer, c)
 			cells = scratch.cells
 			distinct := int64(len(cells))
 			st.PeakScratchCells = max(st.PeakScratchCells, distinct)
@@ -353,9 +344,7 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 	// run's passes start from, and count, what the passes alone left.
 	entries, spare := scratch.entries, scratch.spare
 	for _, c := range w.outside {
-		if err := scratch.aggregate(s, w.idx, leafCells, c); err != nil {
-			return nil, err
-		}
+		scratch.aggregate(s, w.idx, leafCells, mLayer, c)
 		nodes += len(scratch.cells)
 	}
 	scratch.entries, scratch.spare = entries, spare
@@ -372,7 +361,7 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 		w.exceptions = nil
 	}
 	if bound := 4*len(leafCells) + 1024; cap(leafCells) > bound {
-		w.leafCells, w.scratch = nil, runScratch{}
+		w.leafCells, w.head, w.scratch = nil, nil, runScratch{}
 	}
 	// The supporters index is not the cube's: no stat counts it.
 	res.groupByOCell(w.idx) // every cell aggregates into one o-cell: cannot fail
@@ -384,13 +373,14 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 // first occurs, its duplicates folded into it in input order, so every sum
 // a pass makes has the tree's operand order. canonical is the same cells
 // in canonical order. Strictly ascending inputs — the stream's — are both
-// as given; otherwise a stable sort of the cells (codeOrder) finds the
-// duplicates.
+// as given; otherwise the cuboid aggregator finds the duplicates.
 func (w *Workspace) foldLeaves(inputs []Input) (leaves, canonical []Cell) {
 	ascending := CheckRun(inputs, func(a, b Input) int { return slices.Compare(a.Members, b.Members) }) < 0
 	var cells []Cell
 	if ascending {
 		cells = slices.Grow(w.leafCells[:0], len(inputs))
+	} else {
+		cells = make([]Cell, 0, len(inputs))
 	}
 	mLayer := w.schema.MLayer()
 	for _, in := range inputs {
@@ -402,138 +392,100 @@ func (w *Workspace) foldLeaves(inputs []Input) (leaves, canonical []Cell) {
 		w.leafCells = cells
 		return cells, cells
 	}
-	// head[i] is the first occurrence of cell i's key: the stable sort
-	// puts it first in the key's run.
-	order := codeOrder(w.schema, mLayer, cells)
-	head := make([]int32, len(cells))
-	n := 0
-	for r, e := range order {
-		if r > 0 && cells[order[r-1].idx].Key == cells[e.idx].Key {
-			head[e.idx] = head[order[r-1].idx]
-			continue
+	// Each run of the aggregator is one distinct cell, its tuples in input
+	// order: the first is where the tree puts the leaf, and the rest fold
+	// into it in that order.
+	sc := &w.scratch
+	sc.aggregate(w.schema, w.idx, cells, mLayer, mLayer)
+	head := slices.Grow(w.head[:0], len(cells))[:len(cells)]
+	canonical = make([]Cell, 0, len(sc.cells))
+	for k := range sc.cells {
+		run := sc.entries[sc.runs[k]:sc.runs[k+1]]
+		h := run[0].idx
+		for _, e := range run {
+			if head[e.idx] = h; e.idx != h {
+				cells[h].ISB, _ = regression.AggregateStandard(cells[h].ISB, cells[e.idx].ISB)
+			}
 		}
-		head[e.idx] = e.idx
-		n++
+		canonical = append(canonical, cells[h])
 	}
-	for i, h := range head {
-		if h != int32(i) { // the tree's fold, in input order
-			cells[h].ISB, _ = regression.AggregateStandard(cells[h].ISB, cells[i].ISB)
-		}
-	}
-	leaves, canonical = slices.Grow(w.leafCells[:0], n), make([]Cell, 0, n)
+	leaves = slices.Grow(w.leafCells[:0], len(canonical))
 	for i, h := range head {
 		if h == int32(i) {
 			leaves = append(leaves, cells[i])
 		}
 	}
-	for _, e := range order {
-		if head[e.idx] == e.idx {
-			canonical = append(canonical, cells[e.idx])
-		}
-	}
-	w.leafCells = leaves
+	w.leafCells, w.head = leaves, head
 	return leaves, canonical
 }
 
-// codeOrder returns the indices of cells, all of cuboid c, stably sorted
-// into canonical order: by a radix pass over their linear codes
-// (cuboidCoder), or by key when c's cell space overflows the code.
-func codeOrder(s *cube.Schema, c cube.Cuboid, cells []Cell) []runEntry {
-	strides, _, total, coded := cuboidCoder(s, c)
-	entries := make([]runEntry, len(cells), 2*len(cells))
-	for i := range cells {
-		entries[i].idx = int32(i)
-	}
-	if !coded {
-		slices.SortStableFunc(entries, func(a, b runEntry) int { return CompareCells(cells[a.idx], cells[b.idx]) })
-		return entries
-	}
-	for i := range cells {
-		for d := range s.Dims {
-			entries[i].code += uint64(cells[i].Key.Members[d]) * strides[d]
-		}
-	}
-	sorted, _ := radixSortByCode(entries, entries[len(cells):cap(entries)], total-1)
-	return sorted
-}
-
-// aggregate rolls every leaf up to cuboid c and sums equal cells into
-// sc.cells, reusing sc's buffers. The accumulation order inside each cell
-// is leaf order — the operand order of a map header table filled leaf by
-// leaf (moCubingRef, the test reference), so results are bitwise equal to
-// it; only the bookkeeping differs (append + stable radix sort instead of
-// map assignments).
-func (sc *runScratch) aggregate(s *cube.Schema, idx *cube.AncestorIndex, leafCells []Cell, c cube.Cuboid) error {
-	strides, cards, total, coded := cuboidCoder(s, c)
-	sc.cells = sc.cells[:0]
-	if !coded {
-		return sc.aggregateByKey(s, leafCells, c)
-	}
-
-	nd := len(s.Dims)
+// aggregate is the package's one cuboid aggregator. It rolls src, cells
+// of the cuboid from, which dominates c, up to c and sums equal cells into
+// sc.cells in canonical order; cell k sums the src cells that
+// sc.entries[sc.runs[k]:sc.runs[k+1]] index, in src order. m/o- and delta
+// cubing pass the tree's leaves, popular-path the covering path cells and
+// foldLeaves the batch's tuples. Summing in src order is the operand order
+// of a map header table filled cell by cell (moCubingRef, the test
+// reference), so results are bitwise equal to it; only the bookkeeping
+// differs (append + stable sort instead of map assignments).
+func (sc *runScratch) aggregate(s *cube.Schema, idx *cube.AncestorIndex, src []Cell, from, c cube.Cuboid) {
+	strides, total, coded := cuboidCoder(s, c)
+	// Entries grow as they always have: the memory panels count their
+	// capacity. Cells and runs number at most the sources.
 	sc.entries = sc.entries[:0]
-	// Compile the per-dimension resolution once per cuboid; coding a leaf is
-	// then one table read or divide per dimension.
-	sc.plan = sc.plan[:0]
-	mLayer := s.MLayer()
+	sc.cells = slices.Grow(sc.cells[:0], len(src))
+	sc.runs = slices.Grow(sc.runs[:0], len(src)+1)
+	// Compile the per-dimension resolution once per cuboid; rolling a cell
+	// up is then one table read or divide per dimension.
+	nd := len(s.Dims)
 	for d := 0; d < nd; d++ {
-		sc.plan = append(sc.plan, idx.Resolver(d, mLayer.Level(d), c.Level(d)))
+		sc.plan[d] = idx.Resolver(d, from.Level(d), c.Level(d))
 	}
-	for i := range leafCells {
-		members := &leafCells[i].Key.Members
-		code := uint64(0)
-		for d := range sc.plan {
-			code += uint64(sc.plan[d].Resolve(members[d])) * strides[d]
+	// keyOf is an entry's cell of c: decoded from its code, or rolled up
+	// when c's cell space overflows the code.
+	keyOf := func(e runEntry) cube.CellKey {
+		key, rem := cube.CellKey{Cuboid: c}, e.code
+		for d := 0; d < nd; d++ {
+			if coded {
+				key.Members[d], rem = int32(rem/strides[d]), rem%strides[d]
+			} else {
+				key.Members[d] = sc.plan[d].Resolve(src[e.idx].Key.Members[d])
+			}
 		}
-		sc.entries = append(sc.entries, runEntry{code: code, idx: int32(i)})
+		return key
 	}
-	if cap(sc.spare) < len(sc.entries) {
-		sc.spare = make([]runEntry, len(sc.entries))
+	for i := range src {
+		e := runEntry{idx: int32(i)}
+		if coded {
+			members := &src[i].Key.Members
+			for d := 0; d < nd; d++ {
+				e.code += uint64(sc.plan[d].Resolve(members[d])) * strides[d]
+			}
+		}
+		sc.entries = append(sc.entries, e)
 	}
-	sorted, other := radixSortByCode(sc.entries, sc.spare[:len(sc.entries)], total-1)
-	sc.entries, sc.spare = sorted, other
+	if coded {
+		if cap(sc.spare) < len(sc.entries) {
+			sc.spare = make([]runEntry, len(sc.entries))
+		}
+		sc.entries, sc.spare = radixSortByCode(sc.entries, sc.spare[:len(sc.entries)], total-1)
+	} else {
+		// c's cell space overflows the code, and every code is 0: sort
+		// and group by rolled key instead.
+		slices.SortStableFunc(sc.entries, func(a, b runEntry) int { return cube.CompareKeys(keyOf(a), keyOf(b)) })
+	}
 
+	sorted := sc.entries
 	for r := 0; r < len(sorted); {
 		first := sorted[r]
-		key := cube.CellKey{Cuboid: c}
-		for d := 0; d < nd; d++ {
-			key.Members[d] = int32(first.code / strides[d] % cards[d])
-		}
-		cell := Cell{Key: key, ISB: leafCells[first.idx].ISB}
-		for r++; r < len(sorted) && sorted[r].code == first.code; r++ {
-			isb := &leafCells[sorted[r].idx].ISB
+		sc.runs = append(sc.runs, int32(r))
+		cell := Cell{Key: keyOf(first), ISB: src[first.idx].ISB}
+		for r++; r < len(sorted) && sorted[r].code == first.code && (coded || keyOf(sorted[r]) == cell.Key); r++ {
+			isb := &src[sorted[r].idx].ISB
 			cell.ISB.Base += isb.Base
 			cell.ISB.Slope += isb.Slope
 		}
 		sc.cells = append(sc.cells, cell)
 	}
-	return nil
-}
-
-// aggregateByKey is the uncoded fallback: cuboids whose cell space
-// overflows a uint64 linear code sort rolled cells by key directly
-// (stable, preserving leaf order within equal keys).
-func (sc *runScratch) aggregateByKey(s *cube.Schema, leafCells []Cell, c cube.Cuboid) error {
-	for i := range leafCells {
-		key, err := cube.RollUpKey(s, leafCells[i].Key, c)
-		if err != nil {
-			return err
-		}
-		sc.cells = append(sc.cells, Cell{Key: key, ISB: leafCells[i].ISB})
-	}
-	slices.SortStableFunc(sc.cells, CompareCells)
-	w := 0
-	for r := 1; r < len(sc.cells); r++ {
-		if cube.CompareKeys(sc.cells[r].Key, sc.cells[w].Key) == 0 {
-			sc.cells[w].ISB.Base += sc.cells[r].ISB.Base
-			sc.cells[w].ISB.Slope += sc.cells[r].ISB.Slope
-		} else {
-			w++
-			sc.cells[w] = sc.cells[r]
-		}
-	}
-	if len(sc.cells) > 0 {
-		sc.cells = sc.cells[:w+1]
-	}
-	return nil
+	sc.runs = append(sc.runs, int32(len(sorted)))
 }

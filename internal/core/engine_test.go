@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"testing"
@@ -237,9 +238,17 @@ func TestTreeModelMatchesHTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pp, err := PopularPath(s, inputs, exception.Global(rng.Float64()), path)
+		thr := exception.Global(rng.Float64())
+		pp, err := PopularPath(s, inputs, thr, path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		oLayer, excs, err := popularPathRef(s, inputs, thr, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmp.Or(equalCellLists("o-layer", oLayer, pp.OCells()), equalCellLists("exception", excs, pp.ExceptionCells())); err != nil {
+			t.Fatalf("%s path %v: %v", s.Describe(), path.Cuboids, err)
 		}
 		st = pp.Stats
 		if st.TreeNodes != ptree.nodes || st.TreeLeaves != len(ptree.leaves) {

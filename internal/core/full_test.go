@@ -66,3 +66,16 @@ func FullCubing(s *cube.Schema, inputs []Input) (*FullResult, error) {
 	st.PeakBytes = st.BytesRetained
 	return res, nil
 }
+
+// accumulate merges an ISB into a cell table by standard-dimension
+// aggregation (bases and slopes add; Theorem 3.2): the references' header
+// table.
+func accumulate(cells map[cube.CellKey]regression.ISB, key cube.CellKey, isb regression.ISB) {
+	if cur, ok := cells[key]; ok {
+		cur.Base += isb.Base
+		cur.Slope += isb.Slope
+		cells[key] = cur
+	} else {
+		cells[key] = isb
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -254,7 +255,7 @@ func TestMOCubingSortFallbackBitwiseAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := cuboidCoder(s, cube.MustCuboid(1, 1, 1, 1)); ok {
+	if _, _, ok := cuboidCoder(s, cube.MustCuboid(1, 1, 1, 1)); ok {
 		t.Fatal("expected the 2^64-cell cuboid to overflow the coder")
 	}
 	r := rand.New(rand.NewSource(71))
@@ -269,15 +270,57 @@ func TestMOCubingSortFallbackBitwiseAgreement(t *testing.T) {
 		}
 	}
 	thr := exception.Global(0.5)
-	baseline, err := moCubingRef(s, inputs, thr, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MOCubing(s, inputs, thr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bitwiseEqualResults(baseline, got); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("m/o-cubing", func(t *testing.T) {
+		baseline, err := moCubingRef(s, inputs, thr, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MOCubing(s, inputs, thr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bitwiseEqualResults(baseline, got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Popular-path and delta-cubing run the same aggregator, the 2^64-cell
+	// cuboid and the m-layer's duplicates included.
+	t.Run("popular-path", func(t *testing.T) {
+		// Popular-path's sums do not depend on leaf order; only each
+		// m-cell's fold of its tuples does. Give fifty m-cells three tuples
+		// each, so the fold's order shows in their bits.
+		inputs := slices.Clone(inputs)
+		for _, in := range inputs[:50] {
+			for range 2 {
+				inputs = append(inputs, Input{Members: in.Members, Measure: regression.ISB{Tb: 0, Te: 9, Base: r.NormFloat64(), Slope: r.NormFloat64() * 2}})
+			}
+		}
+		path := cube.NewLattice(s).DefaultPath()
+		got, err := PopularPath(s, inputs, thr, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oLayer, excs, err := popularPathRef(s, inputs, thr, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := equalCellLists("o-layer", oLayer, got.OCells()); err != nil {
+			t.Fatal(err)
+		}
+		if err := equalCellLists("exception", excs, got.ExceptionCells()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("delta-cubing", func(t *testing.T) {
+		cur := make([]Input, len(inputs))
+		for i := range cur {
+			cur[i] = Input{
+				Members: []int32{pick(), pick(), pick(), int32(r.Intn(4))},
+				Measure: regression.ISB{Tb: 10, Te: 19, Base: r.NormFloat64(), Slope: r.NormFloat64() * 2},
+			}
+		}
+		checkDeltaCubing(t, s, cur, inputs, exception.Delta{MinSlopeChange: 0.5}, func(in []Input) (*Result, error) {
+			return moCubingRef(s, in, exception.Global(0), false) // every cell retained
+		})
+	})
 }

@@ -77,8 +77,9 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 	// level's; an off-path cuboid's are computed only under exception
 	// parents, from the covering cells in their leaf ranges.
 	drills := make(map[cube.Cuboid]drillFrom)
+	sc := &w.scratch
 	var covering []int32 // the cells of path cuboid level that c sums
-	var rolled, kept []Cell
+	var gathered, kept []Cell
 	for _, c := range w.lattice.Cuboids() {
 		level := path.Depth(c)
 		covering = covering[:0]
@@ -108,41 +109,31 @@ func PopularPath(s *cube.Schema, inputs []Input, thr exception.Thresholder, path
 			slices.Sort(covering)
 			covering = slices.Compact(covering)
 		}
-		rolled = rolled[:0]
+		gathered = gathered[:0]
 		for _, j := range covering {
-			cell := levels[level].cells[j]
-			cell.Key = w.idx.RollUp(cell.Key, c)
-			rolled = append(rolled, cell)
+			gathered = append(gathered, levels[level].cells[j])
 		}
-		// A stable canonical sort: each run of equal keys is one cell of c,
-		// its covering cells still in path order.
-		order := codeOrder(s, c, rolled)
+		sc.aggregate(s, w.idx, gathered, path.Cuboids[level], c)
 		d := drillFrom{level: level, srcLo: len(srcs)}
 		threshold := thr.Threshold(c)
 		kept = kept[:0]
-		computed := 0
-		for r := 0; r < len(order); computed++ {
-			cell, end := rolled[order[r].idx], r+1
-			for ; end < len(order) && rolled[order[end].idx].Key == cell.Key; end++ {
-				cell.ISB.Base += rolled[order[end].idx].ISB.Base
-				cell.ISB.Slope += rolled[order[end].idx].ISB.Slope
-			}
+		for k, cell := range sc.cells {
 			if c == s.OLayer() {
 				res.oLayer = append(res.oLayer, cell)
 			}
 			if exception.IsException(cell.ISB, threshold) {
 				kept = append(kept, cell)
-				for _, e := range order[r:end] {
+				for _, e := range sc.entries[sc.runs[k]:sc.runs[k+1]] {
 					srcs = append(srcs, covering[e.idx])
 				}
 			}
-			r = end
 		}
 		if !path.OnPath(c) {
 			st.CuboidsComputed++
-			st.CellsComputed += int64(computed)
-			st.PeakScratchCells = max(st.PeakScratchCells, int64(computed))
-			st.PeakBytes = max(st.PeakBytes, treeBytes+(pathCells+int64(computed)+excs+oCells)*bytesPerCell+int64(d.srcLo)*8)
+			computed := int64(len(sc.cells))
+			st.CellsComputed += computed
+			st.PeakScratchCells = max(st.PeakScratchCells, computed)
+			st.PeakBytes = max(st.PeakBytes, treeBytes+(pathCells+computed+excs+oCells)*bytesPerCell+int64(d.srcLo)*8)
 		}
 		d.excs, d.srcHi = slices.Clone(kept), len(srcs)
 		excs += int64(len(kept))

@@ -3,9 +3,11 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/cube"
+	"repro/internal/exception"
 	"repro/internal/regression"
 )
 
@@ -16,6 +18,7 @@ import (
 // their node counts, leaf orders and byte estimates to it.
 type refTree struct {
 	attrs  []pathAttr
+	root   *refNode
 	nodes  int        // the root included
 	leaves []*refNode // in order of first occurrence
 }
@@ -29,10 +32,9 @@ type refNode struct {
 // newRefTree inserts every input into a fresh tree over attrs, resolving
 // ancestors through the Hierarchy interface.
 func newRefTree(s *cube.Schema, attrs []pathAttr, inputs []Input) (*refTree, error) {
-	t := &refTree{attrs: attrs, nodes: 1}
-	root := &refNode{kids: map[int32]*refNode{}}
+	t := &refTree{attrs: attrs, root: &refNode{kids: map[int32]*refNode{}}, nodes: 1}
 	for i, in := range inputs {
-		n := root
+		n := t.root
 		for _, a := range attrs {
 			dim := s.Dims[a.dim]
 			m := cube.Ancestor(dim.Hierarchy, dim.MLevel, a.level, in.Members[a.dim])
@@ -99,6 +101,70 @@ func pathOrder(s *cube.Schema, p cube.Path) []pathAttr {
 		prev = c
 	}
 	return attrs
+}
+
+// popularPathRef is Algorithm 2 summed on the path-ordered reference tree:
+// a node sums its children in member order, any other cell the cells of
+// its covering path cuboid beneath it in path order, and an off-path
+// cuboid keeps only the exceptions under an exception parent. It returns
+// the o-layer and exception cells in canonical order; PopularPath must
+// match them bit for bit.
+func popularPathRef(s *cube.Schema, inputs []Input, thr exception.Thresholder, p cube.Path) (oLayer, excs []Cell, err error) {
+	tree, err := newRefTree(s, pathOrder(s, p), inputs)
+	if err != nil {
+		return nil, nil, err
+	}
+	// depths[k] lists the cells of the tree's depth k in path order.
+	depths := make([][]Cell, len(tree.attrs)+1)
+	var walk func(n *refNode, k int) Cell
+	walk = func(n *refNode, k int) Cell {
+		cell := n.cell
+		for i, m := range slices.Sorted(maps.Keys(n.kids)) {
+			child := walk(n.kids[m], k+1)
+			if i == 0 {
+				cell = Cell{Key: rollUp(s, child.Key, tree.cuboidAtDepth(s, k)), ISB: child.ISB}
+				continue
+			}
+			cell.ISB.Base += child.ISB.Base
+			cell.ISB.Slope += child.ISB.Slope
+		}
+		depths[k] = append(depths[k], cell)
+		return cell
+	}
+	walk(tree.root, 0)
+	oAttrs := len(tree.attrs) - (len(p.Cuboids) - 1)
+	lattice := cube.NewLattice(s)
+	kept := make(map[cube.CellKey]bool)
+	for _, c := range lattice.Cuboids() {
+		cells := make(map[cube.CellKey]regression.ISB)
+		for _, cell := range depths[oAttrs+p.Depth(p.Covering(c))] {
+			accumulate(cells, rollUp(s, cell.Key, c), cell.ISB)
+		}
+		for _, cell := range cellList(cells) {
+			if c == s.OLayer() {
+				oLayer = append(oLayer, cell)
+			}
+			drilled := p.OnPath(c)
+			for _, q := range lattice.Parents(c) {
+				drilled = drilled || kept[rollUp(s, cell.Key, q)]
+			}
+			if drilled && exception.IsException(cell.ISB, thr.Threshold(c)) {
+				kept[cell.Key] = true
+				excs = append(excs, cell)
+			}
+		}
+	}
+	slices.SortFunc(excs, CompareCells)
+	return oLayer, excs, nil
+}
+
+// rollUp is cube.RollUpKey for a key whose cuboid dominates c.
+func rollUp(s *cube.Schema, k cube.CellKey, c cube.Cuboid) cube.CellKey {
+	key, err := cube.RollUpKey(s, k, c)
+	if err != nil {
+		panic(err)
+	}
+	return key
 }
 
 // cellList lists a cell table in canonical order.

@@ -189,7 +189,7 @@ func TestSupportersMatchBruteForce(t *testing.T) {
 // lists its o-layer and exception cells in CompareCells order with no
 // repeats — the invariants NewResult holds a decoded document to, so it
 // must accept both lists as they stand. Random schemas with duplicate
-// tuples, a lattice with a 2^63·2-cell cuboid (aggregateByKey) and an apex
+// tuples, a lattice with a 2^63·2-cell cuboid (the aggregator's key sort) and an apex
 // o-layer cover every way a pass's run is made.
 func TestExceptionCellsCanonicalOrder(t *testing.T) {
 	spread := 0 // runs whose exceptions span three or more cuboids
@@ -260,7 +260,7 @@ func TestExceptionCellsCanonicalOrder(t *testing.T) {
 	}
 
 	// Three 2^21-member flat dimensions and a 2-level fanout one: cuboid
-	// (1,1,1,1) has 2^64 cells and takes aggregateByKey, and the m-layer
+	// (1,1,1,1) has 2^64 cells and takes the aggregator's key sort, and the m-layer
 	// overflows the code too.
 	fh, err := cube.NewFanoutHierarchy("D", 2, 2)
 	if err != nil {
@@ -274,7 +274,7 @@ func TestExceptionCellsCanonicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := cuboidCoder(s, cube.MustCuboid(1, 1, 1, 1)); ok {
+	if _, _, ok := cuboidCoder(s, cube.MustCuboid(1, 1, 1, 1)); ok {
 		t.Fatal("expected the 2^64-cell cuboid to overflow the coder")
 	}
 	inputs := make([]Input, 300)
