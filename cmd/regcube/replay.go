@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/node"
 	"repro/internal/stream"
-	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 // runReplay is the `regcube replay` subcommand: re-run a streamd
@@ -50,25 +48,18 @@ func runReplay(args []string, out io.Writer) error {
 	defer a.Close()
 	report := node.Report(out, a.Schema)
 	if *quiet {
-		report = func([]*stream.UnitResult) {}
+		report = func([]*stream.Snapshot) {}
 	}
 
-	end, err := wal.ReplayBatches(*walDir, *from, func(seq int64, b *wire.Batch) error {
-		closed, ingestErr := a.IngestBatch(b)
-		report(closed)
-		if ingestErr != nil {
-			return fmt.Errorf("wal batch at record %d: %w", seq, ingestErr)
-		}
-		return nil
-	})
+	end, err := a.ReplayLog(*walDir, *from, report)
 	if err != nil {
 		return err
 	}
-	ur, err := a.Flush()
+	last, err := a.Flush()
 	if err != nil {
 		return err
 	}
-	report([]*stream.UnitResult{ur})
+	report([]*stream.Snapshot{last})
 	if *checkpoint != "" {
 		// Stamp the log position so the what-if checkpoint is itself
 		// resumable: streamd -wal-dir picks up where this replay stopped.

@@ -68,9 +68,9 @@ func DeltaCubing(s *cube.Schema, cur, prev []Input, det exception.Delta) (*Delta
 	// Both windows fold on one workspace; the current window's leaves are
 	// detached before the previous window's fold reuses the buffer.
 	w := NewWorkspace(s)
-	curLeaves, _ := w.foldLeaves(cur)
+	curLeaves, _ := w.foldLeaves(cur, false)
 	w.leafCells = nil
-	prevLeaves, _ := w.foldLeaves(prev)
+	prevLeaves, _ := w.foldLeaves(prev, false)
 
 	res := &DeltaResult{
 		Schema:     s,

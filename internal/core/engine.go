@@ -289,7 +289,7 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 		return nil, err
 	}
 	start := time.Now()
-	leafCells, mCells := w.foldLeaves(inputs)
+	leafCells, mCells := w.foldLeaves(inputs, true)
 	res := &Result{Schema: s}
 	st := &res.Stats
 	st.Algorithm = "m/o-cubing"
@@ -371,10 +371,12 @@ func (w *Workspace) MOCubing(inputs []Input, thr exception.Thresholder) (*Result
 // foldLeaves returns the m-layer cells of inputs in two orders. leaves is
 // the leaf order of Algorithm 1's H-tree: each distinct cell where it
 // first occurs, its duplicates folded into it in input order, so every sum
-// a pass makes has the tree's operand order. canonical is the same cells
-// in canonical order. Strictly ascending inputs — the stream's — are both
-// as given; otherwise the cuboid aggregator finds the duplicates.
-func (w *Workspace) foldLeaves(inputs []Input) (leaves, canonical []Cell) {
+// a pass makes has the tree's operand order. canonical, which m/o-cubing
+// alone reads (wantCanonical), is the same cells in canonical order.
+// Strictly ascending inputs — the stream's — are both as given; otherwise
+// the cuboid aggregator finds the duplicates, and canonical is nil unless
+// wanted.
+func (w *Workspace) foldLeaves(inputs []Input, wantCanonical bool) (leaves, canonical []Cell) {
 	ascending := CheckRun(inputs, func(a, b Input) int { return slices.Compare(a.Members, b.Members) }) < 0
 	var cells []Cell
 	if ascending {
@@ -398,7 +400,9 @@ func (w *Workspace) foldLeaves(inputs []Input) (leaves, canonical []Cell) {
 	sc := &w.scratch
 	sc.aggregate(w.schema, w.idx, cells, mLayer, mLayer)
 	head := slices.Grow(w.head[:0], len(cells))[:len(cells)]
-	canonical = make([]Cell, 0, len(sc.cells))
+	if wantCanonical {
+		canonical = make([]Cell, 0, len(sc.cells))
+	}
 	for k := range sc.cells {
 		run := sc.entries[sc.runs[k]:sc.runs[k+1]]
 		h := run[0].idx
@@ -407,9 +411,11 @@ func (w *Workspace) foldLeaves(inputs []Input) (leaves, canonical []Cell) {
 				cells[h].ISB, _ = regression.AggregateStandard(cells[h].ISB, cells[e.idx].ISB)
 			}
 		}
-		canonical = append(canonical, cells[h])
+		if wantCanonical {
+			canonical = append(canonical, cells[h])
+		}
 	}
-	leaves = slices.Grow(w.leafCells[:0], len(canonical))
+	leaves = slices.Grow(w.leafCells[:0], len(sc.cells))
 	for i, h := range head {
 		if h == int32(i) {
 			leaves = append(leaves, cells[i])

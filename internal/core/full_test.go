@@ -34,7 +34,7 @@ func FullCubing(s *cube.Schema, inputs []Input) (*FullResult, error) {
 		return nil, err
 	}
 	start := time.Now()
-	leaves, _ := NewWorkspace(s).foldLeaves(inputs)
+	leaves, _ := NewWorkspace(s).foldLeaves(inputs, false)
 	lattice := cube.NewLattice(s)
 	res := &FullResult{
 		Schema:  s,

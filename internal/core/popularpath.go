@@ -165,7 +165,7 @@ func rollUpPath(w *Workspace, inputs []Input, path cube.Path) (levels []pathLeve
 	if err != nil {
 		return nil, 0, err
 	}
-	leaves, _ := w.foldLeaves(inputs)
+	leaves, _ := w.foldLeaves(inputs, false)
 	leaves, diffs := sortByPathKey(w.schema, w.idx, attrs, leaves)
 	nodes = len(attrs) + 1 // the first leaf's root-to-leaf chain
 	for _, d := range diffs[1:] {

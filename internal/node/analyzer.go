@@ -16,6 +16,8 @@ import (
 	"repro/internal/persist"
 	"repro/internal/stream"
 	"repro/internal/tilt"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // EngineConfig is the analyzer-construction half of the runtime config:
@@ -117,4 +119,19 @@ func (a *Analyzer) WriteCheckpoint(w io.Writer) error {
 	a.cpDoc = doc
 	_, err = w.Write(doc)
 	return err
+}
+
+// ReplayLog re-ingests the write-ahead log in dir from record from, one
+// IngestBatch per logged batch as live ingest took it, reporting what each
+// closes, error or not, and returns the log's end (wal.ReplayBatches). A
+// node's restart and `regcube replay` both run it: one replay driver.
+func (a *Analyzer) ReplayLog(dir string, from int64, report func([]*stream.Snapshot)) (int64, error) {
+	return wal.ReplayBatches(dir, from, func(seq int64, b *wire.Batch) error {
+		closed, err := a.IngestBatch(b)
+		report(closed)
+		if err != nil {
+			return fmt.Errorf("wal batch at record %d: %w", seq, err)
+		}
+		return nil
+	})
 }

@@ -76,23 +76,23 @@ type Config struct {
 // alert's supporters, every line its own Write (DESIGN.md §6.6 has why).
 // Each cuboid is described once: an alert-heavy unit reports tens of
 // thousands of supporter lines over a few dozen cuboids.
-func Report(out io.Writer, schema *cube.Schema) func([]*stream.UnitResult) {
+func Report(out io.Writer, schema *cube.Schema) func([]*stream.Snapshot) {
 	cuboidNames := make(map[cube.Cuboid]string)
-	return func(urs []*stream.UnitResult) {
-		for _, ur := range urs {
-			if ur.Result == nil {
-				fmt.Fprintf(out, "[unit %d] no data\n", ur.Unit)
+	return func(snaps []*stream.Snapshot) {
+		for _, s := range snaps {
+			if s.Result == nil {
+				fmt.Fprintf(out, "[unit %d] no data\n", s.Unit)
 				continue
 			}
 			fmt.Fprintf(out, "[unit %d] %s: %d o-cells, %d exceptions, %d alerts\n",
-				ur.Unit, ur.Result.Stats.Algorithm, ur.Result.NumOCells(),
-				ur.Result.NumExceptions(), len(ur.Alerts))
-			for _, al := range ur.Alerts {
+				s.Unit, s.Result.Stats.Algorithm, s.Result.NumOCells(),
+				s.Result.NumExceptions(), len(s.Alerts))
+			for _, al := range s.Alerts {
 				fmt.Fprintf(out, "  ALERT %s %s slope=%+.3f\n", al.Kind, al.Cell.Describe(schema), al.ISB.Slope)
 				if al.Kind != stream.SlopeException {
 					continue // a slope change has no supporters
 				}
-				for c := range ur.Result.Supporters(al.Cell) {
+				for c := range s.Result.Supporters(al.Cell) {
 					name, ok := cuboidNames[c.Key.Cuboid]
 					if !ok {
 						name = c.Key.Cuboid.Describe(schema)
@@ -231,18 +231,11 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			// ingest did, rebuilds the open unit exactly — ingest is
 			// deterministic — and may close units whose reports were lost
 			// with the crashed process.
-			n, err := wal.ReplayBatches(cfg.WALDir, mark, func(seq int64, b *wire.Batch) error {
-				closed, ingestErr := a.IngestBatch(b)
-				report(closed)
-				if ingestErr != nil {
-					return fmt.Errorf("wal batch at record %d: %w", seq, ingestErr)
-				}
-				ingestedSeq.Add(int64(b.Len()))
-				return nil
-			})
+			n, err := a.ReplayLog(cfg.WALDir, mark, report)
 			if err != nil {
 				return fmt.Errorf("replaying wal: %w", err)
 			}
+			ingestedSeq.Store(n)
 			fmt.Fprintf(out, "# wal: replayed %d records (watermark %d -> %d)\n", n-mark, mark, n)
 			if err := saveCheckpoint(); err != nil {
 				return fmt.Errorf("saving checkpoint: %w", err)
@@ -547,11 +540,11 @@ loop:
 	// answered 304 now rather than holding the shutdown for its park.
 	srvShutdown()
 	// Step 4: flush the final partial unit.
-	ur, err := a.Flush()
+	last, err := a.Flush()
 	if err != nil {
 		return err
 	}
-	report([]*stream.UnitResult{ur})
+	report([]*stream.Snapshot{last})
 	// Step 5: fsync the WAL and cut the checkpoint — after this, the
 	// checkpoint watermark equals the durable log length, so a graceful
 	// shutdown replays nothing on restart.

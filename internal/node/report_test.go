@@ -76,7 +76,7 @@ func TestReportGolden(t *testing.T) {
 	}
 	// A slope exception's supporters are the exception cells below it,
 	// found by a scan of the canonical list.
-	supportersOf := func(ur *stream.UnitResult, al stream.Alert) []core.Cell {
+	supportersOf := func(ur *stream.Snapshot, al stream.Alert) []core.Cell {
 		var out []core.Cell
 		if al.Kind != stream.SlopeException {
 			return out
@@ -88,7 +88,7 @@ func TestReportGolden(t *testing.T) {
 		}
 		return out
 	}
-	render := func(ur *stream.UnitResult) {
+	render := func(ur *stream.Snapshot) {
 		fmt.Fprintf(&want, "[unit %d] %s: %d o-cells, %d exceptions, %d alerts\n", ur.Unit,
 			ur.Result.Stats.Algorithm, ur.Result.NumOCells(), ur.Result.NumExceptions(), len(ur.Alerts))
 		for _, al := range ur.Alerts {

@@ -105,9 +105,9 @@ func streamEngine(t *testing.T) (*stream.Engine, *cube.Schema) {
 func TestCheckpointRoundTripResumesExactly(t *testing.T) {
 	// Engine A: ingest 1.5 units, checkpoint mid-unit, keep going.
 	a, schema := streamEngine(t)
-	feed := func(e *stream.Engine, from, to int64) []*stream.UnitResult {
+	feed := func(e *stream.Engine, from, to int64) []*stream.Snapshot {
 		t.Helper()
-		var out []*stream.UnitResult
+		var out []*stream.Snapshot
 		for tk := from; tk < to; tk++ {
 			for m := int32(0); m < 4; m++ {
 				closed, err := e.Ingest([]int32{m}, tk, float64(tk)*float64(m+1))

@@ -33,7 +33,7 @@ func tiltedStreamConfig(t *testing.T) (stream.Config, *cube.Schema) {
 	}, schema
 }
 
-func feedUnits(t *testing.T, ing func([]int32, int64, float64) ([]*stream.UnitResult, error), from, to int64) {
+func feedUnits(t *testing.T, ing func([]int32, int64, float64) ([]*stream.Snapshot, error), from, to int64) {
 	t.Helper()
 	for tk := from; tk < to; tk++ {
 		for m := int32(0); m < 4; m++ {
@@ -199,7 +199,7 @@ func TestCheckpointOneLayoutAcrossShardCounts(t *testing.T) {
 		cut++
 	}
 	type ingester interface {
-		Ingest(members []int32, tick int64, value float64) ([]*stream.UnitResult, error)
+		Ingest(members []int32, tick int64, value float64) ([]*stream.Snapshot, error)
 	}
 	feed := func(e ingester, from, to int) {
 		t.Helper()

@@ -136,7 +136,7 @@ func TestSupportersIndexMatchesFullScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		var closed []*stream.UnitResult
+		var closed []*stream.Snapshot
 		for _, r := range recs {
 			urs, err := eng.Ingest(r.members, r.tick, r.value)
 			if err != nil {

@@ -38,18 +38,18 @@ func checkBatchShape(b *wire.Batch, nDims int) error {
 // crossing barriers the shards, so closed-unit results — and the final
 // state — are bitwise the same however the records are cut into batches,
 // Ingest's runs of one included, record errors included.
-func (e *Engine) IngestBatch(b *wire.Batch) ([]*UnitResult, error) {
+func (e *Engine) IngestBatch(b *wire.Batch) ([]*Snapshot, error) {
 	if err := e.ready(); err != nil {
 		return nil, err
 	}
 	if err := checkBatchShape(b, e.part.layout.nd); err != nil {
 		return nil, err
 	}
-	var closed []*UnitResult
+	var closed []*Snapshot
 	n := b.Len()
 	for start := 0; start < n; {
-		urs, err := e.reach(b.Ticks[start])
-		closed = append(closed, urs...)
+		snaps, err := e.reach(b.Ticks[start])
+		closed = append(closed, snaps...)
 		if err != nil {
 			return closed, err
 		}

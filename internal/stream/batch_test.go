@@ -36,9 +36,9 @@ func toBatches(recs []testRecord, sizes ...int) []*wire.Batch {
 
 // ingestBatches feeds batches through IngestBatch and returns the units
 // they closed.
-func ingestBatches(t *testing.T, e *Engine, batches []*wire.Batch) []*UnitResult {
+func ingestBatches(t *testing.T, e *Engine, batches []*wire.Batch) []*Snapshot {
 	t.Helper()
-	var out []*UnitResult
+	var out []*Snapshot
 	for _, b := range batches {
 		closed, err := e.IngestBatch(b)
 		if err != nil {
@@ -50,7 +50,7 @@ func ingestBatches(t *testing.T, e *Engine, batches []*wire.Batch) []*UnitResult
 }
 
 // feedBatches is ingestBatches, then Flush.
-func feedBatches(t *testing.T, e *Engine, batches []*wire.Batch) []*UnitResult {
+func feedBatches(t *testing.T, e *Engine, batches []*wire.Batch) []*Snapshot {
 	t.Helper()
 	out := ingestBatches(t, e, batches)
 	final, err := e.Flush()

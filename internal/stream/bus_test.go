@@ -48,7 +48,7 @@ func TestBusShardedMatchesSingleDeliverySequence(t *testing.T) {
 	// The bus must deliver the identical snapshot-unit sequence at any
 	// shard count — including multi-unit advances, where the coordinator
 	// barrier closes several units at once (some empty).
-	feed := func(ing func([]int32, int64, float64) ([]*UnitResult, error)) {
+	feed := func(ing func([]int32, int64, float64) ([]*Snapshot, error)) {
 		ingestGrid(t, ing, 0, 9)
 		// Jump over three units: units 3 and 4 close empty at the barrier.
 		if _, err := ing([]int32{0, 0}, 21, 1); err != nil {

@@ -43,7 +43,7 @@ func TestCellDictChurnStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	var got []*UnitResult
+	var got []*Snapshot
 	for k, b := range toBatches(recs, 1000, 777) {
 		closed, err := e.IngestBatch(b)
 		if err != nil {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/exception"
 	"repro/internal/regression"
 	"repro/internal/tilt"
-	"repro/internal/timeseries"
 )
 
 // ErrConfig is returned for invalid engine configurations.
@@ -55,11 +54,10 @@ type Config struct {
 	// Delta, when set, also raises change alerts comparing each o-cell's
 	// slope against its previous unit ("current quarter vs. the last").
 	Delta *exception.Delta
-	// PublishSnapshots makes the engine publish an immutable Snapshot at
-	// every unit boundary for lock-free concurrent readers (the serving
-	// layer). It costs a merge of the shards' frame lists per closed unit
-	// instead of one per advance — nothing on the per-record path — and is
-	// off by default.
+	// PublishSnapshots makes the engine also store and offer on the bus
+	// the Snapshot each closed unit returns, for lock-free concurrent
+	// readers (the serving layer). It costs nothing on the per-record path
+	// and is off by default.
 	PublishSnapshots bool
 	// Shards is how many partitions the engine closes its units across in
 	// parallel (§6); 0 means 1. Results, snapshots and checkpoints do not
@@ -106,16 +104,6 @@ type Alert struct {
 	ISB  regression.ISB
 }
 
-// UnitResult is the outcome of one completed unit.
-type UnitResult struct {
-	Unit     int64
-	Interval timeseries.Interval
-	// Result is the cube computation outcome; nil for units that closed
-	// with no data at all.
-	Result *core.Result
-	Alerts []Alert
-}
-
 // Engine is the online analyzer (§4.5), at every shard count. Its
 // coordinator — the caller's goroutine — accumulates every record; its
 // shards, the partition workers, close their units in parallel.
@@ -137,7 +125,8 @@ type UnitResult struct {
 // Restore — are the only time shard goroutines run, and the coordinator
 // waits for them, so no shard is ever touched by two goroutines at once. A
 // record crossing the open unit's end closes the finished units on every
-// shard in parallel and merges the per-shard results in shard-stable order.
+// shard in parallel and merges the shards' snapshots of each
+// (MergeSnapshots).
 //
 // An Engine's methods must be called from one goroutine, except Snapshot,
 // Subscribe, BusDropped and CellsActive. A record error comes back from the
@@ -286,11 +275,11 @@ func (e *Engine) ready() error {
 // closed unit registers a zero regression over it, see AdvanceFrames) and may
 // open new cells mid-unit, but each cell's ticks must be non-decreasing
 // and at most one reading per tick. Crossing a unit boundary closes earlier
-// units on every shard; their merged results are returned in order (units
-// that received no data yield a UnitResult with a nil Result). The record
-// is then accumulated before Ingest returns; an out-of-range member fails
-// here, after boundary handling.
-func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*UnitResult, error) {
+// units on every shard; their snapshots are returned in order (a unit with
+// no data has a nil Result), the values the engine publishes: read-only to
+// callers, as to every reader. The record is then accumulated before
+// Ingest returns; an out-of-range member fails here, after boundary handling.
+func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*Snapshot, error) {
 	if err := e.ready(); err != nil {
 		return nil, err
 	}
@@ -309,8 +298,8 @@ func (e *Engine) Ingest(members []int32, tick int64, value float64) ([]*UnitResu
 }
 
 // reach makes tick's unit the open one, closing every unit before it and
-// returning their merged results; a tick before the open unit is ErrRecord.
-func (e *Engine) reach(tick int64) ([]*UnitResult, error) {
+// returning their snapshots; a tick before the open unit is ErrRecord.
+func (e *Engine) reach(tick int64) ([]*Snapshot, error) {
 	if tick < e.openStart {
 		return nil, fmt.Errorf("%w: tick %d before open unit start %d", ErrRecord, tick, e.openStart)
 	}
@@ -342,85 +331,62 @@ func (e *Engine) refuse(acc *regression.Accumulator, tick int64, value float64) 
 }
 
 // advanceTo closes units up to (excluding) target on every shard in
-// parallel and merges the per-unit results. Each shard hands back its
-// frame list after the last unit or, with snapshots on, after every unit,
-// and the coordinator merges the lists into one. With
-// snapshots on it publishes one merged Snapshot per closed unit, so bus
-// subscribers observe the same snapshot stream at any shard count
+// parallel. Per closed unit, the shards' snapshots merge into one
+// (MergeSnapshots, the merge the coordinator runs over nodes), stamped with
+// the engine's count and origin; with snapshots on it is also published,
+// so bus subscribers observe the same snapshot stream at any shard count
 // (pull-side Snapshot() callers see the last one).
-func (e *Engine) advanceTo(target int64) ([]*UnitResult, error) {
-	from, n := e.unit, int(target-e.unit)
-	publish := e.cfg.PublishSnapshots
+func (e *Engine) advanceTo(target int64) ([]*Snapshot, error) {
+	from := e.unit
 	e.cellsActive.Store(int64(e.dict.n))
 	vals, err := e.barrier(func(sh *shard) (any, error) {
-		var adv shardAdvance
+		snaps := make([]*Snapshot, 0, target-from)
 		for u := from; u < target; u++ {
-			ur, err := sh.closeUnit(u)
+			s, err := sh.closeUnit(u)
 			if err != nil {
 				return nil, err
 			}
-			adv.urs = append(adv.urs, ur)
-			if publish || u == target-1 {
-				adv.frames = append(adv.frames, sh.frames)
-			}
+			snaps = append(snaps, s)
 		}
-		return adv, nil
+		return snaps, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	perShard := replies[shardAdvance](vals)
-	out := make([]*UnitResult, n)
-	lists := make([][]CellFrame, len(perShard))
+	perShard := replies[[]*Snapshot](vals)
+	out, parts := make([]*Snapshot, target-from), make([]*Snapshot, len(perShard))
 	for u := range out {
-		shardURs := make([]*UnitResult, len(perShard))
-		for i := range perShard {
-			shardURs[i] = perShard[i].urs[u]
+		for i, snaps := range perShard {
+			parts[i] = snaps[u]
 		}
-		if out[u], err = e.mergeUnit(shardURs); err != nil {
+		s, err := MergeSnapshots(e.cfg.Schema, parts)
+		if err != nil {
 			e.err = err
 			return nil, err
 		}
-		if !publish && u < n-1 {
-			continue
-		}
-		for i := range perShard {
-			lists[i] = perShard[i].frames[0]
-			perShard[i].frames = perShard[i].frames[1:]
-		}
-		e.frames, _ = core.MergeRuns(nil, lists, compareCellFrames)
-		if publish {
-			e.publish(&Snapshot{
-				Unit:      out[u].Unit,
-				Interval:  out[u].Interval,
-				UnitsDone: e.unitsDone + int64(u) + 1,
-				// The clone keeps readers isolated from whatever the Ingest
-				// caller does with the returned UnitResult's alerts.
-				Alerts: slices.Clone(out[u].Alerts),
-				Result: out[u].Result,
-				Chain:  e.cfg.TiltLevels,
-				Frames: e.frames,
-				Origin: e.origin,
-			})
+		s.UnitsDone, s.Origin = e.unitsDone+int64(u)+1, e.origin
+		e.frames, out[u] = s.Frames, s
+		if e.cfg.PublishSnapshots {
+			e.publish(s)
 		}
 	}
 	e.unit = target
 	e.openStart = e.cfg.unitStart(target)
 	e.openEnd = e.cfg.unitStart(target + 1)
 	e.dict.reset() // the shards emptied their slabs
-	e.unitsDone += int64(n)
+	e.unitsDone += int64(len(out))
 	return out, nil
 }
 
 // AdvanceTo closes units in order until `unit` is the open unit, exactly
-// as if a record at unit's first tick had arrived, and returns the merged
-// results. Targets at or before the open unit are a no-op. It is how a
-// cluster ingest node applies the router's unit-boundary barrier frames
-// (and a wall-clock driver with sparse data moves on): every node advances
-// in lockstep even when it received no records for the closed units, so
-// per-node checkpoints and snapshots always agree on the unit counters and
-// merge losslessly.
-func (e *Engine) AdvanceTo(unit int64) ([]*UnitResult, error) {
+// as if a record at unit's first tick had arrived, and returns the closed
+// units' snapshots. Targets at or before the open unit are a no-op. It is
+// how a cluster ingest node applies the router's unit-boundary barrier
+// frames (and a wall-clock driver with sparse data moves on): every node
+// advances in lockstep even when it received no records for the closed
+// units, so per-node checkpoints and snapshots always agree on the unit
+// counters and merge losslessly.
+func (e *Engine) AdvanceTo(unit int64) ([]*Snapshot, error) {
 	if err := e.ready(); err != nil {
 		return nil, err
 	}
@@ -431,17 +397,17 @@ func (e *Engine) AdvanceTo(unit int64) ([]*UnitResult, error) {
 }
 
 // Flush closes the currently open unit even if it is mid-way: every active
-// cell is zero-padded to the unit boundary first. Returns the merged result
-// (nil Result when no cell had data).
-func (e *Engine) Flush() (*UnitResult, error) {
+// cell is zero-padded to the unit boundary first. Returns the unit's
+// snapshot (nil Result when no cell had data).
+func (e *Engine) Flush() (*Snapshot, error) {
 	if err := e.ready(); err != nil {
 		return nil, err
 	}
-	urs, err := e.advanceTo(e.unit + 1)
+	snaps, err := e.advanceTo(e.unit + 1)
 	if err != nil {
 		return nil, err
 	}
-	return urs[0], nil
+	return snaps[0], nil
 }
 
 // ActiveCells returns the number of m-layer cells with data in the open

@@ -247,7 +247,7 @@ func TestOnlineEqualsBatch(t *testing.T) {
 			}
 		}
 	}
-	var unitResults []*UnitResult
+	var unitResults []*Snapshot
 	for u := 0; u < units; u++ {
 		for i := 0; i < ticksPer; i++ {
 			tick := int64(u*ticksPer + i)
@@ -333,7 +333,7 @@ func TestDeltaAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedUnit := func(slope float64) *UnitResult {
+	feedUnit := func(slope float64) *Snapshot {
 		t.Helper()
 		start := e.cfg.unitStart(e.Unit())
 		for i := int64(0); i < 5; i++ {

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/core"
@@ -40,8 +39,8 @@ type shard struct {
 	codes []uint64
 	// frames holds the history of every o-cell of the partition seen so
 	// far, in coordinate order: one frame record per cell, its finest
-	// level the per-unit history. It is the list the shard published last,
-	// so no record in it is ever written; a close replaces the list.
+	// level the per-unit history. It is the list the shard's last snapshot
+	// holds, so no record in it is ever written; a close replaces the list.
 	frames []CellFrame
 	// inputs/members hold each closed unit's m-layer batch, reused from
 	// close to close: nothing the cube returns aliases them.
@@ -105,22 +104,14 @@ func replies[T any](vals []any) []T {
 	return out
 }
 
-// shardAdvance is one shard's reply to an advanceTo barrier: its closed
-// units and its frame lists — after each closed unit when snapshots are on
-// (frames[u] reflects state just after urs[u] closed), else after the last
-// one only.
-type shardAdvance struct {
-	urs    []*UnitResult
-	frames [][]CellFrame
-}
-
 // closeUnit closes unit u, the shard's open one: it cubes the partition's
 // cells of the unit, raises their alerts and registers the unit with every
-// frame of the partition.
-func (sh *shard) closeUnit(u int64) (*UnitResult, error) {
+// frame of the partition. It returns the partition's snapshot of the unit,
+// which the coordinator merges with the other shards' (MergeSnapshots).
+func (sh *shard) closeUnit(u int64) (*Snapshot, error) {
 	cfg, layout := &sh.e.cfg, &sh.e.part.layout
 	lo, hi := cfg.unitStart(u), cfg.unitStart(u+1)-1
-	ur := &UnitResult{Unit: u, Interval: timeseries.Interval{Tb: lo, Te: hi}}
+	s := &Snapshot{Unit: u, Interval: timeseries.Interval{Tb: lo, Te: hi}, Chain: cfg.TiltLevels}
 
 	// Member tuples are decoded into the arena, so the slab empties at once.
 	nd := layout.nd
@@ -164,28 +155,28 @@ func (sh *shard) closeUnit(u int64) (*UnitResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ur.Result = res
-		ur.Alerts = sh.raiseAlerts(ur, res)
+		s.Result = res
+		s.Alerts = sh.raiseAlerts(u, res)
 	}
-	frames, err := AdvanceFrames(sh.frames, ur.Result, u, ur.Interval, cfg.TiltLevels)
+	frames, err := AdvanceFrames(sh.frames, s.Result, u, s.Interval, cfg.TiltLevels)
 	if err != nil {
 		return nil, err
 	}
-	sh.frames = frames
-	return ur, nil
+	sh.frames, s.Frames = frames, frames
+	return s, nil
 }
 
 // raiseAlerts returns the unit's alerts in canonical order (compareAlerts):
 // the o-cells come in canonical order, and each raises its slope exception
 // before its slope change.
-func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
+func (sh *shard) raiseAlerts(u int64, res *core.Result) []Alert {
 	cfg := &sh.e.cfg
 	var alerts []Alert
 	oThr := cfg.Threshold.Threshold(cfg.Schema.OLayer())
 	for _, c := range res.OCells() {
 		key, isb := c.Key, c.ISB
 		if exception.IsException(isb, oThr) {
-			alerts = append(alerts, Alert{Unit: ur.Unit, Kind: SlopeException, Cell: key, ISB: isb})
+			alerts = append(alerts, Alert{Unit: u, Kind: SlopeException, Cell: key, ISB: isb})
 		}
 		if cfg.Delta != nil {
 			if f := frameOf(sh.frames, key); f != nil {
@@ -193,7 +184,7 @@ func (sh *shard) raiseAlerts(ur *UnitResult, res *core.Result) []Alert {
 				// the cell sat out was registered as a zero regression.
 				finest := f.Frame.Levels[0].Slots
 				if n := len(finest); n > 0 && cfg.Delta.Exceptional(isb, finest[n-1].ISB, true) {
-					alerts = append(alerts, Alert{Unit: ur.Unit, Kind: SlopeChange, Cell: key, ISB: isb})
+					alerts = append(alerts, Alert{Unit: u, Kind: SlopeChange, Cell: key, ISB: isb})
 				}
 			}
 		}
@@ -212,24 +203,6 @@ func (sh *shard) byCode() []int32 {
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(sh.codes[a], sh.codes[b]) })
 	sh.order = order
 	return order
-}
-
-// mergeUnit combines one unit's per-shard results: the cube result holds
-// the shards' results as its parts (core.Merge), and since each shard's
-// alerts arrive in canonical order, the merged list is a k-way merge.
-func (e *Engine) mergeUnit(urs []*UnitResult) (*UnitResult, error) {
-	merged := &UnitResult{Unit: urs[0].Unit, Interval: urs[0].Interval}
-	results := make([]*core.Result, len(urs))
-	alerts := make([][]Alert, len(urs))
-	for i, ur := range urs {
-		results[i], alerts[i] = ur.Result, ur.Alerts
-	}
-	var err error
-	if merged.Result, err = core.Merge(e.cfg.Schema, results); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRecord, err)
-	}
-	merged.Alerts, _ = core.MergeRuns(nil, alerts, compareAlerts) // none when every shard closed empty
-	return merged, nil
 }
 
 // compareAlerts is the canonical alert order: unit, then cell

@@ -128,9 +128,9 @@ func checkpointOf(t testing.TB, e *Engine) *Checkpoint {
 	return cp
 }
 
-func feed(t testing.TB, e *Engine, recs []testRecord) []*UnitResult {
+func feed(t testing.TB, e *Engine, recs []testRecord) []*Snapshot {
 	t.Helper()
-	var out []*UnitResult
+	var out []*Snapshot
 	for _, r := range recs {
 		closed, err := e.Ingest(r.members, r.tick, r.value)
 		if err != nil {
@@ -148,7 +148,7 @@ func feed(t testing.TB, e *Engine, recs []testRecord) []*UnitResult {
 // requireSameResults asserts two unit-result sequences are identical:
 // bitwise-equal cell measures, byte-identical alerts in the order each
 // engine returned them (canonical by construction — no sorting here).
-func requireSameResults(t *testing.T, label string, want, got []*UnitResult) {
+func requireSameResults(t *testing.T, label string, want, got []*Snapshot) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d unit results, want %d", label, len(got), len(want))
@@ -291,8 +291,8 @@ func TestShardedCheckpointRepartitions(t *testing.T) {
 		t.Fatal("4-shard checkpoint differs from the one-shard engine's")
 	}
 
-	finish := func(e *Engine) []*UnitResult {
-		var out []*UnitResult
+	finish := func(e *Engine) []*Snapshot {
+		var out []*Snapshot
 		for _, r := range recs[split:] {
 			closed, err := e.Ingest(r.members, r.tick, r.value)
 			if err != nil {

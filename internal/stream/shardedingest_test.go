@@ -80,7 +80,7 @@ func batchCutsMatchSingleEngine(t *testing.T, name string, cfg Config) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var got []*UnitResult
+				var got []*Snapshot
 				pos := 0
 				for k, b := range toBatches(recs, cut.sizes...) {
 					if k%3 == 2 {
@@ -262,7 +262,7 @@ func TestEveryShardCountMatchesEngine(t *testing.T) {
 	// run feeds the first half record by record and the second in batches,
 	// then sends a record whose tick its cell already consumed — alone, or
 	// inside a batch behind a good record of the same unit.
-	run := func(e *Engine, inBatch bool) (urs []*UnitResult, snaps []*Snapshot, recErr error) {
+	run := func(e *Engine, inBatch bool) (urs []*Snapshot, snaps []*Snapshot, recErr error) {
 		sub := e.Subscribe(64)
 		for _, r := range recs[:half] {
 			closed, err := e.Ingest(r.members, r.tick, r.value)

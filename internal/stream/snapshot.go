@@ -21,7 +21,8 @@ type HistoryPoint struct {
 // Snapshot is an immutable, internally consistent view of an engine as of
 // one closed unit: the unit's cube result, its alerts in canonical order,
 // and every o-cell's tilt frame — its regression history — ending at that
-// unit.
+// unit. It is what closing a unit produces: Ingest, IngestBatch, AdvanceTo
+// and Flush return it.
 //
 // Snapshots are published with an atomic pointer swap at each unit
 // boundary (Config.PublishSnapshots) and are never mutated afterwards, so
@@ -39,11 +40,10 @@ type Snapshot struct {
 	// no data (the Frames below still reflect earlier units). At more than
 	// one shard it holds the shards' results as its parts (core.Merge),
 	// merged only as a reader asks: lookups go to the part that holds the
-	// cell's o-cell, canonical lists k-way merge the parts'. It is the
-	// same *core.Result the engine returned in the unit's UnitResult and
-	// is never written after publication, so any number of goroutines
-	// read it without locks; a canonical list it hands out may be its
-	// own, and must not be modified.
+	// cell's o-cell, canonical lists k-way merge the parts'. It is never
+	// written after the unit closes, so any number of goroutines read it
+	// without locks; a canonical list it hands out may be its own, and
+	// must not be modified.
 	Result *core.Result
 	// Alerts are the unit's alerts in canonical order: unit, then cell
 	// (cube.CompareKeys), then kind.
@@ -59,8 +59,8 @@ type Snapshot struct {
 	// Origin names the engine run that published the snapshot: a random
 	// nonzero number drawn when the engine is made and again at every
 	// Restore, so no two runs share one. A successor document applies only
-	// to a predecessor of its origin (DecodeSnapshotAfter). A merged
-	// snapshot, which no one run published, has none (0).
+	// to a predecessor of its origin (DecodeSnapshotAfter). A coordinator's
+	// merge of nodes, which no one run published, has none (0).
 	Origin uint64
 }
 

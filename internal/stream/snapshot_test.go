@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cube"
 	"repro/internal/exception"
 	"repro/internal/regression"
+	"repro/internal/wire"
 )
 
 func snapshotTestSchema(t testing.TB) *cube.Schema {
@@ -108,7 +110,7 @@ func verifySnapshot(t testing.TB, cfg *Config, s *Snapshot) {
 
 // ingestGrid feeds every m-cell one reading per tick over [from, to),
 // slopes varying per cell so alerts fire.
-func ingestGrid(t testing.TB, ing func([]int32, int64, float64) ([]*UnitResult, error), from, to int64) {
+func ingestGrid(t testing.TB, ing func([]int32, int64, float64) ([]*Snapshot, error), from, to int64) {
 	t.Helper()
 	for tick := from; tick < to; tick++ {
 		for a := int32(0); a < 4; a++ {
@@ -209,6 +211,127 @@ func TestShardedSnapshotMatchesSingle(t *testing.T) {
 			// As published by each engine: no re-sorting on either side.
 			if !reflect.DeepEqual(got.Alerts, want.Alerts) {
 				t.Fatalf("alerts differ:\n%+v\nvs\n%+v", got.Alerts, want.Alerts)
+			}
+		})
+	}
+}
+
+// TestReturnedSnapshotsArePublished holds what Ingest, IngestBatch,
+// AdvanceTo and Flush return to what the engine publishes. With
+// PublishSnapshots on, each returned snapshot is the pointer the bus
+// delivered for its unit — read by a bus goroutine while the caller reads
+// it; with it off, each encodes to the publishing run's bytes, the Origin
+// and the wall-clock cubing times aside. Units close one at a time,
+// several in one sparse batch, and several in one AdvanceTo, empty ones
+// among them.
+func TestReturnedSnapshotsArePublished(t *testing.T) {
+	// run feeds one engine and returns the snapshots its calls returned,
+	// their documents with the Origin and the times cleared, and what its
+	// bus delivered.
+	run := func(cfg Config) (returned []*Snapshot, docs [][]byte, delivered []*Snapshot) {
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		sub := e.Subscribe(64)
+		defer sub.Close()
+		// stop ends the bus reader, at the end or on a failed check.
+		stopCh, done := make(chan struct{}), make(chan []*Snapshot, 1)
+		stop := sync.OnceFunc(func() { close(stopCh) })
+		defer stop()
+		go func() {
+			var got []*Snapshot
+			read := func(s *Snapshot) {
+				if _, err := EncodeSnapshot(s); err != nil {
+					t.Error(err)
+				}
+				got = append(got, s)
+			}
+			for {
+				select {
+				case s := <-sub.C():
+					read(s)
+				case <-stopCh:
+					for {
+						select {
+						case s := <-sub.C():
+							read(s)
+						default:
+							done <- got
+							return
+						}
+					}
+				}
+			}
+		}()
+		keep := func(snaps []*Snapshot, err error) ([]*Snapshot, error) {
+			for _, s := range snaps {
+				anon := *s
+				anon.Origin = 0
+				if s.Result != nil {
+					res := *s.Result
+					res.Stats.BuildTime, res.Stats.CubeTime = 0, 0
+					anon.Result = &res
+				}
+				doc, err := EncodeSnapshot(&anon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				returned, docs = append(returned, s), append(docs, doc)
+			}
+			return snaps, err
+		}
+		ingestGrid(t, func(m []int32, tick int64, v float64) ([]*Snapshot, error) {
+			return keep(e.Ingest(m, tick, v))
+		}, 0, 9) // closes units 0 and 1
+		var b wire.Batch
+		b.Reset(2)
+		b.Append(10, []int32{0, 0}, 1) // unit 2
+		b.Append(21, []int32{1, 2}, 2) // closes units 2-4
+		b.Append(30, []int32{3, 3}, 3) // closes units 5 and 6
+		if _, err := keep(e.IngestBatch(&b)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := keep(e.AdvanceTo(11)); err != nil { // closes units 7-10
+			t.Fatal(err)
+		}
+		last, err := e.Flush()
+		if _, err := keep([]*Snapshot{last}, err); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.PublishSnapshots && e.Snapshot() != last {
+			t.Fatal("Snapshot() is not the snapshot Flush returned")
+		}
+		stop()
+		return returned, docs, <-done
+	}
+
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := withShards(snapshotTestConfig(t), shards)
+			returned, docs, delivered := run(cfg)
+			if len(returned) != 12 || len(delivered) != len(returned) {
+				t.Fatalf("%d snapshots returned and %d delivered, want 12 each", len(returned), len(delivered))
+			}
+			for i, s := range returned {
+				if s.Unit != int64(i) {
+					t.Fatalf("snapshot %d is of unit %d", i, s.Unit)
+				}
+				if delivered[i] != s {
+					t.Fatalf("unit %d: the returned snapshot is not the one the bus delivered", s.Unit)
+				}
+			}
+			cfg.PublishSnapshots = false
+			_, offDocs, offDelivered := run(cfg)
+			if len(offDelivered) != 0 || len(offDocs) != len(docs) {
+				t.Fatalf("publishing off: %d snapshots returned and %d delivered, want %d and none",
+					len(offDocs), len(offDelivered), len(docs))
+			}
+			for i := range docs {
+				if !bytes.Equal(offDocs[i], docs[i]) {
+					t.Fatalf("unit %d: publishing off returned another snapshot than publishing on", i)
+				}
 			}
 		})
 	}

@@ -478,12 +478,12 @@ func DecodeSnapshotAfter(schema *cube.Schema, prev *Snapshot, data []byte) (*Sna
 	return s, nil
 }
 
-// MergeSnapshots combines per-node snapshots of the same closed unit into
-// the cluster-wide view, with exactly the merge semantics the engine
-// applies to its shards at a close (mergeUnit): the nodes' results are
-// disjoint by the partition invariant and become the parts of one result
-// (core.Merge), and the nodes' alert lists (canonical as published) and
-// frame lists (in coordinate order) merge into one list each. Every
+// MergeSnapshots combines partition snapshots of the same closed unit into
+// one: the engine's shards' at every close (advanceTo), and the cluster
+// nodes' into the cluster-wide view — one merge for both. The parts'
+// results are disjoint by the partition invariant and become the parts of
+// one result (core.Merge), and their alert lists (canonical as published)
+// and frame lists (in coordinate order) merge into one list each. Every
 // snapshot must describe the same unit under the same level chain;
 // mismatched units mean the gather tier fetched without aligning
 // watermarks first. Parts that share an o-cell or a frame are not

@@ -963,7 +963,7 @@ func TestRestoreHandAssembledFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		ingestGrid(t, func(m []int32, tick int64, v float64) ([]*UnitResult, error) {
+		ingestGrid(t, func(m []int32, tick int64, v float64) ([]*Snapshot, error) {
 			return e.Ingest(m, tick, scale*v+1)
 		}, 0, 50)
 		return checkpointOf(t, e)
