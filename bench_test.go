@@ -4,8 +4,8 @@ package regcube
 // benchmarks the CI perf canary names, and ablation benches for the design
 // decisions listed in DESIGN.md §5 (#6 and #7 live in internal/core, beside
 // the reference kernel they time). The paper's Figures 8–10 are swept by
-// internal/bench (cmd/benchfig); the stream pipeline end to end and layer
-// by layer is timed by benchmark/.
+// cmd/benchfig; the stream pipeline end to end and layer by layer is timed
+// by benchmark/.
 //
 // Custom metrics reported per op:
 //   cells/op  — cells aggregated (the paper's computation cost)

@@ -56,7 +56,6 @@ func alertTestServer(t *testing.T) (*client.Client, *httptest.Server) {
 	}
 	srv := serve.New(eng, schema)
 	srv.SetAlerts(mgr)
-	srv.SetBusDropped(eng.BusDropped)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	c, err := client.New(client.WithEndpoints(ts.URL))

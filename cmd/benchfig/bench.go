@@ -1,12 +1,4 @@
-// Package bench regenerates the paper's performance study (§5, Figures
-// 8–10): parameter sweeps running both cubing algorithms over synthetic
-// D/L/C/T workloads and reporting processing time and memory usage, plus
-// the Example 3 tilt-frame compression table.
-//
-// The absolute numbers differ from the paper's 750MHz/Windows-2000 testbed;
-// the reproduction target is the curve shapes — which algorithm wins where,
-// and how costs scale (see EXPERIMENTS.md).
-package bench
+package main
 
 import (
 	"fmt"
@@ -42,12 +34,12 @@ func toAlgoStats(res *core.Result) AlgoStats {
 func runBoth(ds *gen.Dataset, threshold float64) (mo, pp AlgoStats, err error) {
 	resMO, err := core.MOCubing(ds.Schema, ds.Inputs, exception.Global(threshold))
 	if err != nil {
-		return mo, pp, fmt.Errorf("bench: m/o-cubing: %w", err)
+		return mo, pp, fmt.Errorf("m/o-cubing: %w", err)
 	}
 	lattice := cube.NewLattice(ds.Schema)
 	resPP, err := core.PopularPath(ds.Schema, ds.Inputs, exception.Global(threshold), lattice.DefaultPath())
 	if err != nil {
-		return mo, pp, fmt.Errorf("bench: popular-path: %w", err)
+		return mo, pp, fmt.Errorf("popular-path: %w", err)
 	}
 	return toAlgoStats(resMO), toAlgoStats(resPP), nil
 }

@@ -1,5 +1,8 @@
-// Command benchfig regenerates the paper's evaluation artifacts (Figures
-// 8, 9, 10 and the Example 3 tilt-frame table) as text tables.
+// Command benchfig regenerates the paper's performance study (§5,
+// Figures 8–10) and the Example 3 tilt-frame compression table as text
+// tables. Each figure is a parameter sweep that runs both cubing
+// algorithms, m/o-cubing and popular-path, over a synthetic D/L/C/T
+// workload.
 //
 // Usage:
 //
@@ -9,8 +12,9 @@
 //
 // Columns report both algorithms' processing time (build + cube),
 // peak-memory estimate, computed cells, and retained exception cells.
-// Absolute values differ from the paper's 2002 testbed; the reproduced
-// claim is the curve shape (see EXPERIMENTS.md).
+// The absolute numbers differ from the paper's 750 MHz Windows 2000
+// testbed; the reproduced claim is the curve shapes — which algorithm
+// wins where, and how costs scale (DESIGN §3).
 package main
 
 import (
@@ -19,7 +23,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/gen"
 )
 
@@ -65,7 +68,7 @@ func mb(b int64) float64         { return float64(b) / (1 << 20) }
 func runTilt() error {
 	fmt.Println("== Example 3: tilt time frame compression ==")
 	fmt.Printf("%-50s %8s %10s %8s\n", "frame", "slots", "raw-units", "ratio")
-	for _, r := range bench.TiltTable() {
+	for _, r := range TiltTable() {
 		fmt.Printf("%-50s %8d %10d %7.1fx\n", r.Description, r.Slots, r.RawUnits, r.Ratio)
 	}
 	fmt.Println()
@@ -80,7 +83,7 @@ func runFig8(seed int64, scale float64) error {
 	spec := gen.Spec{Dims: 3, Levels: 3, Fanout: 10, Tuples: tuples}
 	fmt.Printf("== Figure 8: time & space vs exception %% (dataset %s) ==\n", spec)
 	rates := []float64{0.1, 0.3, 1, 3, 10, 30, 100}
-	rows, err := bench.Fig8(spec, seed, rates)
+	rows, err := Fig8(spec, seed, rates)
 	if err != nil {
 		return err
 	}
@@ -104,7 +107,7 @@ func runFig9(seed int64, scale float64) error {
 	spec := gen.Spec{Dims: 3, Levels: 3, Fanout: 10, Tuples: max}
 	sizes := []int{max / 8, max / 4, max / 2, max}
 	fmt.Printf("== Figure 9: time & space vs m-layer size (D3L3C10, 1%% exceptions, subsets of %s) ==\n", spec)
-	rows, err := bench.Fig9(spec, seed, sizes, 1)
+	rows, err := Fig9(spec, seed, sizes, 1)
 	if err != nil {
 		return err
 	}
@@ -125,7 +128,7 @@ func runFig10(seed int64, scale float64) error {
 		tuples = 100
 	}
 	fmt.Printf("== Figure 10: time & space vs #levels (D2C10T%d, 1%% exceptions) ==\n", tuples)
-	rows, err := bench.Fig10(2, 10, tuples, []int{3, 4, 5, 6, 7}, seed, 1)
+	rows, err := Fig10(2, 10, tuples, []int{3, 4, 5, 6, 7}, seed, 1)
 	if err != nil {
 		return err
 	}

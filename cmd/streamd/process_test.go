@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,13 +21,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/query"
 )
 
-// The process tests run the built binaries — streamd, datagen, regcube,
-// regcube-router and queryprobe — as real processes, wired by pipes and
-// loopback listeners on port 0 whose addresses they learn from the
-// binaries' banners. Each test owns its temporary directory, so any one
+// The process tests run the built binaries — streamd, datagen, regcube
+// and regcube-router — as real processes, wired by pipes and loopback
+// listeners on port 0 whose addresses they learn from the binaries'
+// banners. Each test owns its temporary directory, so any one
 // runs alone under -run and in any order under -shuffle.
 
 // binDir holds the binaries TestMain builds once per run of this package.
@@ -47,7 +49,7 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-		"repro/cmd/streamd", "repro/cmd/datagen", "repro/cmd/regcube", "repro/cmd/regcube-router", "repro/cmd/queryprobe")
+		"repro/cmd/streamd", "repro/cmd/datagen", "repro/cmd/regcube", "repro/cmd/regcube-router")
 	build.Stdout, build.Stderr = os.Stderr, os.Stderr
 	code := 1
 	if err := build.Run(); err != nil {
@@ -222,6 +224,65 @@ var (
 	tcpRE    = regexp.MustCompile(`(?m)^regcube_ingest_records_total\{format="binary",source="tcp"\} (\d+)$`)
 )
 
+// probeSDK drives the query API through the Go client SDK (repro/client)
+// once the server at base has closed a unit: one POST /v1/query batch of
+// summary, exceptions, alerts, the frame of o-cell (0,0) and a slice of a
+// dimension that does not exist. Each valid request must come back as its
+// typed response, the summary must describe the batch's unit, and the
+// invalid one must fail with ErrInvalid. A young cell's frame can lag a
+// unit on a tilted engine, so the batch is resent while a result is
+// ErrNotFound.
+func probeSDK(t *testing.T, base string) {
+	t.Helper()
+	c, err := client.New(client.WithEndpoints(base), client.WithTimeout(5*time.Second),
+		client.WithRetries(3), client.WithRetryBackoff(200*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), processWait)
+	defer cancel()
+	poll(t, "a closed unit on /healthz", func() bool {
+		h, err := c.Health(ctx)
+		if err != nil {
+			t.Fatalf("health: %v", err)
+		}
+		return h.Serving && h.UnitsDone > 0
+	})
+	var reply *client.BatchReply
+	poll(t, "a batch without ErrNotFound", func() bool {
+		reply, err = c.Batch(ctx,
+			client.SummaryRequest{},
+			client.ExceptionsRequest{K: 5},
+			client.AlertsRequest{},
+			client.FrameRequest{CellRef: client.OCell(0, 0)},
+			client.SliceRequest{Dim: 99, Member: 0})
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		return !slices.ContainsFunc(reply.Results[:4], func(r client.Result) bool { return errors.Is(r.Err, client.ErrNotFound) })
+	})
+	for i, r := range reply.Results[:4] {
+		if r.Err != nil {
+			t.Fatalf("batch result %d: %v", i, r.Err)
+		}
+	}
+	sum, okSum := reply.Results[0].Response.(*client.SummaryResponse)
+	exc, okExc := reply.Results[1].Response.(*client.CellsResponse)
+	alerts, okAlerts := reply.Results[2].Response.(*client.AlertsResponse)
+	frame, okFrame := reply.Results[3].Response.(*client.FrameResponse)
+	if !okSum || !okExc || !okAlerts || !okFrame {
+		t.Fatalf("batch results are not the typed responses: %#v", reply.Results[:4])
+	}
+	if sum.Unit != reply.Unit {
+		t.Fatalf("summary unit %d != batch unit %d (batch not unit-consistent)", sum.Unit, reply.Unit)
+	}
+	if err := reply.Results[4].Err; !errors.Is(err, client.ErrInvalid) {
+		t.Fatalf("invalid slice sub-request returned %v, want ErrInvalid", err)
+	}
+	t.Logf("unit %d: %d exceptions (top %d listed), %d alerts, frame %d levels (%d slots)",
+		reply.Unit, exc.Count, len(exc.Cells), len(alerts.Alerts), len(frame.Levels), frame.SlotsInUse)
+}
+
 // reportSHA256 pins the bytes of one default engine's report: the eq
 // leg's input is gap-free (every cell reports every tick), so the report
 // may not move. It is the digest the last build that kept a flat per-unit
@@ -254,10 +315,7 @@ func TestProcesses(t *testing.T) {
 		// ends the run long before the stream would.
 		start(t, nil, w, "datagen", "-spec", "D2L2C4T2K", "-stream", "-ticks", "60000", "-pace", "5ms",
 			"-query", base, "-qinterval", "20ms")
-		probe := start(t, nil, nil, "queryprobe", "-addr", base, "-cell", "0,0", "-timeout", processWait.String())
-		if err := probe.exit(t); err != nil {
-			t.Fatalf("queryprobe: %v\n%s", err, probe.tail())
-		}
+		probeSDK(t, base)
 		streamd.interrupt(t)
 		// The banner, then the final partial unit's report, then the summary.
 		_, flushed, ok := strings.Cut(streamd.out.String(), "# signal: flushing final unit\n")

@@ -126,7 +126,9 @@ func forecastSegments(isbs []regression.ISB, horizon int64, threshold *float64) 
 // retained state alone. Conventions: a zero-variance window the line
 // reproduces is 1, one it misses is 0, and the score is clamped at 0
 // (the aggregate fit minimizes tick-level error, not segment-mean error,
-// so the ratio can exceed 1 in degenerate windows).
+// so the ratio can exceed 1 in degenerate windows). Each product is
+// rounded before it is summed, as in package regression, so the score has
+// the same bits on every CPU.
 func rsquared(model regression.ISB, isbs []regression.ISB) float64 {
 	var mean float64
 	for _, r := range isbs {
@@ -136,10 +138,10 @@ func rsquared(model regression.ISB, isbs []regression.ISB) float64 {
 	var rss, tss float64
 	for _, r := range isbs {
 		z := r.Mean()
-		d := z - (model.Base + model.Slope*r.TBar()) // ẑ(t̄) with fractional t̄
-		rss += d * d
+		d := z - (model.Base + float64(model.Slope*r.TBar())) // ẑ(t̄) with fractional t̄
+		rss += float64(d * d)
 		m := z - mean
-		tss += m * m
+		tss += float64(m * m)
 	}
 	switch {
 	case tss > 0:

@@ -333,9 +333,9 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			return fmt.Errorf("-listen: %w", err)
 		}
 		handler := serve.New(a, schema)
-		handler.SetIngestStats(ingestStats)
-		handler.SetBusDropped(a.BusDropped)
 		handler.SetMetrics(func(w io.Writer) {
+			ingestStats.WriteMetrics(w)
+			fmt.Fprintf(w, "regcube_snapshot_bus_dropped_total %d\n", a.BusDropped())
 			cpStats.writeMetrics(w)
 			// The cell dictionary's size at the last close: the distinct
 			// m-cells that unit held, summed over shards.

@@ -39,7 +39,7 @@ func (a *Accumulator) Add(t int64, z float64) error {
 	}
 	a.n++
 	a.sumZ += z
-	a.sumTZ += float64(t) * z
+	a.sumTZ += float64(float64(t) * z)
 	return nil
 }
 
@@ -67,7 +67,7 @@ func (a *Accumulator) Observe(t int64, z float64) bool {
 	}
 	a.n = t - a.tb + 1
 	a.sumZ += z
-	a.sumTZ += float64(t) * z
+	a.sumTZ += float64(float64(t) * z)
 	return true
 }
 
@@ -95,8 +95,8 @@ func (a *Accumulator) Snapshot() (ISB, error) {
 	tbar := float64(a.tb+te) / 2
 	zbar := a.sumZ / float64(a.n)
 	// Σ(t−t̄)z = Σt·z − t̄·Σz.
-	isb.Slope = (a.sumTZ - tbar*a.sumZ) / SVS(a.n)
-	isb.Base = zbar - isb.Slope*tbar
+	isb.Slope = (a.sumTZ - float64(tbar*a.sumZ)) / SVS(a.n)
+	isb.Base = zbar - float64(isb.Slope*tbar)
 	return isb, nil
 }
 

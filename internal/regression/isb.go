@@ -13,6 +13,12 @@
 // The package also provides Lemma 3.2 (the sum-of-variance-squares closed
 // form), the IntVal equivalence of §3.2, an online accumulator for stream
 // ingestion, and the §6.2 folding extension.
+//
+// Every product that feeds a sum is wrapped in an explicit float64(...):
+// the conversion rounds, so gc cannot fuse the pair into one multiply-add
+// on the CPUs where it would (arm64, ppc64le, riscv64, loong64, s390x),
+// and a fit or an aggregate has the same bits on every CPU (DESIGN §6.3).
+// FoldISB is outside that rule; no bitwise promise covers it.
 package regression
 
 import (
@@ -57,7 +63,7 @@ type IntVal struct {
 // independent of where the interval starts.
 func SVS(n int64) float64 {
 	nf := float64(n)
-	return (nf*nf*nf - nf) / 12
+	return (float64(nf*nf*nf) - nf) / 12
 }
 
 // Fit computes the least-squares linear fit of a raw series (Lemma 3.1).
@@ -76,14 +82,14 @@ func Fit(s *timeseries.Series) (ISB, error) {
 		isb.Base = s.Values[0]
 		return isb, nil
 	}
-	tbar := s.Interval.Mid()
+	tbar := float64(s.Interval.Mid()) // Mid's /2 compiles to a product
 	var num float64
 	for i, z := range s.Values {
 		t := float64(s.Interval.Tb + int64(i))
-		num += (t - tbar) * z
+		num += float64((t - tbar) * z)
 	}
 	isb.Slope = num / SVS(n)
-	isb.Base = s.Mean() - isb.Slope*tbar
+	isb.Base = s.Mean() - float64(isb.Slope*tbar)
 	return isb, nil
 }
 
@@ -108,15 +114,15 @@ func (r ISB) Interval() timeseries.Interval {
 func (r ISB) TBar() float64 { return float64(r.Tb+r.Te) / 2 }
 
 // At returns the fitted value ẑ(t) = α̂ + β̂·t.
-func (r ISB) At(t int64) float64 { return r.Base + r.Slope*float64(t) }
+func (r ISB) At(t int64) float64 { return r.Base + float64(r.Slope*float64(t)) }
 
 // Mean returns z̄ = α̂ + β̂·t̄, the mean of the fitted (and of the original)
 // series — a consequence of the fit passing through (t̄, z̄).
-func (r ISB) Mean() float64 { return r.Base + r.Slope*r.TBar() }
+func (r ISB) Mean() float64 { return r.Base + float64(r.Slope*r.TBar()) }
 
 // Sum returns n·z̄, the total of the original series, recoverable exactly
 // from the ISB because the fit preserves the mean.
-func (r ISB) Sum() float64 { return float64(r.N()) * r.Mean() }
+func (r ISB) Sum() float64 { return float64(float64(r.N()) * r.Mean()) }
 
 // ToIntVal converts to the endpoint representation.
 func (r ISB) ToIntVal() IntVal {
@@ -130,7 +136,7 @@ func (v IntVal) ToISB() ISB {
 		return ISB{Tb: v.Tb, Te: v.Te, Base: v.Zb, Slope: 0}
 	}
 	slope := (v.Ze - v.Zb) / float64(v.Te-v.Tb)
-	return ISB{Tb: v.Tb, Te: v.Te, Base: v.Zb - slope*float64(v.Tb), Slope: slope}
+	return ISB{Tb: v.Tb, Te: v.Te, Base: v.Zb - float64(slope*float64(v.Tb)), Slope: slope}
 }
 
 // Eval materializes the fitted line as a raw series, the "linear regression
@@ -206,7 +212,7 @@ func AggregateTimeFunc(n int, at func(i int) ISB) (ISB, error) {
 			return ISB{}, fmt.Errorf("%w: segment %d starts at %d, want %d",
 				ErrMismatch, i, r.Tb, prev.Te+1)
 		}
-		sa += float64(r.Sum()) // the conversion keeps Sᵢ a rounded product where FMA exists
+		sa += r.Sum()
 		prev = r
 	}
 	tb, te := first.Tb, prev.Te
@@ -218,21 +224,21 @@ func AggregateTimeFunc(n int, at func(i int) ISB) (ISB, error) {
 		return out, nil
 	}
 
-	denom := na*na*na - na
+	denom := float64(na*na*na) - na
 	var beta float64
 	var prefix float64 // Σ_{j<i} nⱼ
 	for i := 0; i < n; i++ {
 		r := at(i)
 		ni := float64(r.N())
-		beta += (ni*ni*ni - ni) / denom * r.Slope
-		beta += 6 * (2*prefix + ni - na) / denom * (na*float64(r.Sum()) - ni*sa) / na
+		beta += float64((float64(ni*ni*ni) - ni) / denom * r.Slope)
+		beta += 6 * (float64(2*prefix) + ni - na) / denom * (float64(na*r.Sum()) - float64(ni*sa)) / na
 		prefix += ni
 	}
 	out.Slope = beta
 
 	zbar := sa / na
 	tbar := float64(tb+te) / 2
-	out.Base = zbar - beta*tbar
+	out.Base = zbar - float64(beta*tbar)
 	return out, nil
 }
 
@@ -259,9 +265,9 @@ func Residuals(s *timeseries.Series, isb ISB) (ResidualStats, error) {
 	for i, z := range s.Values {
 		t := s.Interval.Tb + int64(i)
 		d := z - isb.At(t)
-		st.RSS += d * d
+		st.RSS += float64(d * d)
 		m := z - mean
-		st.TSS += m * m
+		st.TSS += float64(m * m)
 	}
 	switch {
 	case st.TSS > 0:

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -58,7 +60,9 @@ func alertServer(t *testing.T, units int) (*Server, *alert.Manager) {
 	}
 	srv := New(eng, schema)
 	srv.SetAlerts(mgr)
-	srv.SetBusDropped(eng.BusDropped)
+	srv.SetMetrics(func(w io.Writer) {
+		fmt.Fprintf(w, "regcube_snapshot_bus_dropped_total %d\n", eng.BusDropped())
+	})
 	return srv, mgr
 }
 

@@ -148,9 +148,6 @@ type Server struct {
 	// gone, connection reset); they also land in the per-endpoint error
 	// counters.
 	encodeErrors atomic.Int64
-	// ingest, when set, is the daemon's ingest-edge counters (records,
-	// frames, decode errors per format and source), rendered on /metrics.
-	ingest *wire.IngestStats
 	// info, when set, builds the /v1/info document. It runs per request on
 	// a query goroutine, so it must be safe for concurrent use and must
 	// not call engine methods (read atomics and snapshots instead).
@@ -158,13 +155,11 @@ type Server struct {
 	// alerts, when set, backs GET /v1/alerts/events and the alert counter
 	// families on /metrics. The manager's readers are concurrency-safe.
 	alerts *alert.Manager
-	// busDropped, when set, reports the snapshot bus's shed counter on
-	// /metrics (an atomic load on the engine — safe from query goroutines).
-	busDropped func() int64
 	// fdef holds the node-configured fallbacks for the forecast GET shims.
 	fdef ForecastDefaults
 	// metrics, when set, appends the embedding process's own families to
-	// /metrics (the coordinator's gather counters).
+	// /metrics (a node's ingest, bus and checkpoint counters; the
+	// coordinator's gather counters).
 	metrics func(io.Writer)
 	// drain is closed by Drain: parked snapshot requests answer at once and
 	// later ones do not park.
@@ -183,10 +178,6 @@ type ForecastDefaults struct {
 	ChangeScore float64
 }
 
-// SetIngestStats attaches the ingest-edge counters rendered on /metrics.
-// Call before serving; the stats object itself is concurrency-safe.
-func (s *Server) SetIngestStats(st *wire.IngestStats) { s.ingest = st }
-
 // SetInfo attaches the /v1/info document builder. Call before serving;
 // without it the endpoint answers a minimal document derived from the
 // snapshot alone.
@@ -203,11 +194,6 @@ func (s *Server) SetAlerts(m *alert.Manager) { s.alerts = m }
 // /v1/forecast (request validation rejects the 0 fallback) and
 // /v1/changes defaults to scoring every cell.
 func (s *Server) SetForecastDefaults(d ForecastDefaults) { s.fdef = d }
-
-// SetBusDropped attaches the snapshot-bus shed counter reported as
-// regcube_snapshot_bus_dropped_total. Call before serving; the function
-// must be safe for concurrent use (both engines' BusDropped is).
-func (s *Server) SetBusDropped(fn func() int64) { s.busDropped = fn }
 
 // SetMetrics attaches a writer of further Prometheus text families,
 // rendered at the end of /metrics. Call before serving; the function must
@@ -456,18 +442,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 			fmt.Fprintf(w, "regcube_snapshot_ocells %d\n", snap.Result.NumOCells())
 			fmt.Fprintf(w, "regcube_snapshot_exceptions %d\n", snap.Result.NumExceptions())
 		}
-	}
-	if s.ingest != nil {
-		for _, f := range wire.Formats {
-			for _, src := range wire.Sources {
-				fmt.Fprintf(w, "regcube_ingest_records_total{format=%q,source=%q} %d\n", f, src, s.ingest.Records(f, src))
-				fmt.Fprintf(w, "regcube_ingest_frames_total{format=%q,source=%q} %d\n", f, src, s.ingest.Frames(f, src))
-				fmt.Fprintf(w, "regcube_ingest_decode_errors_total{format=%q,source=%q} %d\n", f, src, s.ingest.DecodeErrors(f, src))
-			}
-		}
-	}
-	if s.busDropped != nil {
-		fmt.Fprintf(w, "regcube_snapshot_bus_dropped_total %d\n", s.busDropped())
 	}
 	if s.alerts != nil {
 		st := s.alerts.Stats()

@@ -310,7 +310,7 @@ func TestMetricsCounters(t *testing.T) {
 	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
 		t.Fatalf("per-endpoint families:\n%s\nwant:\n%s", g, w)
 	}
-	// Without SetIngestStats the ingest counters stay off /metrics: a
+	// Without a metrics hook the ingest counters stay off /metrics: a
 	// query-only server has no ingest edge to report.
 	if strings.Contains(body, "regcube_ingest_records_total") {
 		t.Fatalf("ingest counters rendered without ingest stats:\n%s", body)
@@ -323,7 +323,7 @@ func TestMetricsCounters(t *testing.T) {
 func TestIngestMetrics(t *testing.T) {
 	srv, _, _ := testServer(t, 2, 1)
 	var stats wire.IngestStats
-	srv.SetIngestStats(&stats)
+	srv.SetMetrics(stats.WriteMetrics)
 
 	body := get(t, srv, "/metrics", nil).Body.String()
 	for _, line := range []string{

@@ -19,11 +19,13 @@ func NewSynth(seed int64) *Synth {
 
 // Linear produces base + slope·t + N(0, noise) over [tb, tb+n-1].
 // t in the formula is the absolute tick, matching the paper's z(t) model.
+// Each product is rounded before it is summed (no fused multiply-add), so
+// a seed gives the same series on every CPU.
 func (g *Synth) Linear(tb int64, n int, base, slope, noise float64) *Series {
 	vals := make([]float64, n)
 	for i := range vals {
 		t := float64(tb + int64(i))
-		vals[i] = base + slope*t + g.rng.NormFloat64()*noise
+		vals[i] = base + float64(slope*t) + float64(g.rng.NormFloat64()*noise)
 	}
 	return MustNew(tb, vals)
 }
@@ -37,7 +39,7 @@ func (g *Synth) Seasonal(tb int64, n int, base, slope, amplitude float64, period
 	vals := make([]float64, n)
 	for i := range vals {
 		t := float64(tb + int64(i))
-		vals[i] = base + slope*t + amplitude*math.Sin(2*math.Pi*t/float64(period)) + g.rng.NormFloat64()*noise
+		vals[i] = base + float64(slope*t) + float64(amplitude*math.Sin(2*math.Pi*t/float64(period))) + float64(g.rng.NormFloat64()*noise)
 	}
 	return MustNew(tb, vals)
 }

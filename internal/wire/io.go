@@ -261,3 +261,16 @@ func (s *IngestStats) Frames(f Format, src Source) int64 { return s.frames[f][sr
 
 // DecodeErrors returns the decode-failure count for a format and source.
 func (s *IngestStats) DecodeErrors(f Format, src Source) int64 { return s.decodeErrors[f][src].Load() }
+
+// WriteMetrics renders the counters as the Prometheus text families
+// regcube_ingest_{records,frames,decode_errors}_total, one series per
+// format and source. It is safe to call while the counters move.
+func (s *IngestStats) WriteMetrics(w io.Writer) {
+	for _, f := range Formats {
+		for _, src := range Sources {
+			fmt.Fprintf(w, "regcube_ingest_records_total{format=%q,source=%q} %d\n", f, src, s.Records(f, src))
+			fmt.Fprintf(w, "regcube_ingest_frames_total{format=%q,source=%q} %d\n", f, src, s.Frames(f, src))
+			fmt.Fprintf(w, "regcube_ingest_decode_errors_total{format=%q,source=%q} %d\n", f, src, s.DecodeErrors(f, src))
+		}
+	}
+}

@@ -28,6 +28,9 @@ var layerRules = []layerRule{
 	// reader (gen, wire) feeds cluster.Router, serve answers for the
 	// gatherer.
 	{pkg: "cmd/regcube-router", only: []string{"internal/cluster", "internal/gen", "internal/serve", "internal/wire"}},
+	// The paper's batch study (§5) runs the two batch cubing algorithms
+	// and the tilt frame; it never pulls in the stream stack.
+	{pkg: "cmd/benchfig", only: []string{"internal/core", "internal/cube", "internal/exception", "internal/gen", "internal/tilt"}},
 	// The node runtime sits above everything except the cluster layer (the
 	// router is its peer, not its dependency).
 	{pkg: "internal/node", forbid: []string{"internal/cluster"}},
