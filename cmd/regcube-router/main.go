@@ -48,7 +48,6 @@ type options struct {
 	nodeAPI      string
 	listen       string
 	nodeID       string
-	batch        int
 	fcastThresh  float64
 	fcastHorizon int64
 	changeScore  float64
@@ -63,7 +62,6 @@ func main() {
 		"enables the coordinator when -listen is set")
 	flag.StringVar(&opt.listen, "listen", "", "serve the coordinator HTTP/JSON query API on this address; requires -node-api")
 	flag.StringVar(&opt.nodeID, "node-id", "", "coordinator identity reported on /v1/info")
-	flag.IntVar(&opt.batch, "batch", 0, "per-node records per frame (default wire batch size)")
 	flag.Float64Var(&opt.fcastThresh, "forecast-threshold", 0, "default ?threshold= of the coordinator's /v1/forecast; "+
 		"0 leaves the shim with no default (should match the nodes' flag)")
 	flag.Int64Var(&opt.fcastHorizon, "forecast-horizon", 60, "default ?horizon= of the coordinator's /v1/forecast")
@@ -95,7 +93,6 @@ func run(ctx context.Context, opt options, in io.Reader, out io.Writer) error {
 		Schema:       schema,
 		Nodes:        nodes,
 		TicksPerUnit: opt.unit,
-		BatchRecords: opt.batch,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "regcube-router: "+format+"\n", args...)
 		},

@@ -133,11 +133,6 @@ type Config struct {
 	// consecutive units (escalations always fire immediately). Values < 1
 	// default to 1 — de-escalate on the first lower unit.
 	HoldUnits int
-	// Ring caps the recent-events buffer served by Events (default 256).
-	Ring int
-	// MaxRetries caps how often a failed handler delivery is retried with
-	// exponential backoff (default 3; negative disables retries).
-	MaxRetries int
 	// ForecastBudget, when > 0, enables the predictive forecast topic: an
 	// o-cell whose extrapolated time until ForecastThreshold falls to at
 	// most this many ticks goes critical (within twice the budget: warn).
@@ -148,10 +143,10 @@ type Config struct {
 	// ForecastThreshold is the measure value the forecast extrapolates
 	// toward. Must be finite when ForecastBudget is set.
 	ForecastThreshold float64
-	// ForecastWindow caps how many trailing history units feed the
-	// forecast model; 0 uses every retained unit.
-	ForecastWindow int
 }
+
+// eventRing caps the recent-events buffer served by Events.
+const eventRing = 256
 
 // cellState is the per-cell lifecycle state. Cells at reported OK with no
 // hold in progress are not tracked at all, so the map stays proportional
@@ -212,17 +207,8 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.HoldUnits < 1 {
 		cfg.HoldUnits = 1
 	}
-	if cfg.Ring <= 0 {
-		cfg.Ring = 256
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 3
-	}
 	if cfg.ForecastBudget > 0 && (math.IsNaN(cfg.ForecastThreshold) || math.IsInf(cfg.ForecastThreshold, 0)) {
 		return nil, fmt.Errorf("alert: forecast threshold %g is not finite", cfg.ForecastThreshold)
-	}
-	if cfg.ForecastWindow < 0 {
-		cfg.ForecastWindow = 0
 	}
 	return &Manager{
 		cfg:     cfg,
@@ -420,9 +406,6 @@ func (m *Manager) observeForecast(snap *stream.Snapshot, emitted []Event) []Even
 // points) and never-crossing trends are OK — the slope topics own the
 // post-breach signal.
 func (m *Manager) forecastLevel(pts []stream.HistoryPoint) (Level, float64) {
-	if w := m.cfg.ForecastWindow; w > 0 && len(pts) > w {
-		pts = pts[len(pts)-w:]
-	}
 	f, err := insight.ForecastHistory(pts, m.cfg.ForecastBudget, &m.cfg.ForecastThreshold)
 	if err != nil {
 		return LevelOK, 0
@@ -444,8 +427,8 @@ func (m *Manager) forecastLevel(pts []stream.HistoryPoint) (Level, float64) {
 func (m *Manager) emit(unit int64, topic string, c candidate, from, to Level) Event {
 	m.seq++
 	ev := Event{Seq: m.seq, Unit: unit, Topic: topic, Cell: c.key, From: from, To: to, Slope: c.slope}
-	if len(m.ring) >= m.cfg.Ring {
-		n := copy(m.ring, m.ring[len(m.ring)-m.cfg.Ring+1:])
+	if len(m.ring) >= eventRing {
+		n := copy(m.ring, m.ring[len(m.ring)-eventRing+1:])
 		m.ring = m.ring[:n]
 	}
 	m.ring = append(m.ring, ev)

@@ -230,12 +230,12 @@ func TestLifecycleInhibitionFreezesNoStaleRecovery(t *testing.T) {
 
 func TestEventsRingCaps(t *testing.T) {
 	schema := testSchema(t)
-	m, err := New(Config{Schema: schema, Warn: 1, Crit: 2, HoldUnits: 1, Ring: 4})
+	m, err := New(Config{Schema: schema, Warn: 1, Crit: 2, HoldUnits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := oKey(schema, 0, 0)
-	for u := int64(0); u < 10; u++ {
+	for u := int64(0); u < eventRing+6; u++ {
 		s := 0.0
 		if u%2 == 0 {
 			s = 3.0
@@ -243,15 +243,15 @@ func TestEventsRingCaps(t *testing.T) {
 		m.Observe(snap(schema, u, map[cube.CellKey]float64{o: s}, nil))
 	}
 	evs := m.Events(0)
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
+	if len(evs) != eventRing {
+		t.Fatalf("ring holds %d events, want %d", len(evs), eventRing)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq != evs[i-1].Seq+1 {
 			t.Fatalf("ring not contiguous: %+v", evs)
 		}
 	}
-	if got := m.Events(2); len(got) != 2 || got[1].Seq != evs[3].Seq {
+	if got := m.Events(2); len(got) != 2 || got[1].Seq != evs[eventRing-1].Seq {
 		t.Fatalf("Events(2) = %+v", got)
 	}
 }
@@ -364,7 +364,7 @@ func TestWebhookRetriesThenDelivers(t *testing.T) {
 	defer srv.Close()
 
 	schema := testSchema(t)
-	m, err := New(Config{Schema: schema, Warn: 1, Crit: 2, HoldUnits: 1, MaxRetries: 3})
+	m, err := New(Config{Schema: schema, Warn: 1, Crit: 2, HoldUnits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestSlowWebhookNeverBlocksObserve(t *testing.T) {
 	defer close(release)
 
 	schema := testSchema(t)
-	m, err := New(Config{Schema: schema, Warn: 1, Crit: 2, HoldUnits: 1, MaxRetries: 0})
+	m, err := New(Config{Schema: schema, Warn: 1, Crit: 2, HoldUnits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,12 +51,12 @@ func fsnap(schema *cube.Schema, unit int64, slopes map[cube.CellKey]float64) *st
 	return s
 }
 
-func forecastManager(t testing.TB, budget int64, threshold float64, window int) (*Manager, *cube.Schema) {
+func forecastManager(t testing.TB, budget int64, threshold float64) (*Manager, *cube.Schema) {
 	t.Helper()
 	schema := testSchema(t)
 	m, err := New(Config{
 		Schema: schema, Warn: 1, Crit: 2, HoldUnits: 2,
-		ForecastBudget: budget, ForecastThreshold: threshold, ForecastWindow: window,
+		ForecastBudget: budget, ForecastThreshold: threshold,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func forecastManager(t testing.TB, budget int64, threshold float64, window int) 
 // so a 5-tick budget goes warn (≤10 ticks out) at unit 45 and crit
 // (≤5 ticks) at unit 47, each exactly once.
 func TestForecastLifecycle(t *testing.T) {
-	m, schema := forecastManager(t, 5, 1000, 0)
+	m, schema := forecastManager(t, 5, 1000)
 	o := oKey(schema, 0, 0)
 	// Stop at unit 49 (ttt = 1 tick): unit 50 would cross the threshold,
 	// and a crossed forecast reads as OK — post-breach is the slope
@@ -106,7 +106,7 @@ func TestForecastLifecycle(t *testing.T) {
 // TestForecastAwayFromThresholdStaysQuiet: a falling trend never crosses
 // an above-current threshold, and a flat one never crosses anything.
 func TestForecastAwayFromThresholdStaysQuiet(t *testing.T) {
-	m, schema := forecastManager(t, 5, 1000, 0)
+	m, schema := forecastManager(t, 5, 1000)
 	o := oKey(schema, 0, 0)
 	for u := int64(0); u <= 20; u++ {
 		m.Observe(fsnap(schema, u, map[cube.CellKey]float64{o: -10}))
@@ -119,44 +119,11 @@ func TestForecastAwayFromThresholdStaysQuiet(t *testing.T) {
 	}
 }
 
-// TestForecastWindowLimitsModel: with a trailing window configured, only
-// the recent slope drives the forecast — a cell that just stopped rising
-// de-escalates once the window is all-plateau even though its full
-// history still trends up.
-func TestForecastWindowLimitsModel(t *testing.T) {
-	m, schema := forecastManager(t, 5, 1000, 3)
-	o := oKey(schema, 0, 0)
-	// Ramp deep into crit territory (unit 48: ttt = 99-96 = 3 ≤ 5).
-	for u := int64(40); u <= 48; u++ {
-		m.Observe(fsnap(schema, u, map[cube.CellKey]float64{o: 10}))
-	}
-	if evs := m.Events(0); len(evs) == 0 || evs[len(evs)-1].To != LevelCrit {
-		t.Fatalf("ramp never reached forecast-crit: %+v", rows(m.Events(0)))
-	}
-	// Plateau: per-unit slopes drop to 0. Once the 3-unit window holds
-	// only plateau units the model's slope is 0 → never crosses → OK
-	// (after the 2-unit hold).
-	plateau := fsnap(schema, 48, map[cube.CellKey]float64{o: 10})
-	for u := int64(49); u <= 54; u++ {
-		pts := append(plateau.HistoryOf(o), stream.HistoryPoint{
-			Unit: u, ISB: regression.ISB{Tb: 2 * u, Te: 2*u + 1, Base: 970, Slope: 0},
-		})
-		snap := &stream.Snapshot{Unit: u, UnitsDone: u + 1, Frames: []stream.CellFrame{historyFrame(o, pts)}}
-		plateau = snap
-		m.Observe(snap)
-	}
-	evs := m.Events(0)
-	last := evs[len(evs)-1]
-	if last.Topic != TopicForecast || last.To != LevelOK {
-		t.Fatalf("plateau never de-escalated the forecast: %+v", rows(evs))
-	}
-}
-
 // TestForecastAndSlopeTopicsIndependent: the same o-cell can be at
 // forecast-crit and slope-warn simultaneously — the two topics keep
 // separate lifecycle states and both emit.
 func TestForecastAndSlopeTopicsIndependent(t *testing.T) {
-	m, schema := forecastManager(t, 5, 1000, 0)
+	m, schema := forecastManager(t, 5, 1000)
 	o := oKey(schema, 0, 0)
 	for u := int64(46); u <= 48; u++ {
 		s := fsnap(schema, u, map[cube.CellKey]float64{o: 10})
@@ -209,7 +176,7 @@ func TestForecastDeterministicAcrossShardCounts(t *testing.T) {
 	run := func(shards int) []Event {
 		m, err := New(Config{
 			Schema: schema, Warn: 5, Crit: 40, HoldUnits: 2,
-			ForecastBudget: 6, ForecastThreshold: 2000, ForecastWindow: 4,
+			ForecastBudget: 6, ForecastThreshold: 2000,
 		})
 		if err != nil {
 			t.Fatal(err)

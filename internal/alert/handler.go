@@ -20,15 +20,17 @@ import (
 const handlerQueueDepth = 64
 
 // retryBase and retryCap bound the exponential backoff between delivery
-// attempts: base, 2·base, 4·base, ... capped at retryCap.
+// attempts: base, 2·base, 4·base, ... capped at retryCap; a failed
+// delivery is retried maxRetries times.
 const (
-	retryBase = 50 * time.Millisecond
-	retryCap  = 2 * time.Second
+	retryBase  = 50 * time.Millisecond
+	retryCap   = 2 * time.Second
+	maxRetries = 3
 )
 
 // Handler delivers one event to a sink. Deliver runs on the handler's own
 // goroutine, one event at a time, and may block; a returned error makes
-// the manager retry with capped exponential backoff (Config.MaxRetries).
+// the manager retry with capped exponential backoff (maxRetries).
 type Handler interface {
 	Name() string
 	Deliver(e Event) error
@@ -102,7 +104,7 @@ func (r *runner) run() {
 		backoff := retryBase
 		for attempt := 0; ; attempt++ {
 			err := r.h.Deliver(ev)
-			if err == nil || attempt >= r.m.cfg.MaxRetries {
+			if err == nil || attempt >= maxRetries {
 				break
 			}
 			r.retries.Add(1)

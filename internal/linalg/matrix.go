@@ -82,10 +82,11 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Add adds v to the element at (i, j).
+// Add adds v to the element at (i, j). v is rounded first, so a product
+// passed in never fuses with the sum (DESIGN §6.3).
 func (m *Matrix) Add(i, j int, v float64) {
 	m.boundsCheck(i, j)
-	m.data[i*m.cols+j] += v
+	m.data[i*m.cols+j] += float64(v)
 }
 
 func (m *Matrix) boundsCheck(i, j int) {
@@ -158,7 +159,7 @@ func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
 			rowOther := other.data[k*other.cols : (k+1)*other.cols]
 			rowOut := out.data[i*out.cols : (i+1)*out.cols]
 			for j, b := range rowOther {
-				rowOut[j] += a * b
+				rowOut[j] += float64(a * b)
 			}
 		}
 	}
@@ -175,7 +176,7 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, a := range row {
-			s += a * v[j]
+			s += float64(a * v[j])
 		}
 		out[i] = s
 	}

@@ -32,7 +32,7 @@ func QRSolve(a *Matrix, b []float64) ([]float64, error) {
 		// Householder vector for column k below the diagonal.
 		var norm float64
 		for i := k; i < m; i++ {
-			norm += r.At(i, k) * r.At(i, k)
+			norm += float64(r.At(i, k) * r.At(i, k))
 		}
 		norm = math.Sqrt(norm)
 		if norm <= tiny*scale {
@@ -48,7 +48,7 @@ func QRSolve(a *Matrix, b []float64) ([]float64, error) {
 			if i == k {
 				v[i] -= alpha
 			}
-			vnorm2 += v[i] * v[i]
+			vnorm2 += float64(v[i] * v[i])
 		}
 		if vnorm2 <= 0 {
 			continue // column already triangular
@@ -57,7 +57,7 @@ func QRSolve(a *Matrix, b []float64) ([]float64, error) {
 		for j := k; j < n; j++ {
 			var dot float64
 			for i := k; i < m; i++ {
-				dot += v[i] * r.At(i, j)
+				dot += float64(v[i] * r.At(i, j))
 			}
 			f := 2 * dot / vnorm2
 			for i := k; i < m; i++ {
@@ -66,11 +66,11 @@ func QRSolve(a *Matrix, b []float64) ([]float64, error) {
 		}
 		var dot float64
 		for i := k; i < m; i++ {
-			dot += v[i] * qtb[i]
+			dot += float64(v[i] * qtb[i])
 		}
 		f := 2 * dot / vnorm2
 		for i := k; i < m; i++ {
-			qtb[i] -= f * v[i]
+			qtb[i] -= float64(f * v[i])
 		}
 	}
 	// Back substitution on the upper-triangular R (top n rows).
@@ -78,7 +78,7 @@ func QRSolve(a *Matrix, b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := qtb[i]
 		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * x[j]
+			s -= float64(r.At(i, j) * x[j])
 		}
 		d := r.At(i, i)
 		if math.Abs(d) <= tiny*scale {

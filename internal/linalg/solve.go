@@ -17,7 +17,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	for j := 0; j < n; j++ {
 		var diag float64
 		for k := 0; k < j; k++ {
-			diag += l.At(j, k) * l.At(j, k)
+			diag += float64(l.At(j, k) * l.At(j, k))
 		}
 		d := a.At(j, j) - diag
 		if d <= 0 || math.IsNaN(d) {
@@ -28,7 +28,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 		for i := j + 1; i < n; i++ {
 			var s float64
 			for k := 0; k < j; k++ {
-				s += l.At(i, k) * l.At(j, k)
+				s += float64(l.At(i, k) * l.At(j, k))
 			}
 			l.Set(i, j, (a.At(i, j)-s)/ljj)
 		}
@@ -48,7 +48,7 @@ func SolveCholesky(l *Matrix, b []float64) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
+			s -= float64(l.At(i, k) * y[k])
 		}
 		y[i] = s / l.At(i, i)
 	}
@@ -57,7 +57,7 @@ func SolveCholesky(l *Matrix, b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+			s -= float64(l.At(k, i) * x[k])
 		}
 		x[i] = s / l.At(i, i)
 	}
@@ -122,7 +122,7 @@ func SolveGauss(a *Matrix, b []float64) ([]float64, error) {
 			for j := col; j < n; j++ {
 				m.Add(r, j, -f*m.At(col, j))
 			}
-			rhs[r] -= f * rhs[col]
+			rhs[r] -= float64(f * rhs[col])
 		}
 	}
 	// Back substitution.
@@ -130,7 +130,7 @@ func SolveGauss(a *Matrix, b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := rhs[i]
 		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
+			s -= float64(m.At(i, j) * x[j])
 		}
 		x[i] = s / m.At(i, i)
 	}
@@ -168,7 +168,7 @@ func Dot(a, b []float64) (float64, error) {
 	}
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s, nil
 }
@@ -177,7 +177,7 @@ func Dot(a, b []float64) (float64, error) {
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

@@ -51,7 +51,7 @@ func FitRaw(b Basis, vars [][]float64, ys []float64) (*Model, error) {
 	var rss, sum float64
 	for i := range ys {
 		d := ys[i] - fitted[i]
-		rss += d * d
+		rss += float64(d * d)
 		sum += ys[i]
 	}
 	model.RSS = rss
@@ -59,7 +59,7 @@ func FitRaw(b Basis, vars [][]float64, ys []float64) (*Model, error) {
 	var tss float64
 	for _, y := range ys {
 		d := y - ybar
-		tss += d * d
+		tss += float64(d * d)
 	}
 	switch {
 	case tss > 0:

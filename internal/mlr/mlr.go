@@ -164,9 +164,9 @@ func (m *NCR) Observe(vars []float64, y float64) error {
 		for j := 0; j < m.basis.Dim; j++ {
 			m.xtx.Add(i, j, row[i]*row[j])
 		}
-		m.xty[i] += row[i] * y
+		m.xty[i] += float64(row[i] * y)
 	}
-	m.yty += y * y
+	m.yty += float64(y * y)
 	m.sumY += y
 	m.n++
 	return nil
@@ -294,7 +294,7 @@ func (m *NCR) Fit() (*Model, error) {
 		model.RSS = 0 // clamp tiny negative rounding
 	}
 	ybar := m.sumY / float64(m.n)
-	tss := m.yty - float64(m.n)*ybar*ybar
+	tss := m.yty - float64(float64(m.n)*ybar*ybar)
 	switch {
 	case tss > 0:
 		model.R2 = 1 - model.RSS/tss
@@ -312,7 +312,7 @@ func (md *Model) Predict(vars []float64) float64 {
 	md.Basis.Map(vars, row)
 	var s float64
 	for i, c := range md.Coef {
-		s += c * row[i]
+		s += float64(c * row[i])
 	}
 	return s
 }

@@ -123,10 +123,10 @@ func FoldISB(r ISB, k int, f FoldFunc) (ISB, error) {
 	var out ISB
 	switch f {
 	case FoldSum:
-		base := kf*r.Base + r.Slope*(kf*tbf+kf*(kf-1)/2)
+		base := float64(kf*r.Base) + float64(r.Slope*(float64(kf*tbf)+float64(kf*(kf-1)/2)))
 		out = ISB{Tb: 0, Te: m - 1, Base: base, Slope: r.Slope * kf * kf}
 	case FoldAvg:
-		base := r.Base + r.Slope*(tbf+(kf-1)/2)
+		base := r.Base + float64(r.Slope*(tbf+float64((kf-1)/2)))
 		out = ISB{Tb: 0, Te: m - 1, Base: base, Slope: r.Slope * kf}
 	case FoldMin:
 		// Line value at the block's smallest point: offset 0 for β≥0, k−1 otherwise.
@@ -134,15 +134,15 @@ func FoldISB(r ISB, k int, f FoldFunc) (ISB, error) {
 		if r.Slope < 0 {
 			off = kf - 1
 		}
-		out = ISB{Tb: 0, Te: m - 1, Base: r.Base + r.Slope*(tbf+off), Slope: r.Slope * kf}
+		out = ISB{Tb: 0, Te: m - 1, Base: r.Base + float64(r.Slope*(tbf+off)), Slope: r.Slope * kf}
 	case FoldMax:
 		off := kf - 1
 		if r.Slope < 0 {
 			off = 0
 		}
-		out = ISB{Tb: 0, Te: m - 1, Base: r.Base + r.Slope*(tbf+off), Slope: r.Slope * kf}
+		out = ISB{Tb: 0, Te: m - 1, Base: r.Base + float64(r.Slope*(tbf+off)), Slope: r.Slope * kf}
 	case FoldLast:
-		out = ISB{Tb: 0, Te: m - 1, Base: r.Base + r.Slope*(tbf+kf-1), Slope: r.Slope * kf}
+		out = ISB{Tb: 0, Te: m - 1, Base: r.Base + float64(r.Slope*(tbf+kf-1)), Slope: r.Slope * kf}
 	default:
 		return ISB{}, fmt.Errorf("%w: unknown fold func %d", ErrMismatch, int(f))
 	}

@@ -92,12 +92,13 @@ func (e *Engine) AppendCheckpoint(dst []byte) ([]byte, error) {
 	if err := e.ready(); err != nil {
 		return dst, err
 	}
-	vals, err := e.barrier(func(sh *shard) (any, error) { return sh.cutCells(), nil })
-	if err != nil {
-		return dst, err
+	cuts := e.cuts[:0]
+	for i := range e.shards {
+		cuts = append(cuts, e.shards[i].cutCells())
 	}
+	e.cuts = cuts
 	// Never a nil dst, which would keep a sole shard's cut as e.cp.Cells.
-	cells, _ := core.MergeRuns(slices.Grow(e.cp.Cells[:0], 1), replies[[]CellState](vals), compareCellStates)
+	cells, _ := core.MergeRuns(slices.Grow(e.cp.Cells[:0], 1), cuts, compareCellStates)
 	e.cp = Checkpoint{Unit: e.unit, UnitsDone: e.unitsDone, WALSeq: e.walSeq, Schema: e.shape, Cells: cells, Tilt: e.frames}
 	return AppendCheckpoint(dst, &e.cp)
 }
@@ -226,16 +227,15 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		sid := e.part.Hash(&members)
 		parts[sid].Tilt = append(parts[sid].Tilt, cf)
 	}
-	vals, err := e.barrier(func(sh *shard) (any, error) {
-		if err := sh.restore(&parts[sh.id], cp.Unit); err != nil {
-			return nil, err
+	frames := make([][]CellFrame, len(e.shards))
+	for i := range e.shards {
+		if err := e.shards[i].restore(&parts[i], cp.Unit); err != nil {
+			e.err = err // refused half-way through the shards' state: it sticks
+			return err
 		}
-		return sh.frames, nil
-	})
-	if err != nil {
-		return err
+		frames[i] = e.shards[i].frames
 	}
-	e.frames, _ = core.MergeRuns(nil, replies[[]CellFrame](vals), compareCellFrames)
+	e.frames, _ = core.MergeRuns(nil, frames, compareCellFrames)
 	e.dict = dict
 	e.unit = cp.Unit
 	e.openStart = e.cfg.unitStart(cp.Unit)

@@ -11,9 +11,11 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -106,7 +108,7 @@ type Alert struct {
 
 // Engine is the online analyzer (§4.5), at every shard count. Its
 // coordinator — the caller's goroutine — accumulates every record; its
-// shards, the partition workers, close their units in parallel.
+// shards, the partitions, close their units in parallel.
 //
 // The partition function is the m-layer cell's o-layer ancestor: every
 // record hashes by the o-level member tuple its members roll up to. Because
@@ -121,18 +123,20 @@ type Alert struct {
 // Ingest is one loop on the caller's goroutine: the coordinator codes a
 // record's m-cell, its cell dictionary gives the cell's shard and ordinal
 // there, and the record's accumulator step runs on that shard's slab before
-// Ingest or IngestBatch returns. Barriers — unit closes, checkpoint cuts,
-// Restore — are the only time shard goroutines run, and the coordinator
-// waits for them, so no shard is ever touched by two goroutines at once. A
-// record crossing the open unit's end closes the finished units on every
-// shard in parallel and merges the shards' snapshots of each
+// Ingest or IngestBatch returns. Checkpoint cuts and Restore visit the
+// shards in turn on the caller's goroutine too. The engine starts no
+// goroutine of its own but at a unit close: a record crossing the open
+// unit's end closes the finished units on every shard in parallel — shard
+// 0 on the caller, every other shard on a goroutine that ends with the
+// close — waits for them, and merges the shards' snapshots of each unit
 // (MergeSnapshots).
 //
 // An Engine's methods must be called from one goroutine, except Snapshot,
 // Subscribe, BusDropped and CellsActive. A record error comes back from the
 // call that carried the record. A refused accumulator step (a tick its cell
-// already consumed, a non-finite value) and any barrier error stick: they
-// fail every later call until Restore replaces the state. An out-of-range
+// already consumed, a non-finite value), a close error and a Restore refused
+// half-way through the shards stick: they fail every later call until
+// Restore replaces the state. An out-of-range
 // member or a tick before the open unit is refused before any record of its
 // run is ingested, and does not stick.
 type Engine struct {
@@ -174,16 +178,17 @@ type Engine struct {
 	// frames is every o-cell's frame record in coordinate order, the
 	// shards' lists as the last close or Restore left them, merged: the
 	// snapshot's Frames and the checkpoint's Tilt. cp is the checkpoint
-	// AppendCheckpoint assembles.
+	// AppendCheckpoint assembles, cuts the shards' cuts it merges.
 	frames []CellFrame
 	cp     Checkpoint
+	cuts   [][]CellState
 	// origin is every snapshot's Origin until the next Restore.
 	origin uint64
 }
 
 // NewEngine validates the config and returns an engine of cfg.Shards
-// partitions expecting its first record at StartTick. Call Close when done
-// to stop the shard goroutines (Flush first for the final partial unit).
+// partitions expecting its first record at StartTick. It starts no
+// goroutine; Flush closes the final partial unit.
 // Parallelism is bounded by the number of distinct o-layer cells: a schema
 // whose o-layer is the apex cuboid has a single partition and degrades to
 // one busy shard.
@@ -228,12 +233,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.dict = e.newDict()
 	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.id, sh.e, sh.ws = i, e, core.NewWorkspace(cfg.Schema)
-		if i > 0 {
-			sh.in, sh.out, sh.done = make(chan barrierFn, 1), make(chan shardReply, 1), make(chan struct{})
-			go sh.run()
-		}
+		e.shards[i].e, e.shards[i].ws = e, core.NewWorkspace(cfg.Schema)
 	}
 	return e, nil
 }
@@ -331,29 +331,31 @@ func (e *Engine) refuse(acc *regression.Accumulator, tick int64, value float64) 
 }
 
 // advanceTo closes units up to (excluding) target on every shard in
-// parallel. Per closed unit, the shards' snapshots merge into one
-// (MergeSnapshots, the merge the coordinator runs over nodes), stamped with
-// the engine's count and origin; with snapshots on it is also published,
-// so bus subscribers observe the same snapshot stream at any shard count
+// parallel: shard 0's on the caller's goroutine, every other shard's on a
+// goroutine that ends with them. The first error in shard order sticks.
+// Per closed unit, the shards' snapshots merge into one (MergeSnapshots,
+// the merge the coordinator runs over nodes), stamped with the engine's
+// count and origin; with snapshots on it is also published, so bus
+// subscribers observe the same snapshot stream at any shard count
 // (pull-side Snapshot() callers see the last one).
 func (e *Engine) advanceTo(target int64) ([]*Snapshot, error) {
 	from := e.unit
 	e.cellsActive.Store(int64(e.dict.n))
-	vals, err := e.barrier(func(sh *shard) (any, error) {
-		snaps := make([]*Snapshot, 0, target-from)
-		for u := from; u < target; u++ {
-			s, err := sh.closeUnit(u)
-			if err != nil {
-				return nil, err
-			}
-			snaps = append(snaps, s)
-		}
-		return snaps, nil
-	})
-	if err != nil {
+	perShard, errs := make([][]*Snapshot, len(e.shards)), make([]error, len(e.shards))
+	var wg sync.WaitGroup
+	for i := 1; i < len(e.shards); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			perShard[i], errs[i] = e.shards[i].closeUnits(from, target)
+		}()
+	}
+	perShard[0], errs[0] = e.shards[0].closeUnits(from, target)
+	wg.Wait()
+	if err := cmp.Or(errs...); err != nil {
+		e.err = err
 		return nil, err
 	}
-	perShard := replies[[]*Snapshot](vals)
 	out, parts := make([]*Snapshot, target-from), make([]*Snapshot, len(perShard))
 	for u := range out {
 		for i, snaps := range perShard {
@@ -454,18 +456,7 @@ func (e *Engine) SetWALSeq(seq int64) error {
 	return nil
 }
 
-// Close stops the shard goroutines and waits for them to exit. The open
-// unit's records are dropped — Flush first for the final partial unit.
-// Close is idempotent; every other method fails after it.
-func (e *Engine) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for _, sh := range e.shards[1:] {
-		close(sh.in)
-	}
-	for _, sh := range e.shards[1:] {
-		<-sh.done
-	}
-}
+// Close marks the engine closed: every other method fails after it. The
+// open unit's records are dropped — Flush first for the final partial
+// unit. It has nothing to stop, and is idempotent.
+func (e *Engine) Close() { e.closed = true }

@@ -11,27 +11,16 @@ import (
 	"repro/internal/timeseries"
 )
 
-// barrierFn is one shard's part of a barrier: it runs on the shard while
-// the coordinator waits.
-type barrierFn func(sh *shard) (any, error)
-
-// shardReply carries a barrierFn's outcome back to the coordinator.
-type shardReply struct {
-	val any
-	err error
-}
-
-// shard is one partition's worker: the open unit's accumulators of the
-// cells its partition owns, those o-cells' frames, and what closing a unit
-// over them keeps from one close to the next. The coordinator fills its
-// slab (Engine.open, Engine.Ingest) and runs its barrier work — shard 0's
-// on the coordinator's own goroutine; every other shard has a goroutine
-// that takes barrierFns on in and answers on out, and closes done when in
-// is closed. No shard goroutine runs between barriers, and a shard reads
-// only its engine's immutable fields (cfg, part, anc).
+// shard is one partition: the open unit's accumulators of the cells its
+// partition owns, those o-cells' frames, and what closing a unit over them
+// keeps from one close to the next. The coordinator fills its slab
+// (Engine.open, Engine.Ingest), cuts and restores it; a unit close runs on
+// shard 0 on the coordinator's goroutine and on every other shard on a
+// goroutine that ends with the close (Engine.advanceTo), while the
+// coordinator waits. So no shard is touched by two goroutines at once, and
+// a closing shard reads only its engine's immutable fields (cfg, part).
 type shard struct {
-	id int
-	e  *Engine
+	e *Engine
 	// slab[o] is the accumulator of the open unit's cell with ordinal o and
 	// codes[o] its code, sized by the unit's active cells and emptied at
 	// every close.
@@ -53,55 +42,19 @@ type shard struct {
 	order     []int32
 	cpCells   []CellState
 	cpMembers []int32
-	in        chan barrierFn // nil for shard 0
-	out       chan shardReply
-	done      chan struct{}
 }
 
-// run is the goroutine of every shard but shard 0.
-func (sh *shard) run() {
-	defer close(sh.done)
-	for fn := range sh.in {
-		val, err := fn(sh)
-		sh.out <- shardReply{val: val, err: err}
-	}
-}
-
-// barrier runs fn on every shard concurrently — shard 0's on the caller's
-// goroutine — and returns the replies in shard order. The first error, in
-// shard order, becomes sticky.
-func (e *Engine) barrier(fn barrierFn) ([]any, error) {
-	for _, sh := range e.shards[1:] {
-		sh.in <- fn
-	}
-	out := make([]any, len(e.shards))
-	var firstErr error
-	for i := range e.shards {
-		var rep shardReply
-		if i == 0 {
-			rep.val, rep.err = fn(&e.shards[0])
-		} else {
-			rep = <-e.shards[i].out
+// closeUnits closes units [from, to) in order and returns their snapshots.
+func (sh *shard) closeUnits(from, to int64) ([]*Snapshot, error) {
+	snaps := make([]*Snapshot, 0, to-from)
+	for u := from; u < to; u++ {
+		s, err := sh.closeUnit(u)
+		if err != nil {
+			return nil, err
 		}
-		if rep.err != nil && firstErr == nil {
-			firstErr = rep.err
-		}
-		out[i] = rep.val
+		snaps = append(snaps, s)
 	}
-	if firstErr != nil {
-		e.err = firstErr
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// replies types a barrier's replies.
-func replies[T any](vals []any) []T {
-	out := make([]T, len(vals))
-	for i, v := range vals {
-		out[i] = v.(T)
-	}
-	return out
+	return snaps, nil
 }
 
 // closeUnit closes unit u, the shard's open one: it cubes the partition's

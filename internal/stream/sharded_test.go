@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -401,6 +403,37 @@ func TestShardedStickyErrorAndRecovery(t *testing.T) {
 	}
 	if _, err := e.Flush(); err != nil {
 		t.Fatalf("restore must clear the sticky error: %v", err)
+	}
+}
+
+// An engine leaves no goroutine behind: a 4-shard engine nobody closes
+// ingests across several units, cuts a checkpoint, restores it and
+// flushes, and the goroutine count returns to what it was before
+// NewEngine. The unit close forks its shards and joins them, so the count
+// may lag only by goroutines still exiting.
+func TestEngineStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := Config{Schema: wideSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1)}
+	e, err := NewEngine(withShards(cfg, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := genStream(3, 5, 4, -1)
+	half := len(recs) / 2
+	ingestBatches(t, e, toBatches(recs[:half]))
+	if e.UnitsDone() < 2 {
+		t.Fatalf("%d units closed, want several", e.UnitsDone())
+	}
+	if err := e.Restore(checkpointOf(t, e)); err != nil {
+		t.Fatal(err)
+	}
+	feedBatches(t, e, toBatches(recs[half:]))
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after the engine's run, %d before NewEngine", n, before)
 	}
 }
 

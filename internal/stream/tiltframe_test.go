@@ -679,72 +679,102 @@ func TestShardedTiltedCheckpointRepartitions(t *testing.T) {
 // a frame record that is not an o-cell's history on this engine's unit
 // grid must fail Restore with ErrConfig instead of restoring silently —
 // as a phantom o-cell, or as a frame the first unit close then refuses —
-// under the default chain and a multi-level one. (The flat history of a
-// pre-frame file is checked where persist converts it into frames.)
+// under the default chain and a multi-level one, at one shard and at four,
+// where the refused frame routes to a shard after shard 0. (The flat
+// history of a pre-frame file is checked where persist converts it into
+// frames.)
 func TestRestoreRejectsCorruptHistory(t *testing.T) {
 	for _, mode := range []string{"flat", "tilted"} {
 		t.Run(mode, func(t *testing.T) {
-			cfg := tiltConfig(t)
-			if mode == "flat" {
-				cfg.TiltLevels = nil
-			}
-			src, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ingestGrid(t, src.Ingest, 0, 20)
-			good := checkpointOf(t, src)
-			if len(good.Tilt) == 0 || good.Tilt[0].Frame.Pushed < 3 {
-				t.Fatalf("checkpoint too small to corrupt: %+v", good)
-			}
-			schema := cfg.Schema
-
-			corrupt := []struct {
-				name string
-				mut  func(cp *Checkpoint)
-			}{
-				{"m-layer cuboid", func(cp *Checkpoint) {
-					for d, dim := range schema.Dims {
-						cp.Tilt[0].Levels[d] = dim.MLevel
-					}
-				}},
-				{"members outside the o-layer", func(cp *Checkpoint) {
-					cp.Tilt[0].Members = []int32{999999, -7}
-				}},
-				{"shifted by one tick", func(cp *Checkpoint) {
-					st := &cp.Tilt[0].Frame
-					st.NextTb++
-					for _, lv := range st.Levels {
-						for j := range lv.Slots {
-							lv.Slots[j].ISB.Tb++
-							lv.Slots[j].ISB.Te++
-						}
-					}
-				}},
-			}
-			for _, tc := range corrupt {
-				cp := copyCheckpoint(t, good)
-				tc.mut(cp)
-				dst, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := dst.Restore(cp); !errors.Is(err, ErrConfig) {
-					t.Fatalf("%s: Restore = %v, want ErrConfig", tc.name, err)
-				}
-				// The refusal came half-way through the shard's state: it
-				// sticks until the untouched checkpoint restores.
-				if _, err := dst.Flush(); !errors.Is(err, ErrConfig) {
-					t.Fatalf("%s: Flush after a refused Restore = %v, want it to stick", tc.name, err)
-				}
-				if err := dst.Restore(copyCheckpoint(t, good)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := dst.Flush(); err != nil {
-					t.Fatal(err)
-				}
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					testRestoreRejectsCorruptHistory(t, mode, shards)
+				})
 			}
 		})
+	}
+}
+
+func testRestoreRejectsCorruptHistory(t *testing.T, mode string, shards int) {
+	cfg := withShards(tiltConfig(t), shards)
+	if mode == "flat" {
+		cfg.TiltLevels = nil
+	}
+	src, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestGrid(t, src.Ingest, 0, 20)
+	good := checkpointOf(t, src)
+	if len(good.Tilt) == 0 || good.Tilt[0].Frame.Pushed < 3 {
+		t.Fatalf("checkpoint too small to corrupt: %+v", good)
+	}
+	schema := cfg.Schema
+	shardOf := func(members []int32) int {
+		var m [cube.MaxDims]int32
+		copy(m[:], members)
+		return src.part.Hash(&m)
+	}
+	// The corrupted frame is the first one off shard 0, if any shard is.
+	victim := 0
+	for i := range good.Tilt {
+		if shardOf(good.Tilt[i].Members) != 0 {
+			victim = i
+			break
+		}
+	}
+
+	corrupt := []struct {
+		name string
+		mut  func(cf *CellFrame)
+	}{
+		{"m-layer cuboid", func(cf *CellFrame) {
+			for d, dim := range schema.Dims {
+				cf.Levels[d] = dim.MLevel
+			}
+		}},
+		{"members outside the o-layer", func(cf *CellFrame) {
+			cf.Members = []int32{999999, -7}
+		}},
+		{"shifted by one tick", func(cf *CellFrame) {
+			st := &cf.Frame
+			st.NextTb++
+			for _, lv := range st.Levels {
+				for j := range lv.Slots {
+					lv.Slots[j].ISB.Tb++
+					lv.Slots[j].ISB.Te++
+				}
+			}
+		}},
+	}
+	offZero := 0
+	for _, tc := range corrupt {
+		cp := copyCheckpoint(t, good)
+		tc.mut(&cp.Tilt[victim])
+		if shardOf(cp.Tilt[victim].Members) != 0 {
+			offZero++
+		}
+		dst, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Restore(cp); !errors.Is(err, ErrConfig) {
+			t.Fatalf("%s: Restore = %v, want ErrConfig", tc.name, err)
+		}
+		// The refusal came half-way through the shards' state: it sticks
+		// until the untouched checkpoint restores.
+		if _, err := dst.Flush(); !errors.Is(err, ErrConfig) {
+			t.Fatalf("%s: Flush after a refused Restore = %v, want it to stick", tc.name, err)
+		}
+		if err := dst.Restore(copyCheckpoint(t, good)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dst.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shards > 1 && offZero == 0 {
+		t.Fatal("every refused frame routes to shard 0; the test needs one that routes to another shard")
 	}
 }
 

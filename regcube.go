@@ -242,7 +242,7 @@ func NewQueryServer(src SnapshotSource, schema *Schema) *QueryServer {
 
 // NewStreamEngine builds the online analyzer of §4.5 with
 // StreamConfig.Shards partitions (runtime.GOMAXPROCS(0) is the natural
-// count). Call Close when done.
+// count). It starts no goroutine; Flush closes the final partial unit.
 func NewStreamEngine(cfg StreamConfig) (*StreamEngine, error) { return stream.NewEngine(cfg) }
 
 // NewFrame builds a tilt time frame from a level chain.
