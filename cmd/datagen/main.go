@@ -12,19 +12,9 @@
 // which streamd auto-detects on the same stdin; the records are
 // identical, only the envelope changes.
 //
-// With -query URL (alongside -stream) datagen doubles as a load
-// generator: while records stream to stdout, worker goroutines hammer the
-// target streamd's HTTP query API and report latency percentiles on
-// stderr when the stream ends — mixed ingest+query traffic from one
-// process:
-//
-//	datagen -spec D2L2C4T2K -stream -ticks 600 -pace 10ms \
-//	        -query http://127.0.0.1:8080 | streamd -spec D2L2C4 -listen :8080
-//
 // Usage:
 //
 //	datagen -spec D3L3C10T100K -seed 7 > dataset.csv
-//	datagen -spec D2L4C5T10K -raw                  # fit measures from raw series
 //	datagen -spec D2L2C4T2K -stream -ticks 60 | streamd -spec D2L2C4 -unit 15
 //
 // Columns: dim0,...,dimN,tb,te,base,slope (batch) or
@@ -48,18 +38,14 @@ import (
 func main() {
 	specStr := flag.String("spec", "D3L3C10T100K", "dataset spec (D/L/C/T convention)")
 	seed := flag.Int64("seed", 2002, "generator seed")
-	raw := flag.Bool("raw", false, "fit measures from synthetic raw series (slower)")
 	stream := flag.Bool("stream", false, "emit raw stream records (tick,dims...,value) for streamd")
 	ticks := flag.Int("ticks", 10, "regression interval length per tuple")
 	pace := flag.Duration("pace", 0, "with -stream: delay between ticks (0 = as fast as possible)")
 	format := flag.String("format", "text", "with -stream: record encoding, text or binary")
-	queryURL := flag.String("query", "", "with -stream: also load-generate queries against these comma-separated base URLs")
-	qinterval := flag.Duration("qinterval", 20*time.Millisecond, "with -query: delay between queries per worker")
-	qworkers := flag.Int("qworkers", 2, "with -query: concurrent query workers")
 	flag.Parse()
 
-	if !*stream && (*queryURL != "" || *pace != 0 || *format != "text") {
-		fmt.Fprintln(os.Stderr, "datagen: -query, -pace and -format only apply with -stream")
+	if !*stream && (*pace != 0 || *format != "text") {
+		fmt.Fprintln(os.Stderr, "datagen: -pace and -format only apply with -stream")
 		os.Exit(2)
 	}
 	if *format != "text" && *format != "binary" {
@@ -72,13 +58,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 		os.Exit(2)
 	}
-	cfg := gen.Config{Spec: spec, Seed: *seed, Ticks: *ticks}
-	var ds *gen.Dataset
-	if *raw {
-		ds, err = gen.GenerateRaw(cfg)
-	} else {
-		ds, err = gen.Generate(cfg)
-	}
+	ds, err := gen.Generate(gen.Config{Spec: spec, Seed: *seed, Ticks: *ticks})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 		os.Exit(1)
@@ -87,16 +67,7 @@ func main() {
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 	if *stream {
-		var stopLoad func()
-		if *queryURL != "" {
-			stopLoad = startLoad(*queryURL, *qinterval, *qworkers)
-		}
-		err := writeStream(w, ds, *ticks, *seed, *pace, *format == "binary")
-		if stopLoad != nil {
-			w.Flush() // deliver the tail before tearing the load down
-			stopLoad()
-		}
-		if err != nil {
+		if err := writeStream(w, ds, *ticks, *seed, *pace, *format == "binary"); err != nil {
 			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 			os.Exit(1)
 		}

@@ -52,17 +52,7 @@ func runMerge(args []string, out io.Writer) error {
 	if *outPath == "" {
 		return persist.WriteCheckpoint(out, cp)
 	}
-	f, err := os.Create(*outPath)
-	if err != nil {
-		return err
-	}
-	if err := persist.WriteCheckpoint(f, cp); err != nil {
-		// Leave no empty or partial file behind.
-		f.Close()
-		os.Remove(*outPath)
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if _, err := persist.ReplaceFile(*outPath, func(w io.Writer) error { return persist.WriteCheckpoint(w, cp) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "# merged %d checkpoints at unit %d (%d cells) into %s\n",

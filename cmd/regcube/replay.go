@@ -4,9 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/node"
+	"repro/internal/persist"
 	"repro/internal/stream"
 )
 
@@ -66,15 +66,7 @@ func runReplay(args []string, out io.Writer) error {
 		if err := a.SetWALSeq(end); err != nil {
 			return err
 		}
-		f, err := os.Create(*checkpoint)
-		if err != nil {
-			return err
-		}
-		if err := a.WriteCheckpoint(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if _, err := persist.ReplaceFile(*checkpoint, a.WriteCheckpoint); err != nil {
 			return err
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,6 +284,42 @@ func probeSDK(t *testing.T, base string) {
 		reply.Unit, exc.Count, len(exc.Cells), len(alerts.Alerts), len(frame.Levels), frame.SlotsInUse)
 }
 
+// queryLoad issues summary, exceptions and alerts against base through
+// the client SDK every 20 ms, as a dashboard beside the ingest would,
+// until the test ends. It returns the count of calls that succeeded.
+func queryLoad(t *testing.T, base string) *atomic.Int64 {
+	c, err := client.New(client.WithEndpoints(base), client.WithTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	t.Cleanup(func() { cancel(); <-done })
+	ok := new(atomic.Int64)
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			if _, err := c.Summary(ctx); err == nil {
+				ok.Add(1)
+			}
+			if _, err := c.Exceptions(ctx, client.ExceptionsRequest{K: 5}); err == nil {
+				ok.Add(1)
+			}
+			if _, err := c.Alerts(ctx); err == nil {
+				ok.Add(1)
+			}
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return ok
+}
+
 // reportSHA256 pins the bytes of one default engine's report: the eq
 // leg's input is gap-free (every cell reports every tick), so the report
 // may not move. It is the digest the last build that kept a flat per-unit
@@ -302,8 +339,8 @@ func TestProcesses(t *testing.T) {
 		t.Skip("process test")
 	}
 
-	// serve: a paced datagen feeds streamd -listen and loads it with
-	// queries, the client SDK probe passes against it, and a real SIGINT
+	// serve: a paced datagen feeds streamd -listen while queryLoad reads
+	// it, the client SDK probe passes against it, and a real SIGINT
 	// takes the signal.NotifyContext path: exit 0 after the signal banner,
 	// the summary line and the checkpoint.
 	t.Run("serve", func(t *testing.T) {
@@ -313,9 +350,10 @@ func TestProcesses(t *testing.T) {
 		base := "http://" + streamd.await(t, listenRE)[1]
 		// Enough ticks to outlive the probe on a loaded box: the SIGINT
 		// ends the run long before the stream would.
-		start(t, nil, w, "datagen", "-spec", "D2L2C4T2K", "-stream", "-ticks", "60000", "-pace", "5ms",
-			"-query", base, "-qinterval", "20ms")
+		start(t, nil, w, "datagen", "-spec", "D2L2C4T2K", "-stream", "-ticks", "60000", "-pace", "5ms")
+		load := queryLoad(t, base)
 		probeSDK(t, base)
+		poll(t, "a query of the load to succeed", func() bool { return load.Load() > 0 })
 		streamd.interrupt(t)
 		// The banner, then the final partial unit's report, then the summary.
 		_, flushed, ok := strings.Cut(streamd.out.String(), "# signal: flushing final unit\n")

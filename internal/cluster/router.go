@@ -47,9 +47,6 @@ type RouterConfig struct {
 	// Dial opens a connection to one node; nil means plain TCP. Tests
 	// and benchmarks inject sinks here.
 	Dial func(ctx context.Context, addr string) (io.WriteCloser, error)
-	// DialAttempts bounds connect/reconnect attempts per operation
-	// (default 8), with doubling backoff between them.
-	DialAttempts int
 	// Backoff is the base reconnect delay (default 100ms, doubling per
 	// attempt).
 	Backoff time.Duration
@@ -116,9 +113,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.BatchRecords <= 0 {
 		cfg.BatchRecords = wire.DefaultBatchRecords
 	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = 8
-	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 100 * time.Millisecond
 	}
@@ -143,9 +137,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	return r, nil
 }
-
-// Unit returns the current open unit.
-func (r *Router) Unit() int64 { return r.unit }
 
 // Stats returns a copy of the router's counters.
 func (r *Router) Stats() RouterStats {
@@ -292,15 +283,19 @@ type nodeConn struct {
 	w      *wire.Writer
 }
 
+// dialAttempts bounds connect/reconnect attempts per operation, with
+// doubling backoff between them.
+const dialAttempts = 8
+
 // do runs op against the node's writer, dialing on demand and
-// re-dialing with doubling backoff after a failure, up to the configured
-// attempt budget. Records buffered in a failed writer are lost with the
+// re-dialing with doubling backoff after a failure, up to dialAttempts
+// tries. Records buffered in a failed writer are lost with the
 // connection (at-most-once per connection); op itself is retried on the
 // fresh stream.
 func (nc *nodeConn) do(ctx context.Context, op func(*wire.Writer) error) error {
 	cfg := &nc.router.cfg
 	var lastErr error
-	for attempt := 0; attempt < cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			if cfg.Logf != nil {
 				cfg.Logf("node %d (%s): retrying after %v", nc.id, nc.addr, lastErr)
@@ -337,7 +332,7 @@ func (nc *nodeConn) do(ctx context.Context, op func(*wire.Writer) error) error {
 		return nil
 	}
 	return fmt.Errorf("cluster: node %d (%s): giving up after %d attempts: %w",
-		nc.id, nc.addr, cfg.DialAttempts, lastErr)
+		nc.id, nc.addr, dialAttempts, lastErr)
 }
 
 // close drops the connection; the next do dials afresh.

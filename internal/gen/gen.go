@@ -24,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/regression"
-	"repro/internal/timeseries"
 )
 
 // ErrSpec is returned for malformed dataset specifications.
@@ -234,28 +233,6 @@ func Generate(cfg Config) (*Dataset, error) {
 		}
 	}
 	return &Dataset{Spec: sp, Schema: schema, Inputs: inputs}, nil
-}
-
-// GenerateRaw builds a dataset whose measures are fit from synthetic raw
-// series rather than drawn directly — exercising the full Lemma 3.1 path.
-// Slower; used by integration tests and examples.
-func GenerateRaw(cfg Config) (*Dataset, error) {
-	ds, err := Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	g := timeseries.NewSynth(cfg.Seed + 1)
-	for i := range ds.Inputs {
-		target := ds.Inputs[i].Measure
-		s := g.Linear(0, cfg.Ticks, target.Base, target.Slope, cfg.SlopeSigma/4)
-		isb, err := regression.Fit(s)
-		if err != nil {
-			return nil, err
-		}
-		ds.Inputs[i].Measure = isb
-	}
-	return ds, nil
 }
 
 // Subset returns a dataset over the first n tuples — the Figure 9

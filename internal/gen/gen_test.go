@@ -143,21 +143,6 @@ func TestGenerateSkewConcentratesMembers(t *testing.T) {
 	}
 }
 
-func TestGenerateRawFitsSeries(t *testing.T) {
-	ds, err := GenerateRaw(Config{Spec: Spec{Dims: 2, Levels: 2, Fanout: 3, Tuples: 50}, Seed: 7, Ticks: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range ds.Inputs {
-		if in.Measure.Tb != 0 || in.Measure.Te != 19 {
-			t.Fatalf("raw interval = [%d,%d]", in.Measure.Tb, in.Measure.Te)
-		}
-		if !in.Measure.IsFinite() {
-			t.Fatal("non-finite fitted measure")
-		}
-	}
-}
-
 func TestSubset(t *testing.T) {
 	ds, _ := Generate(Config{Spec: Spec{Dims: 2, Levels: 2, Fanout: 3, Tuples: 100}, Seed: 3})
 	sub, err := ds.Subset(40)

@@ -102,28 +102,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("linalg: row %d out of range", i))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// AddMatrix returns m + other as a new matrix.
-func (m *Matrix) AddMatrix(other *Matrix) (*Matrix, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrDimension, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += other.data[i]
-	}
-	return out, nil
-}
-
 // AccumulateInPlace adds other into m element-wise.
 func (m *Matrix) AccumulateInPlace(other *Matrix) error {
 	if m.rows != other.rows || m.cols != other.cols {
@@ -133,15 +111,6 @@ func (m *Matrix) AccumulateInPlace(other *Matrix) error {
 		m.data[i] += other.data[i]
 	}
 	return nil
-}
-
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
 }
 
 // Mul returns m·other.
@@ -192,21 +161,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return out
-}
-
-// IsSymmetric reports whether m is square and symmetric within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // MaxAbs returns the largest absolute element value (∞-norm of the data).

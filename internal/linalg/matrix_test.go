@@ -157,68 +157,29 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestAddMatrixAndAccumulate(t *testing.T) {
+func TestAccumulateInPlace(t *testing.T) {
 	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := NewMatrixFromRows([][]float64{{10, 20}, {30, 40}})
-	sum, err := a.AddMatrix(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(1, 1) != 44 {
-		t.Fatalf("sum(1,1) = %g, want 44", sum.At(1, 1))
-	}
-	if a.At(1, 1) != 4 {
-		t.Fatal("AddMatrix must not mutate the receiver")
-	}
 	if err := a.AccumulateInPlace(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.At(0, 0) != 11 {
-		t.Fatalf("accumulate failed: %g", a.At(0, 0))
+	if a.At(0, 0) != 11 || a.At(1, 1) != 44 {
+		t.Fatalf("accumulate failed: %v", a)
 	}
-	c := NewMatrix(1, 2)
-	if _, err := a.AddMatrix(c); err == nil {
-		t.Fatal("expected dimension error")
+	if b.At(1, 1) != 40 {
+		t.Fatal("AccumulateInPlace must not mutate its argument")
 	}
-	if err := a.AccumulateInPlace(c); err == nil {
+	if err := a.AccumulateInPlace(NewMatrix(1, 2)); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
 
-func TestScaleClone(t *testing.T) {
+func TestCloneIsDeep(t *testing.T) {
 	a, _ := NewMatrixFromRows([][]float64{{1, -2}})
-	s := a.Scale(-3)
-	if s.At(0, 0) != -3 || s.At(0, 1) != 6 {
-		t.Fatalf("scale = %v", s)
-	}
 	c := a.Clone()
 	c.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
 		t.Fatal("Clone must be deep")
-	}
-}
-
-func TestIsSymmetric(t *testing.T) {
-	sym, _ := NewMatrixFromRows([][]float64{{2, 1}, {1, 2}})
-	if !sym.IsSymmetric(0) {
-		t.Fatal("expected symmetric")
-	}
-	asym, _ := NewMatrixFromRows([][]float64{{2, 1}, {0, 2}})
-	if asym.IsSymmetric(1e-12) {
-		t.Fatal("expected asymmetric")
-	}
-	rect := NewMatrix(2, 3)
-	if rect.IsSymmetric(1) {
-		t.Fatal("rectangular matrices are never symmetric")
-	}
-}
-
-func TestRowCopy(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	r := a.Row(1)
-	r[0] = 99
-	if a.At(1, 0) != 3 {
-		t.Fatal("Row must return a copy")
 	}
 }
 
@@ -360,9 +321,6 @@ func TestDotNorm(t *testing.T) {
 	}
 	if _, err := Dot([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("expected dimension error")
-	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Fatal("Norm2(3,4) != 5")
 	}
 }
 

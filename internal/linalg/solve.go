@@ -172,12 +172,3 @@ func Dot(a, b []float64) (float64, error) {
 	}
 	return s, nil
 }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += float64(x * x)
-	}
-	return math.Sqrt(s)
-}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/alert"
 	"repro/internal/cube"
+	"repro/internal/persist"
 	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -170,7 +171,7 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			return nil
 		}
 		start := time.Now()
-		n, err := replaceFile(cfg.Checkpoint, a.WriteCheckpoint)
+		n, err := persist.ReplaceFile(cfg.Checkpoint, a.WriteCheckpoint)
 		if err != nil {
 			return err
 		}

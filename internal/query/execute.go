@@ -72,9 +72,6 @@ func (e *Executor) scoredChanges() []insight.CellChange {
 // layers key their executor cache on it.
 func (e *Executor) Snapshot() *stream.Snapshot { return e.snap }
 
-// Schema returns the schema requests are validated against.
-func (e *Executor) Schema() *cube.Schema { return e.schema }
-
 // Execute validates one request and runs it. Both value and pointer
 // forms of the request types are accepted. Errors wrap ErrInvalid/ErrCell
 // (bad request) or ErrNotFound (the snapshot does not hold the target).

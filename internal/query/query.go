@@ -53,7 +53,7 @@ type View struct {
 	res        *core.Result
 	exceptions []core.Cell // res.ExceptionCells(), listed once for every scan
 	lattice    *cube.Lattice
-	anc        *cube.AncestorIndex // compiled roll-ups for the descendant scans
+	anc        *cube.AncestorIndex // compiled roll-ups for the descendant scans and slices
 }
 
 // NewView builds a navigation view over a result.
@@ -163,13 +163,12 @@ func (v *View) ExceptionChildren(cell cube.CellKey) []core.Cell {
 // d are excluded (their member does not determine the slice).
 func (v *View) Slice(d, level int, member int32) []core.Cell {
 	var out []core.Cell
-	h := v.res.Schema.Dims[d].Hierarchy
 	for _, c := range v.exceptions {
 		cellLevel := c.Key.Cuboid.Level(d)
 		if cellLevel < level {
 			continue
 		}
-		if cube.Ancestor(h, cellLevel, level, c.Key.Members[d]) != member {
+		if v.anc.Ancestor(d, cellLevel, level, c.Key.Members[d]) != member {
 			continue
 		}
 		out = append(out, c)

@@ -4,38 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/query"
-)
-
-// The wire types moved to internal/query with the v2 typed request model
-// — the same structs now serialize over the GET endpoints, POST /v1/query
-// batches, and the Go client. These aliases keep serve's historical names
-// valid for existing consumers.
-type (
-	// ISBJSON is the wire form of a regression measure.
-	ISBJSON = query.ISBJSON
-	// IntervalJSON is the wire form of a closed tick interval.
-	IntervalJSON = query.IntervalJSON
-	// CellJSON is the wire form of a retained cell.
-	CellJSON = query.CellJSON
-	// AlertJSON is the wire form of one o-layer alert with drill-down.
-	AlertJSON = query.AlertJSON
-	// HistoryPointJSON is one completed unit of an o-cell's history.
-	HistoryPointJSON = query.HistoryPointJSON
-)
-
-// Unexported aliases keep the package-internal names the tests (and the
-// pre-v2 handlers) used for the response bodies.
-type (
-	summaryResponse    = query.SummaryResponse
-	cellsResponse      = query.CellsResponse
-	alertsResponse     = query.AlertsResponse
-	supportersResponse = query.SupportersResponse
-	trendResponse      = query.TrendResponse
-	frameResponse      = query.FrameResponse
-	forecastResponse   = query.ForecastResponse
-	changesResponse    = query.ChangesResponse
 )
 
 // parseIntList parses "1,0,2" into ints.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/exception"
+	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/tilt"
 )
@@ -16,7 +17,7 @@ import (
 // threshold yields a positive time-to-threshold.
 func TestForecastEndpoint(t *testing.T) {
 	srv, _, _ := testServer(t, 2, 5)
-	var f forecastResponse
+	var f query.ForecastResponse
 	get(t, srv, "/v1/forecast?members=0,0&horizon=8&threshold=200", &f)
 	if f.K != 5 || f.History != 5 {
 		t.Fatalf("forecast window = %d/%d, want 5/5", f.K, f.History)
@@ -33,7 +34,7 @@ func TestForecastEndpoint(t *testing.T) {
 
 	// Without a threshold the forecast still answers; the breach fields
 	// stay empty.
-	var open forecastResponse
+	var open query.ForecastResponse
 	get(t, srv, "/v1/forecast?members=0,0&horizon=8", &open)
 	if open.Threshold != nil || open.TicksToThreshold != nil || open.WillBreach {
 		t.Fatalf("open forecast carries breach fields: %+v", open)
@@ -56,7 +57,7 @@ func TestForecastDefaults(t *testing.T) {
 
 	th := 200.0
 	srv.SetForecastDefaults(ForecastDefaults{Horizon: 8, Threshold: &th, ChangeScore: 0.25})
-	var f, explicit forecastResponse
+	var f, explicit query.ForecastResponse
 	get(t, srv, "/v1/forecast?members=0,0", &f)
 	if f.Horizon != 8 || f.Threshold == nil || *f.Threshold != 200 {
 		t.Fatalf("defaulted forecast = %+v, want horizon 8 threshold 200", f)
@@ -67,7 +68,7 @@ func TestForecastDefaults(t *testing.T) {
 		t.Fatalf("explicit forecast = %+v", explicit)
 	}
 
-	var c changesResponse
+	var c query.ChangesResponse
 	get(t, srv, "/v1/changes", &c)
 	if c.MinScore != 0.25 {
 		t.Fatalf("defaulted changes minScore = %g, want 0.25", c.MinScore)
@@ -78,7 +79,7 @@ func TestForecastDefaults(t *testing.T) {
 // answer a structurally empty scan.
 func TestChangesEndpoint(t *testing.T) {
 	srv, _, _ := tiltServer(t, 3, 13)
-	var all, top changesResponse
+	var all, top query.ChangesResponse
 	get(t, srv, "/v1/changes", &all)
 	if !all.Tilted || all.Count != 4 || len(all.Cells) != 4 {
 		t.Fatalf("tilted changes = %+v, want 4 scored cells", all)
@@ -94,7 +95,7 @@ func TestChangesEndpoint(t *testing.T) {
 	}
 
 	flat, _, _ := testServer(t, 2, 3)
-	var none changesResponse
+	var none query.ChangesResponse
 	get(t, flat, "/v1/changes", &none)
 	if none.Tilted || none.Count != 0 || len(none.Cells) != 0 {
 		t.Fatalf("flat changes = %+v, want empty scan", none)
@@ -114,7 +115,7 @@ func TestChangesEndpoint(t *testing.T) {
 	if _, err := eng.AdvanceTo(1); err != nil {
 		t.Fatal(err)
 	}
-	var quiet changesResponse
+	var quiet query.ChangesResponse
 	get(t, New(eng, schema), "/v1/changes", &quiet)
 	if !quiet.Tilted || quiet.Count != 0 || len(quiet.Cells) != 0 {
 		t.Fatalf("calendar changes before any frame = %+v, want a tilted empty scan", quiet)
@@ -220,8 +221,8 @@ func TestForecastDeterministicAcrossShards(t *testing.T) {
 // under their own names.
 func TestForecastMetricsCounters(t *testing.T) {
 	srv, _, _ := tiltServer(t, 2, 7)
-	get(t, srv, "/v1/forecast?members=0,0&horizon=8", &forecastResponse{})
-	get(t, srv, "/v1/changes", &changesResponse{})
+	get(t, srv, "/v1/forecast?members=0,0&horizon=8", &query.ForecastResponse{})
+	get(t, srv, "/v1/changes", &query.ChangesResponse{})
 	rec := get(t, srv, "/metrics", nil)
 	body := rec.Body.String()
 	for _, want := range []string{

@@ -69,7 +69,7 @@ func TestBatchQuery(t *testing.T) {
 
 	// Batch results must equal the GET endpoints' bodies for the same
 	// queries: both run the same dispatcher against the same snapshot.
-	var viaGET cellsResponse
+	var viaGET query.CellsResponse
 	get(t, srv, "/v1/exceptions?k=3", &viaGET)
 	exc, err := batch.Results[1].Decode(query.KindExceptions)
 	if err != nil {

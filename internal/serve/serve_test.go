@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/exception"
+	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -93,7 +94,7 @@ func TestHealthzAndSummary(t *testing.T) {
 	if !h.Serving || h.Unit != 2 || h.UnitsDone != 3 {
 		t.Fatalf("health = %+v, want serving unit 2 with 3 done", h)
 	}
-	var sum summaryResponse
+	var sum query.SummaryResponse
 	get(t, srv, "/v1/summary", &sum)
 	if sum.Unit != 2 || sum.Empty || sum.OCells != 4 {
 		t.Fatalf("summary = %+v, want unit 2, 4 o-cells", sum)
@@ -109,7 +110,7 @@ func TestHealthzAndSummary(t *testing.T) {
 
 func TestExceptionsRankedAndKeyed(t *testing.T) {
 	srv, _, _ := testServer(t, 4, 2)
-	var bySlope, byKey cellsResponse
+	var bySlope, byKey query.CellsResponse
 	// A limit at or past the full set returns every cell (negative
 	// sentinels are rejected with 400 since the lower-bound fix).
 	get(t, srv, "/v1/exceptions?k=1000000&order=slope", &bySlope)
@@ -121,7 +122,7 @@ func TestExceptionsRankedAndKeyed(t *testing.T) {
 		t.Fatalf("large k must return all cells")
 	}
 	// Same set, different order.
-	set := func(cs []CellJSON) map[string]bool {
+	set := func(cs []query.CellJSON) map[string]bool {
 		m := make(map[string]bool)
 		for _, c := range cs {
 			m[fmt.Sprint(c.Levels, c.Members)] = true
@@ -143,7 +144,7 @@ func TestExceptionsRankedAndKeyed(t *testing.T) {
 			t.Fatalf("slope order violated at %d", i)
 		}
 	}
-	var top cellsResponse
+	var top query.CellsResponse
 	get(t, srv, "/v1/exceptions?k=3", &top)
 	if len(top.Cells) != 3 || top.Count != bySlope.Count {
 		t.Fatalf("k=3 returned %d cells, count %d", len(top.Cells), top.Count)
@@ -159,7 +160,7 @@ func abs(f float64) float64 {
 
 func TestAlertsSupportersSliceTrend(t *testing.T) {
 	srv, eng, _ := testServer(t, 4, 3)
-	var al alertsResponse
+	var al query.AlertsResponse
 	get(t, srv, "/v1/alerts", &al)
 	if len(al.Alerts) == 0 {
 		t.Fatal("rising values at threshold 0.5 must alert")
@@ -173,14 +174,14 @@ func TestAlertsSupportersSliceTrend(t *testing.T) {
 	// Supporters of the steepest alerted o-cell: its supporters must be
 	// descendants with the alert's cell as ancestor.
 	first := al.Alerts[0]
-	var sup supportersResponse
+	var sup query.SupportersResponse
 	get(t, srv, fmt.Sprintf("/v1/supporters?levels=%s&members=%s",
 		joinInts(first.Cell.Levels), joinInt32s(first.Cell.Members)), &sup)
 	if !sup.Retained || sup.Cell.ISB == nil {
 		t.Fatalf("alerted o-cell must be retained: %+v", sup)
 	}
 
-	var sl cellsResponse
+	var sl query.CellsResponse
 	get(t, srv, "/v1/slice?dim=0&level=1&member=0", &sl)
 	for _, c := range sl.Cells {
 		// Every sliced cell's dim-0 member must roll up to member 0.
@@ -189,7 +190,7 @@ func TestAlertsSupportersSliceTrend(t *testing.T) {
 		}
 	}
 
-	var tr trendResponse
+	var tr query.TrendResponse
 	get(t, srv, "/v1/trend?members=0,0&k=3", &tr)
 	if tr.K != 3 || len(tr.Points) != 3 || tr.History != 3 {
 		t.Fatalf("trend = %+v, want 3 points", tr)
@@ -283,8 +284,8 @@ func TestErrorsAndUnavailable(t *testing.T) {
 
 func TestMetricsCounters(t *testing.T) {
 	srv, _, _ := testServer(t, 2, 1)
-	get(t, srv, "/v1/exceptions", &cellsResponse{})
-	get(t, srv, "/v1/exceptions", &cellsResponse{})
+	get(t, srv, "/v1/exceptions", &query.CellsResponse{})
+	get(t, srv, "/v1/exceptions", &query.CellsResponse{})
 	rec := get(t, srv, "/metrics", nil)
 	body := rec.Body.String()
 	if !strings.Contains(body, `regcube_http_requests_total{endpoint="exceptions"} 2`) {

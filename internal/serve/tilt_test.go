@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/exception"
+	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/tilt"
 )
@@ -105,7 +106,7 @@ func TestParamLowerBounds(t *testing.T) {
 // truncate.
 func TestLimitsTruncateUniformly(t *testing.T) {
 	srv, _, _ := testServer(t, 2, 3)
-	var full, limited supportersResponse
+	var full, limited query.SupportersResponse
 	get(t, srv, "/v1/supporters?members=1,1", &full)
 	get(t, srv, "/v1/supporters?members=1,1&k=1", &limited)
 	if full.Count == 0 || full.Count != len(full.Supporters) {
@@ -115,7 +116,7 @@ func TestLimitsTruncateUniformly(t *testing.T) {
 		t.Fatalf("limited supporters kept %d of %d (count %d)",
 			len(limited.Supporters), full.Count, limited.Count)
 	}
-	var fullSlice, limSlice cellsResponse
+	var fullSlice, limSlice query.CellsResponse
 	get(t, srv, "/v1/slice?dim=0&level=1&member=1", &fullSlice)
 	get(t, srv, "/v1/slice?dim=0&level=1&member=1&k=2", &limSlice)
 	if fullSlice.Count < 2 || len(fullSlice.Cells) != fullSlice.Count {
@@ -132,7 +133,7 @@ func TestLimitsTruncateUniformly(t *testing.T) {
 func TestTrendLevels(t *testing.T) {
 	// 13 units: hours complete at units 3,6,9,12 → 4 hours; days at 6,12.
 	srv, _, _ := tiltServer(t, 3, 13)
-	var def, l0, l1, l2 trendResponse
+	var def, l0, l1, l2 query.TrendResponse
 	get(t, srv, "/v1/trend?members=1,1&k=2", &def)
 	get(t, srv, "/v1/trend?members=1,1&k=2&level=0", &l0)
 	if def.Cell.ISB != l0.Cell.ISB || len(def.Points) != 2 || len(l0.Points) != 2 {
@@ -176,7 +177,7 @@ func TestTrendLevelOnFlatEngine(t *testing.T) {
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "parameter level: 1 outside [0,1)") {
 		t.Fatalf("default-engine level trend: status %d body %s", rec.Code, rec.Body.String())
 	}
-	var explicit, implied trendResponse
+	var explicit, implied query.TrendResponse
 	get(t, srv, "/v1/trend?members=0,0&k=2&level=0", &explicit)
 	get(t, srv, "/v1/trend?members=0,0&k=2", &implied)
 	if !reflect.DeepEqual(explicit, implied) || len(explicit.Points) != 2 {
@@ -187,7 +188,7 @@ func TestTrendLevelOnFlatEngine(t *testing.T) {
 // TestFrameEndpointTilted walks the full per-level listing.
 func TestFrameEndpointTilted(t *testing.T) {
 	srv, eng, _ := tiltServer(t, 3, 13)
-	var fr frameResponse
+	var fr query.FrameResponse
 	get(t, srv, "/v1/frame?members=1,0", &fr)
 	if !fr.Tilted {
 		t.Fatalf("frame = %+v, want tilted", fr)
@@ -233,7 +234,7 @@ func TestFrameEndpointTilted(t *testing.T) {
 // same code path as a tilted engine (unknown cells 404 alike).
 func TestFrameEndpointFlat(t *testing.T) {
 	srv, _, _ := testServer(t, 2, 5)
-	var fr frameResponse
+	var fr query.FrameResponse
 	get(t, srv, "/v1/frame?members=0,0", &fr)
 	if fr.Tilted {
 		t.Fatalf("default frame = %+v, want tilted=false: one level is no tilt", fr)
@@ -257,7 +258,7 @@ func TestFrameEndpointFlat(t *testing.T) {
 // TestFrameMetricsCounter asserts the new endpoint is instrumented.
 func TestFrameMetricsCounter(t *testing.T) {
 	srv, _, _ := tiltServer(t, 2, 7)
-	get(t, srv, "/v1/frame?members=0,0", &frameResponse{})
+	get(t, srv, "/v1/frame?members=0,0", &query.FrameResponse{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	want := fmt.Sprintf("regcube_http_requests_total{endpoint=%q} 1", "frame")

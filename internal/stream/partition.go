@@ -54,9 +54,6 @@ func NewPartitioner(schema *cube.Schema, n int) (*Partitioner, error) {
 	return p, nil
 }
 
-// Partitions returns the partition count.
-func (p *Partitioner) Partitions() int { return p.n }
-
 // Hash maps an o-level member tuple to its partition: one 64-bit
 // FNV-style fold per dimension, a splitmix64 avalanche, and a
 // multiply-high range reduction.

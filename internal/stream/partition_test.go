@@ -38,9 +38,6 @@ func TestPartitionerRouteFoldAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.Partitions() != n {
-				t.Fatalf("Partitions = %d, want %d", p.Partitions(), n)
-			}
 			var b wire.Batch
 			b.Reset(len(tc.schema.Dims))
 			var want []int

@@ -26,14 +26,6 @@ type Interval struct {
 	Tb, Te int64
 }
 
-// NewInterval validates and returns the interval [tb, te].
-func NewInterval(tb, te int64) (Interval, error) {
-	if te < tb {
-		return Interval{}, fmt.Errorf("%w: [%d,%d]", ErrInterval, tb, te)
-	}
-	return Interval{Tb: tb, Te: te}, nil
-}
-
 // Len returns the number of ticks in the interval (te - tb + 1).
 func (iv Interval) Len() int64 { return iv.Te - iv.Tb + 1 }
 

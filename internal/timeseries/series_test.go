@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,9 +9,10 @@ import (
 )
 
 func TestNewInterval(t *testing.T) {
-	iv, err := NewInterval(3, 9)
-	if err != nil {
-		t.Fatal(err)
+	s := MustNew(3, make([]float64, 7))
+	iv := s.Interval
+	if iv != (Interval{3, 9}) {
+		t.Fatalf("interval = %s, want [3,9]", iv)
 	}
 	if iv.Len() != 7 {
 		t.Fatalf("Len = %d, want 7", iv.Len())
@@ -18,8 +20,8 @@ func TestNewInterval(t *testing.T) {
 	if iv.Mid() != 6 {
 		t.Fatalf("Mid = %g, want 6", iv.Mid())
 	}
-	if _, err := NewInterval(5, 4); err == nil {
-		t.Fatal("expected error for te < tb")
+	if _, err := s.Slice(5, 4); !errors.Is(err, ErrInterval) {
+		t.Fatalf("Slice(5, 4) err = %v, want ErrInterval for te < tb", err)
 	}
 }
 
@@ -238,23 +240,6 @@ func TestSynthLinearNoNoiseIsExact(t *testing.T) {
 	}
 }
 
-func TestSynthSeasonalPeriodGuard(t *testing.T) {
-	s := NewSynth(4).Seasonal(0, 8, 0, 0, 1, 0, 0) // period 0 must not panic
-	if s.Len() != 8 {
-		t.Fatal("bad length")
-	}
-}
-
-func TestSynthSpike(t *testing.T) {
-	s := NewSynth(5).Spike(0, 10, 1, 100, 5, 0)
-	if s.Values[4] > 50 {
-		t.Fatal("spike applied too early")
-	}
-	if s.Values[5] < 50 {
-		t.Fatal("spike missing")
-	}
-}
-
 func TestConstantRamp(t *testing.T) {
 	c := Constant(2, 4, 7)
 	for _, v := range c.Values {
@@ -265,13 +250,6 @@ func TestConstantRamp(t *testing.T) {
 	r := Ramp(10, 3, 1, 2)
 	if r.Values[0] != 21 || r.Values[2] != 25 {
 		t.Fatalf("Ramp = %v", r.Values)
-	}
-}
-
-func TestSynthRandomWalkLength(t *testing.T) {
-	s := NewSynth(6).RandomWalk(0, 100, 0, 1)
-	if s.Len() != 100 {
-		t.Fatal("bad length")
 	}
 }
 
