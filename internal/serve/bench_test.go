@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -62,14 +63,31 @@ func benchEngine(b *testing.B, shards, ticksPerUnit int) *stream.Engine {
 	return eng
 }
 
+// percentile is the nearest-rank percentile: the smallest latency at or
+// below which a share p of the samples lie, sorted[ceil(p·n)−1].
 func percentile(lat []time.Duration, p float64) time.Duration {
 	if len(lat) == 0 {
 		return 0
 	}
 	sorted := append([]time.Duration(nil), lat...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[max(int(math.Ceil(p*float64(len(sorted))))-1, 0)]
+}
+
+// The benchmark's p99 is the nearest rank: with fewer than 100 samples it
+// is the largest latency, not the second largest.
+func TestPercentileNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n, p50, p99 int
+	}{{1, 1, 1}, {2, 1, 2}, {99, 50, 99}, {100, 50, 99}, {101, 51, 100}} {
+		lat := make([]time.Duration, tc.n)
+		for i := range lat {
+			lat[i] = time.Duration(tc.n - i) // 1..n ns, reversed
+		}
+		if got50, got99 := percentile(lat, 0.50), percentile(lat, 0.99); got50 != time.Duration(tc.p50) || got99 != time.Duration(tc.p99) {
+			t.Errorf("n=%d: p50 %d, p99 %d; want %d, %d", tc.n, got50, got99, tc.p50, tc.p99)
+		}
+	}
 }
 
 // BenchmarkServeQuery measures pure query cost per endpoint against a

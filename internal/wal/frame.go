@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -15,30 +14,11 @@ import (
 //
 // Framing and payload codec both live in internal/wire: a logged frame is
 // the frame the binary ingest wire ships, its payload wire.AppendBatch's
-// columnar batch. A zero length is never written — a tail of zero-filled
-// blocks (the classic post-crash state on extent-allocating filesystems)
-// must read as corruption, not as an endless run of valid empty frames.
-
-// DecodeFrame decodes the first frame in b. It returns the payload (a
-// sub-slice of b), the total number of bytes the frame occupies, and one
-// of:
-//
-//   - nil — a complete, checksummed frame;
-//   - io.EOF — b is empty (clean end of the log);
-//   - ErrTorn — b ends mid-frame (a torn tail; recovery truncates here);
-//   - ErrCorrupt — the length or checksum is invalid (bit rot, zero fill).
-//
-// It never panics on arbitrary input.
-func DecodeFrame(b []byte) (payload []byte, n int, err error) {
-	payload, n, err = wire.DecodeFrame(b)
-	if err != nil && errors.Is(err, wire.ErrCorrupt) {
-		// ErrTorn is shared outright; corruption keeps the log's own
-		// sentinel (it also covers manifest and header damage) while
-		// remaining matchable as the wire's.
-		return nil, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	return payload, n, err
-}
+// columnar batch, and segments are read through wire.FrameReader, the
+// wire's own frame decoder. A zero length is never written — a tail of
+// zero-filled blocks (the classic post-crash state on extent-allocating
+// filesystems) must read as corruption, not as an endless run of valid
+// empty frames.
 
 // decodeBatch decodes one RGCWAL02 frame payload into b.
 func decodeBatch(payload []byte, b *wire.Batch) error {

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -28,10 +30,12 @@ func encodeRows(dst []byte, recs []Record) []byte {
 	return dst
 }
 
-// FuzzDecodeFrame drives the recovery decoders with arbitrary bytes: every
-// input must yield a clean decode, io.EOF, or a typed ErrTorn/ErrCorrupt —
-// never a panic, and never an undeclared error. This is exactly the
-// surface a crashed or bit-rotted segment tail exercises.
+// FuzzDecodeFrame drives the recovery decoders — wire.FrameReader, which
+// walkSegment reads segments through, then both payload decoders — with
+// arbitrary bytes: every input must yield a clean decode, io.EOF, or a
+// typed ErrTorn/ErrCorrupt — never a panic, and never an undeclared error.
+// This is exactly the surface a crashed or bit-rotted segment tail
+// exercises.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seeds: a healthy frame, a torn tail at several offsets, a zero fill,
 	// a bit flip, an oversized length prefix, two frames, and one frame of
@@ -54,20 +58,21 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(wire.EncodeFrame(nil, encodeRows(nil, recs)))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// Walk frames as walkSegment does, bounding the walk by the input
-		// length (each frame consumes ≥ wire.FrameHeaderLen bytes).
-		rest := b
+		// Walk frames as walkSegment does; each frame consumes its header
+		// and payload, within the input.
+		frames := wire.NewFrameReader(bufio.NewReader(bytes.NewReader(b)))
 		var batch wire.Batch
 		for {
-			payload, n, err := DecodeFrame(rest)
+			start := frames.Offset()
+			payload, err := frames.Next()
 			if err != nil {
-				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("DecodeFrame: undeclared error %v", err)
+				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrTorn) && !errors.Is(err, wire.ErrCorrupt) {
+					t.Fatalf("FrameReader.Next: undeclared error %v", err)
 				}
 				return
 			}
-			if n <= 0 || n > len(rest) {
-				t.Fatalf("DecodeFrame consumed %d of %d bytes", n, len(rest))
+			if n := frames.Offset() - start; n != int64(wire.FrameHeaderLen+len(payload)) || frames.Offset() > int64(len(b)) {
+				t.Fatalf("FrameReader consumed %d bytes, to offset %d of %d", n, frames.Offset(), len(b))
 			}
 			// A CRC-valid frame still gets full batch validation under
 			// either segment format; the only legal failure is ErrCorrupt,
@@ -89,7 +94,6 @@ func FuzzDecodeFrame(f *testing.F) {
 					}
 				}
 			}
-			rest = rest[n:]
 		}
 	})
 }

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -9,36 +12,48 @@ import (
 )
 
 // walkSegment is the log's one segment reader, shared by Open's recovery
-// scan and ReplayBatches: it hands fn each frame of the segment at path,
-// decoded by the decoder its magic names into one reused Batch. It returns
-// the bytes delivered (header included), whether the segment is RGCWAL01,
-// and stop: the torn frame, bad checksum or refused payload that ended the
-// walk early. Only fn's errors and I/O errors fail it.
+// scan and ReplayBatches: it streams the segment at path through a
+// wire.FrameReader and hands fn each frame, decoded by the decoder its
+// magic names into one reused Batch, so a walk holds one read buffer and
+// one frame, never the segment. It returns the bytes delivered (header
+// included), whether the segment is RGCWAL01, and stop: the torn frame,
+// bad checksum or refused payload that ended the walk early. Only fn's
+// errors and I/O errors fail it. loadSegments has checked the header.
 func walkSegment(path string, fn func(*wire.Batch) error) (valid int64, legacy bool, stop, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) < segmentHdrLen {
-		return int64(len(data)), false, fmt.Errorf("%w: segment header", ErrTorn), err
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false, nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	var hdr [segmentHdrLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return 0, false, nil, err
 	}
 	decode := decodeBatch
-	if legacy = string(data[:len(legacyMagic)]) == legacyMagic; legacy {
+	if legacy = string(hdr[:len(legacyMagic)]) == legacyMagic; legacy {
 		decode = decodeRowBatch
 	}
+	frames := wire.NewFrameReader(br)
 	var b wire.Batch
-	off := segmentHdrLen
-	for off < len(data) {
-		payload, n, err := DecodeFrame(data[off:])
+	for {
+		valid = segmentHdrLen + frames.Offset()
+		payload, err := frames.Next()
 		if err == nil {
 			err = decode(payload, &b)
 		}
-		if err != nil {
-			return int64(off), legacy, err, nil
+		switch {
+		case err == io.EOF:
+			return valid, legacy, nil, nil
+		case errors.Is(err, ErrTorn) || errors.Is(err, wire.ErrCorrupt) || errors.Is(err, ErrCorrupt):
+			return valid, legacy, err, nil
+		case err != nil:
+			return valid, legacy, nil, err
 		}
 		if err := fn(&b); err != nil {
-			return int64(off), legacy, nil, err
+			return valid, legacy, nil, err
 		}
-		off += n
 	}
-	return int64(off), legacy, nil, nil
 }
 
 // ReplayBatches reads the log in dir and hands fn, in order, every logged

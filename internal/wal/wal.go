@@ -142,8 +142,7 @@ type Log struct {
 	appended int64    // frame bytes appended since Open
 	dirty    bool     // bytes written since the last fsync
 	lastSync time.Time
-	frameBuf []byte
-	payload  []byte
+	frame    []byte // the frame being built, reused (wire.StartFrame)
 }
 
 func segmentName(firstSeq int64) string {
@@ -471,21 +470,20 @@ func (l *Log) AppendColumnar(b *wire.Batch) error {
 			return fmt.Errorf("%w: record %d tick %d overflows its delta from %d", ErrCorrupt, i, t, prev)
 		}
 	}
-	l.payload = wire.AppendBatch(l.payload[:0], b)
-	if len(l.payload) > wire.MaxFramePayload {
-		return fmt.Errorf("%w: batch encodes to %d bytes, frame cap %d", ErrCorrupt, len(l.payload), wire.MaxFramePayload)
+	l.frame = wire.AppendBatch(wire.StartFrame(l.frame[:0]), b)
+	if err := wire.SealFrame(l.frame); err != nil {
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
-	l.frameBuf = wire.EncodeFrame(l.frameBuf[:0], l.payload)
-	if _, err := l.f.Write(l.frameBuf); err != nil {
+	if _, err := l.f.Write(l.frame); err != nil {
 		return err
 	}
-	l.size += int64(len(l.frameBuf))
-	l.appended += int64(len(l.frameBuf))
+	l.size += int64(len(l.frame))
+	l.appended += int64(len(l.frame))
 	l.seq += int64(n)
 	l.dirty = true
 	switch l.opts.Sync {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -535,33 +534,41 @@ func TestReplayNegativeWatermark(t *testing.T) {
 	}
 }
 
+// The segment reader ends a walk at the last whole frame with the frame
+// decoder's verdict on what follows: nothing (a clean end), a torn tail,
+// or corruption — in the framing or in a checksummed payload.
 func TestFrameCodecErrors(t *testing.T) {
 	valid := wire.EncodeFrame(nil, wire.AppendBatch(nil, batchOf(rec(1, 2))))
-	if _, _, err := DecodeFrame(valid); err != nil {
-		t.Fatalf("DecodeFrame(valid): %v", err)
-	}
-	if _, _, err := DecodeFrame(nil); !errors.Is(err, io.EOF) {
-		t.Fatalf("DecodeFrame(empty) = %v, want io.EOF", err)
-	}
-	if _, _, err := DecodeFrame(valid[:5]); !errors.Is(err, ErrTorn) {
-		t.Fatalf("short header error = %v, want ErrTorn", err)
-	}
-	if _, _, err := DecodeFrame(valid[:len(valid)-1]); !errors.Is(err, ErrTorn) {
-		t.Fatalf("short payload error = %v, want ErrTorn", err)
-	}
-	zero := make([]byte, 16)
-	if _, _, err := DecodeFrame(zero); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("zero-length frame error = %v, want ErrCorrupt", err)
-	}
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 1
-	if _, _, err := DecodeFrame(flipped); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("checksum error = %v, want ErrCorrupt", err)
-	}
 	huge := binary.LittleEndian.AppendUint32(nil, wire.MaxFramePayload+1)
 	huge = append(huge, 0, 0, 0, 0)
-	if _, _, err := DecodeFrame(huge); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("oversized length error = %v, want ErrCorrupt", err)
+	dir := t.TempDir()
+	for i, tc := range []struct {
+		tail []byte
+		want error // nil: a clean end
+	}{
+		{nil, nil},
+		{valid[:5], ErrTorn},                           // short header
+		{valid[:len(valid)-1], ErrTorn},                // short payload
+		{make([]byte, 16), wire.ErrCorrupt},            // zero-length frame
+		{flipped, wire.ErrCorrupt},                     // checksum
+		{huge, wire.ErrCorrupt},                        // oversized length
+		{wire.EncodeFrame(nil, []byte{9}), ErrCorrupt}, // malformed batch
+	} {
+		path := filepath.Join(dir, segmentName(int64(i)))
+		seg := binary.LittleEndian.AppendUint64([]byte(segmentMagic), 0)
+		if err := os.WriteFile(path, append(append(seg, valid...), tc.tail...), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		frames := 0
+		n, _, stop, err := walkSegment(path, func(*wire.Batch) error { frames++; return nil })
+		if err != nil || frames != 1 || n != int64(segmentHdrLen+len(valid)) {
+			t.Fatalf("tail %x: %d frames, %d valid bytes, error %v; want 1, %d, nil", tc.tail, frames, n, err, segmentHdrLen+len(valid))
+		}
+		if (stop == nil) != (tc.want == nil) || !errors.Is(stop, tc.want) {
+			t.Fatalf("tail %x: walk stopped on %v, want %v", tc.tail, stop, tc.want)
+		}
 	}
 }
 

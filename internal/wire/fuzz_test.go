@@ -105,17 +105,18 @@ func FuzzWireDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b Batch
-		rest := data
+		fr := frameReader(data)
 		for {
-			payload, n, err := DecodeFrame(rest)
+			start := fr.Offset()
+			payload, err := fr.Next()
 			if err != nil {
 				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("DecodeFrame: undeclared error %v", err)
+					t.Fatalf("FrameReader.Next: undeclared error %v", err)
 				}
 				break
 			}
-			if n <= 0 || n > len(rest) {
-				t.Fatalf("DecodeFrame consumed %d of %d bytes", n, len(rest))
+			if n := fr.Offset() - start; n != int64(FrameHeaderLen+len(payload)) || fr.Offset() > int64(len(data)) {
+				t.Fatalf("FrameReader consumed %d bytes, to offset %d of %d", n, fr.Offset(), len(data))
 			}
 			count, err := DecodeBatch(payload, 0, &b)
 			if err != nil && !errors.Is(err, ErrCorrupt) {
@@ -143,7 +144,6 @@ func FuzzWireDecodeFrame(f *testing.F) {
 					t.Fatalf("re-encode decoded %d, %v; want %d", n2, err, count)
 				}
 			}
-			rest = rest[n:]
 		}
 
 		// The stream reader must fail with the same typed errors on the

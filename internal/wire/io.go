@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sync/atomic"
 )
@@ -18,7 +20,7 @@ type Writer struct {
 	BatchRecords int
 	dims         int
 	batch        Batch
-	buf          []byte // the frame being built, reused (frameStart)
+	buf          []byte // the frame being built, reused (StartFrame)
 }
 
 // NewWriter writes the stream header for dims dimensions and returns a
@@ -53,7 +55,7 @@ func (bw *Writer) Flush() error {
 	if bw.batch.Len() == 0 {
 		return nil
 	}
-	if err := bw.writeFrame(AppendBatch(bw.frameStart(), &bw.batch)); err != nil {
+	if err := bw.writeFrame(AppendBatch(StartFrame(bw.buf[:0]), &bw.batch)); err != nil {
 		return err
 	}
 	bw.batch.Reset(bw.dims)
@@ -68,36 +70,86 @@ func (bw *Writer) WriteControl(c Control) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	return bw.writeFrame(AppendControl(bw.frameStart(), c))
+	return bw.writeFrame(AppendControl(StartFrame(bw.buf[:0]), c))
 }
 
-// frameStart begins a frame in the Writer's one buffer: room for the
-// header, which writeFrame fills in once the caller has appended the
-// payload after it.
-func (bw *Writer) frameStart() []byte {
-	return append(bw.buf[:0], make([]byte, FrameHeaderLen)...)
-}
-
-// writeFrame seals a frame frameStart began and writes it in one call. The
-// buffer, as the payload grew it, is kept for the next frame, so frames
-// allocate nothing once it has reached the largest batch's size.
+// writeFrame seals a frame StartFrame began in the Writer's one buffer and
+// writes it in one call. The buffer, as the payload grew it, is kept for
+// the next frame, so frames allocate nothing once it has reached the
+// largest batch's size.
 func (bw *Writer) writeFrame(frame []byte) error {
 	bw.buf = frame
-	if n := len(frame) - FrameHeaderLen; n > MaxFramePayload {
-		return fmt.Errorf("%w: batch encodes to %d bytes, frame cap %d", ErrCorrupt, n, MaxFramePayload)
+	if err := SealFrame(frame); err != nil {
+		return err
 	}
-	sealFrame(frame)
 	_, err := bw.w.Write(frame)
 	return err
 }
+
+// FrameReader reads frames off a byte stream one at a time into one
+// reused payload buffer, so it holds one frame however long the stream
+// is. It is the package's one frame decoder: Reader reads the binary wire
+// through it, and the write-ahead log reads its segments through it. Not
+// safe for concurrent use.
+type FrameReader struct {
+	br  *bufio.Reader
+	hdr [FrameHeaderLen]byte // header scratch: a local would escape to the heap
+	buf []byte               // payload scratch, reused
+	off int64                // bytes of the frames returned so far
+}
+
+// NewFrameReader returns a FrameReader for the frames br holds from its
+// current position on.
+func NewFrameReader(br *bufio.Reader) *FrameReader { return &FrameReader{br: br} }
+
+// Next reads and checksums one complete frame and returns its payload,
+// valid until the next call. A clean end of stream is io.EOF; a stream
+// that dies inside a frame header or payload is ErrTorn; a zero or
+// oversized length (checked before anything is allocated) or a checksum
+// mismatch is ErrCorrupt. Other errors are the underlying reader's.
+// Because it reads through io.ReadFull, reassembly is correct over any
+// byte-stream framing — a TCP peer delivering one byte at a time decodes
+// identically to a file.
+func (fr *FrameReader) Next() ([]byte, error) {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.br, hdr); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: stream ended inside a frame header", ErrTorn)
+		}
+		return nil, err
+	}
+	length := binary.LittleEndian.Uint32(hdr)
+	if length == 0 || length > MaxFramePayload {
+		return nil, fmt.Errorf("%w: frame length %d outside (0,%d]", ErrCorrupt, length, MaxFramePayload)
+	}
+	if cap(fr.buf) < int(length) {
+		fr.buf = make([]byte, length)
+	}
+	payload := fr.buf[:length]
+	if _, err := io.ReadFull(fr.br, payload); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: stream ended inside a %d-byte frame", ErrTorn, length)
+		}
+		return nil, err
+	}
+	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[4:]); got != want {
+		return nil, fmt.Errorf("%w: frame checksum %08x, want %08x", ErrCorrupt, got, want)
+	}
+	fr.off += FrameHeaderLen + int64(length)
+	return payload, nil
+}
+
+// Offset returns the bytes of the frames Next has returned: where the
+// next frame starts and, once Next has failed, the length of the stream's
+// valid prefix.
+func (fr *FrameReader) Offset() int64 { return fr.off }
 
 // Reader decodes a binary record stream: the header at construction, then
 // one columnar batch per Next call, into caller-reused Batch storage. Not
 // safe for concurrent use.
 type Reader struct {
-	br   *bufio.Reader
-	dims int
-	buf  []byte // frame payload scratch, reused
+	frames FrameReader
+	dims   int
 }
 
 // NewReader consumes and validates the stream header. r is wrapped in a
@@ -118,54 +170,18 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{br: br, dims: dims}, nil
+	return &Reader{frames: FrameReader{br: br}, dims: dims}, nil
 }
 
 // Dims returns the dimension count the stream header promised.
 func (r *Reader) Dims() int { return r.dims }
-
-// readFrame reads and checksums one complete frame, returning its payload
-// (valid until the next call). A clean end of stream is io.EOF; a stream
-// that dies mid-frame is ErrTorn; invalid bytes are ErrCorrupt. Because it
-// reads through io.ReadFull, reassembly is correct over any byte-stream
-// framing — a TCP peer delivering one byte at a time decodes identically
-// to a file read whole.
-func (r *Reader) readFrame() ([]byte, error) {
-	var hdr [FrameHeaderLen]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: stream ended inside a frame header", ErrTorn)
-		}
-		return nil, err
-	}
-	length := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
-	if length == 0 || length > MaxFramePayload {
-		return nil, fmt.Errorf("%w: frame length %d outside (0,%d]", ErrCorrupt, length, MaxFramePayload)
-	}
-	if cap(r.buf) < FrameHeaderLen+length {
-		r.buf = make([]byte, FrameHeaderLen+length)
-	}
-	frame := r.buf[:FrameHeaderLen+length]
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(r.br, frame[FrameHeaderLen:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: stream ended inside a %d-byte frame", ErrTorn, length)
-		}
-		return nil, err
-	}
-	payload, _, err := DecodeFrame(frame)
-	return payload, err
-}
 
 // Next reads one frame and decodes its batch into b, returning the record
 // count. A clean end of stream is io.EOF; a stream that dies mid-frame is
 // ErrTorn; invalid bytes are ErrCorrupt. A control frame is ErrCorrupt
 // here — consumers that speak the control protocol use NextAny.
 func (r *Reader) Next(b *Batch) (int, error) {
-	payload, err := r.readFrame()
+	payload, err := r.frames.Next()
 	if err != nil {
 		return 0, err
 	}
@@ -176,7 +192,7 @@ func (r *Reader) Next(b *Batch) (int, error) {
 // ctrl false) or a control frame (into c, ctrl true, n zero). Clean EOF,
 // torn tails, and corruption report exactly as Next.
 func (r *Reader) NextAny(b *Batch) (n int, c Control, ctrl bool, err error) {
-	payload, err := r.readFrame()
+	payload, err := r.frames.Next()
 	if err != nil {
 		return 0, Control{}, false, err
 	}

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"slices"
 )
@@ -83,52 +82,33 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // EncodeFrame appends the framed payload to dst and returns the extended
 // slice. A zero-length payload is never written by any producer — a tail
 // of zero-filled blocks must read as corruption, not as an endless run of
-// valid empty frames.
+// valid empty frames — and a payload over MaxFramePayload keeps a zero
+// header, which every reader refuses.
 func EncodeFrame(dst []byte, payload []byte) []byte {
 	start := len(dst)
-	dst = append(append(dst, make([]byte, FrameHeaderLen)...), payload...)
-	sealFrame(dst[start:])
+	dst = append(StartFrame(dst), payload...)
+	_ = SealFrame(dst[start:])
 	return dst
 }
 
-// sealFrame fills in the header of a frame built in place: FrameHeaderLen
-// bytes of room, then the payload.
-func sealFrame(frame []byte) {
-	payload := frame[FrameHeaderLen:]
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+// StartFrame appends room for a frame header to dst. The caller appends
+// the payload after it and SealFrame fills the header in, so a frame is
+// built in one buffer without copying its payload.
+func StartFrame(dst []byte) []byte {
+	return append(dst, make([]byte, FrameHeaderLen)...)
 }
 
-// DecodeFrame decodes the first frame in b. It returns the payload (a
-// sub-slice of b), the total number of bytes the frame occupies, and one
-// of:
-//
-//   - nil — a complete, checksummed frame;
-//   - io.EOF — b is empty (clean end of the stream);
-//   - ErrTorn — b ends mid-frame (producer died; WAL recovery truncates here);
-//   - ErrCorrupt — the length or checksum is invalid (bit rot, zero fill).
-//
-// It never panics on arbitrary input.
-func DecodeFrame(b []byte) (payload []byte, n int, err error) {
-	if len(b) == 0 {
-		return nil, 0, io.EOF
+// SealFrame fills in the header of a frame StartFrame began, the payload
+// being the rest of frame. A payload over MaxFramePayload, which no
+// reader accepts, is refused as ErrCorrupt and the header left as it was.
+func SealFrame(frame []byte) error {
+	payload := frame[FrameHeaderLen:]
+	if len(payload) > MaxFramePayload {
+		return fmt.Errorf("%w: batch encodes to %d bytes, frame cap %d", ErrCorrupt, len(payload), MaxFramePayload)
 	}
-	if len(b) < FrameHeaderLen {
-		return nil, 0, fmt.Errorf("%w: %d-byte tail shorter than the frame header", ErrTorn, len(b))
-	}
-	length := binary.LittleEndian.Uint32(b[0:4])
-	if length == 0 || length > MaxFramePayload {
-		return nil, 0, fmt.Errorf("%w: frame length %d outside (0,%d]", ErrCorrupt, length, MaxFramePayload)
-	}
-	total := FrameHeaderLen + int(length)
-	if len(b) < total {
-		return nil, 0, fmt.Errorf("%w: frame wants %d bytes, %d remain", ErrTorn, total, len(b))
-	}
-	payload = b[FrameHeaderLen:total]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(b[4:8]); got != want {
-		return nil, 0, fmt.Errorf("%w: frame checksum %08x, want %08x", ErrCorrupt, got, want)
-	}
-	return payload, total, nil
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+	return nil
 }
 
 // EncodeHeader appends the 16-byte stream header to dst.
@@ -261,8 +241,9 @@ func (b *Batch) Append(tick int64, members []int32, value float64) {
 }
 
 // AppendBatch appends the columnar payload encoding of b to dst and
-// returns the extended slice. The caller frames the result (EncodeFrame);
-// Writer enforces the dims and record-count caps before encoding.
+// returns the extended slice. Appended after StartFrame, it is framed in
+// place by SealFrame; Writer enforces the dims and record-count caps
+// before encoding.
 func AppendBatch(dst []byte, b *Batch) []byte {
 	dst = append(dst, Version, byte(len(b.Cols)))
 	dst = binary.AppendUvarint(dst, uint64(b.Len()))

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -28,10 +29,19 @@ func TestFrameRoundTrip(t *testing.T) {
 	if len(frame) != FrameHeaderLen+len(payload) {
 		t.Fatalf("frame is %d bytes, want %d", len(frame), FrameHeaderLen+len(payload))
 	}
-	got, n, err := DecodeFrame(frame)
-	if err != nil || n != len(frame) || !bytes.Equal(got, payload) {
-		t.Fatalf("DecodeFrame = %q, %d, %v", got, n, err)
+	fr := frameReader(frame)
+	got, err := fr.Next()
+	if err != nil || fr.Offset() != int64(len(frame)) || !bytes.Equal(got, payload) {
+		t.Fatalf("FrameReader.Next = %q, %v at offset %d", got, err, fr.Offset())
 	}
+	if _, err := fr.Next(); err != io.EOF || fr.Offset() != int64(len(frame)) {
+		t.Fatalf("after the one frame: %v at offset %d, want io.EOF at %d", err, fr.Offset(), len(frame))
+	}
+}
+
+// frameReader reads the frames of b.
+func frameReader(b []byte) *FrameReader {
+	return NewFrameReader(bufio.NewReader(bytes.NewReader(b)))
 }
 
 func TestDecodeFrameEdges(t *testing.T) {
@@ -54,9 +64,9 @@ func TestDecodeFrameEdges(t *testing.T) {
 		{"bad crc", flipped, ErrCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := DecodeFrame(tc.in)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("DecodeFrame(%x) error %v, want %v", tc.in, err, tc.want)
+			fr := frameReader(tc.in)
+			if _, err := fr.Next(); !errors.Is(err, tc.want) || fr.Offset() != 0 {
+				t.Fatalf("FrameReader.Next over %x: %v at offset %d, want %v at 0", tc.in, err, fr.Offset(), tc.want)
 			}
 		})
 	}
@@ -266,22 +276,31 @@ func TestWriterSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// frameSink checks every frame written after the stream header against
-// EncodeFrame of its payload.
+// frameSink checks that every write after the stream header is one whole
+// frame, EncodeFrame of its payload. Its reader is built once, so the sink
+// allocates nothing per frame.
 type frameSink struct {
 	header      bool
 	frames, bad int
 	want        []byte
+	src         bytes.Reader
+	br          *bufio.Reader
+	fr          *FrameReader
 }
 
 func (s *frameSink) Write(p []byte) (int, error) {
 	if !s.header {
 		s.header = true
+		s.br = bufio.NewReader(nil)
+		s.fr = NewFrameReader(s.br)
 		return len(p), nil
 	}
-	payload, n, err := DecodeFrame(p)
+	s.src.Reset(p)
+	s.br.Reset(&s.src)
+	start := s.fr.Offset()
+	payload, err := s.fr.Next()
 	s.frames++
-	if s.want = EncodeFrame(s.want[:0], payload); err != nil || n != len(p) || !bytes.Equal(s.want, p) {
+	if s.want = EncodeFrame(s.want[:0], payload); err != nil || s.fr.Offset()-start != int64(len(p)) || !bytes.Equal(s.want, p) {
 		s.bad++
 	}
 	return len(p), nil
