@@ -14,9 +14,9 @@ import (
 	"repro/internal/stream"
 )
 
-// alertTestServer runs an engine with the alert lifecycle consuming its
-// snapshot bus (a rising feed, so cells escalate) and returns a client
-// for the HTTP server with the alert surfaces attached.
+// alertTestServer runs an engine with the alert lifecycle observing every
+// snapshot it returns (a rising feed, so cells escalate) and returns a
+// client for the HTTP server with the alert surfaces attached.
 func alertTestServer(t *testing.T) (*client.Client, *httptest.Server) {
 	t.Helper()
 	schema := testSchema(t)
@@ -29,8 +29,6 @@ func alertTestServer(t *testing.T) (*client.Client, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := eng.Subscribe(16)
-	t.Cleanup(sub.Close)
 	mgr, err := alert.New(alert.Config{Schema: schema, Warn: 0.5, Crit: 4, HoldUnits: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -39,20 +37,15 @@ func alertTestServer(t *testing.T) (*client.Client, *httptest.Server) {
 	for tick := int64(0); tick <= 12; tick++ {
 		for a := int32(0); a < 4; a++ {
 			for b := int32(0); b < 4; b++ {
-				if _, err := eng.Ingest([]int32{a, b}, tick, float64(tick)*float64(a+2*b+1)); err != nil {
+				closed, err := eng.Ingest([]int32{a, b}, tick, float64(tick)*float64(a+2*b+1))
+				if err != nil {
 					t.Fatal(err)
+				}
+				for _, s := range closed {
+					mgr.Observe(s)
 				}
 			}
 		}
-	}
-	for {
-		select {
-		case s := <-sub.C():
-			mgr.Observe(s)
-			continue
-		default:
-		}
-		break
 	}
 	srv := serve.New(eng, schema)
 	srv.SetAlerts(mgr)

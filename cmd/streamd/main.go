@@ -24,10 +24,11 @@
 // /v1/exceptions, /v1/trend, etc. while ingestion continues at full rate.
 //
 // With -alert-crit T > 0 the stateful alert lifecycle (internal/alert)
-// subscribes to the engine's snapshot bus: consecutive unit snapshots are
-// diffed into level-transition events (ok → warn → crit and back), deduped
-// per cell, flap-suppressed with an -alert-hold unit hold, and inhibited
-// for drill-down cells whose o-layer ancestor is already firing. Events
+// observes every unit snapshot the engine returns, on the ingest loop
+// after the report: consecutive unit snapshots are diffed into
+// level-transition events (ok → warn → crit and back), deduped per cell,
+// flap-suppressed with an -alert-hold unit hold, and inhibited for
+// drill-down cells whose o-layer ancestor is already firing. Events
 // print as ALERTEVENT lines and, with -alert-webhook, POST to the given
 // URL with capped exponential retries; /v1/alerts/events serves the
 // recent-event ring.
@@ -43,8 +44,8 @@
 //
 // On SIGINT/SIGTERM streamd stops reading, ingests every record it has
 // already parsed, shuts the HTTP listener down, flushes the final partial
-// unit, saves the checkpoint, and drains the alert pipeline before
-// exiting 0. (Bytes the CSV reader buffered but had not yet parsed are
+// unit, saves the checkpoint, and closes the alert handlers, draining
+// their queues, before exiting 0. (Bytes the CSV reader buffered but had not yet parsed are
 // abandoned, as with any streaming shutdown.)
 //
 // Every o-cell's trend history is one tilt time frame (§4.1); -tilt names

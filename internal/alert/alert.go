@@ -5,16 +5,15 @@
 // o-layer ancestor, and routes the surviving events through topics to
 // pluggable handlers (log sink, webhook).
 //
-// The package is a pure bus consumer: it reads the same immutable
-// *stream.Snapshot values the query layer serves, never touches engine
-// internals, and its event sequence is a deterministic function of the
-// snapshot sequence — the same stream yields the same events at any shard
-// count, because the bus publishes an identical snapshot per closed unit
-// either way.
+// The package is a pure snapshot consumer: it reads the same immutable
+// *stream.Snapshot values the engine returns and the query layer serves,
+// never touches engine internals, and its event sequence is a
+// deterministic function of the snapshot sequence — the same stream yields
+// the same events at any shard count, because the engine returns an
+// identical snapshot per closed unit either way.
 package alert
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -245,9 +244,9 @@ func topicIndex(topic string) int {
 }
 
 // Observe feeds one unit snapshot through the lifecycle. Call it with
-// consecutive snapshots from one engine (Run does); it is safe against
-// concurrent Events/Stats readers but must not run concurrently with
-// itself.
+// every snapshot one engine returns, in order (the node does, on its
+// ingest loop); it is safe against concurrent Events/Stats readers but
+// must not run concurrently with itself.
 //
 // Cell processing order is fully deterministic — o-layer cells in
 // cube.CompareKeys order, then drill cells likewise — so the emitted
@@ -436,20 +435,6 @@ func (m *Manager) emit(unit int64, topic string, c candidate, from, to Level) Ev
 	return ev
 }
 
-// Run consumes the subscription until ctx is done. It is the glue between
-// the snapshot bus and the lifecycle: one goroutine, one Observe per
-// delivered snapshot. The subscription is left for the caller to Close.
-func (m *Manager) Run(ctx context.Context, sub *stream.Subscription) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case s := <-sub.C():
-			m.Observe(s)
-		}
-	}
-}
-
 // Events returns up to k recent events, oldest first (k <= 0 means all
 // buffered). Safe from any goroutine.
 func (m *Manager) Events(k int) []Event {
@@ -489,7 +474,7 @@ func (m *Manager) Stats() Stats {
 }
 
 // Close stops the handler goroutines after they drain their queues.
-// Idempotent; call after the Run goroutine has stopped observing.
+// Idempotent; call after the last Observe.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {

@@ -1,7 +1,6 @@
 package alert
 
 import (
-	"context"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -257,16 +256,15 @@ func TestEventsRingCaps(t *testing.T) {
 }
 
 // TestDeterministicAcrossShardCounts drives real engines at 1, 4, and 7
-// shards from the bus and demands bit-identical event sequences — the
-// acceptance criterion that makes the alert pipeline a pure function of
-// the stream.
+// shards, observes every snapshot they return, and demands bit-identical
+// event sequences — the acceptance criterion that makes the alert
+// pipeline a pure function of the stream.
 func TestDeterministicAcrossShardCounts(t *testing.T) {
 	schema := testSchema(t)
 	cfg := stream.Config{
-		Schema:           schema,
-		TicksPerUnit:     4,
-		Threshold:        exception.Global(0.5),
-		PublishSnapshots: true,
+		Schema:       schema,
+		TicksPerUnit: 4,
+		Threshold:    exception.Global(0.5),
 	}
 	run := func(shards int) []Event {
 		m, err := New(Config{Schema: schema, Warn: 1, Crit: 4, HoldUnits: 2})
@@ -279,9 +277,6 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		sub := eng.Subscribe(256)
-		ingest, flush := eng.Ingest, eng.Flush
-		defer sub.Close()
 		// Slopes ramp with the tick so cells cross warn, then crit, then
 		// fall back — several full lifecycles across 10 units.
 		for tick := int64(0); tick < 40; tick++ {
@@ -292,24 +287,21 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 			for a := int32(0); a < 4; a++ {
 				for b := int32(0); b < 4; b++ {
 					v := phase * float64(tick) * float64(a+2*b+1) / 4
-					if _, err := ingest([]int32{a, b}, tick, v); err != nil {
+					closed, err := eng.Ingest([]int32{a, b}, tick, v)
+					if err != nil {
 						t.Fatal(err)
+					}
+					for _, s := range closed {
+						m.Observe(s)
 					}
 				}
 			}
 		}
-		if _, err := flush(); err != nil {
+		last, err := eng.Flush()
+		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			select {
-			case s := <-sub.C():
-				m.Observe(s)
-				continue
-			default:
-			}
-			break
-		}
+		m.Observe(last)
 		return m.Events(0)
 	}
 
@@ -424,40 +416,4 @@ func TestSlowWebhookNeverBlocksObserve(t *testing.T) {
 	if m.Stats().HandlerDrops == 0 {
 		t.Fatal("wedged handler never shed an event")
 	}
-}
-
-func TestRunConsumesSubscription(t *testing.T) {
-	schema := testSchema(t)
-	cfg := stream.Config{Schema: schema, TicksPerUnit: 4,
-		Threshold: exception.Global(0.5), PublishSnapshots: true}
-	eng, err := stream.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(Config{Schema: schema, Warn: 1, Crit: 2, HoldUnits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := eng.Subscribe(64)
-	defer sub.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); m.Run(ctx, sub) }()
-
-	for tick := int64(0); tick < 12; tick++ {
-		if _, err := eng.Ingest([]int32{0, 0}, tick, float64(tick)*5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.After(5 * time.Second)
-	for len(m.Events(0)) == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("Run never observed the published snapshots")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	cancel()
-	<-done
-	m.Close()
 }

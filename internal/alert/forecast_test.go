@@ -168,10 +168,9 @@ func TestForecastConfigValidation(t *testing.T) {
 func TestForecastDeterministicAcrossShardCounts(t *testing.T) {
 	schema := testSchema(t)
 	cfg := stream.Config{
-		Schema:           schema,
-		TicksPerUnit:     4,
-		Threshold:        exception.Global(0.5),
-		PublishSnapshots: true,
+		Schema:       schema,
+		TicksPerUnit: 4,
+		Threshold:    exception.Global(0.5),
 	}
 	run := func(shards int) []Event {
 		m, err := New(Config{
@@ -187,30 +186,25 @@ func TestForecastDeterministicAcrossShardCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		sub := eng.Subscribe(256)
-		defer sub.Close()
 		for tick := int64(0); tick < 48; tick++ {
 			for a := int32(0); a < 4; a++ {
 				for b := int32(0); b < 4; b++ {
 					v := float64(tick) * float64(a+2*b+1)
-					if _, err := eng.Ingest([]int32{a, b}, tick, v); err != nil {
+					closed, err := eng.Ingest([]int32{a, b}, tick, v)
+					if err != nil {
 						t.Fatal(err)
+					}
+					for _, s := range closed {
+						m.Observe(s)
 					}
 				}
 			}
 		}
-		if _, err := eng.Flush(); err != nil {
+		last, err := eng.Flush()
+		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			select {
-			case s := <-sub.C():
-				m.Observe(s)
-				continue
-			default:
-			}
-			break
-		}
+		m.Observe(last)
 		return m.Events(0)
 	}
 

@@ -14,9 +14,9 @@ import (
 )
 
 // handlerQueueDepth bounds each handler's event queue. A wedged handler
-// loses oldest events first (counted in Stats.HandlerDrops) — exactly the
-// snapshot bus's shedding discipline, one layer up — so delivery never
-// backs pressure into Observe, and Observe never backs into ingest.
+// loses oldest events first (counted in Stats.HandlerDrops), so delivery
+// never backs pressure into Observe, and Observe, which runs on the
+// node's ingest loop, never waits on a handler.
 const handlerQueueDepth = 64
 
 // retryBase and retryCap bound the exponential backoff between delivery
@@ -70,7 +70,7 @@ func (m *Manager) Handle(h Handler, topics ...string) {
 
 // offer enqueues without blocking, shedding the oldest queued event when
 // full. Offers are serialized by Observe (single caller) plus the mutex,
-// so the shed-retry loop terminates like the bus publisher's.
+// so only the consumer races the shed-retry loop, and it terminates.
 func (r *runner) offer(ev Event) {
 	if r.topics != nil && !r.topics[ev.Topic] {
 		return

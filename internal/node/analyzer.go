@@ -42,16 +42,16 @@ type EngineConfig struct {
 	// Shards is how many partitions the engine closes its units across in
 	// parallel; with 1 it runs wholly on the caller's goroutine.
 	Shards int
-	// PublishSnapshots turns on per-unit snapshot publication (required
-	// by the query API and the alert lifecycle).
+	// PublishSnapshots turns on per-unit snapshot publication, which the
+	// query API reads; the alert lifecycle observes the returned units.
 	PublishSnapshots bool
 }
 
 // Analyzer is the node's engine: a stream.Engine — with -shards 1 it runs
 // wholly on the caller's goroutine — plus the schema it was built for and
 // the two methods that move its checkpoint document to and from a stream.
-// Its methods are coordinator-confined except Snapshot, Subscribe,
-// BusDropped and CellsActive.
+// Its methods are coordinator-confined except Snapshot, Published and
+// CellsActive.
 type Analyzer struct {
 	*stream.Engine
 	// Schema is the parsed cube schema.

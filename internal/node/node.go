@@ -25,8 +25,9 @@ import (
 // (Engine), plus everything that feeds, persists, serves, and alerts on
 // it. cmd/streamd maps its flags here one-to-one.
 type Config struct {
-	// Engine configures analyzer construction. Run forces
-	// Engine.PublishSnapshots on when Listen or alerting needs it.
+	// Engine configures analyzer construction. Run turns
+	// Engine.PublishSnapshots on exactly when Listen serves the snapshots;
+	// the report and the alert lifecycle take the ones ingest returns.
 	Engine EngineConfig
 	// Checkpoint is the checkpoint file path (loaded if present); empty
 	// disables persistence. Without WALDir it is saved after every closed
@@ -110,15 +111,16 @@ func Report(out io.Writer, schema *cube.Schema) func([]*stream.Snapshot) {
 // replay the WAL tail, start the query server and the alert lifecycle,
 // consume the record stream until it ends or ctx is canceled, then shut
 // down in order — stop ingest, drain decoded batches, drain HTTP (parked
-// snapshot followers released first), flush the final unit, fsync the WAL and cut the checkpoint, and finally drain
-// the alert pipeline. Reports and banners go to out; in feeds the
-// analyzer unless Config.IngestListen is set.
+// snapshot followers released first), flush the final unit, fsync the WAL
+// and cut the checkpoint, and finally close the alert handlers. Every
+// closed unit the engine returns goes to the report and then to the alert
+// lifecycle, on the ingest loop, in order. Reports and banners go to out;
+// in feeds the analyzer unless Config.IngestListen is set.
 func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 	alertsOn := cfg.AlertCrit > 0
 	forecastOn := cfg.ForecastThreshold != 0 && cfg.ForecastHorizon > 0
-	// The serving layer and the alert lifecycle (slope or forecast
-	// topics) all consume per-unit snapshots; any one forces publication.
-	cfg.Engine.PublishSnapshots = cfg.Listen != "" || alertsOn || forecastOn
+	// Only the serving layer reads published snapshots.
+	cfg.Engine.PublishSnapshots = cfg.Listen != ""
 
 	a, err := cfg.Engine.Build()
 	if err != nil {
@@ -244,15 +246,14 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		}
 	}
 
-	// The alert lifecycle is the bus's first consumer: its own goroutine
-	// drains a bounded subscription, so a wedged webhook sheds snapshots
-	// (counted) instead of stalling ingest. It starts after WAL replay —
-	// replayed units re-close, and re-alerting on them every restart
-	// would duplicate the events a live run already emitted.
+	// The alert lifecycle observes every unit the engine returns, after
+	// the report, on the ingest loop (deliver); its handlers queue and
+	// shed on their own goroutines, so a wedged webhook never stalls
+	// ingest. It starts after WAL replay — replayed units re-close, and
+	// re-alerting on them every restart would duplicate the events a live
+	// run already emitted.
+	deliver := report
 	var mgr *alert.Manager
-	var alertSub *stream.Subscription
-	var alertStop context.CancelFunc
-	alertDone := make(chan struct{})
 	if alertsOn || forecastOn {
 		warn, crit := cfg.AlertWarn, cfg.AlertCrit
 		if warn <= 0 {
@@ -281,42 +282,12 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		if cfg.AlertWebhook != "" {
 			mgr.Handle(&alert.WebhookHandler{Schema: schema, URL: cfg.AlertWebhook})
 		}
-		alertSub = a.Subscribe(64)
-		defer alertSub.Close()
-		var alertCtx context.Context
-		// Deliberately not the signal ctx: the lifecycle must keep
-		// observing through the drain and the final flush; the ordered
-		// shutdown below stops it last.
-		alertCtx, alertStop = context.WithCancel(context.Background())
-		defer alertStop()
-		go func() {
-			defer close(alertDone)
-			mgr.Run(alertCtx, alertSub)
-		}()
-	} else {
-		close(alertDone)
-	}
-	// drainAlerts is shutdown step 6: stop the lifecycle goroutine, apply
-	// whatever the bus still buffered (synchronously now — no racing
-	// consumer), then drain the handler queues. After the engine flush
-	// published its final snapshot, this guarantees the webhook and the
-	// log sink saw every event before the process exits.
-	drainAlerts := func() {
-		if mgr == nil {
-			return
-		}
-		alertStop()
-		<-alertDone
-		for {
-			select {
-			case s := <-alertSub.C():
+		deliver = func(snaps []*stream.Snapshot) {
+			report(snaps)
+			for _, s := range snaps {
 				mgr.Observe(s)
-				continue
-			default:
 			}
-			break
 		}
-		mgr.Close()
 	}
 
 	// ingestStats counts the decode edge (records, frames, decode errors
@@ -336,7 +307,6 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		handler := serve.New(a, schema)
 		handler.SetMetrics(func(w io.Writer) {
 			ingestStats.WriteMetrics(w)
-			fmt.Fprintf(w, "regcube_snapshot_bus_dropped_total %d\n", a.BusDropped())
 			cpStats.writeMetrics(w)
 			// The cell dictionary's size at the last close: the distinct
 			// m-cells that unit held, summed over shards.
@@ -445,7 +415,7 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			// what makes their effect durable, so it is always due. A
 			// barrier that closed nothing changed nothing.
 			closed, err := a.AdvanceTo(m.advance)
-			report(closed)
+			deliver(closed)
 			if err != nil {
 				return fmt.Errorf("advance to unit %d: %w", m.advance, err)
 			}
@@ -466,10 +436,10 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			records += int64(b.Len())
 		}
 		// Units can close even when a record is rejected (boundary
-		// crossings happen first); report them before surfacing the error,
+		// crossings happen first); deliver them before surfacing the error,
 		// or their output would be lost. The checkpoint is only cut after
 		// fully ingested batches, so its watermark is always exact.
-		report(closed)
+		deliver(closed)
 		if ingestErr != nil {
 			return fmt.Errorf("record %d: %w", records+1, ingestErr)
 		}
@@ -545,16 +515,19 @@ loop:
 	if err != nil {
 		return err
 	}
-	report([]*stream.Snapshot{last})
+	deliver([]*stream.Snapshot{last})
 	// Step 5: fsync the WAL and cut the checkpoint — after this, the
 	// checkpoint watermark equals the durable log length, so a graceful
 	// shutdown replays nothing on restart.
 	if err := saveCheckpoint(); err != nil {
 		return fmt.Errorf("saving checkpoint: %w", err)
 	}
-	// Step 6: the alert pipeline drains last, so the flush's snapshot
-	// (and any still buffered on the bus) reaches the handlers.
-	drainAlerts()
+	// Step 6: close the alert handlers. The flush's snapshot was observed
+	// above; Close drains their queues, so the webhook and the log sink
+	// see every event before the process exits.
+	if mgr != nil {
+		mgr.Close()
+	}
 	fmt.Fprintf(out, "# %d records, %d units\n", records, a.UnitsDone())
 	return nil
 }

@@ -174,11 +174,24 @@ func getJSON(url string, v any) bool {
 // TestRunAlertEventsMidStream: the alert lifecycle read while the stream
 // is still open and again after the ordered shutdown, the same on every
 // surface — /v1/alerts/events and /metrics mid-stream, the webhook and the
-// log sink once Run returns.
+// log sink once Run returns. In the leap case every surface equals a
+// manager that observed each snapshot the engine returned, across one
+// call that closes hundreds of units.
 func TestRunAlertEventsMidStream(t *testing.T) {
 	// An engine threshold no slope reaches keeps the exception drill-down
 	// empty, so the only alert candidates are o-layer cells.
 	engine := EngineConfig{Spec: "D2L2C4", TicksPerUnit: 4, Threshold: 1000, Shards: 4}
+	// requireLogged fails unless the log sink printed exactly these events.
+	requireLogged := func(t *testing.T, out string, events []alert.EventJSON) {
+		t.Helper()
+		var want strings.Builder
+		for _, e := range events {
+			fmt.Fprintf(&want, "ALERTEVENT seq=%d unit=%d topic=%s cell=%s %s->%s slope=%+.3f\n", e.Seq, e.Unit, e.Topic, e.Cell, e.From, e.To, e.Slope)
+		}
+		if got := regexp.MustCompile(`(?m)^ALERTEVENT .*\n`).FindAllString(out, -1); strings.Join(got, "") != want.String() {
+			t.Fatalf("log sink printed\n%swant\n%s", strings.Join(got, ""), want.String())
+		}
+	}
 
 	t.Run("slope", func(t *testing.T) {
 		hook, posted := eventSink(t)
@@ -213,13 +226,82 @@ func TestRunAlertEventsMidStream(t *testing.T) {
 		if got := posted(); !reflect.DeepEqual(got, ev.Events) {
 			t.Fatalf("webhook received %+v, /v1/alerts/events listed %+v", got, ev.Events)
 		}
-		var want strings.Builder
-		for _, e := range ev.Events {
-			fmt.Fprintf(&want, "ALERTEVENT seq=%d unit=%d topic=%s cell=%s %s->%s slope=%+.3f\n", e.Seq, e.Unit, e.Topic, e.Cell, e.From, e.To, e.Slope)
+		requireLogged(t, out.String(), ev.Events)
+	})
+
+	t.Run("leap", func(t *testing.T) {
+		cfg := Config{Engine: engine, AlertWarn: 2, AlertCrit: 5, AlertHold: 2}
+		// Cell (0,0) rises 10/tick through units 0-2: crit at unit 0. Then
+		// one record leaps to unit 999, so one call closes units 2-998,
+		// 996 of them empty: the hold counts units 3 and 4 and the
+		// recovery fires at unit 4. Steep again from there: crit at 999.
+		var ticks []int
+		for tick := 0; tick < 12; tick++ {
+			ticks = append(ticks, tick)
 		}
-		if got := regexp.MustCompile(`(?m)^ALERTEVENT .*\n`).FindAllString(out.String(), -1); strings.Join(got, "") != want.String() {
-			t.Fatalf("log sink printed\n%swant\n%s", strings.Join(got, ""), want.String())
+		for tick := 4 * 999; tick < 4*999+12; tick++ {
+			ticks = append(ticks, tick)
 		}
+		// want is what a manager that observed every snapshot the engine
+		// returned emits: live, before the final flush, and in all.
+		ref, err := cfg.Engine.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+		mgr, err := alert.New(alert.Config{Schema: ref.Schema, Warn: cfg.AlertWarn, Crit: cfg.AlertCrit, HoldUnits: cfg.AlertHold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Close()
+		for _, tick := range ticks {
+			closed, err := ref.Ingest([]int32{0, 0}, int64(tick), float64(tick*10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range closed {
+				mgr.Observe(s)
+			}
+		}
+		events := func() []alert.EventJSON {
+			var out []alert.EventJSON
+			for _, e := range mgr.Events(0) {
+				out = append(out, e.JSON(ref.Schema))
+			}
+			return out
+		}
+		wantLive := events()
+		last, err := ref.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.Observe(last)
+		want := events()
+		if len(wantLive) != 3 || wantLive[1].To != "ok" || wantLive[1].Unit != 4 || wantLive[2].Unit != 999 {
+			t.Fatalf("the fixture's events moved: %+v", wantLive)
+		}
+
+		hook, posted := eventSink(t)
+		cfg.AlertWebhook = hook
+		base, feed, ran, out := serveNode(t, cfg)
+		for _, tick := range ticks {
+			fmt.Fprintf(feed, "%d,0,0,%d\n", tick, tick*10)
+		}
+		var ev query.AlertEventsResponse
+		eventually(t, "the live events on /v1/alerts/events", func() bool {
+			return getJSON(base+"/v1/alerts/events", &ev) && len(ev.Events) >= len(wantLive)
+		})
+		if !reflect.DeepEqual(ev.Events, wantLive) {
+			t.Fatalf("/v1/alerts/events listed %+v, want %+v", ev.Events, wantLive)
+		}
+		feed.Close()
+		if err := <-ran; err != nil {
+			t.Fatalf("run: %v\n%s", err, out.String())
+		}
+		if got := posted(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("webhook received %+v, want %+v", got, want)
+		}
+		requireLogged(t, out.String(), want)
 	})
 
 	t.Run("forecast", func(t *testing.T) {
@@ -263,19 +345,23 @@ func TestRunAlertEventsMidStream(t *testing.T) {
 	})
 }
 
-// TestRunAlertsForcePublication checks the runtime turns snapshot
-// publication on for the alert lifecycle even without -listen: with
-// alerting off and no listener, the same feed must produce no events.
-func TestRunAlertsForcePublication(t *testing.T) {
-	out := &syncWriter{}
-	err := Run(context.Background(), Config{
-		Engine: EngineConfig{Spec: "D2L2C4", TicksPerUnit: 4, Threshold: 0.5, Shards: 1},
-	}, strings.NewReader(risingFeed(10)), out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "ALERTEVENT ") {
-		t.Fatalf("alerting disabled but events fired:\n%s", out.String())
+// TestRunAlertsWithoutListen: the alert lifecycle observes the units
+// ingest returns, so it needs no -listen and no snapshot publication —
+// the rising feed fires events without a listener — and with alerting
+// off the same feed fires none.
+func TestRunAlertsWithoutListen(t *testing.T) {
+	for _, crit := range []float64{4, 0} {
+		out := &syncWriter{}
+		err := Run(context.Background(), Config{
+			Engine:    EngineConfig{Spec: "D2L2C4", TicksPerUnit: 4, Threshold: 0.5, Shards: 1},
+			AlertCrit: crit,
+		}, strings.NewReader(risingFeed(10)), out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fired := strings.Contains(out.String(), "ALERTEVENT "); fired != (crit > 0) {
+			t.Fatalf("alert-crit %g: events fired %v:\n%s", crit, fired, out.String())
+		}
 	}
 }
 

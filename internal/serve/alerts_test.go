@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,10 +12,10 @@ import (
 	"repro/internal/stream"
 )
 
-// alertServer builds a sharded engine with the alert lifecycle subscribed
-// to its snapshot bus, ingests `units` full units of rising values (every
-// cell escalates), drains the subscription into the manager, and returns
-// a Server with both alert surfaces attached.
+// alertServer builds a sharded engine with the alert lifecycle observing
+// every snapshot it returns, ingests `units` full units of rising values
+// (every cell escalates), and returns a Server with both alert surfaces
+// attached.
 func alertServer(t *testing.T, units int) (*Server, *alert.Manager) {
 	t.Helper()
 	schema := testSchema(t)
@@ -32,8 +30,6 @@ func alertServer(t *testing.T, units int) (*Server, *alert.Manager) {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	sub := eng.Subscribe(4 * units)
-	t.Cleanup(sub.Close)
 	mgr, err := alert.New(alert.Config{Schema: schema, Warn: 0.5, Crit: 4, HoldUnits: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -43,26 +39,18 @@ func alertServer(t *testing.T, units int) (*Server, *alert.Manager) {
 		for a := int32(0); a < 4; a++ {
 			for b := int32(0); b < 4; b++ {
 				v := float64(tick) * float64(a+2*b+1)
-				if _, err := eng.Ingest([]int32{a, b}, tick, v); err != nil {
+				closed, err := eng.Ingest([]int32{a, b}, tick, v)
+				if err != nil {
 					t.Fatal(err)
+				}
+				for _, s := range closed {
+					mgr.Observe(s)
 				}
 			}
 		}
 	}
-	for {
-		select {
-		case s := <-sub.C():
-			mgr.Observe(s)
-			continue
-		default:
-		}
-		break
-	}
 	srv := New(eng, schema)
 	srv.SetAlerts(mgr)
-	srv.SetMetrics(func(w io.Writer) {
-		fmt.Fprintf(w, "regcube_snapshot_bus_dropped_total %d\n", eng.BusDropped())
-	})
 	return srv, mgr
 }
 
@@ -116,7 +104,6 @@ func TestMetricsIncludeAlertFamilies(t *testing.T) {
 	rec := get(t, srv, "/metrics", nil)
 	body := rec.Body.String()
 	for _, want := range []string{
-		"regcube_snapshot_bus_dropped_total ",
 		`regcube_alert_events_total{level="ok",topic="olayer"} `,
 		`regcube_alert_events_total{level="warn",topic="drill"} `,
 		`regcube_alert_events_total{level="crit",topic="olayer"} `,

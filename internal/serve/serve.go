@@ -69,17 +69,19 @@ import (
 )
 
 // Source supplies published engine snapshots. The node passes its
-// node.Analyzer (a *stream.Engine with Config.PublishSnapshots set); a
-// bare *stream.Engine and the coordinator's gatherer implement it too. Snapshot must be safe for concurrent use.
+// node.Analyzer (a *stream.Engine with Config.PublishSnapshots set, which
+// also signals each publish); a bare *stream.Engine and the coordinator's
+// gatherer implement it too. Snapshot must be safe for concurrent use.
 type Source interface {
 	Snapshot() *stream.Snapshot
 }
 
-// subscriber is the optional Source extension GET /v1/snapshot?wait= parks
+// publisher is the optional Source extension GET /v1/snapshot?wait= parks
 // on: the engines have it (node.Analyzer through the one it embeds); a
 // Source without it (the coordinator's gatherer) answers a wait at once.
-type subscriber interface {
-	Subscribe(buf int) *stream.Subscription
+// Published returns the channel the source's next publish closes.
+type publisher interface {
+	Published() <-chan struct{}
 }
 
 // maxPark caps how long GET /v1/snapshot?wait= holds a request. Shutdown
@@ -158,7 +160,7 @@ type Server struct {
 	// fdef holds the node-configured fallbacks for the forecast GET shims.
 	fdef ForecastDefaults
 	// metrics, when set, appends the embedding process's own families to
-	// /metrics (a node's ingest, bus and checkpoint counters; the
+	// /metrics (a node's ingest, cell and checkpoint counters; the
 	// coordinator's gather counters).
 	metrics func(io.Writer)
 	// drain is closed by Drain: parked snapshot requests answer at once and
@@ -743,7 +745,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	snap := s.src.Snapshot()
-	if src, ok := s.src.(subscriber); ok && wait > 0 && (snap == nil || snap.Unit <= after) {
+	if src, ok := s.src.(publisher); ok && wait > 0 && (snap == nil || snap.Unit <= after) {
 		snap = s.park(r.Context(), src, after, min(time.Duration(wait)*time.Millisecond, maxPark))
 	}
 	if snap == nil {
@@ -771,23 +773,21 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// park waits on the source's snapshot bus until a unit newer than after is
-// published, the wait runs out, the server drains or the client goes, and
-// returns what is published then. It subscribes first and looks again
-// before every wait, so a publish between the caller's look and the
-// subscription is seen, not slept through. The subscription exists only
-// while a follower is parked: a node nobody follows runs none of this.
-func (s *Server) park(ctx context.Context, src subscriber, after int64, wait time.Duration) *stream.Snapshot {
-	sub := src.Subscribe(1).Coalesce()
-	defer sub.Close()
+// park waits on the source's publish signal until a unit newer than after
+// is published, the wait runs out, the server drains or the client goes,
+// and returns what is published then. It takes the signal before every
+// look, so a publish between the caller's look and the wait is seen, not
+// slept through.
+func (s *Server) park(ctx context.Context, src publisher, after int64, wait time.Duration) *stream.Snapshot {
 	timeout := time.NewTimer(wait)
 	defer timeout.Stop()
 	for {
+		published := src.Published()
 		if snap := s.src.Snapshot(); snap != nil && snap.Unit > after {
 			return snap
 		}
 		select {
-		case <-sub.C():
+		case <-published:
 			continue
 		case <-timeout.C:
 		case <-s.drain:

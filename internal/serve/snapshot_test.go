@@ -24,16 +24,16 @@ type snapshotNode struct {
 	srv  *Server
 	ts   *httptest.Server
 	unit int64 // last published
-	// parks counts Subscribe calls: a handler that made one is parked (or
+	// parks counts Published calls: a handler that made one is parked (or
 	// about to look again and park — either way it misses no publish).
 	parks atomic.Int64
 }
 
 func (n *snapshotNode) Snapshot() *stream.Snapshot { return n.eng.Snapshot() }
 
-func (n *snapshotNode) Subscribe(buf int) *stream.Subscription {
+func (n *snapshotNode) Published() <-chan struct{} {
 	defer n.parks.Add(1)
-	return n.eng.Subscribe(buf)
+	return n.eng.Published()
 }
 
 // newSnapshotNode starts a node that has published unit 0 already, or —
@@ -102,7 +102,7 @@ func (n *snapshotNode) fetch(t testing.TB, query string) snapshotReply {
 }
 
 // parked starts a request and returns the channel its reply arrives on,
-// once the handler has subscribed to the bus.
+// once the handler has taken the publish signal.
 func (n *snapshotNode) parked(t *testing.T, query string) <-chan snapshotReply {
 	t.Helper()
 	before := n.parks.Load()
@@ -221,9 +221,6 @@ func TestSnapshotParkAnsweredByPublish(t *testing.T) {
 	if r.status != http.StatusOK || r.unit != 1 || time.Since(t0) > 200*time.Millisecond {
 		t.Fatalf("parked request = %+v, %v after the publish; want unit 1 at once", r, time.Since(t0))
 	}
-	if got := n.eng.BusDropped(); got != 0 {
-		t.Fatalf("bus dropped %d", got)
-	}
 }
 
 // TestSnapshotPublishRacingPark loops the race the park must win: the
@@ -243,14 +240,11 @@ func TestSnapshotPublishRacingPark(t *testing.T) {
 			t.Fatalf("round %d: %+v, want unit %d without waiting out the park", i, r, after+1)
 		}
 	}
-	if got := n.eng.BusDropped(); got != 0 {
-		t.Fatalf("bus dropped %d", got)
-	}
 }
 
 // TestSnapshotParkedBurst: units closing faster than a parked follower is
-// scheduled shed nothing the bus counts, and the follower gets a unit of
-// the burst, not a timeout.
+// scheduled never wait on it, and the follower gets a unit of the burst,
+// not a timeout.
 func TestSnapshotParkedBurst(t *testing.T) {
 	n := newSnapshotNode(t, false)
 	done := n.parked(t, "?after=0&wait=450")
@@ -259,9 +253,6 @@ func TestSnapshotParkedBurst(t *testing.T) {
 	}
 	if r := <-done; r.status != http.StatusOK || r.unit < 1 || r.unit > 100 {
 		t.Fatalf("parked through a burst = %+v", r)
-	}
-	if got := n.eng.BusDropped(); got != 0 {
-		t.Fatalf("bus dropped %d across the burst", got)
 	}
 }
 
@@ -281,7 +272,7 @@ func TestSnapshotDrain(t *testing.T) {
 	}
 }
 
-// plainSource is a Source without Subscribe, as the coordinator's is.
+// plainSource is a Source without Published, as the coordinator's is.
 type plainSource struct{ snap *stream.Snapshot }
 
 func (p plainSource) Snapshot() *stream.Snapshot { return p.snap }

@@ -25,7 +25,7 @@ func newCellLayout(schema *cube.Schema) (cellLayout, error) {
 	size := uint64(1)
 	for d := l.nd - 1; d >= 0; d-- {
 		dim := schema.Dims[d]
-		l.cards[d] = uint32(min(dim.Hierarchy.Cardinality(dim.MLevel), 1<<31))
+		l.cards[d] = uint32(min(int64(dim.Hierarchy.Cardinality(dim.MLevel)), 1<<31))
 		l.names[d] = dim.Name
 		l.strides[d] = size
 		var hi uint64

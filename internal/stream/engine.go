@@ -35,7 +35,9 @@ var ErrRecord = errors.New("stream: invalid record")
 type Config struct {
 	Schema *cube.Schema
 	// TicksPerUnit is the number of raw stream ticks per finest tilt-frame
-	// unit (15 for minute data with quarter units).
+	// unit (15 for minute data with quarter units). It is an int, so a
+	// 32-bit build caps a unit at 2³¹−1 ticks (about 24.8 days of
+	// millisecond ticks); wider units need a 64-bit build.
 	TicksPerUnit int
 	// StartTick is the tick of the first expected record (default 0).
 	StartTick int64
@@ -56,10 +58,10 @@ type Config struct {
 	// Delta, when set, also raises change alerts comparing each o-cell's
 	// slope against its previous unit ("current quarter vs. the last").
 	Delta *exception.Delta
-	// PublishSnapshots makes the engine also store and offer on the bus
-	// the Snapshot each closed unit returns, for lock-free concurrent
-	// readers (the serving layer). It costs nothing on the per-record path
-	// and is off by default.
+	// PublishSnapshots makes the engine also store the Snapshot each
+	// closed unit returns, for lock-free concurrent readers (the serving
+	// layer), and signal it (Published). It costs nothing on the
+	// per-record path and is off by default.
 	PublishSnapshots bool
 	// Shards is how many partitions the engine closes its units across in
 	// parallel (§6); 0 means 1. Results, snapshots and checkpoints do not
@@ -132,7 +134,7 @@ type Alert struct {
 // (MergeSnapshots).
 //
 // An Engine's methods must be called from one goroutine, except Snapshot,
-// Subscribe, BusDropped and CellsActive. A record error comes back from the
+// Published and CellsActive. A record error comes back from the
 // call that carried the record. A refused accumulator step (a tick its cell
 // already consumed, a non-finite value), a close error and a Restore refused
 // half-way through the shards stick: they fail every later call until
@@ -171,10 +173,10 @@ type Engine struct {
 	closed bool
 	// snap is the published per-unit snapshot (PublishSnapshots), merged
 	// over the shards; readers load it without locks, so it must only ever
-	// hold fully built, never-again-mutated values. bus broadcasts the same
-	// values push-side to subscribers (Subscribe).
-	snap atomic.Pointer[Snapshot]
-	bus  snapBus
+	// hold fully built, never-again-mutated values. published is the
+	// channel the next publish closes (Published).
+	snap      atomic.Pointer[Snapshot]
+	published atomic.Pointer[chan struct{}]
 	// frames is every o-cell's frame record in coordinate order, the
 	// shards' lists as the last close or Restore left them, merged: the
 	// snapshot's Frames and the checkpoint's Tilt. cp is the checkpoint
@@ -231,6 +233,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for _, dim := range cfg.Schema.Dims {
 		e.oLevels = append(e.oLevels, dim.OLevel)
 	}
+	signal := make(chan struct{})
+	e.published.Store(&signal)
 	e.dict = e.newDict()
 	for i := range e.shards {
 		e.shards[i].e, e.shards[i].ws = e, core.NewWorkspace(cfg.Schema)
@@ -335,9 +339,9 @@ func (e *Engine) refuse(acc *regression.Accumulator, tick int64, value float64) 
 // goroutine that ends with them. The first error in shard order sticks.
 // Per closed unit, the shards' snapshots merge into one (MergeSnapshots,
 // the merge the coordinator runs over nodes), stamped with the engine's
-// count and origin; with snapshots on it is also published, so bus
-// subscribers observe the same snapshot stream at any shard count
-// (pull-side Snapshot() callers see the last one).
+// count and origin; with snapshots on it is also published, so Snapshot()
+// callers see the last one, and the units returned are the same at any
+// shard count.
 func (e *Engine) advanceTo(target int64) ([]*Snapshot, error) {
 	from := e.unit
 	e.cellsActive.Store(int64(e.dict.n))

@@ -139,14 +139,24 @@ func newOrigin() uint64 {
 	}
 }
 
-// publish swaps in the immutable view of a unit that just closed and
-// offers it on the bus. The atomic store orders all snapshot construction
+// publish swaps in the immutable view of a unit that just closed, then
+// signals it: it closes the channel Published hands out and puts a fresh
+// one in its place. The atomic store orders all snapshot construction
 // before any reader's load, so a reader never sees a partially built
 // snapshot.
 func (e *Engine) publish(snap *Snapshot) {
 	e.snap.Store(snap)
-	e.bus.publish(snap)
+	next := make(chan struct{})
+	close(*e.published.Swap(&next))
 }
+
+// Published returns the channel the next publish closes. A waiter for a
+// unit newer than the one it has takes the channel before it looks at
+// Snapshot, so a publish in between is seen, not slept through. Nothing
+// is queued: every closed unit reaches its caller as Ingest, IngestBatch,
+// AdvanceTo or Flush returns it, and a waiter only learns that Snapshot
+// has moved. Safe from any goroutine.
+func (e *Engine) Published() <-chan struct{} { return *e.published.Load() }
 
 // Snapshot returns the most recently published unit view, or nil before
 // the first unit closes (or when Config.PublishSnapshots is off). Unlike

@@ -218,54 +218,65 @@ func TestShardedSnapshotMatchesSingle(t *testing.T) {
 
 // TestReturnedSnapshotsArePublished holds what Ingest, IngestBatch,
 // AdvanceTo and Flush return to what the engine publishes. With
-// PublishSnapshots on, each returned snapshot is the pointer the bus
-// delivered for its unit — read by a bus goroutine while the caller reads
-// it; with it off, each encodes to the publishing run's bytes, the Origin
-// and the wall-clock cubing times aside. Units close one at a time,
-// several in one sparse batch, and several in one AdvanceTo, empty ones
-// among them.
+// PublishSnapshots on, each call that closes units fires the publish
+// signal and leaves Snapshot() at the last snapshot it returned, and every
+// snapshot a waiter parked on the signal finds is a returned pointer — read
+// by the waiter's goroutine while the caller reads it; with it off, the
+// signal never fires, Snapshot() stays nil, and each returned snapshot
+// encodes to the publishing run's bytes, the Origin and the wall-clock
+// cubing times aside. Units close one at a time, several in one sparse
+// batch, and several in one AdvanceTo, empty ones among them.
 func TestReturnedSnapshotsArePublished(t *testing.T) {
 	// run feeds one engine and returns the snapshots its calls returned,
-	// their documents with the Origin and the times cleared, and what its
-	// bus delivered.
-	run := func(cfg Config) (returned []*Snapshot, docs [][]byte, delivered []*Snapshot) {
+	// their documents with the Origin and the times cleared, and what a
+	// parked waiter found published.
+	run := func(cfg Config) (returned []*Snapshot, docs [][]byte, found []*Snapshot) {
 		e, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		sub := e.Subscribe(64)
-		defer sub.Close()
-		// stop ends the bus reader, at the end or on a failed check.
+		// stop ends the waiter, at the end or on a failed check.
 		stopCh, done := make(chan struct{}), make(chan []*Snapshot, 1)
 		stop := sync.OnceFunc(func() { close(stopCh) })
 		defer stop()
 		go func() {
 			var got []*Snapshot
-			read := func(s *Snapshot) {
-				if _, err := EncodeSnapshot(s); err != nil {
-					t.Error(err)
+			look := func() {
+				if s := e.Snapshot(); s != nil && (len(got) == 0 || got[len(got)-1] != s) {
+					if _, err := EncodeSnapshot(s); err != nil {
+						t.Error(err)
+					}
+					got = append(got, s)
 				}
-				got = append(got, s)
 			}
 			for {
+				published := e.Published()
+				look()
 				select {
-				case s := <-sub.C():
-					read(s)
+				case <-published:
 				case <-stopCh:
-					for {
-						select {
-						case s := <-sub.C():
-							read(s)
-						default:
-							done <- got
-							return
-						}
-					}
+					look()
+					done <- got
+					return
 				}
 			}
 		}()
-		keep := func(snaps []*Snapshot, err error) ([]*Snapshot, error) {
+		keep := func(call func() ([]*Snapshot, error)) ([]*Snapshot, error) {
+			signal := e.Published()
+			snaps, err := call()
+			fired := false
+			select {
+			case <-signal:
+				fired = true
+			default:
+			}
+			if want := cfg.PublishSnapshots && len(snaps) > 0; fired != want {
+				t.Fatalf("%d units closed, publishing %v: the signal fired %v", len(snaps), cfg.PublishSnapshots, fired)
+			}
+			if fired && e.Snapshot() != snaps[len(snaps)-1] {
+				t.Fatal("Snapshot() is not the last snapshot the call returned")
+			}
 			for _, s := range snaps {
 				anon := *s
 				anon.Origin = 0
@@ -283,25 +294,27 @@ func TestReturnedSnapshotsArePublished(t *testing.T) {
 			return snaps, err
 		}
 		ingestGrid(t, func(m []int32, tick int64, v float64) ([]*Snapshot, error) {
-			return keep(e.Ingest(m, tick, v))
+			return keep(func() ([]*Snapshot, error) { return e.Ingest(m, tick, v) })
 		}, 0, 9) // closes units 0 and 1
 		var b wire.Batch
 		b.Reset(2)
 		b.Append(10, []int32{0, 0}, 1) // unit 2
 		b.Append(21, []int32{1, 2}, 2) // closes units 2-4
 		b.Append(30, []int32{3, 3}, 3) // closes units 5 and 6
-		if _, err := keep(e.IngestBatch(&b)); err != nil {
+		if _, err := keep(func() ([]*Snapshot, error) { return e.IngestBatch(&b) }); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := keep(e.AdvanceTo(11)); err != nil { // closes units 7-10
+		if _, err := keep(func() ([]*Snapshot, error) { return e.AdvanceTo(11) }); err != nil { // closes units 7-10
 			t.Fatal(err)
 		}
-		last, err := e.Flush()
-		if _, err := keep([]*Snapshot{last}, err); err != nil {
+		if _, err := keep(func() ([]*Snapshot, error) {
+			last, err := e.Flush()
+			return []*Snapshot{last}, err
+		}); err != nil {
 			t.Fatal(err)
 		}
-		if cfg.PublishSnapshots && e.Snapshot() != last {
-			t.Fatal("Snapshot() is not the snapshot Flush returned")
+		if !cfg.PublishSnapshots && e.Snapshot() != nil {
+			t.Fatal("publishing off, yet Snapshot() holds a unit")
 		}
 		stop()
 		return returned, docs, <-done
@@ -310,23 +323,30 @@ func TestReturnedSnapshotsArePublished(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := withShards(snapshotTestConfig(t), shards)
-			returned, docs, delivered := run(cfg)
-			if len(returned) != 12 || len(delivered) != len(returned) {
-				t.Fatalf("%d snapshots returned and %d delivered, want 12 each", len(returned), len(delivered))
+			returned, docs, found := run(cfg)
+			if len(returned) != 12 || len(found) == 0 {
+				t.Fatalf("%d snapshots returned and %d found published, want 12 and some", len(returned), len(found))
 			}
 			for i, s := range returned {
 				if s.Unit != int64(i) {
 					t.Fatalf("snapshot %d is of unit %d", i, s.Unit)
 				}
-				if delivered[i] != s {
-					t.Fatalf("unit %d: the returned snapshot is not the one the bus delivered", s.Unit)
+			}
+			// Each found snapshot is a returned one, found in unit order,
+			// and the waiter ends on the last.
+			for i, s := range found {
+				if int(s.Unit) >= len(returned) || returned[s.Unit] != s || (i > 0 && s.Unit <= found[i-1].Unit) {
+					t.Fatalf("found %d: unit %d is not the returned snapshot in order", i, s.Unit)
 				}
 			}
+			if found[len(found)-1] != returned[len(returned)-1] {
+				t.Fatalf("the waiter ended on unit %d, not on the last returned", found[len(found)-1].Unit)
+			}
 			cfg.PublishSnapshots = false
-			_, offDocs, offDelivered := run(cfg)
-			if len(offDelivered) != 0 || len(offDocs) != len(docs) {
-				t.Fatalf("publishing off: %d snapshots returned and %d delivered, want %d and none",
-					len(offDocs), len(offDelivered), len(docs))
+			_, offDocs, offFound := run(cfg)
+			if len(offFound) != 0 || len(offDocs) != len(docs) {
+				t.Fatalf("publishing off: %d snapshots returned and %d found, want %d and none",
+					len(offDocs), len(offFound), len(docs))
 			}
 			for i := range docs {
 				if !bytes.Equal(offDocs[i], docs[i]) {
