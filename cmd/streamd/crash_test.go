@@ -229,6 +229,56 @@ func TestSIGTERMZeroWALLoss(t *testing.T) {
 	}
 }
 
+// TestSIGTERMSilentStdin: a producer that stays connected but has gone
+// silent leaves streamd's one ingest goroutine blocked in a read from
+// stdin, which nothing can interrupt. SIGTERM must still take the engine
+// from it at once and shut down in order: exit 0 within two seconds, print
+// the banner, and cut a checkpoint whose watermark is the durable log —
+// every record sent before the silence.
+func TestSIGTERMSilentStdin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess shutdown harness")
+	}
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	cpPath := filepath.Join(dir, "state.ckpt")
+	stdin, feed := pipe(t)
+	defer feed.Close() // open until streamd has exited
+	p := start(t, stdin, nil, "streamd", "-spec", "D2L2C4", "-unit", "15", "-threshold", "0.3",
+		"-shards", "2", "-wal-dir", walDir, "-wal-sync", "batch", "-checkpoint", cpPath)
+	sink := &recordSink{w: feed, binary: true}
+	const ticks = 100 // three records a tick
+	rng := rand.New(rand.NewSource(1))
+	for tick := int64(0); tick < ticks; tick++ {
+		var recs []record
+		for _, cell := range rng.Perm(256)[:3] {
+			recs = append(recs, record{tick, []int32{int32(cell % 16), int32(cell / 16)}, rng.NormFloat64() * 5})
+		}
+		if err := sink.write(recs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Once the last frame is logged the signal may find it being ingested
+	// or the read waiting: either way every record is in the checkpoint.
+	poll(t, "the records logged", func() bool { return len(readWAL(t, walDir)) == 3*ticks })
+	t0 := time.Now()
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.exit(t); err != nil {
+		t.Fatalf("SIGTERM must exit 0, got %v\n%s", err, p.tail())
+	}
+	if took := time.Since(t0); took > 2*time.Second {
+		t.Fatalf("SIGTERM with a silent producer took %v to exit", took)
+	}
+	if !strings.Contains(p.out.String(), "# signal: flushing final unit") {
+		t.Fatalf("missing signal banner:\n%s", p.tail())
+	}
+	if mark := watermark(t, cpPath); mark != 3*ticks {
+		t.Fatalf("checkpoint watermark %d, want all %d records sent before the silence", mark, 3*ticks)
+	}
+}
+
 // feedRecords streams three records a tick into w, text or binary, every
 // 200µs until stop closes or the pipe dies with the process. The cells
 // are distinct within a tick: the engine takes one reading per cell per

@@ -42,11 +42,13 @@
 // same two flags are the GET-shim defaults of /v1/forecast, and
 // -change-score is the default divergence cutoff of /v1/changes.
 //
-// On SIGINT/SIGTERM streamd stops reading, ingests every record it has
-// already parsed, shuts the HTTP listener down, flushes the final partial
-// unit, saves the checkpoint, and closes the alert handlers, draining
-// their queues, before exiting 0. (Bytes the CSV reader buffered but had not yet parsed are
-// abandoned, as with any streaming shutdown.)
+// One goroutine reads each frame (a binary frame, or a text batch), logs
+// the bytes it received and ingests them. On SIGINT/SIGTERM streamd
+// finishes the frame in hand, shuts the HTTP listener down, flushes the
+// final partial unit, saves the checkpoint, and closes the alert handlers,
+// draining their queues, before exiting 0. Bytes not yet read into a frame
+// are abandoned, as with any streaming shutdown; a read from stdin that
+// waits for a silent producer is left to die with the process.
 //
 // Every o-cell's trend history is one tilt time frame (§4.1); -tilt names
 // its level chain. Each closed unit promotes through the chain (e.g.
@@ -163,8 +165,9 @@ func main() {
 	flag.Float64Var(&opt.changeScore, "change-score", 0.25, "default minimum slope-divergence score of /v1/changes, in [0,1]")
 	flag.Parse()
 
-	// A signal stops the record loop; the ordered shutdown — drain, HTTP,
-	// flush, checkpoint, alert drain — then runs on the ordinary exit path.
+	// A signal stops the record loop; the ordered shutdown — the frame in
+	// hand, HTTP, flush, checkpoint, alert drain — then runs on the
+	// ordinary exit path.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, opt, os.Stdin, os.Stdout); err != nil {

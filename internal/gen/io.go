@@ -287,6 +287,16 @@ func (r *StreamReader) Next(b *wire.Batch) (n int, ctrl wire.Control, isCtrl boo
 	return b.Len(), wire.Control{}, false, nil
 }
 
+// Payload returns the wire payload the batch the last Next call returned
+// was decoded from (wire.Reader.Payload), valid until the next call; nil
+// for a text stream, whose batches have no payload to hand on.
+func (r *StreamReader) Payload() []byte {
+	if r.bin == nil {
+		return nil
+	}
+	return r.bin.Payload()
+}
+
 func indexComma(b []byte) int {
 	for i, c := range b {
 		if c == ',' {

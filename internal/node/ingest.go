@@ -8,75 +8,70 @@ import (
 	"io"
 	"net"
 	"os"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/wire"
 )
 
-// ingestMsg is one message from the reader goroutine to the ingest loop:
-// a decoded record batch, or an advance barrier (a control frame telling
-// the engine to close every unit before advance).
-type ingestMsg struct {
-	batch   *wire.Batch
-	advance int64
-	isCtrl  bool
-}
+// frameFunc takes one frame of a record stream: a batch decoded into b,
+// with the wire payload it was decoded from (nil for text), or — b nil —
+// a router barrier to advance to.
+type frameFunc func(b *wire.Batch, payload []byte, advance int64) error
 
 // serveIngest accepts record-stream connections until the signal closes
-// the listener, feeding each one through the auto-negotiated decoder. The
-// engine is one logical stream, so connections are consumed sequentially;
-// a connection that dies or delivers corrupt bytes is logged and dropped
-// (its decoded batches stand — the router re-routes from its own stream
-// position), never fatal to the node.
-func serveIngest(ctx context.Context, ln net.Listener, dims int, getBatch func() *wire.Batch,
-	msgs chan<- ingestMsg, stats *wire.IngestStats) {
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
+// the listener, reading each one through readStream. The engine is one
+// logical stream, so connections are consumed sequentially; a connection
+// that dies or delivers corrupt bytes is logged and dropped (the frames it
+// delivered stand — the router re-routes from its own stream position),
+// never fatal to the node. An error of onFrame, the engine's or the log's,
+// is: serveIngest returns it. On the signal a read deadline interrupts the
+// connection's read.
+func serveIngest(ctx context.Context, ln net.Listener, dims int, stats *wire.IngestStats, onFrame frameFunc) error {
+	defer ln.Close()
+	defer context.AfterFunc(ctx, func() { ln.Close() })()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return
+				return nil
 			}
 			fmt.Fprintf(os.Stderr, "streamd: ingest accept: %v\n", err)
 			continue
 		}
-		err = readStream(ctx, conn, dims, getBatch, msgs, stats, wire.SourceTCP)
+		stopInterrupt := context.AfterFunc(ctx, func() { conn.SetReadDeadline(time.Now()) })
+		var fatal error
+		err = readStream(ctx, conn, dims, stats, wire.SourceTCP, func(b *wire.Batch, payload []byte, advance int64) error {
+			fatal = onFrame(b, payload, advance)
+			return fatal
+		})
+		stopInterrupt()
 		conn.Close()
+		if fatal != nil {
+			return fatal
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "streamd: ingest connection: %v\n", err)
 		}
 		if ctx.Err() != nil {
-			return
+			return nil
 		}
 	}
 }
 
-// readStream decodes one record stream — stdin or a TCP connection, text
-// or binary as gen.StreamReader negotiates — into the message channel until
-// EOF, a decode error, or the signal. Batches decode straight into recycled
-// Batch storage, no per-record allocation; a batch is drawn only when the
-// previous one was handed on, so control frames (the router's unit
-// barriers, passed through as advance messages in stream order) cost none.
-func readStream(ctx context.Context, in io.Reader, dims int, getBatch func() *wire.Batch,
-	msgs chan<- ingestMsg, stats *wire.IngestStats, src wire.Source) error {
+// readStream reads one record stream — stdin or a TCP connection, text or
+// binary as gen.StreamReader negotiates — frame by frame into onFrame, in
+// stream order, until EOF, a decode error, an error of onFrame, or the
+// signal interrupting a read. Every batch of the stream decodes into one
+// Batch, so it allocates nothing per frame once the columns have grown.
+func readStream(ctx context.Context, in io.Reader, dims int, stats *wire.IngestStats, src wire.Source, onFrame frameFunc) error {
 	sr := gen.NewStreamReader(bufio.NewReaderSize(in, 1<<16), dims)
 	format := sr.Format()
-	b := getBatch()
+	b := new(wire.Batch)
 	for {
-		// Stop decoding once the signal fires — the unconditional sends
-		// below still deliver what was decoded, so shutdown drains a
-		// bounded backlog instead of racing a fast producer.
-		select {
-		case <-ctx.Done():
-			return nil
-		default:
-		}
 		n, ctrl, isCtrl, err := sr.Next(b)
-		if err == io.EOF {
-			return nil
+		if err == io.EOF || (err != nil && ctx.Err() != nil) {
+			return nil // a read the signal interrupted is no decode error
 		}
 		if err != nil {
 			stats.AddDecodeError(format, src)
@@ -84,11 +79,13 @@ func readStream(ctx context.Context, in io.Reader, dims int, getBatch func() *wi
 		}
 		stats.AddFrame(format, src)
 		if isCtrl {
-			msgs <- ingestMsg{advance: ctrl.Unit, isCtrl: true}
-			continue
+			err = onFrame(nil, nil, ctrl.Unit)
+		} else {
+			stats.AddRecords(format, src, n)
+			err = onFrame(b, sr.Payload(), 0)
 		}
-		stats.AddRecords(format, src, n)
-		msgs <- ingestMsg{batch: b}
-		b = getBatch()
+		if err != nil {
+			return err
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -110,11 +111,11 @@ func Report(out io.Writer, schema *cube.Schema) func([]*stream.Snapshot) {
 // Run is the node runtime: build the engine, restore the checkpoint,
 // replay the WAL tail, start the query server and the alert lifecycle,
 // consume the record stream until it ends or ctx is canceled, then shut
-// down in order — stop ingest, drain decoded batches, drain HTTP (parked
-// snapshot followers released first), flush the final unit, fsync the WAL
-// and cut the checkpoint, and finally close the alert handlers. Every
-// closed unit the engine returns goes to the report and then to the alert
-// lifecycle, on the ingest loop, in order. Reports and banners go to out;
+// down in order — stop ingest, finish the frame in hand, drain HTTP
+// (parked snapshot followers released first), flush the final unit, fsync
+// the WAL and cut the checkpoint, and finally close the alert handlers.
+// Every closed unit the engine returns goes to the report and then to the
+// alert lifecycle, on the ingest loop, in order. Reports and banners go to out;
 // in feeds the analyzer unless Config.IngestListen is set.
 func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 	alertsOn := cfg.AlertCrit > 0
@@ -357,56 +358,24 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		defer func() { srvShutdown() }()
 	}
 
-	// Records are decoded in their own goroutine so a signal interrupts the
-	// loop even while a read from stdin is blocked; the reader goroutine
-	// itself dies with the process. Decoded batches flow over a channel and
-	// drained batches flow back through the free list, so steady-state
-	// ingest allocates nothing per record in either direction.
-	// A shallow decode-ahead keeps the reader from racing the whole stream
-	// into fresh batches before any come back through the free list — two
-	// full frames in flight is plenty of pipeline slack, and steady state
-	// then recycles the same handful of batches instead of allocating.
-	msgs := make(chan ingestMsg, 2)
-	freeBatches := make(chan *wire.Batch, 16)
-	readErr := make(chan error, 1)
-	getBatch := func() *wire.Batch {
-		var b *wire.Batch
-		select {
-		case b = <-freeBatches:
-		default:
-			b = &wire.Batch{}
+	// One goroutine reads, logs and ingests each frame in turn. The engine
+	// belongs to whoever holds mu: that goroutine per frame, then the
+	// shutdown for good (stopped). The signal interrupts a TCP read; a
+	// blocked read from stdin cannot be, and dies with the process.
+	var (
+		mu      sync.Mutex
+		stopped bool  // under mu
+		runErr  error // under mu: the error that fails the run
+		records int64
+	)
+	onFrame := func(b *wire.Batch, payload []byte, advance int64) (err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped {
+			return ctx.Err() // the signal fired and the shutdown has the engine
 		}
-		b.Reset(a.Dims)
-		return b
-	}
-	if cfg.IngestListen != "" {
-		// Routed ingest: accept the record stream over TCP instead of
-		// stdin. The listener opens before the announce line, so a router
-		// that waits for it can connect immediately; connections are
-		// consumed one at a time (the engine is one logical stream), and a
-		// connection's decode error drops that connection — the next
-		// producer reconnects — instead of killing the node.
-		ingestLn, err := net.Listen("tcp", cfg.IngestListen)
-		if err != nil {
-			return fmt.Errorf("-ingest-listen: %w", err)
-		}
-		fmt.Fprintf(out, "# ingest listening on %s\n", ingestLn.Addr())
-		go func() {
-			defer close(msgs)
-			serveIngest(ctx, ingestLn, a.Dims, getBatch, msgs, ingestStats)
-		}()
-	} else {
-		go func() {
-			defer close(msgs)
-			if err := readStream(ctx, in, a.Dims, getBatch, msgs, ingestStats, wire.SourceStdin); err != nil {
-				readErr <- err
-			}
-		}()
-	}
-
-	var records int64
-	ingest := func(m ingestMsg) error {
-		if m.isCtrl {
+		defer func() { runErr = err }()
+		if b == nil {
 			// A router barrier: close every unit before the target, even
 			// when this node received no records for some of them — the
 			// cluster-wide analogue of the boundary crossing a single
@@ -414,18 +383,24 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 			// WAL-logged; the checkpoint cut after the closed units is
 			// what makes their effect durable, so it is always due. A
 			// barrier that closed nothing changed nothing.
-			closed, err := a.AdvanceTo(m.advance)
+			closed, err := a.AdvanceTo(advance)
 			deliver(closed)
 			if err != nil {
-				return fmt.Errorf("advance to unit %d: %w", m.advance, err)
+				return fmt.Errorf("advance to unit %d: %w", advance, err)
 			}
 			return cutIfDue(len(closed) > 0, len(closed) > 0)
 		}
-		b := m.batch
 		if wlog != nil {
 			// Write-ahead: the whole batch reaches the log (one frame;
-			// durable per the sync policy) before the engine sees it.
-			if err := wlog.AppendColumnar(b); err != nil {
+			// durable per the sync policy) before the engine sees it. A
+			// binary frame is logged as it was received, a text batch
+			// encoded.
+			if payload != nil {
+				err = wlog.AppendPayload(payload, b)
+			} else {
+				err = wlog.AppendColumnar(b)
+			}
+			if err != nil {
 				return fmt.Errorf("wal append: %w", err)
 			}
 			cpStats.walSince.Store(wlog.Appended() - cutAt)
@@ -443,67 +418,51 @@ func Run(ctx context.Context, cfg Config, in io.Reader, out io.Writer) error {
 		if ingestErr != nil {
 			return fmt.Errorf("record %d: %w", records+1, ingestErr)
 		}
-		if err := cutIfDue(len(closed) > 0, false); err != nil {
-			return err
-		}
-		select {
-		case freeBatches <- b:
-		default:
-		}
-		return nil
+		return cutIfDue(len(closed) > 0, false)
 	}
+	consume := func() error {
+		return readStream(ctx, in, a.Dims, ingestStats, wire.SourceStdin, onFrame)
+	}
+	if cfg.IngestListen != "" {
+		// Routed ingest: accept the record stream over TCP instead of
+		// stdin. The listener opens before the announce line, so a router
+		// that waits for it can connect immediately; connections are
+		// consumed one at a time (the engine is one logical stream), and a
+		// connection's decode error drops that connection — the next
+		// producer reconnects — instead of killing the node.
+		ingestLn, err := net.Listen("tcp", cfg.IngestListen)
+		if err != nil {
+			return fmt.Errorf("-ingest-listen: %w", err)
+		}
+		fmt.Fprintf(out, "# ingest listening on %s\n", ingestLn.Addr())
+		consume = func() error {
+			return serveIngest(ctx, ingestLn, a.Dims, ingestStats, onFrame)
+		}
+	}
+	ended := make(chan error, 1)
+	go func() { ended <- consume() }()
 
-	// Ordered shutdown, steps 1-2: the loop exits when the stream ends or
-	// the signal fires (stop ingest), after consuming every batch the
-	// reader already decoded (drain decoded batches).
-loop:
-	for {
-		select {
-		case <-ctx.Done():
-			fmt.Fprintln(out, "# signal: flushing final unit")
-			// Ingest every batch the reader already decoded before
-			// flushing. The timed case (instead of a non-blocking default)
-			// gives the reader a grace window to deliver a batch it cut
-			// just before the signal; it fires only once, when the reader
-			// has stopped or is still blocked reading stdin.
-		drain:
-			for {
-				select {
-				case m, ok := <-msgs:
-					if !ok {
-						break drain
-					}
-					if err := ingest(m); err != nil {
-						return err
-					}
-				case <-time.After(100 * time.Millisecond):
-					break drain
-				}
-			}
-			break loop
-		case m, ok := <-msgs:
-			if !ok {
-				// The reader also stops on the signal, and its close of
-				// msgs can win this select against ctx.Done: same event,
-				// same banner (it had flushed all it decoded first).
-				if ctx.Err() != nil {
-					fmt.Fprintln(out, "# signal: flushing final unit")
-				}
-				break loop
-			}
-			if err := ingest(m); err != nil {
-				return err
-			}
-		}
-	}
-	// Whichever way the loop ended, a parse error the reader hit must
-	// still fail the run — corrupt input never exits 0. readErr is
-	// buffered, so the reader's send completes the instant it hits the
-	// error; the drain's grace window above has already let it land.
+	// Ordered shutdown, steps 1-2: ingest stops when the stream ends or
+	// the signal fires (stop ingest), and the shutdown takes the engine
+	// once the frame in hand is logged and applied (finish the frame in
+	// hand). An error ingest met fails the run, and so does a parse error:
+	// corrupt input never exits 0.
+	var streamErr error
 	select {
-	case err := <-readErr:
-		return err
-	default:
+	case streamErr = <-ended:
+	case <-ctx.Done():
+	}
+	mu.Lock()
+	stopped = true
+	if runErr != nil {
+		streamErr = runErr
+	}
+	mu.Unlock()
+	if streamErr != nil {
+		return streamErr
+	}
+	if ctx.Err() != nil {
+		fmt.Fprintln(out, "# signal: flushing final unit")
 	}
 	// Step 3: drain HTTP before the engine stops moving, so in-flight
 	// queries finish against a live snapshot surface. Shutdown first fires

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -469,5 +470,72 @@ func TestRunShutdownReleasesParkedFollower(t *testing.T) {
 	}
 	if status := <-parked; status != http.StatusNotModified {
 		t.Fatalf("parked request answered %d, want 304", status)
+	}
+}
+
+// TestRunSignalInterruptsSilentProducer: a routed node whose producer
+// stays connected but has gone silent has its one ingest goroutine blocked
+// in a read from the connection. Cancelling the context must interrupt
+// that read and run the ordered shutdown at once: Run returns promptly,
+// with the open unit flushed and every record sent counted, and the node
+// hangs up on the producer.
+func TestRunSignalInterruptsSilentProducer(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncWriter{}
+	ran := make(chan error, 1)
+	go func() {
+		ran <- Run(ctx, Config{
+			Engine:       EngineConfig{Spec: "D2L2C4", TicksPerUnit: 4, Threshold: 0.5, Shards: 2},
+			IngestListen: "127.0.0.1:0",
+		}, strings.NewReader(""), out)
+	}()
+	var addr string
+	eventually(t, "the ingest banner", func() bool {
+		_, rest, ok := strings.Cut(out.String(), "# ingest listening on ")
+		addr, _, _ = strings.Cut(rest, "\n")
+		return ok
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() // connected, and silent, until Run has returned
+	w, err := wire.NewWriter(conn, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := int64(0); tick < 6; tick++ { // unit 0 closes, unit 1 stays open
+		if err := w.Append(tick, []int32{int32(tick % 4), 1}, float64(tick)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "unit 0", func() bool { return strings.Contains(out.String(), "[unit 0]") })
+	t0 := time.Now()
+	cancel()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("run: %v\n%s", err, out.String())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Run still blocked on a silent producer 2 s after the signal:\n%s", out.String())
+	}
+	if took := time.Since(t0); took > 500*time.Millisecond {
+		t.Fatalf("shutdown with a silent producer took %v", took)
+	}
+	text := out.String()
+	for _, want := range []string{"# signal: flushing final unit", "[unit 1]", "# 6 records, 2 units"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("missing %q:\n%s", want, text)
+		}
+	}
+	// The interrupted read ends the connection: the node hangs up.
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("producer read %v after the shutdown, want the node's hang-up (EOF)", err)
 	}
 }

@@ -61,9 +61,10 @@ func walkSegment(path string, fn func(*wire.Batch) error) (valid int64, legacy b
 // the batch's first record (the frame that straddles from starts at its
 // record from), and returns the sequence one past the last record
 // delivered: the count of records the durable log holds. The batches are
-// the frames AppendColumnar wrote, each validated whole before fn sees it,
-// so ingesting each one repeats the live run's IngestBatch calls. Segments
-// wholly below from are skipped unread, by their manifest bounds.
+// the frames AppendColumnar and AppendPayload wrote, each validated whole
+// before fn sees it, so ingesting each one repeats the live run's
+// IngestBatch calls. Segments wholly below from are skipped unread, by
+// their manifest bounds.
 //
 // ReplayBatches never mutates the directory, so it also serves crashed
 // logs Open has not repaired: a torn or corrupt tail in the *last* segment

@@ -143,6 +143,7 @@ type Log struct {
 	dirty    bool     // bytes written since the last fsync
 	lastSync time.Time
 	frame    []byte // the frame being built, reused (wire.StartFrame)
+	payload  []byte // AppendColumnar's encoding, reused
 }
 
 func segmentName(firstSeq int64) string {
@@ -446,20 +447,15 @@ func (l *Log) Appended() int64 { return l.appended }
 // Segments returns the ordered segment list (a copy).
 func (l *Log) Segments() []SegmentInfo { return slices.Clone(l.segs) }
 
-// AppendColumnar writes one frame carrying a wire batch — the frame the
-// binary ingest wire ships for it — and advances Seq by b.Len(). A batch
-// wire.DecodeBatch would refuse (dimensions, record count, a tick delta
-// overflowing int64) is refused as ErrCorrupt before a byte is written: the
-// log never acknowledges a record its recovery scan would cut. Whether the
-// frame is durable when it returns is the sync policy's call; Sync forces
-// the question. An empty batch is a no-op.
+// AppendColumnar encodes b as the binary wire's batch payload and logs it
+// through AppendPayload. A batch wire.DecodeBatch would refuse
+// (dimensions, record count, a tick delta overflowing int64) is refused as
+// ErrCorrupt before a byte is written: the log never acknowledges a record
+// its recovery scan would cut. An empty batch is a no-op.
 func (l *Log) AppendColumnar(b *wire.Batch) error {
 	n := b.Len()
 	if n == 0 {
 		return nil
-	}
-	if l.f == nil {
-		return fmt.Errorf("%w: log closed", ErrCorrupt)
 	}
 	if dims := len(b.Cols); dims < 1 || dims > wire.MaxDims || n > wire.MaxBatchRecords {
 		return fmt.Errorf("%w: batch of %d records in %d dimensions, want at most %d in [1,%d]",
@@ -470,7 +466,31 @@ func (l *Log) AppendColumnar(b *wire.Batch) error {
 			return fmt.Errorf("%w: record %d tick %d overflows its delta from %d", ErrCorrupt, i, t, prev)
 		}
 	}
-	l.frame = wire.AppendBatch(wire.StartFrame(l.frame[:0]), b)
+	l.payload = wire.AppendBatch(l.payload[:0], b)
+	return l.AppendPayload(l.payload, b)
+}
+
+// AppendPayload is the log's one writer. It logs payload, a wire batch
+// payload wire.DecodeBatch accepted and decoded into b, as one frame — for
+// a binary producer the bytes it shipped — and advances Seq by b.Len(). An
+// O(1) check that the payload's version, dimension count and record count
+// are b's refuses a payload that is not b's as ErrCorrupt before a byte is
+// written. Whether the frame is durable when it returns is the sync
+// policy's call; Sync forces the question. An empty batch is a no-op.
+func (l *Log) AppendPayload(payload []byte, b *wire.Batch) error {
+	n := b.Len()
+	if n == 0 {
+		return nil
+	}
+	if l.f == nil {
+		return fmt.Errorf("%w: log closed", ErrCorrupt)
+	}
+	// The count follows the version and dimension bytes; k > 0 only past them.
+	if count, k := binary.Uvarint(payload[min(2, len(payload)):]); k <= 0 || payload[0] != wire.Version ||
+		int(payload[1]) != len(b.Cols) || count != uint64(n) {
+		return fmt.Errorf("%w: payload is not the batch of %d records in %d dimensions", ErrCorrupt, n, len(b.Cols))
+	}
+	l.frame = append(wire.StartFrame(l.frame[:0]), payload...)
 	if err := wire.SealFrame(l.frame); err != nil {
 		return fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -666,5 +667,48 @@ func TestAppendColumnarRefusesUndecodableBatches(t *testing.T) {
 					l.Seq(), len(l.Segments()), after.Size(), len(segs), before.Size())
 			}
 		})
+	}
+}
+
+// AppendPayload logs the payload it is handed as it is — here one that
+// spells its count as a non-minimal varint, which DecodeBatch accepts — and
+// refuses, before a byte is written, a payload whose version, dimension
+// count or record count is not the decoded batch's.
+func TestAppendPayloadLogsTheBytesGiven(t *testing.T) {
+	b := batchOf(rec(3, 1.5), rec(4, -0.25))
+	enc := wire.AppendBatch(nil, b)
+	received := slices.Concat(enc[:2], []byte{enc[2] | 0x80, 0x00}, enc[3:])
+	var decoded wire.Batch
+	if _, err := wire.DecodeBatch(received, 0, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.AppendPayload(received, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	size := int64(segmentHdrLen + len(wire.EncodeFrame(nil, received)))
+	got, err := os.ReadFile(filepath.Join(dir, l.Segments()[0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[segmentHdrLen:], wire.EncodeFrame(nil, received)) || l.Seq() != 2 {
+		t.Fatalf("logged %x at Seq %d, want the received frame at Seq 2", got[segmentHdrLen:], l.Seq())
+	}
+	other := func(i int, v byte) []byte { p := slices.Clone(enc); p[i] = v; return p }
+	for name, p := range map[string][]byte{
+		"version": other(0, wire.Version+1), "dims": other(1, 3), "count": other(2, 4),
+		"empty": nil, "short": enc[:2],
+	} {
+		if err := l.AppendPayload(p, b); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: AppendPayload error = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if fi, err := os.Stat(filepath.Join(dir, l.Segments()[0].Name)); err != nil || fi.Size() != size || l.Seq() != 2 {
+		t.Fatalf("refused payloads moved the log: Seq %d, %v", l.Seq(), err)
 	}
 }

@@ -148,8 +148,9 @@ func (fr *FrameReader) Offset() int64 { return fr.off }
 // one columnar batch per Next call, into caller-reused Batch storage. Not
 // safe for concurrent use.
 type Reader struct {
-	frames FrameReader
-	dims   int
+	frames  FrameReader
+	dims    int
+	payload []byte // the last NextAny frame's (Payload)
 }
 
 // NewReader consumes and validates the stream header. r is wrapped in a
@@ -196,6 +197,7 @@ func (r *Reader) NextAny(b *Batch) (n int, c Control, ctrl bool, err error) {
 	if err != nil {
 		return 0, Control{}, false, err
 	}
+	r.payload = payload
 	if IsControl(payload) {
 		c, err = DecodeControl(payload)
 		return 0, c, true, err
@@ -203,6 +205,12 @@ func (r *Reader) NextAny(b *Batch) (n int, c Control, ctrl bool, err error) {
 	n, err = DecodeBatch(payload, r.dims, b)
 	return n, Control{}, false, err
 }
+
+// Payload returns the checksummed payload of the frame the last NextAny
+// call read, valid until the next call: for a batch it decoded, the bytes
+// the batch was decoded from, which a write-ahead log can store as they
+// came instead of re-encoding the batch.
+func (r *Reader) Payload() []byte { return r.payload }
 
 // Format labels the two ingest encodings for observability.
 type Format int
@@ -251,7 +259,7 @@ var Sources = [numSources]Source{SourceStdin, SourceTCP}
 
 // IngestStats counts the ingest edge per (format, source) pair: records
 // decoded, frames (batches) handed to the engine, and decode failures.
-// streamd's reader goroutine writes, the /metrics endpoint reads; all
+// streamd's ingest goroutine writes, the /metrics endpoint reads; all
 // fields are atomic so neither side takes a lock.
 type IngestStats struct {
 	records      [numFormats][numSources]atomic.Int64
