@@ -102,79 +102,6 @@ func streamEngine(t *testing.T) (*stream.Engine, *cube.Schema) {
 	return e, schema
 }
 
-func TestCheckpointRoundTripResumesExactly(t *testing.T) {
-	// Engine A: ingest 1.5 units, checkpoint mid-unit, keep going.
-	a, schema := streamEngine(t)
-	feed := func(e *stream.Engine, from, to int64) []*stream.Snapshot {
-		t.Helper()
-		var out []*stream.Snapshot
-		for tk := from; tk < to; tk++ {
-			for m := int32(0); m < 4; m++ {
-				closed, err := e.Ingest([]int32{m}, tk, float64(tk)*float64(m+1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, closed...)
-			}
-		}
-		return out
-	}
-	feed(a, 0, 6) // unit 0 closed, unit 1 half full
-
-	acp, err := a.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, acp); err != nil {
-		t.Fatal(err)
-	}
-
-	// Engine B restores and both continue with identical input.
-	b, _ := stream.NewEngine(stream.Config{
-		Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(0.5),
-	})
-	cp, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if b.Unit() != a.Unit() || b.UnitsDone() != a.UnitsDone() || b.ActiveCells() != a.ActiveCells() {
-		t.Fatalf("restored state differs: unit %d/%d done %d/%d cells %d/%d",
-			b.Unit(), a.Unit(), b.UnitsDone(), a.UnitsDone(), b.ActiveCells(), a.ActiveCells())
-	}
-
-	ra := feed(a, 6, 12)
-	rb := feed(b, 6, 12)
-	if len(ra) != len(rb) {
-		t.Fatalf("unit results: %d vs %d", len(ra), len(rb))
-	}
-	for i := range ra {
-		if ra[i].Result == nil || rb[i].Result == nil {
-			t.Fatal("missing results")
-		}
-		if ra[i].Result.NumOCells() != rb[i].Result.NumOCells() {
-			t.Fatal("o-layer sizes differ after restore")
-		}
-		for _, c := range ra[i].Result.OCells() {
-			key, want := c.Key, c.ISB
-			got, ok := rb[i].Result.OCell(key)
-			if !ok || got != want {
-				t.Fatalf("unit %d o-cell %v: %v vs %v", ra[i].Unit, key, got, want)
-			}
-		}
-	}
-	// Trend queries agree too (history restored).
-	oCell := cube.NewCellKey(schema.OLayer(), 0)
-	ta, err1 := a.TrendQuery(oCell, 2)
-	tb2, err2 := b.TrendQuery(oCell, 2)
-	if err1 != nil || err2 != nil || ta != tb2 {
-		t.Fatalf("trend queries differ: %v/%v %v/%v", ta, err1, tb2, err2)
-	}
-}
-
 func TestRestoreValidatesSchema(t *testing.T) {
 	a, _ := streamEngine(t)
 	cp, err := a.Checkpoint()

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"reflect"
 	"strings"
@@ -136,140 +135,6 @@ func TestReadCheckpointRejectsDamagedV5(t *testing.T) {
 		_, err := ReadCheckpoint(bytes.NewReader(c.doc))
 		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want ErrFormat mentioning %q", name, err, c.want)
-		}
-	}
-}
-
-type streamRec struct {
-	members []int32
-	tick    int64
-	value   float64
-}
-
-// seededStream is a deterministic random stream over a 9×9 m-layer (3×3
-// o-layer, so up to 9 shards own cells): per unit a random subset of cells
-// reports at a random subset of ticks; unit 2 is silent.
-func seededStream(seed int64, units, ticksPer int) (recs []streamRec) {
-	r := rand.New(rand.NewSource(seed))
-	for u := 0; u < units; u++ {
-		if u == 2 {
-			continue
-		}
-		var active [9][9]bool
-		for a := range active {
-			for b := range active[a] {
-				active[a][b] = r.Float64() < 0.5
-			}
-		}
-		for i := 0; i < ticksPer; i++ {
-			for a := range active {
-				for b := range active[a] {
-					if active[a][b] && r.Float64() < 0.7 {
-						recs = append(recs, streamRec{[]int32{int32(a), int32(b)}, int64(u*ticksPer + i), r.NormFloat64() * 5})
-					}
-				}
-			}
-		}
-	}
-	return recs
-}
-
-// TestCheckpointOneLayoutAcrossShardCounts is the one-layout property:
-// the same seeded stream cut mid-unit serializes to byte-identical files
-// from a plain engine and from sharded engines at 1, 4 and 7 shards, flat
-// and tilted; and each file loads into every shard count and continues to
-// the same final state, bit for bit, as the uninterrupted plain engine.
-func TestCheckpointOneLayoutAcrossShardCounts(t *testing.T) {
-	ha, _ := cube.NewFanoutHierarchy("A", 3, 2)
-	hb, _ := cube.NewFanoutHierarchy("B", 3, 2)
-	schema, err := cube.NewSchema(
-		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
-		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := stream.Config{Schema: schema, TicksPerUnit: 4, Threshold: exception.Global(1)}
-	tilted := flat
-	tilted.TiltLevels = []tilt.Level{{Name: "q", Multiple: 1, Slots: 3}, {Name: "h", Multiple: 3, Slots: 2}}
-
-	recs := seededStream(17, 7, 4)
-	cut := len(recs) / 2
-	for recs[cut].tick%4 == 0 { // not on a unit's first tick: the cut is mid-unit
-		cut++
-	}
-	type ingester interface {
-		Ingest(members []int32, tick int64, value float64) ([]*stream.Snapshot, error)
-	}
-	feed := func(e ingester, from, to int) {
-		t.Helper()
-		for _, r := range recs[from:to] {
-			if _, err := e.Ingest(r.members, r.tick, r.value); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	file := func(cp *stream.Checkpoint, err error) []byte {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, cp); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	shardCounts := []int{1, 4, 7}
-
-	for name, cfg := range map[string]stream.Config{"flat": flat, "tilted": tilted} {
-		ref, err := stream.NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(ref, 0, cut)
-		wantCut := file(ref.Checkpoint())
-		feed(ref, cut, len(recs))
-		if _, err := ref.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		wantFinal := file(ref.Checkpoint())
-
-		for _, src := range shardCounts {
-			cfg.Shards = src
-			e, err := stream.NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			feed(e, 0, cut)
-			gotCut := file(e.Checkpoint())
-			if !bytes.Equal(gotCut, wantCut) {
-				t.Fatalf("%s: file cut at %d shards differs from the plain engine's\n got %s\nwant %s",
-					name, src, gotCut, wantCut)
-			}
-			for _, dst := range shardCounts {
-				cp, err := ReadCheckpoint(bytes.NewReader(gotCut))
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Shards = dst
-				d, err := stream.NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer d.Close()
-				if err := d.Restore(cp); err != nil {
-					t.Fatalf("%s: %d-shard file into %d shards: %v", name, src, dst, err)
-				}
-				feed(d, cut, len(recs))
-				if _, err := d.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				if got := file(d.Checkpoint()); !bytes.Equal(got, wantFinal) {
-					t.Fatalf("%s: %d-shard file resumed at %d shards ends in a different state", name, src, dst)
-				}
-			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/exception"
@@ -58,44 +57,6 @@ func feedBatches(t *testing.T, e *Engine, batches []*wire.Batch) []*Snapshot {
 		t.Fatal(err)
 	}
 	return append(out, final)
-}
-
-// The batch-path property: the same records through IngestBatch — at any
-// batch cut — close the same units and leave the same engine state,
-// bitwise, as record-at-a-time Ingest, at every shard count. Checkpoints
-// are compared in serialized form: one layout, so every shard count must
-// match the one-shard engine's bytes.
-func TestIngestBatchMatchesIngest(t *testing.T) {
-	cfg := Config{
-		Schema:       wideSchema(t),
-		TicksPerUnit: 4,
-		Threshold:    exception.Global(1.0),
-		Delta:        &exception.Delta{MinSlopeChange: 0.8},
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		recs := genStream(seed, 6, 4, 2)
-		batches := toBatches(recs)
-
-		ref, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := feed(t, ref, recs)
-		wantCP := checkpointJSON(t, checkpointOf(t, ref))
-
-		for _, shards := range []int{1, 4, 7} {
-			sh, err := NewEngine(withShards(cfg, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := feedBatches(t, sh, batches)
-			requireSameResults(t, "batch", want, got)
-			if gotCP := checkpointJSON(t, checkpointOf(t, sh)); !bytes.Equal(wantCP, gotCP) {
-				t.Fatalf("seed %d shards %d: batch checkpoint differs from the engine's record-at-a-time one", seed, shards)
-			}
-			sh.Close()
-		}
-	}
 }
 
 // Batch-level validation fails the whole in-unit run before any of its

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -23,75 +22,6 @@ func checkpointDoc(t testing.TB, cp *Checkpoint) []byte {
 		t.Fatal(err)
 	}
 	return doc
-}
-
-// TestCheckpointCodecRoundTrip is the codec's property over random engines:
-// seeded streams (random cells, random ticks, one silent unit) cut mid-unit
-// under the default chain and the calendar chain, from engines at 1, 4 and
-// 7 shards. Decode(Append(cp)) is cp, equal state is equal bytes at every
-// shard count, and the document an Engine appends from its own buffers —
-// twice, so the second cut runs in reused ones — is the one its Checkpoint
-// encodes to.
-func TestCheckpointCodecRoundTrip(t *testing.T) {
-	flat := Config{Schema: wideSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1)}
-	calendar := flat
-	calendar.TiltLevels = tilt.CalendarLevels()
-	for name, cfg := range map[string]Config{"flat": flat, "calendar": calendar} {
-		for seed := int64(1); seed <= 6; seed++ {
-			recs := genStream(seed, 9, cfg.TicksPerUnit, 3)
-			cut := len(recs) - 3 - int(seed)
-			ref, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedRecords(t, ref, recs[:cut])
-			ref.SetWALSeq(int64(cut))
-			want := checkpointOf(t, ref)
-			doc := checkpointDoc(t, want)
-			back, err := DecodeCheckpoint(doc)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", name, seed, err)
-			}
-			if !reflect.DeepEqual(back, want) {
-				t.Fatalf("%s seed %d: decoded\n%+v\nwant\n%+v", name, seed, back, want)
-			}
-			if !bytes.Equal(checkpointDoc(t, back), doc) {
-				t.Fatalf("%s seed %d: decode→encode is not the identity", name, seed)
-			}
-			for _, shards := range []int{1, 4, 7} {
-				s, err := NewEngine(withShards(cfg, shards))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				feedRecords(t, s, recs[:cut])
-				if err := s.SetWALSeq(int64(cut)); err != nil {
-					t.Fatal(err)
-				}
-				cp, err := s.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(cp, want) {
-					t.Fatalf("%s seed %d: %d shards checkpoint\n%+v\nthe engine\n%+v", name, seed, shards, cp, want)
-				}
-				for range 2 {
-					own, err := s.AppendCheckpoint([]byte("prefix"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(own, append([]byte("prefix"), doc...)) {
-						t.Fatalf("%s seed %d: %d shards append a different document than the engine's checkpoint encodes to", name, seed, shards)
-					}
-				}
-				// The checkpoint taken before the engine's own cuts owns
-				// its storage: they did not write into it.
-				if !reflect.DeepEqual(cp, want) {
-					t.Fatalf("%s seed %d: AppendCheckpoint clobbered an earlier Checkpoint", name, seed)
-				}
-			}
-		}
-	}
 }
 
 // feedRecords ingests records without flushing (the cut stays mid-unit).

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -208,121 +207,6 @@ func requireSameCells(t testing.TB, label string, want, got *core.Result) {
 	}
 }
 
-// The partition property: identical record streams through an Engine at
-// one shard and at 1, 4, and 7 shards produce identical sorted alerts
-// (slope changes included) and cell sets.
-func TestShardedMatchesSingleEngine(t *testing.T) {
-	s := wideSchema(t)
-	cfg := Config{
-		Schema:       s,
-		TicksPerUnit: 4,
-		Threshold:    exception.Global(1.0),
-		Delta:        &exception.Delta{MinSlopeChange: 0.8},
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		recs := genStream(seed, 6, 4, 2)
-		single, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := feed(t, single, recs)
-
-		for _, shards := range []int{1, 4, 7} {
-			sh, err := NewEngine(withShards(cfg, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := feed(t, sh, recs)
-			requireSameResults(t, "sharded", want, got)
-
-			// History-backed queries agree for every o-cell too.
-			for a := int32(0); a < 3; a++ {
-				for b := int32(0); b < 3; b++ {
-					cell := cube.NewCellKey(s.OLayer(), a, b)
-					hw, hg := single.HistoryLen(cell), sh.HistoryLen(cell)
-					if hw != hg {
-						t.Fatalf("history len %d vs %d for %v", hg, hw, cell)
-					}
-					if hw == 0 {
-						continue
-					}
-					tw, errW := single.TrendQuery(cell, 1)
-					tg, errG := sh.TrendQuery(cell, 1)
-					if (errW == nil) != (errG == nil) || tw != tg {
-						t.Fatalf("trend query differs for %v: %v/%v vs %v/%v", cell, tg, errG, tw, errW)
-					}
-				}
-			}
-			sh.Close()
-		}
-	}
-}
-
-// Checkpoints round-trip across shard counts: state taken at four shards
-// is the very checkpoint a one-shard Engine exports at that stream
-// position, and restores into any other count with the engines
-// bitwise-identical afterwards.
-func TestShardedCheckpointRepartitions(t *testing.T) {
-	s := wideSchema(t)
-	cfg := Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1.0)}
-	recs := genStream(7, 6, 4, -1)
-	split := len(recs) / 2
-
-	ref, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewEngine(withShards(cfg, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	for _, r := range recs[:split] {
-		if _, err := ref.Ingest(r.members, r.tick, r.value); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := src.Ingest(r.members, r.tick, r.value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cp, err := src.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cp, checkpointOf(t, ref)) {
-		t.Fatal("4-shard checkpoint differs from the one-shard engine's")
-	}
-
-	finish := func(e *Engine) []*Snapshot {
-		var out []*Snapshot
-		for _, r := range recs[split:] {
-			closed, err := e.Ingest(r.members, r.tick, r.value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, closed...)
-		}
-		final, err := e.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(out, final)
-	}
-	want := finish(ref)
-
-	for _, shards := range []int{7, 4, 1} {
-		dst, err := NewEngine(withShards(cfg, shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.Restore(cp); err != nil {
-			t.Fatal(err)
-		}
-		requireSameResults(t, "restored", want, finish(dst))
-		dst.Close()
-	}
-}
-
 func TestShardedValidation(t *testing.T) {
 	s := wideSchema(t)
 	cfg := Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1)}
@@ -364,45 +248,6 @@ func TestShardedValidation(t *testing.T) {
 	}
 	if err := e.Restore(&Checkpoint{}); err == nil {
 		t.Fatal("expected closed-engine error")
-	}
-}
-
-// A refused accumulator step (per-cell duplicate tick) fails the Ingest
-// that carried it, sticks, and is cleared by Restore.
-func TestShardedStickyErrorAndRecovery(t *testing.T) {
-	s := wideSchema(t)
-	cfg := Config{Schema: s, TicksPerUnit: 4, Threshold: exception.Global(1)}
-	e, err := NewEngine(withShards(cfg, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	cp, err := e.Checkpoint() // clean state for later recovery
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Ingest([]int32{0, 0}, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Same cell, same tick: the call that carried it fails.
-	_, dup := e.Ingest([]int32{0, 0}, 0, 2)
-	if !errors.Is(dup, ErrRecord) {
-		t.Fatalf("duplicate tick: %v, want ErrRecord from the call that carried it", dup)
-	}
-	if _, err := e.Ingest([]int32{1, 1}, 0, 1); err != dup {
-		t.Fatalf("error must stick: Ingest returned %v", err)
-	}
-	if _, err := e.Flush(); err != dup {
-		t.Fatalf("error must stick: Flush returned %v", err)
-	}
-	if err := e.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Ingest([]int32{0, 0}, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Flush(); err != nil {
-		t.Fatalf("restore must clear the sticky error: %v", err)
 	}
 }
 
@@ -468,15 +313,4 @@ func TestShardedCheckpointValidate(t *testing.T) {
 	if err := e.Restore(&Checkpoint{Schema: a}); err == nil {
 		t.Fatal("expected schema-mismatch error on restore")
 	}
-}
-
-// Single-engine runs are themselves deterministic now (canonical
-// aggregation order): two identical runs produce bitwise-identical
-// results. This is the foundation the sharded equivalence rests on.
-func TestEngineDeterministicAcrossRuns(t *testing.T) {
-	cfg := Config{Schema: wideSchema(t), TicksPerUnit: 4, Threshold: exception.Global(1.0)}
-	recs := genStream(11, 4, 4, -1)
-	a, _ := NewEngine(cfg)
-	b, _ := NewEngine(cfg)
-	requireSameResults(t, "rerun", feed(t, a, recs), feed(t, b, recs))
 }

@@ -1,120 +1,12 @@
 package stream
 
 import (
-	"bytes"
-	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/cube"
 	"repro/internal/exception"
-	"repro/internal/tilt"
 	"repro/internal/wire"
 )
-
-// scribble overwrites every column of a batch the engine has been handed
-// and has returned from — the contract says the caller may, at once.
-func scribble(b *wire.Batch) {
-	for i := range b.Ticks {
-		b.Ticks[i] = -1 << 40
-		b.Values[i] = -12345.678
-	}
-	for _, col := range b.Cols {
-		for i := range col {
-			col[i] = 1 << 20
-		}
-	}
-}
-
-// The batch-cut property: however the stream is cut — batches straddling
-// several unit boundaries, one-record batches, per-record Ingest
-// interleaved with IngestBatch, every batch scribbled over the moment its
-// call returns — an Engine at 1, 2, 4 and 7 shards closes the units a
-// one-shard Engine fed record by record closes and ends in its state,
-// bitwise, under the default one-level frame chain and the calendar chain
-// — on a 9×9 m-layer and on a 729×729 one where the same few dozen cells
-// are active: one cell path, whose dictionary numbers each shard's cells,
-// on both.
-func TestBatchCutsMatchSingleEngine(t *testing.T) {
-	for _, sc := range []struct {
-		name   string
-		schema *cube.Schema
-	}{{"dense", wideSchema(t)}, {"sparse", sparseSchema(t)}} {
-		for _, chain := range []struct {
-			name   string
-			levels []tilt.Level
-		}{{"flat", nil}, {"calendar", tilt.CalendarLevels()}} {
-			batchCutsMatchSingleEngine(t, sc.name+"/"+chain.name, Config{
-				Schema:       sc.schema,
-				TicksPerUnit: 4,
-				Threshold:    exception.Global(1.0),
-				Delta:        &exception.Delta{MinSlopeChange: 0.8},
-				TiltLevels:   chain.levels,
-			})
-		}
-	}
-}
-
-func batchCutsMatchSingleEngine(t *testing.T, name string, cfg Config) {
-	for seed := int64(1); seed <= 3; seed++ {
-		// Ten units of ~90 records each, unit 2 empty.
-		recs := genStream(seed, 10, 4, 2)
-		ref, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := feed(t, ref, recs)
-		wantCP := checkpointJSON(t, checkpointOf(t, ref))
-
-		for _, cut := range []struct {
-			name  string
-			sizes []int
-		}{
-			{"straddling", []int{350, 1, 97, 260}}, // up to four boundaries in a batch
-			{"sparse", []int{1, 2, 1, 3}},          // most shards see no record of a batch
-			{"mixed", []int{17, 64, 5, 120}},
-		} {
-			for _, shards := range []int{1, 2, 4, 7} {
-				label := fmt.Sprintf("%s/seed%d/%s/shards%d", name, seed, cut.name, shards)
-				sh, err := NewEngine(withShards(cfg, shards))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []*Snapshot
-				pos := 0
-				for k, b := range toBatches(recs, cut.sizes...) {
-					if k%3 == 2 {
-						// Every third cut goes in record by record.
-						for _, r := range recs[pos : pos+b.Len()] {
-							closed, err := sh.Ingest(r.members, r.tick, r.value)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							got = append(got, closed...)
-						}
-					} else {
-						closed, err := sh.IngestBatch(b)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						got = append(got, closed...)
-					}
-					pos += b.Len()
-					scribble(b)
-				}
-				final, err := sh.Flush()
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				requireSameResults(t, label, want, append(got, final))
-				if !bytes.Equal(wantCP, checkpointJSON(t, checkpointOf(t, sh))) {
-					t.Fatalf("%s: checkpoint differs from the one-shard engine's", label)
-				}
-				sh.Close()
-			}
-		}
-	}
-}
 
 // denseFrame is a batch of a dense 9×9 stream: every cell of wideSchema's
 // m-layer on every tick of [from, from+ticks), 81 records a tick.
@@ -223,109 +115,5 @@ func TestBurstUnitBuffersAreBounded(t *testing.T) {
 	if len(e.dict.slots) > 16*cells || cap(e.dict.buf) > 4*frame.Len()+1024 {
 		t.Fatalf("the dictionary still holds %d slots and %d scratch after an %d-cell unit",
 			len(e.dict.slots), cap(e.dict.buf), cells)
-	}
-}
-
-// An Engine at 2, 4 and 7 shards behaves call for call as one at one
-// shard, which closes its units on the caller's goroutine: the same
-// snapshots returned, results, alerts, counts and frames alike, and —
-// because the coordinator accumulates every record before the call
-// returns — the same record error from the very call that carried the bad
-// record, per record and per batch.
-func TestEveryShardCountMatchesEngine(t *testing.T) {
-	cfg := Config{
-		Schema:           wideSchema(t),
-		TicksPerUnit:     4,
-		Threshold:        exception.Global(1.0),
-		Delta:            &exception.Delta{MinSlopeChange: 0.8},
-		PublishSnapshots: true,
-	}
-	recs := genStream(3, 6, 4, 2)
-	half := len(recs) / 2
-	batches := toBatches(recs[half:])
-	last := recs[len(recs)-1]
-	// quiet is a cell with no record at last's tick or after: the bad
-	// batch's first record, which stands.
-	var quiet []int32
-	for k := int32(0); k < 81 && quiet == nil; k++ {
-		quiet = []int32{k % 9, k / 9}
-		for _, r := range recs {
-			if r.tick >= last.tick && reflect.DeepEqual(r.members, quiet) {
-				quiet = nil
-				break
-			}
-		}
-	}
-	if quiet == nil {
-		t.Fatal("every cell reports on the last tick; the test needs a quiet one")
-	}
-
-	// run feeds the first half record by record and the second in batches,
-	// then sends a record whose tick its cell already consumed — alone, or
-	// inside a batch behind a good record of the same unit.
-	run := func(e *Engine, inBatch bool) (urs []*Snapshot, recErr error) {
-		for _, r := range recs[:half] {
-			closed, err := e.Ingest(r.members, r.tick, r.value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			urs = append(urs, closed...)
-		}
-		for _, b := range batches {
-			closed, err := e.IngestBatch(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			urs = append(urs, closed...)
-		}
-		if inBatch {
-			var bad wire.Batch
-			bad.Reset(2)
-			bad.Append(last.tick, quiet, 1)
-			bad.Append(last.tick, last.members, 1)
-			_, recErr = e.IngestBatch(&bad)
-		} else {
-			_, recErr = e.Ingest(last.members, last.tick, 1)
-		}
-		return urs, recErr
-	}
-
-	for _, inBatch := range []bool{false, true} {
-		ref, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantURs, wantErr := run(ref, inBatch)
-		if wantErr == nil {
-			t.Fatal("engine accepted a consumed tick")
-		}
-		wantCells := ref.dict.n
-
-		for _, shards := range []int{2, 4, 7} {
-			label := fmt.Sprintf("inBatch=%v/shards%d", inBatch, shards)
-			sh, err := NewEngine(withShards(cfg, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotURs, gotErr := run(sh, inBatch)
-
-			requireSameResults(t, label, wantURs, gotURs)
-			for i, w := range wantURs {
-				if g := gotURs[i]; g.UnitsDone != w.UnitsDone || !reflect.DeepEqual(g.Frames, w.Frames) {
-					t.Fatalf("%s: snapshot %d: %d units done, want %d, or frames differ", label, i, g.UnitsDone, w.UnitsDone)
-				}
-			}
-			if gotErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Fatalf("%s: record error %v, one shard's %v", label, gotErr, wantErr)
-			}
-			// The records before the bad one stand, and the error sticks.
-			if got := sh.dict.n; got != wantCells {
-				t.Fatalf("%s: %d active cells after the error, one shard %d", label, got, wantCells)
-			}
-			if _, err := sh.Flush(); err == nil || err.Error() != wantErr.Error() {
-				t.Fatalf("%s: Flush after the record error: %v, want it to stick", label, err)
-			}
-			sh.Close()
-		}
 	}
 }

@@ -3,13 +3,11 @@ package stream
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/cube"
 	"repro/internal/exception"
-	"repro/internal/regression"
 	"repro/internal/wire"
 )
 
@@ -123,39 +121,6 @@ func ingestGrid(t testing.TB, ing func([]int32, int64, float64) ([]*Snapshot, er
 	}
 }
 
-func TestEngineSnapshotPublishedPerUnit(t *testing.T) {
-	cfg := snapshotTestConfig(t)
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Snapshot() != nil {
-		t.Fatal("snapshot before any unit closed")
-	}
-	ingestGrid(t, eng.Ingest, 0, 9) // crosses units 0 and 1
-	snap := eng.Snapshot()
-	if snap == nil || snap.Unit != 1 {
-		t.Fatalf("snapshot = %+v, want unit 1", snap)
-	}
-	verifySnapshot(t, &cfg, snap)
-	if snap.Result.NumOCells() != 4 || len(snap.Alerts) == 0 {
-		t.Fatalf("snapshot result has %d o-cells, %d alerts", snap.Result.NumOCells(), len(snap.Alerts))
-	}
-	// History is a deep copy: later units must not mutate a held snapshot.
-	before := snap.HistoryLen(snap.Alerts[0].Cell)
-	ingestGrid(t, eng.Ingest, 9, 13)
-	if got := snap.HistoryLen(snap.Alerts[0].Cell); got != before {
-		t.Fatalf("held snapshot's history grew from %d to %d", before, got)
-	}
-	// Flush publishes the final partial unit.
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Snapshot().Unit; got != 3 {
-		t.Fatalf("post-flush snapshot unit = %d, want 3", got)
-	}
-}
-
 func TestSnapshotDisabledByDefault(t *testing.T) {
 	cfg := snapshotTestConfig(t)
 	cfg.PublishSnapshots = false
@@ -175,44 +140,6 @@ func TestSnapshotDisabledByDefault(t *testing.T) {
 	ingestGrid(t, seng.Ingest, 0, 9)
 	if seng.Snapshot() != nil {
 		t.Fatal("sharded snapshot published with PublishSnapshots off")
-	}
-}
-
-// The merged sharded snapshot is identical to the single engine's at every
-// shard count: same result cells, same canonical alerts, same history.
-func TestShardedSnapshotMatchesSingle(t *testing.T) {
-	cfg := snapshotTestConfig(t)
-	single, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestGrid(t, single.Ingest, 0, 17)
-	want := single.Snapshot()
-	verifySnapshot(t, &cfg, want)
-
-	for _, shards := range []int{1, 2, 3, 4, 7} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			seng, err := NewEngine(withShards(cfg, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer seng.Close()
-			ingestGrid(t, seng.Ingest, 0, 17)
-			got := seng.Snapshot()
-			verifySnapshot(t, &cfg, got)
-			if got.Unit != want.Unit || got.UnitsDone != want.UnitsDone || got.Interval != want.Interval {
-				t.Fatalf("header %d/%d/%v, want %d/%d/%v",
-					got.Unit, got.UnitsDone, got.Interval, want.Unit, want.UnitsDone, want.Interval)
-			}
-			requireSameCells(t, "merged result", want.Result, got.Result)
-			if !reflect.DeepEqual(got.Frames, want.Frames) {
-				t.Fatal("merged frames differ from single engine")
-			}
-			// As published by each engine: no re-sorting on either side.
-			if !reflect.DeepEqual(got.Alerts, want.Alerts) {
-				t.Fatalf("alerts differ:\n%+v\nvs\n%+v", got.Alerts, want.Alerts)
-			}
-		})
 	}
 }
 
@@ -354,79 +281,6 @@ func TestReturnedSnapshotsArePublished(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestSnapshotEmptyUnit(t *testing.T) {
-	cfg := snapshotTestConfig(t)
-	seng, err := NewEngine(withShards(cfg, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seng.Close()
-	ingestGrid(t, seng.Ingest, 0, 4) // unit 0 complete, still open
-	if _, err := seng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := seng.Snapshot()
-	if full == nil || full.Result == nil || full.Unit != 0 {
-		t.Fatalf("unit 0 snapshot = %+v", full)
-	}
-	// Unit 1 closes with no data at all.
-	if _, err := seng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	empty := seng.Snapshot()
-	if empty.Unit != 1 || empty.Result != nil || len(empty.Alerts) != 0 {
-		t.Fatalf("empty-unit snapshot = unit %d result %v", empty.Unit, empty.Result)
-	}
-	// History still carries unit 0's cells, each one zero regression
-	// longer: the cells sat unit 1 out.
-	for _, f := range full.Frames {
-		key := f.Key()
-		was, now := full.HistoryOf(key), empty.HistoryOf(key)
-		quiet := HistoryPoint{Unit: 1, ISB: regression.ISB{Tb: empty.Interval.Tb, Te: empty.Interval.Te}}
-		if !reflect.DeepEqual(now, append(was, quiet)) {
-			t.Fatalf("history of %v after the empty unit = %+v, want %+v plus a zero unit", key, now, was)
-		}
-	}
-	if empty.UnitsDone != 2 {
-		t.Fatalf("units done = %d, want 2", empty.UnitsDone)
-	}
-}
-
-func TestSnapshotClearedOnRestore(t *testing.T) {
-	cfg := snapshotTestConfig(t)
-	seng, err := NewEngine(withShards(cfg, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seng.Close()
-	ingestGrid(t, seng.Ingest, 0, 5)
-	cp, err := seng.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seng.Snapshot() == nil {
-		t.Fatal("no snapshot before restore")
-	}
-	if err := seng.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if seng.Snapshot() != nil {
-		t.Fatal("stale snapshot survived Restore")
-	}
-
-	single, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestGrid(t, single.Ingest, 0, 5)
-	if err := single.Restore(checkpointOf(t, single)); err != nil {
-		t.Fatal(err)
-	}
-	if single.Snapshot() != nil {
-		t.Fatal("stale snapshot survived single-engine Restore")
 	}
 }
 

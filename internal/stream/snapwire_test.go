@@ -35,103 +35,6 @@ func feedUnits(t testing.TB, ingest func(members []int32, tick int64, value floa
 	}
 }
 
-// snapshotsEquivalent asserts two snapshots carry identical analyst-visible
-// state (summary stats excluded — wall-clock fields are never comparable).
-func snapshotsEquivalent(t *testing.T, got, want *Snapshot) {
-	t.Helper()
-	if got.Unit != want.Unit || got.UnitsDone != want.UnitsDone || got.Interval != want.Interval {
-		t.Fatalf("header (%d,%d,%+v) != (%d,%d,%+v)",
-			got.Unit, got.UnitsDone, got.Interval, want.Unit, want.UnitsDone, want.Interval)
-	}
-	if (got.Result == nil) != (want.Result == nil) {
-		t.Fatalf("Result nil-ness differs")
-	}
-	if got.Result != nil {
-		requireSameCells(t, "result", want.Result, got.Result)
-	}
-	if !reflect.DeepEqual(got.Alerts, want.Alerts) {
-		t.Fatalf("alerts differ:\n%+v\n%+v", got.Alerts, want.Alerts)
-	}
-	if !reflect.DeepEqual(got.Frames, want.Frames) {
-		t.Fatal("frames differ")
-	}
-}
-
-// TestSnapshotCodecRoundTrip proves Encode→Decode reproduces the full
-// snapshot and that encoding is deterministic (canonical cell order, so
-// equal state means equal bytes).
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	cfg := snapshotTestConfig(t)
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedUnits(t, func(m []int32, tick int64, v float64) {
-		if _, err := eng.Ingest(m, tick, v); err != nil {
-			t.Fatal(err)
-		}
-	}, cfg, 3)
-	snap := eng.Snapshot()
-	if snap == nil || snap.Result == nil {
-		t.Fatal("no published snapshot")
-	}
-	data, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, again) {
-		t.Fatal("encoding is not deterministic")
-	}
-	dec, err := DecodeSnapshot(cfg.Schema, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotsEquivalent(t, dec, snap)
-	if dec.Result.Stats.Tuples != snap.Result.Stats.Tuples {
-		t.Fatalf("stats tuples %d != %d", dec.Result.Stats.Tuples, snap.Result.Stats.Tuples)
-	}
-	// Re-encoding the decoded snapshot reproduces the bytes exactly.
-	data2, err := EncodeSnapshot(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("decode→encode is not the identity")
-	}
-}
-
-// TestSnapshotCodecTilted covers the tilted-frame leg of the codec.
-func TestSnapshotCodecTilted(t *testing.T) {
-	cfg := snapshotTestConfig(t)
-	cfg.TiltLevels = []tilt.Level{{Name: "fine", Multiple: 1, Slots: 4}, {Name: "coarse", Multiple: 2, Slots: 3}}
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedUnits(t, func(m []int32, tick int64, v float64) {
-		if _, err := eng.Ingest(m, tick, v); err != nil {
-			t.Fatal(err)
-		}
-	}, cfg, 5)
-	snap := eng.Snapshot()
-	if snap == nil || snap.Frames == nil {
-		t.Fatal("no tilted snapshot")
-	}
-	data, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeSnapshot(cfg.Schema, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotsEquivalent(t, dec, snap)
-}
-
 // codecSnapshots builds one published snapshot per shape the codec has a
 // branch for: the default one-level chain with alerts and drill-downs, a
 // two-level chain, slope-change alerts (which carry no drill), and a unit
@@ -583,84 +486,6 @@ func mustMerge(t *testing.T, schema *cube.Schema, s *Snapshot) *Snapshot {
 	return m
 }
 
-// TestSuccessorDocumentsRebuildFrames follows an engine unit by unit the
-// way the cluster coordinator follows a node: one full document, then
-// successor documents, each decoded against the snapshot decoded before
-// it. Over a three-level chain that promotes and evicts, o-cells that sit
-// units out, o-cells first seen late and a unit that closes empty, at 1, 2
-// and 3 shards, every snapshot so decoded re-encodes to the engine's full
-// document byte for byte.
-func TestSuccessorDocumentsRebuildFrames(t *testing.T) {
-	schema := snapshotTestSchema(t)
-	for _, shards := range []int{1, 2, 3} {
-		cfg := withShards(tiltConfig(t), shards)
-		eng, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		var held *Snapshot
-		for u := int64(0); u < 40; u++ {
-			// The o-cells (1,*) are first seen at unit 9, the o-cells (*,1)
-			// sit out every fifth unit, and unit 20 closes empty.
-			width := int32(4)
-			if u < 9 {
-				width = 2
-			}
-			for tick := u * 4; tick < (u+1)*4 && u != 20; tick++ {
-				for a := int32(0); a < width; a++ {
-					for b := int32(0); b < 4; b++ {
-						if u%5 == 2 && b >= 2 {
-							continue
-						}
-						v := float64(tick%13) * float64(a+2*b+1) * float64(1+u%3)
-						if _, err := eng.Ingest([]int32{a, b}, tick, v); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			}
-			if _, err := eng.AdvanceTo(u + 1); err != nil {
-				t.Fatal(err)
-			}
-			s := eng.Snapshot()
-			full, err := EncodeSnapshot(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			doc := full
-			if held != nil {
-				if doc, err = EncodeSuccessor(s); err != nil {
-					t.Fatal(err)
-				}
-				if !IsSuccessorDocument(doc) || IsSuccessorDocument(full) {
-					t.Fatalf("shards=%d unit %d: documents of the wrong kind", shards, u)
-				}
-				if len(full)-len(doc) != framesSize(s.Frames) {
-					t.Fatalf("shards=%d unit %d: a successor of %d bytes, a full document of %d and frames of %d",
-						shards, u, len(doc), len(full), framesSize(s.Frames))
-				}
-			}
-			dec, err := DecodeSnapshotAfter(schema, held, doc)
-			if err != nil {
-				t.Fatalf("shards=%d unit %d: %v", shards, u, err)
-			}
-			again, err := EncodeSnapshot(dec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again, full) {
-				t.Fatalf("shards=%d unit %d: the rebuilt snapshot encodes to other bytes than the engine's", shards, u)
-			}
-			held = dec
-		}
-		last := held.Frames
-		if len(last) != 4 || last[0].Frame.Levels[2].Next < 3 || last[3].Base != 9 || held.Result == nil {
-			t.Fatalf("shards=%d: test is vacuous: %d frames", shards, len(last))
-		}
-	}
-}
-
 // snapHeaderLen is the length of a snapshot document's header: the fixed
 // fields, then the level chain.
 func snapHeaderLen(s *Snapshot) int {
@@ -751,115 +576,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("canonical form is not a fixed point (%v)", err)
 		}
 	})
-}
-
-// TestMergeSnapshotsMatchesSharded is the gather tier's core guarantee:
-// per-node snapshots round-tripped through the wire codec and merged with
-// MergeSnapshots must equal both the sharded coordinator's own merged
-// snapshot and a single engine's snapshot of the same stream, at 1, 2, 4
-// and 7 nodes.
-func TestMergeSnapshotsMatchesSharded(t *testing.T) {
-	cfg := snapshotTestConfig(t)
-
-	// Reference: one engine over the whole stream.
-	single, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedUnits(t, func(m []int32, tick int64, v float64) {
-		if _, err := single.Ingest(m, tick, v); err != nil {
-			t.Fatal(err)
-		}
-	}, cfg, 3)
-	if _, err := single.AdvanceTo(3); err != nil {
-		t.Fatal(err)
-	}
-	want := single.Snapshot()
-
-	for _, nodes := range []int{1, 2, 4, 7} {
-		// Cluster stand-in: partition the same stream across the per-node
-		// engines with the shared Partitioner, advance them in lockstep at
-		// each boundary (the router's barrier), then merge their
-		// snapshots. The coordinator at as many shards sees it all.
-		part, err := NewPartitioner(cfg.Schema, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines := make([]*Engine, nodes)
-		for i := range engines {
-			if engines[i], err = NewEngine(cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sharded, err := NewEngine(withShards(cfg, nodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sharded.Close()
-		lastUnit := int64(0)
-		feedUnits(t, func(m []int32, tick int64, v float64) {
-			if u := tick / int64(cfg.TicksPerUnit); u > lastUnit {
-				// The router's barrier: every node closes the boundary's
-				// units before any node sees the next unit's records.
-				for _, e := range engines {
-					if _, err := e.AdvanceTo(u); err != nil {
-						t.Fatal(err)
-					}
-				}
-				lastUnit = u
-			}
-			sid, err := part.Route(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := engines[sid].Ingest(m, tick, v); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sharded.Ingest(m, tick, v); err != nil {
-				t.Fatal(err)
-			}
-		}, cfg, 3)
-		for _, e := range append(engines, sharded) {
-			if _, err := e.AdvanceTo(3); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snaps := make([]*Snapshot, nodes)
-		for i, e := range engines {
-			data, err := EncodeSnapshot(e.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snaps[i], err = DecodeSnapshot(cfg.Schema, data); err != nil {
-				t.Fatal(err)
-			}
-		}
-		merged, err := MergeSnapshots(cfg.Schema, snaps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapshotsEquivalent(t, merged, want)
-		snapshotsEquivalent(t, merged, sharded.Snapshot())
-
-		// Unit-mismatched snapshots must be rejected: the gather tier
-		// fetches only after aligning watermarks.
-		if nodes == 1 {
-			continue
-		}
-		if _, err := engines[0].AdvanceTo(4); err != nil {
-			t.Fatal(err)
-		}
-		data, err := EncodeSnapshot(engines[0].Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snaps[0], err = DecodeSnapshot(cfg.Schema, data); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := MergeSnapshots(cfg.Schema, snaps); err == nil {
-			t.Fatalf("%d nodes: diverged units merged", nodes)
-		}
-	}
 }
 
 // BenchmarkSnapshotCodec times the codec on the snapshot one cluster_serve

@@ -122,8 +122,8 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	if length == 0 || length > MaxFramePayload {
 		return nil, fmt.Errorf("%w: frame length %d outside (0,%d]", ErrCorrupt, length, MaxFramePayload)
 	}
-	if cap(fr.buf) < int(length) {
-		fr.buf = make([]byte, length)
+	if cap(fr.buf) < int(length) { // grown geometrically: a run of ever longer frames reallocates O(log n) times
+		fr.buf = make([]byte, length, min(max(int(length), 2*cap(fr.buf)), MaxFramePayload))
 	}
 	payload := fr.buf[:length]
 	if _, err := io.ReadFull(fr.br, payload); err != nil {

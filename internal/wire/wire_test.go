@@ -39,6 +39,30 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// A stream of strictly growing frames reallocates the reader's payload
+// buffer O(log n) times, not once a frame.
+func TestFrameReaderGrowsGeometrically(t *testing.T) {
+	const n = 4096
+	var stream []byte
+	for length := 1; length <= n; length++ {
+		stream = EncodeFrame(stream, bytes.Repeat([]byte{byte(length)}, length))
+	}
+	fr := frameReader(stream)
+	grows, last := 0, 0
+	for length := 1; length <= n; length++ {
+		payload, err := fr.Next()
+		if err != nil || len(payload) != length || payload[length-1] != byte(length) {
+			t.Fatalf("frame %d: %d bytes, %v", length, len(payload), err)
+		}
+		if cap(payload) != last {
+			grows, last = grows+1, cap(payload)
+		}
+	}
+	if grows > 14 { // log2(4096) + 2
+		t.Fatalf("%d frames of growing length reallocated the buffer %d times", n, grows)
+	}
+}
+
 // frameReader reads the frames of b.
 func frameReader(b []byte) *FrameReader {
 	return NewFrameReader(bufio.NewReader(bytes.NewReader(b)))

@@ -37,7 +37,7 @@ var layerRules = []layerRule{
 	// The serving layer reads snapshots and alert state; it must not know
 	// about the runtime, the cluster, or any persistence machinery.
 	{pkg: "internal/serve", forbid: []string{"internal/node", "internal/cluster", "internal/wal", "internal/persist", "internal/gen"}},
-	// The alert lifecycle consumes the snapshot bus only.
+	// The alert lifecycle observes the snapshots the engine returns.
 	{pkg: "internal/alert", forbid: []string{"internal/node", "internal/serve", "internal/cluster", "internal/wal", "internal/persist", "internal/gen", "internal/query"}},
 	// The prediction subsystem is a pure snapshot consumer between stream
 	// and its consumers (query and alert both import it); it must know
