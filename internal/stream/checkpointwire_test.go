@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cube"
 	"repro/internal/exception"
 	"repro/internal/tilt"
 )
@@ -158,16 +157,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 // — and half a unit open.
 func durableCheckpoint(tb testing.TB) *Checkpoint {
 	tb.Helper()
-	ha, _ := cube.NewFanoutHierarchy("A", 16, 2)
-	hb, _ := cube.NewFanoutHierarchy("B", 16, 2)
-	schema, err := cube.NewSchema(
-		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
-		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
-	)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eng, err := NewEngine(Config{Schema: schema, TicksPerUnit: 10, Threshold: exception.Global(1), TiltLevels: tilt.CalendarLevels()})
+	eng, err := NewEngine(Config{Schema: fanoutSchema(tb, 16, 2), TicksPerUnit: 10, Threshold: exception.Global(1), TiltLevels: tilt.CalendarLevels()})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -94,8 +94,9 @@ var contractSeeds = func() map[string]contractProgram {
 		// Slope changes across an empty unit, every shard count.
 		"TestShardedMatchesSingleEngine": prog(withDelta, 4, ingest(8, 2), ingest(4, 1), advance(2), ingest(8, 5), ingest(3, 4), flush),
 		// A consumed tick and a non-finite value, alone and behind a good
-		// record of their unit, per record and per batch.
-		"TestEveryShardCountMatchesEngine": prog(withDelta, 4, ingest(10, 2), refuse(1, 40), ingest(6, 5), refuse(3, 7), refuse(1, 200), ingest(4, 1), flush),
+		// record of their unit, per record at 1, 2, 4 and 7 shards and per
+		// batch.
+		"TestEveryShardCountMatchesEngine": prog(withDelta, 4, ingest(10, 2), refuse(1, 40), ingest(6, 5), refuse(3, 6), refuse(1, 200), ingest(4, 1), flush),
 		// Batches straddling up to three boundaries, sparse batches and a
 		// leap, on the sparse 729×729 m-layer under a tilted chain.
 		"TestBatchCutsMatchSingleEngine": prog(withDelta|tilted|deep, 4, ingest(12, 2), ingest(12, 131), ingest(1, 0), ingest(12, 1), ingest(9, 130), flush),
@@ -198,16 +199,21 @@ var contractSeeds = func() map[string]contractProgram {
 }()
 
 // runSeed runs the seed program of t's name, or one subtest per seed
-// named under it.
+// named under it; a name with neither fails.
 func runSeed(t *testing.T) {
 	if p, ok := contractSeeds[t.Name()]; ok {
 		runContract(t, p)
 		return
 	}
+	ran := false
 	for _, name := range slices.Sorted(maps.Keys(contractSeeds)) {
 		if sub, ok := strings.CutPrefix(name, t.Name()+"/"); ok {
+			ran = true
 			t.Run(sub, func(t *testing.T) { runContract(t, contractSeeds[name]) })
 		}
+	}
+	if !ran {
+		t.Fatalf("no seed program is named %s", t.Name())
 	}
 }
 

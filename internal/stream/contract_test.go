@@ -33,7 +33,10 @@ import (
 //
 //   - ref: one engine at one shard, fed record by record (Ingest);
 //   - three engines at 2, 4 and 7 shards fed IngestBatch, each batch cut
-//     its own way (reshard moves one to another count);
+//     its own way and every third cut sent record by record (reshard moves
+//     one to another count);
+//   - twin: ref under a one-level chain as deep as the current chain's
+//     finest level, fed each ingest as one batch;
 //   - a cluster: three one-shard "nodes" fed through stream.CellRouter with
 //     an AdvanceTo barrier at every boundary, merged with MergeSnapshots
 //     and MergeCheckpoints;
@@ -43,7 +46,8 @@ import (
 // Checked after every step: the snapshots each configuration returned and
 // its checkpoint bytes equal ref's bit for bit, every codec round trip is
 // the identity, a refused record fails every single-engine configuration
-// with the same error and the same closed units, and ref's units — o-cells,
+// with the same error and the same closed units, the twin's history and
+// trends are ref's bit for bit, and ref's units — o-cells,
 // exceptions, alerts, finest-level history and trends — agree within
 // contractBounds with the oracle's exact (math/big) fits of the raw
 // series, which mlr.FitRaw cross-checks.
@@ -136,13 +140,15 @@ func FuzzStreamContract(f *testing.F) {
 	}
 	// Plain go test runs the named seeds under their own names (runSeed);
 	// a fuzz run starts from them too.
-	if flag.Lookup("test.fuzz").Value.String() != "" {
+	if fuzzing() {
 		for _, s := range contractSeeds {
 			f.Add(s.encode())
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runContract(t, decodeProgram(data)) })
 }
+
+func fuzzing() bool { return flag.Lookup("test.fuzz").Value.String() != "" }
 
 // contractRecord is one generated record.
 type contractRecord struct {
@@ -163,6 +169,7 @@ type contractRun struct {
 	clock  int64 // the next tick a generated record may carry
 
 	engines []*stream.Engine // ref, then the batch engines
+	twin    *stream.Engine
 	// the cluster: nodes, their router and its open unit
 	nodes      []*stream.Engine
 	router     *stream.CellRouter
@@ -186,11 +193,21 @@ type contractRun struct {
 
 func runContract(t *testing.T, p contractProgram) {
 	t.Helper()
-	schema := contractSchema(t, 2+4*int(p.flags>>3&1))
+	// Two fanout-3 dimensions 2 or 6 deep, the o-layer one above the
+	// m-layer: four cuboids between them. The stream's cells are members
+	// 0..8 of each, under the 3×3 o-cells 0..2: the whole m-layer at depth
+	// 2, a few of 729×729 cells at depth 6.
+	schema := stream.FanoutSchema(t, 3, 2+4*int(p.flags>>3&1))
 	r := &contractRun{t: t, schema: schema, dir: t.TempDir(), digests: map[int64][]byte{}}
 	r.card = schema.Dims[0].Hierarchy.Cardinality(schema.Dims[0].MLevel)
 	off := int(p.offset) % len(contractOffsets)
 	r.bounds = contractBounds[off]
+	if off > 0 && fuzzing() {
+		// The drift past 2³² ticks is ROADMAP item 13's known defect, which
+		// the seed corpus holds to its bound: a fuzz run checks only the
+		// configurations against each other there, not a new worst drift.
+		r.bounds.slope, r.bounds.level = math.Inf(1), math.Inf(1)
+	}
 	r.chain = int(p.flags>>1) % len(contractChains)
 	r.cfg = stream.Config{
 		Schema:       schema,
@@ -209,6 +226,7 @@ func runContract(t *testing.T, p contractProgram) {
 	for _, n := range []int{1, 2, 4, 7} {
 		r.engines = append(r.engines, r.newEngine(n))
 	}
+	r.twin = r.newTwin()
 	for range 3 {
 		r.nodes = append(r.nodes, r.newEngine(1))
 	}
@@ -238,28 +256,6 @@ func runContract(t *testing.T, p contractProgram) {
 	}
 }
 
-// contractSchema is two fanout-3 dimensions `levels` deep, the m-layer at
-// the finest level and the o-layer one above it: four cuboids between
-// them. The stream's cells are members 0..8 of each, under the 3×3
-// o-cells 0..2: the whole m-layer at depth 2, a few of 729×729 cells at
-// depth 6.
-func contractSchema(t testing.TB, levels int) *cube.Schema {
-	t.Helper()
-	var dims []cube.Dimension
-	for _, name := range []string{"A", "B"} {
-		h, err := cube.NewFanoutHierarchy(name, 3, levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dims = append(dims, cube.Dimension{Name: name, Hierarchy: h, MLevel: levels, OLevel: levels - 1})
-	}
-	s, err := cube.NewSchema(dims...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func (r *contractRun) fatalf(format string, args ...any) {
 	r.t.Helper()
 	r.t.Fatalf("step %d: %s", r.step, fmt.Sprintf(format, args...))
@@ -280,14 +276,21 @@ func (r *contractRun) newEngine(shards int) *stream.Engine {
 	return e
 }
 
-// restored is a fresh engine at shards holding e's state, cut and read
-// back as a checkpoint document.
-func (r *contractRun) restored(e *stream.Engine, shards int) *stream.Engine {
+func (r *contractRun) newTwin() *stream.Engine {
+	cfg := r.cfg
+	cfg.TiltLevels = []tilt.Level{{Name: "unit", Multiple: 1, Slots: r.cfg.TiltLevels[0].Slots}}
+	e, err := stream.NewEngine(cfg)
+	r.must(err)
+	return e
+}
+
+// restored is next holding e's state, cut and read back as a checkpoint
+// document.
+func (r *contractRun) restored(e, next *stream.Engine) *stream.Engine {
 	doc, err := e.AppendCheckpoint(nil)
 	r.must(err)
 	cp, err := stream.DecodeCheckpoint(doc)
 	r.must(err)
-	next := r.newEngine(shards)
 	r.must(next.Restore(cp))
 	e.Close()
 	return next
@@ -308,30 +311,25 @@ func (r *contractRun) unitOf(tick int64) int64 {
 func (r *contractRun) unitStart(u int64) int64 { return r.cfg.StartTick + u*int64(r.cfg.TicksPerUnit) }
 
 // closed collects what one step's calls returned, per configuration:
-// ref, the batch engines, the cluster, the WAL analyzer.
+// ref, the batch engines, the twin, the cluster, the WAL analyzer.
 type closed [][]*stream.Snapshot
 
 func (r *contractRun) apply(op contractOp) {
-	got := make(closed, len(r.engines)+2)
-	cl, wl := len(r.engines), len(r.engines)+1
+	got := make(closed, len(r.engines)+3)
+	tw, cl, wl := len(r.engines), len(r.engines)+1, len(r.engines)+2
 	switch op.kind {
 	case opIngest:
 		recs, rng := r.generate(op)
-		for _, rec := range recs {
-			snaps, err := r.engines[0].Ingest(rec.members, rec.tick, rec.value)
-			r.must(err)
-			got[0] = append(got[0], snaps...)
-		}
+		got[0] = r.feed(r.engines[0], recs, true)
 		for i, e := range r.engines[1:] {
-			for _, b := range cutBatches(recs, rng) {
-				snaps, err := e.IngestBatch(b)
-				r.must(err)
-				got[1+i] = append(got[1+i], snaps...)
-				scribble(b)
+			for k, cut := range cuts(recs, rng) {
+				got[1+i] = append(got[1+i], r.feed(e, cut, (i+k)%3 == 2)...)
 			}
 		}
+		got[tw] = r.feed(r.twin, recs, false)
 		got[cl] = r.route(recs)
-		for _, b := range cutBatches(recs, rng) {
+		for _, cut := range cuts(recs, rng) {
+			b := toBatch(cut)
 			r.must(r.log.AppendColumnar(b))
 			snaps, err := r.an.IngestBatch(b)
 			r.must(err)
@@ -354,6 +352,9 @@ func (r *contractRun) apply(op contractOp) {
 				got[i] = snaps
 			}
 		}
+		var err error
+		got[tw], err = r.twin.AdvanceTo(target)
+		r.must(err)
 		got[cl] = r.barrier(target)
 		got[wl] = r.advanceAnalyzer(target)
 	case opCheckpoint:
@@ -362,7 +363,7 @@ func (r *contractRun) apply(op contractOp) {
 		r.kill(contractShards[int(op.a)%len(contractShards)])
 	case opReshard:
 		i := 1 + int(op.a)%(len(r.engines)-1)
-		r.engines[i] = r.restored(r.engines[i], contractShards[int(op.b)%len(contractShards)])
+		r.engines[i] = r.restored(r.engines[i], r.newEngine(contractShards[int(op.b)%len(contractShards)]))
 		r.published[i] = nil
 	case opRechain:
 		r.rechain(int(op.a) % len(contractChains))
@@ -400,26 +401,39 @@ func (r *contractRun) generate(op contractOp) ([]contractRecord, *rand.Rand) {
 	return recs, rng
 }
 
-// cutBatches cuts recs into wire batches at random points.
-func cutBatches(recs []contractRecord, rng *rand.Rand) []*wire.Batch {
-	var out []*wire.Batch
+// cuts cuts recs at random points.
+func cuts(recs []contractRecord, rng *rand.Rand) [][]contractRecord {
+	var out [][]contractRecord
 	for lo := 0; lo < len(recs); {
 		hi := lo + 1 + rng.IntN(len(recs)-lo)
-		out = append(out, toBatch(recs[lo:hi]))
+		out = append(out, recs[lo:hi])
 		lo = hi
 	}
 	return out
 }
 
-// scribble overwrites a batch the engine has returned from, as its caller
-// may at once.
-func scribble(b *wire.Batch) {
+// feed sends recs to e record by record, or as one batch that it then
+// overwrites, as the engine's caller may at once.
+func (r *contractRun) feed(e *stream.Engine, recs []contractRecord, perRecord bool) []*stream.Snapshot {
+	if perRecord {
+		var out []*stream.Snapshot
+		for _, rec := range recs {
+			snaps, err := e.Ingest(rec.members, rec.tick, rec.value)
+			r.must(err)
+			out = append(out, snaps...)
+		}
+		return out
+	}
+	b := toBatch(recs)
+	snaps, err := e.IngestBatch(b)
+	r.must(err)
 	for i := range b.Ticks {
 		b.Ticks[i], b.Values[i] = -1<<40, math.NaN()
 	}
 	for _, col := range b.Cols {
 		clear(col)
 	}
+	return snaps
 }
 
 func toBatch(recs []contractRecord) *wire.Batch {
@@ -558,9 +572,10 @@ func (r *contractRun) rechain(to int) {
 	old, err := r.engines[0].Checkpoint()
 	r.must(err)
 	for i, e := range r.engines {
-		r.engines[i] = r.restored(e, e.Shards())
+		r.engines[i] = r.restored(e, r.newEngine(e.Shards()))
 		r.published[i] = nil
 	}
+	r.twin = r.restored(r.twin, r.newTwin())
 	reseeded, err := r.engines[0].Checkpoint()
 	r.must(err)
 	for i, rec := range old.Tilt {
@@ -575,9 +590,9 @@ func (r *contractRun) rechain(to int) {
 		}
 	}
 	for i, n := range r.nodes {
-		r.nodes[i] = r.restored(n, 1)
+		r.nodes[i] = r.restored(n, r.newEngine(1))
 	}
-	r.an.Engine = r.restored(r.an.Engine, r.an.Shards())
+	r.an.Engine = r.restored(r.an.Engine, r.newEngine(r.an.Shards()))
 	r.cutAnalyzer()
 }
 
@@ -605,13 +620,14 @@ func (r *contractRun) follow() {
 }
 
 // refuse sends one record every single-engine configuration must refuse:
-// to ref per record, behind a good record of the open unit when the clock
-// is still in it, and to the others as one batch of the two (but an
-// out-of-range member, which refuses the whole run around it). Each must
-// fail with ref's error and close ref's units, and the good record must
-// stand. The cluster and the analyzer see only the good record and
-// barrier to the units the bad one closed. An error that sticks is
-// cleared by restoring the state before the bad record.
+// to ref and one batch engine per record, behind a good record of the
+// open unit when the clock is still in it, and to the others as one batch
+// of the two (but an out-of-range member, which refuses the whole run
+// around it). Each must fail with ref's error and close ref's units, and
+// the good record must stand. The cluster, the analyzer and the twin see
+// only the good record and barrier to the units the bad one closed. An
+// error that sticks is cleared by restoring the state before the bad
+// record.
 func (r *contractRun) refuse(op contractOp, got closed) {
 	ref, open, kind := r.engines[0], r.openUnit(), op.a%4
 	var recs []contractRecord
@@ -627,9 +643,8 @@ func (r *contractRun) refuse(op contractOp, got closed) {
 		r.must(err)
 		r.must(r.an.SetWALSeq(r.log.Seq()))
 		r.route(recs)
-		if _, err := ref.Ingest(good.members, good.tick, good.value); err != nil {
-			r.fatalf("the good record: %v", err)
-		}
+		r.feed(ref, recs, true)
+		r.feed(r.twin, recs, true)
 	}
 	pre, err := ref.Checkpoint()
 	r.must(err)
@@ -650,12 +665,17 @@ func (r *contractRun) refuse(op contractOp, got closed) {
 		bad.value = [...]float64{math.NaN(), math.Inf(1)}[op.b%2]
 	}
 	var wantErr error
+	perRecord := 1 + int(op.b)%(len(r.engines)-1)
 	for i, e := range r.engines {
 		var snaps []*stream.Snapshot
-		if i == 0 {
+		switch i {
+		case 0:
 			snaps, wantErr = e.Ingest(bad.members, bad.tick, bad.value)
 			err = wantErr
-		} else {
+		case perRecord:
+			r.feed(e, recs, true)
+			snaps, err = e.Ingest(bad.members, bad.tick, bad.value)
+		default:
 			batch := append(recs, bad)
 			if kind == 2 && len(recs) > 0 { // the good record alone: the range check refuses a whole run
 				_, err = e.IngestBatch(toBatch(recs))
@@ -675,8 +695,10 @@ func (r *contractRun) refuse(op contractOp, got closed) {
 		}
 		got[i] = snaps
 	}
-	got[len(r.engines)] = r.barrier(r.openUnit())
-	got[len(r.engines)+1] = r.advanceAnalyzer(r.openUnit())
+	got[len(r.engines)], err = r.twin.AdvanceTo(r.openUnit())
+	r.must(err)
+	got[len(r.engines)+1] = r.barrier(r.openUnit())
+	got[len(r.engines)+2] = r.advanceAnalyzer(r.openUnit())
 	r.compareClosed(got)
 	if sticky {
 		for i, e := range r.engines {
@@ -715,7 +737,9 @@ func (r *contractRun) compareClosed(got closed) {
 			r.fatalf("configuration %d closed %d units, ref %d", i+1, len(snaps), len(ref))
 		}
 		for k, s := range snaps {
-			if !bytes.Equal(r.digest(s), r.digests[ref[k].Unit]) {
+			if i+1 == len(r.engines) {
+				r.sameHistory(ref[k], s)
+			} else if !bytes.Equal(r.digest(s), r.digests[ref[k].Unit]) {
 				r.fatalf("configuration %d: unit %d differs from ref's", i+1, s.Unit)
 			}
 		}
@@ -726,6 +750,25 @@ func (r *contractRun) compareClosed(got closed) {
 		}
 	}
 	r.pending = append(r.pending, got[2]...)
+}
+
+// sameHistory holds the twin's snapshot of a unit to ref's: the same
+// o-cells, each with the same finest-level history and the same trends
+// over its last unit, half its history and all of it, bit for bit.
+func (r *contractRun) sameHistory(s, twin *stream.Snapshot) {
+	for _, f := range slices.Concat(s.Frames, twin.Frames) {
+		key := f.Key()
+		n := s.HistoryLen(key)
+		same := reflect.DeepEqual(s.HistoryOf(key), twin.HistoryOf(key))
+		for _, k := range []int{1, (n + 1) / 2, n} {
+			a, errA := s.TrendQuery(key, k)
+			b, errB := twin.TrendQuery(key, k)
+			same = same && a == b && errA == nil && errB == nil
+		}
+		if !same {
+			r.fatalf("unit %d: o-cell %v's finest history or a trend over it differs from the twin's", s.Unit, key)
+		}
+	}
 }
 
 // digest is everything a reader sees of a snapshot, as bytes: its full
@@ -1137,7 +1180,7 @@ func (o *contractOracle) near(r *contractRun, what string, key cube.CellKey, got
 	slope, mean, scale := e.fit()
 	level := got.Base + got.Slope*(float64(iv.Tb)+float64(iv.Te-iv.Tb)/2)
 	es, el := slopeErr(got.Slope, e), relErr(level, mean, scale)
-	if es > r.bounds.slope || el > r.bounds.level {
+	if !(es <= r.bounds.slope && el <= r.bounds.level) {
 		r.fatalf("%s %v over [%d,%d]: slope %g and level %g, exact %g and %g (relative errors %.3g, %.3g)",
 			what, key, iv.Tb, iv.Te, got.Slope, level, slope, mean, es, el)
 	}

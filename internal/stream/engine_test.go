@@ -25,19 +25,7 @@ func almostEq(a, b, tol float64) bool {
 	return diff <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-func smallSchema(t *testing.T) *cube.Schema {
-	t.Helper()
-	ha, _ := cube.NewFanoutHierarchy("A", 2, 2)
-	hb, _ := cube.NewFanoutHierarchy("B", 2, 2)
-	s, err := cube.NewSchema(
-		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
-		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
+func smallSchema(t *testing.T) *cube.Schema { return fanoutSchema(t, 2, 2) }
 
 func newEngine(t *testing.T, s *cube.Schema, thr float64) *Engine {
 	t.Helper()

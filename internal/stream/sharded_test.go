@@ -103,6 +103,9 @@ func overflowSchema(t testing.TB) *cube.Schema {
 	return s
 }
 
+// FanoutSchema is fanoutSchema, for the tests of package stream_test.
+var FanoutSchema = fanoutSchema
+
 // fanoutSchema is a 2-dim schema of fanout hierarchies `levels` deep, the
 // m-layer at the finest level and the o-layer one above it.
 func fanoutSchema(t testing.TB, fanout, levels int) *cube.Schema {

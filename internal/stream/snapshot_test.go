@@ -11,25 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-func snapshotTestSchema(t testing.TB) *cube.Schema {
-	t.Helper()
-	ha, err := cube.NewFanoutHierarchy("A", 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := cube.NewFanoutHierarchy("B", 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema, err := cube.NewSchema(
-		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
-		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return schema
-}
+func snapshotTestSchema(t testing.TB) *cube.Schema { return fanoutSchema(t, 2, 2) }
 
 func snapshotTestConfig(t testing.TB) Config {
 	return Config{

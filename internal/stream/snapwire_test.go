@@ -584,21 +584,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // the suite's traced rig encodes — and the successor document of its unit
 // decoded against the unit before, as a following coordinator does.
 func BenchmarkSnapshotCodec(b *testing.B) {
-	ha, err := cube.NewFanoutHierarchy("A", 8, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hb, err := cube.NewFanoutHierarchy("B", 8, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	schema, err := cube.NewSchema(
-		cube.Dimension{Name: "A", Hierarchy: ha, MLevel: 2, OLevel: 1},
-		cube.Dimension{Name: "B", Hierarchy: hb, MLevel: 2, OLevel: 1},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
+	schema := fanoutSchema(b, 8, 2)
 	eng, err := NewEngine(Config{Schema: schema, TicksPerUnit: 10, Threshold: exception.Global(1), PublishSnapshots: true})
 	if err != nil {
 		b.Fatal(err)

@@ -8,8 +8,8 @@ import (
 // The facade surface at several shards: StreamConfig.Shards reaches the
 // engine, which ingests, cuts a checkpoint through the versioned envelope
 // and restores it at another count. That every count computes the same
-// units, alerts and checkpoint bytes is FuzzStreamContract's
-// (internal/stream).
+// units, alerts and checkpoint bytes, record by record or in batches, is
+// FuzzStreamContract's (internal/stream): StreamEngine is stream.Engine.
 func TestShardedFacadeRoundTrip(t *testing.T) {
 	h, err := NewFanoutHierarchy("region", 4, 2)
 	if err != nil {
